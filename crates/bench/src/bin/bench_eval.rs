@@ -15,14 +15,13 @@
 //!   [`EvalPool`] at each `--par-threads` count;
 //! * **multi-query batch**: the whole calibrated query mix evaluated
 //!   monadically, sequential loop vs pool fan-out;
-//! * **intra-query / masked-kernel ablation** (schema v4): every query
-//!   of the mix evaluated monadically under three step policies —
-//!   `Plain` (exhaustive baseline), `Pruned` (the PR 3 sparsity-gated
-//!   emptiness scan) and `Auto` (the masked-kernel cost model, the
-//!   default everywhere) — and through the intra-query parallel
-//!   evaluator ([`EvalPool::eval_monadic`]) at each `--intra-threads`
-//!   count. The headline `prune_speedup` compares `Plain` against
-//!   `Auto`.
+//! * **intra-query / masked-kernel ablation** (schema v4, `Pruned` leg
+//!   dropped in v6): every query of the mix evaluated monadically under
+//!   two step policies — `Plain` (exhaustive baseline) and `Auto` (the
+//!   masked-kernel cost model, the default everywhere) — and with the
+//!   levels fanned out over a pool ([`EvalPool::evaluate`]) at each
+//!   `--intra-threads` count. The headline `prune_speedup` compares
+//!   `Plain` against `Auto`.
 //! * **task granularity** (schema v4): a 2-state single-label query on
 //!   the graph's most frequent label — the paper's common query shape,
 //!   whose BFS levels carry at most **one** `(state, symbol)` task — is
@@ -34,9 +33,9 @@
 //!   mix evaluated monadically under forced `Forward` / `Backward` /
 //!   `Auto` strategies and binarily (from a small seeded source batch)
 //!   under forced `Forward` / `Backward` / `Bidirectional` / `Auto`,
-//!   through the planned engines (`plan_query_forced` + the
-//!   `eval_*_planned` dispatchers). The JSON records which direction
-//!   `Auto` resolved to next to every forced timing.
+//!   through `plan_query_forced` + [`EvalPool::evaluate`]. The JSON
+//!   records which direction `Auto` resolved to next to every forced
+//!   timing.
 //! * **rare-target direction probe** (schema v5): a layered `a`-DAG of
 //!   the same node count (node `i` fans out to the next 8 nodes) with a
 //!   **single** rare `c`-edge near the head, queried with `(a+b)*·c`
@@ -68,15 +67,12 @@ use pathlearn_automata::{Alphabet, BitSet, Dfa, Symbol};
 use pathlearn_datagen::scale_free::{scale_free_graph, ScaleFreeConfig};
 use pathlearn_datagen::workloads::{bio_workload, syn_workload, CalibratedQuery};
 use pathlearn_eval::report::ascii_table;
-use pathlearn_graph::eval::{
-    eval_binary_from, eval_binary_from_with, eval_monadic, eval_monadic_policy,
-    eval_monadic_queued, EvalScratch,
+use pathlearn_graph::eval::{eval_binary_from, eval_monadic, eval_monadic_queued};
+use pathlearn_graph::plan::{plan_query, plan_query_forced};
+use pathlearn_graph::{
+    CancelToken, EvalPool, EvalScratch, Goal, GraphBuilder, GraphDb, NodeId, QueryPlan, StepPolicy,
+    Strategy,
 };
-use pathlearn_graph::par_eval::{EvalPool, IntraScratch};
-use pathlearn_graph::plan::{
-    eval_binary_planned, eval_monadic_planned, plan_query, plan_query_forced, PlanScratch,
-};
-use pathlearn_graph::{GraphBuilder, GraphDb, NodeId, StepPolicy, Strategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -111,13 +107,12 @@ struct BatchResult {
 }
 
 /// One query's intra-query measurements — the masked-kernel ablation:
-/// the sequential evaluator under `Plain` (exhaustive), `Pruned` (the
-/// legacy sparsity-gated scan) and `Auto` (the masked cost model, the
-/// default), and the parallel evaluator at each thread count.
+/// the sequential engine under `Plain` (exhaustive) and `Auto` (the
+/// masked cost model, the default), and the pooled engine at each
+/// thread count.
 struct IntraResult {
     name: String,
     plain_ns: u128,
-    pruned_ns: u128,
     masked_ns: u128,
     par: Vec<ParPoint>,
 }
@@ -128,11 +123,6 @@ impl IntraResult {
     /// cross-PR continuity).
     fn masked_speedup(&self) -> f64 {
         self.plain_ns.max(1) as f64 / self.masked_ns.max(1) as f64
-    }
-
-    /// The PR 3-era sparsity-gated pruning against the same baseline.
-    fn legacy_prune_speedup(&self) -> f64 {
-        self.plain_ns.max(1) as f64 / self.pruned_ns.max(1) as f64
     }
 
     /// Parallel speedup of one thread-count point over the masked
@@ -182,9 +172,20 @@ struct ScaleResult {
     multi_query: BatchResult,
     intra_query: Vec<IntraResult>,
     prune_geomean: f64,
-    legacy_prune_geomean: f64,
     granularity: GranularityResult,
     planner: PlannerAblation,
+}
+
+/// [`EvalPool::evaluate`] under a token that never trips.
+fn evaluate(
+    pool: &EvalPool,
+    scratch: &mut EvalScratch,
+    plan: &QueryPlan,
+    graph: &GraphDb,
+    goal: Goal<'_>,
+) -> BitSet {
+    pool.evaluate(scratch, plan, graph, goal, &CancelToken::never())
+        .expect("a never-token evaluation is not interrupted")
 }
 
 /// Median of `runs` wall-clock timings of `f`, after one warm-up call.
@@ -237,10 +238,12 @@ fn bench_multi_source(
     let dfa = query.query.dfa();
     let sequential = EvalPool::sequential();
     let expected = sequential.eval_binary_batch(dfa, graph, sources);
+    let plan = QueryPlan::forward(dfa);
     let seq_ns = median_ns(runs, || {
         let mut scratch = EvalScratch::new();
         for &source in sources {
-            std::hint::black_box(eval_binary_from_with(&mut scratch, dfa, graph, source));
+            let goal = Goal::BinaryFrom(source);
+            std::hint::black_box(evaluate(&sequential, &mut scratch, &plan, graph, goal));
         }
     });
     let par = par_threads
@@ -304,8 +307,8 @@ fn bench_multi_query(
 }
 
 /// Times one query's intra-query configurations — the masked-kernel
-/// ablation (`Plain` vs `Pruned` vs `Auto`), then the intra-query
-/// parallel evaluator at each thread count. Asserts every policy and
+/// ablation (`Plain` vs `Auto`), then the pooled engine at each
+/// thread count. Asserts every policy and
 /// every parallel configuration bit-identical to the default sequential
 /// result before timing, so a masked/plain divergence aborts the run.
 fn bench_intra_query(
@@ -316,22 +319,24 @@ fn bench_intra_query(
 ) -> IntraResult {
     let dfa = query.query.dfa();
     let expected = eval_monadic(dfa, graph);
+    let plan = QueryPlan::forward(dfa);
     let mut scratch = EvalScratch::new();
     for policy in StepPolicy::ALL {
+        let engine = EvalPool::sequential().with_step_policy(policy);
         assert_eq!(
-            eval_monadic_policy(&mut scratch, dfa, graph, policy),
+            evaluate(&engine, &mut scratch, &plan, graph, Goal::Monadic),
             expected,
             "{}: {policy:?} evaluator differs",
             query.name
         );
     }
     let mut time_policy = |policy: StepPolicy| {
+        let engine = EvalPool::sequential().with_step_policy(policy);
         median_ns(runs, || {
-            std::hint::black_box(eval_monadic_policy(&mut scratch, dfa, graph, policy));
+            std::hint::black_box(evaluate(&engine, &mut scratch, &plan, graph, Goal::Monadic));
         })
     };
     let plain_ns = time_policy(StepPolicy::Plain);
-    let pruned_ns = time_policy(StepPolicy::Pruned);
     let masked_ns = time_policy(StepPolicy::Auto);
     let par = intra_threads
         .iter()
@@ -343,9 +348,9 @@ fn bench_intra_query(
                 "{}: intra-query parallel differs at {threads} threads",
                 query.name
             );
-            let mut intra = IntraScratch::new();
+            let mut scratch = EvalScratch::new();
             let ns = median_ns(runs, || {
-                std::hint::black_box(pool.eval_monadic_with(&mut intra, dfa, graph));
+                std::hint::black_box(evaluate(&pool, &mut scratch, &plan, graph, Goal::Monadic));
             });
             ParPoint { threads, ns }
         })
@@ -353,7 +358,6 @@ fn bench_intra_query(
     IntraResult {
         name: query.name.clone(),
         plain_ns,
-        pruned_ns,
         masked_ns,
         par,
     }
@@ -384,14 +388,12 @@ fn most_frequent_label_query(graph: &GraphDb) -> (Dfa, Symbol) {
 fn bench_granularity(graph: &GraphDb, intra_threads: &[usize], runs: usize) -> GranularityResult {
     let (dfa, label) = most_frequent_label_query(graph);
     let expected = eval_monadic(&dfa, graph);
+    let plan = QueryPlan::forward(&dfa);
+    let sequential = EvalPool::sequential();
     let mut scratch = EvalScratch::new();
     let seq_ns = median_ns(runs, || {
-        std::hint::black_box(eval_monadic_policy(
-            &mut scratch,
-            &dfa,
-            graph,
-            StepPolicy::Auto,
-        ));
+        let selected = evaluate(&sequential, &mut scratch, &plan, graph, Goal::Monadic);
+        std::hint::black_box(selected);
     });
     let chunk_modes: [Option<usize>; 4] = [Some(usize::MAX), Some(1), Some(4), None];
     let mut points = Vec::new();
@@ -406,9 +408,8 @@ fn bench_granularity(graph: &GraphDb, intra_threads: &[usize], runs: usize) -> G
                 expected,
                 "granularity probe differs at {threads} threads, chunk {chunk_words:?}"
             );
-            let mut intra = IntraScratch::new();
             let ns = median_ns(runs, || {
-                std::hint::black_box(pool.eval_monadic_with(&mut intra, &dfa, graph));
+                std::hint::black_box(evaluate(&pool, &mut scratch, &plan, graph, Goal::Monadic));
             });
             points.push(GranularityPoint {
                 threads,
@@ -497,19 +498,20 @@ fn bench_planner_query(
     let dfa = q.query.dfa();
     let auto_plan = plan_query(dfa, graph);
     let expected = eval_monadic(dfa, graph);
-    let mut scratch = PlanScratch::new();
+    let engine = EvalPool::sequential();
+    let mut scratch = EvalScratch::new();
     let monadic = [Strategy::Forward, Strategy::Backward, Strategy::Auto]
         .into_iter()
         .map(|forced| {
             let plan = plan_query_forced(dfa, graph, forced);
             assert_eq!(
-                eval_monadic_planned(&mut scratch, &plan, graph),
+                evaluate(&engine, &mut scratch, &plan, graph, Goal::Monadic),
                 expected,
                 "{}: planned monadic differs under forced {forced}",
                 q.name
             );
             let ns = median_ns(runs, || {
-                std::hint::black_box(eval_monadic_planned(&mut scratch, &plan, graph));
+                std::hint::black_box(evaluate(&engine, &mut scratch, &plan, graph, Goal::Monadic));
             });
             StrategyPoint {
                 strategy: forced,
@@ -528,7 +530,13 @@ fn bench_planner_query(
         let plan = plan_query_forced(dfa, graph, forced);
         for &source in sources {
             assert_eq!(
-                eval_binary_planned(&mut scratch, &plan, graph, source),
+                evaluate(
+                    &engine,
+                    &mut scratch,
+                    &plan,
+                    graph,
+                    Goal::BinaryFrom(source)
+                ),
                 eval_binary_from(dfa, graph, source),
                 "{}: planned binary differs under forced {forced} from {source}",
                 q.name
@@ -536,7 +544,8 @@ fn bench_planner_query(
         }
         let ns = median_ns(runs, || {
             for &source in sources {
-                std::hint::black_box(eval_binary_planned(&mut scratch, &plan, graph, source));
+                let goal = Goal::BinaryFrom(source);
+                std::hint::black_box(evaluate(&engine, &mut scratch, &plan, graph, goal));
             }
         });
         StrategyPoint {
@@ -594,7 +603,9 @@ fn bench_direction_probe(nodes: usize, runs: usize) -> DirectionProbe {
     let source: NodeId = 0;
     let expected = eval_binary_from(&dfa, &graph, source);
     let auto_plan = plan_query(&dfa, &graph);
-    let mut scratch = PlanScratch::new();
+    let engine = EvalPool::sequential();
+    let goal = Goal::BinaryFrom(source);
+    let mut scratch = EvalScratch::new();
     let binary = [
         Strategy::Forward,
         Strategy::Backward,
@@ -605,12 +616,12 @@ fn bench_direction_probe(nodes: usize, runs: usize) -> DirectionProbe {
     .map(|forced| {
         let plan = plan_query_forced(&dfa, &graph, forced);
         assert_eq!(
-            eval_binary_planned(&mut scratch, &plan, &graph, source),
+            evaluate(&engine, &mut scratch, &plan, &graph, goal),
             expected,
             "direction probe differs under forced {forced}"
         );
         let ns = median_ns(runs, || {
-            std::hint::black_box(eval_binary_planned(&mut scratch, &plan, &graph, source));
+            std::hint::black_box(evaluate(&engine, &mut scratch, &plan, &graph, goal));
         });
         StrategyPoint {
             strategy: forced,
@@ -684,7 +695,7 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
     out.push_str(
         "  \"benchmark\": \"RPQ evaluation: frontier-batched vs seed queued BFS, par_eval batches, masked step kernels + cost-model gate, intra-query parallel + node-range fan-out, whole-query planner (forward/backward/bidirectional) + rare-target direction probe\",\n",
     );
-    out.push_str("  \"schema_version\": 5,\n");
+    out.push_str("  \"schema_version\": 6,\n");
     out.push_str(&format!(
         "  \"hardware\": {{\"available_cores\": {}}},\n",
         std::thread::available_parallelism().map_or(0, |n| n.get())
@@ -729,13 +740,11 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
         out.push_str("      \"intra_query\": [\n");
         for (i, r) in scale.intra_query.iter().enumerate() {
             out.push_str(&format!(
-                "        {{\"name\": \"{}\", \"plain_ns\": {}, \"pruned_ns\": {}, \"masked_ns\": {}, \"prune_speedup\": {:.3}, \"legacy_prune_speedup\": {:.3}, \"par\": [",
+                "        {{\"name\": \"{}\", \"plain_ns\": {}, \"masked_ns\": {}, \"prune_speedup\": {:.3}, \"par\": [",
                 json_escape(&r.name),
                 r.plain_ns,
-                r.pruned_ns,
                 r.masked_ns,
                 r.masked_speedup(),
-                r.legacy_prune_speedup(),
             ));
             for (pi, point) in r.par.iter().enumerate() {
                 if pi > 0 {
@@ -809,12 +818,8 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
         ));
         out.push_str("      },\n");
         out.push_str(&format!(
-            "      \"prune_geomean_speedup\": {:.3},\n",
+            "      \"prune_geomean_speedup\": {:.3}\n",
             scale.prune_geomean
-        ));
-        out.push_str(&format!(
-            "      \"legacy_prune_geomean_speedup\": {:.3}\n",
-            scale.legacy_prune_geomean
         ));
         out.push_str(&format!(
             "    }}{}\n",
@@ -846,14 +851,13 @@ fn print_batch(batch: &BatchResult) {
     println!("{}", ascii_table(&["config", "ms", "speedup"], &rows));
 }
 
-fn print_intra(results: &[IntraResult], prune_geomean: f64, legacy_prune_geomean: f64) {
+fn print_intra(results: &[IntraResult], prune_geomean: f64) {
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|r| {
             let mut row = vec![
                 r.name.clone(),
                 format!("{:.3}", r.plain_ns as f64 / 1e6),
-                format!("{:.3}", r.pruned_ns as f64 / 1e6),
                 format!("{:.3}", r.masked_ns as f64 / 1e6),
                 format!("{:.2}x", r.masked_speedup()),
             ];
@@ -870,7 +874,6 @@ fn print_intra(results: &[IntraResult], prune_geomean: f64, legacy_prune_geomean
     let mut headers = vec![
         "query".to_owned(),
         "plain ms".to_owned(),
-        "pruned ms".to_owned(),
         "masked ms".to_owned(),
         "masked gain".to_owned(),
     ];
@@ -882,9 +885,7 @@ fn print_intra(results: &[IntraResult], prune_geomean: f64, legacy_prune_geomean
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     println!("intra-query masked-kernel ablation (monadic, single query at a time):");
     println!("{}", ascii_table(&header_refs, &rows));
-    println!(
-        "geomean masked-kernel speedup: {prune_geomean:.2}x (legacy sparse-gated pruning: {legacy_prune_geomean:.2}x)"
-    );
+    println!("geomean masked-kernel speedup: {prune_geomean:.2}x");
 }
 
 fn print_granularity(g: &GranularityResult) {
@@ -1086,7 +1087,7 @@ fn main() {
         let multi_query = bench_multi_query(&graph, &dfas, &par_threads, runs);
 
         eprintln!(
-            "intra-query: {} queries, plain/pruned/masked ablation + threads {:?} ...",
+            "intra-query: {} queries, plain/masked ablation + threads {:?} ...",
             queries.len(),
             intra_threads
         );
@@ -1095,8 +1096,6 @@ fn main() {
             .map(|q| bench_intra_query(&graph, q, &intra_threads, runs))
             .collect();
         let prune_geomean = geometric_mean(intra_query.iter().map(IntraResult::masked_speedup));
-        let legacy_prune_geomean =
-            geometric_mean(intra_query.iter().map(IntraResult::legacy_prune_speedup));
 
         eprintln!(
             "task granularity: 2-state single-label probe, chunks off/1/4/auto x threads {:?} ...",
@@ -1149,7 +1148,7 @@ fn main() {
         );
         print_batch(&multi_source);
         print_batch(&multi_query);
-        print_intra(&intra_query, prune_geomean, legacy_prune_geomean);
+        print_intra(&intra_query, prune_geomean);
         print_granularity(&granularity);
         print_planner(&planner, 8);
 
@@ -1163,7 +1162,6 @@ fn main() {
             multi_query,
             intra_query,
             prune_geomean,
-            legacy_prune_geomean,
             granularity,
             planner,
         });

@@ -70,9 +70,8 @@ use pathlearn_automata::{BitSet, Dfa, Symbol};
 use pathlearn_datagen::scale_free::{scale_free_graph, ScaleFreeConfig};
 use pathlearn_datagen::workloads::{bio_workload, syn_workload};
 use pathlearn_eval::report::ascii_table;
-use pathlearn_graph::eval::{eval_monadic_with, EvalScratch};
 use pathlearn_graph::io::{parse_graph, write_graph};
-use pathlearn_graph::GraphDb;
+use pathlearn_graph::{CancelToken, EvalPool, EvalScratch, Goal, GraphDb, QueryPlan};
 use pathlearn_server::wal::{Persistence, SNAPSHOT_FILE};
 use pathlearn_server::{
     AdminServer, CacheConfig, Client, NetConfig, QueryService, Response, ServeConfig, Server,
@@ -161,6 +160,21 @@ struct RestartPoint {
 }
 
 type Edge = (u32, Symbol, u32);
+
+/// Direct (uncached, unplanned) sequential monadic evaluation with
+/// reused buffers — the baseline served answers are checked and timed
+/// against.
+fn eval_direct(scratch: &mut EvalScratch, dfa: &Dfa, graph: &GraphDb) -> BitSet {
+    EvalPool::sequential()
+        .evaluate(
+            scratch,
+            &QueryPlan::forward(dfa),
+            graph,
+            Goal::Monadic,
+            &CancelToken::never(),
+        )
+        .expect("a never-token evaluation is not interrupted")
+}
 
 /// The graph as a sorted list of named edges — the identity the text
 /// format preserves (it assigns node ids by order of appearance, so
@@ -401,7 +415,7 @@ fn update_mix_point(
     // the final graph version. Both sides.
     let mut scratch = EvalScratch::new();
     for (name, v) in spellings {
-        let expected = eval_monadic_with(&mut scratch, &v[0], &current);
+        let expected = eval_direct(&mut scratch, &v[0], &current);
         assert_eq!(
             *delta_service.query_monadic(&v[0]).result,
             expected,
@@ -1010,7 +1024,7 @@ fn main() {
     let mut scratch = EvalScratch::new();
     let direct: Vec<BitSet> = spellings
         .iter()
-        .map(|(_, v)| eval_monadic_with(&mut scratch, &v[0], &graph))
+        .map(|(_, v)| eval_direct(&mut scratch, &v[0], &graph))
         .collect();
     {
         let gate = QueryService::new(graph.clone(), ServeConfig::default());
@@ -1032,7 +1046,7 @@ fn main() {
         for _ in 0..runs {
             let started = Instant::now();
             for dfa in &submissions {
-                std::hint::black_box(eval_monadic_with(&mut scratch, dfa, &graph));
+                std::hint::black_box(eval_direct(&mut scratch, dfa, &graph));
             }
             best = best.min(started.elapsed().as_nanos());
         }

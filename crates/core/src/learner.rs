@@ -28,7 +28,9 @@ use crate::sample::Sample;
 use pathlearn_automata::product::dfa_nfa_intersection_is_empty;
 use pathlearn_automata::rpni::{generalize, MergeOracle};
 use pathlearn_automata::{Dfa, Nfa, Word};
-use pathlearn_graph::{EvalPool, GraphDb, IntraScratch, NodeId, ScpFinder, StepPolicy};
+use pathlearn_graph::{
+    CancelToken, EvalPool, EvalScratch, Goal, GraphDb, NodeId, QueryPlan, ScpFinder, StepPolicy,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -168,15 +170,14 @@ impl Learner {
     }
 
     /// Fans the per-positive-node SCP searches (Algorithm 1 lines 1–2)
-    /// out over `pool`, and routes the line-6 whole-graph evaluation
-    /// through the pool's intra-query parallel evaluator
-    /// ([`EvalPool::eval_monadic`]). Each SCP thread gets its **own**
+    /// out over `pool`, and lets its workers share every BFS level of
+    /// the line-6 whole-graph evaluation ([`EvalPool::evaluate`]). Each
+    /// SCP thread gets its **own**
     /// [`ScpFinder`] (the memo caches are not shared across threads), and
     /// the outcome — learned query and statistics — is bit-identical to
     /// the sequential learner: SCPs are a pure function of
     /// `(graph, S⁻, node, k)`, results are reassembled in sample order,
-    /// and the intra-query evaluator's level merges are deterministic
-    /// OR-reductions.
+    /// and the engine's level merges are deterministic OR-reductions.
     pub fn with_pool(mut self, pool: EvalPool) -> Self {
         self.pool = match self.step_policy {
             // An explicit with_step_policy survives a later with_pool.
@@ -228,7 +229,7 @@ impl Learner {
             .collect();
         // One line-6 evaluation scratch for the whole run: attempts across
         // k share the buffers, so only the first evaluation allocates.
-        let mut eval_scratch = IntraScratch::new();
+        let mut eval_scratch = EvalScratch::new();
         for k in self.config.k.candidates() {
             stats.k_used = k;
             if let Some(query) = self.attempt(
@@ -307,7 +308,7 @@ impl Learner {
         sample: &Sample,
         k: usize,
         finders: &mut [ScpFinder<'_>],
-        eval_scratch: &mut IntraScratch,
+        eval_scratch: &mut EvalScratch,
         stats: &mut LearnStats,
     ) -> Option<PathQuery> {
         // Lines 1–2: select SCPs against the shared negative-side caches.
@@ -345,13 +346,20 @@ impl Learner {
         stats.generalized_states = generalized.num_states();
 
         // Line 6: does the query select every positive node? One whole-
-        // graph monadic evaluation — the single-huge-query shape — so it
-        // goes through the pool's intra-query parallel evaluator (the
-        // sequential evaluator when the pool is sequential; results are
-        // bit-identical either way), with the run's reused scratch.
+        // graph monadic evaluation — the single-huge-query shape — so the
+        // pool's workers (if any) share each BFS level; results are
+        // bit-identical at every width. The candidate is evaluated once,
+        // as given: a forward plan, no planning pass.
         let selected = self
             .pool
-            .eval_monadic_with(eval_scratch, &generalized, graph);
+            .evaluate(
+                eval_scratch,
+                &QueryPlan::forward(&generalized),
+                graph,
+                Goal::Monadic,
+                &CancelToken::never(),
+            )
+            .expect("a never-token evaluation is not interrupted");
         if sample
             .pos()
             .iter()

@@ -12,7 +12,7 @@ use pathlearn_core::PathQuery;
 use pathlearn_core::{EvalPool, Learner, LearnerConfig, Sample};
 use pathlearn_datagen::sampling::{random_sample, LabelingOrder};
 use pathlearn_graph::GraphDb;
-use pathlearn_graph::IntraScratch;
+use pathlearn_graph::{CancelToken, EvalScratch, Goal, QueryPlan};
 use std::time::Duration;
 
 /// Configuration of a static experiment sweep.
@@ -67,8 +67,18 @@ pub fn run_static(graph: &GraphDb, goal: &PathQuery, config: &StaticConfig) -> V
     let pool = EvalPool::new(config.threads);
     // One evaluation scratch for the whole sweep: the goal selection and
     // every trial's F1 scoring reuse the same buffers.
-    let mut scratch = IntraScratch::new();
-    let goal_selection = pool.eval_monadic_with(&mut scratch, goal.dfa(), graph);
+    let mut scratch = EvalScratch::new();
+    let mut select = |query: &PathQuery| {
+        pool.evaluate(
+            &mut scratch,
+            &QueryPlan::forward(query.dfa()),
+            graph,
+            Goal::Monadic,
+            &CancelToken::never(),
+        )
+        .expect("a never-token evaluation is not interrupted")
+    };
+    let goal_selection = select(goal);
     let learner = Learner::with_config(config.learner).with_pool(pool.clone());
     let mut points = Vec::with_capacity(config.fractions.len());
     for (fi, &fraction) in config.fractions.iter().enumerate() {
@@ -85,8 +95,7 @@ pub fn run_static(graph: &GraphDb, goal: &PathQuery, config: &StaticConfig) -> V
             total_time += outcome.stats.duration;
             match outcome.query {
                 Some(query) => {
-                    let learned_selection =
-                        pool.eval_monadic_with(&mut scratch, query.dfa(), graph);
+                    let learned_selection = select(&query);
                     let confusion = Confusion::from_selections(&goal_selection, &learned_selection);
                     f1s.push(confusion.f1());
                 }

@@ -1,13 +1,11 @@
-//! Cooperative cancellation for the evaluation engines.
+//! Cooperative cancellation for the evaluation engine.
 //!
 //! A [`CancelToken`] carries an optional shared **cancel flag** (set by a
 //! draining server, a shutting-down pool owner, …) and an optional
-//! wall-clock **deadline**. The interruptible evaluators —
-//! [`crate::eval::eval_monadic_interruptible`],
-//! [`crate::eval::eval_binary_from_interruptible`] and the
-//! [`crate::par_eval::EvalPool`] intra-query twins — check the token
-//! **once per BFS level** and bail out with an [`Interrupt`] verdict
-//! instead of finishing the evaluation. One level is the natural grain:
+//! wall-clock **deadline**. [`crate::EvalPool::evaluate`] checks the
+//! token **once per BFS level** and bails out with an [`Interrupt`]
+//! verdict instead of finishing the evaluation. One level is the
+//! natural grain:
 //! it bounds the overstay to a single frontier sweep (the unit of work
 //! between checks) while keeping the hot loop free of per-edge or
 //! per-node checks.
@@ -19,24 +17,25 @@
 //!
 //! ```
 //! use pathlearn_graph::cancel::{CancelToken, Interrupt};
-//! use pathlearn_graph::eval::{eval_monadic_interruptible, EvalScratch};
+//! use pathlearn_graph::eval::{EvalScratch, Goal};
 //! use pathlearn_graph::graph::figure3_g0;
-//! use pathlearn_graph::StepPolicy;
+//! use pathlearn_graph::plan::plan_query;
+//! use pathlearn_graph::EvalPool;
 //! use pathlearn_automata::Regex;
 //! use std::time::Instant;
 //!
 //! let graph = figure3_g0();
 //! let query = Regex::parse("(a·b)*·c", graph.alphabet()).unwrap().to_dfa(3);
-//! let mut scratch = EvalScratch::new();
+//! let plan = plan_query(&query, &graph);
+//! let (pool, mut scratch) = (EvalPool::sequential(), EvalScratch::new());
 //! // An already-expired deadline yields the Deadline verdict...
 //! let expired = CancelToken::with_deadline(Instant::now());
 //! assert_eq!(
-//!     eval_monadic_interruptible(&mut scratch, &query, &graph, StepPolicy::Auto, &expired),
+//!     pool.evaluate(&mut scratch, &plan, &graph, Goal::Monadic, &expired),
 //!     Err(Interrupt::Deadline),
 //! );
 //! // ...while the never-cancelled token evaluates normally.
-//! let result =
-//!     eval_monadic_interruptible(&mut scratch, &query, &graph, StepPolicy::Auto, &CancelToken::never());
+//! let result = pool.evaluate(&mut scratch, &plan, &graph, Goal::Monadic, &CancelToken::never());
 //! assert_eq!(result.unwrap().len(), 2);
 //! ```
 
@@ -44,8 +43,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Why an evaluation was interrupted — the verdict an interruptible
-/// evaluator returns instead of a result set.
+/// Why an evaluation was interrupted — the verdict
+/// [`crate::EvalPool::evaluate`] returns instead of a result set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Interrupt {
     /// The token's deadline passed (per-query time budget exhausted).
@@ -66,9 +65,8 @@ impl std::fmt::Display for Interrupt {
 impl std::error::Error for Interrupt {}
 
 /// A cheap, cloneable cancellation token: an optional shared flag plus
-/// an optional deadline. The default token never cancels, so passing
-/// [`CancelToken::never`] makes an interruptible evaluator behave
-/// exactly like its plain twin.
+/// an optional deadline. The default token never cancels: under
+/// [`CancelToken::never`] an evaluation always runs to its answer.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Option<Arc<AtomicBool>>,

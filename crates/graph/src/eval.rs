@@ -1,247 +1,444 @@
-//! Regular path query evaluation.
+//! Regular path query evaluation: one level kernel, one driver, one
+//! [`EvalPool::evaluate`].
 //!
-//! Monadic semantics (paper §2): `q(G) = { ν | L(q) ∩ paths_G(ν) ≠ ∅ }`.
-//! A node is selected iff, in the product of the graph with the query DFA,
-//! some accepting product state `(·, q_f)` is reachable from `(ν, q₀)`.
-//! We compute the set of product states that can reach acceptance **once**
-//! and read off all selected nodes simultaneously; this is the evaluation
-//! primitive behind Algorithm 1's line-6 check, the F1 scoring of §5, and
-//! every selectivity measurement in the benchmark harness.
+//! Monadic semantics (paper §2): `q(G) = { ν | L(q) ∩ paths_G(ν) ≠ ∅ }`;
+//! binary semantics (Appendix B): the end nodes `ν'` with
+//! `paths2_G(source, ν') ∩ L(q) ≠ ∅`. Both are reachability in the
+//! product of the graph with the query DFA, and every answer this crate
+//! gives — Algorithm 1's line-6 check, the F1 scoring of §5, every
+//! served query — is the same **level-synchronous BFS** over that
+//! product: one node [`BitSet`] frontier per automaton state, stepped
+//! per symbol through the label-partitioned CSR kernels of [`GraphDb`],
+//! merged word-by-word into a reached set
+//! ([`BitSet::union_with_recording_new_count`]) that both deduplicates
+//! and accumulates the next frontier. Total work is `O(|E| · |Q|)` with
+//! no queue traffic, no `(node, state)` packing and no per-edge hash —
+//! just slice scans and 64-bit block operations. (The node-at-a-time
+//! queue BFS survives as the oracle [`eval_monadic_queued`].)
 //!
-//! ## Level-synchronous frontier evaluation
+//! ## The level kernel
 //!
-//! Rather than a node-at-a-time BFS over packed `(node, state)` pairs
-//! (kept as [`eval_monadic_queued`] for reference and benchmarking), the
-//! evaluator keeps **one node [`BitSet`] per automaton state** and steps
-//! whole frontiers through the label-partitioned CSR kernels
-//! ([`GraphDb::step_frontier_back_into`]): per BFS level, per automaton
-//! state `q` with a non-empty frontier, per symbol `a` with reverse DFA
-//! transitions into `q`, one batched graph step computes every product
-//! predecessor at once, and a word-level merge
-//! ([`BitSet::union_with_recording_new`]) both deduplicates against the
-//! reached set and accumulates the next frontier. Total work stays
-//! `O(|E| · |Q|)` but the constant factor drops: no queue traffic, no
-//! `(node, state)` packing multiplies, no per-edge hash or binary search
-//! — just contiguous slice scans and 64-bit OR/AND-NOT block operations.
-//! The reverse transition table is flattened to a dense CSR index
-//! (`rev_offsets`/`rev_states`) instead of nested `Vec<Vec<Vec<_>>>`.
+//! One function steps one level of any product search. For each active
+//! state and each live `(symbol, targets)` row of the pass's transition
+//! index it
 //!
-//! ## Masked step kernels and the cost-model gate
+//! 1. **plans** the step against the graph's per-label active-node
+//!    bitmaps ([`GraphDb::plan_step`] / [`GraphDb::plan_step_back`]
+//!    under the pool's [`crate::graph::StepPolicy`]): skip it (the
+//!    frontier misses the label, so the step is provably empty), run
+//!    the *masked* kernel (iterate `frontier ∩ label-active`
+//!    word-by-word, never reading an edge-less node's offsets) or the
+//!    plain one — priced by a degree-weighted popcount cost model whose
+//!    frontier popcount is counted for free during the previous merge;
+//! 2. **runs** the planned kernel of the pass's direction (out-edges or
+//!    in-edges);
+//! 3. optionally **intersects** the output with a coreachability
+//!    certificate;
+//! 4. **merges** it into every target state.
 //!
-//! Before stepping a frontier over a symbol, the evaluators **plan** the
-//! step against the graph's per-label active-node bitmaps
-//! ([`GraphDb::plan_step_back`] backward, [`GraphDb::plan_step`]
-//! forward) under a [`StepPolicy`]. Under the default
-//! [`StepPolicy::Auto`], one fused AND+popcount scan per
-//! `(level, symbol)` prices the step: an empty `frontier ∩ label-active`
-//! intersection skips the graph step outright (it is provably empty); an
-//! intersection smaller than the frontier routes to the **masked
-//! kernel** ([`GraphDb::step_frontier_back_masked_into`] /
-//! [`GraphDb::step_frontier_masked_into`]), which iterates the
-//! intersection word-by-word so edge-less frontier nodes never cost an
-//! offset read; an intersection equal to the frontier routes to the
-//! plain kernel. The frontier popcount feeding the comparison is
-//! **cached in [`EvalScratch`]**: the level merge counts fresh bits as
-//! it ORs them in ([`BitSet::union_with_recording_new_count`]), so the
-//! next level's harvest reads `frontier_len[q]` without any scan — one
-//! count per `(level, state)`, amortized over the level's symbols and
-//! computed for free during the merge.
-//! [`eval_monadic_policy`] / [`eval_binary_from_policy`] expose
-//! the full policy knob ([`StepPolicy::Plain`] baseline, the legacy
-//! sparsity-gated [`StepPolicy::Pruned`], always-on
-//! [`StepPolicy::Masked`], and `Auto`) for benchmarking and differential
-//! testing; results are bit-identical under every policy.
+//! Who runs the harvested tasks is the only difference between
+//! sequential and parallel evaluation. A pool with worker threads fans
+//! a level's `(state, symbol)` tasks — and, when a level has fewer
+//! tasks than workers, word-aligned node-range chunks of each task —
+//! out over an atomic cursor, OR-ing into per-worker accumulators that
+//! are folded in state order afterwards; a one-thread pool (or a level
+//! with a single grain) runs them inline. The level outcome per state
+//! is `(⋃ steps into it) \ reached`, a set expression independent of
+//! scheduling, so results are **bit-identical at every thread count
+//! and chunk width**.
 //!
-//! For the single-huge-query shape, [`crate::par_eval::EvalPool`] offers
-//! **intra-query parallel** twins of both evaluators
-//! ([`crate::par_eval::EvalPool::eval_monadic`] and
-//! [`crate::par_eval::EvalPool::eval_binary_from`]) that fan each BFS
-//! level's `(state, symbol)` step kernels out over worker threads and
-//! OR-merge per-worker partial frontiers deterministically.
+//! ## The driver and its parameter sets
+//!
+//! One loop — `seed → { cancel.check; step level; early exit? } →
+//! harvest` — runs every engine the planner ([`crate::plan`]) can pick:
+//!
+//! | goal, strategy | index | kernels | seed | early exit | answer |
+//! |---|---|---|---|---|---|
+//! | monadic, forward | reverse | in | `V` at every final | `reached[q₀] = V` | `reached[q₀]` |
+//! | monadic within `U` | reverse | in | `V` at every final | `reached[q₀] ⊇ U` | `reached[q₀]` |
+//! | monadic, backward | forward, of `rev(q)` | in | `V` at `r₀` | — | `⋃ reached[final]` |
+//! | binary, forward | forward | out | `source` at `q₀` | — | `⋃ reached[final]` |
+//!
+//! The two-phase binary strategies add a **coreachability certificate**
+//! — the monadic-forward search with neither ε shortcut nor early exit,
+//! so that `reached[q]` is complete for *every* state — to the
+//! binary-forward pass: *backward* runs it to its fixpoint first and
+//! prunes every forward step by it; *bidirectional* interleaves the two
+//! level for level and starts pruning once the certificate converges.
+//!
+//! The cancel token is checked once per level on the coordinating
+//! thread; workers inside a level always finish it, so an interrupt
+//! never tears a half-merged level and the scratch stays reusable.
 
 use crate::cancel::{CancelToken, Interrupt};
-use crate::graph::{GraphDb, NodeId, StepPlan, StepPolicy};
+use crate::graph::{GraphDb, NodeId, StepPlan};
+use crate::par_eval::EvalPool;
+use crate::plan::{QueryPlan, Strategy};
 use pathlearn_automata::{BitSet, Dfa, StateId, Symbol, DEAD};
 use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Reverse DFA transition table flattened to a dense CSR index over
-/// `(state, symbol)`: `states[offsets[q·|Σ|+a] .. offsets[q·|Σ|+a+1]]`
-/// are the states `p` with `δ(p, a) = q`. Shared with the intra-query
-/// parallel twin in [`crate::par_eval`].
-///
-/// A second CSR (`live_offsets`/`live_syms`) lists, per state, only the
-/// symbols with at least one predecessor, in ascending order. The level
-/// loops iterate that list instead of `0..sigma`, so symbols outside the
-/// query's live alphabet (graphs routinely carry far more labels than a
-/// query mentions) cost nothing per level instead of one plan probe
-/// each. Ascending symbol order is preserved, so the iteration order —
-/// and therefore every merge — is bit-identical to the dense scan.
-pub(crate) struct RevIndex {
+/// One live `(state, symbol)` row of a [`TransIndex`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct LiveStep {
+    /// The stepped symbol's index.
+    pub(crate) sym: u32,
+    lo: u32,
+    hi: u32,
+}
+
+/// DFA transitions as a per-state CSR of live `(symbol, targets)` rows,
+/// in ascending symbol order. The level kernel iterates a state's rows
+/// instead of `0..|Σ|`, so symbols the query never mentions (graphs
+/// routinely carry far more labels than a query does) cost nothing per
+/// level. The two constructors are the two sides of the same table:
+/// [`TransIndex::forward`] maps `(q, a)` to the one successor
+/// `δ(q, a)`, [`TransIndex::reverse`] to every predecessor `p` with
+/// `δ(p, a) = q`.
+pub(crate) struct TransIndex {
     offsets: Vec<u32>,
-    states: Vec<StateId>,
-    live_offsets: Vec<u32>,
-    live_syms: Vec<u32>,
-    pub(crate) sigma: usize,
+    live: Vec<LiveStep>,
+    targets: Vec<StateId>,
 }
 
-impl RevIndex {
-    pub(crate) fn new(query: &Dfa, sigma: usize) -> Self {
+impl TransIndex {
+    /// `(q, a) → [δ(q, a)]`. Only symbols both the graph (`graph_sigma`
+    /// labels) and the DFA know can advance the product.
+    pub(crate) fn forward(query: &Dfa, graph_sigma: usize) -> Self {
+        let sigma = graph_sigma.min(query.alphabet_len());
         let q_states = query.num_states();
-        let mut offsets = vec![0u32; q_states * sigma + 1];
-        for (_, sym, q) in query.transitions() {
-            if sym.index() < sigma {
-                offsets[q as usize * sigma + sym.index() + 1] += 1;
-            }
-        }
-        for i in 0..q_states * sigma {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut states = vec![0 as StateId; *offsets.last().unwrap() as usize];
-        let mut cursor = offsets.clone();
-        for (p, sym, q) in query.transitions() {
-            if sym.index() < sigma {
-                let slot = &mut cursor[q as usize * sigma + sym.index()];
-                states[*slot as usize] = p;
-                *slot += 1;
-            }
-        }
-        let mut live_offsets = vec![0u32; q_states + 1];
-        let mut live_syms = Vec::new();
-        for q in 0..q_states {
-            for a in 0..sigma {
-                if offsets[q * sigma + a] != offsets[q * sigma + a + 1] {
-                    live_syms.push(a as u32);
-                }
-            }
-            live_offsets[q + 1] = live_syms.len() as u32;
-        }
-        RevIndex {
-            offsets,
-            states,
-            live_offsets,
-            live_syms,
-            sigma,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn predecessors(&self, q: StateId, sym: usize) -> &[StateId] {
-        let idx = q as usize * self.sigma + sym;
-        &self.states[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
-    }
-
-    /// Symbols with at least one predecessor into `q`, ascending.
-    #[inline]
-    pub(crate) fn live_syms(&self, q: StateId) -> &[u32] {
-        let q = q as usize;
-        &self.live_syms[self.live_offsets[q] as usize..self.live_offsets[q + 1] as usize]
-    }
-}
-
-/// Forward DFA transition table as a per-state CSR of live
-/// `(symbol, successor)` pairs in ascending symbol order — the forward
-/// analogue of [`RevIndex::live_syms`]. The deterministic engines
-/// (binary forward, monadic-via-reverse) iterate this instead of probing
-/// `query.step` for every symbol in `0..sigma`, so dead symbols cost
-/// nothing per level. Ascending order keeps iteration — and results —
-/// bit-identical to the dense scan.
-pub(crate) struct FwdIndex {
-    offsets: Vec<u32>,
-    entries: Vec<(u32, StateId)>,
-}
-
-impl FwdIndex {
-    /// `sigma` must not exceed `query.alphabet_len()` (callers clamp to
-    /// the graph/query alphabet intersection; foreign symbols cannot
-    /// advance the product anyway).
-    pub(crate) fn new(query: &Dfa, sigma: usize) -> Self {
-        debug_assert!(sigma <= query.alphabet_len());
-        let q_states = query.num_states();
-        let mut offsets = vec![0u32; q_states + 1];
-        let mut entries = Vec::new();
+        let mut offsets = Vec::with_capacity(q_states + 1);
+        let (mut live, mut targets) = (Vec::new(), Vec::new());
+        offsets.push(0);
         for q in 0..q_states {
             for a in 0..sigma {
                 let t = query.step_raw(q as StateId, Symbol::from_index(a));
                 if t != DEAD {
-                    entries.push((a as u32, t));
+                    let lo = targets.len() as u32;
+                    targets.push(t);
+                    live.push(LiveStep {
+                        sym: a as u32,
+                        lo,
+                        hi: lo + 1,
+                    });
                 }
             }
-            offsets[q + 1] = entries.len() as u32;
+            offsets.push(live.len() as u32);
         }
-        FwdIndex { offsets, entries }
+        TransIndex {
+            offsets,
+            live,
+            targets,
+        }
     }
 
-    /// Live `(symbol, successor)` pairs out of `q`, ascending by symbol.
+    /// `(q, a) → { p | δ(p, a) = q }`, by counting sort over the dense
+    /// `(q, a)` grid.
+    pub(crate) fn reverse(query: &Dfa, graph_sigma: usize) -> Self {
+        let sigma = graph_sigma.min(query.alphabet_len());
+        let q_states = query.num_states();
+        let cell = |q: StateId, sym: Symbol| q as usize * sigma + sym.index();
+        let mut dense = vec![0u32; q_states * sigma + 1];
+        for (_, sym, q) in query.transitions() {
+            if sym.index() < sigma {
+                dense[cell(q, sym) + 1] += 1;
+            }
+        }
+        for i in 0..q_states * sigma {
+            dense[i + 1] += dense[i];
+        }
+        let mut targets = vec![0 as StateId; dense[q_states * sigma] as usize];
+        let mut cursor = dense.clone();
+        for (p, sym, q) in query.transitions() {
+            if sym.index() < sigma {
+                let slot = &mut cursor[cell(q, sym)];
+                targets[*slot as usize] = p;
+                *slot += 1;
+            }
+        }
+        let mut offsets = Vec::with_capacity(q_states + 1);
+        let mut live = Vec::new();
+        offsets.push(0);
+        for q in 0..q_states {
+            for a in 0..sigma {
+                let (lo, hi) = (dense[q * sigma + a], dense[q * sigma + a + 1]);
+                if lo != hi {
+                    live.push(LiveStep {
+                        sym: a as u32,
+                        lo,
+                        hi,
+                    });
+                }
+            }
+            offsets.push(live.len() as u32);
+        }
+        TransIndex {
+            offsets,
+            live,
+            targets,
+        }
+    }
+
+    /// The live rows of `q`, ascending by symbol.
     #[inline]
-    pub(crate) fn successors(&self, q: StateId) -> &[(u32, StateId)] {
+    pub(crate) fn live(&self, q: StateId) -> &[LiveStep] {
         let q = q as usize;
-        &self.entries[self.offsets[q] as usize..self.offsets[q + 1] as usize]
+        &self.live[self.offsets[q] as usize..self.offsets[q + 1] as usize]
+    }
+
+    /// The states a row's step output merges into (never empty).
+    #[inline]
+    pub(crate) fn targets(&self, step: &LiveStep) -> &[StateId] {
+        &self.targets[step.lo as usize..step.hi as usize]
     }
 }
 
-/// Which graph kernel family a deterministic level steps through:
-/// out-edges (binary forward) or in-edges (monadic via the reversed
-/// DFA — a forward walk of the reverse automaton rides the graph's
-/// in-edge CSR).
+/// Which graph kernel family a pass steps through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum KernelDir {
-    /// Out-edge kernels ([`GraphDb::step_frontier_into`] family).
+    /// Out-edge kernels (`GraphDb::step_frontier_into` family).
     Out,
-    /// In-edge kernels ([`GraphDb::step_frontier_back_into`] family).
+    /// In-edge kernels (`GraphDb::step_frontier_back_into` family).
     In,
 }
 
-/// Reusable buffers for the frontier evaluators.
+/// What [`EvalPool::evaluate`] computes.
+#[derive(Clone, Copy, Debug)]
+pub enum Goal<'a> {
+    /// `q(G)`: every node with an outgoing path in `L(q)`.
+    Monadic,
+    /// `q(G)` given a **sound upper bound** `U ⊇ q(G)` (e.g. a cached
+    /// `q'(G)` with `L(q) ⊆ L(q')`). The bound does not change what is
+    /// computed — it generalizes the all-nodes-selected early exit: the
+    /// monotone `reached[q₀]` satisfies `reached[q₀] ⊆ q(G) ⊆ U` at
+    /// every level, so the moment `reached[q₀] ⊇ U` the sandwich closes
+    /// and the remaining levels are redundant. An empty `U` proves an
+    /// empty answer without touching the graph. An *unsound* bound only
+    /// costs the early exit its effect (the result is still exact), but
+    /// callers should treat soundness as the contract.
+    MonadicWithin(&'a BitSet),
+    /// The end nodes of `L(q)`-paths starting at the given source.
+    /// Sources outside the graph select nothing.
+    BinaryFrom(NodeId),
+}
+
+/// One frontier generation: a node set per automaton state, its
+/// popcounts, and the states whose set is non-empty.
+#[derive(Debug, Default)]
+struct Level {
+    sets: Vec<BitSet>,
+    /// `lens[q] = |sets[q]|`, maintained by the merges (which count the
+    /// fresh bits they OR in), so the step cost model reads a frontier's
+    /// popcount without scanning it.
+    lens: Vec<usize>,
+    active: Vec<StateId>,
+}
+
+impl Level {
+    fn prepare(&mut self, v: usize, q_states: usize) {
+        fit(&mut self.sets, v, q_states);
+        self.lens.clear();
+        self.lens.resize(q_states, 0);
+        self.active.clear();
+    }
+}
+
+/// Fits `sets` to `q_states` cleared sets of capacity `v`, reusing
+/// entries whose capacity already matches.
+fn fit(sets: &mut Vec<BitSet>, v: usize, q_states: usize) {
+    sets.retain(|set| set.capacity() == v);
+    sets.truncate(q_states);
+    for set in sets.iter_mut() {
+        set.clear();
+    }
+    while sets.len() < q_states {
+        sets.push(BitSet::new(v));
+    }
+}
+
+/// The state of one product search: `reached[q]` is every node found at
+/// state `q` so far, `frontier` the subset found in the previous level,
+/// `next` the subset being found in this one.
+#[derive(Debug, Default)]
+struct Side {
+    reached: Vec<BitSet>,
+    frontier: Level,
+    next: Level,
+}
+
+impl Side {
+    fn prepare(&mut self, v: usize, q_states: usize) {
+        fit(&mut self.reached, v, q_states);
+        self.frontier.prepare(v, q_states);
+        self.next.prepare(v, q_states);
+    }
+
+    /// Seeds the full node set at `state`.
+    fn seed_all(&mut self, state: usize) {
+        self.reached[state].insert_all();
+        self.frontier.sets[state].insert_all();
+        self.frontier.lens[state] = self.reached[state].capacity();
+        self.frontier.active.push(state as StateId);
+    }
+
+    /// Seeds the single product pair `(node, state)`.
+    fn seed_node(&mut self, state: usize, node: usize) {
+        self.reached[state].insert(node);
+        self.frontier.sets[state].insert(node);
+        self.frontier.lens[state] = 1;
+        self.frontier.active.push(state as StateId);
+    }
+
+    /// Folds `found` into `target`: bits not yet reached join `reached`
+    /// and the next frontier.
+    fn merge(reached: &mut [BitSet], next: &mut Level, target: usize, found: &BitSet) {
+        let fresh = reached[target].union_with_recording_new_count(found, &mut next.sets[target]);
+        if fresh > 0 && next.lens[target] == 0 {
+            next.active.push(target as StateId);
+        }
+        next.lens[target] += fresh;
+    }
+
+    /// Deterministic end-of-level fold of the per-worker accumulators:
+    /// states in index order, workers in index order. The outcome per
+    /// state is `(⋃ accumulators) \ reached-before-level` whichever
+    /// worker produced which piece. Leaves the accumulators cleared.
+    fn merge_parts(&mut self, parts: &mut [LevelPart]) {
+        for target in 0..self.reached.len() {
+            for part in parts.iter_mut() {
+                if part.touched.contains(target) {
+                    Self::merge(&mut self.reached, &mut self.next, target, &part.acc[target]);
+                    part.acc[target].clear();
+                }
+            }
+        }
+        for part in parts {
+            part.touched.clear();
+        }
+    }
+
+    /// Retires the stepped frontier and promotes `next`.
+    fn advance(&mut self) {
+        for &q in &self.frontier.active {
+            self.frontier.sets[q as usize].clear();
+            self.frontier.lens[q as usize] = 0;
+        }
+        self.frontier.active.clear();
+        std::mem::swap(&mut self.frontier, &mut self.next);
+    }
+
+    fn is_done(&self) -> bool {
+        self.frontier.active.is_empty()
+    }
+
+    /// The union of `reached` over `states` — the answer of a finished
+    /// search.
+    fn union_of(&self, states: impl Iterator<Item = usize>) -> BitSet {
+        let mut result = BitSet::new(self.reached[0].capacity());
+        for state in states {
+            result.union_with(&self.reached[state]);
+        }
+        result
+    }
+}
+
+/// One planned `(state, symbol)` step of a level. The kernel choice is
+/// made once at harvest time, however many node-range chunks the task
+/// is split into.
+#[derive(Clone, Copy, Debug)]
+struct StepTask {
+    state: StateId,
+    row: LiveStep,
+    masked: bool,
+}
+
+/// Per-worker buffers of a fanned-out level: a step output, one
+/// accumulator per automaton state, and the states this worker touched
+/// (so the fold visits only live accumulators).
+#[derive(Debug, Default)]
+struct LevelPart {
+    step: BitSet,
+    acc: Vec<BitSet>,
+    touched: BitSet,
+}
+
+/// The buffers a level needs besides the [`Side`] it steps.
+#[derive(Debug, Default)]
+struct Work {
+    /// Inline step output.
+    step: BitSet,
+    tasks: Vec<StepTask>,
+    parts: Vec<LevelPart>,
+}
+
+impl Work {
+    /// Fits the buffers to `|V| = v`, `|Q| = q_states` and `pool`'s
+    /// fan-out width (no per-worker buffers on a sequential pool).
+    fn prepare(&mut self, v: usize, q_states: usize, pool: &EvalPool) {
+        let workers = if pool.is_parallel() {
+            pool.threads()
+        } else {
+            0
+        };
+        if self.step.capacity() != v {
+            self.step = BitSet::new(v);
+        }
+        self.parts.resize_with(workers, LevelPart::default);
+        for part in &mut self.parts {
+            if part.step.capacity() != v {
+                part.step = BitSet::new(v);
+            }
+            fit(&mut part.acc, v, q_states);
+            if part.touched.capacity() != q_states {
+                part.touched = BitSet::new(q_states);
+            } else {
+                part.touched.clear();
+            }
+        }
+    }
+}
+
+/// Reusable buffers for [`EvalPool::evaluate`].
 ///
 /// One evaluation of a `|Q|`-state query on a `|V|`-node graph needs
-/// `3·|Q| + 1` node bitsets; batch workloads (the learner's candidate
-/// scoring, multi-source binary evaluation, the parallel fan-out in
-/// [`crate::par_eval`]) would otherwise allocate and free them per call.
-/// An `EvalScratch` owns the buffers and re-fits them lazily: reuse
-/// across calls on the same graph is allocation-free, and a scratch can
-/// move between graphs or queries of different sizes at the cost of a
-/// re-allocation.
+/// `3·|Q| + 1` node bitsets (twice that for the two-phase binary
+/// strategies, plus `|Q| + 1` per worker on a parallel pool); callers
+/// that evaluate repeatedly — the learner's line-6 check, F1 scoring,
+/// the serving layer's miss path, every batch worker — would otherwise
+/// allocate and free them per call. An `EvalScratch` owns the buffers
+/// and re-fits them lazily: reuse on the same graph is allocation-free,
+/// and a scratch can move between graphs, queries and pools of any size
+/// at the cost of a re-allocation.
 ///
 /// Scratch reuse never changes results — every buffer is cleared before
-/// use (asserted by the equivalence proptests):
+/// use, also after an interrupted evaluation:
 ///
 /// ```
-/// use pathlearn_graph::eval::{eval_monadic, eval_monadic_with, EvalScratch};
+/// use pathlearn_graph::eval::{eval_monadic, EvalScratch, Goal};
 /// use pathlearn_graph::graph::figure3_g0;
+/// use pathlearn_graph::plan::plan_query;
+/// use pathlearn_graph::{CancelToken, EvalPool};
 /// use pathlearn_automata::Regex;
 ///
 /// let graph = figure3_g0();
+/// let pool = EvalPool::sequential();
 /// let mut scratch = EvalScratch::new();
 /// for expr in ["a", "(a·b)*·c", "b·b·c·c"] {
 ///     let query = Regex::parse(expr, graph.alphabet()).unwrap().to_dfa(3);
-///     assert_eq!(
-///         eval_monadic_with(&mut scratch, &query, &graph),
-///         eval_monadic(&query, &graph),
-///     );
+///     let plan = plan_query(&query, &graph);
+///     let selected = pool
+///         .evaluate(&mut scratch, &plan, &graph, Goal::Monadic, &CancelToken::never())
+///         .unwrap();
+///     assert_eq!(selected, eval_monadic(&query, &graph));
 /// }
 /// ```
 #[derive(Debug, Default)]
 pub struct EvalScratch {
-    /// `reached[q]` / `frontier[q]` / `next_frontier[q]` per DFA state.
-    /// `pub(crate)` so the intra-query parallel evaluators in
-    /// [`crate::par_eval`] can drive the same level-synchronous buffers.
-    pub(crate) reached: Vec<BitSet>,
-    pub(crate) frontier: Vec<BitSet>,
-    pub(crate) next_frontier: Vec<BitSet>,
-    /// `frontier_len[q] = |frontier[q]|`, maintained **incrementally**:
-    /// the level merge counts fresh bits as it ORs them in
-    /// ([`BitSet::union_with_recording_new_count`]), so the popcount
-    /// feeding the step cost model ([`crate::graph::GraphDb::plan_step`])
-    /// costs no separate scan — it is cached across all symbols of a
-    /// level and across levels (ROADMAP item).
-    pub(crate) frontier_len: Vec<usize>,
-    /// The level-merge accumulator swapped into `frontier_len` alongside
-    /// the `frontier`/`next_frontier` swap.
-    pub(crate) next_frontier_len: Vec<usize>,
-    /// Graph-step output buffer.
-    pub(crate) step: BitSet,
-    pub(crate) active: Vec<StateId>,
-    pub(crate) next_active: Vec<StateId>,
+    main: Side,
+    /// The coreachability search of the two-phase binary strategies.
+    certificate: Side,
+    work: Work,
 }
 
 impl EvalScratch {
@@ -249,245 +446,390 @@ impl EvalScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Fits the buffers to a `|V| = v`, `|Q| = q_states` evaluation and
-    /// clears them. Entries whose capacity already matches are reused.
-    pub(crate) fn prepare(&mut self, v: usize, q_states: usize) {
-        fn fit(sets: &mut Vec<BitSet>, v: usize, q_states: usize) {
-            sets.retain(|set| set.capacity() == v);
-            sets.truncate(q_states);
-            for set in sets.iter_mut() {
-                set.clear();
+/// What one level steps through: a transition index and the kernel
+/// family its steps ride.
+#[derive(Clone, Copy)]
+struct Pass<'a> {
+    index: &'a TransIndex,
+    dir: KernelDir,
+}
+
+/// Runs one planned step — the whole frontier, or one word range of it
+/// — into `out`, intersects it with the target's certificate if there
+/// is one, and reports whether anything is left to merge.
+fn run_task(
+    graph: &GraphDb,
+    pass: Pass<'_>,
+    task: &StepTask,
+    frontiers: &[BitSet],
+    words: Option<Range<usize>>,
+    certificate: Option<&[BitSet]>,
+    out: &mut BitSet,
+) -> bool {
+    let frontier = &frontiers[task.state as usize];
+    let sym = Symbol::from_index(task.row.sym as usize);
+    match (pass.dir, task.masked, words) {
+        (KernelDir::Out, false, None) => graph.step_frontier_into(frontier, sym, out),
+        (KernelDir::Out, true, None) => graph.step_frontier_masked_into(frontier, sym, out),
+        (KernelDir::In, false, None) => graph.step_frontier_back_into(frontier, sym, out),
+        (KernelDir::In, true, None) => graph.step_frontier_back_masked_into(frontier, sym, out),
+        // The ranged kernels accumulate; a chunk starts from nothing.
+        (dir, masked, Some(words)) => {
+            out.clear();
+            match (dir, masked) {
+                (KernelDir::Out, false) => {
+                    graph.step_frontier_range_into(frontier, sym, words, out)
+                }
+                (KernelDir::Out, true) => {
+                    graph.step_frontier_masked_range_into(frontier, sym, words, out)
+                }
+                (KernelDir::In, false) => {
+                    graph.step_frontier_back_range_into(frontier, sym, words, out)
+                }
+                (KernelDir::In, true) => {
+                    graph.step_frontier_back_masked_range_into(frontier, sym, words, out)
+                }
             }
-            while sets.len() < q_states {
-                sets.push(BitSet::new(v));
-            }
-        }
-        fit(&mut self.reached, v, q_states);
-        fit(&mut self.frontier, v, q_states);
-        fit(&mut self.next_frontier, v, q_states);
-        self.frontier_len.clear();
-        self.frontier_len.resize(q_states, 0);
-        self.next_frontier_len.clear();
-        self.next_frontier_len.resize(q_states, 0);
-        if self.step.capacity() != v {
-            self.step = BitSet::new(v);
-        }
-        self.active.clear();
-        self.next_active.clear();
-    }
-
-    /// Seeds every accepting state of `query` with the full node set —
-    /// the start configuration of the backward product search (every
-    /// accepting product state `(·, q_f)` reaches acceptance trivially).
-    pub(crate) fn seed_finals_full(&mut self, query: &Dfa, v: usize) {
-        for f in query.finals().iter() {
-            self.reached[f].insert_all();
-            self.frontier[f].insert_all();
-            self.frontier_len[f] = v;
-            self.active.push(f as StateId);
         }
     }
-
-    /// Seeds a single `(node, state)` product pair — the start
-    /// configuration of binary-from-source evaluation.
-    pub(crate) fn seed_state(&mut self, state: StateId, node: usize) {
-        self.reached[state as usize].insert(node);
-        self.frontier[state as usize].insert(node);
-        self.frontier_len[state as usize] = 1;
-        self.active.push(state);
-    }
-
-    /// Seeds a single state with the full node set — the start
-    /// configuration of monadic evaluation via the reversed DFA (every
-    /// node ends a candidate path trivially).
-    pub(crate) fn seed_state_full(&mut self, state: StateId, v: usize) {
-        self.reached[state as usize].insert_all();
-        self.frontier[state as usize].insert_all();
-        self.frontier_len[state as usize] = v;
-        self.active.push(state);
-    }
-
-    /// One level of the **codeterministic backward** product BFS: for
-    /// each active state `q`, each live symbol steps the frontier through
-    /// the in-edge kernel once and fans the output out to every reverse-
-    /// DFA predecessor. Ends by advancing to the next level (frontier /
-    /// length / active swaps). Callers own the level loop (and the
-    /// per-level cancellation check and any early exit).
-    pub(crate) fn backward_level(&mut self, rev: &RevIndex, graph: &GraphDb, policy: StepPolicy) {
-        let observing = crate::observer::level_begin();
-        let frontier_nodes: u64 = if observing.is_some() {
-            self.active
-                .iter()
-                .map(|&q| self.frontier_len[q as usize] as u64)
-                .sum()
-        } else {
-            0
+    if let Some(certificate) = certificate {
+        // Sound because every node on a witness path is coreachable;
+        // only deterministic (one-target) passes are ever pruned.
+        let [target] = pass.index.targets(&task.row) else {
+            unreachable!("certificates prune forward-index passes only");
         };
-        let (mut tasks, mut masked_tasks) = (0u32, 0u32);
-        let EvalScratch {
-            reached,
-            frontier,
-            next_frontier,
-            frontier_len,
-            next_frontier_len,
-            step,
-            active,
-            next_active,
-        } = self;
-        for &q in active.iter() {
-            let state_frontier = &frontier[q as usize];
-            // The frontier popcount feeding Auto's cost model — cached
-            // in the scratch (counted during the previous level's merge,
-            // no scan) and shared by all symbols of the level.
-            let state_frontier_len = frontier_len[q as usize];
-            for &sym in rev.live_syms(q) {
-                let dfa_preds = rev.predecessors(q, sym as usize);
-                debug_assert!(!dfa_preds.is_empty());
-                let symbol = Symbol::from_index(sym as usize);
-                match graph.plan_step_back(state_frontier, symbol, state_frontier_len, policy) {
-                    StepPlan::Skip => continue,
-                    StepPlan::Masked => {
-                        masked_tasks += 1;
-                        graph.step_frontier_back_masked_into(state_frontier, symbol, step)
-                    }
-                    StepPlan::Plain => graph.step_frontier_back_into(state_frontier, symbol, step),
-                }
-                tasks += 1;
-                if step.is_empty() {
-                    continue;
-                }
-                for &p in dfa_preds {
-                    let p = p as usize;
-                    let was_empty = next_frontier[p].is_empty();
-                    let fresh =
-                        reached[p].union_with_recording_new_count(step, &mut next_frontier[p]);
-                    next_frontier_len[p] += fresh;
-                    if fresh > 0 && was_empty {
-                        next_active.push(p as StateId);
-                    }
-                }
-            }
-        }
-        if let Some(started) = observing {
-            crate::observer::level_record(started, frontier_nodes, tasks, masked_tasks);
-        }
-        self.advance_level();
+        out.intersect_with(&certificate[*target as usize]);
     }
+    !out.is_empty()
+}
 
-    /// One level of a **deterministic** product BFS: each active state's
-    /// frontier steps once per live `(symbol, successor)` through the
-    /// kernel family selected by `dir`, merging into exactly one
-    /// successor frontier. With `prune` set, each step output is
-    /// intersected with `prune[successor]` before the merge — the
-    /// coreachability certificate of the planner's backward binary
-    /// engine (sound only once the certificate is *complete*; see
-    /// [`crate::plan`]). Ends by advancing to the next level.
-    pub(crate) fn deterministic_level(
-        &mut self,
-        fwd: &FwdIndex,
+impl EvalPool {
+    /// The level kernel (see the module docs): harvest this level's
+    /// planned steps, run them — inline, or fanned out over the pool's
+    /// workers — merge, and advance `side` to the next level.
+    fn step_level(
+        &self,
         graph: &GraphDb,
-        dir: KernelDir,
-        policy: StepPolicy,
-        prune: Option<&[BitSet]>,
+        pass: Pass<'_>,
+        side: &mut Side,
+        certificate: Option<&[BitSet]>,
+        work: &mut Work,
     ) {
         let observing = crate::observer::level_begin();
         let frontier_nodes: u64 = if observing.is_some() {
-            self.active
+            let lens = &side.frontier.lens;
+            side.frontier
+                .active
                 .iter()
-                .map(|&q| self.frontier_len[q as usize] as u64)
+                .map(|&q| lens[q as usize] as u64)
                 .sum()
         } else {
             0
         };
-        let (mut tasks, mut masked_tasks) = (0u32, 0u32);
-        let EvalScratch {
-            reached,
-            frontier,
-            next_frontier,
-            frontier_len,
-            next_frontier_len,
-            step,
-            active,
-            next_active,
-        } = self;
-        for &q in active.iter() {
-            let state_frontier = &frontier[q as usize];
-            let state_frontier_len = frontier_len[q as usize];
-            for &(sym, next_state) in fwd.successors(q) {
-                let symbol = Symbol::from_index(sym as usize);
-                let plan = match dir {
-                    KernelDir::Out => {
-                        graph.plan_step(state_frontier, symbol, state_frontier_len, policy)
-                    }
-                    KernelDir::In => {
-                        graph.plan_step_back(state_frontier, symbol, state_frontier_len, policy)
-                    }
+        let Work { step, tasks, parts } = work;
+        tasks.clear();
+        for &q in &side.frontier.active {
+            let frontier = &side.frontier.sets[q as usize];
+            let len = side.frontier.lens[q as usize];
+            for &row in pass.index.live(q) {
+                let sym = Symbol::from_index(row.sym as usize);
+                let plan = match pass.dir {
+                    KernelDir::Out => graph.plan_step(frontier, sym, len, self.step_policy()),
+                    KernelDir::In => graph.plan_step_back(frontier, sym, len, self.step_policy()),
                 };
-                match (plan, dir) {
-                    (StepPlan::Skip, _) => continue,
-                    (StepPlan::Masked, KernelDir::Out) => {
-                        masked_tasks += 1;
-                        graph.step_frontier_masked_into(state_frontier, symbol, step)
-                    }
-                    (StepPlan::Plain, KernelDir::Out) => {
-                        graph.step_frontier_into(state_frontier, symbol, step)
-                    }
-                    (StepPlan::Masked, KernelDir::In) => {
-                        masked_tasks += 1;
-                        graph.step_frontier_back_masked_into(state_frontier, symbol, step)
-                    }
-                    (StepPlan::Plain, KernelDir::In) => {
-                        graph.step_frontier_back_into(state_frontier, symbol, step)
-                    }
+                if plan != StepPlan::Skip {
+                    tasks.push(StepTask {
+                        state: q,
+                        row,
+                        masked: plan == StepPlan::Masked,
+                    });
                 }
-                tasks += 1;
-                if let Some(certificate) = prune {
-                    step.intersect_with(&certificate[next_state as usize]);
-                }
-                if step.is_empty() {
-                    continue;
-                }
-                let p = next_state as usize;
-                let was_empty = next_frontier[p].is_empty();
-                let fresh = reached[p].union_with_recording_new_count(step, &mut next_frontier[p]);
-                next_frontier_len[p] += fresh;
-                if fresh > 0 && was_empty {
-                    next_active.push(next_state);
+            }
+        }
+        let words = graph.num_node_words();
+        let (chunks_per_task, chunk_words) = self.level_grain(tasks.len(), words);
+        let cells = tasks.len() * chunks_per_task;
+        match self.pool() {
+            Some(pool) if cells > 1 => {
+                let workers = self.threads().min(cells);
+                let cursor = AtomicUsize::new(0);
+                let (cursor, tasks, frontiers) = (&cursor, &*tasks, &side.frontier.sets);
+                pool.scope(|scope| {
+                    for part in parts[..workers].iter_mut() {
+                        scope.spawn(move |_| loop {
+                            let cell = cursor.fetch_add(1, Ordering::Relaxed);
+                            if cell >= cells {
+                                break;
+                            }
+                            let task = &tasks[cell / chunks_per_task];
+                            let chunk = cell % chunks_per_task;
+                            let range = chunk * chunk_words..((chunk + 1) * chunk_words).min(words);
+                            let LevelPart { step, acc, touched } = &mut *part;
+                            if run_task(
+                                graph,
+                                pass,
+                                task,
+                                frontiers,
+                                Some(range),
+                                certificate,
+                                step,
+                            ) {
+                                for &target in pass.index.targets(&task.row) {
+                                    acc[target as usize].union_with(step);
+                                    touched.insert(target as usize);
+                                }
+                            }
+                        });
+                    }
+                });
+                side.merge_parts(&mut parts[..workers]);
+            }
+            _ => {
+                for task in tasks.iter() {
+                    if run_task(
+                        graph,
+                        pass,
+                        task,
+                        &side.frontier.sets,
+                        None,
+                        certificate,
+                        step,
+                    ) {
+                        for &target in pass.index.targets(&task.row) {
+                            Side::merge(&mut side.reached, &mut side.next, target as usize, step);
+                        }
+                    }
                 }
             }
         }
         if let Some(started) = observing {
-            crate::observer::level_record(started, frontier_nodes, tasks, masked_tasks);
+            let masked = tasks.iter().filter(|task| task.masked).count() as u32;
+            crate::observer::level_record(started, frontier_nodes, tasks.len() as u32, masked);
         }
-        self.advance_level();
+        side.advance();
     }
 
-    /// Swaps the double-buffered frontiers, lengths and active lists —
-    /// the shared epilogue of every level.
-    fn advance_level(&mut self) {
-        for &q in self.active.iter() {
-            self.frontier[q as usize].clear();
-            self.frontier_len[q as usize] = 0;
+    /// The driver: steps `side` level by level until its frontier dies
+    /// out or `done` says the answer is settled, checking `cancel` once
+    /// per level. With a `certificate` search alongside, that search is
+    /// advanced one level first for as long as it is live, and prunes
+    /// `side`'s steps **once it has converged** — pruning by a partial
+    /// coreach would be unsound (membership is only known at fixpoint).
+    #[allow(clippy::too_many_arguments)]
+    fn drive(
+        &self,
+        graph: &GraphDb,
+        work: &mut Work,
+        side: &mut Side,
+        pass: Pass<'_>,
+        mut certificate: Option<(&mut Side, Pass<'_>)>,
+        done: impl Fn(&[BitSet]) -> bool,
+        cancel: &CancelToken,
+    ) -> Result<(), Interrupt> {
+        while !side.is_done() {
+            cancel.check()?;
+            let pruning = match &mut certificate {
+                None => None,
+                Some((coreach, coreach_pass)) => {
+                    if !coreach.is_done() {
+                        self.step_level(graph, *coreach_pass, coreach, None, work);
+                    }
+                    coreach.is_done().then_some(coreach.reached.as_slice())
+                }
+            };
+            self.step_level(graph, pass, side, pruning, work);
+            if done(&side.reached) {
+                break;
+            }
         }
-        std::mem::swap(&mut self.frontier, &mut self.next_frontier);
-        std::mem::swap(&mut self.frontier_len, &mut self.next_frontier_len);
-        std::mem::swap(&mut self.active, &mut self.next_active);
-        self.next_active.clear();
+        Ok(())
+    }
+
+    /// Evaluates `goal` for the planned query on `graph` — the one
+    /// evaluation entry point; every other `eval_*` function is a
+    /// shorthand over it.
+    ///
+    /// The plan picks the engine ([`QueryPlan::monadic_strategy`] /
+    /// [`QueryPlan::binary_strategy`]; [`Goal::MonadicWithin`] always
+    /// runs the forward one, whose monotone `reached[q₀]` is what the
+    /// bound is compared against), the pool who runs each level's
+    /// steps; neither changes a single result bit. `cancel` is checked
+    /// once per BFS level and a tripped token aborts with its
+    /// [`Interrupt`] verdict; answers that need no level (an empty
+    /// graph or bound, `ε ∈ L(q)` monadically, an out-of-graph source)
+    /// are returned regardless.
+    pub fn evaluate(
+        &self,
+        scratch: &mut EvalScratch,
+        plan: &QueryPlan,
+        graph: &GraphDb,
+        goal: Goal<'_>,
+        cancel: &CancelToken,
+    ) -> Result<BitSet, Interrupt> {
+        if graph.num_nodes() == 0 || plan.query().num_states() == 0 {
+            return Ok(BitSet::new(graph.num_nodes()));
+        }
+        match goal {
+            Goal::Monadic => self.monadic(scratch, plan, graph, None, cancel),
+            Goal::MonadicWithin(upper) => self.monadic(scratch, plan, graph, Some(upper), cancel),
+            Goal::BinaryFrom(source) => self.binary(scratch, plan, graph, source as usize, cancel),
+        }
+    }
+
+    fn monadic(
+        &self,
+        scratch: &mut EvalScratch,
+        plan: &QueryPlan,
+        graph: &GraphDb,
+        upper: Option<&BitSet>,
+        cancel: &CancelToken,
+    ) -> Result<BitSet, Interrupt> {
+        let v = graph.num_nodes();
+        let sigma = graph.alphabet().len();
+        let query = plan.query();
+        let q0 = query.initial() as usize;
+        if let Some(upper) = upper {
+            debug_assert_eq!(upper.capacity(), v, "upper-bound capacity");
+            if upper.is_empty() {
+                return Ok(BitSet::new(v));
+            }
+        }
+        if query.finals().contains(q0) {
+            // ε ∈ L(q): every node has the empty path.
+            return Ok(BitSet::full(v));
+        }
+        // Two mirror-image searches over in-edges. Forward strategy: the
+        // backward product search from acceptance — reached[q] = nodes ν
+        // with (ν, q) able to reach an accepting pair, seeded at the
+        // finals, answered at q₀. Backward strategy: ν is selected iff
+        // some backward walk *ending* at ν reads a word of rev(L(q)) —
+        // the deterministic simulation of the reversed DFA, seeded at
+        // its initial state, answered at its finals.
+        let reversed = upper.is_none() && plan.monadic_strategy() == Strategy::Backward;
+        let (dfa, index) = if reversed {
+            let rquery = plan
+                .reversed()
+                .expect("a plan resolved to Backward carries its reversed DFA");
+            (rquery, TransIndex::forward(rquery, sigma))
+        } else {
+            (query, TransIndex::reverse(query, sigma))
+        };
+        let initial = dfa.initial() as usize;
+        let pass = Pass {
+            index: &index,
+            dir: KernelDir::In,
+        };
+        let EvalScratch { main, work, .. } = scratch;
+        work.prepare(v, dfa.num_states(), self);
+        main.prepare(v, dfa.num_states());
+        if reversed {
+            main.seed_all(initial);
+        } else {
+            for f in dfa.finals().iter() {
+                main.seed_all(f);
+            }
+        }
+        let settled = |reached: &[BitSet]| match upper {
+            _ if reversed => false,
+            // reached[q₀] ⊆ q(G) ⊆ upper, so ⊇ upper closes the sandwich.
+            Some(upper) => upper.is_subset(&reached[q0]),
+            None => reached[q0].len() == v,
+        };
+        self.drive(graph, work, main, pass, None, settled, cancel)?;
+        Ok(if reversed {
+            main.union_of(dfa.finals().iter())
+        } else {
+            main.union_of(std::iter::once(initial))
+        })
+    }
+
+    fn binary(
+        &self,
+        scratch: &mut EvalScratch,
+        plan: &QueryPlan,
+        graph: &GraphDb,
+        source: usize,
+        cancel: &CancelToken,
+    ) -> Result<BitSet, Interrupt> {
+        let v = graph.num_nodes();
+        let sigma = graph.alphabet().len();
+        let query = plan.query();
+        let q_states = query.num_states();
+        let q0 = query.initial() as usize;
+        if source >= v {
+            return Ok(BitSet::new(v));
+        }
+        let EvalScratch {
+            main,
+            certificate,
+            work,
+        } = scratch;
+        work.prepare(v, q_states, self);
+        let forward = TransIndex::forward(query, sigma);
+        let reverse;
+        let coreach = match plan.binary_strategy() {
+            Strategy::Backward | Strategy::Bidirectional => {
+                reverse = TransIndex::reverse(query, sigma);
+                let pass = Pass {
+                    index: &reverse,
+                    dir: KernelDir::In,
+                };
+                certificate.prepare(v, q_states);
+                for f in query.finals().iter() {
+                    certificate.seed_all(f);
+                }
+                if plan.binary_strategy() == Strategy::Backward {
+                    self.drive(graph, work, certificate, pass, None, |_| false, cancel)?;
+                    // A source outside coreach[q₀] starts no accepting
+                    // path (finals' coreach is full, so ε survives this).
+                    if !certificate.reached[q0].contains(source) {
+                        return Ok(BitSet::new(v));
+                    }
+                }
+                Some((&mut *certificate, pass))
+            }
+            _ => None,
+        };
+        let pass = Pass {
+            index: &forward,
+            dir: KernelDir::Out,
+        };
+        main.prepare(v, q_states);
+        main.seed_node(q0, source);
+        self.drive(graph, work, main, pass, coreach, |_| false, cancel)?;
+        Ok(main.union_of(query.finals().iter()))
+    }
+
+    /// [`EvalPool::evaluate`] of a raw DFA under a forward plan
+    /// ([`QueryPlan::forward`], no preprocessing) and a token that never
+    /// trips — the body of every `eval_*` shorthand.
+    pub(crate) fn evaluate_dfa(
+        &self,
+        scratch: &mut EvalScratch,
+        query: &Dfa,
+        graph: &GraphDb,
+        goal: Goal<'_>,
+    ) -> BitSet {
+        match self.evaluate(
+            scratch,
+            &QueryPlan::forward(query),
+            graph,
+            goal,
+            &CancelToken::never(),
+        ) {
+            Ok(result) => result,
+            Err(interrupt) => unreachable!("never-token evaluation interrupted: {interrupt}"),
+        }
     }
 }
 
-/// Evaluates a (monadic) path query on a graph: the set of selected nodes.
-///
-/// Level-synchronous backward BFS: one node-set frontier per automaton
-/// state, stepped per symbol through the label-partitioned CSR (see the
-/// module docs). Equivalent to [`eval_monadic_queued`] and
-/// [`eval_monadic_naive`] (asserted by tests and proptests).
-///
-/// Allocates fresh buffers per call; batch callers should reuse an
-/// [`EvalScratch`] through [`eval_monadic_with`], and multi-query batches
-/// can fan out across threads with
-/// [`crate::par_eval::EvalPool::eval_monadic_batch`].
+/// Evaluates a (monadic) path query on a graph: the set of selected
+/// nodes. Shorthand for [`EvalPool::evaluate`] of [`Goal::Monadic`] on
+/// a sequential pool with fresh buffers; equivalent to the oracles
+/// [`eval_monadic_queued`] and [`eval_monadic_naive`] (asserted by
+/// tests and proptests).
 ///
 /// ```
 /// use pathlearn_graph::eval::eval_monadic;
@@ -502,227 +844,7 @@ impl EvalScratch {
 /// assert_eq!(names, ["v1", "v3"]);
 /// ```
 pub fn eval_monadic(query: &Dfa, graph: &GraphDb) -> BitSet {
-    eval_monadic_with(&mut EvalScratch::new(), query, graph)
-}
-
-/// [`eval_monadic`] with caller-provided buffers (see [`EvalScratch`]).
-pub fn eval_monadic_with(scratch: &mut EvalScratch, query: &Dfa, graph: &GraphDb) -> BitSet {
-    eval_monadic_policy(scratch, query, graph, StepPolicy::Auto)
-}
-
-/// [`eval_monadic_with`] with the legacy pruning knob: `true` is the
-/// PR 3-era sparsity-gated emptiness pruning ([`StepPolicy::Pruned`]),
-/// `false` the exhaustive baseline ([`StepPolicy::Plain`]). Kept for the
-/// benchmark ablation and differential testing; new callers should use
-/// [`eval_monadic_policy`]. Results are identical under every setting.
-pub fn eval_monadic_pruning(
-    scratch: &mut EvalScratch,
-    query: &Dfa,
-    graph: &GraphDb,
-    prune: bool,
-) -> BitSet {
-    let policy = if prune {
-        StepPolicy::Pruned
-    } else {
-        StepPolicy::Plain
-    };
-    eval_monadic_policy(scratch, query, graph, policy)
-}
-
-/// [`eval_monadic_with`] with the step-kernel policy made explicit (see
-/// [`StepPolicy`] and the module docs): how each `(level, symbol)` step
-/// is planned — skip / masked kernel / plain kernel — is the only thing
-/// the policy changes; the selected node set is bit-identical under
-/// every policy (asserted by the cross-engine differential suite).
-pub fn eval_monadic_policy(
-    scratch: &mut EvalScratch,
-    query: &Dfa,
-    graph: &GraphDb,
-    policy: StepPolicy,
-) -> BitSet {
-    match eval_monadic_interruptible(scratch, query, graph, policy, &CancelToken::never()) {
-        Ok(result) => result,
-        Err(interrupt) => unreachable!("never-token evaluation interrupted: {interrupt}"),
-    }
-}
-
-/// [`eval_monadic_policy`] with cooperative cancellation: the `cancel`
-/// token is checked **once per BFS level**, and a tripped token aborts
-/// the evaluation with its [`Interrupt`] verdict instead of a result.
-/// With [`CancelToken::never`] this is exactly [`eval_monadic_policy`]
-/// (the plain entry points delegate here), so the bit-identity contract
-/// across policies, engines and thread counts is untouched.
-pub fn eval_monadic_interruptible(
-    scratch: &mut EvalScratch,
-    query: &Dfa,
-    graph: &GraphDb,
-    policy: StepPolicy,
-    cancel: &CancelToken,
-) -> Result<BitSet, Interrupt> {
-    let v = graph.num_nodes();
-    let q_states = query.num_states();
-    if v == 0 || q_states == 0 {
-        return Ok(BitSet::new(v));
-    }
-    let q0 = query.initial();
-    if query.is_final(q0) {
-        // ε ∈ L(q): every node has the empty path.
-        return Ok(BitSet::full(v));
-    }
-    let rev = RevIndex::new(query, graph.alphabet().len());
-
-    // reached[q] = nodes ν with (ν, q) able to reach acceptance;
-    // frontier[q] = the subset discovered in the previous level.
-    scratch.prepare(v, q_states);
-    scratch.seed_finals_full(query, v);
-    while !scratch.active.is_empty() {
-        cancel.check()?;
-        scratch.backward_level(&rev, graph, policy);
-        // Early exit: every node already selected.
-        if scratch.reached[q0 as usize].len() == v {
-            break;
-        }
-    }
-    Ok(std::mem::replace(
-        &mut scratch.reached[q0 as usize],
-        BitSet::new(0),
-    ))
-}
-
-/// [`eval_monadic_interruptible`] seeded with a **sound upper bound** on
-/// the answer — the subsumption-aware warm start of the serving layer.
-///
-/// Precondition: `upper ⊇ q(G)` (e.g. `upper` is a cached `q'(G)` with
-/// `L(q) ⊆ L(q')`, decided by antichain inclusion). The bound does not
-/// change what is computed — it generalizes the full-set early exit:
-/// the monotone `reached[q₀]` satisfies `reached[q₀] ⊆ q(G) ⊆ upper`
-/// at every level, so the moment `reached[q₀] ⊇ upper` the sandwich
-/// closes and the remaining levels are provably redundant. With
-/// `upper = V` this is exactly [`eval_monadic_interruptible`]; an empty
-/// `upper` proves an empty answer without touching the graph. An
-/// **unsound** bound (missing answer bits) only costs the early exit
-/// its effect on those levels — the result is still exact — but callers
-/// should treat soundness as the contract, not rely on that.
-pub fn eval_monadic_bounded_interruptible(
-    scratch: &mut EvalScratch,
-    query: &Dfa,
-    graph: &GraphDb,
-    upper: &BitSet,
-    policy: StepPolicy,
-    cancel: &CancelToken,
-) -> Result<BitSet, Interrupt> {
-    let v = graph.num_nodes();
-    let q_states = query.num_states();
-    if v == 0 || q_states == 0 {
-        return Ok(BitSet::new(v));
-    }
-    debug_assert_eq!(upper.capacity(), v, "upper-bound capacity");
-    if upper.is_empty() {
-        // ∅ ⊇ q(G) proves the answer empty with zero graph work.
-        return Ok(BitSet::new(v));
-    }
-    let q0 = query.initial();
-    if query.is_final(q0) {
-        return Ok(BitSet::full(v));
-    }
-    let rev = RevIndex::new(query, graph.alphabet().len());
-    scratch.prepare(v, q_states);
-    scratch.seed_finals_full(query, v);
-    while !scratch.active.is_empty() {
-        cancel.check()?;
-        scratch.backward_level(&rev, graph, policy);
-        // reached[q₀] ⊆ q(G) ⊆ upper, so ⊇ upper closes the sandwich.
-        if upper.is_subset(&scratch.reached[q0 as usize]) {
-            break;
-        }
-    }
-    Ok(std::mem::replace(
-        &mut scratch.reached[q0 as usize],
-        BitSet::new(0),
-    ))
-}
-
-/// Full backward **coreachability** fixpoint: like
-/// [`eval_monadic_interruptible`] but *without* the ε shortcut and
-/// *without* the early exit, leaving `scratch.reached[q]` = the complete
-/// set of nodes ν with `(ν, q)` able to reach acceptance, for **every**
-/// state `q`. This is the pruning certificate of the planner's backward
-/// and bidirectional binary engines ([`crate::plan`]): a forward pass
-/// may intersect each step with `reached[next_state]` once the fixpoint
-/// is complete without losing a single result bit (every node on a
-/// witness path is coreachable by definition). The early exit of the
-/// monadic engine would under-approximate the coreach of states other
-/// than `q₀` and is therefore deliberately absent here.
-pub(crate) fn eval_monadic_coreach_interruptible(
-    scratch: &mut EvalScratch,
-    query: &Dfa,
-    graph: &GraphDb,
-    policy: StepPolicy,
-    cancel: &CancelToken,
-) -> Result<(), Interrupt> {
-    let v = graph.num_nodes();
-    let q_states = query.num_states();
-    scratch.prepare(v, q_states);
-    if v == 0 || q_states == 0 {
-        return Ok(());
-    }
-    let rev = RevIndex::new(query, graph.alphabet().len());
-    scratch.seed_finals_full(query, v);
-    while !scratch.active.is_empty() {
-        cancel.check()?;
-        scratch.backward_level(&rev, graph, policy);
-    }
-    Ok(())
-}
-
-/// Monadic evaluation via the **reversed DFA** — the planner's backward
-/// strategy ([`crate::plan`]). `rquery` must recognize `rev(L(q))`
-/// (build it with [`pathlearn_automata::Dfa::reverse`]); the result is
-/// bit-identical to `eval_monadic(q, graph)`.
-///
-/// A node ν is selected by `q` iff some path *from* ν reads a word of
-/// `L(q)` — equivalently, iff some backward walk *ending* at ν reads a
-/// word of `rev(L(q))`. So this engine runs the deterministic forward
-/// simulation of `rquery` over backward graph walks: seed the full node
-/// set at `rquery`'s initial state (every node trivially ends a
-/// zero-length walk), step each frontier through the **in-edge**
-/// kernels along `rquery`'s transitions, and answer with the union of
-/// the accepting states' reach sets. Where the forward engine
-/// ([`eval_monadic_interruptible`]) pays one full-frontier seed per
-/// accepting state and a fan-out per reverse transition, this engine
-/// pays exactly one full seed and one deterministic successor per
-/// `(state, symbol)` — which of the two is cheaper is the planner's
-/// direction decision.
-pub fn eval_monadic_rev_interruptible(
-    scratch: &mut EvalScratch,
-    rquery: &Dfa,
-    graph: &GraphDb,
-    policy: StepPolicy,
-    cancel: &CancelToken,
-) -> Result<BitSet, Interrupt> {
-    let v = graph.num_nodes();
-    let r_states = rquery.num_states();
-    if v == 0 || r_states == 0 {
-        return Ok(BitSet::new(v));
-    }
-    let r0 = rquery.initial();
-    if rquery.is_final(r0) {
-        // ε ∈ rev(L) ⟺ ε ∈ L: every node has the empty path.
-        return Ok(BitSet::full(v));
-    }
-    let sigma = graph.alphabet().len().min(rquery.alphabet_len());
-    let fwd = FwdIndex::new(rquery, sigma);
-    scratch.prepare(v, r_states);
-    scratch.seed_state_full(r0, v);
-    while !scratch.active.is_empty() {
-        cancel.check()?;
-        scratch.deterministic_level(&fwd, graph, KernelDir::In, policy, None);
-    }
-    let mut result = BitSet::new(v);
-    for f in rquery.finals().iter() {
-        result.union_with(&scratch.reached[f]);
-    }
-    Ok(result)
+    EvalPool::sequential().eval_monadic(query, graph)
 }
 
 /// Reference implementation of the **seed algorithm**: node-at-a-time
@@ -818,17 +940,10 @@ pub fn selectivity(query: &Dfa, graph: &GraphDb) -> f64 {
 }
 
 /// Binary semantics (Appendix B): the set of end nodes `ν'` such that
-/// `paths2_G(source, ν') ∩ L(q) ≠ ∅`.
-///
-/// The forward analogue of [`eval_monadic`]: a level-synchronous product
-/// BFS keeping one node frontier per automaton state, stepped per symbol
-/// through the forward kernel [`GraphDb::step_frontier_into`]. The DFA is
-/// deterministic, so each `(state, symbol)` pair feeds exactly one
-/// successor state's frontier.
-///
-/// Allocates fresh buffers per call; multi-source batches should reuse an
-/// [`EvalScratch`] through [`eval_binary_from_with`] or fan out across
-/// threads with [`crate::par_eval::EvalPool::eval_binary_batch`].
+/// `paths2_G(source, ν') ∩ L(q) ≠ ∅`. Shorthand for
+/// [`EvalPool::evaluate`] of [`Goal::BinaryFrom`] on a sequential pool
+/// with fresh buffers; multi-source batches should fan out with
+/// [`EvalPool::eval_binary_batch`].
 ///
 /// ```
 /// use pathlearn_graph::eval::eval_binary_from;
@@ -844,106 +959,7 @@ pub fn selectivity(query: &Dfa, graph: &GraphDb) -> f64 {
 /// assert!(ends.contains(graph.node_id("v4").unwrap() as usize));
 /// ```
 pub fn eval_binary_from(query: &Dfa, graph: &GraphDb, source: NodeId) -> BitSet {
-    eval_binary_from_with(&mut EvalScratch::new(), query, graph, source)
-}
-
-/// [`eval_binary_from`] with caller-provided buffers (see [`EvalScratch`]).
-pub fn eval_binary_from_with(
-    scratch: &mut EvalScratch,
-    query: &Dfa,
-    graph: &GraphDb,
-    source: NodeId,
-) -> BitSet {
-    eval_binary_from_policy(scratch, query, graph, source, StepPolicy::Auto)
-}
-
-/// [`eval_binary_from_with`] with the legacy pruning knob — the forward
-/// analogue of [`eval_monadic_pruning`] (`true` = [`StepPolicy::Pruned`],
-/// `false` = [`StepPolicy::Plain`]). Kept for ablation and differential
-/// testing; new callers should use [`eval_binary_from_policy`].
-pub fn eval_binary_from_pruning(
-    scratch: &mut EvalScratch,
-    query: &Dfa,
-    graph: &GraphDb,
-    source: NodeId,
-    prune: bool,
-) -> BitSet {
-    let policy = if prune {
-        StepPolicy::Pruned
-    } else {
-        StepPolicy::Plain
-    };
-    eval_binary_from_policy(scratch, query, graph, source, policy)
-}
-
-/// [`eval_binary_from_with`] with the step-kernel policy made explicit —
-/// the forward analogue of [`eval_monadic_policy`], planning each step
-/// through [`GraphDb::plan_step`] (frontier nodes with an out-edge of
-/// the symbol). The selected node set is bit-identical under every
-/// policy.
-pub fn eval_binary_from_policy(
-    scratch: &mut EvalScratch,
-    query: &Dfa,
-    graph: &GraphDb,
-    source: NodeId,
-    policy: StepPolicy,
-) -> BitSet {
-    match eval_binary_from_interruptible(
-        scratch,
-        query,
-        graph,
-        source,
-        policy,
-        &CancelToken::never(),
-    ) {
-        Ok(result) => result,
-        Err(interrupt) => unreachable!("never-token evaluation interrupted: {interrupt}"),
-    }
-}
-
-/// [`eval_binary_from_policy`] with cooperative cancellation — the
-/// forward analogue of [`eval_monadic_interruptible`]: the `cancel`
-/// token is checked once per BFS level and a tripped token aborts with
-/// its [`Interrupt`] verdict.
-pub fn eval_binary_from_interruptible(
-    scratch: &mut EvalScratch,
-    query: &Dfa,
-    graph: &GraphDb,
-    source: NodeId,
-    policy: StepPolicy,
-    cancel: &CancelToken,
-) -> Result<BitSet, Interrupt> {
-    let v = graph.num_nodes();
-    let q_states = query.num_states();
-    let mut result = BitSet::new(v);
-    // Out-of-graph sources (e.g. a stale id after a rebuild shrank the
-    // graph) select nothing — same defensive contract as the planned
-    // backward/bidirectional engines.
-    if q_states == 0 || v == 0 || source as usize >= v {
-        return Ok(result);
-    }
-    let q0 = query.initial();
-    // Only symbols the DFA knows can advance the product; graph symbols
-    // beyond the query's alphabet are dead (and stepping the DFA with
-    // them would read out of its transition table).
-    let sigma = graph.alphabet().len().min(query.alphabet_len());
-    let fwd = FwdIndex::new(query, sigma);
-
-    scratch.prepare(v, q_states);
-    scratch.seed_state(q0, source as usize);
-    if query.is_final(q0) {
-        result.insert(source as usize);
-    }
-
-    while !scratch.active.is_empty() {
-        cancel.check()?;
-        scratch.deterministic_level(&fwd, graph, KernelDir::Out, policy, None);
-    }
-
-    for f in query.finals().iter() {
-        result.union_with(&scratch.reached[f]);
-    }
-    Ok(result)
+    EvalPool::sequential().eval_binary_from(query, graph, source)
 }
 
 /// `true` iff the binary query selects the pair `(source, target)`.
@@ -954,8 +970,20 @@ pub fn selects_pair(query: &Dfa, graph: &GraphDb, source: NodeId, target: NodeId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::figure3_g0;
+    use crate::graph::{figure3_g0, StepPolicy};
     use pathlearn_automata::Regex;
+
+    /// `evaluate` of a raw DFA under its forward plan.
+    fn evaluate(
+        pool: &EvalPool,
+        scratch: &mut EvalScratch,
+        query: &Dfa,
+        graph: &GraphDb,
+        goal: Goal<'_>,
+        cancel: &CancelToken,
+    ) -> Result<BitSet, Interrupt> {
+        pool.evaluate(scratch, &QueryPlan::forward(query), graph, goal, cancel)
+    }
 
     fn query(graph: &GraphDb, expr: &str) -> Dfa {
         Regex::parse(expr, graph.alphabet())
@@ -1006,6 +1034,7 @@ mod tests {
     #[test]
     fn bounded_eval_matches_unbounded_under_any_sound_bound() {
         let graph = figure3_g0();
+        let pool = EvalPool::sequential();
         let mut scratch = EvalScratch::new();
         let never = CancelToken::never();
         for expr in ["a", "(a·b)*·c", "b·b·c·c", "a·a", "(a+b)*·c", "eps"] {
@@ -1016,30 +1045,16 @@ mod tests {
             let mut loose = exact.clone();
             loose.insert(graph.node_id("v6").unwrap() as usize);
             for upper in [&exact, &loose, &BitSet::full(graph.num_nodes())] {
-                let bounded = eval_monadic_bounded_interruptible(
-                    &mut scratch,
-                    &q,
-                    &graph,
-                    upper,
-                    StepPolicy::Auto,
-                    &never,
-                )
-                .unwrap();
+                let goal = Goal::MonadicWithin(upper);
+                let bounded = evaluate(&pool, &mut scratch, &q, &graph, goal, &never).unwrap();
                 assert_eq!(bounded, exact, "{expr}");
             }
         }
         // An empty sound bound proves an empty answer immediately.
         let dead = query(&graph, "b·b·c·c");
         let empty = BitSet::new(graph.num_nodes());
-        let bounded = eval_monadic_bounded_interruptible(
-            &mut scratch,
-            &dead,
-            &graph,
-            &empty,
-            StepPolicy::Auto,
-            &never,
-        )
-        .unwrap();
+        let goal = Goal::MonadicWithin(&empty);
+        let bounded = evaluate(&pool, &mut scratch, &dead, &graph, goal, &never).unwrap();
         assert!(bounded.is_empty());
     }
 
@@ -1151,30 +1166,35 @@ mod tests {
         // different |Q| (and a degenerate empty query) must keep agreeing
         // with the allocating entry points.
         let graph = figure3_g0();
+        let pool = EvalPool::sequential();
         let mut scratch = EvalScratch::new();
         for expr in ["(a+b)*·c", "a", "b·(a·a)*·c", "eps", "c·a*"] {
             let q = query(&graph, expr);
             assert_eq!(
-                eval_monadic_with(&mut scratch, &q, &graph),
+                pool.evaluate_dfa(&mut scratch, &q, &graph, Goal::Monadic),
                 eval_monadic(&q, &graph),
                 "monadic {expr}"
             );
             for source in graph.nodes() {
                 assert_eq!(
-                    eval_binary_from_with(&mut scratch, &q, &graph, source),
+                    pool.evaluate_dfa(&mut scratch, &q, &graph, Goal::BinaryFrom(source)),
                     eval_binary_from(&q, &graph, source),
                     "binary {expr} from {source}"
                 );
             }
         }
         let empty = Dfa::empty_language(3);
-        assert!(eval_monadic_with(&mut scratch, &empty, &graph).is_empty());
-        assert!(eval_binary_from_with(&mut scratch, &empty, &graph, 0).is_empty());
+        assert!(pool
+            .evaluate_dfa(&mut scratch, &empty, &graph, Goal::Monadic)
+            .is_empty());
+        assert!(pool
+            .evaluate_dfa(&mut scratch, &empty, &graph, Goal::BinaryFrom(0))
+            .is_empty());
     }
 
     #[test]
     fn every_step_policy_agrees() {
-        // Plain / Pruned / Masked / Auto are pure execution strategies:
+        // Plain / Masked / Auto are pure execution strategies:
         // the selected sets must be bit-identical for monadic and binary
         // semantics on every query shape, including dead labels and a
         // query alphabet smaller than the graph's.
@@ -1184,14 +1204,15 @@ mod tests {
             let q = query(&graph, expr);
             let expected = eval_monadic(&q, &graph);
             for policy in StepPolicy::ALL {
+                let pool = EvalPool::sequential().with_step_policy(policy);
                 assert_eq!(
-                    eval_monadic_policy(&mut scratch, &q, &graph, policy),
+                    pool.evaluate_dfa(&mut scratch, &q, &graph, Goal::Monadic),
                     expected,
                     "monadic {expr} under {policy:?}"
                 );
                 for source in graph.nodes() {
                     assert_eq!(
-                        eval_binary_from_policy(&mut scratch, &q, &graph, source, policy),
+                        pool.evaluate_dfa(&mut scratch, &q, &graph, Goal::BinaryFrom(source)),
                         eval_binary_from(&q, &graph, source),
                         "binary {expr} from {source} under {policy:?}"
                     );
@@ -1201,60 +1222,22 @@ mod tests {
     }
 
     #[test]
-    fn pruning_on_and_off_agree() {
-        // The per-label frontier pruning is a pure skip of provably-empty
-        // steps: disabling it must not change any result, monadic or
-        // binary, including shapes where whole labels are dead (b·b·c·c)
-        // or the query alphabet is smaller than the graph's.
-        let graph = figure3_g0();
-        let mut scratch = EvalScratch::new();
-        for expr in [
-            "a",
-            "eps",
-            "(a·b)*·c",
-            "b·b·c·c",
-            "(a+b)*·c",
-            "c·a*",
-            "a*·b*·c*",
-        ] {
-            let q = query(&graph, expr);
-            assert_eq!(
-                eval_monadic_pruning(&mut scratch, &q, &graph, false),
-                eval_monadic_pruning(&mut scratch, &q, &graph, true),
-                "monadic {expr}"
-            );
-            for source in graph.nodes() {
-                assert_eq!(
-                    eval_binary_from_pruning(&mut scratch, &q, &graph, source, false),
-                    eval_binary_from_pruning(&mut scratch, &q, &graph, source, true),
-                    "binary {expr} from {source}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn interruptible_with_never_token_matches_plain() {
         let graph = figure3_g0();
+        let pool = EvalPool::sequential();
         let mut scratch = EvalScratch::new();
         let never = CancelToken::never();
         for expr in ["a", "eps", "(a·b)*·c", "b·b·c·c", "(a+b)*·c"] {
             let q = query(&graph, expr);
             assert_eq!(
-                eval_monadic_interruptible(&mut scratch, &q, &graph, StepPolicy::Auto, &never),
+                evaluate(&pool, &mut scratch, &q, &graph, Goal::Monadic, &never),
                 Ok(eval_monadic(&q, &graph)),
                 "monadic {expr}"
             );
             for source in graph.nodes() {
+                let goal = Goal::BinaryFrom(source);
                 assert_eq!(
-                    eval_binary_from_interruptible(
-                        &mut scratch,
-                        &q,
-                        &graph,
-                        source,
-                        StepPolicy::Auto,
-                        &never
-                    ),
+                    evaluate(&pool, &mut scratch, &q, &graph, goal, &never),
                     Ok(eval_binary_from(&q, &graph, source)),
                     "binary {expr} from {source}"
                 );
@@ -1268,20 +1251,21 @@ mod tests {
         use std::sync::Arc;
 
         let graph = figure3_g0();
+        let pool = EvalPool::sequential();
         let mut scratch = EvalScratch::new();
         let cancelled = CancelToken::with_flag(Arc::new(AtomicBool::new(true)));
         let q = query(&graph, "(a·b)*·c");
         assert_eq!(
-            eval_monadic_interruptible(&mut scratch, &q, &graph, StepPolicy::Auto, &cancelled),
+            evaluate(&pool, &mut scratch, &q, &graph, Goal::Monadic, &cancelled),
             Err(Interrupt::Cancelled)
         );
         assert_eq!(
-            eval_binary_from_interruptible(
+            evaluate(
+                &pool,
                 &mut scratch,
                 &q,
                 &graph,
-                0,
-                StepPolicy::Auto,
+                Goal::BinaryFrom(0),
                 &cancelled
             ),
             Err(Interrupt::Cancelled)
@@ -1291,13 +1275,13 @@ mod tests {
         // cancellation is per level, not per call.
         let eps = query(&graph, "eps");
         assert_eq!(
-            eval_monadic_interruptible(&mut scratch, &eps, &graph, StepPolicy::Auto, &cancelled),
+            evaluate(&pool, &mut scratch, &eps, &graph, Goal::Monadic, &cancelled),
             Ok(BitSet::full(graph.num_nodes()))
         );
         // An expired deadline reports the Deadline verdict.
         let expired = CancelToken::with_deadline(std::time::Instant::now());
         assert_eq!(
-            eval_monadic_interruptible(&mut scratch, &q, &graph, StepPolicy::Auto, &expired),
+            evaluate(&pool, &mut scratch, &q, &graph, Goal::Monadic, &expired),
             Err(Interrupt::Deadline)
         );
     }
@@ -1352,10 +1336,9 @@ mod tests {
 
     /// A graph whose alphabet is mostly padding: 64 labels interned,
     /// only `a` and `b` carry edges, and the query only mentions `a`.
-    /// Before the live-symbol indexes, every level scanned all 64
-    /// symbols per state; the indexes must visit only the live ones —
-    /// and, crucially, in the same ascending order, so results stay
-    /// bit-identical.
+    /// The transition indexes must list only the live symbols per
+    /// state — and in ascending order, so iteration (and every merge)
+    /// matches a dense `0..|Σ|` scan.
     #[test]
     fn padded_alphabet_uses_only_live_symbols() {
         let labels: Vec<String> = (0..64).map(|i| format!("l{i:02}")).collect();
@@ -1376,15 +1359,22 @@ mod tests {
         q.set_transition(1, a, 2);
         q.set_final(2);
 
-        // The indexes only materialize the live (state, symbol) pairs.
-        let rev = RevIndex::new(&q, 64);
-        assert_eq!(rev.live_syms(1), &[0]);
-        assert_eq!(rev.live_syms(2), &[0]);
-        assert!(rev.live_syms(0).is_empty()); // no rev-transition *into* 0
-        let fwd = FwdIndex::new(&q, 64);
-        assert_eq!(fwd.successors(0), &[(0, 1)]);
-        assert_eq!(fwd.successors(1), &[(0, 2)]);
-        assert!(fwd.successors(2).is_empty());
+        // The indexes only materialize the live (state, symbol) rows.
+        let rows = |index: &TransIndex, q: StateId| -> Vec<(u32, Vec<StateId>)> {
+            index
+                .live(q)
+                .iter()
+                .map(|row| (row.sym, index.targets(row).to_vec()))
+                .collect()
+        };
+        let rev = TransIndex::reverse(&q, 64);
+        assert_eq!(rows(&rev, 1), [(0, vec![0])]);
+        assert_eq!(rows(&rev, 2), [(0, vec![1])]);
+        assert!(rev.live(0).is_empty()); // no transition *into* 0
+        let fwd = TransIndex::forward(&q, 64);
+        assert_eq!(rows(&fwd, 0), [(0, vec![1])]);
+        assert_eq!(rows(&fwd, 1), [(0, vec![2])]);
+        assert!(fwd.live(2).is_empty());
 
         // Nodes n0..n5 head an a·a path; n6 and n7 do not.
         let selected = eval_monadic(&q, &graph);
@@ -1405,10 +1395,13 @@ mod tests {
             multi.set_transition(0, Symbol::from_index(sym), 1);
         }
         multi.set_final(1);
-        let rev = RevIndex::new(&multi, 64);
-        assert_eq!(rev.live_syms(1), &[0, 7, 31, 63]);
-        let fwd = FwdIndex::new(&multi, 64);
-        let syms: Vec<u32> = fwd.successors(0).iter().map(|&(s, _)| s).collect();
-        assert_eq!(syms, &[0, 7, 31, 63]);
+        let syms = |index: &TransIndex, q| -> Vec<u32> {
+            index.live(q).iter().map(|row| row.sym).collect()
+        };
+        assert_eq!(syms(&TransIndex::reverse(&multi, 64), 1), [0, 7, 31, 63]);
+        assert_eq!(syms(&TransIndex::forward(&multi, 64), 0), [0, 7, 31, 63]);
+        // A graph with fewer labels than the DFA clamps both sides.
+        assert_eq!(syms(&TransIndex::reverse(&multi, 8), 1), [0, 7]);
+        assert_eq!(syms(&TransIndex::forward(&multi, 8), 0), [0, 7]);
     }
 }

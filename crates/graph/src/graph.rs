@@ -26,9 +26,9 @@
 //! of added/removed edge sets. Every step kernel merges the overlay at
 //! visit time — base slice filtered by the removal set, then the added
 //! list — behind a once-per-call branch, so delta-free graphs keep the
-//! exact hot path they had before. The per-label bitmaps, counts,
-//! average degrees and sparsity flags the [`StepPolicy`] cost model
-//! reads are **recomputed exactly** for touched labels at delta-apply
+//! exact hot path they had before. The per-label bitmaps, counts and
+//! average degrees the [`StepPolicy`] cost model reads (and the
+//! sparsity flags) are **recomputed exactly** for touched labels at delta-apply
 //! time, so plan decisions stay sound on overlay graphs. When the
 //! overlay outgrows a threshold, [`GraphDb::compact`] folds it into a
 //! fresh CSR **preserving node ids and the alphabet**, so result bitsets
@@ -54,10 +54,10 @@
 //! an offset read, and the **cost-model gate** ([`GraphDb::plan_step`] /
 //! [`GraphDb::plan_step_back`], driven by a [`StepPolicy`]) prices each
 //! `(level, symbol)` step with one fused AND+popcount scan, choosing
-//! skip / masked / plain for the evaluators in [`crate::eval`] and
-//! [`crate::par_eval`]. Every frontier kernel also has a **ranged**
-//! variant over word-aligned node chunks (`*_range_into`), the unit of
-//! the intra-query node-range fan-out in [`crate::par_eval`].
+//! skip / masked / plain for the level kernel in [`crate::eval`]. Every
+//! frontier kernel also has a **ranged** variant over word-aligned node
+//! chunks (`*_range_into`), the unit of the node-range fan-out a
+//! parallel [`crate::par_eval::EvalPool`] splits a level into.
 //!
 //! ## Complexity
 //!
@@ -77,15 +77,10 @@ pub mod snapshot;
 pub type NodeId = u32;
 
 /// A label is **sparse** when fewer than `|V| / SPARSE_LABEL_DIVISOR`
-/// nodes carry an edge of it (per direction). The legacy
-/// [`StepPolicy::Pruned`] mode only runs its `frontier ∩ label-active`
-/// emptiness scan for sparse labels: against a dense label the
-/// intersection is almost never empty, so the scan is pure overhead
-/// (measured ≈ 8% on the calibrated 10k-node workload before this gate),
-/// while for genuinely sparse labels it is where the pruning wins live.
-/// [`StepPolicy::Auto`] supersedes this heuristic with a popcount cost
-/// model whose scan pays for itself on dense labels too (the masked
-/// kernel it selects skips the skipped nodes' offset reads).
+/// nodes carry an edge of it (per direction) — a frozen per-label
+/// statistic ([`GraphDb::label_sources_sparse`]). The step cost model
+/// does not read it: [`StepPolicy::Auto`] prices every label by
+/// popcount, dense or sparse.
 const SPARSE_LABEL_DIVISOR: usize = 4;
 
 /// Fixed-point scale of the frozen per-label average degrees consumed by
@@ -111,10 +106,6 @@ pub enum StepPolicy {
     /// Plain kernels, no label-bitmap consultation — the exhaustive
     /// baseline (every symbol with DFA transitions is stepped in full).
     Plain,
-    /// Plain kernels behind the legacy sparsity-gated emptiness scan:
-    /// symbols whose label is sparse (see [`GraphDb::label_sources_sparse`])
-    /// and whose frontier misses the label's active set are skipped.
-    Pruned,
     /// Masked kernels unconditionally: every step iterates
     /// `frontier ∩ label-active` word-by-word, never the raw frontier.
     Masked,
@@ -128,12 +119,7 @@ pub enum StepPolicy {
 impl StepPolicy {
     /// All policies, in ablation order — for differential tests and the
     /// benchmark matrix.
-    pub const ALL: [StepPolicy; 4] = [
-        StepPolicy::Plain,
-        StepPolicy::Pruned,
-        StepPolicy::Masked,
-        StepPolicy::Auto,
-    ];
+    pub const ALL: [StepPolicy; 3] = [StepPolicy::Plain, StepPolicy::Masked, StepPolicy::Auto];
 }
 
 /// The per-`(level, symbol)` decision produced by [`GraphDb::plan_step`] /
@@ -212,8 +198,8 @@ struct GraphCore {
     /// The in-edge twin: average in-degree over active targets.
     label_target_avg_deg_x16: Vec<u32>,
     /// `label_sources_sparse[a]` ⇔ fewer than `|V| / SPARSE_LABEL_DIVISOR`
-    /// nodes have an out-edge labeled `a` — the gate for the per-label
-    /// frontier pruning (see [`GraphDb::label_sources_sparse`]).
+    /// nodes have an out-edge labeled `a` (see
+    /// [`GraphDb::label_sources_sparse`]).
     label_sources_sparse: Vec<bool>,
     /// The in-edge twin of `label_sources_sparse`.
     label_targets_sparse: Vec<bool>,
@@ -809,11 +795,7 @@ impl GraphDb {
     }
 
     /// `true` iff fewer than `|V| / 4` nodes have an outgoing
-    /// `sym`-labeled edge — the precomputed gate deciding whether a
-    /// forward frontier-pruning scan against [`GraphDb::label_sources`]
-    /// is worth running (fewer than `|V| / 4` active nodes). `false` for
-    /// out-of-alphabet symbols: their (empty) steps are already skipped
-    /// by the evaluators' transition checks.
+    /// `sym`-labeled edge. `false` for out-of-alphabet symbols.
     #[inline]
     pub fn label_sources_sparse(&self, sym: Symbol) -> bool {
         if let Some(delta) = self.out_delta(sym) {
@@ -826,8 +808,7 @@ impl GraphDb {
             .unwrap_or(false)
     }
 
-    /// The in-edge twin of [`GraphDb::label_sources_sparse`], gating
-    /// backward pruning scans against [`GraphDb::label_targets`].
+    /// The in-edge twin of [`GraphDb::label_sources_sparse`].
     #[inline]
     pub fn label_targets_sparse(&self, sym: Symbol) -> bool {
         if let Some(delta) = self.in_delta(sym) {
@@ -939,8 +920,7 @@ impl GraphDb {
     ///
     /// Under [`StepPolicy::Auto`], one fused AND+popcount scan
     /// ([`BitSet::intersection_len`]) prices the step: an empty
-    /// intersection skips it outright (for **every** label, not only
-    /// sparse ones as in the legacy `Pruned` mode). A non-empty
+    /// intersection skips it outright. A non-empty
     /// intersection strictly smaller than the frontier is then priced
     /// **degree-weighted**: the masked kernel pays one extra
     /// label-bitmap load + AND per frontier word but skips every
@@ -963,7 +943,6 @@ impl GraphDb {
     /// to `Plain` without scanning — the precomputed count proves the
     /// mask is a no-op.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn plan(
         &self,
         frontier: &BitSet,
@@ -971,18 +950,10 @@ impl GraphDb {
         active: &BitSet,
         active_count: usize,
         avg_deg_x16: u32,
-        sparse: bool,
         policy: StepPolicy,
     ) -> StepPlan {
         match policy {
             StepPolicy::Plain => StepPlan::Plain,
-            StepPolicy::Pruned => {
-                if sparse && !frontier.intersects(active) {
-                    StepPlan::Skip
-                } else {
-                    StepPlan::Plain
-                }
-            }
             StepPolicy::Masked => StepPlan::Masked,
             StepPolicy::Auto => {
                 if active_count >= self.num_nodes() {
@@ -1022,7 +993,6 @@ impl GraphDb {
             self.label_sources(sym),
             self.label_source_count(sym),
             self.out_avg_deg_x16(sym),
-            self.label_sources_sparse(sym),
             policy,
         )
     }
@@ -1043,7 +1013,6 @@ impl GraphDb {
             self.label_targets(sym),
             self.label_target_count(sym),
             self.in_avg_deg_x16(sym),
-            self.label_targets_sparse(sym),
             policy,
         )
     }
@@ -2056,20 +2025,10 @@ mod tests {
             graph.plan_step(&only_v1, c, 1, StepPolicy::Auto),
             StepPlan::Skip
         );
-        // Pruned: c is sparse, so the emptiness scan runs and skips...
-        assert_eq!(
-            graph.plan_step(&only_v1, c, 1, StepPolicy::Pruned),
-            StepPlan::Skip
-        );
-        // ...but a is dense, so Pruned steps it blindly even when the
-        // frontier is dead (v4 has no out-edges at all).
+        // A dead frontier over a dense label (v4 has no out-edges at
+        // all) is skipped too: the intersection popcount is 0.
         let v4 = graph.node_id("v4").unwrap() as usize;
         let only_v4 = BitSet::from_indices(graph.num_nodes(), [v4]);
-        assert_eq!(
-            graph.plan_step(&only_v4, a, 1, StepPolicy::Pruned),
-            StepPlan::Plain
-        );
-        // Auto skips it: the intersection popcount is 0.
         assert_eq!(
             graph.plan_step(&only_v4, a, 1, StepPolicy::Auto),
             StepPlan::Skip

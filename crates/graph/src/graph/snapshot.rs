@@ -502,11 +502,13 @@ impl<'a> Decoder<'a> {
                 limit: u64::MAX,
             })?;
 
-        let mut labels = Vec::with_capacity(sigma);
+        // Interned in stored order: edges carry stored symbol indices,
+        // and a text-parsed graph's alphabet is in first-appearance
+        // order, not sorted.
+        let mut alphabet = Alphabet::new();
         for _ in 0..sigma {
-            labels.push(self.string()?);
+            alphabet.intern(&self.string()?);
         }
-        let alphabet = Alphabet::from_labels(labels.iter().map(String::as_str));
         if alphabet.len() != sigma {
             return Err(SnapshotError::Malformed(
                 "duplicate labels in the alphabet table".into(),

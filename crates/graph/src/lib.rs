@@ -11,22 +11,27 @@
 //!   word-membership by simulation, bounded canonical-order enumeration;
 //! * [`scp`] — smallest-consistent-path search (Algorithm 1 lines 1–2):
 //!   a determinized product BFS with a shared negative-side cache;
-//! * [`eval`] — monadic RPQ evaluation `q(G)` by backward product
-//!   reachability in `O(|E|·|Q|)`, plus binary-semantics evaluation
-//!   (Appendix B) and the reusable [`eval::EvalScratch`] buffers;
-//! * [`par_eval`] — multi-source / multi-query batch evaluation fanned
-//!   out over a thread pool ([`par_eval::EvalPool`]), plus **intra-query
-//!   parallel** twins of both evaluators (per-BFS-level `(state, symbol)`
-//!   task fan-out with deterministic OR-merge), all bit-identical to the
-//!   sequential evaluators;
+//! * [`eval`] — **the** evaluation engine: one level kernel and one
+//!   driver behind [`EvalPool::evaluate`], which answers monadic
+//!   `q(G)` (optionally within a known upper bound) and binary
+//!   (Appendix B) goals in `O(|E|·|Q|)` by level-synchronous product
+//!   BFS, with the reusable [`eval::EvalScratch`] buffers, the
+//!   `eval_monadic` / `eval_binary_from` shorthands and the two test
+//!   oracles;
+//! * [`plan`] — whole-query planning: automaton preprocessing and the
+//!   forward / backward / bidirectional choice, i.e. which parameter
+//!   set the driver runs with;
+//! * [`par_eval`] — the [`par_eval::EvalPool`] handle: who runs each
+//!   level's steps (inline on one thread, or fanned out over workers
+//!   with a deterministic merge) and batch fan-out over whole queries,
+//!   bit-identical at every thread count;
 //! * [`observer`] — thread-local per-BFS-level sampling
 //!   ([`observer::collect_levels`]): the zero-cost-when-off hook the
 //!   serving layer's query traces ride, recording frontier size, kernel
-//!   mix and nanoseconds for every level an evaluator runs;
+//!   mix and nanoseconds for every level the engine runs;
 //! * [`cancel`] — cooperative cancellation ([`cancel::CancelToken`]:
-//!   deadline and/or shared drain flag) checked once per BFS level by
-//!   the interruptible evaluator variants, so a serving layer can bound
-//!   per-query time without killing threads;
+//!   deadline and/or shared drain flag) checked once per BFS level, so
+//!   a serving layer can bound per-query time without killing threads;
 //! * [`binary`] — `paths2_G(ν,ν′)` and the binary SCP search used by
 //!   Algorithm 2;
 //! * [`neighborhood`] — k-neighborhood extraction (interactive scenario,
@@ -57,9 +62,10 @@ pub mod sampling;
 pub mod scp;
 
 pub use cancel::{CancelToken, Interrupt};
+pub use eval::{EvalScratch, Goal};
 pub use graph::snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use graph::{DeltaError, GraphBuilder, GraphDb, NodeId, StepPlan, StepPolicy};
 pub use observer::{collect_levels, LevelSample, MAX_LEVEL_SAMPLES};
-pub use par_eval::{EvalPool, IntraScratch};
-pub use plan::{PlanScratch, QueryPlan, Strategy};
+pub use par_eval::EvalPool;
+pub use plan::{QueryPlan, Strategy};
 pub use scp::ScpFinder;

@@ -1,25 +1,23 @@
 //! Per-BFS-level evaluation sampling — the `EvalObserver` hook behind
 //! the serving layer's query traces.
 //!
-//! The evaluators in [`crate::eval`], [`crate::plan`] and
-//! [`crate::par_eval`] all advance a product BFS one *level* at a time.
-//! This module lets a caller observe those levels without changing any
-//! evaluator signature: [`collect_levels`] installs a thread-local
-//! sample sink around a closure, and the level loops record one
-//! [`LevelSample`] per level **only while a sink is installed**. With no
-//! sink the hook is a single thread-local `Option` check per level —
-//! measured noise next to the kernel work a level does — so the
-//! evaluators stay zero-cost for library users who never ask for
-//! samples.
+//! The engine in [`crate::eval`] advances every product BFS one *level*
+//! at a time through one level kernel. This module lets a caller
+//! observe those levels without changing any signature:
+//! [`collect_levels`] installs a thread-local sample sink around a
+//! closure, and the level kernel records one [`LevelSample`] per level
+//! **only while a sink is installed**. With no sink the hook is a single
+//! thread-local `Option` check per level — measured noise next to the
+//! kernel work a level does — so evaluation stays zero-cost for library
+//! users who never ask for samples.
 //!
-//! The sink is thread-local on purpose: the sequential engines and the
-//! intra-query parallel engines drive their level loop from the calling
-//! thread (worker threads only execute kernels *within* a level), so
-//! samples land exactly with the query that produced them even when
-//! many queries evaluate concurrently. Whole-query batch fan-out
-//! (`EvalPool::eval_monadic_batch`) runs entire queries on pool workers
-//! and is therefore *not* sampled — the serving layer documents that
-//! batch traces carry no level samples.
+//! The sink is thread-local on purpose: the level loop runs on the
+//! calling thread at every pool width (worker threads only execute
+//! kernels *within* a level), so samples land exactly with the query
+//! that produced them even when many queries evaluate concurrently.
+//! Whole-query batch fan-out (`EvalPool::eval_monadic_batch`) runs
+//! entire queries on pool workers and is therefore *not* sampled — the
+//! serving layer documents that batch traces carry no level samples.
 
 use std::cell::RefCell;
 use std::time::Instant;

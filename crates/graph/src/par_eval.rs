@@ -1,39 +1,26 @@
-//! Parallel multi-source / multi-query RPQ evaluation.
+//! The evaluation thread pool: who runs a level's steps, and batch
+//! fan-out over whole queries.
 //!
-//! The paper's learning loop evaluates the **same candidate query from
-//! many source nodes** (binary semantics, Appendix B) and **many
-//! candidate queries over the same graph** (the F1 scoring of §5 and the
-//! interactive loop of §4) — embarrassingly parallel workloads over the
-//! read-only [`GraphDb`]. This module fans the sequential evaluators of
-//! [`crate::eval`] out over a [`rayon`]-style thread pool:
+//! [`EvalPool`] is the handle every evaluation goes through. It decides
+//! two things, and neither changes a result bit:
 //!
-//! * one **work item** = one `eval_monadic` / `eval_binary_from` call;
-//! * items are claimed in **chunks from an atomic cursor**, so a slow
-//!   item (a high-selectivity source) occupies one thread while the
-//!   others keep draining the batch — dynamic load balancing without
-//!   per-thread deques;
-//! * every thread owns an [`EvalScratch`] **bitset pool**, so steady-state
-//!   evaluation stays allocation-free per item;
-//! * per-source results land in their batch slot; union results are
-//!   merged with **word-level ORs** ([`BitSet::union_with`]) of
-//!   per-thread partials.
-//!
-//! ## Intra-query parallelism
-//!
-//! Batches do not help the **single-huge-query** shape — one candidate
-//! DFA evaluated over the whole graph, the call the learner's line-6
-//! check issues once per generalization and the dominant cost of a
-//! large-graph interactive round. For that shape the pool offers
-//! intra-query twins of the sequential evaluators,
-//! [`EvalPool::eval_monadic`] and [`EvalPool::eval_binary_from`]: at
-//! each BFS level the `(state, symbol)` step kernels — one batched graph
-//! step each, planned skip/masked/plain by the step cost model
-//! ([`GraphDb::plan_step_back`] / [`GraphDb::plan_step`] under the
-//! pool's [`StepPolicy`]) — are claimed by worker threads from an atomic
-//! cursor, with per-worker [`IntraScratch`] accumulators, and the
-//! per-worker partial frontiers are **OR-merged deterministically**
-//! (states scanned in index order, merges against `reached` being
-//! order-independent set-unions) after every level.
+//! * **inside one query** ([`EvalPool::evaluate`], in [`crate::eval`]):
+//!   whether each BFS level's `(state, symbol)` steps run inline (a
+//!   one-thread pool — the sequential engine *is* the one-thread
+//!   instance) or are claimed by worker threads from an atomic cursor
+//!   with a deterministic end-of-level fold. This is the
+//!   **single-huge-query** shape — one candidate DFA over the whole
+//!   graph, the call the learner's line-6 check issues once per
+//!   generalization;
+//! * **across queries** ([`EvalPool::eval_monadic_batch`],
+//!   [`EvalPool::eval_binary_batch`]): the paper's learning loop
+//!   evaluates the same query from many sources (Appendix B) and many
+//!   candidate queries over one graph (§4, §5) — embarrassingly parallel
+//!   over the read-only [`GraphDb`]. One work item is one whole
+//!   evaluation, run sequentially; items are claimed in chunks from an
+//!   atomic cursor (a slow item occupies one thread while the others
+//!   keep draining the batch), every thread owns one [`EvalScratch`],
+//!   and results land in their batch slot by index.
 //!
 //! ## Node-range fan-out (the second level)
 //!
@@ -41,25 +28,14 @@
 //! the paper's common 2-state single-label queries — no parallelism at
 //! all. When a level harvests **fewer tasks than workers**, each task's
 //! node range is split into **word-aligned chunks** (`u64` frontier
-//! words, see [`GraphDb::step_frontier_back_masked_range_into`] and
-//! twins) and the workers claim `(task, chunk)` cells from the **same
-//! atomic cursor** over the task × chunk grid. Chunk outputs OR into the
-//! same per-worker accumulators, and since the union of any word-aligned
-//! partition equals the full kernel's output, the per-level merge — and
-//! therefore the final result — stays **bit-identical to sequential at
-//! any thread count and any chunk size** (proptested across threads
-//! {1, 2, 4} × chunk widths {1, 4, auto}). The auto chunk width targets
-//! a few chunks per worker with a floor that bounds per-claim overhead;
-//! [`EvalPool::with_intra_chunk_words`] pins it for tests and benches.
-//!
-//! ## Determinism
-//!
-//! Results are **bit-identical to sequential evaluation** at every thread
-//! count (asserted by proptests across threads {1, 2, 4}): batch slots
-//! are written by index, and every merge — batch unions and intra-query
-//! level merges alike — is an OR-reduction over sets deduplicated
-//! against `reached`, which is order-independent. The sequential path
-//! (`threads <= 1`) never touches the pool at all.
+//! words; the ranged step kernels of [`GraphDb`] accumulate, so the
+//! union over any word-aligned partition equals the full kernel's
+//! output) and the workers claim `(task, chunk)` cells from the same
+//! cursor. The chunks are sized per level: a few per worker,
+//! with a floor that bounds per-claim overhead;
+//! [`EvalPool::with_intra_chunk_words`] pins the width for tests and
+//! benches. Any width yields bit-identical results (proptested across
+//! threads {1, 2, 4} × chunk widths {1, 4, auto}).
 //!
 //! ## Knobs
 //!
@@ -67,11 +43,9 @@
 //! [`EvalPool::from_env`], which reads the `PATHLEARN_THREADS` environment
 //! variable and falls back to [`std::thread::available_parallelism`].
 
-use crate::cancel::{CancelToken, Interrupt};
-use crate::eval::{eval_binary_from_policy, eval_monadic_policy, EvalScratch, FwdIndex, RevIndex};
-use crate::graph::{GraphDb, NodeId, StepPlan, StepPolicy};
-use crate::plan::{QueryPlan, Strategy};
-use pathlearn_automata::{BitSet, Dfa, StateId, Symbol};
+use crate::eval::{EvalScratch, Goal};
+use crate::graph::{GraphDb, NodeId, StepPolicy};
+use pathlearn_automata::{BitSet, Dfa};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -89,7 +63,7 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// may go below the floor (the determinism proptests pin 1-word chunks).
 const MIN_AUTO_CHUNK_WORDS: usize = 4;
 
-/// A shareable handle to a thread pool for batch RPQ evaluation.
+/// A shareable handle to the evaluation thread pool.
 ///
 /// Cloning is cheap (the pool is reference-counted) and clones share the
 /// worker threads. `threads == 1` means strictly sequential: no pool is
@@ -205,8 +179,9 @@ impl EvalPool {
     /// cursor. Node ranges are only split when the level has fewer tasks
     /// than workers (the ≤ 1-task-per-level regime of 2-state
     /// single-label queries); otherwise tasks are already ample and each
-    /// keeps its full `0..words` range.
-    fn level_grain(&self, tasks: usize, words: usize) -> (usize, usize) {
+    /// keeps its full `0..words` range — as does every task of a
+    /// sequential pool.
+    pub(crate) fn level_grain(&self, tasks: usize, words: usize) -> (usize, usize) {
         if tasks == 0 || tasks >= self.threads || words <= 1 {
             return (1, words.max(1));
         }
@@ -260,21 +235,26 @@ impl EvalPool {
         self.pool.as_deref()
     }
 
-    /// The chunked-claiming kernel shared by every batch entry point:
-    /// one scoped task per accumulator in `parts`, each with its own
+    /// Fans `task(scratch, index)` out over `0..len`, collecting results
+    /// in index order: one scoped task per thread, each with its own
     /// [`EvalScratch`], claiming chunks of `0..len` from an atomic
-    /// cursor and folding every claimed index into its accumulator.
-    fn claim_chunks<A, S>(pool: &rayon::ThreadPool, parts: &mut [A], len: usize, step: S)
+    /// cursor.
+    fn fan_out<T, F>(&self, len: usize, task: F) -> Vec<T>
     where
-        A: Send,
-        S: Fn(&mut A, &mut EvalScratch, usize) + Sync,
+        T: Send,
+        F: Fn(&mut EvalScratch, usize) -> T + Sync,
     {
+        let Some(pool) = self.pool.as_deref().filter(|_| len > 1) else {
+            let mut scratch = EvalScratch::new();
+            return (0..len).map(|index| task(&mut scratch, index)).collect();
+        };
+        let threads = self.threads.min(len);
         // Small chunks relative to len/threads give dynamic balancing;
         // the floor bounds per-claim overhead for tiny batches.
-        let chunk = (len / (parts.len() * 8)).max(1);
+        let chunk = (len / (threads * 8)).max(1);
         let cursor = AtomicUsize::new(0);
-        let cursor = &cursor;
-        let step = &step;
+        let (cursor, task) = (&cursor, &task);
+        let mut parts: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
         pool.scope(|scope| {
             for part in parts.iter_mut() {
                 scope.spawn(move |_| {
@@ -285,42 +265,20 @@ impl EvalPool {
                             break;
                         }
                         for index in start..(start + chunk).min(len) {
-                            step(part, &mut scratch, index);
+                            part.push((index, task(&mut scratch, index)));
                         }
                     }
                 });
             }
         });
-    }
-
-    /// Fans `task(scratch, index)` out over `0..len`, one [`EvalScratch`]
-    /// per thread, collecting results in index order.
-    fn fan_out<T, F>(&self, len: usize, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut EvalScratch, usize) -> T + Sync,
-    {
-        match &self.pool {
-            Some(pool) if len > 1 => {
-                let threads = self.threads.min(len);
-                let mut parts: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
-                Self::claim_chunks(pool, &mut parts, len, |part, scratch, index| {
-                    part.push((index, task(scratch, index)));
-                });
-                let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
-                for (index, value) in parts.into_iter().flatten() {
-                    slots[index] = Some(value);
-                }
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("every batch index evaluated exactly once"))
-                    .collect()
-            }
-            _ => {
-                let mut scratch = EvalScratch::new();
-                (0..len).map(|index| task(&mut scratch, index)).collect()
-            }
+        let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
+        for (index, value) in parts.into_iter().flatten() {
+            slots[index] = Some(value);
         }
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every batch index evaluated exactly once"))
+            .collect()
     }
 
     /// Evaluates a batch of monadic queries on one graph — the fan-out
@@ -328,9 +286,9 @@ impl EvalPool {
     /// hypothesis queries per example batch. `result[i]` is exactly
     /// [`crate::eval::eval_monadic`]`(&queries[i], graph)`.
     pub fn eval_monadic_batch(&self, queries: &[Dfa], graph: &GraphDb) -> Vec<BitSet> {
-        let policy = self.step_policy;
+        let inline = self.inline();
         self.fan_out(queries.len(), |scratch, index| {
-            eval_monadic_policy(scratch, &queries[index], graph, policy)
+            inline.evaluate_dfa(scratch, &queries[index], graph, Goal::Monadic)
         })
     }
 
@@ -342,65 +300,26 @@ impl EvalPool {
         graph: &GraphDb,
         sources: &[NodeId],
     ) -> Vec<BitSet> {
-        let policy = self.step_policy;
+        let inline = self.inline();
         self.fan_out(sources.len(), |scratch, index| {
-            eval_binary_from_policy(scratch, query, graph, sources[index], policy)
+            inline.evaluate_dfa(scratch, query, graph, Goal::BinaryFrom(sources[index]))
         })
     }
 
-    /// The set of end nodes reachable from **any** of `sources` along a
-    /// path in `L(query)` — a multi-source binary evaluation merged with
-    /// word-level ORs. Equal to the union of
-    /// [`crate::eval::eval_binary_from`] over `sources`, at any thread
-    /// count.
-    pub fn eval_binary_union(&self, query: &Dfa, graph: &GraphDb, sources: &[NodeId]) -> BitSet {
-        let v = graph.num_nodes();
-        let policy = self.step_policy;
-        match &self.pool {
-            Some(pool) if sources.len() > 1 => {
-                let threads = self.threads.min(sources.len());
-                let mut parts: Vec<BitSet> = (0..threads).map(|_| BitSet::new(v)).collect();
-                Self::claim_chunks(pool, &mut parts, sources.len(), |part, scratch, index| {
-                    part.union_with(&eval_binary_from_policy(
-                        scratch,
-                        query,
-                        graph,
-                        sources[index],
-                        policy,
-                    ));
-                });
-                let mut union = BitSet::new(v);
-                for part in &parts {
-                    union.union_with(part);
-                }
-                union
-            }
-            _ => {
-                let mut scratch = EvalScratch::new();
-                let mut union = BitSet::new(v);
-                for &source in sources {
-                    union.union_with(&eval_binary_from_policy(
-                        &mut scratch,
-                        query,
-                        graph,
-                        source,
-                        policy,
-                    ));
-                }
-                union
-            }
-        }
+    /// The one-thread instance of this pool (same step policy, no
+    /// worker threads, free to build): what each batch item runs on —
+    /// a batch fans out over whole evaluations rather than nesting
+    /// level fan-outs — and what a caller sharing the pool with others
+    /// evaluates small inputs on.
+    pub fn inline(&self) -> EvalPool {
+        EvalPool::sequential().with_step_policy(self.step_policy)
     }
 
-    /// **Intra-query parallel** monadic evaluation: one query, one graph,
-    /// the BFS levels themselves fanned out. Exactly equal to
-    /// [`crate::eval::eval_monadic`] at any thread count (asserted by the
-    /// differential suite); on a sequential pool it *is* the sequential
-    /// evaluator.
-    ///
-    /// Allocates fresh buffers per call; repeated callers (the learner's
-    /// per-generalization line-6 check, the interactive loop) should
-    /// reuse an [`IntraScratch`] through [`EvalPool::eval_monadic_with`].
+    /// Monadic evaluation of one query with this pool running each
+    /// level's steps — shorthand for [`EvalPool::evaluate`] of
+    /// [`Goal::Monadic`] under a forward plan with fresh buffers.
+    /// Exactly equal to [`crate::eval::eval_monadic`] at any thread
+    /// count (asserted by the differential suite).
     ///
     /// ```
     /// use pathlearn_graph::graph::figure3_g0;
@@ -414,809 +333,19 @@ impl EvalPool {
     /// assert_eq!(pool.eval_monadic(&query, &graph), eval_monadic(&query, &graph));
     /// ```
     pub fn eval_monadic(&self, query: &Dfa, graph: &GraphDb) -> BitSet {
-        self.eval_monadic_with(&mut IntraScratch::new(), query, graph)
+        self.evaluate_dfa(&mut EvalScratch::new(), query, graph, Goal::Monadic)
     }
 
-    /// [`EvalPool::eval_monadic`] with caller-provided buffers.
-    ///
-    /// The backward level-synchronous product BFS of
-    /// [`crate::eval::eval_monadic_with`], with each level's work split
-    /// into `(state, symbol)` **step tasks** — pairs with reverse DFA
-    /// transitions whose step the cost model did not prove empty, each
-    /// planned masked or plain ([`GraphDb::plan_step_back`]). Workers
-    /// claim tasks from an atomic cursor, step the frontier through the
-    /// label-partitioned CSR into their own buffers, and OR the result
-    /// into per-worker per-state accumulators; the caller then merges
-    /// accumulators into `reached`/`next_frontier` in state-index order.
-    /// When a level has fewer tasks than workers, each task's node range
-    /// is further split into word-aligned chunks claimed from the same
-    /// cursor (see the module docs). The merged level outcome is
-    /// `(⋃ steps into p) \ reached[p]` regardless of which worker
-    /// produced which piece — and the union over chunks of a
-    /// word-aligned partition is the full step — so results are
-    /// bit-identical to sequential scheduling at any thread count and
-    /// chunk width. Levels with a single grain run inline without
-    /// touching the pool.
-    pub fn eval_monadic_with(
-        &self,
-        scratch: &mut IntraScratch,
-        query: &Dfa,
-        graph: &GraphDb,
-    ) -> BitSet {
-        match self.eval_monadic_interruptible(scratch, query, graph, &CancelToken::never()) {
-            Ok(result) => result,
-            Err(interrupt) => unreachable!("never-token evaluation interrupted: {interrupt}"),
-        }
-    }
-
-    /// [`EvalPool::eval_monadic_with`] with cooperative cancellation: the
-    /// `cancel` token is checked **once per BFS level** (before the
-    /// level's task harvest, on the coordinating thread — workers inside
-    /// a level always run it to completion, so a trip never tears a
-    /// half-merged level) and a tripped token aborts with its
-    /// [`Interrupt`] verdict. The sequential path delegates to
-    /// [`crate::eval::eval_monadic_interruptible`]. With
-    /// [`CancelToken::never`] this is exactly
-    /// [`EvalPool::eval_monadic_with`], preserving bit-identity.
-    pub fn eval_monadic_interruptible(
-        &self,
-        scratch: &mut IntraScratch,
-        query: &Dfa,
-        graph: &GraphDb,
-        cancel: &CancelToken,
-    ) -> Result<BitSet, Interrupt> {
-        let Some(pool) = self.pool.as_deref() else {
-            return crate::eval::eval_monadic_interruptible(
-                &mut scratch.eval,
-                query,
-                graph,
-                self.step_policy,
-                cancel,
-            );
-        };
-        let policy = self.step_policy;
-        let v = graph.num_nodes();
-        let q_states = query.num_states();
-        if v == 0 || q_states == 0 {
-            return Ok(BitSet::new(v));
-        }
-        let q0 = query.initial();
-        if query.is_final(q0) {
-            // ε ∈ L(q): every node has the empty path.
-            return Ok(BitSet::full(v));
-        }
-        let rev = RevIndex::new(query, graph.alphabet().len());
-
-        scratch.prepare(v, q_states, self.threads);
-        let IntraScratch {
-            eval, parts, tasks, ..
-        } = scratch;
-        let EvalScratch {
-            reached,
-            frontier,
-            next_frontier,
-            frontier_len,
-            next_frontier_len,
-            step,
-            active,
-            next_active,
-        } = eval;
-        for f in query.finals().iter() {
-            reached[f].insert_all();
-            frontier[f].insert_all();
-            frontier_len[f] = v;
-            active.push(f as StateId);
-        }
-
-        let words = graph.num_node_words();
-        while !active.is_empty() {
-            cancel.check()?;
-            let observing = crate::observer::level_begin();
-            let frontier_nodes: u64 = if observing.is_some() {
-                active
-                    .iter()
-                    .map(|&q| frontier_len[q as usize] as u64)
-                    .sum()
-            } else {
-                0
-            };
-            // Task list for this level: (state, symbol) pairs that can
-            // actually produce predecessors — reverse DFA transitions
-            // exist and the cost model did not prove the step empty —
-            // each carrying its planned kernel (masked or plain).
-            tasks.clear();
-            for &q in active.iter() {
-                let state_frontier = &frontier[q as usize];
-                // Cached popcount, counted by the previous level's merge.
-                let state_frontier_len = frontier_len[q as usize];
-                // Only the state's live symbols (see [`RevIndex`]):
-                // symbols without reverse transitions cost nothing.
-                for &sym in rev.live_syms(q) {
-                    let symbol = Symbol::from_index(sym as usize);
-                    match graph.plan_step_back(state_frontier, symbol, state_frontier_len, policy) {
-                        StepPlan::Skip => continue,
-                        plan => tasks.push(StepTask {
-                            state: q,
-                            sym,
-                            masked: plan == StepPlan::Masked,
-                        }),
-                    }
-                }
-            }
-            let (chunks_per_task, chunk_words) = self.level_grain(tasks.len(), words);
-            let total = tasks.len() * chunks_per_task;
-            if total > 1 {
-                let live = self.threads.min(total);
-                let cursor = AtomicUsize::new(0);
-                let cursor = &cursor;
-                let tasks = &*tasks;
-                let frontier = &*frontier;
-                let rev = &rev;
-                pool.scope(|scope| {
-                    for part in parts[..live].iter_mut() {
-                        scope.spawn(move |_| loop {
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            if index >= total {
-                                break;
-                            }
-                            let task = &tasks[index / chunks_per_task];
-                            let chunk = index % chunks_per_task;
-                            let range = chunk * chunk_words..((chunk + 1) * chunk_words).min(words);
-                            let symbol = Symbol::from_index(task.sym as usize);
-                            let state_frontier = &frontier[task.state as usize];
-                            part.step.clear();
-                            if task.masked {
-                                graph.step_frontier_back_masked_range_into(
-                                    state_frontier,
-                                    symbol,
-                                    range,
-                                    &mut part.step,
-                                );
-                            } else {
-                                graph.step_frontier_back_range_into(
-                                    state_frontier,
-                                    symbol,
-                                    range,
-                                    &mut part.step,
-                                );
-                            }
-                            if part.step.is_empty() {
-                                continue;
-                            }
-                            for &p in rev.predecessors(task.state, task.sym as usize) {
-                                part.acc[p as usize].union_with(&part.step);
-                                part.touched.insert(p as usize);
-                            }
-                        });
-                    }
-                });
-                merge_level(
-                    reached,
-                    next_frontier,
-                    next_frontier_len,
-                    next_active,
-                    &mut parts[..live],
-                );
-            } else if let Some(task) = tasks.first() {
-                // One grain: stepping inline costs nothing extra and
-                // skips the scope round-trip.
-                let symbol = Symbol::from_index(task.sym as usize);
-                let state_frontier = &frontier[task.state as usize];
-                if task.masked {
-                    graph.step_frontier_back_masked_into(state_frontier, symbol, step);
-                } else {
-                    graph.step_frontier_back_into(state_frontier, symbol, step);
-                }
-                if !step.is_empty() {
-                    for &p in rev.predecessors(task.state, task.sym as usize) {
-                        let p = p as usize;
-                        let was_empty = next_frontier[p].is_empty();
-                        let fresh =
-                            reached[p].union_with_recording_new_count(step, &mut next_frontier[p]);
-                        next_frontier_len[p] += fresh;
-                        if fresh > 0 && was_empty {
-                            next_active.push(p as StateId);
-                        }
-                    }
-                }
-            }
-            for &q in active.iter() {
-                frontier[q as usize].clear();
-                frontier_len[q as usize] = 0;
-            }
-            std::mem::swap(frontier, next_frontier);
-            std::mem::swap(frontier_len, next_frontier_len);
-            std::mem::swap(active, next_active);
-            next_active.clear();
-            if let Some(started) = observing {
-                let masked = tasks.iter().filter(|task| task.masked).count() as u32;
-                crate::observer::level_record(started, frontier_nodes, tasks.len() as u32, masked);
-            }
-            // Early exit: every node already selected.
-            if reached[q0 as usize].len() == v {
-                break;
-            }
-        }
-        Ok(std::mem::replace(&mut reached[q0 as usize], BitSet::new(0)))
-    }
-
-    /// **Intra-query parallel** binary evaluation from one source — the
-    /// forward analogue of [`EvalPool::eval_monadic`]. Exactly equal to
-    /// [`crate::eval::eval_binary_from`] at any thread count; on a
-    /// sequential pool it *is* the sequential evaluator.
+    /// Binary evaluation from one source — the [`Goal::BinaryFrom`]
+    /// twin of [`EvalPool::eval_monadic`]. Exactly equal to
+    /// [`crate::eval::eval_binary_from`] at any thread count.
     pub fn eval_binary_from(&self, query: &Dfa, graph: &GraphDb, source: NodeId) -> BitSet {
-        self.eval_binary_from_with(&mut IntraScratch::new(), query, graph, source)
-    }
-
-    /// [`EvalPool::eval_binary_from`] with caller-provided buffers. Same
-    /// level fan-out and deterministic merge as
-    /// [`EvalPool::eval_monadic_with`], running forward: each task's step
-    /// set feeds the single DFA successor `δ(state, symbol)`, and the
-    /// per-label pruning consults [`GraphDb::label_sources`].
-    ///
-    /// Each twin deliberately mirrors its own sequential engine
-    /// line-for-line, **including their asymmetries** — the monadic pair
-    /// has an all-nodes-selected early exit (`reached[q0]` full) that the
-    /// binary pair lacks, exactly as in [`crate::eval`]. When changing
-    /// the shared level scaffolding (task harvest, cursor loop,
-    /// single-task fast path, frontier swap), change all four engines
-    /// together; the differential suite asserts they stay bit-identical.
-    pub fn eval_binary_from_with(
-        &self,
-        scratch: &mut IntraScratch,
-        query: &Dfa,
-        graph: &GraphDb,
-        source: NodeId,
-    ) -> BitSet {
-        match self.eval_binary_from_interruptible(
-            scratch,
+        self.evaluate_dfa(
+            &mut EvalScratch::new(),
             query,
             graph,
-            source,
-            &CancelToken::never(),
-        ) {
-            Ok(result) => result,
-            Err(interrupt) => unreachable!("never-token evaluation interrupted: {interrupt}"),
-        }
-    }
-
-    /// [`EvalPool::eval_binary_from_with`] with cooperative cancellation
-    /// — the forward analogue of
-    /// [`EvalPool::eval_monadic_interruptible`]: the token is checked
-    /// once per BFS level on the coordinating thread, and the sequential
-    /// path delegates to [`crate::eval::eval_binary_from_interruptible`].
-    pub fn eval_binary_from_interruptible(
-        &self,
-        scratch: &mut IntraScratch,
-        query: &Dfa,
-        graph: &GraphDb,
-        source: NodeId,
-        cancel: &CancelToken,
-    ) -> Result<BitSet, Interrupt> {
-        let Some(pool) = self.pool.as_deref() else {
-            return crate::eval::eval_binary_from_interruptible(
-                &mut scratch.eval,
-                query,
-                graph,
-                source,
-                self.step_policy,
-                cancel,
-            );
-        };
-        let policy = self.step_policy;
-        let v = graph.num_nodes();
-        let q_states = query.num_states();
-        let mut result = BitSet::new(v);
-        // Same defensive contract as the sequential engine: an
-        // out-of-graph source selects nothing.
-        if q_states == 0 || v == 0 || source as usize >= v {
-            return Ok(result);
-        }
-        let q0 = query.initial();
-        // Only symbols the DFA knows can advance the product (see the
-        // sequential evaluator), and of those only the live ones.
-        let sigma = graph.alphabet().len().min(query.alphabet_len());
-        let fwd = FwdIndex::new(query, sigma);
-
-        scratch.prepare(v, q_states, self.threads);
-        let IntraScratch {
-            eval, parts, tasks, ..
-        } = scratch;
-        let EvalScratch {
-            reached,
-            frontier,
-            next_frontier,
-            frontier_len,
-            next_frontier_len,
-            step,
-            active,
-            next_active,
-        } = eval;
-        reached[q0 as usize].insert(source as usize);
-        frontier[q0 as usize].insert(source as usize);
-        frontier_len[q0 as usize] = 1;
-        active.push(q0);
-
-        let words = graph.num_node_words();
-        while !active.is_empty() {
-            cancel.check()?;
-            let observing = crate::observer::level_begin();
-            let frontier_nodes: u64 = if observing.is_some() {
-                active
-                    .iter()
-                    .map(|&q| frontier_len[q as usize] as u64)
-                    .sum()
-            } else {
-                0
-            };
-            tasks.clear();
-            for &q in active.iter() {
-                let state_frontier = &frontier[q as usize];
-                let state_frontier_len = frontier_len[q as usize];
-                for &(sym, _) in fwd.successors(q) {
-                    let symbol = Symbol::from_index(sym as usize);
-                    match graph.plan_step(state_frontier, symbol, state_frontier_len, policy) {
-                        StepPlan::Skip => continue,
-                        plan => tasks.push(StepTask {
-                            state: q,
-                            sym,
-                            masked: plan == StepPlan::Masked,
-                        }),
-                    }
-                }
-            }
-            let (chunks_per_task, chunk_words) = self.level_grain(tasks.len(), words);
-            let total = tasks.len() * chunks_per_task;
-            if total > 1 {
-                let live = self.threads.min(total);
-                let cursor = AtomicUsize::new(0);
-                let cursor = &cursor;
-                let tasks = &*tasks;
-                let frontier = &*frontier;
-                pool.scope(|scope| {
-                    for part in parts[..live].iter_mut() {
-                        scope.spawn(move |_| loop {
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            if index >= total {
-                                break;
-                            }
-                            let task = &tasks[index / chunks_per_task];
-                            let chunk = index % chunks_per_task;
-                            let range = chunk * chunk_words..((chunk + 1) * chunk_words).min(words);
-                            let symbol = Symbol::from_index(task.sym as usize);
-                            let Some(next_state) = query.step(task.state, symbol) else {
-                                continue;
-                            };
-                            let state_frontier = &frontier[task.state as usize];
-                            part.step.clear();
-                            if task.masked {
-                                graph.step_frontier_masked_range_into(
-                                    state_frontier,
-                                    symbol,
-                                    range,
-                                    &mut part.step,
-                                );
-                            } else {
-                                graph.step_frontier_range_into(
-                                    state_frontier,
-                                    symbol,
-                                    range,
-                                    &mut part.step,
-                                );
-                            }
-                            if part.step.is_empty() {
-                                continue;
-                            }
-                            part.acc[next_state as usize].union_with(&part.step);
-                            part.touched.insert(next_state as usize);
-                        });
-                    }
-                });
-                merge_level(
-                    reached,
-                    next_frontier,
-                    next_frontier_len,
-                    next_active,
-                    &mut parts[..live],
-                );
-            } else if let Some(task) = tasks.first() {
-                let symbol = Symbol::from_index(task.sym as usize);
-                if let Some(next_state) = query.step(task.state, symbol) {
-                    let state_frontier = &frontier[task.state as usize];
-                    if task.masked {
-                        graph.step_frontier_masked_into(state_frontier, symbol, step);
-                    } else {
-                        graph.step_frontier_into(state_frontier, symbol, step);
-                    }
-                    if !step.is_empty() {
-                        let p = next_state as usize;
-                        let was_empty = next_frontier[p].is_empty();
-                        let fresh =
-                            reached[p].union_with_recording_new_count(step, &mut next_frontier[p]);
-                        next_frontier_len[p] += fresh;
-                        if fresh > 0 && was_empty {
-                            next_active.push(next_state);
-                        }
-                    }
-                }
-            }
-            for &q in active.iter() {
-                frontier[q as usize].clear();
-                frontier_len[q as usize] = 0;
-            }
-            std::mem::swap(frontier, next_frontier);
-            std::mem::swap(frontier_len, next_frontier_len);
-            std::mem::swap(active, next_active);
-            next_active.clear();
-            if let Some(started) = observing {
-                let masked = tasks.iter().filter(|task| task.masked).count() as u32;
-                crate::observer::level_record(started, frontier_nodes, tasks.len() as u32, masked);
-            }
-        }
-
-        for f in query.finals().iter() {
-            result.union_with(&reached[f]);
-        }
-        Ok(result)
-    }
-
-    /// **Intra-query parallel** monadic evaluation via the **reversed
-    /// DFA** — the pool twin of
-    /// [`crate::eval::eval_monadic_rev_interruptible`], the planner's
-    /// backward monadic engine. Structurally this is the binary engine
-    /// run through the **in-edge** kernels: `rquery` is deterministic,
-    /// so each `(state, symbol)` task feeds exactly one successor
-    /// frontier, but the seed is the full node set at `rquery`'s initial
-    /// state and the answer is the union of the accepting states' reach
-    /// sets. Bit-identical to the sequential engine at any thread count
-    /// and chunk width; the sequential path delegates outright.
-    pub fn eval_monadic_rev_interruptible(
-        &self,
-        scratch: &mut IntraScratch,
-        rquery: &Dfa,
-        graph: &GraphDb,
-        cancel: &CancelToken,
-    ) -> Result<BitSet, Interrupt> {
-        let Some(pool) = self.pool.as_deref() else {
-            return crate::eval::eval_monadic_rev_interruptible(
-                &mut scratch.eval,
-                rquery,
-                graph,
-                self.step_policy,
-                cancel,
-            );
-        };
-        let policy = self.step_policy;
-        let v = graph.num_nodes();
-        let r_states = rquery.num_states();
-        if v == 0 || r_states == 0 {
-            return Ok(BitSet::new(v));
-        }
-        let r0 = rquery.initial();
-        if rquery.is_final(r0) {
-            // ε ∈ rev(L) ⟺ ε ∈ L: every node has the empty path.
-            return Ok(BitSet::full(v));
-        }
-        let sigma = graph.alphabet().len().min(rquery.alphabet_len());
-        let fwd = FwdIndex::new(rquery, sigma);
-
-        scratch.prepare(v, r_states, self.threads);
-        let IntraScratch {
-            eval, parts, tasks, ..
-        } = scratch;
-        let EvalScratch {
-            reached,
-            frontier,
-            next_frontier,
-            frontier_len,
-            next_frontier_len,
-            step,
-            active,
-            next_active,
-        } = eval;
-        reached[r0 as usize].insert_all();
-        frontier[r0 as usize].insert_all();
-        frontier_len[r0 as usize] = v;
-        active.push(r0);
-
-        let words = graph.num_node_words();
-        while !active.is_empty() {
-            cancel.check()?;
-            let observing = crate::observer::level_begin();
-            let frontier_nodes: u64 = if observing.is_some() {
-                active
-                    .iter()
-                    .map(|&q| frontier_len[q as usize] as u64)
-                    .sum()
-            } else {
-                0
-            };
-            tasks.clear();
-            for &q in active.iter() {
-                let state_frontier = &frontier[q as usize];
-                let state_frontier_len = frontier_len[q as usize];
-                for &(sym, _) in fwd.successors(q) {
-                    let symbol = Symbol::from_index(sym as usize);
-                    match graph.plan_step_back(state_frontier, symbol, state_frontier_len, policy) {
-                        StepPlan::Skip => continue,
-                        plan => tasks.push(StepTask {
-                            state: q,
-                            sym,
-                            masked: plan == StepPlan::Masked,
-                        }),
-                    }
-                }
-            }
-            let (chunks_per_task, chunk_words) = self.level_grain(tasks.len(), words);
-            let total = tasks.len() * chunks_per_task;
-            if total > 1 {
-                let live = self.threads.min(total);
-                let cursor = AtomicUsize::new(0);
-                let cursor = &cursor;
-                let tasks = &*tasks;
-                let frontier = &*frontier;
-                pool.scope(|scope| {
-                    for part in parts[..live].iter_mut() {
-                        scope.spawn(move |_| loop {
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            if index >= total {
-                                break;
-                            }
-                            let task = &tasks[index / chunks_per_task];
-                            let chunk = index % chunks_per_task;
-                            let range = chunk * chunk_words..((chunk + 1) * chunk_words).min(words);
-                            let symbol = Symbol::from_index(task.sym as usize);
-                            let Some(next_state) = rquery.step(task.state, symbol) else {
-                                continue;
-                            };
-                            let state_frontier = &frontier[task.state as usize];
-                            part.step.clear();
-                            if task.masked {
-                                graph.step_frontier_back_masked_range_into(
-                                    state_frontier,
-                                    symbol,
-                                    range,
-                                    &mut part.step,
-                                );
-                            } else {
-                                graph.step_frontier_back_range_into(
-                                    state_frontier,
-                                    symbol,
-                                    range,
-                                    &mut part.step,
-                                );
-                            }
-                            if part.step.is_empty() {
-                                continue;
-                            }
-                            part.acc[next_state as usize].union_with(&part.step);
-                            part.touched.insert(next_state as usize);
-                        });
-                    }
-                });
-                merge_level(
-                    reached,
-                    next_frontier,
-                    next_frontier_len,
-                    next_active,
-                    &mut parts[..live],
-                );
-            } else if let Some(task) = tasks.first() {
-                let symbol = Symbol::from_index(task.sym as usize);
-                if let Some(next_state) = rquery.step(task.state, symbol) {
-                    let state_frontier = &frontier[task.state as usize];
-                    if task.masked {
-                        graph.step_frontier_back_masked_into(state_frontier, symbol, step);
-                    } else {
-                        graph.step_frontier_back_into(state_frontier, symbol, step);
-                    }
-                    if !step.is_empty() {
-                        let p = next_state as usize;
-                        let was_empty = next_frontier[p].is_empty();
-                        let fresh =
-                            reached[p].union_with_recording_new_count(step, &mut next_frontier[p]);
-                        next_frontier_len[p] += fresh;
-                        if fresh > 0 && was_empty {
-                            next_active.push(next_state);
-                        }
-                    }
-                }
-            }
-            for &q in active.iter() {
-                frontier[q as usize].clear();
-                frontier_len[q as usize] = 0;
-            }
-            std::mem::swap(frontier, next_frontier);
-            std::mem::swap(frontier_len, next_frontier_len);
-            std::mem::swap(active, next_active);
-            next_active.clear();
-            if let Some(started) = observing {
-                let masked = tasks.iter().filter(|task| task.masked).count() as u32;
-                crate::observer::level_record(started, frontier_nodes, tasks.len() as u32, masked);
-            }
-        }
-
-        let mut result = BitSet::new(v);
-        for f in rquery.finals().iter() {
-            result.union_with(&reached[f]);
-        }
-        Ok(result)
-    }
-
-    /// Monadic evaluation under a [`QueryPlan`], on the pool: the
-    /// forward strategy runs the existing intra-query engine on the
-    /// plan's preprocessed DFA, the backward strategy its reversed-DFA
-    /// twin. Bit-identical to
-    /// [`crate::eval::eval_monadic`] at any thread count and strategy.
-    pub fn eval_monadic_planned(
-        &self,
-        scratch: &mut IntraScratch,
-        plan: &QueryPlan,
-        graph: &GraphDb,
-        cancel: &CancelToken,
-    ) -> Result<BitSet, Interrupt> {
-        match plan.monadic_strategy() {
-            Strategy::Backward => {
-                self.eval_monadic_rev_interruptible(scratch, plan.reversed(), graph, cancel)
-            }
-            _ => self.eval_monadic_interruptible(scratch, plan.query(), graph, cancel),
-        }
-    }
-
-    /// Binary evaluation under a [`QueryPlan`], on the pool. The forward
-    /// strategy runs the existing intra-query engine; the backward and
-    /// bidirectional engines are **level-serial two-phase algorithms**
-    /// (a coreach fixpoint gating a pruned forward pass) and currently
-    /// delegate to the sequential planned engines — their phases share
-    /// frontier state in a way the `(state, symbol)` task fan-out does
-    /// not yet express; parallelizing them is an open ROADMAP item. The
-    /// second scratch half (`IntraScratch::aux`) hosts the coreach so
-    /// the delegation stays allocation-free on reuse.
-    pub fn eval_binary_planned(
-        &self,
-        scratch: &mut IntraScratch,
-        plan: &QueryPlan,
-        graph: &GraphDb,
-        source: NodeId,
-        cancel: &CancelToken,
-    ) -> Result<BitSet, Interrupt> {
-        match plan.binary_strategy() {
-            Strategy::Backward => crate::plan::eval_binary_backward_inner(
-                &mut scratch.eval,
-                &mut scratch.aux,
-                plan.query(),
-                graph,
-                source,
-                self.step_policy,
-                cancel,
-            ),
-            Strategy::Bidirectional => crate::plan::eval_binary_bidi_inner(
-                &mut scratch.eval,
-                &mut scratch.aux,
-                plan.query(),
-                graph,
-                source,
-                self.step_policy,
-                cancel,
-            ),
-            _ => self.eval_binary_from_interruptible(scratch, plan.query(), graph, source, cancel),
-        }
-    }
-}
-
-/// Deterministic end-of-level merge for the intra-query evaluators:
-/// scans DFA states in index order and, for every worker that touched a
-/// state, folds its accumulator into `reached`/`next_frontier` via
-/// [`BitSet::union_with_recording_new_count`], accumulating the fresh-bit
-/// counts into `next_frontier_len` so the next level's cost model reads
-/// the frontier popcount without a scan. The outcome per state is
-/// `(⋃ worker accumulators) \ reached-before-level` — a set expression
-/// independent of worker scheduling and merge order (and so is its
-/// cardinality) — and states are pushed to `next_active` in index order,
-/// so the whole level is reproducible bit-for-bit. Accumulators and
-/// touched sets are cleared on the way out, restoring the level
-/// invariant.
-fn merge_level(
-    reached: &mut [BitSet],
-    next_frontier: &mut [BitSet],
-    next_frontier_len: &mut [usize],
-    next_active: &mut Vec<StateId>,
-    parts: &mut [LevelPart],
-) {
-    for p in 0..reached.len() {
-        let was_empty = next_frontier[p].is_empty();
-        let mut fresh = 0usize;
-        for part in parts.iter_mut() {
-            if part.touched.contains(p) {
-                fresh +=
-                    reached[p].union_with_recording_new_count(&part.acc[p], &mut next_frontier[p]);
-                part.acc[p].clear();
-            }
-        }
-        next_frontier_len[p] += fresh;
-        if fresh > 0 && was_empty {
-            next_active.push(p as StateId);
-        }
-    }
-    for part in parts {
-        part.touched.clear();
-    }
-}
-
-/// One planned `(state, symbol)` step kernel of an intra-query BFS
-/// level. `masked` carries the cost model's kernel choice
-/// ([`GraphDb::plan_step`] / [`GraphDb::plan_step_back`]) from harvest
-/// time to the workers, so the gate's popcount scan runs once per
-/// `(level, symbol)` no matter how many node-range chunks the task is
-/// split into.
-#[derive(Clone, Copy, Debug)]
-struct StepTask {
-    state: StateId,
-    sym: u32,
-    masked: bool,
-}
-
-/// Per-worker buffers for one intra-query evaluation level: a graph-step
-/// output set, one accumulator per DFA state, and the set of states this
-/// worker touched (so merge and clear visit only live accumulators).
-#[derive(Debug, Default)]
-struct LevelPart {
-    step: BitSet,
-    acc: Vec<BitSet>,
-    touched: BitSet,
-}
-
-/// Reusable buffers for the intra-query parallel evaluators
-/// ([`EvalPool::eval_monadic_with`] /
-/// [`EvalPool::eval_binary_from_with`]): the sequential [`EvalScratch`]
-/// plus one per-worker accumulator set. Like `EvalScratch`, buffers are
-/// fitted lazily and reuse across calls on the same graph/pool is
-/// allocation-free; reuse never changes results.
-#[derive(Debug, Default)]
-pub struct IntraScratch {
-    eval: EvalScratch,
-    parts: Vec<LevelPart>,
-    /// Planned step tasks of the current level.
-    tasks: Vec<StepTask>,
-    /// Second frontier set for the two-phase planned binary engines
-    /// (backward coreach / bidirectional certificate); the inner engines
-    /// size it themselves, so [`IntraScratch::prepare`] leaves it alone.
-    aux: EvalScratch,
-}
-
-impl IntraScratch {
-    /// Creates an empty scratch; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fits the buffers to a `|V| = v`, `|Q| = q_states` evaluation with
-    /// `workers` fan-out threads, and clears them.
-    fn prepare(&mut self, v: usize, q_states: usize, workers: usize) {
-        self.eval.prepare(v, q_states);
-        self.parts.truncate(workers);
-        while self.parts.len() < workers {
-            self.parts.push(LevelPart::default());
-        }
-        for part in &mut self.parts {
-            if part.step.capacity() != v {
-                part.step = BitSet::new(v);
-            }
-            part.acc.retain(|set| set.capacity() == v);
-            part.acc.truncate(q_states);
-            for set in &mut part.acc {
-                set.clear();
-            }
-            while part.acc.len() < q_states {
-                part.acc.push(BitSet::new(v));
-            }
-            if part.touched.capacity() != q_states {
-                part.touched = BitSet::new(q_states);
-            } else {
-                part.touched.clear();
-            }
-        }
-        self.tasks.clear();
+            Goal::BinaryFrom(source),
+        )
     }
 }
 
@@ -1225,7 +354,10 @@ mod tests {
     use super::*;
     use crate::eval::{eval_binary_from, eval_monadic};
     use crate::graph::figure3_g0;
-    use pathlearn_automata::Regex;
+    use crate::plan::{plan_query_forced, QueryPlan, Strategy};
+    use crate::{CancelToken, Interrupt};
+    use pathlearn_automata::{Regex, Symbol};
+    use std::sync::atomic::AtomicBool;
 
     const EXPRS: [&str; 5] = ["a", "(a·b)*·c", "(a+b)*·c", "c·a*", "eps"];
 
@@ -1270,11 +402,13 @@ mod tests {
             }
             for threads in [1, 2, 4] {
                 let pool = EvalPool::new(threads);
-                assert_eq!(pool.eval_binary_batch(query, &graph, &sources), expected);
-                assert_eq!(
-                    pool.eval_binary_union(query, &graph, &sources),
-                    expected_union
-                );
+                let batch = pool.eval_binary_batch(query, &graph, &sources);
+                assert_eq!(batch, expected);
+                let mut union = BitSet::new(graph.num_nodes());
+                for ends in &batch {
+                    union.union_with(ends);
+                }
+                assert_eq!(union, expected_union);
             }
         }
     }
@@ -1286,7 +420,6 @@ mod tests {
         assert!(pool.eval_monadic_batch(&[], &graph).is_empty());
         let query = &queries(&graph)[0];
         assert!(pool.eval_binary_batch(query, &graph, &[]).is_empty());
-        assert!(pool.eval_binary_union(query, &graph, &[]).is_empty());
     }
 
     #[test]
@@ -1328,14 +461,12 @@ mod tests {
         builder.build()
     }
 
-    use pathlearn_automata::Symbol;
-
     #[test]
     fn intra_query_monadic_matches_sequential_at_all_thread_counts() {
         for graph in [figure3_g0(), ladder_graph(100)] {
             for (i, query) in queries(&graph).iter().enumerate() {
                 let expected = eval_monadic(query, &graph);
-                let mut scratch = IntraScratch::new();
+                let mut scratch = EvalScratch::new();
                 for threads in [1, 2, 4] {
                     let pool = EvalPool::new(threads);
                     assert_eq!(
@@ -1345,7 +476,7 @@ mod tests {
                     );
                     // Scratch reuse across thread counts and queries.
                     assert_eq!(
-                        pool.eval_monadic_with(&mut scratch, query, &graph),
+                        pool.evaluate_dfa(&mut scratch, query, &graph, Goal::Monadic),
                         expected,
                         "query {i} at {threads} threads (reused scratch)"
                     );
@@ -1358,7 +489,7 @@ mod tests {
     fn intra_query_binary_matches_sequential_at_all_thread_counts() {
         for graph in [figure3_g0(), ladder_graph(60)] {
             for query in &queries(&graph) {
-                let mut scratch = IntraScratch::new();
+                let mut scratch = EvalScratch::new();
                 for source in graph.nodes().step_by(7) {
                     let expected = eval_binary_from(query, &graph, source);
                     for threads in [1, 2, 4] {
@@ -1368,8 +499,9 @@ mod tests {
                             expected,
                             "source {source} at {threads} threads"
                         );
+                        let goal = Goal::BinaryFrom(source);
                         assert_eq!(
-                            pool.eval_binary_from_with(&mut scratch, query, &graph, source),
+                            pool.evaluate_dfa(&mut scratch, query, &graph, goal),
                             expected,
                             "source {source} at {threads} threads (reused scratch)"
                         );
@@ -1381,47 +513,44 @@ mod tests {
 
     #[test]
     fn intra_query_interruptible_matches_and_cancels() {
-        use std::sync::atomic::AtomicBool;
-
         let graph = ladder_graph(80);
         let never = CancelToken::never();
         let tripped = CancelToken::with_flag(Arc::new(AtomicBool::new(true)));
         for query in &queries(&graph) {
+            let plan = QueryPlan::forward(query);
             let expected_monadic = eval_monadic(query, &graph);
             for threads in [1, 2, 4] {
                 let pool = EvalPool::new(threads);
-                let mut scratch = IntraScratch::new();
+                let mut scratch = EvalScratch::new();
                 assert_eq!(
-                    pool.eval_monadic_interruptible(&mut scratch, query, &graph, &never),
+                    pool.evaluate(&mut scratch, &plan, &graph, Goal::Monadic, &never),
                     Ok(expected_monadic.clone()),
                     "threads {threads}"
                 );
                 assert_eq!(
-                    pool.eval_binary_from_interruptible(&mut scratch, query, &graph, 0, &never),
+                    pool.evaluate(&mut scratch, &plan, &graph, Goal::BinaryFrom(0), &never),
                     Ok(eval_binary_from(query, &graph, 0)),
                     "threads {threads}"
                 );
             }
         }
-        // A tripped token interrupts every engine (the ε query answers
+        // A tripped token interrupts every goal (the ε query answers
         // via its pre-level shortcut, so use one with at least a level).
         let query = &queries(&graph)[1];
+        let plan = QueryPlan::forward(query);
         for threads in [1, 2, 4] {
             let pool = EvalPool::new(threads);
-            let mut scratch = IntraScratch::new();
-            assert_eq!(
-                pool.eval_monadic_interruptible(&mut scratch, query, &graph, &tripped),
-                Err(Interrupt::Cancelled),
-                "threads {threads}"
-            );
-            assert_eq!(
-                pool.eval_binary_from_interruptible(&mut scratch, query, &graph, 0, &tripped),
-                Err(Interrupt::Cancelled),
-                "threads {threads}"
-            );
+            let mut scratch = EvalScratch::new();
+            for goal in [Goal::Monadic, Goal::BinaryFrom(0)] {
+                assert_eq!(
+                    pool.evaluate(&mut scratch, &plan, &graph, goal, &tripped),
+                    Err(Interrupt::Cancelled),
+                    "{goal:?} at {threads} threads"
+                );
+            }
             // The scratch stays usable after an interrupt.
             assert_eq!(
-                pool.eval_monadic_interruptible(&mut scratch, query, &graph, &never),
+                pool.evaluate(&mut scratch, &plan, &graph, Goal::Monadic, &never),
                 Ok(eval_monadic(query, &graph)),
                 "threads {threads}"
             );
@@ -1463,8 +592,6 @@ mod tests {
 
     #[test]
     fn planned_engines_match_sequential_at_all_thread_counts() {
-        use crate::plan::{plan_query_forced, Strategy};
-
         let never = CancelToken::never();
         for graph in [figure3_g0(), ladder_graph(60)] {
             for (i, query) in queries(&graph).iter().enumerate() {
@@ -1473,21 +600,16 @@ mod tests {
                     let plan = plan_query_forced(query, &graph, forced);
                     for threads in [1, 2, 4] {
                         let pool = EvalPool::new(threads);
-                        let mut scratch = IntraScratch::new();
+                        let mut scratch = EvalScratch::new();
                         assert_eq!(
-                            pool.eval_monadic_planned(&mut scratch, &plan, &graph, &never),
+                            pool.evaluate(&mut scratch, &plan, &graph, Goal::Monadic, &never),
                             Ok(expected_monadic.clone()),
                             "query {i} forced {forced} at {threads} threads"
                         );
                         for source in graph.nodes().step_by(9) {
+                            let goal = Goal::BinaryFrom(source);
                             assert_eq!(
-                                pool.eval_binary_planned(
-                                    &mut scratch,
-                                    &plan,
-                                    &graph,
-                                    source,
-                                    &never
-                                ),
+                                pool.evaluate(&mut scratch, &plan, &graph, goal, &never),
                                 Ok(eval_binary_from(query, &graph, source)),
                                 "query {i} forced {forced} source {source} at {threads} threads"
                             );
@@ -1500,9 +622,6 @@ mod tests {
 
     #[test]
     fn planned_engines_cancel_and_recover() {
-        use crate::plan::{plan_query_forced, Strategy};
-        use std::sync::atomic::AtomicBool;
-
         let graph = ladder_graph(80);
         let query = &queries(&graph)[2]; // (a+b)*·c — multi-level on the ladder
         let never = CancelToken::never();
@@ -1515,20 +634,17 @@ mod tests {
             let plan = plan_query_forced(query, &graph, forced);
             for threads in [1, 4] {
                 let pool = EvalPool::new(threads);
-                let mut scratch = IntraScratch::new();
-                assert_eq!(
-                    pool.eval_monadic_planned(&mut scratch, &plan, &graph, &tripped),
-                    Err(Interrupt::Cancelled),
-                    "forced {forced} at {threads} threads"
-                );
-                assert_eq!(
-                    pool.eval_binary_planned(&mut scratch, &plan, &graph, 0, &tripped),
-                    Err(Interrupt::Cancelled),
-                    "forced {forced} at {threads} threads"
-                );
+                let mut scratch = EvalScratch::new();
+                for goal in [Goal::Monadic, Goal::BinaryFrom(0)] {
+                    assert_eq!(
+                        pool.evaluate(&mut scratch, &plan, &graph, goal, &tripped),
+                        Err(Interrupt::Cancelled),
+                        "{goal:?} forced {forced} at {threads} threads"
+                    );
+                }
                 // Scratch stays usable after an interrupt.
                 assert_eq!(
-                    pool.eval_monadic_planned(&mut scratch, &plan, &graph, &never),
+                    pool.evaluate(&mut scratch, &plan, &graph, Goal::Monadic, &never),
                     Ok(eval_monadic(query, &graph)),
                     "forced {forced} at {threads} threads"
                 );

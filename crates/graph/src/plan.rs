@@ -8,32 +8,30 @@
 //! 1. **Preprocess the automaton** ([`pathlearn_automata::Dfa::reduced`]):
 //!    dead/unreachable-state pruning plus BFS state reordering, so every
 //!    engine sees a smaller product with cache-friendly state numbering.
-//!    Language-preserving, hence [`CanonicalQuery`]-key-preserving.
+//!    Language-preserving, hence
+//!    [`pathlearn_automata::CanonicalQuery`]-key-preserving.
 //! 2. **Choose a direction** per semantics from the graph's frozen
 //!    per-label statistics (active-node popcounts and average degrees,
 //!    [`GraphDb::label_source_count`] and friends):
 //!
-//!    * **Monadic Forward** — the existing backward product search over
-//!      the original DFA ([`crate::eval::eval_monadic_interruptible`]):
-//!      one full-node seed per accepting state, reverse-transition
-//!      fan-out per step.
+//!    * **Monadic Forward** — the backward product search over the
+//!      original DFA: one full-node seed per accepting state,
+//!      reverse-transition fan-out per step.
 //!    * **Monadic Backward** — evaluate the **reversed DFA** from the
-//!      query's accepting side
-//!      ([`crate::eval::eval_monadic_rev_interruptible`]): exactly one
-//!      full-node seed at `rev(q)`'s initial state and one deterministic
-//!      successor per step. Both engines ride the graph's in-edge
-//!      kernels (the monadic answer is a set of path *starts*, which
-//!      only in-edge steps can deliver); the difference is automaton
-//!      bookkeeping, and the estimator prices exactly that.
+//!      query's accepting side: exactly one full-node seed at `rev(q)`'s
+//!      initial state and one deterministic successor per step. Both
+//!      ride the graph's in-edge kernels (the monadic answer is a set
+//!      of path *starts*, which only in-edge steps can deliver); the
+//!      difference is automaton bookkeeping, and the estimator prices
+//!      exactly that.
 //!    * **Binary Forward** — deterministic forward search from the
-//!      source ([`crate::eval::eval_binary_from_interruptible`]).
+//!      source.
 //!    * **Binary Backward** — two-phase: a full backward
-//!      **coreachability** fixpoint
-//!      (`eval_monadic_coreach_interruptible`) followed
-//!      by a forward pass whose every step is intersected with the
-//!      coreach certificate. When the query's target side touches a
-//!      rare label the certificate collapses to a sliver of the graph
-//!      and the forward pass does almost no work.
+//!      **coreachability** fixpoint followed by a forward pass whose
+//!      every step is intersected with the coreach certificate. When
+//!      the query's target side touches a rare label the certificate
+//!      collapses to a sliver of the graph and the forward pass does
+//!      almost no work.
 //!    * **Binary Bidirectional** — meet-in-the-middle: backward-coreach
 //!      levels and forward levels **interleave**; once the backward side
 //!      converges, remaining forward steps are certificate-pruned, and
@@ -60,16 +58,14 @@
 //! initial state); binary compares forward-from-one-node growth against
 //! the coreach fixpoint cost, requiring a 2× margin before committing
 //! to Backward and settling for Bidirectional in between. Estimates
-//! only ever pick *which* engine runs — results are bit-identical
-//! regardless, as the strategy-matrix differential suite asserts.
+//! only ever pick *which* parameter set [`crate::EvalPool::evaluate`]
+//! drives its one level loop with (see [`crate::eval`]) — results are
+//! bit-identical regardless, as the strategy-matrix differential suite
+//! asserts.
 
-use crate::cancel::{CancelToken, Interrupt};
-use crate::eval::{
-    eval_binary_from_interruptible, eval_monadic_coreach_interruptible, eval_monadic_interruptible,
-    eval_monadic_rev_interruptible, EvalScratch, FwdIndex, KernelDir, RevIndex,
-};
-use crate::graph::{GraphDb, NodeId, StepPolicy};
-use pathlearn_automata::{BitSet, CanonicalQuery, Dfa, Symbol};
+use crate::eval::{KernelDir, TransIndex};
+use crate::graph::GraphDb;
+use pathlearn_automata::{Dfa, Symbol};
 
 /// Levels of symbolic frontier propagation behind a direction estimate.
 /// Deep enough for single-seed forward growth to exhibit its explosion
@@ -143,11 +139,14 @@ pub struct DirectionEstimate {
 ///
 /// Plans depend only on the query's language and the graph's frozen
 /// statistics, so the serving layer caches them keyed by
-/// [`CanonicalQuery`] — fingerprint replays skip planning entirely.
+/// [`pathlearn_automata::CanonicalQuery`] — fingerprint replays skip
+/// planning entirely.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
     query: Dfa,
-    reversed: Dfa,
+    /// `None` only in [`QueryPlan::forward`] plans, which never resolve
+    /// to the engine that reads it.
+    reversed: Option<Dfa>,
     monadic: Strategy,
     binary: Strategy,
     monadic_estimate: DirectionEstimate,
@@ -155,16 +154,32 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// The preprocessed (trimmed, BFS-reordered) query DFA every
-    /// forward-direction engine evaluates.
+    /// The all-forward plan of `query` **as given**: no `reduced()`, no
+    /// `reverse()`, no estimates — what the raw-DFA shorthands
+    /// ([`crate::eval::eval_monadic`] and friends) evaluate under, and
+    /// what a caller that will evaluate a DFA once should use instead
+    /// of paying for a planning pass.
+    pub fn forward(query: &Dfa) -> QueryPlan {
+        QueryPlan {
+            query: query.clone(),
+            reversed: None,
+            monadic: Strategy::Forward,
+            binary: Strategy::Forward,
+            monadic_estimate: DirectionEstimate::default(),
+            binary_estimate: DirectionEstimate::default(),
+        }
+    }
+
+    /// The query DFA every forward-direction engine evaluates
+    /// (trimmed and BFS-reordered by [`plan_query`]).
     pub fn query(&self) -> &Dfa {
         &self.query
     }
 
     /// The preprocessed reversal (`rev(L)`) the monadic backward engine
-    /// evaluates.
-    pub fn reversed(&self) -> &Dfa {
-        &self.reversed
+    /// evaluates; `None` for [`QueryPlan::forward`] plans.
+    pub fn reversed(&self) -> Option<&Dfa> {
+        self.reversed.as_ref()
     }
 
     /// Resolved monadic strategy: [`Strategy::Forward`] or
@@ -205,39 +220,34 @@ fn fwd_step_est(graph: &GraphDb, sym: Symbol, s: f64) -> f64 {
     (s * graph.label_source_avg_degree(sym)).min(cap)
 }
 
-/// Cost of the codeterministic backward engine (monadic forward /
-/// binary coreach): masses seeded `|V|` at every accepting state and
-/// propagated along reverse transitions through in-edge step estimates.
-/// One kernel is priced per `(state, symbol)`, its output fanned out to
-/// every reverse predecessor — exactly the engine's sharing structure.
-fn sim_codeterministic(query: &Dfa, graph: &GraphDb) -> f64 {
+/// Symbolic frontier propagation behind every direction estimate:
+/// `mass` (one scalar per state of `index`'s automaton) is stepped for
+/// [`HORIZON`] levels along `index`'s live rows through the step
+/// estimates of `dir`. One kernel is priced per `(state, symbol)` and
+/// its output fanned out to every target — exactly the level kernel's
+/// sharing structure ([`crate::eval`]).
+fn simulate(index: &TransIndex, graph: &GraphDb, dir: KernelDir, mut mass: Vec<f64>) -> f64 {
     let v = graph.num_nodes() as f64;
-    let q_states = query.num_states();
-    if q_states == 0 || v == 0.0 {
-        return 0.0;
-    }
-    let rev = RevIndex::new(query, graph.alphabet().len());
-    let mut mass = vec![0.0f64; q_states];
-    for f in query.finals().iter() {
-        mass[f] = v;
-    }
     let mut cost = 0.0;
     for _ in 0..HORIZON {
-        let mut next = vec![0.0f64; q_states];
+        let mut next = vec![0.0f64; mass.len()];
         let mut alive = false;
-        for q in 0..q_states {
-            if mass[q] <= 0.0 {
+        for (q, &m) in mass.iter().enumerate() {
+            if m <= 0.0 {
                 continue;
             }
-            for &sym in rev.live_syms(q as u32) {
-                let symbol = Symbol::from_index(sym as usize);
-                let out = back_step_est(graph, symbol, mass[q]);
-                cost += mass[q] + out;
+            for row in index.live(q as u32) {
+                let symbol = Symbol::from_index(row.sym as usize);
+                let out = match dir {
+                    KernelDir::In => back_step_est(graph, symbol, m),
+                    KernelDir::Out => fwd_step_est(graph, symbol, m),
+                };
+                cost += m + out;
                 if out > 0.0 {
-                    for &p in rev.predecessors(q as u32, sym as usize) {
-                        next[p as usize] = (next[p as usize] + out).min(v);
-                        alive = true;
+                    for &t in index.targets(row) {
+                        next[t as usize] = (next[t as usize] + out).min(v);
                     }
+                    alive = true;
                 }
             }
         }
@@ -249,47 +259,30 @@ fn sim_codeterministic(query: &Dfa, graph: &GraphDb) -> f64 {
     cost
 }
 
-/// Cost of a deterministic engine: mass seeded `init_mass` at the
-/// initial state, propagated along forward transitions through the
-/// step estimates of `dir` (in-edge for the reversed-DFA monadic
-/// engine, out-edge for binary forward).
+/// Cost of the codeterministic backward search (monadic forward /
+/// binary coreach): `|V|` seeded at every accepting state, propagated
+/// along reverse transitions through in-edge step estimates.
+fn sim_codeterministic(query: &Dfa, graph: &GraphDb) -> f64 {
+    let mut mass = vec![0.0f64; query.num_states()];
+    for f in query.finals().iter() {
+        mass[f] = graph.num_nodes() as f64;
+    }
+    let index = TransIndex::reverse(query, graph.alphabet().len());
+    simulate(&index, graph, KernelDir::In, mass)
+}
+
+/// Cost of a deterministic search: `init_mass` seeded at the initial
+/// state, propagated along forward transitions through the step
+/// estimates of `dir` (in-edge for the reversed-DFA monadic engine,
+/// out-edge for binary forward).
 fn sim_deterministic(dfa: &Dfa, graph: &GraphDb, dir: KernelDir, init_mass: f64) -> f64 {
-    let v = graph.num_nodes() as f64;
-    let states = dfa.num_states();
-    if states == 0 || v == 0.0 {
+    if dfa.num_states() == 0 {
         return 0.0;
     }
-    let sigma = graph.alphabet().len().min(dfa.alphabet_len());
-    let fwd = FwdIndex::new(dfa, sigma);
-    let mut mass = vec![0.0f64; states];
-    mass[dfa.initial() as usize] = init_mass.min(v);
-    let mut cost = 0.0;
-    for _ in 0..HORIZON {
-        let mut next = vec![0.0f64; states];
-        let mut alive = false;
-        for q in 0..states {
-            if mass[q] <= 0.0 {
-                continue;
-            }
-            for &(sym, nq) in fwd.successors(q as u32) {
-                let symbol = Symbol::from_index(sym as usize);
-                let out = match dir {
-                    KernelDir::In => back_step_est(graph, symbol, mass[q]),
-                    KernelDir::Out => fwd_step_est(graph, symbol, mass[q]),
-                };
-                cost += mass[q] + out;
-                if out > 0.0 {
-                    next[nq as usize] = (next[nq as usize] + out).min(v);
-                    alive = true;
-                }
-            }
-        }
-        if !alive {
-            break;
-        }
-        mass = next;
-    }
-    cost
+    let mut mass = vec![0.0f64; dfa.num_states()];
+    mass[dfa.initial() as usize] = init_mass.min(graph.num_nodes() as f64);
+    let index = TransIndex::forward(dfa, graph.alphabet().len());
+    simulate(&index, graph, dir, mass)
 }
 
 /// Plans a query under [`Strategy::Auto`]: preprocess, estimate both
@@ -345,7 +338,7 @@ pub fn plan_query_forced(query: &Dfa, graph: &GraphDb, forced: Strategy) -> Quer
 
     QueryPlan {
         query: reduced,
-        reversed,
+        reversed: Some(reversed),
         monadic,
         binary,
         monadic_estimate,
@@ -353,236 +346,24 @@ pub fn plan_query_forced(query: &Dfa, graph: &GraphDb, forced: Strategy) -> Quer
     }
 }
 
-/// Convenience: plan by [`CanonicalQuery`] (the serving layer's cache
-/// key) — plans the canonical minimal DFA, so equal keys always yield
-/// equal plans.
-pub fn plan_canonical(query: &CanonicalQuery, graph: &GraphDb) -> QueryPlan {
-    plan_query(query.dfa(), graph)
-}
-
-/// Buffers for the planned evaluators: the two-phase binary engines run
-/// a backward coreach (`b`) and a forward pass (`a`) over separate
-/// frontier sets. Single-phase strategies use only `a`.
-#[derive(Debug, Default)]
-pub struct PlanScratch {
-    pub(crate) a: EvalScratch,
-    pub(crate) b: EvalScratch,
-}
-
-impl PlanScratch {
-    /// Creates an empty scratch; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The primary [`EvalScratch`] — for callers that mix planned
-    /// dispatch with direct evaluator calls (e.g. the serving layer's
-    /// subsumption-bounded monadic path) and want one reusable buffer
-    /// set rather than two.
-    pub fn eval_scratch(&mut self) -> &mut EvalScratch {
-        &mut self.a
-    }
-}
-
-/// Monadic evaluation under a plan (never-cancelled, [`StepPolicy::Auto`]).
-pub fn eval_monadic_planned(
-    scratch: &mut PlanScratch,
-    plan: &QueryPlan,
-    graph: &GraphDb,
-) -> BitSet {
-    match eval_monadic_planned_interruptible(
-        scratch,
-        plan,
-        graph,
-        StepPolicy::Auto,
-        &CancelToken::never(),
-    ) {
-        Ok(result) => result,
-        Err(interrupt) => unreachable!("never-token evaluation interrupted: {interrupt}"),
-    }
-}
-
-/// Monadic evaluation under a plan: dispatches to the engine the plan
-/// resolved, bit-identical to [`crate::eval::eval_monadic`] under every
-/// strategy.
-pub fn eval_monadic_planned_interruptible(
-    scratch: &mut PlanScratch,
-    plan: &QueryPlan,
-    graph: &GraphDb,
-    policy: StepPolicy,
-    cancel: &CancelToken,
-) -> Result<BitSet, Interrupt> {
-    match plan.monadic {
-        Strategy::Backward => {
-            eval_monadic_rev_interruptible(&mut scratch.a, &plan.reversed, graph, policy, cancel)
-        }
-        _ => eval_monadic_interruptible(&mut scratch.a, &plan.query, graph, policy, cancel),
-    }
-}
-
-/// Binary evaluation under a plan (never-cancelled, [`StepPolicy::Auto`]).
-pub fn eval_binary_planned(
-    scratch: &mut PlanScratch,
-    plan: &QueryPlan,
-    graph: &GraphDb,
-    source: NodeId,
-) -> BitSet {
-    match eval_binary_planned_interruptible(
-        scratch,
-        plan,
-        graph,
-        source,
-        StepPolicy::Auto,
-        &CancelToken::never(),
-    ) {
-        Ok(result) => result,
-        Err(interrupt) => unreachable!("never-token evaluation interrupted: {interrupt}"),
-    }
-}
-
-/// Binary evaluation under a plan: dispatches to the engine the plan
-/// resolved, bit-identical to [`crate::eval::eval_binary_from`] under
-/// every strategy.
-pub fn eval_binary_planned_interruptible(
-    scratch: &mut PlanScratch,
-    plan: &QueryPlan,
-    graph: &GraphDb,
-    source: NodeId,
-    policy: StepPolicy,
-    cancel: &CancelToken,
-) -> Result<BitSet, Interrupt> {
-    match plan.binary {
-        Strategy::Backward => eval_binary_backward_inner(
-            &mut scratch.a,
-            &mut scratch.b,
-            &plan.query,
-            graph,
-            source,
-            policy,
-            cancel,
-        ),
-        Strategy::Bidirectional => eval_binary_bidi_inner(
-            &mut scratch.a,
-            &mut scratch.b,
-            &plan.query,
-            graph,
-            source,
-            policy,
-            cancel,
-        ),
-        _ => eval_binary_from_interruptible(
-            &mut scratch.a,
-            &plan.query,
-            graph,
-            source,
-            policy,
-            cancel,
-        ),
-    }
-}
-
-/// The backward binary engine: full coreach fixpoint into `b`, then a
-/// certificate-pruned forward pass in `a`. Bit-identical to plain
-/// forward evaluation — every node on a witness path is coreachable by
-/// definition, and accepting states' coreach is seeded full, so the
-/// intersection never drops a result bit.
-pub(crate) fn eval_binary_backward_inner(
-    a: &mut EvalScratch,
-    b: &mut EvalScratch,
-    query: &Dfa,
-    graph: &GraphDb,
-    source: NodeId,
-    policy: StepPolicy,
-    cancel: &CancelToken,
-) -> Result<BitSet, Interrupt> {
-    let v = graph.num_nodes();
-    let q_states = query.num_states();
-    let mut result = BitSet::new(v);
-    if v == 0 || q_states == 0 || source as usize >= v {
-        return Ok(result);
-    }
-    eval_monadic_coreach_interruptible(b, query, graph, policy, cancel)?;
-    let q0 = query.initial();
-    // A source outside coreach[q₀] starts no accepting path at all
-    // (accepting states' coreach is full, so the ε case survives this).
-    if !b.reached[q0 as usize].contains(source as usize) {
-        return Ok(result);
-    }
-    if query.is_final(q0) {
-        result.insert(source as usize);
-    }
-    let sigma = graph.alphabet().len().min(query.alphabet_len());
-    let fwd = FwdIndex::new(query, sigma);
-    a.prepare(v, q_states);
-    a.seed_state(q0, source as usize);
-    while !a.active.is_empty() {
-        cancel.check()?;
-        a.deterministic_level(&fwd, graph, KernelDir::Out, policy, Some(&b.reached));
-    }
-    for f in query.finals().iter() {
-        result.union_with(&a.reached[f]);
-    }
-    Ok(result)
-}
-
-/// The bidirectional binary engine: backward-coreach levels (`b`) and
-/// forward levels (`a`) interleave one-for-one. Forward steps are
-/// certificate-pruned **only after** the backward side converges —
-/// pruning by a partial coreach would be unsound — and if the forward
-/// side finishes first the backward side is abandoned. Either way the
-/// result is bit-identical to plain forward evaluation.
-pub(crate) fn eval_binary_bidi_inner(
-    a: &mut EvalScratch,
-    b: &mut EvalScratch,
-    query: &Dfa,
-    graph: &GraphDb,
-    source: NodeId,
-    policy: StepPolicy,
-    cancel: &CancelToken,
-) -> Result<BitSet, Interrupt> {
-    let v = graph.num_nodes();
-    let q_states = query.num_states();
-    let mut result = BitSet::new(v);
-    if v == 0 || q_states == 0 || source as usize >= v {
-        return Ok(result);
-    }
-    let q0 = query.initial();
-    if query.is_final(q0) {
-        result.insert(source as usize);
-    }
-    let rev = RevIndex::new(query, graph.alphabet().len());
-    let sigma = graph.alphabet().len().min(query.alphabet_len());
-    let fwd = FwdIndex::new(query, sigma);
-    b.prepare(v, q_states);
-    b.seed_finals_full(query, v);
-    a.prepare(v, q_states);
-    a.seed_state(q0, source as usize);
-    let mut back_done = b.active.is_empty();
-    while !a.active.is_empty() {
-        cancel.check()?;
-        if !back_done {
-            b.backward_level(&rev, graph, policy);
-            back_done = b.active.is_empty();
-        }
-        let certificate = if back_done {
-            Some(b.reached.as_slice())
-        } else {
-            None
-        };
-        a.deterministic_level(&fwd, graph, KernelDir::Out, policy, certificate);
-    }
-    for f in query.finals().iter() {
-        result.union_with(&a.reached[f]);
-    }
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval_binary_from, eval_monadic};
+    use crate::eval::{eval_binary_from, eval_monadic, EvalScratch, Goal};
     use crate::graph::figure3_g0;
-    use pathlearn_automata::Regex;
+    use crate::{CancelToken, EvalPool};
+    use pathlearn_automata::{BitSet, CanonicalQuery, Regex};
+
+    fn evaluate(
+        scratch: &mut EvalScratch,
+        plan: &QueryPlan,
+        graph: &GraphDb,
+        goal: Goal,
+    ) -> BitSet {
+        EvalPool::sequential()
+            .evaluate(scratch, plan, graph, goal, &CancelToken::never())
+            .unwrap()
+    }
 
     fn query(graph: &GraphDb, expr: &str) -> Dfa {
         Regex::parse(expr, graph.alphabet())
@@ -593,7 +374,7 @@ mod tests {
     #[test]
     fn every_forced_strategy_is_bit_identical_on_g0() {
         let graph = figure3_g0();
-        let mut scratch = PlanScratch::new();
+        let mut scratch = EvalScratch::new();
         for expr in [
             "a",
             "eps",
@@ -608,13 +389,13 @@ mod tests {
             for forced in Strategy::ALL {
                 let plan = plan_query_forced(&q, &graph, forced);
                 assert_eq!(
-                    eval_monadic_planned(&mut scratch, &plan, &graph),
+                    evaluate(&mut scratch, &plan, &graph, Goal::Monadic),
                     monadic_expected,
                     "monadic {expr} forced {forced}"
                 );
                 for source in graph.nodes() {
                     assert_eq!(
-                        eval_binary_planned(&mut scratch, &plan, &graph, source),
+                        evaluate(&mut scratch, &plan, &graph, Goal::BinaryFrom(source)),
                         eval_binary_from(&q, &graph, source),
                         "binary {expr} from {source} forced {forced}"
                     );
@@ -624,8 +405,8 @@ mod tests {
         let empty = Dfa::empty_language(3);
         for forced in Strategy::ALL {
             let plan = plan_query_forced(&empty, &graph, forced);
-            assert!(eval_monadic_planned(&mut scratch, &plan, &graph).is_empty());
-            assert!(eval_binary_planned(&mut scratch, &plan, &graph, 0).is_empty());
+            assert!(evaluate(&mut scratch, &plan, &graph, Goal::Monadic).is_empty());
+            assert!(evaluate(&mut scratch, &plan, &graph, Goal::BinaryFrom(0)).is_empty());
         }
     }
 
@@ -661,7 +442,13 @@ mod tests {
         assert_eq!(CanonicalQuery::new(plan.query()), CanonicalQuery::new(&q));
         assert!(plan.query().num_states() <= q.num_states().max(1));
         // The reversal recognizes rev(L).
-        assert!(plan.reversed().reverse().equivalent(&q));
+        assert!(plan.reversed().unwrap().reverse().equivalent(&q));
+        // A forward plan keeps the DFA as given and needs no reversal.
+        let raw = QueryPlan::forward(&q);
+        assert_eq!(raw.query().num_states(), q.num_states());
+        assert!(raw.reversed().is_none());
+        assert_eq!(raw.monadic_strategy(), Strategy::Forward);
+        assert_eq!(raw.binary_strategy(), Strategy::Forward);
     }
 
     #[test]

@@ -18,12 +18,10 @@
 //! edge iterator with the code under test.
 
 use pathlearn_automata::{Alphabet, Dfa, Regex, Symbol};
-use pathlearn_graph::eval::{eval_binary_from, eval_monadic};
-use pathlearn_graph::plan::{
-    eval_binary_planned, eval_monadic_planned, plan_query_forced, PlanScratch,
-};
+use pathlearn_graph::eval::{eval_binary_from, eval_monadic, EvalScratch, Goal};
+use pathlearn_graph::plan::plan_query_forced;
 use pathlearn_graph::Strategy as EvalStrategy;
-use pathlearn_graph::{CancelToken, EvalPool, GraphBuilder, GraphDb, IntraScratch, NodeId};
+use pathlearn_graph::{CancelToken, EvalPool, GraphBuilder, GraphDb, NodeId};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -133,8 +131,7 @@ fn assert_delta_matrix(
     query: &Dfa,
 ) -> Result<(), TestCaseError> {
     let never = CancelToken::never();
-    let mut scratch = PlanScratch::new();
-    let mut intra = IntraScratch::new();
+    let mut scratch = EvalScratch::new();
     let pools: Vec<EvalPool> = THREAD_COUNTS.iter().map(|&t| EvalPool::new(t)).collect();
 
     let expected = eval_monadic(query, reference);
@@ -147,16 +144,10 @@ fn assert_delta_matrix(
         // Plans are built ON the overlay graph — the planner's estimates
         // and reversed automata must digest delta-carrying handles.
         let plan = plan_query_forced(query, overlay, forced);
-        prop_assert_eq!(
-            &eval_monadic_planned(&mut scratch, &plan, overlay),
-            &expected,
-            "overlay monadic disagrees under forced {}",
-            forced
-        );
         for (pool, &threads) in pools.iter().zip(THREAD_COUNTS.iter()) {
             prop_assert_eq!(
                 &pool
-                    .eval_monadic_planned(&mut intra, &plan, overlay, &never)
+                    .evaluate(&mut scratch, &plan, overlay, Goal::Monadic, &never)
                     .unwrap(),
                 &expected,
                 "overlay pool monadic disagrees under forced {} at {} threads",
@@ -166,17 +157,16 @@ fn assert_delta_matrix(
         }
         for source in overlay.nodes() {
             let expected_binary = eval_binary_from(query, reference, source);
-            prop_assert_eq!(
-                &eval_binary_planned(&mut scratch, &plan, overlay, source),
-                &expected_binary,
-                "overlay binary disagrees under forced {} from {}",
-                forced,
-                source
-            );
             for (pool, &threads) in pools.iter().zip(THREAD_COUNTS.iter()) {
                 prop_assert_eq!(
                     &pool
-                        .eval_binary_planned(&mut intra, &plan, overlay, source, &never)
+                        .evaluate(
+                            &mut scratch,
+                            &plan,
+                            overlay,
+                            Goal::BinaryFrom(source),
+                            &never
+                        )
                         .unwrap(),
                     &expected_binary,
                     "overlay pool binary disagrees under forced {} from {} at {} threads",

@@ -1,14 +1,15 @@
 //! Cross-engine differential suite for RPQ evaluation.
 //!
-//! Five evaluation engines coexist in this crate — the frontier-batched
-//! [`eval_monadic`], the seed queue-based [`eval_monadic_queued`], the
-//! per-node product-search [`eval_monadic_naive`], the intra-query
-//! parallel [`EvalPool::eval_monadic`], and the sequential path under
-//! every step-kernel policy ([`StepPolicy`]: plain / legacy-pruned /
-//! masked / cost-model auto). On random graphs and random queries (both
+//! One engine ([`EvalPool::evaluate`]) answers every query, and two
+//! independent oracles check it: the seed queue-based
+//! [`eval_monadic_queued`] and the per-node product-search
+//! [`eval_monadic_naive`]. The engine's execution knobs — the step-kernel
+//! policy ([`StepPolicy`]: plain / masked / cost-model auto) and who
+//! runs a level's steps (inline, or fanned out over pool workers) — must
+//! never show in a result. On random graphs and random queries (both
 //! regex-derived DFAs and *raw* random DFAs with partial transition
-//! tables, dead states, and unreachable states) all engines must select
-//! **exactly** the same node sets, and the parallel twins must stay
+//! tables, dead states, and unreachable states) every configuration must
+//! select **exactly** the same node sets, and pooled evaluation must stay
 //! bit-identical at every thread count in {1, 2, 4} **and every
 //! node-range chunk width in {1 word, 4 words, auto}** — including the
 //! ≤ 1-task-per-level regime of 2-state single-label queries, where the
@@ -21,11 +22,9 @@
 
 use pathlearn_automata::{Alphabet, BitSet, Dfa, Regex, Symbol};
 use pathlearn_graph::eval::{
-    eval_binary_from, eval_binary_from_policy, eval_binary_from_pruning, eval_monadic,
-    eval_monadic_naive, eval_monadic_policy, eval_monadic_queued, EvalScratch,
+    eval_binary_from, eval_monadic, eval_monadic_naive, eval_monadic_queued, EvalScratch, Goal,
 };
-use pathlearn_graph::par_eval::{EvalPool, IntraScratch};
-use pathlearn_graph::{GraphBuilder, GraphDb, StepPolicy};
+use pathlearn_graph::{CancelToken, EvalPool, GraphBuilder, GraphDb, QueryPlan, StepPolicy};
 use proptest::prelude::*;
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
@@ -33,6 +32,29 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 /// Node-range chunk widths for the intra-query fan-out: 1 word, 4
 /// words, and the auto sizing (`None`).
 const CHUNK_WIDTHS: [Option<usize>; 3] = [Some(1), Some(4), None];
+
+/// `evaluate` of a raw DFA under its forward plan, never cancelled.
+fn evaluate(
+    pool: &EvalPool,
+    scratch: &mut EvalScratch,
+    query: &Dfa,
+    graph: &GraphDb,
+    goal: Goal<'_>,
+) -> BitSet {
+    pool.evaluate(
+        scratch,
+        &QueryPlan::forward(query),
+        graph,
+        goal,
+        &CancelToken::never(),
+    )
+    .expect("a never-token evaluation is not interrupted")
+}
+
+/// The sequential engine under `policy`.
+fn sequential(policy: StepPolicy) -> EvalPool {
+    EvalPool::sequential().with_step_policy(policy)
+}
 
 /// Strategy: a random small graph over {a, b, c}, possibly disconnected,
 /// with self-loops and parallel labels.
@@ -103,10 +125,10 @@ fn arb_query() -> impl Strategy<Value = Dfa> {
     prop_oneof![arb_regex_dfa(), arb_raw_dfa()]
 }
 
-/// All monadic engines against the frontier evaluator's result: the
-/// seed queue engine, the naive product engine, the sequential engine
-/// under every step policy, and the intra-query parallel twin at every
-/// thread count × chunk width.
+/// Every monadic configuration against the default one: the seed
+/// queue oracle, the naive product oracle, the sequential engine under
+/// every step policy, and pooled evaluation at every thread count ×
+/// chunk width.
 fn assert_monadic_engines_agree(graph: &GraphDb, query: &Dfa) -> Result<(), TestCaseError> {
     let expected = eval_monadic(query, graph);
     prop_assert_eq!(
@@ -122,13 +144,18 @@ fn assert_monadic_engines_agree(graph: &GraphDb, query: &Dfa) -> Result<(), Test
     let mut scratch = EvalScratch::new();
     for policy in StepPolicy::ALL {
         prop_assert_eq!(
-            &eval_monadic_policy(&mut scratch, query, graph, policy),
+            &evaluate(
+                &sequential(policy),
+                &mut scratch,
+                query,
+                graph,
+                Goal::Monadic
+            ),
             &expected,
             "sequential engine disagrees under {:?}",
             policy
         );
     }
-    let mut intra = IntraScratch::new();
     for threads in THREAD_COUNTS {
         for chunk in CHUNK_WIDTHS {
             let pool = match chunk {
@@ -143,7 +170,7 @@ fn assert_monadic_engines_agree(graph: &GraphDb, query: &Dfa) -> Result<(), Test
                 chunk
             );
             prop_assert_eq!(
-                &pool.eval_monadic_with(&mut intra, query, graph),
+                &evaluate(&pool, &mut scratch, query, graph, Goal::Monadic),
                 &expected,
                 "intra-query parallel engine (reused scratch) disagrees at {} threads, chunk {:?}",
                 threads,
@@ -157,9 +184,9 @@ fn assert_monadic_engines_agree(graph: &GraphDb, query: &Dfa) -> Result<(), Test
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Monadic semantics: frontier ≡ queued ≡ naive ≡ unpruned ≡
-    /// intra-query parallel at threads {1, 2, 4}, for regex-derived and
-    /// raw random DFAs alike.
+    /// Monadic semantics: engine ≡ queued ≡ naive under every step
+    /// policy and at threads {1, 2, 4}, for regex-derived and raw random
+    /// DFAs alike.
     #[test]
     fn monadic_engines_agree(graph in arb_graph(), query in arb_query()) {
         assert_monadic_engines_agree(&graph, &query)?;
@@ -171,17 +198,12 @@ proptest! {
     #[test]
     fn binary_engines_agree(graph in arb_graph(), query in arb_query()) {
         let mut scratch = EvalScratch::new();
-        let mut intra = IntraScratch::new();
         for source in graph.nodes() {
             let expected = eval_binary_from(&query, &graph, source);
-            prop_assert_eq!(
-                &eval_binary_from_pruning(&mut scratch, &query, &graph, source, false),
-                &expected,
-                "unpruned binary engine disagrees from {}", source
-            );
+            let goal = Goal::BinaryFrom(source);
             for policy in StepPolicy::ALL {
                 prop_assert_eq!(
-                    &eval_binary_from_policy(&mut scratch, &query, &graph, source, policy),
+                    &evaluate(&sequential(policy), &mut scratch, &query, &graph, goal),
                     &expected,
                     "binary engine disagrees from {} under {:?}", source, policy
                 );
@@ -195,7 +217,7 @@ proptest! {
                     source, threads
                 );
                 prop_assert_eq!(
-                    &pool.eval_binary_from_with(&mut intra, &query, &graph, source),
+                    &evaluate(&pool, &mut scratch, &query, &graph, goal),
                     &expected,
                     "intra-query parallel binary engine (reused scratch) disagrees from {} at {} threads",
                     source, threads
@@ -213,16 +235,16 @@ proptest! {
         queries in proptest::collection::vec(arb_query(), 1..5),
     ) {
         let pool = EvalPool::new(4);
-        let mut intra = IntraScratch::new();
+        let mut scratch = EvalScratch::new();
         for query in &queries {
             prop_assert_eq!(
-                &pool.eval_monadic_with(&mut intra, query, &graph),
+                &evaluate(&pool, &mut scratch, query, &graph, Goal::Monadic),
                 &eval_monadic(query, &graph),
                 "monadic after mixed reuse"
             );
             let source = 0;
             prop_assert_eq!(
-                &pool.eval_binary_from_with(&mut intra, query, &graph, source),
+                &evaluate(&pool, &mut scratch, query, &graph, Goal::BinaryFrom(source)),
                 &eval_binary_from(query, &graph, source),
                 "binary after mixed reuse"
             );
@@ -337,7 +359,7 @@ fn arb_wide_graph() -> impl Strategy<Value = GraphDb> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Label-density extremes: masked ≡ plain ≡ pruned ≡ auto ≡ naive ≡
+    /// Label-density extremes: masked ≡ plain ≡ auto ≡ naive ≡
     /// queued ≡ parallel, monadic and binary, on graphs where every
     /// label is everywhere-active or nearly nowhere-active — the two
     /// boundary conditions of the masked kernels and the popcount gate.
@@ -352,7 +374,7 @@ proptest! {
         let expected = eval_binary_from(&query, &graph, source);
         for policy in StepPolicy::ALL {
             prop_assert_eq!(
-                &eval_binary_from_policy(&mut scratch, &query, &graph, source, policy),
+                &evaluate(&sequential(policy), &mut scratch, &query, &graph, Goal::BinaryFrom(source)),
                 &expected,
                 "binary under {:?}", policy
             );
@@ -374,7 +396,7 @@ proptest! {
         let expected = eval_monadic(&query, &graph);
         let source = (graph.num_nodes() / 2) as u32;
         let expected_binary = eval_binary_from(&query, &graph, source);
-        let mut intra = IntraScratch::new();
+        let mut scratch = EvalScratch::new();
         for threads in THREAD_COUNTS {
             for chunk in CHUNK_WIDTHS {
                 let pool = match chunk {
@@ -382,12 +404,12 @@ proptest! {
                     None => EvalPool::new(threads),
                 };
                 prop_assert_eq!(
-                    &pool.eval_monadic_with(&mut intra, &query, &graph),
+                    &evaluate(&pool, &mut scratch, &query, &graph, Goal::Monadic),
                     &expected,
                     "monadic at {} threads, chunk {:?}", threads, chunk
                 );
                 prop_assert_eq!(
-                    &pool.eval_binary_from_with(&mut intra, &query, &graph, source),
+                    &evaluate(&pool, &mut scratch, &query, &graph, Goal::BinaryFrom(source)),
                     &expected_binary,
                     "binary at {} threads, chunk {:?}", threads, chunk
                 );

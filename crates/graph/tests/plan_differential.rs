@@ -1,34 +1,63 @@
 //! Strategy-matrix differential suite for the whole-query planner.
 //!
 //! The planner ([`pathlearn_graph::plan`]) chooses among three
-//! evaluation directions — Forward (the original product-BFS engines),
-//! Backward (the reversed-DFA monadic walk / the coreach-pruned binary
-//! pass), and Bidirectional (binary meet-in-the-middle) — or resolves
-//! the choice itself under Auto. The contract is absolute: **every
-//! strategy is bit-identical to plain sequential forward evaluation**,
-//! monadic and binary, sequential and on the pool at every thread count
-//! in {1, 2, 4}, with and without a cancel token in play. This suite is
-//! the matrix: random graph × random query (regex-derived and raw DFAs
-//! with dead/unreachable states and padded alphabets) × all four forced
-//! strategies × all thread counts, plus constructed asymmetric graphs
-//! pinning that Auto actually picks the expected direction on the
-//! shapes the estimate exists for (hub-fanout sources, rare-label
-//! targets).
+//! evaluation directions — Forward (the plain product BFS), Backward
+//! (the reversed-DFA monadic walk / the coreach-pruned binary pass), and
+//! Bidirectional (binary meet-in-the-middle) — or resolves the choice
+//! itself under Auto. The contract is absolute: **every strategy is
+//! bit-identical to plain sequential forward evaluation**, for every
+//! goal (monadic, monadic within an upper bound, binary), sequential and
+//! on the pool at every thread count in {1, 2, 4} and node-range chunk
+//! width in {1 word, 4 words, auto}, with and without a cancel token in
+//! play. This suite is the matrix: random graph × random query
+//! (regex-derived and raw DFAs with dead/unreachable states and padded
+//! alphabets) × all four forced strategies × all pool shapes — small
+//! graphs for breadth, multi-word graphs (≥ 200 nodes) so the pooled,
+//! certificate-pruned Backward / Bidirectional passes really split
+//! levels across workers — plus constructed asymmetric graphs pinning
+//! that Auto actually picks the expected direction on the shapes the
+//! estimate exists for (hub-fanout sources, rare-label targets).
 
-use pathlearn_automata::{Alphabet, CanonicalQuery, Dfa, Regex, Symbol};
-use pathlearn_graph::eval::{eval_binary_from, eval_monadic};
-use pathlearn_graph::plan::{
-    eval_binary_planned, eval_binary_planned_interruptible, eval_monadic_planned,
-    eval_monadic_planned_interruptible, plan_query, plan_query_forced, PlanScratch,
-};
+use pathlearn_automata::{Alphabet, BitSet, CanonicalQuery, Dfa, Regex, Symbol};
+use pathlearn_graph::eval::{eval_binary_from, eval_monadic, EvalScratch, Goal};
+use pathlearn_graph::plan::{plan_query, plan_query_forced};
 use pathlearn_graph::Strategy as EvalStrategy;
-use pathlearn_graph::{
-    CancelToken, EvalPool, GraphBuilder, GraphDb, Interrupt, IntraScratch, StepPolicy,
-};
+use pathlearn_graph::{CancelToken, EvalPool, GraphBuilder, GraphDb, Interrupt, QueryPlan};
 use proptest::prelude::*;
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+/// Node-range chunk widths for the level fan-out: 1 word, 4 words, and
+/// the auto sizing (`None`).
+const CHUNK_WIDTHS: [Option<usize>; 3] = [Some(1), Some(4), None];
+
+/// Every pool shape of the matrix, labelled: threads {1, 2, 4} × chunk
+/// widths {1, 4, auto}.
+fn pool_matrix() -> Vec<(String, EvalPool)> {
+    let mut pools = Vec::new();
+    for threads in THREAD_COUNTS {
+        for chunk in CHUNK_WIDTHS {
+            let pool = match chunk {
+                Some(words) => EvalPool::new(threads).with_intra_chunk_words(words),
+                None => EvalPool::new(threads),
+            };
+            pools.push((format!("{threads} threads, chunk {chunk:?}"), pool));
+        }
+    }
+    pools
+}
+
+/// `evaluate` under a token that never trips.
+fn evaluate(
+    pool: &EvalPool,
+    scratch: &mut EvalScratch,
+    plan: &QueryPlan,
+    graph: &GraphDb,
+    goal: Goal<'_>,
+) -> BitSet {
+    pool.evaluate(scratch, plan, graph, goal, &CancelToken::never())
+        .expect("a never-token evaluation is not interrupted")
+}
 
 /// Strategy: a random small graph over {a, b, c}, possibly disconnected,
 /// with self-loops and parallel labels (same shape space as the engine
@@ -101,102 +130,94 @@ fn arb_query() -> impl Strategy<Value = Dfa> {
 }
 
 /// The monadic strategy matrix on one (graph, query) pair: every forced
-/// strategy, sequential and pooled at every thread count, against plain
-/// forward evaluation.
-fn assert_monadic_matrix(graph: &GraphDb, query: &Dfa) -> Result<(), TestCaseError> {
+/// strategy on every pool shape against plain forward evaluation —
+/// unbounded, and within sound upper bounds (the answer itself, a loose
+/// superset, everything).
+fn assert_monadic_matrix(
+    graph: &GraphDb,
+    query: &Dfa,
+    pools: &[(String, EvalPool)],
+) -> Result<(), TestCaseError> {
     let expected = eval_monadic(query, graph);
-    let never = CancelToken::never();
-    let mut scratch = PlanScratch::new();
-    let mut intra = IntraScratch::new();
-    let pools: Vec<EvalPool> = THREAD_COUNTS.iter().map(|&t| EvalPool::new(t)).collect();
+    let mut loose = expected.clone();
+    loose.insert(graph.num_nodes() / 2);
+    let bounds = [expected.clone(), loose, BitSet::full(graph.num_nodes())];
+    let mut scratch = EvalScratch::new();
     for forced in EvalStrategy::ALL {
         let plan = plan_query_forced(query, graph, forced);
-        prop_assert_eq!(
-            &eval_monadic_planned(&mut scratch, &plan, graph),
-            &expected,
-            "sequential monadic disagrees under forced {}",
-            forced
-        );
-        prop_assert_eq!(
-            &eval_monadic_planned_interruptible(
-                &mut scratch,
-                &plan,
-                graph,
-                StepPolicy::Auto,
-                &never
-            )
-            .unwrap(),
-            &expected,
-            "interruptible monadic disagrees under forced {}",
-            forced
-        );
-        for (pool, &threads) in pools.iter().zip(THREAD_COUNTS.iter()) {
+        for (shape, pool) in pools {
             prop_assert_eq!(
-                &pool
-                    .eval_monadic_planned(&mut intra, &plan, graph, &never)
-                    .unwrap(),
+                &evaluate(pool, &mut scratch, &plan, graph, Goal::Monadic),
                 &expected,
-                "pool monadic disagrees under forced {} at {} threads",
+                "monadic disagrees under forced {} at {}",
                 forced,
-                threads
+                shape
             );
-        }
-    }
-    Ok(())
-}
-
-/// The binary strategy matrix from every source node. Plans and thread
-/// pools are built once per (graph, query) pair — only the source loop
-/// varies inside, keeping the whole-graph sweep affordable.
-fn assert_binary_matrix(graph: &GraphDb, query: &Dfa) -> Result<(), TestCaseError> {
-    let never = CancelToken::never();
-    let mut scratch = PlanScratch::new();
-    let mut intra = IntraScratch::new();
-    let pools: Vec<EvalPool> = THREAD_COUNTS.iter().map(|&t| EvalPool::new(t)).collect();
-    let plans: Vec<_> = EvalStrategy::ALL
-        .into_iter()
-        .map(|forced| (forced, plan_query_forced(query, graph, forced)))
-        .collect();
-    for source in graph.nodes() {
-        let expected = eval_binary_from(query, graph, source);
-        for (forced, plan) in &plans {
-            prop_assert_eq!(
-                &eval_binary_planned(&mut scratch, plan, graph, source),
-                &expected,
-                "sequential binary disagrees under forced {} from {}",
-                forced,
-                source
-            );
-            prop_assert_eq!(
-                &eval_binary_planned_interruptible(
-                    &mut scratch,
-                    plan,
-                    graph,
-                    source,
-                    StepPolicy::Auto,
-                    &never
-                )
-                .unwrap(),
-                &expected,
-                "interruptible binary disagrees under forced {} from {}",
-                forced,
-                source
-            );
-            for (pool, &threads) in pools.iter().zip(THREAD_COUNTS.iter()) {
+            for upper in &bounds {
                 prop_assert_eq!(
-                    &pool
-                        .eval_binary_planned(&mut intra, plan, graph, source, &never)
-                        .unwrap(),
+                    &evaluate(pool, &mut scratch, &plan, graph, Goal::MonadicWithin(upper)),
                     &expected,
-                    "pool binary disagrees under forced {} from {} at {} threads",
+                    "monadic within a bound of {} disagrees under forced {} at {}",
+                    upper.len(),
                     forced,
-                    source,
-                    threads
+                    shape
                 );
             }
         }
     }
     Ok(())
+}
+
+/// The binary strategy matrix from `sources`. Plans are built once per
+/// (graph, query) pair — only the source loop varies inside, keeping
+/// whole-graph sweeps affordable.
+fn assert_binary_matrix(
+    graph: &GraphDb,
+    query: &Dfa,
+    pools: &[(String, EvalPool)],
+    sources: impl Iterator<Item = u32>,
+) -> Result<(), TestCaseError> {
+    let mut scratch = EvalScratch::new();
+    let plans: Vec<_> = EvalStrategy::ALL
+        .into_iter()
+        .map(|forced| (forced, plan_query_forced(query, graph, forced)))
+        .collect();
+    for source in sources {
+        let expected = eval_binary_from(query, graph, source);
+        for (forced, plan) in &plans {
+            for (shape, pool) in pools {
+                prop_assert_eq!(
+                    &evaluate(pool, &mut scratch, plan, graph, Goal::BinaryFrom(source)),
+                    &expected,
+                    "binary disagrees under forced {} from {} at {}",
+                    forced,
+                    source,
+                    shape
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Strategy: a multi-word random graph (200–320 nodes, four or five
+/// frontier words), sparse enough that binary searches run several
+/// levels, so a parallel pool really splits levels into node-range
+/// chunks — also those of the certificate-pruned forward pass.
+fn arb_wide_graph() -> impl Strategy<Value = GraphDb> {
+    (
+        200usize..321,
+        proptest::collection::vec((0u32..320, 0usize..3, 0u32..320), 200..500),
+    )
+        .prop_map(|(n, edges)| {
+            let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
+            builder.add_nodes("n", n);
+            let n = n as u32;
+            for (src, sym, dst) in edges {
+                builder.add_edge_ids(src % n, Symbol::from_index(sym), dst % n);
+            }
+            builder.build()
+        })
 }
 
 proptest! {
@@ -207,7 +228,7 @@ proptest! {
     /// and raw random DFAs alike.
     #[test]
     fn monadic_strategies_agree(graph in arb_graph(), query in arb_query()) {
-        assert_monadic_matrix(&graph, &query)?;
+        assert_monadic_matrix(&graph, &query, &pool_matrix())?;
     }
 
     /// Binary semantics from every source node: all four strategies ≡
@@ -217,7 +238,7 @@ proptest! {
     /// diverge observably.
     #[test]
     fn binary_strategies_agree(graph in arb_graph(), query in arb_query()) {
-        assert_binary_matrix(&graph, &query)?;
+        assert_binary_matrix(&graph, &query, &pool_matrix(), graph.nodes())?;
     }
 
     /// Planning invariants on arbitrary inputs: preprocessing preserves
@@ -233,7 +254,7 @@ proptest! {
             CanonicalQuery::new(&query),
             CanonicalQuery::new(plan.query())
         );
-        prop_assert!(query.reverse().equivalent(plan.reversed()));
+        prop_assert!(query.reverse().equivalent(plan.reversed().unwrap()));
         prop_assert_ne!(plan.monadic_strategy(), EvalStrategy::Auto);
         prop_assert_ne!(plan.binary_strategy(), EvalStrategy::Auto);
         // Monadic has no distinguished source side; Bidirectional is a
@@ -247,13 +268,33 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The whole matrix again on multi-word graphs: here a level of a
+    /// 2–4-state query has fewer tasks than workers, so every pooled
+    /// search — the backward coreach, the certificate-pruned forward
+    /// pass of Backward / Bidirectional, the bounded monadic search —
+    /// runs its steps as node-range chunks on worker threads, and must
+    /// still be bit-identical to `eval_monadic` / `eval_binary_from`.
+    #[test]
+    fn strategies_agree_on_multi_word_graphs(
+        graph in arb_wide_graph(),
+        query in arb_query(),
+    ) {
+        let pools = pool_matrix();
+        assert_monadic_matrix(&graph, &query, &pools)?;
+        assert_binary_matrix(&graph, &query, &pools, graph.nodes().step_by(67))?;
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Cancellation across the matrix: a pre-tripped token never
-    /// produces a *wrong* answer — every planned engine either reports
-    /// the interrupt or completes before its first level check (ε
-    /// shortcuts, empty frontiers) with the exact forward result.
-    /// A never token is the plain path.
+    /// produces a *wrong* answer — every goal × strategy × thread count
+    /// either reports the interrupt or completes before its first level
+    /// check (ε shortcuts, empty frontiers) with the exact forward
+    /// result.
     #[test]
     fn tripped_tokens_never_corrupt_results(
         graph in arb_graph(),
@@ -264,51 +305,70 @@ proptest! {
         ));
         let expected = eval_monadic(&query, &graph);
         let expected_binary = eval_binary_from(&query, &graph, 0);
-        let mut scratch = PlanScratch::new();
-        let mut intra = IntraScratch::new();
-        let pools: Vec<(usize, EvalPool)> =
-            [1usize, 4].into_iter().map(|t| (t, EvalPool::new(t))).collect();
+        let full = BitSet::full(graph.num_nodes());
+        let goals = [
+            (Goal::Monadic, &expected),
+            (Goal::MonadicWithin(&full), &expected),
+            (Goal::BinaryFrom(0), &expected_binary),
+        ];
+        let mut scratch = EvalScratch::new();
+        let pools: Vec<EvalPool> = THREAD_COUNTS.iter().map(|&t| EvalPool::new(t)).collect();
         for forced in EvalStrategy::ALL {
             let plan = plan_query_forced(&query, &graph, forced);
-            match eval_monadic_planned_interruptible(
-                &mut scratch, &plan, &graph, StepPolicy::Auto, &tripped,
-            ) {
-                Err(Interrupt::Cancelled) => {}
-                Ok(result) => prop_assert_eq!(
-                    &result, &expected,
-                    "tripped monadic completed wrong under {}", forced
-                ),
-                Err(other) => prop_assert!(false, "unexpected verdict {:?}", other),
-            }
-            match eval_binary_planned_interruptible(
-                &mut scratch, &plan, &graph, 0, StepPolicy::Auto, &tripped,
-            ) {
-                Err(Interrupt::Cancelled) => {}
-                Ok(result) => prop_assert_eq!(
-                    &result, &expected_binary,
-                    "tripped binary completed wrong under {}", forced
-                ),
-                Err(other) => prop_assert!(false, "unexpected verdict {:?}", other),
-            }
-            for (threads, pool) in &pools {
-                match pool.eval_monadic_planned(&mut intra, &plan, &graph, &tripped) {
-                    Err(Interrupt::Cancelled) => {}
-                    Ok(result) => prop_assert_eq!(
-                        &result, &expected,
-                        "tripped pool monadic completed wrong under {} at {} threads",
-                        forced, threads
-                    ),
-                    Err(other) => prop_assert!(false, "unexpected verdict {:?}", other),
+            for pool in &pools {
+                for (goal, expected) in goals {
+                    match pool.evaluate(&mut scratch, &plan, &graph, goal, &tripped) {
+                        Err(Interrupt::Cancelled) => {}
+                        Ok(result) => prop_assert_eq!(
+                            &result, expected,
+                            "tripped {:?} completed wrong under {} at {} threads",
+                            goal, forced, pool.threads()
+                        ),
+                        Err(other) => prop_assert!(false, "unexpected verdict {:?}", other),
+                    }
                 }
-                match pool.eval_binary_planned(&mut intra, &plan, &graph, 0, &tripped) {
-                    Err(Interrupt::Cancelled) => {}
-                    Ok(result) => prop_assert_eq!(
-                        &result, &expected_binary,
-                        "tripped pool binary completed wrong under {} at {} threads",
-                        forced, threads
-                    ),
-                    Err(other) => prop_assert!(false, "unexpected verdict {:?}", other),
-                }
+            }
+        }
+    }
+}
+
+/// A pre-tripped token interrupts **every** goal × strategy × thread
+/// count that has a level to run, and the interrupted scratch is
+/// reusable: the next evaluation is bit-identical.
+#[test]
+fn tripped_tokens_interrupt_every_goal_and_leave_the_scratch_reusable() {
+    let graph = hub_graph_with_rare_target(256, 3);
+    let query = Regex::parse("(a+b)*·c", graph.alphabet())
+        .unwrap()
+        .to_dfa(3);
+    let tripped = CancelToken::with_flag(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(
+        true,
+    )));
+    let source = 200;
+    let expected = eval_monadic(&query, &graph);
+    let expected_binary = eval_binary_from(&query, &graph, source);
+    assert!(!expected.is_empty() && !expected_binary.is_empty());
+    let goals = [
+        (Goal::Monadic, &expected),
+        (Goal::MonadicWithin(&expected), &expected),
+        (Goal::BinaryFrom(source), &expected_binary),
+    ];
+    for forced in EvalStrategy::ALL {
+        let plan = plan_query_forced(&query, &graph, forced);
+        for threads in THREAD_COUNTS {
+            let pool = EvalPool::new(threads);
+            let mut scratch = EvalScratch::new();
+            for (goal, expected) in goals {
+                assert_eq!(
+                    pool.evaluate(&mut scratch, &plan, &graph, goal, &tripped),
+                    Err(Interrupt::Cancelled),
+                    "{goal:?} under {forced} at {threads} threads"
+                );
+                assert_eq!(
+                    &evaluate(&pool, &mut scratch, &plan, &graph, goal),
+                    expected,
+                    "{goal:?} after an interrupt under {forced} at {threads} threads"
+                );
             }
         }
     }
@@ -373,15 +433,17 @@ fn auto_picks_expected_binary_direction_on_asymmetric_graphs() {
 
     // Whatever Auto resolved, the answers match plain forward from a
     // hub source and from the rare edge's tail.
-    let mut scratch = PlanScratch::new();
+    let pool = EvalPool::sequential();
+    let mut scratch = EvalScratch::new();
     for source in [0u32, 254] {
+        let goal = Goal::BinaryFrom(source);
         assert_eq!(
-            eval_binary_planned(&mut scratch, &plan, &graph, source),
+            evaluate(&pool, &mut scratch, &plan, &graph, goal),
             eval_binary_from(&rare_target, &graph, source),
             "auto-planned rare-target from {source}"
         );
         assert_eq!(
-            eval_binary_planned(&mut scratch, &dense_plan, &graph, source),
+            evaluate(&pool, &mut scratch, &dense_plan, &graph, goal),
             eval_binary_from(&dense, &graph, source),
             "auto-planned dense from {source}"
         );
@@ -430,26 +492,27 @@ fn fixed_shapes_through_every_strategy() {
             only_a
         },
     ];
-    let mut scratch = PlanScratch::new();
+    let pool = EvalPool::sequential();
+    let mut scratch = EvalScratch::new();
     for query in &shapes {
         let expected = eval_monadic(query, &graph);
         for forced in EvalStrategy::ALL {
             let plan = plan_query_forced(query, &graph, forced);
             assert_eq!(
-                eval_monadic_planned(&mut scratch, &plan, &graph),
+                evaluate(&pool, &mut scratch, &plan, &graph, Goal::Monadic),
                 expected,
                 "monadic fixed shape under {forced}"
             );
             for source in graph.nodes() {
                 assert_eq!(
-                    eval_binary_planned(&mut scratch, &plan, &graph, source),
+                    evaluate(&pool, &mut scratch, &plan, &graph, Goal::BinaryFrom(source)),
                     eval_binary_from(query, &graph, source),
                     "binary fixed shape under {forced} from {source}"
                 );
             }
             // Out-of-range source: empty, not a panic, in every engine.
             assert!(
-                eval_binary_planned(&mut scratch, &plan, &graph, 1000).is_empty(),
+                evaluate(&pool, &mut scratch, &plan, &graph, Goal::BinaryFrom(1000)).is_empty(),
                 "out-of-range source under {forced}"
             );
         }

@@ -12,6 +12,9 @@
 //! * **decoded graphs answer queries identically** — monadic and
 //!   binary evaluation on the decoded graph match the source graph on
 //!   random queries;
+//! * **the alphabet keeps its stored order** — text-parsed graphs
+//!   intern labels by first appearance, not sorted; edges carry symbol
+//!   indices, so a decode that re-sorted the labels would relabel them;
 //! * **corruption is never a wrong answer** — any single bit flip and
 //!   any truncation decodes to a [`SnapshotError`], never to a graph.
 
@@ -141,6 +144,36 @@ proptest! {
                 &eval_binary_from(&query, &graph, source)
             );
         }
+    }
+
+    /// Text-parsed graphs whose labels first appear **unsorted** (the
+    /// parser interns by first appearance) come back with the same
+    /// alphabet order, the same edges and the same answers.
+    #[test]
+    fn text_parsed_unsorted_alphabets_survive_the_roundtrip(
+        edges in proptest::collection::vec((0u32..10, 0usize..3, 0u32..10), 0..40),
+        query in arb_query(),
+    ) {
+        const UNSORTED: [&str; 3] = ["zeta", "alpha", "mid"];
+        // Two fixed leading edges pin a first-appearance order that is
+        // not the sorted one.
+        let mut text = String::from("n0 zeta n1\nn1 alpha n0\n");
+        for (src, label, dst) in edges {
+            text.push_str(&format!("n{src} {} n{dst}\n", UNSORTED[label]));
+        }
+        let graph = pathlearn_graph::io::parse_graph(&text).expect("generated text parses");
+        let labels = |g: &GraphDb| -> Vec<String> {
+            g.alphabet().symbols().map(|s| g.alphabet().name(s).to_owned()).collect()
+        };
+        prop_assert_eq!(&labels(&graph)[..2], &["zeta", "alpha"]);
+
+        let loaded = GraphDb::from_snapshot_bytes(&graph.snapshot_bytes()).expect("decode");
+        prop_assert_eq!(labels(&loaded), labels(&graph));
+        prop_assert_eq!(
+            loaded.edges().collect::<Vec<Edge>>(),
+            graph.edges().collect::<Vec<Edge>>()
+        );
+        prop_assert_eq!(&eval_monadic(&query, &loaded), &eval_monadic(&query, &graph));
     }
 
     /// Any single bit flip is rejected — the trailing digest covers the

@@ -19,10 +19,11 @@
 //!
 //! Admitted queries are scheduled over the existing
 //! [`pathlearn_graph::EvalPool`]: batch fan-out for multi-query
-//! submissions, intra-query parallel evaluation for single big-graph
-//! queries, plain sequential evaluation below the size threshold — see
-//! [`service`] for the heuristic. Results are **bit-identical** to the
-//! direct evaluators in every mode and at every thread count (this
+//! submissions, per-level fan-out for single big-graph queries, the
+//! pool's one-thread instance below the size threshold — see
+//! [`service`] for the heuristic. Every way in is one
+//! [`QueryService::submit`]. Results are **bit-identical** to direct
+//! evaluation in every mode and at every thread count (this
 //! crate's smoke tests re-assert the pool's contract end-to-end).
 //!
 //! Cache invalidation is wired to graph rebuilds:

@@ -48,6 +48,7 @@
 //! node set and the alphabet are frozen under the delta contract, so
 //! every established fingerprint still names the same canonical query.
 
+use crate::cache::CacheKey;
 use crate::proto::{
     read_frame, write_frame, ErrorCode, FrameError, QueryRef, Request, Response, WireEdge,
     WireKind, WireServed, NO_DEADLINE_MS,
@@ -363,15 +364,11 @@ impl Shared {
             if let Some(deadline) = job.deadline {
                 token = token.and_deadline(deadline);
             }
-            let outcome = match job.kind {
-                WireKind::Monadic => self
-                    .service
-                    .query_monadic_canonical_queued(job.query, &token, queue_wait),
-                WireKind::Binary(source) => self
-                    .service
-                    .query_binary_canonical_queued(job.query, source, &token, queue_wait),
+            let key = match job.kind {
+                WireKind::Monadic => CacheKey::monadic(job.query),
+                WireKind::Binary(source) => CacheKey::binary(job.query, source),
             };
-            let outcome = match outcome {
+            let outcome = match self.service.submit(key, &token, Some(queue_wait)) {
                 Ok(response) => {
                     self.counters
                         .latency

@@ -22,8 +22,8 @@
 //!
 //! | mode | when | machinery |
 //! |---|---|---|
-//! | `Sequential` | small graph or sequential pool | `eval_monadic_policy` on this thread |
-//! | `IntraQuery` | parallel pool and `\|V\|` ≥ threshold | [`EvalPool::eval_monadic`] — per-level `(state, symbol)` + node-range fan-out |
+//! | `Sequential` | small graph or sequential pool | [`EvalPool::evaluate`] on the one-thread instance, every level inline on this thread |
+//! | `IntraQuery` | parallel pool and `\|V\|` ≥ threshold | [`EvalPool::evaluate`] on the shared pool — per-level `(state, symbol)` + node-range fan-out |
 //! | `Batch` | ≥ 2 unique misses in one [`QueryService::query_monadic_batch`] call | [`EvalPool::eval_monadic_batch`] — one slot per query |
 //!
 //! Independent queries from different client threads naturally overlap:
@@ -85,11 +85,11 @@
 //! antichain inclusion ([`pathlearn_automata::inclusion::nfa_included_in`])
 //! proves
 //! `L(q) ⊆ L(q′)` for some cached `q′`, then `q(G) ⊆ q′(G)` on any
-//! graph, and the cached bits seed
-//! [`pathlearn_graph::eval::eval_monadic_bounded_interruptible`] as a
-//! sound upper bound — the BFS stops the moment its monotone lower
-//! bound meets the cached upper bound (and an empty cached answer
-//! proves the miss empty with zero graph work). Probing is capped and
+//! graph, and the cached bits become the evaluation's goal
+//! ([`pathlearn_graph::Goal::MonadicWithin`]) as a sound upper bound —
+//! the BFS stops the moment its monotone lower bound meets the cached
+//! upper bound (and an empty cached answer proves the miss empty with
+//! zero graph work). Probing is capped and
 //! pre-filtered by live-alphabet subset, and the result is bit-exact
 //! either way.
 
@@ -100,13 +100,12 @@ use crate::telemetry::{Counter, Gauge, Histogram, Telemetry, TraceBuilder};
 use crate::wal::{Persistence, WalError};
 use pathlearn_automata::inclusion::nfa_included_in;
 use pathlearn_automata::{BitSet, CanonicalQuery, Dfa, Symbol};
-use pathlearn_graph::eval::eval_monadic_bounded_interruptible;
 use pathlearn_graph::graph::DeltaError;
-use pathlearn_graph::plan::{
-    eval_binary_planned_interruptible, eval_monadic_planned_interruptible, plan_query_forced,
-    PlanScratch, QueryPlan,
+use pathlearn_graph::plan::plan_query_forced;
+use pathlearn_graph::{
+    CancelToken, EvalPool, EvalScratch, Goal, GraphDb, Interrupt, NodeId, QueryPlan, StepPolicy,
+    Strategy,
 };
-use pathlearn_graph::{CancelToken, EvalPool, GraphDb, Interrupt, NodeId, StepPolicy, Strategy};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -120,11 +119,12 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Result-cache sizing.
     pub cache: CacheConfig,
-    /// Node count at or above which a single admitted query uses the
-    /// intra-query parallel evaluator instead of the sequential one
-    /// (fan-out overhead beats level work only on graphs with some
-    /// meat; below the threshold sequential is faster *and* leaves the
-    /// pool to other clients).
+    /// Node count at or above which a single admitted query is
+    /// evaluated on the shared pool (its BFS levels fanned out over the
+    /// workers) instead of the pool's one-thread instance (fan-out
+    /// overhead beats level work only on graphs with some meat; below
+    /// the threshold inline is faster *and* leaves the pool to other
+    /// clients).
     pub intra_query_node_threshold: usize,
     /// Step-kernel policy for every evaluation this service runs.
     pub step_policy: StepPolicy,
@@ -1019,86 +1019,31 @@ impl QueryService {
         self.serve(CacheKey::binary(query, source))
     }
 
-    /// [`QueryService::query_monadic`] under a cancel token: the token
-    /// is consulted before admission, once per BFS level during
-    /// evaluation, and while waiting on a coalesced ticket. A tripped
-    /// token returns the [`Interrupt`] verdict — counted in
+    /// The one submission path; every `query_*` method is a shorthand
+    /// over it. Serves `key` — a hit, a coalesced wait on an in-flight
+    /// evaluation of the same key, or an admitted evaluation — under
+    /// `cancel`: the token is consulted before admission, once per BFS
+    /// level during evaluation, and while waiting on a coalesced ticket.
+    /// A tripped token returns the [`Interrupt`] verdict — counted in
     /// [`ServeStats::deadline_exceeded`] / [`ServeStats::cancelled`] —
     /// and, when this caller owned the evaluation, abandons the ticket
     /// so coalesced waiters re-admit instead of hanging.
-    pub fn query_monadic_interruptible(
-        &self,
-        query: &Dfa,
-        cancel: &CancelToken,
-    ) -> Result<QueryResponse, Interrupt> {
-        self.serve_interruptible(CacheKey::monadic(CanonicalQuery::new(query)), cancel)
-    }
-
-    /// [`QueryService::query_binary_from`] under a cancel token (see
-    /// [`QueryService::query_monadic_interruptible`]).
-    pub fn query_binary_from_interruptible(
-        &self,
-        query: &Dfa,
-        source: NodeId,
-        cancel: &CancelToken,
-    ) -> Result<QueryResponse, Interrupt> {
-        self.serve_interruptible(CacheKey::binary(CanonicalQuery::new(query), source), cancel)
-    }
-
-    /// Pre-canonicalized [`QueryService::query_monadic_interruptible`]
-    /// — the network front door's hot path (it canonicalizes once at
-    /// frame-decode time to register the fingerprint).
-    pub fn query_monadic_canonical_interruptible(
-        &self,
-        query: CanonicalQuery,
-        cancel: &CancelToken,
-    ) -> Result<QueryResponse, Interrupt> {
-        self.serve_interruptible(CacheKey::monadic(query), cancel)
-    }
-
-    /// Pre-canonicalized [`QueryService::query_binary_from_interruptible`].
-    pub fn query_binary_canonical_interruptible(
-        &self,
-        query: CanonicalQuery,
-        source: NodeId,
-        cancel: &CancelToken,
-    ) -> Result<QueryResponse, Interrupt> {
-        self.serve_interruptible(CacheKey::binary(query, source), cancel)
-    }
-
-    /// [`QueryService::query_monadic_canonical_interruptible`] carrying
-    /// the time the submission already spent in an admission queue
-    /// before evaluation could start — the network front door's worker
-    /// threads pass the measured wait; it lands in the query's trace
-    /// and the `serve.queue_wait` histogram.
-    pub fn query_monadic_canonical_queued(
-        &self,
-        query: CanonicalQuery,
-        cancel: &CancelToken,
-        queue_wait: Duration,
-    ) -> Result<QueryResponse, Interrupt> {
-        self.serve_queued(CacheKey::monadic(query), cancel, queue_wait)
-    }
-
-    /// Binary twin of [`QueryService::query_monadic_canonical_queued`].
-    pub fn query_binary_canonical_queued(
-        &self,
-        query: CanonicalQuery,
-        source: NodeId,
-        cancel: &CancelToken,
-        queue_wait: Duration,
-    ) -> Result<QueryResponse, Interrupt> {
-        self.serve_queued(CacheKey::binary(query, source), cancel, queue_wait)
-    }
-
-    fn serve_queued(
+    ///
+    /// `queue_wait` is the time the submission already spent in an
+    /// admission queue before it got here (the network front door's
+    /// workers pass the measured wait; it lands in the query's trace
+    /// and the `serve.queue_wait` histogram); `None` for a submission
+    /// that never sat in one.
+    pub fn submit(
         &self,
         key: CacheKey,
         cancel: &CancelToken,
-        queue_wait: Duration,
+        queue_wait: Option<Duration>,
     ) -> Result<QueryResponse, Interrupt> {
-        let queue_wait_ns = queue_wait.as_nanos() as u64;
-        self.counters.queue_wait.record(queue_wait_ns);
+        let queue_wait_ns = queue_wait.map_or(0, |wait| wait.as_nanos() as u64);
+        if queue_wait.is_some() {
+            self.counters.queue_wait.record(queue_wait_ns);
+        }
         let kind = match key.kind {
             QueryKind::Monadic => "monadic",
             QueryKind::Binary(_) => "binary",
@@ -1182,8 +1127,10 @@ impl QueryService {
         None
     }
 
+    /// [`QueryService::submit`] for callers that neither cancel nor
+    /// queue.
     fn serve(&self, key: CacheKey) -> QueryResponse {
-        match self.serve_interruptible(key, &CancelToken::never()) {
+        match self.submit(key, &CancelToken::never(), None) {
             Ok(response) => response,
             Err(interrupt) => unreachable!("never-token submission interrupted: {interrupt}"),
         }
@@ -1253,19 +1200,6 @@ impl QueryService {
         ));
     }
 
-    fn serve_interruptible(
-        &self,
-        key: CacheKey,
-        cancel: &CancelToken,
-    ) -> Result<QueryResponse, Interrupt> {
-        let kind = match key.kind {
-            QueryKind::Monadic => "monadic",
-            QueryKind::Binary(_) => "binary",
-        };
-        let trace = TraceBuilder::new(key.query.fingerprint(), kind, 0);
-        self.serve_with_trace(key, cancel, trace)
-    }
-
     /// The serving loop, recording every outcome into `trace`. The
     /// trace is sealed exactly once per submission — with the served
     /// outcome, or the interrupt verdict.
@@ -1313,7 +1247,7 @@ impl QueryService {
                     let eval_begin = trace.span_begin();
                     let (evaluated, levels) = if self.observe_eval_levels {
                         pathlearn_graph::collect_levels(|| {
-                            self.evaluate_interruptible(
+                            self.evaluate(
                                 &graph,
                                 &key,
                                 epoch,
@@ -1324,7 +1258,7 @@ impl QueryService {
                         })
                     } else {
                         (
-                            self.evaluate_interruptible(
+                            self.evaluate(
                                 &graph,
                                 &key,
                                 epoch,
@@ -1372,19 +1306,6 @@ impl QueryService {
         }
     }
 
-    /// Executes one admitted query under the size heuristic.
-    fn evaluate(
-        &self,
-        graph: &GraphDb,
-        key: &CacheKey,
-        epoch: u64,
-    ) -> (BitSet, EvalMode, Strategy) {
-        match self.evaluate_interruptible(graph, key, epoch, None, None, &CancelToken::never()) {
-            Ok(outcome) => outcome,
-            Err(interrupt) => unreachable!("never-token evaluation interrupted: {interrupt}"),
-        }
-    }
-
     /// The whole-query plan for `key`'s canonical form on `graph`:
     /// served from the plan cache on a canonical replay, computed (DFA
     /// reduce/reverse + direction estimate, outside the lock) and
@@ -1415,13 +1336,13 @@ impl QueryService {
         plan
     }
 
-    /// [`QueryService::evaluate`] under a cancel token, forwarded into
-    /// the per-BFS-level checks of the interruptible evaluators. Every
-    /// admitted query is dispatched through its [`QueryPlan`]; the
-    /// returned [`Strategy`] is the resolved direction (never `Auto`).
-    /// When a `trace` builder is threaded in, the planning pass is
-    /// recorded as its own span.
-    fn evaluate_interruptible(
+    /// Executes one admitted query: one [`EvalPool::evaluate`] call
+    /// whose plan and goal depend on what admission found, on the
+    /// shared pool or its one-thread instance by the size heuristic.
+    /// The returned [`Strategy`] is the resolved direction (never
+    /// `Auto`). When a `trace` builder is threaded in, the planning
+    /// pass is recorded as its own span.
+    fn evaluate(
         &self,
         graph: &GraphDb,
         key: &CacheKey,
@@ -1430,103 +1351,62 @@ impl QueryService {
         trace: Option<&mut TraceBuilder>,
         cancel: &CancelToken,
     ) -> Result<(BitSet, EvalMode, Strategy), Interrupt> {
-        // Sequential evaluations run on the calling client thread; a
+        // Evaluations are coordinated from the calling client thread; a
         // thread-local scratch keeps the serving hot path free of the
         // per-miss bitset allocations a fresh scratch would zero
         // (scratch reuse never changes results — `EvalScratch` docs).
         thread_local! {
-            static SCRATCH: std::cell::RefCell<PlanScratch> =
-                std::cell::RefCell::new(PlanScratch::new());
+            static SCRATCH: std::cell::RefCell<EvalScratch> =
+                std::cell::RefCell::new(EvalScratch::new());
         }
-        // Subsumption-bounded warm start: a cached superset's answer
-        // lets the forward monadic engine stop as soon as its monotone
-        // lower bound meets the bound (often level 0 for an empty or
-        // tiny superset answer). Bit-exact either way, so it bypasses
-        // the planner — the bound is typically worth more than the
-        // direction choice, and the plan would be moot at exit time.
-        if let (QueryKind::Monadic, Some(upper)) = (&key.kind, upper) {
-            if upper.capacity() == graph.num_nodes() {
-                let result = SCRATCH.with(|scratch| {
-                    eval_monadic_bounded_interruptible(
-                        scratch.borrow_mut().eval_scratch(),
-                        key.query.dfa(),
-                        graph,
-                        upper,
-                        self.pool.step_policy(),
-                        cancel,
-                    )
-                })?;
-                return Ok((result, EvalMode::Sequential, Strategy::Forward));
+        let bound = match key.kind {
+            QueryKind::Monadic => upper.filter(|upper| upper.capacity() == graph.num_nodes()),
+            QueryKind::Binary(_) => None,
+        };
+        let (unplanned, planned);
+        let (plan, goal, strategy): (&QueryPlan, _, _) = match (key.kind, bound) {
+            // Subsumption-bounded warm start: a cached superset's answer
+            // lets the forward monadic search stop as soon as its
+            // monotone lower bound meets the bound (often level 0 for an
+            // empty or tiny superset answer). Bit-exact either way, so
+            // it skips the planner — the bound is typically worth more
+            // than the direction choice, and the plan would be moot at
+            // exit time.
+            (_, Some(upper)) => {
+                unplanned = QueryPlan::forward(key.query.dfa());
+                (&unplanned, Goal::MonadicWithin(upper), Strategy::Forward)
             }
-        }
-        let plan = {
-            let begin = trace.as_deref().map(TraceBuilder::span_begin);
-            let plan = self.plan_for(graph, key, epoch);
-            if let (Some(trace), Some(begin)) = (trace, begin) {
-                trace.span_end("plan", begin);
+            (kind, None) => {
+                let begin = trace.as_deref().map(TraceBuilder::span_begin);
+                planned = self.plan_for(graph, key, epoch);
+                if let (Some(trace), Some(begin)) = (trace, begin) {
+                    trace.span_end("plan", begin);
+                }
+                match kind {
+                    QueryKind::Monadic => (&*planned, Goal::Monadic, planned.monadic_strategy()),
+                    // An out-of-graph source (e.g. submitted before a
+                    // rebuild shrank the graph) evaluates to the empty
+                    // answer without running a level.
+                    QueryKind::Binary(source) => (
+                        &*planned,
+                        Goal::BinaryFrom(source),
+                        planned.binary_strategy(),
+                    ),
+                }
             }
-            plan
         };
         let intra = self.pool.is_parallel() && graph.num_nodes() >= self.intra_query_node_threshold;
-        match key.kind {
-            QueryKind::Monadic => {
-                let strategy = plan.monadic_strategy();
-                if intra {
-                    let result = self.pool.eval_monadic_planned(
-                        &mut pathlearn_graph::IntraScratch::new(),
-                        &plan,
-                        graph,
-                        cancel,
-                    )?;
-                    Ok((result, EvalMode::IntraQuery, strategy))
-                } else {
-                    let result = SCRATCH.with(|scratch| {
-                        eval_monadic_planned_interruptible(
-                            &mut scratch.borrow_mut(),
-                            &plan,
-                            graph,
-                            self.pool.step_policy(),
-                            cancel,
-                        )
-                    })?;
-                    Ok((result, EvalMode::Sequential, strategy))
-                }
-            }
-            QueryKind::Binary(source) => {
-                if (source as usize) >= graph.num_nodes() {
-                    // Out-of-graph source (e.g. submitted before a
-                    // rebuild shrank the graph): the empty answer.
-                    return Ok((
-                        BitSet::new(graph.num_nodes()),
-                        EvalMode::Sequential,
-                        Strategy::Forward,
-                    ));
-                }
-                let strategy = plan.binary_strategy();
-                if intra {
-                    let result = self.pool.eval_binary_planned(
-                        &mut pathlearn_graph::IntraScratch::new(),
-                        &plan,
-                        graph,
-                        source,
-                        cancel,
-                    )?;
-                    Ok((result, EvalMode::IntraQuery, strategy))
-                } else {
-                    let result = SCRATCH.with(|scratch| {
-                        eval_binary_planned_interruptible(
-                            &mut scratch.borrow_mut(),
-                            &plan,
-                            graph,
-                            source,
-                            self.pool.step_policy(),
-                            cancel,
-                        )
-                    })?;
-                    Ok((result, EvalMode::Sequential, strategy))
-                }
-            }
-        }
+        let inline;
+        let (engine, mode) = if intra {
+            (&self.pool, EvalMode::IntraQuery)
+        } else {
+            inline = self.pool.inline();
+            (&inline, EvalMode::Sequential)
+        };
+        let result = SCRATCH.with(|scratch| {
+            engine.evaluate(&mut scratch.borrow_mut(), plan, graph, goal, cancel)
+        })?;
+        Ok((result, mode, strategy))
     }
 
     /// Publishes an evaluated result: cache insert (stamp-guarded),
@@ -1677,7 +1557,9 @@ impl QueryService {
             }
         } else if let Some((key, ticket, stamp, positions)) = owned.first() {
             let start = Instant::now();
-            let (value, mode, strategy) = self.evaluate(&graph, key, epoch);
+            let (value, mode, strategy) = self
+                .evaluate(&graph, key, epoch, None, None, &CancelToken::never())
+                .expect("a never-token evaluation is not interrupted");
             let eval_ns = start.elapsed().as_nanos() as u64;
             let value = Arc::new(value);
             self.publish(
@@ -1987,21 +1869,22 @@ mod tests {
         let graph = figure3_g0();
         let service = QueryService::new(graph.clone(), ServeConfig::default());
         let q = query(&graph, "(a·b)*·c");
+        let monadic = |q: &Dfa| CacheKey::monadic(CanonicalQuery::new(q));
         let never = CancelToken::never();
-        // Never-token interruptible serving is the plain path.
+        // Never-token submission is the plain path.
         let first = service
-            .query_monadic_interruptible(&q, &never)
+            .submit(monadic(&q), &never, None)
             .expect("never token");
         assert_eq!(*first.result, eval_monadic(&q, &graph));
         let bin = service
-            .query_binary_from_interruptible(&q, 0, &never)
+            .submit(CacheKey::binary(CanonicalQuery::new(&q), 0), &never, None)
             .expect("never token");
         assert_eq!(*bin.result, eval_binary_from(&q, &graph, 0));
         // An expired deadline is rejected before admission and counted.
         let expired = CancelToken::with_deadline(Instant::now());
         assert_eq!(
             service
-                .query_monadic_interruptible(&query(&graph, "a"), &expired)
+                .submit(monadic(&query(&graph, "a")), &expired, None)
                 .unwrap_err(),
             Interrupt::Deadline
         );
@@ -2009,7 +1892,7 @@ mod tests {
         let tripped = CancelToken::with_flag(Arc::new(std::sync::atomic::AtomicBool::new(true)));
         assert_eq!(
             service
-                .query_monadic_interruptible(&query(&graph, "b"), &tripped)
+                .submit(monadic(&query(&graph, "b")), &tripped, None)
                 .unwrap_err(),
             Interrupt::Cancelled
         );
@@ -2022,20 +1905,32 @@ mod tests {
             service.query_monadic(&query(&graph, "a")).served,
             Served::Evaluated { .. }
         ));
-        // Canonical variants agree with the Dfa-taking ones.
+        // The shorthands are the same path: they hit what `submit`
+        // cached, Dfa-taking and canonical alike.
         let canonical = CanonicalQuery::new(&q);
-        let via_canonical = service
-            .query_monadic_canonical_interruptible(canonical.clone(), &never)
-            .expect("never token");
+        assert!(Arc::ptr_eq(
+            &service.query_monadic(&q).result,
+            &first.result
+        ));
+        let via_canonical = service.query_monadic_canonical(canonical.clone());
         assert!(Arc::ptr_eq(&via_canonical.result, &first.result));
-        let bin_canonical = service
-            .query_binary_canonical_interruptible(canonical.clone(), 0, &never)
-            .expect("never token");
+        assert!(Arc::ptr_eq(
+            &service.query_binary_from(&q, 0).result,
+            &bin.result
+        ));
+        let bin_canonical = service.query_binary_canonical(canonical.clone(), 0);
         assert!(Arc::ptr_eq(&bin_canonical.result, &bin.result));
         assert_eq!(
             *service.query_binary_canonical(canonical, 1).result,
             eval_binary_from(&q, &graph, 1)
         );
+        // A queued submission records its wait; the in-process ones
+        // above recorded none.
+        let queued = service
+            .submit(monadic(&q), &never, Some(Duration::from_micros(7)))
+            .expect("never token");
+        assert_eq!(queued.served, Served::Hit);
+        assert_eq!(service.counters.queue_wait.count(), 1);
     }
 
     #[test]
@@ -2065,10 +1960,9 @@ mod tests {
         // The owner is inside its holdoff; a waiter with a 50ms budget
         // must give up with the Deadline verdict…
         let hurried = CancelToken::with_deadline(Instant::now() + Duration::from_millis(50));
+        let key = CacheKey::monadic(CanonicalQuery::new(&q));
         assert_eq!(
-            service
-                .query_monadic_interruptible(&q, &hurried)
-                .unwrap_err(),
+            service.submit(key, &hurried, None).unwrap_err(),
             Interrupt::Deadline
         );
         // …while the owner still publishes the full answer.
@@ -2086,7 +1980,7 @@ mod tests {
         let key = CacheKey::monadic(CanonicalQuery::new(&q));
         // Become the owner with a doomed token: evaluation is never
         // reached — but simulate the owner path by admitting, then
-        // letting serve_interruptible hit the eval-time interrupt.
+        // letting `submit` hit the eval-time interrupt.
         let Admission::Evaluate { ticket, .. } = service.admit(&key) else {
             panic!("first admission must be an Evaluate");
         };
