@@ -70,8 +70,8 @@ use pathlearn_eval::report::ascii_table;
 use pathlearn_graph::eval::{eval_binary_from, eval_monadic, eval_monadic_queued};
 use pathlearn_graph::plan::{plan_query, plan_query_forced};
 use pathlearn_graph::{
-    CancelToken, EvalPool, EvalScratch, Goal, GraphBuilder, GraphDb, NodeId, QueryPlan, StepPolicy,
-    Strategy,
+    CancelToken, Dir, EvalPool, EvalScratch, Goal, GraphBuilder, GraphDb, NodeId, QueryPlan,
+    StepPolicy, Strategy,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -371,7 +371,7 @@ fn most_frequent_label_query(graph: &GraphDb) -> (Dfa, Symbol) {
     let label = graph
         .alphabet()
         .symbols()
-        .max_by_key(|&sym| graph.label_source_count(sym))
+        .max_by_key(|&sym| graph.label_active_count(Dir::Out, sym))
         .expect("graph has labels");
     let mut dfa = Dfa::new(2, graph.alphabet().len(), 0);
     dfa.set_transition(0, label, 1);
@@ -420,7 +420,7 @@ fn bench_granularity(graph: &GraphDb, intra_threads: &[usize], runs: usize) -> G
     }
     GranularityResult {
         query: format!("{0}·{0}*", graph.alphabet().name(label)),
-        label_count: graph.label_source_count(label),
+        label_count: graph.label_active_count(Dir::Out, label),
         seq_ns,
         points,
     }

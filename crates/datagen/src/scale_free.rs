@@ -100,6 +100,7 @@ pub fn scale_free_graph(config: &ScaleFreeConfig) -> GraphDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathlearn_graph::Dir;
 
     #[test]
     fn sizes_match_configuration() {
@@ -126,7 +127,7 @@ mod tests {
         let graph = scale_free_graph(&ScaleFreeConfig::paper_synthetic(2000, 42));
         let mut degrees: Vec<usize> = graph
             .nodes()
-            .map(|n| graph.out_degree(n) + graph.in_edges(n).len())
+            .map(|n| graph.degree(Dir::Out, n) + graph.degree(Dir::In, n))
             .collect();
         degrees.sort_unstable_by(|a, b| b.cmp(a));
         // Hubs: the top node has far more than the median degree.

@@ -7,7 +7,7 @@
 //! `paths2_G(ν, ν') \ paths2_G(S⁻)` up to length `k`, where `S⁻` is a set
 //! of negative node *pairs*.
 
-use crate::graph::{GraphDb, NodeId};
+use crate::graph::{Dir, GraphDb, NodeId};
 use pathlearn_automata::{BitSet, Nfa, Symbol, Word};
 use std::collections::{HashSet, VecDeque};
 
@@ -30,7 +30,7 @@ pub fn covers2(graph: &GraphDb, word: &[Symbol], source: NodeId, target: NodeId)
         if current.is_empty() {
             return false;
         }
-        current = graph.step_set(&current, sym);
+        current = graph.step(Dir::Out, &current, sym);
     }
     current.contains(target as usize)
 }
@@ -87,7 +87,7 @@ pub fn scp2(
         for flat in neg.iter() {
             let pair = flat / stride;
             let node = (flat % stride) as NodeId;
-            graph.for_each_successor(node, sym, |t| {
+            graph.for_each_neighbor(Dir::Out, node, sym, |t| {
                 next.insert(pair * stride + t as usize);
             });
         }
@@ -104,7 +104,7 @@ pub fn scp2(
             continue;
         }
         for sym in graph.alphabet().symbols() {
-            let pos_next = graph.step_set(&pos, sym);
+            let pos_next = graph.step(Dir::Out, &pos, sym);
             if pos_next.is_empty() {
                 continue;
             }

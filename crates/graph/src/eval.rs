@@ -23,15 +23,15 @@
 //! index it
 //!
 //! 1. **plans** the step against the graph's per-label active-node
-//!    bitmaps ([`GraphDb::plan_step`] / [`GraphDb::plan_step_back`]
-//!    under the pool's [`crate::graph::StepPolicy`]): skip it (the
-//!    frontier misses the label, so the step is provably empty), run
-//!    the *masked* kernel (iterate `frontier ∩ label-active`
-//!    word-by-word, never reading an edge-less node's offsets) or the
-//!    plain one — priced by a degree-weighted popcount cost model whose
-//!    frontier popcount is counted for free during the previous merge;
-//! 2. **runs** the planned kernel of the pass's direction (out-edges or
-//!    in-edges);
+//!    bitmaps ([`GraphDb::plan_step`] under the pool's
+//!    [`crate::graph::StepPolicy`]): skip it (the frontier misses the
+//!    label, so the step is provably empty), run the kernel *masked*
+//!    (iterate `frontier ∩ label-active` word-by-word, never reading an
+//!    edge-less node's offsets) or plain — priced by a degree-weighted
+//!    popcount cost model whose frontier popcount is counted for free
+//!    during the previous merge;
+//! 2. **runs** the step kernel ([`GraphDb::step_range_into`]) in the
+//!    pass's [`Dir`] (out-edges or in-edges);
 //! 3. optionally **intersects** the output with a coreachability
 //!    certificate;
 //! 4. **merges** it into every target state.
@@ -71,7 +71,7 @@
 //! never tears a half-merged level and the scratch stays reusable.
 
 use crate::cancel::{CancelToken, Interrupt};
-use crate::graph::{GraphDb, NodeId, StepPlan};
+use crate::graph::{Dir, GraphDb, NodeId, StepPlan};
 use crate::par_eval::EvalPool;
 use crate::plan::{QueryPlan, Strategy};
 use pathlearn_automata::{BitSet, Dfa, StateId, Symbol, DEAD};
@@ -192,15 +192,6 @@ impl TransIndex {
     pub(crate) fn targets(&self, step: &LiveStep) -> &[StateId] {
         &self.targets[step.lo as usize..step.hi as usize]
     }
-}
-
-/// Which graph kernel family a pass steps through.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum KernelDir {
-    /// Out-edge kernels (`GraphDb::step_frontier_into` family).
-    Out,
-    /// In-edge kernels (`GraphDb::step_frontier_back_into` family).
-    In,
 }
 
 /// What [`EvalPool::evaluate`] computes.
@@ -448,52 +439,32 @@ impl EvalScratch {
     }
 }
 
-/// What one level steps through: a transition index and the kernel
-/// family its steps ride.
+/// What one level steps through: a transition index and the edge
+/// direction its steps follow.
 #[derive(Clone, Copy)]
 struct Pass<'a> {
     index: &'a TransIndex,
-    dir: KernelDir,
+    dir: Dir,
 }
 
-/// Runs one planned step — the whole frontier, or one word range of it
-/// — into `out`, intersects it with the target's certificate if there
-/// is one, and reports whether anything is left to merge.
+/// Runs one planned step over the frontier words `words` — all of them,
+/// or one chunk — into `out`, intersects it with the target's
+/// certificate if there is one, and reports whether anything is left to
+/// merge.
 fn run_task(
     graph: &GraphDb,
     pass: Pass<'_>,
     task: &StepTask,
     frontiers: &[BitSet],
-    words: Option<Range<usize>>,
+    words: Range<usize>,
     certificate: Option<&[BitSet]>,
     out: &mut BitSet,
 ) -> bool {
     let frontier = &frontiers[task.state as usize];
     let sym = Symbol::from_index(task.row.sym as usize);
-    match (pass.dir, task.masked, words) {
-        (KernelDir::Out, false, None) => graph.step_frontier_into(frontier, sym, out),
-        (KernelDir::Out, true, None) => graph.step_frontier_masked_into(frontier, sym, out),
-        (KernelDir::In, false, None) => graph.step_frontier_back_into(frontier, sym, out),
-        (KernelDir::In, true, None) => graph.step_frontier_back_masked_into(frontier, sym, out),
-        // The ranged kernels accumulate; a chunk starts from nothing.
-        (dir, masked, Some(words)) => {
-            out.clear();
-            match (dir, masked) {
-                (KernelDir::Out, false) => {
-                    graph.step_frontier_range_into(frontier, sym, words, out)
-                }
-                (KernelDir::Out, true) => {
-                    graph.step_frontier_masked_range_into(frontier, sym, words, out)
-                }
-                (KernelDir::In, false) => {
-                    graph.step_frontier_back_range_into(frontier, sym, words, out)
-                }
-                (KernelDir::In, true) => {
-                    graph.step_frontier_back_masked_range_into(frontier, sym, words, out)
-                }
-            }
-        }
-    }
+    // The kernel accumulates; a task (or chunk) starts from nothing.
+    out.clear();
+    graph.step_range_into(pass.dir, task.masked, frontier, sym, words, out);
     if let Some(certificate) = certificate {
         // Sound because every node on a witness path is coreachable;
         // only deterministic (one-target) passes are ever pruned.
@@ -535,10 +506,7 @@ impl EvalPool {
             let len = side.frontier.lens[q as usize];
             for &row in pass.index.live(q) {
                 let sym = Symbol::from_index(row.sym as usize);
-                let plan = match pass.dir {
-                    KernelDir::Out => graph.plan_step(frontier, sym, len, self.step_policy()),
-                    KernelDir::In => graph.plan_step_back(frontier, sym, len, self.step_policy()),
-                };
+                let plan = graph.plan_step(pass.dir, frontier, sym, len, self.step_policy());
                 if plan != StepPlan::Skip {
                     tasks.push(StepTask {
                         state: q,
@@ -567,15 +535,7 @@ impl EvalPool {
                             let chunk = cell % chunks_per_task;
                             let range = chunk * chunk_words..((chunk + 1) * chunk_words).min(words);
                             let LevelPart { step, acc, touched } = &mut *part;
-                            if run_task(
-                                graph,
-                                pass,
-                                task,
-                                frontiers,
-                                Some(range),
-                                certificate,
-                                step,
-                            ) {
+                            if run_task(graph, pass, task, frontiers, range, certificate, step) {
                                 for &target in pass.index.targets(&task.row) {
                                     acc[target as usize].union_with(step);
                                     touched.insert(target as usize);
@@ -588,15 +548,8 @@ impl EvalPool {
             }
             _ => {
                 for task in tasks.iter() {
-                    if run_task(
-                        graph,
-                        pass,
-                        task,
-                        &side.frontier.sets,
-                        None,
-                        certificate,
-                        step,
-                    ) {
+                    let frontiers = &side.frontier.sets;
+                    if run_task(graph, pass, task, frontiers, 0..words, certificate, step) {
                         for &target in pass.index.targets(&task.row) {
                             Side::merge(&mut side.reached, &mut side.next, target as usize, step);
                         }
@@ -719,7 +672,7 @@ impl EvalPool {
         let initial = dfa.initial() as usize;
         let pass = Pass {
             index: &index,
-            dir: KernelDir::In,
+            dir: Dir::In,
         };
         let EvalScratch { main, work, .. } = scratch;
         work.prepare(v, dfa.num_states(), self);
@@ -774,7 +727,7 @@ impl EvalPool {
                 reverse = TransIndex::reverse(query, sigma);
                 let pass = Pass {
                     index: &reverse,
-                    dir: KernelDir::In,
+                    dir: Dir::In,
                 };
                 certificate.prepare(v, q_states);
                 for f in query.finals().iter() {
@@ -794,7 +747,7 @@ impl EvalPool {
         };
         let pass = Pass {
             index: &forward,
-            dir: KernelDir::Out,
+            dir: Dir::Out,
         };
         main.prepare(v, q_states);
         main.seed_node(q0, source);
@@ -890,7 +843,7 @@ pub fn eval_monadic_queued(query: &Dfa, graph: &GraphDb) -> BitSet {
         // Predecessors: graph in-edges joined with reverse DFA transitions
         // on the same symbol. The view borrows the base slice unless a
         // delta overlay touches `node`.
-        let in_edges = graph.in_edges_view(node);
+        let in_edges = graph.edges_of(Dir::In, node);
         let in_edges: &[(Symbol, NodeId)] = &in_edges;
         let mut i = 0;
         while i < in_edges.len() {

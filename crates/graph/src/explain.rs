@@ -39,7 +39,8 @@ pub fn explain_selection(query: &Dfa, graph: &GraphDb, node: NodeId) -> Option<W
             let Some(next_state) = query.step(state, sym) else {
                 continue;
             };
-            let next_set = graph.step_sparse(&set, sym);
+            let mut next_set = Vec::new();
+            graph.step_sparse_into(&set, sym, &mut next_set);
             if next_set.is_empty() {
                 continue;
             }

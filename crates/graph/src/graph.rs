@@ -1,63 +1,63 @@
 //! The graph database container.
 //!
 //! A graph database `G = (V, E)` with `E ⊆ V × Σ × V` (paper §2). Nodes
-//! are dense `u32` ids with optional string names; edges are stored twice
-//! in a **label-partitioned CSR**: forward edges sorted by
-//! `(src, label, dst)`, backward edges by `(dst, label, src)`, each with a
-//! per-`(node, symbol)` offset table of `|V|·|Σ| + 1` entries frozen at
-//! [`GraphBuilder::build`] time. `successors(node, sym)` and
-//! `predecessors(node, sym)` are therefore **two array reads** (offsets
-//! `idx` and `idx + 1` into the edge array) instead of the two binary
-//! searches a mixed-label row would need — the access pattern of every
-//! simulation and product loop in the workspace.
+//! are dense `u32` ids with optional string names; edges are stored once
+//! per [`Dir`] in a **label-partitioned CSR** (an `Adjacency`):
+//! [`Dir::Out`] sorted by `(src, label, dst)`, [`Dir::In`] by
+//! `(dst, label, src)`, each with a per-`(node, symbol)` offset table of
+//! `|V|·|Σ| + 1` entries frozen at [`GraphBuilder::build`] time.
+//! [`GraphDb::neighbors`] is therefore **two array reads** (offsets `idx`
+//! and `idx + 1` into the edge array) instead of the two binary searches
+//! a mixed-label row would need — the access pattern of every simulation
+//! and product loop in the workspace. Everything that asks for "the
+//! `a`-neighbours of a node (set), in one direction" takes the direction
+//! as a [`Dir`] argument, which only selects which adjacency is read.
 //!
-//! On top of the partitioned layout sit the **frontier-batched step
-//! kernels** ([`GraphDb::step_frontier_into`] and friends): one
-//! simulation step for a whole node *set* per call, deduplicating through
-//! word-level [`BitSet`] operations with caller-provided scratch buffers
-//! so the hot loops (RPQ evaluation, SCP search, on-the-fly
-//! determinization) run allocation-free.
+//! On top of the partitioned layout sits the **frontier step kernel**
+//! ([`GraphDb::step_range_into`], with the whole-frontier forms
+//! [`GraphDb::step_into`] / [`GraphDb::step`]): one simulation step for a
+//! whole node *set* per call, deduplicating through word-level
+//! [`BitSet`] operations with caller-provided scratch buffers so the hot
+//! loops (RPQ evaluation, SCP search, on-the-fly determinization) run
+//! allocation-free.
 //!
 //! ## Edge-delta overlay
 //!
 //! A built graph is immutable, but it can absorb **edge deltas** without
 //! a rebuild: [`GraphDb::with_delta`] returns a new handle sharing the
 //! frozen CSR (behind an `Arc`) plus a per-`(label, direction)` overlay
-//! of added/removed edge sets. Every step kernel merges the overlay at
+//! of added/removed edge sets. The step kernel merges the overlay at
 //! visit time — base slice filtered by the removal set, then the added
 //! list — behind a once-per-call branch, so delta-free graphs keep the
 //! exact hot path they had before. The per-label bitmaps, counts and
-//! average degrees the [`StepPolicy`] cost model reads (and the
-//! sparsity flags) are **recomputed exactly** for touched labels at delta-apply
-//! time, so plan decisions stay sound on overlay graphs. When the
-//! overlay outgrows a threshold, [`GraphDb::compact`] folds it into a
-//! fresh CSR **preserving node ids and the alphabet**, so result bitsets
-//! and interned symbols stay valid across compaction. The node set and
-//! alphabet are frozen: a delta naming an unknown node or label is a
-//! structured [`DeltaError`], not an implicit rebuild.
+//! average degrees the [`StepPolicy`] cost model reads are **recomputed
+//! exactly** for touched labels at delta-apply time, so plan decisions
+//! stay sound on overlay graphs. When the overlay outgrows a threshold,
+//! [`GraphDb::compact`] folds it into a fresh CSR **preserving node ids
+//! and the alphabet**, so result bitsets and interned symbols stay valid
+//! across compaction. The node set and alphabet are frozen: a delta
+//! naming an unknown node or label is a structured [`DeltaError`], not
+//! an implicit rebuild.
 //!
-//! Slice accessors ([`GraphDb::successors`], [`GraphDb::out_edges`] and
-//! twins) expose the **base CSR only** — they cannot splice the overlay
-//! into a borrowed slice. Semantic consumers use the merged views:
-//! [`GraphDb::for_each_successor`] / [`GraphDb::for_each_predecessor`],
-//! [`GraphDb::out_edges_view`] / [`GraphDb::in_edges_view`],
-//! [`GraphDb::edges`], and the step kernels themselves.
+//! The slice accessors ([`GraphDb::neighbors`] and its out-direction
+//! shorthand [`GraphDb::successors`]) expose the **base CSR only** — they
+//! cannot splice the overlay into a borrowed slice. Semantic consumers
+//! use the merged views: [`GraphDb::for_each_neighbor`],
+//! [`GraphDb::edges_of`], [`GraphDb::edges`], and the step kernel itself.
 //!
-//! Alongside the offsets, `build` freezes **per-label active-node
-//! bitmaps** ([`GraphDb::label_sources`] / [`GraphDb::label_targets`]):
-//! for each symbol, the set of nodes with at least one out- (resp. in-)
-//! edge of that label. A frontier step over a symbol can only produce
-//! output from frontier nodes in the matching bitmap, which the kernels
-//! exploit at two strengths: **masked step kernels**
-//! ([`GraphDb::step_frontier_masked_into`] and twins) iterate
-//! `frontier ∩ label-active` word-by-word so masked-out nodes never cost
-//! an offset read, and the **cost-model gate** ([`GraphDb::plan_step`] /
-//! [`GraphDb::plan_step_back`], driven by a [`StepPolicy`]) prices each
-//! `(level, symbol)` step with one fused AND+popcount scan, choosing
-//! skip / masked / plain for the level kernel in [`crate::eval`]. Every
-//! frontier kernel also has a **ranged** variant over word-aligned node
-//! chunks (`*_range_into`), the unit of the node-range fan-out a
-//! parallel [`crate::par_eval::EvalPool`] splits a level into.
+//! Alongside the offsets, each adjacency freezes a **per-label
+//! active-node bitmap** ([`GraphDb::label_active`]): for each symbol, the
+//! set of nodes with at least one edge of that label in that direction.
+//! A frontier step over a symbol can only produce output from frontier
+//! nodes in the matching bitmap, which the kernel exploits at two
+//! strengths: its **masked** form iterates `frontier ∩ label-active`
+//! word-by-word so masked-out nodes never cost an offset read, and the
+//! **cost-model gate** ([`GraphDb::plan_step`], driven by a
+//! [`StepPolicy`]) prices each `(level, symbol)` step with one fused
+//! AND+popcount scan, choosing skip / masked / plain for the level kernel
+//! in [`crate::eval`]. The kernel works on word-aligned node chunks, the
+//! unit of the node-range fan-out a parallel
+//! [`crate::par_eval::EvalPool`] splits a level into.
 //!
 //! ## Complexity
 //!
@@ -65,23 +65,18 @@
 //! * memory: `2·|E|` edge entries + `2·(|V|·|Σ| + 1)` offsets — the
 //!   offsets trade `O(|V|·|Σ|)` space for `O(1)` per-symbol lookup, the
 //!   PathFinder-style label-indexed adjacency choice;
-//! * `step_frontier(F, a)`: `O(|F| + Σ_{ν∈F} deg_a(ν) + |V|/64)`;
-//! * `successors` / `predecessors`: `O(1)` to produce the slice.
+//! * `step(dir, F, a)`: `O(|F| + Σ_{ν∈F} deg_a(ν) + |V|/64)`;
+//! * `neighbors`: `O(1)` to produce the slice.
 
 use pathlearn_automata::{Alphabet, BitSet, Symbol};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 
 pub mod snapshot;
 
 /// Numeric identifier of a graph node.
 pub type NodeId = u32;
-
-/// A label is **sparse** when fewer than `|V| / SPARSE_LABEL_DIVISOR`
-/// nodes carry an edge of it (per direction) — a frozen per-label
-/// statistic ([`GraphDb::label_sources_sparse`]). The step cost model
-/// does not read it: [`StepPolicy::Auto`] prices every label by
-/// popcount, dense or sparse.
-const SPARSE_LABEL_DIVISOR: usize = 4;
 
 /// Fixed-point scale of the frozen per-label average degrees consumed by
 /// the step-kernel cost model (×16: quarter-edge resolution is plenty
@@ -96,6 +91,31 @@ const SKIPPED_NODE_COST_X16: u64 = 2 * AVG_DEG_FP;
 /// Cost-model weight of one frontier word the masked kernel scans: the
 /// extra label-bitmap load + AND per `u64` block (×16 fixed point).
 const MASK_WORD_COST_X16: u64 = AVG_DEG_FP;
+
+/// Which way an adjacency lookup or a frontier step follows the edges.
+/// The value only selects which of the graph's two adjacencies is read;
+/// every accessor and the step kernel are otherwise direction-blind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Dir {
+    /// Along the edges: a node's neighbours are its successors.
+    Out,
+    /// Against the edges: a node's neighbours are its predecessors.
+    In,
+}
+
+impl Dir {
+    /// Both directions, [`Dir::Out`] first.
+    pub const BOTH: [Dir; 2] = [Dir::Out, Dir::In];
+
+    /// The opposite direction — where the endpoints of a step in this
+    /// direction are themselves active.
+    pub fn reverse(self) -> Dir {
+        match self {
+            Dir::Out => Dir::In,
+            Dir::In => Dir::Out,
+        }
+    }
+}
 
 /// How an evaluator executes its frontier step kernels — the knob behind
 /// the masked-kernel ablation in `bench_eval` and the cross-engine
@@ -122,9 +142,9 @@ impl StepPolicy {
     pub const ALL: [StepPolicy; 3] = [StepPolicy::Plain, StepPolicy::Masked, StepPolicy::Auto];
 }
 
-/// The per-`(level, symbol)` decision produced by [`GraphDb::plan_step`] /
-/// [`GraphDb::plan_step_back`] under a [`StepPolicy`]: skip the step
-/// entirely (provably empty), run the masked kernel, or run the plain one.
+/// The per-`(level, symbol)` decision produced by [`GraphDb::plan_step`]
+/// under a [`StepPolicy`]: skip the step entirely (provably empty), run
+/// the masked kernel, or run the plain one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepPlan {
     /// No frontier node carries an edge of the symbol in the step
@@ -158,57 +178,152 @@ pub struct GraphDb {
     /// sharing is what makes [`GraphDb::with_delta`] cheap.
     core: std::sync::Arc<GraphCore>,
     /// Pending edge mutations, `None` for a delta-free graph (the
-    /// common case; every kernel branches on this exactly once per
+    /// common case; the step kernel branches on this exactly once per
     /// call).
     delta: Option<Box<DeltaOverlay>>,
 }
 
-/// The immutable build product: label-partitioned CSR + per-label
-/// statistics. One `GraphCore` is shared by the base graph and every
-/// delta overlay handle derived from it.
+/// The immutable build product: names plus one [`Adjacency`] per
+/// [`Dir`]. One `GraphCore` is shared by the base graph and every delta
+/// overlay handle derived from it.
 #[derive(Debug)]
 struct GraphCore {
     alphabet: Alphabet,
     node_names: Vec<String>,
     name_index: HashMap<String, NodeId>,
-    /// Per-node offsets into `out_edges` (`|V| + 1` entries).
-    out_offsets: Vec<u32>,
-    /// Per-`(node, symbol)` offsets into `out_edges` (`|V|·|Σ| + 1`).
-    out_sym_offsets: Vec<u32>,
-    out_edges: Vec<(Symbol, NodeId)>,
-    /// Per-node offsets into `in_edges` (`|V| + 1` entries).
-    in_offsets: Vec<u32>,
-    /// Per-`(node, symbol)` offsets into `in_edges` (`|V|·|Σ| + 1`).
-    in_sym_offsets: Vec<u32>,
-    in_edges: Vec<(Symbol, NodeId)>,
-    /// Per-symbol bitmap of nodes with ≥ 1 outgoing edge of that label.
-    label_sources: Vec<BitSet>,
-    /// Per-symbol bitmap of nodes with ≥ 1 incoming edge of that label.
-    label_targets: Vec<BitSet>,
-    /// `label_source_counts[a] = |label_sources[a]|`, frozen at build so
-    /// the step-kernel cost model never re-popcounts a label bitmap.
-    label_source_counts: Vec<u32>,
-    /// The in-edge twin of `label_source_counts`.
-    label_target_counts: Vec<u32>,
-    /// Average out-degree of a label over its **active sources**
-    /// (`a`-edges / `|label_sources(a)|`), frozen at build in ×16 fixed
-    /// point — the per-label weight of the degree-weighted step cost
-    /// model (see [`GraphDb::plan_step`]).
-    label_source_avg_deg_x16: Vec<u32>,
-    /// The in-edge twin: average in-degree over active targets.
-    label_target_avg_deg_x16: Vec<u32>,
-    /// `label_sources_sparse[a]` ⇔ fewer than `|V| / SPARSE_LABEL_DIVISOR`
-    /// nodes have an out-edge labeled `a` (see
-    /// [`GraphDb::label_sources_sparse`]).
-    label_sources_sparse: Vec<bool>,
-    /// The in-edge twin of `label_sources_sparse`.
-    label_targets_sparse: Vec<bool>,
-    /// Edges per label (direction-independent), frozen at build — the
-    /// baseline a delta's per-label edge count is adjusted from.
-    label_edge_counts: Vec<u64>,
+    /// The same edge set twice, indexed by `Dir as usize`.
+    adj: [Adjacency; 2],
     /// Empty `|V|`-capacity set returned for out-of-alphabet symbols, so
     /// the label bitmaps stay total without an `Option` in the hot path.
     no_label_nodes: BitSet,
+}
+
+/// What the step planner knows about one label in one direction —
+/// derived from the CSR by [`Adjacency::new`], and recomputed exactly
+/// for a label a delta touches.
+#[derive(Clone, Debug)]
+struct LabelStats {
+    /// Nodes with ≥ 1 edge of the label in this direction.
+    active: BitSet,
+    /// `|active|`, so the cost model never re-popcounts the bitmap.
+    active_count: u32,
+    /// Edges of the label per **active** node, in ×16 fixed point — the
+    /// per-label weight of the degree-weighted step cost model (see
+    /// [`GraphDb::plan_step`]).
+    avg_deg_x16: u32,
+    /// Edges of the label (the same number in both directions).
+    edge_count: u64,
+}
+
+impl LabelStats {
+    fn new(active: BitSet, edge_count: u64) -> Self {
+        let active_count = active.len() as u32;
+        let avg_deg_x16 = if active_count == 0 {
+            0
+        } else {
+            (edge_count * AVG_DEG_FP / active_count as u64) as u32
+        };
+        LabelStats {
+            active,
+            active_count,
+            avg_deg_x16,
+            edge_count,
+        }
+    }
+}
+
+/// One direction of the label-partitioned CSR: every edge as a
+/// `(label, endpoint)` pair in `(node, label, endpoint)` order, where
+/// *node* is the source and *endpoint* the target for [`Dir::Out`], and
+/// the other way round for [`Dir::In`].
+#[derive(Debug)]
+struct Adjacency {
+    /// Per-node offsets into `edges` (`|V| + 1` entries).
+    offsets: Vec<u32>,
+    /// Per-`(node, symbol)` offsets into `edges` (`|V|·|Σ| + 1`).
+    sym_offsets: Vec<u32>,
+    edges: Vec<(Symbol, NodeId)>,
+    /// Per-label statistics, indexed by symbol (`|Σ|` entries).
+    labels: Vec<LabelStats>,
+}
+
+impl Adjacency {
+    /// Wraps a `(node, symbol)` offset table and the edge array it
+    /// indexes (each entry carrying the symbol of the partition it sits
+    /// in), deriving everything else — the per-node offsets and the
+    /// per-label statistics — in one `O(|V| + |E|)` pass: one row
+    /// boundary of the table per node, then that node's edges. They are
+    /// pure functions of the CSR, so every producer (the builder, the
+    /// snapshot decoder) gets them from here.
+    fn new(
+        sym_offsets: Vec<u32>,
+        edges: Vec<(Symbol, NodeId)>,
+        num_nodes: usize,
+        sigma: usize,
+    ) -> Self {
+        debug_assert_eq!(sym_offsets.len(), num_nodes * sigma + 1);
+        debug_assert_eq!(sym_offsets[num_nodes * sigma] as usize, edges.len());
+        let mut offsets = Vec::with_capacity(num_nodes + 1);
+        let mut active: Vec<BitSet> = (0..sigma).map(|_| BitSet::new(num_nodes)).collect();
+        let mut edge_counts = vec![0u64; sigma];
+        for node in 0..num_nodes {
+            let (lo, hi) = (sym_offsets[node * sigma], sym_offsets[(node + 1) * sigma]);
+            offsets.push(lo);
+            for &(sym, _) in &edges[lo as usize..hi as usize] {
+                active[sym.index()].insert(node);
+                edge_counts[sym.index()] += 1;
+            }
+        }
+        offsets.push(edges.len() as u32);
+        let labels = active
+            .into_iter()
+            .zip(edge_counts)
+            .map(|(active, edge_count)| LabelStats::new(active, edge_count))
+            .collect();
+        Adjacency {
+            offsets,
+            sym_offsets,
+            edges,
+            labels,
+        }
+    }
+
+    /// Freezes an edge list sorted by `(node, symbol, endpoint)`: the
+    /// order makes each `(node, symbol)` partition a contiguous slice,
+    /// so the offset table is a prefix sum over one counting pass.
+    fn from_sorted(sorted: &[(NodeId, Symbol, NodeId)], num_nodes: usize, sigma: usize) -> Self {
+        let mut sym_offsets = vec![0u32; num_nodes * sigma + 1];
+        for &(node, sym, _) in sorted {
+            sym_offsets[node as usize * sigma + sym.index() + 1] += 1;
+        }
+        for i in 0..num_nodes * sigma {
+            sym_offsets[i + 1] += sym_offsets[i];
+        }
+        let edges = sorted
+            .iter()
+            .map(|&(_, sym, endpoint)| (sym, endpoint))
+            .collect();
+        Adjacency::new(sym_offsets, edges, num_nodes, sigma)
+    }
+
+    /// Every edge of `node`, sorted by `(label, endpoint)`.
+    fn node_edges(&self, node: NodeId) -> &[(Symbol, NodeId)] {
+        let lo = self.offsets[node as usize] as usize;
+        let hi = self.offsets[node as usize + 1] as usize;
+        &self.edges[lo..hi]
+    }
+
+    /// The `sym`-partition of `node`: two array reads into the offset
+    /// table. Empty for an out-of-alphabet symbol.
+    #[inline]
+    fn neighbors(&self, node: NodeId, sym: Symbol) -> &[(Symbol, NodeId)] {
+        let sigma = self.labels.len();
+        if sym.index() >= sigma {
+            return &[];
+        }
+        let idx = node as usize * sigma + sym.index();
+        &self.edges[self.sym_offsets[idx] as usize..self.sym_offsets[idx + 1] as usize]
+    }
 }
 
 /// Why [`GraphDb::with_delta`] rejected an edge-delta batch.
@@ -279,19 +394,11 @@ struct SymDelta {
     added_nodes: BitSet,
     /// Nodes with a non-empty `removed` list.
     removed_nodes: BitSet,
-    /// The **exact** merged active-node bitmap (membership ⇔ ≥ 1
+    /// The **exact** merged statistics (`active` membership ⇔ ≥ 1
     /// effective edge of the label in this direction) — the delta-aware
-    /// replacement of the frozen label bitmap, so masked kernels and
-    /// the cost model stay sound.
-    active: BitSet,
-    /// `|active|`, cached like the frozen per-label counts.
-    active_count: u32,
-    /// Effective average degree over active nodes, ×16 fixed point.
-    avg_deg_x16: u32,
-    /// The recomputed `|active| · SPARSE_LABEL_DIVISOR < |V|` flag.
-    sparse: bool,
-    /// Effective edges of this label (`base − removed + added`).
-    edge_count: u64,
+    /// replacement of the frozen ones, so masked kernels and the cost
+    /// model stay sound.
+    stats: LabelStats,
 }
 
 impl SymDelta {
@@ -301,16 +408,16 @@ impl SymDelta {
             removed: HashMap::new(),
             added_nodes: BitSet::new(num_nodes),
             removed_nodes: BitSet::new(num_nodes),
-            active: BitSet::new(num_nodes),
-            active_count: 0,
-            avg_deg_x16: 0,
-            sparse: false,
-            edge_count: 0,
+            stats: LabelStats::new(BitSet::new(num_nodes), 0),
         }
     }
 
     fn is_noop(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
+    }
+
+    fn touches(&self, node: NodeId) -> bool {
+        self.added_nodes.contains(node as usize) || self.removed_nodes.contains(node as usize)
     }
 
     /// Visits the **effective** endpoints of `node`: the base partition
@@ -373,15 +480,18 @@ impl SymDelta {
     }
 }
 
+/// The deltas of one direction, indexed by symbol (`None` = untouched).
+type SymDeltas = Vec<Option<Box<SymDelta>>>;
+
 /// The edge-delta overlay of a [`GraphDb`] handle: per-symbol
 /// added/removed edge sets in both directions, applied on top of the
-/// shared [`GraphCore`] by the step kernels.
+/// shared [`GraphCore`] by the step kernel.
 #[derive(Clone, Debug)]
 struct DeltaOverlay {
-    /// Out-direction deltas, indexed by symbol (`None` = untouched).
-    out: Vec<Option<Box<SymDelta>>>,
-    /// In-direction deltas (the mirrored edges), indexed by symbol.
-    inn: Vec<Option<Box<SymDelta>>>,
+    /// The same mutations twice, indexed by `Dir as usize` like
+    /// [`GraphCore::adj`]: the in-direction lists mirror the
+    /// out-direction ones.
+    dirs: [SymDeltas; 2],
     /// Total overlay-added edges (counted once, in the out direction).
     added_total: usize,
     /// Total overlay-removed edges.
@@ -393,8 +503,7 @@ struct DeltaOverlay {
 impl DeltaOverlay {
     fn empty(sigma: usize, num_nodes: usize) -> Self {
         DeltaOverlay {
-            out: (0..sigma).map(|_| None).collect(),
-            inn: (0..sigma).map(|_| None).collect(),
+            dirs: [vec![None; sigma], vec![None; sigma]],
             added_total: 0,
             removed_total: 0,
             num_nodes,
@@ -402,7 +511,7 @@ impl DeltaOverlay {
     }
 
     fn is_empty(&self) -> bool {
-        self.out.iter().all(Option::is_none) && self.inn.iter().all(Option::is_none)
+        self.dirs.iter().flatten().all(Option::is_none)
     }
 
     /// Sorted-insert `endpoint` into `lists[node]`; `false` if present.
@@ -443,8 +552,9 @@ impl DeltaOverlay {
         }
     }
 
-    fn slot(slots: &mut [Option<Box<SymDelta>>], si: usize, num_nodes: usize) -> &mut SymDelta {
-        slots[si].get_or_insert_with(|| Box::new(SymDelta::empty(num_nodes)))
+    fn slot(&mut self, dir: Dir, si: usize) -> &mut SymDelta {
+        let num_nodes = self.num_nodes;
+        self.dirs[dir as usize][si].get_or_insert_with(|| Box::new(SymDelta::empty(num_nodes)))
     }
 
     /// Applies one edge removal. Verdict (mirrored into both direction
@@ -453,14 +563,11 @@ impl DeltaOverlay {
     /// removed; an absent edge is a no-op.
     fn remove_edge(&mut self, sym: Symbol, src: NodeId, dst: NodeId, in_base: bool) {
         let si = sym.index();
-        let n = self.num_nodes;
-        let out = Self::slot(&mut self.out, si, n);
+        let out = self.slot(Dir::Out, si);
         if Self::list_remove(&mut out.added, src, dst) {
-            let inn = Self::slot(&mut self.inn, si, n);
-            Self::list_remove(&mut inn.added, dst, src);
+            Self::list_remove(&mut self.slot(Dir::In, si).added, dst, src);
         } else if in_base && Self::list_insert(&mut out.removed, src, dst) {
-            let inn = Self::slot(&mut self.inn, si, n);
-            Self::list_insert(&mut inn.removed, dst, src);
+            Self::list_insert(&mut self.slot(Dir::In, si).removed, dst, src);
         }
     }
 
@@ -469,100 +576,83 @@ impl DeltaOverlay {
     /// is a no-op; otherwise the edge joins the overlay-added set.
     fn add_edge(&mut self, sym: Symbol, src: NodeId, dst: NodeId, in_base: bool) {
         let si = sym.index();
-        let n = self.num_nodes;
-        let out = Self::slot(&mut self.out, si, n);
+        let out = self.slot(Dir::Out, si);
         if Self::list_remove(&mut out.removed, src, dst) {
-            let inn = Self::slot(&mut self.inn, si, n);
-            Self::list_remove(&mut inn.removed, dst, src);
+            Self::list_remove(&mut self.slot(Dir::In, si).removed, dst, src);
         } else if !in_base && Self::list_insert(&mut out.added, src, dst) {
-            let inn = Self::slot(&mut self.inn, si, n);
-            Self::list_insert(&mut inn.added, dst, src);
+            Self::list_insert(&mut self.slot(Dir::In, si).added, dst, src);
         }
     }
 
-    /// Recomputes the derived state (bitmaps, counts, degrees, sparsity)
-    /// of both directions of `si` from the mutation maps, reverting a
-    /// fully cancelled direction to `None` (the delta-free fast path).
-    fn refresh_symbol(&mut self, core: &GraphCore, si: usize) {
-        Self::refresh_dir(&mut self.out, core, si, true);
-        Self::refresh_dir(&mut self.inn, core, si, false);
-    }
-
-    fn refresh_dir(
-        slots: &mut [Option<Box<SymDelta>>],
-        core: &GraphCore,
-        si: usize,
-        out_dir: bool,
-    ) {
-        let Some(delta) = slots[si].as_deref_mut() else {
+    /// Recomputes the derived state (touched-node bitmaps and the label
+    /// statistics) of one direction of `si` from the mutation maps,
+    /// reverting a fully cancelled direction to `None` (the delta-free
+    /// fast path).
+    fn refresh(&mut self, core: &GraphCore, dir: Dir, si: usize) {
+        let slot = &mut self.dirs[dir as usize][si];
+        let Some(delta) = slot.as_deref_mut() else {
             return;
         };
         if delta.is_noop() {
-            slots[si] = None;
+            *slot = None;
             return;
         }
-        let n = core.node_names.len();
-        let sigma = core.alphabet.len();
-        let (base_active, offsets) = if out_dir {
-            (&core.label_sources[si], &core.out_sym_offsets)
-        } else {
-            (&core.label_targets[si], &core.in_sym_offsets)
-        };
-        let base_deg = |node: NodeId| {
-            let idx = node as usize * sigma + si;
-            (offsets[idx + 1] - offsets[idx]) as usize
-        };
-        let mut active = base_active.clone();
-        let mut added_nodes = BitSet::new(n);
-        let mut removed_nodes = BitSet::new(n);
-        let mut added_edges = 0u64;
-        let mut removed_edges = 0u64;
+        let adj = &core.adj[dir as usize];
+        let base = &adj.labels[si];
+        let sym = Symbol::from_index(si);
+        let mut active = base.active.clone();
+        let mut edge_count = base.edge_count;
+        delta.added_nodes.clear();
+        delta.removed_nodes.clear();
         for (&node, list) in &delta.removed {
-            removed_nodes.insert(node as usize);
-            removed_edges += list.len() as u64;
+            delta.removed_nodes.insert(node as usize);
+            edge_count -= list.len() as u64;
             // The removal list is a subset of the node's base slice, so
             // equal lengths mean every base edge is gone.
-            if list.len() == base_deg(node) {
+            if list.len() == adj.neighbors(node, sym).len() {
                 active.remove(node as usize);
             }
         }
         for (&node, list) in &delta.added {
-            added_nodes.insert(node as usize);
-            added_edges += list.len() as u64;
+            delta.added_nodes.insert(node as usize);
+            edge_count += list.len() as u64;
             active.insert(node as usize);
         }
-        delta.added_nodes = added_nodes;
-        delta.removed_nodes = removed_nodes;
-        delta.active_count = active.len() as u32;
-        delta.edge_count = core.label_edge_counts[si] - removed_edges + added_edges;
-        delta.avg_deg_x16 = if delta.active_count == 0 {
-            0
-        } else {
-            (delta.edge_count * AVG_DEG_FP / delta.active_count as u64) as u32
-        };
-        delta.sparse = (delta.active_count as usize) * SPARSE_LABEL_DIVISOR < n;
-        delta.active = active;
+        delta.stats = LabelStats::new(active, edge_count);
     }
 
     /// Recounts the overlay totals (out direction only — every edge
     /// appears exactly once there).
     fn refresh_totals(&mut self) {
-        self.added_total = self
-            .out
-            .iter()
-            .flatten()
-            .map(|d| d.added.values().map(Vec::len).sum::<usize>())
-            .sum();
-        self.removed_total = self
-            .out
-            .iter()
-            .flatten()
-            .map(|d| d.removed.values().map(Vec::len).sum::<usize>())
-            .sum();
+        let edges =
+            |lists: &HashMap<NodeId, Vec<NodeId>>| lists.values().map(Vec::len).sum::<usize>();
+        let out = self.dirs[Dir::Out as usize].iter().flatten();
+        self.added_total = out.clone().map(|d| edges(&d.added)).sum();
+        self.removed_total = out.map(|d| edges(&d.removed)).sum();
     }
 }
 
 impl GraphDb {
+    /// Wraps the two adjacencies of one edge set into a delta-free graph.
+    fn from_parts(
+        alphabet: Alphabet,
+        node_names: Vec<String>,
+        name_index: HashMap<String, NodeId>,
+        adj: [Adjacency; 2],
+    ) -> GraphDb {
+        let no_label_nodes = BitSet::new(node_names.len());
+        GraphDb {
+            core: std::sync::Arc::new(GraphCore {
+                alphabet,
+                node_names,
+                name_index,
+                adj,
+                no_label_nodes,
+            }),
+            delta: None,
+        }
+    }
+
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.core.node_names.len()
@@ -571,7 +661,7 @@ impl GraphDb {
     /// Number of edges, **including** any pending delta overlay
     /// (`base − removed + added`).
     pub fn num_edges(&self) -> usize {
-        let base = self.core.out_edges.len();
+        let base = self.adj(Dir::Out).edges.len();
         match self.delta.as_deref() {
             Some(delta) => base - delta.removed_total + delta.added_total,
             None => base,
@@ -598,297 +688,166 @@ impl GraphDb {
         0..self.num_nodes() as NodeId
     }
 
-    /// Outgoing edges of `node` in the **base CSR**, sorted by
-    /// `(label, target)`. A borrowed slice cannot splice the delta
-    /// overlay in; overlay-aware consumers use
-    /// [`GraphDb::out_edges_view`] or [`GraphDb::for_each_successor`].
-    pub fn out_edges(&self, node: NodeId) -> &[(Symbol, NodeId)] {
-        let lo = self.core.out_offsets[node as usize] as usize;
-        let hi = self.core.out_offsets[node as usize + 1] as usize;
-        &self.core.out_edges[lo..hi]
-    }
-
-    /// Incoming edges of `node` in the **base CSR** as
-    /// `(label, source)`, sorted. Overlay-aware consumers use
-    /// [`GraphDb::in_edges_view`] or [`GraphDb::for_each_predecessor`].
-    pub fn in_edges(&self, node: NodeId) -> &[(Symbol, NodeId)] {
-        let lo = self.core.in_offsets[node as usize] as usize;
-        let hi = self.core.in_offsets[node as usize + 1] as usize;
-        &self.core.in_edges[lo..hi]
-    }
-
-    /// The out-direction delta of `sym`, if any — the once-per-call
-    /// branch of every forward kernel.
+    /// The base adjacency of one direction — the data pointer a [`Dir`]
+    /// argument resolves to, once per call.
     #[inline]
-    fn out_delta(&self, sym: Symbol) -> Option<&SymDelta> {
-        self.delta.as_ref()?.out.get(sym.index())?.as_deref()
+    fn adj(&self, dir: Dir) -> &Adjacency {
+        &self.core.adj[dir as usize]
     }
 
-    /// The in-direction twin of [`GraphDb::out_delta`].
+    /// The pending delta of `sym` in one direction, if any — the
+    /// once-per-call overlay branch of the step kernel.
     #[inline]
-    fn in_delta(&self, sym: Symbol) -> Option<&SymDelta> {
-        self.delta.as_ref()?.inn.get(sym.index())?.as_deref()
+    fn sym_delta(&self, dir: Dir, sym: Symbol) -> Option<&SymDelta> {
+        self.delta.as_ref()?.dirs[dir as usize]
+            .get(sym.index())?
+            .as_deref()
     }
 
-    /// `sym`-successors of `node` in the **base CSR**, as the
-    /// `(label, target)` sub-slice. Two array reads into the
-    /// label-partitioned offset table. Overlay-aware consumers use
-    /// [`GraphDb::for_each_successor`].
+    /// The statistics the planner reads for `sym` in one direction: the
+    /// delta's recomputed ones for a touched label, the frozen ones
+    /// otherwise, `None` for an out-of-alphabet symbol.
+    #[inline]
+    fn label_stats(&self, dir: Dir, sym: Symbol) -> Option<&LabelStats> {
+        match self.sym_delta(dir, sym) {
+            Some(delta) => Some(&delta.stats),
+            None => self.adj(dir).labels.get(sym.index()),
+        }
+    }
+
+    /// The `sym`-neighbours of `node` in the **base CSR** as the
+    /// `(label, endpoint)` sub-slice, sorted by endpoint: targets of
+    /// `node`'s out-edges for [`Dir::Out`], sources of its in-edges for
+    /// [`Dir::In`]. Two array reads into the label-partitioned offset
+    /// table; empty for an out-of-alphabet symbol. A borrowed slice
+    /// cannot splice the delta overlay in — overlay-aware consumers use
+    /// [`GraphDb::for_each_neighbor`].
+    #[inline]
+    pub fn neighbors(&self, dir: Dir, node: NodeId, sym: Symbol) -> &[(Symbol, NodeId)] {
+        self.adj(dir).neighbors(node, sym)
+    }
+
+    /// `sym`-successors of `node` in the base CSR — shorthand for
+    /// [`GraphDb::neighbors`] along [`Dir::Out`].
     #[inline]
     pub fn successors(&self, node: NodeId, sym: Symbol) -> &[(Symbol, NodeId)] {
-        let sigma = self.core.alphabet.len();
-        if sym.index() >= sigma {
-            return &[];
-        }
-        let idx = node as usize * sigma + sym.index();
-        &self.core.out_edges
-            [self.core.out_sym_offsets[idx] as usize..self.core.out_sym_offsets[idx + 1] as usize]
+        self.neighbors(Dir::Out, node, sym)
     }
 
-    /// `sym`-predecessors of `node` in the **base CSR**, as the
-    /// `(label, source)` sub-slice. Two array reads into the
-    /// label-partitioned offset table. Overlay-aware consumers use
-    /// [`GraphDb::for_each_predecessor`].
+    /// Visits every **effective** `sym`-neighbour of `node` — the base
+    /// slice with the delta overlay merged in (removed endpoints
+    /// skipped, added endpoints appended). On a delta-free graph this is
+    /// exactly a walk of [`GraphDb::neighbors`].
     #[inline]
-    pub fn predecessors(&self, node: NodeId, sym: Symbol) -> &[(Symbol, NodeId)] {
-        let sigma = self.core.alphabet.len();
-        if sym.index() >= sigma {
-            return &[];
-        }
-        let idx = node as usize * sigma + sym.index();
-        &self.core.in_edges
-            [self.core.in_sym_offsets[idx] as usize..self.core.in_sym_offsets[idx + 1] as usize]
-    }
-
-    /// Visits every **effective** `sym`-successor of `node` — the base
-    /// slice with the delta overlay merged in (removed targets skipped,
-    /// added targets appended). On a delta-free graph this is exactly a
-    /// walk of [`GraphDb::successors`].
-    #[inline]
-    pub fn for_each_successor(&self, node: NodeId, sym: Symbol, mut visit: impl FnMut(NodeId)) {
-        match self.out_delta(sym) {
-            None => {
-                for &(_, target) in self.successors(node, sym) {
-                    visit(target);
-                }
-            }
-            Some(delta) => delta.visit_merged(self.successors(node, sym), node, visit),
-        }
-    }
-
-    /// The backward twin of [`GraphDb::for_each_successor`]: every
-    /// effective `sym`-predecessor of `node`.
-    #[inline]
-    pub fn for_each_predecessor(&self, node: NodeId, sym: Symbol, mut visit: impl FnMut(NodeId)) {
-        match self.in_delta(sym) {
-            None => {
-                for &(_, source) in self.predecessors(node, sym) {
-                    visit(source);
-                }
-            }
-            Some(delta) => delta.visit_merged(self.predecessors(node, sym), node, visit),
-        }
-    }
-
-    /// `true` iff the delta overlay touches any out-edge of `node`.
-    fn node_touched(slots: &[Option<Box<SymDelta>>], node: NodeId) -> bool {
-        slots.iter().flatten().any(|d| {
-            d.added_nodes.contains(node as usize) || d.removed_nodes.contains(node as usize)
-        })
-    }
-
-    /// The **effective** outgoing edges of `node`, overlay included,
-    /// sorted by `(label, target)`. Borrows the base slice when the
-    /// overlay does not touch `node` (always, on a delta-free graph);
-    /// allocates a merged copy otherwise.
-    pub fn out_edges_view(&self, node: NodeId) -> std::borrow::Cow<'_, [(Symbol, NodeId)]> {
-        match self.delta.as_deref() {
-            Some(delta) if Self::node_touched(&delta.out, node) => {
-                std::borrow::Cow::Owned(self.merged_edges(node, &delta.out, true))
-            }
-            _ => std::borrow::Cow::Borrowed(self.out_edges(node)),
-        }
-    }
-
-    /// The incoming twin of [`GraphDb::out_edges_view`]: effective
-    /// `(label, source)` pairs of `node`, sorted.
-    pub fn in_edges_view(&self, node: NodeId) -> std::borrow::Cow<'_, [(Symbol, NodeId)]> {
-        match self.delta.as_deref() {
-            Some(delta) if Self::node_touched(&delta.inn, node) => {
-                std::borrow::Cow::Owned(self.merged_edges(node, &delta.inn, false))
-            }
-            _ => std::borrow::Cow::Borrowed(self.in_edges(node)),
-        }
-    }
-
-    /// Builds the merged `(label, endpoint)` list of one touched node:
-    /// per symbol, the base partition filtered by the removal list, then
-    /// the added list — both sorted, so the output stays sorted by
-    /// `(label, endpoint)` without a final sort.
-    fn merged_edges(
+    pub fn for_each_neighbor(
         &self,
+        dir: Dir,
         node: NodeId,
-        slots: &[Option<Box<SymDelta>>],
-        out_dir: bool,
-    ) -> Vec<(Symbol, NodeId)> {
+        sym: Symbol,
+        mut visit: impl FnMut(NodeId),
+    ) {
+        let base = self.neighbors(dir, node, sym);
+        match self.sym_delta(dir, sym) {
+            None => base.iter().for_each(|&(_, endpoint)| visit(endpoint)),
+            Some(delta) => delta.visit_merged(base, node, visit),
+        }
+    }
+
+    /// The **effective** edges of `node` in one direction, overlay
+    /// included, as `(label, endpoint)` pairs sorted by both. Borrows
+    /// the base slice when the overlay does not touch `node` (always, on
+    /// a delta-free graph); allocates a merged copy otherwise.
+    pub fn edges_of(&self, dir: Dir, node: NodeId) -> Cow<'_, [(Symbol, NodeId)]> {
+        let adj = self.adj(dir);
+        let deltas = self
+            .delta
+            .as_deref()
+            .map(|overlay| &overlay.dirs[dir as usize]);
+        let Some(deltas) = deltas.filter(|deltas| deltas.iter().flatten().any(|d| d.touches(node)))
+        else {
+            return Cow::Borrowed(adj.node_edges(node));
+        };
+        // Per symbol, the base partition filtered by the removal list
+        // merged with the added list — both sorted, so the output stays
+        // sorted by `(label, endpoint)` without a final sort.
         let mut merged = Vec::new();
-        for si in 0..self.core.alphabet.len() {
+        for (si, delta) in deltas.iter().enumerate() {
             let sym = Symbol::from_index(si);
-            let base = if out_dir {
-                self.successors(node, sym)
-            } else {
-                self.predecessors(node, sym)
-            };
-            match slots[si].as_deref() {
+            let base = adj.neighbors(node, sym);
+            match delta {
                 None => merged.extend_from_slice(base),
                 Some(delta) => {
-                    delta.visit_merged_sorted(base, node, |endpoint| {
-                        merged.push((sym, endpoint));
-                    });
+                    delta.visit_merged_sorted(base, node, |endpoint| merged.push((sym, endpoint)))
                 }
             }
         }
-        merged
+        Cow::Owned(merged)
     }
 
-    /// Nodes with at least one **outgoing** `sym`-labeled edge, as a
-    /// `|V|`-capacity bitmap. A forward frontier step
-    /// ([`GraphDb::step_frontier_into`]) can only produce output from
-    /// frontier nodes in this set, so evaluators skip any symbol whose
-    /// frontier∩`label_sources` intersection is empty — one word-level
-    /// AND scan instead of a full edge-slice walk. Out-of-alphabet
-    /// symbols yield the (correctly empty) all-zeros set.
+    /// Number of edges of `node` in one direction (out-degree for
+    /// [`Dir::Out`], in-degree for [`Dir::In`]), delta overlay included.
+    pub fn degree(&self, dir: Dir, node: NodeId) -> usize {
+        let mut degree = self.adj(dir).node_edges(node).len();
+        if let Some(overlay) = self.delta.as_deref() {
+            for delta in overlay.dirs[dir as usize].iter().flatten() {
+                if delta.added_nodes.contains(node as usize) {
+                    degree += delta.added[&node].len();
+                }
+                if delta.removed_nodes.contains(node as usize) {
+                    degree -= delta.removed[&node].len();
+                }
+            }
+        }
+        degree
+    }
+
+    /// Nodes with at least one `sym`-labeled edge in direction `dir`
+    /// (an outgoing one for [`Dir::Out`], an incoming one for
+    /// [`Dir::In`]), as a `|V|`-capacity bitmap, delta overlay included.
+    /// A frontier step ([`GraphDb::step_into`]) can only produce output
+    /// from frontier nodes in this set, so evaluators skip any symbol
+    /// whose frontier∩`label_active` intersection is empty — one
+    /// word-level AND scan instead of a full edge-slice walk.
+    /// Out-of-alphabet symbols yield the (correctly empty) all-zeros set.
     ///
     /// ```
-    /// use pathlearn_graph::graph::figure3_g0;
+    /// use pathlearn_graph::graph::{figure3_g0, Dir};
     ///
     /// let graph = figure3_g0();
     /// let c = graph.alphabet().symbol("c").unwrap();
-    /// // v3 is the only node with an outgoing c-edge in G0.
+    /// // v3 is the only node with an outgoing c-edge in G0, v4 the only
+    /// // one with an incoming c-edge.
     /// let v3 = graph.node_id("v3").unwrap() as usize;
-    /// assert_eq!(graph.label_sources(c).iter().collect::<Vec<_>>(), [v3]);
+    /// let v4 = graph.node_id("v4").unwrap() as usize;
+    /// assert_eq!(graph.label_active(Dir::Out, c).iter().collect::<Vec<_>>(), [v3]);
+    /// assert_eq!(graph.label_active(Dir::In, c).iter().collect::<Vec<_>>(), [v4]);
     /// ```
     #[inline]
-    pub fn label_sources(&self, sym: Symbol) -> &BitSet {
-        if let Some(delta) = self.out_delta(sym) {
-            return &delta.active;
-        }
-        self.core
-            .label_sources
-            .get(sym.index())
-            .unwrap_or(&self.core.no_label_nodes)
+    pub fn label_active(&self, dir: Dir, sym: Symbol) -> &BitSet {
+        self.label_stats(dir, sym)
+            .map_or(&self.core.no_label_nodes, |stats| &stats.active)
     }
 
-    /// Nodes with at least one **incoming** `sym`-labeled edge — the
-    /// reverse-direction twin of [`GraphDb::label_sources`], consulted by
-    /// the backward frontier step ([`GraphDb::step_frontier_back_into`]):
-    /// predecessors exist only for frontier nodes in this set.
-    #[inline]
-    pub fn label_targets(&self, sym: Symbol) -> &BitSet {
-        if let Some(delta) = self.in_delta(sym) {
-            return &delta.active;
-        }
-        self.core
-            .label_targets
-            .get(sym.index())
-            .unwrap_or(&self.core.no_label_nodes)
-    }
-
-    /// `true` iff fewer than `|V| / 4` nodes have an outgoing
-    /// `sym`-labeled edge. `false` for out-of-alphabet symbols.
-    #[inline]
-    pub fn label_sources_sparse(&self, sym: Symbol) -> bool {
-        if let Some(delta) = self.out_delta(sym) {
-            return delta.sparse;
-        }
-        self.core
-            .label_sources_sparse
-            .get(sym.index())
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// The in-edge twin of [`GraphDb::label_sources_sparse`].
-    #[inline]
-    pub fn label_targets_sparse(&self, sym: Symbol) -> bool {
-        if let Some(delta) = self.in_delta(sym) {
-            return delta.sparse;
-        }
-        self.core
-            .label_targets_sparse
-            .get(sym.index())
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// `|label_sources(sym)|`, precomputed at build (0 for out-of-alphabet
+    /// `|label_active(dir, sym)|`, precomputed (0 for out-of-alphabet
     /// symbols). The cost model uses it to shortcut labels active on
     /// **every** node, where a mask provably cannot skip anything.
     #[inline]
-    pub fn label_source_count(&self, sym: Symbol) -> usize {
-        if let Some(delta) = self.out_delta(sym) {
-            return delta.active_count as usize;
-        }
-        self.core
-            .label_source_counts
-            .get(sym.index())
-            .map_or(0, |&c| c as usize)
+    pub fn label_active_count(&self, dir: Dir, sym: Symbol) -> usize {
+        self.label_stats(dir, sym)
+            .map_or(0, |stats| stats.active_count as usize)
     }
 
-    /// The in-edge twin of [`GraphDb::label_source_count`].
-    #[inline]
-    pub fn label_target_count(&self, sym: Symbol) -> usize {
-        if let Some(delta) = self.in_delta(sym) {
-            return delta.active_count as usize;
-        }
-        self.core
-            .label_target_counts
-            .get(sym.index())
-            .map_or(0, |&c| c as usize)
-    }
-
-    /// Average number of outgoing `sym`-edges per **active source** of
-    /// the label (`sym`-edges / `|label_sources(sym)|`; 0.0 for dead or
-    /// out-of-alphabet symbols) — the frozen degree weight of the step
-    /// cost model, exposed at float precision for tests and diagnostics.
-    /// Internally the model uses the ×16 fixed-point form, so values are
-    /// quantized to sixteenths.
-    pub fn label_source_avg_degree(&self, sym: Symbol) -> f64 {
-        self.out_avg_deg_x16(sym) as f64 / AVG_DEG_FP as f64
-    }
-
-    /// The in-edge twin of [`GraphDb::label_source_avg_degree`]: average
-    /// incoming `sym`-edges per active target.
-    pub fn label_target_avg_degree(&self, sym: Symbol) -> f64 {
-        self.in_avg_deg_x16(sym) as f64 / AVG_DEG_FP as f64
-    }
-
-    /// The ×16 fixed-point average out-degree the cost model reads —
-    /// the delta's recomputed value for touched labels, the frozen one
-    /// otherwise.
-    #[inline]
-    fn out_avg_deg_x16(&self, sym: Symbol) -> u32 {
-        if let Some(delta) = self.out_delta(sym) {
-            return delta.avg_deg_x16;
-        }
-        self.core
-            .label_source_avg_deg_x16
-            .get(sym.index())
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// The in-edge twin of [`GraphDb::out_avg_deg_x16`].
-    #[inline]
-    fn in_avg_deg_x16(&self, sym: Symbol) -> u32 {
-        if let Some(delta) = self.in_delta(sym) {
-            return delta.avg_deg_x16;
-        }
-        self.core
-            .label_target_avg_deg_x16
-            .get(sym.index())
-            .copied()
-            .unwrap_or(0)
+    /// Average number of `sym`-edges per **active** node of the label in
+    /// direction `dir` (`sym`-edges / `|label_active(dir, sym)|`; 0.0 for
+    /// dead or out-of-alphabet symbols) — the degree weight of the step
+    /// cost model, exposed at float precision for the planner's
+    /// estimates, tests and diagnostics. Internally the model uses the
+    /// ×16 fixed-point form, so values are quantized to sixteenths.
+    pub fn label_avg_degree(&self, dir: Dir, sym: Symbol) -> f64 {
+        let x16 = self
+            .label_stats(dir, sym)
+            .map_or(0, |stats| stats.avg_deg_x16);
+        x16 as f64 / AVG_DEG_FP as f64
     }
 
     /// Heap bytes one monadic/binary **result bitset** on this graph
@@ -908,63 +867,68 @@ impl GraphDb {
     }
 
     /// Number of `u64` words a `|V|`-capacity frontier occupies — the
-    /// granularity of the ranged step kernels and of the node-range
+    /// granularity of [`GraphDb::step_range_into`] and of the node-range
     /// fan-out in [`crate::par_eval`].
     #[inline]
     pub fn num_node_words(&self) -> usize {
         self.num_nodes().div_ceil(BitSet::BLOCK_BITS)
     }
 
-    /// Shared cost model of [`GraphDb::plan_step`] /
-    /// [`GraphDb::plan_step_back`].
+    /// Plans one step of `frontier` over `sym` in direction `dir` under
+    /// `policy` (see [`StepPlan`]). `frontier_len` is the frontier's
+    /// popcount; the caller computes it once per `(level, state)` and
+    /// amortizes it over every symbol of the level (it is only read by
+    /// [`StepPolicy::Auto`], pass 0 otherwise).
     ///
     /// Under [`StepPolicy::Auto`], one fused AND+popcount scan
-    /// ([`BitSet::intersection_len`]) prices the step: an empty
-    /// intersection skips it outright. A non-empty
-    /// intersection strictly smaller than the frontier is then priced
-    /// **degree-weighted**: the masked kernel pays one extra
-    /// label-bitmap load + AND per frontier word but skips every
-    /// masked-out node's offset reads, so it wins when
+    /// ([`BitSet::intersection_len`]) against
+    /// [`GraphDb::label_active`] prices the step: an empty intersection
+    /// skips it outright. A non-empty intersection strictly smaller than
+    /// the frontier is then priced **degree-weighted**: the masked
+    /// kernel pays one extra label-bitmap load + AND per frontier word
+    /// but skips every masked-out node's offset reads, so it wins when
     ///
     /// ```text
     /// (frontier − intersection) · (offset cost + avg label degree)
     ///         >  frontier words · word cost
     /// ```
     ///
-    /// The per-label average degree (frozen at build: label edges /
-    /// active nodes, the ROADMAP's "one multiply away" weight) scales a
-    /// skipped node's worth by how heavy the label's steps are — raw
-    /// popcounts weight all nodes equally, under-masking heavy labels on
-    /// big graphs and over-masking feather-weight ones (the pre-weighted
-    /// model masked whenever a single node was skipped, paying a full
-    /// word scan to save two offset reads). The plan is a pure execution
-    /// strategy: results are bit-identical whichever kernel is chosen
+    /// The per-label average degree (label edges / active nodes, the
+    /// ROADMAP's "one multiply away" weight) scales a skipped node's
+    /// worth by how heavy the label's steps are — raw popcounts weight
+    /// all nodes equally, under-masking heavy labels on big graphs and
+    /// over-masking feather-weight ones (the pre-weighted model masked
+    /// whenever a single node was skipped, paying a full word scan to
+    /// save two offset reads). The plan is a pure execution strategy:
+    /// results are bit-identical whichever kernel is chosen
     /// (differential suite). Labels active on all `|V|` nodes shortcut
     /// to `Plain` without scanning — the precomputed count proves the
     /// mask is a no-op.
     #[inline]
-    fn plan(
+    pub fn plan_step(
         &self,
+        dir: Dir,
         frontier: &BitSet,
+        sym: Symbol,
         frontier_len: usize,
-        active: &BitSet,
-        active_count: usize,
-        avg_deg_x16: u32,
         policy: StepPolicy,
     ) -> StepPlan {
         match policy {
             StepPolicy::Plain => StepPlan::Plain,
             StepPolicy::Masked => StepPlan::Masked,
             StepPolicy::Auto => {
-                if active_count >= self.num_nodes() {
+                let Some(stats) = self.label_stats(dir, sym) else {
+                    return StepPlan::Skip;
+                };
+                if stats.active_count as usize >= self.num_nodes() {
                     return StepPlan::Plain;
                 }
-                let inter = frontier.intersection_len(active);
+                let inter = frontier.intersection_len(&stats.active);
                 if inter == 0 {
                     return StepPlan::Skip;
                 }
                 let skipped = frontier_len.saturating_sub(inter) as u64;
-                let saved_x16 = skipped * (SKIPPED_NODE_COST_X16 + avg_deg_x16 as u64);
+                let saved_x16 = skipped * (SKIPPED_NODE_COST_X16 + stats.avg_deg_x16 as u64);
                 if saved_x16 > self.num_node_words() as u64 * MASK_WORD_COST_X16 {
                     StepPlan::Masked
                 } else {
@@ -974,106 +938,22 @@ impl GraphDb {
         }
     }
 
-    /// Plans one **forward** step of `frontier` over `sym` under `policy`
-    /// (see [`StepPlan`]). `frontier_len` is the frontier's popcount; the
-    /// caller computes it once per `(level, state)` and amortizes it over
-    /// every symbol of the level (it is only read by
-    /// [`StepPolicy::Auto`], pass 0 otherwise).
-    #[inline]
-    pub fn plan_step(
-        &self,
-        frontier: &BitSet,
-        sym: Symbol,
-        frontier_len: usize,
-        policy: StepPolicy,
-    ) -> StepPlan {
-        self.plan(
-            frontier,
-            frontier_len,
-            self.label_sources(sym),
-            self.label_source_count(sym),
-            self.out_avg_deg_x16(sym),
-            policy,
-        )
-    }
-
-    /// The **backward** twin of [`GraphDb::plan_step`], pricing the step
-    /// against [`GraphDb::label_targets`].
-    #[inline]
-    pub fn plan_step_back(
-        &self,
-        frontier: &BitSet,
-        sym: Symbol,
-        frontier_len: usize,
-        policy: StepPolicy,
-    ) -> StepPlan {
-        self.plan(
-            frontier,
-            frontier_len,
-            self.label_targets(sym),
-            self.label_target_count(sym),
-            self.in_avg_deg_x16(sym),
-            policy,
-        )
-    }
-
-    /// Out-degree of `node`, delta overlay included.
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        let mut degree = self.out_edges(node).len();
-        if let Some(delta) = self.delta.as_deref() {
-            degree = Self::delta_degree(degree, &delta.out, node);
-        }
-        degree
-    }
-
-    /// In-degree of `node`, delta overlay included.
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        let mut degree = self.in_edges(node).len();
-        if let Some(delta) = self.delta.as_deref() {
-            degree = Self::delta_degree(degree, &delta.inn, node);
-        }
-        degree
-    }
-
-    fn delta_degree(base: usize, slots: &[Option<Box<SymDelta>>], node: NodeId) -> usize {
-        let mut degree = base;
-        for delta in slots.iter().flatten() {
-            if delta.added_nodes.contains(node as usize) {
-                degree += delta.added[&node].len();
-            }
-            if delta.removed_nodes.contains(node as usize) {
-                degree -= delta.removed[&node].len();
-            }
-        }
-        degree
-    }
-
-    /// One forward simulation step on a node set.
-    ///
-    /// Kept for API stability; internally routed to
-    /// [`GraphDb::step_frontier`]. Prefer [`GraphDb::step_frontier_into`]
-    /// with a reused scratch buffer in hot loops.
-    pub fn step_set(&self, set: &BitSet, sym: Symbol) -> BitSet {
-        self.step_frontier(set, sym)
-    }
-
-    /// One forward simulation step on a frontier: the set of
-    /// `sym`-successors of every node in `frontier`.
-    pub fn step_frontier(&self, frontier: &BitSet, sym: Symbol) -> BitSet {
+    /// One frontier step on a freshly allocated set: the `sym`-neighbours
+    /// in direction `dir` of every node in `frontier`. Prefer
+    /// [`GraphDb::step_into`] with a reused scratch buffer in hot loops.
+    pub fn step(&self, dir: Dir, frontier: &BitSet, sym: Symbol) -> BitSet {
         let mut out = BitSet::new(self.num_nodes());
-        self.step_frontier_into(frontier, sym, &mut out);
+        let words = 0..self.num_node_words();
+        self.step_range_into(dir, false, frontier, sym, words, &mut out);
         out
     }
 
-    /// Allocation-free forward frontier step: clears `out`, then inserts
-    /// the `sym`-successors of every node in `frontier`. `out` must have
-    /// capacity `num_nodes()`. The frontier is consumed word-by-word (the
-    /// [`BitSet`] iterator walks `u64` blocks with trailing-zero scans)
-    /// and every successor range is a contiguous slice of the partitioned
-    /// CSR, so the kernel is a linear pass over frontier-adjacent edges.
+    /// Allocation-free whole-frontier step: clears `out`, then runs
+    /// [`GraphDb::step_range_into`] over every frontier word. `out` must
+    /// have capacity `num_nodes()`.
     ///
     /// ```
-    /// use pathlearn_graph::graph::figure3_g0;
+    /// use pathlearn_graph::graph::{figure3_g0, Dir};
     /// use pathlearn_automata::BitSet;
     ///
     /// let graph = figure3_g0();
@@ -1081,280 +961,154 @@ impl GraphDb {
     /// let v1 = graph.node_id("v1").unwrap() as usize;
     /// let frontier = BitSet::from_indices(graph.num_nodes(), [v1]);
     /// let mut out = BitSet::new(graph.num_nodes());
-    /// graph.step_frontier_into(&frontier, a, &mut out);
+    /// graph.step_into(Dir::Out, false, &frontier, a, &mut out);
     /// // v1 --a--> v2 is the only a-edge out of v1.
     /// assert_eq!(out.len(), 1);
     /// assert!(out.contains(graph.node_id("v2").unwrap() as usize));
     /// ```
-    pub fn step_frontier_into(&self, frontier: &BitSet, sym: Symbol, out: &mut BitSet) {
-        debug_assert_eq!(out.capacity(), self.num_nodes(), "scratch capacity");
+    pub fn step_into(
+        &self,
+        dir: Dir,
+        masked: bool,
+        frontier: &BitSet,
+        sym: Symbol,
+        out: &mut BitSet,
+    ) {
         out.clear();
-        self.step_frontier_range_into(frontier, sym, 0..self.num_node_words(), out);
+        self.step_range_into(dir, masked, frontier, sym, 0..self.num_node_words(), out);
     }
 
-    /// **Masked** forward frontier step: clears `out`, then inserts the
-    /// `sym`-successors of every node in `frontier ∩ label_sources(sym)`.
-    /// Identical output to [`GraphDb::step_frontier_into`] — nodes outside
-    /// the label's active set have no `sym`-out-edges and contribute
-    /// nothing — but the kernel never reads their offsets: per `u64` word
-    /// it loads the frontier block, ANDs in the label block, and iterates
-    /// only the surviving bits. One extra load+AND per word buys a skipped
-    /// two-offset read per masked-out node; [`GraphDb::plan_step`] prices
-    /// the trade per `(level, symbol)`.
+    /// **The** frontier step kernel: inserts into `out` the
+    /// `sym`-neighbours in direction `dir` of every frontier node in the
+    /// words `words.start..words.end` (each word covers 64 node ids).
+    /// `out` must have capacity `num_nodes()` and is **not cleared** —
+    /// the kernel accumulates, so the union over any word-aligned
+    /// partition of `0..num_node_words()` equals the whole-frontier step
+    /// bit-for-bit. This is the unit of the node-range fan-out in
+    /// [`crate::par_eval`]. The frontier is consumed word-by-word with
+    /// trailing-zero scans and every neighbour range is a contiguous
+    /// slice of the partitioned CSR, so the kernel is a linear pass over
+    /// frontier-adjacent edges.
+    ///
+    /// With `masked` the kernel iterates
+    /// `frontier ∩ label_active(dir, sym)` instead of the raw frontier.
+    /// The output is identical — nodes outside the label's active set
+    /// have no `sym`-edges in this direction and contribute nothing —
+    /// but the kernel never reads their offsets: per `u64` word it loads
+    /// the frontier block, ANDs in the label block, and iterates only
+    /// the surviving bits. One extra load+AND per word buys a skipped
+    /// two-offset read per masked-out node; [`GraphDb::plan_step`]
+    /// prices the trade per `(level, symbol)`.
     ///
     /// ```
-    /// use pathlearn_graph::graph::figure3_g0;
+    /// use pathlearn_graph::graph::{figure3_g0, Dir};
     /// use pathlearn_automata::BitSet;
     ///
     /// let graph = figure3_g0();
     /// let c = graph.alphabet().symbol("c").unwrap();
     /// let frontier = BitSet::full(graph.num_nodes());
+    /// let words = 0..graph.num_node_words();
     /// let (mut masked, mut plain) = (BitSet::new(7), BitSet::new(7));
-    /// graph.step_frontier_masked_into(&frontier, c, &mut masked);
-    /// graph.step_frontier_into(&frontier, c, &mut plain);
+    /// graph.step_range_into(Dir::Out, true, &frontier, c, words.clone(), &mut masked);
+    /// graph.step_range_into(Dir::Out, false, &frontier, c, words, &mut plain);
     /// assert_eq!(masked, plain); // only v3 is iterated by the masked kernel
     /// ```
-    pub fn step_frontier_masked_into(&self, frontier: &BitSet, sym: Symbol, out: &mut BitSet) {
-        debug_assert_eq!(out.capacity(), self.num_nodes(), "scratch capacity");
-        out.clear();
-        self.step_frontier_masked_range_into(frontier, sym, 0..self.num_node_words(), out);
-    }
-
-    /// Ranged forward frontier step over the frontier words
-    /// `words.start..words.end` (each word covers 64 node ids): inserts
-    /// the `sym`-successors of every frontier node in the range into
-    /// `out` **without clearing it** — ranged kernels accumulate, so the
-    /// union of any word-aligned partition of `0..num_node_words()`
-    /// equals the full kernel's output bit-for-bit. This is the unit of
-    /// the node-range fan-out in [`crate::par_eval`].
-    pub fn step_frontier_range_into(
+    pub fn step_range_into(
         &self,
+        dir: Dir,
+        masked: bool,
         frontier: &BitSet,
         sym: Symbol,
-        words: std::ops::Range<usize>,
+        words: Range<usize>,
         out: &mut BitSet,
     ) {
-        match self.out_delta(sym) {
-            None => self.for_frontier_words(frontier, None, words, |node| {
-                for &(_, target) in self.successors(node, sym) {
-                    out.insert(target as usize);
+        debug_assert_eq!(out.capacity(), self.num_nodes(), "scratch capacity");
+        if masked {
+            self.step_words::<true>(dir, frontier, sym, words, out)
+        } else {
+            self.step_words::<false>(dir, frontier, sym, words, out)
+        }
+    }
+
+    /// The kernel behind [`GraphDb::step_range_into`]. `MASKED` and
+    /// "does a delta touch `sym`" select, once per call, one of four
+    /// monomorphic word loops — each closure below has exactly one
+    /// instantiation per `MASKED`, so it is inlined into its loop.
+    fn step_words<const MASKED: bool>(
+        &self,
+        dir: Dir,
+        frontier: &BitSet,
+        sym: Symbol,
+        words: Range<usize>,
+        out: &mut BitSet,
+    ) {
+        let adj = self.adj(dir);
+        // `label_active` resolves to the delta's exact merged bitmap, so
+        // the mask never hides an overlay-added edge.
+        let mask = self.label_active(dir, sym);
+        match self.sym_delta(dir, sym) {
+            None => self.for_frontier_words::<MASKED>(frontier, mask, words, |node| {
+                for &(_, endpoint) in adj.neighbors(node, sym) {
+                    out.insert(endpoint as usize);
                 }
             }),
-            Some(delta) => self.for_frontier_words(frontier, None, words, |node| {
-                delta.visit_merged(self.successors(node, sym), node, |target| {
-                    out.insert(target as usize);
+            Some(delta) => self.for_frontier_words::<MASKED>(frontier, mask, words, |node| {
+                delta.visit_merged(adj.neighbors(node, sym), node, |endpoint| {
+                    out.insert(endpoint as usize);
                 });
             }),
         }
     }
 
-    /// Ranged **masked** forward frontier step: the word range of
-    /// [`GraphDb::step_frontier_range_into`] with the iteration masked by
-    /// `label_sources(sym)` as in [`GraphDb::step_frontier_masked_into`].
-    /// Accumulates into `out` without clearing.
-    pub fn step_frontier_masked_range_into(
-        &self,
-        frontier: &BitSet,
-        sym: Symbol,
-        words: std::ops::Range<usize>,
-        out: &mut BitSet,
-    ) {
-        // `label_sources` already resolves to the delta's exact merged
-        // active bitmap, so the mask never hides an overlay-added edge.
-        match self.out_delta(sym) {
-            None => {
-                self.for_frontier_words(frontier, Some(self.label_sources(sym)), words, |node| {
-                    for &(_, target) in self.successors(node, sym) {
-                        out.insert(target as usize);
-                    }
-                })
-            }
-            Some(delta) => self.for_frontier_words(frontier, Some(&delta.active), words, |node| {
-                delta.visit_merged(self.successors(node, sym), node, |target| {
-                    out.insert(target as usize);
-                });
-            }),
-        }
-    }
-
-    /// Word-by-word frontier walk shared by every frontier kernel: for
-    /// each `u64` word of `frontier` in `words`, AND in the matching mask
-    /// word (when masked), then visit each surviving node id via
+    /// Word-by-word frontier walk of the step kernel: for each `u64`
+    /// word of `frontier` in `words`, AND in the matching word of `mask`
+    /// (when `MASKED`), then visit each surviving node id via
     /// trailing-zero scans. Ranges are clamped to the frontier's block
     /// count, so callers can pass any word-aligned chunk.
     #[inline]
-    fn for_frontier_words(
+    fn for_frontier_words<const MASKED: bool>(
         &self,
         frontier: &BitSet,
-        mask: Option<&BitSet>,
-        words: std::ops::Range<usize>,
+        mask: &BitSet,
+        words: Range<usize>,
         mut visit: impl FnMut(NodeId),
     ) {
         debug_assert_eq!(frontier.capacity(), self.num_nodes(), "frontier capacity");
-        let blocks = frontier.as_blocks();
+        let (blocks, mask_blocks) = (frontier.as_blocks(), mask.as_blocks());
         let end = words.end.min(blocks.len());
-        let bits_per = BitSet::BLOCK_BITS;
-        match mask {
-            Some(mask) => {
-                let mask_blocks = mask.as_blocks();
-                for word in words.start..end {
-                    let mut bits = blocks[word] & mask_blocks[word];
-                    while bits != 0 {
-                        let node = word * bits_per + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        visit(node as NodeId);
-                    }
-                }
+        for word in words.start..end {
+            let mut bits = blocks[word];
+            if MASKED {
+                bits &= mask_blocks[word];
             }
-            None => {
-                for word in words.start..end {
-                    let mut bits = blocks[word];
-                    while bits != 0 {
-                        let node = word * bits_per + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        visit(node as NodeId);
-                    }
-                }
+            while bits != 0 {
+                let node = word * BitSet::BLOCK_BITS + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                visit(node as NodeId);
             }
-        }
-    }
-
-    /// One backward frontier step: the set of `sym`-predecessors of every
-    /// node in `frontier`.
-    pub fn step_frontier_back(&self, frontier: &BitSet, sym: Symbol) -> BitSet {
-        let mut out = BitSet::new(self.num_nodes());
-        self.step_frontier_back_into(frontier, sym, &mut out);
-        out
-    }
-
-    /// Allocation-free backward frontier step: clears `out`, then inserts
-    /// the `sym`-predecessors of every node in `frontier`. The backward
-    /// analogue of [`GraphDb::step_frontier_into`]; this is the inner
-    /// kernel of the level-synchronous backward product BFS in
-    /// [`crate::eval::eval_monadic`].
-    pub fn step_frontier_back_into(&self, frontier: &BitSet, sym: Symbol, out: &mut BitSet) {
-        debug_assert_eq!(out.capacity(), self.num_nodes(), "scratch capacity");
-        out.clear();
-        self.step_frontier_back_range_into(frontier, sym, 0..self.num_node_words(), out);
-    }
-
-    /// **Masked** backward frontier step — the backward twin of
-    /// [`GraphDb::step_frontier_masked_into`], iterating
-    /// `frontier ∩ label_targets(sym)` (only those frontier nodes have
-    /// `sym`-in-edges). Clears `out`; output is identical to
-    /// [`GraphDb::step_frontier_back_into`].
-    pub fn step_frontier_back_masked_into(&self, frontier: &BitSet, sym: Symbol, out: &mut BitSet) {
-        debug_assert_eq!(out.capacity(), self.num_nodes(), "scratch capacity");
-        out.clear();
-        self.step_frontier_back_masked_range_into(frontier, sym, 0..self.num_node_words(), out);
-    }
-
-    /// Ranged backward frontier step — the backward twin of
-    /// [`GraphDb::step_frontier_range_into`]. Accumulates into `out`
-    /// without clearing.
-    pub fn step_frontier_back_range_into(
-        &self,
-        frontier: &BitSet,
-        sym: Symbol,
-        words: std::ops::Range<usize>,
-        out: &mut BitSet,
-    ) {
-        match self.in_delta(sym) {
-            None => self.for_frontier_words(frontier, None, words, |node| {
-                for &(_, source) in self.predecessors(node, sym) {
-                    out.insert(source as usize);
-                }
-            }),
-            Some(delta) => self.for_frontier_words(frontier, None, words, |node| {
-                delta.visit_merged(self.predecessors(node, sym), node, |source| {
-                    out.insert(source as usize);
-                });
-            }),
-        }
-    }
-
-    /// Ranged **masked** backward frontier step — the backward twin of
-    /// [`GraphDb::step_frontier_masked_range_into`], masked by
-    /// `label_targets(sym)`. Accumulates into `out` without clearing.
-    pub fn step_frontier_back_masked_range_into(
-        &self,
-        frontier: &BitSet,
-        sym: Symbol,
-        words: std::ops::Range<usize>,
-        out: &mut BitSet,
-    ) {
-        match self.in_delta(sym) {
-            None => {
-                self.for_frontier_words(frontier, Some(self.label_targets(sym)), words, |node| {
-                    for &(_, source) in self.predecessors(node, sym) {
-                        out.insert(source as usize);
-                    }
-                })
-            }
-            Some(delta) => self.for_frontier_words(frontier, Some(&delta.active), words, |node| {
-                delta.visit_merged(self.predecessors(node, sym), node, |source| {
-                    out.insert(source as usize);
-                });
-            }),
         }
     }
 
     /// One forward simulation step on a **sparse** node set (sorted,
-    /// deduplicated ids). Returns a sorted, deduplicated result. Much
-    /// cheaper than [`GraphDb::step_set`] when the set is tiny relative to
-    /// the graph — the common case for the positive side of SCP searches,
-    /// which start from a single node.
-    pub fn step_sparse(&self, set: &[NodeId], sym: Symbol) -> Vec<NodeId> {
-        let mut next = Vec::with_capacity(set.len());
-        self.step_sparse_into(set, sym, &mut next);
-        next
-    }
-
-    /// Allocation-free sparse step: clears `out`, then writes the sorted,
-    /// deduplicated `sym`-successors of `set` into it. Reusing `out`
-    /// across calls keeps the SCP search's per-expansion cost free of
-    /// heap traffic (the buffer only grows, never reallocates at steady
-    /// state).
+    /// deduplicated ids): clears `out`, then writes the sorted,
+    /// deduplicated `sym`-successors of `set` into it. Much cheaper than
+    /// a frontier step when the set is tiny relative to the graph — the
+    /// common case for the positive side of SCP searches, which start
+    /// from a single node — and reusing `out` across calls keeps the
+    /// search's per-expansion cost free of heap traffic (the buffer only
+    /// grows, never reallocates at steady state).
     pub fn step_sparse_into(&self, set: &[NodeId], sym: Symbol, out: &mut Vec<NodeId>) {
         out.clear();
-        match self.out_delta(sym) {
+        let adj = self.adj(Dir::Out);
+        match self.sym_delta(Dir::Out, sym) {
             None => {
                 for &node in set {
-                    out.extend(self.successors(node, sym).iter().map(|&(_, t)| t));
+                    out.extend(adj.neighbors(node, sym).iter().map(|&(_, t)| t));
                 }
             }
             Some(delta) => {
                 for &node in set {
-                    delta.visit_merged(self.successors(node, sym), node, |t| out.push(t));
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// **Masked** sparse step — the sparse twin of
-    /// [`GraphDb::step_frontier_masked_into`]: skips set members outside
-    /// `label_sources(sym)` with one bitmap probe each, so edge-less
-    /// nodes never touch the offset table. Output is identical to
-    /// [`GraphDb::step_sparse_into`] (sorted, deduplicated).
-    pub fn step_sparse_masked_into(&self, set: &[NodeId], sym: Symbol, out: &mut Vec<NodeId>) {
-        out.clear();
-        // Delta-aware: `label_sources` is the exact merged active set.
-        let active = self.label_sources(sym);
-        match self.out_delta(sym) {
-            None => {
-                for &node in set {
-                    if active.contains(node as usize) {
-                        out.extend(self.successors(node, sym).iter().map(|&(_, t)| t));
-                    }
-                }
-            }
-            Some(delta) => {
-                for &node in set {
-                    if active.contains(node as usize) {
-                        delta.visit_merged(self.successors(node, sym), node, |t| out.push(t));
-                    }
+                    delta.visit_merged(adj.neighbors(node, sym), node, |t| out.push(t));
                 }
             }
         }
@@ -1363,23 +1117,22 @@ impl GraphDb {
     }
 
     /// Iterates over all **effective** edges as `(src, label, dst)` —
-    /// delta overlay included, in `(src, label, dst)` order. The
-    /// delta-free path stays lazy and allocation-free; on an overlay
-    /// graph, touched nodes materialize their merged edge list.
-    pub fn edges(&self) -> Box<dyn Iterator<Item = (NodeId, Symbol, NodeId)> + '_> {
-        if self.delta.is_none() {
-            Box::new(
-                self.nodes()
-                    .flat_map(move |n| self.out_edges(n).iter().map(move |&(s, t)| (n, s, t))),
-            )
-        } else {
-            Box::new(self.nodes().flat_map(move |n| {
-                self.out_edges_view(n)
-                    .into_owned()
-                    .into_iter()
-                    .map(move |(s, t)| (n, s, t))
-            }))
-        }
+    /// delta overlay included, in `(src, label, dst)` order. Lazy, and
+    /// allocation-free except at the nodes an overlay touches, which
+    /// materialize their merged edge list.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, Symbol, NodeId)> + '_ {
+        self.nodes().flat_map(move |src| {
+            // An untouched node's base slice is walked in place; only
+            // an `Owned` (merged) view carries a buffer into the chain.
+            let (base, merged) = match self.edges_of(Dir::Out, src) {
+                Cow::Borrowed(base) => (base, Vec::new()),
+                Cow::Owned(merged) => (&[][..], merged),
+            };
+            base.iter()
+                .copied()
+                .chain(merged)
+                .map(move |(sym, dst)| (src, sym, dst))
+        })
     }
 
     /// `true` iff this handle carries a pending edge-delta overlay.
@@ -1399,10 +1152,38 @@ impl GraphDb {
     /// `true` iff `src --sym--> dst` is an edge of the **base CSR**
     /// (ignoring the overlay) — one binary search within the node's
     /// label partition.
-    fn base_has_out(&self, src: NodeId, sym: Symbol, dst: NodeId) -> bool {
+    fn base_has_edge(&self, src: NodeId, sym: Symbol, dst: NodeId) -> bool {
         self.successors(src, sym)
             .binary_search_by_key(&dst, |&(_, t)| t)
             .is_ok()
+    }
+
+    /// The validation [`GraphDb::with_delta`] applies before touching
+    /// anything: every endpoint must be a node of this graph and every
+    /// label a symbol of its alphabet (both are frozen, see
+    /// [`DeltaError`]). Exposed so a durable caller can reject a batch
+    /// with the same verdict *before* logging it.
+    pub fn check_delta(
+        &self,
+        add: &[(NodeId, Symbol, NodeId)],
+        remove: &[(NodeId, Symbol, NodeId)],
+    ) -> Result<(), DeltaError> {
+        let num_nodes = self.num_nodes();
+        let alphabet_len = self.core.alphabet.len();
+        for &(src, symbol, dst) in remove.iter().chain(add) {
+            for node in [src, dst] {
+                if node as usize >= num_nodes {
+                    return Err(DeltaError::NodeOutOfRange { node, num_nodes });
+                }
+            }
+            if symbol.index() >= alphabet_len {
+                return Err(DeltaError::SymbolOutOfRange {
+                    symbol,
+                    alphabet_len,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Returns a new handle over the same frozen CSR with `remove` taken
@@ -1410,8 +1191,9 @@ impl GraphDb {
     /// lists ends up **present**). Deltas are total and no-op tolerant:
     /// removing an absent edge or adding a present one does nothing, and
     /// opposite mutations cancel, so a fully cancelled overlay returns a
-    /// delta-free handle. Only unknown endpoints or labels fail: the
-    /// node set and the alphabet are frozen (see [`DeltaError`]).
+    /// delta-free handle. Only unknown endpoints or labels fail
+    /// ([`GraphDb::check_delta`]): the node set and the alphabet are
+    /// frozen (see [`DeltaError`]).
     ///
     /// The receiver is untouched (handles are snapshots; the CSR is
     /// shared structurally), and stacking is supported: applying a delta
@@ -1435,38 +1217,27 @@ impl GraphDb {
         add: &[(NodeId, Symbol, NodeId)],
         remove: &[(NodeId, Symbol, NodeId)],
     ) -> Result<GraphDb, DeltaError> {
-        let n = self.num_nodes();
+        self.check_delta(add, remove)?;
         let sigma = self.core.alphabet.len();
-        for &(src, sym, dst) in remove.iter().chain(add) {
-            for node in [src, dst] {
-                if node as usize >= n {
-                    return Err(DeltaError::NodeOutOfRange { node, num_nodes: n });
-                }
-            }
-            if sym.index() >= sigma {
-                return Err(DeltaError::SymbolOutOfRange {
-                    symbol: sym,
-                    alphabet_len: sigma,
-                });
-            }
-        }
         let mut overlay = match &self.delta {
             Some(delta) => delta.clone(),
-            None => Box::new(DeltaOverlay::empty(sigma, n)),
+            None => Box::new(DeltaOverlay::empty(sigma, self.num_nodes())),
         };
         let mut touched = vec![false; sigma];
         // Removals strictly before additions: `(G ∖ remove) ∪ add`.
         for &(src, sym, dst) in remove {
-            overlay.remove_edge(sym, src, dst, self.base_has_out(src, sym, dst));
+            overlay.remove_edge(sym, src, dst, self.base_has_edge(src, sym, dst));
             touched[sym.index()] = true;
         }
         for &(src, sym, dst) in add {
-            overlay.add_edge(sym, src, dst, self.base_has_out(src, sym, dst));
+            overlay.add_edge(sym, src, dst, self.base_has_edge(src, sym, dst));
             touched[sym.index()] = true;
         }
         for (si, &was_touched) in touched.iter().enumerate() {
             if was_touched {
-                overlay.refresh_symbol(&self.core, si);
+                for dir in Dir::BOTH {
+                    overlay.refresh(&self.core, dir, si);
+                }
             }
         }
         overlay.refresh_totals();
@@ -1585,118 +1356,23 @@ impl GraphBuilder {
         self.node_names.len()
     }
 
-    /// Finalizes the graph: deduplicates edges, freezes the CSR arrays,
-    /// and precomputes the per-`(node, symbol)` offset tables of the
-    /// label-partitioned layout (one counting pass + one prefix sum per
-    /// direction).
+    /// Finalizes the graph: deduplicates edges and freezes them once per
+    /// direction into the label-partitioned layout (one sort, one
+    /// counting pass and one prefix sum each).
     pub fn build(self) -> GraphDb {
         let n = self.node_names.len();
         let sigma = self.alphabet.len();
-        let mut forward = self.edges;
-        forward.sort_unstable_by_key(|&(s, sym, d)| (s, sym, d));
-        forward.dedup();
-
-        // Sorting by (node, symbol, endpoint) makes each (node, symbol)
-        // partition a contiguous slice; both offset granularities are
-        // prefix sums over the same counting pass.
-        fn offsets(
-            edges: &[(NodeId, Symbol, NodeId)],
-            n: usize,
-            sigma: usize,
-        ) -> (Vec<u32>, Vec<u32>) {
-            let mut node_offsets = vec![0u32; n + 1];
-            let mut sym_offsets = vec![0u32; n * sigma + 1];
-            for &(node, sym, _) in edges {
-                node_offsets[node as usize + 1] += 1;
-                sym_offsets[node as usize * sigma + sym.index() + 1] += 1;
-            }
-            for i in 0..n {
-                node_offsets[i + 1] += node_offsets[i];
-            }
-            for i in 0..n * sigma {
-                sym_offsets[i + 1] += sym_offsets[i];
-            }
-            (node_offsets, sym_offsets)
+        let mut edges = self.edges;
+        edges.sort_unstable();
+        edges.dedup();
+        let out = Adjacency::from_sorted(&edges, n, sigma);
+        // The in direction is the same list keyed by target.
+        for edge in &mut edges {
+            *edge = (edge.2, edge.1, edge.0);
         }
-
-        let (out_offsets, out_sym_offsets) = offsets(&forward, n, sigma);
-        let out_edges: Vec<(Symbol, NodeId)> =
-            forward.iter().map(|&(_, sym, d)| (sym, d)).collect();
-
-        let mut backward: Vec<(NodeId, Symbol, NodeId)> =
-            forward.iter().map(|&(s, sym, d)| (d, sym, s)).collect();
-        backward.sort_unstable_by_key(|&(d, sym, s)| (d, sym, s));
-        let (in_offsets, in_sym_offsets) = offsets(&backward, n, sigma);
-        let in_edges: Vec<(Symbol, NodeId)> =
-            backward.iter().map(|&(_, sym, s)| (sym, s)).collect();
-
-        // Per-label active-node bitmaps: one pass over each edge list.
-        let mut label_sources: Vec<BitSet> = (0..sigma).map(|_| BitSet::new(n)).collect();
-        for &(src, sym, _) in &forward {
-            label_sources[sym.index()].insert(src as usize);
-        }
-        let mut label_targets: Vec<BitSet> = (0..sigma).map(|_| BitSet::new(n)).collect();
-        for &(dst, sym, _) in &backward {
-            label_targets[sym.index()].insert(dst as usize);
-        }
-        let counts =
-            |sets: &[BitSet]| -> Vec<u32> { sets.iter().map(|s| s.len() as u32).collect() };
-        let label_source_counts = counts(&label_sources);
-        let label_target_counts = counts(&label_targets);
-        // Edges per label (identical in both directions) → average
-        // degree over each direction's active nodes, ×16 fixed point.
-        let mut label_edge_counts = vec![0u64; sigma];
-        for &(_, sym, _) in &forward {
-            label_edge_counts[sym.index()] += 1;
-        }
-        let avg_deg = |counts: &[u32]| -> Vec<u32> {
-            label_edge_counts
-                .iter()
-                .zip(counts)
-                .map(|(&edges, &active)| {
-                    if active == 0 {
-                        0
-                    } else {
-                        (edges * AVG_DEG_FP / active as u64) as u32
-                    }
-                })
-                .collect()
-        };
-        let label_source_avg_deg_x16 = avg_deg(&label_source_counts);
-        let label_target_avg_deg_x16 = avg_deg(&label_target_counts);
-        let sparse = |counts: &[u32]| -> Vec<bool> {
-            counts
-                .iter()
-                .map(|&count| count as usize * SPARSE_LABEL_DIVISOR < n)
-                .collect()
-        };
-        let label_sources_sparse = sparse(&label_source_counts);
-        let label_targets_sparse = sparse(&label_target_counts);
-
-        GraphDb {
-            core: std::sync::Arc::new(GraphCore {
-                alphabet: self.alphabet,
-                node_names: self.node_names,
-                name_index: self.name_index,
-                out_offsets,
-                out_sym_offsets,
-                out_edges,
-                in_offsets,
-                in_sym_offsets,
-                in_edges,
-                label_sources,
-                label_targets,
-                label_source_counts,
-                label_target_counts,
-                label_source_avg_deg_x16,
-                label_target_avg_deg_x16,
-                label_sources_sparse,
-                label_targets_sparse,
-                label_edge_counts,
-                no_label_nodes: BitSet::new(n),
-            }),
-            delta: None,
-        }
+        edges.sort_unstable();
+        let inn = Adjacency::from_sorted(&edges, n, sigma);
+        GraphDb::from_parts(self.alphabet, self.node_names, self.name_index, [out, inn])
     }
 }
 
@@ -1769,30 +1445,31 @@ mod tests {
         let a = graph.alphabet().symbol("a").unwrap();
         let b = graph.alphabet().symbol("b").unwrap();
         let c = graph.alphabet().symbol("c").unwrap();
-        let out = graph.out_edges(v3);
+        let out = graph.edges_of(Dir::Out, v3);
         assert!(out.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(graph.successors(v3, a).len(), 3); // → v2, v3, v4
         assert_eq!(graph.successors(v3, b).len(), 0);
         assert_eq!(graph.successors(v3, c).len(), 1); // → v4
         let v4 = graph.node_id("v4").unwrap();
         // v4 in-edges: a from v3/v5/v6, b from v5, c from v3.
-        assert_eq!(graph.in_edges(v4).len(), 5);
-        assert_eq!(graph.predecessors(v4, c).len(), 1);
-        assert_eq!(graph.predecessors(v4, b).len(), 1);
-        assert_eq!(graph.out_degree(v4), 0);
+        assert_eq!(graph.edges_of(Dir::In, v4).len(), 5);
+        assert_eq!(graph.neighbors(Dir::In, v4, c).len(), 1);
+        assert_eq!(graph.neighbors(Dir::In, v4, b).len(), 1);
+        assert_eq!(graph.degree(Dir::Out, v4), 0);
+        assert_eq!(graph.degree(Dir::In, v4), 5);
     }
 
     #[test]
-    fn step_set_follows_labels() {
+    fn step_follows_labels() {
         let graph = figure3_g0();
         let v1 = graph.node_id("v1").unwrap();
         let a = graph.alphabet().symbol("a").unwrap();
         let b = graph.alphabet().symbol("b").unwrap();
         let start = BitSet::from_indices(graph.num_nodes(), [v1 as usize]);
-        let after_a = graph.step_set(&start, a);
+        let after_a = graph.step(Dir::Out, &start, a);
         assert_eq!(after_a.len(), 1);
         assert!(after_a.contains(graph.node_id("v2").unwrap() as usize));
-        let after_b = graph.step_set(&start, b);
+        let after_b = graph.step(Dir::Out, &start, b);
         assert!(after_b.contains(graph.node_id("v7").unwrap() as usize));
     }
 
@@ -1840,21 +1517,18 @@ mod tests {
         let graph = figure3_g0();
         let n = graph.num_nodes();
         for sym in graph.alphabet().symbols() {
-            // Every subset of a 7-node graph, forward and backward.
+            // Every subset of a 7-node graph, in both directions.
             for mask in 0u32..(1 << n) {
                 let frontier = BitSet::from_indices(n, (0..n).filter(|&i| mask & (1 << i) != 0));
-                let mut forward = BitSet::new(n);
-                let mut backward = BitSet::new(n);
-                for node in frontier.iter() {
-                    for &(_, t) in graph.successors(node as NodeId, sym) {
-                        forward.insert(t as usize);
+                for dir in Dir::BOTH {
+                    let mut expected = BitSet::new(n);
+                    for node in frontier.iter() {
+                        for &(_, endpoint) in graph.neighbors(dir, node as NodeId, sym) {
+                            expected.insert(endpoint as usize);
+                        }
                     }
-                    for &(_, s) in graph.predecessors(node as NodeId, sym) {
-                        backward.insert(s as usize);
-                    }
+                    assert_eq!(graph.step(dir, &frontier, sym), expected, "{dir:?}");
                 }
-                assert_eq!(graph.step_frontier(&frontier, sym), forward);
-                assert_eq!(graph.step_frontier_back(&frontier, sym), backward);
             }
         }
     }
@@ -1868,14 +1542,16 @@ mod tests {
         let frontier = BitSet::from_indices(graph.num_nodes(), [v3 as usize]);
         let mut scratch = BitSet::full(graph.num_nodes()); // stale content
         let v4 = graph.node_id("v4").unwrap();
-        graph.step_frontier_into(&frontier, c, &mut scratch);
+        graph.step_into(Dir::Out, false, &frontier, c, &mut scratch);
         assert_eq!(scratch.iter().collect::<Vec<_>>(), vec![v4 as usize]);
         let mut sparse = vec![99, 98]; // stale content
         graph.step_sparse_into(&[v3], a, &mut sparse);
         let mut expected = vec![graph.node_id("v2").unwrap(), v3, v4];
         expected.sort_unstable();
         assert_eq!(sparse, expected);
-        assert_eq!(graph.step_sparse(&[v3], a), sparse);
+        let mut fresh = Vec::new();
+        graph.step_sparse_into(&[v3], a, &mut fresh);
+        assert_eq!(fresh, sparse);
     }
 
     #[test]
@@ -1883,25 +1559,22 @@ mod tests {
         let graph = figure3_g0();
         let foreign = Symbol::from_index(17);
         assert!(graph.successors(0, foreign).is_empty());
-        assert!(graph.predecessors(0, foreign).is_empty());
+        assert!(graph.neighbors(Dir::In, 0, foreign).is_empty());
     }
 
-    /// The bitmap invariant: membership in `label_sources(sym)` /
-    /// `label_targets(sym)` is exactly "has ≥ 1 out- / in-edge labeled
-    /// `sym`", checked against the per-node adjacency slices.
+    /// The bitmap invariant: membership in `label_active(dir, sym)` is
+    /// exactly "has ≥ 1 edge labeled `sym` in direction `dir`", checked
+    /// against the per-node adjacency slices.
     fn assert_label_bitmaps_match_adjacency(graph: &GraphDb) {
         for sym in graph.alphabet().symbols() {
             for node in graph.nodes() {
-                assert_eq!(
-                    graph.label_sources(sym).contains(node as usize),
-                    !graph.successors(node, sym).is_empty(),
-                    "label_sources({sym:?}) vs successors of {node}"
-                );
-                assert_eq!(
-                    graph.label_targets(sym).contains(node as usize),
-                    !graph.predecessors(node, sym).is_empty(),
-                    "label_targets({sym:?}) vs predecessors of {node}"
-                );
+                for dir in Dir::BOTH {
+                    assert_eq!(
+                        graph.label_active(dir, sym).contains(node as usize),
+                        !graph.neighbors(dir, node, sym).is_empty(),
+                        "label_active({dir:?}, {sym:?}) vs neighbors of {node}"
+                    );
+                }
             }
         }
     }
@@ -1915,34 +1588,9 @@ mod tests {
         let c = graph.alphabet().symbol("c").unwrap();
         let v3 = graph.node_id("v3").unwrap() as usize;
         let v4 = graph.node_id("v4").unwrap() as usize;
-        assert_eq!(graph.label_sources(c).iter().collect::<Vec<_>>(), [v3]);
-        assert_eq!(graph.label_targets(c).iter().collect::<Vec<_>>(), [v4]);
-    }
-
-    #[test]
-    fn label_sparsity_flags_match_bitmap_population() {
-        // On G0 (7 nodes): a has 6 out-sources (dense), c has 1 (sparse:
-        // 1·4 < 7). The flags must agree with the |V|/4 rule per
-        // direction, and foreign symbols are never sparse (no scan).
-        let graph = figure3_g0();
-        for sym in graph.alphabet().symbols() {
-            assert_eq!(
-                graph.label_sources_sparse(sym),
-                graph.label_sources(sym).len() * 4 < graph.num_nodes(),
-                "sources {sym:?}"
-            );
-            assert_eq!(
-                graph.label_targets_sparse(sym),
-                graph.label_targets(sym).len() * 4 < graph.num_nodes(),
-                "targets {sym:?}"
-            );
-        }
-        let a = graph.alphabet().symbol("a").unwrap();
-        let c = graph.alphabet().symbol("c").unwrap();
-        assert!(!graph.label_sources_sparse(a));
-        assert!(graph.label_sources_sparse(c));
-        assert!(!graph.label_sources_sparse(Symbol::from_index(17)));
-        assert!(!graph.label_targets_sparse(Symbol::from_index(17)));
+        let active = |dir| graph.label_active(dir, c).iter().collect::<Vec<_>>();
+        assert_eq!(active(Dir::Out), [v3]);
+        assert_eq!(active(Dir::In), [v4]);
     }
 
     #[test]
@@ -1954,37 +1602,27 @@ mod tests {
                 let frontier = BitSet::from_indices(n, (0..n).filter(|&i| mask & (1 << i) != 0));
                 let mut plain = BitSet::new(n);
                 let mut masked = BitSet::new(n);
-                graph.step_frontier_into(&frontier, sym, &mut plain);
-                graph.step_frontier_masked_into(&frontier, sym, &mut masked);
-                assert_eq!(masked, plain, "forward {sym:?} {mask:b}");
-                graph.step_frontier_back_into(&frontier, sym, &mut plain);
-                graph.step_frontier_back_masked_into(&frontier, sym, &mut masked);
-                assert_eq!(masked, plain, "backward {sym:?} {mask:b}");
+                for dir in Dir::BOTH {
+                    graph.step_into(dir, false, &frontier, sym, &mut plain);
+                    graph.step_into(dir, true, &frontier, sym, &mut masked);
+                    assert_eq!(masked, plain, "{dir:?} {sym:?} {mask:b}");
+                }
             }
-            let every: Vec<NodeId> = graph.nodes().collect();
-            let mut plain = Vec::new();
-            let mut masked = Vec::new();
-            graph.step_sparse_into(&every, sym, &mut plain);
-            graph.step_sparse_masked_into(&every, sym, &mut masked);
-            assert_eq!(masked, plain, "sparse {sym:?}");
         }
     }
 
     #[test]
     fn label_counts_match_bitmap_population() {
         let graph = figure3_g0();
-        for sym in graph.alphabet().symbols() {
-            assert_eq!(
-                graph.label_source_count(sym),
-                graph.label_sources(sym).len()
-            );
-            assert_eq!(
-                graph.label_target_count(sym),
-                graph.label_targets(sym).len()
-            );
+        for dir in Dir::BOTH {
+            for sym in graph.alphabet().symbols() {
+                assert_eq!(
+                    graph.label_active_count(dir, sym),
+                    graph.label_active(dir, sym).len()
+                );
+            }
+            assert_eq!(graph.label_active_count(dir, Symbol::from_index(17)), 0);
         }
-        assert_eq!(graph.label_source_count(Symbol::from_index(17)), 0);
-        assert_eq!(graph.label_target_count(Symbol::from_index(17)), 0);
         assert_eq!(graph.num_node_words(), 1);
     }
 
@@ -1999,30 +1637,30 @@ mod tests {
 
         // Plain policy never consults the bitmaps.
         assert_eq!(
-            graph.plan_step(&full, c, full.len(), StepPolicy::Plain),
+            graph.plan_step(Dir::Out, &full, c, full.len(), StepPolicy::Plain),
             StepPlan::Plain
         );
         // Masked policy always masks.
         assert_eq!(
-            graph.plan_step(&full, a, full.len(), StepPolicy::Masked),
+            graph.plan_step(Dir::Out, &full, a, full.len(), StepPolicy::Masked),
             StepPlan::Masked
         );
         // Auto: full frontier over c (1 of 7 nodes active) → masked.
         assert_eq!(
-            graph.plan_step(&full, c, full.len(), StepPolicy::Auto),
+            graph.plan_step(Dir::Out, &full, c, full.len(), StepPolicy::Auto),
             StepPlan::Masked
         );
         // Auto: frontier ⊆ label-active (v3 has an out c-edge) → plain,
         // the mask cannot skip anything.
         let only_v3 = BitSet::from_indices(graph.num_nodes(), [v3]);
         assert_eq!(
-            graph.plan_step(&only_v3, c, 1, StepPolicy::Auto),
+            graph.plan_step(Dir::Out, &only_v3, c, 1, StepPolicy::Auto),
             StepPlan::Plain
         );
         // Auto: frontier disjoint from label-active → skip, dense or not.
         let only_v1 = BitSet::from_indices(graph.num_nodes(), [v1]);
         assert_eq!(
-            graph.plan_step(&only_v1, c, 1, StepPolicy::Auto),
+            graph.plan_step(Dir::Out, &only_v1, c, 1, StepPolicy::Auto),
             StepPlan::Skip
         );
         // A dead frontier over a dense label (v4 has no out-edges at
@@ -2030,16 +1668,17 @@ mod tests {
         let v4 = graph.node_id("v4").unwrap() as usize;
         let only_v4 = BitSet::from_indices(graph.num_nodes(), [v4]);
         assert_eq!(
-            graph.plan_step(&only_v4, a, 1, StepPolicy::Auto),
+            graph.plan_step(Dir::Out, &only_v4, a, 1, StepPolicy::Auto),
             StepPlan::Skip
         );
-        // Backward twin consults label_targets: only v4 has a c-in-edge.
+        // Against the edges the in-direction bitmap is consulted: only
+        // v4 has a c-in-edge.
         assert_eq!(
-            graph.plan_step_back(&only_v3, c, 1, StepPolicy::Auto),
+            graph.plan_step(Dir::In, &only_v3, c, 1, StepPolicy::Auto),
             StepPlan::Skip
         );
         assert_eq!(
-            graph.plan_step_back(&only_v4, c, 1, StepPolicy::Auto),
+            graph.plan_step(Dir::In, &only_v4, c, 1, StepPolicy::Auto),
             StepPlan::Plain
         );
     }
@@ -2049,29 +1688,26 @@ mod tests {
         let graph = figure3_g0();
         for sym in graph.alphabet().symbols() {
             let edges = graph.edges().filter(|&(_, s, _)| s == sym).count() as f64;
-            let sources = graph.label_source_count(sym) as f64;
-            let targets = graph.label_target_count(sym) as f64;
             // Quantized to sixteenths by the fixed-point storage.
             let q = |x: f64| (x * 16.0).floor() / 16.0;
-            assert_eq!(
-                graph.label_source_avg_degree(sym),
-                q(edges / sources),
-                "source avg of {sym:?}"
-            );
-            assert_eq!(
-                graph.label_target_avg_degree(sym),
-                q(edges / targets),
-                "target avg of {sym:?}"
-            );
+            for dir in Dir::BOTH {
+                let active = graph.label_active_count(dir, sym) as f64;
+                assert_eq!(
+                    graph.label_avg_degree(dir, sym),
+                    q(edges / active),
+                    "{dir:?} avg of {sym:?}"
+                );
+            }
         }
         // Spot values: 9 a-edges over 6 sources = 1.5; the single c-edge
         // over one source = 1.0. Foreign symbols report 0.
         let a = graph.alphabet().symbol("a").unwrap();
         let c = graph.alphabet().symbol("c").unwrap();
-        assert_eq!(graph.label_source_avg_degree(a), 1.5);
-        assert_eq!(graph.label_source_avg_degree(c), 1.0);
-        assert_eq!(graph.label_source_avg_degree(Symbol::from_index(17)), 0.0);
-        assert_eq!(graph.label_target_avg_degree(Symbol::from_index(17)), 0.0);
+        assert_eq!(graph.label_avg_degree(Dir::Out, a), 1.5);
+        assert_eq!(graph.label_avg_degree(Dir::Out, c), 1.0);
+        for dir in Dir::BOTH {
+            assert_eq!(graph.label_avg_degree(dir, Symbol::from_index(17)), 0.0);
+        }
     }
 
     #[test]
@@ -2090,33 +1726,33 @@ mod tests {
         }
         builder.add_edge_ids(first + 1, t, first + 2);
         let graph = builder.build();
-        assert_eq!(graph.label_source_avg_degree(h), 200.0);
-        assert_eq!(graph.label_source_avg_degree(t), 1.0);
+        assert_eq!(graph.label_avg_degree(Dir::Out, h), 200.0);
+        assert_eq!(graph.label_avg_degree(Dir::Out, t), 1.0);
 
         let frontier = BitSet::from_indices(640, [0, 1, 2]);
         // Heavy label: 2 skipped nodes × (2 offset reads + deg 200)
         // dwarfs the 10-word mask scan → Masked.
         assert_eq!(
-            graph.plan_step(&frontier, h, 3, StepPolicy::Auto),
+            graph.plan_step(Dir::Out, &frontier, h, 3, StepPolicy::Auto),
             StepPlan::Masked
         );
         // Feather-weight label, same popcounts: 2 × (2 + 1) < 10 words
         // of scan → Plain (the pre-weighted model masked here).
         assert_eq!(
-            graph.plan_step(&frontier, t, 3, StepPolicy::Auto),
+            graph.plan_step(Dir::Out, &frontier, t, 3, StepPolicy::Auto),
             StepPlan::Plain
         );
         // A big frontier mostly missing the active set masks even the
         // light label: 639 skipped nodes buy the scan many times over.
         let full = BitSet::full(640);
         assert_eq!(
-            graph.plan_step(&full, t, 640, StepPolicy::Auto),
+            graph.plan_step(Dir::Out, &full, t, 640, StepPolicy::Auto),
             StepPlan::Masked
         );
         // Disjoint frontiers still skip outright, degree notwithstanding.
         let disjoint = BitSet::from_indices(640, [5]);
         assert_eq!(
-            graph.plan_step(&disjoint, h, 1, StepPolicy::Auto),
+            graph.plan_step(Dir::Out, &disjoint, h, 1, StepPolicy::Auto),
             StepPlan::Skip
         );
     }
@@ -2146,37 +1782,28 @@ mod tests {
         let graph = builder.build();
         let frontier = BitSet::from_indices(130, (0..130).filter(|i| i % 3 == 0));
         let mut full = BitSet::new(130);
-        graph.step_frontier_into(&frontier, a, &mut full);
+        graph.step_into(Dir::Out, false, &frontier, a, &mut full);
         let words = graph.num_node_words();
         assert_eq!(words, 3);
         for chunk in 1..=words {
-            let mut acc = BitSet::new(130);
-            let mut start = 0;
-            while start < words {
-                graph.step_frontier_range_into(&frontier, a, start..start + chunk, &mut acc);
-                start += chunk;
+            for masked in [false, true] {
+                let mut acc = BitSet::new(130);
+                let mut start = 0;
+                while start < words {
+                    let range = start..start + chunk;
+                    graph.step_range_into(Dir::Out, masked, &frontier, a, range, &mut acc);
+                    start += chunk;
+                }
+                assert_eq!(acc, full, "chunk {chunk} masked {masked}");
             }
-            assert_eq!(acc, full, "chunk {chunk}");
-            let mut acc_masked = BitSet::new(130);
-            let mut start = 0;
-            while start < words {
-                graph.step_frontier_masked_range_into(
-                    &frontier,
-                    a,
-                    start..start + chunk,
-                    &mut acc_masked,
-                );
-                start += chunk;
-            }
-            assert_eq!(acc_masked, full, "masked chunk {chunk}");
         }
         // Accumulation: a pre-existing bit survives a ranged call.
         let mut acc = BitSet::from_indices(130, [129]);
-        graph.step_frontier_range_into(&frontier, a, 0..1, &mut acc);
+        graph.step_range_into(Dir::Out, false, &frontier, a, 0..1, &mut acc);
         assert!(acc.contains(129));
         // Out-of-range word indices are clamped, not panicking.
         let mut clamped = BitSet::new(130);
-        graph.step_frontier_range_into(&frontier, a, 0..words + 10, &mut clamped);
+        graph.step_range_into(Dir::Out, false, &frontier, a, 0..words + 10, &mut clamped);
         assert_eq!(clamped, full);
     }
 
@@ -2184,11 +1811,14 @@ mod tests {
     fn label_bitmaps_of_foreign_symbol_are_empty_with_full_capacity() {
         let graph = figure3_g0();
         let foreign = Symbol::from_index(17);
-        assert!(graph.label_sources(foreign).is_empty());
-        assert!(graph.label_targets(foreign).is_empty());
-        // Capacity |V| so frontier.intersects(bitmap) stays well-typed.
-        assert_eq!(graph.label_sources(foreign).capacity(), graph.num_nodes());
-        assert_eq!(graph.label_targets(foreign).capacity(), graph.num_nodes());
+        for dir in Dir::BOTH {
+            assert!(graph.label_active(dir, foreign).is_empty());
+            // Capacity |V| so frontier.intersects(bitmap) stays well-typed.
+            assert_eq!(
+                graph.label_active(dir, foreign).capacity(),
+                graph.num_nodes()
+            );
+        }
     }
 
     #[test]
@@ -2212,19 +1842,16 @@ mod tests {
         assert_label_bitmaps_match_adjacency(&graph);
         // The isolated node is in no bitmap.
         let isolated = graph.node_id("isolated").unwrap() as usize;
-        for sym in graph.alphabet().symbols() {
-            assert!(!graph.label_sources(sym).contains(isolated));
-            assert!(!graph.label_targets(sym).contains(isolated));
+        for dir in Dir::BOTH {
+            for sym in graph.alphabet().symbols() {
+                assert!(!graph.label_active(dir, sym).contains(isolated));
+            }
+            // The c self-loop puts x in both directions.
+            assert_eq!(
+                graph.label_active(dir, c).iter().collect::<Vec<_>>(),
+                [x as usize]
+            );
         }
-        // The c self-loop puts x in both directions.
-        assert_eq!(
-            graph.label_sources(c).iter().collect::<Vec<_>>(),
-            [x as usize]
-        );
-        assert_eq!(
-            graph.label_targets(c).iter().collect::<Vec<_>>(),
-            [x as usize]
-        );
     }
 
     /// Delta-aware twin of `assert_label_bitmaps_match_adjacency`: the
@@ -2236,106 +1863,66 @@ mod tests {
         let overlay_edges: Vec<_> = overlay.edges().collect();
         let compacted_edges: Vec<_> = compacted.edges().collect();
         assert_eq!(overlay_edges, compacted_edges, "edges() order + content");
-        for sym in overlay.alphabet().symbols() {
-            assert_eq!(
-                overlay.label_sources(sym).iter().collect::<Vec<_>>(),
-                compacted.label_sources(sym).iter().collect::<Vec<_>>(),
-                "label_sources({sym:?})"
-            );
-            assert_eq!(
-                overlay.label_targets(sym).iter().collect::<Vec<_>>(),
-                compacted.label_targets(sym).iter().collect::<Vec<_>>(),
-                "label_targets({sym:?})"
-            );
-            assert_eq!(
-                overlay.label_source_count(sym),
-                compacted.label_source_count(sym)
-            );
-            assert_eq!(
-                overlay.label_target_count(sym),
-                compacted.label_target_count(sym)
-            );
-            assert_eq!(
-                overlay.label_source_avg_degree(sym),
-                compacted.label_source_avg_degree(sym),
-                "avg out-degree of {sym:?}"
-            );
-            assert_eq!(
-                overlay.label_target_avg_degree(sym),
-                compacted.label_target_avg_degree(sym),
-                "avg in-degree of {sym:?}"
-            );
-            assert_eq!(
-                overlay.label_sources_sparse(sym),
-                compacted.label_sources_sparse(sym)
-            );
-            assert_eq!(
-                overlay.label_targets_sparse(sym),
-                compacted.label_targets_sparse(sym)
-            );
-            for node in overlay.nodes() {
-                let mut via_visit = Vec::new();
-                overlay.for_each_successor(node, sym, |t| via_visit.push(t));
-                via_visit.sort_unstable();
-                let direct: Vec<NodeId> = compacted
-                    .successors(node, sym)
-                    .iter()
-                    .map(|&(_, t)| t)
-                    .collect();
-                assert_eq!(via_visit, direct, "successors of {node} over {sym:?}");
-                let mut back_visit = Vec::new();
-                overlay.for_each_predecessor(node, sym, |s| back_visit.push(s));
-                back_visit.sort_unstable();
-                let back: Vec<NodeId> = compacted
-                    .predecessors(node, sym)
-                    .iter()
-                    .map(|&(_, s)| s)
-                    .collect();
-                assert_eq!(back_visit, back, "predecessors of {node} over {sym:?}");
-            }
-        }
-        for node in overlay.nodes() {
-            assert_eq!(overlay.out_degree(node), compacted.out_degree(node));
-            assert_eq!(overlay.in_degree(node), compacted.in_degree(node));
-            assert_eq!(
-                overlay.out_edges_view(node).as_ref(),
-                compacted.out_edges(node),
-                "out view of {node}"
-            );
-            assert_eq!(
-                overlay.in_edges_view(node).as_ref(),
-                compacted.in_edges(node),
-                "in view of {node}"
-            );
-        }
-        // Frontier kernels, every policy-relevant flavor, every symbol,
-        // from a full frontier and a couple of partial ones.
         let n = overlay.num_nodes();
+        // Whole-frontier kernel, plain and masked, from a full frontier
+        // and a couple of partial ones.
         let frontiers = [
             BitSet::full(n),
             BitSet::from_indices(n, (0..n).step_by(2)),
             BitSet::from_indices(n, [0]),
         ];
+        for dir in Dir::BOTH {
+            for sym in overlay.alphabet().symbols() {
+                assert_eq!(
+                    overlay.label_active(dir, sym),
+                    compacted.label_active(dir, sym),
+                    "label_active({dir:?}, {sym:?})"
+                );
+                assert_eq!(
+                    overlay.label_active_count(dir, sym),
+                    compacted.label_active_count(dir, sym)
+                );
+                assert_eq!(
+                    overlay.label_avg_degree(dir, sym),
+                    compacted.label_avg_degree(dir, sym),
+                    "avg {dir:?}-degree of {sym:?}"
+                );
+                for node in overlay.nodes() {
+                    let mut via_visit = Vec::new();
+                    overlay.for_each_neighbor(dir, node, sym, |t| via_visit.push(t));
+                    via_visit.sort_unstable();
+                    let direct: Vec<NodeId> = compacted
+                        .neighbors(dir, node, sym)
+                        .iter()
+                        .map(|&(_, t)| t)
+                        .collect();
+                    assert_eq!(via_visit, direct, "{dir:?} of {node} over {sym:?}");
+                }
+                for frontier in &frontiers {
+                    let expected = compacted.step(dir, frontier, sym);
+                    let mut stepped = BitSet::new(n);
+                    for masked in [false, true] {
+                        overlay.step_into(dir, masked, frontier, sym, &mut stepped);
+                        assert_eq!(stepped, expected, "{dir:?} masked {masked} {sym:?}");
+                    }
+                }
+            }
+            for node in overlay.nodes() {
+                assert_eq!(overlay.degree(dir, node), compacted.degree(dir, node));
+                assert_eq!(
+                    overlay.edges_of(dir, node),
+                    compacted.edges_of(dir, node),
+                    "{dir:?} view of {node}"
+                );
+            }
+        }
         for sym in overlay.alphabet().symbols() {
             for frontier in &frontiers {
-                let (mut a, mut b) = (BitSet::new(n), BitSet::new(n));
-                overlay.step_frontier_into(frontier, sym, &mut a);
-                compacted.step_frontier_into(frontier, sym, &mut b);
-                assert_eq!(a, b, "plain forward {sym:?}");
-                overlay.step_frontier_masked_into(frontier, sym, &mut a);
-                assert_eq!(a, b, "masked forward {sym:?}");
-                overlay.step_frontier_back_into(frontier, sym, &mut a);
-                compacted.step_frontier_back_into(frontier, sym, &mut b);
-                assert_eq!(a, b, "plain backward {sym:?}");
-                overlay.step_frontier_back_masked_into(frontier, sym, &mut a);
-                assert_eq!(a, b, "masked backward {sym:?}");
                 let set: Vec<NodeId> = frontier.iter().map(|i| i as NodeId).collect();
                 let (mut sa, mut sb) = (Vec::new(), Vec::new());
                 overlay.step_sparse_into(&set, sym, &mut sa);
                 compacted.step_sparse_into(&set, sym, &mut sb);
                 assert_eq!(sa, sb, "sparse {sym:?}");
-                overlay.step_sparse_masked_into(&set, sym, &mut sa);
-                assert_eq!(sa, sb, "sparse masked {sym:?}");
             }
         }
     }
@@ -2350,7 +1937,7 @@ mod tests {
         );
         let id = |name: &str| g0.node_id(name).unwrap();
         // Mixed batch: add a new c-edge and a new b-edge, remove an
-        // a-edge, remove v3's only c-edge (v3 leaves label_sources(c)).
+        // a-edge, remove v3's only c-edge (v3 leaves label_active(Out, c)).
         let overlay = g0
             .with_delta(
                 &[(id("v2"), c, id("v4")), (id("v4"), b, id("v1"))],
@@ -2425,6 +2012,19 @@ mod tests {
                 alphabet_len: 3
             }
         );
+        // `check_delta` is that validation on its own: same verdicts,
+        // and an in-range batch (present or absent edges alike) passes.
+        for (add, remove) in [
+            (vec![(99, a, 0)], vec![]),
+            (vec![], vec![(0, a, 42)]),
+            (vec![(0, foreign, 1)], vec![]),
+            (vec![(0, a, 1)], vec![(6, a, 6)]),
+        ] {
+            assert_eq!(
+                g0.check_delta(&add, &remove),
+                g0.with_delta(&add, &remove).map(|_| ())
+            );
+        }
     }
 
     #[test]
@@ -2462,10 +2062,11 @@ mod tests {
         let (v3, v4) = (g0.node_id("v3").unwrap(), g0.node_id("v4").unwrap());
         // v3 --c--> v4 is the only c-edge in G0.
         let overlay = g0.with_delta(&[], &[(v3, c, v4)]).unwrap();
-        assert!(overlay.label_sources(c).is_empty());
-        assert!(overlay.label_targets(c).is_empty());
-        assert_eq!(overlay.label_source_count(c), 0);
-        assert_eq!(overlay.label_source_avg_degree(c), 0.0);
+        for dir in Dir::BOTH {
+            assert!(overlay.label_active(dir, c).is_empty());
+            assert_eq!(overlay.label_active_count(dir, c), 0);
+            assert_eq!(overlay.label_avg_degree(dir, c), 0.0);
+        }
         assert_overlay_matches_compacted(&overlay, &overlay.compact());
     }
 }

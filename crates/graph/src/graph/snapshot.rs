@@ -22,19 +22,21 @@
 //! out edge dsts    |E| × u32  (labels implied by the partition)
 //! in  sym offsets  (|V|·|Σ| + 1) × u32
 //! in  edge srcs    |E| × u32
-//! label_sources    |Σ| × ⌈|V|/64⌉ × u64 bitmap blocks
-//! label_targets    |Σ| × ⌈|V|/64⌉ × u64 bitmap blocks
+//! out label-active |Σ| × ⌈|V|/64⌉ × u64 bitmap blocks
+//! in  label-active |Σ| × ⌈|V|/64⌉ × u64 bitmap blocks
 //! digest           u64       FNV-1a over all preceding bytes as LE u64
 //!                            words (tail zero-padded, length mixed in)
 //! ```
 //!
 //! Edge labels are *not* stored per edge: within the per-`(node,
 //! symbol)` offset table every partition's symbol is known, so each
-//! direction costs 4 bytes per edge plus the offset table. Derived
-//! statistics (per-label counts, average degrees, sparsity flags, the
-//! per-node offset tables) are recomputed from the stored arrays in one
-//! linear pass — they are pure functions of the CSR, so storing them
-//! would only add ways for a snapshot to lie.
+//! direction costs 4 bytes per edge plus the offset table. Everything
+//! derived (per-label counts and average degrees, the per-node offset
+//! tables) comes from the same `Adjacency` constructor the builder
+//! uses, in one linear pass over the decoded edge array — they are pure
+//! functions of the CSR, so storing them would only add ways for a
+//! snapshot to lie. The label bitmaps *are* stored, and must equal the
+//! ones that constructor derives.
 //!
 //! ## Strict decoding
 //!
@@ -54,7 +56,7 @@
 //! alphabet are preserved), so a snapshot always captures the
 //! *effective* edge set and never needs to encode overlay state.
 
-use super::{GraphCore, GraphDb, NodeId};
+use super::{Adjacency, Dir, GraphDb, NodeId};
 use pathlearn_automata::{Alphabet, BitSet, Symbol};
 use std::collections::HashMap;
 use std::fmt;
@@ -210,10 +212,10 @@ impl GraphDb {
         if self.delta.is_some() {
             return self.compact().snapshot_bytes();
         }
-        let core: &GraphCore = &self.core;
+        let core = &*self.core;
         let n = core.node_names.len();
         let sigma = core.alphabet.len();
-        let m = core.out_edges.len();
+        let m = self.num_edges();
         let mut out = Vec::with_capacity(32 + 8 * (n * sigma + 1) + 8 * m + 16 * n);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -226,21 +228,17 @@ impl GraphDb {
         for name in &core.node_names {
             push_string(&mut out, name).expect("node names fit u16 lengths");
         }
-        for &offset in &core.out_sym_offsets {
-            out.extend_from_slice(&offset.to_le_bytes());
+        for adj in &core.adj {
+            for &offset in &adj.sym_offsets {
+                out.extend_from_slice(&offset.to_le_bytes());
+            }
+            for &(_, endpoint) in &adj.edges {
+                out.extend_from_slice(&endpoint.to_le_bytes());
+            }
         }
-        for &(_, dst) in &core.out_edges {
-            out.extend_from_slice(&dst.to_le_bytes());
-        }
-        for &offset in &core.in_sym_offsets {
-            out.extend_from_slice(&offset.to_le_bytes());
-        }
-        for &(_, src) in &core.in_edges {
-            out.extend_from_slice(&src.to_le_bytes());
-        }
-        for sets in [&core.label_sources, &core.label_targets] {
-            for set in sets.iter() {
-                for &block in set.as_blocks() {
+        for adj in &core.adj {
+            for label in &adj.labels {
+                for &block in label.active.as_blocks() {
                     out.extend_from_slice(&block.to_le_bytes());
                 }
             }
@@ -292,10 +290,6 @@ impl GraphDb {
 // ---------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------
-
-/// One direction's decoded CSR: the `(node, symbol)` offset table plus
-/// the flat `(Symbol, NodeId)` endpoint array it indexes into.
-type DirectionCsr = (Vec<u32>, Vec<(Symbol, NodeId)>);
 
 struct Decoder<'a> {
     bytes: &'a [u8],
@@ -384,16 +378,16 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads one direction's offset table + endpoint array and rebuilds
-    /// the `(Symbol, endpoint)` CSR, validating monotone offsets,
-    /// in-range endpoints, and strictly sorted (deduplicated)
-    /// partitions — the invariant the binary-searching kernels rely on.
+    /// its [`Adjacency`], validating monotone offsets, in-range
+    /// endpoints, and strictly sorted (deduplicated) partitions — the
+    /// invariant the binary-searching kernels rely on.
     fn direction(
         &mut self,
         n: usize,
         sigma: usize,
         m: usize,
         what: &'static str,
-    ) -> Result<DirectionCsr, SnapshotError> {
+    ) -> Result<Adjacency, SnapshotError> {
         let sym_offsets = self.u32_vec(n * sigma + 1)?;
         if sym_offsets[0] != 0 {
             return Err(SnapshotError::Malformed(format!(
@@ -437,43 +431,36 @@ impl<'a> Decoder<'a> {
                 edges.push((sym, endpoint));
             }
         }
-        Ok((sym_offsets, edges))
+        Ok(Adjacency::new(sym_offsets, edges, n, sigma))
     }
 
-    /// Reads `sigma` label bitmaps and checks each against the offset
-    /// table: bit `v` must be set exactly when node `v`'s partition for
-    /// that label is nonempty. A bitmap cannot disagree with the edges
-    /// it summarizes.
+    /// Reads one direction's stored label bitmaps and checks each
+    /// against the one `adj` derived from the offset table: bit `v` must
+    /// be set exactly when node `v`'s partition for that label is
+    /// nonempty. A bitmap cannot disagree with the edges it summarizes.
     fn bitmaps(
         &mut self,
         n: usize,
-        sigma: usize,
-        sym_offsets: &[u32],
+        adj: &Adjacency,
         what: &'static str,
-    ) -> Result<Vec<BitSet>, SnapshotError> {
+    ) -> Result<(), SnapshotError> {
         let words = n.div_ceil(BitSet::BLOCK_BITS);
-        let mut sets = Vec::with_capacity(sigma);
-        for si in 0..sigma {
+        for (si, label) in adj.labels.iter().enumerate() {
             let raw = self.take(words * 8)?;
             let blocks: Vec<u64> = raw
                 .chunks_exact(8)
                 .map(|c| u64::from_le_bytes(c.try_into().expect("8")))
                 .collect();
-            let set = BitSet::from_blocks(n, &blocks).ok_or_else(|| {
+            let stored = BitSet::from_blocks(n, &blocks).ok_or_else(|| {
                 SnapshotError::Malformed(format!("{what} bitmap {si} has bits beyond |V|"))
             })?;
-            for v in 0..n {
-                let cell = v * sigma + si;
-                let active = sym_offsets[cell + 1] > sym_offsets[cell];
-                if set.contains(v) != active {
-                    return Err(SnapshotError::Malformed(format!(
-                        "{what} bitmap {si} disagrees with the offset table at node {v}"
-                    )));
-                }
+            if stored != label.active {
+                return Err(SnapshotError::Malformed(format!(
+                    "{what} bitmap {si} disagrees with the offset table"
+                )));
             }
-            sets.push(set);
         }
-        Ok(sets)
+        Ok(())
     }
 
     fn decode(mut self) -> Result<GraphDb, SnapshotError> {
@@ -527,10 +514,12 @@ impl<'a> Decoder<'a> {
             node_names.push(name);
         }
 
-        let (out_sym_offsets, out_edges) = self.direction(n, sigma, m, "forward")?;
-        let (in_sym_offsets, in_edges) = self.direction(n, sigma, m, "backward")?;
-        let label_sources = self.bitmaps(n, sigma, &out_sym_offsets, "label_sources")?;
-        let label_targets = self.bitmaps(n, sigma, &in_sym_offsets, "label_targets")?;
+        let adj = [
+            self.direction(n, sigma, m, "forward")?,
+            self.direction(n, sigma, m, "backward")?,
+        ];
+        self.bitmaps(n, &adj[Dir::Out as usize], "out label")?;
+        self.bitmaps(n, &adj[Dir::In as usize], "in label")?;
         if self.pos != self.end {
             return Err(SnapshotError::TrailingBytes {
                 extra: self.end - self.pos,
@@ -541,101 +530,25 @@ impl<'a> Decoder<'a> {
         // (src --sym--> dst) appears as src in the backward partition
         // of (dst, sym). Both lists hold exactly m strictly sorted
         // entries, so containment one way is equality.
-        for (cell, window) in out_sym_offsets.windows(2).enumerate().take(n * sigma) {
-            let src = (cell / sigma) as u32;
-            let sym = cell % sigma;
-            for &(_, dst) in &out_edges[window[0] as usize..window[1] as usize] {
-                let in_cell = dst as usize * sigma + sym;
-                let (lo, hi) = (
-                    in_sym_offsets[in_cell] as usize,
-                    in_sym_offsets[in_cell + 1] as usize,
-                );
-                if in_edges[lo..hi]
+        let [out, inn] = &adj;
+        for (cell, window) in out.sym_offsets.windows(2).enumerate() {
+            let src = (cell / sigma) as NodeId;
+            let sym = Symbol::from_index(cell % sigma);
+            for &(_, dst) in &out.edges[window[0] as usize..window[1] as usize] {
+                if inn
+                    .neighbors(dst, sym)
                     .binary_search_by_key(&src, |&(_, s)| s)
                     .is_err()
                 {
                     return Err(SnapshotError::Malformed(format!(
-                        "backward direction is missing edge {src} --{sym}--> {dst}"
+                        "backward direction is missing edge {src} --{}--> {dst}",
+                        sym.index()
                     )));
                 }
             }
         }
 
-        // Derived statistics: recomputed exactly as GraphBuilder::build
-        // freezes them, so a decoded graph is indistinguishable from a
-        // built one (snapshot_bytes of the result is byte-identical).
-        let out_offsets: Vec<u32> = (0..=n)
-            .map(|v| {
-                if v == n {
-                    m as u32
-                } else {
-                    out_sym_offsets[v * sigma]
-                }
-            })
-            .collect();
-        let in_offsets: Vec<u32> = (0..=n)
-            .map(|v| {
-                if v == n {
-                    m as u32
-                } else {
-                    in_sym_offsets[v * sigma]
-                }
-            })
-            .collect();
-        let label_source_counts: Vec<u32> = label_sources.iter().map(|s| s.len() as u32).collect();
-        let label_target_counts: Vec<u32> = label_targets.iter().map(|s| s.len() as u32).collect();
-        let mut label_edge_counts = vec![0u64; sigma];
-        for (cell, window) in out_sym_offsets.windows(2).enumerate() {
-            label_edge_counts[cell % sigma] += (window[1] - window[0]) as u64;
-        }
-        let avg_deg = |counts: &[u32]| -> Vec<u32> {
-            label_edge_counts
-                .iter()
-                .zip(counts)
-                .map(|(&edges, &active)| {
-                    if active == 0 {
-                        0
-                    } else {
-                        (edges * super::AVG_DEG_FP / active as u64) as u32
-                    }
-                })
-                .collect()
-        };
-        let label_source_avg_deg_x16 = avg_deg(&label_source_counts);
-        let label_target_avg_deg_x16 = avg_deg(&label_target_counts);
-        let sparse = |counts: &[u32]| -> Vec<bool> {
-            counts
-                .iter()
-                .map(|&count| count as usize * super::SPARSE_LABEL_DIVISOR < n)
-                .collect()
-        };
-        let label_sources_sparse = sparse(&label_source_counts);
-        let label_targets_sparse = sparse(&label_target_counts);
-
-        Ok(GraphDb {
-            core: std::sync::Arc::new(GraphCore {
-                alphabet,
-                node_names,
-                name_index,
-                out_offsets,
-                out_sym_offsets,
-                out_edges,
-                in_offsets,
-                in_sym_offsets,
-                in_edges,
-                label_sources,
-                label_targets,
-                label_source_counts,
-                label_target_counts,
-                label_source_avg_deg_x16,
-                label_target_avg_deg_x16,
-                label_sources_sparse,
-                label_targets_sparse,
-                label_edge_counts,
-                no_label_nodes: BitSet::new(n),
-            }),
-            delta: None,
-        })
+        Ok(GraphDb::from_parts(alphabet, node_names, name_index, adj))
     }
 }
 

@@ -8,7 +8,7 @@
 //! [`GraphWriteError`] instead of silently emitting text that
 //! [`parse_graph`] would mis-read.
 
-use crate::graph::{GraphBuilder, GraphDb};
+use crate::graph::{Dir, GraphBuilder, GraphDb};
 use std::fmt::Write as _;
 
 /// Error from [`write_graph`]: the graph contains a node name or edge
@@ -125,7 +125,7 @@ pub fn write_graph(graph: &GraphDb) -> Result<String, GraphWriteError> {
         graph.alphabet().len()
     );
     for node in graph.nodes() {
-        if graph.out_degree(node) == 0 && graph.in_degree(node) == 0 {
+        if Dir::BOTH.iter().all(|&dir| graph.degree(dir, node) == 0) {
             let _ = writeln!(out, "node {}", graph.node_name(node));
         }
     }

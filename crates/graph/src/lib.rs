@@ -5,8 +5,9 @@
 //! everything the learning algorithms consume is derived from the path
 //! languages `paths_G(ν)` of its nodes:
 //!
-//! * [`graph`] — the [`GraphDb`] container (CSR-style sorted adjacency in
-//!   both directions, interned labels, named nodes) and its builder;
+//! * [`graph`] — the [`GraphDb`] container (one label-partitioned CSR
+//!   adjacency per [`Dir`], interned labels, named nodes), its one
+//!   frontier step kernel ([`GraphDb::step_range_into`]) and its builder;
 //! * [`paths`] — the `paths_G` machinery: the all-accepting NFA view,
 //!   word-membership by simulation, bounded canonical-order enumeration;
 //! * [`scp`] — smallest-consistent-path search (Algorithm 1 lines 1–2):
@@ -64,7 +65,7 @@ pub mod scp;
 pub use cancel::{CancelToken, Interrupt};
 pub use eval::{EvalScratch, Goal};
 pub use graph::snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use graph::{DeltaError, GraphBuilder, GraphDb, NodeId, StepPlan, StepPolicy};
+pub use graph::{DeltaError, Dir, GraphBuilder, GraphDb, NodeId, StepPlan, StepPolicy};
 pub use observer::{collect_levels, LevelSample, MAX_LEVEL_SAMPLES};
 pub use par_eval::EvalPool;
 pub use plan::{QueryPlan, Strategy};

@@ -7,7 +7,7 @@
 //! module extracts that fragment as a standalone [`GraphDb`] preserving
 //! node names and labels.
 
-use crate::graph::{GraphBuilder, GraphDb, NodeId};
+use crate::graph::{Dir, GraphBuilder, GraphDb, NodeId};
 use pathlearn_automata::BitSet;
 
 /// A extracted neighborhood fragment.
@@ -45,13 +45,13 @@ pub fn neighborhood(
         }
         next_frontier.clear();
         for &node in &frontier {
-            for &(_, t) in graph.out_edges_view(node).iter() {
+            for &(_, t) in graph.edges_of(Dir::Out, node).iter() {
                 if keep.insert(t as usize) {
                     next_frontier.push(t);
                 }
             }
             if include_backward {
-                for &(_, s) in graph.in_edges_view(node).iter() {
+                for &(_, s) in graph.edges_of(Dir::In, node).iter() {
                     if keep.insert(s as usize) {
                         next_frontier.push(s);
                     }

@@ -11,7 +11,7 @@
 //!    length ≤ k, which the interactive `kS` strategy uses to count
 //!    uncovered paths.
 
-use crate::graph::{GraphDb, NodeId};
+use crate::graph::{Dir, GraphDb, NodeId};
 use pathlearn_automata::{BitSet, Nfa, Symbol, Word};
 
 impl GraphDb {
@@ -42,7 +42,7 @@ impl GraphDb {
             if current.is_empty() {
                 return false;
             }
-            self.step_frontier_into(&current, sym, &mut next);
+            self.step_into(Dir::Out, false, &current, sym, &mut next);
             std::mem::swap(&mut current, &mut next);
         }
         !current.is_empty()
@@ -70,7 +70,7 @@ impl GraphDb {
             for (word, set) in &frontier {
                 for sym in self.alphabet().symbols() {
                     // Step into the scratch buffer; clone only survivors.
-                    self.step_frontier_into(set, sym, &mut scratch);
+                    self.step_into(Dir::Out, false, set, sym, &mut scratch);
                     if scratch.is_empty() {
                         continue;
                     }
@@ -108,7 +108,7 @@ impl GraphDb {
         while let Some(&mut (n, ref mut edge_index)) = stack.last_mut() {
             // The view merges any delta overlay (cold path: re-merging a
             // touched node per visit is fine here).
-            let edges = self.out_edges_view(n);
+            let edges = self.edges_of(Dir::Out, n);
             if *edge_index >= edges.len() {
                 color[n as usize] = Color::Black;
                 stack.pop();

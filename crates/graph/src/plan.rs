@@ -12,7 +12,7 @@
 //!    [`pathlearn_automata::CanonicalQuery`]-key-preserving.
 //! 2. **Choose a direction** per semantics from the graph's frozen
 //!    per-label statistics (active-node popcounts and average degrees,
-//!    [`GraphDb::label_source_count`] and friends):
+//!    [`GraphDb::label_active_count`] and [`GraphDb::label_avg_degree`]):
 //!
 //!    * **Monadic Forward** — the backward product search over the
 //!      original DFA: one full-node seed per accepting state,
@@ -45,17 +45,21 @@
 //!
 //! Frontier growth is propagated symbolically over the automaton for a
 //! fixed horizon ([`HORIZON`] levels): each state carries a scalar
-//! frontier mass; stepping mass `s` over symbol `a` is priced as
-//! `s` (the frontier scan) plus the estimated output
+//! frontier mass; stepping mass `s` over symbol `a` in direction `d`
+//! is priced as `s` (the frontier scan) plus the estimated output
 //!
-//! * backward (in-edge): `min(|sources(a)|, s · avg_in_degree(a))`
-//! * forward (out-edge): `min(|targets(a)|, s · avg_out_degree(a))`
+//! ```text
+//! min(|active(d', a)|, s · avg_degree(d, a))        d' = d.reverse()
+//! ```
 //!
-//! capped at `|V|`, with per-state masses also capped at `|V|`. The
-//! summed cost over the horizon approximates total frontier mass
-//! processed. Monadic compares the original automaton (seeded `|V|` at
-//! every accepting state) against the reversed one (seeded `|V|` at its
-//! initial state); binary compares forward-from-one-node growth against
+//! — `a`-edges per active node in direction `d`, never more nodes than
+//! carry an `a`-edge in the opposite direction (an out-edge step lands
+//! on nodes with an incoming `a`-edge, and vice versa) — with per-state
+//! masses capped at `|V|`. The summed cost over the horizon
+//! approximates total frontier mass processed. Monadic compares the
+//! original automaton (seeded `|V|` at every accepting state) against
+//! the reversed one (seeded `|V|` at its initial state); binary
+//! compares forward-from-one-node growth against
 //! the coreach fixpoint cost, requiring a 2× margin before committing
 //! to Backward and settling for Bidirectional in between. Estimates
 //! only ever pick *which* parameter set [`crate::EvalPool::evaluate`]
@@ -63,8 +67,8 @@
 //! bit-identical regardless, as the strategy-matrix differential suite
 //! asserts.
 
-use crate::eval::{KernelDir, TransIndex};
-use crate::graph::GraphDb;
+use crate::eval::TransIndex;
+use crate::graph::{Dir, GraphDb};
 use pathlearn_automata::{Dfa, Symbol};
 
 /// Levels of symbolic frontier propagation behind a direction estimate.
@@ -206,27 +210,21 @@ impl QueryPlan {
     }
 }
 
-/// Estimated output mass of one backward (in-edge) step of mass `s`
-/// over `sym`: never more nodes than have an outgoing `sym`-edge.
-fn back_step_est(graph: &GraphDb, sym: Symbol, s: f64) -> f64 {
-    let cap = graph.label_source_count(sym) as f64;
-    (s * graph.label_target_avg_degree(sym)).min(cap)
-}
-
-/// Estimated output mass of one forward (out-edge) step of mass `s`
-/// over `sym`: never more nodes than have an incoming `sym`-edge.
-fn fwd_step_est(graph: &GraphDb, sym: Symbol, s: f64) -> f64 {
-    let cap = graph.label_target_count(sym) as f64;
-    (s * graph.label_source_avg_degree(sym)).min(cap)
+/// Estimated output mass of one step of mass `s` over `sym` in
+/// direction `dir`: never more nodes than carry a `sym`-edge in the
+/// opposite direction (where the step's endpoints are active).
+fn step_est(graph: &GraphDb, dir: Dir, sym: Symbol, s: f64) -> f64 {
+    let cap = graph.label_active_count(dir.reverse(), sym) as f64;
+    (s * graph.label_avg_degree(dir, sym)).min(cap)
 }
 
 /// Symbolic frontier propagation behind every direction estimate:
 /// `mass` (one scalar per state of `index`'s automaton) is stepped for
 /// [`HORIZON`] levels along `index`'s live rows through the step
-/// estimates of `dir`. One kernel is priced per `(state, symbol)` and
+/// estimate of `dir`. One kernel is priced per `(state, symbol)` and
 /// its output fanned out to every target — exactly the level kernel's
 /// sharing structure ([`crate::eval`]).
-fn simulate(index: &TransIndex, graph: &GraphDb, dir: KernelDir, mut mass: Vec<f64>) -> f64 {
+fn simulate(index: &TransIndex, graph: &GraphDb, dir: Dir, mut mass: Vec<f64>) -> f64 {
     let v = graph.num_nodes() as f64;
     let mut cost = 0.0;
     for _ in 0..HORIZON {
@@ -238,10 +236,7 @@ fn simulate(index: &TransIndex, graph: &GraphDb, dir: KernelDir, mut mass: Vec<f
             }
             for row in index.live(q as u32) {
                 let symbol = Symbol::from_index(row.sym as usize);
-                let out = match dir {
-                    KernelDir::In => back_step_est(graph, symbol, m),
-                    KernelDir::Out => fwd_step_est(graph, symbol, m),
-                };
+                let out = step_est(graph, dir, symbol, m);
                 cost += m + out;
                 if out > 0.0 {
                     for &t in index.targets(row) {
@@ -268,14 +263,14 @@ fn sim_codeterministic(query: &Dfa, graph: &GraphDb) -> f64 {
         mass[f] = graph.num_nodes() as f64;
     }
     let index = TransIndex::reverse(query, graph.alphabet().len());
-    simulate(&index, graph, KernelDir::In, mass)
+    simulate(&index, graph, Dir::In, mass)
 }
 
 /// Cost of a deterministic search: `init_mass` seeded at the initial
 /// state, propagated along forward transitions through the step
 /// estimates of `dir` (in-edge for the reversed-DFA monadic engine,
 /// out-edge for binary forward).
-fn sim_deterministic(dfa: &Dfa, graph: &GraphDb, dir: KernelDir, init_mass: f64) -> f64 {
+fn sim_deterministic(dfa: &Dfa, graph: &GraphDb, dir: Dir, init_mass: f64) -> f64 {
     if dfa.num_states() == 0 {
         return 0.0;
     }
@@ -305,10 +300,10 @@ pub fn plan_query_forced(query: &Dfa, graph: &GraphDb, forced: Strategy) -> Quer
 
     let monadic_estimate = DirectionEstimate {
         forward: sim_codeterministic(&reduced, graph),
-        backward: sim_deterministic(&reversed, graph, KernelDir::In, graph.num_nodes() as f64),
+        backward: sim_deterministic(&reversed, graph, Dir::In, graph.num_nodes() as f64),
     };
     let binary_estimate = DirectionEstimate {
-        forward: sim_deterministic(&reduced, graph, KernelDir::Out, 1.0),
+        forward: sim_deterministic(&reduced, graph, Dir::Out, 1.0),
         // The coreach fixpoint dominates the backward binary engine;
         // the certificate-pruned forward pass it buys is the payoff.
         backward: sim_codeterministic(&reduced, graph),

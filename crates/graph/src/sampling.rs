@@ -9,7 +9,7 @@
 //! learning can run on the sample and the learned query be evaluated on
 //! the full graph.
 
-use crate::graph::{GraphBuilder, GraphDb, NodeId};
+use crate::graph::{Dir, GraphBuilder, GraphDb, NodeId};
 use pathlearn_automata::BitSet;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -82,7 +82,7 @@ pub fn sample_subgraph(
                 if restart {
                     current = rng.gen_range(0..graph.num_nodes()) as NodeId;
                 } else {
-                    let out = graph.out_edges_view(current);
+                    let out = graph.edges_of(Dir::Out, current);
                     if out.is_empty() {
                         current = rng.gen_range(0..graph.num_nodes()) as NodeId;
                     } else {
@@ -114,7 +114,7 @@ pub fn sample_subgraph(
                     if kept >= target {
                         break;
                     }
-                    for &(_, next) in graph.out_edges_view(node).iter() {
+                    for &(_, next) in graph.edges_of(Dir::Out, node).iter() {
                         if kept >= target {
                             break;
                         }

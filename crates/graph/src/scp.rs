@@ -23,7 +23,7 @@
 //! in a [`NegCache`] shared across all positive nodes of a sample — the
 //! `bench_scp` ablation measures this choice.
 
-use crate::graph::{GraphDb, NodeId};
+use crate::graph::{Dir, GraphDb, NodeId};
 use pathlearn_automata::{BitSet, Symbol, Word};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -94,8 +94,9 @@ impl<'g> NegCache<'g> {
         if let Some(cached) = self.succ[state as usize][sym.index()] {
             return cached;
         }
+        let from = &self.states[state as usize];
         self.graph
-            .step_frontier_into(&self.states[state as usize], sym, &mut self.scratch);
+            .step_into(Dir::Out, false, from, sym, &mut self.scratch);
         let result = if self.scratch.is_empty() {
             None
         } else if let Some(&id) = self.index.get(&self.scratch) {

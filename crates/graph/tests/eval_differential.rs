@@ -24,7 +24,7 @@ use pathlearn_automata::{Alphabet, BitSet, Dfa, Regex, Symbol};
 use pathlearn_graph::eval::{
     eval_binary_from, eval_monadic, eval_monadic_naive, eval_monadic_queued, EvalScratch, Goal,
 };
-use pathlearn_graph::{CancelToken, EvalPool, GraphBuilder, GraphDb, QueryPlan, StepPolicy};
+use pathlearn_graph::{CancelToken, Dir, EvalPool, GraphBuilder, GraphDb, QueryPlan, StepPolicy};
 use proptest::prelude::*;
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
@@ -252,10 +252,10 @@ proptest! {
     }
 
     /// Per-label bitmap invariant on random graphs: membership in
-    /// `label_sources(sym)` / `label_targets(sym)` is exactly "has ≥ 1
-    /// out- / in-edge labeled sym", forward and reverse, for every node
-    /// and symbol — i.e. the bitmaps the pruning relies on are precisely
-    /// the recomputation from the adjacency.
+    /// `label_active(Out, sym)` / `label_active(In, sym)` is exactly
+    /// "has ≥ 1 out- / in-edge labeled sym", for every node and symbol —
+    /// i.e. the bitmaps the pruning relies on are precisely the
+    /// recomputation from the edge list.
     #[test]
     fn label_bitmaps_match_recomputation(graph in arb_graph()) {
         for sym in graph.alphabet().symbols() {
@@ -268,14 +268,14 @@ proptest! {
                 }
             }
             prop_assert_eq!(
-                graph.label_sources(sym),
+                graph.label_active(Dir::Out, sym),
                 &sources,
-                "label_sources({:?})", sym
+                "label_active(Out, {:?})", sym
             );
             prop_assert_eq!(
-                graph.label_targets(sym),
+                graph.label_active(Dir::In, sym),
                 &targets,
-                "label_targets({:?})", sym
+                "label_active(In, {:?})", sym
             );
         }
     }
@@ -479,31 +479,19 @@ proptest! {
         let mut plain = BitSet::new(n);
         let mut planned = BitSet::new(n);
         for sym in graph.alphabet().symbols() {
-            // Forward.
-            graph.step_frontier_into(&frontier, sym, &mut plain);
-            match graph.plan_step(&frontier, sym, frontier_len, StepPolicy::Auto) {
-                StepPlan::Skip => prop_assert!(
-                    plain.is_empty(),
-                    "Skip verdict on a productive forward step ({:?})", sym
-                ),
-                StepPlan::Masked => {
-                    graph.step_frontier_masked_into(&frontier, sym, &mut planned);
-                    prop_assert_eq!(&planned, &plain, "forward masked {:?}", sym);
+            for dir in Dir::BOTH {
+                graph.step_into(dir, false, &frontier, sym, &mut plain);
+                match graph.plan_step(dir, &frontier, sym, frontier_len, StepPolicy::Auto) {
+                    StepPlan::Skip => prop_assert!(
+                        plain.is_empty(),
+                        "Skip verdict on a productive {:?} step ({:?})", dir, sym
+                    ),
+                    StepPlan::Masked => {
+                        graph.step_into(dir, true, &frontier, sym, &mut planned);
+                        prop_assert_eq!(&planned, &plain, "{:?} masked {:?}", dir, sym);
+                    }
+                    StepPlan::Plain => {}
                 }
-                StepPlan::Plain => {}
-            }
-            // Backward.
-            graph.step_frontier_back_into(&frontier, sym, &mut plain);
-            match graph.plan_step_back(&frontier, sym, frontier_len, StepPolicy::Auto) {
-                StepPlan::Skip => prop_assert!(
-                    plain.is_empty(),
-                    "Skip verdict on a productive backward step ({:?})", sym
-                ),
-                StepPlan::Masked => {
-                    graph.step_frontier_back_masked_into(&frontier, sym, &mut planned);
-                    prop_assert_eq!(&planned, &plain, "backward masked {:?}", sym);
-                }
-                StepPlan::Plain => {}
             }
         }
     }

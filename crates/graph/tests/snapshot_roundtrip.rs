@@ -16,7 +16,9 @@
 //!   intern labels by first appearance, not sorted; edges carry symbol
 //!   indices, so a decode that re-sorted the labels would relabel them;
 //! * **corruption is never a wrong answer** — any single bit flip and
-//!   any truncation decodes to a [`SnapshotError`], never to a graph.
+//!   any truncation decodes to a [`SnapshotError`], never to a graph;
+//! * **format version 1 is what it was** — the Figure 3 graph's
+//!   snapshot has a pinned byte length and digest.
 
 use pathlearn_automata::{Alphabet, Dfa, Regex, Symbol};
 use pathlearn_graph::eval::{eval_binary_from, eval_monadic};
@@ -227,4 +229,21 @@ fn g0_file_roundtrip() {
     let loaded = GraphDb::load_snapshot(&path).expect("load");
     assert_eq!(loaded.snapshot_bytes(), graph.snapshot_bytes());
     std::fs::remove_file(&path).ok();
+}
+
+/// The format pin: byte length and trailing FNV digest of the Figure 3
+/// graph's snapshot, recorded from the build *before* `GraphCore` was
+/// regrouped into one `Adjacency` per direction. The digest covers
+/// every preceding byte, so a refactor of the in-memory layout that
+/// moved, reordered or re-derived any stored field differently fails
+/// here — "format version 1 did not change" is a test, not a reading
+/// of the diff. A deliberate format change bumps `SNAPSHOT_VERSION` and
+/// re-records these.
+#[test]
+fn format_v1_bytes_are_pinned_on_g0() {
+    assert_eq!(pathlearn_graph::SNAPSHOT_VERSION, 1);
+    let bytes = pathlearn_graph::graph::figure3_g0().snapshot_bytes();
+    assert_eq!(bytes.len(), 413);
+    let digest = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+    assert_eq!(digest, 0xef43_d4d1_1d9f_e3be);
 }

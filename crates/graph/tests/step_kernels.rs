@@ -1,43 +1,43 @@
-//! Kernel-level tests for the frontier step kernels.
+//! Kernel-level tests for the frontier step kernel.
 //!
-//! Until this suite, `step_frontier_into` and its masked/ranged twins
-//! were only exercised *through* the evaluators. Here the kernels are
-//! driven directly against a per-node adjacency oracle on adversarial
-//! frontiers — empty, full `|V|`, a single word, word-boundary
-//! straddlers — over graph sizes chosen to hit every block-layout edge
-//! (1, 63, 64, 65, 130 nodes), plus proptest-randomized graphs and
-//! frontiers. The invariants:
+//! The evaluators only ever reach the kernel through whole queries; here
+//! [`GraphDb::step_range_into`] and its whole-frontier forms are driven
+//! directly, as **one matrix** — `Dir::{Out, In}` × masked `{false,
+//! true}` × {whole frontier, every word-aligned 2- and 3-way partition}
+//! — against one per-node adjacency oracle, on adversarial frontiers
+//! (empty, full `|V|`, a single word, word-boundary straddlers) over
+//! graph sizes chosen to hit every block-layout edge (1, 63, 64, 65, 130
+//! nodes), plus proptest-randomized graphs and frontiers. The same
+//! matrix then runs on **overlay graphs** ([`GraphDb::with_delta`])
+//! against the base slices of their [`GraphDb::compact`], so the
+//! kernel's overlay arms are partitioned across words too. The
+//! invariants:
 //!
-//! * masked ≡ plain ≡ oracle for full kernels, forward and backward;
-//! * any word-aligned partition of the range reproduces the full
-//!   kernel (ranged kernels accumulate — they must not clear);
-//! * the sparse masked twin ≡ the sparse plain twin ≡ oracle;
-//! * full kernels clear stale scratch, and out-of-alphabet symbols
-//!   yield empty output at every kernel.
+//! * every cell of the matrix ≡ the oracle;
+//! * the union over any word-aligned partition of the range reproduces
+//!   the whole-frontier step (the kernel accumulates — it must not
+//!   clear), while [`GraphDb::step_into`] clears stale scratch;
+//! * the sparse step ≡ the `Dir::Out` oracle;
+//! * out-of-alphabet symbols yield empty output in every cell.
 
 use pathlearn_automata::{Alphabet, BitSet, Symbol};
-use pathlearn_graph::{GraphBuilder, GraphDb, NodeId};
+use pathlearn_graph::{Dir, GraphBuilder, GraphDb, NodeId};
 use proptest::prelude::*;
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
 
-/// Per-node adjacency oracle for one forward step.
-fn oracle_forward(graph: &GraphDb, frontier: &BitSet, sym: Symbol) -> BitSet {
-    let mut out = BitSet::new(graph.num_nodes());
-    for node in frontier.iter() {
-        for &(_, target) in graph.successors(node as NodeId, sym) {
-            out.insert(target as usize);
-        }
-    }
-    out
-}
+type Edge = (NodeId, Symbol, NodeId);
 
-/// Per-node adjacency oracle for one backward step.
-fn oracle_backward(graph: &GraphDb, frontier: &BitSet, sym: Symbol) -> BitSet {
-    let mut out = BitSet::new(graph.num_nodes());
+/// Per-node adjacency oracle for one step in `dir`: the union of the
+/// frontier nodes' **base** slices. Overlay graphs are checked against
+/// the oracle of their compacted rebuild, whose base slices are the
+/// effective edges.
+fn oracle(reference: &GraphDb, dir: Dir, frontier: &BitSet, sym: Symbol) -> BitSet {
+    assert!(!reference.has_delta(), "the oracle reads base slices");
+    let mut out = BitSet::new(reference.num_nodes());
     for node in frontier.iter() {
-        for &(_, source) in graph.predecessors(node as NodeId, sym) {
-            out.insert(source as usize);
+        for &(_, endpoint) in reference.neighbors(dir, node as NodeId, sym) {
+            out.insert(endpoint as usize);
         }
     }
     out
@@ -90,83 +90,63 @@ fn adversarial_frontiers(n: usize) -> Vec<BitSet> {
     frontiers
 }
 
-fn assert_kernels_match_oracle(graph: &GraphDb, frontier: &BitSet, sym: Symbol) {
+/// The whole matrix for one `(frontier, symbol)`: the kernels run on
+/// `graph`, the oracle reads `reference` (`graph` itself when it is
+/// delta-free, its compacted rebuild when it carries an overlay).
+fn assert_kernel_matrix(graph: &GraphDb, reference: &GraphDb, frontier: &BitSet, sym: Symbol) {
     let n = graph.num_nodes();
     let words = graph.num_node_words();
-    let expected_fwd = oracle_forward(graph, frontier, sym);
-    let expected_bwd = oracle_backward(graph, frontier, sym);
-
-    // Full kernels, plain and masked, clearing stale scratch.
-    let mut out = BitSet::full(n);
-    graph.step_frontier_into(frontier, sym, &mut out);
-    assert_eq!(out, expected_fwd, "plain forward");
-    let mut out = BitSet::full(n);
-    graph.step_frontier_masked_into(frontier, sym, &mut out);
-    assert_eq!(out, expected_fwd, "masked forward");
-    let mut out = BitSet::full(n);
-    graph.step_frontier_back_into(frontier, sym, &mut out);
-    assert_eq!(out, expected_bwd, "plain backward");
-    let mut out = BitSet::full(n);
-    graph.step_frontier_back_masked_into(frontier, sym, &mut out);
-    assert_eq!(out, expected_bwd, "masked backward");
-
-    // Ranged kernels: every chunk width partitions back to the full
-    // result, masked and plain, forward and backward.
-    for chunk in [1usize, 2, 4, words] {
-        let mut plain_fwd = BitSet::new(n);
-        let mut masked_fwd = BitSet::new(n);
-        let mut plain_bwd = BitSet::new(n);
-        let mut masked_bwd = BitSet::new(n);
-        let mut start = 0;
-        while start < words {
-            let range = start..(start + chunk).min(words);
-            graph.step_frontier_range_into(frontier, sym, range.clone(), &mut plain_fwd);
-            graph.step_frontier_masked_range_into(frontier, sym, range.clone(), &mut masked_fwd);
-            graph.step_frontier_back_range_into(frontier, sym, range.clone(), &mut plain_bwd);
-            graph.step_frontier_back_masked_range_into(frontier, sym, range, &mut masked_bwd);
-            start += chunk;
+    for dir in Dir::BOTH {
+        let expected = oracle(reference, dir, frontier, sym);
+        assert_eq!(graph.step(dir, frontier, sym), expected, "{dir:?} step");
+        for masked in [false, true] {
+            let cell = format!("{dir:?} masked {masked}");
+            // Whole frontier, clearing stale scratch.
+            let mut out = BitSet::full(n);
+            graph.step_into(dir, masked, frontier, sym, &mut out);
+            assert_eq!(out, expected, "{cell} whole");
+            // Every word-aligned split 0..c1 | c1..c2 | c2..words: the
+            // 3-way partitions, and (where a part is empty) the 2-way
+            // ones and the whole range — accumulated, never cleared.
+            for c1 in 0..=words {
+                for c2 in c1..=words {
+                    let mut acc = BitSet::new(n);
+                    for range in [0..c1, c1..c2, c2..words] {
+                        graph.step_range_into(dir, masked, frontier, sym, range, &mut acc);
+                    }
+                    assert_eq!(acc, expected, "{cell} split at {c1}, {c2}");
+                }
+            }
         }
-        assert_eq!(
-            plain_fwd, expected_fwd,
-            "ranged plain forward chunk {chunk}"
-        );
-        assert_eq!(
-            masked_fwd, expected_fwd,
-            "ranged masked forward chunk {chunk}"
-        );
-        assert_eq!(
-            plain_bwd, expected_bwd,
-            "ranged plain backward chunk {chunk}"
-        );
-        assert_eq!(
-            masked_bwd, expected_bwd,
-            "ranged masked backward chunk {chunk}"
-        );
     }
 
-    // Sparse twins on the frontier's index list.
+    // The sparse step on the frontier's index list.
     let sparse_set: Vec<NodeId> = frontier.iter().map(|i| i as NodeId).collect();
-    let mut plain_sparse = vec![99 as NodeId]; // stale content
-    let mut masked_sparse = vec![98 as NodeId];
-    graph.step_sparse_into(&sparse_set, sym, &mut plain_sparse);
-    graph.step_sparse_masked_into(&sparse_set, sym, &mut masked_sparse);
-    assert_eq!(masked_sparse, plain_sparse, "sparse twin");
+    let mut sparse = vec![99 as NodeId]; // stale content
+    graph.step_sparse_into(&sparse_set, sym, &mut sparse);
+    let expected = oracle(reference, Dir::Out, frontier, sym);
     assert_eq!(
-        plain_sparse,
-        expected_fwd.iter().map(|i| i as NodeId).collect::<Vec<_>>(),
+        sparse,
+        expected.iter().map(|i| i as NodeId).collect::<Vec<_>>(),
         "sparse vs oracle"
     );
+}
+
+/// [`assert_kernel_matrix`] over every symbol and the given frontiers.
+/// An overlay graph is checked against its compacted rebuild.
+fn assert_kernel_matrix_on(graph: &GraphDb, frontiers: &[BitSet]) {
+    let reference = graph.compact();
+    for frontier in frontiers {
+        for sym in graph.alphabet().symbols() {
+            assert_kernel_matrix(graph, &reference, frontier, sym);
+        }
+    }
 }
 
 #[test]
 fn adversarial_frontiers_on_layout_graphs() {
     for n in [1usize, 63, 64, 65, 130] {
-        let graph = layout_graph(n);
-        for frontier in adversarial_frontiers(n) {
-            for sym in graph.alphabet().symbols() {
-                assert_kernels_match_oracle(&graph, &frontier, sym);
-            }
-        }
+        assert_kernel_matrix_on(&layout_graph(n), &adversarial_frontiers(n));
     }
 }
 
@@ -175,17 +155,16 @@ fn out_of_alphabet_symbol_is_empty_at_every_kernel() {
     let graph = layout_graph(70);
     let foreign = Symbol::from_index(17);
     let frontier = BitSet::full(70);
-    let mut out = BitSet::full(70);
-    graph.step_frontier_into(&frontier, foreign, &mut out);
-    assert!(out.is_empty());
-    out.insert_all();
-    graph.step_frontier_masked_into(&frontier, foreign, &mut out);
-    assert!(out.is_empty());
-    out.insert_all();
-    graph.step_frontier_back_masked_into(&frontier, foreign, &mut out);
-    assert!(out.is_empty());
+    for dir in Dir::BOTH {
+        assert!(graph.step(dir, &frontier, foreign).is_empty());
+        for masked in [false, true] {
+            let mut out = BitSet::full(70);
+            graph.step_into(dir, masked, &frontier, foreign, &mut out);
+            assert!(out.is_empty(), "{dir:?} masked {masked}");
+        }
+    }
     let mut sparse = vec![1];
-    graph.step_sparse_masked_into(&[0, 1, 69], foreign, &mut sparse);
+    graph.step_sparse_into(&[0, 1, 69], foreign, &mut sparse);
     assert!(sparse.is_empty());
 }
 
@@ -195,9 +174,86 @@ fn empty_range_is_a_no_op() {
     let a = Symbol::from_index(0);
     let frontier = BitSet::full(70);
     let mut out = BitSet::from_indices(70, [5]);
-    graph.step_frontier_range_into(&frontier, a, 1..1, &mut out);
-    graph.step_frontier_masked_range_into(&frontier, a, 2..2, &mut out);
+    for dir in Dir::BOTH {
+        graph.step_range_into(dir, false, &frontier, a, 1..1, &mut out);
+        graph.step_range_into(dir, true, &frontier, a, 2..2, &mut out);
+    }
     assert_eq!(out.iter().collect::<Vec<_>>(), [5]);
+}
+
+/// The effective edges of `graph` carrying `sym`.
+fn edges_labeled(graph: &GraphDb, sym: Symbol) -> Vec<Edge> {
+    graph.edges().filter(|&(_, s, _)| s == sym).collect()
+}
+
+/// Overlays on the multi-word layout graphs, each checked against its
+/// compacted rebuild across the whole matrix: a mixed batch whose
+/// additions and removals sit on both sides of the word boundaries, the
+/// same with one label erased entirely (base edge removed, overlay
+/// additions cancelled), and batches cancelled across `with_delta`
+/// calls — one label's slot reverting while the others stay, and the
+/// whole overlay reverting to the delta-free handle.
+#[test]
+fn overlay_kernels_match_compacted_on_layout_graphs() {
+    let (a, b, c) = (
+        Symbol::from_index(0),
+        Symbol::from_index(1),
+        Symbol::from_index(2),
+    );
+    for n in [65usize, 130] {
+        let base = layout_graph(n);
+        let frontiers = adversarial_frontiers(n);
+        let last = n as NodeId - 1;
+        let add = [
+            (62, c, 64),
+            (64, c, 1),
+            (last, c, last),
+            (1, b, last),
+            (64, a, 2),
+            (last, a, 63),
+        ];
+        let remove = [
+            (0, a, 1),
+            (63, a, 64),
+            (64, a, (65 % n) as NodeId),
+            (last - 2, a, last - 1),
+            (0, b, 0),
+            (63, b, 31),
+        ];
+        let mixed = base.with_delta(&add, &remove).unwrap();
+        assert_eq!(mixed.delta_edges(), add.len() + remove.len());
+        assert_kernel_matrix_on(&mixed, &frontiers);
+
+        // Every c-edge gone, base and overlay-added alike.
+        let erased = mixed.with_delta(&[], &edges_labeled(&mixed, c)).unwrap();
+        assert!(erased.has_delta());
+        assert!(edges_labeled(&erased, c).is_empty());
+        for dir in Dir::BOTH {
+            assert!(erased.label_active(dir, c).is_empty(), "{dir:?}");
+        }
+        assert_kernel_matrix_on(&erased, &frontiers);
+
+        // A batch cancelled by the next one: the b-slot it opened on a
+        // graph whose other labels keep their deltas must behave as if
+        // it had never been touched.
+        let extra_b = [(2, b, 64), (65 % n as NodeId, b, 1)];
+        let recancelled = erased
+            .with_delta(&extra_b, &[])
+            .unwrap()
+            .with_delta(&[], &extra_b)
+            .unwrap();
+        assert_eq!(recancelled.delta_edges(), erased.delta_edges());
+        assert_kernel_matrix_on(&recancelled, &frontiers);
+
+        // Undoing everything returns the delta-free handle.
+        let undone = mixed.with_delta(&remove, &add).unwrap();
+        assert!(!undone.has_delta());
+        for frontier in &frontiers {
+            for sym in base.alphabet().symbols() {
+                assert_kernel_matrix(&undone, &base, frontier, sym);
+            }
+        }
+    }
 }
 
 /// Strategy: a random graph over {a, b, c} with 1..=130 nodes (spanning
@@ -219,23 +275,95 @@ fn arb_graph() -> impl Strategy<Value = GraphDb> {
         })
 }
 
+type RawEdge = (u32, usize, u32);
+/// Raw additions, and removals as picks into the current edge list.
+type RawBatch = (Vec<RawEdge>, Vec<usize>);
+
+/// Strategy: 1..4 delta batches. Additions are raw `(src, sym, dst)`
+/// triples (ids taken mod the graph size, so some re-add present
+/// edges); removals index the graph's *current* effective edge list, so
+/// they hit base edges and earlier batches' additions instead of
+/// missing in a sparse graph.
+fn arb_batches() -> impl Strategy<Value = Vec<RawBatch>> {
+    proptest::collection::vec(
+        (
+            proptest::collection::vec((0u32..130, 0usize..3, 0u32..130), 0..12),
+            proptest::collection::vec(0usize..1 << 16, 0..12),
+        ),
+        1..4,
+    )
+}
+
+fn frontier_from_bits(n: usize, bits: &[bool]) -> BitSet {
+    BitSet::from_indices(
+        n,
+        bits.iter()
+            .take(n)
+            .enumerate()
+            .filter(|(_, &b)| b)
+            .map(|(i, _)| i),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random graph × random frontier × every symbol: all kernels agree
-    /// with the per-node oracle (and with each other).
+    /// Random graph × random frontier × every symbol: every cell of the
+    /// matrix agrees with the per-node oracle.
     #[test]
     fn kernels_match_oracle_on_random_graphs(
         graph in arb_graph(),
         frontier_bits in proptest::collection::vec(any::<bool>(), 130),
     ) {
+        let frontier = frontier_from_bits(graph.num_nodes(), &frontier_bits);
+        assert_kernel_matrix_on(&graph, &[frontier]);
+    }
+
+    /// The same on overlay graphs: random stacked batches, then one
+    /// label erased entirely, then a batch of fresh edges added and
+    /// cancelled — after every stage the overlay's kernels agree with
+    /// the oracle of its compacted rebuild in every cell.
+    #[test]
+    fn overlay_kernels_match_compacted_on_random_graphs(
+        graph in arb_graph(),
+        batches in arb_batches(),
+        erased_label in 0usize..3,
+        fresh in proptest::collection::vec((0u32..130, 0usize..3, 0u32..130), 1..8),
+        frontier_bits in proptest::collection::vec(any::<bool>(), 130),
+    ) {
         let n = graph.num_nodes();
-        let frontier = BitSet::from_indices(
-            n,
-            frontier_bits.iter().take(n).enumerate().filter(|(_, &b)| b).map(|(i, _)| i),
-        );
-        for sym in graph.alphabet().symbols() {
-            assert_kernels_match_oracle(&graph, &frontier, sym);
+        let fix = |edges: &[RawEdge]| -> Vec<Edge> {
+            let n = n as u32;
+            edges.iter().map(|&(s, sym, d)| (s % n, Symbol::from_index(sym), d % n)).collect()
+        };
+        let frontiers = [frontier_from_bits(n, &frontier_bits), BitSet::full(n)];
+
+        let mut overlay = graph.clone();
+        for (add, picks) in &batches {
+            let current: Vec<Edge> = overlay.edges().collect();
+            let remove: Vec<Edge> = picks
+                .iter()
+                .filter(|_| !current.is_empty())
+                .map(|pick| current[pick % current.len()])
+                .collect();
+            overlay = overlay.with_delta(&fix(add), &remove).unwrap();
+            assert_kernel_matrix_on(&overlay, &frontiers);
         }
+
+        let sym = Symbol::from_index(erased_label);
+        let erased = overlay.with_delta(&[], &edges_labeled(&overlay, sym)).unwrap();
+        prop_assert!(edges_labeled(&erased, sym).is_empty());
+        assert_kernel_matrix_on(&erased, &frontiers);
+
+        let present: std::collections::HashSet<Edge> = erased.edges().collect();
+        let mut fresh = fix(&fresh);
+        fresh.retain(|edge| !present.contains(edge));
+        let cancelled = erased
+            .with_delta(&fresh, &[])
+            .unwrap()
+            .with_delta(&[], &fresh)
+            .unwrap();
+        prop_assert_eq!(cancelled.delta_edges(), erased.delta_edges());
+        assert_kernel_matrix_on(&cancelled, &frontiers);
     }
 }

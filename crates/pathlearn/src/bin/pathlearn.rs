@@ -62,6 +62,7 @@
 
 use pathlearn::graph::io::parse_graph;
 use pathlearn::graph::neighborhood::neighborhood;
+use pathlearn::graph::Dir;
 use pathlearn::interactive::session::LabelOracle;
 use pathlearn::prelude::*;
 use std::io::{BufRead, Write};
@@ -618,7 +619,7 @@ fn stats_command(args: &[String]) -> Result<(), String> {
     }
     let max_out = graph
         .nodes()
-        .map(|n| graph.out_degree(n))
+        .map(|n| graph.degree(Dir::Out, n))
         .max()
         .unwrap_or(0);
     println!("max out-degree: {max_out}");

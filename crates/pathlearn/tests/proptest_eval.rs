@@ -8,7 +8,7 @@ use pathlearn::graph::binary::paths2_nfa;
 use pathlearn::graph::eval::{
     eval_binary_from, eval_monadic, eval_monadic_naive, eval_monadic_queued, selects_pair,
 };
-use pathlearn::graph::ScpFinder;
+use pathlearn::graph::{Dir, ScpFinder};
 use pathlearn::prelude::*;
 use proptest::prelude::*;
 
@@ -57,8 +57,8 @@ fn arb_mask() -> impl Strategy<Value = u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `step_frontier` preserves the semantics of the seed's `step_set`:
-    /// per-node successor/predecessor union over the chosen symbol.
+    /// The frontier step preserves the semantics of the seed's per-node
+    /// step: the neighbour union over the chosen symbol, in each direction.
     #[test]
     fn step_frontier_matches_per_node_reference(
         graph in arb_graph(),
@@ -68,25 +68,22 @@ proptest! {
         let n = graph.num_nodes();
         let sym = Symbol::from_index(sym);
         let frontier = BitSet::from_indices(n, (0..n).filter(|&i| mask & (1 << i) != 0));
-        let mut fwd_ref = BitSet::new(n);
-        let mut bwd_ref = BitSet::new(n);
-        for node in frontier.iter() {
-            for &(_, t) in graph.successors(node as NodeId, sym) {
-                fwd_ref.insert(t as usize);
+        for dir in Dir::BOTH {
+            let mut reference = BitSet::new(n);
+            for node in frontier.iter() {
+                for &(_, endpoint) in graph.neighbors(dir, node as NodeId, sym) {
+                    reference.insert(endpoint as usize);
+                }
             }
-            for &(_, s) in graph.predecessors(node as NodeId, sym) {
-                bwd_ref.insert(s as usize);
-            }
+            prop_assert_eq!(&graph.step(dir, &frontier, sym), &reference);
         }
-        prop_assert_eq!(&graph.step_set(&frontier, sym), &fwd_ref);
-        prop_assert_eq!(&graph.step_frontier(&frontier, sym), &fwd_ref);
-        prop_assert_eq!(&graph.step_frontier_back(&frontier, sym), &bwd_ref);
         // The sparse kernel agrees with the dense one.
         let sparse: Vec<NodeId> = frontier.iter().map(|i| i as NodeId).collect();
-        let stepped = graph.step_sparse(&sparse, sym);
+        let mut stepped = Vec::new();
+        graph.step_sparse_into(&sparse, sym, &mut stepped);
         prop_assert_eq!(
             BitSet::from_indices(n, stepped.iter().map(|&t| t as usize)),
-            fwd_ref
+            graph.step(Dir::Out, &frontier, sym)
         );
     }
 

@@ -720,7 +720,7 @@ impl Shared {
 /// A listening front door. Dropping the server (or calling
 /// [`Server::shutdown`]) drains gracefully: in-flight queries get their
 /// reply (or a retryable `DRAINING`), then worker and acceptor threads
-/// join and lingering sockets are force-closed.
+/// join and lingering connections are cut off at their next read.
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
@@ -894,8 +894,8 @@ impl Server {
         self.shared.service.apply_delta_durable(add, remove)
     }
 
-    /// Graceful stop: drain, join workers and acceptor, force-close
-    /// lingering connections. Idempotent; also runs on drop.
+    /// Graceful stop: drain, join workers and acceptor, end the input
+    /// of lingering connections. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         if self.acceptor.is_none() {
             return;
@@ -914,10 +914,12 @@ impl Server {
             let _ = acceptor.join();
         }
         // Unblock connection threads parked in reads; they observe the
-        // dead socket and exit on their own.
+        // end of input and exit on their own, closing the socket. Only
+        // the read half is shut: a thread whose reply was determined by
+        // the drain above but is not written yet must still get it out.
         let conns = self.shared.conns.lock().unwrap();
         for stream in conns.values() {
-            let _ = stream.shutdown(Shutdown::Both);
+            let _ = stream.shutdown(Shutdown::Read);
         }
     }
 }

@@ -946,26 +946,9 @@ impl QueryService {
         // validate → log → apply, serializing durable writes; the
         // brief `inner` lock inside respects the persistence-before-
         // inner ordering.)
-        {
-            let graph = self.graph();
-            let (num_nodes, alphabet_len) = (graph.num_nodes(), graph.alphabet().len());
-            for &(src, sym, dst) in add.iter().chain(remove) {
-                for node in [src, dst] {
-                    if node as usize >= num_nodes {
-                        return Err(DeltaCommitError::Rejected(DeltaError::NodeOutOfRange {
-                            node,
-                            num_nodes,
-                        }));
-                    }
-                }
-                if sym.index() >= alphabet_len {
-                    return Err(DeltaCommitError::Rejected(DeltaError::SymbolOutOfRange {
-                        symbol: sym,
-                        alphabet_len,
-                    }));
-                }
-            }
-        }
+        self.graph()
+            .check_delta(add, remove)
+            .map_err(DeltaCommitError::Rejected)?;
         persistence
             .log_batch(add, remove)
             .map_err(DeltaCommitError::Wal)?;

@@ -24,7 +24,7 @@
 use pathlearn_automata::{Alphabet, Dfa, Regex, Symbol};
 use pathlearn_graph::{GraphBuilder, GraphDb, NodeId};
 use pathlearn_server::wal::{Persistence, WAL_FILE};
-use pathlearn_server::{QueryService, ServeConfig};
+use pathlearn_server::{DeltaCommitError, QueryService, ServeConfig};
 use proptest::prelude::*;
 use std::io::Write;
 use std::path::PathBuf;
@@ -288,5 +288,56 @@ fn stale_snapshot_plus_torn_tail_recovers_acknowledged_state() {
         .unwrap()
         .compact();
     assert_eq!(recovered.graph.snapshot_bytes(), expected.snapshot_bytes());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A batch that fails validation never reaches the log: the durable
+/// path refuses it with exactly the verdict the in-memory path gives
+/// (both ask `GraphDb::check_delta`, removals first), the WAL's record
+/// count and the `wal.records_logged` counter stay put, and a restart
+/// has nothing to replay.
+#[test]
+fn rejected_durable_batch_is_never_logged() {
+    let dir = scratch_dir();
+    let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
+    builder.add_edge("x", "a", "y");
+    let base = builder.build();
+    let a = base.alphabet().symbol("a").unwrap();
+    let foreign = Symbol::from_index(LABELS.len() + 4);
+
+    let in_memory = QueryService::new(base.clone(), ServeConfig::default());
+    let recovered = {
+        let base = base.clone();
+        Persistence::recover(&dir, 1 << 20, move || Ok(base)).expect("seed")
+    };
+    let durable = QueryService::new(recovered.graph, ServeConfig::default());
+    durable.attach_persistence(recovered.persistence);
+    let logged = || {
+        let registry = &durable.telemetry().registry;
+        registry.counter("wal.records_logged").get()
+    };
+    let before = (durable.persistence_status(), logged());
+    assert_eq!(before.0.map(|(records, _)| records), Some(0));
+
+    let bad_batches: [(Vec<Edge>, Vec<Edge>); 3] = [
+        (vec![(0, a, 1), (0, a, 9)], vec![]),
+        (vec![], vec![(0, foreign, 1)]),
+        // Out of range on both sides: the removal's verdict wins.
+        (vec![(7, a, 0)], vec![(0, a, 8)]),
+    ];
+    for (add, remove) in &bad_batches {
+        let expected = in_memory.apply_delta(add, remove).unwrap_err();
+        match durable.apply_delta_durable(add, remove) {
+            Err(DeltaCommitError::Rejected(verdict)) => assert_eq!(verdict, expected),
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        assert_eq!((durable.persistence_status(), logged()), before);
+    }
+    drop(durable);
+
+    let recovered = Persistence::recover(&dir, 1 << 20, || Err("no fallback".into()))
+        .expect("recover after rejections");
+    assert_eq!(recovered.report.wal_records_replayed, 0);
+    assert_eq!(recovered.graph.snapshot_bytes(), base.snapshot_bytes());
     std::fs::remove_dir_all(&dir).ok();
 }
