@@ -10,6 +10,13 @@
 //! equality: the serving layer in `pathlearn-server` canonicalizes every
 //! incoming query once and then shares one cache entry per language.
 //!
+//! Everything derived from the table is derived **once**, at
+//! construction: the minimization ([`Regex::to_canonical`](crate::Regex::to_canonical)
+//! reuses the minimal DFA `Regex::to_dfa` already built instead of
+//! minimizing it a second time) and the FNV-1a [`CanonicalQuery::fingerprint`],
+//! which is also what `Hash` feeds a `HashMap` — a cache probe hashes
+//! eight bytes, not the `|Q| × |Σ|` table.
+//!
 //! ```
 //! use pathlearn_automata::{Alphabet, CanonicalQuery, Regex};
 //!
@@ -30,19 +37,36 @@ use std::hash::{Hash, Hasher};
 /// A path query in canonical minimal-DFA form, usable as a hash-map key.
 ///
 /// Construction minimizes (the `O(|Σ| n log n)` Hopcroft pass — paid
-/// once per *submitted* query, not per evaluation); equality and hashing
-/// are then structural over the canonical table, so
-/// `a == b ⇔ L(a) = L(b)` for queries over the same alphabet.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// once per *submitted* query, not per evaluation) and digests the
+/// canonical table into its [`CanonicalQuery::fingerprint`], once.
+/// Equality is structural over the canonical table, so
+/// `a == b ⇔ L(a) = L(b)` for queries over the same alphabet; hashing
+/// writes the stored fingerprint, so a `HashMap` probe costs one `u64`
+/// no matter how large `|Q| × |Σ|` is.
+#[derive(Clone, Debug)]
 pub struct CanonicalQuery {
     dfa: Dfa,
+    /// FNV-1a over `dfa`, fixed at construction (`dfa` never changes).
+    fingerprint: u64,
 }
 
 impl CanonicalQuery {
     /// Canonicalizes `dfa` (minimize + canonical BFS numbering).
     pub fn new(dfa: &Dfa) -> Self {
+        Self::from_minimal(dfa.minimize())
+    }
+
+    /// Wraps a DFA that already **is** the output of [`Dfa::minimize`]
+    /// — minimization is idempotent, so running it again would only
+    /// reproduce `dfa`. Crate-internal: the claim cannot be checked
+    /// cheaply, so only constructors that just minimized may make it
+    /// ([`crate::Regex::to_canonical`]).
+    pub(crate) fn from_minimal(dfa: Dfa) -> Self {
+        let mut hasher = Fnv1a(0xcbf2_9ce4_8422_2325);
+        dfa.hash(&mut hasher);
         CanonicalQuery {
-            dfa: dfa.minimize(),
+            dfa,
+            fingerprint: hasher.0,
         }
     }
 
@@ -59,14 +83,29 @@ impl CanonicalQuery {
     }
 
     /// A stable 64-bit digest of the canonical form (FNV-1a over the
-    /// table), for logs and stats where a short name for "this language"
-    /// is needed. Equal queries always digest equal; the converse holds
-    /// only up to hash collision — keying storage must use the full
-    /// [`CanonicalQuery`], never the fingerprint.
+    /// table, computed once at construction), for logs and stats where
+    /// a short name for "this language" is needed. Equal queries always
+    /// digest equal; the converse holds only up to hash collision —
+    /// keying storage must use the full [`CanonicalQuery`], never the
+    /// fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        let mut hasher = Fnv1a(0xcbf2_9ce4_8422_2325);
-        self.dfa.hash(&mut hasher);
-        hasher.0
+        self.fingerprint
+    }
+}
+
+impl PartialEq for CanonicalQuery {
+    /// Structural: a fingerprint collision must never merge two
+    /// languages. The digest only short-circuits the unequal case.
+    fn eq(&self, other: &Self) -> bool {
+        self.fingerprint == other.fingerprint && self.dfa == other.dfa
+    }
+}
+
+impl Eq for CanonicalQuery {}
+
+impl Hash for CanonicalQuery {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint);
     }
 }
 

@@ -7,6 +7,7 @@
 //! `tram` or `ProteinPurification` parse naturally; juxtaposition with
 //! whitespace is an implicit concatenation (`a b` ≡ `a·b`).
 
+use crate::canonical::CanonicalQuery;
 use crate::dfa::Dfa;
 use crate::nfa::Nfa;
 use crate::symbol::{Alphabet, Symbol};
@@ -138,6 +139,14 @@ impl Regex {
     /// The canonical (minimal) DFA of `L(self)`.
     pub fn to_dfa(&self, alphabet_len: usize) -> Dfa {
         crate::determinize::determinize(&self.to_nfa(alphabet_len)).minimize()
+    }
+
+    /// `L(self)` as a cache key: [`Regex::to_dfa`]'s result *is* the
+    /// canonical form, so this equals
+    /// `CanonicalQuery::new(&self.to_dfa(alphabet_len))` without
+    /// minimizing the minimal DFA a second time.
+    pub fn to_canonical(&self, alphabet_len: usize) -> CanonicalQuery {
+        CanonicalQuery::from_minimal(self.to_dfa(alphabet_len))
     }
 
     /// Parses a regex over an existing alphabet; unknown labels are errors.

@@ -112,6 +112,51 @@ proptest! {
         prop_assert_eq!(&again, &key);
         prop_assert_eq!(key.dfa().num_states(), key.dfa().minimize().num_states());
     }
+
+    /// `Regex::to_canonical` skips the second minimization; it must
+    /// still build exactly the key (table *and* fingerprint) the
+    /// two-step route builds.
+    #[test]
+    fn to_canonical_equals_the_two_step_route(regex in arb_regex()) {
+        let direct = regex.to_canonical(SIGMA);
+        let two_step = CanonicalQuery::new(&regex.to_dfa(SIGMA));
+        prop_assert_eq!(&direct, &two_step);
+        prop_assert_eq!(direct.dfa(), two_step.dfa());
+        prop_assert_eq!(direct.fingerprint(), two_step.fingerprint());
+    }
+}
+
+/// The fingerprint is a wire-visible name (`QUERY` by fingerprint, the
+/// `RESULT` echo, logs): computing it once at construction must not
+/// change its value. Literals recorded at the commit before the stored
+/// fingerprint landed.
+#[test]
+fn fingerprints_keep_their_pinned_values() {
+    let pinned: [(&str, u64); 9] = [
+        ("(a·b)*·c", 0x987c_d673_727e_a852),
+        ("a", 0x3370_987c_b59e_99bc),
+        ("eps", 0x4465_f9ef_574a_eaf8),
+        ("a+b+c", 0xa9b0_1ac6_925b_8bb4),
+        ("(a+b)*·c", 0x2012_e304_a1d5_a124),
+        ("a·b·c", 0x0b16_a892_1a61_c8c3),
+        ("c·a*", 0x6bed_8497_7200_cf81),
+        ("(a·a)*", 0x0bc9_cad8_499f_b483),
+        ("a*·b*·c*", 0x4c71_0763_ce38_3814),
+    ];
+    let alphabet = pathlearn_automata::Alphabet::from_labels(["a", "b", "c"]);
+    for (expr, fingerprint) in pinned {
+        let regex = Regex::parse(expr, &alphabet).unwrap();
+        assert_eq!(
+            CanonicalQuery::new(&regex.to_dfa(SIGMA)).fingerprint(),
+            fingerprint,
+            "{expr}"
+        );
+        assert_eq!(
+            regex.to_canonical(SIGMA).fingerprint(),
+            fingerprint,
+            "{expr}"
+        );
+    }
 }
 
 /// Deterministic spot checks of the non-collision direction on a

@@ -220,18 +220,23 @@ impl ResultCache {
 
     /// Looks `key` up, refreshing its GDSF priority on a hit.
     pub fn get(&mut self, key: &CacheKey) -> Option<Arc<BitSet>> {
-        let clock = self.clock;
-        match self.map.get_mut(key) {
-            Some(entry) => {
-                entry.priority = clock + entry.cost_ns as f64 / entry.bytes.max(1) as f64;
-                self.counters.hits.inc();
-                Some(entry.value.clone())
-            }
-            None => {
-                self.counters.misses.inc();
-                None
-            }
+        let hit = self.get_resident(key);
+        if hit.is_none() {
+            self.counters.misses.inc();
         }
+        hit
+    }
+
+    /// [`ResultCache::get`] for a probe that runs *ahead of* the real
+    /// lookup: a hit counts and refreshes exactly as `get`'s, a miss
+    /// counts nothing — its caller goes on to the admitted path, which
+    /// counts that miss once.
+    pub(crate) fn get_resident(&mut self, key: &CacheKey) -> Option<Arc<BitSet>> {
+        let clock = self.clock;
+        let entry = self.map.get_mut(key)?;
+        entry.priority = clock + entry.cost_ns as f64 / entry.bytes.max(1) as f64;
+        self.counters.hits.inc();
+        Some(entry.value.clone())
     }
 
     /// Inserts an evaluated result with its measured cost, evicting

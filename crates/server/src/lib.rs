@@ -75,7 +75,7 @@ pub use net::{Client, NetConfig, NetStats, Server};
 pub use proto::{ErrorCode, QueryRef, Request, Response, WireKind, WireServed, NO_DEADLINE_MS};
 pub use service::{
     DeltaApplied, DeltaCommitError, EvalMode, QueryResponse, QueryService, ServeConfig, ServeStats,
-    Served,
+    Served, StaleEpoch,
 };
 pub use telemetry::{
     AdminServer, AdminSources, Counter, Gauge, HealthPhase, HealthReport, Histogram,

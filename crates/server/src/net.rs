@@ -3,58 +3,94 @@
 //! Stdlib TCP only — no async runtime. The shape is deliberately
 //! boring: an **acceptor** thread polls a non-blocking listener, each
 //! accepted socket gets a **connection** thread that speaks the framed
-//! protocol of [`crate::proto`], and decoded queries pass through a
-//! **bounded admission queue** to a small pool of **eval workers**. The
-//! robustness properties live in the seams:
+//! protocol of [`crate::proto`], and a decoded query takes one of two
+//! routes. A query whose answer is **resident** in the result cache is
+//! answered right there on the connection thread
+//! ([`QueryService::try_hit`]) — a hit is a table lookup and one copy
+//! of the answer, it needs no worker, and handing it to one would cost
+//! two thread hand-offs for nothing. Everything else — work that needs
+//! a worker — passes through a **bounded admission queue** to a small
+//! pool of **eval workers**. The robustness properties live in the
+//! seams:
 //!
 //! * **Slow-loris defense** — per-connection read and write timeouts
 //!   ([`NetConfig::read_timeout`] / [`NetConfig::write_timeout`]): a
 //!   peer that dribbles bytes or refuses to read its replies loses the
 //!   connection, never a server thread.
 //! * **Load shedding** — the admission queue is a bounded `VecDeque`;
-//!   at the watermark new queries get an immediate `SHED` frame with a
-//!   retry hint instead of unbounded queueing.
+//!   at the watermark new *work* gets an immediate `SHED` frame with a
+//!   retry hint instead of unbounded queueing. Shedding applies to work
+//!   that needs a worker: a resident key is still answered `Hit` with
+//!   the queue full, because refusing it would protect nothing.
 //! * **Deadlines** — `deadline_ms` becomes an absolute
 //!   [`CancelToken`] deadline at frame arrival, so time spent queued
 //!   counts; the service checks it before admission and once per BFS
 //!   level, and an expired budget yields a `DEADLINE` frame, never a
-//!   partial result.
+//!   partial result. A budget that is already spent on arrival skips
+//!   the fast path, so the zero-deadline probe answers `DEADLINE` for
+//!   resident and cold keys alike.
 //! * **Graceful drain** — [`Server::rebuild_graph`] and
-//!   [`Server::shutdown`] stop admissions, trip the current
-//!   drain-generation flag (cancelling queued and in-flight work at
-//!   its next level check), and wait up to [`NetConfig::drain_grace`]
-//!   for the queue to go idle. Every admitted job still gets exactly
-//!   one reply — drained jobs answer `DRAINING`, which clients treat
-//!   as retryable.
+//!   [`Server::shutdown`] stop admissions (fast path included), trip
+//!   the current drain-generation flag (cancelling queued and in-flight
+//!   work at its next level check), and wait up to
+//!   [`NetConfig::drain_grace`] for the queue to go idle. Every
+//!   admitted job still gets exactly one reply — drained jobs answer
+//!   `DRAINING`, which clients treat as retryable.
 //! * **Exactly-one-reply** — workers pop and answer every queued job
 //!   even during shutdown, so no connection thread is left waiting on
 //!   a reply slot.
 //!
-//! Rebuilds give the queue a **fresh drain-generation flag** after the
-//! swap, so post-rebuild admissions run un-cancelled while pre-rebuild
-//! stragglers stay tripped — combined with [`QueryService`]'s epoch
-//! guard this guarantees a frame admitted after a rebuild never sees an
-//! old-epoch result. The fingerprint registry is cleared on rebuild
-//! (the new graph may have a different alphabet), so clients must
-//! re-establish fingerprints by text and treat `UNKNOWN_FINGERPRINT`
-//! after a `DRAINING` burst as "resubmit by text".
+//! ## What the front door remembers
+//!
+//! One table behind one mutex (`QueryTable`) holds both things a
+//! connection thread can know about a query without recomputing it:
+//! the **fingerprint registry** (fingerprint → canonical query,
+//! established by text submissions, so a client may repeat a query by
+//! its 8-byte name) and the **text memo** (the exact request bytes →
+//! the same shared canonical query). The paper identifies a query with
+//! the canonical DFA of its language, and an interactive session
+//! re-asks the same handful of texts between labels: parse →
+//! determinize → minimize is paid once per *text*, not once per frame.
+//! Only texts that parsed are kept; entries are bounded by
+//! [`NetConfig::fingerprint_cap`] and the key bytes by a constant,
+//! cleared wholesale on overflow.
+//!
+//! ## Rebuilds and the epoch fence
+//!
+//! A canonical DFA numbers its columns by the served graph's alphabet,
+//! so everything resolved from a request is stamped with the **service
+//! epoch** it was resolved under ([`QueryService::graph_and_epoch`])
+//! and every later step compares the stamp: the table refuses an
+//! insert from another epoch, admission refuses a job from another
+//! epoch, and the hit probe refuses a key from another epoch — each
+//! answers the retryable `DRAINING`. Rebuilds also give the queue a
+//! **fresh drain-generation flag** after the swap, so post-rebuild
+//! admissions run un-cancelled while pre-rebuild stragglers stay
+//! tripped. Together with [`QueryService`]'s own epoch guard this
+//! guarantees a frame admitted after a rebuild never sees an old-epoch
+//! result — not even one whose text was resolved a microsecond before
+//! the swap. The table is cleared on rebuild (the new graph may have a
+//! different alphabet), so clients must re-establish fingerprints by
+//! text and treat `UNKNOWN_FINGERPRINT` after a `DRAINING` burst as
+//! "resubmit by text".
 //!
 //! `DELTA` frames are the non-disruptive write path: they are handled
 //! inline on the connection thread through
 //! [`QueryService::apply_delta`] — no drain, no shed, no fresh drain
 //! generation — because a delta invalidates only the touched labels'
 //! cache entries and fences stale in-flight publishes with per-label
-//! epochs. The fingerprint registry is **retained** across deltas: the
-//! node set and the alphabet are frozen under the delta contract, so
-//! every established fingerprint still names the same canonical query.
+//! epochs. The table is **retained** across deltas: the node set and
+//! the alphabet are frozen under the delta contract, so every
+//! established fingerprint and every memoised text still names the
+//! same canonical query.
 
 use crate::cache::CacheKey;
 use crate::proto::{
-    read_frame, write_frame, ErrorCode, FrameError, QueryRef, Request, Response, WireEdge,
-    WireKind, WireServed, NO_DEADLINE_MS,
+    encode_result, frame_reader, read_frame, write_frame, ErrorCode, FrameError, QueryRef, Request,
+    Response, WireEdge, WireKind, WireServed, NO_DEADLINE_MS,
 };
 use crate::service::{
-    DeltaApplied, DeltaCommitError, EvalMode, QueryResponse, QueryService, Served,
+    DeltaApplied, DeltaCommitError, EvalMode, QueryResponse, QueryService, Served, StaleEpoch,
 };
 use crate::telemetry::{
     AdminSources, Counter, Gauge, HealthPhase, HealthReport, Histogram, MetricsRegistry, Telemetry,
@@ -62,7 +98,7 @@ use crate::telemetry::{
 use pathlearn_automata::{CanonicalQuery, Regex, Symbol};
 use pathlearn_graph::{CancelToken, GraphDb, Interrupt, NodeId};
 use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::io::{self, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -104,7 +140,9 @@ pub struct NetConfig {
     /// drain flag bounds the overshoot to one BFS level.
     pub drain_grace: Duration,
     /// Cap on remembered text-established fingerprints; at the cap new
-    /// text queries still evaluate but are not registered.
+    /// text queries still evaluate but are not registered. The text
+    /// memo beside the registry holds at most this many entries too
+    /// (it starts over when full).
     pub fingerprint_cap: usize,
 }
 
@@ -203,8 +241,7 @@ impl ReplySlot {
 
 /// One admitted query waiting for an eval worker.
 struct Job {
-    query: CanonicalQuery,
-    kind: WireKind,
+    key: CacheKey,
     deadline: Option<Instant>,
     /// When the job entered the admission queue; the popping worker
     /// reports `now − enqueued` as the query's queue wait (recorded on
@@ -228,6 +265,170 @@ struct QueueState {
     /// Current drain generation; replaced with a fresh flag after each
     /// rebuild so post-rebuild work runs un-cancelled.
     drain_flag: Arc<AtomicBool>,
+    /// The service epoch admissions are open for: a [`Resolved`] query
+    /// stamped with any other epoch answers `DRAINING`. Moves together
+    /// with `drain_flag` and `draining` at the end of a rebuild.
+    epoch: u64,
+}
+
+impl QueueState {
+    /// Whether a query resolved under `epoch` may be answered or
+    /// admitted right now.
+    fn open_for(&self, epoch: u64) -> bool {
+        !self.draining && !self.shutdown && self.epoch == epoch
+    }
+}
+
+/// Bound on the request-text bytes the memo keeps as keys. Entries
+/// alone are no bound — one frame may carry 64 KiB of regex — so the
+/// memo starts over when its accounted key bytes would pass this.
+const MEMO_TEXT_BYTES_MAX: usize = 1 << 20;
+
+// A wire string is `u16`-length: any single text fits an empty memo.
+const _: () = assert!(MEMO_TEXT_BYTES_MAX >= u16::MAX as usize);
+
+/// A wire query reference resolved to its canonical query, stamped with
+/// the service epoch it was resolved under — the alphabet that numbers
+/// the DFA's columns is that epoch's. Every consumer compares the
+/// stamp (module docs, *Rebuilds and the epoch fence*).
+struct Resolved {
+    query: Arc<CanonicalQuery>,
+    epoch: u64,
+}
+
+/// What the front door remembers about queries, under one lock: the
+/// fingerprint registry and the text memo, sharing one
+/// `Arc<CanonicalQuery>` per language. All entries belong to `epoch`;
+/// a rebuild [`QueryTable::reset`]s the table to the new one.
+struct QueryTable {
+    epoch: u64,
+    by_fingerprint: HashMap<u64, Arc<CanonicalQuery>>,
+    /// Exact request bytes → canonical query. Only texts that parsed.
+    by_text: HashMap<Box<str>, Arc<CanonicalQuery>>,
+    /// Sum of `by_text`'s key lengths, ≤ [`MEMO_TEXT_BYTES_MAX`].
+    text_bytes: usize,
+}
+
+impl QueryTable {
+    fn new(epoch: u64) -> Self {
+        QueryTable {
+            epoch,
+            by_fingerprint: HashMap::new(),
+            by_text: HashMap::new(),
+            text_bytes: 0,
+        }
+    }
+
+    fn stamp(&self, query: &Arc<CanonicalQuery>) -> Resolved {
+        Resolved {
+            query: query.clone(),
+            epoch: self.epoch,
+        }
+    }
+
+    fn text(&self, text: &str) -> Option<Resolved> {
+        self.by_text.get(text).map(|query| self.stamp(query))
+    }
+
+    fn fingerprint(&self, fingerprint: u64) -> Option<Resolved> {
+        self.by_fingerprint
+            .get(&fingerprint)
+            .map(|query| self.stamp(query))
+    }
+
+    /// Records that `text` parsed to `query` under service epoch
+    /// `epoch`: registers the fingerprint (at most `cap` of them; at
+    /// the cap the query is still answered, just not registered) and
+    /// memoises the text (at most `cap` entries and
+    /// [`MEMO_TEXT_BYTES_MAX`] key bytes; the memo is cleared wholesale
+    /// when either would be passed). `None` — and nothing stored — when
+    /// the table belongs to another epoch: a rebuild ran while the
+    /// caller was canonicalizing, and `query` may be numbered over the
+    /// wrong alphabet.
+    fn remember(
+        &mut self,
+        text: &str,
+        query: CanonicalQuery,
+        epoch: u64,
+        cap: usize,
+    ) -> Option<Resolved> {
+        if epoch != self.epoch {
+            return None;
+        }
+        let fingerprint = query.fingerprint();
+        let shared = match self.by_fingerprint.get(&fingerprint) {
+            // Another spelling of a registered language: share its entry.
+            Some(known) if **known == query => known.clone(),
+            known => {
+                let fresh = Arc::new(query);
+                if known.is_some() || self.by_fingerprint.len() < cap {
+                    self.by_fingerprint.insert(fingerprint, fresh.clone());
+                }
+                fresh
+            }
+        };
+        if self.by_text.len() >= cap || self.text_bytes + text.len() > MEMO_TEXT_BYTES_MAX {
+            self.by_text.clear();
+            self.text_bytes = 0;
+        }
+        if self.by_text.len() < cap && self.by_text.insert(text.into(), shared.clone()).is_none() {
+            self.text_bytes += text.len();
+        }
+        Some(self.stamp(&shared))
+    }
+
+    /// Forgets everything and moves to `epoch` (a rebuild: the new
+    /// graph may number its alphabet differently).
+    fn reset(&mut self, epoch: u64) {
+        *self = QueryTable::new(epoch);
+    }
+}
+
+/// One reply, not yet encoded. A `RESULT` stays the service's
+/// [`QueryResponse`]: its `Arc<BitSet>` — on a hit, the cache's own
+/// allocation — is encoded straight into the connection's frame
+/// buffer, never cloned into a [`Response`] first.
+#[derive(Debug)]
+enum Reply {
+    Result {
+        request_id: u64,
+        response: QueryResponse,
+    },
+    Frame(Response),
+}
+
+impl Reply {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Reply::Frame(response) => response.encode_into(out),
+            Reply::Result {
+                request_id,
+                response,
+            } => {
+                let (served, eval_ns) = match response.served {
+                    Served::Hit => (WireServed::Hit, 0),
+                    Served::Coalesced => (WireServed::Coalesced, 0),
+                    Served::Evaluated { mode, eval_ns, .. } => (
+                        match mode {
+                            EvalMode::Sequential => WireServed::EvaluatedSequential,
+                            EvalMode::IntraQuery => WireServed::EvaluatedIntra,
+                            EvalMode::Batch => WireServed::EvaluatedBatch,
+                        },
+                        eval_ns,
+                    ),
+                };
+                encode_result(
+                    out,
+                    *request_id,
+                    served,
+                    response.fingerprint,
+                    response.canonical_states as u32,
+                    eval_ns,
+                    &response.result,
+                );
+            }
+        }
+    }
 }
 
 /// Live handles into the unified [`MetricsRegistry`] for the front
@@ -248,7 +449,8 @@ struct NetCounters {
     /// [`Shared::refresh_queue_depth`]); depth is only meaningful at
     /// observation, so the push/pop paths do not touch it.
     queue_depth: Gauge,
-    /// Service latency of answered queries (worker pop → reply ready),
+    /// Service latency of answered queries (worker pop → reply ready;
+    /// for a hit answered on the connection thread, the probe),
     /// log₂-bucketed. Replaces the old mutex-guarded sliding window on
     /// the reply hot path; its nearest-rank quantiles are exact over
     /// the whole history by construction — no partially-filled-window
@@ -283,8 +485,9 @@ struct Shared {
     /// The service's telemetry bundle — shared registry + trace sink.
     telemetry: Arc<Telemetry>,
     counters: NetCounters,
-    /// Fingerprint → canonical query, established by text submissions.
-    registry: Mutex<HashMap<u64, CanonicalQuery>>,
+    /// Fingerprint registry + text memo (module docs, *What the front
+    /// door remembers*).
+    registry: Mutex<QueryTable>,
     /// Clones of live sockets so shutdown can force-unblock connection
     /// threads parked in reads.
     conns: Mutex<HashMap<u64, TcpStream>>,
@@ -331,15 +534,6 @@ impl Shared {
         self.telemetry.registry.snapshot()
     }
 
-    fn register_fingerprint(&self, query: &CanonicalQuery) {
-        let mut registry = self.registry.lock().unwrap();
-        if registry.len() < self.config.fingerprint_cap
-            || registry.contains_key(&query.fingerprint())
-        {
-            registry.insert(query.fingerprint(), query.clone());
-        }
-    }
-
     /// Worker loop: pop, evaluate under the job's cancel token, fill
     /// the reply slot. Popping takes priority over the shutdown check
     /// so every admitted job is answered before workers exit.
@@ -364,11 +558,7 @@ impl Shared {
             if let Some(deadline) = job.deadline {
                 token = token.and_deadline(deadline);
             }
-            let key = match job.kind {
-                WireKind::Monadic => CacheKey::monadic(job.query),
-                WireKind::Binary(source) => CacheKey::binary(job.query, source),
-            };
-            let outcome = match self.service.submit(key, &token, Some(queue_wait)) {
+            let outcome = match self.service.submit(job.key, &token, Some(queue_wait)) {
                 Ok(response) => {
                     self.counters
                         .latency
@@ -387,34 +577,51 @@ impl Shared {
         }
     }
 
+    fn draining(&self, request_id: u64) -> Reply {
+        self.counters.draining_replies.inc();
+        Reply::Frame(Response::Draining { request_id })
+    }
+
     /// Resolves a wire query reference to a canonical query, or the
-    /// request-level error frame to send instead.
-    fn resolve_query(&self, request_id: u64, query: &QueryRef) -> Result<CanonicalQuery, Response> {
+    /// reply to send instead. A memoised text costs one table lookup;
+    /// a new one is parsed and canonicalized against the served graph's
+    /// alphabet — graph and epoch read under one lock — and remembered
+    /// only if the table still belongs to that epoch.
+    fn resolve_query(&self, request_id: u64, query: &QueryRef) -> Result<Resolved, Reply> {
+        let error = |code, message| {
+            Reply::Frame(Response::Error {
+                request_id,
+                code,
+                message,
+            })
+        };
         match query {
             QueryRef::Text(text) => {
-                let graph = self.service.graph();
-                match Regex::parse(text, graph.alphabet()) {
-                    Ok(regex) => {
-                        let dfa = regex.to_dfa(graph.alphabet().len());
-                        let canonical = CanonicalQuery::new(&dfa);
-                        self.register_fingerprint(&canonical);
-                        Ok(canonical)
-                    }
-                    Err(err) => Err(Response::Error {
-                        request_id,
-                        code: ErrorCode::Parse,
-                        message: err.to_string(),
-                    }),
+                if let Some(resolved) = self.registry.lock().unwrap().text(text) {
+                    return Ok(resolved);
                 }
+                let (graph, epoch) = self.service.graph_and_epoch();
+                let canonical = Regex::parse(text, graph.alphabet())
+                    .map_err(|err| error(ErrorCode::Parse, err.to_string()))?
+                    .to_canonical(graph.alphabet().len());
+                self.registry
+                    .lock()
+                    .unwrap()
+                    .remember(text, canonical, epoch, self.config.fingerprint_cap)
+                    .ok_or_else(|| self.draining(request_id))
             }
-            QueryRef::Fingerprint(fp) => match self.registry.lock().unwrap().get(fp).cloned() {
-                Some(canonical) => Ok(canonical),
-                None => Err(Response::Error {
-                    request_id,
-                    code: ErrorCode::UnknownFingerprint,
-                    message: format!("fingerprint {fp:#018x} not established on this server"),
-                }),
-            },
+            QueryRef::Fingerprint(fp) => {
+                self.registry
+                    .lock()
+                    .unwrap()
+                    .fingerprint(*fp)
+                    .ok_or_else(|| {
+                        error(
+                            ErrorCode::UnknownFingerprint,
+                            format!("fingerprint {fp:#018x} not established on this server"),
+                        )
+                    })
+            }
         }
     }
 
@@ -482,8 +689,7 @@ impl Shared {
         }
     }
 
-    /// Admits one decoded query and blocks until its reply frame is
-    /// determined. Always returns exactly one response.
+    /// Answers one decoded query. Always returns exactly one reply.
     fn handle_query(
         &self,
         request_id: u64,
@@ -491,21 +697,65 @@ impl Shared {
         deadline_ms: u32,
         query: &QueryRef,
         arrival: Instant,
-    ) -> Response {
+    ) -> Reply {
         self.counters.queries.inc();
-        let canonical = match self.resolve_query(request_id, query) {
-            Ok(canonical) => canonical,
-            Err(error) => return error,
+        match self.resolve_query(request_id, query) {
+            Ok(resolved) => self.admit_resolved(request_id, kind, deadline_ms, resolved, arrival),
+            Err(reply) => reply,
+        }
+    }
+
+    /// Answers a resolved query: a resident key right here on the
+    /// connection thread, anything else through the admission queue
+    /// (blocking until a worker has determined the reply).
+    fn admit_resolved(
+        &self,
+        request_id: u64,
+        kind: WireKind,
+        deadline_ms: u32,
+        resolved: Resolved,
+        arrival: Instant,
+    ) -> Reply {
+        let Resolved { query, epoch } = resolved;
+        let query = CanonicalQuery::clone(&query);
+        let key = match kind {
+            WireKind::Monadic => CacheKey::monadic(query),
+            WireKind::Binary(source) => CacheKey::binary(query, source),
         };
         let deadline = (deadline_ms != NO_DEADLINE_MS)
             .then(|| arrival + Duration::from_millis(u64::from(deadline_ms)));
+
+        // Fast path. A drain closes it like any admission; a budget
+        // already spent leaves it to the worker's `submit`, which owns
+        // the `DEADLINE` verdict and its counters.
+        if !self.queue.lock().unwrap().open_for(epoch) {
+            return self.draining(request_id);
+        }
+        let start = Instant::now();
+        if deadline.is_none_or(|deadline| start < deadline) {
+            match self.service.try_hit(&key, epoch) {
+                Ok(Some(response)) => {
+                    self.counters
+                        .latency
+                        .record(start.elapsed().as_nanos() as u64);
+                    return Reply::Result {
+                        request_id,
+                        response,
+                    };
+                }
+                Ok(None) => {}
+                Err(StaleEpoch) => return self.draining(request_id),
+            }
+        }
+
         let slot = Arc::new(ReplySlot::new());
         {
             let mut queue = self.queue.lock().unwrap();
-            if queue.draining || queue.shutdown {
+            // Checked again under the lock the job is pushed under: a
+            // whole rebuild may have run since the probe above.
+            if !queue.open_for(epoch) {
                 drop(queue);
-                self.counters.draining_replies.inc();
-                return Response::Draining { request_id };
+                return self.draining(request_id);
             }
             if queue.jobs.len() >= self.config.queue_depth {
                 // Scale the backoff hint by how much work the bounced
@@ -521,15 +771,14 @@ impl Shared {
                 let base = u64::from(self.config.retry_after_ms.max(1));
                 let hint = (base * rounds).min(u64::from(MAX_RETRY_AFTER_MS)) as u32;
                 self.counters.shed.inc();
-                return Response::Shed {
+                return Reply::Frame(Response::Shed {
                     request_id,
                     retry_after_ms: hint,
-                };
+                });
             }
             let flag = queue.drain_flag.clone();
             queue.jobs.push_back(Job {
-                query: canonical,
-                kind,
+                key,
                 deadline,
                 enqueued: Instant::now(),
                 flag,
@@ -538,63 +787,48 @@ impl Shared {
             self.job_ready.notify_one();
         }
         match slot.wait() {
-            JobOutcome::Done(response) => {
-                let (served, eval_ns) = match response.served {
-                    Served::Hit => (WireServed::Hit, 0),
-                    Served::Coalesced => (WireServed::Coalesced, 0),
-                    Served::Evaluated { mode, eval_ns, .. } => (
-                        match mode {
-                            EvalMode::Sequential => WireServed::EvaluatedSequential,
-                            EvalMode::IntraQuery => WireServed::EvaluatedIntra,
-                            EvalMode::Batch => WireServed::EvaluatedBatch,
-                        },
-                        eval_ns,
-                    ),
-                };
-                Response::Result {
-                    request_id,
-                    served,
-                    fingerprint: response.fingerprint,
-                    canonical_states: response.canonical_states as u32,
-                    eval_ns,
-                    bits: (*response.result).clone(),
-                }
-            }
+            JobOutcome::Done(response) => Reply::Result {
+                request_id,
+                response,
+            },
             JobOutcome::Deadline => {
                 self.counters.deadline_replies.inc();
-                Response::Deadline { request_id }
+                Reply::Frame(Response::Deadline { request_id })
             }
-            JobOutcome::Cancelled => {
-                self.counters.draining_replies.inc();
-                Response::Draining { request_id }
-            }
+            JobOutcome::Cancelled => self.draining(request_id),
         }
     }
 
     /// One connection's frame loop. Framing violations close the
     /// connection (a length-prefixed stream cannot resynchronize);
     /// request-level errors answer and continue.
-    fn connection_loop(&self, mut stream: TcpStream, conn_id: u64) {
+    fn connection_loop(&self, stream: TcpStream, conn_id: u64) {
         let _ = stream.set_read_timeout(Some(self.config.read_timeout));
         let _ = stream.set_write_timeout(Some(self.config.write_timeout));
         // Request/reply roundtrips of small frames stall ~40ms per query
         // under Nagle + delayed ACK; a front door wants neither.
         let _ = stream.set_nodelay(true);
+        let mut reader = frame_reader(&stream);
+        // Every reply of this connection is framed in this one buffer
+        // (it grows to the largest reply, one result bitset) and leaves
+        // in one `write`.
+        let mut frame = Vec::new();
+        let mut send =
+            |reply: &Reply| write_frame(&mut &stream, &mut frame, |out| reply.encode_into(out));
         loop {
-            let payload = match read_frame(&mut stream, self.config.max_frame_len) {
+            let payload = match read_frame(&mut reader, self.config.max_frame_len) {
                 Ok(payload) => payload,
                 Err(FrameError::Closed) => break,
                 Err(FrameError::Oversize(len)) => {
                     self.counters.malformed.inc();
-                    let reply = Response::Error {
+                    let _ = send(&Reply::Frame(Response::Error {
                         request_id: 0,
                         code: ErrorCode::Oversize,
                         message: format!(
                             "frame length {len} exceeds cap {}",
                             self.config.max_frame_len
                         ),
-                    };
-                    let _ = write_frame(&mut stream, &reply.encode());
+                    }));
                     break;
                 }
                 Err(FrameError::Io(_)) => {
@@ -607,21 +841,20 @@ impl Shared {
                 Ok(request) => request,
                 Err(err) => {
                     self.counters.malformed.inc();
-                    let reply = Response::Error {
+                    let _ = send(&Reply::Frame(Response::Error {
                         request_id: 0,
                         code: err.code(),
                         message: err.to_string(),
-                    };
-                    let _ = write_frame(&mut stream, &reply.encode());
+                    }));
                     break;
                 }
             };
             let reply = match request {
-                Request::Ping { request_id } => Response::Pong { request_id },
-                Request::Stats { request_id } => Response::Stats {
+                Request::Ping { request_id } => Reply::Frame(Response::Pong { request_id }),
+                Request::Stats { request_id } => Reply::Frame(Response::Stats {
                     request_id,
                     counters: self.stats_counters(),
-                },
+                }),
                 Request::Query {
                     request_id,
                     kind,
@@ -632,9 +865,9 @@ impl Shared {
                     request_id,
                     add,
                     remove,
-                } => self.handle_delta(request_id, &add, &remove),
+                } => Reply::Frame(self.handle_delta(request_id, &add, &remove)),
             };
-            if write_frame(&mut stream, &reply.encode()).is_err() {
+            if send(&reply).is_err() {
                 self.counters.io_errors.inc();
                 break;
             }
@@ -666,7 +899,8 @@ impl Shared {
                             message: "connection limit reached".to_owned(),
                         };
                         let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-                        let _ = write_frame(&mut stream, &reply.encode());
+                        let _ =
+                            write_frame(&mut stream, &mut Vec::new(), |out| reply.encode_into(out));
                         continue;
                     }
                     self.counters.active.add(1);
@@ -741,6 +975,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let telemetry = service.telemetry();
         let counters = NetCounters::register(&telemetry.registry);
+        let (_, epoch) = service.graph_and_epoch();
         let shared = Arc::new(Shared {
             service,
             config: config.clone(),
@@ -750,12 +985,13 @@ impl Server {
                 draining: false,
                 shutdown: false,
                 drain_flag: Arc::new(AtomicBool::new(false)),
+                epoch,
             }),
             job_ready: Condvar::new(),
             idle: Condvar::new(),
             telemetry,
             counters,
-            registry: Mutex::new(HashMap::new()),
+            registry: Mutex::new(QueryTable::new(epoch)),
             conns: Mutex::new(HashMap::new()),
             stop_accept: AtomicBool::new(false),
         });
@@ -864,16 +1100,19 @@ impl Server {
     /// Swaps the served graph behind a graceful drain: admissions
     /// answer `DRAINING`, queued and in-flight work is cancelled at its
     /// next BFS-level check (within [`NetConfig::drain_grace`]), the
-    /// service swaps graph + epoch + cache, the fingerprint registry is
-    /// cleared, and admissions resume on a fresh drain generation. A
-    /// frame admitted after this returns can only see new-graph
-    /// results.
+    /// service swaps graph + epoch + cache, the fingerprint registry
+    /// and text memo are cleared, and admissions resume on a fresh
+    /// drain generation **for the new epoch only**. A frame admitted
+    /// after this returns can only see new-graph results — a query
+    /// resolved against the outgoing alphabet carries the outgoing
+    /// epoch and answers `DRAINING` wherever it surfaces.
     pub fn rebuild_graph(&self, graph: GraphDb) {
         self.shared.drain();
-        self.shared.service.rebuild_graph(graph);
-        self.shared.registry.lock().unwrap().clear();
+        let epoch = self.shared.service.rebuild_graph(graph);
+        self.shared.registry.lock().unwrap().reset(epoch);
         let mut queue = self.shared.queue.lock().unwrap();
         queue.drain_flag = Arc::new(AtomicBool::new(false));
+        queue.epoch = epoch;
         queue.draining = false;
     }
 
@@ -934,7 +1173,11 @@ impl Drop for Server {
 /// CLI, the bench harness, and the test suites (which also hit the
 /// server with raw bytes via [`Client::send_raw`]).
 pub struct Client {
-    stream: TcpStream,
+    /// The read half, buffered ([`frame_reader`]); writes go to the
+    /// same socket through `get_ref`.
+    reader: BufReader<TcpStream>,
+    /// Reused request frame buffer ([`write_frame`]).
+    frame: Vec<u8>,
     next_id: u64,
     /// Response frames carry whole node bitsets, so the client cap is
     /// much larger than the server's request cap.
@@ -947,7 +1190,8 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Client {
-            stream,
+            reader: frame_reader(stream),
+            frame: Vec::new(),
             next_id: 1,
             max_frame_len: 256 * 1024 * 1024,
         })
@@ -955,8 +1199,8 @@ impl Client {
 
     /// Sets both socket timeouts (handy in tests asserting liveness).
     pub fn set_timeouts(&self, read: Option<Duration>, write: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(read)?;
-        self.stream.set_write_timeout(write)
+        self.reader.get_ref().set_read_timeout(read)?;
+        self.reader.get_ref().set_write_timeout(write)
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -968,7 +1212,9 @@ impl Client {
     /// Sends one request frame and reads one response frame, asserting
     /// the echoed request id matches.
     pub fn roundtrip(&mut self, request: &Request) -> io::Result<Response> {
-        write_frame(&mut self.stream, &request.encode())?;
+        write_frame(&mut self.reader.get_ref(), &mut self.frame, |out| {
+            request.encode_into(out)
+        })?;
         let response = self.read_response()?;
         let sent_id = match request {
             Request::Query { request_id, .. }
@@ -1082,14 +1328,14 @@ impl Client {
     /// use this to send garbage, truncated frames, and oversized length
     /// prefixes.
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        use io::Write as _;
-        self.stream.write_all(bytes)?;
-        self.stream.flush()
+        let mut stream = self.reader.get_ref();
+        stream.write_all(bytes)?;
+        stream.flush()
     }
 
     /// Reads one response frame (for use after [`Client::send_raw`]).
     pub fn read_response(&mut self) -> io::Result<Response> {
-        let payload = match read_frame(&mut self.stream, self.max_frame_len) {
+        let payload = match read_frame(&mut self.reader, self.max_frame_len) {
             Ok(payload) => payload,
             Err(FrameError::Closed) => {
                 return Err(io::Error::new(
@@ -1111,6 +1357,345 @@ impl Client {
 
     /// Half-closes the write side (mid-query disconnect fault).
     pub fn shutdown_write(&self) -> io::Result<()> {
-        self.stream.shutdown(Shutdown::Write)
+        self.reader.get_ref().shutdown(Shutdown::Write)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServeConfig;
+    use pathlearn_automata::{Alphabet, BitSet};
+    use pathlearn_graph::eval::eval_monadic;
+    use pathlearn_graph::GraphBuilder;
+
+    /// A 40-node line — `a` edges on the first half, `c` on the second,
+    /// a `b` chord — over the labels `a`, `b`, `c` interned in `order`.
+    /// The *named* edges never change; only which column each label
+    /// gets does, which is what a rebuild may change under a query that
+    /// was canonicalized a moment earlier.
+    fn line_graph(order: [&str; 3]) -> GraphDb {
+        let mut alphabet = Alphabet::new();
+        for label in order {
+            alphabet.intern(label);
+        }
+        let mut builder = GraphBuilder::with_alphabet(alphabet);
+        for i in 0..39 {
+            let label = if i < 20 { "a" } else { "c" };
+            builder.add_edge(&format!("n{i}"), label, &format!("n{}", i + 1));
+        }
+        builder.add_edge("n0", "b", "n39");
+        builder.build()
+    }
+
+    fn direct(graph: &GraphDb, expr: &str) -> BitSet {
+        let regex = Regex::parse(expr, graph.alphabet()).unwrap();
+        eval_monadic(&regex.to_dfa(graph.alphabet().len()), graph)
+    }
+
+    fn serve(graph: GraphDb, config: NetConfig) -> Server {
+        let service = QueryService::new(graph, ServeConfig::default());
+        Server::bind(service, "127.0.0.1:0", config).expect("bind ephemeral port")
+    }
+
+    fn text(expr: &str) -> QueryRef {
+        QueryRef::Text(expr.to_owned())
+    }
+
+    fn ask(server: &Server, query: &QueryRef) -> Reply {
+        server
+            .shared
+            .handle_query(1, WireKind::Monadic, NO_DEADLINE_MS, query, Instant::now())
+    }
+
+    fn result_of(reply: Reply) -> QueryResponse {
+        match reply {
+            Reply::Result { response, .. } => response,
+            other => panic!("expected a RESULT, got {other:?}"),
+        }
+    }
+
+    /// `(registered fingerprints, memoised texts, accounted key bytes)`.
+    fn table_sizes(server: &Server) -> (usize, usize, usize) {
+        let table = server.shared.registry.lock().unwrap();
+        (
+            table.by_fingerprint.len(),
+            table.by_text.len(),
+            table.text_bytes,
+        )
+    }
+
+    /// The rebuild fence, interleaved by hand: a text is resolved
+    /// against the outgoing alphabet, a whole rebuild (onto the same
+    /// labels in another order) completes, and only then is the
+    /// resolved query admitted. Without the epoch stamp its DFA — `a·a`
+    /// numbered over `[a, b, c]` — is structurally the new graph's
+    /// `c·c`, whose result is resident: the frame would be a *hit* on
+    /// the wrong language, and with the memo so would every later frame
+    /// with that text.
+    #[test]
+    fn a_query_resolved_before_a_rebuild_is_never_answered_after_it() {
+        let new_graph = line_graph(["c", "b", "a"]);
+        let server = serve(line_graph(["a", "b", "c"]), NetConfig::default());
+        let shared = &server.shared;
+        let expr = text("a·a");
+
+        let stale = shared.resolve_query(1, &expr).expect("a·a parses");
+        let stale_epoch = stale.epoch;
+        let stale_key = CacheKey::monadic(CanonicalQuery::clone(&stale.query));
+        assert_eq!(table_sizes(&server), (1, 1, "a·a".len()));
+
+        server.rebuild_graph(new_graph.clone());
+        assert_eq!(
+            table_sizes(&server),
+            (0, 0, 0),
+            "a rebuild empties registry and memo"
+        );
+
+        // Make the wrong answer resident: on the new graph column 0 is
+        // `c`, so `c·c` canonicalizes to the very table `stale` holds.
+        let wrong = result_of(ask(&server, &text("c·c")));
+        assert_eq!(*wrong.result, direct(&new_graph, "c·c"));
+        let (_, new_epoch) = shared.service.graph_and_epoch();
+        assert_ne!(stale_epoch, new_epoch);
+        assert!(matches!(
+            shared.service.try_hit(&stale_key, stale_epoch),
+            Err(StaleEpoch)
+        ));
+        let unfenced = shared
+            .service
+            .try_hit(&stale_key, new_epoch)
+            .unwrap()
+            .expect("the stale table is a resident key of the new graph");
+        assert_eq!(unfenced.result, wrong.result, "what the fence prevents");
+
+        let draining_before = shared.counters.draining_replies.get();
+        let reply =
+            shared.admit_resolved(1, WireKind::Monadic, NO_DEADLINE_MS, stale, Instant::now());
+        assert!(
+            matches!(reply, Reply::Frame(Response::Draining { request_id: 1 })),
+            "a stale resolution answers the retryable DRAINING, got {reply:?}"
+        );
+        assert_eq!(shared.counters.draining_replies.get(), draining_before + 1);
+
+        // The retry resolves against the new alphabet and is evaluated
+        // on the new graph.
+        let fresh = result_of(ask(&server, &expr));
+        assert!(matches!(fresh.served, Served::Evaluated { .. }));
+        assert_eq!(*fresh.result, direct(&new_graph, "a·a"));
+        assert_ne!(fresh.result, wrong.result);
+    }
+
+    /// The third comparison of the stamp: a rebuild that completes
+    /// while a text is being canonicalized must not let the result into
+    /// the (already reset) table.
+    #[test]
+    fn the_table_refuses_entries_resolved_under_another_epoch() {
+        let alphabet = Alphabet::from_labels(["a", "b", "c"]);
+        let query = Regex::parse("a·a", &alphabet).unwrap().to_canonical(3);
+        let mut table = QueryTable::new(0);
+        table.reset(1);
+        assert!(table.remember("a·a", query.clone(), 0, 16).is_none());
+        assert!(table.by_fingerprint.is_empty() && table.by_text.is_empty());
+        assert_eq!(table.text_bytes, 0);
+        let stored = table.remember("a·a", query, 1, 16).expect("current epoch");
+        assert_eq!(stored.epoch, 1);
+        assert_eq!(table.text("a·a").map(|hit| hit.epoch), Some(1));
+    }
+
+    /// 100k distinct valid spellings of one language — far more key
+    /// bytes than the memo may hold — keep the accounted bytes under
+    /// the constant, the ledger exact, and the server answering.
+    #[test]
+    fn the_memo_is_bounded_by_key_bytes_not_only_by_entries() {
+        let graph = line_graph(["a", "b", "c"]);
+        let server = serve(graph.clone(), NetConfig::default());
+        let cap = server.shared.config.fingerprint_cap;
+        // Spelling `i`: 17 factors, each `(a+c)` or `(c+a)` by bit.
+        let spelling = |i: u32| {
+            (0..17)
+                .map(|bit| if i >> bit & 1 == 0 { "(a+c)" } else { "(c+a)" })
+                .collect::<Vec<_>>()
+                .join("·")
+        };
+        let first = spelling(0);
+        let query = Regex::parse(&first, graph.alphabet())
+            .unwrap()
+            .to_canonical(3);
+        let mut stored_bytes = 0usize;
+        {
+            let mut table = server.shared.registry.lock().unwrap();
+            for i in 0..100_000 {
+                let text = spelling(i);
+                stored_bytes += text.len();
+                table
+                    .remember(&text, query.clone(), 0, cap)
+                    .expect("current epoch");
+                assert!(table.text_bytes <= MEMO_TEXT_BYTES_MAX, "spelling {i}");
+                assert!(table.by_text.len() <= cap);
+            }
+            assert!(
+                stored_bytes > 4 * MEMO_TEXT_BYTES_MAX,
+                "the input overflowed the bound several times"
+            );
+            assert_eq!(
+                table.text_bytes,
+                table.by_text.keys().map(|key| key.len()).sum::<usize>(),
+                "the byte ledger is exact across wholesale clears"
+            );
+            assert_eq!(table.by_fingerprint.len(), 1, "one language, one entry");
+        }
+        // Memoised or not, every spelling is still answered.
+        let expected = direct(&graph, &first);
+        for i in [0, 1, 99_999] {
+            assert_eq!(
+                *result_of(ask(&server, &text(&spelling(i)))).result,
+                expected
+            );
+        }
+
+        // The entry bound is the registry's: at the cap the memo starts
+        // over, the registry stops registering, nothing grows.
+        let small = serve(
+            graph.clone(),
+            NetConfig {
+                fingerprint_cap: 4,
+                ..NetConfig::default()
+            },
+        );
+        for expr in ["a", "b", "c", "a·a", "a·b", "c·c", "a+b", "b+c", "a*", "c*"] {
+            result_of(ask(&small, &text(expr)));
+            let (fingerprints, texts, _) = table_sizes(&small);
+            assert!(
+                fingerprints <= 4 && texts <= 4,
+                "{expr}: {fingerprints}/{texts}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_parsed_texts_are_memoised_and_spellings_share_one_entry() {
+        let server = serve(line_graph(["a", "b", "c"]), NetConfig::default());
+        let first = result_of(ask(&server, &text("a·(a·a)")));
+        assert_eq!(table_sizes(&server), (1, 1, "a·(a·a)".len()));
+
+        // A text that does not parse — or names a label the graph does
+        // not have — answers PARSE and leaves the table as it was.
+        for bad in ["((", "a·", "a·zzz"] {
+            match ask(&server, &text(bad)) {
+                Reply::Frame(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Parse),
+                other => panic!("expected a PARSE error for {bad:?}, got {other:?}"),
+            }
+            assert_eq!(table_sizes(&server), (1, 1, "a·(a·a)".len()), "{bad:?}");
+        }
+
+        // Another spelling of the same language: a second memo key, the
+        // same fingerprint entry, the same shared query — and a hit.
+        let second = result_of(ask(&server, &text("(a·a)·a")));
+        assert!(matches!(second.served, Served::Hit));
+        assert_eq!(second.fingerprint, first.fingerprint);
+        assert_eq!(
+            table_sizes(&server),
+            (1, 2, "a·(a·a)".len() + "(a·a)·a".len())
+        );
+        let table = server.shared.registry.lock().unwrap();
+        let registered = &table.by_fingerprint[&first.fingerprint];
+        assert!(table
+            .by_text
+            .values()
+            .all(|query| Arc::ptr_eq(query, registered)));
+        // By fingerprint it resolves to that same entry.
+        let by_fingerprint = table.fingerprint(first.fingerprint).unwrap();
+        assert!(Arc::ptr_eq(&by_fingerprint.query, registered));
+    }
+
+    /// Deltas freeze the node set and the alphabet, so the memo
+    /// survives them: the next frame with a memoised text resolves to
+    /// the same shared query without canonicalizing, and a result over
+    /// labels the delta did not touch is still a hit.
+    #[test]
+    fn a_delta_leaves_the_memo_intact() {
+        let graph = line_graph(["a", "b", "c"]);
+        let server = serve(graph.clone(), NetConfig::default());
+        result_of(ask(&server, &text("a·a")));
+        result_of(ask(&server, &text("c·c")));
+        let before = server
+            .shared
+            .registry
+            .lock()
+            .unwrap()
+            .text("a·a")
+            .expect("memoised");
+
+        let c = graph.alphabet().symbol("c").unwrap();
+        let applied = server.apply_delta(&[(0, c, 5)], &[]).expect("in range");
+        assert_eq!(applied.invalidated, 1, "only c·c reads the touched label");
+
+        assert_eq!(table_sizes(&server), (2, 2, "a·a".len() + "c·c".len()));
+        let after = server
+            .shared
+            .resolve_query(1, &text("a·a"))
+            .expect("still memoised");
+        assert!(Arc::ptr_eq(&before.query, &after.query), "no new canonical");
+        assert_eq!(before.epoch, after.epoch, "a delta does not move the epoch");
+        assert!(matches!(
+            result_of(ask(&server, &text("a·a"))).served,
+            Served::Hit
+        ));
+        // The touched label's entry was invalidated, not its memo key:
+        // same shared query, fresh evaluation on the patched graph.
+        let patched = server.service().graph();
+        let reevaluated = result_of(ask(&server, &text("c·c")));
+        assert!(matches!(reevaluated.served, Served::Evaluated { .. }));
+        assert_eq!(*reevaluated.result, direct(&patched, "c·c"));
+    }
+
+    /// The server's direct-from-`Arc<BitSet>` writer and the public
+    /// `Response::Result` encoder are the same bytes — an old client
+    /// cannot tell which one framed its answer.
+    #[test]
+    fn the_direct_result_writer_matches_response_encode() {
+        let mut frame = Vec::new();
+        let mut bits = BitSet::new(100_000);
+        for i in (0..100_000).step_by(7) {
+            bits.insert(i);
+        }
+        for (served, wire, eval_ns) in [
+            (Served::Hit, WireServed::Hit, 0),
+            (Served::Coalesced, WireServed::Coalesced, 0),
+            (
+                Served::Evaluated {
+                    mode: EvalMode::IntraQuery,
+                    strategy: pathlearn_graph::plan::Strategy::Backward,
+                    eval_ns: 55_000,
+                },
+                WireServed::EvaluatedIntra,
+                55_000,
+            ),
+        ] {
+            let reply = Reply::Result {
+                request_id: 9,
+                response: QueryResponse {
+                    result: Arc::new(bits.clone()),
+                    served,
+                    fingerprint: 0xfeed_face_cafe_beef,
+                    canonical_states: 3,
+                },
+            };
+            let mut wire_bytes = Vec::new();
+            write_frame(&mut wire_bytes, &mut frame, |out| reply.encode_into(out)).unwrap();
+            let payload = Response::Result {
+                request_id: 9,
+                served: wire,
+                fingerprint: 0xfeed_face_cafe_beef,
+                canonical_states: 3,
+                eval_ns,
+                bits: bits.clone(),
+            }
+            .encode();
+            let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+            expected.extend_from_slice(&payload);
+            assert_eq!(wire_bytes, expected, "{served:?}");
+        }
     }
 }

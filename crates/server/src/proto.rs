@@ -33,7 +33,9 @@
 //! Fingerprint references resolve against the queries this server has
 //! already parsed (see [`crate::net`]'s registry): a client that submits
 //! a query by text once may repeat it by fingerprint, skipping the parse
-//! and canonicalization on both sides.
+//! and canonicalization on both sides. (Repeating the very same text
+//! skips them server-side too: the registry also memoises text →
+//! canonical query.)
 //!
 //! ## Responses
 //!
@@ -62,9 +64,25 @@
 //! `DEADLINE` frame, never a partial result. `NO_DEADLINE_MS` (the
 //! `u32::MAX` sentinel) means unbounded; `0` is a valid, already-expired
 //! budget (useful as a cancellation probe).
+//!
+//! ## Frame I/O
+//!
+//! One frame is one `write`: [`write_frame`] builds the length prefix
+//! and the payload in one reusable buffer and hands it to the socket
+//! whole — on a `TCP_NODELAY` stream a separately written prefix would
+//! travel as its own segment and wake the peer for four bytes. Both
+//! ends read through [`frame_reader`], so the prefix and a small
+//! payload arrive in one `read`. Encoders append ([`Request::encode_into`],
+//! [`Response::encode_into`], [`encode_result`] — which writes a
+//! `RESULT` straight from a borrowed bitset, so a server never clones a
+//! cached answer just to frame it); the bitset travels and is decoded
+//! by whole `u64` words, with the same strictness as before (word count
+//! must match the capacity, no bit may be set beyond it, and a count
+//! the payload cannot hold is rejected before anything is allocated
+//! for it).
 
 use pathlearn_automata::BitSet;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 
 /// The protocol version this build speaks. Version mismatches are
 /// framing-level errors (the connection closes).
@@ -373,13 +391,29 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Bytes of the little-endian `u32` length prefix.
+const PREFIX_LEN: usize = 4;
+
+/// Capacity of [`frame_reader`]'s buffer: the server's default request
+/// cap, and several typical `RESULT` frames on the client side.
+const READ_BUF_LEN: usize = 64 * 1024;
+
+/// The buffered reader a connection reads its frames through, on both
+/// ends: [`read_frame`] asks for the first byte, the rest of the
+/// prefix and the payload separately, and through this reader a frame
+/// that is already in the socket costs one `read`, not three.
+pub fn frame_reader<R: Read>(stream: R) -> BufReader<R> {
+    BufReader::with_capacity(READ_BUF_LEN, stream)
+}
+
 /// Reads one length-prefixed frame, enforcing `max_len` on the payload.
 /// Distinguishes a clean close at a frame boundary ([`FrameError::Closed`])
 /// from a mid-frame truncation (an [`io::ErrorKind::UnexpectedEof`] I/O
 /// error), so the server can count malformed peers separately from
-/// well-behaved departures.
+/// well-behaved departures. Hand it a [`frame_reader`], not a bare
+/// socket.
 pub fn read_frame<R: Read>(reader: &mut R, max_len: u32) -> Result<Vec<u8>, FrameError> {
-    let mut prefix = [0u8; 4];
+    let mut prefix = [0u8; PREFIX_LEN];
     // First byte by hand: 0 bytes here is a clean close, not truncation.
     let mut first = [0u8; 1];
     match reader.read(&mut first) {
@@ -399,12 +433,23 @@ pub fn read_frame<R: Read>(reader: &mut R, max_len: u32) -> Result<Vec<u8>, Fram
     Ok(payload)
 }
 
-/// Writes one length-prefixed frame and flushes.
-pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
+/// Writes one length-prefixed frame with a **single** `write_all`, then
+/// flushes. The frame is built in `frame` (cleared first; keep one per
+/// connection so its allocation is reused): the prefix is reserved,
+/// `encode` appends the payload, the prefix is patched to the payload's
+/// length, and the whole buffer goes out at once.
+pub fn write_frame<W: Write>(
+    writer: &mut W,
+    frame: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    frame.clear();
+    frame.extend_from_slice(&[0u8; PREFIX_LEN]);
+    encode(frame);
+    let len = u32::try_from(frame.len() - PREFIX_LEN)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(payload)?;
+    frame[..PREFIX_LEN].copy_from_slice(&len.to_le_bytes());
+    writer.write_all(frame)?;
     writer.flush()
 }
 
@@ -481,8 +526,30 @@ fn decode_header(reader: &mut Reader<'_>) -> Result<(u8, u64), DecodeError> {
     Ok((opcode, request_id))
 }
 
-fn put_bitset(out: &mut Vec<u8>, bits: &BitSet) {
+/// `RESULT` body bytes before the bitset words: served tag,
+/// fingerprint, canonical states, eval time, `num_bits`, `num_words`.
+const RESULT_FIXED_LEN: usize = 1 + 8 + 4 + 8 + 4 + 4;
+
+/// Appends one `RESULT` payload to `out` — the encoder behind
+/// [`Response::Result`], taking the answer **by reference** so a server
+/// frames a cached `Arc<BitSet>` without cloning it into a
+/// [`Response`] first. Reserves the exact encoded size up front.
+pub fn encode_result(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    served: WireServed,
+    fingerprint: u64,
+    canonical_states: u32,
+    eval_ns: u64,
+    bits: &BitSet,
+) {
     let blocks = bits.as_blocks();
+    out.reserve(HEADER_LEN + RESULT_FIXED_LEN + std::mem::size_of_val(blocks));
+    header(out, OP_RESULT, request_id);
+    out.push(served as u8);
+    out.extend_from_slice(&fingerprint.to_le_bytes());
+    out.extend_from_slice(&canonical_states.to_le_bytes());
+    out.extend_from_slice(&eval_ns.to_le_bytes());
     out.extend_from_slice(&(bits.capacity() as u32).to_le_bytes());
     out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
     for block in blocks {
@@ -490,32 +557,38 @@ fn put_bitset(out: &mut Vec<u8>, bits: &BitSet) {
     }
 }
 
+/// Decodes a bitset by whole words. Checks run before the allocation
+/// they protect: the word count must be the one `num_bits` implies,
+/// the words must really be in the payload, and the last word must
+/// have no bit at or beyond `num_bits` (the tail-masking invariant
+/// every kernel relies on) — only then are the blocks copied out.
 fn read_bitset(reader: &mut Reader<'_>) -> Result<BitSet, DecodeError> {
     let num_bits = reader.u32()? as usize;
     let num_words = reader.u32()? as usize;
     if num_words != num_bits.div_ceil(BitSet::BLOCK_BITS) {
         return Err(DecodeError::Malformed("bitset word count"));
     }
-    let mut indices = Vec::new();
-    for word_index in 0..num_words {
-        let mut word = u64::from_le_bytes(reader.bytes(8)?.try_into().unwrap());
-        while word != 0 {
-            let bit = word.trailing_zeros() as usize;
-            let index = word_index * BitSet::BLOCK_BITS + bit;
-            if index >= num_bits {
-                return Err(DecodeError::Malformed("bit beyond capacity"));
-            }
-            indices.push(index);
-            word &= word - 1;
-        }
+    let raw = reader.bytes(num_words.checked_mul(8).ok_or(DecodeError::Truncated)?)?;
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+    let used = num_bits % BitSet::BLOCK_BITS;
+    if used != 0 && raw.rchunks_exact(8).next().map_or(0, word) >> used != 0 {
+        return Err(DecodeError::Malformed("bit beyond capacity"));
     }
-    Ok(BitSet::from_indices(num_bits, indices))
+    let blocks: Vec<u64> = raw.chunks_exact(8).map(word).collect();
+    BitSet::from_blocks(num_bits, &blocks).ok_or(DecodeError::Malformed("bit beyond capacity"))
 }
 
 impl Request {
     /// Encodes this request as one frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + 16);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends this request's frame payload to `out` (the
+    /// [`write_frame`] callback form of [`Request::encode`]).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Query {
                 request_id,
@@ -523,7 +596,7 @@ impl Request {
                 deadline_ms,
                 query,
             } => {
-                header(&mut out, OP_QUERY, *request_id);
+                header(out, OP_QUERY, *request_id);
                 match kind {
                     WireKind::Monadic => out.push(0),
                     WireKind::Binary(source) => {
@@ -535,7 +608,7 @@ impl Request {
                 match query {
                     QueryRef::Text(text) => {
                         out.push(0);
-                        put_string(&mut out, text);
+                        put_string(out, text);
                     }
                     QueryRef::Fingerprint(fp) => {
                         out.push(1);
@@ -543,25 +616,24 @@ impl Request {
                     }
                 }
             }
-            Request::Stats { request_id } => header(&mut out, OP_STATS, *request_id),
-            Request::Ping { request_id } => header(&mut out, OP_PING, *request_id),
+            Request::Stats { request_id } => header(out, OP_STATS, *request_id),
+            Request::Ping { request_id } => header(out, OP_PING, *request_id),
             Request::Delta {
                 request_id,
                 add,
                 remove,
             } => {
-                header(&mut out, OP_DELTA, *request_id);
+                header(out, OP_DELTA, *request_id);
                 for list in [add, remove] {
                     out.extend_from_slice(&(list.len() as u32).to_le_bytes());
                     for (src, label, dst) in list {
-                        put_string(&mut out, src);
-                        put_string(&mut out, label);
-                        put_string(&mut out, dst);
+                        put_string(out, src);
+                        put_string(out, label);
+                        put_string(out, dst);
                     }
                 }
             }
         }
-        out
     }
 
     /// Decodes one request payload (strict: trailing bytes are malformed).
@@ -626,7 +698,18 @@ impl Request {
 impl Response {
     /// Encodes this response as one frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + 32);
+        let mut out = match self {
+            // Sized exactly, once, by `encode_result`.
+            Response::Result { .. } => Vec::new(),
+            _ => Vec::with_capacity(HEADER_LEN + 32),
+        };
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends this response's frame payload to `out` (the
+    /// [`write_frame`] callback form of [`Response::encode`]).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Result {
                 request_id,
@@ -635,37 +718,38 @@ impl Response {
                 canonical_states,
                 eval_ns,
                 bits,
-            } => {
-                header(&mut out, OP_RESULT, *request_id);
-                out.push(*served as u8);
-                out.extend_from_slice(&fingerprint.to_le_bytes());
-                out.extend_from_slice(&canonical_states.to_le_bytes());
-                out.extend_from_slice(&eval_ns.to_le_bytes());
-                put_bitset(&mut out, bits);
-            }
+            } => encode_result(
+                out,
+                *request_id,
+                *served,
+                *fingerprint,
+                *canonical_states,
+                *eval_ns,
+                bits,
+            ),
             Response::Shed {
                 request_id,
                 retry_after_ms,
             } => {
-                header(&mut out, OP_SHED, *request_id);
+                header(out, OP_SHED, *request_id);
                 out.extend_from_slice(&retry_after_ms.to_le_bytes());
             }
-            Response::Deadline { request_id } => header(&mut out, OP_DEADLINE, *request_id),
-            Response::Draining { request_id } => header(&mut out, OP_DRAINING, *request_id),
+            Response::Deadline { request_id } => header(out, OP_DEADLINE, *request_id),
+            Response::Draining { request_id } => header(out, OP_DRAINING, *request_id),
             Response::Error {
                 request_id,
                 code,
                 message,
             } => {
-                header(&mut out, OP_ERROR, *request_id);
+                header(out, OP_ERROR, *request_id);
                 out.push(*code as u8);
-                put_string(&mut out, message);
+                put_string(out, message);
             }
             Response::Stats {
                 request_id,
                 counters,
             } => {
-                header(&mut out, OP_STATS_REPLY, *request_id);
+                header(out, OP_STATS_REPLY, *request_id);
                 out.extend_from_slice(&(counters.len() as u32).to_le_bytes());
                 for (name, value) in counters {
                     let len = name.len().min(u8::MAX as usize);
@@ -674,20 +758,19 @@ impl Response {
                     out.extend_from_slice(&value.to_le_bytes());
                 }
             }
-            Response::Pong { request_id } => header(&mut out, OP_PONG, *request_id),
+            Response::Pong { request_id } => header(out, OP_PONG, *request_id),
             Response::DeltaApplied {
                 request_id,
                 invalidated,
                 compacted,
                 delta_edges,
             } => {
-                header(&mut out, OP_DELTA_APPLIED, *request_id);
+                header(out, OP_DELTA_APPLIED, *request_id);
                 out.extend_from_slice(&invalidated.to_le_bytes());
                 out.push(u8::from(*compacted));
                 out.extend_from_slice(&delta_edges.to_le_bytes());
             }
         }
-        out
     }
 
     /// Decodes one response payload (strict: trailing bytes are
@@ -960,6 +1043,10 @@ mod tests {
 
     #[test]
     fn frame_io_roundtrips_and_enforces_the_cap() {
+        let mut frame = Vec::new();
+        let mut write_frame = |writer: &mut Vec<u8>, payload: &[u8]| {
+            write_frame(writer, &mut frame, |out| out.extend_from_slice(payload))
+        };
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello").unwrap();
         write_frame(&mut buf, b"").unwrap();
@@ -989,5 +1076,260 @@ mod tests {
             read_frame(&mut cursor, 64),
             Err(FrameError::Io(_))
         ));
+    }
+    /// Byte offset of the bitset's `num_bits` field in a `RESULT`
+    /// payload (`num_words` follows it, then the words).
+    const BITS_AT: usize = HEADER_LEN + RESULT_FIXED_LEN - 8;
+
+    /// A `capacity`-bit set holding `indices`.
+    fn bits_of(capacity: usize, indices: impl IntoIterator<Item = usize>) -> BitSet {
+        let mut bits = BitSet::new(capacity);
+        for index in indices {
+            bits.insert(index);
+        }
+        bits
+    }
+
+    fn result_with(bits: BitSet) -> Response {
+        Response::Result {
+            request_id: 1,
+            served: WireServed::Hit,
+            fingerprint: 0,
+            canonical_states: 1,
+            eval_ns: 0,
+            bits,
+        }
+    }
+
+    /// The wire format is what lets an old client talk to a new server
+    /// and the reverse: these frames — length prefix included — are
+    /// literals recorded at the commit before the word-wise codec and
+    /// the one-write framing landed.
+    #[test]
+    fn golden_frames_are_unchanged() {
+        let frame_of = |encode: &dyn Fn(&mut Vec<u8>)| {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &mut Vec::new(), encode).unwrap();
+            wire
+        };
+        let text = Request::Query {
+            request_id: 7,
+            kind: WireKind::Monadic,
+            deadline_ms: NO_DEADLINE_MS,
+            query: QueryRef::Text("(a·b)*·c".to_owned()),
+        };
+        let text_golden = [
+            28, 0, 0, 0, 1, 1, 7, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255, 0, 10, 0, 40, 97,
+            194, 183, 98, 41, 42, 194, 183, 99,
+        ];
+        assert_eq!(frame_of(&|out| text.encode_into(out)), text_golden);
+        assert_eq!(Request::decode(&text_golden[4..]), Ok(text));
+
+        let by_fingerprint = Request::Query {
+            request_id: 8,
+            kind: WireKind::Binary(42),
+            deadline_ms: 250,
+            query: QueryRef::Fingerprint(0x0123_4567_89ab_cdef),
+        };
+        let fingerprint_golden = [
+            28, 0, 0, 0, 1, 1, 8, 0, 0, 0, 0, 0, 0, 0, 1, 42, 0, 0, 0, 250, 0, 0, 0, 1, 239, 205,
+            171, 137, 103, 69, 35, 1,
+        ];
+        assert_eq!(
+            frame_of(&|out| by_fingerprint.encode_into(out)),
+            fingerprint_golden
+        );
+        assert_eq!(
+            Request::decode(&fingerprint_golden[4..]),
+            Ok(by_fingerprint)
+        );
+
+        let result = Response::Result {
+            request_id: 9,
+            served: WireServed::EvaluatedIntra,
+            fingerprint: 0xfeed_face_cafe_beef,
+            canonical_states: 3,
+            eval_ns: 55_000,
+            bits: bits_of(130, [0, 64, 129]),
+        };
+        let result_golden = [
+            63, 0, 0, 0, 1, 129, 9, 0, 0, 0, 0, 0, 0, 0, 3, 239, 190, 254, 202, 206, 250, 237, 254,
+            3, 0, 0, 0, 216, 214, 0, 0, 0, 0, 0, 0, 130, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
+            0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(frame_of(&|out| result.encode_into(out)), result_golden);
+        assert_eq!(result.encode(), result_golden[4..]);
+        assert_eq!(Response::decode(&result_golden[4..]), Ok(result));
+    }
+
+    #[test]
+    fn bitset_claims_are_checked_before_they_size_anything() {
+        let good = result_with(bits_of(100, [5, 80])).encode();
+        assert!(Response::decode(&good).is_ok());
+        let patched = |at: usize, value: u32| {
+            let mut bad = good.clone();
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            bad
+        };
+
+        // One bit beyond `num_bits` in the last word — the lowest
+        // offender, not just an all-ones word.
+        let mut bad = good.clone();
+        let last_word = bad.len() - 8;
+        bad[last_word..].copy_from_slice(&(1u64 << (100 - 64)).to_le_bytes());
+        assert_eq!(
+            Response::decode(&bad),
+            Err(DecodeError::Malformed("bit beyond capacity"))
+        );
+        // The highest in-range bit is fine.
+        bad[last_word..].copy_from_slice(&(1u64 << (99 - 64)).to_le_bytes());
+        assert!(Response::decode(&bad).is_ok());
+
+        // `num_words` disagreeing with `num_bits`, either way round.
+        for (at, value) in [
+            (BITS_AT + 4, 1),
+            (BITS_AT + 4, 3),
+            (BITS_AT, 64),
+            (BITS_AT, 129),
+        ] {
+            assert_eq!(
+                Response::decode(&patched(at, value)),
+                Err(DecodeError::Malformed("bitset word count")),
+                "field at {at} := {value}"
+            );
+        }
+
+        // A consistent claim the payload cannot hold: 2²⁶ words (half a
+        // gigabyte, were it trusted) backed by two. Rejected from the
+        // bytes that are there, before anything is allocated for it.
+        let mut huge = patched(BITS_AT, u32::MAX);
+        huge[BITS_AT + 4..BITS_AT + 8].copy_from_slice(&(1u32 << 26).to_le_bytes());
+        assert_eq!(Response::decode(&huge), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn every_truncation_of_a_result_is_rejected() {
+        let full = result_with(bits_of(130, [0, 64, 129])).encode();
+        for cut in 0..full.len() {
+            assert_eq!(
+                Response::decode(&full[..cut]),
+                Err(DecodeError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        let mut trailing = full;
+        trailing.push(0);
+        assert_eq!(
+            Response::decode(&trailing),
+            Err(DecodeError::Malformed("trailing bytes"))
+        );
+    }
+
+    /// An in-memory stream that counts the `read`s and `write`s it
+    /// serves — what a socket would see as syscalls.
+    #[derive(Default)]
+    struct CountingStream {
+        bytes: io::Cursor<Vec<u8>>,
+        reads: usize,
+        writes: usize,
+    }
+
+    impl Read for CountingStream {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    impl Write for CountingStream {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.get_mut().write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_one_read() {
+        let request = Request::Query {
+            request_id: 1,
+            kind: WireKind::Monadic,
+            deadline_ms: NO_DEADLINE_MS,
+            query: QueryRef::Text("(a+b)*·c".to_owned()),
+        };
+        let result = result_with(BitSet::full(100_000));
+        let mut frame = Vec::new();
+
+        let mut stream = CountingStream::default();
+        write_frame(&mut stream, &mut frame, |out| request.encode_into(out)).unwrap();
+        assert_eq!(stream.writes, 1, "prefix and payload leave together");
+        // Through the connection's reader, the three requests
+        // `read_frame` makes (first byte, rest of the prefix, payload)
+        // cost one `read` of the stream behind it.
+        let mut reader = frame_reader(stream);
+        let payload = read_frame(&mut reader, 1 << 20).unwrap();
+        assert_eq!(Request::decode(&payload), Ok(request));
+        assert_eq!(reader.get_ref().reads, 1);
+
+        let mut stream = CountingStream::default();
+        write_frame(&mut stream, &mut frame, |out| result.encode_into(out)).unwrap();
+        assert_eq!(stream.writes, 1, "a 12.5 KB RESULT is still one write");
+        let mut reader = frame_reader(stream);
+        let payload = read_frame(&mut reader, 1 << 20).unwrap();
+        assert_eq!(Response::decode(&payload), Ok(result));
+        assert_eq!(reader.get_ref().reads, 1);
+    }
+
+    mod roundtrip {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// `RESULT` round-trips bit-identically at the capacities
+            /// where word-wise decoding can go wrong: empty, sub-word,
+            /// one short of / exactly / one past a word, and a
+            /// graph-sized set.
+            #[test]
+            fn result_roundtrips_at_word_boundaries(
+                capacity in prop_oneof![
+                    Just(0usize), Just(1usize), Just(63usize), Just(64usize), Just(65usize),
+                    Just(100_000usize)
+                ],
+                picks in proptest::collection::vec(any::<u64>(), 0..200),
+                full in any::<bool>(),
+            ) {
+                let bits = if full {
+                    BitSet::full(capacity)
+                } else {
+                    // (An empty capacity has no index to pick.)
+                    bits_of(
+                        capacity,
+                        picks
+                            .iter()
+                            .filter(|_| capacity > 0)
+                            .map(|pick| (*pick % capacity.max(1) as u64) as usize),
+                    )
+                };
+                let response = result_with(bits.clone());
+                let payload = response.encode();
+                prop_assert_eq!(
+                    payload.len(),
+                    HEADER_LEN + RESULT_FIXED_LEN + 8 * capacity.div_ceil(64)
+                );
+                prop_assert_eq!(payload.capacity(), payload.len(), "exact reserve");
+                match Response::decode(&payload) {
+                    Ok(Response::Result { bits: decoded, .. }) => {
+                        prop_assert_eq!(decoded.as_blocks(), bits.as_blocks());
+                        prop_assert_eq!(decoded.capacity(), capacity);
+                    }
+                    other => prop_assert!(false, "decoded {:?}", other),
+                }
+            }
+        }
     }
 }

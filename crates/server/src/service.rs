@@ -290,6 +290,11 @@ impl std::error::Error for DeltaCommitError {
     }
 }
 
+/// [`QueryService::try_hit`]'s refusal: the graph was rebuilt after the
+/// epoch the caller's key was derived under.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StaleEpoch;
+
 /// Aggregate service counters (a consistent snapshot via
 /// [`QueryService::stats`]).
 #[derive(Clone, Debug, Default)]
@@ -781,6 +786,17 @@ impl QueryService {
         self.inner.lock().unwrap().graph.clone()
     }
 
+    /// The served graph **and** the rebuild epoch it belongs to, read
+    /// under one lock. A caller that derives something from the graph's
+    /// alphabet (a canonical DFA numbers its columns by it) keeps the
+    /// epoch beside it and presents it to [`QueryService::try_hit`]:
+    /// the epoch moves on every [`QueryService::rebuild_graph`] and on
+    /// nothing else — deltas freeze the node set and the alphabet.
+    pub fn graph_and_epoch(&self) -> (Arc<GraphDb>, u64) {
+        let inner = self.inner.lock().unwrap();
+        (inner.graph.clone(), inner.epoch)
+    }
+
     /// Snapshot of the aggregate service counters — a view over the
     /// live telemetry registry handles (no state lock taken).
     pub fn stats(&self) -> ServeStats {
@@ -839,8 +855,9 @@ impl QueryService {
     /// Evaluations already in flight complete against the old graph for
     /// the callers that asked while it was current (their drained
     /// tickets still get completed), but they do not populate the cache
-    /// and no new waiter can join them.
-    pub fn rebuild_graph(&self, graph: GraphDb) {
+    /// and no new waiter can join them. Returns the new epoch (see
+    /// [`QueryService::graph_and_epoch`]).
+    pub fn rebuild_graph(&self, graph: GraphDb) -> u64 {
         let mut inner = self.inner.lock().unwrap();
         // The global epoch bump fences every in-flight publish, so the
         // per-label clocks restart at zero (sized to the new alphabet).
@@ -856,6 +873,7 @@ impl QueryService {
         inner.inflight.clear();
         self.counters.sync_cache_gauges(&inner.cache);
         self.counters.invalidations.inc();
+        inner.epoch
     }
 
     /// Patches the served graph with an edge-delta batch —
@@ -1027,12 +1045,48 @@ impl QueryService {
         if queue_wait.is_some() {
             self.counters.queue_wait.record(queue_wait_ns);
         }
+        let trace = Self::trace_for(&key, queue_wait_ns);
+        self.serve_with_trace(key, cancel, trace)
+    }
+
+    /// Answers `key` on the calling thread **iff its result is
+    /// resident** — the front door's fast path, run on the connection
+    /// thread ahead of its admission queue, because a hit needs no eval
+    /// worker. A hit is exactly [`QueryService::submit`]'s hit (same
+    /// probe, `serve.hits` / `cache.hits`, GDSF refresh, an
+    /// `outcome=hit` trace with queue wait 0 — it never sat in a
+    /// queue, so `serve.queue_wait` does not move); a miss returns
+    /// `Ok(None)` having touched **no** counter and left no trace, so
+    /// the caller submits it the admitted way and it is counted there,
+    /// once.
+    ///
+    /// `epoch` is what [`QueryService::graph_and_epoch`] returned when
+    /// the caller derived `key` from the graph's alphabet. If the graph
+    /// was rebuilt since, `key` may be numbered over the outgoing
+    /// alphabet and could collide with a *different* language's entry
+    /// in the new cache: the answer is [`StaleEpoch`], never a result.
+    /// Epoch check and probe share one lock acquisition.
+    pub fn try_hit(&self, key: &CacheKey, epoch: u64) -> Result<Option<QueryResponse>, StaleEpoch> {
+        let mut trace = Self::trace_for(key, 0);
+        let probed = trace.span("cache_probe", || {
+            let mut inner = self.inner.lock().unwrap();
+            if inner.epoch != epoch {
+                return Err(StaleEpoch);
+            }
+            Ok(self.probe_hit(&mut inner, key))
+        })?;
+        Ok(probed.map(|result| {
+            self.record_trace(trace, key, Served::Hit, Vec::new(), &result);
+            Self::respond(key, result, Served::Hit)
+        }))
+    }
+
+    fn trace_for(key: &CacheKey, queue_wait_ns: u64) -> TraceBuilder {
         let kind = match key.kind {
             QueryKind::Monadic => "monadic",
             QueryKind::Binary(_) => "binary",
         };
-        let trace = TraceBuilder::new(key.query.fingerprint(), kind, queue_wait_ns);
-        self.serve_with_trace(key, cancel, trace)
+        TraceBuilder::new(key.query.fingerprint(), kind, queue_wait_ns)
     }
 
     fn respond(key: &CacheKey, result: Arc<BitSet>, served: Served) -> QueryResponse {
@@ -1044,13 +1098,24 @@ impl QueryService {
         }
     }
 
+    /// The hit probe of the single-query path — [`QueryService::admit`]
+    /// and [`QueryService::try_hit`] both run it, so a hit is counted
+    /// (`serve.hits`, `cache.hits`) in one place. A miss counts nothing
+    /// here.
+    fn probe_hit(&self, inner: &mut Inner, key: &CacheKey) -> Option<Arc<BitSet>> {
+        let result = inner.cache.get_resident(key)?;
+        self.counters.hits.inc();
+        Some(result)
+    }
+
     /// Probe-or-admit under one lock acquisition.
     fn admit(&self, key: &CacheKey) -> Admission {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(result) = inner.cache.get(key) {
-            self.counters.hits.inc();
+        if let Some(result) = self.probe_hit(&mut inner, key) {
             return Admission::Done(result, Served::Hit);
         }
+        // From here on this is an admitted lookup that missed.
+        inner.cache.counters().misses.inc();
         if let Some(ticket) = inner.inflight.get(key).cloned() {
             self.counters.coalesced.inc();
             return Admission::Wait(ticket);

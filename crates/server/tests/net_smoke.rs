@@ -40,6 +40,22 @@ fn line_graph(n: usize) -> GraphDb {
     builder.build()
 }
 
+/// A 60-node line — `a` edges on the first half, `c` on the second —
+/// over the labels interned in `order`: the named edges never change,
+/// only which column each label gets.
+fn relabelled_line(order: [&str; 3]) -> GraphDb {
+    let mut alphabet = pathlearn_automata::Alphabet::new();
+    for label in order {
+        alphabet.intern(label);
+    }
+    let mut builder = GraphBuilder::with_alphabet(alphabet);
+    for i in 0..59 {
+        let label = if i < 30 { "a" } else { "c" };
+        builder.add_edge(&format!("m{i}"), label, &format!("m{}", i + 1));
+    }
+    builder.build()
+}
+
 fn direct_monadic(graph: &GraphDb, expr: &str) -> pathlearn_automata::BitSet {
     let dfa = pathlearn_automata::Regex::parse(expr, graph.alphabet())
         .unwrap()
@@ -287,7 +303,8 @@ fn deeper_queue_yields_a_larger_retry_hint() {
 
 /// Satellite: a rebuild racing in-flight work never serves old-epoch
 /// results to post-rebuild frames, mid-drain frames get a retryable
-/// DRAINING, and the pre-rebuild fingerprint registry is cleared.
+/// DRAINING, and the pre-rebuild fingerprint registry is cleared —
+/// also when the rebuilt graph numbers its alphabet differently.
 #[test]
 fn rebuild_racing_inflight_work_drains_and_serves_only_new_epoch_results() {
     let old_graph = ring_graph(60);
@@ -378,6 +395,65 @@ fn rebuild_racing_inflight_work_drains_and_serves_only_new_epoch_results() {
         let stats = client.stats().unwrap();
         assert_eq!(counter(&stats, "serve.invalidations"), 1);
     });
+
+    // Second act: keep rebuilding, alternating between two graphs with
+    // the same named edges whose alphabets hold the same labels in
+    // *different orders*, while clients hammer two texts. A canonical
+    // DFA numbers its columns by the alphabet it was resolved against,
+    // so `a·a` resolved a moment before a swap is, structurally, the
+    // other graph's `c·c`: admitted (or, with the text memo, *hit*)
+    // after the swap it would answer with the wrong language's nodes.
+    // Both graphs agree on both answers, so every RESULT must carry
+    // exactly its own text's bits; the epoch fence turns the racing
+    // frames into retryable DRAININGs instead.
+    let orders = [["a", "b", "c"], ["c", "b", "a"]];
+    let expected =
+        ["a·a", "c·c"].map(|expr| (expr, direct_monadic(&relabelled_line(orders[0]), expr)));
+    for order in orders {
+        for (expr, bits) in &expected {
+            assert_eq!(&direct_monadic(&relabelled_line(order), expr), bits);
+        }
+    }
+    assert_ne!(expected[0].1, expected[1].1);
+    // A server of its own, without the first act's publication holdoff:
+    // here the rebuilds should race resolution and admission, not sit
+    // out one holdoff per drain.
+    let server = serve(
+        relabelled_line(orders[0]),
+        ServeConfig::default(),
+        NetConfig::default(),
+    );
+    let addr = server.local_addr();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let answered = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let mut client = Client::connect(addr).unwrap();
+                while !stop.load(Ordering::Relaxed) {
+                    for (expr, bits) in &expected {
+                        match client.query_text(expr, NO_DEADLINE_MS).unwrap() {
+                            Response::Result { bits: got, .. } => {
+                                assert_eq!(&got, bits, "{expr} answered over the wrong alphabet");
+                                answered.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Response::Draining { .. } => {}
+                            other => panic!("{expr} racing a rebuild got {other:?}"),
+                        }
+                    }
+                }
+            });
+        }
+        for round in 1..=40 {
+            std::thread::sleep(Duration::from_millis(2));
+            server.rebuild_graph(relabelled_line(orders[round % 2]));
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert!(
+        answered.load(Ordering::Relaxed) > 0,
+        "the hammer got answers"
+    );
 }
 
 #[test]
