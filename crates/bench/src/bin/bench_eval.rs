@@ -1,43 +1,29 @@
-//! RPQ evaluation benchmark: the perf artifact of the label-partitioned
-//! CSR + frontier-kernel rework (PR 1) and the parallel multi-source
-//! evaluation layer (`par_eval`).
+//! RPQ evaluation ablations: the four comparisons `pqbench` (the
+//! repo's benchmark, `BENCHMARK.json`) does not and should not sweep.
 //!
 //! Per scale (default 10k nodes; `--full` adds the paper's 20k and 30k),
 //! generates a scale-free graph (paper §5.1 configuration: 3× edges,
 //! 30-label Zipf(1.0) alphabet), calibrates the full paper query mix on
 //! it (Table 1 structures bio1–bio6 plus syn1–syn3), and times
 //!
-//! * **monadic, per query**: `eval_monadic` (frontier-batched
-//!   level-synchronous evaluator) vs `eval_monadic_queued` (the seed
-//!   algorithm, kept verbatim as the baseline);
-//! * **multi-source batch**: one binary query evaluated from a seeded
-//!   random source batch, sequentially vs fanned out over an
-//!   [`EvalPool`] at each `--par-threads` count;
-//! * **multi-query batch**: the whole calibrated query mix evaluated
-//!   monadically, sequential loop vs pool fan-out;
-//! * **intra-query / masked-kernel ablation** (schema v4, `Pruned` leg
-//!   dropped in v6): every query of the mix evaluated monadically under
-//!   two step policies — `Plain` (exhaustive baseline) and `Auto` (the
-//!   masked-kernel cost model, the default everywhere) — and with the
+//! * **frontier kernel vs. the seed algorithm**, per query:
+//!   `eval_monadic` (frontier-batched level-synchronous evaluator) vs
+//!   `eval_monadic_queued` (the seed algorithm, kept verbatim as the
+//!   baseline);
+//! * **step-policy ablation**: every query of the mix evaluated
+//!   monadically under `Plain` (exhaustive baseline) and `Auto` (the
+//!   masked-kernel cost model, the default everywhere), and with the
 //!   levels fanned out over a pool ([`EvalPool::evaluate`]) at each
 //!   `--intra-threads` count. The headline `prune_speedup` compares
 //!   `Plain` against `Auto`.
-//! * **task granularity** (schema v4): a 2-state single-label query on
-//!   the graph's most frequent label — the paper's common query shape,
-//!   whose BFS levels carry at most **one** `(state, symbol)` task — is
-//!   evaluated through the intra-query evaluator with the node-range
-//!   fan-out disabled (chunk = `usize::MAX`), pinned to 1-word and
-//!   4-word chunks, and on auto sizing, at each `--intra-threads`
-//!   count.
-//! * **whole-query planner ablation** (schema v5): every query of the
-//!   mix evaluated monadically under forced `Forward` / `Backward` /
-//!   `Auto` strategies and binarily (from a small seeded source batch)
-//!   under forced `Forward` / `Backward` / `Bidirectional` / `Auto`,
-//!   through `plan_query_forced` + [`EvalPool::evaluate`]. The JSON
-//!   records which direction `Auto` resolved to next to every forced
-//!   timing.
-//! * **rare-target direction probe** (schema v5): a layered `a`-DAG of
-//!   the same node count (node `i` fans out to the next 8 nodes) with a
+//! * **whole-query planner ablation**: every query of the mix evaluated
+//!   monadically under forced `Forward` / `Backward` / `Auto` strategies
+//!   and binarily (from a seeded `--sources` batch) under forced
+//!   `Forward` / `Backward` / `Bidirectional` / `Auto`, through
+//!   `plan_query_forced` + [`EvalPool::evaluate`]. The JSON records
+//!   which direction `Auto` resolved to next to every forced timing.
+//! * **rare-target direction probe**: a layered `a`-DAG of the same
+//!   node count (node `i` fans out to the next 8 nodes) with a
 //!   **single** rare `c`-edge near the head, queried with `(a+b)*·c`
 //!   from node 0. Forward evaluation floods every descendant of the
 //!   source before discovering the lone `c`-edge; backward evaluation
@@ -47,20 +33,18 @@
 //!   expected forced-Backward-beats-forced-Forward gap (and `Auto`'s
 //!   resolution) in the committed JSON.
 //!
-//! Every parallel configuration and every policy is checked
-//! **bit-identical** to the sequential results before being timed — a
-//! masked/plain divergence aborts the benchmark (and the CI smoke runs
-//! turn that abort into a build failure). Results go to stdout (tables)
-//! and to a JSON file (default `BENCH_eval.json`) so the repository
-//! keeps a perf trajectory across PRs; `BENCHMARKS.md` documents the
-//! methodology and how to read the JSON. The detected core count is
-//! recorded in the JSON — parallel speedups are only meaningful when the
-//! machine actually has the threads.
+//! Every policy, every forced strategy and every pooled configuration
+//! is checked **bit-identical** to the sequential results before being
+//! timed — a divergence aborts the benchmark (and the CI smoke run
+//! turns that abort into a build failure). Results go to stdout (tables)
+//! and to a JSON file (default `BENCH_eval.json`); `BENCHMARKS.md`
+//! documents how to run it and how to read the JSON. The detected core
+//! count is recorded in the JSON — pooled speedups are only meaningful
+//! when the machine actually has the threads.
 //!
 //! ```text
 //! bench_eval [--nodes N[,N,...]] [--full] [--seed S] [--runs R]
-//!            [--sources K] [--par-threads T[,T,...]]
-//!            [--intra-threads T[,T,...]] [--out PATH]
+//!            [--sources K] [--intra-threads T[,T,...]] [--out PATH]
 //! ```
 
 use pathlearn_automata::{Alphabet, BitSet, Dfa, Symbol};
@@ -70,8 +54,8 @@ use pathlearn_eval::report::ascii_table;
 use pathlearn_graph::eval::{eval_binary_from, eval_monadic, eval_monadic_queued};
 use pathlearn_graph::plan::{plan_query, plan_query_forced};
 use pathlearn_graph::{
-    CancelToken, Dir, EvalPool, EvalScratch, Goal, GraphBuilder, GraphDb, NodeId, QueryPlan,
-    StepPolicy, Strategy,
+    CancelToken, EvalPool, EvalScratch, Goal, GraphBuilder, GraphDb, NodeId, QueryPlan, StepPolicy,
+    Strategy,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,14 +80,6 @@ impl QueryResult {
 struct ParPoint {
     threads: usize,
     ns: u128,
-}
-
-/// A sequential-vs-parallel batch measurement.
-struct BatchResult {
-    label: String,
-    items: usize,
-    seq_ns: u128,
-    par: Vec<ParPoint>,
 }
 
 /// One query's intra-query measurements — the masked-kernel ablation:
@@ -133,46 +109,14 @@ impl IntraResult {
     }
 }
 
-/// One timing of the 2-state single-label query through the intra-query
-/// evaluator at a `(threads, chunk mode)` configuration.
-struct GranularityPoint {
-    threads: usize,
-    /// `None` = auto sizing, `Some(usize::MAX)` = splitting disabled,
-    /// otherwise the pinned chunk width in frontier words.
-    chunk_words: Option<usize>,
-    ns: u128,
-}
-
-impl GranularityPoint {
-    fn chunk_label(&self) -> String {
-        match self.chunk_words {
-            None => "auto".to_owned(),
-            Some(usize::MAX) => "off".to_owned(),
-            Some(words) => format!("{words}"),
-        }
-    }
-}
-
-/// The task-granularity section: the ≤ 1-task-per-level query shape
-/// where only the node-range fan-out can parallelize anything.
-struct GranularityResult {
-    query: String,
-    label_count: usize,
-    seq_ns: u128,
-    points: Vec<GranularityPoint>,
-}
-
 struct ScaleResult {
     nodes: usize,
     edges: usize,
     labels: usize,
     queries: Vec<QueryResult>,
     geomean: f64,
-    multi_source: BatchResult,
-    multi_query: BatchResult,
     intra_query: Vec<IntraResult>,
     prune_geomean: f64,
-    granularity: GranularityResult,
     planner: PlannerAblation,
 }
 
@@ -222,87 +166,6 @@ fn bench_query(graph: &GraphDb, q: &CalibratedQuery, runs: usize) -> QueryResult
         selectivity: q.achieved_selectivity,
         new_ns,
         seed_ns,
-    }
-}
-
-/// Times the multi-source binary batch: `query` from `sources`,
-/// sequential (shared scratch, no pool) vs each thread count. Asserts
-/// bit-identity first.
-fn bench_multi_source(
-    graph: &GraphDb,
-    query: &CalibratedQuery,
-    sources: &[NodeId],
-    par_threads: &[usize],
-    runs: usize,
-) -> BatchResult {
-    let dfa = query.query.dfa();
-    let sequential = EvalPool::sequential();
-    let expected = sequential.eval_binary_batch(dfa, graph, sources);
-    let plan = QueryPlan::forward(dfa);
-    let seq_ns = median_ns(runs, || {
-        let mut scratch = EvalScratch::new();
-        for &source in sources {
-            let goal = Goal::BinaryFrom(source);
-            std::hint::black_box(evaluate(&sequential, &mut scratch, &plan, graph, goal));
-        }
-    });
-    let par = par_threads
-        .iter()
-        .map(|&threads| {
-            let pool = EvalPool::new(threads);
-            assert_eq!(
-                pool.eval_binary_batch(dfa, graph, sources),
-                expected,
-                "{}: parallel batch differs at {threads} threads",
-                query.name
-            );
-            let ns = median_ns(runs, || {
-                std::hint::black_box(pool.eval_binary_batch(dfa, graph, sources));
-            });
-            ParPoint { threads, ns }
-        })
-        .collect();
-    BatchResult {
-        label: format!("binary {} x {} sources", query.name, sources.len()),
-        items: sources.len(),
-        seq_ns,
-        par,
-    }
-}
-
-/// Times the multi-query monadic batch: the whole calibrated mix,
-/// sequential loop vs pool fan-out. Asserts bit-identity first.
-fn bench_multi_query(
-    graph: &GraphDb,
-    dfas: &[Dfa],
-    par_threads: &[usize],
-    runs: usize,
-) -> BatchResult {
-    let expected: Vec<BitSet> = dfas.iter().map(|dfa| eval_monadic(dfa, graph)).collect();
-    let seq_ns = median_ns(runs, || {
-        let sequential = EvalPool::sequential();
-        std::hint::black_box(sequential.eval_monadic_batch(dfas, graph));
-    });
-    let par = par_threads
-        .iter()
-        .map(|&threads| {
-            let pool = EvalPool::new(threads);
-            assert_eq!(
-                pool.eval_monadic_batch(dfas, graph),
-                expected,
-                "parallel monadic batch differs at {threads} threads"
-            );
-            let ns = median_ns(runs, || {
-                std::hint::black_box(pool.eval_monadic_batch(dfas, graph));
-            });
-            ParPoint { threads, ns }
-        })
-        .collect();
-    BatchResult {
-        label: format!("monadic query mix x {}", dfas.len()),
-        items: dfas.len(),
-        seq_ns,
-        par,
     }
 }
 
@@ -363,69 +226,6 @@ fn bench_intra_query(
     }
 }
 
-/// The 2-state single-label probe query `ℓ·ℓ*` over the graph's most
-/// frequent label: every BFS level harvests at most one
-/// `(state, symbol)` step task, the regime where `(state, symbol)`
-/// fan-out alone parallelizes nothing.
-fn most_frequent_label_query(graph: &GraphDb) -> (Dfa, Symbol) {
-    let label = graph
-        .alphabet()
-        .symbols()
-        .max_by_key(|&sym| graph.label_active_count(Dir::Out, sym))
-        .expect("graph has labels");
-    let mut dfa = Dfa::new(2, graph.alphabet().len(), 0);
-    dfa.set_transition(0, label, 1);
-    dfa.set_transition(1, label, 1);
-    dfa.set_final(1);
-    (dfa, label)
-}
-
-/// Times the task-granularity ablation: the probe query through the
-/// intra-query evaluator with node-range splitting disabled
-/// (`chunk = usize::MAX` → one chunk per task), pinned to 1- and 4-word
-/// chunks, and on auto sizing, at each thread count. Every configuration
-/// is asserted bit-identical to sequential before timing.
-fn bench_granularity(graph: &GraphDb, intra_threads: &[usize], runs: usize) -> GranularityResult {
-    let (dfa, label) = most_frequent_label_query(graph);
-    let expected = eval_monadic(&dfa, graph);
-    let plan = QueryPlan::forward(&dfa);
-    let sequential = EvalPool::sequential();
-    let mut scratch = EvalScratch::new();
-    let seq_ns = median_ns(runs, || {
-        let selected = evaluate(&sequential, &mut scratch, &plan, graph, Goal::Monadic);
-        std::hint::black_box(selected);
-    });
-    let chunk_modes: [Option<usize>; 4] = [Some(usize::MAX), Some(1), Some(4), None];
-    let mut points = Vec::new();
-    for &threads in intra_threads {
-        for chunk_words in chunk_modes {
-            let pool = match chunk_words {
-                Some(words) => EvalPool::new(threads).with_intra_chunk_words(words),
-                None => EvalPool::new(threads),
-            };
-            assert_eq!(
-                pool.eval_monadic(&dfa, graph),
-                expected,
-                "granularity probe differs at {threads} threads, chunk {chunk_words:?}"
-            );
-            let ns = median_ns(runs, || {
-                std::hint::black_box(evaluate(&pool, &mut scratch, &plan, graph, Goal::Monadic));
-            });
-            points.push(GranularityPoint {
-                threads,
-                chunk_words,
-                ns,
-            });
-        }
-    }
-    GranularityResult {
-        query: format!("{0}·{0}*", graph.alphabet().name(label)),
-        label_count: graph.label_active_count(Dir::Out, label),
-        seq_ns,
-        points,
-    }
-}
-
 /// One forced-strategy timing of a planned engine.
 struct StrategyPoint {
     strategy: Strategy,
@@ -434,7 +234,7 @@ struct StrategyPoint {
 
 /// One query's whole-query-planner ablation: the planned monadic engine
 /// under forced Forward/Backward/Auto, the planned binary engine (summed
-/// over a small seeded source batch) under all four strategies, plus the
+/// over the seeded source batch) under all four strategies, plus the
 /// direction `Auto` actually resolved to for each arity.
 struct PlannerResult {
     name: String,
@@ -480,6 +280,8 @@ impl DirectionProbe {
 
 /// The whole planner section of one scale.
 struct PlannerAblation {
+    /// Size of the source batch each binary timing sums over.
+    binary_sources: usize,
     queries: Vec<PlannerResult>,
     probe: DirectionProbe,
 }
@@ -666,36 +468,13 @@ fn strategy_points_json(points: &[StrategyPoint]) -> String {
         .join(", ")
 }
 
-fn batch_json(batch: &BatchResult, indent: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"label\": \"{}\", \"items\": {}, \"seq_ns\": {}, \"par\": [",
-        json_escape(&batch.label),
-        batch.items,
-        batch.seq_ns
-    ));
-    for (i, point) in batch.par.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "\n{indent}  {{\"threads\": {}, \"ns\": {}, \"speedup\": {:.3}}}",
-            point.threads,
-            point.ns,
-            batch.seq_ns.max(1) as f64 / point.ns.max(1) as f64
-        ));
-    }
-    out.push_str(&format!("\n{indent}]}}"));
-    out
-}
-
 fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std::io::Result<()> {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"benchmark\": \"RPQ evaluation: frontier-batched vs seed queued BFS, par_eval batches, masked step kernels + cost-model gate, intra-query parallel + node-range fan-out, whole-query planner (forward/backward/bidirectional) + rare-target direction probe\",\n",
+        "  \"benchmark\": \"RPQ evaluation ablations: frontier-batched vs seed queued BFS, masked step kernels + cost-model gate with the pooled engine per query, whole-query planner (forward/backward/bidirectional) + rare-target direction probe\",\n",
     );
-    out.push_str("  \"schema_version\": 6,\n");
+    out.push_str("  \"schema_version\": 7,\n");
     out.push_str(&format!(
         "  \"hardware\": {{\"available_cores\": {}}},\n",
         std::thread::available_parallelism().map_or(0, |n| n.get())
@@ -729,14 +508,6 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
             "      \"geomean_speedup\": {:.3},\n",
             scale.geomean
         ));
-        out.push_str(&format!(
-            "      \"multi_source\": {},\n",
-            batch_json(&scale.multi_source, "      ")
-        ));
-        out.push_str(&format!(
-            "      \"multi_query\": {},\n",
-            batch_json(&scale.multi_query, "      ")
-        ));
         out.push_str("      \"intra_query\": [\n");
         for (i, r) in scale.intra_query.iter().enumerate() {
             out.push_str(&format!(
@@ -767,27 +538,11 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
             ));
         }
         out.push_str("      ],\n");
-        let g = &scale.granularity;
-        out.push_str(&format!(
-            "      \"granularity\": {{\"query\": \"{}\", \"label_sources\": {}, \"seq_ns\": {}, \"points\": [",
-            json_escape(&g.query),
-            g.label_count,
-            g.seq_ns
-        ));
-        for (pi, point) in g.points.iter().enumerate() {
-            if pi > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "\n        {{\"threads\": {}, \"chunk_words\": \"{}\", \"ns\": {}, \"speedup\": {:.3}}}",
-                point.threads,
-                point.chunk_label(),
-                point.ns,
-                g.seq_ns.max(1) as f64 / point.ns.max(1) as f64
-            ));
-        }
-        out.push_str("\n      ]},\n");
         out.push_str("      \"planner\": {\n");
+        out.push_str(&format!(
+            "        \"binary_sources\": {},\n",
+            scale.planner.binary_sources
+        ));
         out.push_str("        \"queries\": [\n");
         for (pi, r) in scale.planner.queries.iter().enumerate() {
             out.push_str(&format!(
@@ -831,26 +586,6 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
     std::fs::write(path, out)
 }
 
-fn print_batch(batch: &BatchResult) {
-    let mut rows = vec![vec![
-        "seq".to_owned(),
-        format!("{:.3}", batch.seq_ns as f64 / 1e6),
-        "1.00x".to_owned(),
-    ]];
-    for point in &batch.par {
-        rows.push(vec![
-            format!("{} threads", point.threads),
-            format!("{:.3}", point.ns as f64 / 1e6),
-            format!(
-                "{:.2}x",
-                batch.seq_ns.max(1) as f64 / point.ns.max(1) as f64
-            ),
-        ]);
-    }
-    println!("{}:", batch.label);
-    println!("{}", ascii_table(&["config", "ms", "speedup"], &rows));
-}
-
 fn print_intra(results: &[IntraResult], prune_geomean: f64) {
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -888,32 +623,7 @@ fn print_intra(results: &[IntraResult], prune_geomean: f64) {
     println!("geomean masked-kernel speedup: {prune_geomean:.2}x");
 }
 
-fn print_granularity(g: &GranularityResult) {
-    let rows: Vec<Vec<String>> = g
-        .points
-        .iter()
-        .map(|point| {
-            vec![
-                format!("{} threads", point.threads),
-                point.chunk_label(),
-                format!("{:.3}", point.ns as f64 / 1e6),
-                format!("{:.2}x", g.seq_ns.max(1) as f64 / point.ns.max(1) as f64),
-            ]
-        })
-        .collect();
-    println!(
-        "task granularity (2-state single-label probe {} over {} active sources, seq {:.3} ms):",
-        g.query,
-        g.label_count,
-        g.seq_ns as f64 / 1e6
-    );
-    println!(
-        "{}",
-        ascii_table(&["config", "chunk words", "ms", "speedup"], &rows)
-    );
-}
-
-fn print_planner(planner: &PlannerAblation, batch_sources: usize) {
+fn print_planner(planner: &PlannerAblation) {
     let ms = |points: &[StrategyPoint], strategy: Strategy| {
         format!("{:.3}", PlannerResult::point(points, strategy) as f64 / 1e6)
     };
@@ -936,7 +646,8 @@ fn print_planner(planner: &PlannerAblation, batch_sources: usize) {
         })
         .collect();
     println!(
-        "whole-query planner ablation (monadic ms | binary ms over a {batch_sources}-source batch):"
+        "whole-query planner ablation (monadic ms | binary ms over a {}-source batch):",
+        planner.binary_sources
     );
     println!(
         "{}",
@@ -978,7 +689,7 @@ fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: bench_eval [--nodes N[,N,...]] [--full] [--seed S] [--runs R] \
-         [--sources K] [--par-threads T[,T,...]] [--intra-threads T[,T,...]] [--out PATH]"
+         [--sources K] [--intra-threads T[,T,...]] [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -987,8 +698,7 @@ fn main() {
     let mut seed = 42u64;
     let mut node_scales: Vec<usize> = vec![10_000];
     let mut runs = 9usize;
-    let mut num_sources = 256usize;
-    let mut par_threads: Vec<usize> = vec![2, 4];
+    let mut num_sources = 8usize;
     let mut intra_threads: Vec<usize> = vec![2, 4];
     let mut out_path = "BENCH_eval.json".to_owned();
     let mut args = std::env::args().skip(1);
@@ -1017,7 +727,6 @@ fn main() {
                     .unwrap_or_else(|_| usage("--sources needs an integer"))
                     .max(1);
             }
-            "--par-threads" => par_threads = parse_list(&value("--par-threads"), "--par-threads"),
             "--intra-threads" => {
                 intra_threads = parse_list(&value("--intra-threads"), "--intra-threads")
             }
@@ -1064,28 +773,6 @@ fn main() {
             .collect();
         let geomean = geometric_mean(results.iter().map(QueryResult::speedup));
 
-        // Multi-source batch: a seeded random source set over the
-        // mid-selectivity synthetic query (syn2), the paper's "same
-        // candidate from many sources" workload shape.
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x736f_7572);
-        let sources: Vec<NodeId> = (0..num_sources)
-            .map(|_| rng.gen_range(0..graph.num_nodes() as NodeId))
-            .collect();
-        let syn2 = queries
-            .iter()
-            .find(|q| q.name == "syn2")
-            .expect("syn2 in mix");
-        eprintln!(
-            "multi-source batch: {} sources of {} ...",
-            sources.len(),
-            syn2.name
-        );
-        let multi_source = bench_multi_source(&graph, syn2, &sources, &par_threads, runs);
-
-        let dfas: Vec<Dfa> = queries.iter().map(|q| q.query.dfa().clone()).collect();
-        eprintln!("multi-query batch: {} monadic queries ...", dfas.len());
-        let multi_query = bench_multi_query(&graph, &dfas, &par_threads, runs);
-
         eprintln!(
             "intra-query: {} queries, plain/masked ablation + threads {:?} ...",
             queries.len(),
@@ -1097,13 +784,12 @@ fn main() {
             .collect();
         let prune_geomean = geometric_mean(intra_query.iter().map(IntraResult::masked_speedup));
 
-        eprintln!(
-            "task granularity: 2-state single-label probe, chunks off/1/4/auto x threads {:?} ...",
-            intra_threads
-        );
-        let granularity = bench_granularity(&graph, &intra_threads, runs);
-
-        let planner_sources: Vec<NodeId> = sources.iter().copied().take(8).collect();
+        // The planner's binary timings sum over a seeded random source
+        // batch.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x736f_7572);
+        let planner_sources: Vec<NodeId> = (0..num_sources)
+            .map(|_| rng.gen_range(0..graph.num_nodes() as NodeId))
+            .collect();
         eprintln!(
             "planner ablation: {} queries x forced strategies, binary from {} sources ...",
             queries.len(),
@@ -1116,6 +802,7 @@ fn main() {
         eprintln!("rare-target direction probe: {nodes} nodes ...");
         let probe = bench_direction_probe(nodes, runs);
         let planner = PlannerAblation {
+            binary_sources: planner_sources.len(),
             queries: planner_queries,
             probe,
         };
@@ -1146,11 +833,8 @@ fn main() {
             "geomean monadic speedup: {geomean:.2}x over {} queries",
             results.len()
         );
-        print_batch(&multi_source);
-        print_batch(&multi_query);
         print_intra(&intra_query, prune_geomean);
-        print_granularity(&granularity);
-        print_planner(&planner, 8);
+        print_planner(&planner);
 
         scales.push(ScaleResult {
             nodes: graph.num_nodes(),
@@ -1158,11 +842,8 @@ fn main() {
             labels: graph.alphabet().len(),
             queries: results,
             geomean,
-            multi_source,
-            multi_query,
             intra_query,
             prune_geomean,
-            granularity,
             planner,
         });
     }

@@ -29,7 +29,7 @@ use pathlearn_automata::product::dfa_nfa_intersection_is_empty;
 use pathlearn_automata::rpni::{generalize, MergeOracle};
 use pathlearn_automata::{Dfa, Nfa, Word};
 use pathlearn_graph::{
-    CancelToken, EvalPool, EvalScratch, Goal, GraphDb, NodeId, QueryPlan, ScpFinder, StepPolicy,
+    CancelToken, EvalPool, EvalScratch, Goal, GraphDb, NodeId, QueryPlan, ScpFinder,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -105,10 +105,6 @@ pub struct Learner {
     /// Thread pool for the SCP fan-out (lines 1–2); sequential by
     /// default. See [`Learner::with_pool`].
     pool: EvalPool,
-    /// Step-policy override from [`Learner::with_step_policy`], kept
-    /// separately so it survives a later [`Learner::with_pool`] (the
-    /// policy rides on the pool, which `with_pool` replaces).
-    step_policy: Option<StepPolicy>,
 }
 
 /// Statistics reported alongside a learning run.
@@ -157,7 +153,6 @@ impl Learner {
         Learner {
             config,
             pool: EvalPool::sequential(),
-            step_policy: None,
         }
     }
 
@@ -178,26 +173,11 @@ impl Learner {
     /// the sequential learner: SCPs are a pure function of
     /// `(graph, S⁻, node, k)`, results are reassembled in sample order,
     /// and the engine's level merges are deterministic OR-reductions.
+    /// The line-6 evaluation runs under the pool's step-kernel policy
+    /// ([`EvalPool::with_step_policy`]); the learned query and
+    /// statistics are bit-identical under every policy.
     pub fn with_pool(mut self, pool: EvalPool) -> Self {
-        self.pool = match self.step_policy {
-            // An explicit with_step_policy survives a later with_pool.
-            Some(policy) => pool.with_step_policy(policy),
-            None => pool,
-        };
-        self
-    }
-
-    /// Sets the step-kernel policy ([`StepPolicy`], default
-    /// [`StepPolicy::Auto`]) applied by every line-6 whole-graph
-    /// evaluation this learner issues — the knob behind the
-    /// masked-kernel ablation. The learned query and statistics are
-    /// bit-identical under every policy; only the per-`(level, symbol)`
-    /// step execution (skip / masked / plain kernel) changes. Order-
-    /// independent with [`Learner::with_pool`]: the policy is re-applied
-    /// to any pool installed later.
-    pub fn with_step_policy(mut self, policy: StepPolicy) -> Self {
-        self.step_policy = Some(policy);
-        self.pool = self.pool.with_step_policy(policy);
+        self.pool = pool;
         self
     }
 
@@ -394,7 +374,7 @@ mod tests {
     use super::*;
     use pathlearn_automata::Alphabet;
     use pathlearn_graph::graph::figure3_g0;
-    use pathlearn_graph::GraphBuilder;
+    use pathlearn_graph::{GraphBuilder, StepPolicy};
 
     fn g0_sample(graph: &GraphDb) -> Sample {
         Sample::new()
@@ -416,8 +396,7 @@ mod tests {
         for policy in StepPolicy::ALL {
             for threads in [1, 2] {
                 let outcome = Learner::with_fixed_k(3)
-                    .with_pool(EvalPool::new(threads))
-                    .with_step_policy(policy)
+                    .with_pool(EvalPool::new(threads).with_step_policy(policy))
                     .learn(&graph, &sample);
                 let query = outcome.query.expect("consistent query exists");
                 assert!(
@@ -427,16 +406,6 @@ mod tests {
                 );
             }
         }
-        // The policy survives in either builder order: with_pool after
-        // with_step_policy must not silently reset it.
-        let learner = Learner::with_fixed_k(3)
-            .with_step_policy(StepPolicy::Plain)
-            .with_pool(EvalPool::new(2));
-        assert_eq!(learner.pool().step_policy(), StepPolicy::Plain);
-        let learner = Learner::with_fixed_k(3)
-            .with_pool(EvalPool::new(2))
-            .with_step_policy(StepPolicy::Masked);
-        assert_eq!(learner.pool().step_policy(), StepPolicy::Masked);
     }
 
     #[test]

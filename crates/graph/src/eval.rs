@@ -895,8 +895,7 @@ pub fn selectivity(query: &Dfa, graph: &GraphDb) -> f64 {
 /// Binary semantics (Appendix B): the set of end nodes `ν'` such that
 /// `paths2_G(source, ν') ∩ L(q) ≠ ∅`. Shorthand for
 /// [`EvalPool::evaluate`] of [`Goal::BinaryFrom`] on a sequential pool
-/// with fresh buffers; multi-source batches should fan out with
-/// [`EvalPool::eval_binary_batch`].
+/// with fresh buffers.
 ///
 /// ```
 /// use pathlearn_graph::eval::eval_binary_from;

@@ -857,15 +857,6 @@ impl GraphDb {
         self.num_node_words() * std::mem::size_of::<u64>()
     }
 
-    /// The `O(|E|·|Q|)` work bound of evaluating a `q_states`-state
-    /// query on this graph — the serving layer's admission-time cost
-    /// estimate for a query it has never evaluated (replaced by the
-    /// measured wall time once one evaluation lands). The `+ |V|` term
-    /// keeps the bound positive on edge-less graphs.
-    pub fn eval_cost_bound(&self, q_states: usize) -> u64 {
-        (self.num_edges() + self.num_nodes() + 1) as u64 * q_states.max(1) as u64
-    }
-
     /// Number of `u64` words a `|V|`-capacity frontier occupies — the
     /// granularity of [`GraphDb::step_range_into`] and of the node-range
     /// fan-out in [`crate::par_eval`].
@@ -1761,11 +1752,6 @@ mod tests {
     fn result_and_cost_hooks() {
         let graph = figure3_g0();
         assert_eq!(graph.result_bytes(), 8); // 7 nodes → one u64 word
-                                             // O(|E|·|Q|)-shaped, positive, and monotone in |Q|.
-        assert_eq!(graph.eval_cost_bound(3), (15 + 7 + 1) * 3);
-        assert!(graph.eval_cost_bound(0) > 0);
-        let empty = GraphBuilder::new().build();
-        assert!(empty.eval_cost_bound(5) > 0);
     }
 
     #[test]

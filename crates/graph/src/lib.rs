@@ -24,8 +24,7 @@
 //!   set the driver runs with;
 //! * [`par_eval`] — the [`par_eval::EvalPool`] handle: who runs each
 //!   level's steps (inline on one thread, or fanned out over workers
-//!   with a deterministic merge) and batch fan-out over whole queries,
-//!   bit-identical at every thread count;
+//!   with a deterministic merge), bit-identical at every thread count;
 //! * [`observer`] — thread-local per-BFS-level sampling
 //!   ([`observer::collect_levels`]): the zero-cost-when-off hook the
 //!   serving layer's query traces ride, recording frontier size, kernel

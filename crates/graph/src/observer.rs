@@ -15,9 +15,6 @@
 //! calling thread at every pool width (worker threads only execute
 //! kernels *within* a level), so samples land exactly with the query
 //! that produced them even when many queries evaluate concurrently.
-//! Whole-query batch fan-out (`EvalPool::eval_monadic_batch`) runs
-//! entire queries on pool workers and is therefore *not* sampled — the
-//! serving layer documents that batch traces carry no level samples.
 
 use std::cell::RefCell;
 use std::time::Instant;

@@ -1,26 +1,17 @@
-//! The evaluation thread pool: who runs a level's steps, and batch
-//! fan-out over whole queries.
+//! The evaluation thread pool: who runs a level's steps.
 //!
 //! [`EvalPool`] is the handle every evaluation goes through. It decides
-//! two things, and neither changes a result bit:
-//!
-//! * **inside one query** ([`EvalPool::evaluate`], in [`crate::eval`]):
-//!   whether each BFS level's `(state, symbol)` steps run inline (a
-//!   one-thread pool — the sequential engine *is* the one-thread
-//!   instance) or are claimed by worker threads from an atomic cursor
-//!   with a deterministic end-of-level fold. This is the
-//!   **single-huge-query** shape — one candidate DFA over the whole
-//!   graph, the call the learner's line-6 check issues once per
-//!   generalization;
-//! * **across queries** ([`EvalPool::eval_monadic_batch`],
-//!   [`EvalPool::eval_binary_batch`]): the paper's learning loop
-//!   evaluates the same query from many sources (Appendix B) and many
-//!   candidate queries over one graph (§4, §5) — embarrassingly parallel
-//!   over the read-only [`GraphDb`]. One work item is one whole
-//!   evaluation, run sequentially; items are claimed in chunks from an
-//!   atomic cursor (a slow item occupies one thread while the others
-//!   keep draining the batch), every thread owns one [`EvalScratch`],
-//!   and results land in their batch slot by index.
+//! one thing, and it never changes a result bit: whether each BFS
+//! level's `(state, symbol)` steps of [`EvalPool::evaluate`] (in
+//! [`crate::eval`]) run inline (a one-thread pool — the sequential
+//! engine *is* the one-thread instance) or are claimed by worker threads
+//! from an atomic cursor with a deterministic end-of-level fold. This is
+//! the **single-huge-query** shape — one candidate DFA over the whole
+//! graph, the call the learner's line-6 check issues once per
+//! generalization. Independent queries overlap on their callers'
+//! threads (client threads, the front door's eval workers), each
+//! coordinating its own evaluation over the shared, read-only
+//! [`GraphDb`].
 //!
 //! ## Node-range fan-out (the second level)
 //!
@@ -33,8 +24,8 @@
 //! output) and the workers claim `(task, chunk)` cells from the same
 //! cursor. The chunks are sized per level: a few per worker,
 //! with a floor that bounds per-claim overhead;
-//! [`EvalPool::with_intra_chunk_words`] pins the width for tests and
-//! benches. Any width yields bit-identical results (proptested across
+//! [`EvalPool::with_intra_chunk_words`] pins the width for tests. Any
+//! width yields bit-identical results (proptested across
 //! threads {1, 2, 4} × chunk widths {1, 4, auto}).
 //!
 //! ## Knobs
@@ -46,7 +37,6 @@
 use crate::eval::{EvalScratch, Goal};
 use crate::graph::{GraphDb, NodeId, StepPolicy};
 use pathlearn_automata::{BitSet, Dfa};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Environment variable consulted by [`EvalPool::from_env`].
@@ -77,12 +67,12 @@ const MIN_AUTO_CHUNK_WORDS: usize = 4;
 ///
 /// let graph = figure3_g0();
 /// let query = Regex::parse("(a+b)*·c", graph.alphabet()).unwrap().to_dfa(3);
-/// let sources: Vec<u32> = graph.nodes().collect();
 ///
-/// let parallel = EvalPool::new(2).eval_binary_batch(&query, &graph, &sources);
+/// let pool = EvalPool::new(2);
 /// // Bit-identical to the sequential evaluator, source by source.
-/// for (&source, ends) in sources.iter().zip(&parallel) {
-///     assert_eq!(ends, &eval_binary_from(&query, &graph, source));
+/// for source in graph.nodes() {
+///     let ends = pool.eval_binary_from(&query, &graph, source);
+///     assert_eq!(ends, eval_binary_from(&query, &graph, source));
 /// }
 /// ```
 #[derive(Clone)]
@@ -162,16 +152,10 @@ impl EvalPool {
     /// Pins the node-range fan-out's chunk width to `words` frontier
     /// words (64 nodes each; clamped to ≥ 1). By default the width is
     /// sized automatically per level; pinning it exists for the
-    /// determinism proptests and the granularity ablation in
-    /// `bench_eval`. Any width yields bit-identical results.
+    /// determinism proptests. Any width yields bit-identical results.
     pub fn with_intra_chunk_words(mut self, words: usize) -> Self {
         self.chunk_words = Some(words.max(1));
         self
-    }
-
-    /// The pinned node-range chunk width, if any (`None` = auto).
-    pub fn intra_chunk_words(&self) -> Option<usize> {
-        self.chunk_words
     }
 
     /// The `(chunks_per_task, chunk_words)` grain of one intra-query
@@ -223,94 +207,21 @@ impl EvalPool {
         self.threads
     }
 
-    /// `true` iff batches are evaluated on worker threads.
+    /// `true` iff levels are evaluated on worker threads.
     pub fn is_parallel(&self) -> bool {
         self.pool.is_some()
     }
 
     /// The underlying thread pool, when parallel. Exposed so higher
     /// layers (the learner's SCP fan-out) can schedule their own scoped
-    /// tasks next to evaluation batches.
+    /// tasks next to evaluations.
     pub fn pool(&self) -> Option<&rayon::ThreadPool> {
         self.pool.as_deref()
     }
 
-    /// Fans `task(scratch, index)` out over `0..len`, collecting results
-    /// in index order: one scoped task per thread, each with its own
-    /// [`EvalScratch`], claiming chunks of `0..len` from an atomic
-    /// cursor.
-    fn fan_out<T, F>(&self, len: usize, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut EvalScratch, usize) -> T + Sync,
-    {
-        let Some(pool) = self.pool.as_deref().filter(|_| len > 1) else {
-            let mut scratch = EvalScratch::new();
-            return (0..len).map(|index| task(&mut scratch, index)).collect();
-        };
-        let threads = self.threads.min(len);
-        // Small chunks relative to len/threads give dynamic balancing;
-        // the floor bounds per-claim overhead for tiny batches.
-        let chunk = (len / (threads * 8)).max(1);
-        let cursor = AtomicUsize::new(0);
-        let (cursor, task) = (&cursor, &task);
-        let mut parts: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
-        pool.scope(|scope| {
-            for part in parts.iter_mut() {
-                scope.spawn(move |_| {
-                    let mut scratch = EvalScratch::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= len {
-                            break;
-                        }
-                        for index in start..(start + chunk).min(len) {
-                            part.push((index, task(&mut scratch, index)));
-                        }
-                    }
-                });
-            }
-        });
-        let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
-        for (index, value) in parts.into_iter().flatten() {
-            slots[index] = Some(value);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every batch index evaluated exactly once"))
-            .collect()
-    }
-
-    /// Evaluates a batch of monadic queries on one graph — the fan-out
-    /// behind candidate scoring, where the learner re-evaluates many
-    /// hypothesis queries per example batch. `result[i]` is exactly
-    /// [`crate::eval::eval_monadic`]`(&queries[i], graph)`.
-    pub fn eval_monadic_batch(&self, queries: &[Dfa], graph: &GraphDb) -> Vec<BitSet> {
-        let inline = self.inline();
-        self.fan_out(queries.len(), |scratch, index| {
-            inline.evaluate_dfa(scratch, &queries[index], graph, Goal::Monadic)
-        })
-    }
-
-    /// Evaluates one binary query from many source nodes. `result[i]` is
-    /// exactly [`crate::eval::eval_binary_from`]`(query, graph, sources[i])`.
-    pub fn eval_binary_batch(
-        &self,
-        query: &Dfa,
-        graph: &GraphDb,
-        sources: &[NodeId],
-    ) -> Vec<BitSet> {
-        let inline = self.inline();
-        self.fan_out(sources.len(), |scratch, index| {
-            inline.evaluate_dfa(scratch, query, graph, Goal::BinaryFrom(sources[index]))
-        })
-    }
-
     /// The one-thread instance of this pool (same step policy, no
-    /// worker threads, free to build): what each batch item runs on —
-    /// a batch fans out over whole evaluations rather than nesting
-    /// level fan-outs — and what a caller sharing the pool with others
-    /// evaluates small inputs on.
+    /// worker threads, free to build): what a caller sharing the pool
+    /// with others evaluates small inputs on.
     pub fn inline(&self) -> EvalPool {
         EvalPool::sequential().with_step_policy(self.step_policy)
     }
@@ -370,56 +281,6 @@ mod tests {
                     .to_dfa(graph.alphabet().len())
             })
             .collect()
-    }
-
-    #[test]
-    fn monadic_batch_matches_sequential_at_all_thread_counts() {
-        let graph = figure3_g0();
-        let queries = queries(&graph);
-        let expected: Vec<BitSet> = queries.iter().map(|q| eval_monadic(q, &graph)).collect();
-        for threads in [1, 2, 4] {
-            let pool = EvalPool::new(threads);
-            assert_eq!(
-                pool.eval_monadic_batch(&queries, &graph),
-                expected,
-                "threads {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn binary_batch_and_union_match_sequential() {
-        let graph = figure3_g0();
-        let sources: Vec<NodeId> = graph.nodes().collect();
-        for query in &queries(&graph) {
-            let expected: Vec<BitSet> = sources
-                .iter()
-                .map(|&s| eval_binary_from(query, &graph, s))
-                .collect();
-            let mut expected_union = BitSet::new(graph.num_nodes());
-            for ends in &expected {
-                expected_union.union_with(ends);
-            }
-            for threads in [1, 2, 4] {
-                let pool = EvalPool::new(threads);
-                let batch = pool.eval_binary_batch(query, &graph, &sources);
-                assert_eq!(batch, expected);
-                let mut union = BitSet::new(graph.num_nodes());
-                for ends in &batch {
-                    union.union_with(ends);
-                }
-                assert_eq!(union, expected_union);
-            }
-        }
-    }
-
-    #[test]
-    fn empty_batches_are_fine() {
-        let graph = figure3_g0();
-        let pool = EvalPool::new(2);
-        assert!(pool.eval_monadic_batch(&[], &graph).is_empty());
-        let query = &queries(&graph)[0];
-        assert!(pool.eval_binary_batch(query, &graph, &[]).is_empty());
     }
 
     #[test]
@@ -571,23 +432,6 @@ mod tests {
         // Empty graph.
         let no_nodes = crate::GraphBuilder::new().build();
         assert!(pool.eval_monadic(&queries(&graph)[0], &no_nodes).is_empty());
-    }
-
-    #[test]
-    fn batches_larger_than_chunking_granularity() {
-        // A batch much larger than threads*chunks exercises the cursor
-        // wrap-around and slot placement.
-        let graph = figure3_g0();
-        let query = &queries(&graph)[2];
-        let sources: Vec<NodeId> = (0..200)
-            .map(|i| (i % graph.num_nodes()) as NodeId)
-            .collect();
-        let pool = EvalPool::new(4);
-        let expected: Vec<BitSet> = sources
-            .iter()
-            .map(|&s| eval_binary_from(query, &graph, s))
-            .collect();
-        assert_eq!(pool.eval_binary_batch(query, &graph, &sources), expected);
     }
 
     #[test]

@@ -422,8 +422,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The environment-configured pool (`PATHLEARN_THREADS`, the knob the
-    /// CI thread matrix varies) agrees with sequential evaluation on both
-    /// the batch and the intra-query paths. This is the test that makes
+    /// CI thread matrix varies) agrees with sequential evaluation on the
+    /// intra-query path. This is the test that makes
     /// `PATHLEARN_THREADS=N cargo test` a real determinism gate: under
     /// the 4-thread CI leg the pool here is genuinely parallel.
     #[test]
@@ -437,11 +437,6 @@ proptest! {
             &pool.eval_monadic(&query, &graph),
             &expected,
             "intra-query at {} env threads", pool.threads()
-        );
-        prop_assert_eq!(
-            &pool.eval_monadic_batch(std::slice::from_ref(&query), &graph)[0],
-            &expected,
-            "batch at {} env threads", pool.threads()
         );
         for source in graph.nodes() {
             prop_assert_eq!(

@@ -494,10 +494,9 @@ fn serve_command(args: &[String]) -> Result<(), String> {
         bytes / 1024
     );
     println!(
-        "evals: {} sequential, {} intra-query, {} batched; {:.3}s total eval time",
+        "evals: {} sequential, {} intra-query; {:.3}s total eval time",
         stats.sequential_evals,
         stats.intra_evals,
-        stats.batch_evals,
         stats.eval_ns_total as f64 / 1e9
     );
     println!(

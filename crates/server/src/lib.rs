@@ -14,14 +14,12 @@
 //!    pressure is what is expensive to recompute per byte kept);
 //! 3. **coalescing** — duplicate submissions that arrive while an
 //!    equivalent query is evaluating block on its in-flight ticket
-//!    instead of re-evaluating (and duplicates inside one batch fold
-//!    deterministically).
+//!    instead of re-evaluating.
 //!
 //! Admitted queries are scheduled over the existing
-//! [`pathlearn_graph::EvalPool`]: batch fan-out for multi-query
-//! submissions, per-level fan-out for single big-graph queries, the
-//! pool's one-thread instance below the size threshold — see
-//! [`service`] for the heuristic. Every way in is one
+//! [`pathlearn_graph::EvalPool`]: per-level fan-out for single
+//! big-graph queries, the pool's one-thread instance below the size
+//! threshold — see [`service`] for the heuristic. Every way in is one
 //! [`QueryService::submit`]. Results are **bit-identical** to direct
 //! evaluation in every mode and at every thread count (this
 //! crate's smoke tests re-assert the pool's contract end-to-end).
@@ -39,9 +37,8 @@
 //!
 //! The CLI front doors are `pathlearn serve` (in-process) and
 //! `pathlearn serve --listen ADDR` (TCP, crate `pathlearn`); the
-//! throughput/hit-rate harness is `bench_serve` (crate
-//! `pathlearn-bench`, snapshot committed as `BENCH_serve.json`), which
-//! doubles as a TCP client via `--listen`.
+//! whole stack is measured end to end by `pqbench` (`BENCHMARK.json`,
+//! `pqbench/README.md`).
 //!
 //! **Durability** is [`wal`]: a data directory pairing a versioned
 //! binary snapshot of the graph with an append-only, digest-checked

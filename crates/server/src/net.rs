@@ -412,7 +412,6 @@ impl Reply {
                         match mode {
                             EvalMode::Sequential => WireServed::EvaluatedSequential,
                             EvalMode::IntraQuery => WireServed::EvaluatedIntra,
-                            EvalMode::Batch => WireServed::EvaluatedBatch,
                         },
                         eval_ns,
                     ),

@@ -41,7 +41,7 @@
 //!
 //! | opcode | name | body |
 //! |---|---|---|
-//! | `0x81` | `RESULT` | `u8 served` (0 hit, 1 coalesced, 2 sequential, 3 intra-query, 4 batch) · `u64 fingerprint` · `u32 canonical_states` · `u64 eval_ns` · bitset (`u32 num_bits` · `u32 num_words` · words) |
+//! | `0x81` | `RESULT` | `u8 served` (0 hit, 1 coalesced, 2 sequential, 3 intra-query; 4 is reserved and rejected) · `u64 fingerprint` · `u32 canonical_states` · `u64 eval_ns` · bitset (`u32 num_bits` · `u32 num_words` · words) |
 //! | `0x82` | `SHED` | `u32 retry_after_ms` — admission queue over its watermark |
 //! | `0x83` | `DEADLINE` | empty — the deadline budget expired before a result |
 //! | `0x84` | `DRAINING` | empty — server draining for rebuild/shutdown; retry later |
@@ -241,8 +241,6 @@ pub enum WireServed {
     EvaluatedSequential = 2,
     /// Evaluated on the intra-query parallel engine.
     EvaluatedIntra = 3,
-    /// Evaluated inside a batch fan-out.
-    EvaluatedBatch = 4,
 }
 
 impl WireServed {
@@ -252,7 +250,6 @@ impl WireServed {
             1 => WireServed::Coalesced,
             2 => WireServed::EvaluatedSequential,
             3 => WireServed::EvaluatedIntra,
-            4 => WireServed::EvaluatedBatch,
             _ => return None,
         })
     }
@@ -1030,6 +1027,16 @@ mod tests {
             Response::decode(&bad),
             Err(DecodeError::Malformed("bitset word count"))
         );
+        // Served tag 4 is reserved (no server ever sent it): it rejects
+        // like any unknown tag.
+        for tag in [4, u8::MAX] {
+            let mut bad = good.clone();
+            bad[HEADER_LEN] = tag;
+            assert_eq!(
+                Response::decode(&bad),
+                Err(DecodeError::Malformed("served tag"))
+            );
+        }
         // A set bit beyond the declared capacity is malformed, not
         // silently dropped.
         let mut bad = good;

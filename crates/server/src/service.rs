@@ -2,7 +2,7 @@
 //!
 //! [`QueryService`] is the multi-client front door to RPQ evaluation.
 //! Client threads call [`QueryService::query_monadic`] (or the binary /
-//! batch variants) concurrently; the service
+//! pre-canonicalized variants) concurrently; the service
 //!
 //! 1. **canonicalizes** the submitted query (minimize → canonical
 //!    numbering, [`CanonicalQuery`]) into a [`CacheKey`], so equivalent
@@ -24,7 +24,6 @@
 //! |---|---|---|
 //! | `Sequential` | small graph or sequential pool | [`EvalPool::evaluate`] on the one-thread instance, every level inline on this thread |
 //! | `IntraQuery` | parallel pool and `\|V\|` ≥ threshold | [`EvalPool::evaluate`] on the shared pool — per-level `(state, symbol)` + node-range fan-out |
-//! | `Batch` | ≥ 2 unique misses in one [`QueryService::query_monadic_batch`] call | [`EvalPool::eval_monadic_batch`] — one slot per query |
 //!
 //! Independent queries from different client threads naturally overlap:
 //! evaluation runs outside the state lock, which is held only for probe
@@ -148,14 +147,6 @@ pub struct ServeConfig {
     /// ~an eighth of the CSR has earned a rebuild. Compaction preserves
     /// node ids and the alphabet, so it invalidates nothing.
     pub delta_compact_threshold: Option<usize>,
-    /// Whether admitted evaluations run under the per-BFS-level
-    /// observer ([`pathlearn_graph::collect_levels`]), so query traces
-    /// carry one sample per level (frontier popcount, kernel mix,
-    /// nanoseconds) and feed the `eval.level` / `eval.frontier`
-    /// histograms. On by default — measured ≤2% on-path overhead
-    /// (`bench_serve`'s `telemetry` gate) — and a pure observation: the
-    /// served bits are identical either way.
-    pub observe_eval_levels: bool,
     /// Queries whose whole-trace wall time reaches this threshold are
     /// captured in the slow-query log (the `/slow` admin page).
     pub slow_query_threshold: Duration,
@@ -171,7 +162,6 @@ impl Default for ServeConfig {
             strategy: Strategy::Auto,
             eval_holdoff: Duration::ZERO,
             delta_compact_threshold: None,
-            observe_eval_levels: true,
             slow_query_threshold: Duration::from_millis(50),
         }
     }
@@ -196,8 +186,6 @@ pub enum EvalMode {
     Sequential,
     /// Intra-query parallel evaluator on the shared pool.
     IntraQuery,
-    /// Part of a multi-query batch fan-out.
-    Batch,
 }
 
 /// How one evaluation ran, for [`QueryService::publish`]: the
@@ -215,7 +203,7 @@ pub enum Served {
     /// Resident in the result cache.
     Hit,
     /// Folded onto a concurrent in-flight evaluation of an equivalent
-    /// query (or onto an earlier duplicate in the same batch).
+    /// query.
     Coalesced,
     /// Admitted and evaluated.
     Evaluated {
@@ -223,7 +211,7 @@ pub enum Served {
         mode: EvalMode,
         /// The evaluation direction the planner resolved for this query
         /// (never [`Strategy::Auto`] — Auto is an input, the record is
-        /// the resolution). Batch fan-outs always run forward.
+        /// the resolution).
         strategy: Strategy,
         /// Measured evaluation wall time.
         eval_ns: u64,
@@ -305,8 +293,6 @@ pub struct ServeStats {
     pub misses: u64,
     /// Submissions folded onto a concurrent in-flight evaluation.
     pub coalesced: u64,
-    /// Duplicates folded within a single submitted batch.
-    pub batch_deduped: u64,
     /// Graph rebuilds (each clears the cache).
     pub invalidations: u64,
     /// Edge-delta batches applied via [`QueryService::apply_delta`]
@@ -325,10 +311,7 @@ pub struct ServeStats {
     pub sequential_evals: u64,
     /// Admitted queries run on the intra-query parallel evaluator.
     pub intra_evals: u64,
-    /// Admitted queries run inside a batch fan-out.
-    pub batch_evals: u64,
-    /// Admitted queries the planner resolved to forward evaluation
-    /// (includes every batch fan-out member — batches run forward).
+    /// Admitted queries the planner resolved to forward evaluation.
     pub forward_evals: u64,
     /// Admitted queries the planner resolved to backward evaluation
     /// (reversed-DFA monadic walk / coreach-pruned binary pass).
@@ -349,9 +332,9 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// Submissions that did **not** pay an evaluation: cache hits plus
-    /// both coalescing flavors.
+    /// coalesced waits.
     pub fn reused(&self) -> u64 {
-        self.hits + self.coalesced + self.batch_deduped
+        self.hits + self.coalesced
     }
 
     /// Fraction of submissions served without evaluating
@@ -375,7 +358,6 @@ struct ServeCounters {
     hits: Counter,
     misses: Counter,
     coalesced: Counter,
-    batch_deduped: Counter,
     invalidations: Counter,
     deltas_applied: Counter,
     label_invalidations: Counter,
@@ -383,7 +365,6 @@ struct ServeCounters {
     compactions: Counter,
     sequential_evals: Counter,
     intra_evals: Counter,
-    batch_evals: Counter,
     forward_evals: Counter,
     backward_evals: Counter,
     bidirectional_evals: Counter,
@@ -419,7 +400,6 @@ impl ServeCounters {
             hits: registry.counter("serve.hits"),
             misses: registry.counter("serve.misses"),
             coalesced: registry.counter("serve.coalesced"),
-            batch_deduped: registry.counter("serve.batch_deduped"),
             invalidations: registry.counter("serve.invalidations"),
             deltas_applied: registry.counter("serve.deltas_applied"),
             label_invalidations: registry.counter("serve.label_invalidations"),
@@ -427,7 +407,6 @@ impl ServeCounters {
             compactions: registry.counter("serve.compactions"),
             sequential_evals: registry.counter("serve.sequential_evals"),
             intra_evals: registry.counter("serve.intra_evals"),
-            batch_evals: registry.counter("serve.batch_evals"),
             forward_evals: registry.counter("serve.forward_evals"),
             backward_evals: registry.counter("serve.backward_evals"),
             bidirectional_evals: registry.counter("serve.bidirectional_evals"),
@@ -469,7 +448,6 @@ fn mode_name(mode: EvalMode) -> &'static str {
     match mode {
         EvalMode::Sequential => "sequential",
         EvalMode::IntraQuery => "intra",
-        EvalMode::Batch => "batch",
     }
 }
 
@@ -701,7 +679,6 @@ pub struct QueryService {
     strategy: Strategy,
     eval_holdoff: Duration,
     delta_compact_threshold: Option<usize>,
-    observe_eval_levels: bool,
     /// The unified registry + trace sink this service owns; every layer
     /// above (front door, admin surface) shares it via
     /// [`QueryService::telemetry`].
@@ -740,7 +717,6 @@ impl QueryService {
             strategy: config.strategy,
             eval_holdoff: config.eval_holdoff,
             delta_compact_threshold: config.delta_compact_threshold,
-            observe_eval_levels: config.observe_eval_levels,
             telemetry,
             counters,
             persistence: Mutex::new(None),
@@ -805,7 +781,6 @@ impl QueryService {
             hits: c.hits.get(),
             misses: c.misses.get(),
             coalesced: c.coalesced.get(),
-            batch_deduped: c.batch_deduped.get(),
             invalidations: c.invalidations.get(),
             deltas_applied: c.deltas_applied.get(),
             label_invalidations: c.label_invalidations.get(),
@@ -813,7 +788,6 @@ impl QueryService {
             compactions: c.compactions.get(),
             sequential_evals: c.sequential_evals.get(),
             intra_evals: c.intra_evals.get(),
-            batch_evals: c.batch_evals.get(),
             forward_evals: c.forward_evals.get(),
             backward_evals: c.backward_evals.get(),
             bidirectional_evals: c.bidirectional_evals.get(),
@@ -1098,8 +1072,8 @@ impl QueryService {
         }
     }
 
-    /// The hit probe of the single-query path — [`QueryService::admit`]
-    /// and [`QueryService::try_hit`] both run it, so a hit is counted
+    /// The hit probe — [`QueryService::admit`] and
+    /// [`QueryService::try_hit`] both run it, so a hit is counted
     /// (`serve.hits`, `cache.hits`) in one place. A miss counts nothing
     /// here.
     fn probe_hit(&self, inner: &mut Inner, key: &CacheKey) -> Option<Arc<BitSet>> {
@@ -1293,30 +1267,9 @@ impl QueryService {
                     let mut guard = AdmissionGuard::new(self, &key, &ticket);
                     let start = Instant::now();
                     let eval_begin = trace.span_begin();
-                    let (evaluated, levels) = if self.observe_eval_levels {
-                        pathlearn_graph::collect_levels(|| {
-                            self.evaluate(
-                                &graph,
-                                &key,
-                                epoch,
-                                upper.as_deref(),
-                                Some(&mut trace),
-                                cancel,
-                            )
-                        })
-                    } else {
-                        (
-                            self.evaluate(
-                                &graph,
-                                &key,
-                                epoch,
-                                upper.as_deref(),
-                                Some(&mut trace),
-                                cancel,
-                            ),
-                            Vec::new(),
-                        )
-                    };
+                    let (evaluated, levels) = pathlearn_graph::collect_levels(|| {
+                        self.evaluate(&graph, &key, epoch, upper.as_deref(), &mut trace, cancel)
+                    });
                     trace.span_end("eval", eval_begin);
                     let (result, mode, strategy) = match evaluated {
                         Ok(outcome) => outcome,
@@ -1388,15 +1341,14 @@ impl QueryService {
     /// whose plan and goal depend on what admission found, on the
     /// shared pool or its one-thread instance by the size heuristic.
     /// The returned [`Strategy`] is the resolved direction (never
-    /// `Auto`). When a `trace` builder is threaded in, the planning
-    /// pass is recorded as its own span.
+    /// `Auto`). The planning pass is recorded in `trace` as its own span.
     fn evaluate(
         &self,
         graph: &GraphDb,
         key: &CacheKey,
         epoch: u64,
         upper: Option<&BitSet>,
-        trace: Option<&mut TraceBuilder>,
+        trace: &mut TraceBuilder,
         cancel: &CancelToken,
     ) -> Result<(BitSet, EvalMode, Strategy), Interrupt> {
         // Evaluations are coordinated from the calling client thread; a
@@ -1425,11 +1377,7 @@ impl QueryService {
                 (&unplanned, Goal::MonadicWithin(upper), Strategy::Forward)
             }
             (kind, None) => {
-                let begin = trace.as_deref().map(TraceBuilder::span_begin);
-                planned = self.plan_for(graph, key, epoch);
-                if let (Some(trace), Some(begin)) = (trace, begin) {
-                    trace.span_end("plan", begin);
-                }
+                planned = trace.span("plan", || self.plan_for(graph, key, epoch));
                 match kind {
                     QueryKind::Monadic => (&*planned, Goal::Monadic, planned.monadic_strategy()),
                     // An out-of-graph source (e.g. submitted before a
@@ -1488,7 +1436,6 @@ impl QueryService {
         match mode {
             EvalMode::Sequential => self.counters.sequential_evals.inc(),
             EvalMode::IntraQuery => self.counters.intra_evals.inc(),
-            EvalMode::Batch => self.counters.batch_evals.inc(),
         }
         match strategy {
             Strategy::Backward => self.counters.backward_evals.inc(),
@@ -1512,131 +1459,6 @@ impl QueryService {
             }
         }
         ticket.complete(result);
-    }
-
-    /// Serves a whole batch of monadic queries, coalescing duplicates
-    /// **within the batch** deterministically (counted as
-    /// `batch_deduped`) and fanning the unique misses out over the pool
-    /// ([`EvalPool::eval_monadic_batch`], mode `Batch`) when there are
-    /// at least two; a lone miss falls back to the single-query
-    /// heuristic. `result[i]` equals `query_monadic(&queries[i]).result`
-    /// bit-for-bit.
-    pub fn query_monadic_batch(&self, queries: &[Dfa]) -> Vec<Arc<BitSet>> {
-        let keys: Vec<CacheKey> = queries
-            .iter()
-            .map(|q| CacheKey::monadic(CanonicalQuery::new(q)))
-            .collect();
-        let mut results: Vec<Option<Arc<BitSet>>> = vec![None; keys.len()];
-        // Unique keys this call owns (with their admission-time label
-        // stamps), with every batch position mapping to them; positions
-        // waiting on other threads' in-flight work.
-        #[allow(clippy::type_complexity)]
-        let mut owned: Vec<(CacheKey, Arc<InFlight>, u64, Vec<usize>)> = Vec::new();
-        let mut waits: Vec<(usize, Arc<InFlight>)> = Vec::new();
-        let (graph, epoch) = {
-            let mut inner = self.inner.lock().unwrap();
-            let mut local: HashMap<&CacheKey, usize> = HashMap::new();
-            for (i, key) in keys.iter().enumerate() {
-                if let Some(result) = inner.cache.get(key) {
-                    self.counters.hits.inc();
-                    results[i] = Some(result);
-                } else if let Some(&slot) = local.get(key) {
-                    self.counters.batch_deduped.inc();
-                    owned[slot].3.push(i);
-                } else if let Some(ticket) = inner.inflight.get(key).cloned() {
-                    self.counters.coalesced.inc();
-                    waits.push((i, ticket));
-                } else {
-                    let ticket = Arc::new(InFlight::new());
-                    inner.inflight.insert(key.clone(), ticket.clone());
-                    local.insert(key, owned.len());
-                    let stamp = inner.label_stamp(&live_alphabet(&key.query));
-                    owned.push((key.clone(), ticket, stamp, vec![i]));
-                }
-            }
-            (inner.graph.clone(), inner.epoch)
-        };
-
-        // Abandon every owned ticket if the fan-out below unwinds, so
-        // concurrent waiters retry instead of hanging.
-        let mut guards: Vec<AdmissionGuard> = owned
-            .iter()
-            .map(|(key, ticket, ..)| AdmissionGuard::new(self, key, ticket))
-            .collect();
-        if owned.len() >= 2 {
-            // Real batch: canonical DFAs through the pool fan-out.
-            // Individual timings are not observable inside the pool, so
-            // the batch wall time is attributed to the cache per query
-            // in proportion to its O(|E|·|Q|) work bound
-            // ([`GraphDb::eval_cost_bound`]) — a 5-state query carries
-            // more of the cost than a 1-state one.
-            let dfas: Vec<Dfa> = owned.iter().map(|(k, ..)| k.query.dfa().clone()).collect();
-            let start = Instant::now();
-            let evaluated = self.pool.eval_monadic_batch(&dfas, &graph);
-            let total_ns = start.elapsed().as_nanos() as u64;
-            let bounds: Vec<u64> = owned
-                .iter()
-                .map(|(k, ..)| graph.eval_cost_bound(k.query.num_states()))
-                .collect();
-            let total_bound = bounds.iter().sum::<u64>().max(1);
-            for (slot, ((key, ticket, stamp, positions), value)) in
-                owned.iter().zip(evaluated).enumerate()
-            {
-                let cost_ns =
-                    (total_ns as u128 * bounds[slot] as u128 / total_bound as u128) as u64;
-                let value = Arc::new(value);
-                // Batch fan-outs run the forward engine (per-query
-                // planning would serialize the batch on the plan cache).
-                self.publish(
-                    key,
-                    ticket,
-                    (epoch, *stamp),
-                    value.clone(),
-                    EvalOutcome {
-                        mode: EvalMode::Batch,
-                        strategy: Strategy::Forward,
-                    },
-                    cost_ns,
-                );
-                guards[slot].disarm();
-                for &i in positions {
-                    results[i] = Some(value.clone());
-                }
-            }
-        } else if let Some((key, ticket, stamp, positions)) = owned.first() {
-            let start = Instant::now();
-            let (value, mode, strategy) = self
-                .evaluate(&graph, key, epoch, None, None, &CancelToken::never())
-                .expect("a never-token evaluation is not interrupted");
-            let eval_ns = start.elapsed().as_nanos() as u64;
-            let value = Arc::new(value);
-            self.publish(
-                key,
-                ticket,
-                (epoch, *stamp),
-                value.clone(),
-                EvalOutcome { mode, strategy },
-                eval_ns,
-            );
-            guards[0].disarm();
-            for &i in positions {
-                results[i] = Some(value.clone());
-            }
-        }
-        drop(guards);
-
-        for (i, ticket) in waits {
-            results[i] = Some(match ticket.wait() {
-                Some(result) => result,
-                // The foreign owner unwound: serve this position
-                // ourselves through the normal re-admission path.
-                None => self.serve(keys[i].clone()).result,
-            });
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every batch position served"))
-            .collect()
     }
 }
 
@@ -1701,28 +1523,6 @@ mod tests {
         // An out-of-graph source is served (empty), defensively.
         let far = service.query_binary_from(&q, 10_000);
         assert!(far.result.is_empty());
-    }
-
-    #[test]
-    fn batch_coalesces_duplicates_deterministically() {
-        let graph = figure3_g0();
-        let service = QueryService::new(graph.clone(), ServeConfig::default());
-        let a = query(&graph, "a");
-        let abc = query(&graph, "(a·b)*·c");
-        let abc_variant = query(&graph, "c+a·b·(a·b)*·c"); // ≡ abc
-        let batch = vec![a.clone(), abc.clone(), abc_variant, a.clone()];
-        let results = service.query_monadic_batch(&batch);
-        assert_eq!(*results[0], eval_monadic(&a, &graph));
-        assert_eq!(*results[1], eval_monadic(&abc, &graph));
-        assert!(Arc::ptr_eq(&results[1], &results[2]), "variant coalesced");
-        assert!(Arc::ptr_eq(&results[0], &results[3]), "duplicate coalesced");
-        let stats = service.stats();
-        assert_eq!(stats.batch_deduped, 2);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.batch_evals, 2);
-        // Resubmitting the whole batch is pure hits.
-        service.query_monadic_batch(&batch);
-        assert_eq!(service.stats().hits, 4);
     }
 
     #[test]

@@ -435,13 +435,13 @@ pub struct TraceSpan {
 pub struct QueryTrace {
     /// Canonical query fingerprint.
     pub fingerprint: u64,
-    /// Submission kind: `"monadic"`, `"binary"` or `"batch"`.
+    /// Submission kind: `"monadic"` or `"binary"`.
     pub kind: &'static str,
     /// How it was served: `"hit"`, `"coalesced"`, `"evaluated"`,
     /// `"deadline"`, `"cancelled"`.
     pub outcome: &'static str,
-    /// Evaluation mode (`"sequential"` / `"intra"` / `"batch"`; `"-"`
-    /// when nothing was evaluated).
+    /// Evaluation mode (`"sequential"` / `"intra"`; `"-"` when nothing
+    /// was evaluated).
     pub mode: &'static str,
     /// Planner strategy actually run (`"-"` when nothing was
     /// evaluated).
@@ -452,7 +452,7 @@ pub struct QueryTrace {
     /// Recorded phases, in order, offsets monotonic.
     pub spans: Vec<TraceSpan>,
     /// Per-BFS-level samples from [`pathlearn_graph::observer`]
-    /// (empty for hits, coalesced waits and batch fan-out).
+    /// (empty for hits and coalesced waits).
     pub levels: Vec<LevelSample>,
     /// Whole-trace wall time in nanoseconds.
     pub total_ns: u64,
@@ -518,11 +518,6 @@ impl TraceBuilder {
             queue_wait_ns,
             spans: Vec::with_capacity(4),
         }
-    }
-
-    /// Updates the fingerprint (it is only known after canonicalize).
-    pub fn set_fingerprint(&mut self, fingerprint: u64) {
-        self.fingerprint = fingerprint;
     }
 
     /// Marks a span's start for [`TraceBuilder::span_end`] — the
@@ -606,7 +601,7 @@ const SLOW_LOG_CAP: usize = 32;
 pub struct TraceSink {
     stripes: [Mutex<VecDeque<QueryTrace>>; TRACE_STRIPES],
     slow: Mutex<VecDeque<QueryTrace>>,
-    slow_threshold_ns: AtomicU64,
+    slow_threshold_ns: u64,
 }
 
 impl TraceSink {
@@ -616,13 +611,13 @@ impl TraceSink {
         TraceSink {
             stripes: std::array::from_fn(|_| Mutex::new(VecDeque::new())),
             slow: Mutex::new(VecDeque::new()),
-            slow_threshold_ns: AtomicU64::new(slow_threshold.as_nanos() as u64),
+            slow_threshold_ns: slow_threshold.as_nanos() as u64,
         }
     }
 
     /// Records one finished trace.
     pub fn record(&self, trace: QueryTrace) {
-        if trace.total_ns >= self.slow_threshold_ns.load(Ordering::Relaxed) {
+        if trace.total_ns >= self.slow_threshold_ns {
             let mut slow = self.slow.lock().unwrap();
             if slow.len() == SLOW_LOG_CAP {
                 slow.pop_front();
@@ -650,15 +645,9 @@ impl TraceSink {
         self.slow.lock().unwrap().iter().cloned().collect()
     }
 
-    /// Adjusts the slow-log threshold at runtime.
-    pub fn set_slow_threshold(&self, threshold: Duration) {
-        self.slow_threshold_ns
-            .store(threshold.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// The current threshold in nanoseconds.
+    /// The slow-log threshold in nanoseconds.
     pub fn slow_threshold_ns(&self) -> u64 {
-        self.slow_threshold_ns.load(Ordering::Relaxed)
+        self.slow_threshold_ns
     }
 
     /// The `/slow` admin page body.

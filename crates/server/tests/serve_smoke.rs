@@ -13,8 +13,10 @@
 //!   fact ≥ the duplication factor's floor, since canonicalization also
 //!   folds the syntactic variants);
 //! * **coalescing** of concurrent duplicate submissions is observed:
-//!   within-batch dedup deterministically, and cross-thread in-flight
-//!   coalescing under an eval holdoff that keeps the window open.
+//!   cross-thread in-flight coalescing under an eval holdoff that keeps
+//!   the window open;
+//! * label-aware **delta invalidation keeps more of the cache** than
+//!   rebuilding the graph does, by exact counters over one fixed script.
 
 use pathlearn_automata::{Alphabet, BitSet, Dfa, Regex, Symbol};
 use pathlearn_graph::eval::{eval_binary_from, eval_monadic};
@@ -139,30 +141,6 @@ fn duplicate_heavy_mix_is_bit_identical_with_positive_hit_rate() {
 }
 
 #[test]
-fn batch_api_coalesces_and_matches_direct_eval() {
-    let graph = ring_graph(200);
-    let queries = workload(&graph, 2);
-    let service = QueryService::new(
-        graph.clone(),
-        ServeConfig {
-            threads: 4,
-            ..ServeConfig::default()
-        },
-    );
-    let results = service.query_monadic_batch(&queries);
-    for (i, (served, query)) in results.iter().zip(&queries).enumerate() {
-        assert_eq!(**served, eval_monadic(query, &graph), "batch slot {i}");
-    }
-    let stats = service.stats();
-    // One submitted batch: 5 unique languages evaluated, every other
-    // position folded within the batch — deterministically.
-    assert_eq!(stats.misses, 5);
-    assert_eq!(stats.batch_deduped, queries.len() as u64 - 5);
-    assert_eq!(stats.batch_evals, 5);
-    assert!(stats.hit_rate() > 0.5);
-}
-
-#[test]
 fn concurrent_clients_coalesce_in_flight_duplicates() {
     let graph = ring_graph(200);
     let service = Arc::new(QueryService::new(
@@ -231,4 +209,57 @@ fn binary_serving_matches_direct_eval_across_sources() {
         );
     }
     assert!(service.stats().hit_rate() > 0.0);
+}
+
+#[test]
+fn delta_invalidation_keeps_more_hits_than_rebuilding() {
+    // One fixed script — four reads, then a single-label write — driven
+    // through two services over identical graph versions: one patches
+    // with `apply_delta`, the other swaps in the same version with
+    // `rebuild_graph`. No timing anywhere: every number is a counter
+    // the script implies.
+    let mut current = ring_graph(60);
+    let delta_side = QueryService::new(current.clone(), ServeConfig::default());
+    let rebuild_side = QueryService::new(current.clone(), ServeConfig::default());
+    // Live alphabets {a}, {b}, {c}, {a, b}.
+    let queries: Vec<Dfa> = ["a·a", "b·b", "c", "a·b"]
+        .iter()
+        .map(|expr| Regex::parse(expr, current.alphabet()).unwrap().to_dfa(3))
+        .collect();
+    let read_all = |current: &GraphDb| {
+        for (i, query) in queries.iter().enumerate() {
+            let direct = eval_monadic(query, current);
+            assert_eq!(*delta_side.query_monadic(query).result, direct, "delta {i}");
+            assert_eq!(
+                *rebuild_side.query_monadic(query).result,
+                direct,
+                "rebuild {i}"
+            );
+        }
+    };
+    let [a, b, c] = [0, 1, 2].map(Symbol::from_index);
+    // (add, remove, entries the delta side must drop).
+    let writes = [
+        (vec![], vec![(0, a, 1)], 2), // a·a, a·b
+        (vec![(0, b, 5)], vec![], 2), // b·b, a·b
+        (vec![(3, c, 9)], vec![], 1), // c
+    ];
+    read_all(&current); // 4 cold misses on both sides
+    for (add, remove, dropped) in &writes {
+        current = current.with_delta(add, remove).unwrap().compact();
+        let applied = delta_side.apply_delta(add, remove).unwrap();
+        assert_eq!(applied.invalidated, *dropped);
+        rebuild_side.rebuild_graph(current.clone());
+        // Delta side: the spared entries hit (2, 2, 3); rebuild side: 0.
+        read_all(&current);
+    }
+    read_all(&current); // all 4 resident on both sides
+
+    let (delta, rebuild) = (delta_side.stats(), rebuild_side.stats());
+    assert_eq!(delta.label_invalidations, 2 + 2 + 1);
+    assert_eq!((delta.deltas_applied, delta.invalidations), (3, 0));
+    assert_eq!((rebuild.deltas_applied, rebuild.invalidations), (0, 3));
+    assert_eq!((delta.hits, delta.misses), (2 + 2 + 3 + 4, 4 + 2 + 2 + 1));
+    assert_eq!((rebuild.hits, rebuild.misses), (4, 4 * 4));
+    assert!(delta.hits > rebuild.hits);
 }

@@ -69,13 +69,12 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 }
 
 /// The pre-registry `STATS` frame key set: every name a v4 client (or
-/// `bench_serve` snapshot) may look up by string. The registry
+/// `pqbench`'s `count.*` metrics) may look up by string. The registry
 /// migration must keep all of them answering.
-const LEGACY_KEYS: [&str; 36] = [
+const LEGACY_KEYS: [&str; 34] = [
     "serve.hits",
     "serve.misses",
     "serve.coalesced",
-    "serve.batch_deduped",
     "serve.invalidations",
     "serve.deltas_applied",
     "serve.label_invalidations",
@@ -83,7 +82,6 @@ const LEGACY_KEYS: [&str; 36] = [
     "serve.compactions",
     "serve.sequential_evals",
     "serve.intra_evals",
-    "serve.batch_evals",
     "serve.forward_evals",
     "serve.backward_evals",
     "serve.bidirectional_evals",
