@@ -63,6 +63,8 @@ fn main() {
                     strategy.to_string(),
                     interactive_text.clone(),
                     fmt_secs(row.mean_interaction_time),
+                    fmt_secs(row.mean_propose_time),
+                    fmt_secs(row.mean_relearn_time),
                 ]);
                 csv_rows.push(vec![
                     dataset.name.clone(),
@@ -73,6 +75,8 @@ fn main() {
                     format!("{:.5}", row.label_fraction),
                     format!("{}", row.labels),
                     format!("{:.6}", row.mean_interaction_time.as_secs_f64()),
+                    format!("{:.6}", row.mean_propose_time.as_secs_f64()),
+                    format!("{:.6}", row.mean_relearn_time.as_secs_f64()),
                     format!("{}", row.reached_goal),
                 ]);
             }
@@ -86,6 +90,8 @@ fn main() {
         "strategy",
         "labels for F1=1 (interactive)",
         "time between interactions",
+        "… choosing the node",
+        "… relearning",
     ];
     println!("{}", ascii_table(&headers, &rows));
 
@@ -101,6 +107,8 @@ fn main() {
                 "interactive_fraction",
                 "labels",
                 "mean_seconds",
+                "mean_propose_seconds",
+                "mean_relearn_seconds",
                 "reached_goal",
             ],
             &csv_rows,

@@ -21,7 +21,8 @@
 use pathlearn_core::PathQuery;
 use pathlearn_datagen::scale_free::{scale_free_graph, ScaleFreeConfig};
 use pathlearn_datagen::workloads::{bio_workload, syn_workload, CalibratedQuery};
-use pathlearn_graph::GraphDb;
+use pathlearn_graph::{GraphDb, NodeId};
+use pathlearn_interactive::session::{InteractiveConfig, InteractiveSession};
 
 /// Parsed command-line options shared by the harness binaries.
 #[derive(Clone, Debug)]
@@ -112,6 +113,21 @@ pub fn syn_dataset(nodes: usize, seed: u64) -> Dataset {
         graph,
         queries: workload.queries,
     }
+}
+
+/// The `(node, label)` sequence of one real §4 session against `goal`
+/// under `config` — what the micro-benches walk again label by label.
+pub fn recorded_session(
+    graph: &GraphDb,
+    goal: &PathQuery,
+    config: InteractiveConfig,
+) -> Vec<(NodeId, bool)> {
+    InteractiveSession::new(graph, config)
+        .run_against_goal(goal)
+        .interactions
+        .iter()
+        .map(|record| (record.node, record.label))
+        .collect()
 }
 
 /// Returns the datasets selected by the positional argument

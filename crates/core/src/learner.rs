@@ -16,7 +16,16 @@
 //! Lines 1–2 are the SCP search of [`pathlearn_graph::scp`]; line 3 is
 //! [`pathlearn_automata::pta`]; lines 4–5 are RPNI red-blue merging with
 //! the *graph* oracle (`L(candidate) ∩ paths_G(S⁻) = ∅`, a product
-//! emptiness test); line 6 is one monadic evaluation.
+//! search over the graph's own adjacency from `{q₀} × S⁻` —
+//! [`PathsProduct`], no NFA copy of the graph is built); line 6 is one
+//! monadic evaluation.
+//!
+//! Everything a run builds that outlives one `k` attempt — the SCP
+//! finders, the oracle's buffers, the evaluation scratch — lives in a
+//! [`LearnState`]. [`Learner::learn`] makes a fresh one per call; a
+//! session whose sample grows by one label at a time keeps one and calls
+//! [`Learner::learn_with`], so a new label costs one label's worth of
+//! work (see [`ScpFinder::add_negative`]). Same code, same outcome.
 //!
 //! The `k` parameter follows §5.1: *"we start with k = 2; if for a given
 //! k, the query learned using SCPs shorter than k does not select all
@@ -25,11 +34,10 @@
 
 use crate::query::PathQuery;
 use crate::sample::Sample;
-use pathlearn_automata::product::dfa_nfa_intersection_is_empty;
 use pathlearn_automata::rpni::{generalize, MergeOracle};
-use pathlearn_automata::{Dfa, Nfa, Word};
+use pathlearn_automata::Word;
 use pathlearn_graph::{
-    CancelToken, EvalPool, EvalScratch, Goal, GraphDb, NodeId, QueryPlan, ScpFinder,
+    CancelToken, EvalPool, EvalScratch, Goal, GraphDb, NodeId, PathsProduct, QueryPlan, ScpFinder,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -135,15 +143,39 @@ pub struct LearnOutcome {
     pub stats: LearnStats,
 }
 
-/// Merge oracle for Algorithm 1 line 4: a candidate is consistent iff its
-/// language does not intersect `paths_G(S⁻)`.
-struct GraphNegativesOracle {
-    negative_paths: Nfa,
+/// What [`Learner::learn_with`] keeps between calls on one graph: the
+/// SCP finders with their memos (one per fan-out thread), the merge
+/// oracle's buffers and the line-6 evaluation scratch. Handing the next
+/// call a sample that grew by one label updates the finders in place;
+/// any other sample makes them rebuild. Either way the outcome is the
+/// one a fresh state gives.
+pub struct LearnState<'g> {
+    graph: &'g GraphDb,
+    /// Never empty; `finders[0]` is also the strategy's finder.
+    finders: Vec<ScpFinder<'g>>,
+    /// Merge oracle for Algorithm 1 line 4: a candidate is consistent
+    /// iff its language does not intersect `paths_G(S⁻)`.
+    oracle: PathsProduct<'g>,
+    /// One line-6 evaluation scratch: attempts across `k` and calls
+    /// share the buffers, so only the first evaluation allocates.
+    eval_scratch: EvalScratch,
 }
 
-impl MergeOracle for GraphNegativesOracle {
-    fn is_consistent(&mut self, candidate: &Dfa) -> bool {
-        dfa_nfa_intersection_is_empty(candidate, &self.negative_paths)
+impl<'g> LearnState<'g> {
+    /// Fresh state on `graph`: nothing learned, nothing labeled yet.
+    pub fn new(graph: &'g GraphDb) -> Self {
+        LearnState {
+            graph,
+            finders: vec![ScpFinder::new(graph, &[])],
+            oracle: PathsProduct::new(graph, &[]),
+            eval_scratch: EvalScratch::new(),
+        }
+    }
+
+    /// The finder a node-proposal strategy shares with the relearning,
+    /// so that neither redoes the other's negative-side work.
+    pub fn finder(&mut self) -> &mut ScpFinder<'g> {
+        &mut self.finders[0]
     }
 }
 
@@ -192,6 +224,13 @@ impl Learner {
     /// consistent with the sample; `None` means no consistent query could
     /// be built from SCPs of length ≤ k.
     pub fn learn(&self, graph: &GraphDb, sample: &Sample) -> LearnOutcome {
+        self.learn_with(&mut LearnState::new(graph), sample)
+    }
+
+    /// [`Learner::learn`] on the graph of `state`, reusing what earlier
+    /// calls left there. The outcome does not depend on the state's
+    /// history — only how long it takes does.
+    pub fn learn_with(&self, state: &mut LearnState<'_>, sample: &Sample) -> LearnOutcome {
         let start_time = Instant::now();
         let mut stats = LearnStats::default();
 
@@ -204,22 +243,18 @@ impl Learner {
         } else {
             1
         };
-        let mut finders: Vec<ScpFinder<'_>> = (0..fan_out)
-            .map(|_| ScpFinder::new(graph, sample.neg()))
-            .collect();
-        // One line-6 evaluation scratch for the whole run: attempts across
-        // k share the buffers, so only the first evaluation allocates.
-        let mut eval_scratch = EvalScratch::new();
+        while state.finders.len() < fan_out {
+            state
+                .finders
+                .push(ScpFinder::new(state.graph, sample.neg()));
+        }
+        for finder in &mut state.finders[..fan_out] {
+            finder.set_negatives(sample.neg());
+        }
+        state.oracle.set_sources(sample.neg());
         for k in self.config.k.candidates() {
             stats.k_used = k;
-            if let Some(query) = self.attempt(
-                graph,
-                sample,
-                k,
-                &mut finders,
-                &mut eval_scratch,
-                &mut stats,
-            ) {
+            if let Some(query) = self.attempt(state, fan_out, sample, k, &mut stats) {
                 stats.duration = start_time.elapsed();
                 return LearnOutcome {
                     query: Some(query),
@@ -284,22 +319,19 @@ impl Learner {
     /// One attempt with a fixed `k`; returns the query on success.
     fn attempt(
         &self,
-        graph: &GraphDb,
+        state: &mut LearnState<'_>,
+        fan_out: usize,
         sample: &Sample,
         k: usize,
-        finders: &mut [ScpFinder<'_>],
-        eval_scratch: &mut EvalScratch,
         stats: &mut LearnStats,
     ) -> Option<PathQuery> {
+        let graph = state.graph;
         // Lines 1–2: select SCPs against the shared negative-side caches.
         let mut scps: Vec<Word> = Vec::new();
         stats.scps.clear();
         stats.nodes_without_scp.clear();
-        for (&node, path) in sample
-            .pos()
-            .iter()
-            .zip(self.find_scps(sample.pos(), k, finders))
-        {
+        let found = self.find_scps(sample.pos(), k, &mut state.finders[..fan_out]);
+        for (&node, path) in sample.pos().iter().zip(found) {
             match path {
                 Some(path) => {
                     stats.scps.push((node, path.clone()));
@@ -315,14 +347,11 @@ impl Learner {
 
         // Lines 4–5: generalize by state merging while no negative path is
         // accepted.
-        let mut oracle = GraphNegativesOracle {
-            negative_paths: graph.paths_nfa(sample.neg()),
-        };
         debug_assert!(
-            oracle.is_consistent(&pta),
+            state.oracle.is_consistent(&pta),
             "PTA of SCPs must be consistent by construction"
         );
-        let generalized = generalize(&pta, &mut oracle);
+        let generalized = generalize(&pta, &mut state.oracle);
         stats.generalized_states = generalized.num_states();
 
         // Line 6: does the query select every positive node? One whole-
@@ -333,7 +362,7 @@ impl Learner {
         let selected = self
             .pool
             .evaluate(
-                eval_scratch,
+                &mut state.eval_scratch,
                 &QueryPlan::forward(&generalized),
                 graph,
                 Goal::Monadic,

@@ -30,7 +30,7 @@ pub mod query;
 pub mod sample;
 pub mod theory;
 
-pub use learner::{KPolicy, LearnOutcome, LearnStats, Learner, LearnerConfig};
+pub use learner::{KPolicy, LearnOutcome, LearnState, LearnStats, Learner, LearnerConfig};
 pub use pathlearn_graph::EvalPool;
 pub use query::PathQuery;
 pub use sample::{Sample, Sample2, SampleN};

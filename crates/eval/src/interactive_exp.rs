@@ -30,6 +30,10 @@ pub struct InteractiveRow {
     pub labels: usize,
     /// Mean time between interactions.
     pub mean_interaction_time: Duration,
+    /// The part of it spent choosing the node.
+    pub mean_propose_time: Duration,
+    /// The part of it spent relearning.
+    pub mean_relearn_time: Duration,
     /// Whether the session actually reached the goal (F1 = 1) rather than
     /// stopping for another reason.
     pub reached_goal: bool,
@@ -67,6 +71,8 @@ pub fn run_interactive(
         label_fraction: result.label_fraction(graph),
         labels: result.labels_used(),
         mean_interaction_time: result.mean_interaction_time(),
+        mean_propose_time: result.mean_propose_time(),
+        mean_relearn_time: result.mean_relearn_time(),
         reached_goal: result.halt == HaltReason::ConditionMet,
     }
 }

@@ -63,9 +63,16 @@ pub fn fmt_pct(fraction: f64) -> String {
     }
 }
 
-/// Formats a duration in seconds with millisecond resolution.
+/// Formats a duration in seconds with millisecond resolution, or — below
+/// one second, where the interactive loop's rounds live — in milliseconds
+/// with microsecond resolution.
 pub fn fmt_secs(duration: Duration) -> String {
-    format!("{:.3}s", duration.as_secs_f64())
+    let secs = duration.as_secs_f64();
+    if secs >= 1.0 {
+        format!("{secs:.3}s")
+    } else {
+        format!("{:.3}ms", secs * 1e3)
+    }
 }
 
 /// Formats an F1 score.
@@ -132,6 +139,7 @@ mod tests {
     #[test]
     fn duration_formatting() {
         assert_eq!(fmt_secs(Duration::from_millis(1234)), "1.234s");
+        assert_eq!(fmt_secs(Duration::from_micros(120)), "0.120ms");
         assert_eq!(fmt_f1(0.98765), "0.988");
     }
 

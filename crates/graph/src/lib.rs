@@ -9,9 +9,12 @@
 //!   adjacency per [`Dir`], interned labels, named nodes), its one
 //!   frontier step kernel ([`GraphDb::step_range_into`]) and its builder;
 //! * [`paths`] — the `paths_G` machinery: the all-accepting NFA view,
-//!   word-membership by simulation, bounded canonical-order enumeration;
+//!   word-membership by simulation, bounded canonical-order enumeration,
+//!   and the product emptiness test of Algorithm 1's merge oracle
+//!   ([`PathsProduct`]), searched over the adjacency itself;
 //! * [`scp`] — smallest-consistent-path search (Algorithm 1 lines 1–2):
-//!   a determinized product BFS with a shared negative-side cache;
+//!   a determinized product BFS with a shared negative-side cache, and
+//!   the memo a session keeps while its negative set grows;
 //! * [`eval`] — **the** evaluation engine: one level kernel and one
 //!   driver behind [`EvalPool::evaluate`], which answers monadic
 //!   `q(G)` (optionally within a known upper bound) and binary
@@ -67,5 +70,6 @@ pub use graph::snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use graph::{DeltaError, Dir, GraphBuilder, GraphDb, NodeId, StepPlan, StepPolicy};
 pub use observer::{collect_levels, LevelSample, MAX_LEVEL_SAMPLES};
 pub use par_eval::EvalPool;
+pub use paths::PathsProduct;
 pub use plan::{QueryPlan, Strategy};
 pub use scp::ScpFinder;

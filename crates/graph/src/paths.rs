@@ -2,17 +2,22 @@
 //!
 //! `paths_G(ν)` is the set of words matching some node sequence starting at
 //! `ν`; it always contains `ε`, is prefix-closed, and is infinite iff a
-//! cycle is reachable from `ν`. We expose it three ways:
+//! cycle is reachable from `ν`. We expose it four ways:
 //!
-//! 1. as an **all-accepting NFA** over the graph itself (for products and
-//!    inclusion checks);
-//! 2. as a **membership test** by set simulation (`O(|w|·|E|)`);
+//! 1. as an **all-accepting NFA** over the graph itself (for inclusion
+//!    checks);
+//! 2. as a **membership test** by set simulation (`O(|w|·|E|)`), and its
+//!    inverse, the nodes that have a given path;
 //! 3. as a **bounded canonical-order enumeration** of distinct words of
 //!    length ≤ k, which the interactive `kS` strategy uses to count
-//!    uncovered paths.
+//!    uncovered paths;
+//! 4. as the right-hand side of a **product emptiness test** searched
+//!    over the stored adjacency ([`PathsProduct`]) — Algorithm 1's merge
+//!    oracle, which never materializes the NFA of (1).
 
 use crate::graph::{Dir, GraphDb, NodeId};
-use pathlearn_automata::{BitSet, Nfa, Symbol, Word};
+use pathlearn_automata::rpni::MergeOracle;
+use pathlearn_automata::{BitSet, Dfa, Nfa, StateId, Symbol, Word};
 
 impl GraphDb {
     /// The NFA recognizing `paths_G(X) = ∪_{ν∈X} paths_G(ν)`: the graph
@@ -46,6 +51,23 @@ impl GraphDb {
             std::mem::swap(&mut current, &mut next);
         }
         !current.is_empty()
+    }
+
+    /// The nodes `ν` with `word ∈ paths_G(ν)`, written into `out`
+    /// (capacity `num_nodes()`, as `scratch`): one backward step per
+    /// symbol, right to left, from the nodes that have an out-edge
+    /// labeled with the last one.
+    pub fn nodes_with_path(&self, word: &[Symbol], out: &mut BitSet, scratch: &mut BitSet) {
+        out.clear();
+        let Some((&last, prefix)) = word.split_last() else {
+            out.insert_all(); // ε is a path of every node
+            return;
+        };
+        out.union_with(self.label_active(Dir::Out, last));
+        for &sym in prefix.iter().rev() {
+            self.step_into(Dir::In, true, out, sym, scratch);
+            std::mem::swap(out, scratch);
+        }
     }
 
     /// All **distinct** words of `paths_G(ν)` with length ≤ `max_len`, in
@@ -126,6 +148,108 @@ impl GraphDb {
             }
         }
         false
+    }
+}
+
+/// The emptiness test `L(dfa) ∩ paths_G(X) = ∅` — Algorithm 1 line 4's
+/// merge oracle with `X = S⁻` — as a product BFS over the graph's own
+/// adjacency ([`GraphDb::edges_of`], delta overlay included): pairs
+/// `(q, ν)` from `{q₀} × X`, every graph node accepting. Same verdicts
+/// and visiting order as
+/// `dfa_nfa_intersection_is_empty(dfa, &graph.paths_nfa(X))`, without
+/// the NFA copy of the graph; the `seen` bitmap and the queue are reused
+/// across tests and cleaned by undoing exactly what a test visited.
+pub struct PathsProduct<'g> {
+    graph: &'g GraphDb,
+    sources: Vec<NodeId>,
+    /// Bit `q·|V| + ν`; all-zero between tests.
+    seen: Vec<u64>,
+    /// Every pair visited by the running test (popped by index, so the
+    /// clean-up can walk it).
+    queue: Vec<(StateId, NodeId)>,
+}
+
+impl<'g> PathsProduct<'g> {
+    /// The product against `paths_G(sources)`.
+    pub fn new(graph: &'g GraphDb, sources: &[NodeId]) -> Self {
+        PathsProduct {
+            graph,
+            sources: sources.to_vec(),
+            seen: Vec::new(),
+            queue: Vec::new(),
+        }
+    }
+
+    /// Replaces the source set `X`.
+    pub fn set_sources(&mut self, sources: &[NodeId]) {
+        self.sources.clear();
+        self.sources.extend_from_slice(sources);
+    }
+
+    /// `true` iff no word of `L(dfa)` is a path of a source node.
+    pub fn is_disjoint(&mut self, dfa: &Dfa) -> bool {
+        if dfa.num_states() == 0 {
+            return true;
+        }
+        let nodes = self.graph.num_nodes();
+        let words = (dfa.num_states() * nodes).div_ceil(u64::BITS as usize);
+        if self.seen.len() < words {
+            self.seen.resize(words, 0);
+        }
+        let disjoint = self.search(dfa, nodes);
+        for &(q, node) in &self.queue {
+            let pair = q as usize * nodes + node as usize;
+            self.seen[pair / 64] = 0;
+        }
+        self.queue.clear();
+        disjoint
+    }
+
+    /// The BFS proper; leaves its visited pairs in `seen` and `queue`.
+    fn search(&mut self, dfa: &Dfa, nodes: usize) -> bool {
+        let q0 = dfa.initial();
+        if dfa.is_final(q0) && !self.sources.is_empty() {
+            return false; // ε is a path of every source
+        }
+        for index in 0..self.sources.len() {
+            self.visit(nodes, q0, self.sources[index]);
+        }
+        let graph = self.graph;
+        let mut head = 0;
+        while let Some(&(q, node)) = self.queue.get(head) {
+            head += 1;
+            for &(sym, target) in graph.edges_of(Dir::Out, node).iter() {
+                // Symbols beyond the DFA's alphabet cannot occur in
+                // L(dfa) (and would alias into its dense table).
+                if sym.index() >= dfa.alphabet_len() {
+                    continue;
+                }
+                if let Some(next) = dfa.step(q, sym) {
+                    if dfa.is_final(next) {
+                        return false;
+                    }
+                    self.visit(nodes, next, target);
+                }
+            }
+        }
+        true
+    }
+
+    /// Enqueues `(q, node)` unless it was already visited.
+    #[inline]
+    fn visit(&mut self, nodes: usize, q: StateId, node: NodeId) {
+        let pair = q as usize * nodes + node as usize;
+        let (word, bit) = (pair / 64, 1u64 << (pair % 64));
+        if self.seen[word] & bit == 0 {
+            self.seen[word] |= bit;
+            self.queue.push((q, node));
+        }
+    }
+}
+
+impl MergeOracle for PathsProduct<'_> {
+    fn is_consistent(&mut self, candidate: &Dfa) -> bool {
+        self.is_disjoint(candidate)
     }
 }
 

@@ -15,10 +15,18 @@
 //! *the learned query selects exactly the same node set as the goal* (an
 //! F1 score of 1, "indistinguishable by the user") — with a safety cap on
 //! the number of interactions.
+//!
+//! A session owns one [`LearnState`] for its whole run: the strategy and
+//! the relearning share its SCP finder, and a label *updates* it — a
+//! positive label changes nothing on the negative side, a negative one
+//! invalidates only what that node's own paths reach — instead of
+//! everything being rebuilt from `(G, S)` every round. Each round is
+//! nevertheless exactly what the one-shot [`crate::strategy::propose`]
+//! and [`Learner::learn`] return for the same sample and RNG state.
 
-use crate::strategy::{propose, Proposal, StrategyKind};
+use crate::strategy::{Proposal, Strategy, StrategyKind};
 use pathlearn_automata::BitSet;
-use pathlearn_core::{EvalPool, KPolicy, Learner, LearnerConfig, PathQuery, Sample};
+use pathlearn_core::{EvalPool, KPolicy, LearnState, Learner, LearnerConfig, PathQuery, Sample};
 use pathlearn_graph::{GraphDb, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,11 +85,25 @@ pub struct InteractiveConfig {
     /// Learner configuration used after every label.
     pub learner: LearnerConfig,
     /// Worker threads for the per-interaction relearning: the learner's
-    /// SCP fan-out and the intra-query parallel line-6 evaluation both
-    /// run on an [`EvalPool`] of this size. `1` (the default) is strictly
+    /// SCP fan-out (one session-long finder per thread, each updated by
+    /// the labels like the first, which the strategy shares) and the
+    /// intra-query parallel line-6 evaluation both run on an
+    /// [`EvalPool`] of this size. `1` (the default) is strictly
     /// sequential — no thread is ever spawned — and results are
     /// bit-identical at every thread count.
     pub threads: usize,
+}
+
+impl InteractiveConfig {
+    /// The node-proposal strategy these settings describe.
+    pub fn proposal_strategy(&self) -> Strategy {
+        Strategy {
+            kind: self.strategy,
+            k_start: self.k_start,
+            k_max: self.k_max,
+            count_cap: self.count_cap,
+        }
+    }
 }
 
 impl Default for InteractiveConfig {
@@ -125,6 +147,10 @@ pub struct InteractionRecord {
     /// Wall-clock time of this round (node choice + relearning) — the
     /// paper's "time between interactions".
     pub duration: Duration,
+    /// The part of `duration` spent choosing the node.
+    pub propose: Duration,
+    /// The part of `duration` spent relearning from all labels.
+    pub relearn: Duration,
 }
 
 /// Result of a completed session.
@@ -153,10 +179,24 @@ impl SessionResult {
 
     /// Mean time between interactions (Table 2's last column).
     pub fn mean_interaction_time(&self) -> Duration {
+        self.mean_of(|r| r.duration)
+    }
+
+    /// Mean time per interaction spent choosing the node.
+    pub fn mean_propose_time(&self) -> Duration {
+        self.mean_of(|r| r.propose)
+    }
+
+    /// Mean time per interaction spent relearning.
+    pub fn mean_relearn_time(&self) -> Duration {
+        self.mean_of(|r| r.relearn)
+    }
+
+    fn mean_of(&self, part: impl Fn(&InteractionRecord) -> Duration) -> Duration {
         if self.interactions.is_empty() {
             return Duration::ZERO;
         }
-        let total: Duration = self.interactions.iter().map(|r| r.duration).sum();
+        let total: Duration = self.interactions.iter().map(part).sum();
         total / self.interactions.len() as u32
     }
 }
@@ -211,6 +251,10 @@ impl<'g> InteractiveSession<'g> {
             self.config.max_interactions
         };
         let learner = Learner::with_config(self.config.learner).with_pool(self.pool.clone());
+        let strategy = self.config.proposal_strategy();
+        let mut state = LearnState::new(self.graph);
+        // The unlabeled nodes, ascending.
+        let mut candidates: Vec<NodeId> = self.graph.nodes().collect();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut sample = Sample::new();
         let mut query: Option<PathQuery> = None;
@@ -237,21 +281,8 @@ impl<'g> InteractiveSession<'g> {
             let round_start = Instant::now();
 
             // (3) choose a node w.r.t. the strategy.
-            let candidates: Vec<NodeId> = self
-                .graph
-                .nodes()
-                .filter(|&n| !sample.is_labeled(n))
-                .collect();
-            let proposal = propose(
-                self.config.strategy,
-                self.graph,
-                &sample,
-                &candidates,
-                self.config.k_start,
-                self.config.k_max,
-                self.config.count_cap,
-                &mut rng,
-            );
+            let proposal = strategy.propose(state.finder(), &sample, &candidates, &mut rng);
+            let propose = round_start.elapsed();
             let Proposal::Node { node, k } = proposal else {
                 return SessionResult {
                     sample,
@@ -264,18 +295,25 @@ impl<'g> InteractiveSession<'g> {
             // (4,5) the user inspects the neighborhood and labels the node.
             let label = oracle.label(node);
             sample.add(node, label);
+            if let Ok(at) = candidates.binary_search(&node) {
+                candidates.remove(at);
+            }
 
             // (6) relearn from all labels.
-            let outcome = learner.learn(self.graph, &sample);
+            let relearn_start = Instant::now();
+            let outcome = learner.learn_with(&mut state, &sample);
             if outcome.query.is_some() {
                 query = outcome.query;
             }
+            let relearn = relearn_start.elapsed();
 
             interactions.push(InteractionRecord {
                 node,
                 label,
                 k,
                 duration: round_start.elapsed(),
+                propose,
+                relearn,
             });
 
             if halt(query.as_ref(), &sample) {
@@ -357,9 +395,10 @@ mod tests {
 
     #[test]
     fn session_is_identical_at_every_thread_count() {
-        // The pool only accelerates relearning (SCP fan-out + intra-query
-        // line-6 eval); proposals, labels, and the learned query must be
-        // bit-identical across thread counts.
+        // The pool only changes who runs the relearning (SCP fan-out over
+        // per-thread finders + intra-query line-6 eval); proposals,
+        // labels, and the learned query must be bit-identical across
+        // thread counts.
         let graph = figure3_g0();
         let goal = PathQuery::parse("(a·b)*·c", graph.alphabet()).unwrap();
         let run = |threads: usize| {

@@ -11,6 +11,13 @@
 //!   is easier"*.
 //!
 //! Both escalate `k` when no k-informative node exists (§5.1).
+//!
+//! A [`Strategy`] holds the parameters and proposes through an
+//! [`ScpFinder`] it is lent. A session lends the *same* finder before
+//! every label, so the k-informative verdicts (`kR`) and the uncovered
+//! counts (`kS`) it worked out for one sample are still there for the
+//! next, minus what the new label invalidated
+//! ([`ScpFinder::add_negative`]); the free [`propose`] lends a fresh one.
 
 use pathlearn_core::Sample;
 use pathlearn_graph::{GraphDb, NodeId, ScpFinder};
@@ -56,16 +63,94 @@ pub enum Proposal {
     Exhausted,
 }
 
-/// Proposes the next node. `candidates` must be the current unlabeled
-/// nodes; the slice is consulted in the given order for `kR` (pre-shuffle
-/// it with the session RNG) and exhaustively for `kS`.
-///
-/// The count cap bounds the per-node work of `kS`; counts above the cap
-/// compare equal, which only blurs ties among *highly* informative nodes
-/// (the strategy prefers low counts).
-// A flat parameter list keeps the strategy entry point trivially callable
-// from the session loop and the benches; a params struct would only add
-// indirection for two extra integers.
+/// A node-proposal strategy with its parameters.
+#[derive(Clone, Copy, Debug)]
+pub struct Strategy {
+    /// Which strategy.
+    pub kind: StrategyKind,
+    /// Initial k for the k-informative test.
+    pub k_start: usize,
+    /// Maximum k before declaring exhaustion.
+    pub k_max: usize,
+    /// Bounds the per-node work of `kS`; counts above the cap compare
+    /// equal, which only blurs ties among *highly* informative nodes (the
+    /// strategy prefers low counts).
+    pub count_cap: usize,
+}
+
+impl Strategy {
+    /// Proposes the next node for `sample` on the finder's graph.
+    /// `candidates` must be the current unlabeled nodes; the slice is
+    /// shuffled with `rng` for `kR` and consulted exhaustively, in the
+    /// given order, for `kS`.
+    ///
+    /// The finder is brought to `sample`'s negatives first; what it
+    /// remembers from earlier calls only saves work — the proposal is the
+    /// one a fresh finder gives, and `rng` is consumed the same way.
+    pub fn propose(
+        &self,
+        finder: &mut ScpFinder<'_>,
+        sample: &Sample,
+        candidates: &[NodeId],
+        rng: &mut StdRng,
+    ) -> Proposal {
+        if self.kind == StrategyKind::ExactInformative {
+            // Order candidates randomly, return the first exactly-informative
+            // one. `k` reported as 0 (the exact test has no bound).
+            let mut order: Vec<NodeId> = candidates.to_vec();
+            order.shuffle(rng);
+            for node in order {
+                if crate::certain::is_informative(finder.graph(), sample, node) {
+                    return Proposal::Node { node, k: 0 };
+                }
+            }
+            return Proposal::Exhausted;
+        }
+
+        finder.set_negatives(sample.neg());
+        for k in self.k_start..=self.k_max {
+            match self.kind {
+                StrategyKind::ExactInformative => unreachable!("handled above"),
+                StrategyKind::KRandom => {
+                    let mut order: Vec<NodeId> = candidates.to_vec();
+                    order.shuffle(rng);
+                    for node in order {
+                        if finder.is_k_informative(node, k) {
+                            return Proposal::Node { node, k };
+                        }
+                    }
+                }
+                StrategyKind::KSmallest => {
+                    let mut best: Option<(usize, NodeId)> = None;
+                    for &node in candidates {
+                        let count = finder.count_uncovered(node, k, self.count_cap);
+                        if count == 0 {
+                            continue; // not k-informative
+                        }
+                        let better = match best {
+                            None => true,
+                            Some((best_count, _)) => count < best_count,
+                        };
+                        if better {
+                            best = Some((count, node));
+                            if count == 1 {
+                                break; // cannot do better
+                            }
+                        }
+                    }
+                    if let Some((_, node)) = best {
+                        return Proposal::Node { node, k };
+                    }
+                }
+            }
+        }
+        Proposal::Exhausted
+    }
+}
+
+/// One proposal from `(G, S)` alone: [`Strategy::propose`] on a fresh
+/// finder.
+// Eight flat arguments because the benchmark's adapter calls it this way.
 #[allow(clippy::too_many_arguments)]
 pub fn propose(
     kind: StrategyKind,
@@ -77,57 +162,18 @@ pub fn propose(
     count_cap: usize,
     rng: &mut StdRng,
 ) -> Proposal {
-    if kind == StrategyKind::ExactInformative {
-        // Order candidates randomly, return the first exactly-informative
-        // one. `k` reported as 0 (the exact test has no bound).
-        let mut order: Vec<NodeId> = candidates.to_vec();
-        order.shuffle(rng);
-        for node in order {
-            if crate::certain::is_informative(graph, sample, node) {
-                return Proposal::Node { node, k: 0 };
-            }
-        }
-        return Proposal::Exhausted;
-    }
-
-    let mut finder = ScpFinder::new(graph, sample.neg());
-    for k in k_start..=k_max {
-        match kind {
-            StrategyKind::ExactInformative => unreachable!("handled above"),
-            StrategyKind::KRandom => {
-                let mut order: Vec<NodeId> = candidates.to_vec();
-                order.shuffle(rng);
-                for node in order {
-                    if finder.is_k_informative(node, k) {
-                        return Proposal::Node { node, k };
-                    }
-                }
-            }
-            StrategyKind::KSmallest => {
-                let mut best: Option<(usize, NodeId)> = None;
-                for &node in candidates {
-                    let count = finder.count_uncovered(node, k, count_cap);
-                    if count == 0 {
-                        continue; // not k-informative
-                    }
-                    let better = match best {
-                        None => true,
-                        Some((best_count, _)) => count < best_count,
-                    };
-                    if better {
-                        best = Some((count, node));
-                        if count == 1 {
-                            break; // cannot do better
-                        }
-                    }
-                }
-                if let Some((_, node)) = best {
-                    return Proposal::Node { node, k };
-                }
-            }
-        }
-    }
-    Proposal::Exhausted
+    let strategy = Strategy {
+        kind,
+        k_start,
+        k_max,
+        count_cap,
+    };
+    strategy.propose(
+        &mut ScpFinder::new(graph, sample.neg()),
+        sample,
+        candidates,
+        rng,
+    )
 }
 
 #[cfg(test)]

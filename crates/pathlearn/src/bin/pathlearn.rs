@@ -712,6 +712,11 @@ fn interactive_command(args: &[String]) -> Result<(), String> {
         result.labels_used(),
         result.halt
     );
+    println!(
+        "time between interactions: {:.1?} choosing the node + {:.1?} relearning (mean)",
+        result.mean_propose_time(),
+        result.mean_relearn_time()
+    );
     match &result.query {
         Some(query) => {
             println!("learned query: {}", query.display(graph.alphabet()));
