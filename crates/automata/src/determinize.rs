@@ -13,11 +13,21 @@ use std::collections::HashMap;
 /// output is already canonically numbered. The empty macro-state is never
 /// materialized (the output stays partial instead of gaining a sink).
 ///
-/// Worst case `O(2^n)` states — the callers in this workspace only
+/// Worst case `O(2^n)` states — for trusted callers that only
 /// determinize small automata (PTAs, query DFAs, characteristic
 /// constructions); graph-sized NFAs are handled by the on-the-fly
-/// algorithms in [`crate::product`] and [`crate::inclusion`].
+/// algorithms in [`crate::product`] and [`crate::inclusion`], and
+/// automata built from untrusted input go through
+/// [`determinize_bounded`].
 pub fn determinize(nfa: &Nfa) -> Dfa {
+    determinize_bounded(nfa, usize::MAX).expect("an unbounded budget is never exceeded")
+}
+
+/// [`determinize`] under a state budget: `None` as soon as the subset
+/// construction would materialize more than `max_states` macro-states,
+/// so time and memory stay `O(max_states · |Σ|)` steps whatever the
+/// input.
+pub fn determinize_bounded(nfa: &Nfa, max_states: usize) -> Option<Dfa> {
     let alphabet = nfa.alphabet_len();
     let initial = nfa.initial_set();
 
@@ -43,6 +53,9 @@ pub fn determinize(nfa: &Nfa) -> Dfa {
                 subsets.push(next);
                 fresh
             });
+            if subsets.len() > max_states {
+                return None;
+            }
             rows.push(id);
         }
     }
@@ -59,7 +72,7 @@ pub fn determinize(nfa: &Nfa) -> Dfa {
             dfa.set_final(s as StateId);
         }
     }
-    dfa
+    Some(dfa)
 }
 
 #[cfg(test)]
@@ -108,6 +121,30 @@ mod tests {
         nfa.set_initial(0);
         let dfa = determinize(&nfa);
         assert!(dfa.language_is_empty());
+    }
+
+    #[test]
+    fn budget_is_exact_and_stops_the_blow_up() {
+        // (a+b)*·a·(a+b)^n: n + 2 NFA states, 2^(n+1) DFA states.
+        let suffix_nfa = |n: usize| {
+            let mut nfa = Nfa::new(n + 2, 2);
+            nfa.set_initial(0);
+            nfa.add_transition(0, sym(0), 0);
+            nfa.add_transition(0, sym(1), 0);
+            nfa.add_transition(0, sym(0), 1);
+            for i in 1..=n {
+                nfa.add_transition(i as StateId, sym(0), i as StateId + 1);
+                nfa.add_transition(i as StateId, sym(1), i as StateId + 1);
+            }
+            nfa.set_final(n as StateId + 1);
+            nfa
+        };
+        let small = suffix_nfa(3);
+        assert_eq!(determinize(&small).num_states(), 16);
+        assert_eq!(determinize_bounded(&small, 16), Some(determinize(&small)));
+        assert_eq!(determinize_bounded(&small, 15), None);
+        // 2^41 states unbounded; the budget answers at once.
+        assert_eq!(determinize_bounded(&suffix_nfa(40), 1 << 10), None);
     }
 
     #[test]

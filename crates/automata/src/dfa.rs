@@ -320,18 +320,6 @@ impl Dfa {
         out
     }
 
-    /// The reversal DFA: recognizes `rev(L)` = `{ rev(w) | w ∈ L }`.
-    ///
-    /// Built by reversing the underlying NFA (finals become initials and
-    /// every transition flips) and re-determinizing. The subset
-    /// construction numbers states in BFS order with ascending symbols, so
-    /// the result is already canonically numbered; it is *not* necessarily
-    /// minimal (Brzozowski would need a second reversal), which is fine —
-    /// the planner only needs the language and a deterministic table.
-    pub fn reverse(&self) -> Dfa {
-        crate::determinize::determinize(&self.to_nfa().reverse())
-    }
-
     /// Planner preprocessing: dead/unreachable-state pruning followed by
     /// BFS state reordering — `trim()` then [`Dfa::canonicalize`].
     ///

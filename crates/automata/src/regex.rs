@@ -149,6 +149,19 @@ impl Regex {
         CanonicalQuery::from_minimal(self.to_dfa(alphabet_len))
     }
 
+    /// [`Regex::to_canonical`] for untrusted expressions: `None` if the
+    /// subset construction needs more than `max_states` states (see
+    /// [`crate::determinize::determinize_bounded`]) — the budget is on
+    /// the DFA *before* minimization, which is where the work is.
+    pub fn to_canonical_bounded(
+        &self,
+        alphabet_len: usize,
+        max_states: usize,
+    ) -> Option<CanonicalQuery> {
+        let dfa = crate::determinize::determinize_bounded(&self.to_nfa(alphabet_len), max_states)?;
+        Some(CanonicalQuery::from_minimal(dfa.minimize()))
+    }
+
     /// Parses a regex over an existing alphabet; unknown labels are errors.
     pub fn parse(input: &str, alphabet: &Alphabet) -> Result<Regex, ParseError> {
         Parser::new(input, Lookup::Fixed(alphabet)).parse()

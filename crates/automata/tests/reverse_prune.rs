@@ -1,14 +1,11 @@
 //! Property tests for the planner's automaton preprocessing
-//! ([`Dfa::reverse`] and [`Dfa::reduced`]).
+//! ([`Dfa::reduced`]).
 //!
-//! The whole-query planner evaluates the *reversed* DFA when the
-//! backward strategy wins, and hands every engine a trimmed,
-//! BFS-reordered table. Both transforms sit on the bit-identity path,
-//! so the contracts here are absolute: reversal must round-trip the
-//! language (`rev(rev(L)) = L`), word membership must mirror exactly
-//! (`w ∈ L ⇔ rev(w) ∈ rev(L)`), and pruning/reordering must preserve
-//! the language — and therefore the [`CanonicalQuery`] cache key — on
-//! every input, including tables full of dead and unreachable states.
+//! The whole-query planner hands every engine a trimmed, BFS-reordered
+//! table. The transform sits on the bit-identity path, so the contract
+//! here is absolute: pruning/reordering must preserve the language —
+//! and therefore the [`CanonicalQuery`] cache key — on every input,
+//! including tables full of dead and unreachable states.
 
 use pathlearn_automata::{CanonicalQuery, Dfa, Regex, StateId, Symbol};
 use proptest::prelude::*;
@@ -59,42 +56,13 @@ fn arb_raw_dfa() -> impl Strategy<Value = Dfa> {
         })
 }
 
-/// Either shape; the transforms must hold on both.
+/// Either shape; the transform must hold on both.
 fn arb_dfa() -> impl Strategy<Value = Dfa> {
     prop_oneof![arb_regex().prop_map(|r| r.to_dfa(SIGMA)), arb_raw_dfa(),]
 }
 
-/// Random word over the DFA's alphabet.
-fn arb_word(sigma: usize) -> impl Strategy<Value = Vec<Symbol>> {
-    proptest::collection::vec((0..sigma).prop_map(Symbol::from_index), 0..8)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The headline round trip: reversing twice recovers the language.
-    #[test]
-    fn reverse_round_trips_language(dfa in arb_dfa()) {
-        let twice = dfa.reverse().reverse();
-        prop_assert!(
-            dfa.equivalent(&twice),
-            "rev(rev(L)) != L for {} states",
-            dfa.num_states()
-        );
-    }
-
-    /// Pointwise mirror: `w ∈ L ⇔ rev(w) ∈ rev(L)` on random words —
-    /// the membership-level fact the backward evaluation engine rests
-    /// on (it walks the reversed DFA and maps path endpoints back).
-    #[test]
-    fn reverse_mirrors_membership(dfa in arb_dfa(), word in arb_word(SIGMA)) {
-        // Raw DFAs may have a smaller alphabet; clip the word.
-        let word: Vec<Symbol> =
-            word.into_iter().filter(|s| s.index() < dfa.alphabet_len()).collect();
-        let rev_dfa = dfa.reverse();
-        let rev_word: Vec<Symbol> = word.iter().rev().copied().collect();
-        prop_assert_eq!(dfa.accepts(&word), rev_dfa.accepts(&rev_word));
-    }
 
     /// Preprocessing is language-preserving, hence key-preserving: the
     /// serving layer may plan on `reduced()` output while caching under
@@ -105,14 +73,6 @@ proptest! {
         prop_assert_eq!(reduced.alphabet_len(), dfa.alphabet_len());
         prop_assert!(dfa.equivalent(&reduced));
         prop_assert_eq!(CanonicalQuery::new(&dfa), CanonicalQuery::new(&reduced));
-    }
-
-    /// Reversal also preserves the *key of the reversal*: planning on a
-    /// reduced DFA and then reversing gives the same language as
-    /// reversing the original — the plan cache can reverse either.
-    #[test]
-    fn reverse_commutes_with_reduced(dfa in arb_dfa()) {
-        prop_assert!(dfa.reverse().equivalent(&dfa.reduced().reverse()));
     }
 
     /// `reduced()` output is a fixpoint: fully trimmed (every state
@@ -146,28 +106,21 @@ proptest! {
 /// language, a dead-state-heavy table, and a two-block chain.
 #[test]
 fn fixed_shapes() {
-    // ε: reverse(ε-language) = ε-language.
+    // ε-language: unchanged.
     let eps = Dfa::epsilon_language(2);
-    assert!(eps.reverse().equivalent(&eps));
     assert!(eps.reduced().equivalent(&eps));
 
-    // Empty: stays empty under both transforms.
+    // Empty: stays empty, in its canonical one-state form.
     let empty = Dfa::empty_language(2);
-    assert!(empty.reverse().language_is_empty());
     assert!(empty.reduced().language_is_empty());
     assert_eq!(empty.reduced().num_states(), 1);
 
-    // a·b over Σ={a,b}: reverse is b·a.
+    // a·b over Σ={a,b}.
     let (a, b) = (Symbol::from_index(0), Symbol::from_index(1));
     let mut ab = Dfa::new(3, 2, 0);
     ab.set_transition(0, a, 1);
     ab.set_transition(1, b, 2);
     ab.set_final(2);
-    let mut ba = Dfa::new(3, 2, 0);
-    ba.set_transition(0, b, 1);
-    ba.set_transition(1, a, 2);
-    ba.set_final(2);
-    assert!(ab.reverse().equivalent(&ba));
 
     // Dead-state-heavy: states 2..5 unreachable or non-coreachable;
     // the reduced form keeps exactly the two live states of `a`.

@@ -17,11 +17,11 @@
 //!   `--intra-threads` count. The headline `prune_speedup` compares
 //!   `Plain` against `Auto`.
 //! * **whole-query planner ablation**: every query of the mix evaluated
-//!   monadically under forced `Forward` / `Backward` / `Auto` strategies
-//!   and binarily (from a seeded `--sources` batch) under forced
-//!   `Forward` / `Backward` / `Bidirectional` / `Auto`, through
-//!   `plan_query_forced` + [`EvalPool::evaluate`]. The JSON records
-//!   which direction `Auto` resolved to next to every forced timing.
+//!   binarily (from a seeded `--sources` batch) under forced `Forward` /
+//!   `Backward` / `Bidirectional` / `Auto`, through `plan_query_forced`
+//!   and [`EvalPool::evaluate`]. The JSON records which engine `Auto`
+//!   resolved to next to every forced timing. (Monadic evaluation has
+//!   one engine, so there is nothing to ablate.)
 //! * **rare-target direction probe**: a layered `a`-DAG of the same
 //!   node count (node `i` fans out to the next 8 nodes) with a
 //!   **single** rare `c`-edge near the head, queried with `(a+b)*·c`
@@ -232,15 +232,12 @@ struct StrategyPoint {
     ns: u128,
 }
 
-/// One query's whole-query-planner ablation: the planned monadic engine
-/// under forced Forward/Backward/Auto, the planned binary engine (summed
-/// over the seeded source batch) under all four strategies, plus the
-/// direction `Auto` actually resolved to for each arity.
+/// One query's whole-query-planner ablation: the planned binary engine
+/// (summed over the seeded source batch) under all four strategies, plus
+/// the engine `Auto` actually resolved to.
 struct PlannerResult {
     name: String,
-    monadic_auto: Strategy,
     binary_auto: Strategy,
-    monadic: Vec<StrategyPoint>,
     binary: Vec<StrategyPoint>,
 }
 
@@ -286,11 +283,10 @@ struct PlannerAblation {
     probe: DirectionProbe,
 }
 
-/// Times one query through the planned engines under every forced
-/// strategy. Monadic strategies are Forward/Backward/Auto (Bidirectional
-/// is a binary-only resolution); binary adds Bidirectional and times the
-/// whole source batch per run. Every strategy is asserted bit-identical
-/// to the plain forward engines before being timed.
+/// Times one query through the planned binary engines under every
+/// forced strategy, the whole source batch per run. Every strategy is
+/// asserted bit-identical to the plain forward engine before being
+/// timed.
 fn bench_planner_query(
     graph: &GraphDb,
     q: &CalibratedQuery,
@@ -298,29 +294,8 @@ fn bench_planner_query(
     runs: usize,
 ) -> PlannerResult {
     let dfa = q.query.dfa();
-    let auto_plan = plan_query(dfa, graph);
-    let expected = eval_monadic(dfa, graph);
     let engine = EvalPool::sequential();
     let mut scratch = EvalScratch::new();
-    let monadic = [Strategy::Forward, Strategy::Backward, Strategy::Auto]
-        .into_iter()
-        .map(|forced| {
-            let plan = plan_query_forced(dfa, graph, forced);
-            assert_eq!(
-                evaluate(&engine, &mut scratch, &plan, graph, Goal::Monadic),
-                expected,
-                "{}: planned monadic differs under forced {forced}",
-                q.name
-            );
-            let ns = median_ns(runs, || {
-                std::hint::black_box(evaluate(&engine, &mut scratch, &plan, graph, Goal::Monadic));
-            });
-            StrategyPoint {
-                strategy: forced,
-                ns,
-            }
-        })
-        .collect();
     let binary = [
         Strategy::Forward,
         Strategy::Backward,
@@ -358,9 +333,7 @@ fn bench_planner_query(
     .collect();
     PlannerResult {
         name: q.name.clone(),
-        monadic_auto: auto_plan.monadic_strategy(),
-        binary_auto: auto_plan.binary_strategy(),
-        monadic,
+        binary_auto: plan_query(dfa, graph).binary_strategy(),
         binary,
     }
 }
@@ -474,7 +447,7 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
     out.push_str(
         "  \"benchmark\": \"RPQ evaluation ablations: frontier-batched vs seed queued BFS, masked step kernels + cost-model gate with the pooled engine per query, whole-query planner (forward/backward/bidirectional) + rare-target direction probe\",\n",
     );
-    out.push_str("  \"schema_version\": 7,\n");
+    out.push_str("  \"schema_version\": 8,\n");
     out.push_str(&format!(
         "  \"hardware\": {{\"available_cores\": {}}},\n",
         std::thread::available_parallelism().map_or(0, |n| n.get())
@@ -546,11 +519,9 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
         out.push_str("        \"queries\": [\n");
         for (pi, r) in scale.planner.queries.iter().enumerate() {
             out.push_str(&format!(
-                "          {{\"name\": \"{}\", \"monadic_auto\": \"{}\", \"binary_auto\": \"{}\", \"monadic\": [{}], \"binary\": [{}], \"binary_backward_vs_forward\": {:.3}}}{}\n",
+                "          {{\"name\": \"{}\", \"binary_auto\": \"{}\", \"binary\": [{}], \"binary_backward_vs_forward\": {:.3}}}{}\n",
                 json_escape(&r.name),
-                r.monadic_auto,
                 r.binary_auto,
-                strategy_points_json(&r.monadic),
                 strategy_points_json(&r.binary),
                 r.binary_backward_speedup(),
                 if pi + 1 < scale.planner.queries.len() {
@@ -633,10 +604,6 @@ fn print_planner(planner: &PlannerAblation) {
         .map(|r| {
             vec![
                 r.name.clone(),
-                ms(&r.monadic, Strategy::Forward),
-                ms(&r.monadic, Strategy::Backward),
-                ms(&r.monadic, Strategy::Auto),
-                r.monadic_auto.to_string(),
                 ms(&r.binary, Strategy::Forward),
                 ms(&r.binary, Strategy::Backward),
                 ms(&r.binary, Strategy::Bidirectional),
@@ -646,16 +613,13 @@ fn print_planner(planner: &PlannerAblation) {
         })
         .collect();
     println!(
-        "whole-query planner ablation (monadic ms | binary ms over a {}-source batch):",
+        "whole-query planner ablation (binary ms over a {}-source batch):",
         planner.binary_sources
     );
     println!(
         "{}",
         ascii_table(
-            &[
-                "query", "m-fwd", "m-back", "m-auto", "m-pick", "b-fwd", "b-back", "b-bidi",
-                "b-auto", "b-pick"
-            ],
+            &["query", "b-fwd", "b-back", "b-bidi", "b-auto", "b-pick"],
             &rows
         )
     );

@@ -9,12 +9,11 @@
 
 use crate::query::PathQuery;
 use crate::sample::{Sample2, SampleN};
-use pathlearn_automata::product::dfa_nfa_intersection_is_empty;
 use pathlearn_automata::rpni::{generalize, MergeOracle};
-use pathlearn_automata::{Dfa, Nfa, Word};
+use pathlearn_automata::{Dfa, Word};
 use pathlearn_graph::binary::scp2;
 use pathlearn_graph::eval::selects_pair;
-use pathlearn_graph::{GraphDb, NodeId};
+use pathlearn_graph::{CancelToken, EvalPool, EvalScratch, Goal, GraphDb, NodeId, QueryPlan};
 
 use crate::learner::KPolicy;
 
@@ -60,44 +59,32 @@ impl NAryQuery {
 }
 
 /// Merge oracle for Algorithm 2: consistent iff the candidate's language
-/// avoids `paths2_G(S⁻)` — the union over negative pairs, realized as the
-/// disjoint union of one graph copy per pair (initial `μᵢ`, accepting
-/// `μ'ᵢ`; sharing a single copy would confuse pair endpoints).
-struct PairNegativesOracle {
-    negative_paths2: Nfa,
+/// avoids `paths2_G(S⁻)`, i.e. the candidate — as a binary query —
+/// selects no negative pair. One product search per pair on the graph
+/// itself, through one reused scratch.
+struct PairNegativesOracle<'a> {
+    graph: &'a GraphDb,
+    negatives: &'a [(NodeId, NodeId)],
+    scratch: EvalScratch,
 }
 
-impl MergeOracle for PairNegativesOracle {
+impl MergeOracle for PairNegativesOracle<'_> {
     fn is_consistent(&mut self, candidate: &Dfa) -> bool {
-        dfa_nfa_intersection_is_empty(candidate, &self.negative_paths2)
+        let plan = QueryPlan::forward(candidate);
+        let (pool, never) = (EvalPool::sequential(), CancelToken::never());
+        self.negatives.iter().all(|&(source, target)| {
+            let ends = pool
+                .evaluate(
+                    &mut self.scratch,
+                    &plan,
+                    self.graph,
+                    Goal::BinaryFrom(source),
+                    &never,
+                )
+                .expect("a never-token evaluation is not interrupted");
+            !ends.contains(target as usize)
+        })
     }
-}
-
-fn paths2_union_nfa(graph: &GraphDb, pairs: &[(NodeId, NodeId)]) -> Nfa {
-    let v = graph.num_nodes();
-    let copies = pairs.len();
-    let mut edges = Vec::new();
-    for copy in 0..copies {
-        let offset = (copy * v) as u32;
-        for (src, sym, dst) in graph.edges() {
-            edges.push((src + offset, sym, dst + offset));
-        }
-    }
-    let initials = pairs
-        .iter()
-        .enumerate()
-        .map(|(i, &(s, _))| s + (i * v) as u32);
-    let finals = pairs
-        .iter()
-        .enumerate()
-        .map(|(i, &(_, t))| t + (i * v) as u32);
-    Nfa::from_edges(
-        (copies * v).max(1),
-        graph.alphabet().len(),
-        edges,
-        initials,
-        finals,
-    )
 }
 
 /// Algorithm 2 — learns a binary path query from pair examples.
@@ -133,7 +120,9 @@ fn attempt2(graph: &GraphDb, sample: &Sample2, k: usize) -> Option<PathQuery> {
     // Line 3: PTA; lines 4–5: generalization against paths2(S⁻).
     let pta = pathlearn_automata::pta::build_pta(&scps, graph.alphabet().len());
     let mut oracle = PairNegativesOracle {
-        negative_paths2: paths2_union_nfa(graph, sample.neg()),
+        graph,
+        negatives: sample.neg(),
+        scratch: EvalScratch::new(),
     };
     debug_assert!(oracle.is_consistent(&pta));
     let generalized = generalize(&pta, &mut oracle);
@@ -253,6 +242,58 @@ mod tests {
         assert_eq!(query.arity(), 3);
         assert!(query.selects_tuple(&graph, &[v1, v2, v3]));
         assert!(!query.selects_tuple(&graph, &[v5, v4, v1]));
+    }
+
+    proptest::proptest! {
+        /// The merge oracle against the verdict it replaced — emptiness
+        /// of `L(A) ∩ paths2_G(s, t)` per negative pair over the
+        /// `paths2_nfa` automaton — on random graphs, raw candidate
+        /// DFAs (ε-accepting ones included) and pair sets with `(s, s)`
+        /// pairs.
+        #[test]
+        fn pair_oracle_agrees_with_the_paths2_nfa_reference(
+            n in 1u32..7,
+            edges in proptest::collection::vec((0u32..7, 0usize..3, 0u32..7), 0..16),
+            states in 1usize..5,
+            transitions in proptest::collection::vec((0usize..5, 0usize..3, 0usize..5), 0..12),
+            finals in proptest::collection::vec(0usize..5, 0..4),
+            pairs in proptest::collection::vec((0u32..7, 0u32..7), 0..5),
+        ) {
+            use pathlearn_automata::product::dfa_nfa_intersection_is_empty;
+            use pathlearn_automata::{Alphabet, StateId, Symbol};
+            use pathlearn_graph::binary::paths2_nfa;
+            use pathlearn_graph::GraphBuilder;
+
+            let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(["a", "b", "c"]));
+            builder.add_nodes("n", n as usize);
+            for (src, sym, dst) in edges {
+                builder.add_edge_ids(src % n, Symbol::from_index(sym), dst % n);
+            }
+            let graph = builder.build();
+            let mut candidate = Dfa::new(states, 3, 0);
+            for (p, sym, q) in transitions {
+                candidate.set_transition(
+                    (p % states) as StateId,
+                    Symbol::from_index(sym),
+                    (q % states) as StateId,
+                );
+            }
+            for f in finals {
+                candidate.set_final((f % states) as StateId);
+            }
+            let negatives: Vec<(NodeId, NodeId)> =
+                pairs.into_iter().map(|(s, t)| (s % n, t % n)).collect();
+
+            let reference = negatives.iter().all(|&(s, t)| {
+                dfa_nfa_intersection_is_empty(&candidate, &paths2_nfa(&graph, s, t))
+            });
+            let mut oracle = PairNegativesOracle {
+                graph: &graph,
+                negatives: &negatives,
+                scratch: EvalScratch::new(),
+            };
+            proptest::prop_assert_eq!(oracle.is_consistent(&candidate), reference);
+        }
     }
 
     #[test]

@@ -54,13 +54,14 @@
 //!
 //! | goal, strategy | index | kernels | seed | early exit | answer |
 //! |---|---|---|---|---|---|
-//! | monadic, forward | reverse | in | `V` at every final | `reached[q₀] = V` | `reached[q₀]` |
+//! | monadic | reverse | in | `V` at every final | `reached[q₀] = V` | `reached[q₀]` |
 //! | monadic within `U` | reverse | in | `V` at every final | `reached[q₀] ⊇ U` | `reached[q₀]` |
-//! | monadic, backward | forward, of `rev(q)` | in | `V` at `r₀` | — | `⋃ reached[final]` |
 //! | binary, forward | forward | out | `source` at `q₀` | — | `⋃ reached[final]` |
 //!
-//! The two-phase binary strategies add a **coreachability certificate**
-//! — the monadic-forward search with neither ε shortcut nor early exit,
+//! Monadic evaluation is the one search of the first two rows whatever
+//! the plan's strategy says. The two-phase binary strategies add a
+//! **coreachability certificate**
+//! — the monadic search with neither ε shortcut nor early exit,
 //! so that `reached[q]` is complete for *every* state — to the
 //! binary-forward pass: *backward* runs it to its fixpoint first and
 //! prunes every forward step by it; *bidirectional* interleaves the two
@@ -604,11 +605,10 @@ impl EvalPool {
     /// evaluation entry point; every other `eval_*` function is a
     /// shorthand over it.
     ///
-    /// The plan picks the engine ([`QueryPlan::monadic_strategy`] /
-    /// [`QueryPlan::binary_strategy`]; [`Goal::MonadicWithin`] always
-    /// runs the forward one, whose monotone `reached[q₀]` is what the
-    /// bound is compared against), the pool who runs each level's
-    /// steps; neither changes a single result bit. `cancel` is checked
+    /// The plan picks the binary engine
+    /// ([`QueryPlan::binary_strategy`]; monadic goals have one), the
+    /// pool who runs each level's steps; neither changes a single
+    /// result bit. `cancel` is checked
     /// once per BFS level and a tripped token aborts with its
     /// [`Interrupt`] verdict; answers that need no level (an empty
     /// graph or bound, `ε ∈ L(q)` monadically, an out-of-graph source)
@@ -653,49 +653,27 @@ impl EvalPool {
             // ε ∈ L(q): every node has the empty path.
             return Ok(BitSet::full(v));
         }
-        // Two mirror-image searches over in-edges. Forward strategy: the
-        // backward product search from acceptance — reached[q] = nodes ν
-        // with (ν, q) able to reach an accepting pair, seeded at the
-        // finals, answered at q₀. Backward strategy: ν is selected iff
-        // some backward walk *ending* at ν reads a word of rev(L(q)) —
-        // the deterministic simulation of the reversed DFA, seeded at
-        // its initial state, answered at its finals.
-        let reversed = upper.is_none() && plan.monadic_strategy() == Strategy::Backward;
-        let (dfa, index) = if reversed {
-            let rquery = plan
-                .reversed()
-                .expect("a plan resolved to Backward carries its reversed DFA");
-            (rquery, TransIndex::forward(rquery, sigma))
-        } else {
-            (query, TransIndex::reverse(query, sigma))
-        };
-        let initial = dfa.initial() as usize;
+        // The backward product search from acceptance over in-edges:
+        // reached[q] = nodes ν with (ν, q) able to reach an accepting
+        // pair, seeded at the finals, answered at q₀.
+        let index = TransIndex::reverse(query, sigma);
         let pass = Pass {
             index: &index,
             dir: Dir::In,
         };
         let EvalScratch { main, work, .. } = scratch;
-        work.prepare(v, dfa.num_states(), self);
-        main.prepare(v, dfa.num_states());
-        if reversed {
-            main.seed_all(initial);
-        } else {
-            for f in dfa.finals().iter() {
-                main.seed_all(f);
-            }
+        work.prepare(v, query.num_states(), self);
+        main.prepare(v, query.num_states());
+        for f in query.finals().iter() {
+            main.seed_all(f);
         }
         let settled = |reached: &[BitSet]| match upper {
-            _ if reversed => false,
             // reached[q₀] ⊆ q(G) ⊆ upper, so ⊇ upper closes the sandwich.
             Some(upper) => upper.is_subset(&reached[q0]),
             None => reached[q0].len() == v,
         };
         self.drive(graph, work, main, pass, None, settled, cancel)?;
-        Ok(if reversed {
-            main.union_of(dfa.finals().iter())
-        } else {
-            main.union_of(std::iter::once(initial))
-        })
+        Ok(main.reached[q0].clone())
     }
 
     fn binary(

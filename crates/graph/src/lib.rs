@@ -23,8 +23,8 @@
 //!   `eval_monadic` / `eval_binary_from` shorthands and the two test
 //!   oracles;
 //! * [`plan`] — whole-query planning: automaton preprocessing and the
-//!   forward / backward / bidirectional choice, i.e. which parameter
-//!   set the driver runs with;
+//!   forward / backward / bidirectional choice of binary engine, i.e.
+//!   which parameter set the driver runs a binary goal with;
 //! * [`par_eval`] — the [`par_eval::EvalPool`] handle: who runs each
 //!   level's steps (inline on one thread, or fanned out over workers
 //!   with a deterministic merge), bit-identical at every thread count;

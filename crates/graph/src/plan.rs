@@ -1,5 +1,5 @@
-//! Whole-query evaluation planning: forward / backward / bidirectional
-//! direction choice plus automaton preprocessing.
+//! Whole-query evaluation planning: automaton preprocessing plus the
+//! choice of binary engine (forward / backward / bidirectional).
 //!
 //! The PR 4 cost gate ([`crate::graph::StepPolicy`]) prices each
 //! `(level, symbol)` kernel *during* evaluation; this module generalizes
@@ -10,36 +10,30 @@
 //!    engine sees a smaller product with cache-friendly state numbering.
 //!    Language-preserving, hence
 //!    [`pathlearn_automata::CanonicalQuery`]-key-preserving.
-//! 2. **Choose a direction** per semantics from the graph's frozen
-//!    per-label statistics (active-node popcounts and average degrees,
+//! 2. **Choose the binary engine** from the graph's frozen per-label
+//!    statistics (active-node popcounts and average degrees,
 //!    [`GraphDb::label_active_count`] and [`GraphDb::label_avg_degree`]):
 //!
-//!    * **Monadic Forward** — the backward product search over the
-//!      original DFA: one full-node seed per accepting state,
-//!      reverse-transition fan-out per step.
-//!    * **Monadic Backward** — evaluate the **reversed DFA** from the
-//!      query's accepting side: exactly one full-node seed at `rev(q)`'s
-//!      initial state and one deterministic successor per step. Both
-//!      ride the graph's in-edge kernels (the monadic answer is a set
-//!      of path *starts*, which only in-edge steps can deliver); the
-//!      difference is automaton bookkeeping, and the estimator prices
-//!      exactly that.
-//!    * **Binary Forward** — deterministic forward search from the
-//!      source.
-//!    * **Binary Backward** — two-phase: a full backward
-//!      **coreachability** fixpoint followed by a forward pass whose
-//!      every step is intersected with the coreach certificate. When
-//!      the query's target side touches a rare label the certificate
-//!      collapses to a sliver of the graph and the forward pass does
-//!      almost no work.
-//!    * **Binary Bidirectional** — meet-in-the-middle: backward-coreach
-//!      levels and forward levels **interleave**; once the backward side
+//!    * **Forward** — deterministic forward search from the source.
+//!    * **Backward** — two-phase: a full backward **coreachability**
+//!      fixpoint followed by a forward pass whose every step is
+//!      intersected with the coreach certificate. When the query's
+//!      target side touches a rare label the certificate collapses to a
+//!      sliver of the graph and the forward pass does almost no work.
+//!    * **Bidirectional** — meet-in-the-middle: backward-coreach levels
+//!      and forward levels **interleave**; once the backward side
 //!      converges, remaining forward steps are certificate-pruned, and
 //!      if the forward side finishes first the backward side is simply
 //!      abandoned. Pruning by a *partial* certificate would be unsound
 //!      (a node's coreach membership is only known at fixpoint), so
 //!      forward steps stay unpruned until convergence — which also
 //!      keeps every strategy **bit-identical**.
+//!
+//! Monadic evaluation has **one** engine — the backward product search
+//! over the query DFA as given, seeded at its accepting states (see
+//! [`crate::eval`]) — so a plan decides nothing for a monadic goal: a
+//! monadic query has no distinguished source side to search from or
+//! meet at, and every [`Strategy`] evaluates it the same way.
 //!
 //! ## The direction estimate
 //!
@@ -56,16 +50,14 @@
 //! carry an `a`-edge in the opposite direction (an out-edge step lands
 //! on nodes with an incoming `a`-edge, and vice versa) — with per-state
 //! masses capped at `|V|`. The summed cost over the horizon
-//! approximates total frontier mass processed. Monadic compares the
-//! original automaton (seeded `|V|` at every accepting state) against
-//! the reversed one (seeded `|V|` at its initial state); binary
-//! compares forward-from-one-node growth against
-//! the coreach fixpoint cost, requiring a 2× margin before committing
-//! to Backward and settling for Bidirectional in between. Estimates
-//! only ever pick *which* parameter set [`crate::EvalPool::evaluate`]
-//! drives its one level loop with (see [`crate::eval`]) — results are
-//! bit-identical regardless, as the strategy-matrix differential suite
-//! asserts.
+//! approximates total frontier mass processed. The estimate compares
+//! forward-from-one-node growth against the coreach fixpoint cost
+//! (`|V|` seeded at every accepting state, propagated along reverse
+//! transitions), requiring a 2× margin before committing to Backward
+//! and settling for Bidirectional in between. Estimates only ever pick
+//! *which* parameter set [`crate::EvalPool::evaluate`] drives its one
+//! level loop with (see [`crate::eval`]) — results are bit-identical
+//! regardless, as the strategy-matrix differential suite asserts.
 
 use crate::eval::TransIndex;
 use crate::graph::{Dir, GraphDb};
@@ -76,29 +68,22 @@ use pathlearn_automata::{Dfa, Symbol};
 /// against the caps, small enough to stay trivial next to evaluation.
 pub const HORIZON: usize = 8;
 
-/// Auto never picks the monadic backward engine when the reversed DFA
-/// exceeds this many states (subset construction can blow up
-/// exponentially; the reversed product would dwarf any traversal win).
-/// Forcing [`Strategy::Backward`] still works at any size.
-pub const MAX_REV_STATES: usize = 64;
-
-/// Whole-query evaluation strategy.
+/// Binary evaluation strategy.
 ///
-/// `Auto` resolves to a concrete direction at planning time
+/// `Auto` resolves to a concrete engine at planning time
 /// ([`plan_query`]); the other three force it, which the benchmark
 /// ablation and the differential suite use to pin every engine.
+/// Monadic evaluation has one engine and ignores the strategy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Choose per query from the direction estimates.
     #[default]
     Auto,
-    /// Forward evaluation (the pre-planner engines).
+    /// Forward search from the source.
     Forward,
-    /// Reversed-DFA (monadic) / coreach-then-pruned-forward (binary).
+    /// Coreachability fixpoint, then a certificate-pruned forward pass.
     Backward,
-    /// Meet-in-the-middle for binary queries; monadic resolves to the
-    /// estimated better direction (a monadic query has no distinguished
-    /// source side to meet from).
+    /// Meet-in-the-middle: the two searches interleaved.
     Bidirectional,
 }
 
@@ -128,9 +113,9 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-/// The two direction costs behind a resolution, in estimated frontier
-/// mass (see the module docs). Exposed for diagnostics, tests and the
-/// ARCHITECTURE.md formula.
+/// The two direction costs behind a binary resolution, in estimated
+/// frontier mass (see the module docs). Exposed for diagnostics, tests
+/// and the ARCHITECTURE.md formula.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DirectionEstimate {
     /// Estimated cost of the forward engine.
@@ -139,7 +124,8 @@ pub struct DirectionEstimate {
     pub backward: f64,
 }
 
-/// A planned query: preprocessed automata plus resolved strategies.
+/// A planned query: the preprocessed automaton plus the resolved
+/// binary strategy.
 ///
 /// Plans depend only on the query's language and the graph's frozen
 /// statistics, so the serving layer caches them keyed by
@@ -148,48 +134,28 @@ pub struct DirectionEstimate {
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
     query: Dfa,
-    /// `None` only in [`QueryPlan::forward`] plans, which never resolve
-    /// to the engine that reads it.
-    reversed: Option<Dfa>,
-    monadic: Strategy,
     binary: Strategy,
-    monadic_estimate: DirectionEstimate,
     binary_estimate: DirectionEstimate,
 }
 
 impl QueryPlan {
-    /// The all-forward plan of `query` **as given**: no `reduced()`, no
-    /// `reverse()`, no estimates — what the raw-DFA shorthands
+    /// The forward plan of `query` **as given**: no `reduced()`, no
+    /// estimates — what the raw-DFA shorthands
     /// ([`crate::eval::eval_monadic`] and friends) evaluate under, and
-    /// what a caller that will evaluate a DFA once should use instead
-    /// of paying for a planning pass.
+    /// what a caller that will evaluate a DFA once, or only monadically,
+    /// should use instead of paying for a planning pass.
     pub fn forward(query: &Dfa) -> QueryPlan {
         QueryPlan {
             query: query.clone(),
-            reversed: None,
-            monadic: Strategy::Forward,
             binary: Strategy::Forward,
-            monadic_estimate: DirectionEstimate::default(),
             binary_estimate: DirectionEstimate::default(),
         }
     }
 
-    /// The query DFA every forward-direction engine evaluates
-    /// (trimmed and BFS-reordered by [`plan_query`]).
+    /// The query DFA every engine evaluates (trimmed and BFS-reordered
+    /// by [`plan_query`]).
     pub fn query(&self) -> &Dfa {
         &self.query
-    }
-
-    /// The preprocessed reversal (`rev(L)`) the monadic backward engine
-    /// evaluates; `None` for [`QueryPlan::forward`] plans.
-    pub fn reversed(&self) -> Option<&Dfa> {
-        self.reversed.as_ref()
-    }
-
-    /// Resolved monadic strategy: [`Strategy::Forward`] or
-    /// [`Strategy::Backward`], never `Auto`.
-    pub fn monadic_strategy(&self) -> Strategy {
-        self.monadic
     }
 
     /// Resolved binary strategy: [`Strategy::Forward`],
@@ -197,11 +163,6 @@ impl QueryPlan {
     /// `Auto`.
     pub fn binary_strategy(&self) -> Strategy {
         self.binary
-    }
-
-    /// The monadic direction estimate the resolution came from.
-    pub fn monadic_estimate(&self) -> DirectionEstimate {
-        self.monadic_estimate
     }
 
     /// The binary direction estimate the resolution came from.
@@ -218,7 +179,7 @@ fn step_est(graph: &GraphDb, dir: Dir, sym: Symbol, s: f64) -> f64 {
     (s * graph.label_avg_degree(dir, sym)).min(cap)
 }
 
-/// Symbolic frontier propagation behind every direction estimate:
+/// Symbolic frontier propagation behind both sides of the estimate:
 /// `mass` (one scalar per state of `index`'s automaton) is stepped for
 /// [`HORIZON`] levels along `index`'s live rows through the step
 /// estimate of `dir`. One kernel is priced per `(state, symbol)` and
@@ -254,9 +215,9 @@ fn simulate(index: &TransIndex, graph: &GraphDb, dir: Dir, mut mass: Vec<f64>) -
     cost
 }
 
-/// Cost of the codeterministic backward search (monadic forward /
-/// binary coreach): `|V|` seeded at every accepting state, propagated
-/// along reverse transitions through in-edge step estimates.
+/// Cost of the codeterministic backward search (the coreach
+/// fixpoint): `|V|` seeded at every accepting state, propagated along
+/// reverse transitions through in-edge step estimates.
 fn sim_codeterministic(query: &Dfa, graph: &GraphDb) -> f64 {
     let mut mass = vec![0.0f64; query.num_states()];
     for f in query.finals().iter() {
@@ -266,18 +227,17 @@ fn sim_codeterministic(query: &Dfa, graph: &GraphDb) -> f64 {
     simulate(&index, graph, Dir::In, mass)
 }
 
-/// Cost of a deterministic search: `init_mass` seeded at the initial
-/// state, propagated along forward transitions through the step
-/// estimates of `dir` (in-edge for the reversed-DFA monadic engine,
-/// out-edge for binary forward).
-fn sim_deterministic(dfa: &Dfa, graph: &GraphDb, dir: Dir, init_mass: f64) -> f64 {
+/// Cost of the deterministic forward search: one node seeded at the
+/// initial state, propagated along forward transitions through
+/// out-edge step estimates.
+fn sim_deterministic(dfa: &Dfa, graph: &GraphDb) -> f64 {
     if dfa.num_states() == 0 {
         return 0.0;
     }
     let mut mass = vec![0.0f64; dfa.num_states()];
-    mass[dfa.initial() as usize] = init_mass.min(graph.num_nodes() as f64);
+    mass[dfa.initial() as usize] = 1.0f64.min(graph.num_nodes() as f64);
     let index = TransIndex::forward(dfa, graph.alphabet().len());
-    simulate(&index, graph, dir, mass)
+    simulate(&index, graph, Dir::Out, mass)
 }
 
 /// Plans a query under [`Strategy::Auto`]: preprocess, estimate both
@@ -286,35 +246,17 @@ pub fn plan_query(query: &Dfa, graph: &GraphDb) -> QueryPlan {
     plan_query_forced(query, graph, Strategy::Auto)
 }
 
-/// Plans a query with a forced strategy. `Auto` resolves from the
-/// direction estimates; `Forward`/`Backward` pin both semantics;
-/// `Bidirectional` pins the binary engine while monadic (which has no
-/// source side to meet from) falls back to its estimated direction.
-/// Estimates are computed in every case, so diagnostics and the bench
-/// ablation can always report them.
+/// Plans a query with a forced binary strategy; `Auto` resolves from
+/// the direction estimate. The estimate is computed in every case, so
+/// diagnostics and the bench ablation can always report it. Linear in
+/// the automaton: nothing here determinizes.
 pub fn plan_query_forced(query: &Dfa, graph: &GraphDb, forced: Strategy) -> QueryPlan {
     let reduced = query.reduced();
-    // The reversal's subset construction can leave dead macro-states;
-    // reduce it too so the backward engine sees a trimmed product.
-    let reversed = reduced.reverse().reduced();
-
-    let monadic_estimate = DirectionEstimate {
-        forward: sim_codeterministic(&reduced, graph),
-        backward: sim_deterministic(&reversed, graph, Dir::In, graph.num_nodes() as f64),
-    };
     let binary_estimate = DirectionEstimate {
-        forward: sim_deterministic(&reduced, graph, Dir::Out, 1.0),
+        forward: sim_deterministic(&reduced, graph),
         // The coreach fixpoint dominates the backward binary engine;
         // the certificate-pruned forward pass it buys is the payoff.
         backward: sim_codeterministic(&reduced, graph),
-    };
-
-    let auto_monadic = if monadic_estimate.backward < monadic_estimate.forward
-        && reversed.num_states() <= MAX_REV_STATES
-    {
-        Strategy::Backward
-    } else {
-        Strategy::Forward
     };
     let auto_binary = if 2.0 * binary_estimate.backward < binary_estimate.forward {
         Strategy::Backward
@@ -323,20 +265,13 @@ pub fn plan_query_forced(query: &Dfa, graph: &GraphDb, forced: Strategy) -> Quer
     } else {
         Strategy::Forward
     };
-
-    let (monadic, binary) = match forced {
-        Strategy::Auto => (auto_monadic, auto_binary),
-        Strategy::Forward => (Strategy::Forward, Strategy::Forward),
-        Strategy::Backward => (Strategy::Backward, Strategy::Backward),
-        Strategy::Bidirectional => (auto_monadic, Strategy::Bidirectional),
+    let binary = match forced {
+        Strategy::Auto => auto_binary,
+        forced => forced,
     };
-
     QueryPlan {
         query: reduced,
-        reversed: Some(reversed),
-        monadic,
         binary,
-        monadic_estimate,
         binary_estimate,
     }
 }
@@ -409,21 +344,16 @@ mod tests {
     fn forced_strategies_resolve_as_requested() {
         let graph = figure3_g0();
         let q = query(&graph, "(a·b)*·c");
-        let fwd = plan_query_forced(&q, &graph, Strategy::Forward);
-        assert_eq!(fwd.monadic_strategy(), Strategy::Forward);
-        assert_eq!(fwd.binary_strategy(), Strategy::Forward);
-        let back = plan_query_forced(&q, &graph, Strategy::Backward);
-        assert_eq!(back.monadic_strategy(), Strategy::Backward);
-        assert_eq!(back.binary_strategy(), Strategy::Backward);
-        let bidi = plan_query_forced(&q, &graph, Strategy::Bidirectional);
-        assert_eq!(bidi.binary_strategy(), Strategy::Bidirectional);
-        // Monadic has no meet-in-the-middle; it resolves to a direction.
-        assert_ne!(bidi.monadic_strategy(), Strategy::Bidirectional);
-        assert_ne!(bidi.monadic_strategy(), Strategy::Auto);
+        for forced in [
+            Strategy::Forward,
+            Strategy::Backward,
+            Strategy::Bidirectional,
+        ] {
+            let plan = plan_query_forced(&q, &graph, forced);
+            assert_eq!(plan.binary_strategy(), forced);
+        }
         // Auto never leaves Auto in the plan.
-        let auto = plan_query(&q, &graph);
-        assert_ne!(auto.monadic_strategy(), Strategy::Auto);
-        assert_ne!(auto.binary_strategy(), Strategy::Auto);
+        assert_ne!(plan_query(&q, &graph).binary_strategy(), Strategy::Auto);
     }
 
     #[test]
@@ -436,13 +366,9 @@ mod tests {
         assert!(plan.query().equivalent(&q));
         assert_eq!(CanonicalQuery::new(plan.query()), CanonicalQuery::new(&q));
         assert!(plan.query().num_states() <= q.num_states().max(1));
-        // The reversal recognizes rev(L).
-        assert!(plan.reversed().unwrap().reverse().equivalent(&q));
-        // A forward plan keeps the DFA as given and needs no reversal.
+        // A forward plan keeps the DFA as given.
         let raw = QueryPlan::forward(&q);
         assert_eq!(raw.query().num_states(), q.num_states());
-        assert!(raw.reversed().is_none());
-        assert_eq!(raw.monadic_strategy(), Strategy::Forward);
         assert_eq!(raw.binary_strategy(), Strategy::Forward);
     }
 
@@ -450,9 +376,8 @@ mod tests {
     fn estimates_are_finite_and_populated() {
         let graph = figure3_g0();
         let plan = plan_query(&query(&graph, "(a+b)*·c"), &graph);
-        for est in [plan.monadic_estimate(), plan.binary_estimate()] {
-            assert!(est.forward.is_finite() && est.forward > 0.0);
-            assert!(est.backward.is_finite() && est.backward > 0.0);
-        }
+        let est = plan.binary_estimate();
+        assert!(est.forward.is_finite() && est.forward > 0.0);
+        assert!(est.backward.is_finite() && est.backward > 0.0);
     }
 }

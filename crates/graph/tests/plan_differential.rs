@@ -1,11 +1,12 @@
 //! Strategy-matrix differential suite for the whole-query planner.
 //!
-//! The planner ([`pathlearn_graph::plan`]) chooses among three
-//! evaluation directions — Forward (the plain product BFS), Backward
-//! (the reversed-DFA monadic walk / the coreach-pruned binary pass), and
-//! Bidirectional (binary meet-in-the-middle) — or resolves the choice
-//! itself under Auto. The contract is absolute: **every strategy is
-//! bit-identical to plain sequential forward evaluation**, for every
+//! The planner ([`pathlearn_graph::plan`]) chooses among three binary
+//! engines — Forward (the plain product BFS), Backward (the
+//! coreach-pruned pass), and Bidirectional (meet-in-the-middle) — or
+//! resolves the choice itself under Auto; monadic evaluation has one
+//! engine whatever the plan says. The contract is absolute: **every
+//! strategy is bit-identical to plain sequential forward evaluation**
+//! (and, monadically, to the queued oracle), for every
 //! goal (monadic, monadic within an upper bound, binary), sequential and
 //! on the pool at every thread count in {1, 2, 4} and node-range chunk
 //! width in {1 word, 4 words, auto}, with and without a cancel token in
@@ -19,7 +20,9 @@
 //! estimate exists for (hub-fanout sources, rare-label targets).
 
 use pathlearn_automata::{Alphabet, BitSet, CanonicalQuery, Dfa, Regex, Symbol};
-use pathlearn_graph::eval::{eval_binary_from, eval_monadic, EvalScratch, Goal};
+use pathlearn_graph::eval::{
+    eval_binary_from, eval_monadic, eval_monadic_queued, EvalScratch, Goal,
+};
 use pathlearn_graph::plan::{plan_query, plan_query_forced};
 use pathlearn_graph::Strategy as EvalStrategy;
 use pathlearn_graph::{CancelToken, EvalPool, GraphBuilder, GraphDb, Interrupt, QueryPlan};
@@ -130,15 +133,15 @@ fn arb_query() -> impl Strategy<Value = Dfa> {
 }
 
 /// The monadic strategy matrix on one (graph, query) pair: every forced
-/// strategy on every pool shape against plain forward evaluation —
-/// unbounded, and within sound upper bounds (the answer itself, a loose
-/// superset, everything).
+/// strategy on every pool shape — all the one engine — against the
+/// queued oracle: unbounded, and within sound upper bounds (the answer
+/// itself, a loose superset, everything).
 fn assert_monadic_matrix(
     graph: &GraphDb,
     query: &Dfa,
     pools: &[(String, EvalPool)],
 ) -> Result<(), TestCaseError> {
-    let expected = eval_monadic(query, graph);
+    let expected = eval_monadic_queued(query, graph);
     let mut loose = expected.clone();
     loose.insert(graph.num_nodes() / 2);
     let bounds = [expected.clone(), loose, BitSet::full(graph.num_nodes())];
@@ -224,8 +227,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Monadic semantics: Forward ≡ Backward ≡ Bidirectional ≡ Auto ≡
-    /// plain forward evaluation, sequential and pooled, on regex-derived
-    /// and raw random DFAs alike.
+    /// the queued oracle through the one engine, sequential and pooled,
+    /// on regex-derived and raw random DFAs alike.
     #[test]
     fn monadic_strategies_agree(graph in arb_graph(), query in arb_query()) {
         assert_monadic_matrix(&graph, &query, &pool_matrix())?;
@@ -243,9 +246,8 @@ proptest! {
 
     /// Planning invariants on arbitrary inputs: preprocessing preserves
     /// the language (and hence the `CanonicalQuery` cache key), the
-    /// reversed DFA's language is the mirror, resolved strategies are
-    /// never `Auto`, and the direction estimates are finite and
-    /// positive.
+    /// resolved strategy is never `Auto`, and the direction estimate is
+    /// finite and non-negative.
     #[test]
     fn plans_are_well_formed(graph in arb_graph(), query in arb_query()) {
         let plan = plan_query(&query, &graph);
@@ -254,16 +256,10 @@ proptest! {
             CanonicalQuery::new(&query),
             CanonicalQuery::new(plan.query())
         );
-        prop_assert!(query.reverse().equivalent(plan.reversed().unwrap()));
-        prop_assert_ne!(plan.monadic_strategy(), EvalStrategy::Auto);
         prop_assert_ne!(plan.binary_strategy(), EvalStrategy::Auto);
-        // Monadic has no distinguished source side; Bidirectional is a
-        // binary-only resolution.
-        prop_assert_ne!(plan.monadic_strategy(), EvalStrategy::Bidirectional);
-        for est in [plan.monadic_estimate(), plan.binary_estimate()] {
-            prop_assert!(est.forward.is_finite() && est.forward >= 0.0);
-            prop_assert!(est.backward.is_finite() && est.backward >= 0.0);
-        }
+        let est = plan.binary_estimate();
+        prop_assert!(est.forward.is_finite() && est.forward >= 0.0);
+        prop_assert!(est.backward.is_finite() && est.backward >= 0.0);
     }
 }
 
@@ -450,9 +446,8 @@ fn auto_picks_expected_binary_direction_on_asymmetric_graphs() {
     }
 }
 
-/// Forced strategies always resolve as requested on the binary side
-/// (and Backward stays available monadically even past Auto's
-/// reversed-size guard), so the bench ablation can trust its labels.
+/// Forced strategies always resolve as requested, so the bench
+/// ablation can trust its labels.
 #[test]
 fn forced_strategies_pin_the_binary_engine() {
     let graph = hub_graph_with_rare_target(64, 8);

@@ -21,10 +21,11 @@
 //!     Run the serving layer over a query workload file (one regex per
 //!     line, `#` comments): canonical result cache + coalescing over N
 //!     client threads. Prints per-query selections and cache/throughput
-//!     stats, including per-strategy evaluation counts (the whole-query
-//!     planner picks forward/backward/bidirectional per query under
-//!     `auto`, the default; forcing a direction never changes results,
-//!     only speed).
+//!     stats, including per-strategy evaluation counts. `--strategy`
+//!     pins the binary engine; monadic evaluation has one (and counts
+//!     as `forward`). Under `auto`, the default, the whole-query
+//!     planner picks forward/backward/bidirectional per binary query;
+//!     forcing an engine never changes results, only speed.
 //!
 //! pathlearn serve <graph.txt> --listen ADDR [--threads T] [--cache-mb M]
 //!                 [--data-dir DIR] [--checkpoint-every N]
@@ -110,6 +111,8 @@ USAGE:
   pathlearn snapshot <graph.txt> <out.snap>
   pathlearn update <ADDR> [--add \"src label dst\"]... [--remove \"src label dst\"]...
   pathlearn stats <graph.txt>
+
+  serve --strategy pins the binary engine; monadic evaluation has one.
 ";
 
 struct Options {

@@ -51,7 +51,8 @@
 //! the canonical DFA of its language, and an interactive session
 //! re-asks the same handful of texts between labels: parse →
 //! determinize → minimize is paid once per *text*, not once per frame.
-//! Only texts that parsed are kept; entries are bounded by
+//! Only texts that parsed within the state budget
+//! ([`MAX_QUERY_DFA_STATES`]) are kept; entries are bounded by
 //! [`NetConfig::fingerprint_cap`] and the key bytes by a constant,
 //! cleared wholesale on overflow.
 //!
@@ -145,6 +146,15 @@ pub struct NetConfig {
     /// (it starts over when full).
     pub fingerprint_cap: usize,
 }
+
+/// State budget of the subset construction a text query goes through
+/// on its connection thread: a 64 KiB regex can describe a DFA with
+/// 2^thousands states, so a text that needs more is refused with a
+/// request-level `PARSE` error instead of being determinized. Two
+/// orders of magnitude above any query the paper or the learner
+/// produces; a few milliseconds of work at the limit, and an
+/// evaluation scratch of `3 · 1024` node bitsets for an admitted one.
+pub const MAX_QUERY_DFA_STATES: usize = 1024;
 
 /// Ceiling on the occupancy-scaled `SHED` backoff hint
 /// ([`NetConfig::retry_after_ms`] × backlog rounds, clamped here).
@@ -584,8 +594,9 @@ impl Shared {
     /// Resolves a wire query reference to a canonical query, or the
     /// reply to send instead. A memoised text costs one table lookup;
     /// a new one is parsed and canonicalized against the served graph's
-    /// alphabet — graph and epoch read under one lock — and remembered
-    /// only if the table still belongs to that epoch.
+    /// alphabet — graph and epoch read under one lock, the subset
+    /// construction under [`MAX_QUERY_DFA_STATES`] — and remembered only
+    /// if the table still belongs to that epoch.
     fn resolve_query(&self, request_id: u64, query: &QueryRef) -> Result<Resolved, Reply> {
         let error = |code, message| {
             Reply::Frame(Response::Error {
@@ -602,7 +613,16 @@ impl Shared {
                 let (graph, epoch) = self.service.graph_and_epoch();
                 let canonical = Regex::parse(text, graph.alphabet())
                     .map_err(|err| error(ErrorCode::Parse, err.to_string()))?
-                    .to_canonical(graph.alphabet().len());
+                    .to_canonical_bounded(graph.alphabet().len(), MAX_QUERY_DFA_STATES)
+                    .ok_or_else(|| {
+                        error(
+                            ErrorCode::Parse,
+                            format!(
+                                "query needs more than {MAX_QUERY_DFA_STATES} DFA states \
+                                 (limit before minimization)"
+                            ),
+                        )
+                    })?;
                 self.registry
                     .lock()
                     .unwrap()
@@ -1422,6 +1442,29 @@ mod tests {
             table.by_text.len(),
             table.text_bytes,
         )
+    }
+
+    /// A text over the state budget is answered with `PARSE` and
+    /// leaves no trace: not memoised, not registered, no result-cache
+    /// entry charged for a DFA that was never built.
+    #[test]
+    fn an_over_budget_text_is_refused_and_leaves_no_trace() {
+        let server = serve(line_graph(["a", "b", "c"]), NetConfig::default());
+        // 2^11 states: one doubling past the budget.
+        let hostile = text(&format!("(a+b)*·a{}", "·(a+b)".repeat(10)));
+        match ask(&server, &hostile) {
+            Reply::Frame(Response::Error { code, message, .. }) => {
+                assert_eq!(code, ErrorCode::Parse);
+                assert!(message.contains(&MAX_QUERY_DFA_STATES.to_string()));
+            }
+            other => panic!("expected a PARSE error, got {other:?}"),
+        }
+        assert_eq!(table_sizes(&server), (0, 0, 0));
+        assert_eq!(server.shared.service.stats().misses, 0);
+        // One doubling below it is served.
+        let legal = text(&format!("(a+b)*·a{}", "·(a+b)".repeat(8)));
+        result_of(ask(&server, &legal));
+        assert_eq!(table_sizes(&server).0, 1);
     }
 
     /// The rebuild fence, interleaved by hand: a text is resolved

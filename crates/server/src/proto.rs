@@ -127,8 +127,9 @@ pub enum ErrorCode {
     /// Body malformed: truncated fields, trailing bytes, bad tags.
     Malformed = 4,
     /// The query text failed to parse as a regex over the graph's
-    /// alphabet (request-level; the message carries the parser's
-    /// diagnostic).
+    /// alphabet, or describes an automaton over the server's state
+    /// budget (request-level; the message carries the parser's
+    /// diagnostic, or names the limit).
     Parse = 5,
     /// A fingerprint reference this server has never seen (request-level;
     /// resubmit by text).

@@ -33,17 +33,20 @@
 //!
 //! ## Whole-query planning
 //!
-//! Every admitted query is dispatched through a
+//! Every admitted **binary** query is dispatched through a
 //! [`pathlearn_graph::plan::QueryPlan`]: the planner estimates frontier
 //! growth in each direction from the graph's per-label statistics and
-//! picks forward, backward (reversed-DFA), or bidirectional evaluation
+//! picks the forward, backward (coreach-pruned) or bidirectional engine
 //! per query ([`ServeConfig::strategy`] can force one — purely a speed
 //! knob, every strategy is bit-identical). Plans are cached per
 //! [`CanonicalQuery`] in a rebuild-cleared side table, so fingerprint
-//! replays and per-source binary fans skip the planning pass; the
-//! resolved direction is recorded on each [`Served::Evaluated`] and
-//! aggregated in [`ServeStats`] (`forward_evals` / `backward_evals` /
-//! `bidirectional_evals`, surfaced through the `STATS` frame).
+//! replays and per-source binary fans skip the planning pass. Monadic
+//! evaluation has one engine, so a monadic miss plans nothing: it
+//! evaluates the canonical DFA as given and is recorded as `forward`.
+//! The resolved direction is recorded on each [`Served::Evaluated`]
+//! and aggregated in [`ServeStats`] (`forward_evals` /
+//! `backward_evals` / `bidirectional_evals`, surfaced through the
+//! `STATS` frame).
 //!
 //! ## Invalidation
 //!
@@ -127,12 +130,13 @@ pub struct ServeConfig {
     pub intra_query_node_threshold: usize,
     /// Step-kernel policy for every evaluation this service runs.
     pub step_policy: StepPolicy,
-    /// Evaluation-direction strategy for every admitted query:
+    /// Binary-engine strategy for every admitted binary query:
     /// [`Strategy::Auto`] (the default) lets the whole-query planner
     /// pick forward/backward/bidirectional per query from the graph's
-    /// label statistics; a forced value pins every evaluation to one
-    /// engine (an operational escape hatch — all strategies are
-    /// bit-identical, so forcing only changes speed).
+    /// label statistics; a forced value pins every binary evaluation to
+    /// one engine (an operational escape hatch — all strategies are
+    /// bit-identical, so forcing only changes speed). Monadic
+    /// evaluation has one engine and ignores it.
     pub strategy: Strategy,
     /// Testing/diagnostics knob: hold each evaluated result back this
     /// long before publishing it (cache insert + ticket completion).
@@ -209,9 +213,9 @@ pub enum Served {
     Evaluated {
         /// The scheduling mode the admission heuristic chose.
         mode: EvalMode,
-        /// The evaluation direction the planner resolved for this query
-        /// (never [`Strategy::Auto`] — Auto is an input, the record is
-        /// the resolution).
+        /// The binary engine the planner resolved for this query (never
+        /// [`Strategy::Auto`] — Auto is an input, the record is the
+        /// resolution); [`Strategy::Forward`] for every monadic query.
         strategy: Strategy,
         /// Measured evaluation wall time.
         eval_ns: u64,
@@ -311,10 +315,12 @@ pub struct ServeStats {
     pub sequential_evals: u64,
     /// Admitted queries run on the intra-query parallel evaluator.
     pub intra_evals: u64,
-    /// Admitted queries the planner resolved to forward evaluation.
+    /// Admitted monadic queries, plus the binary queries the planner
+    /// resolved to the forward engine.
     pub forward_evals: u64,
-    /// Admitted queries the planner resolved to backward evaluation
-    /// (reversed-DFA monadic walk / coreach-pruned binary pass).
+    /// Admitted binary queries the planner resolved to the backward
+    /// engine (coreach fixpoint, then a certificate-pruned forward
+    /// pass).
     pub backward_evals: u64,
     /// Admitted binary queries the planner resolved to the
     /// bidirectional meet-in-the-middle engine.
@@ -600,10 +606,10 @@ struct Inner {
     label_epochs: Vec<u64>,
     cache: ResultCache,
     inflight: HashMap<CacheKey, Arc<InFlight>>,
-    /// Whole-query plans keyed by canonical form: a fingerprint replay
-    /// (same canonical query, cache-missed because of eviction or a
-    /// binary source change) skips the planner's reverse/determinize and
-    /// frontier simulation. Cleared on rebuild — plans embed the
+    /// Binary queries' plans keyed by canonical form: a fingerprint
+    /// replay (same canonical query, cache-missed because of eviction
+    /// or a source change) skips the planner's frontier simulation.
+    /// Cleared on rebuild — plans embed the
     /// *graph's* label statistics — and cleared wholesale when it
     /// outgrows [`PLAN_CACHE_MAX`] entries (plans are tiny; the bound
     /// only guards against unbounded distinct-query streams).
@@ -1307,10 +1313,9 @@ impl QueryService {
         }
     }
 
-    /// The whole-query plan for `key`'s canonical form on `graph`:
-    /// served from the plan cache on a canonical replay, computed (DFA
-    /// reduce/reverse + direction estimate, outside the lock) and
-    /// published otherwise. The epoch guard keeps an old-graph planning
+    /// The plan of binary `key`'s canonical form on `graph`: served
+    /// from the plan cache on a canonical replay, computed (direction
+    /// estimate, outside the lock) and published otherwise. The epoch guard keeps an old-graph planning
     /// race from polluting the post-rebuild cache — a mismatched plan
     /// would still be *correct* (every strategy is bit-identical), just
     /// tuned to the wrong statistics.
@@ -1341,7 +1346,8 @@ impl QueryService {
     /// whose plan and goal depend on what admission found, on the
     /// shared pool or its one-thread instance by the size heuristic.
     /// The returned [`Strategy`] is the resolved direction (never
-    /// `Auto`). The planning pass is recorded in `trace` as its own span.
+    /// `Auto`). A binary query's planning pass is recorded in `trace`
+    /// as its own span; a monadic one has nothing to plan.
     fn evaluate(
         &self,
         graph: &GraphDb,
@@ -1359,36 +1365,32 @@ impl QueryService {
             static SCRATCH: std::cell::RefCell<EvalScratch> =
                 std::cell::RefCell::new(EvalScratch::new());
         }
-        let bound = match key.kind {
-            QueryKind::Monadic => upper.filter(|upper| upper.capacity() == graph.num_nodes()),
-            QueryKind::Binary(_) => None,
-        };
         let (unplanned, planned);
-        let (plan, goal, strategy): (&QueryPlan, _, _) = match (key.kind, bound) {
-            // Subsumption-bounded warm start: a cached superset's answer
-            // lets the forward monadic search stop as soon as its
-            // monotone lower bound meets the bound (often level 0 for an
-            // empty or tiny superset answer). Bit-exact either way, so
-            // it skips the planner — the bound is typically worth more
-            // than the direction choice, and the plan would be moot at
-            // exit time.
-            (_, Some(upper)) => {
+        let (plan, goal, strategy): (&QueryPlan, _, _) = match key.kind {
+            // One engine, nothing to plan: a canonical DFA is already
+            // trimmed and BFS-numbered, so it is evaluated as given.
+            // With a cached superset's answer as a bound (subsumption
+            // warm start) the search stops as soon as its monotone
+            // lower bound meets it — often level 0 for an empty or tiny
+            // superset answer; bit-exact either way.
+            QueryKind::Monadic => {
                 unplanned = QueryPlan::forward(key.query.dfa());
-                (&unplanned, Goal::MonadicWithin(upper), Strategy::Forward)
+                let goal = match upper.filter(|upper| upper.capacity() == graph.num_nodes()) {
+                    Some(upper) => Goal::MonadicWithin(upper),
+                    None => Goal::Monadic,
+                };
+                (&unplanned, goal, Strategy::Forward)
             }
-            (kind, None) => {
+            // An out-of-graph source (e.g. submitted before a rebuild
+            // shrank the graph) evaluates to the empty answer without
+            // running a level.
+            QueryKind::Binary(source) => {
                 planned = trace.span("plan", || self.plan_for(graph, key, epoch));
-                match kind {
-                    QueryKind::Monadic => (&*planned, Goal::Monadic, planned.monadic_strategy()),
-                    // An out-of-graph source (e.g. submitted before a
-                    // rebuild shrank the graph) evaluates to the empty
-                    // answer without running a level.
-                    QueryKind::Binary(source) => (
-                        &*planned,
-                        Goal::BinaryFrom(source),
-                        planned.binary_strategy(),
-                    ),
-                }
+                (
+                    &*planned,
+                    Goal::BinaryFrom(source),
+                    planned.binary_strategy(),
+                )
             }
         };
         let intra = self.pool.is_parallel() && graph.num_nodes() >= self.intra_query_node_threshold;
@@ -1875,40 +1877,41 @@ mod tests {
                 panic!("binary miss must evaluate");
             };
             assert_eq!(strategy, forced, "{field}");
+            // The monadic eval has one engine and lands in the forward
+            // bucket whatever is forced; the binary one in the forced
+            // bucket.
+            let Served::Evaluated { strategy, .. } = response.served else {
+                panic!("monadic miss must evaluate");
+            };
+            assert_eq!(strategy, Strategy::Forward, "{field}");
             let stats = service.stats();
-            let per = [
-                stats.forward_evals,
-                stats.backward_evals,
-                stats.bidirectional_evals,
-            ];
-            assert_eq!(per.iter().sum::<u64>(), stats.misses, "{field}");
-            // The binary eval is in the forced bucket; the monadic one
-            // resolves Bidirectional to a direction, so only assert it
-            // for the two pure directions.
-            if forced == Strategy::Bidirectional {
-                assert_eq!(stats.bidirectional_evals, 1, "{field}");
-            } else {
-                assert_eq!(
-                    per,
-                    [
-                        2 * u64::from(forced == Strategy::Forward),
-                        2 * u64::from(forced == Strategy::Backward),
-                        0
-                    ],
-                    "{field}"
-                );
-            }
+            assert_eq!(stats.misses, 2, "{field}");
+            assert_eq!(
+                [
+                    stats.forward_evals,
+                    stats.backward_evals,
+                    stats.bidirectional_evals,
+                ],
+                [
+                    1 + u64::from(forced == Strategy::Forward),
+                    u64::from(forced == Strategy::Backward),
+                    u64::from(forced == Strategy::Bidirectional),
+                ],
+                "{field}"
+            );
         }
-        // Auto: the resolution is recorded (never Auto itself) and the
-        // plan is cached per canonical query — a second distinct source
-        // on the same query replans nothing.
+        // Auto: the resolution is recorded (never Auto itself), a
+        // monadic miss plans nothing, and the plan is cached per
+        // canonical query — a second distinct source on the same query
+        // replans nothing.
         let service = QueryService::new(graph.clone(), ServeConfig::default());
-        let first = service.query_monadic(&q);
+        service.query_monadic(&q);
+        assert!(service.inner.lock().unwrap().plans.is_empty());
+        let first = service.query_binary_from(&q, 0);
         let Served::Evaluated { strategy, .. } = first.served else {
             panic!("first submission must evaluate");
         };
         assert_ne!(strategy, Strategy::Auto);
-        service.query_binary_from(&q, 0);
         service.query_binary_from(&q, 1);
         assert_eq!(
             service.inner.lock().unwrap().plans.len(),

@@ -185,6 +185,80 @@ fn each_fault_is_answered_and_the_connection_is_closed() {
     );
 }
 
+/// A 135-byte text whose canonical DFA has 2^19 states
+/// (`(a+b)*·a·(a+b)^18`): the front door's state budget answers it with
+/// a request-level `PARSE` error naming the limit — within a second,
+/// on a connection that survives — while a second, well-behaved client
+/// keeps getting bit-identical results. Unbudgeted, the subset
+/// construction ran for over a second on the connection thread and the
+/// result was memoised; the wall-clock guard turns a reintroduced
+/// blow-up into a failure, not a stalled run.
+#[test]
+fn over_budget_text_is_refused_within_a_second_while_others_are_served() {
+    let graph = ring_graph(30);
+    let exprs = ["(a+b)*·c", "a·(b·c)", "c·a*"];
+    let expected: Vec<_> = exprs.iter().map(|e| direct_monadic(&graph, e)).collect();
+    let server = Server::bind(
+        QueryService::new(graph, ServeConfig::default()),
+        "127.0.0.1:0",
+        NetConfig::default(),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let hostile = format!("(a+b)*·a{}", "·(a+b)".repeat(18));
+    assert_eq!(hostile.len(), 135);
+
+    std::thread::scope(|scope| {
+        let (done, finished) = std::sync::mpsc::channel();
+        let hostile = &hostile;
+        scope.spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            for _ in 0..2 {
+                let started = std::time::Instant::now();
+                let reply = client.query_text(hostile, NO_DEADLINE_MS).unwrap();
+                let took = started.elapsed();
+                match reply {
+                    Response::Error { code, message, .. } => {
+                        assert_eq!(code, ErrorCode::Parse);
+                        let limit = pathlearn_server::net::MAX_QUERY_DFA_STATES.to_string();
+                        assert!(message.contains(&limit), "limit not named: {message}");
+                    }
+                    other => panic!("expected a PARSE error, got {other:?}"),
+                }
+                assert!(took < Duration::from_secs(1), "refusal took {took:?}");
+            }
+            // Request-level: the connection is still good.
+            client.ping().unwrap();
+            assert!(matches!(
+                client.query_text("a", NO_DEADLINE_MS).unwrap(),
+                Response::Result { .. }
+            ));
+            done.send(()).unwrap();
+        });
+
+        let mut client = Client::connect(addr).unwrap();
+        for round in 0..8 {
+            for (expr, want) in exprs.iter().zip(&expected) {
+                match client.query_text(expr, NO_DEADLINE_MS).unwrap() {
+                    Response::Result { bits, .. } => assert_eq!(&bits, want, "round {round}"),
+                    other => panic!("round {round}: {expr} got {other:?}"),
+                }
+            }
+        }
+        finished
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the over-budget text hung or its client panicked");
+    });
+
+    let mut client = Client::connect(addr).unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        counter(&stats, "net.malformed"),
+        0,
+        "PARSE is request-level"
+    );
+}
+
 /// The headline availability test: sustained abuse from several
 /// attacker threads while a well-behaved client keeps getting
 /// bit-identical answers on the same port.

@@ -263,3 +263,43 @@ fn delta_invalidation_keeps_more_hits_than_rebuilding() {
     assert_eq!((rebuild.hits, rebuild.misses), (4, 4 * 4));
     assert!(delta.hits > rebuild.hits);
 }
+
+/// `(a+b)^39·a·(a+b)*` has a 41-state DFA whose reversal
+/// `(a+b)*·a·(a+b)^39` needs 2^40: planning must stay linear in the
+/// automaton as given (it used to determinize the reversal on every
+/// plan and never came back), and the service must answer the query
+/// under both semantics bit-identically to the oracles on G0. The
+/// wall-clock guard turns a reintroduced exponential into a failure,
+/// not a stalled run.
+#[test]
+fn a_query_with_an_exponential_reversal_is_planned_and_served_at_once() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let graph = pathlearn_graph::graph::figure3_g0();
+        let text = format!("{}a·(a+b)*", "(a+b)·".repeat(39));
+        let query = Regex::parse(&text, graph.alphabet()).unwrap().to_dfa(3);
+        assert_eq!(query.num_states(), 41);
+
+        let started = std::time::Instant::now();
+        let plan = pathlearn_graph::plan::plan_query(&query, &graph);
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "plan_query took {took:?}");
+        assert_eq!(plan.query().num_states(), 41);
+
+        let expected = pathlearn_graph::eval::eval_monadic_queued(&query, &graph);
+        assert!(!expected.is_empty(), "G0's a-cycles carry 40-step paths");
+        let service = QueryService::new(graph.clone(), ServeConfig::default());
+        assert_eq!(*service.query_monadic(&query).result, expected);
+        for source in graph.nodes() {
+            assert_eq!(
+                *service.query_binary_from(&query, source).result,
+                eval_binary_from(&query, &graph, source),
+                "binary from {source}"
+            );
+        }
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("planning or serving the query hung or panicked");
+}

@@ -210,7 +210,10 @@ fn traces_are_consistent_with_served_outcomes() {
 
     assert_eq!(trace.kind, "monadic");
     assert_ne!(trace.mode, "-", "an evaluation names its mode");
-    assert_ne!(trace.strategy, "-", "an evaluation names its strategy");
+    assert_eq!(
+        trace.strategy, "forward",
+        "monadic evaluation has one engine"
+    );
     assert_eq!(
         trace.result_bits,
         response.result.len() as u64,
@@ -233,12 +236,30 @@ fn traces_are_consistent_with_served_outcomes() {
     }
     assert!(cursor <= trace.total_ns, "spans exceed the trace window");
     let names: Vec<&str> = trace.spans.iter().map(|span| span.name).collect();
-    for expected in ["cache_probe", "plan", "eval", "publish"] {
+    for expected in ["cache_probe", "eval", "publish"] {
         assert!(
             names.contains(&expected),
             "span {expected} missing: {names:?}"
         );
     }
+    assert!(
+        !names.contains(&"plan"),
+        "a monadic miss has nothing to plan: {names:?}"
+    );
+
+    // A binary miss is planned, and names the engine the planner chose.
+    service.query_binary_canonical(query.clone(), 0);
+    let traces = telemetry.traces.recent();
+    let binary = traces
+        .iter()
+        .find(|t| t.fingerprint == fingerprint && t.kind == "binary")
+        .expect("binary trace recorded");
+    assert_eq!(binary.outcome, "evaluated");
+    assert!(["forward", "backward", "bidirectional"].contains(&binary.strategy));
+    assert!(
+        binary.spans.iter().any(|span| span.name == "plan"),
+        "a binary miss records its planning pass"
+    );
 
     // Level samples are sequential sub-intervals of the evaluation, so
     // their nanos sum within the trace total.
