@@ -126,7 +126,7 @@ fn evaluate(
     scratch: &mut EvalScratch,
     plan: &QueryPlan,
     graph: &GraphDb,
-    goal: Goal<'_>,
+    goal: Goal,
 ) -> BitSet {
     pool.evaluate(scratch, plan, graph, goal, &CancelToken::never())
         .expect("a never-token evaluation is not interrupted")

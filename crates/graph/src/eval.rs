@@ -197,19 +197,9 @@ impl TransIndex {
 
 /// What [`EvalPool::evaluate`] computes.
 #[derive(Clone, Copy, Debug)]
-pub enum Goal<'a> {
+pub enum Goal {
     /// `q(G)`: every node with an outgoing path in `L(q)`.
     Monadic,
-    /// `q(G)` given a **sound upper bound** `U ⊇ q(G)` (e.g. a cached
-    /// `q'(G)` with `L(q) ⊆ L(q')`). The bound does not change what is
-    /// computed — it generalizes the all-nodes-selected early exit: the
-    /// monotone `reached[q₀]` satisfies `reached[q₀] ⊆ q(G) ⊆ U` at
-    /// every level, so the moment `reached[q₀] ⊇ U` the sandwich closes
-    /// and the remaining levels are redundant. An empty `U` proves an
-    /// empty answer without touching the graph. An *unsound* bound only
-    /// costs the early exit its effect (the result is still exact), but
-    /// callers should treat soundness as the contract.
-    MonadicWithin(&'a BitSet),
     /// The end nodes of `L(q)`-paths starting at the given source.
     /// Sources outside the graph select nothing.
     BinaryFrom(NodeId),
@@ -611,22 +601,21 @@ impl EvalPool {
     /// result bit. `cancel` is checked
     /// once per BFS level and a tripped token aborts with its
     /// [`Interrupt`] verdict; answers that need no level (an empty
-    /// graph or bound, `ε ∈ L(q)` monadically, an out-of-graph source)
+    /// graph, `ε ∈ L(q)` monadically, an out-of-graph source)
     /// are returned regardless.
     pub fn evaluate(
         &self,
         scratch: &mut EvalScratch,
         plan: &QueryPlan,
         graph: &GraphDb,
-        goal: Goal<'_>,
+        goal: Goal,
         cancel: &CancelToken,
     ) -> Result<BitSet, Interrupt> {
         if graph.num_nodes() == 0 || plan.query().num_states() == 0 {
             return Ok(BitSet::new(graph.num_nodes()));
         }
         match goal {
-            Goal::Monadic => self.monadic(scratch, plan, graph, None, cancel),
-            Goal::MonadicWithin(upper) => self.monadic(scratch, plan, graph, Some(upper), cancel),
+            Goal::Monadic => self.monadic(scratch, plan, graph, cancel),
             Goal::BinaryFrom(source) => self.binary(scratch, plan, graph, source as usize, cancel),
         }
     }
@@ -636,19 +625,12 @@ impl EvalPool {
         scratch: &mut EvalScratch,
         plan: &QueryPlan,
         graph: &GraphDb,
-        upper: Option<&BitSet>,
         cancel: &CancelToken,
     ) -> Result<BitSet, Interrupt> {
         let v = graph.num_nodes();
         let sigma = graph.alphabet().len();
         let query = plan.query();
         let q0 = query.initial() as usize;
-        if let Some(upper) = upper {
-            debug_assert_eq!(upper.capacity(), v, "upper-bound capacity");
-            if upper.is_empty() {
-                return Ok(BitSet::new(v));
-            }
-        }
         if query.finals().contains(q0) {
             // ε ∈ L(q): every node has the empty path.
             return Ok(BitSet::full(v));
@@ -667,12 +649,8 @@ impl EvalPool {
         for f in query.finals().iter() {
             main.seed_all(f);
         }
-        let settled = |reached: &[BitSet]| match upper {
-            // reached[q₀] ⊆ q(G) ⊆ upper, so ⊇ upper closes the sandwich.
-            Some(upper) => upper.is_subset(&reached[q0]),
-            None => reached[q0].len() == v,
-        };
-        self.drive(graph, work, main, pass, None, settled, cancel)?;
+        let all_selected = |reached: &[BitSet]| reached[q0].len() == v;
+        self.drive(graph, work, main, pass, None, all_selected, cancel)?;
         Ok(main.reached[q0].clone())
     }
 
@@ -741,7 +719,7 @@ impl EvalPool {
         scratch: &mut EvalScratch,
         query: &Dfa,
         graph: &GraphDb,
-        goal: Goal<'_>,
+        goal: Goal,
     ) -> BitSet {
         match self.evaluate(
             scratch,
@@ -909,7 +887,7 @@ mod tests {
         scratch: &mut EvalScratch,
         query: &Dfa,
         graph: &GraphDb,
-        goal: Goal<'_>,
+        goal: Goal,
         cancel: &CancelToken,
     ) -> Result<BitSet, Interrupt> {
         pool.evaluate(scratch, &QueryPlan::forward(query), graph, goal, cancel)
@@ -959,33 +937,6 @@ mod tests {
         let graph = figure3_g0();
         let empty = eval_monadic(&Dfa::empty_language(3), &graph);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn bounded_eval_matches_unbounded_under_any_sound_bound() {
-        let graph = figure3_g0();
-        let pool = EvalPool::sequential();
-        let mut scratch = EvalScratch::new();
-        let never = CancelToken::never();
-        for expr in ["a", "(a·b)*·c", "b·b·c·c", "a·a", "(a+b)*·c", "eps"] {
-            let q = query(&graph, expr);
-            let exact = eval_monadic(&q, &graph);
-            // Tightest sound bound (the answer itself), a loose superset,
-            // and the trivial full bound must all be bit-identical.
-            let mut loose = exact.clone();
-            loose.insert(graph.node_id("v6").unwrap() as usize);
-            for upper in [&exact, &loose, &BitSet::full(graph.num_nodes())] {
-                let goal = Goal::MonadicWithin(upper);
-                let bounded = evaluate(&pool, &mut scratch, &q, &graph, goal, &never).unwrap();
-                assert_eq!(bounded, exact, "{expr}");
-            }
-        }
-        // An empty sound bound proves an empty answer immediately.
-        let dead = query(&graph, "b·b·c·c");
-        let empty = BitSet::new(graph.num_nodes());
-        let goal = Goal::MonadicWithin(&empty);
-        let bounded = evaluate(&pool, &mut scratch, &dead, &graph, goal, &never).unwrap();
-        assert!(bounded.is_empty());
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //!   the memo a session keeps while its negative set grows;
 //! * [`eval`] — **the** evaluation engine: one level kernel and one
 //!   driver behind [`EvalPool::evaluate`], which answers monadic
-//!   `q(G)` (optionally within a known upper bound) and binary
-//!   (Appendix B) goals in `O(|E|·|Q|)` by level-synchronous product
-//!   BFS, with the reusable [`eval::EvalScratch`] buffers, the
+//!   `q(G)` and binary (Appendix B) goals in `O(|E|·|Q|)` by
+//!   level-synchronous product BFS, with the reusable [`eval::EvalScratch`] buffers, the
 //!   `eval_monadic` / `eval_binary_from` shorthands and the two test
 //!   oracles;
 //! * [`plan`] — whole-query planning: automaton preprocessing and the

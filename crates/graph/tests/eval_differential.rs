@@ -39,7 +39,7 @@ fn evaluate(
     scratch: &mut EvalScratch,
     query: &Dfa,
     graph: &GraphDb,
-    goal: Goal<'_>,
+    goal: Goal,
 ) -> BitSet {
     pool.evaluate(
         scratch,

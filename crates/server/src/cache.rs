@@ -13,9 +13,12 @@
 //!
 //! ## Eviction: GDSF (Greedy-Dual-Size-Frequency)
 //!
-//! Every entry carries the **measured evaluation cost** (nanoseconds,
-//! supplied by the service) and its **resident bytes** (the result
-//! bitset's blocks — `GraphDb::result_bytes` per monadic/binary answer).
+//! Every entry carries its **evaluation cost** (any monotone measure of
+//! the work recomputing it takes; the service supplies a deterministic
+//! one — frontier nodes plus step tasks over the evaluation's levels —
+//! so the same submissions evict the same victims on every run) and its
+//! **resident bytes** (the result bitset's blocks —
+//! `GraphDb::result_bytes` per monadic/binary answer).
 //! Priority is the classic GDSF value
 //!
 //! ```text
@@ -27,9 +30,14 @@
 //! minimum-priority entry until the new insertion fits, so what survives
 //! pressure is what is *expensive to recompute per byte kept* and
 //! recently useful — a cheap one-level query is let go before a deep
-//! product BFS of the same size. Finding the minimum is a linear scan;
-//! entry counts are `capacity / |V|-bits`, small enough that the scan is
-//! noise next to one evaluation.
+//! product BFS of the same size. Ties (integer costs tie often) go to
+//! the smaller `(fingerprint, kind)`, so the victim never depends on
+//! `HashMap` iteration order. Finding the minimum is a linear scan over
+//! every resident entry, and it is **not** noise: with the default
+//! budget full (~5,000 entries at 100k nodes) `pqbench`'s
+//! `cache.insert_evict_ns` probe reads 20–27 µs per evicting insert,
+//! against a 12 µs median binary evaluation. An ordered victim
+//! structure is a later `perf_opt` issue.
 
 use crate::telemetry::{Counter, MetricsRegistry};
 use pathlearn_automata::{BitSet, CanonicalQuery, Symbol};
@@ -77,8 +85,21 @@ fn entry_bytes(key: &CacheKey, value: &BitSet) -> usize {
     std::mem::size_of_val(value.as_blocks()) + table_bytes + finals_bytes + ENTRY_OVERHEAD_BYTES
 }
 
-/// Which evaluation semantics a cached result answers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Orders two victims of equal priority, totally, so tests (and
+/// replays) see one eviction order: by fingerprint, then — the binary
+/// entries of one query share a fingerprint — by kind. Kept out of line:
+/// inlined into the victim scan it slowed every comparison of the loop,
+/// ties or not (`cache.insert_evict_ns` 23–24 → 27–28 µs).
+#[cold]
+#[inline(never)]
+fn tie_break(a: &CacheKey, b: &CacheKey) -> std::cmp::Ordering {
+    (a.query.fingerprint(), a.kind).cmp(&(b.query.fingerprint(), b.kind))
+}
+
+/// Which evaluation semantics a cached result answers. Ordered
+/// `Monadic < Binary(source)`, binary by source — the last component of
+/// the eviction tie-break.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QueryKind {
     /// `q(G)` — the monadic selected-node set.
     Monadic,
@@ -182,7 +203,7 @@ impl CacheCounters {
 struct Entry {
     value: Arc<BitSet>,
     bytes: usize,
-    cost_ns: u64,
+    cost: u64,
     priority: f64,
     /// Sorted live alphabet of the entry's canonical DFA — what
     /// label-aware invalidation tests deltas against.
@@ -214,8 +235,8 @@ impl ResultCache {
         }
     }
 
-    fn priority(&self, cost_ns: u64, bytes: usize) -> f64 {
-        self.clock + cost_ns as f64 / bytes.max(1) as f64
+    fn priority(&self, cost: u64, bytes: usize) -> f64 {
+        self.clock + cost as f64 / bytes.max(1) as f64
     }
 
     /// Looks `key` up, refreshing its GDSF priority on a hit.
@@ -234,12 +255,12 @@ impl ResultCache {
     pub(crate) fn get_resident(&mut self, key: &CacheKey) -> Option<Arc<BitSet>> {
         let clock = self.clock;
         let entry = self.map.get_mut(key)?;
-        entry.priority = clock + entry.cost_ns as f64 / entry.bytes.max(1) as f64;
+        entry.priority = clock + entry.cost as f64 / entry.bytes.max(1) as f64;
         self.counters.hits.inc();
         Some(entry.value.clone())
     }
 
-    /// Inserts an evaluated result with its measured cost, evicting
+    /// Inserts an evaluated result with its evaluation cost, evicting
     /// minimum-priority entries until it fits. Returns `false` (and
     /// caches nothing) when the single entry exceeds the whole budget —
     /// which is every entry under a zero-byte budget, since an entry's
@@ -248,7 +269,7 @@ impl ResultCache {
     /// existing key replaces the entry. Byte accounting uses checked
     /// subtraction: an underflow would mean a corrupt ledger, and
     /// failing loudly beats silently serving with a wrapped budget.
-    pub fn insert(&mut self, key: CacheKey, value: Arc<BitSet>, cost_ns: u64) -> bool {
+    pub fn insert(&mut self, key: CacheKey, value: Arc<BitSet>, cost: u64) -> bool {
         let bytes = entry_bytes(&key, &value);
         if bytes > self.capacity_bytes {
             self.counters.rejected.inc();
@@ -267,9 +288,7 @@ impl ResultCache {
                 .min_by(|a, b| {
                     a.1.priority
                         .total_cmp(&b.1.priority)
-                        // Deterministic tie-break so tests (and replays)
-                        // see one eviction order.
-                        .then_with(|| a.0.query.fingerprint().cmp(&b.0.query.fingerprint()))
+                        .then_with(|| tie_break(a.0, b.0))
                 })
                 .map(|(k, _)| k.clone());
             let Some(victim) = victim else { break };
@@ -281,7 +300,7 @@ impl ResultCache {
             self.clock = self.clock.max(evicted.priority);
             self.counters.evictions.inc();
         }
-        let priority = self.priority(cost_ns, bytes);
+        let priority = self.priority(cost, bytes);
         let live = live_alphabet(&key.query);
         self.bytes += bytes;
         self.map.insert(
@@ -289,7 +308,7 @@ impl ResultCache {
             Entry {
                 value,
                 bytes,
-                cost_ns,
+                cost,
                 priority,
                 live,
             },
@@ -320,18 +339,6 @@ impl ResultCache {
         let dropped = before - self.map.len();
         self.counters.invalidated.add(dropped as u64);
         dropped
-    }
-
-    /// Iterates resident **monadic** entries as `(canonical query, live
-    /// alphabet, result)` without touching hit statistics or GDSF
-    /// priorities — the probe surface for subsumption-aware reuse,
-    /// where most inspected entries will not match and must not have
-    /// their priority refreshed as if they had served a hit.
-    pub fn iter_monadic(&self) -> impl Iterator<Item = (&CanonicalQuery, &[u32], &Arc<BitSet>)> {
-        self.map.iter().filter_map(|(key, entry)| match key.kind {
-            QueryKind::Monadic => Some((&key.query, &*entry.live, &entry.value)),
-            QueryKind::Binary(_) => None,
-        })
     }
 
     /// Drops every entry (graph rebuild invalidation). Stats and the
@@ -423,8 +430,8 @@ mod tests {
 
     #[test]
     fn eviction_prefers_cheap_entries() {
-        // Two entries of equal size: the 100ns one goes before the
-        // 100µs one, regardless of insertion order.
+        // Two entries of equal size: the cost-100 one goes before the
+        // cost-100,000 one, regardless of insertion order.
         let mut cache = ResultCache::new(config_for(2));
         cache.insert(key("a"), value(64), 100_000);
         cache.insert(key("b"), value(64), 100);
@@ -434,6 +441,43 @@ mod tests {
         assert!(cache.get(&key("a")).is_some(), "expensive entry survives");
         assert!(cache.get(&key("b")).is_none(), "cheap entry evicted");
         assert!(cache.get(&key("c")).is_some());
+    }
+
+    #[test]
+    fn equal_priorities_evict_in_fingerprint_then_kind_order() {
+        // Five same-size, same-cost entries: the three kinds of one
+        // query share a fingerprint and fall Monadic, Binary(0),
+        // Binary(1); whichever query has the smaller fingerprint goes
+        // first as a whole — never `HashMap` order.
+        let (a, b) = (key("a").query, key("b").query);
+        let (low, high) = if a.fingerprint() < b.fingerprint() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let expected = [
+            CacheKey::monadic(low.clone()),
+            CacheKey::binary(low.clone(), 0),
+            CacheKey::binary(low, 1),
+            CacheKey::monadic(high.clone()),
+            CacheKey::binary(high, 7),
+        ];
+        let mut cache = ResultCache::new(config_for(5));
+        for i in [3, 1, 4, 0, 2] {
+            cache.insert(expected[i].clone(), value(64), 10);
+        }
+        // Same-size newcomers, too dear to ever be the victim.
+        let dear = ["c", "a+b", "a+c", "b+c", "a+b+c"];
+        for (evicted, expr) in dear.iter().enumerate() {
+            cache.insert(key(expr), value(64), 1 << 40);
+            for (i, k) in expected.iter().enumerate() {
+                assert_eq!(
+                    cache.map.contains_key(k),
+                    i > evicted,
+                    "{i} after {evicted}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -597,19 +641,6 @@ mod tests {
         let all: Vec<_> = alphabet.symbols().collect();
         assert_eq!(cache.invalidate_labels(&all), 0);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn monadic_iteration_skips_binary_and_does_not_refresh() {
-        let mut cache = ResultCache::new(CacheConfig::default());
-        let canonical = key("a").query;
-        cache.insert(CacheKey::monadic(canonical.clone()), value(64), 10);
-        cache.insert(CacheKey::binary(canonical, 0), value(64), 10);
-        cache.insert(key("b"), value(64), 10);
-        assert_eq!(cache.iter_monadic().count(), 2);
-        let hits_before = cache.stats().hits;
-        let _ = cache.iter_monadic().count();
-        assert_eq!(cache.stats().hits, hits_before, "probing is not a hit");
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod telemetry;
 pub mod wal;
 
 pub use cache::{CacheConfig, CacheKey, CacheStats, QueryKind, ResultCache};
-pub use net::{Client, NetConfig, NetStats, Server};
+pub use net::{Client, NetConfig, Server};
 pub use proto::{ErrorCode, QueryRef, Request, Response, WireKind, WireServed, NO_DEADLINE_MS};
 pub use service::{
     DeltaApplied, DeltaCommitError, EvalMode, QueryResponse, QueryService, ServeConfig, ServeStats,

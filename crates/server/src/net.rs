@@ -176,39 +176,6 @@ impl Default for NetConfig {
     }
 }
 
-/// Front-door counters (network layer only; `STATS` frames merge these
-/// with [`crate::ServeStats`] and [`crate::CacheStats`]).
-#[derive(Clone, Debug, Default)]
-pub struct NetStats {
-    /// Connections accepted.
-    pub accepted: u64,
-    /// Connections refused at the [`NetConfig::max_connections`] cap.
-    pub refused: u64,
-    /// Currently open connections.
-    pub active_connections: u64,
-    /// Query frames decoded.
-    pub queries: u64,
-    /// Queries answered with `SHED`.
-    pub shed: u64,
-    /// Queries answered with `DEADLINE`.
-    pub deadline_replies: u64,
-    /// Queries answered with `DRAINING`.
-    pub draining_replies: u64,
-    /// Framing/decoding violations (each closes its connection).
-    pub malformed: u64,
-    /// Connections dropped on I/O errors — read/write timeouts and
-    /// mid-frame disconnects.
-    pub io_errors: u64,
-    /// Current admission queue depth.
-    pub queue_depth: u64,
-    /// Median service latency of answered queries (ns), reported as the
-    /// inclusive upper bound of the log₂ histogram bucket holding the
-    /// nearest-rank sample (see [`crate::telemetry::Histogram`]).
-    pub latency_p50_ns: u64,
-    /// 99th-percentile service latency (ns), same derivation.
-    pub latency_p99_ns: u64,
-}
-
 /// How one admitted job ended; maps 1:1 onto the reply frame.
 enum JobOutcome {
     Done(QueryResponse),
@@ -510,24 +477,6 @@ impl Shared {
     fn refresh_queue_depth(&self) {
         let depth = self.queue.lock().unwrap().jobs.len() as u64;
         self.counters.queue_depth.set(depth);
-    }
-
-    fn net_stats(&self) -> NetStats {
-        self.refresh_queue_depth();
-        NetStats {
-            accepted: self.counters.accepted.get(),
-            refused: self.counters.refused.get(),
-            active_connections: self.counters.active.get(),
-            queries: self.counters.queries.get(),
-            shed: self.counters.shed.get(),
-            deadline_replies: self.counters.deadline_replies.get(),
-            draining_replies: self.counters.draining_replies.get(),
-            malformed: self.counters.malformed.get(),
-            io_errors: self.counters.io_errors.get(),
-            queue_depth: self.counters.queue_depth.get(),
-            latency_p50_ns: self.counters.latency.quantile(50),
-            latency_p99_ns: self.counters.latency.quantile(99),
-        }
     }
 
     /// Every counter the server exposes, namespaced and self-describing
@@ -1045,11 +994,6 @@ impl Server {
     /// The underlying query service (shared with the front door).
     pub fn service(&self) -> &QueryService {
         &self.shared.service
-    }
-
-    /// Network-layer counters snapshot.
-    pub fn net_stats(&self) -> NetStats {
-        self.shared.net_stats()
     }
 
     /// Every exposed counter, namespaced — identical to a `STATS`

@@ -79,28 +79,10 @@
 //! bit-identical, so it is never wrong. Overlays are folded into a
 //! fresh CSR ([`GraphDb::compact`], node-id- and alphabet-preserving)
 //! once they outgrow [`ServeConfig::delta_compact_threshold`].
-//!
-//! ## Subsumption-aware reuse
-//!
-//! A cache miss is not always a cold start. At admission the service
-//! probes the resident monadic entries for a **superset query**: if
-//! antichain inclusion ([`pathlearn_automata::inclusion::nfa_included_in`])
-//! proves
-//! `L(q) ⊆ L(q′)` for some cached `q′`, then `q(G) ⊆ q′(G)` on any
-//! graph, and the cached bits become the evaluation's goal
-//! ([`pathlearn_graph::Goal::MonadicWithin`]) as a sound upper bound —
-//! the BFS stops the moment its monotone lower bound meets the cached
-//! upper bound (and an empty cached answer proves the miss empty with
-//! zero graph work). Probing is capped and
-//! pre-filtered by live-alphabet subset, and the result is bit-exact
-//! either way.
 
-use crate::cache::{
-    intersects, live_alphabet, CacheConfig, CacheKey, CacheStats, QueryKind, ResultCache,
-};
+use crate::cache::{intersects, live_alphabet, CacheConfig, CacheKey, QueryKind, ResultCache};
 use crate::telemetry::{Counter, Gauge, Histogram, Telemetry, TraceBuilder};
 use crate::wal::{Persistence, WalError};
-use pathlearn_automata::inclusion::nfa_included_in;
 use pathlearn_automata::{BitSet, CanonicalQuery, Dfa, Symbol};
 use pathlearn_graph::graph::DeltaError;
 use pathlearn_graph::plan::plan_query_forced;
@@ -194,11 +176,29 @@ pub enum EvalMode {
 
 /// How one evaluation ran, for [`QueryService::publish`]: the
 /// execution mode together with the planner strategy that produced the
-/// bits (never [`Strategy::Auto`] — the record is the resolution).
+/// bits (never [`Strategy::Auto`] — the record is the resolution), and
+/// what it cost.
 #[derive(Clone, Copy)]
 struct EvalOutcome {
     mode: EvalMode,
     strategy: Strategy,
+    /// Measured wall time: reported, never compared.
+    eval_ns: u64,
+    /// The result cache's GDSF cost ([`eval_work`]).
+    work: u64,
+}
+
+/// The deterministic work measure the result cache ranks entries by:
+/// frontier nodes entering plus step tasks run, summed over the
+/// evaluation's levels, `+ 1` so an answer that needed no level still
+/// has positive cost. Unlike wall time it is a function of the graph
+/// and the key alone, so the same submissions evict the same victims
+/// on every run.
+fn eval_work(levels: &[pathlearn_graph::LevelSample]) -> u64 {
+    1 + levels
+        .iter()
+        .map(|level| level.frontier + u64::from(level.tasks))
+        .sum::<u64>()
 }
 
 /// How one submission was served.
@@ -305,9 +305,6 @@ pub struct ServeStats {
     /// Cache entries dropped by label-aware delta invalidation (entries
     /// whose live alphabet intersected a delta's touched labels).
     pub label_invalidations: u64,
-    /// Admitted monadic evaluations that ran under a cached superset
-    /// query's answer as a sound upper bound (subsumption reuse).
-    pub subsumption_reuses: u64,
     /// Delta overlays folded into a fresh CSR after outgrowing
     /// [`ServeConfig::delta_compact_threshold`].
     pub compactions: u64,
@@ -367,7 +364,6 @@ struct ServeCounters {
     invalidations: Counter,
     deltas_applied: Counter,
     label_invalidations: Counter,
-    subsumption_reuses: Counter,
     compactions: Counter,
     sequential_evals: Counter,
     intra_evals: Counter,
@@ -409,7 +405,6 @@ impl ServeCounters {
             invalidations: registry.counter("serve.invalidations"),
             deltas_applied: registry.counter("serve.deltas_applied"),
             label_invalidations: registry.counter("serve.label_invalidations"),
-            subsumption_reuses: registry.counter("serve.subsumption_reuses"),
             compactions: registry.counter("serve.compactions"),
             sequential_evals: registry.counter("serve.sequential_evals"),
             intra_evals: registry.counter("serve.intra_evals"),
@@ -640,21 +635,9 @@ enum Admission {
         /// Max per-label epoch over the query's live alphabet at
         /// admission; re-checked at publication (see [`Inner::label_epochs`]).
         label_stamp: u64,
-        /// A resident superset query's answer (`L(q) ⊆ L(q′)` proven by
-        /// antichain inclusion): a sound upper bound seeding the
-        /// bounded monadic evaluator. `None` for binary keys and misses
-        /// with no subsuming entry.
-        upper: Option<Arc<BitSet>>,
         ticket: Arc<InFlight>,
     },
 }
-
-/// At most this many resident candidates get a (cheap, but not free)
-/// antichain inclusion check per admitted miss; the live-alphabet
-/// subset pre-filter runs first and is nearly free. Probing is a pure
-/// optimization — capping it bounds admission latency, never
-/// correctness.
-const SUBSUMPTION_PROBE_MAX: usize = 8;
 
 /// The multi-client RPQ query service. See the module docs for the
 /// pipeline; construction is cheap apart from spawning the pool's
@@ -790,7 +773,6 @@ impl QueryService {
             invalidations: c.invalidations.get(),
             deltas_applied: c.deltas_applied.get(),
             label_invalidations: c.label_invalidations.get(),
-            subsumption_reuses: c.subsumption_reuses.get(),
             compactions: c.compactions.get(),
             sequential_evals: c.sequential_evals.get(),
             intra_evals: c.intra_evals.get(),
@@ -801,11 +783,6 @@ impl QueryService {
             deadline_exceeded: c.deadline_exceeded.get(),
             cancelled: c.cancelled.get(),
         }
-    }
-
-    /// Snapshot of the result cache's own counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.inner.lock().unwrap().cache.stats()
     }
 
     /// `(resident entries, resident bytes)` of the result cache.
@@ -1100,59 +1077,14 @@ impl QueryService {
             self.counters.coalesced.inc();
             return Admission::Wait(ticket);
         }
-        let live = live_alphabet(&key.query);
-        let upper = match key.kind {
-            QueryKind::Monadic => Self::probe_subsumption(&inner, key, &live),
-            QueryKind::Binary(_) => None,
-        };
-        if upper.is_some() {
-            self.counters.subsumption_reuses.inc();
-        }
         let ticket = Arc::new(InFlight::new());
         inner.inflight.insert(key.clone(), ticket.clone());
         Admission::Evaluate {
             graph: inner.graph.clone(),
             epoch: inner.epoch,
-            label_stamp: inner.label_stamp(&live),
-            upper,
+            label_stamp: inner.label_stamp(&live_alphabet(&key.query)),
             ticket,
         }
-    }
-
-    /// A resident monadic superset of `key.query`, if antichain
-    /// inclusion proves one within [`SUBSUMPTION_PROBE_MAX`] checks:
-    /// `L(q) ⊆ L(q′)` makes the cached `q′(G)` a sound upper bound for
-    /// evaluating `q` on **any** graph — including the graph the caller
-    /// captured even if a disjoint-label delta lands in between,
-    /// because label-aware invalidation keeps only entries whose bits
-    /// are identical across those versions.
-    fn probe_subsumption(inner: &Inner, key: &CacheKey, live: &[u32]) -> Option<Arc<BitSet>> {
-        let dfa = key.query.dfa();
-        let mut nfa = None;
-        let mut checks = 0;
-        for (candidate, candidate_live, result) in inner.cache.iter_monadic() {
-            if checks >= SUBSUMPTION_PROBE_MAX {
-                break;
-            }
-            // Necessary condition, nearly free: a symbol q steps
-            // through occurs in some accepted word of q, which must
-            // also be accepted by any superset — so it must be live
-            // there too. (Also screens out foreign alphabet sizes,
-            // which the antichain check would assert on.)
-            if candidate.dfa().alphabet_len() != dfa.alphabet_len()
-                || !live
-                    .iter()
-                    .all(|sym| candidate_live.binary_search(sym).is_ok())
-            {
-                continue;
-            }
-            checks += 1;
-            let nfa = nfa.get_or_insert_with(|| dfa.to_nfa());
-            if nfa_included_in(nfa, &candidate.dfa().to_nfa()).is_ok() {
-                return Some(result.clone());
-            }
-        }
-        None
     }
 
     /// [`QueryService::submit`] for callers that neither cancel nor
@@ -1267,14 +1199,13 @@ impl QueryService {
                     graph,
                     epoch,
                     label_stamp,
-                    upper,
                     ticket,
                 } => {
                     let mut guard = AdmissionGuard::new(self, &key, &ticket);
                     let start = Instant::now();
                     let eval_begin = trace.span_begin();
                     let (evaluated, levels) = pathlearn_graph::collect_levels(|| {
-                        self.evaluate(&graph, &key, epoch, upper.as_deref(), &mut trace, cancel)
+                        self.evaluate(&graph, &key, epoch, &mut trace, cancel)
                     });
                     trace.span_end("eval", eval_begin);
                     let (result, mode, strategy) = match evaluated {
@@ -1290,15 +1221,14 @@ impl QueryService {
                     };
                     let eval_ns = start.elapsed().as_nanos() as u64;
                     let result = Arc::new(result);
+                    let outcome = EvalOutcome {
+                        mode,
+                        strategy,
+                        eval_ns,
+                        work: eval_work(&levels),
+                    };
                     trace.span("publish", || {
-                        self.publish(
-                            &key,
-                            &ticket,
-                            (epoch, label_stamp),
-                            result.clone(),
-                            EvalOutcome { mode, strategy },
-                            eval_ns,
-                        )
+                        self.publish(&key, &ticket, (epoch, label_stamp), result.clone(), outcome)
                     });
                     guard.disarm();
                     let served = Served::Evaluated {
@@ -1343,7 +1273,7 @@ impl QueryService {
     }
 
     /// Executes one admitted query: one [`EvalPool::evaluate`] call
-    /// whose plan and goal depend on what admission found, on the
+    /// whose plan and goal follow from the key's kind, on the
     /// shared pool or its one-thread instance by the size heuristic.
     /// The returned [`Strategy`] is the resolved direction (never
     /// `Auto`). A binary query's planning pass is recorded in `trace`
@@ -1353,7 +1283,6 @@ impl QueryService {
         graph: &GraphDb,
         key: &CacheKey,
         epoch: u64,
-        upper: Option<&BitSet>,
         trace: &mut TraceBuilder,
         cancel: &CancelToken,
     ) -> Result<(BitSet, EvalMode, Strategy), Interrupt> {
@@ -1369,17 +1298,9 @@ impl QueryService {
         let (plan, goal, strategy): (&QueryPlan, _, _) = match key.kind {
             // One engine, nothing to plan: a canonical DFA is already
             // trimmed and BFS-numbered, so it is evaluated as given.
-            // With a cached superset's answer as a bound (subsumption
-            // warm start) the search stops as soon as its monotone
-            // lower bound meets it — often level 0 for an empty or tiny
-            // superset answer; bit-exact either way.
             QueryKind::Monadic => {
                 unplanned = QueryPlan::forward(key.query.dfa());
-                let goal = match upper.filter(|upper| upper.capacity() == graph.num_nodes()) {
-                    Some(upper) => Goal::MonadicWithin(upper),
-                    None => Goal::Monadic,
-                };
-                (&unplanned, goal, Strategy::Forward)
+                (&unplanned, Goal::Monadic, Strategy::Forward)
             }
             // An out-of-graph source (e.g. submitted before a rebuild
             // shrank the graph) evaluates to the empty answer without
@@ -1427,10 +1348,14 @@ impl QueryService {
         stamps: (u64, u64),
         result: Arc<BitSet>,
         outcome: EvalOutcome,
-        eval_ns: u64,
     ) {
         let (epoch, label_stamp) = stamps;
-        let EvalOutcome { mode, strategy } = outcome;
+        let EvalOutcome {
+            mode,
+            strategy,
+            eval_ns,
+            work,
+        } = outcome;
         if !self.eval_holdoff.is_zero() {
             std::thread::sleep(self.eval_holdoff);
         }
@@ -1449,7 +1374,7 @@ impl QueryService {
             let mut inner = self.inner.lock().unwrap();
             if inner.epoch == epoch && inner.label_stamp(&live_alphabet(&key.query)) == label_stamp
             {
-                inner.cache.insert(key.clone(), result.clone(), eval_ns);
+                inner.cache.insert(key.clone(), result.clone(), work);
                 self.counters.sync_cache_gauges(&inner.cache);
             }
             if inner
@@ -1504,6 +1429,16 @@ mod tests {
         let stats = service.stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
         assert!(stats.hit_rate() > 0.6);
+        // A language included in a resident one (a·b ⊆ a·b*) is a miss
+        // like any other: evaluated, exact, then a hit.
+        service.query_monadic(&query(&graph, "a·b*"));
+        let subset = query(&graph, "a·b");
+        let served = service.query_monadic(&subset);
+        assert!(matches!(served.served, Served::Evaluated { .. }));
+        assert_eq!(*served.result, eval_monadic(&subset, &graph));
+        assert_eq!(service.query_monadic(&subset).served, Served::Hit);
+        let stats = service.stats();
+        assert_eq!((stats.hits, stats.misses), (3, 3));
     }
 
     #[test]
@@ -1698,8 +1633,9 @@ mod tests {
             EvalOutcome {
                 mode: EvalMode::Sequential,
                 strategy: Strategy::Forward,
+                eval_ns: 1,
+                work: 1,
             },
-            1,
         );
         assert!(
             service
@@ -2012,30 +1948,6 @@ mod tests {
             after.served
         );
         assert_eq!(*after.result, eval_monadic(&qa, &service.graph().compact()));
-    }
-
-    #[test]
-    fn subsumption_probe_reuses_a_cached_superset_as_bound() {
-        let graph = figure3_g0();
-        let service = QueryService::new(graph.clone(), ServeConfig::default());
-        // Prime the cache with the superset a·b*; then a·b ⊆ a·b* is
-        // provable by inclusion and its cached answer bounds the miss.
-        let superset = query(&graph, "a·b*");
-        service.query_monadic(&superset);
-        let subset = query(&graph, "a·b");
-        let served = service.query_monadic(&subset);
-        assert!(matches!(served.served, Served::Evaluated { .. }));
-        assert_eq!(*served.result, eval_monadic(&subset, &graph), "bit-exact");
-        assert_eq!(service.stats().subsumption_reuses, 1);
-        // A non-subset miss probes but finds nothing (b ⊄ a·b*).
-        let other = query(&graph, "b");
-        assert_eq!(
-            *service.query_monadic(&other).result,
-            eval_monadic(&other, &graph)
-        );
-        assert_eq!(service.stats().subsumption_reuses, 1);
-        // The bounded result was published: a replay is a plain hit.
-        assert_eq!(service.query_monadic(&subset).served, Served::Hit);
     }
 
     #[test]

@@ -16,12 +16,16 @@
 //!   cross-thread in-flight coalescing under an eval holdoff that keeps
 //!   the window open;
 //! * label-aware **delta invalidation keeps more of the cache** than
-//!   rebuilding the graph does, by exact counters over one fixed script.
+//!   rebuilding the graph does, by exact counters over one fixed script;
+//! * under **eviction pressure** one submission list leaves the same
+//!   counters and the same resident set on every run.
 
-use pathlearn_automata::{Alphabet, BitSet, Dfa, Regex, Symbol};
+use pathlearn_automata::{Alphabet, BitSet, CanonicalQuery, Dfa, Regex, Symbol};
 use pathlearn_graph::eval::{eval_binary_from, eval_monadic};
 use pathlearn_graph::{GraphBuilder, GraphDb};
-use pathlearn_server::{QueryService, ServeConfig, Served};
+use pathlearn_server::{
+    CacheConfig, CacheKey, QueryKind, QueryService, ServeConfig, ServeStats, Served,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -262,6 +266,117 @@ fn delta_invalidation_keeps_more_hits_than_rebuilding() {
     assert_eq!((delta.hits, delta.misses), (2 + 2 + 3 + 4, 4 + 2 + 2 + 1));
     assert_eq!((rebuild.hits, rebuild.misses), (4, 4 * 4));
     assert!(delta.hits > rebuild.hits);
+}
+
+/// Which entry the cache evicts is a function of the submission list
+/// alone: GDSF ranks by a work measure the evaluation produces (not by
+/// its wall time) and breaks ties by `(fingerprint, kind)` (not by
+/// `HashMap` order). So two fresh services fed the same seeded mix
+/// through a cache of a few entries end with equal counters —
+/// `cache.evictions` included — and the same resident keys.
+#[test]
+fn counters_and_resident_set_repeat_exactly_under_eviction_pressure() {
+    let graph = ring_graph(200);
+    // Every word of length ≤ 3, and per letter pair three starred
+    // shapes — so language-included pairs (`a·b` after `a·b*`) and
+    // same-shape queries with tying costs both occur.
+    let letters = ["a", "b", "c"];
+    let mut exprs: Vec<String> = Vec::new();
+    for x in letters {
+        exprs.push(x.to_string());
+        for y in letters {
+            exprs.push(format!("{x}·{y}"));
+            exprs.push(format!("{x}·{y}*"));
+            exprs.push(format!("{x}*·{y}·c"));
+            exprs.push(format!("({x}·{y})*·c"));
+            for z in letters {
+                exprs.push(format!("{x}·{y}·{z}"));
+            }
+        }
+    }
+    let queries: Vec<CanonicalQuery> = exprs
+        .iter()
+        .map(|expr| CanonicalQuery::new(&Regex::parse(expr, graph.alphabet()).unwrap().to_dfa(3)))
+        .collect();
+    let languages: std::collections::HashSet<u64> =
+        queries.iter().map(CanonicalQuery::fingerprint).collect();
+    assert!(languages.len() >= 50, "{} languages", languages.len());
+
+    // 600 submissions, half monadic, half binary from one of four
+    // sources (the binary entries of one query share a fingerprint).
+    let mut state = 42u64;
+    let mut next = |bound: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % bound) as usize
+    };
+    let mix: Vec<CacheKey> = (0..600)
+        .map(|_| {
+            let query = queries[next(queries.len() as u64)].clone();
+            match next(8) {
+                0..=3 => CacheKey::monadic(query),
+                source => CacheKey::binary(query, (source as u32 - 4) * 50),
+            }
+        })
+        .collect();
+
+    let run = || {
+        let config = ServeConfig {
+            // Room for about seven of the ~350-byte entries.
+            cache: CacheConfig {
+                capacity_bytes: 2560,
+            },
+            ..ServeConfig::from_env()
+        };
+        let service = QueryService::new(graph.clone(), config);
+        for key in &mix {
+            let dfa = key.query.dfa();
+            let (response, expected) = match key.kind {
+                QueryKind::Monadic => (
+                    service.query_monadic_canonical(key.query.clone()),
+                    eval_monadic(dfa, &graph),
+                ),
+                QueryKind::Binary(source) => (
+                    service.query_binary_canonical(key.query.clone(), source),
+                    eval_binary_from(dfa, &graph, source),
+                ),
+            };
+            assert_eq!(*response.result, expected, "{key:?}");
+        }
+        service
+    };
+    let (first, second) = (run(), run());
+
+    let timeless = |stats: ServeStats| {
+        format!(
+            "{:?}",
+            ServeStats {
+                eval_ns_total: 0,
+                ..stats
+            }
+        )
+    };
+    assert_eq!(timeless(first.stats()), timeless(second.stats()));
+    let cache_counters = |service: &QueryService| -> Vec<(String, u64)> {
+        let mut all = service.telemetry().registry.snapshot();
+        all.retain(|(name, _)| name.starts_with("cache."));
+        all
+    };
+    let counters = cache_counters(&first);
+    assert_eq!(counters, cache_counters(&second));
+    let evictions = counters.iter().find(|(name, _)| name == "cache.evictions");
+    assert!(evictions.unwrap().1 >= 100, "no pressure: {counters:?}");
+
+    let resident = |service: &QueryService| -> Vec<bool> {
+        let epoch = service.graph_and_epoch().1;
+        mix.iter()
+            .map(|key| service.try_hit(key, epoch).unwrap().is_some())
+            .collect()
+    };
+    let kept = resident(&first);
+    assert_eq!(kept, resident(&second));
+    assert!(kept.contains(&true) && kept.contains(&false));
 }
 
 /// `(a+b)^39·a·(a+b)*` has a 41-state DFA whose reversal
