@@ -199,8 +199,8 @@ struct GraphCore {
 }
 
 /// What the step planner knows about one label in one direction —
-/// derived from the CSR by [`Adjacency::new`], and recomputed exactly
-/// for a label a delta touches.
+/// derived from the edge list when an `Adjacency` is frozen, and
+/// recomputed exactly for a label a delta touches.
 #[derive(Clone, Debug)]
 struct LabelStats {
     /// Nodes with ≥ 1 edge of the label in this direction.
@@ -248,33 +248,31 @@ struct Adjacency {
 }
 
 impl Adjacency {
-    /// Wraps a `(node, symbol)` offset table and the edge array it
-    /// indexes (each entry carrying the symbol of the partition it sits
-    /// in), deriving everything else — the per-node offsets and the
-    /// per-label statistics — in one `O(|V| + |E|)` pass: one row
-    /// boundary of the table per node, then that node's edges. They are
-    /// pure functions of the CSR, so every producer (the builder, the
-    /// snapshot decoder) gets them from here.
-    fn new(
-        sym_offsets: Vec<u32>,
-        edges: Vec<(Symbol, NodeId)>,
-        num_nodes: usize,
-        sigma: usize,
-    ) -> Self {
-        debug_assert_eq!(sym_offsets.len(), num_nodes * sigma + 1);
-        debug_assert_eq!(sym_offsets[num_nodes * sigma] as usize, edges.len());
-        let mut offsets = Vec::with_capacity(num_nodes + 1);
+    /// Freezes an edge list sorted by `(node, symbol, endpoint)`: the
+    /// order makes each `(node, symbol)` partition a contiguous slice,
+    /// so the offset table is a prefix sum over one counting pass. The
+    /// same pass derives the per-label statistics and the table's row
+    /// boundaries give the per-node offsets — all pure functions of the
+    /// edge list, so nothing else ever has to produce (or store) them.
+    fn from_sorted(sorted: &[(NodeId, Symbol, NodeId)], num_nodes: usize, sigma: usize) -> Self {
+        let mut sym_offsets = vec![0u32; num_nodes * sigma + 1];
         let mut active: Vec<BitSet> = (0..sigma).map(|_| BitSet::new(num_nodes)).collect();
         let mut edge_counts = vec![0u64; sigma];
-        for node in 0..num_nodes {
-            let (lo, hi) = (sym_offsets[node * sigma], sym_offsets[(node + 1) * sigma]);
-            offsets.push(lo);
-            for &(sym, _) in &edges[lo as usize..hi as usize] {
-                active[sym.index()].insert(node);
-                edge_counts[sym.index()] += 1;
-            }
+        for &(node, sym, _) in sorted {
+            sym_offsets[node as usize * sigma + sym.index() + 1] += 1;
+            active[sym.index()].insert(node as usize);
+            edge_counts[sym.index()] += 1;
         }
-        offsets.push(edges.len() as u32);
+        for i in 0..num_nodes * sigma {
+            sym_offsets[i + 1] += sym_offsets[i];
+        }
+        let offsets = (0..=num_nodes)
+            .map(|node| sym_offsets[node * sigma])
+            .collect();
+        let edges = sorted
+            .iter()
+            .map(|&(_, sym, endpoint)| (sym, endpoint))
+            .collect();
         let labels = active
             .into_iter()
             .zip(edge_counts)
@@ -286,24 +284,6 @@ impl Adjacency {
             edges,
             labels,
         }
-    }
-
-    /// Freezes an edge list sorted by `(node, symbol, endpoint)`: the
-    /// order makes each `(node, symbol)` partition a contiguous slice,
-    /// so the offset table is a prefix sum over one counting pass.
-    fn from_sorted(sorted: &[(NodeId, Symbol, NodeId)], num_nodes: usize, sigma: usize) -> Self {
-        let mut sym_offsets = vec![0u32; num_nodes * sigma + 1];
-        for &(node, sym, _) in sorted {
-            sym_offsets[node as usize * sigma + sym.index() + 1] += 1;
-        }
-        for i in 0..num_nodes * sigma {
-            sym_offsets[i + 1] += sym_offsets[i];
-        }
-        let edges = sorted
-            .iter()
-            .map(|&(_, sym, endpoint)| (sym, endpoint))
-            .collect();
-        Adjacency::new(sym_offsets, edges, num_nodes, sigma)
     }
 
     /// Every edge of `node`, sorted by `(label, endpoint)`.
@@ -633,21 +613,33 @@ impl DeltaOverlay {
 }
 
 impl GraphDb {
-    /// Wraps the two adjacencies of one edge set into a delta-free graph.
-    fn from_parts(
+    /// **The** constructor — the only place an edge list becomes a
+    /// graph, shared by [`GraphBuilder::build`], the snapshot decoder
+    /// and [`GraphDb::compact`]. `edges` must be sorted by
+    /// `(src, symbol, dst)` and deduplicated, with every id in range:
+    /// that order *is* the [`Dir::Out`] adjacency, and the same list
+    /// keyed by target and re-sorted is the [`Dir::In`] one.
+    fn from_sorted_edges(
         alphabet: Alphabet,
         node_names: Vec<String>,
         name_index: HashMap<String, NodeId>,
-        adj: [Adjacency; 2],
+        mut edges: Vec<(NodeId, Symbol, NodeId)>,
     ) -> GraphDb {
-        let no_label_nodes = BitSet::new(node_names.len());
+        debug_assert!(edges.windows(2).all(|pair| pair[0] < pair[1]));
+        let (n, sigma) = (node_names.len(), alphabet.len());
+        let out = Adjacency::from_sorted(&edges, n, sigma);
+        for edge in &mut edges {
+            *edge = (edge.2, edge.1, edge.0);
+        }
+        edges.sort_unstable();
+        let inn = Adjacency::from_sorted(&edges, n, sigma);
         GraphDb {
             core: std::sync::Arc::new(GraphCore {
                 alphabet,
+                no_label_nodes: BitSet::new(n),
                 node_names,
                 name_index,
-                adj,
-                no_label_nodes,
+                adj: [out, inn],
             }),
             delta: None,
         }
@@ -1240,20 +1232,22 @@ impl GraphDb {
 
     /// Folds the delta overlay into a fresh CSR, **preserving node ids
     /// and the alphabet** — result bitsets and interned symbols from the
-    /// overlay graph remain valid on the compacted one. A delta-free
-    /// graph compacts to a (cheap, structurally shared) clone of itself.
+    /// overlay graph remain valid on the compacted one. The names and
+    /// the alphabet are cloned as they are (nothing is re-interned); the
+    /// effective edge list is already in the constructor's order. A
+    /// delta-free graph compacts to a (cheap, structurally shared) clone
+    /// of itself.
     pub fn compact(&self) -> GraphDb {
         if self.delta.is_none() {
             return self.clone();
         }
-        let mut builder = GraphBuilder::with_alphabet(self.core.alphabet.clone());
-        for node in self.nodes() {
-            builder.add_node(self.node_name(node));
-        }
-        for (src, sym, dst) in self.edges() {
-            builder.add_edge_ids(src, sym, dst);
-        }
-        builder.build()
+        let core = &*self.core;
+        GraphDb::from_sorted_edges(
+            core.alphabet.clone(),
+            core.node_names.clone(),
+            core.name_index.clone(),
+            self.edges().collect(),
+        )
     }
 }
 
@@ -1347,23 +1341,14 @@ impl GraphBuilder {
         self.node_names.len()
     }
 
-    /// Finalizes the graph: deduplicates edges and freezes them once per
-    /// direction into the label-partitioned layout (one sort, one
-    /// counting pass and one prefix sum each).
+    /// Finalizes the graph: sorts and deduplicates the edges and freezes
+    /// them once per direction into the label-partitioned layout (one
+    /// sort, one counting pass and one prefix sum each).
     pub fn build(self) -> GraphDb {
-        let n = self.node_names.len();
-        let sigma = self.alphabet.len();
         let mut edges = self.edges;
         edges.sort_unstable();
         edges.dedup();
-        let out = Adjacency::from_sorted(&edges, n, sigma);
-        // The in direction is the same list keyed by target.
-        for edge in &mut edges {
-            *edge = (edge.2, edge.1, edge.0);
-        }
-        edges.sort_unstable();
-        let inn = Adjacency::from_sorted(&edges, n, sigma);
-        GraphDb::from_parts(self.alphabet, self.node_names, self.name_index, [out, inn])
+        GraphDb::from_sorted_edges(self.alphabet, self.node_names, self.name_index, edges)
     }
 }
 

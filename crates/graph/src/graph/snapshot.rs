@@ -1,63 +1,63 @@
 //! Versioned binary snapshots of a frozen [`GraphDb`].
 //!
-//! A snapshot is the on-disk twin of the in-memory label-partitioned
-//! CSR: loading one is a bounds-checked array reconstruction —
-//! `O(bytes)`, not `O(parse)` — which is what makes process restarts
-//! cheap next to re-parsing the text format of [`crate::io`]. The
-//! artifact is *derived and rebuildable*: the text graph (plus any
-//! write-ahead log of deltas, see `pathlearn-server::wal`) remains the
-//! source of truth, and a snapshot can always be regenerated from it.
+//! A snapshot is the **edge list**, not a memory image: the alphabet,
+//! the node names and the out-direction of the edge relation, each
+//! edge once. Everything else a [`GraphDb`] holds — the
+//! per-`(node, symbol)` offset tables, the in-direction, the label
+//! bitmaps, counts and average degrees — is a pure function of that
+//! list, so loading one is a bounds-checked read of the list followed
+//! by the **same private constructor** `GraphBuilder::build` ends in.
+//! A file that stored the derived sections would only be larger (the
+//! two `|V|·|Σ|` offset tables were 86 % of a format-1 file) and need
+//! a decoder pass per section to police the redundancy. The artifact is
+//! *derived and rebuildable*: the text graph (plus any write-ahead log
+//! of deltas, see `pathlearn-server::wal`) remains the source of truth,
+//! and a snapshot can always be regenerated from it.
 //!
-//! ## Layout (format version 1, all integers little-endian)
+//! ## Layout (format version 2, all integers little-endian)
 //!
 //! ```text
 //! magic            4 bytes   b"PLSG"
-//! version          u32       SNAPSHOT_VERSION (= 1)
+//! version          u32       SNAPSHOT_VERSION (= 2)
 //! num_nodes        u32       |V|
 //! num_labels       u32       |Σ|
-//! num_edges        u64       |E| (after overlay compaction + dedup)
+//! num_edges        u64       |E| (the effective edge set, deduplicated)
 //! alphabet         |Σ| × (u16 len + UTF-8 bytes), symbol order
 //! node names       |V| × (u16 len + UTF-8 bytes), node-id order
-//! out sym offsets  (|V|·|Σ| + 1) × u32
-//! out edge dsts    |E| × u32  (labels implied by the partition)
-//! in  sym offsets  (|V|·|Σ| + 1) × u32
-//! in  edge srcs    |E| × u32
-//! out label-active |Σ| × ⌈|V|/64⌉ × u64 bitmap blocks
-//! in  label-active |Σ| × ⌈|V|/64⌉ × u64 bitmap blocks
+//! out row offsets  (|V| + 1) × u32   node v's out-edges are entries
+//!                                    [offsets[v], offsets[v + 1])
+//! out edges        |E| × (u32 symbol index, u32 target node id),
+//!                  in (source, symbol, target) order
 //! digest           u64       FNV-1a over all preceding bytes as LE u64
 //!                            words (tail zero-padded, length mixed in)
 //! ```
 //!
-//! Edge labels are *not* stored per edge: within the per-`(node,
-//! symbol)` offset table every partition's symbol is known, so each
-//! direction costs 4 bytes per edge plus the offset table. Everything
-//! derived (per-label counts and average degrees, the per-node offset
-//! tables) comes from the same `Adjacency` constructor the builder
-//! uses, in one linear pass over the decoded edge array — they are pure
-//! functions of the CSR, so storing them would only add ways for a
-//! snapshot to lie. The label bitmaps *are* stored, and must equal the
-//! ones that constructor derives.
+//! That is `32 + Σ(2 + |label|) + Σ(2 + |name|) + 4·(|V| + 1) + 8·|E|`
+//! bytes — nothing of size `|V|·|Σ|` is stored.
 //!
 //! ## Strict decoding
 //!
 //! Mirroring the wire-protocol discipline of `pathlearn-server::proto`,
 //! [`GraphDb::from_snapshot_bytes`] rejects rather than repairs: bad
 //! magic or version, any truncation, trailing bytes, a digest mismatch,
-//! out-of-range node ids or offsets, unsorted or duplicated partition
-//! entries, label bitmaps disagreeing with the offset tables, and
-//! forward/backward edge lists that are not mirror images all fail with
-//! a structured [`SnapshotError`]. A snapshot that decodes at all
-//! reconstructs the graph **bit-identically**: re-encoding the decoded
-//! graph yields the original bytes, and every query answer matches the
-//! source graph's.
+//! duplicate labels or node names, row offsets that do not start at 0,
+//! decrease, or do not end at `|E|`, out-of-range symbol indices or
+//! node ids, and rows that are not strictly sorted by `(symbol,
+//! target)` (which also excludes duplicated edges) all fail with a
+//! structured [`SnapshotError`]. A format-1 file is a bad version —
+//! no reader for it is kept; re-seed from the text graph. A snapshot
+//! that decodes at all reconstructs the graph **bit-identically**:
+//! re-encoding the decoded graph yields the original bytes, and every
+//! query answer matches the source graph's.
 //!
-//! Saving a graph that carries a pending delta overlay first folds the
-//! overlay into a fresh CSR ([`GraphDb::compact`] — node ids and the
-//! alphabet are preserved), so a snapshot always captures the
-//! *effective* edge set and never needs to encode overlay state.
+//! Saving a graph that carries a pending delta overlay writes its
+//! *effective* edge set: the encoder walks [`GraphDb::edges_of`], which
+//! merges the overlay in order, so the bytes equal those of the
+//! compacted graph while the graph itself is left as it is — nothing is
+//! folded on the write path and a snapshot never encodes overlay state.
 
-use super::{Adjacency, Dir, GraphDb, NodeId};
-use pathlearn_automata::{Alphabet, BitSet, Symbol};
+use super::{Dir, GraphDb, NodeId};
+use pathlearn_automata::{Alphabet, Symbol};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Write;
@@ -69,7 +69,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PLSG";
 /// The snapshot format version this build reads and writes. Decoding
 /// any other version fails with [`SnapshotError::BadVersion`] — format
 /// evolution is explicit, never silent.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot failed to decode (or a file failed to read/write).
 /// Every variant means the graph was **not** loaded — a snapshot is
@@ -80,7 +80,9 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The file does not start with [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The format version is not [`SNAPSHOT_VERSION`].
+    /// The format version is not [`SNAPSHOT_VERSION`]. There is no
+    /// reader for other versions: the data dir is re-seeded from the
+    /// text graph (the `Display` text says so).
     BadVersion {
         /// The version field found in the header.
         found: u32,
@@ -113,8 +115,8 @@ pub enum SnapshotError {
         /// The exclusive limit it violated.
         limit: u64,
     },
-    /// A structural invariant failed (unsorted partitions, duplicate
-    /// names, non-mirrored edge directions, bitmap disagreement, …).
+    /// A structural invariant failed (unsorted rows, duplicate names,
+    /// row offsets that decrease or miss the edge count, …).
     Malformed(String),
 }
 
@@ -123,6 +125,13 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
             SnapshotError::BadMagic => write!(f, "not a pathlearn snapshot (bad magic)"),
+            SnapshotError::BadVersion { found } if *found < SNAPSHOT_VERSION => write!(
+                f,
+                "snapshot version {found} was written by an older build (this build reads \
+                 {SNAPSHOT_VERSION}): re-seed the data dir from the text graph — move the old \
+                 snapshot aside and start with the text graph as the fallback; a non-empty \
+                 wal.log beside it holds acknowledged writes only the older build can fold in"
+            ),
             SnapshotError::BadVersion { found } => write!(
                 f,
                 "unsupported snapshot version {found} (this build reads {SNAPSHOT_VERSION})"
@@ -204,23 +213,21 @@ fn push_string(out: &mut Vec<u8>, text: &str) -> Result<(), SnapshotError> {
 }
 
 impl GraphDb {
-    /// Serializes this graph to the versioned binary snapshot format.
-    /// A pending delta overlay is compacted first, so the bytes always
-    /// describe the effective edge set; the result round-trips through
+    /// Serializes this graph to the versioned binary snapshot format:
+    /// names plus the **effective** out-edge list. A pending delta
+    /// overlay is merged row by row as it is written (the graph itself
+    /// is not compacted), so the bytes are exactly those of
+    /// `self.compact()`; the result round-trips through
     /// [`GraphDb::from_snapshot_bytes`] bit-identically.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        if self.delta.is_some() {
-            return self.compact().snapshot_bytes();
-        }
         let core = &*self.core;
         let n = core.node_names.len();
-        let sigma = core.alphabet.len();
         let m = self.num_edges();
-        let mut out = Vec::with_capacity(32 + 8 * (n * sigma + 1) + 8 * m + 16 * n);
+        let mut out = Vec::with_capacity(32 + 4 * (n + 1) + 8 * m + 16 * n);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&(n as u32).to_le_bytes());
-        out.extend_from_slice(&(sigma as u32).to_le_bytes());
+        out.extend_from_slice(&(core.alphabet.len() as u32).to_le_bytes());
         out.extend_from_slice(&(m as u64).to_le_bytes());
         for (_, label) in core.alphabet.entries() {
             push_string(&mut out, label).expect("alphabet labels fit u16 lengths");
@@ -228,21 +235,22 @@ impl GraphDb {
         for name in &core.node_names {
             push_string(&mut out, name).expect("node names fit u16 lengths");
         }
-        for adj in &core.adj {
-            for &offset in &adj.sym_offsets {
-                out.extend_from_slice(&offset.to_le_bytes());
+        // The offset table precedes the rows it indexes but is only
+        // known once they are walked: reserve it, fill it in as we go.
+        let offsets_at = out.len();
+        out.resize(offsets_at + 4 * (n + 1), 0);
+        let mut written = 0u32;
+        for node in self.nodes() {
+            let row = self.edges_of(Dir::Out, node);
+            for &(sym, target) in row.iter() {
+                out.extend_from_slice(&(sym.index() as u32).to_le_bytes());
+                out.extend_from_slice(&target.to_le_bytes());
             }
-            for &(_, endpoint) in &adj.edges {
-                out.extend_from_slice(&endpoint.to_le_bytes());
-            }
+            written += row.len() as u32;
+            let slot = offsets_at + 4 * (node as usize + 1);
+            out[slot..slot + 4].copy_from_slice(&written.to_le_bytes());
         }
-        for adj in &core.adj {
-            for label in &adj.labels {
-                for &block in label.active.as_blocks() {
-                    out.extend_from_slice(&block.to_le_bytes());
-                }
-            }
-        }
+        debug_assert_eq!(written as usize, m);
         let digest = fnv1a(&out);
         out.extend_from_slice(&digest.to_le_bytes());
         out
@@ -365,114 +373,22 @@ impl<'a> Decoder<'a> {
             .map_err(|_| SnapshotError::Malformed("name is not valid UTF-8".into()))
     }
 
-    fn u32_vec(&mut self, count: usize) -> Result<Vec<u32>, SnapshotError> {
-        let raw = self.take(count.checked_mul(4).ok_or(SnapshotError::OutOfRange {
+    /// Takes `count` fixed-width entries, the byte length checked
+    /// against overflow before it is checked against the buffer.
+    fn array(&mut self, count: usize, width: usize) -> Result<&'a [u8], SnapshotError> {
+        let len = count.checked_mul(width).ok_or(SnapshotError::OutOfRange {
             what: "array length",
             value: count as u64,
-            limit: u64::MAX / 4,
-        })?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4")))
-            .collect())
-    }
-
-    /// Reads one direction's offset table + endpoint array and rebuilds
-    /// its [`Adjacency`], validating monotone offsets, in-range
-    /// endpoints, and strictly sorted (deduplicated) partitions — the
-    /// invariant the binary-searching kernels rely on.
-    fn direction(
-        &mut self,
-        n: usize,
-        sigma: usize,
-        m: usize,
-        what: &'static str,
-    ) -> Result<Adjacency, SnapshotError> {
-        let sym_offsets = self.u32_vec(n * sigma + 1)?;
-        if sym_offsets[0] != 0 {
-            return Err(SnapshotError::Malformed(format!(
-                "{what} offsets do not start at 0"
-            )));
-        }
-        if sym_offsets[n * sigma] as usize != m {
-            return Err(SnapshotError::Malformed(format!(
-                "{what} offsets end at {} instead of the edge count {m}",
-                sym_offsets[n * sigma]
-            )));
-        }
-        for window in sym_offsets.windows(2) {
-            if window[1] < window[0] {
-                return Err(SnapshotError::Malformed(format!(
-                    "{what} offsets decrease ({} then {})",
-                    window[0], window[1]
-                )));
-            }
-        }
-        let endpoints = self.u32_vec(m)?;
-        let mut edges = Vec::with_capacity(m);
-        for cell in 0..n * sigma {
-            let sym = Symbol::from_index(cell % sigma);
-            let (lo, hi) = (sym_offsets[cell] as usize, sym_offsets[cell + 1] as usize);
-            let mut previous: Option<u32> = None;
-            for &endpoint in &endpoints[lo..hi] {
-                if endpoint as usize >= n {
-                    return Err(SnapshotError::OutOfRange {
-                        what: "node id",
-                        value: endpoint as u64,
-                        limit: n as u64,
-                    });
-                }
-                if previous.is_some_and(|p| p >= endpoint) {
-                    return Err(SnapshotError::Malformed(format!(
-                        "{what} partition not strictly sorted at edge {endpoint}"
-                    )));
-                }
-                previous = Some(endpoint);
-                edges.push((sym, endpoint));
-            }
-        }
-        Ok(Adjacency::new(sym_offsets, edges, n, sigma))
-    }
-
-    /// Reads one direction's stored label bitmaps and checks each
-    /// against the one `adj` derived from the offset table: bit `v` must
-    /// be set exactly when node `v`'s partition for that label is
-    /// nonempty. A bitmap cannot disagree with the edges it summarizes.
-    fn bitmaps(
-        &mut self,
-        n: usize,
-        adj: &Adjacency,
-        what: &'static str,
-    ) -> Result<(), SnapshotError> {
-        let words = n.div_ceil(BitSet::BLOCK_BITS);
-        for (si, label) in adj.labels.iter().enumerate() {
-            let raw = self.take(words * 8)?;
-            let blocks: Vec<u64> = raw
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8")))
-                .collect();
-            let stored = BitSet::from_blocks(n, &blocks).ok_or_else(|| {
-                SnapshotError::Malformed(format!("{what} bitmap {si} has bits beyond |V|"))
-            })?;
-            if stored != label.active {
-                return Err(SnapshotError::Malformed(format!(
-                    "{what} bitmap {si} disagrees with the offset table"
-                )));
-            }
-        }
-        Ok(())
+            limit: (usize::MAX / width) as u64,
+        })?;
+        self.take(len)
     }
 
     fn decode(mut self) -> Result<GraphDb, SnapshotError> {
         let n = self.u32()? as usize;
         let sigma = self.u32()? as usize;
         let m64 = self.u64()?;
-        let m = usize::try_from(m64).map_err(|_| SnapshotError::OutOfRange {
-            what: "edge count",
-            value: m64,
-            limit: usize::MAX as u64,
-        })?;
-        // An offset table entry is u32, so the edge count must fit one.
+        // A row offset is u32, so the edge count must fit one.
         if m64 > u32::MAX as u64 {
             return Err(SnapshotError::OutOfRange {
                 what: "edge count",
@@ -480,6 +396,9 @@ impl<'a> Decoder<'a> {
                 limit: u32::MAX as u64,
             });
         }
+        let m = m64 as usize;
+        // The per-`(node, symbol)` table is not in the file, but the
+        // constructor derives it: its size must not overflow either.
         n.checked_mul(sigma)
             .and_then(|cells| cells.checked_add(1))
             .and_then(|cells| cells.checked_mul(4))
@@ -514,57 +433,83 @@ impl<'a> Decoder<'a> {
             node_names.push(name);
         }
 
-        let adj = [
-            self.direction(n, sigma, m, "forward")?,
-            self.direction(n, sigma, m, "backward")?,
-        ];
-        self.bitmaps(n, &adj[Dir::Out as usize], "out label")?;
-        self.bitmaps(n, &adj[Dir::In as usize], "in label")?;
+        let u32_at = |raw: &[u8]| u32::from_le_bytes(raw.try_into().expect("4"));
+        let offsets: Vec<u32> = self.array(n + 1, 4)?.chunks_exact(4).map(u32_at).collect();
+        if offsets[0] != 0 {
+            return Err(SnapshotError::Malformed(
+                "row offsets do not start at 0".into(),
+            ));
+        }
+        if let Some(window) = offsets.windows(2).find(|window| window[1] < window[0]) {
+            return Err(SnapshotError::Malformed(format!(
+                "row offsets decrease ({} then {})",
+                window[0], window[1]
+            )));
+        }
+        if offsets[n] as usize != m {
+            return Err(SnapshotError::Malformed(format!(
+                "row offsets end at {} instead of the edge count {m}",
+                offsets[n]
+            )));
+        }
+        let mut pairs = self
+            .array(m, 8)?
+            .chunks_exact(8)
+            .map(|raw| (u32_at(&raw[..4]), u32_at(&raw[4..])));
         if self.pos != self.end {
             return Err(SnapshotError::TrailingBytes {
                 extra: self.end - self.pos,
             });
         }
 
-        // The two directions must be mirror images: every forward edge
-        // (src --sym--> dst) appears as src in the backward partition
-        // of (dst, sym). Both lists hold exactly m strictly sorted
-        // entries, so containment one way is equality.
-        let [out, inn] = &adj;
-        for (cell, window) in out.sym_offsets.windows(2).enumerate() {
-            let src = (cell / sigma) as NodeId;
-            let sym = Symbol::from_index(cell % sigma);
-            for &(_, dst) in &out.edges[window[0] as usize..window[1] as usize] {
-                if inn
-                    .neighbors(dst, sym)
-                    .binary_search_by_key(&src, |&(_, s)| s)
-                    .is_err()
-                {
+        // Rows in node order, each strictly sorted by `(symbol, target)`
+        // with every id in range: exactly the sorted, deduplicated list
+        // the constructor takes (and the binary-searching kernels rely
+        // on). The offsets are monotone from 0 to `m`, so the rows
+        // consume the `m` pairs exactly.
+        let mut edges = Vec::with_capacity(m);
+        for (src, window) in offsets.windows(2).enumerate() {
+            let mut previous = None;
+            for (sym, target) in pairs.by_ref().take((window[1] - window[0]) as usize) {
+                if sym as usize >= sigma {
+                    return Err(SnapshotError::OutOfRange {
+                        what: "symbol index",
+                        value: sym as u64,
+                        limit: sigma as u64,
+                    });
+                }
+                if target as usize >= n {
+                    return Err(SnapshotError::OutOfRange {
+                        what: "node id",
+                        value: target as u64,
+                        limit: n as u64,
+                    });
+                }
+                if previous.is_some_and(|p| p >= (sym, target)) {
                     return Err(SnapshotError::Malformed(format!(
-                        "backward direction is missing edge {src} --{}--> {dst}",
-                        sym.index()
+                        "row of node {src} not strictly sorted at ({sym}, {target})"
                     )));
                 }
+                previous = Some((sym, target));
+                edges.push((src as NodeId, Symbol::from_index(sym as usize), target));
             }
         }
-
-        Ok(GraphDb::from_parts(alphabet, node_names, name_index, adj))
+        Ok(GraphDb::from_sorted_edges(
+            alphabet, node_names, name_index, edges,
+        ))
     }
-}
-
-/// Convenience for tests and tools: builds a graph from an edge list
-/// and round-trips it through the snapshot codec, returning both.
-#[doc(hidden)]
-pub fn roundtrip_for_tests(graph: &GraphDb) -> (Vec<u8>, GraphDb) {
-    let bytes = graph.snapshot_bytes();
-    let decoded = GraphDb::from_snapshot_bytes(&bytes).expect("round-trip decode");
-    (bytes, decoded)
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::{figure3_g0, GraphBuilder};
     use super::*;
+
+    fn roundtrip(graph: &GraphDb) -> (Vec<u8>, GraphDb) {
+        let bytes = graph.snapshot_bytes();
+        let decoded = GraphDb::from_snapshot_bytes(&bytes).expect("round-trip decode");
+        (bytes, decoded)
+    }
 
     #[test]
     fn roundtrip_is_bit_identical_on_g0() {
@@ -588,14 +533,14 @@ mod tests {
     #[test]
     fn roundtrip_handles_empty_and_edgeless_graphs() {
         let empty = GraphBuilder::new().build();
-        let (bytes, decoded) = roundtrip_for_tests(&empty);
+        let (bytes, decoded) = roundtrip(&empty);
         assert_eq!(decoded.num_nodes(), 0);
         assert_eq!(decoded.snapshot_bytes(), bytes);
 
         let mut builder = GraphBuilder::new();
         builder.add_node("lonely");
         let lonely = builder.build();
-        let (_, decoded) = roundtrip_for_tests(&lonely);
+        let (_, decoded) = roundtrip(&lonely);
         assert_eq!(decoded.num_nodes(), 1);
         assert_eq!(decoded.num_edges(), 0);
         assert_eq!(decoded.node_name(0), "lonely");
@@ -689,51 +634,87 @@ mod tests {
     }
 
     #[test]
-    fn strict_decode_rejects_out_of_range_ids_and_lying_bitmaps() {
+    fn strict_decode_rejects_out_of_range_ids_symbols_and_unsorted_rows() {
         let g0 = figure3_g0();
         let bytes = g0.snapshot_bytes();
         let n = g0.num_nodes();
-        let sigma = g0.alphabet().len();
-        // Locate the first out-edge destination: header (24) + alphabet
-        // + names + offset table.
-        let mut pos = 24;
+        // Locate the row offsets: header (24) + alphabet + names; the
+        // `(symbol, target)` pairs follow the |V| + 1 offsets.
+        let mut offsets_at = 24;
         for (_, label) in g0.alphabet().entries() {
-            pos += 2 + label.len();
+            offsets_at += 2 + label.len();
         }
         for node in g0.nodes() {
-            pos += 2 + g0.node_name(node).len();
+            offsets_at += 2 + g0.node_name(node).len();
         }
-        pos += 4 * (n * sigma + 1);
-
-        // Out-of-range node id, digest re-stamped so only the range
-        // check can reject it.
-        let mut bad = bytes.clone();
-        bad[pos..pos + 4].copy_from_slice(&(n as u32 + 7).to_le_bytes());
-        let end = bad.len() - 8;
-        let digest = fnv1a(&bad[..end]);
-        bad[end..].copy_from_slice(&digest.to_le_bytes());
+        let pairs_at = offsets_at + 4 * (n + 1);
+        let u32_at =
+            |bytes: &[u8], pos: usize| u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        // Decodes `bytes` with `patch` applied and the digest re-stamped,
+        // so only the structural check under test can reject it.
+        let decode_patched = |patch: &dyn Fn(&mut Vec<u8>)| {
+            let mut bad = bytes.clone();
+            patch(&mut bad);
+            let end = bad.len() - 8;
+            let digest = fnv1a(&bad[..end]);
+            bad[end..].copy_from_slice(&digest.to_le_bytes());
+            GraphDb::from_snapshot_bytes(&bad).map(|_| ())
+        };
+        let put = |bad: &mut Vec<u8>, pos: usize, value: u32| {
+            bad[pos..pos + 4].copy_from_slice(&value.to_le_bytes())
+        };
         assert!(
-            matches!(
-                GraphDb::from_snapshot_bytes(&bad),
-                Err(SnapshotError::OutOfRange {
-                    what: "node id",
-                    ..
-                })
-            ),
-            "an out-of-range destination id must be rejected even with a valid digest"
+            decode_patched(&|_| ()).is_ok(),
+            "the re-stamp itself is sound"
         );
 
-        // A lying label bitmap (bit cleared for an active node),
-        // digest re-stamped: the offset-table cross-check catches it.
-        let bitmap_pos = bytes.len() - 8 - 2 * sigma * n.div_ceil(64) * 8;
-        let mut bad = bytes.clone();
-        bad[bitmap_pos] ^= 0xff;
-        let end = bad.len() - 8;
-        let digest = fnv1a(&bad[..end]);
-        bad[end..].copy_from_slice(&digest.to_le_bytes());
+        // v1's row is (a, v2), (b, v7): pairs 0 and 1.
+        assert!(matches!(
+            decode_patched(&|bad| put(bad, pairs_at + 4, n as u32 + 7)),
+            Err(SnapshotError::OutOfRange {
+                what: "node id",
+                ..
+            })
+        ));
+        assert!(matches!(
+            decode_patched(&|bad| put(bad, pairs_at, 3)),
+            Err(SnapshotError::OutOfRange {
+                what: "symbol index",
+                value: 3,
+                limit: 3,
+            })
+        ));
+        // Swapping the row's two pairs leaves every id in range but the
+        // row out of `(symbol, target)` order.
+        let unsorted = decode_patched(&|bad| {
+            let (first, second) = (pairs_at..pairs_at + 8, pairs_at + 8..pairs_at + 16);
+            let saved = bad[first.clone()].to_vec();
+            bad.copy_within(second.clone(), first.start);
+            bad[second].copy_from_slice(&saved);
+        });
+        assert!(matches!(unsorted, Err(SnapshotError::Malformed(why)) if why.contains("sorted")));
+        // A duplicated edge: pair 1 overwritten by a copy of pair 0.
+        let duplicated =
+            decode_patched(&|bad| bad.copy_within(pairs_at..pairs_at + 8, pairs_at + 8));
+        assert!(matches!(duplicated, Err(SnapshotError::Malformed(why)) if why.contains("sorted")));
+
+        // Offsets that decrease (v2's row would start before v1's ends)…
+        let decreasing = decode_patched(&|bad| {
+            let second = u32_at(bad, offsets_at + 8);
+            put(bad, offsets_at + 4, second + 1);
+        });
         assert!(
-            GraphDb::from_snapshot_bytes(&bad).is_err(),
-            "a bitmap disagreeing with the offsets must be rejected"
+            matches!(decreasing, Err(SnapshotError::Malformed(why)) if why.contains("decrease"))
+        );
+        // …that do not start at 0, and that do not end at |E|.
+        let late_start = decode_patched(&|bad| put(bad, offsets_at, 1));
+        assert!(matches!(late_start, Err(SnapshotError::Malformed(why)) if why.contains("start")));
+        let short_end = decode_patched(&|bad| {
+            let last = u32_at(bad, offsets_at + 4 * n);
+            put(bad, offsets_at + 4 * n, last - 1);
+        });
+        assert!(
+            matches!(short_end, Err(SnapshotError::Malformed(why)) if why.contains("edge count"))
         );
     }
 
@@ -741,7 +722,7 @@ mod tests {
     fn decoded_graph_answers_queries_identically() {
         use crate::eval::eval_monadic;
         let g0 = figure3_g0();
-        let (_, decoded) = roundtrip_for_tests(&g0);
+        let (_, decoded) = roundtrip(&g0);
         for expr in ["(a·b)*·c", "a", "b·b·c·c"] {
             let dfa = pathlearn_automata::Regex::parse(expr, g0.alphabet())
                 .unwrap()

@@ -43,8 +43,9 @@
 //!   forest fire), the paper's §6 future-work direction;
 //! * [`io`] — a line-oriented text format and Graphviz export;
 //! * [`graph::snapshot`] — a versioned little-endian binary snapshot of
-//!   a frozen [`GraphDb`] (strict, digest-checked decode) so restarts
-//!   load in `O(bytes)` instead of re-parsing text.
+//!   a [`GraphDb`]'s edge list (strict, digest-checked decode), so
+//!   restarts read it and run the builder's constructor instead of
+//!   re-parsing text.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -6,9 +6,13 @@
 //! on:
 //!
 //! * **encode∘decode is the identity on bytes** — decoding a snapshot
-//!   and re-encoding the result reproduces the original byte string,
-//!   so every stored *and* derived field (offset tables, bitmaps,
-//!   degree statistics) survives the trip exactly;
+//!   and re-encoding the result reproduces the original byte string;
+//! * **a pending overlay is merged, not compacted** — an overlay
+//!   graph's bytes equal its compacted twin's, and the decode carries
+//!   no delta;
+//! * **the file is the edge list** — its length is exactly header +
+//!   alphabet + names + `|V| + 1` row offsets + `|E|` pairs + digest,
+//!   nothing of size `|V|·|Σ|`;
 //! * **decoded graphs answer queries identically** — monadic and
 //!   binary evaluation on the decoded graph match the source graph on
 //!   random queries;
@@ -17,7 +21,7 @@
 //!   indices, so a decode that re-sorted the labels would relabel them;
 //! * **corruption is never a wrong answer** — any single bit flip and
 //!   any truncation decodes to a [`SnapshotError`], never to a graph;
-//! * **format version 1 is what it was** — the Figure 3 graph's
+//! * **format version 2 is what it is** — the Figure 3 graph's
 //!   snapshot has a pinned byte length and digest.
 
 use pathlearn_automata::{Alphabet, Dfa, Regex, Symbol};
@@ -106,7 +110,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// encode ∘ decode = identity on bytes, for overlay-free graphs and
-    /// for graphs carrying a pending overlay (compacted on save).
+    /// for graphs carrying a pending overlay (merged on save: the bytes
+    /// are the compacted graph's, the decode has no delta).
     #[test]
     fn snapshot_roundtrips_bit_identically(
         graph in arb_graph(),
@@ -116,7 +121,9 @@ proptest! {
         let bytes = graph.snapshot_bytes();
         let decoded = GraphDb::from_snapshot_bytes(&bytes)
             .expect("a just-encoded snapshot must decode");
-        prop_assert_eq!(decoded.snapshot_bytes(), bytes);
+        prop_assert_eq!(decoded.snapshot_bytes(), &bytes[..]);
+        prop_assert_eq!(graph.compact().snapshot_bytes(), bytes);
+        prop_assert!(!decoded.has_delta());
 
         // The decoded graph is the overlay's effective edge set.
         let decoded_edges: HashSet<Edge> = decoded.edges().collect();
@@ -126,6 +133,22 @@ proptest! {
         for node in graph.nodes() {
             prop_assert_eq!(decoded.node_name(node), graph.node_name(node));
         }
+    }
+
+    /// The file is the edge list and nothing derived from it: its size
+    /// is linear in `|V| + |E|`, with no `|V|·|Σ|` term.
+    #[test]
+    fn snapshot_size_is_exactly_names_offsets_and_pairs(
+        graph in arb_graph(),
+        batches in arb_batches(),
+    ) {
+        let graph = overlayed(&graph, &batches);
+        let labels: usize = graph.alphabet().entries().map(|(_, label)| 2 + label.len()).sum();
+        let names: usize = graph.nodes().map(|node| 2 + graph.node_name(node).len()).sum();
+        prop_assert_eq!(
+            graph.snapshot_bytes().len(),
+            32 + labels + names + 4 * (graph.num_nodes() + 1) + 8 * graph.num_edges()
+        );
     }
 
     /// Decoded graphs are observably the same database: monadic and
@@ -232,18 +255,17 @@ fn g0_file_roundtrip() {
 }
 
 /// The format pin: byte length and trailing FNV digest of the Figure 3
-/// graph's snapshot, recorded from the build *before* `GraphCore` was
-/// regrouped into one `Adjacency` per direction. The digest covers
-/// every preceding byte, so a refactor of the in-memory layout that
-/// moved, reordered or re-derived any stored field differently fails
-/// here — "format version 1 did not change" is a test, not a reading
-/// of the diff. A deliberate format change bumps `SNAPSHOT_VERSION` and
-/// re-records these.
+/// graph's snapshot (32 framing + 9 alphabet + 28 names + 32 offsets +
+/// 120 pairs). The digest covers every preceding byte, so a change that
+/// moved, reordered or widened any stored field fails here — "format
+/// version 2 did not change" is a test, not a reading of the diff. A
+/// deliberate format change bumps `SNAPSHOT_VERSION` and re-records
+/// these.
 #[test]
-fn format_v1_bytes_are_pinned_on_g0() {
-    assert_eq!(pathlearn_graph::SNAPSHOT_VERSION, 1);
+fn format_v2_bytes_are_pinned_on_g0() {
+    assert_eq!(pathlearn_graph::SNAPSHOT_VERSION, 2);
     let bytes = pathlearn_graph::graph::figure3_g0().snapshot_bytes();
-    assert_eq!(bytes.len(), 413);
+    assert_eq!(bytes.len(), 221);
     let digest = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    assert_eq!(digest, 0xef43_d4d1_1d9f_e3be);
+    assert_eq!(digest, 0xf828_1acf_524d_f99e);
 }

@@ -899,10 +899,13 @@ impl QueryService {
     /// whose log append fails is never applied).
     ///
     /// After a successful apply the WAL is checkpointed if it has grown
-    /// past its record threshold (fresh snapshot + truncate); a failed
-    /// checkpoint does **not** fail the write — the batch is already
-    /// durable in the WAL — it is reported on stderr and retried on
-    /// the next write.
+    /// past its record threshold (fresh snapshot + truncate). The
+    /// snapshot is written from the served graph **as it is** — the
+    /// encoder merges a pending overlay into the bytes, nothing is
+    /// compacted for the checkpoint and the served handle keeps its
+    /// overlay. A failed checkpoint does **not** fail the write — the
+    /// batch is already durable in the WAL — it is reported on stderr
+    /// and retried on the next write.
     ///
     /// Without attached persistence this is exactly [`QueryService::apply_delta`].
     pub fn apply_delta_durable(
@@ -931,20 +934,13 @@ impl QueryService {
         let applied = self
             .apply_delta(add, remove)
             .map_err(DeltaCommitError::Rejected)?;
-        if persistence.wal_records() > persistence.checkpoint_threshold() {
-            // Compact only when actually checkpointing — folding the
-            // overlay into a fresh CSR is the expensive part.
-            match persistence.maybe_checkpoint(&self.graph().compact()) {
-                Ok(checkpointed) => {
-                    if checkpointed {
-                        self.counters.wal_checkpoints.inc();
-                    }
-                }
-                Err(error) => {
-                    // Best-effort: the write is already durable in the WAL.
-                    self.counters.wal_checkpoint_failures.inc();
-                    eprintln!("warning: checkpoint failed (will retry on next write): {error}");
-                }
+        match persistence.maybe_checkpoint(&self.graph()) {
+            Ok(true) => self.counters.wal_checkpoints.inc(),
+            Ok(false) => {}
+            Err(error) => {
+                // Best-effort: the write is already durable in the WAL.
+                self.counters.wal_checkpoint_failures.inc();
+                eprintln!("warning: checkpoint failed (will retry on next write): {error}");
             }
         }
         Ok(applied)

@@ -45,7 +45,9 @@
 //! Replay cost grows with the WAL, so once the log holds more than a
 //! configurable number of records, [`Persistence::maybe_checkpoint`]
 //! writes a fresh snapshot (atomically: temp file + rename, see
-//! `GraphDb::save_snapshot`) and then truncates the WAL. The ordering
+//! `GraphDb::save_snapshot`) and then truncates the WAL. The snapshot
+//! is the graph's *effective* edge list, so the caller passes the
+//! served graph as it is, pending overlay and all. The ordering
 //! makes every crash point safe: if the process dies after the
 //! snapshot lands but before the truncate, the next recovery replays
 //! the full WAL onto a snapshot that already contains those batches —
@@ -120,8 +122,12 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// Same FNV-1a as the snapshot codec and `CanonicalQuery::fingerprint`
-/// — stable across builds, unlike `DefaultHasher`.
+/// Byte-wise FNV-1a with the constants `CanonicalQuery::fingerprint`
+/// uses — stable across builds, unlike `DefaultHasher`. **Not** the
+/// snapshot codec's digest: that one shares the constants but consumes
+/// little-endian `u64` words and mixes the length in, so the two are
+/// not interchangeable (records are tens of bytes; snapshots are
+/// megabytes walked on every load).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &byte in bytes {
@@ -392,7 +398,9 @@ impl Persistence {
     /// seeding it on first run.
     ///
     /// * `graph.snap` present → strict decode (damage is fatal, with a
-    ///   diagnostic — a snapshot is never "partially" loaded);
+    ///   diagnostic — a snapshot is never "partially" loaded; a file in
+    ///   an older format version is rejected the same way, left in
+    ///   place, and the diagnostic says to re-seed from the text graph);
     /// * absent → `fallback()` supplies the graph (e.g. parsed from the
     ///   text format) and a fresh snapshot is written;
     /// * then the WAL replays in append order (torn tail truncated) and
@@ -462,8 +470,9 @@ impl Persistence {
     }
 
     /// Checkpoints if the WAL has grown past the record threshold:
-    /// writes `graph` as a fresh snapshot (atomic rename), then
-    /// truncates the WAL. Returns whether a checkpoint happened.
+    /// writes `graph` (overlay merged into the bytes, the graph itself
+    /// untouched) as a fresh snapshot (atomic rename), then truncates
+    /// the WAL. Returns whether a checkpoint happened.
     ///
     /// Crash-safe at every interleaving: dying between snapshot and
     /// truncate merely makes the next recovery replay batches the
@@ -655,9 +664,7 @@ mod tests {
             let add = [(i % 3, a, (i + 1) % 3)];
             persistence.log_batch(&add, &[]).expect("log");
             graph = graph.with_delta(&add, &[]).unwrap();
-            let did = persistence
-                .maybe_checkpoint(&graph.compact())
-                .expect("maybe");
+            let did = persistence.maybe_checkpoint(&graph).expect("maybe");
             assert_eq!(did, i == 2, "only the past-threshold append checkpoints");
         }
         assert_eq!(persistence.wal_records(), 0, "checkpoint truncates the WAL");
@@ -692,6 +699,40 @@ mod tests {
                 other.map(|_| ())
             ),
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A data dir left by a build that wrote format version 1: recovery
+    /// refuses it with the remedy in the message, never runs the
+    /// fallback loader, and leaves the old file exactly as it was.
+    #[test]
+    fn recovery_rejects_an_older_format_snapshot_and_names_the_remedy() {
+        let dir = scratch_dir("v1-snap");
+        let snap = dir.join(SNAPSHOT_FILE);
+        let mut old = b"PLSG".to_vec();
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.extend_from_slice(&[0xab; 64]);
+        std::fs::write(&snap, &old).expect("plant a v1 file");
+        let fallback_ran = std::cell::Cell::new(false);
+        let error = Persistence::recover(&dir, 1024, || {
+            fallback_ran.set(true);
+            Ok(tiny_graph())
+        })
+        .err()
+        .expect("a v1 snapshot must not recover");
+        assert!(matches!(
+            error,
+            RecoverError::Snapshot(SnapshotError::BadVersion { found: 1 })
+        ));
+        let message = error.to_string();
+        for needle in ["older build", "re-seed", "text graph", "wal.log"] {
+            assert!(message.contains(needle), "{message:?} lacks {needle:?}");
+        }
+        assert!(
+            !fallback_ran.get(),
+            "the fallback must not replace old data"
+        );
+        assert_eq!(std::fs::read(&snap).expect("reread"), old);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,7 +15,10 @@
 //! * the final WAL record is **torn** — the process died mid-append,
 //!   leaving a header whose extent crosses EOF or a record whose
 //!   digest fails at EOF. That batch was never acknowledged, so
-//!   recovery must drop it silently and keep everything before it.
+//!   recovery must drop it silently and keep everything before it;
+//! * the checkpoint fired while the served graph carried a **pending
+//!   overlay**: the snapshot holds the overlay's effective edge list,
+//!   and the served graph was not compacted to write it.
 //!
 //! Identity is asserted at the strongest level available: the
 //! recovered graph's snapshot encoding equals the never-crashed
@@ -23,7 +26,7 @@
 
 use pathlearn_automata::{Alphabet, Dfa, Regex, Symbol};
 use pathlearn_graph::{GraphBuilder, GraphDb, NodeId};
-use pathlearn_server::wal::{Persistence, WAL_FILE};
+use pathlearn_server::wal::{Persistence, SNAPSHOT_FILE, WAL_FILE};
 use pathlearn_server::{DeltaCommitError, QueryService, ServeConfig};
 use proptest::prelude::*;
 use std::io::Write;
@@ -288,6 +291,77 @@ fn stale_snapshot_plus_torn_tail_recovers_acknowledged_state() {
         .unwrap()
         .compact();
     assert_eq!(recovered.graph.snapshot_bytes(), expected.snapshot_bytes());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint over a pending overlay: the snapshot is written from
+/// the served graph as it is — the file holds the overlay's effective
+/// edge list, the served handle still carries its overlay afterwards
+/// (nothing was compacted behind the readers' backs) — and a restart
+/// from that dir, with nothing left to replay, is bit-identical to the
+/// service that never crashed.
+#[test]
+fn checkpoint_over_a_pending_overlay_leaves_the_served_graph_alone() {
+    let dir = scratch_dir();
+    let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
+    builder.add_edge("x", "a", "y");
+    builder.add_edge("y", "b", "z");
+    let base = builder.build();
+    let a = base.alphabet().symbol("a").unwrap();
+    let (x, y, z) = (
+        base.node_id("x").unwrap(),
+        base.node_id("y").unwrap(),
+        base.node_id("z").unwrap(),
+    );
+    let batches: [(Vec<Edge>, Vec<Edge>); 2] = [
+        (vec![(x, a, z)], vec![]),
+        (vec![(z, a, x)], vec![(x, a, y)]),
+    ];
+
+    // Threshold 1: the second acknowledged batch crosses it.
+    let recovered = {
+        let base = base.clone();
+        Persistence::recover(&dir, 1, move || Ok(base)).expect("seed")
+    };
+    let durable = QueryService::new(recovered.graph, ServeConfig::default());
+    durable.attach_persistence(recovered.persistence);
+    let reference = QueryService::new(base.clone(), ServeConfig::default());
+    for (add, remove) in &batches {
+        durable.apply_delta_durable(add, remove).expect("ack");
+        reference.apply_delta(add, remove).expect("reference apply");
+    }
+    let checkpoints = durable.telemetry().registry.counter("wal.checkpoints");
+    assert_eq!(checkpoints.get(), 1);
+    assert_eq!(durable.persistence_status(), Some((0, 1)));
+    assert!(
+        durable.graph().has_delta(),
+        "checkpointing must not compact the served graph"
+    );
+    assert_eq!(
+        std::fs::read(dir.join(SNAPSHOT_FILE)).expect("read snapshot"),
+        durable.graph().snapshot_bytes(),
+        "the file is the overlay graph's effective edge list"
+    );
+    drop(durable);
+
+    let recovered = Persistence::recover(&dir, 1, || Err("no fallback".into())).expect("recover");
+    assert_eq!(recovered.report.wal_records_replayed, 0);
+    assert!(!recovered.graph.has_delta());
+    assert_eq!(
+        recovered.graph.snapshot_bytes(),
+        reference.graph().snapshot_bytes()
+    );
+    let revived = QueryService::new(recovered.graph, ServeConfig::default());
+    for expr in ["a", "a·a", "(a+b)*"] {
+        let query = Regex::parse(expr, base.alphabet())
+            .unwrap()
+            .to_dfa(LABELS.len());
+        assert_eq!(
+            *revived.query_monadic(&query).result,
+            *reference.query_monadic(&query).result,
+            "{expr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
