@@ -40,7 +40,9 @@
 //! Mirroring the wire-protocol discipline of `pathlearn-server::proto`,
 //! [`GraphDb::from_snapshot_bytes`] rejects rather than repairs: bad
 //! magic or version, any truncation, trailing bytes, a digest mismatch,
-//! duplicate labels or node names, row offsets that do not start at 0,
+//! duplicate labels or node names, a declared `|V|·|Σ|` above
+//! [`MAX_TABLE_CELLS`] (the derived tables' allocation is bounded
+//! before anything is built), row offsets that do not start at 0,
 //! decrease, or do not end at `|E|`, out-of-range symbol indices or
 //! node ids, and rows that are not strictly sorted by `(symbol,
 //! target)` (which also excludes duplicated edges) all fail with a
@@ -70,6 +72,15 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PLSG";
 /// any other version fails with [`SnapshotError::BadVersion`] — format
 /// evolution is explicit, never silent.
 pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// Largest `|V|·|Σ|` a snapshot may declare. The per-`(node, symbol)`
+/// offset tables are not in the file, but loading derives one `u32`
+/// table of that many cells per direction (1 GiB each at the limit), so
+/// without a bound a few digest-valid megabytes of short names and
+/// labels would request terabytes and abort in the allocator instead of
+/// returning a [`SnapshotError`]. [`GraphDb::save_snapshot`] refuses the
+/// same graphs, so no file this build writes is one it cannot load.
+pub const MAX_TABLE_CELLS: usize = 1 << 28;
 
 /// Why a snapshot failed to decode (or a file failed to read/write).
 /// Every variant means the graph was **not** loaded — a snapshot is
@@ -128,9 +139,10 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadVersion { found } if *found < SNAPSHOT_VERSION => write!(
                 f,
                 "snapshot version {found} was written by an older build (this build reads \
-                 {SNAPSHOT_VERSION}): re-seed the data dir from the text graph — move the old \
-                 snapshot aside and start with the text graph as the fallback; a non-empty \
-                 wal.log beside it holds acknowledged writes only the older build can fold in"
+                 {SNAPSHOT_VERSION}): re-seed from the text graph into a fresh, empty data dir, \
+                 moving the old snapshot and the write-ahead log beside it aside together — a \
+                 non-empty log holds acknowledged writes only the older build can fold in, and \
+                 must not be replayed onto a re-seeded graph"
             ),
             SnapshotError::BadVersion { found } => write!(
                 f,
@@ -203,6 +215,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 // Encoding
 // ---------------------------------------------------------------------
 
+/// `|V|·|Σ|` against [`MAX_TABLE_CELLS`] (overflow counts as too large).
+fn check_table_cells(n: usize, sigma: usize) -> Result<(), SnapshotError> {
+    match n.checked_mul(sigma) {
+        Some(cells) if cells <= MAX_TABLE_CELLS => Ok(()),
+        cells => Err(SnapshotError::OutOfRange {
+            what: "offset table size",
+            value: cells.map_or(u64::MAX, |cells| cells as u64),
+            limit: MAX_TABLE_CELLS as u64 + 1,
+        }),
+    }
+}
+
 fn push_string(out: &mut Vec<u8>, text: &str) -> Result<(), SnapshotError> {
     let len = u16::try_from(text.len()).map_err(|_| {
         SnapshotError::Malformed(format!("name longer than 65535 bytes: {:.40}…", text))
@@ -262,6 +286,7 @@ impl GraphDb {
     /// intact, never a half-written one.
     pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
         let path = path.as_ref();
+        check_table_cells(self.num_nodes(), self.alphabet().len())?;
         let bytes = self.snapshot_bytes();
         let tmp = path.with_extension("snap.tmp");
         {
@@ -398,15 +423,19 @@ impl<'a> Decoder<'a> {
         }
         let m = m64 as usize;
         // The per-`(node, symbol)` table is not in the file, but the
-        // constructor derives it: its size must not overflow either.
-        n.checked_mul(sigma)
-            .and_then(|cells| cells.checked_add(1))
-            .and_then(|cells| cells.checked_mul(4))
-            .ok_or(SnapshotError::OutOfRange {
-                what: "offset table size",
-                value: n as u64,
-                limit: u64::MAX,
-            })?;
+        // constructor derives it: bound it before anything is built.
+        check_table_cells(n, sigma)?;
+        // Every other allocation below is sized by a header count; the
+        // sections those counts promise (≥ 2 bytes per string) must fit
+        // the buffer first, so decode memory stays O(bytes).
+        let promised = 2 * (sigma as u64 + n as u64) + 4 * (n as u64 + 1) + 8 * m64;
+        let available = self.end - self.pos;
+        if promised > available as u64 {
+            return Err(SnapshotError::Truncated {
+                needed: usize::try_from(promised).unwrap_or(usize::MAX),
+                available,
+            });
+        }
 
         // Interned in stored order: edges carry stored symbol indices,
         // and a text-parsed graph's alphabet is in first-appearance
@@ -667,6 +696,27 @@ mod tests {
             decode_patched(&|_| ()).is_ok(),
             "the re-stamp itself is sound"
         );
+
+        // An inflated header: |V| · |Σ| beyond the derived tables' bound
+        // rejects up front — before the names it promises are missed,
+        // and before the constructor could try to allocate the tables.
+        assert!(matches!(
+            decode_patched(&|bad| {
+                put(bad, 8, 1 << 20);
+                put(bad, 12, 1 << 20);
+            }),
+            Err(SnapshotError::OutOfRange {
+                what: "offset table size",
+                ..
+            })
+        ));
+
+        // A node count inside that bound but beyond what the buffer can
+        // hold is a truncation, found before any count-sized allocation.
+        assert!(matches!(
+            decode_patched(&|bad| put(bad, 8, 1 << 26)),
+            Err(SnapshotError::Truncated { .. })
+        ));
 
         // v1's row is (a, v2), (b, v7): pairs 0 and 1.
         assert!(matches!(

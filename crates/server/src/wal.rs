@@ -400,7 +400,8 @@ impl Persistence {
     /// * `graph.snap` present → strict decode (damage is fatal, with a
     ///   diagnostic — a snapshot is never "partially" loaded; a file in
     ///   an older format version is rejected the same way, left in
-    ///   place, and the diagnostic says to re-seed from the text graph);
+    ///   place, and the diagnostic says to re-seed from the text graph
+    ///   into a fresh data dir — never onto the old WAL);
     /// * absent → `fallback()` supplies the graph (e.g. parsed from the
     ///   text format) and a fresh snapshot is written;
     /// * then the WAL replays in append order (torn tail truncated) and
@@ -725,7 +726,13 @@ mod tests {
             RecoverError::Snapshot(SnapshotError::BadVersion { found: 1 })
         ));
         let message = error.to_string();
-        for needle in ["older build", "re-seed", "text graph", "wal.log"] {
+        for needle in [
+            "older build",
+            "text graph",
+            "fresh, empty data dir",
+            "write-ahead log",
+            "must not be replayed",
+        ] {
             assert!(message.contains(needle), "{message:?} lacks {needle:?}");
         }
         assert!(
