@@ -12,7 +12,8 @@
 //!   baseline);
 //! * **step-policy ablation**: every query of the mix evaluated
 //!   monadically under `Plain` (exhaustive baseline) and `Auto` (the
-//!   masked-kernel cost model, the default everywhere), and with the
+//!   cost-model gate — skip / covered / masked / plain per step — the
+//!   default everywhere), and with the
 //!   levels fanned out over a pool ([`EvalPool::evaluate`]) at each
 //!   `--intra-threads` count. The headline `prune_speedup` compares
 //!   `Plain` against `Auto`.
@@ -445,7 +446,7 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"benchmark\": \"RPQ evaluation ablations: frontier-batched vs seed queued BFS, masked step kernels + cost-model gate with the pooled engine per query, whole-query planner (forward/backward/bidirectional) + rare-target direction probe\",\n",
+        "  \"benchmark\": \"RPQ evaluation ablations: frontier-batched vs seed queued BFS, cost-model step gate (skip/covered/masked/plain) with the pooled engine per query, whole-query planner (forward/backward/bidirectional) + rare-target direction probe\",\n",
     );
     out.push_str("  \"schema_version\": 8,\n");
     out.push_str(&format!(

@@ -25,13 +25,19 @@
 //! 1. **plans** the step against the graph's per-label active-node
 //!    bitmaps ([`GraphDb::plan_step`] under the pool's
 //!    [`crate::graph::StepPolicy`]): skip it (the frontier misses the
-//!    label, so the step is provably empty), run the kernel *masked*
-//!    (iterate `frontier ∩ label-active` word-by-word, never reading an
+//!    label, so the step is provably empty), mark it *covered* (the
+//!    frontier holds every node with an edge of the label, so the step
+//!    reaches every endpoint: its answer is the label's
+//!    opposite-direction bitmap — every monadic evaluation's first
+//!    level, seeded with all of `V`), run the kernel *masked* (iterate
+//!    `frontier ∩ label-active` word-by-word, never reading an
 //!    edge-less node's offsets) or plain — priced by a degree-weighted
 //!    popcount cost model whose frontier popcount is counted for free
 //!    during the previous merge;
-//! 2. **runs** the step kernel ([`GraphDb::step_range_into`]) in the
-//!    pass's [`Dir`] (out-edges or in-edges);
+//! 2. **runs** the plan through the step kernel
+//!    ([`GraphDb::step_range_into`]) in the pass's [`Dir`] (out-edges or
+//!    in-edges): a covered step copies the bitmap instead of walking
+//!    edges, and still counts as one task;
 //! 3. optionally **intersects** the output with a coreachability
 //!    certificate;
 //! 4. **merges** it into every target state.
@@ -325,14 +331,15 @@ impl Side {
     }
 }
 
-/// One planned `(state, symbol)` step of a level. The kernel choice is
-/// made once at harvest time, however many node-range chunks the task
-/// is split into.
+/// One planned `(state, symbol)` step of a level. The plan is made once
+/// at harvest time, however many node-range chunks the task is split
+/// into (a [`StepPlan::Covered`] task emits its copy from the chunk
+/// holding word 0 only).
 #[derive(Clone, Copy, Debug)]
 struct StepTask {
     state: StateId,
     row: LiveStep,
-    masked: bool,
+    plan: StepPlan,
 }
 
 /// Per-worker buffers of a fanned-out level: a step output, one
@@ -455,7 +462,7 @@ fn run_task(
     let sym = Symbol::from_index(task.row.sym as usize);
     // The kernel accumulates; a task (or chunk) starts from nothing.
     out.clear();
-    graph.step_range_into(pass.dir, task.masked, frontier, sym, words, out);
+    graph.step_range_into(pass.dir, task.plan, frontier, sym, words, out);
     if let Some(certificate) = certificate {
         // Sound because every node on a witness path is coreachable;
         // only deterministic (one-target) passes are ever pruned.
@@ -502,7 +509,7 @@ impl EvalPool {
                     tasks.push(StepTask {
                         state: q,
                         row,
-                        masked: plan == StepPlan::Masked,
+                        plan,
                     });
                 }
             }
@@ -549,8 +556,14 @@ impl EvalPool {
             }
         }
         if let Some(started) = observing {
-            let masked = tasks.iter().filter(|task| task.masked).count() as u32;
-            crate::observer::level_record(started, frontier_nodes, tasks.len() as u32, masked);
+            let count = |plan| tasks.iter().filter(|task| task.plan == plan).count() as u32;
+            crate::observer::level_record(
+                started,
+                frontier_nodes,
+                tasks.len() as u32,
+                count(StepPlan::Masked),
+                count(StepPlan::Covered),
+            );
         }
         side.advance();
     }

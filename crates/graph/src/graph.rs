@@ -54,9 +54,11 @@
 //! word-by-word so masked-out nodes never cost an offset read, and the
 //! **cost-model gate** ([`GraphDb::plan_step`], driven by a
 //! [`StepPolicy`]) prices each `(level, symbol)` step with one fused
-//! AND+popcount scan, choosing skip / masked / plain for the level kernel
-//! in [`crate::eval`]. The kernel works on word-aligned node chunks, the
-//! unit of the node-range fan-out a parallel
+//! AND+popcount scan, choosing skip / covered / masked / plain for the
+//! level kernel in [`crate::eval`] — *covered* when the frontier holds
+//! the whole active set, so the step's answer is the label's
+//! opposite-direction bitmap. The kernel works on word-aligned node
+//! chunks, the unit of the node-range fan-out a parallel
 //! [`crate::par_eval::EvalPool`] splits a level into.
 //!
 //! ## Complexity
@@ -131,7 +133,8 @@ pub enum StepPolicy {
     Masked,
     /// The cost-model gate (the default everywhere): per `(level, symbol)`
     /// compare the intersection popcount against the frontier popcount and
-    /// pick the cheaper kernel — see [`GraphDb::plan_step`].
+    /// the label's active count: skip an empty step, copy a covered one,
+    /// or pick the cheaper kernel — see [`GraphDb::plan_step`].
     #[default]
     Auto,
 }
@@ -143,13 +146,20 @@ impl StepPolicy {
 }
 
 /// The per-`(level, symbol)` decision produced by [`GraphDb::plan_step`]
-/// under a [`StepPolicy`]: skip the step entirely (provably empty), run
-/// the masked kernel, or run the plain one.
+/// under a [`StepPolicy`] and executed by [`GraphDb::step_range_into`]:
+/// skip the step entirely (provably empty), copy its provably known
+/// answer, run the masked kernel, or run the plain one. `Skip` and
+/// `Covered` are verdicts about the frontier they were planned for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepPlan {
     /// No frontier node carries an edge of the symbol in the step
     /// direction — the graph step is provably empty, skip it.
     Skip,
+    /// The frontier contains every node that carries an edge of the
+    /// symbol in the step direction, so the step reaches every endpoint
+    /// of those edges: its answer is `label_active(dir.reverse(), sym)`,
+    /// copied instead of walked.
+    Covered,
     /// Iterate `frontier ∩ label-active` (the masked kernel).
     Masked,
     /// Iterate the raw frontier (the plain kernel).
@@ -858,7 +868,8 @@ impl GraphDb {
     }
 
     /// Plans one step of `frontier` over `sym` in direction `dir` under
-    /// `policy` (see [`StepPlan`]). `frontier_len` is the frontier's
+    /// `policy` (see [`StepPlan`]; [`GraphDb::step_range_into`] executes
+    /// the verdict). `frontier_len` is the frontier's
     /// popcount; the caller computes it once per `(level, state)` and
     /// amortizes it over every symbol of the level (it is only read by
     /// [`StepPolicy::Auto`], pass 0 otherwise).
@@ -866,8 +877,14 @@ impl GraphDb {
     /// Under [`StepPolicy::Auto`], one fused AND+popcount scan
     /// ([`BitSet::intersection_len`]) against
     /// [`GraphDb::label_active`] prices the step: an empty intersection
-    /// skips it outright. A non-empty intersection strictly smaller than
-    /// the frontier is then priced **degree-weighted**: the masked
+    /// skips it outright, and one that is the whole active set
+    /// ([`GraphDb::label_active_count`]) makes it [`StepPlan::Covered`]
+    /// — every `sym`-edge in direction `dir` starts in the frontier, so
+    /// the answer is the label's opposite-direction bitmap, exact under
+    /// a delta overlay too. This is every monadic evaluation's first
+    /// level, whose frontier is all of `V`. Otherwise a non-empty
+    /// intersection strictly smaller than the frontier is priced
+    /// **degree-weighted**: the masked
     /// kernel pays one extra label-bitmap load + AND per frontier word
     /// but skips every masked-out node's offset reads, so it wins when
     ///
@@ -885,8 +902,22 @@ impl GraphDb {
     /// save two offset reads). The plan is a pure execution strategy:
     /// results are bit-identical whichever kernel is chosen
     /// (differential suite). Labels active on all `|V|` nodes shortcut
-    /// to `Plain` without scanning — the precomputed count proves the
-    /// mask is a no-op.
+    /// without scanning — the precomputed count proves the mask is a
+    /// no-op — to `Covered` for a full frontier and `Plain` otherwise.
+    ///
+    /// ```
+    /// use pathlearn_graph::graph::{figure3_g0, Dir, StepPlan, StepPolicy};
+    /// use pathlearn_automata::BitSet;
+    ///
+    /// let graph = figure3_g0();
+    /// let c = graph.alphabet().symbol("c").unwrap();
+    /// let all = BitSet::full(graph.num_nodes());
+    /// // A monadic first level: every in-c-edge ends in the frontier, so
+    /// // the step over in-edges is exactly the nodes with an out-c-edge.
+    /// let plan = graph.plan_step(Dir::In, &all, c, all.len(), StepPolicy::Auto);
+    /// assert_eq!(plan, StepPlan::Covered);
+    /// assert_eq!(&graph.step(Dir::In, &all, c), graph.label_active(Dir::Out, c));
+    /// ```
     #[inline]
     pub fn plan_step(
         &self,
@@ -903,12 +934,20 @@ impl GraphDb {
                 let Some(stats) = self.label_stats(dir, sym) else {
                     return StepPlan::Skip;
                 };
-                if stats.active_count as usize >= self.num_nodes() {
-                    return StepPlan::Plain;
+                let active = stats.active_count as usize;
+                if active >= self.num_nodes() {
+                    return if frontier_len >= self.num_nodes() {
+                        StepPlan::Covered
+                    } else {
+                        StepPlan::Plain
+                    };
                 }
                 let inter = frontier.intersection_len(&stats.active);
                 if inter == 0 {
                     return StepPlan::Skip;
+                }
+                if inter == active {
+                    return StepPlan::Covered;
                 }
                 let skipped = frontier_len.saturating_sub(inter) as u64;
                 let saved_x16 = skipped * (SKIPPED_NODE_COST_X16 + stats.avg_deg_x16 as u64);
@@ -927,7 +966,7 @@ impl GraphDb {
     pub fn step(&self, dir: Dir, frontier: &BitSet, sym: Symbol) -> BitSet {
         let mut out = BitSet::new(self.num_nodes());
         let words = 0..self.num_node_words();
-        self.step_range_into(dir, false, frontier, sym, words, &mut out);
+        self.step_range_into(dir, StepPlan::Plain, frontier, sym, words, &mut out);
         out
     }
 
@@ -936,7 +975,7 @@ impl GraphDb {
     /// have capacity `num_nodes()`.
     ///
     /// ```
-    /// use pathlearn_graph::graph::{figure3_g0, Dir};
+    /// use pathlearn_graph::graph::{figure3_g0, Dir, StepPlan};
     /// use pathlearn_automata::BitSet;
     ///
     /// let graph = figure3_g0();
@@ -944,7 +983,7 @@ impl GraphDb {
     /// let v1 = graph.node_id("v1").unwrap() as usize;
     /// let frontier = BitSet::from_indices(graph.num_nodes(), [v1]);
     /// let mut out = BitSet::new(graph.num_nodes());
-    /// graph.step_into(Dir::Out, false, &frontier, a, &mut out);
+    /// graph.step_into(Dir::Out, StepPlan::Plain, &frontier, a, &mut out);
     /// // v1 --a--> v2 is the only a-edge out of v1.
     /// assert_eq!(out.len(), 1);
     /// assert!(out.contains(graph.node_id("v2").unwrap() as usize));
@@ -952,28 +991,28 @@ impl GraphDb {
     pub fn step_into(
         &self,
         dir: Dir,
-        masked: bool,
+        plan: StepPlan,
         frontier: &BitSet,
         sym: Symbol,
         out: &mut BitSet,
     ) {
         out.clear();
-        self.step_range_into(dir, masked, frontier, sym, 0..self.num_node_words(), out);
+        self.step_range_into(dir, plan, frontier, sym, 0..self.num_node_words(), out);
     }
 
     /// **The** frontier step kernel: inserts into `out` the
     /// `sym`-neighbours in direction `dir` of every frontier node in the
-    /// words `words.start..words.end` (each word covers 64 node ids).
-    /// `out` must have capacity `num_nodes()` and is **not cleared** —
-    /// the kernel accumulates, so the union over any word-aligned
-    /// partition of `0..num_node_words()` equals the whole-frontier step
-    /// bit-for-bit. This is the unit of the node-range fan-out in
-    /// [`crate::par_eval`]. The frontier is consumed word-by-word with
-    /// trailing-zero scans and every neighbour range is a contiguous
-    /// slice of the partitioned CSR, so the kernel is a linear pass over
-    /// frontier-adjacent edges.
+    /// words `words.start..words.end` (each word covers 64 node ids),
+    /// executing `plan`. `out` must have capacity `num_nodes()` and is
+    /// **not cleared** — the kernel accumulates, so the union over any
+    /// word-aligned partition of `0..num_node_words()` equals the
+    /// whole-frontier step bit-for-bit. This is the unit of the
+    /// node-range fan-out in [`crate::par_eval`]. The frontier is
+    /// consumed word-by-word with trailing-zero scans and every
+    /// neighbour range is a contiguous slice of the partitioned CSR, so
+    /// the kernel is a linear pass over frontier-adjacent edges.
     ///
-    /// With `masked` the kernel iterates
+    /// With [`StepPlan::Masked`] the kernel iterates
     /// `frontier ∩ label_active(dir, sym)` instead of the raw frontier.
     /// The output is identical — nodes outside the label's active set
     /// have no `sym`-edges in this direction and contribute nothing —
@@ -981,10 +1020,14 @@ impl GraphDb {
     /// the frontier block, ANDs in the label block, and iterates only
     /// the surviving bits. One extra load+AND per word buys a skipped
     /// two-offset read per masked-out node; [`GraphDb::plan_step`]
-    /// prices the trade per `(level, symbol)`.
+    /// prices the trade per `(level, symbol)`. The two verdicts about
+    /// the frontier read no edge: [`StepPlan::Skip`] adds nothing, and
+    /// [`StepPlan::Covered`] ORs in the whole answer
+    /// `label_active(dir.reverse(), sym)` from the one range that
+    /// contains word 0, so a partition still emits it exactly once.
     ///
     /// ```
-    /// use pathlearn_graph::graph::{figure3_g0, Dir};
+    /// use pathlearn_graph::graph::{figure3_g0, Dir, StepPlan};
     /// use pathlearn_automata::BitSet;
     ///
     /// let graph = figure3_g0();
@@ -992,24 +1035,36 @@ impl GraphDb {
     /// let frontier = BitSet::full(graph.num_nodes());
     /// let words = 0..graph.num_node_words();
     /// let (mut masked, mut plain) = (BitSet::new(7), BitSet::new(7));
-    /// graph.step_range_into(Dir::Out, true, &frontier, c, words.clone(), &mut masked);
-    /// graph.step_range_into(Dir::Out, false, &frontier, c, words, &mut plain);
+    /// graph.step_range_into(Dir::Out, StepPlan::Masked, &frontier, c, words.clone(), &mut masked);
+    /// graph.step_range_into(Dir::Out, StepPlan::Plain, &frontier, c, words, &mut plain);
     /// assert_eq!(masked, plain); // only v3 is iterated by the masked kernel
     /// ```
     pub fn step_range_into(
         &self,
         dir: Dir,
-        masked: bool,
+        plan: StepPlan,
         frontier: &BitSet,
         sym: Symbol,
         words: Range<usize>,
         out: &mut BitSet,
     ) {
         debug_assert_eq!(out.capacity(), self.num_nodes(), "scratch capacity");
-        if masked {
-            self.step_words::<true>(dir, frontier, sym, words, out)
-        } else {
-            self.step_words::<false>(dir, frontier, sym, words, out)
+        match plan {
+            StepPlan::Skip => {
+                debug_assert_eq!(frontier.intersection_len(self.label_active(dir, sym)), 0);
+            }
+            StepPlan::Covered => {
+                debug_assert_eq!(
+                    frontier.intersection_len(self.label_active(dir, sym)),
+                    self.label_active_count(dir, sym),
+                    "a covered step's frontier holds the whole active set"
+                );
+                if words.contains(&0) {
+                    out.union_with(self.label_active(dir.reverse(), sym));
+                }
+            }
+            StepPlan::Masked => self.step_words::<true>(dir, frontier, sym, words, out),
+            StepPlan::Plain => self.step_words::<false>(dir, frontier, sym, words, out),
         }
     }
 
@@ -1518,7 +1573,7 @@ mod tests {
         let frontier = BitSet::from_indices(graph.num_nodes(), [v3 as usize]);
         let mut scratch = BitSet::full(graph.num_nodes()); // stale content
         let v4 = graph.node_id("v4").unwrap();
-        graph.step_into(Dir::Out, false, &frontier, c, &mut scratch);
+        graph.step_into(Dir::Out, StepPlan::Plain, &frontier, c, &mut scratch);
         assert_eq!(scratch.iter().collect::<Vec<_>>(), vec![v4 as usize]);
         let mut sparse = vec![99, 98]; // stale content
         graph.step_sparse_into(&[v3], a, &mut sparse);
@@ -1579,8 +1634,8 @@ mod tests {
                 let mut plain = BitSet::new(n);
                 let mut masked = BitSet::new(n);
                 for dir in Dir::BOTH {
-                    graph.step_into(dir, false, &frontier, sym, &mut plain);
-                    graph.step_into(dir, true, &frontier, sym, &mut masked);
+                    graph.step_into(dir, StepPlan::Plain, &frontier, sym, &mut plain);
+                    graph.step_into(dir, StepPlan::Masked, &frontier, sym, &mut masked);
                     assert_eq!(masked, plain, "{dir:?} {sym:?} {mask:b}");
                 }
             }
@@ -1621,16 +1676,36 @@ mod tests {
             graph.plan_step(Dir::Out, &full, a, full.len(), StepPolicy::Masked),
             StepPlan::Masked
         );
-        // Auto: full frontier over c (1 of 7 nodes active) → masked.
+        // Auto: full frontier over c holds c's only source v3 → covered:
+        // the step is every c-target, read off the in-direction bitmap.
         assert_eq!(
             graph.plan_step(Dir::Out, &full, c, full.len(), StepPolicy::Auto),
+            StepPlan::Covered
+        );
+        assert_eq!(
+            &graph.step(Dir::Out, &full, c),
+            graph.label_active(Dir::In, c)
+        );
+        // Auto: a big frontier that misses one b-source (v1) and holds
+        // two nodes without one (v3, v4) → masked.
+        let b = graph.alphabet().symbol("b").unwrap();
+        let all_but_v1 = BitSet::from_indices(graph.num_nodes(), (0..7).filter(|&i| i != v1));
+        assert_eq!(
+            graph.plan_step(Dir::Out, &all_but_v1, b, 6, StepPolicy::Auto),
             StepPlan::Masked
         );
-        // Auto: frontier ⊆ label-active (v3 has an out c-edge) → plain,
-        // the mask cannot skip anything.
+        // Auto: frontier ⊆ label-active (v3 has an out c-edge) and it is
+        // the whole active set → covered.
         let only_v3 = BitSet::from_indices(graph.num_nodes(), [v3]);
         assert_eq!(
             graph.plan_step(Dir::Out, &only_v3, c, 1, StepPolicy::Auto),
+            StepPlan::Covered
+        );
+        // Auto: frontier ⊊ label-active (v1, v3 of a's six sources) →
+        // plain, the mask cannot skip anything.
+        let v1_v3 = BitSet::from_indices(graph.num_nodes(), [v1, v3]);
+        assert_eq!(
+            graph.plan_step(Dir::Out, &v1_v3, a, 2, StepPolicy::Auto),
             StepPlan::Plain
         );
         // Auto: frontier disjoint from label-active → skip, dense or not.
@@ -1655,7 +1730,7 @@ mod tests {
         );
         assert_eq!(
             graph.plan_step(Dir::In, &only_v4, c, 1, StepPolicy::Auto),
-            StepPlan::Plain
+            StepPlan::Covered
         );
     }
 
@@ -1689,18 +1764,23 @@ mod tests {
     #[test]
     fn degree_weighted_gate_requires_savings_to_beat_word_overhead() {
         // 640 nodes = 10 frontier words. Two labels with the *same*
-        // active-set shape (one active source each) but opposite
-        // weights: "h" is a 200-edge hub, "t" a single edge. With a
-        // 3-node frontier the popcounts are identical (inter 1,
-        // skipped 2); only the degree weight separates the verdicts.
+        // active-set shape (two active sources each, one of them outside
+        // the frontiers below, so none covers the set) but opposite
+        // weights: "h" is a hub of 200 edges per source, "t" one edge
+        // per source. With a 3-node frontier the popcounts are identical
+        // (inter 1, skipped 2); only the degree weight separates the
+        // verdicts.
         let mut builder = GraphBuilder::new();
         let first = builder.add_nodes("n", 640);
         let h = builder.intern("h");
         let t = builder.intern("t");
-        for i in 0..200u32 {
-            builder.add_edge_ids(first, h, first + 100 + i);
+        for source in [first, first + 600] {
+            for i in 0..200u32 {
+                builder.add_edge_ids(source, h, first + 100 + i);
+            }
         }
         builder.add_edge_ids(first + 1, t, first + 2);
+        builder.add_edge_ids(first + 601, t, first + 602);
         let graph = builder.build();
         assert_eq!(graph.label_avg_degree(Dir::Out, h), 200.0);
         assert_eq!(graph.label_avg_degree(Dir::Out, t), 1.0);
@@ -1719,11 +1799,17 @@ mod tests {
             StepPlan::Plain
         );
         // A big frontier mostly missing the active set masks even the
-        // light label: 639 skipped nodes buy the scan many times over.
+        // light label: 638 skipped nodes buy the scan many times over.
+        let all_but_601 = BitSet::from_indices(640, (0..640).filter(|&i| i != 601));
+        assert_eq!(
+            graph.plan_step(Dir::Out, &all_but_601, t, 639, StepPolicy::Auto),
+            StepPlan::Masked
+        );
+        // The full frontier holds both t-sources: nothing to price.
         let full = BitSet::full(640);
         assert_eq!(
             graph.plan_step(Dir::Out, &full, t, 640, StepPolicy::Auto),
-            StepPlan::Masked
+            StepPlan::Covered
         );
         // Disjoint frontiers still skip outright, degree notwithstanding.
         let disjoint = BitSet::from_indices(640, [5]);
@@ -1753,28 +1839,35 @@ mod tests {
         let graph = builder.build();
         let frontier = BitSet::from_indices(130, (0..130).filter(|i| i % 3 == 0));
         let mut full = BitSet::new(130);
-        graph.step_into(Dir::Out, false, &frontier, a, &mut full);
+        graph.step_into(Dir::Out, StepPlan::Plain, &frontier, a, &mut full);
         let words = graph.num_node_words();
         assert_eq!(words, 3);
         for chunk in 1..=words {
-            for masked in [false, true] {
+            for plan in [StepPlan::Plain, StepPlan::Masked] {
                 let mut acc = BitSet::new(130);
                 let mut start = 0;
                 while start < words {
                     let range = start..start + chunk;
-                    graph.step_range_into(Dir::Out, masked, &frontier, a, range, &mut acc);
+                    graph.step_range_into(Dir::Out, plan, &frontier, a, range, &mut acc);
                     start += chunk;
                 }
-                assert_eq!(acc, full, "chunk {chunk} masked {masked}");
+                assert_eq!(acc, full, "chunk {chunk} {plan:?}");
             }
         }
         // Accumulation: a pre-existing bit survives a ranged call.
         let mut acc = BitSet::from_indices(130, [129]);
-        graph.step_range_into(Dir::Out, false, &frontier, a, 0..1, &mut acc);
+        graph.step_range_into(Dir::Out, StepPlan::Plain, &frontier, a, 0..1, &mut acc);
         assert!(acc.contains(129));
         // Out-of-range word indices are clamped, not panicking.
         let mut clamped = BitSet::new(130);
-        graph.step_range_into(Dir::Out, false, &frontier, a, 0..words + 10, &mut clamped);
+        graph.step_range_into(
+            Dir::Out,
+            StepPlan::Plain,
+            &frontier,
+            a,
+            0..words + 10,
+            &mut clamped,
+        );
         assert_eq!(clamped, full);
     }
 
@@ -1872,9 +1965,9 @@ mod tests {
                 for frontier in &frontiers {
                     let expected = compacted.step(dir, frontier, sym);
                     let mut stepped = BitSet::new(n);
-                    for masked in [false, true] {
-                        overlay.step_into(dir, masked, frontier, sym, &mut stepped);
-                        assert_eq!(stepped, expected, "{dir:?} masked {masked} {sym:?}");
+                    for plan in [StepPlan::Plain, StepPlan::Masked] {
+                        overlay.step_into(dir, plan, frontier, sym, &mut stepped);
+                        assert_eq!(stepped, expected, "{dir:?} {plan:?} {sym:?}");
                     }
                 }
             }

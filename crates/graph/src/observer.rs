@@ -37,6 +37,9 @@ pub struct LevelSample {
     /// How many of those tasks chose the masked kernel
     /// ([`crate::graph::StepPlan::Masked`]).
     pub masked_tasks: u32,
+    /// How many of those tasks copied a covered step's answer instead of
+    /// walking edges ([`crate::graph::StepPlan::Covered`]).
+    pub covered_tasks: u32,
     /// Wall-clock nanoseconds the level spent stepping and merging.
     pub nanos: u64,
 }
@@ -76,7 +79,13 @@ pub(crate) fn level_begin() -> Option<Instant> {
 
 /// Records one finished level into the installed sink (no-op without
 /// one; silently stops at [`MAX_LEVEL_SAMPLES`]).
-pub(crate) fn level_record(started: Instant, frontier: u64, tasks: u32, masked_tasks: u32) {
+pub(crate) fn level_record(
+    started: Instant,
+    frontier: u64,
+    tasks: u32,
+    masked_tasks: u32,
+    covered_tasks: u32,
+) {
     let nanos = started.elapsed().as_nanos() as u64;
     SINK.with(|sink| {
         if let Some(samples) = sink.borrow_mut().as_mut() {
@@ -86,6 +95,7 @@ pub(crate) fn level_record(started: Instant, frontier: u64, tasks: u32, masked_t
                     frontier,
                     tasks,
                     masked_tasks,
+                    covered_tasks,
                     nanos,
                 });
             }
@@ -102,16 +112,17 @@ mod tests {
         assert!(level_begin().is_none());
         let ((), samples) = collect_levels(|| {
             let started = level_begin().expect("sink installed");
-            level_record(started, 7, 3, 1);
+            level_record(started, 7, 3, 1, 1);
         });
         assert_eq!(samples.len(), 1);
         assert_eq!(
             (
                 samples[0].frontier,
                 samples[0].tasks,
-                samples[0].masked_tasks
+                samples[0].masked_tasks,
+                samples[0].covered_tasks
             ),
-            (7, 3, 1)
+            (7, 3, 1, 1)
         );
         assert_eq!(samples[0].level, 0);
         assert!(
@@ -124,15 +135,15 @@ mod tests {
     fn nested_collections_restore_the_outer_sink() {
         let ((), outer) = collect_levels(|| {
             let started = level_begin().unwrap();
-            level_record(started, 1, 1, 0);
+            level_record(started, 1, 1, 0, 0);
             let ((), inner) = collect_levels(|| {
                 let started = level_begin().unwrap();
-                level_record(started, 2, 2, 0);
+                level_record(started, 2, 2, 0, 0);
             });
             assert_eq!(inner.len(), 1);
             assert_eq!(inner[0].frontier, 2);
             let started = level_begin().unwrap();
-            level_record(started, 3, 3, 0);
+            level_record(started, 3, 3, 0, 0);
         });
         assert_eq!(outer.len(), 2);
         assert_eq!((outer[0].frontier, outer[1].frontier), (1, 3));
@@ -153,8 +164,11 @@ mod tests {
         for (i, sample) in samples.iter().enumerate() {
             assert_eq!(sample.level as usize, i);
             assert!(sample.frontier > 0, "active levels have frontier nodes");
-            assert!(sample.masked_tasks <= sample.tasks);
+            assert!(sample.masked_tasks + sample.covered_tasks <= sample.tasks);
         }
+        // Level 0 starts from all of V at the final state: the c-step
+        // over in-edges is covered.
+        assert_eq!(samples[0].covered_tasks, 1);
     }
 
     #[test]
@@ -162,7 +176,7 @@ mod tests {
         let ((), samples) = collect_levels(|| {
             for _ in 0..MAX_LEVEL_SAMPLES + 10 {
                 let started = level_begin().unwrap();
-                level_record(started, 1, 1, 0);
+                level_record(started, 1, 1, 0, 0);
             }
         });
         assert_eq!(samples.len(), MAX_LEVEL_SAMPLES);

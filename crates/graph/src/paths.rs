@@ -15,7 +15,7 @@
 //!    over the stored adjacency ([`PathsProduct`]) — Algorithm 1's merge
 //!    oracle, which never materializes the NFA of (1).
 
-use crate::graph::{Dir, GraphDb, NodeId};
+use crate::graph::{Dir, GraphDb, NodeId, StepPlan};
 use pathlearn_automata::rpni::MergeOracle;
 use pathlearn_automata::{BitSet, Dfa, Nfa, StateId, Symbol, Word};
 
@@ -47,7 +47,7 @@ impl GraphDb {
             if current.is_empty() {
                 return false;
             }
-            self.step_into(Dir::Out, false, &current, sym, &mut next);
+            self.step_into(Dir::Out, StepPlan::Plain, &current, sym, &mut next);
             std::mem::swap(&mut current, &mut next);
         }
         !current.is_empty()
@@ -65,7 +65,7 @@ impl GraphDb {
         };
         out.union_with(self.label_active(Dir::Out, last));
         for &sym in prefix.iter().rev() {
-            self.step_into(Dir::In, true, out, sym, scratch);
+            self.step_into(Dir::In, StepPlan::Masked, out, sym, scratch);
             std::mem::swap(out, scratch);
         }
     }
@@ -92,7 +92,7 @@ impl GraphDb {
             for (word, set) in &frontier {
                 for sym in self.alphabet().symbols() {
                     // Step into the scratch buffer; clone only survivors.
-                    self.step_into(Dir::Out, false, set, sym, &mut scratch);
+                    self.step_into(Dir::Out, StepPlan::Plain, set, sym, &mut scratch);
                     if scratch.is_empty() {
                         continue;
                     }

@@ -45,7 +45,7 @@
 //! * **L3** — a node's uncovered count can change only if it has a path
 //!   spelling a word the new negative *newly* covers.
 
-use crate::graph::{Dir, GraphDb, NodeId};
+use crate::graph::{Dir, GraphDb, NodeId, StepPlan};
 use pathlearn_automata::{BitSet, Symbol, Word};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -262,7 +262,7 @@ impl<'g> NegCache<'g> {
             None => {
                 let from = &self.states[state as usize].set;
                 self.graph
-                    .step_into(Dir::Out, false, from, sym, &mut self.scratch);
+                    .step_into(Dir::Out, StepPlan::Plain, from, sym, &mut self.scratch);
                 if self.scratch.is_empty() {
                     None
                 } else {

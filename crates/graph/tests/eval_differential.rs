@@ -24,7 +24,10 @@ use pathlearn_automata::{Alphabet, BitSet, Dfa, Regex, Symbol};
 use pathlearn_graph::eval::{
     eval_binary_from, eval_monadic, eval_monadic_naive, eval_monadic_queued, EvalScratch, Goal,
 };
-use pathlearn_graph::{CancelToken, Dir, EvalPool, GraphBuilder, GraphDb, QueryPlan, StepPolicy};
+use pathlearn_graph::{
+    collect_levels, CancelToken, Dir, EvalPool, GraphBuilder, GraphDb, LevelSample, QueryPlan,
+    StepPolicy,
+};
 use proptest::prelude::*;
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
@@ -289,9 +292,19 @@ proptest! {
 /// the masked path is where all pruning happens. Both extremes get a few
 /// random extra edges on top so the two regimes are not purely regular.
 fn arb_extreme_graph() -> impl Strategy<Value = GraphDb> {
+    arb_density_extreme(any::<bool>())
+}
+
+/// Strategy: the all-dense extreme only — no step of any frontier is
+/// ever skipped or masked, only plain or covered.
+fn arb_dense_graph() -> impl Strategy<Value = GraphDb> {
+    arb_density_extreme(Just(true))
+}
+
+fn arb_density_extreme(dense: impl Strategy<Value = bool>) -> impl Strategy<Value = GraphDb> {
     (
         2usize..90,
-        any::<bool>(),
+        dense,
         proptest::collection::vec((0u32..90, 0usize..3, 0u32..90), 0..8),
     )
         .prop_map(|(n, dense, extra)| {
@@ -356,8 +369,68 @@ fn arb_wide_graph() -> impl Strategy<Value = GraphDb> {
         })
 }
 
+/// The level samples of one sequential evaluation under `policy`.
+fn level_samples(policy: StepPolicy, query: &Dfa, graph: &GraphDb, goal: Goal) -> Vec<LevelSample> {
+    let mut scratch = EvalScratch::new();
+    let pool = sequential(policy);
+    collect_levels(|| evaluate(&pool, &mut scratch, query, graph, goal)).1
+}
+
+/// Per level: the frontier popcount and the step tasks run — the two
+/// terms of the serving cache's deterministic work measure.
+fn profile(samples: &[LevelSample]) -> Vec<(u64, u32)> {
+    samples
+        .iter()
+        .map(|sample| (sample.frontier, sample.tasks))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The level profile does not depend on the step policy: a covered
+    /// step counts as one task, exactly like the plain step it replaces,
+    /// so the serving cache's work measure (and its eviction order)
+    /// cannot move with the verdict. On all-dense graphs nothing is
+    /// skipped or masked, so `Plain` and `Auto` must report the same
+    /// `(frontier, tasks)` per level, monadic and binary — while every
+    /// monadic first level (all of `V` at each final) is covered.
+    #[test]
+    fn level_profile_does_not_depend_on_the_step_policy(
+        graph in arb_dense_graph(),
+        query in arb_query(),
+    ) {
+        for goal in [Goal::Monadic, Goal::BinaryFrom(0)] {
+            let plain = level_samples(StepPolicy::Plain, &query, &graph, goal);
+            let auto = level_samples(StepPolicy::Auto, &query, &graph, goal);
+            prop_assert_eq!(profile(&plain), profile(&auto), "{:?}", goal);
+            prop_assert!(plain.iter().all(|level| level.covered_tasks == 0));
+            if let (Goal::Monadic, Some(first)) = (goal, auto.first()) {
+                prop_assert_eq!(first.covered_tasks, first.tasks, "monadic level 0");
+            }
+        }
+    }
+
+    /// On arbitrary graphs the frontiers are the same per level under
+    /// every policy, the two kernels run the same tasks, and `Auto` runs
+    /// at most those (it drops only skipped steps, never a covered one).
+    #[test]
+    fn level_frontiers_do_not_depend_on_the_step_policy(
+        graph in arb_extreme_graph(),
+        query in arb_query(),
+    ) {
+        for goal in [Goal::Monadic, Goal::BinaryFrom(0)] {
+            let plain = level_samples(StepPolicy::Plain, &query, &graph, goal);
+            let masked = level_samples(StepPolicy::Masked, &query, &graph, goal);
+            let auto = level_samples(StepPolicy::Auto, &query, &graph, goal);
+            prop_assert_eq!(profile(&plain), profile(&masked), "{:?}", goal);
+            prop_assert_eq!(plain.len(), auto.len(), "{:?}", goal);
+            for (plain, auto) in plain.iter().zip(&auto) {
+                prop_assert_eq!(plain.frontier, auto.frontier, "{:?}", goal);
+                prop_assert!(auto.tasks <= plain.tasks, "{:?}", goal);
+            }
+        }
+    }
 
     /// Label-density extremes: masked ≡ plain ≡ auto ≡ naive ≡
     /// queued ≡ parallel, monadic and binary, on graphs where every
@@ -455,10 +528,14 @@ proptest! {
     /// random graphs, frontiers and symbols, whatever `StepPlan` the
     /// weighted `Auto` gate picks, executing it is **bit-identical** to
     /// the exhaustive plain kernel in both directions — a Skip verdict
-    /// really is an empty step, a Masked verdict really loses no node.
-    /// (The engine-level matrices above assert the same through whole
-    /// evaluations; this pins the verdict/kernels contract directly, on
-    /// arbitrary frontiers no BFS needs to reach.)
+    /// really is an empty step, a Covered verdict's answer really is the
+    /// label's opposite-direction bitmap, a Masked verdict really loses
+    /// no node. Besides the random frontier, every `(symbol, direction)`
+    /// gets frontiers that cover its active set — all of `V`, and the
+    /// active set plus the random bits — since twelve random bits almost
+    /// never do. (The engine-level matrices above assert the same
+    /// through whole evaluations; this pins the verdict/kernels contract
+    /// directly, on arbitrary frontiers no BFS needs to reach.)
     #[test]
     fn degree_weighted_plans_are_bit_identical_to_plain_steps(
         graph in arb_graph(),
@@ -466,26 +543,42 @@ proptest! {
     ) {
         use pathlearn_graph::StepPlan;
         let n = graph.num_nodes();
-        let frontier = BitSet::from_indices(
+        let random = BitSet::from_indices(
             n,
             frontier_bits.iter().enumerate().filter(|(i, &b)| b && *i < n).map(|(i, _)| i),
         );
-        let frontier_len = frontier.len();
         let mut plain = BitSet::new(n);
         let mut planned = BitSet::new(n);
         for sym in graph.alphabet().symbols() {
             for dir in Dir::BOTH {
-                graph.step_into(dir, false, &frontier, sym, &mut plain);
-                match graph.plan_step(dir, &frontier, sym, frontier_len, StepPolicy::Auto) {
-                    StepPlan::Skip => prop_assert!(
-                        plain.is_empty(),
-                        "Skip verdict on a productive {:?} step ({:?})", dir, sym
-                    ),
-                    StepPlan::Masked => {
-                        graph.step_into(dir, true, &frontier, sym, &mut planned);
-                        prop_assert_eq!(&planned, &plain, "{:?} masked {:?}", dir, sym);
+                let mut covering = random.clone();
+                covering.union_with(graph.label_active(dir, sym));
+                for frontier in [&random, &BitSet::full(n), &covering] {
+                    let frontier_len = frontier.len();
+                    graph.step_into(dir, StepPlan::Plain, frontier, sym, &mut plain);
+                    let plan = graph.plan_step(dir, frontier, sym, frontier_len, StepPolicy::Auto);
+                    match plan {
+                        StepPlan::Skip => prop_assert!(
+                            plain.is_empty(),
+                            "Skip verdict on a productive {:?} step ({:?})", dir, sym
+                        ),
+                        StepPlan::Covered => prop_assert_eq!(
+                            graph.label_active(dir.reverse(), sym),
+                            &plain,
+                            "{:?} covered {:?}", dir, sym
+                        ),
+                        StepPlan::Masked | StepPlan::Plain => {}
                     }
-                    StepPlan::Plain => {}
+                    if frontier.intersection_len(graph.label_active(dir, sym))
+                        == graph.label_active_count(dir, sym)
+                    {
+                        prop_assert!(
+                            matches!(plan, StepPlan::Covered | StepPlan::Skip),
+                            "{:?} {:?}: a covering frontier planned {:?}", dir, sym, plan
+                        );
+                    }
+                    graph.step_into(dir, plan, frontier, sym, &mut planned);
+                    prop_assert_eq!(&planned, &plain, "{:?} {:?} {:?}", dir, plan, sym);
                 }
             }
         }

@@ -2,16 +2,20 @@
 //!
 //! The evaluators only ever reach the kernel through whole queries; here
 //! [`GraphDb::step_range_into`] and its whole-frontier forms are driven
-//! directly, as **one matrix** — `Dir::{Out, In}` × masked `{false,
-//! true}` × {whole frontier, every word-aligned 2- and 3-way partition}
+//! directly, as **one matrix** — `Dir::{Out, In}` × every [`StepPlan`]
+//! valid for the frontier (plain and masked always; skip when the
+//! frontier misses the label's active set, covered when it holds all of
+//! it) × {whole frontier, every word-aligned 2- and 3-way partition}
 //! — against one per-node adjacency oracle, on adversarial frontiers
-//! (empty, full `|V|`, a single word, word-boundary straddlers) over
-//! graph sizes chosen to hit every block-layout edge (1, 63, 64, 65, 130
-//! nodes), plus proptest-randomized graphs and frontiers. The same
-//! matrix then runs on **overlay graphs** ([`GraphDb::with_delta`])
-//! against the base slices of their [`GraphDb::compact`], so the
-//! kernel's overlay arms are partitioned across words too. The
-//! invariants:
+//! (empty, full `|V|`, a single word, word-boundary straddlers, and per
+//! label and direction the active set itself, alone and with a comb on
+//! top) over graph sizes chosen to hit every block-layout edge (1, 63,
+//! 64, 65, 130 nodes), plus proptest-randomized graphs and frontiers.
+//! The same matrix then runs on **overlay graphs**
+//! ([`GraphDb::with_delta`]) against the base slices of their
+//! [`GraphDb::compact`], so the kernel's overlay arms — and the covered
+//! copy of an overlay's recomputed bitmaps — are partitioned across
+//! words too. The invariants:
 //!
 //! * every cell of the matrix ≡ the oracle;
 //! * the union over any word-aligned partition of the range reproduces
@@ -21,7 +25,7 @@
 //! * out-of-alphabet symbols yield empty output in every cell.
 
 use pathlearn_automata::{Alphabet, BitSet, Symbol};
-use pathlearn_graph::{Dir, GraphBuilder, GraphDb, NodeId};
+use pathlearn_graph::{Dir, GraphBuilder, GraphDb, NodeId, StepPlan, StepPolicy};
 use proptest::prelude::*;
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
@@ -90,6 +94,21 @@ fn adversarial_frontiers(n: usize) -> Vec<BitSet> {
     frontiers
 }
 
+/// The plans the kernel may execute on `frontier` over `sym` in `dir`:
+/// both kernels always, and each verdict whose precondition the
+/// frontier meets.
+fn valid_plans(graph: &GraphDb, dir: Dir, frontier: &BitSet, sym: Symbol) -> Vec<StepPlan> {
+    let inter = frontier.intersection_len(graph.label_active(dir, sym));
+    let mut plans = vec![StepPlan::Plain, StepPlan::Masked];
+    if inter == 0 {
+        plans.push(StepPlan::Skip);
+    }
+    if inter == graph.label_active_count(dir, sym) {
+        plans.push(StepPlan::Covered);
+    }
+    plans
+}
+
 /// The whole matrix for one `(frontier, symbol)`: the kernels run on
 /// `graph`, the oracle reads `reference` (`graph` itself when it is
 /// delta-free, its compacted rebuild when it carries an overlay).
@@ -99,11 +118,11 @@ fn assert_kernel_matrix(graph: &GraphDb, reference: &GraphDb, frontier: &BitSet,
     for dir in Dir::BOTH {
         let expected = oracle(reference, dir, frontier, sym);
         assert_eq!(graph.step(dir, frontier, sym), expected, "{dir:?} step");
-        for masked in [false, true] {
-            let cell = format!("{dir:?} masked {masked}");
+        for plan in valid_plans(graph, dir, frontier, sym) {
+            let cell = format!("{dir:?} {plan:?}");
             // Whole frontier, clearing stale scratch.
             let mut out = BitSet::full(n);
-            graph.step_into(dir, masked, frontier, sym, &mut out);
+            graph.step_into(dir, plan, frontier, sym, &mut out);
             assert_eq!(out, expected, "{cell} whole");
             // Every word-aligned split 0..c1 | c1..c2 | c2..words: the
             // 3-way partitions, and (where a part is empty) the 2-way
@@ -112,7 +131,7 @@ fn assert_kernel_matrix(graph: &GraphDb, reference: &GraphDb, frontier: &BitSet,
                 for c2 in c1..=words {
                     let mut acc = BitSet::new(n);
                     for range in [0..c1, c1..c2, c2..words] {
-                        graph.step_range_into(dir, masked, frontier, sym, range, &mut acc);
+                        graph.step_range_into(dir, plan, frontier, sym, range, &mut acc);
                     }
                     assert_eq!(acc, expected, "{cell} split at {c1}, {c2}");
                 }
@@ -132,13 +151,28 @@ fn assert_kernel_matrix(graph: &GraphDb, reference: &GraphDb, frontier: &BitSet,
     );
 }
 
-/// [`assert_kernel_matrix`] over every symbol and the given frontiers.
-/// An overlay graph is checked against its compacted rebuild.
+/// Frontiers that hold the whole active set of `sym` in `dir`: the set
+/// itself, and the set with an every-third-node comb on top.
+fn covering_frontiers(graph: &GraphDb, dir: Dir, sym: Symbol) -> [BitSet; 2] {
+    let active = graph.label_active(dir, sym).clone();
+    let mut combed = BitSet::from_indices(graph.num_nodes(), (0..graph.num_nodes()).step_by(3));
+    combed.union_with(&active);
+    [active, combed]
+}
+
+/// [`assert_kernel_matrix`] over every symbol, the given frontiers and
+/// each symbol's covering frontiers in both directions. An overlay graph
+/// is checked against its compacted rebuild.
 fn assert_kernel_matrix_on(graph: &GraphDb, frontiers: &[BitSet]) {
     let reference = graph.compact();
-    for frontier in frontiers {
-        for sym in graph.alphabet().symbols() {
+    for sym in graph.alphabet().symbols() {
+        for frontier in frontiers {
             assert_kernel_matrix(graph, &reference, frontier, sym);
+        }
+        for dir in Dir::BOTH {
+            for frontier in &covering_frontiers(graph, dir, sym) {
+                assert_kernel_matrix(graph, &reference, frontier, sym);
+            }
         }
     }
 }
@@ -157,10 +191,14 @@ fn out_of_alphabet_symbol_is_empty_at_every_kernel() {
     let frontier = BitSet::full(70);
     for dir in Dir::BOTH {
         assert!(graph.step(dir, &frontier, foreign).is_empty());
-        for masked in [false, true] {
+        assert_eq!(
+            graph.plan_step(dir, &frontier, foreign, 70, StepPolicy::Auto),
+            StepPlan::Skip
+        );
+        for plan in [StepPlan::Plain, StepPlan::Masked, StepPlan::Covered] {
             let mut out = BitSet::full(70);
-            graph.step_into(dir, masked, &frontier, foreign, &mut out);
-            assert!(out.is_empty(), "{dir:?} masked {masked}");
+            graph.step_into(dir, plan, &frontier, foreign, &mut out);
+            assert!(out.is_empty(), "{dir:?} {plan:?}");
         }
     }
     let mut sparse = vec![1];
@@ -175,8 +213,12 @@ fn empty_range_is_a_no_op() {
     let frontier = BitSet::full(70);
     let mut out = BitSet::from_indices(70, [5]);
     for dir in Dir::BOTH {
-        graph.step_range_into(dir, false, &frontier, a, 1..1, &mut out);
-        graph.step_range_into(dir, true, &frontier, a, 2..2, &mut out);
+        graph.step_range_into(dir, StepPlan::Plain, &frontier, a, 1..1, &mut out);
+        graph.step_range_into(dir, StepPlan::Masked, &frontier, a, 2..2, &mut out);
+        // The covered copy belongs to the range holding word 0, which an
+        // empty range starting there does not.
+        graph.step_range_into(dir, StepPlan::Covered, &frontier, a, 0..0, &mut out);
+        graph.step_range_into(dir, StepPlan::Covered, &frontier, a, 1..2, &mut out);
     }
     assert_eq!(out.iter().collect::<Vec<_>>(), [5]);
 }
@@ -251,6 +293,62 @@ fn overlay_kernels_match_compacted_on_layout_graphs() {
         for frontier in &frontiers {
             for sym in base.alphabet().symbols() {
                 assert_kernel_matrix(&undone, &base, frontier, sym);
+            }
+        }
+    }
+}
+
+/// The covered verdict on overlays whose deltas move a label's active
+/// sets: one gives nodes their first edge of a label (in both
+/// directions), one takes a node's only edge of a label away. A covering
+/// frontier must plan `Covered` on the overlay's recomputed bitmaps, and
+/// its copy must match the oracle at every word-aligned partition — a
+/// stale bitmap would drop the new endpoint or keep the removed one.
+#[test]
+fn covered_steps_follow_overlay_active_sets() {
+    let (b, c) = (Symbol::from_index(1), Symbol::from_index(2));
+    for n in [65usize, 130] {
+        let base = layout_graph(n);
+        let last = n as NodeId - 1;
+        // 62 gets its first out-c-edge and 1 its first in-c-edge; 2 (no
+        // b-edge: 2 % 3 != 0) its first out-b-edge.
+        let first_edges = base.with_delta(&[(62, c, 1), (2, b, 64)], &[]).unwrap();
+        // 63's only b-edge goes, and with it 31's only in-b-edge; the
+        // last node's only c-edge goes, and c has no edge left.
+        let only_edges = base.with_delta(&[], &[(63, b, 31), (last, c, 0)]).unwrap();
+        let cases = [
+            (&first_edges, c, Dir::Out, 62, true),
+            (&first_edges, c, Dir::In, 1, true),
+            (&first_edges, b, Dir::Out, 2, true),
+            (&only_edges, b, Dir::Out, 63, false),
+            (&only_edges, b, Dir::In, 31, false),
+        ];
+        for (overlay, sym, dir, node, active) in cases {
+            assert_eq!(
+                overlay.label_active(dir, sym).contains(node as usize),
+                active,
+                "n={n} {dir:?} {sym:?} node {node}"
+            );
+        }
+        for dir in Dir::BOTH {
+            assert!(only_edges.label_active(dir, c).is_empty());
+        }
+        for overlay in [&first_edges, &only_edges] {
+            let reference = overlay.compact();
+            for sym in overlay.alphabet().symbols() {
+                for dir in Dir::BOTH {
+                    for frontier in &covering_frontiers(overlay, dir, sym) {
+                        let plan =
+                            overlay.plan_step(dir, frontier, sym, frontier.len(), StepPolicy::Auto);
+                        let expected = if overlay.label_active(dir, sym).is_empty() {
+                            StepPlan::Skip
+                        } else {
+                            StepPlan::Covered
+                        };
+                        assert_eq!(plan, expected, "n={n} {dir:?} {sym:?}");
+                        assert_kernel_matrix(overlay, &reference, frontier, sym);
+                    }
+                }
             }
         }
     }

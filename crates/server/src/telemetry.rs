@@ -487,11 +487,12 @@ impl QueryTrace {
         }
         for level in &self.levels {
             out.push_str(&format!(
-                "  level {:>3} frontier={} tasks={} masked={} {}us\n",
+                "  level {:>3} frontier={} tasks={} masked={} covered={} {}us\n",
                 level.level,
                 level.frontier,
                 level.tasks,
                 level.masked_tasks,
+                level.covered_tasks,
                 level.nanos / 1_000
             ));
         }

@@ -273,6 +273,13 @@ fn traces_are_consistent_with_served_outcomes() {
         "level nanos {level_sum} exceed trace total {}",
         trace.total_ns
     );
+    // A monadic miss starts from all of V at the final state, which
+    // covers every c-edge: level 0 copies the c-sources, walks no edge.
+    assert!(
+        trace.levels[0].covered_tasks >= 1,
+        "monadic level 0 is covered: {:?}",
+        trace.levels[0]
+    );
 
     // A replay is a cache hit: same bits, hit-shaped trace.
     let replay = service.query_monadic_canonical(query);
@@ -399,6 +406,24 @@ fn admin_surface_serves_metrics_health_and_slow_and_flips_on_drain() {
     );
     assert!(slow.contains("outcome=hit"), "slow log misses hits: {slow}");
     assert!(slow.contains("span"), "slow traces render their spans");
+    // Every evaluated query here is a monadic miss, whose first level
+    // the render shows covered.
+    let covered_level0 = slow
+        .lines()
+        .filter(|line| line.trim_start().starts_with("level   0 "))
+        .filter_map(|line| {
+            line.split_once("covered=")?
+                .1
+                .split(' ')
+                .next()?
+                .parse::<u32>()
+                .ok()
+        })
+        .collect::<Vec<_>>();
+    assert!(
+        !covered_level0.is_empty() && covered_level0.iter().all(|&covered| covered >= 1),
+        "monadic misses render level 0 covered: {slow}"
+    );
 
     // Unknown path and non-GET are rejected without killing the admin.
     let (status, _) = http_get(admin.local_addr(), "/nope");
