@@ -771,9 +771,10 @@ pub fn eval_monadic(query: &Dfa, graph: &GraphDb) -> BitSet {
 
 /// Reference implementation of the **seed algorithm**: node-at-a-time
 /// backward BFS over packed `(node, state)` product pairs with a queue.
-/// Kept verbatim so `bench_eval` can track the speedup of the
-/// frontier-batched [`eval_monadic`] against it, and as an equivalence
-/// oracle in tests.
+/// Kept so `bench_eval` can track the speedup of the frontier-batched
+/// [`eval_monadic`] against it, and as an equivalence oracle in tests;
+/// a popped pair reads the in-neighbours of each symbol that has a
+/// reverse DFA transition into its state, not the node's whole row.
 pub fn eval_monadic_queued(query: &Dfa, graph: &GraphDb) -> BitSet {
     let v = graph.num_nodes();
     let q_states = query.num_states();
@@ -810,25 +811,18 @@ pub fn eval_monadic_queued(query: &Dfa, graph: &GraphDb) -> BitSet {
     }
     while let Some((node, state)) = queue.pop_front() {
         // Predecessors: graph in-edges joined with reverse DFA transitions
-        // on the same symbol. The view borrows the base slice unless a
-        // delta overlay touches `node`.
-        let in_edges = graph.edges_of(Dir::In, node);
-        let in_edges: &[(Symbol, NodeId)] = &in_edges;
-        let mut i = 0;
-        while i < in_edges.len() {
-            let sym = in_edges[i].0;
-            let end = in_edges[i..].partition_point(|&(s, _)| s == sym) + i;
-            let dfa_preds = &rev[state as usize][sym.index()];
-            if !dfa_preds.is_empty() {
-                for &(_, src) in &in_edges[i..end] {
-                    for &p in dfa_preds {
-                        if reach.insert(pack(src as usize, p as usize)) {
-                            queue.push_back((src, p));
-                        }
+        // on the same symbol, delta overlay merged in.
+        for (si, dfa_preds) in rev[state as usize].iter().enumerate() {
+            if dfa_preds.is_empty() {
+                continue;
+            }
+            graph.for_each_neighbor(Dir::In, node, Symbol::from_index(si), |src| {
+                for &p in dfa_preds {
+                    if reach.insert(pack(src as usize, p as usize)) {
+                        queue.push_back((src, p));
                     }
                 }
-            }
-            i = end;
+            });
         }
     }
 

@@ -2,16 +2,21 @@
 //!
 //! A graph database `G = (V, E)` with `E ⊆ V × Σ × V` (paper §2). Nodes
 //! are dense `u32` ids with optional string names; edges are stored once
-//! per [`Dir`] in a **label-partitioned CSR** (an `Adjacency`):
-//! [`Dir::Out`] sorted by `(src, label, dst)`, [`Dir::In`] by
-//! `(dst, label, src)`, each with a per-`(node, symbol)` offset table of
-//! `|V|·|Σ| + 1` entries frozen at [`GraphBuilder::build`] time.
-//! [`GraphDb::neighbors`] is therefore **two array reads** (offsets `idx`
-//! and `idx + 1` into the edge array) instead of the two binary searches
-//! a mixed-label row would need — the access pattern of every simulation
-//! and product loop in the workspace. Everything that asks for "the
-//! `a`-neighbours of a node (set), in one direction" takes the direction
-//! as a [`Dir`] argument, which only selects which adjacency is read.
+//! per [`Dir`] in a **label-partitioned CSR** (an `Adjacency`) laid out
+//! **label-major**: [`Dir::Out`] sorted by `(label, src, dst)`,
+//! [`Dir::In`] by `(label, dst, src)`, each with a `(label, node)` offset
+//! table of `|Σ|·|V| + 1` entries frozen at [`GraphBuilder::build`] time.
+//! [`GraphDb::neighbors`] is therefore **two adjacent array reads**
+//! (cells `a·|V| + v` and `a·|V| + v + 1`) instead of the two binary
+//! searches a mixed-label row would need — the access pattern of every
+//! simulation and product loop in the workspace — and a frontier step
+//! over `a`, which visits nodes in ascending order, streams through
+//! `a`'s offsets and edges front to back. Per-node views
+//! ([`GraphDb::edges_of`], [`GraphDb::degree`], [`GraphDb::edges`]) walk
+//! the node's cell in every label's run instead. Everything that asks
+//! for "the `a`-neighbours of a node (set), in one direction" takes the
+//! direction as a [`Dir`] argument, which only selects which adjacency
+//! is read.
 //!
 //! On top of the partitioned layout sits the **frontier step kernel**
 //! ([`GraphDb::step_range_into`], with the whole-frontier forms
@@ -27,9 +32,10 @@
 //! a rebuild: [`GraphDb::with_delta`] returns a new handle sharing the
 //! frozen CSR (behind an `Arc`) plus a per-`(label, direction)` overlay
 //! of added/removed edge sets. The step kernel merges the overlay at
-//! visit time — base slice filtered by the removal set, then the added
-//! list — behind a once-per-call branch, so delta-free graphs keep the
-//! exact hot path they had before. The per-label bitmaps, counts and
+//! visit time — base slice minus the removal list, merged in ascending
+//! order with the added list, the same walk every merged view uses —
+//! behind a once-per-call branch, so delta-free graphs keep the exact
+//! hot path they had before. The per-label bitmaps, counts and
 //! average degrees the [`StepPolicy`] cost model reads are **recomputed
 //! exactly** for touched labels at delta-apply time, so plan decisions
 //! stay sound on overlay graphs. When the overlay outgrows a threshold,
@@ -63,15 +69,16 @@
 //!
 //! ## Complexity
 //!
-//! * build: `O(|E| log |E|)` sort + `O(|V|·|Σ| + |E|)` offset scan;
-//! * memory: `2·|E|` edge entries + `2·(|V|·|Σ| + 1)` offsets — the
-//!   offsets trade `O(|V|·|Σ|)` space for `O(1)` per-symbol lookup, the
+//! * build: the builder's `O(|E| log |E|)` sort, then per direction one
+//!   `O(|Σ|·|V| + |E|)` counting sort (count, prefix sum, scatter);
+//! * memory: `2·|E|` edge entries + `2·(|Σ|·|V| + 1)` offsets — the
+//!   offsets trade `O(|Σ|·|V|)` space for `O(1)` per-symbol lookup, the
 //!   PathFinder-style label-indexed adjacency choice;
 //! * `step(dir, F, a)`: `O(|F| + Σ_{ν∈F} deg_a(ν) + |V|/64)`;
-//! * `neighbors`: `O(1)` to produce the slice.
+//! * `neighbors`: `O(1)` to produce the slice; `edges_of` / `degree`:
+//!   `O(|Σ| + deg(ν))`.
 
 use pathlearn_automata::{Alphabet, BitSet, Symbol};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -242,47 +249,71 @@ impl LabelStats {
     }
 }
 
-/// One direction of the label-partitioned CSR: every edge as a
-/// `(label, endpoint)` pair in `(node, label, endpoint)` order, where
-/// *node* is the source and *endpoint* the target for [`Dir::Out`], and
-/// the other way round for [`Dir::In`].
+/// One direction of the label-partitioned CSR, stored **label-major**:
+/// every edge as a `(label, endpoint)` pair in `(label, node, endpoint)`
+/// order, where *node* is the source and *endpoint* the target for
+/// [`Dir::Out`], and the other way round for [`Dir::In`]. A frontier
+/// step over one label visits nodes in ascending order, so it reads
+/// that label's offsets (16 nodes per 64-byte line) and its edges front
+/// to back, instead of one `|Σ|`-cell row per frontier node.
 #[derive(Debug)]
 struct Adjacency {
-    /// Per-node offsets into `edges` (`|V| + 1` entries).
+    /// `(label, node)` offsets into `edges` (`|Σ|·|V| + 1`): the
+    /// `a`-edges of `v` are `edges[offsets[a·|V| + v]..offsets[a·|V| + v + 1]]`,
+    /// so label `a`'s run of `|V| + 1` cells ends where `a + 1`'s begins.
     offsets: Vec<u32>,
-    /// Per-`(node, symbol)` offsets into `edges` (`|V|·|Σ| + 1`).
-    sym_offsets: Vec<u32>,
     edges: Vec<(Symbol, NodeId)>,
     /// Per-label statistics, indexed by symbol (`|Σ|` entries).
     labels: Vec<LabelStats>,
+    num_nodes: usize,
 }
 
 impl Adjacency {
-    /// Freezes an edge list sorted by `(node, symbol, endpoint)`: the
-    /// order makes each `(node, symbol)` partition a contiguous slice,
-    /// so the offset table is a prefix sum over one counting pass. The
-    /// same pass derives the per-label statistics and the table's row
-    /// boundaries give the per-node offsets — all pure functions of the
-    /// edge list, so nothing else ever has to produce (or store) them.
-    fn from_sorted(sorted: &[(NodeId, Symbol, NodeId)], num_nodes: usize, sigma: usize) -> Self {
-        let mut sym_offsets = vec![0u32; num_nodes * sigma + 1];
+    /// Freezes one direction of an edge list sorted by `(src, symbol,
+    /// dst)` and deduplicated, with a counting sort keyed by `(label,
+    /// node)` — *node* being `src` for [`Dir::Out`], `dst` for
+    /// [`Dir::In`]. One pass counts the cells (and derives the per-label
+    /// statistics), a prefix sum turns counts into starts, and a stable
+    /// scatter uses the offset table itself as the write cursor, so no
+    /// second `|Σ|·|V|` table is ever live. Each cell receives its
+    /// endpoints in list order, which is ascending in both directions:
+    /// targets ascend within a `(src, symbol)` run, and sources ascend
+    /// along the whole list.
+    fn from_sorted(
+        sorted: &[(NodeId, Symbol, NodeId)],
+        dir: Dir,
+        num_nodes: usize,
+        sigma: usize,
+    ) -> Self {
+        let key = |&(src, sym, dst): &(NodeId, Symbol, NodeId)| match dir {
+            Dir::Out => (sym, src, dst),
+            Dir::In => (sym, dst, src),
+        };
+        let cell = |sym: Symbol, node: NodeId| sym.index() * num_nodes + node as usize;
+        let cells = sigma * num_nodes;
+        let mut offsets = vec![0u32; cells + 1];
         let mut active: Vec<BitSet> = (0..sigma).map(|_| BitSet::new(num_nodes)).collect();
         let mut edge_counts = vec![0u64; sigma];
-        for &(node, sym, _) in sorted {
-            sym_offsets[node as usize * sigma + sym.index() + 1] += 1;
+        for edge in sorted {
+            let (sym, node, _) = key(edge);
+            offsets[cell(sym, node) + 1] += 1;
             active[sym.index()].insert(node as usize);
             edge_counts[sym.index()] += 1;
         }
-        for i in 0..num_nodes * sigma {
-            sym_offsets[i + 1] += sym_offsets[i];
+        for i in 0..cells {
+            offsets[i + 1] += offsets[i];
         }
-        let offsets = (0..=num_nodes)
-            .map(|node| sym_offsets[node * sigma])
-            .collect();
-        let edges = sorted
-            .iter()
-            .map(|&(_, sym, endpoint)| (sym, endpoint))
-            .collect();
+        let mut edges = vec![(Symbol::from_index(0), 0); sorted.len()];
+        for edge in sorted {
+            let (sym, node, endpoint) = key(edge);
+            let cursor = &mut offsets[cell(sym, node)];
+            edges[*cursor as usize] = (sym, endpoint);
+            *cursor += 1;
+        }
+        // Each cursor now stands at its cell's end — the next cell's
+        // start — so one shift restores the starts.
+        offsets.copy_within(..cells, 1);
+        offsets[0] = 0;
         let labels = active
             .into_iter()
             .zip(edge_counts)
@@ -290,29 +321,49 @@ impl Adjacency {
             .collect();
         Adjacency {
             offsets,
-            sym_offsets,
             edges,
             labels,
+            num_nodes,
         }
     }
 
-    /// Every edge of `node`, sorted by `(label, endpoint)`.
-    fn node_edges(&self, node: NodeId) -> &[(Symbol, NodeId)] {
-        let lo = self.offsets[node as usize] as usize;
-        let hi = self.offsets[node as usize + 1] as usize;
-        &self.edges[lo..hi]
-    }
-
-    /// The `sym`-partition of `node`: two array reads into the offset
+    /// The `(node, sym)` cell: two reads from `sym`'s run of the offset
     /// table. Empty for an out-of-alphabet symbol.
     #[inline]
     fn neighbors(&self, node: NodeId, sym: Symbol) -> &[(Symbol, NodeId)] {
-        let sigma = self.labels.len();
-        if sym.index() >= sigma {
+        let start = sym.index() * self.num_nodes;
+        let Some(run) = self.offsets.get(start..start + self.num_nodes + 1) else {
             return &[];
-        }
-        let idx = node as usize * sigma + sym.index();
-        &self.edges[self.sym_offsets[idx] as usize..self.sym_offsets[idx + 1] as usize]
+        };
+        let node = node as usize;
+        &self.edges[run[node] as usize..run[node + 1] as usize]
+    }
+
+    /// `node`'s cell under label `si`, as a range of `edges`. Unlike
+    /// [`Adjacency::neighbors`] it does not check `node`, whose cell
+    /// would alias the next label's run: callers check it once per walk
+    /// ([`Adjacency::check_node`]) and then step `si`.
+    #[inline]
+    fn cell(&self, node: NodeId, si: usize) -> Range<usize> {
+        let at = si * self.num_nodes + node as usize;
+        self.offsets[at] as usize..self.offsets[at + 1] as usize
+    }
+
+    /// Panics on a node id outside the graph, as an index would.
+    fn check_node(&self, node: NodeId) {
+        assert!(
+            (node as usize) < self.num_nodes,
+            "node {node} out of range ({} nodes)",
+            self.num_nodes
+        );
+    }
+
+    /// The total length of `node`'s cells, one per label's run.
+    fn degree(&self, node: NodeId) -> usize {
+        self.check_node(node);
+        (0..self.labels.len())
+            .map(|si| self.cell(node, si).len())
+            .sum()
     }
 }
 
@@ -406,66 +457,118 @@ impl SymDelta {
         self.added.is_empty() && self.removed.is_empty()
     }
 
-    fn touches(&self, node: NodeId) -> bool {
-        self.added_nodes.contains(node as usize) || self.removed_nodes.contains(node as usize)
-    }
-
-    /// Visits the **effective** endpoints of `node`: the base partition
-    /// minus the removal list, then the added list (visit order is base
-    /// survivors first, added endpoints after — set consumers only).
+    /// The **effective** endpoints of `node` in ascending order — the
+    /// base cell minus the removal list, merged with the added list — as
+    /// an allocation-free [`MergedNeighbors`] walk. The one overlay merge:
+    /// the step kernels, the sparse step and every merged view use it.
     #[inline]
-    fn visit_merged(&self, base: &[(Symbol, NodeId)], node: NodeId, mut visit: impl FnMut(NodeId)) {
-        if self.removed_nodes.contains(node as usize) {
-            let removed = &self.removed[&node];
-            for &(_, endpoint) in base {
-                if removed.binary_search(&endpoint).is_err() {
-                    visit(endpoint);
+    fn merged<'g>(&'g self, base: &'g [(Symbol, NodeId)], node: NodeId) -> MergedNeighbors<'g> {
+        let list = |nodes: &BitSet, lists: &'g HashMap<NodeId, Vec<NodeId>>| -> &'g [NodeId] {
+            if nodes.contains(node as usize) {
+                &lists[&node]
+            } else {
+                &[]
+            }
+        };
+        MergedNeighbors {
+            base,
+            removed: list(&self.removed_nodes, &self.removed),
+            added: list(&self.added_nodes, &self.added),
+        }
+    }
+}
+
+/// The effective `sym`-neighbours of one node in ascending order: the
+/// base cell minus its removal list, two-pointer merged with its added
+/// list. All three are sorted, removals are a subset of the base cell
+/// and additions are disjoint from it, so the walk is the compacted
+/// graph's cell.
+struct MergedNeighbors<'g> {
+    base: &'g [(Symbol, NodeId)],
+    removed: &'g [NodeId],
+    added: &'g [NodeId],
+}
+
+impl<'g> MergedNeighbors<'g> {
+    /// A cell no delta touches.
+    fn base(base: &'g [(Symbol, NodeId)]) -> Self {
+        MergedNeighbors {
+            base,
+            removed: &[],
+            added: &[],
+        }
+    }
+}
+
+impl Iterator for MergedNeighbors<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        loop {
+            let Some((&(_, kept), rest)) = self.base.split_first() else {
+                let (&new, added) = self.added.split_first()?;
+                self.added = added;
+                return Some(new);
+            };
+            if let Some((&new, added)) = self.added.split_first() {
+                if new < kept {
+                    self.added = added;
+                    return Some(new);
                 }
             }
-        } else {
-            for &(_, endpoint) in base {
-                visit(endpoint);
-            }
-        }
-        if self.added_nodes.contains(node as usize) {
-            for &endpoint in &self.added[&node] {
-                visit(endpoint);
+            self.base = rest;
+            match self.removed.split_first() {
+                Some((&gone, removed)) if gone == kept => self.removed = removed,
+                _ => return Some(kept),
             }
         }
     }
+}
 
-    /// [`SymDelta::visit_merged`] with the added list two-pointer merged
-    /// into the surviving base endpoints, so the visit order is fully
-    /// sorted (both inputs are sorted and disjoint).
-    fn visit_merged_sorted(
-        &self,
-        base: &[(Symbol, NodeId)],
-        node: NodeId,
-        mut visit: impl FnMut(NodeId),
-    ) {
-        let removed: &[NodeId] = if self.removed_nodes.contains(node as usize) {
-            &self.removed[&node]
-        } else {
-            &[]
-        };
-        let added: &[NodeId] = if self.added_nodes.contains(node as usize) {
-            &self.added[&node]
-        } else {
-            &[]
-        };
-        let mut next_add = 0;
-        for &(_, endpoint) in base {
-            if removed.binary_search(&endpoint).is_ok() {
-                continue;
+/// [`GraphDb::edges_of`]'s walk: `node`'s cell in each label's run of
+/// one adjacency, in symbol order, each merged with its label's delta.
+struct NodeEdges<'g> {
+    adj: &'g Adjacency,
+    /// The direction's per-label deltas, `None` on a delta-free graph.
+    deltas: Option<&'g [Option<Box<SymDelta>>]>,
+    node: NodeId,
+    /// The label whose cell is fetched once `cell` runs dry.
+    next_label: usize,
+    /// The label of `cell`.
+    sym: Symbol,
+    cell: MergedNeighbors<'g>,
+}
+
+impl Iterator for NodeEdges<'_> {
+    type Item = (Symbol, NodeId);
+
+    #[inline]
+    fn next(&mut self) -> Option<(Symbol, NodeId)> {
+        loop {
+            if let Some(endpoint) = self.cell.next() {
+                return Some((self.sym, endpoint));
             }
-            while next_add < added.len() && added[next_add] < endpoint {
-                visit(added[next_add]);
-                next_add += 1;
-            }
-            visit(endpoint);
-        }
-        for &endpoint in &added[next_add..] {
-            visit(endpoint);
+            // Most of a node's cells are empty: skip those on their two
+            // offsets alone (this loop is the whole cost of a walk).
+            let (si, cell, delta) = loop {
+                let si = self.next_label;
+                if si == self.adj.labels.len() {
+                    return None;
+                }
+                self.next_label += 1;
+                let cell = self.adj.cell(self.node, si);
+                let delta = self.deltas.and_then(|deltas| deltas[si].as_deref());
+                if !cell.is_empty() || delta.is_some() {
+                    break (si, cell, delta);
+                }
+            };
+            self.sym = Symbol::from_index(si);
+            let base = &self.adj.edges[cell];
+            self.cell = match delta {
+                None => MergedNeighbors::base(base),
+                Some(delta) => delta.merged(base, self.node),
+            };
         }
     }
 }
@@ -627,29 +730,24 @@ impl GraphDb {
     /// graph, shared by [`GraphBuilder::build`], the snapshot decoder
     /// and [`GraphDb::compact`]. `edges` must be sorted by
     /// `(src, symbol, dst)` and deduplicated, with every id in range:
-    /// that order *is* the [`Dir::Out`] adjacency, and the same list
-    /// keyed by target and re-sorted is the [`Dir::In`] one.
+    /// each direction's adjacency is one counting sort of that list (see
+    /// `Adjacency::from_sorted`), neither needs a re-sort.
     fn from_sorted_edges(
         alphabet: Alphabet,
         node_names: Vec<String>,
         name_index: HashMap<String, NodeId>,
-        mut edges: Vec<(NodeId, Symbol, NodeId)>,
+        edges: Vec<(NodeId, Symbol, NodeId)>,
     ) -> GraphDb {
         debug_assert!(edges.windows(2).all(|pair| pair[0] < pair[1]));
         let (n, sigma) = (node_names.len(), alphabet.len());
-        let out = Adjacency::from_sorted(&edges, n, sigma);
-        for edge in &mut edges {
-            *edge = (edge.2, edge.1, edge.0);
-        }
-        edges.sort_unstable();
-        let inn = Adjacency::from_sorted(&edges, n, sigma);
+        let adj = Dir::BOTH.map(|dir| Adjacency::from_sorted(&edges, dir, n, sigma));
         GraphDb {
             core: std::sync::Arc::new(GraphCore {
                 alphabet,
                 no_label_nodes: BitSet::new(n),
                 node_names,
                 name_index,
-                adj: [out, inn],
+                adj,
             }),
             delta: None,
         }
@@ -720,10 +818,10 @@ impl GraphDb {
     /// The `sym`-neighbours of `node` in the **base CSR** as the
     /// `(label, endpoint)` sub-slice, sorted by endpoint: targets of
     /// `node`'s out-edges for [`Dir::Out`], sources of its in-edges for
-    /// [`Dir::In`]. Two array reads into the label-partitioned offset
-    /// table; empty for an out-of-alphabet symbol. A borrowed slice
-    /// cannot splice the delta overlay in — overlay-aware consumers use
-    /// [`GraphDb::for_each_neighbor`].
+    /// [`Dir::In`]. Two adjacent reads in `sym`'s run of the label-major
+    /// offset table (cell `sym·|V| + node`); empty for an out-of-alphabet
+    /// symbol. A borrowed slice cannot splice the delta overlay in —
+    /// overlay-aware consumers use [`GraphDb::for_each_neighbor`].
     #[inline]
     pub fn neighbors(&self, dir: Dir, node: NodeId, sym: Symbol) -> &[(Symbol, NodeId)] {
         self.adj(dir).neighbors(node, sym)
@@ -736,10 +834,11 @@ impl GraphDb {
         self.neighbors(Dir::Out, node, sym)
     }
 
-    /// Visits every **effective** `sym`-neighbour of `node` — the base
-    /// slice with the delta overlay merged in (removed endpoints
-    /// skipped, added endpoints appended). On a delta-free graph this is
-    /// exactly a walk of [`GraphDb::neighbors`].
+    /// Visits every **effective** `sym`-neighbour of `node` in ascending
+    /// order — the base slice with the delta overlay merged in (removed
+    /// endpoints skipped, added ones in place), so the visit is the
+    /// compacted graph's. On a delta-free graph this is exactly a walk
+    /// of [`GraphDb::neighbors`].
     #[inline]
     pub fn for_each_neighbor(
         &self,
@@ -751,45 +850,37 @@ impl GraphDb {
         let base = self.neighbors(dir, node, sym);
         match self.sym_delta(dir, sym) {
             None => base.iter().for_each(|&(_, endpoint)| visit(endpoint)),
-            Some(delta) => delta.visit_merged(base, node, visit),
+            Some(delta) => delta.merged(base, node).for_each(visit),
         }
     }
 
     /// The **effective** edges of `node` in one direction, overlay
-    /// included, as `(label, endpoint)` pairs sorted by both. Borrows
-    /// the base slice when the overlay does not touch `node` (always, on
-    /// a delta-free graph); allocates a merged copy otherwise.
-    pub fn edges_of(&self, dir: Dir, node: NodeId) -> Cow<'_, [(Symbol, NodeId)]> {
-        let adj = self.adj(dir);
-        let deltas = self
-            .delta
-            .as_deref()
-            .map(|overlay| &overlay.dirs[dir as usize]);
-        let Some(deltas) = deltas.filter(|deltas| deltas.iter().flatten().any(|d| d.touches(node)))
-        else {
-            return Cow::Borrowed(adj.node_edges(node));
-        };
-        // Per symbol, the base partition filtered by the removal list
-        // merged with the added list — both sorted, so the output stays
-        // sorted by `(label, endpoint)` without a final sort.
-        let mut merged = Vec::new();
-        for (si, delta) in deltas.iter().enumerate() {
-            let sym = Symbol::from_index(si);
-            let base = adj.neighbors(node, sym);
-            match delta {
-                None => merged.extend_from_slice(base),
-                Some(delta) => {
-                    delta.visit_merged_sorted(base, node, |endpoint| merged.push((sym, endpoint)))
-                }
-            }
+    /// included, as `(label, endpoint)` pairs sorted by both. The walk
+    /// visits `node`'s cell in every label's run of the offset table, in
+    /// symbol order, and allocates nothing — overlay-touched nodes
+    /// included. Callers that want one label should ask for it
+    /// ([`GraphDb::for_each_neighbor`]): that is two reads, this is
+    /// `2·|Σ|`.
+    pub fn edges_of(&self, dir: Dir, node: NodeId) -> impl Iterator<Item = (Symbol, NodeId)> + '_ {
+        self.adj(dir).check_node(node);
+        NodeEdges {
+            adj: self.adj(dir),
+            deltas: self
+                .delta
+                .as_deref()
+                .map(|overlay| &overlay.dirs[dir as usize][..]),
+            node,
+            next_label: 0,
+            sym: Symbol::from_index(0),
+            cell: MergedNeighbors::base(&[]),
         }
-        Cow::Owned(merged)
     }
 
     /// Number of edges of `node` in one direction (out-degree for
-    /// [`Dir::Out`], in-degree for [`Dir::In`]), delta overlay included.
+    /// [`Dir::Out`], in-degree for [`Dir::In`]), delta overlay included:
+    /// the cell lengths of `node` across every label's run.
     pub fn degree(&self, dir: Dir, node: NodeId) -> usize {
-        let mut degree = self.adj(dir).node_edges(node).len();
+        let mut degree = self.adj(dir).degree(node);
         if let Some(overlay) = self.delta.as_deref() {
             for delta in overlay.dirs[dir as usize].iter().flatten() {
                 if delta.added_nodes.contains(node as usize) {
@@ -1008,9 +1099,10 @@ impl GraphDb {
     /// word-aligned partition of `0..num_node_words()` equals the
     /// whole-frontier step bit-for-bit. This is the unit of the
     /// node-range fan-out in [`crate::par_eval`]. The frontier is
-    /// consumed word-by-word with trailing-zero scans and every
-    /// neighbour range is a contiguous slice of the partitioned CSR, so
-    /// the kernel is a linear pass over frontier-adjacent edges.
+    /// consumed word-by-word with trailing-zero scans, so nodes arrive
+    /// in ascending order and the kernel is one forward pass over
+    /// `sym`'s run of the label-major offset table and over `sym`'s
+    /// edges.
     ///
     /// With [`StepPlan::Masked`] the kernel iterates
     /// `frontier ∩ label_active(dir, sym)` instead of the raw frontier.
@@ -1091,9 +1183,9 @@ impl GraphDb {
                 }
             }),
             Some(delta) => self.for_frontier_words::<MASKED>(frontier, mask, words, |node| {
-                delta.visit_merged(adj.neighbors(node, sym), node, |endpoint| {
+                for endpoint in delta.merged(adj.neighbors(node, sym), node) {
                     out.insert(endpoint as usize);
-                });
+                }
             }),
         }
     }
@@ -1138,6 +1230,12 @@ impl GraphDb {
     pub fn step_sparse_into(&self, set: &[NodeId], sym: Symbol, out: &mut Vec<NodeId>) {
         out.clear();
         let adj = self.adj(Dir::Out);
+        // Callers step one small set over every label in turn, so each
+        // node's cells lie in |Σ| different runs of the offset table; a
+        // node outside the label's (overlay-exact) active set costs one
+        // bit test in a bitmap far smaller than the table instead.
+        let active = self.label_active(Dir::Out, sym);
+        let set = set.iter().filter(|&&node| active.contains(node as usize));
         match self.sym_delta(Dir::Out, sym) {
             None => {
                 for &node in set {
@@ -1146,7 +1244,7 @@ impl GraphDb {
             }
             Some(delta) => {
                 for &node in set {
-                    delta.visit_merged(adj.neighbors(node, sym), node, |t| out.push(t));
+                    out.extend(delta.merged(adj.neighbors(node, sym), node));
                 }
             }
         }
@@ -1155,21 +1253,22 @@ impl GraphDb {
     }
 
     /// Iterates over all **effective** edges as `(src, label, dst)` —
-    /// delta overlay included, in `(src, label, dst)` order. Lazy, and
-    /// allocation-free except at the nodes an overlay touches, which
-    /// materialize their merged edge list.
+    /// delta overlay included, in `(src, label, dst)` order. Lazy, one
+    /// block of sources at a time: a source's cells lie in `|Σ|` runs of
+    /// the offset table, so the block's [`GraphDb::edges_of`] walks are
+    /// gathered into one buffer before any edge is handed out — each
+    /// fetched line of every run serves 16 consecutive sources, whatever
+    /// the consumer does with the edges in between.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, Symbol, NodeId)> + '_ {
-        self.nodes().flat_map(move |src| {
-            // An untouched node's base slice is walked in place; only
-            // an `Owned` (merged) view carries a buffer into the chain.
-            let (base, merged) = match self.edges_of(Dir::Out, src) {
-                Cow::Borrowed(base) => (base, Vec::new()),
-                Cow::Owned(merged) => (&[][..], merged),
-            };
-            base.iter()
-                .copied()
-                .chain(merged)
-                .map(move |(sym, dst)| (src, sym, dst))
+        const BLOCK: usize = 1024;
+        let n = self.num_nodes() as NodeId;
+        (0..n).step_by(BLOCK).flat_map(move |first| {
+            let block = first..first.saturating_add(BLOCK as NodeId).min(n);
+            let edges = block.flat_map(|src| {
+                self.edges_of(Dir::Out, src)
+                    .map(move |(sym, dst)| (src, sym, dst))
+            });
+            edges.collect::<Vec<_>>()
         })
     }
 
@@ -1476,14 +1575,14 @@ mod tests {
         let a = graph.alphabet().symbol("a").unwrap();
         let b = graph.alphabet().symbol("b").unwrap();
         let c = graph.alphabet().symbol("c").unwrap();
-        let out = graph.edges_of(Dir::Out, v3);
+        let out: Vec<_> = graph.edges_of(Dir::Out, v3).collect();
         assert!(out.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(graph.successors(v3, a).len(), 3); // → v2, v3, v4
         assert_eq!(graph.successors(v3, b).len(), 0);
         assert_eq!(graph.successors(v3, c).len(), 1); // → v4
         let v4 = graph.node_id("v4").unwrap();
         // v4 in-edges: a from v3/v5/v6, b from v5, c from v3.
-        assert_eq!(graph.edges_of(Dir::In, v4).len(), 5);
+        assert_eq!(graph.edges_of(Dir::In, v4).count(), 5);
         assert_eq!(graph.neighbors(Dir::In, v4, c).len(), 1);
         assert_eq!(graph.neighbors(Dir::In, v4, b).len(), 1);
         assert_eq!(graph.degree(Dir::Out, v4), 0);
@@ -1953,8 +2052,8 @@ mod tests {
                 );
                 for node in overlay.nodes() {
                     let mut via_visit = Vec::new();
+                    // In order: the overlay's walk is the compacted cell.
                     overlay.for_each_neighbor(dir, node, sym, |t| via_visit.push(t));
-                    via_visit.sort_unstable();
                     let direct: Vec<NodeId> = compacted
                         .neighbors(dir, node, sym)
                         .iter()
@@ -1973,9 +2072,10 @@ mod tests {
             }
             for node in overlay.nodes() {
                 assert_eq!(overlay.degree(dir, node), compacted.degree(dir, node));
-                assert_eq!(
-                    overlay.edges_of(dir, node),
-                    compacted.edges_of(dir, node),
+                assert!(
+                    overlay
+                        .edges_of(dir, node)
+                        .eq(compacted.edges_of(dir, node)),
                     "{dir:?} view of {node}"
                 );
             }

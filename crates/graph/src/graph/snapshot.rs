@@ -3,7 +3,7 @@
 //! A snapshot is the **edge list**, not a memory image: the alphabet,
 //! the node names and the out-direction of the edge relation, each
 //! edge once. Everything else a [`GraphDb`] holds — the
-//! per-`(node, symbol)` offset tables, the in-direction, the label
+//! `(label, node)` offset tables, the in-direction, the label
 //! bitmaps, counts and average degrees — is a pure function of that
 //! list, so loading one is a bounds-checked read of the list followed
 //! by the **same private constructor** `GraphBuilder::build` ends in.
@@ -73,7 +73,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PLSG";
 /// evolution is explicit, never silent.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Largest `|V|·|Σ|` a snapshot may declare. The per-`(node, symbol)`
+/// Largest `|V|·|Σ|` a snapshot may declare. The `(label, node)`
 /// offset tables are not in the file, but loading derives one `u32`
 /// table of that many cells per direction (1 GiB each at the limit), so
 /// without a bound a few digest-valid megabytes of short names and
@@ -265,12 +265,11 @@ impl GraphDb {
         out.resize(offsets_at + 4 * (n + 1), 0);
         let mut written = 0u32;
         for node in self.nodes() {
-            let row = self.edges_of(Dir::Out, node);
-            for &(sym, target) in row.iter() {
+            for (sym, target) in self.edges_of(Dir::Out, node) {
                 out.extend_from_slice(&(sym.index() as u32).to_le_bytes());
                 out.extend_from_slice(&target.to_le_bytes());
+                written += 1;
             }
-            written += row.len() as u32;
             let slot = offsets_at + 4 * (node as usize + 1);
             out[slot..slot + 4].copy_from_slice(&written.to_le_bytes());
         }
@@ -422,7 +421,7 @@ impl<'a> Decoder<'a> {
             });
         }
         let m = m64 as usize;
-        // The per-`(node, symbol)` table is not in the file, but the
+        // The `(label, node)` offset table is not in the file, but the
         // constructor derives it: bound it before anything is built.
         check_table_cells(n, sigma)?;
         // Every other allocation below is sized by a header count; the

@@ -9,6 +9,7 @@
 //! [`parse_graph`] would mis-read.
 
 use crate::graph::{Dir, GraphBuilder, GraphDb};
+use pathlearn_automata::BitSet;
 use std::fmt::Write as _;
 
 /// Error from [`write_graph`]: the graph contains a node name or edge
@@ -124,10 +125,19 @@ pub fn write_graph(graph: &GraphDb) -> Result<String, GraphWriteError> {
         graph.num_edges(),
         graph.alphabet().len()
     );
-    for node in graph.nodes() {
-        if Dir::BOTH.iter().all(|&dir| graph.degree(dir, node) == 0) {
-            let _ = writeln!(out, "node {}", graph.node_name(node));
+    // A node is isolated iff no label's active set, in either direction,
+    // holds it: one pass of word ORs, not a per-node walk of every label.
+    let mut linked = BitSet::new(graph.num_nodes());
+    for dir in Dir::BOTH {
+        for sym in graph.alphabet().symbols() {
+            linked.union_with(graph.label_active(dir, sym));
         }
+    }
+    for node in graph
+        .nodes()
+        .filter(|&node| !linked.contains(node as usize))
+    {
+        let _ = writeln!(out, "node {}", graph.node_name(node));
     }
     for (src, sym, dst) in graph.edges() {
         let _ = writeln!(

@@ -25,10 +25,10 @@ pub struct Neighborhood {
 /// `radius` of `center`, plus (optionally) backward distance for context.
 ///
 /// Level-synchronous **sparse** BFS: neighborhoods are tiny fragments of
-/// large graphs, so the frontier is a node vector expanded one adjacency
-/// row at a time (the label-partitioned CSR keeps each node's full
-/// forward/backward row contiguous) with a [`BitSet`] for O(1) dedup —
-/// cost proportional to the edges actually touched, never to `|V|·|Σ|`.
+/// large graphs, so the frontier is a node vector expanded one node's
+/// edges at a time ([`GraphDb::edges_of`]: its cell in each label's run)
+/// with a [`BitSet`] for O(1) dedup — cost proportional to the frontier
+/// times `|Σ|` plus the edges actually touched, never to `|V|·|Σ|`.
 pub fn neighborhood(
     graph: &GraphDb,
     center: NodeId,
@@ -45,13 +45,13 @@ pub fn neighborhood(
         }
         next_frontier.clear();
         for &node in &frontier {
-            for &(_, t) in graph.edges_of(Dir::Out, node).iter() {
+            for (_, t) in graph.edges_of(Dir::Out, node) {
                 if keep.insert(t as usize) {
                     next_frontier.push(t);
                 }
             }
             if include_backward {
-                for &(_, s) in graph.edges_of(Dir::In, node).iter() {
+                for (_, s) in graph.edges_of(Dir::In, node) {
                     if keep.insert(s as usize) {
                         next_frontier.push(s);
                     }

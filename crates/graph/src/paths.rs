@@ -18,6 +18,7 @@
 use crate::graph::{Dir, GraphDb, NodeId, StepPlan};
 use pathlearn_automata::rpni::MergeOracle;
 use pathlearn_automata::{BitSet, Dfa, Nfa, StateId, Symbol, Word};
+use std::ops::Range;
 
 impl GraphDb {
     /// The NFA recognizing `paths_G(X) = ∪_{ν∈X} paths_G(ν)`: the graph
@@ -124,25 +125,22 @@ impl GraphDb {
             Black,
         }
         let mut color = vec![Color::White; self.num_nodes()];
-        // Iterative DFS: stack of (node, next edge index).
-        let mut stack: Vec<(NodeId, usize)> = vec![(node, 0)];
+        // Iterative DFS: each frame holds its node's edge walk, fetched
+        // once when the node is pushed and resumed where it stopped (the
+        // walk merges any delta overlay and allocates nothing).
+        let mut stack = vec![(node, self.edges_of(Dir::Out, node))];
         color[node as usize] = Color::Gray;
-        while let Some(&mut (n, ref mut edge_index)) = stack.last_mut() {
-            // The view merges any delta overlay (cold path: re-merging a
-            // touched node per visit is fine here).
-            let edges = self.edges_of(Dir::Out, n);
-            if *edge_index >= edges.len() {
-                color[n as usize] = Color::Black;
+        while let Some((n, edges)) = stack.last_mut() {
+            let Some((_, target)) = edges.next() else {
+                color[*n as usize] = Color::Black;
                 stack.pop();
                 continue;
-            }
-            let (_, target) = edges[*edge_index];
-            *edge_index += 1;
+            };
             match color[target as usize] {
                 Color::Gray => return true,
                 Color::White => {
                     color[target as usize] = Color::Gray;
-                    stack.push((target, 0));
+                    stack.push((target, self.edges_of(Dir::Out, target)));
                 }
                 Color::Black => {}
             }
@@ -153,9 +151,12 @@ impl GraphDb {
 
 /// The emptiness test `L(dfa) ∩ paths_G(X) = ∅` — Algorithm 1 line 4's
 /// merge oracle with `X = S⁻` — as a product BFS over the graph's own
-/// adjacency ([`GraphDb::edges_of`], delta overlay included): pairs
-/// `(q, ν)` from `{q₀} × X`, every graph node accepting. Same verdicts
-/// and visiting order as
+/// adjacency ([`GraphDb::for_each_neighbor`], delta overlay included):
+/// pairs `(q, ν)` from `{q₀} × X`, every graph node accepting. A pair
+/// steps only the symbols `q` has a transition on, in symbol order, and
+/// of those only the ones `ν` has an edge of, so it reads two offsets
+/// per label actually stepped rather than `ν`'s cell in every label's
+/// run. Same verdicts and visiting order as
 /// `dfa_nfa_intersection_is_empty(dfa, &graph.paths_nfa(X))`, without
 /// the NFA copy of the graph; the `seen` bitmap and the queue are reused
 /// across tests and cleaned by undoing exactly what a test visited.
@@ -167,6 +168,10 @@ pub struct PathsProduct<'g> {
     /// Every pair visited by the running test (popped by index, so the
     /// clean-up can walk it).
     queue: Vec<(StateId, NodeId)>,
+    /// The running test's DFA transitions, grouped by source state
+    /// ([`PathsProduct::moves_of`]), and each state's span of them.
+    moves: Vec<(Symbol, StateId)>,
+    spans: Vec<Option<Range<usize>>>,
 }
 
 impl<'g> PathsProduct<'g> {
@@ -177,6 +182,8 @@ impl<'g> PathsProduct<'g> {
             sources: sources.to_vec(),
             seen: Vec::new(),
             queue: Vec::new(),
+            moves: Vec::new(),
+            spans: Vec::new(),
         }
     }
 
@@ -214,25 +221,51 @@ impl<'g> PathsProduct<'g> {
         for index in 0..self.sources.len() {
             self.visit(nodes, q0, self.sources[index]);
         }
+        self.spans.clear();
+        self.spans.resize(dfa.num_states(), None);
+        self.moves.clear();
         let graph = self.graph;
         let mut head = 0;
         while let Some(&(q, node)) = self.queue.get(head) {
             head += 1;
-            for &(sym, target) in graph.edges_of(Dir::Out, node).iter() {
-                // Symbols beyond the DFA's alphabet cannot occur in
-                // L(dfa) (and would alias into its dense table).
-                if sym.index() >= dfa.alphabet_len() {
+            for at in self.moves_of(dfa, q) {
+                let (sym, next) = self.moves[at];
+                // Each move's cell lies in its own run of the offset
+                // table; the label's (overlay-exact) bitmap, far smaller,
+                // rules out most of them with one bit.
+                if !graph.label_active(Dir::Out, sym).contains(node as usize) {
                     continue;
                 }
-                if let Some(next) = dfa.step(q, sym) {
-                    if dfa.is_final(next) {
-                        return false;
-                    }
-                    self.visit(nodes, next, target);
+                if dfa.is_final(next) {
+                    return false;
                 }
+                graph.for_each_neighbor(Dir::Out, node, sym, |target| {
+                    self.visit(nodes, next, target)
+                });
             }
         }
         true
+    }
+
+    /// `q`'s transitions as `(symbol, target)` pairs in symbol order, a
+    /// span of `moves` listed the first time the test pops `q`: every
+    /// later pair at `q` reads its few moves instead of a whole row of
+    /// the dense table, and a state the test never reaches costs
+    /// nothing. Symbols beyond the DFA's alphabet cannot occur in
+    /// `L(dfa)` (and would alias into its table); beyond the graph's,
+    /// no edge carries them.
+    fn moves_of(&mut self, dfa: &Dfa, q: StateId) -> Range<usize> {
+        if let Some(span) = &self.spans[q as usize] {
+            return span.clone();
+        }
+        let start = self.moves.len();
+        let symbols =
+            (0..dfa.alphabet_len().min(self.graph.alphabet().len())).map(Symbol::from_index);
+        self.moves
+            .extend(symbols.filter_map(|sym| Some((sym, dfa.step(q, sym)?))));
+        let span = start..self.moves.len();
+        self.spans[q as usize] = Some(span.clone());
+        span
     }
 
     /// Enqueues `(q, node)` unless it was already visited.
@@ -357,5 +390,33 @@ mod tests {
         assert!(graph.has_infinite_paths(graph.node_id("v1").unwrap()));
         // ν5 only reaches the sink ν4: finite.
         assert!(!graph.has_infinite_paths(graph.node_id("v5").unwrap()));
+    }
+
+    #[test]
+    fn an_overlay_edge_that_closes_the_only_cycle_makes_paths_infinite() {
+        let graph = figure3_g0();
+        let id = |name: &str| graph.node_id(name).unwrap();
+        let c = graph.alphabet().symbol("c").unwrap();
+        // ν5 reaches only the sink ν4; an overlay c-edge ν4 → ν5 is the
+        // one edge of the cycle ν5 → ν4 → ν5, and the DFS must follow it
+        // out of ν4's merged walk.
+        let closed = graph.with_delta(&[(id("v4"), c, id("v5"))], &[]).unwrap();
+        for start in ["v4", "v5"] {
+            assert!(!graph.has_infinite_paths(id(start)), "{start} on G0");
+            assert!(
+                closed.has_infinite_paths(id(start)),
+                "{start} on the overlay"
+            );
+            assert!(closed.compact().has_infinite_paths(id(start)));
+        }
+        // Removing the base half of the cycle (both ν5 → ν4 edges) again
+        // leaves ν5 without an infinite path; ν4 → ν5 is a dead end then.
+        let a = graph.alphabet().symbol("a").unwrap();
+        let b = graph.alphabet().symbol("b").unwrap();
+        let cut = closed
+            .with_delta(&[], &[(id("v5"), a, id("v4")), (id("v5"), b, id("v4"))])
+            .unwrap();
+        assert!(!cut.has_infinite_paths(id("v4")));
+        assert!(!cut.has_infinite_paths(id("v5")));
     }
 }

@@ -82,12 +82,14 @@ pub fn sample_subgraph(
                 if restart {
                     current = rng.gen_range(0..graph.num_nodes()) as NodeId;
                 } else {
-                    let out = graph.edges_of(Dir::Out, current);
-                    if out.is_empty() {
-                        current = rng.gen_range(0..graph.num_nodes()) as NodeId;
+                    let degree = graph.degree(Dir::Out, current);
+                    current = if degree == 0 {
+                        rng.gen_range(0..graph.num_nodes()) as NodeId
                     } else {
-                        current = out[rng.gen_range(0..out.len())].1;
-                    }
+                        let pick = rng.gen_range(0..degree);
+                        let edge = graph.edges_of(Dir::Out, current).nth(pick);
+                        edge.expect("the degree counts the walk").1
+                    };
                 }
                 let before = kept;
                 mark(current, &mut keep, &mut kept);
@@ -114,7 +116,7 @@ pub fn sample_subgraph(
                     if kept >= target {
                         break;
                     }
-                    for &(_, next) in graph.edges_of(Dir::Out, node).iter() {
+                    for (_, next) in graph.edges_of(Dir::Out, node) {
                         if kept >= target {
                             break;
                         }

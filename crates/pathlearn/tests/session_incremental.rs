@@ -13,7 +13,10 @@
 //!    scratch, and `scp` with naive enumeration;
 //! 3. **graph oracle ≡ NFA oracle**: [`PathsProduct`] gives the verdict of
 //!    `dfa_nfa_intersection_is_empty(dfa, &graph.paths_nfa(sources))`,
-//!    through one reused instance, on overlay graphs too.
+//!    through one reused instance, on overlay graphs too (whose verdicts
+//!    equal their compacted graph's), and for DFAs over fewer symbols
+//!    than the graph's alphabet, whose dense tables a foreign symbol
+//!    would alias into.
 
 use pathlearn::automata::product::dfa_nfa_intersection_is_empty;
 use pathlearn::graph::scp::scp_naive;
@@ -287,19 +290,73 @@ proptest! {
         let compacted = overlay.compact();
         let sources: Vec<NodeId> = picks.into_iter().map(|p| p % n).collect();
         let zero_states = Dfa::new(0, 3, 0);
+        // Every DFA again over one and two symbols: the graph's third
+        // label (and second) lies beyond their dense tables, the shape
+        // where a stepped foreign symbol aliases into the next state's row.
+        let short: Vec<Dfa> = dfas
+            .iter()
+            .flat_map(|dfa| [truncated(dfa, 1), truncated(dfa, 2)])
+            .collect();
+        let all: Vec<&Dfa> = dfas.iter().chain(&short).chain([&zero_states]).collect();
+        let mut verdicts = Vec::new();
         for graph in [&graph, &overlay, &compacted] {
             let mut product = PathsProduct::new(graph, &[]);
+            let mut seen = Vec::new();
             for sources in [&sources[..], &[]] {
                 product.set_sources(sources);
                 let paths = graph.paths_nfa(sources);
-                for dfa in dfas.iter().chain([&zero_states]) {
+                for &dfa in &all {
+                    let disjoint = product.is_disjoint(dfa);
                     prop_assert_eq!(
-                        product.is_disjoint(dfa),
+                        disjoint,
                         dfa_nfa_intersection_is_empty(dfa, &paths),
                         "sources {:?}, dfa {:?}", sources, dfa
                     );
+                    seen.push(disjoint);
                 }
             }
+            verdicts.push(seen);
         }
+        // The overlay's per-symbol walk merges its delta: same verdicts
+        // as the graph it compacts to.
+        prop_assert_eq!(&verdicts[1], &verdicts[2]);
+    }
+}
+
+/// `dfa` restricted to its first `sigma` symbols: same states, initial
+/// state and finals, transitions on the dropped symbols deleted.
+fn truncated(dfa: &Dfa, sigma: usize) -> Dfa {
+    let mut short = Dfa::new(dfa.num_states(), sigma, dfa.initial());
+    for (from, sym, to) in dfa.transitions() {
+        if sym.index() < sigma {
+            short.set_transition(from, sym, to);
+        }
+    }
+    for state in dfa.finals().iter() {
+        short.set_final(state as u32);
+    }
+    short
+}
+
+/// The aliasing shape, pinned: a one-symbol DFA whose initial state has
+/// no transition, while `δ(1, a)` reaches a final state. The table is
+/// `[DEAD, 2, DEAD]`, so stepping state 0 on the graph's `b` (index 1)
+/// would read state 1's `a`-entry and report a non-empty intersection,
+/// though `L(dfa)` is empty. The source `v1` has a base `b`-edge
+/// (`v1 → v7`); the overlay gives it a second one, walked through the
+/// merged cell.
+#[test]
+fn graph_oracle_never_steps_symbols_beyond_the_dfa_alphabet() {
+    let graph = pathlearn::graph::graph::figure3_g0();
+    let (a, b) = (Symbol::from_index(0), Symbol::from_index(1));
+    let mut dfa = Dfa::new(3, 1, 0);
+    dfa.set_transition(1, a, 2);
+    dfa.set_final(2);
+    let (v1, v6) = (graph.node_id("v1").unwrap(), graph.node_id("v6").unwrap());
+    let overlay = graph.with_delta(&[(v1, b, v6)], &[]).unwrap();
+    for graph in [&graph, &overlay] {
+        let mut product = PathsProduct::new(graph, &[v1]);
+        assert!(product.is_disjoint(&dfa));
+        assert!(dfa_nfa_intersection_is_empty(&dfa, &graph.paths_nfa(&[v1])));
     }
 }
