@@ -81,6 +81,7 @@
 use pathlearn_automata::{Alphabet, BitSet, Symbol};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 pub mod snapshot;
 
@@ -193,7 +194,7 @@ pub struct GraphDb {
     /// The frozen CSR and its per-label statistics, shared (`Arc`) by
     /// every delta handle derived from the same build — structural
     /// sharing is what makes [`GraphDb::with_delta`] cheap.
-    core: std::sync::Arc<GraphCore>,
+    core: Arc<GraphCore>,
     /// Pending edge mutations, `None` for a delta-free graph (the
     /// common case; the step kernel branches on this exactly once per
     /// call).
@@ -531,7 +532,7 @@ impl Iterator for MergedNeighbors<'_> {
 struct NodeEdges<'g> {
     adj: &'g Adjacency,
     /// The direction's per-label deltas, `None` on a delta-free graph.
-    deltas: Option<&'g [Option<Box<SymDelta>>]>,
+    deltas: Option<&'g [Option<Arc<SymDelta>>]>,
     node: NodeId,
     /// The label whose cell is fetched once `cell` runs dry.
     next_label: usize,
@@ -574,20 +575,27 @@ impl Iterator for NodeEdges<'_> {
 }
 
 /// The deltas of one direction, indexed by symbol (`None` = untouched).
-type SymDeltas = Vec<Option<Box<SymDelta>>>;
+/// Each label sits behind its own `Arc`, so cloning an overlay copies
+/// `|Σ|` pointers and handles share every label neither has changed
+/// since: a write reaches its label through `Arc::make_mut`, which
+/// deep-copies it only while another handle still shares it.
+type SymDeltas = Vec<Option<Arc<SymDelta>>>;
 
 /// The edge-delta overlay of a [`GraphDb`] handle: per-symbol
 /// added/removed edge sets in both directions, applied on top of the
-/// shared [`GraphCore`] by the step kernel.
+/// shared [`GraphCore`] by the step kernel. Persistent per label
+/// (copy-on-write, see [`SymDeltas`]): deriving a handle costs
+/// `O(touched labels · |V|/64)`, not the size of the overlay.
 #[derive(Clone, Debug)]
 struct DeltaOverlay {
     /// The same mutations twice, indexed by `Dir as usize` like
     /// [`GraphCore::adj`]: the in-direction lists mirror the
     /// out-direction ones.
     dirs: [SymDeltas; 2],
-    /// Total overlay-added edges (counted once, in the out direction).
+    /// Total overlay-added edges (counted once), kept running by
+    /// [`DeltaOverlay::add_edge`] / [`DeltaOverlay::remove_edge`].
     added_total: usize,
-    /// Total overlay-removed edges.
+    /// Total overlay-removed edges, kept running likewise.
     removed_total: usize,
     /// `|V|` — capacity of the per-symbol bitmaps.
     num_nodes: usize,
@@ -603,93 +611,113 @@ impl DeltaOverlay {
         }
     }
 
+    /// `true` iff no edge is added or removed. (A fully cancelled label
+    /// reverts to `None` in [`DeltaOverlay::refresh`], so this is also
+    /// "every slot is `None`".)
     fn is_empty(&self) -> bool {
-        self.dirs.iter().flatten().all(Option::is_none)
+        self.added_total + self.removed_total == 0
     }
 
-    /// Sorted-insert `endpoint` into `lists[node]`; `false` if present.
-    fn list_insert(
-        lists: &mut HashMap<NodeId, Vec<NodeId>>,
-        node: NodeId,
-        endpoint: NodeId,
-    ) -> bool {
+    /// `true` iff `lists[node]` holds `endpoint`.
+    fn list_has(lists: &HashMap<NodeId, Vec<NodeId>>, node: NodeId, endpoint: NodeId) -> bool {
+        lists
+            .get(&node)
+            .is_some_and(|list| list.binary_search(&endpoint).is_ok())
+    }
+
+    /// Sorted-insert `endpoint` (absent) into `lists[node]`.
+    fn list_insert(lists: &mut HashMap<NodeId, Vec<NodeId>>, node: NodeId, endpoint: NodeId) {
         let list = lists.entry(node).or_default();
-        match list.binary_search(&endpoint) {
-            Ok(_) => false,
-            Err(pos) => {
-                list.insert(pos, endpoint);
-                true
-            }
+        let pos = list
+            .binary_search(&endpoint)
+            .expect_err("the out-direction list said the edge is absent");
+        list.insert(pos, endpoint);
+    }
+
+    /// Removes `endpoint` (present) from `lists[node]`, deleting an
+    /// emptied list.
+    fn list_remove(lists: &mut HashMap<NodeId, Vec<NodeId>>, node: NodeId, endpoint: NodeId) {
+        const MIRRORED: &str = "the out-direction list said the edge is present";
+        let list = lists.get_mut(&node).expect(MIRRORED);
+        let pos = list.binary_search(&endpoint).expect(MIRRORED);
+        list.remove(pos);
+        if list.is_empty() {
+            lists.remove(&node);
         }
     }
 
-    /// Removes `endpoint` from `lists[node]` (deleting an emptied
-    /// list); `false` if it was not present.
-    fn list_remove(
-        lists: &mut HashMap<NodeId, Vec<NodeId>>,
-        node: NodeId,
-        endpoint: NodeId,
-    ) -> bool {
-        let Some(list) = lists.get_mut(&node) else {
-            return false;
-        };
-        match list.binary_search(&endpoint) {
-            Ok(pos) => {
-                list.remove(pos);
-                if list.is_empty() {
-                    lists.remove(&node);
-                }
-                true
-            }
-            Err(_) => false,
-        }
+    /// The label's delta in one direction, read-only (`None` = untouched).
+    fn peek(&self, dir: Dir, si: usize) -> Option<&SymDelta> {
+        self.dirs[dir as usize][si].as_deref()
     }
 
+    /// The label's delta in one direction for writing: created empty if
+    /// untouched, deep-copied first if another handle shares it.
     fn slot(&mut self, dir: Dir, si: usize) -> &mut SymDelta {
         let num_nodes = self.num_nodes;
-        self.dirs[dir as usize][si].get_or_insert_with(|| Box::new(SymDelta::empty(num_nodes)))
+        let shared =
+            self.dirs[dir as usize][si].get_or_insert_with(|| Arc::new(SymDelta::empty(num_nodes)));
+        Arc::make_mut(shared)
     }
 
-    /// Applies one edge removal. Verdict (mirrored into both direction
-    /// maps so they always describe the same edge set): an overlay
-    /// addition is cancelled; a not-yet-removed base edge is marked
-    /// removed; an absent edge is a no-op.
-    fn remove_edge(&mut self, sym: Symbol, src: NodeId, dst: NodeId, in_base: bool) {
+    /// Applies one edge removal; `true` iff the overlay changed. Verdict
+    /// (mirrored into both direction maps so they always describe the
+    /// same edge set): an overlay addition is cancelled; a not-yet-removed
+    /// base edge is marked removed; an absent edge is a no-op. The verdict
+    /// is read before anything is written, so a no-op copies nothing.
+    fn remove_edge(&mut self, sym: Symbol, src: NodeId, dst: NodeId, in_base: bool) -> bool {
         let si = sym.index();
-        let out = self.slot(Dir::Out, si);
-        if Self::list_remove(&mut out.added, src, dst) {
+        let out = self.peek(Dir::Out, si);
+        if out.is_some_and(|d| Self::list_has(&d.added, src, dst)) {
+            Self::list_remove(&mut self.slot(Dir::Out, si).added, src, dst);
             Self::list_remove(&mut self.slot(Dir::In, si).added, dst, src);
-        } else if in_base && Self::list_insert(&mut out.removed, src, dst) {
+            self.added_total -= 1;
+        } else if in_base && !out.is_some_and(|d| Self::list_has(&d.removed, src, dst)) {
+            Self::list_insert(&mut self.slot(Dir::Out, si).removed, src, dst);
             Self::list_insert(&mut self.slot(Dir::In, si).removed, dst, src);
+            self.removed_total += 1;
+        } else {
+            return false;
         }
+        true
     }
 
-    /// Applies one edge addition: an overlay removal is cancelled (the
-    /// base edge reappears); an edge already present (base or overlay)
-    /// is a no-op; otherwise the edge joins the overlay-added set.
-    fn add_edge(&mut self, sym: Symbol, src: NodeId, dst: NodeId, in_base: bool) {
+    /// Applies one edge addition; `true` iff the overlay changed. An
+    /// overlay removal is cancelled (the base edge reappears); an edge
+    /// already present (base or overlay) is a no-op; otherwise the edge
+    /// joins the overlay-added set.
+    fn add_edge(&mut self, sym: Symbol, src: NodeId, dst: NodeId, in_base: bool) -> bool {
         let si = sym.index();
-        let out = self.slot(Dir::Out, si);
-        if Self::list_remove(&mut out.removed, src, dst) {
+        let out = self.peek(Dir::Out, si);
+        if out.is_some_and(|d| Self::list_has(&d.removed, src, dst)) {
+            Self::list_remove(&mut self.slot(Dir::Out, si).removed, src, dst);
             Self::list_remove(&mut self.slot(Dir::In, si).removed, dst, src);
-        } else if !in_base && Self::list_insert(&mut out.added, src, dst) {
+            self.removed_total -= 1;
+        } else if !in_base && !out.is_some_and(|d| Self::list_has(&d.added, src, dst)) {
+            Self::list_insert(&mut self.slot(Dir::Out, si).added, src, dst);
             Self::list_insert(&mut self.slot(Dir::In, si).added, dst, src);
+            self.added_total += 1;
+        } else {
+            return false;
         }
+        true
     }
 
     /// Recomputes the derived state (touched-node bitmaps and the label
-    /// statistics) of one direction of `si` from the mutation maps,
-    /// reverting a fully cancelled direction to `None` (the delta-free
-    /// fast path).
+    /// statistics) of one direction of a label the batch changed, from
+    /// its mutation maps, reverting a fully cancelled direction to
+    /// `None` (the delta-free fast path). The change already made the
+    /// label unique to this overlay, so `make_mut` copies nothing here.
     fn refresh(&mut self, core: &GraphCore, dir: Dir, si: usize) {
         let slot = &mut self.dirs[dir as usize][si];
-        let Some(delta) = slot.as_deref_mut() else {
+        let Some(shared) = slot else {
             return;
         };
-        if delta.is_noop() {
+        if shared.is_noop() {
             *slot = None;
             return;
         }
+        let delta = Arc::make_mut(shared);
         let adj = &core.adj[dir as usize];
         let base = &adj.labels[si];
         let sym = Symbol::from_index(si);
@@ -713,16 +741,6 @@ impl DeltaOverlay {
         }
         delta.stats = LabelStats::new(active, edge_count);
     }
-
-    /// Recounts the overlay totals (out direction only — every edge
-    /// appears exactly once there).
-    fn refresh_totals(&mut self) {
-        let edges =
-            |lists: &HashMap<NodeId, Vec<NodeId>>| lists.values().map(Vec::len).sum::<usize>();
-        let out = self.dirs[Dir::Out as usize].iter().flatten();
-        self.added_total = out.clone().map(|d| edges(&d.added)).sum();
-        self.removed_total = out.map(|d| edges(&d.removed)).sum();
-    }
 }
 
 impl GraphDb {
@@ -742,7 +760,7 @@ impl GraphDb {
         let (n, sigma) = (node_names.len(), alphabet.len());
         let adj = Dir::BOTH.map(|dir| Adjacency::from_sorted(&edges, dir, n, sigma));
         GraphDb {
-            core: std::sync::Arc::new(GraphCore {
+            core: Arc::new(GraphCore {
                 alphabet,
                 no_label_nodes: BitSet::new(n),
                 node_names,
@@ -1332,9 +1350,13 @@ impl GraphDb {
     /// ([`GraphDb::check_delta`]): the node set and the alphabet are
     /// frozen (see [`DeltaError`]).
     ///
-    /// The receiver is untouched (handles are snapshots; the CSR is
-    /// shared structurally), and stacking is supported: applying a delta
-    /// to an overlay graph folds the batches together.
+    /// The receiver is untouched (handles are snapshots), and stacking is
+    /// supported: applying a delta to an overlay graph folds the batches
+    /// together. The CSR is shared structurally and so is the overlay,
+    /// one label at a time: the new handle deep-copies only the labels
+    /// the batch changes and shares every other one with the receiver,
+    /// so a batch costs `O(batch + touched labels · |V|/64)` however
+    /// large the pending overlay has grown.
     ///
     /// ```
     /// use pathlearn_graph::graph::figure3_g0;
@@ -1355,33 +1377,42 @@ impl GraphDb {
         remove: &[(NodeId, Symbol, NodeId)],
     ) -> Result<GraphDb, DeltaError> {
         self.check_delta(add, remove)?;
+        Ok(self.clone().apply_delta(add, remove))
+    }
+
+    /// [`GraphDb::with_delta`] on an owned, validated handle. Cloning a
+    /// handle shares its labels, so `with_delta` copies each label the
+    /// batch changes once; a label this handle holds alone is patched in
+    /// place.
+    fn apply_delta(
+        mut self,
+        add: &[(NodeId, Symbol, NodeId)],
+        remove: &[(NodeId, Symbol, NodeId)],
+    ) -> GraphDb {
         let sigma = self.core.alphabet.len();
-        let mut overlay = match &self.delta {
-            Some(delta) => delta.clone(),
-            None => Box::new(DeltaOverlay::empty(sigma, self.num_nodes())),
-        };
-        let mut touched = vec![false; sigma];
+        let mut overlay = self
+            .delta
+            .take()
+            .unwrap_or_else(|| Box::new(DeltaOverlay::empty(sigma, self.num_nodes())));
+        let mut changed = vec![false; sigma];
         // Removals strictly before additions: `(G ∖ remove) ∪ add`.
         for &(src, sym, dst) in remove {
-            overlay.remove_edge(sym, src, dst, self.base_has_edge(src, sym, dst));
-            touched[sym.index()] = true;
+            changed[sym.index()] |=
+                overlay.remove_edge(sym, src, dst, self.base_has_edge(src, sym, dst));
         }
         for &(src, sym, dst) in add {
-            overlay.add_edge(sym, src, dst, self.base_has_edge(src, sym, dst));
-            touched[sym.index()] = true;
+            changed[sym.index()] |=
+                overlay.add_edge(sym, src, dst, self.base_has_edge(src, sym, dst));
         }
-        for (si, &was_touched) in touched.iter().enumerate() {
-            if was_touched {
+        for (si, &was_changed) in changed.iter().enumerate() {
+            if was_changed {
                 for dir in Dir::BOTH {
                     overlay.refresh(&self.core, dir, si);
                 }
             }
         }
-        overlay.refresh_totals();
-        Ok(GraphDb {
-            core: self.core.clone(),
-            delta: (!overlay.is_empty()).then_some(overlay),
-        })
+        self.delta = (!overlay.is_empty()).then_some(overlay);
+        self
     }
 
     /// Folds the delta overlay into a fresh CSR, **preserving node ids
@@ -2217,6 +2248,97 @@ mod tests {
         // Compacting a delta-free graph is a cheap structural clone.
         let recompacted = compacted.compact();
         assert_eq!(recompacted.num_edges(), compacted.num_edges());
+    }
+
+    #[test]
+    fn delta_totals_run_across_stacked_batches() {
+        let g0 = figure3_g0();
+        let (a, b, c) = (
+            g0.alphabet().symbol("a").unwrap(),
+            g0.alphabet().symbol("b").unwrap(),
+            g0.alphabet().symbol("c").unwrap(),
+        );
+        let id = |name: &str| g0.node_id(name).unwrap();
+        let (v1, v2, v3, v4, v5) = (id("v1"), id("v2"), id("v3"), id("v4"), id("v5"));
+        let base: std::collections::BTreeSet<_> = g0.edges().collect();
+        type Batch = (Vec<(NodeId, Symbol, NodeId)>, Vec<(NodeId, Symbol, NodeId)>);
+        let batches: Vec<Batch> = vec![
+            // Two additions and a removal.
+            (vec![(v4, a, v1), (v2, c, v4)], vec![(v1, a, v2)]),
+            // No-ops only: a present edge, an absent one, a repeat.
+            (
+                vec![(v4, a, v1), (v3, a, v3)],
+                vec![(v5, c, v1), (v1, a, v2)],
+            ),
+            // Cancel one addition and the removal; add and remove more.
+            (
+                vec![(v1, a, v2), (v4, b, v5)],
+                vec![(v4, a, v1), (v3, c, v4)],
+            ),
+            // Cancel everything that is left.
+            (vec![(v3, c, v4)], vec![(v2, c, v4), (v4, b, v5)]),
+        ];
+        let mut graph = g0.clone();
+        let mut model = base.clone();
+        for (add, remove) in &batches {
+            graph = graph.with_delta(add, remove).unwrap();
+            for edge in remove {
+                model.remove(edge);
+            }
+            model.extend(add.iter().copied());
+            let pending = model.symmetric_difference(&base).count();
+            assert_eq!(graph.num_edges(), model.len());
+            assert_eq!(graph.delta_edges(), pending);
+            assert_eq!(graph.has_delta(), pending > 0);
+            assert_eq!(
+                graph.edges().collect::<std::collections::BTreeSet<_>>(),
+                model
+            );
+        }
+        assert!(!graph.has_delta());
+    }
+
+    /// Each label's delta allocation, both directions, `None` = untouched.
+    fn label_ptrs(graph: &GraphDb) -> Vec<Option<*const SymDelta>> {
+        let overlay = graph.delta.as_deref().unwrap();
+        let slots = overlay.dirs.iter().flatten();
+        slots.map(|slot| slot.as_ref().map(Arc::as_ptr)).collect()
+    }
+
+    #[test]
+    fn delta_copies_only_the_labels_a_batch_changes() {
+        let g0 = figure3_g0();
+        let (a, b, c) = (
+            g0.alphabet().symbol("a").unwrap(),
+            g0.alphabet().symbol("b").unwrap(),
+            g0.alphabet().symbol("c").unwrap(),
+        );
+        let id = |name: &str| g0.node_id(name).unwrap();
+        let parent = g0
+            .with_delta(
+                &[(id("v4"), a, id("v1")), (id("v4"), b, id("v5"))],
+                &[(id("v3"), c, id("v4"))],
+            )
+            .unwrap();
+        let before = label_ptrs(&parent);
+        let child = parent.with_delta(&[(id("v5"), a, id("v1"))], &[]).unwrap();
+        // The receiver keeps its own allocations; the child shares every
+        // label but `a` with it, and has its own copy of `a`.
+        assert_eq!(label_ptrs(&parent), before);
+        let sigma = g0.alphabet().len();
+        for (slot, (theirs, ours)) in before.iter().zip(label_ptrs(&child)).enumerate() {
+            let (theirs, ours) = (theirs.unwrap(), ours.unwrap());
+            assert_eq!(theirs == ours, slot % sigma != a.index(), "slot {slot}");
+        }
+        assert_eq!(parent.num_edges(), 16);
+        assert_eq!(child.num_edges(), 17);
+        // A handle that holds `a` alone is patched in place: nothing is
+        // copied, every allocation survives.
+        let child_ptrs = label_ptrs(&child);
+        let grandchild = child.apply_delta(&[(id("v6"), a, id("v1"))], &[]);
+        assert_eq!(label_ptrs(&grandchild), child_ptrs);
+        assert_eq!(grandchild.num_edges(), 18);
+        assert_overlay_matches_compacted(&grandchild, &grandchild.compact());
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! the same edge set — monadic and binary, under all four forced
 //! planner strategies, sequentially and on the pool at 1 and 4 threads
 //! — and [`GraphDb::compact`] folds the overlay away without changing
-//! a single bit, node id, or interned symbol.
+//! a single bit, node id, or interned symbol. Overlays are per-label
+//! copy-on-write, so the suite also keeps every intermediate handle of
+//! a sequence alive and re-checks it after the later batches ran: a
+//! receiver is never changed by deriving from it.
 //!
 //! The reference is an independent model: a plain `HashSet` of edges
 //! mutated by `(G ∖ remove) ∪ add` per batch, rebuilt through
@@ -86,10 +89,25 @@ fn arb_query() -> impl Strategy<Value = Dfa> {
     .prop_map(|regex| regex.to_dfa(3))
 }
 
+/// Rebuilds `base`'s node set with exactly `edges`, through
+/// [`GraphBuilder`].
+fn rebuild(base: &GraphDb, edges: &HashSet<Edge>) -> GraphDb {
+    let mut builder = GraphBuilder::with_alphabet(base.alphabet().clone());
+    for node in base.nodes() {
+        builder.add_node(base.node_name(node));
+    }
+    for &(src, sym, dst) in edges {
+        builder.add_edge_ids(src, sym, dst);
+    }
+    builder.build()
+}
+
 /// Applies the batches twice in lockstep: to the overlay graph via
 /// stacked [`GraphDb::with_delta`], and to the reference edge set in
-/// plain Rust. Returns `(overlay, model-rebuilt graph)`.
-fn apply_batches(base: &GraphDb, batches: &[RawBatch]) -> (GraphDb, GraphDb) {
+/// plain Rust. Returns every intermediate `(overlay, model-rebuilt
+/// graph)` pair, one per batch, all still alive: each overlay is the
+/// receiver of the next batch.
+fn apply_batches(base: &GraphDb, batches: &[RawBatch]) -> Vec<(GraphDb, GraphDb)> {
     let n = base.num_nodes() as u32;
     let fix = |edges: &[RawEdge]| -> Vec<Edge> {
         edges
@@ -99,6 +117,7 @@ fn apply_batches(base: &GraphDb, batches: &[RawBatch]) -> (GraphDb, GraphDb) {
     };
     let mut overlay = base.clone();
     let mut model: HashSet<Edge> = base.edges().collect();
+    let mut steps = Vec::with_capacity(batches.len());
     for (add, remove) in batches {
         let (add, remove) = (fix(add), fix(remove));
         overlay = overlay
@@ -111,15 +130,16 @@ fn apply_batches(base: &GraphDb, batches: &[RawBatch]) -> (GraphDb, GraphDb) {
         for &edge in &add {
             model.insert(edge);
         }
+        steps.push((overlay.clone(), rebuild(base, &model)));
     }
-    let mut builder = GraphBuilder::with_alphabet(base.alphabet().clone());
-    for node in base.nodes() {
-        builder.add_node(base.node_name(node));
-    }
-    for &(src, sym, dst) in &model {
-        builder.add_edge_ids(src, sym, dst);
-    }
-    (overlay, builder.build())
+    steps
+}
+
+/// The final `(overlay, reference)` pair of [`apply_batches`].
+fn apply_all(base: &GraphDb, batches: &[RawBatch]) -> (GraphDb, GraphDb) {
+    apply_batches(base, batches)
+        .pop()
+        .expect("at least one batch")
 }
 
 /// The full strategy matrix on one (graph, query) pair: overlay vs
@@ -194,7 +214,7 @@ proptest! {
         batches in arb_delta_batches(),
         query in arb_query(),
     ) {
-        let (overlay, reference) = apply_batches(&graph, &batches);
+        let (overlay, reference) = apply_all(&graph, &batches);
 
         // Structure first: same effective edge set, same count.
         let overlay_edges: HashSet<Edge> = overlay.edges().collect();
@@ -206,6 +226,42 @@ proptest! {
         assert_delta_matrix(&overlay, &reference, &query)?;
     }
 
+    /// Handles are snapshots under copy-on-write: a batch deep-copies
+    /// the labels it changes and shares the rest with its receiver, so
+    /// a write through a still-shared label would corrupt an older
+    /// handle. Every intermediate handle of the sequence, re-checked
+    /// only after all later batches ran, must still equal the rebuild
+    /// of its own edge set — edge for edge, monadic, and binary from a
+    /// few sources.
+    #[test]
+    fn every_receiver_is_untouched_by_later_batches(
+        graph in arb_graph(),
+        batches in arb_delta_batches(),
+        query in arb_query(),
+    ) {
+        for (step, (overlay, reference)) in apply_batches(&graph, &batches).iter().enumerate() {
+            let overlay_edges: HashSet<Edge> = overlay.edges().collect();
+            let reference_edges: HashSet<Edge> = reference.edges().collect();
+            prop_assert_eq!(&overlay_edges, &reference_edges, "step {}", step);
+            prop_assert_eq!(overlay.num_edges(), reference.num_edges(), "step {}", step);
+            prop_assert_eq!(
+                &eval_monadic(&query, overlay),
+                &eval_monadic(&query, reference),
+                "monadic, step {}",
+                step
+            );
+            for source in overlay.nodes().take(3) {
+                prop_assert_eq!(
+                    &eval_binary_from(&query, overlay, source),
+                    &eval_binary_from(&query, reference, source),
+                    "binary from {}, step {}",
+                    source,
+                    step
+                );
+            }
+        }
+    }
+
     /// Compaction is invisible: folding the overlay into a fresh CSR
     /// preserves node ids, names, the alphabet, and every bit of every
     /// answer — and a compacted graph carries no overlay.
@@ -215,7 +271,7 @@ proptest! {
         batches in arb_delta_batches(),
         query in arb_query(),
     ) {
-        let (overlay, _) = apply_batches(&graph, &batches);
+        let (overlay, _) = apply_all(&graph, &batches);
         let compacted = overlay.compact();
         prop_assert!(!compacted.has_delta());
         prop_assert_eq!(compacted.delta_edges(), 0);

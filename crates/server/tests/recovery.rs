@@ -18,7 +18,10 @@
 //!   recovery must drop it silently and keep everything before it;
 //! * the checkpoint fired while the served graph carried a **pending
 //!   overlay**: the snapshot holds the overlay's effective edge list,
-//!   and the served graph was not compacted to write it.
+//!   and the served graph was not compacted to write it;
+//! * replayed records touch the same label repeatedly and later ones
+//!   cancel earlier ones, so replay's stacked copy-on-write overlay
+//!   must fold to the exact edge set.
 //!
 //! Identity is asserted at the strongest level available: the
 //! recovered graph's snapshot encoding equals the never-crashed
@@ -291,6 +294,73 @@ fn stale_snapshot_plus_torn_tail_recovers_acknowledged_state() {
         .unwrap()
         .compact();
     assert_eq!(recovered.graph.snapshot_bytes(), expected.snapshot_bytes());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Replay applies each record to the handle the previous record made,
+/// and the overlay is copy-on-write per label: records that hit the
+/// same label, and a later record that cancels an earlier one, must
+/// still fold to exactly the edge set the batches describe. Checked
+/// edge for edge against an independent model of `(G ∖ remove) ∪ add`
+/// and byte for byte against the compacted in-memory chain.
+#[test]
+fn replay_of_same_label_records_with_cancellations_is_exact() {
+    let dir = scratch_dir();
+    let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
+    builder.add_edge("x", "a", "y");
+    builder.add_edge("y", "b", "z");
+    let base = builder.build();
+    let (a, b) = (
+        base.alphabet().symbol("a").unwrap(),
+        base.alphabet().symbol("b").unwrap(),
+    );
+    let (x, y, z) = (
+        base.node_id("x").unwrap(),
+        base.node_id("y").unwrap(),
+        base.node_id("z").unwrap(),
+    );
+    let batches: [(Vec<Edge>, Vec<Edge>); 4] = [
+        (vec![(x, a, z), (y, a, x)], vec![]),
+        // The same label again: one more addition, one base removal.
+        (vec![(z, a, y)], vec![(x, a, y)]),
+        // Cancels the first record's (x, a, z) and the second's removal.
+        (vec![(x, a, y)], vec![(x, a, z)]),
+        (vec![(z, b, x)], vec![(y, b, z)]),
+    ];
+
+    {
+        let recovered = {
+            let base = base.clone();
+            Persistence::recover(&dir, 1 << 20, move || Ok(base)).expect("seed")
+        };
+        let durable = QueryService::new(recovered.graph, ServeConfig::default());
+        durable.attach_persistence(recovered.persistence);
+        for (add, remove) in &batches {
+            durable.apply_delta_durable(add, remove).expect("ack");
+        }
+    }
+
+    let recovered =
+        Persistence::recover(&dir, 1 << 20, || Err("no fallback".into())).expect("recover");
+    assert_eq!(recovered.report.wal_records_replayed, batches.len());
+    assert!(!recovered.graph.has_delta());
+    let mut model: std::collections::BTreeSet<Edge> = base.edges().collect();
+    let mut chain = base.clone();
+    for (add, remove) in &batches {
+        for edge in remove {
+            model.remove(edge);
+        }
+        model.extend(add.iter().copied());
+        chain = chain.with_delta(add, remove).unwrap();
+    }
+    assert_eq!(
+        recovered.graph.edges().collect::<Vec<_>>(),
+        model.into_iter().collect::<Vec<_>>()
+    );
+    assert_eq!(
+        recovered.graph.snapshot_bytes(),
+        chain.compact().snapshot_bytes()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
