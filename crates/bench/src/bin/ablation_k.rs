@@ -41,7 +41,6 @@ fn main() {
                     k: *policy,
                     prefix_free_output: true,
                 },
-                threads: 1,
             };
             let point = &run_static(&dataset.graph, &goal, &config)[0];
             rows.push(vec![

@@ -13,10 +13,8 @@
 //! * **step-policy ablation**: every query of the mix evaluated
 //!   monadically under `Plain` (exhaustive baseline) and `Auto` (the
 //!   cost-model gate — skip / covered / masked / plain per step — the
-//!   default everywhere), and with the
-//!   levels fanned out over a pool ([`EvalPool::evaluate`]) at each
-//!   `--intra-threads` count. The headline `prune_speedup` compares
-//!   `Plain` against `Auto`.
+//!   default everywhere) through [`EvalPool::evaluate`]. The headline
+//!   `prune_speedup` compares `Plain` against `Auto`.
 //! * **whole-query planner ablation**: every query of the mix evaluated
 //!   binarily (from a seeded `--sources` batch) under forced `Forward` /
 //!   `Backward` / `Bidirectional` / `Auto`, through `plan_query_forced`
@@ -34,18 +32,16 @@
 //!   expected forced-Backward-beats-forced-Forward gap (and `Auto`'s
 //!   resolution) in the committed JSON.
 //!
-//! Every policy, every forced strategy and every pooled configuration
-//! is checked **bit-identical** to the sequential results before being
-//! timed — a divergence aborts the benchmark (and the CI smoke run
-//! turns that abort into a build failure). Results go to stdout (tables)
-//! and to a JSON file (default `BENCH_eval.json`); `BENCHMARKS.md`
-//! documents how to run it and how to read the JSON. The detected core
-//! count is recorded in the JSON — pooled speedups are only meaningful
-//! when the machine actually has the threads.
+//! Every policy and every forced strategy is checked **bit-identical**
+//! to the default results before being timed — a divergence aborts the
+//! benchmark (and the CI smoke run turns that abort into a build
+//! failure). Every evaluation runs on the main thread. Results go to
+//! stdout (tables) and to a JSON file (default `BENCH_eval.json`);
+//! `BENCHMARKS.md` documents how to run it and how to read the JSON.
 //!
 //! ```text
 //! bench_eval [--nodes N[,N,...]] [--full] [--seed S] [--runs R]
-//!            [--sources K] [--intra-threads T[,T,...]] [--out PATH]
+//!            [--sources K] [--out PATH]
 //! ```
 
 use pathlearn_automata::{Alphabet, BitSet, Dfa, Symbol};
@@ -77,36 +73,20 @@ impl QueryResult {
     }
 }
 
-/// One parallel timing next to its thread count.
-struct ParPoint {
-    threads: usize,
-    ns: u128,
-}
-
-/// One query's intra-query measurements — the masked-kernel ablation:
-/// the sequential engine under `Plain` (exhaustive) and `Auto` (the
-/// masked cost model, the default), and the pooled engine at each
-/// thread count.
-struct IntraResult {
+/// One query's step-policy ablation: the engine under `Plain`
+/// (exhaustive) and `Auto` (the masked cost model, the default).
+struct PolicyResult {
     name: String,
     plain_ns: u128,
     masked_ns: u128,
-    par: Vec<ParPoint>,
 }
 
-impl IntraResult {
+impl PolicyResult {
     /// The headline ablation: the masked cost-model default against the
     /// exhaustive baseline (recorded as `prune_speedup` in the JSON for
     /// cross-PR continuity).
     fn masked_speedup(&self) -> f64 {
         self.plain_ns.max(1) as f64 / self.masked_ns.max(1) as f64
-    }
-
-    /// Parallel speedup of one thread-count point over the masked
-    /// sequential baseline — the one formula both the JSON writer and
-    /// the stdout table use.
-    fn par_speedup(&self, point: &ParPoint) -> f64 {
-        self.masked_ns.max(1) as f64 / point.ns.max(1) as f64
     }
 }
 
@@ -116,7 +96,7 @@ struct ScaleResult {
     labels: usize,
     queries: Vec<QueryResult>,
     geomean: f64,
-    intra_query: Vec<IntraResult>,
+    step_policy: Vec<PolicyResult>,
     prune_geomean: f64,
     planner: PlannerAblation,
 }
@@ -170,17 +150,10 @@ fn bench_query(graph: &GraphDb, q: &CalibratedQuery, runs: usize) -> QueryResult
     }
 }
 
-/// Times one query's intra-query configurations — the masked-kernel
-/// ablation (`Plain` vs `Auto`), then the pooled engine at each
-/// thread count. Asserts every policy and
-/// every parallel configuration bit-identical to the default sequential
-/// result before timing, so a masked/plain divergence aborts the run.
-fn bench_intra_query(
-    graph: &GraphDb,
-    query: &CalibratedQuery,
-    intra_threads: &[usize],
-    runs: usize,
-) -> IntraResult {
+/// Times one query's masked-kernel ablation (`Plain` vs `Auto`).
+/// Asserts every policy bit-identical to the default result before
+/// timing, so a masked/plain divergence aborts the run.
+fn bench_step_policy(graph: &GraphDb, query: &CalibratedQuery, runs: usize) -> PolicyResult {
     let dfa = query.query.dfa();
     let expected = eval_monadic(dfa, graph);
     let plan = QueryPlan::forward(dfa);
@@ -202,28 +175,10 @@ fn bench_intra_query(
     };
     let plain_ns = time_policy(StepPolicy::Plain);
     let masked_ns = time_policy(StepPolicy::Auto);
-    let par = intra_threads
-        .iter()
-        .map(|&threads| {
-            let pool = EvalPool::new(threads);
-            assert_eq!(
-                pool.eval_monadic(dfa, graph),
-                expected,
-                "{}: intra-query parallel differs at {threads} threads",
-                query.name
-            );
-            let mut scratch = EvalScratch::new();
-            let ns = median_ns(runs, || {
-                std::hint::black_box(evaluate(&pool, &mut scratch, &plan, graph, Goal::Monadic));
-            });
-            ParPoint { threads, ns }
-        })
-        .collect();
-    IntraResult {
+    PolicyResult {
         name: query.name.clone(),
         plain_ns,
         masked_ns,
-        par,
     }
 }
 
@@ -446,9 +401,9 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"benchmark\": \"RPQ evaluation ablations: frontier-batched vs seed queued BFS, cost-model step gate (skip/covered/masked/plain) with the pooled engine per query, whole-query planner (forward/backward/bidirectional) + rare-target direction probe\",\n",
+        "  \"benchmark\": \"RPQ evaluation ablations: frontier-batched vs seed queued BFS, cost-model step gate (skip/covered/masked/plain) per query, whole-query planner (forward/backward/bidirectional) + rare-target direction probe\",\n",
     );
-    out.push_str("  \"schema_version\": 8,\n");
+    out.push_str("  \"schema_version\": 9,\n");
     out.push_str(&format!(
         "  \"hardware\": {{\"available_cores\": {}}},\n",
         std::thread::available_parallelism().map_or(0, |n| n.get())
@@ -482,33 +437,15 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
             "      \"geomean_speedup\": {:.3},\n",
             scale.geomean
         ));
-        out.push_str("      \"intra_query\": [\n");
-        for (i, r) in scale.intra_query.iter().enumerate() {
+        out.push_str("      \"step_policy\": [\n");
+        for (i, r) in scale.step_policy.iter().enumerate() {
             out.push_str(&format!(
-                "        {{\"name\": \"{}\", \"plain_ns\": {}, \"masked_ns\": {}, \"prune_speedup\": {:.3}, \"par\": [",
+                "        {{\"name\": \"{}\", \"plain_ns\": {}, \"masked_ns\": {}, \"prune_speedup\": {:.3}}}{}\n",
                 json_escape(&r.name),
                 r.plain_ns,
                 r.masked_ns,
                 r.masked_speedup(),
-            ));
-            for (pi, point) in r.par.iter().enumerate() {
-                if pi > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"threads\": {}, \"ns\": {}, \"speedup\": {:.3}}}",
-                    point.threads,
-                    point.ns,
-                    r.par_speedup(point)
-                ));
-            }
-            out.push_str(&format!(
-                "]}}{}\n",
-                if i + 1 < scale.intra_query.len() {
-                    ","
-                } else {
-                    ""
-                }
+                if i + 1 < scale.step_policy.len() { "," } else { "" }
             ));
         }
         out.push_str("      ],\n");
@@ -558,40 +495,23 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
     std::fs::write(path, out)
 }
 
-fn print_intra(results: &[IntraResult], prune_geomean: f64) {
+fn print_step_policy(results: &[PolicyResult], prune_geomean: f64) {
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|r| {
-            let mut row = vec![
+            vec![
                 r.name.clone(),
                 format!("{:.3}", r.plain_ns as f64 / 1e6),
                 format!("{:.3}", r.masked_ns as f64 / 1e6),
                 format!("{:.2}x", r.masked_speedup()),
-            ];
-            for point in &r.par {
-                row.push(format!(
-                    "{:.3} ({:.2}x)",
-                    point.ns as f64 / 1e6,
-                    r.par_speedup(point)
-                ));
-            }
-            row
+            ]
         })
         .collect();
-    let mut headers = vec![
-        "query".to_owned(),
-        "plain ms".to_owned(),
-        "masked ms".to_owned(),
-        "masked gain".to_owned(),
-    ];
-    if let Some(first) = results.first() {
-        for point in &first.par {
-            headers.push(format!("{}T ms (x)", point.threads));
-        }
-    }
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    println!("intra-query masked-kernel ablation (monadic, single query at a time):");
-    println!("{}", ascii_table(&header_refs, &rows));
+    println!("masked-kernel ablation (monadic, one query at a time):");
+    println!(
+        "{}",
+        ascii_table(&["query", "plain ms", "masked ms", "masked gain"], &rows)
+    );
     println!("geomean masked-kernel speedup: {prune_geomean:.2}x");
 }
 
@@ -654,7 +574,7 @@ fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: bench_eval [--nodes N[,N,...]] [--full] [--seed S] [--runs R] \
-         [--sources K] [--intra-threads T[,T,...]] [--out PATH]"
+         [--sources K] [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -664,7 +584,6 @@ fn main() {
     let mut node_scales: Vec<usize> = vec![10_000];
     let mut runs = 9usize;
     let mut num_sources = 8usize;
-    let mut intra_threads: Vec<usize> = vec![2, 4];
     let mut out_path = "BENCH_eval.json".to_owned();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -692,9 +611,6 @@ fn main() {
                     .unwrap_or_else(|_| usage("--sources needs an integer"))
                     .max(1);
             }
-            "--intra-threads" => {
-                intra_threads = parse_list(&value("--intra-threads"), "--intra-threads")
-            }
             "--out" => out_path = value("--out"),
             other => usage(&format!("unknown flag {other}")),
         }
@@ -702,10 +618,6 @@ fn main() {
     if node_scales.is_empty() {
         usage("--nodes needs at least one scale");
     }
-    eprintln!(
-        "available cores: {} (parallel speedups need real cores)",
-        std::thread::available_parallelism().map_or(0, |n| n.get())
-    );
 
     let mut scales = Vec::new();
     for &nodes in &node_scales {
@@ -739,15 +651,14 @@ fn main() {
         let geomean = geometric_mean(results.iter().map(QueryResult::speedup));
 
         eprintln!(
-            "intra-query: {} queries, plain/masked ablation + threads {:?} ...",
-            queries.len(),
-            intra_threads
+            "step policy: {} queries, plain/masked ablation ...",
+            queries.len()
         );
-        let intra_query: Vec<IntraResult> = queries
+        let step_policy: Vec<PolicyResult> = queries
             .iter()
-            .map(|q| bench_intra_query(&graph, q, &intra_threads, runs))
+            .map(|q| bench_step_policy(&graph, q, runs))
             .collect();
-        let prune_geomean = geometric_mean(intra_query.iter().map(IntraResult::masked_speedup));
+        let prune_geomean = geometric_mean(step_policy.iter().map(PolicyResult::masked_speedup));
 
         // The planner's binary timings sum over a seeded random source
         // batch.
@@ -798,7 +709,7 @@ fn main() {
             "geomean monadic speedup: {geomean:.2}x over {} queries",
             results.len()
         );
-        print_intra(&intra_query, prune_geomean);
+        print_step_policy(&step_policy, prune_geomean);
         print_planner(&planner);
 
         scales.push(ScaleResult {
@@ -807,7 +718,7 @@ fn main() {
             labels: graph.alphabet().len(),
             queries: results,
             geomean,
-            intra_query,
+            step_policy,
             prune_geomean,
             planner,
         });

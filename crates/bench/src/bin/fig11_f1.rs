@@ -35,7 +35,6 @@ fn main() {
                 trials: 3,
                 seed: args.seed,
                 learner: LearnerConfig::default(),
-                threads: args.threads,
             };
             let points = run_static(&dataset.graph, goal, &config);
             for p in &points {

@@ -31,10 +31,6 @@ pub struct HarnessArgs {
     pub seed: u64,
     /// Paper-scale synthetic graphs (10k/20k/30k) instead of 10k only.
     pub full: bool,
-    /// Threads for parallel evaluation / the learner's SCP fan-out
-    /// (`--threads N`, default 1 = sequential). Results are identical at
-    /// every thread count; only wall-clock changes.
-    pub threads: usize,
     /// Positional arguments (e.g. `bio` / `syn`).
     pub positional: Vec<String>,
 }
@@ -45,7 +41,6 @@ impl HarnessArgs {
         let mut args = HarnessArgs {
             seed: 42,
             full: false,
-            threads: 1,
             positional: Vec::new(),
         };
         let mut iter = std::env::args().skip(1);
@@ -58,14 +53,8 @@ impl HarnessArgs {
                         .expect("--seed needs an integer");
                 }
                 "--full" => args.full = true,
-                "--threads" => {
-                    args.threads = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads needs an integer");
-                }
                 other if other.starts_with("--") => {
-                    panic!("unknown flag {other} (expected --seed/--full/--threads)")
+                    panic!("unknown flag {other} (expected --seed/--full)")
                 }
                 other => args.positional.push(other.to_owned()),
             }

@@ -21,7 +21,7 @@
 //! monadic evaluation.
 //!
 //! Everything a run builds that outlives one `k` attempt — the SCP
-//! finders, the oracle's buffers, the evaluation scratch — lives in a
+//! finder, the oracle's buffers, the evaluation scratch — lives in a
 //! [`LearnState`]. [`Learner::learn`] makes a fresh one per call; a
 //! session whose sample grows by one label at a time keeps one and calls
 //! [`Learner::learn_with`], so a new label costs one label's worth of
@@ -31,6 +31,10 @@
 //! k, the query learned using SCPs shorter than k does not select all
 //! positive nodes, we increment k and iterate"* — [`KPolicy::Dynamic`].
 //! Theorem 3.5 uses [`KPolicy::Fixed`] with `k = 2n+1`.
+//!
+//! A run is single-threaded, like the paper's Algorithm 1: the SCPs are
+//! searched one positive node at a time and the line-6 check is one
+//! evaluation on the caller's thread.
 
 use crate::query::PathQuery;
 use crate::sample::Sample;
@@ -39,7 +43,6 @@ use pathlearn_automata::Word;
 use pathlearn_graph::{
     CancelToken, EvalPool, EvalScratch, Goal, GraphDb, NodeId, PathsProduct, QueryPlan, ScpFinder,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Policy for the SCP length bound `k`.
@@ -110,9 +113,6 @@ impl Default for LearnerConfig {
 pub struct Learner {
     /// Configuration used by [`Learner::learn`].
     pub config: LearnerConfig,
-    /// Thread pool for the SCP fan-out (lines 1–2); sequential by
-    /// default. See [`Learner::with_pool`].
-    pool: EvalPool,
 }
 
 /// Statistics reported alongside a learning run.
@@ -144,15 +144,15 @@ pub struct LearnOutcome {
 }
 
 /// What [`Learner::learn_with`] keeps between calls on one graph: the
-/// SCP finders with their memos (one per fan-out thread), the merge
-/// oracle's buffers and the line-6 evaluation scratch. Handing the next
-/// call a sample that grew by one label updates the finders in place;
-/// any other sample makes them rebuild. Either way the outcome is the
+/// SCP finder with its memos, the merge oracle's buffers and the line-6
+/// evaluation scratch. Handing the next call a sample that grew by one
+/// label updates the finder in place; any other sample makes it
+/// rebuild. Either way the outcome is the
 /// one a fresh state gives.
 pub struct LearnState<'g> {
     graph: &'g GraphDb,
-    /// Never empty; `finders[0]` is also the strategy's finder.
-    finders: Vec<ScpFinder<'g>>,
+    /// The SCP finder, shared with the node-proposal strategy.
+    finder: ScpFinder<'g>,
     /// Merge oracle for Algorithm 1 line 4: a candidate is consistent
     /// iff its language does not intersect `paths_G(S⁻)`.
     oracle: PathsProduct<'g>,
@@ -166,7 +166,7 @@ impl<'g> LearnState<'g> {
     pub fn new(graph: &'g GraphDb) -> Self {
         LearnState {
             graph,
-            finders: vec![ScpFinder::new(graph, &[])],
+            finder: ScpFinder::new(graph, &[]),
             oracle: PathsProduct::new(graph, &[]),
             eval_scratch: EvalScratch::new(),
         }
@@ -175,17 +175,14 @@ impl<'g> LearnState<'g> {
     /// The finder a node-proposal strategy shares with the relearning,
     /// so that neither redoes the other's negative-side work.
     pub fn finder(&mut self) -> &mut ScpFinder<'g> {
-        &mut self.finders[0]
+        &mut self.finder
     }
 }
 
 impl Learner {
     /// Creates a learner with an explicit configuration.
     pub fn with_config(config: LearnerConfig) -> Self {
-        Learner {
-            config,
-            pool: EvalPool::sequential(),
-        }
+        Learner { config }
     }
 
     /// Creates a learner with a fixed `k` (formal Algorithm 1).
@@ -194,28 +191,6 @@ impl Learner {
             k: KPolicy::Fixed(k),
             ..LearnerConfig::default()
         })
-    }
-
-    /// Fans the per-positive-node SCP searches (Algorithm 1 lines 1–2)
-    /// out over `pool`, and lets its workers share every BFS level of
-    /// the line-6 whole-graph evaluation ([`EvalPool::evaluate`]). Each
-    /// SCP thread gets its **own**
-    /// [`ScpFinder`] (the memo caches are not shared across threads), and
-    /// the outcome — learned query and statistics — is bit-identical to
-    /// the sequential learner: SCPs are a pure function of
-    /// `(graph, S⁻, node, k)`, results are reassembled in sample order,
-    /// and the engine's level merges are deterministic OR-reductions.
-    /// The line-6 evaluation runs under the pool's step-kernel policy
-    /// ([`EvalPool::with_step_policy`]); the learned query and
-    /// statistics are bit-identical under every policy.
-    pub fn with_pool(mut self, pool: EvalPool) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// The configured evaluation pool.
-    pub fn pool(&self) -> &EvalPool {
-        &self.pool
     }
 
     /// Runs Algorithm 1 on `(graph, sample)`.
@@ -236,25 +211,12 @@ impl Learner {
 
         // The negative-side determinization caches depend only on S⁻, so
         // they are shared across all k attempts (and across the positives
-        // within each attempt). One finder per fan-out thread; the
-        // sequential path keeps exactly one.
-        let fan_out = if self.pool.is_parallel() {
-            self.pool.threads().min(sample.pos().len()).max(1)
-        } else {
-            1
-        };
-        while state.finders.len() < fan_out {
-            state
-                .finders
-                .push(ScpFinder::new(state.graph, sample.neg()));
-        }
-        for finder in &mut state.finders[..fan_out] {
-            finder.set_negatives(sample.neg());
-        }
+        // within each attempt).
+        state.finder.set_negatives(sample.neg());
         state.oracle.set_sources(sample.neg());
         for k in self.config.k.candidates() {
             stats.k_used = k;
-            if let Some(query) = self.attempt(state, fan_out, sample, k, &mut stats) {
+            if let Some(query) = self.attempt(state, sample, k, &mut stats) {
                 stats.duration = start_time.elapsed();
                 return LearnOutcome {
                     query: Some(query),
@@ -266,61 +228,10 @@ impl Learner {
         LearnOutcome { query: None, stats }
     }
 
-    /// Algorithm 1 lines 1–2 for every positive node: SCPs in sample
-    /// order, fanned out over the pool when parallel. Each thread owns
-    /// one of `finders` and claims positives **one at a time** from an
-    /// atomic cursor — SCP searches vary wildly in cost (a node near the
-    /// state budget can dwarf its neighbors), so dynamic claiming keeps
-    /// every thread busy where static chunks would serialize a chunk
-    /// behind its slowest node. Results carry their index and are
-    /// reassembled in sample order; `scp(node, k)` is a pure function of
-    /// `(graph, S⁻, node, k)` — the per-finder memo caches only change
-    /// how fast it returns — so the fan-out is bit-identical to the
-    /// sequential loop.
-    fn find_scps(
-        &self,
-        positives: &[NodeId],
-        k: usize,
-        finders: &mut [ScpFinder<'_>],
-    ) -> Vec<Option<Word>> {
-        match self.pool.pool() {
-            Some(pool) if finders.len() > 1 && positives.len() > 1 => {
-                let cursor = AtomicUsize::new(0);
-                let cursor = &cursor;
-                let mut parts: Vec<Vec<(usize, Option<Word>)>> =
-                    (0..finders.len()).map(|_| Vec::new()).collect();
-                pool.scope(|scope| {
-                    for (finder, part) in finders.iter_mut().zip(parts.iter_mut()) {
-                        scope.spawn(move |_| loop {
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&node) = positives.get(index) else {
-                                break;
-                            };
-                            part.push((index, finder.scp(node, k)));
-                        });
-                    }
-                });
-                let mut slots: Vec<Option<Option<Word>>> = vec![None; positives.len()];
-                for (index, result) in parts.into_iter().flatten() {
-                    slots[index] = Some(result);
-                }
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("every positive claimed exactly once"))
-                    .collect()
-            }
-            _ => {
-                let finder = &mut finders[0];
-                positives.iter().map(|&node| finder.scp(node, k)).collect()
-            }
-        }
-    }
-
     /// One attempt with a fixed `k`; returns the query on success.
     fn attempt(
         &self,
         state: &mut LearnState<'_>,
-        fan_out: usize,
         sample: &Sample,
         k: usize,
         stats: &mut LearnStats,
@@ -330,9 +241,8 @@ impl Learner {
         let mut scps: Vec<Word> = Vec::new();
         stats.scps.clear();
         stats.nodes_without_scp.clear();
-        let found = self.find_scps(sample.pos(), k, &mut state.finders[..fan_out]);
-        for (&node, path) in sample.pos().iter().zip(found) {
-            match path {
+        for &node in sample.pos() {
+            match state.finder.scp(node, k) {
                 Some(path) => {
                     stats.scps.push((node, path.clone()));
                     scps.push(path);
@@ -355,12 +265,9 @@ impl Learner {
         stats.generalized_states = generalized.num_states();
 
         // Line 6: does the query select every positive node? One whole-
-        // graph monadic evaluation — the single-huge-query shape — so the
-        // pool's workers (if any) share each BFS level; results are
-        // bit-identical at every width. The candidate is evaluated once,
-        // as given: a forward plan, no planning pass.
-        let selected = self
-            .pool
+        // graph monadic evaluation of the candidate as given: a forward
+        // plan, no planning pass.
+        let selected = EvalPool::default()
             .evaluate(
                 &mut state.eval_scratch,
                 &QueryPlan::forward(&generalized),
@@ -415,25 +322,23 @@ mod tests {
 
     #[test]
     fn step_policy_does_not_change_the_learned_query() {
-        // The step-kernel policy is pure execution strategy: the learned
-        // query (and its abstain/accept verdict) must be identical under
-        // every policy, sequential and pooled alike.
+        // The line-6 check runs under the default step policy; every
+        // policy must reach its verdict — the learned query selects
+        // every positive and no negative — with the same node set.
         let graph = figure3_g0();
         let sample = g0_sample(&graph);
-        let baseline = Learner::with_fixed_k(3).learn(&graph, &sample);
-        let baseline_query = baseline.query.expect("consistent query exists");
+        let query = Learner::with_fixed_k(3)
+            .learn(&graph, &sample)
+            .query
+            .expect("consistent query exists");
+        let expected = query.eval(&graph);
         for policy in StepPolicy::ALL {
-            for threads in [1, 2] {
-                let outcome = Learner::with_fixed_k(3)
-                    .with_pool(EvalPool::new(threads).with_step_policy(policy))
-                    .learn(&graph, &sample);
-                let query = outcome.query.expect("consistent query exists");
-                assert!(
-                    query.equivalent_language(&baseline_query),
-                    "{policy:?} at {threads} threads learned {}",
-                    query.display(graph.alphabet())
-                );
-            }
+            let selected = EvalPool::sequential()
+                .with_step_policy(policy)
+                .eval_monadic(query.dfa(), &graph);
+            assert_eq!(selected, expected, "{policy:?}");
+            assert!(sample.pos().iter().all(|&n| selected.contains(n as usize)));
+            assert!(sample.neg().iter().all(|&n| !selected.contains(n as usize)));
         }
     }
 
@@ -566,49 +471,6 @@ mod tests {
         let sample = g0_sample(&graph);
         let outcome = Learner::default().learn(&graph, &sample);
         assert!(outcome.query.unwrap().is_prefix_free());
-    }
-
-    #[test]
-    fn parallel_scp_fanout_matches_sequential_learner() {
-        // The same samples through sequential and {2, 4}-thread learners:
-        // learned query, SCP list, and every other stat must be
-        // bit-identical (duration aside).
-        let graph = figure3_g0();
-        let samples = [
-            g0_sample(&graph),
-            Sample::new()
-                .positive(graph.node_id("v1").unwrap())
-                .positive(graph.node_id("v3").unwrap())
-                .positive(graph.node_id("v5").unwrap())
-                .positive(graph.node_id("v6").unwrap())
-                .negative(graph.node_id("v2").unwrap()),
-            Sample::new().positive(graph.node_id("v5").unwrap()),
-            Sample::new(),
-        ];
-        for sample in &samples {
-            let sequential = Learner::default().learn(&graph, sample);
-            for threads in [2, 4] {
-                let parallel = Learner::default()
-                    .with_pool(EvalPool::new(threads))
-                    .learn(&graph, sample);
-                assert_eq!(
-                    parallel.query.as_ref().map(|q| q.eval(&graph)),
-                    sequential.query.as_ref().map(|q| q.eval(&graph)),
-                    "{threads} threads"
-                );
-                assert_eq!(parallel.stats.scps, sequential.stats.scps);
-                assert_eq!(
-                    parallel.stats.nodes_without_scp,
-                    sequential.stats.nodes_without_scp
-                );
-                assert_eq!(parallel.stats.k_used, sequential.stats.k_used);
-                assert_eq!(parallel.stats.pta_states, sequential.stats.pta_states);
-                assert_eq!(
-                    parallel.stats.generalized_states,
-                    sequential.stats.generalized_states
-                );
-            }
-        }
     }
 
     #[test]

@@ -26,11 +26,6 @@ pub struct StaticConfig {
     pub seed: u64,
     /// Learner configuration.
     pub learner: LearnerConfig,
-    /// Threads for the evaluation pool: the learner's SCP fan-out, its
-    /// intra-query parallel line-6 evaluation, and the goal-selection
-    /// evaluations of the sweep (`1` = sequential; results are identical
-    /// at every thread count).
-    pub threads: usize,
 }
 
 impl Default for StaticConfig {
@@ -40,7 +35,6 @@ impl Default for StaticConfig {
             trials: 3,
             seed: 42,
             learner: LearnerConfig::default(),
-            threads: 1,
         }
     }
 }
@@ -64,7 +58,7 @@ pub struct StaticPoint {
 
 /// Runs the sweep for one goal query on one graph.
 pub fn run_static(graph: &GraphDb, goal: &PathQuery, config: &StaticConfig) -> Vec<StaticPoint> {
-    let pool = EvalPool::new(config.threads);
+    let pool = EvalPool::default();
     // One evaluation scratch for the whole sweep: the goal selection and
     // every trial's F1 scoring reuse the same buffers.
     let mut scratch = EvalScratch::new();
@@ -79,7 +73,7 @@ pub fn run_static(graph: &GraphDb, goal: &PathQuery, config: &StaticConfig) -> V
         .expect("a never-token evaluation is not interrupted")
     };
     let goal_selection = select(goal);
-    let learner = Learner::with_config(config.learner).with_pool(pool.clone());
+    let learner = Learner::with_config(config.learner);
     let mut points = Vec::with_capacity(config.fractions.len());
     for (fi, &fraction) in config.fractions.iter().enumerate() {
         let mut f1s = Vec::with_capacity(config.trials);
@@ -165,7 +159,6 @@ mod tests {
             trials: 3,
             seed: 42,
             learner: LearnerConfig::default(),
-            threads: 1,
         };
         let points = run_static(&graph, &goal, &config);
         assert_eq!(points.len(), 2);
@@ -199,7 +192,6 @@ mod tests {
             trials: 2,
             seed: 7,
             learner: LearnerConfig::default(),
-            threads: 2,
         };
         let a = run_static(&graph, &goal, &config);
         let b = run_static(&graph, &goal, &config);

@@ -23,7 +23,7 @@
 //! index it
 //!
 //! 1. **plans** the step against the graph's per-label active-node
-//!    bitmaps ([`GraphDb::plan_step`] under the pool's
+//!    bitmaps ([`GraphDb::plan_step`] under the handle's
 //!    [`crate::graph::StepPolicy`]): skip it (the frontier misses the
 //!    label, so the step is provably empty), mark it *covered* (the
 //!    frontier holds every node with an edge of the label, so the step
@@ -35,23 +35,20 @@
 //!    popcount cost model whose frontier popcount is counted for free
 //!    during the previous merge;
 //! 2. **runs** the plan through the step kernel
-//!    ([`GraphDb::step_range_into`]) in the pass's [`Dir`] (out-edges or
+//!    ([`GraphDb::step_into`]) in the pass's [`Dir`] (out-edges or
 //!    in-edges): a covered step copies the bitmap instead of walking
 //!    edges, and still counts as one task;
 //! 3. optionally **intersects** the output with a coreachability
 //!    certificate;
 //! 4. **merges** it into every target state.
 //!
-//! Who runs the harvested tasks is the only difference between
-//! sequential and parallel evaluation. A pool with worker threads fans
-//! a level's `(state, symbol)` tasks — and, when a level has fewer
-//! tasks than workers, word-aligned node-range chunks of each task —
-//! out over an atomic cursor, OR-ing into per-worker accumulators that
-//! are folded in state order afterwards; a one-thread pool (or a level
-//! with a single grain) runs them inline. The level outcome per state
-//! is `(⋃ steps into it) \ reached`, a set expression independent of
-//! scheduling, so results are **bit-identical at every thread count
-//! and chunk width**.
+//! Every evaluation runs on its caller's thread: the harvested tasks
+//! run one after another, each step merged straight into its target
+//! states. The level outcome per state is `(⋃ steps into it) \ reached`,
+//! a set expression independent of task order. Independent queries
+//! overlap on their callers' threads (client threads, the front door's
+//! eval workers), each stepping its own scratch over the shared,
+//! read-only [`GraphDb`].
 //!
 //! ## The driver and its parameter sets
 //!
@@ -73,18 +70,15 @@
 //! prunes every forward step by it; *bidirectional* interleaves the two
 //! level for level and starts pruning once the certificate converges.
 //!
-//! The cancel token is checked once per level on the coordinating
-//! thread; workers inside a level always finish it, so an interrupt
-//! never tears a half-merged level and the scratch stays reusable.
+//! The cancel token is checked once per level, before the level runs,
+//! so an interrupt never tears a half-merged level and the scratch stays
+//! reusable.
 
 use crate::cancel::{CancelToken, Interrupt};
-use crate::graph::{Dir, GraphDb, NodeId, StepPlan};
-use crate::par_eval::EvalPool;
+use crate::graph::{Dir, GraphDb, NodeId, StepPlan, StepPolicy};
 use crate::plan::{QueryPlan, Strategy};
 use pathlearn_automata::{BitSet, Dfa, StateId, Symbol, DEAD};
 use std::collections::VecDeque;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One live `(state, symbol)` row of a [`TransIndex`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -288,24 +282,6 @@ impl Side {
         next.lens[target] += fresh;
     }
 
-    /// Deterministic end-of-level fold of the per-worker accumulators:
-    /// states in index order, workers in index order. The outcome per
-    /// state is `(⋃ accumulators) \ reached-before-level` whichever
-    /// worker produced which piece. Leaves the accumulators cleared.
-    fn merge_parts(&mut self, parts: &mut [LevelPart]) {
-        for target in 0..self.reached.len() {
-            for part in parts.iter_mut() {
-                if part.touched.contains(target) {
-                    Self::merge(&mut self.reached, &mut self.next, target, &part.acc[target]);
-                    part.acc[target].clear();
-                }
-            }
-        }
-        for part in parts {
-            part.touched.clear();
-        }
-    }
-
     /// Retires the stepped frontier and promotes `next`.
     fn advance(&mut self) {
         for &q in &self.frontier.active {
@@ -331,10 +307,7 @@ impl Side {
     }
 }
 
-/// One planned `(state, symbol)` step of a level. The plan is made once
-/// at harvest time, however many node-range chunks the task is split
-/// into (a [`StepPlan::Covered`] task emits its copy from the chunk
-/// holding word 0 only).
+/// One planned `(state, symbol)` step of a level.
 #[derive(Clone, Copy, Debug)]
 struct StepTask {
     state: StateId,
@@ -342,48 +315,19 @@ struct StepTask {
     plan: StepPlan,
 }
 
-/// Per-worker buffers of a fanned-out level: a step output, one
-/// accumulator per automaton state, and the states this worker touched
-/// (so the fold visits only live accumulators).
-#[derive(Debug, Default)]
-struct LevelPart {
-    step: BitSet,
-    acc: Vec<BitSet>,
-    touched: BitSet,
-}
-
 /// The buffers a level needs besides the [`Side`] it steps.
 #[derive(Debug, Default)]
 struct Work {
-    /// Inline step output.
+    /// Step output.
     step: BitSet,
     tasks: Vec<StepTask>,
-    parts: Vec<LevelPart>,
 }
 
 impl Work {
-    /// Fits the buffers to `|V| = v`, `|Q| = q_states` and `pool`'s
-    /// fan-out width (no per-worker buffers on a sequential pool).
-    fn prepare(&mut self, v: usize, q_states: usize, pool: &EvalPool) {
-        let workers = if pool.is_parallel() {
-            pool.threads()
-        } else {
-            0
-        };
+    /// Fits the step buffer to `|V| = v`.
+    fn prepare(&mut self, v: usize) {
         if self.step.capacity() != v {
             self.step = BitSet::new(v);
-        }
-        self.parts.resize_with(workers, LevelPart::default);
-        for part in &mut self.parts {
-            if part.step.capacity() != v {
-                part.step = BitSet::new(v);
-            }
-            fit(&mut part.acc, v, q_states);
-            if part.touched.capacity() != q_states {
-                part.touched = BitSet::new(q_states);
-            } else {
-                part.touched.clear();
-            }
         }
     }
 }
@@ -392,13 +336,12 @@ impl Work {
 ///
 /// One evaluation of a `|Q|`-state query on a `|V|`-node graph needs
 /// `3·|Q| + 1` node bitsets (twice that for the two-phase binary
-/// strategies, plus `|Q| + 1` per worker on a parallel pool); callers
-/// that evaluate repeatedly — the learner's line-6 check, F1 scoring,
-/// the serving layer's miss path, every batch worker — would otherwise
+/// strategies); callers that evaluate repeatedly — the learner's line-6
+/// check, F1 scoring, the serving layer's miss path — would otherwise
 /// allocate and free them per call. An `EvalScratch` owns the buffers
 /// and re-fits them lazily: reuse on the same graph is allocation-free,
-/// and a scratch can move between graphs, queries and pools of any size
-/// at the cost of a re-allocation.
+/// and a scratch can move between graphs and queries of any size at the
+/// cost of a re-allocation. Each thread that evaluates keeps its own.
 ///
 /// Scratch reuse never changes results — every buffer is cleared before
 /// use, also after an interrupted evaluation:
@@ -445,8 +388,7 @@ struct Pass<'a> {
     dir: Dir,
 }
 
-/// Runs one planned step over the frontier words `words` — all of them,
-/// or one chunk — into `out`, intersects it with the target's
+/// Runs one planned step into `out`, intersects it with the target's
 /// certificate if there is one, and reports whether anything is left to
 /// merge.
 fn run_task(
@@ -454,15 +396,12 @@ fn run_task(
     pass: Pass<'_>,
     task: &StepTask,
     frontiers: &[BitSet],
-    words: Range<usize>,
     certificate: Option<&[BitSet]>,
     out: &mut BitSet,
 ) -> bool {
     let frontier = &frontiers[task.state as usize];
     let sym = Symbol::from_index(task.row.sym as usize);
-    // The kernel accumulates; a task (or chunk) starts from nothing.
-    out.clear();
-    graph.step_range_into(pass.dir, task.plan, frontier, sym, words, out);
+    graph.step_into(pass.dir, task.plan, frontier, sym, out);
     if let Some(certificate) = certificate {
         // Sound because every node on a witness path is coreachable;
         // only deterministic (one-target) passes are ever pruned.
@@ -474,10 +413,78 @@ fn run_task(
     !out.is_empty()
 }
 
+/// The handle every evaluation goes through: it carries the step-kernel
+/// policy ([`StepPolicy`]) that [`EvalPool::evaluate`] plans each level's
+/// steps under, and nothing else — every evaluation runs on its caller's
+/// thread. No policy changes a result bit.
+///
+/// ```
+/// use pathlearn_graph::graph::figure3_g0;
+/// use pathlearn_graph::eval::eval_monadic;
+/// use pathlearn_graph::{EvalPool, StepPolicy};
+/// use pathlearn_automata::Regex;
+///
+/// let graph = figure3_g0();
+/// let query = Regex::parse("(a+b)*·c", graph.alphabet()).unwrap().to_dfa(3);
+/// // The exhaustive kernel: bit-identical to the default policy.
+/// let plain = EvalPool::sequential().with_step_policy(StepPolicy::Plain);
+/// assert_eq!(plain.eval_monadic(&query, &graph), eval_monadic(&query, &graph));
+/// ```
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EvalPool {
+    /// Step-kernel policy applied by every evaluation this handle runs.
+    step_policy: StepPolicy,
+}
+
 impl EvalPool {
+    /// The evaluation handle under the default step policy.
+    pub fn sequential() -> Self {
+        Self::default()
+    }
+
+    /// [`EvalPool::sequential`]; the argument is ignored. Kept for callers
+    /// that still pass a thread count.
+    pub fn new(_threads: usize) -> Self {
+        Self::sequential()
+    }
+
+    /// Sets the step-kernel policy (see [`StepPolicy`]) applied by every
+    /// evaluation this handle runs. Results are bit-identical under every
+    /// policy; the knob exists for the masked-kernel ablation and
+    /// differential testing.
+    pub fn with_step_policy(mut self, policy: StepPolicy) -> Self {
+        self.step_policy = policy;
+        self
+    }
+
+    /// The configured step-kernel policy ([`StepPolicy::Auto`] unless
+    /// overridden).
+    pub fn step_policy(&self) -> StepPolicy {
+        self.step_policy
+    }
+
+    /// Monadic evaluation of one query — shorthand for
+    /// [`EvalPool::evaluate`] of [`Goal::Monadic`] under a forward plan
+    /// with fresh buffers.
+    ///
+    /// ```
+    /// use pathlearn_graph::graph::figure3_g0;
+    /// use pathlearn_graph::EvalPool;
+    /// use pathlearn_graph::eval::eval_monadic_queued;
+    /// use pathlearn_automata::Regex;
+    ///
+    /// let graph = figure3_g0();
+    /// let query = Regex::parse("(a·b)*·c", graph.alphabet()).unwrap().to_dfa(3);
+    /// let pool = EvalPool::sequential();
+    /// assert_eq!(pool.eval_monadic(&query, &graph), eval_monadic_queued(&query, &graph));
+    /// ```
+    pub fn eval_monadic(&self, query: &Dfa, graph: &GraphDb) -> BitSet {
+        self.evaluate_dfa(&mut EvalScratch::new(), query, graph, Goal::Monadic)
+    }
+
     /// The level kernel (see the module docs): harvest this level's
-    /// planned steps, run them — inline, or fanned out over the pool's
-    /// workers — merge, and advance `side` to the next level.
+    /// planned steps, run and merge each, and advance `side` to the next
+    /// level.
     fn step_level(
         &self,
         graph: &GraphDb,
@@ -497,14 +504,14 @@ impl EvalPool {
         } else {
             0
         };
-        let Work { step, tasks, parts } = work;
+        let Work { step, tasks } = work;
         tasks.clear();
         for &q in &side.frontier.active {
             let frontier = &side.frontier.sets[q as usize];
             let len = side.frontier.lens[q as usize];
             for &row in pass.index.live(q) {
                 let sym = Symbol::from_index(row.sym as usize);
-                let plan = graph.plan_step(pass.dir, frontier, sym, len, self.step_policy());
+                let plan = graph.plan_step(pass.dir, frontier, sym, len, self.step_policy);
                 if plan != StepPlan::Skip {
                     tasks.push(StepTask {
                         state: q,
@@ -514,44 +521,10 @@ impl EvalPool {
                 }
             }
         }
-        let words = graph.num_node_words();
-        let (chunks_per_task, chunk_words) = self.level_grain(tasks.len(), words);
-        let cells = tasks.len() * chunks_per_task;
-        match self.pool() {
-            Some(pool) if cells > 1 => {
-                let workers = self.threads().min(cells);
-                let cursor = AtomicUsize::new(0);
-                let (cursor, tasks, frontiers) = (&cursor, &*tasks, &side.frontier.sets);
-                pool.scope(|scope| {
-                    for part in parts[..workers].iter_mut() {
-                        scope.spawn(move |_| loop {
-                            let cell = cursor.fetch_add(1, Ordering::Relaxed);
-                            if cell >= cells {
-                                break;
-                            }
-                            let task = &tasks[cell / chunks_per_task];
-                            let chunk = cell % chunks_per_task;
-                            let range = chunk * chunk_words..((chunk + 1) * chunk_words).min(words);
-                            let LevelPart { step, acc, touched } = &mut *part;
-                            if run_task(graph, pass, task, frontiers, range, certificate, step) {
-                                for &target in pass.index.targets(&task.row) {
-                                    acc[target as usize].union_with(step);
-                                    touched.insert(target as usize);
-                                }
-                            }
-                        });
-                    }
-                });
-                side.merge_parts(&mut parts[..workers]);
-            }
-            _ => {
-                for task in tasks.iter() {
-                    let frontiers = &side.frontier.sets;
-                    if run_task(graph, pass, task, frontiers, 0..words, certificate, step) {
-                        for &target in pass.index.targets(&task.row) {
-                            Side::merge(&mut side.reached, &mut side.next, target as usize, step);
-                        }
-                    }
+        for task in tasks.iter() {
+            if run_task(graph, pass, task, &side.frontier.sets, certificate, step) {
+                for &target in pass.index.targets(&task.row) {
+                    Side::merge(&mut side.reached, &mut side.next, target as usize, step);
                 }
             }
         }
@@ -610,8 +583,8 @@ impl EvalPool {
     ///
     /// The plan picks the binary engine
     /// ([`QueryPlan::binary_strategy`]; monadic goals have one), the
-    /// pool who runs each level's steps; neither changes a single
-    /// result bit. `cancel` is checked
+    /// handle's step policy how each level's steps run; neither changes a
+    /// single result bit. `cancel` is checked
     /// once per BFS level and a tripped token aborts with its
     /// [`Interrupt`] verdict; answers that need no level (an empty
     /// graph, `ε ∈ L(q)` monadically, an out-of-graph source)
@@ -657,7 +630,7 @@ impl EvalPool {
             dir: Dir::In,
         };
         let EvalScratch { main, work, .. } = scratch;
-        work.prepare(v, query.num_states(), self);
+        work.prepare(v);
         main.prepare(v, query.num_states());
         for f in query.finals().iter() {
             main.seed_all(f);
@@ -688,7 +661,7 @@ impl EvalPool {
             certificate,
             work,
         } = scratch;
-        work.prepare(v, q_states, self);
+        work.prepare(v);
         let forward = TransIndex::forward(query, sigma);
         let reverse;
         let coreach = match plan.binary_strategy() {
@@ -748,8 +721,8 @@ impl EvalPool {
 }
 
 /// Evaluates a (monadic) path query on a graph: the set of selected
-/// nodes. Shorthand for [`EvalPool::evaluate`] of [`Goal::Monadic`] on
-/// a sequential pool with fresh buffers; equivalent to the oracles
+/// nodes. Shorthand for [`EvalPool::evaluate`] of [`Goal::Monadic`]
+/// under the default step policy with fresh buffers; equivalent to the oracles
 /// [`eval_monadic_queued`] and [`eval_monadic_naive`] (asserted by
 /// tests and proptests).
 ///
@@ -857,8 +830,8 @@ pub fn selectivity(query: &Dfa, graph: &GraphDb) -> f64 {
 
 /// Binary semantics (Appendix B): the set of end nodes `ν'` such that
 /// `paths2_G(source, ν') ∩ L(q) ≠ ∅`. Shorthand for
-/// [`EvalPool::evaluate`] of [`Goal::BinaryFrom`] on a sequential pool
-/// with fresh buffers.
+/// [`EvalPool::evaluate`] of [`Goal::BinaryFrom`] under the default
+/// step policy with fresh buffers.
 ///
 /// ```
 /// use pathlearn_graph::eval::eval_binary_from;
@@ -874,7 +847,8 @@ pub fn selectivity(query: &Dfa, graph: &GraphDb) -> f64 {
 /// assert!(ends.contains(graph.node_id("v4").unwrap() as usize));
 /// ```
 pub fn eval_binary_from(query: &Dfa, graph: &GraphDb, source: NodeId) -> BitSet {
-    EvalPool::sequential().eval_binary_from(query, graph, source)
+    let goal = Goal::BinaryFrom(source);
+    EvalPool::sequential().evaluate_dfa(&mut EvalScratch::new(), query, graph, goal)
 }
 
 /// `true` iff the binary query selects the pair `(source, target)`.

@@ -64,8 +64,8 @@
 //! level kernel in [`crate::eval`] — *covered* when the frontier holds
 //! the whole active set, so the step's answer is the label's
 //! opposite-direction bitmap. The kernel works on word-aligned node
-//! chunks, the unit of the node-range fan-out a parallel
-//! [`crate::par_eval::EvalPool`] splits a level into.
+//! chunks, so a partition of a step's frontier words computes the same
+//! union as the whole step.
 //!
 //! ## Complexity
 //!
@@ -969,8 +969,7 @@ impl GraphDb {
     }
 
     /// Number of `u64` words a `|V|`-capacity frontier occupies — the
-    /// granularity of [`GraphDb::step_range_into`] and of the node-range
-    /// fan-out in [`crate::par_eval`].
+    /// granularity of [`GraphDb::step_range_into`].
     #[inline]
     pub fn num_node_words(&self) -> usize {
         self.num_nodes().div_ceil(BitSet::BLOCK_BITS)
@@ -1115,8 +1114,8 @@ impl GraphDb {
     /// executing `plan`. `out` must have capacity `num_nodes()` and is
     /// **not cleared** — the kernel accumulates, so the union over any
     /// word-aligned partition of `0..num_node_words()` equals the
-    /// whole-frontier step bit-for-bit. This is the unit of the
-    /// node-range fan-out in [`crate::par_eval`]. The frontier is
+    /// whole-frontier step bit-for-bit; [`GraphDb::step_into`] is the
+    /// one-range call the level kernel makes. The frontier is
     /// consumed word-by-word with trailing-zero scans, so nodes arrive
     /// in ascending order and the kernel is one forward pass over
     /// `sym`'s run of the label-major offset table and over `sym`'s

@@ -18,15 +18,12 @@
 //! * [`eval`] — **the** evaluation engine: one level kernel and one
 //!   driver behind [`EvalPool::evaluate`], which answers monadic
 //!   `q(G)` and binary (Appendix B) goals in `O(|E|·|Q|)` by
-//!   level-synchronous product BFS, with the reusable [`eval::EvalScratch`] buffers, the
-//!   `eval_monadic` / `eval_binary_from` shorthands and the two test
-//!   oracles;
+//!   level-synchronous product BFS on the caller's thread, with the
+//!   reusable [`eval::EvalScratch`] buffers, the `eval_monadic` /
+//!   `eval_binary_from` shorthands and the two test oracles;
 //! * [`plan`] — whole-query planning: automaton preprocessing and the
 //!   forward / backward / bidirectional choice of binary engine, i.e.
 //!   which parameter set the driver runs a binary goal with;
-//! * [`par_eval`] — the [`par_eval::EvalPool`] handle: who runs each
-//!   level's steps (inline on one thread, or fanned out over workers
-//!   with a deterministic merge), bit-identical at every thread count;
 //! * [`observer`] — thread-local per-BFS-level sampling
 //!   ([`observer::collect_levels`]): the zero-cost-when-off hook the
 //!   serving layer's query traces ride, recording frontier size, kernel
@@ -58,18 +55,16 @@ pub mod graph;
 pub mod io;
 pub mod neighborhood;
 pub mod observer;
-pub mod par_eval;
 pub mod paths;
 pub mod plan;
 pub mod sampling;
 pub mod scp;
 
 pub use cancel::{CancelToken, Interrupt};
-pub use eval::{EvalScratch, Goal};
+pub use eval::{EvalPool, EvalScratch, Goal};
 pub use graph::snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use graph::{DeltaError, Dir, GraphBuilder, GraphDb, NodeId, StepPlan, StepPolicy};
 pub use observer::{collect_levels, LevelSample, MAX_LEVEL_SAMPLES};
-pub use par_eval::EvalPool;
 pub use paths::PathsProduct;
 pub use plan::{QueryPlan, Strategy};
 pub use scp::ScpFinder;

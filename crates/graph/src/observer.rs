@@ -11,10 +11,9 @@
 //! kernel work a level does — so evaluation stays zero-cost for library
 //! users who never ask for samples.
 //!
-//! The sink is thread-local on purpose: the level loop runs on the
-//! calling thread at every pool width (worker threads only execute
-//! kernels *within* a level), so samples land exactly with the query
-//! that produced them even when many queries evaluate concurrently.
+//! The sink is thread-local on purpose: an evaluation runs entirely on
+//! its calling thread, so samples land exactly with the query that
+//! produced them even when many queries evaluate concurrently.
 
 use std::cell::RefCell;
 use std::time::Instant;

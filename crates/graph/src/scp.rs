@@ -402,9 +402,8 @@ const UNCOUNTED: u32 = u32::MAX;
 /// a search cut short by [`SCP_STATE_BUDGET`] is never remembered.
 ///
 /// A finder is `Send` (the negative side's shared sets are `Arc`s, not
-/// `Rc`s): the learner's parallel SCP fan-out moves per-thread finders
-/// into pool tasks (caches are per-finder — threads share the graph, not
-/// the memo tables).
+/// `Rc`s), so a learning state can move to whichever thread runs the
+/// next round; its caches are per-finder, never shared between threads.
 pub struct ScpFinder<'g> {
     graph: &'g GraphDb,
     /// `S⁻`, sorted and deduplicated — what `neg` is rooted at.
@@ -893,8 +892,8 @@ mod tests {
 
     #[test]
     fn finder_is_send() {
-        // The learner's parallel fan-out moves finders into pool tasks;
-        // this is a compile-time property (Arc-interned store, no Rc).
+        // A learning state may move between threads; this is a
+        // compile-time property (Arc-interned store, no Rc).
         fn assert_send<T: Send>() {}
         assert_send::<ScpFinder<'static>>();
         assert_send::<NegCache<'static>>();

@@ -8,12 +8,11 @@
 //! no-op removals, duplicate additions, and cross-batch cancellation),
 //! the overlay graph is **bit-identical** to a from-scratch rebuild of
 //! the same edge set — monadic and binary, under all four forced
-//! planner strategies, sequentially and on the pool at 1 and 4 threads
-//! — and [`GraphDb::compact`] folds the overlay away without changing
-//! a single bit, node id, or interned symbol. Overlays are per-label
-//! copy-on-write, so the suite also keeps every intermediate handle of
-//! a sequence alive and re-checks it after the later batches ran: a
-//! receiver is never changed by deriving from it.
+//! planner strategies — and [`GraphDb::compact`] folds the overlay away
+//! without changing a single bit, node id, or interned symbol. Overlays
+//! are per-label copy-on-write, so the suite also keeps every
+//! intermediate handle of a sequence alive and re-checks it after the
+//! later batches ran: a receiver is never changed by deriving from it.
 //!
 //! The reference is an independent model: a plain `HashSet` of edges
 //! mutated by `(G ∖ remove) ∪ add` per batch, rebuilt through
@@ -29,7 +28,6 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
-const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 type Edge = (NodeId, Symbol, NodeId);
 
@@ -144,7 +142,7 @@ fn apply_all(base: &GraphDb, batches: &[RawBatch]) -> (GraphDb, GraphDb) {
 
 /// The full strategy matrix on one (graph, query) pair: overlay vs
 /// reference, monadic and binary from every source, all four forced
-/// strategies, sequential and pooled at 1 and 4 threads.
+/// strategies, through one reused scratch.
 fn assert_delta_matrix(
     overlay: &GraphDb,
     reference: &GraphDb,
@@ -152,7 +150,7 @@ fn assert_delta_matrix(
 ) -> Result<(), TestCaseError> {
     let never = CancelToken::never();
     let mut scratch = EvalScratch::new();
-    let pools: Vec<EvalPool> = THREAD_COUNTS.iter().map(|&t| EvalPool::new(t)).collect();
+    let pool = EvalPool::sequential();
 
     let expected = eval_monadic(query, reference);
     prop_assert_eq!(
@@ -164,37 +162,31 @@ fn assert_delta_matrix(
         // Plans are built ON the overlay graph — the planner's estimates
         // and reversed automata must digest delta-carrying handles.
         let plan = plan_query_forced(query, overlay, forced);
-        for (pool, &threads) in pools.iter().zip(THREAD_COUNTS.iter()) {
-            prop_assert_eq!(
-                &pool
-                    .evaluate(&mut scratch, &plan, overlay, Goal::Monadic, &never)
-                    .unwrap(),
-                &expected,
-                "overlay pool monadic disagrees under forced {} at {} threads",
-                forced,
-                threads
-            );
-        }
+        prop_assert_eq!(
+            &pool
+                .evaluate(&mut scratch, &plan, overlay, Goal::Monadic, &never)
+                .unwrap(),
+            &expected,
+            "overlay monadic disagrees under forced {}",
+            forced
+        );
         for source in overlay.nodes() {
             let expected_binary = eval_binary_from(query, reference, source);
-            for (pool, &threads) in pools.iter().zip(THREAD_COUNTS.iter()) {
-                prop_assert_eq!(
-                    &pool
-                        .evaluate(
-                            &mut scratch,
-                            &plan,
-                            overlay,
-                            Goal::BinaryFrom(source),
-                            &never
-                        )
-                        .unwrap(),
-                    &expected_binary,
-                    "overlay pool binary disagrees under forced {} from {} at {} threads",
-                    forced,
-                    source,
-                    threads
-                );
-            }
+            prop_assert_eq!(
+                &pool
+                    .evaluate(
+                        &mut scratch,
+                        &plan,
+                        overlay,
+                        Goal::BinaryFrom(source),
+                        &never
+                    )
+                    .unwrap(),
+                &expected_binary,
+                "overlay binary disagrees under forced {} from {}",
+                forced,
+                source
+            );
         }
     }
     Ok(())
@@ -206,8 +198,7 @@ proptest! {
     /// The tentpole invariant: random delta sequences leave the overlay
     /// graph bit-identical to an independent rebuild of the same edge
     /// set — structurally (edge list, per-edge counts, degree views)
-    /// and observably (every evaluator, every strategy, every thread
-    /// count).
+    /// and observably (every evaluator, every strategy).
     #[test]
     fn overlay_is_bit_identical_to_a_rebuild(
         graph in arb_graph(),

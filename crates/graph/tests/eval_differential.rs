@@ -3,17 +3,13 @@
 //! One engine ([`EvalPool::evaluate`]) answers every query, and two
 //! independent oracles check it: the seed queue-based
 //! [`eval_monadic_queued`] and the per-node product-search
-//! [`eval_monadic_naive`]. The engine's execution knobs — the step-kernel
-//! policy ([`StepPolicy`]: plain / masked / cost-model auto) and who
-//! runs a level's steps (inline, or fanned out over pool workers) — must
+//! [`eval_monadic_naive`]. The engine's execution knob — the step-kernel
+//! policy ([`StepPolicy`]: plain / masked / cost-model auto) — must
 //! never show in a result. On random graphs and random queries (both
 //! regex-derived DFAs and *raw* random DFAs with partial transition
 //! tables, dead states, and unreachable states) every configuration must
-//! select **exactly** the same node sets, and pooled evaluation must stay
-//! bit-identical at every thread count in {1, 2, 4} **and every
-//! node-range chunk width in {1 word, 4 words, auto}** — including the
-//! ≤ 1-task-per-level regime of 2-state single-label queries, where the
-//! node-range fan-out is the only parallelism there is. Label-density
+//! select **exactly** the same node sets, with one scratch reused across
+//! configurations and calls. Label-density
 //! extremes (every label active on all nodes / on at most one node) are
 //! generated explicitly so the masked kernels and the cost-model gate
 //! see both of their boundary conditions. The per-label active-node
@@ -31,10 +27,6 @@ use pathlearn_graph::{
 use proptest::prelude::*;
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-/// Node-range chunk widths for the intra-query fan-out: 1 word, 4
-/// words, and the auto sizing (`None`).
-const CHUNK_WIDTHS: [Option<usize>; 3] = [Some(1), Some(4), None];
 
 /// `evaluate` of a raw DFA under its forward plan, never cancelled.
 fn evaluate(
@@ -129,9 +121,8 @@ fn arb_query() -> impl Strategy<Value = Dfa> {
 }
 
 /// Every monadic configuration against the default one: the seed
-/// queue oracle, the naive product oracle, the sequential engine under
-/// every step policy, and pooled evaluation at every thread count ×
-/// chunk width.
+/// queue oracle, the naive product oracle, and the engine under every
+/// step policy through one reused scratch.
 fn assert_monadic_engines_agree(graph: &GraphDb, query: &Dfa) -> Result<(), TestCaseError> {
     let expected = eval_monadic(query, graph);
     prop_assert_eq!(
@@ -159,28 +150,6 @@ fn assert_monadic_engines_agree(graph: &GraphDb, query: &Dfa) -> Result<(), Test
             policy
         );
     }
-    for threads in THREAD_COUNTS {
-        for chunk in CHUNK_WIDTHS {
-            let pool = match chunk {
-                Some(words) => EvalPool::new(threads).with_intra_chunk_words(words),
-                None => EvalPool::new(threads),
-            };
-            prop_assert_eq!(
-                &pool.eval_monadic(query, graph),
-                &expected,
-                "intra-query parallel engine disagrees at {} threads, chunk {:?}",
-                threads,
-                chunk
-            );
-            prop_assert_eq!(
-                &evaluate(&pool, &mut scratch, query, graph, Goal::Monadic),
-                &expected,
-                "intra-query parallel engine (reused scratch) disagrees at {} threads, chunk {:?}",
-                threads,
-                chunk
-            );
-        }
-    }
     Ok(())
 }
 
@@ -188,16 +157,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Monadic semantics: engine ≡ queued ≡ naive under every step
-    /// policy and at threads {1, 2, 4}, for regex-derived and raw random
-    /// DFAs alike.
+    /// policy, for regex-derived and raw random DFAs alike.
     #[test]
     fn monadic_engines_agree(graph in arb_graph(), query in arb_query()) {
         assert_monadic_engines_agree(&graph, &query)?;
     }
 
-    /// Binary semantics from every source node: the sequential engine ≡
-    /// every step policy ≡ the intra-query parallel twin at threads
-    /// {1, 2, 4}.
+    /// Binary semantics from every source node: the default engine ≡
+    /// every step policy, through one reused scratch.
     #[test]
     fn binary_engines_agree(graph in arb_graph(), query in arb_query()) {
         let mut scratch = EvalScratch::new();
@@ -211,21 +178,6 @@ proptest! {
                     "binary engine disagrees from {} under {:?}", source, policy
                 );
             }
-            for threads in THREAD_COUNTS {
-                let pool = EvalPool::new(threads);
-                prop_assert_eq!(
-                    &pool.eval_binary_from(&query, &graph, source),
-                    &expected,
-                    "intra-query parallel binary engine disagrees from {} at {} threads",
-                    source, threads
-                );
-                prop_assert_eq!(
-                    &evaluate(&pool, &mut scratch, &query, &graph, goal),
-                    &expected,
-                    "intra-query parallel binary engine (reused scratch) disagrees from {} at {} threads",
-                    source, threads
-                );
-            }
         }
     }
 
@@ -237,7 +189,7 @@ proptest! {
         graph in arb_graph(),
         queries in proptest::collection::vec(arb_query(), 1..5),
     ) {
-        let pool = EvalPool::new(4);
+        let pool = EvalPool::sequential();
         let mut scratch = EvalScratch::new();
         for query in &queries {
             prop_assert_eq!(
@@ -333,43 +285,7 @@ fn arb_density_extreme(dense: impl Strategy<Value = bool>) -> impl Strategy<Valu
         })
 }
 
-/// Strategy: a 2-state DFA over a single symbol — the paper's common
-/// query shape where an intra-query level carries **at most one**
-/// `(state, symbol)` task, so only the node-range fan-out parallelizes
-/// anything. Variants: `a·a*` (both states step) and `{a}` (one step
-/// then done), with the symbol drawn from the 3-label alphabet.
-fn arb_two_state_single_label_dfa() -> impl Strategy<Value = Dfa> {
-    (0usize..3, any::<bool>()).prop_map(|(sym, looping)| {
-        let mut dfa = Dfa::new(2, 3, 0);
-        dfa.set_transition(0, Symbol::from_index(sym), 1);
-        if looping {
-            dfa.set_transition(1, Symbol::from_index(sym), 1);
-        }
-        dfa.set_final(1);
-        dfa
-    })
-}
-
-/// Strategy: a larger random graph (up to ~200 nodes, several frontier
-/// words) so the word-aligned node-range splitting actually produces
-/// multiple chunks per task.
-fn arb_wide_graph() -> impl Strategy<Value = GraphDb> {
-    (
-        65usize..200,
-        proptest::collection::vec((0u32..200, 0usize..3, 0u32..200), 40..240),
-    )
-        .prop_map(|(n, edges)| {
-            let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
-            builder.add_nodes("n", n);
-            let n = n as u32;
-            for (src, sym, dst) in edges {
-                builder.add_edge_ids(src % n, Symbol::from_index(sym), dst % n);
-            }
-            builder.build()
-        })
-}
-
-/// The level samples of one sequential evaluation under `policy`.
+/// The level samples of one evaluation under `policy`.
 fn level_samples(policy: StepPolicy, query: &Dfa, graph: &GraphDb, goal: Goal) -> Vec<LevelSample> {
     let mut scratch = EvalScratch::new();
     let pool = sequential(policy);
@@ -433,7 +349,7 @@ proptest! {
     }
 
     /// Label-density extremes: masked ≡ plain ≡ auto ≡ naive ≡
-    /// queued ≡ parallel, monadic and binary, on graphs where every
+    /// queued, monadic and binary, on graphs where every
     /// label is everywhere-active or nearly nowhere-active — the two
     /// boundary conditions of the masked kernels and the popcount gate.
     #[test]
@@ -450,72 +366,6 @@ proptest! {
                 &evaluate(&sequential(policy), &mut scratch, &query, &graph, Goal::BinaryFrom(source)),
                 &expected,
                 "binary under {:?}", policy
-            );
-        }
-    }
-
-    /// Node-range splitting determinism in the ≤ 1-task-per-level
-    /// regime: a 2-state single-label DFA on a multi-word graph, where
-    /// each BFS level harvests at most one (state, symbol) task and the
-    /// only available parallelism is the word-aligned chunk fan-out.
-    /// Results at threads {1, 2, 4} × chunk widths {1 word, 4 words,
-    /// auto} must all be bit-identical to sequential, monadic and
-    /// binary, with scratch reuse across configurations.
-    #[test]
-    fn node_range_splitting_is_deterministic(
-        graph in arb_wide_graph(),
-        query in arb_two_state_single_label_dfa(),
-    ) {
-        let expected = eval_monadic(&query, &graph);
-        let source = (graph.num_nodes() / 2) as u32;
-        let expected_binary = eval_binary_from(&query, &graph, source);
-        let mut scratch = EvalScratch::new();
-        for threads in THREAD_COUNTS {
-            for chunk in CHUNK_WIDTHS {
-                let pool = match chunk {
-                    Some(words) => EvalPool::new(threads).with_intra_chunk_words(words),
-                    None => EvalPool::new(threads),
-                };
-                prop_assert_eq!(
-                    &evaluate(&pool, &mut scratch, &query, &graph, Goal::Monadic),
-                    &expected,
-                    "monadic at {} threads, chunk {:?}", threads, chunk
-                );
-                prop_assert_eq!(
-                    &evaluate(&pool, &mut scratch, &query, &graph, Goal::BinaryFrom(source)),
-                    &expected_binary,
-                    "binary at {} threads, chunk {:?}", threads, chunk
-                );
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The environment-configured pool (`PATHLEARN_THREADS`, the knob the
-    /// CI thread matrix varies) agrees with sequential evaluation on the
-    /// intra-query path. This is the test that makes
-    /// `PATHLEARN_THREADS=N cargo test` a real determinism gate: under
-    /// the 4-thread CI leg the pool here is genuinely parallel.
-    #[test]
-    fn env_configured_pool_matches_sequential(
-        graph in arb_graph(),
-        query in arb_query(),
-    ) {
-        let pool = EvalPool::from_env();
-        let expected = eval_monadic(&query, &graph);
-        prop_assert_eq!(
-            &pool.eval_monadic(&query, &graph),
-            &expected,
-            "intra-query at {} env threads", pool.threads()
-        );
-        for source in graph.nodes() {
-            prop_assert_eq!(
-                &pool.eval_binary_from(&query, &graph, source),
-                &eval_binary_from(&query, &graph, source),
-                "binary from {} at {} env threads", source, pool.threads()
             );
         }
     }
@@ -612,12 +462,13 @@ fn fixed_regression_shapes() {
         let expected = eval_monadic(query, &graph);
         assert_eq!(eval_monadic_queued(query, &graph), expected);
         assert_eq!(eval_monadic_naive(query, &graph), expected);
-        for threads in THREAD_COUNTS {
-            let pool = EvalPool::new(threads);
+        let mut scratch = EvalScratch::new();
+        for policy in StepPolicy::ALL {
+            let pool = sequential(policy);
             assert_eq!(pool.eval_monadic(query, &graph), expected);
             for source in graph.nodes() {
                 assert_eq!(
-                    pool.eval_binary_from(query, &graph, source),
+                    evaluate(&pool, &mut scratch, query, &graph, Goal::BinaryFrom(source)),
                     eval_binary_from(query, &graph, source)
                 );
             }

@@ -5,16 +5,15 @@
 //! coreach-pruned pass), and Bidirectional (meet-in-the-middle) — or
 //! resolves the choice itself under Auto; monadic evaluation has one
 //! engine whatever the plan says. The contract is absolute: **every
-//! strategy is bit-identical to plain sequential forward evaluation**
-//! (and, monadically, to the queued oracle), for both goals (monadic,
-//! binary), sequential and on the pool at every thread count in
-//! {1, 2, 4} and node-range chunk width in {1 word, 4 words, auto},
-//! with and without a cancel token in play. This suite is the matrix: random graph × random query
+//! strategy is bit-identical to plain forward evaluation** (and,
+//! monadically, to the queued oracle), for both goals (monadic, binary),
+//! under every step-kernel policy, with and without a cancel token in
+//! play. This suite is the matrix: random graph × random query
 //! (regex-derived and raw DFAs with dead/unreachable states and padded
-//! alphabets) × all four forced strategies × all pool shapes — small
-//! graphs for breadth, multi-word graphs (≥ 200 nodes) so the pooled,
-//! certificate-pruned Backward / Bidirectional passes really split
-//! levels across workers — plus constructed asymmetric graphs pinning
+//! alphabets) × all four forced strategies × all step policies — small
+//! graphs for breadth, multi-word graphs (≥ 200 nodes) so the
+//! certificate-pruned Backward / Bidirectional passes run many levels
+//! over several frontier words — plus constructed asymmetric graphs pinning
 //! that Auto actually picks the expected direction on the shapes the
 //! estimate exists for (hub-fanout sources, rare-label targets).
 
@@ -24,29 +23,23 @@ use pathlearn_graph::eval::{
 };
 use pathlearn_graph::plan::{plan_query, plan_query_forced};
 use pathlearn_graph::Strategy as EvalStrategy;
-use pathlearn_graph::{CancelToken, EvalPool, GraphBuilder, GraphDb, Interrupt, QueryPlan};
+use pathlearn_graph::{
+    CancelToken, EvalPool, GraphBuilder, GraphDb, Interrupt, QueryPlan, StepPolicy,
+};
 use proptest::prelude::*;
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-/// Node-range chunk widths for the level fan-out: 1 word, 4 words, and
-/// the auto sizing (`None`).
-const CHUNK_WIDTHS: [Option<usize>; 3] = [Some(1), Some(4), None];
 
-/// Every pool shape of the matrix, labelled: threads {1, 2, 4} × chunk
-/// widths {1, 4, auto}.
+/// Every evaluation handle of the matrix, labelled: one per step-kernel
+/// policy.
 fn pool_matrix() -> Vec<(String, EvalPool)> {
-    let mut pools = Vec::new();
-    for threads in THREAD_COUNTS {
-        for chunk in CHUNK_WIDTHS {
-            let pool = match chunk {
-                Some(words) => EvalPool::new(threads).with_intra_chunk_words(words),
-                None => EvalPool::new(threads),
-            };
-            pools.push((format!("{threads} threads, chunk {chunk:?}"), pool));
-        }
-    }
-    pools
+    StepPolicy::ALL
+        .into_iter()
+        .map(|policy| {
+            let pool = EvalPool::sequential().with_step_policy(policy);
+            (format!("{policy:?}"), pool)
+        })
+        .collect()
 }
 
 /// `evaluate` under a token that never trips.
@@ -132,7 +125,7 @@ fn arb_query() -> impl Strategy<Value = Dfa> {
 }
 
 /// The monadic strategy matrix on one (graph, query) pair: every forced
-/// strategy on every pool shape — all the one engine — against the
+/// strategy under every step policy — all the one engine — against the
 /// queued oracle.
 fn assert_monadic_matrix(
     graph: &GraphDb,
@@ -190,8 +183,7 @@ fn assert_binary_matrix(
 
 /// Strategy: a multi-word random graph (200–320 nodes, four or five
 /// frontier words), sparse enough that binary searches run several
-/// levels, so a parallel pool really splits levels into node-range
-/// chunks — also those of the certificate-pruned forward pass.
+/// levels — also those of the certificate-pruned forward pass.
 fn arb_wide_graph() -> impl Strategy<Value = GraphDb> {
     (
         200usize..321,
@@ -212,7 +204,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Monadic semantics: Forward ≡ Backward ≡ Bidirectional ≡ Auto ≡
-    /// the queued oracle through the one engine, sequential and pooled,
+    /// the queued oracle through the one engine under every step policy,
     /// on regex-derived and raw random DFAs alike.
     #[test]
     fn monadic_strategies_agree(graph in arb_graph(), query in arb_query()) {
@@ -220,7 +212,7 @@ proptest! {
     }
 
     /// Binary semantics from every source node: all four strategies ≡
-    /// plain forward evaluation, sequential and pooled. This is where
+    /// plain forward evaluation under every step policy. This is where
     /// the coreach-pruned backward pass and the meet-in-the-middle
     /// engine actually diverge structurally from forward — and must not
     /// diverge observably.
@@ -251,12 +243,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The whole matrix again on multi-word graphs: here a level of a
-    /// 2–4-state query has fewer tasks than workers, so every pooled
-    /// search — the backward coreach, the certificate-pruned forward
-    /// pass of Backward / Bidirectional, the monadic search —
-    /// runs its steps as node-range chunks on worker threads, and must
-    /// still be bit-identical to `eval_monadic` / `eval_binary_from`.
+    /// The whole matrix again on multi-word graphs: every search — the
+    /// backward coreach, the certificate-pruned forward pass of
+    /// Backward / Bidirectional, the monadic search — steps frontiers
+    /// spanning several words, and must still be bit-identical to
+    /// `eval_monadic` / `eval_binary_from`.
     #[test]
     fn strategies_agree_on_multi_word_graphs(
         graph in arb_wide_graph(),
@@ -272,7 +263,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Cancellation across the matrix: a pre-tripped token never
-    /// produces a *wrong* answer — every goal × strategy × thread count
+    /// produces a *wrong* answer — every goal × strategy × step policy
     /// either reports the interrupt or completes before its first level
     /// check (ε shortcuts, empty frontiers) with the exact forward
     /// result.
@@ -291,17 +282,17 @@ proptest! {
             (Goal::BinaryFrom(0), &expected_binary),
         ];
         let mut scratch = EvalScratch::new();
-        let pools: Vec<EvalPool> = THREAD_COUNTS.iter().map(|&t| EvalPool::new(t)).collect();
+        let pools = pool_matrix();
         for forced in EvalStrategy::ALL {
             let plan = plan_query_forced(&query, &graph, forced);
-            for pool in &pools {
+            for (shape, pool) in &pools {
                 for (goal, expected) in goals {
                     match pool.evaluate(&mut scratch, &plan, &graph, goal, &tripped) {
                         Err(Interrupt::Cancelled) => {}
                         Ok(result) => prop_assert_eq!(
                             &result, expected,
-                            "tripped {:?} completed wrong under {} at {} threads",
-                            goal, forced, pool.threads()
+                            "tripped {:?} completed wrong under {} at {}",
+                            goal, forced, shape
                         ),
                         Err(other) => prop_assert!(false, "unexpected verdict {:?}", other),
                     }
@@ -311,8 +302,8 @@ proptest! {
     }
 }
 
-/// A pre-tripped token interrupts **every** goal × strategy × thread
-/// count that has a level to run, and the interrupted scratch is
+/// A pre-tripped token interrupts **every** goal × strategy × step
+/// policy that has a level to run, and the interrupted scratch is
 /// reusable: the next evaluation is bit-identical.
 #[test]
 fn tripped_tokens_interrupt_every_goal_and_leave_the_scratch_reusable() {
@@ -333,19 +324,18 @@ fn tripped_tokens_interrupt_every_goal_and_leave_the_scratch_reusable() {
     ];
     for forced in EvalStrategy::ALL {
         let plan = plan_query_forced(&query, &graph, forced);
-        for threads in THREAD_COUNTS {
-            let pool = EvalPool::new(threads);
+        for (shape, pool) in pool_matrix() {
             let mut scratch = EvalScratch::new();
             for (goal, expected) in goals {
                 assert_eq!(
                     pool.evaluate(&mut scratch, &plan, &graph, goal, &tripped),
                     Err(Interrupt::Cancelled),
-                    "{goal:?} under {forced} at {threads} threads"
+                    "{goal:?} under {forced} at {shape}"
                 );
                 assert_eq!(
                     &evaluate(&pool, &mut scratch, &plan, &graph, goal),
                     expected,
-                    "{goal:?} after an interrupt under {forced} at {threads} threads"
+                    "{goal:?} after an interrupt under {forced} at {shape}"
                 );
             }
         }
@@ -447,8 +437,8 @@ fn forced_strategies_pin_the_binary_engine() {
 }
 
 /// Fixed regression shapes through every strategy: ε in the language,
-/// empty language, a query alphabet smaller than the graph's, and an
-/// out-of-range binary source.
+/// empty language, a query alphabet smaller than the graph's, an
+/// out-of-range binary source, and a graph without nodes.
 #[test]
 fn fixed_shapes_through_every_strategy() {
     let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
@@ -492,6 +482,18 @@ fn fixed_shapes_through_every_strategy() {
                 evaluate(&pool, &mut scratch, &plan, &graph, Goal::BinaryFrom(1000)).is_empty(),
                 "out-of-range source under {forced}"
             );
+        }
+    }
+    let no_nodes = GraphBuilder::new().build();
+    for query in &shapes {
+        for forced in EvalStrategy::ALL {
+            let plan = plan_query_forced(query, &no_nodes, forced);
+            for goal in [Goal::Monadic, Goal::BinaryFrom(0)] {
+                assert!(
+                    evaluate(&pool, &mut scratch, &plan, &no_nodes, goal).is_empty(),
+                    "{goal:?} on an empty graph under {forced}"
+                );
+            }
         }
     }
 }

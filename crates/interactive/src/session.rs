@@ -26,7 +26,7 @@
 
 use crate::strategy::{Proposal, Strategy, StrategyKind};
 use pathlearn_automata::BitSet;
-use pathlearn_core::{EvalPool, KPolicy, LearnState, Learner, LearnerConfig, PathQuery, Sample};
+use pathlearn_core::{KPolicy, LearnState, Learner, LearnerConfig, PathQuery, Sample};
 use pathlearn_graph::{GraphDb, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,14 +84,6 @@ pub struct InteractiveConfig {
     pub seed: u64,
     /// Learner configuration used after every label.
     pub learner: LearnerConfig,
-    /// Worker threads for the per-interaction relearning: the learner's
-    /// SCP fan-out (one session-long finder per thread, each updated by
-    /// the labels like the first, which the strategy shares) and the
-    /// intra-query parallel line-6 evaluation both run on an
-    /// [`EvalPool`] of this size. `1` (the default) is strictly
-    /// sequential — no thread is ever spawned — and results are
-    /// bit-identical at every thread count.
-    pub threads: usize,
 }
 
 impl InteractiveConfig {
@@ -119,7 +111,6 @@ impl Default for InteractiveConfig {
                 k: KPolicy::Dynamic { start: 2, max: 5 },
                 prefix_free_output: true,
             },
-            threads: 1,
         }
     }
 }
@@ -220,22 +211,12 @@ impl SessionResult {
 pub struct InteractiveSession<'g> {
     graph: &'g GraphDb,
     config: InteractiveConfig,
-    /// Built once from [`InteractiveConfig::threads`] and shared by every
-    /// relearning round of this session.
-    pool: EvalPool,
 }
 
 impl<'g> InteractiveSession<'g> {
-    /// Creates a session on a graph. A [`InteractiveConfig::threads`] > 1
-    /// spawns the session's evaluation pool here, once, rather than per
-    /// interaction.
+    /// Creates a session on a graph.
     pub fn new(graph: &'g GraphDb, config: InteractiveConfig) -> Self {
-        let pool = EvalPool::new(config.threads);
-        InteractiveSession {
-            graph,
-            config,
-            pool,
-        }
+        InteractiveSession { graph, config }
     }
 
     /// Runs until `halt(learned, sample)` returns `true`, the strategy is
@@ -250,7 +231,7 @@ impl<'g> InteractiveSession<'g> {
         } else {
             self.config.max_interactions
         };
-        let learner = Learner::with_config(self.config.learner).with_pool(self.pool.clone());
+        let learner = Learner::with_config(self.config.learner);
         let strategy = self.config.proposal_strategy();
         let mut state = LearnState::new(self.graph);
         // The unlabeled nodes, ascending.
@@ -391,39 +372,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
-    }
-
-    #[test]
-    fn session_is_identical_at_every_thread_count() {
-        // The pool only changes who runs the relearning (SCP fan-out over
-        // per-thread finders + intra-query line-6 eval); proposals,
-        // labels, and the learned query must be bit-identical across
-        // thread counts.
-        let graph = figure3_g0();
-        let goal = PathQuery::parse("(a·b)*·c", graph.alphabet()).unwrap();
-        let run = |threads: usize| {
-            let session = InteractiveSession::new(
-                &graph,
-                InteractiveConfig {
-                    threads,
-                    ..InteractiveConfig::default()
-                },
-            );
-            let result = session.run_against_goal(&goal);
-            (
-                result
-                    .interactions
-                    .iter()
-                    .map(|r| (r.node, r.label, r.k))
-                    .collect::<Vec<_>>(),
-                result.query.map(|q| q.eval(&graph)),
-                result.halt,
-            )
-        };
-        let sequential = run(1);
-        for threads in [2, 4] {
-            assert_eq!(run(threads), sequential, "{threads} threads");
-        }
     }
 
     #[test]

@@ -4,19 +4,16 @@
 //! pathlearn eval <graph.txt> --query "(a·b)*·c"
 //!     Evaluate a path query; prints the selected nodes.
 //!
-//! pathlearn learn <graph.txt> --pos v1,v3 --neg v2,v7 [--k N] [--threads T]
+//! pathlearn learn <graph.txt> --pos v1,v3 --neg v2,v7 [--k N]
 //!     Learn a query from labeled nodes (Algorithm 1); prints the regex.
 //!
 //! pathlearn interactive <graph.txt> [--goal "(a·b)*·c"] [--strategy kR|kS]
-//!                       [--threads T]
+//!                       [--seed N]
 //!     Run the Figure 9 loop. With --goal, a simulated user answers; without,
 //!     *you* are the user: the tool shows each proposed node's neighborhood
 //!     and asks for +/-.
 //!
-//! `--threads` sizes the evaluation pool (SCP fan-out + intra-query
-//! parallel evaluation); results are identical at every thread count.
-//!
-//! pathlearn serve <graph.txt> --queries <file> [--clients N] [--threads T]
+//! pathlearn serve <graph.txt> --queries <file> [--clients N]
 //!                 [--repeat R] [--cache-mb M] [--strategy auto|forward|backward|bidirectional]
 //!     Run the serving layer over a query workload file (one regex per
 //!     line, `#` comments): canonical result cache + coalescing over N
@@ -27,8 +24,8 @@
 //!     planner picks forward/backward/bidirectional per binary query;
 //!     forcing an engine never changes results, only speed.
 //!
-//! pathlearn serve <graph.txt> --listen ADDR [--threads T] [--cache-mb M]
-//!                 [--data-dir DIR] [--checkpoint-every N]
+//! pathlearn serve <graph.txt> --listen ADDR [--admin ADDR2] [--cache-mb M]
+//!                 [--strategy ...] [--data-dir DIR] [--checkpoint-every N]
 //!     Serve the graph over TCP with the framed binary protocol
 //!     (pathlearn-server::proto): deadlines, load shedding, graceful
 //!     drain. Prints `listening on <addr>` (with the real port for
@@ -58,6 +55,9 @@
 //! pathlearn stats <graph.txt>
 //!     Graph statistics (nodes, edges, labels, degree distribution).
 //! ```
+//!
+//! Every evaluation and learning run happens on one thread. Each command
+//! rejects a flag it does not know, naming the flags it accepts.
 //!
 //! Graph files are the line format of `pathlearn-graph::io`:
 //! `src label dst` per edge, `node NAME` for isolated nodes, `#` comments.
@@ -105,10 +105,10 @@ pathlearn — learning path queries on graph databases (EDBT 2015)
 
 USAGE:
   pathlearn eval <graph.txt> --query <REGEX>
-  pathlearn learn <graph.txt> --pos A,B --neg C,D [--k N] [--threads T]
-  pathlearn interactive <graph.txt> [--goal <REGEX>] [--strategy kR|kS] [--seed N] [--threads T]
-  pathlearn serve <graph.txt> --queries <file> [--clients N] [--threads T] [--repeat R] [--cache-mb M] [--strategy auto|forward|backward|bidirectional]
-  pathlearn serve <graph.txt> --listen ADDR [--admin ADDR2] [--threads T] [--cache-mb M] [--strategy ...] [--data-dir DIR] [--checkpoint-every N]
+  pathlearn learn <graph.txt> --pos A,B --neg C,D [--k N]
+  pathlearn interactive <graph.txt> [--goal <REGEX>] [--strategy kR|kS] [--seed N]
+  pathlearn serve <graph.txt> --queries <file> [--clients N] [--repeat R] [--cache-mb M] [--strategy auto|forward|backward|bidirectional]
+  pathlearn serve <graph.txt> --listen ADDR [--admin ADDR2] [--cache-mb M] [--strategy ...] [--data-dir DIR] [--checkpoint-every N]
   pathlearn snapshot <graph.txt> <out.snap>
   pathlearn update <ADDR> [--add \"src label dst\"]... [--remove \"src label dst\"]...
   pathlearn stats <graph.txt>
@@ -121,12 +121,25 @@ struct Options {
     flags: Vec<(String, String)>,
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
+/// Parses `args` for `command`, which takes one positional argument and
+/// the flags named in `accepted` (each with a value).
+fn parse_options(args: &[String], command: &str, accepted: &[&str]) -> Result<Options, String> {
     let mut graph_path = None;
     let mut flags = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if let Some(name) = arg.strip_prefix("--") {
+            if !accepted.contains(&name) {
+                let accepted: Vec<String> = accepted.iter().map(|a| format!("--{a}")).collect();
+                return Err(format!(
+                    "unknown flag --{name} for {command} (accepted: {})",
+                    if accepted.is_empty() {
+                        "none".to_owned()
+                    } else {
+                        accepted.join(", ")
+                    }
+                ));
+            }
             let value = iter
                 .next()
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -167,18 +180,6 @@ impl Options {
         parse_graph(&text).map_err(|e| e.to_string())
     }
 
-    /// The `--threads` flag, defaulting to `default` (the evaluation-pool
-    /// size; 1 = sequential).
-    fn threads(&self, default: usize) -> Result<usize, String> {
-        self.flag("threads")
-            .map(|t| {
-                t.parse::<usize>()
-                    .map_err(|_| "--threads needs an integer".to_owned())
-            })
-            .transpose()
-            .map(|t| t.unwrap_or(default).max(1))
-    }
-
     fn node_list(&self, graph: &GraphDb, name: &str) -> Result<Vec<NodeId>, String> {
         let Some(list) = self.flag(name) else {
             return Ok(Vec::new());
@@ -195,7 +196,7 @@ impl Options {
 }
 
 fn eval_command(args: &[String]) -> Result<(), String> {
-    let options = parse_options(args)?;
+    let options = parse_options(args, "eval", &["query"])?;
     let graph = options.load_graph()?;
     let expr = options.flag("query").ok_or("missing --query")?;
     let query = PathQuery::parse(expr, graph.alphabet()).map_err(|e| e.to_string())?;
@@ -219,7 +220,7 @@ fn eval_command(args: &[String]) -> Result<(), String> {
 }
 
 fn learn_command(args: &[String]) -> Result<(), String> {
-    let options = parse_options(args)?;
+    let options = parse_options(args, "learn", &["pos", "neg", "k"])?;
     let graph = options.load_graph()?;
     let pos = options.node_list(&graph, "pos")?;
     let neg = options.node_list(&graph, "neg")?;
@@ -231,7 +232,6 @@ fn learn_command(args: &[String]) -> Result<(), String> {
         Some(k) => Learner::with_fixed_k(k.parse().map_err(|_| "--k needs an integer")?),
         None => Learner::default(),
     };
-    let learner = learner.with_pool(EvalPool::new(options.threads(1)?));
     let outcome = learner.learn(&graph, &sample);
     match outcome.query {
         Some(query) => {
@@ -266,7 +266,21 @@ fn serve_command(args: &[String]) -> Result<(), String> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    let options = parse_options(args)?;
+    let options = parse_options(
+        args,
+        "serve",
+        &[
+            "queries",
+            "clients",
+            "repeat",
+            "cache-mb",
+            "strategy",
+            "listen",
+            "admin",
+            "data-dir",
+            "checkpoint-every",
+        ],
+    )?;
     let cache_mb = options
         .flag("cache-mb")
         .map(|m| {
@@ -292,7 +306,6 @@ fn serve_command(args: &[String]) -> Result<(), String> {
         }
     };
     let config = ServeConfig {
-        threads: options.threads(1)?,
         cache: pathlearn::server::CacheConfig {
             capacity_bytes: cache_bytes,
         },
@@ -435,10 +448,9 @@ fn serve_command(args: &[String]) -> Result<(), String> {
     // client threads from one atomic cursor.
     let total = queries.len() * repeat;
     println!(
-        "serving {} submissions ({} unique lines x {repeat}) over {clients} client thread(s), {}-wide eval pool",
+        "serving {} submissions ({} unique lines x {repeat}) over {clients} client thread(s)",
         total,
-        queries.len(),
-        service.threads()
+        queries.len()
     );
     println!(
         "cache budget: {cache_mb} MiB ≈ {} results on this graph",
@@ -498,9 +510,8 @@ fn serve_command(args: &[String]) -> Result<(), String> {
         bytes / 1024
     );
     println!(
-        "evals: {} sequential, {} intra-query; {:.3}s total eval time",
+        "evals: {}; {:.3}s total eval time",
         stats.sequential_evals,
-        stats.intra_evals,
         stats.eval_ns_total as f64 / 1e9
     );
     println!(
@@ -543,10 +554,11 @@ fn snapshot_command(args: &[String]) -> Result<(), String> {
 fn update_command(args: &[String]) -> Result<(), String> {
     use pathlearn::server::Response;
 
-    let options = parse_options(args).map_err(|e| match e.as_str() {
-        "missing graph file argument" => "missing server address argument".to_owned(),
-        _ => e,
-    })?;
+    let options =
+        parse_options(args, "update", &["add", "remove"]).map_err(|e| match e.as_str() {
+            "missing graph file argument" => "missing server address argument".to_owned(),
+            _ => e,
+        })?;
     let addr = &options.graph_path; // positional slot doubles as ADDR here
     let parse_edges = |flag: &str| -> Result<Vec<(String, String, String)>, String> {
         options
@@ -603,7 +615,7 @@ fn update_command(args: &[String]) -> Result<(), String> {
 }
 
 fn stats_command(args: &[String]) -> Result<(), String> {
-    let options = parse_options(args)?;
+    let options = parse_options(args, "stats", &[])?;
     let graph = options.load_graph()?;
     println!("nodes:  {}", graph.num_nodes());
     println!("edges:  {}", graph.num_edges());
@@ -670,7 +682,7 @@ impl LabelOracle for StdinOracle<'_> {
 }
 
 fn interactive_command(args: &[String]) -> Result<(), String> {
-    let options = parse_options(args)?;
+    let options = parse_options(args, "interactive", &["goal", "strategy", "seed"])?;
     let graph = options.load_graph()?;
     let strategy = match options.flag("strategy").unwrap_or("kR") {
         "kR" | "kr" => StrategyKind::KRandom,
@@ -686,7 +698,6 @@ fn interactive_command(args: &[String]) -> Result<(), String> {
     let config = InteractiveConfig {
         strategy,
         seed,
-        threads: options.threads(InteractiveConfig::default().threads)?,
         ..InteractiveConfig::default()
     };
     let session = InteractiveSession::new(&graph, config);

@@ -531,4 +531,28 @@ fn unknown_flags_and_files_error_cleanly() {
     let (_, stderr, ok) = run(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown command"));
+    // A flag the command does not take is an error naming the flag and
+    // the accepted ones, never silently ignored.
+    let graph = g0_file();
+    let graph = graph.to_str().unwrap();
+    for (args, flag) in [
+        (
+            vec!["eval", graph, "--query", "a", "--qeury", "b"],
+            "--qeury",
+        ),
+        (
+            vec!["learn", graph, "--pos", "v1", "--threads", "2"],
+            "--threads",
+        ),
+        (vec!["serve", graph, "--threads", "2"], "--threads"),
+        (vec!["stats", graph, "--bogus", "1"], "--bogus"),
+    ] {
+        let (_, stderr, ok) = run(&args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for {}", args[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("accepted:"), "{stderr}");
+    }
 }

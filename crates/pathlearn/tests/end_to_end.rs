@@ -27,7 +27,6 @@ fn static_f1_increases_with_labels() {
             trials: 3,
             seed: 42,
             learner: LearnerConfig::default(),
-            threads: 1,
         };
         let points = run_static(&graph, &q.query, &config);
         assert!(

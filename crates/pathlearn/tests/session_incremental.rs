@@ -128,10 +128,7 @@ fn assert_session_is_one_shot_replay(graph: &GraphDb, goal: &PathQuery, config: 
             rng,
         )
     };
-    let context = format!(
-        "{} at {} threads, cap {}",
-        config.strategy, config.threads, config.count_cap
-    );
+    let context = format!("{}, cap {}", config.strategy, config.count_cap);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut sample = Sample::new();
     let mut query: Option<PathQuery> = None;
@@ -161,22 +158,19 @@ fn assert_session_is_one_shot_replay(graph: &GraphDb, goal: &PathQuery, config: 
     }
 }
 
-/// Every (strategy, threads, cap) combination of the suite on one goal.
+/// Every (strategy, cap) combination of the suite on one goal.
 fn assert_all_configurations(graph: &GraphDb, goal: &PathQuery, seed: u64) {
     for strategy in [StrategyKind::KRandom, StrategyKind::KSmallest] {
-        for threads in [1, 2] {
-            // A cap of 3 saturates the kS counts on all but the sparsest
-            // nodes; 10 000 never does on these graphs.
-            for count_cap in [3, 10_000] {
-                let config = InteractiveConfig {
-                    strategy,
-                    threads,
-                    count_cap,
-                    seed,
-                    ..InteractiveConfig::default()
-                };
-                assert_session_is_one_shot_replay(graph, goal, config);
-            }
+        // A cap of 3 saturates the kS counts on all but the sparsest
+        // nodes; 10 000 never does on these graphs.
+        for count_cap in [3, 10_000] {
+            let config = InteractiveConfig {
+                strategy,
+                count_cap,
+                seed,
+                ..InteractiveConfig::default()
+            };
+            assert_session_is_one_shot_replay(graph, goal, config);
         }
     }
 }

@@ -16,13 +16,11 @@
 //!    equivalent query is evaluating block on its in-flight ticket
 //!    instead of re-evaluating.
 //!
-//! Admitted queries are scheduled over the existing
-//! [`pathlearn_graph::EvalPool`]: per-level fan-out for single
-//! big-graph queries, the pool's one-thread instance below the size
-//! threshold — see [`service`] for the heuristic. Every way in is one
-//! [`QueryService::submit`]. Results are **bit-identical** to direct
-//! evaluation in every mode and at every thread count (this
-//! crate's smoke tests re-assert the pool's contract end-to-end).
+//! An admitted query is evaluated by [`pathlearn_graph::EvalPool`] on
+//! the thread that submitted it; independent queries overlap on their
+//! callers' threads. Every way in is one [`QueryService::submit`].
+//! Results are **bit-identical** to direct evaluation (this crate's
+//! smoke tests re-assert it end-to-end).
 //!
 //! Cache invalidation is wired to graph rebuilds:
 //! [`QueryService::rebuild_graph`] swaps the graph, clears the cache and
@@ -71,8 +69,8 @@ pub use cache::{CacheConfig, CacheKey, CacheStats, QueryKind, ResultCache};
 pub use net::{Client, NetConfig, Server};
 pub use proto::{ErrorCode, QueryRef, Request, Response, WireKind, WireServed, NO_DEADLINE_MS};
 pub use service::{
-    DeltaApplied, DeltaCommitError, EvalMode, QueryResponse, QueryService, ServeConfig, ServeStats,
-    Served, StaleEpoch,
+    DeltaApplied, DeltaCommitError, QueryResponse, QueryService, ServeConfig, ServeStats, Served,
+    StaleEpoch,
 };
 pub use telemetry::{
     AdminServer, AdminSources, Counter, Gauge, HealthPhase, HealthReport, Histogram,

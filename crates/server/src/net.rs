@@ -91,7 +91,7 @@ use crate::proto::{
     Response, WireEdge, WireKind, WireServed, NO_DEADLINE_MS,
 };
 use crate::service::{
-    DeltaApplied, DeltaCommitError, EvalMode, QueryResponse, QueryService, Served, StaleEpoch,
+    DeltaApplied, DeltaCommitError, QueryResponse, QueryService, Served, StaleEpoch,
 };
 use crate::telemetry::{
     AdminSources, Counter, Gauge, HealthPhase, HealthReport, Histogram, MetricsRegistry, Telemetry,
@@ -127,8 +127,9 @@ pub struct NetConfig {
     /// queued get a `SHED` frame instead.
     pub queue_depth: usize,
     /// Eval worker threads draining the admission queue. Each runs one
-    /// query at a time through [`QueryService`] (which does its own
-    /// intra-query fan-out on the shared pool).
+    /// query at a time through [`QueryService`], evaluating it on the
+    /// worker's own thread: the workers are how independent queries
+    /// overlap.
     pub eval_workers: usize,
     /// Base backoff hint carried in `SHED` frames. The hint actually
     /// sent scales with queue occupancy at shed time — a queue `k`
@@ -385,13 +386,7 @@ impl Reply {
                 let (served, eval_ns) = match response.served {
                     Served::Hit => (WireServed::Hit, 0),
                     Served::Coalesced => (WireServed::Coalesced, 0),
-                    Served::Evaluated { mode, eval_ns, .. } => (
-                        match mode {
-                            EvalMode::Sequential => WireServed::EvaluatedSequential,
-                            EvalMode::IntraQuery => WireServed::EvaluatedIntra,
-                        },
-                        eval_ns,
-                    ),
+                    Served::Evaluated { eval_ns, .. } => (WireServed::EvaluatedSequential, eval_ns),
                 };
                 encode_result(
                     out,
@@ -1651,11 +1646,10 @@ mod tests {
             (Served::Coalesced, WireServed::Coalesced, 0),
             (
                 Served::Evaluated {
-                    mode: EvalMode::IntraQuery,
                     strategy: pathlearn_graph::plan::Strategy::Backward,
                     eval_ns: 55_000,
                 },
-                WireServed::EvaluatedIntra,
+                WireServed::EvaluatedSequential,
                 55_000,
             ),
         ] {

@@ -41,7 +41,7 @@
 //!
 //! | opcode | name | body |
 //! |---|---|---|
-//! | `0x81` | `RESULT` | `u8 served` (0 hit, 1 coalesced, 2 sequential, 3 intra-query; 4 is reserved and rejected) · `u64 fingerprint` · `u32 canonical_states` · `u64 eval_ns` · bitset (`u32 num_bits` · `u32 num_words` · words) |
+//! | `0x81` | `RESULT` | `u8 served` (0 hit, 1 coalesced, 2 evaluated; 3 and 4 are reserved and rejected) · `u64 fingerprint` · `u32 canonical_states` · `u64 eval_ns` · bitset (`u32 num_bits` · `u32 num_words` · words) |
 //! | `0x82` | `SHED` | `u32 retry_after_ms` — admission queue over its watermark |
 //! | `0x83` | `DEADLINE` | empty — the deadline budget expired before a result |
 //! | `0x84` | `DRAINING` | empty — server draining for rebuild/shutdown; retry later |
@@ -230,7 +230,8 @@ pub enum Request {
 pub type WireEdge = (String, String, String);
 
 /// How a `RESULT` frame's query was served (the wire projection of
-/// [`crate::Served`], splitting the evaluated case by mode).
+/// [`crate::Served`]). Tags 3 and 4 are reserved: decoders reject them
+/// like any unknown tag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum WireServed {
@@ -238,10 +239,8 @@ pub enum WireServed {
     Hit = 0,
     /// Coalesced onto a concurrent in-flight evaluation.
     Coalesced = 1,
-    /// Evaluated sequentially.
+    /// Evaluated on the submitting thread.
     EvaluatedSequential = 2,
-    /// Evaluated on the intra-query parallel engine.
-    EvaluatedIntra = 3,
 }
 
 impl WireServed {
@@ -250,7 +249,6 @@ impl WireServed {
             0 => WireServed::Hit,
             1 => WireServed::Coalesced,
             2 => WireServed::EvaluatedSequential,
-            3 => WireServed::EvaluatedIntra,
             _ => return None,
         })
     }
@@ -925,7 +923,7 @@ mod tests {
         bits.insert(129);
         roundtrip_response(Response::Result {
             request_id: 9,
-            served: WireServed::EvaluatedIntra,
+            served: WireServed::EvaluatedSequential,
             fingerprint: 123,
             canonical_states: 4,
             eval_ns: 55_000,
@@ -1028,9 +1026,10 @@ mod tests {
             Response::decode(&bad),
             Err(DecodeError::Malformed("bitset word count"))
         );
-        // Served tag 4 is reserved (no server ever sent it): it rejects
-        // like any unknown tag.
-        for tag in [4, u8::MAX] {
+        // Served tags 3 (once the intra-query evaluation mode) and 4 (no
+        // server ever sent it) are reserved: they reject like any unknown
+        // tag.
+        for tag in [3, 4, u8::MAX] {
             let mut bad = good.clone();
             bad[HEADER_LEN] = tag;
             assert_eq!(
@@ -1154,14 +1153,14 @@ mod tests {
 
         let result = Response::Result {
             request_id: 9,
-            served: WireServed::EvaluatedIntra,
+            served: WireServed::EvaluatedSequential,
             fingerprint: 0xfeed_face_cafe_beef,
             canonical_states: 3,
             eval_ns: 55_000,
             bits: bits_of(130, [0, 64, 129]),
         };
         let result_golden = [
-            63, 0, 0, 0, 1, 129, 9, 0, 0, 0, 0, 0, 0, 0, 3, 239, 190, 254, 202, 206, 250, 237, 254,
+            63, 0, 0, 0, 1, 129, 9, 0, 0, 0, 0, 0, 0, 0, 2, 239, 190, 254, 202, 206, 250, 237, 254,
             3, 0, 0, 0, 216, 214, 0, 0, 0, 0, 0, 0, 130, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
             0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
         ];

@@ -15,21 +15,14 @@
 //!    dedup for duplicate-heavy traffic);
 //! 4. otherwise **admits** the query: registers an in-flight ticket
 //!    (under the same lock as the cache probe, so exactly one thread
-//!    owns each key), picks an execution mode by a size heuristic, and
-//!    evaluates on the shared [`EvalPool`].
-//!
-//! ## Scheduling modes
-//!
-//! | mode | when | machinery |
-//! |---|---|---|
-//! | `Sequential` | small graph or sequential pool | [`EvalPool::evaluate`] on the one-thread instance, every level inline on this thread |
-//! | `IntraQuery` | parallel pool and `\|V\|` ≥ threshold | [`EvalPool::evaluate`] on the shared pool — per-level `(state, symbol)` + node-range fan-out |
+//!    owns each key) and evaluates it with [`EvalPool::evaluate`] on the
+//!    submitting thread.
 //!
 //! Independent queries from different client threads naturally overlap:
 //! evaluation runs outside the state lock, which is held only for probe
-//! and publish. Results are bit-identical to the direct sequential
-//! evaluators in every mode (the pool's contract, asserted again by this
-//! crate's smoke tests).
+//! and publish, and each thread keeps its own evaluation scratch.
+//! Results are bit-identical to the direct evaluators (asserted again by
+//! this crate's smoke tests).
 //!
 //! ## Whole-query planning
 //!
@@ -97,19 +90,12 @@ use std::time::{Duration, Instant};
 /// Configuration for [`QueryService`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Evaluation-pool width (1 = strictly sequential, no worker
-    /// threads). Client concurrency is the callers' business; this sizes
-    /// the *evaluation* fan-out shared by all of them.
+    /// Read by nothing in the service: every evaluation runs on the
+    /// thread that submitted it. Kept (default 1) for callers that still
+    /// set or print it.
     pub threads: usize,
     /// Result-cache sizing.
     pub cache: CacheConfig,
-    /// Node count at or above which a single admitted query is
-    /// evaluated on the shared pool (its BFS levels fanned out over the
-    /// workers) instead of the pool's one-thread instance (fan-out
-    /// overhead beats level work only on graphs with some meat; below
-    /// the threshold inline is faster *and* leaves the pool to other
-    /// clients).
-    pub intra_query_node_threshold: usize,
     /// Step-kernel policy for every evaluation this service runs.
     pub step_policy: StepPolicy,
     /// Binary-engine strategy for every admitted binary query:
@@ -143,7 +129,6 @@ impl Default for ServeConfig {
         ServeConfig {
             threads: 1,
             cache: CacheConfig::default(),
-            intra_query_node_threshold: 4096,
             step_policy: StepPolicy::Auto,
             strategy: Strategy::Auto,
             eval_holdoff: Duration::ZERO,
@@ -153,34 +138,11 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    /// Pool width from `PATHLEARN_THREADS` / available parallelism, as
-    /// [`EvalPool::env_threads`] resolves it (no pool is built just to
-    /// read the number); everything else default.
-    pub fn from_env() -> Self {
-        ServeConfig {
-            threads: EvalPool::env_threads(),
-            ..Self::default()
-        }
-    }
-}
-
-/// How an admitted (missed) query was executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EvalMode {
-    /// Sequential evaluator on the calling thread.
-    Sequential,
-    /// Intra-query parallel evaluator on the shared pool.
-    IntraQuery,
-}
-
-/// How one evaluation ran, for [`QueryService::publish`]: the
-/// execution mode together with the planner strategy that produced the
-/// bits (never [`Strategy::Auto`] — the record is the resolution), and
-/// what it cost.
+/// How one evaluation ran, for [`QueryService::publish`]: the planner
+/// strategy that produced the bits (never [`Strategy::Auto`] — the
+/// record is the resolution), and what it cost.
 #[derive(Clone, Copy)]
 struct EvalOutcome {
-    mode: EvalMode,
     strategy: Strategy,
     /// Measured wall time: reported, never compared.
     eval_ns: u64,
@@ -211,8 +173,6 @@ pub enum Served {
     Coalesced,
     /// Admitted and evaluated.
     Evaluated {
-        /// The scheduling mode the admission heuristic chose.
-        mode: EvalMode,
         /// The binary engine the planner resolved for this query (never
         /// [`Strategy::Auto`] — Auto is an input, the record is the
         /// resolution); [`Strategy::Forward`] for every monadic query.
@@ -228,7 +188,7 @@ pub enum Served {
 pub struct QueryResponse {
     /// The selected node set (monadic) or reachable end set (binary).
     pub result: Arc<BitSet>,
-    /// Hit / coalesced / evaluated-with-mode.
+    /// Hit / coalesced / evaluated-with-strategy.
     pub served: Served,
     /// Stable digest of the canonical form (log-friendly query id).
     pub fingerprint: u64,
@@ -308,10 +268,8 @@ pub struct ServeStats {
     /// Delta overlays folded into a fresh CSR after outgrowing
     /// [`ServeConfig::delta_compact_threshold`].
     pub compactions: u64,
-    /// Admitted queries run sequentially.
+    /// Admitted queries evaluated (each on its submitting thread).
     pub sequential_evals: u64,
-    /// Admitted queries run on the intra-query parallel evaluator.
-    pub intra_evals: u64,
     /// Admitted monadic queries, plus the binary queries the planner
     /// resolved to the forward engine.
     pub forward_evals: u64,
@@ -366,7 +324,6 @@ struct ServeCounters {
     label_invalidations: Counter,
     compactions: Counter,
     sequential_evals: Counter,
-    intra_evals: Counter,
     forward_evals: Counter,
     backward_evals: Counter,
     bidirectional_evals: Counter,
@@ -407,7 +364,6 @@ impl ServeCounters {
             label_invalidations: registry.counter("serve.label_invalidations"),
             compactions: registry.counter("serve.compactions"),
             sequential_evals: registry.counter("serve.sequential_evals"),
-            intra_evals: registry.counter("serve.intra_evals"),
             forward_evals: registry.counter("serve.forward_evals"),
             backward_evals: registry.counter("serve.backward_evals"),
             bidirectional_evals: registry.counter("serve.bidirectional_evals"),
@@ -441,14 +397,6 @@ fn strategy_name(strategy: Strategy) -> &'static str {
         Strategy::Backward => "backward",
         Strategy::Bidirectional => "bidirectional",
         _ => "auto",
-    }
-}
-
-/// Stable lowercase name of an execution mode, for traces.
-fn mode_name(mode: EvalMode) -> &'static str {
-    match mode {
-        EvalMode::Sequential => "sequential",
-        EvalMode::IntraQuery => "intra",
     }
 }
 
@@ -640,8 +588,7 @@ enum Admission {
 }
 
 /// The multi-client RPQ query service. See the module docs for the
-/// pipeline; construction is cheap apart from spawning the pool's
-/// worker threads.
+/// pipeline; construction is cheap and spawns no thread.
 ///
 /// `QueryService` is `Sync`: share one instance (e.g. behind an `Arc`)
 /// across every client thread.
@@ -664,7 +611,6 @@ enum Admission {
 pub struct QueryService {
     inner: Mutex<Inner>,
     pool: EvalPool,
-    intra_query_node_threshold: usize,
     strategy: Strategy,
     eval_holdoff: Duration,
     delta_compact_threshold: Option<usize>,
@@ -701,8 +647,7 @@ impl QueryService {
                 inflight: HashMap::new(),
                 plans: HashMap::new(),
             }),
-            pool: EvalPool::new(config.threads).with_step_policy(config.step_policy),
-            intra_query_node_threshold: config.intra_query_node_threshold,
+            pool: EvalPool::sequential().with_step_policy(config.step_policy),
             strategy: config.strategy,
             eval_holdoff: config.eval_holdoff,
             delta_compact_threshold: config.delta_compact_threshold,
@@ -775,7 +720,6 @@ impl QueryService {
             label_invalidations: c.label_invalidations.get(),
             compactions: c.compactions.get(),
             sequential_evals: c.sequential_evals.get(),
-            intra_evals: c.intra_evals.get(),
             forward_evals: c.forward_evals.get(),
             backward_evals: c.backward_evals.get(),
             bidirectional_evals: c.bidirectional_evals.get(),
@@ -798,11 +742,6 @@ impl QueryService {
     pub fn cache_capacity_results(&self) -> usize {
         let inner = self.inner.lock().unwrap();
         inner.cache.capacity_bytes() / inner.graph.result_bytes().max(1)
-    }
-
-    /// The evaluation pool width.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
     }
 
     /// Swaps in a rebuilt graph: bumps the epoch and clears the result
@@ -1117,7 +1056,6 @@ impl QueryService {
         self.telemetry.traces.record(trace.finish(
             outcome,
             "-",
-            "-",
             Vec::new(),
             0,
             key.query.num_states() as u32,
@@ -1139,16 +1077,13 @@ impl QueryService {
             self.counters.eval_level_ns.record(sample.nanos);
             self.counters.eval_frontier.record(sample.frontier);
         }
-        let (outcome, mode, strategy) = match served {
-            Served::Hit => ("hit", "-", "-"),
-            Served::Coalesced => ("coalesced", "-", "-"),
-            Served::Evaluated { mode, strategy, .. } => {
-                ("evaluated", mode_name(mode), strategy_name(strategy))
-            }
+        let (outcome, strategy) = match served {
+            Served::Hit => ("hit", "-"),
+            Served::Coalesced => ("coalesced", "-"),
+            Served::Evaluated { strategy, .. } => ("evaluated", strategy_name(strategy)),
         };
         self.telemetry.traces.record(trace.finish(
             outcome,
-            mode,
             strategy,
             levels,
             result.len() as u64,
@@ -1204,7 +1139,7 @@ impl QueryService {
                         self.evaluate(&graph, &key, epoch, &mut trace, cancel)
                     });
                     trace.span_end("eval", eval_begin);
-                    let (result, mode, strategy) = match evaluated {
+                    let (result, strategy) = match evaluated {
                         Ok(outcome) => outcome,
                         Err(interrupt) => {
                             // The armed guard's drop deregisters the
@@ -1218,7 +1153,6 @@ impl QueryService {
                     let eval_ns = start.elapsed().as_nanos() as u64;
                     let result = Arc::new(result);
                     let outcome = EvalOutcome {
-                        mode,
                         strategy,
                         eval_ns,
                         work: eval_work(&levels),
@@ -1227,11 +1161,7 @@ impl QueryService {
                         self.publish(&key, &ticket, (epoch, label_stamp), result.clone(), outcome)
                     });
                     guard.disarm();
-                    let served = Served::Evaluated {
-                        mode,
-                        strategy,
-                        eval_ns,
-                    };
+                    let served = Served::Evaluated { strategy, eval_ns };
                     self.record_trace(trace, &key, served, levels, &result);
                     return Ok(Self::respond(&key, result, served));
                 }
@@ -1268,10 +1198,9 @@ impl QueryService {
         plan
     }
 
-    /// Executes one admitted query: one [`EvalPool::evaluate`] call
-    /// whose plan and goal follow from the key's kind, on the
-    /// shared pool or its one-thread instance by the size heuristic.
-    /// The returned [`Strategy`] is the resolved direction (never
+    /// Executes one admitted query: one [`EvalPool::evaluate`] call on
+    /// this thread, whose plan and goal follow from the key's kind. The
+    /// returned [`Strategy`] is the resolved direction (never
     /// `Auto`). A binary query's planning pass is recorded in `trace`
     /// as its own span; a monadic one has nothing to plan.
     fn evaluate(
@@ -1281,9 +1210,9 @@ impl QueryService {
         epoch: u64,
         trace: &mut TraceBuilder,
         cancel: &CancelToken,
-    ) -> Result<(BitSet, EvalMode, Strategy), Interrupt> {
-        // Evaluations are coordinated from the calling client thread; a
-        // thread-local scratch keeps the serving hot path free of the
+    ) -> Result<(BitSet, Strategy), Interrupt> {
+        // Evaluations run on the calling client thread; a thread-local
+        // scratch keeps the serving hot path free of the
         // per-miss bitset allocations a fresh scratch would zero
         // (scratch reuse never changes results — `EvalScratch` docs).
         thread_local! {
@@ -1310,18 +1239,11 @@ impl QueryService {
                 )
             }
         };
-        let intra = self.pool.is_parallel() && graph.num_nodes() >= self.intra_query_node_threshold;
-        let inline;
-        let (engine, mode) = if intra {
-            (&self.pool, EvalMode::IntraQuery)
-        } else {
-            inline = self.pool.inline();
-            (&inline, EvalMode::Sequential)
-        };
         let result = SCRATCH.with(|scratch| {
-            engine.evaluate(&mut scratch.borrow_mut(), plan, graph, goal, cancel)
+            self.pool
+                .evaluate(&mut scratch.borrow_mut(), plan, graph, goal, cancel)
         })?;
-        Ok((result, mode, strategy))
+        Ok((result, strategy))
     }
 
     /// Publishes an evaluated result: cache insert (stamp-guarded),
@@ -1347,7 +1269,6 @@ impl QueryService {
     ) {
         let (epoch, label_stamp) = stamps;
         let EvalOutcome {
-            mode,
             strategy,
             eval_ns,
             work,
@@ -1356,10 +1277,7 @@ impl QueryService {
             std::thread::sleep(self.eval_holdoff);
         }
         self.counters.misses.inc();
-        match mode {
-            EvalMode::Sequential => self.counters.sequential_evals.inc(),
-            EvalMode::IntraQuery => self.counters.intra_evals.inc(),
-        }
+        self.counters.sequential_evals.inc();
         match strategy {
             Strategy::Backward => self.counters.backward_evals.inc(),
             Strategy::Bidirectional => self.counters.bidirectional_evals.inc(),
@@ -1406,13 +1324,7 @@ mod tests {
         let expected = eval_monadic(&q, &graph);
         let first = service.query_monadic(&q);
         assert_eq!(*first.result, expected);
-        assert!(matches!(
-            first.served,
-            Served::Evaluated {
-                mode: EvalMode::Sequential,
-                ..
-            }
-        ));
+        assert!(matches!(first.served, Served::Evaluated { .. }));
         // Same query again: a hit on the same Arc.
         let second = service.query_monadic(&q);
         assert_eq!(second.served, Served::Hit);
@@ -1627,7 +1539,6 @@ mod tests {
             (epoch.wrapping_add(1), 0), // stale epoch: no cache insert either
             Arc::new(BitSet::new(graph.num_nodes())),
             EvalOutcome {
-                mode: EvalMode::Sequential,
                 strategy: Strategy::Forward,
                 eval_ns: 1,
                 work: 1,
@@ -2052,28 +1963,5 @@ mod tests {
         let past = service.apply_delta(&edges[3..], &[]).unwrap();
         assert!(past.compacted, "the 4th edge crosses threshold 3");
         assert_eq!(past.delta_edges, 0);
-    }
-
-    #[test]
-    fn parallel_pool_uses_intra_mode_above_threshold() {
-        let graph = figure3_g0();
-        let config = ServeConfig {
-            threads: 2,
-            intra_query_node_threshold: 4, // g0 has 7 nodes
-            ..ServeConfig::default()
-        };
-        let service = QueryService::new(graph.clone(), config);
-        let q = query(&graph, "(a·b)*·c");
-        let response = service.query_monadic(&q);
-        assert!(matches!(
-            response.served,
-            Served::Evaluated {
-                mode: EvalMode::IntraQuery,
-                ..
-            }
-        ));
-        assert_eq!(*response.result, eval_monadic(&q, &graph));
-        assert_eq!(service.stats().intra_evals, 1);
-        assert_eq!(service.threads(), 2);
     }
 }

@@ -440,9 +440,6 @@ pub struct QueryTrace {
     /// How it was served: `"hit"`, `"coalesced"`, `"evaluated"`,
     /// `"deadline"`, `"cancelled"`.
     pub outcome: &'static str,
-    /// Evaluation mode (`"sequential"` / `"intra"`; `"-"` when nothing
-    /// was evaluated).
-    pub mode: &'static str,
     /// Planner strategy actually run (`"-"` when nothing was
     /// evaluated).
     pub strategy: &'static str,
@@ -466,11 +463,10 @@ impl QueryTrace {
     /// One human-readable block for the `/slow` admin page.
     pub fn render(&self, out: &mut String) {
         out.push_str(&format!(
-            "query {:016x} kind={} outcome={} mode={} strategy={} |Q|={} bits={} total={}us queue_wait={}us\n",
+            "query {:016x} kind={} outcome={} strategy={} |Q|={} bits={} total={}us queue_wait={}us\n",
             self.fingerprint,
             self.kind,
             self.outcome,
-            self.mode,
             self.strategy,
             self.canonical_states,
             self.result_bits,
@@ -563,11 +559,9 @@ impl TraceBuilder {
     }
 
     /// Seals the trace with its outcome.
-    #[allow(clippy::too_many_arguments)]
     pub fn finish(
         self,
         outcome: &'static str,
-        mode: &'static str,
         strategy: &'static str,
         levels: Vec<LevelSample>,
         result_bits: u64,
@@ -577,7 +571,6 @@ impl TraceBuilder {
             fingerprint: self.fingerprint,
             kind: self.kind,
             outcome,
-            mode,
             strategy,
             queue_wait_ns: self.queue_wait_ns,
             spans: self.spans,
@@ -1144,7 +1137,7 @@ mod tests {
             std::thread::sleep(Duration::from_micros(50))
         });
         builder.span("eval", || std::thread::sleep(Duration::from_micros(50)));
-        let trace = builder.finish("evaluated", "sequential", "forward", Vec::new(), 5, 3);
+        let trace = builder.finish("evaluated", "forward", Vec::new(), 5, 3);
         assert_eq!(trace.spans.len(), 2);
         assert!(trace.spans[0].start_ns <= trace.spans[1].start_ns);
         assert!(
@@ -1169,7 +1162,7 @@ mod tests {
         let sink = TraceSink::new(Duration::from_nanos(0));
         for i in 0..(TRACE_STRIPES * TRACE_RING_CAP * 2) {
             let builder = TraceBuilder::new(i as u64, "monadic", 0);
-            sink.record(builder.finish("hit", "-", "-", Vec::new(), 0, 1));
+            sink.record(builder.finish("hit", "-", Vec::new(), 0, 1));
         }
         assert!(sink.recent().len() <= TRACE_STRIPES * TRACE_RING_CAP);
         assert!(sink.slow().len() <= SLOW_LOG_CAP);

@@ -1,5 +1,5 @@
 //! Net-level edge-delta gate — `DELTA` frames over the wire, named by
-//! CI in both `PATHLEARN_THREADS` legs.
+//! CI.
 //!
 //! What this pins, end to end through a real TCP connection:
 //!
@@ -44,7 +44,7 @@ fn direct_monadic(graph: &GraphDb, expr: &str) -> pathlearn_automata::BitSet {
 }
 
 fn serve(graph: GraphDb) -> Server {
-    let service = pathlearn_server::QueryService::new(graph, ServeConfig::from_env());
+    let service = pathlearn_server::QueryService::new(graph, ServeConfig::default());
     Server::bind(service, "127.0.0.1:0", NetConfig::default()).expect("bind ephemeral port")
 }
 

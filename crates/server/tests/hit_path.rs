@@ -1,5 +1,4 @@
-//! The hit path's semantics, as a matrix — named by CI in both
-//! `PATHLEARN_THREADS` legs.
+//! The hit path's semantics, as a matrix — named by CI.
 //!
 //! A query whose answer is resident is answered on the connection
 //! thread, ahead of the admission queue. That must be invisible except
@@ -168,7 +167,7 @@ fn wait_for(server: &Server, what: &str, ready: impl Fn(HealthPhase, u64, u64) -
 
 #[test]
 fn a_hit_moves_exactly_the_hit_counters_and_leaves_one_hit_trace() {
-    let (server, graph, shapes) = warmed(ServeConfig::from_env(), NetConfig::default());
+    let (server, graph, shapes) = warmed(ServeConfig::default(), NetConfig::default());
     let mut client = Client::connect(server.local_addr()).unwrap();
     let traces = server.service().telemetry();
     for shape in shapes {
@@ -224,7 +223,7 @@ fn a_hit_moves_exactly_the_hit_counters_and_leaves_one_hit_trace() {
 
 #[test]
 fn a_spent_budget_on_a_resident_key_is_still_a_deadline() {
-    let (server, _graph, shapes) = warmed(ServeConfig::from_env(), NetConfig::default());
+    let (server, _graph, shapes) = warmed(ServeConfig::default(), NetConfig::default());
     let mut client = Client::connect(server.local_addr()).unwrap();
     for shape in shapes {
         let before = counters(&server);
@@ -252,7 +251,7 @@ fn a_drain_closes_the_fast_path_too() {
         // One cold evaluation parked in its publication holdoff keeps
         // the drain open long enough to probe it.
         eval_holdoff: Duration::from_millis(500),
-        ..ServeConfig::from_env()
+        ..ServeConfig::default()
     };
     let (server, old_graph, shapes) = warmed(serve_config, NetConfig::default());
     let new_graph = line_graph(200);
@@ -329,7 +328,7 @@ fn a_drain_closes_the_fast_path_too() {
 fn a_full_queue_sheds_cold_keys_but_still_answers_resident_ones() {
     let serve_config = ServeConfig {
         eval_holdoff: Duration::from_millis(700),
-        ..ServeConfig::from_env()
+        ..ServeConfig::default()
     };
     let net_config = NetConfig {
         eval_workers: 2,
@@ -393,7 +392,7 @@ fn a_full_queue_sheds_cold_keys_but_still_answers_resident_ones() {
 #[test]
 fn counters_reconcile_over_a_mixed_single_client_run() {
     let graph = ring_graph(120);
-    let service = QueryService::new(graph, ServeConfig::from_env());
+    let service = QueryService::new(graph, ServeConfig::default());
     let server = Server::bind(service, "127.0.0.1:0", NetConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 

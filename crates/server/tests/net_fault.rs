@@ -1,6 +1,5 @@
 //! Fault-injection suite for the TCP front door — the acceptance gate
-//! of the hardened-serving work, named by CI in both
-//! `PATHLEARN_THREADS` legs.
+//! of the hardened-serving work, named by CI.
 //!
 //! Misbehaving clients throw truncated frames, oversized length
 //! prefixes, garbage bytes, mid-query disconnects, slow-loris writers

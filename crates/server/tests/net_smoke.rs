@@ -1,5 +1,5 @@
 //! TCP front-door smoke gate — the happy paths plus the drain/rebuild
-//! race, named by CI in both `PATHLEARN_THREADS` legs.
+//! race, named by CI.
 //!
 //! Every test binds an ephemeral port (`127.0.0.1:0`), so the suite's
 //! tests run concurrently without coordination.
@@ -79,7 +79,7 @@ fn counter(counters: &[(String, u64)], name: &str) -> u64 {
 #[test]
 fn roundtrip_is_bit_identical_and_fingerprints_reuse_the_cache() {
     let graph = ring_graph(60);
-    let server = serve(graph.clone(), ServeConfig::from_env(), NetConfig::default());
+    let server = serve(graph.clone(), ServeConfig::default(), NetConfig::default());
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.ping().unwrap();
 

@@ -1,11 +1,8 @@
-//! End-to-end smoke gate for the serving layer — the suite CI names in
-//! both `PATHLEARN_THREADS` legs.
+//! End-to-end smoke gate for the serving layer — a suite CI names.
 //!
 //! Spawns the service in-process, fires a **duplicate-heavy** query mix
-//! at it from client-thread counts {1, 4} crossed with evaluation-pool
-//! widths {1, 4, `PATHLEARN_THREADS`} (the env leg comes in through
-//! [`ServeConfig::from_env`], so each CI matrix leg covers a distinct
-//! configuration), and asserts the acceptance contract:
+//! at it from client-thread counts {1, 4}, and asserts the acceptance
+//! contract:
 //!
 //! * every served answer is **bit-identical** to the direct sequential
 //!   evaluators (`eval_monadic` / `eval_binary_from`);
@@ -30,8 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A 200-node multi-word graph so frontiers straddle block boundaries
-/// and the intra-query threshold can be crossed.
+/// A 200-node multi-word graph so frontiers straddle block boundaries.
 fn ring_graph(n: usize) -> GraphDb {
     let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(["a", "b", "c"]));
     let first = builder.add_nodes("n", n);
@@ -105,42 +101,21 @@ fn duplicate_heavy_mix_is_bit_identical_with_positive_hit_rate() {
     let graph = ring_graph(200);
     let queries = workload(&graph, 3);
     let expected: Vec<BitSet> = queries.iter().map(|q| eval_monadic(q, &graph)).collect();
-    // Pool widths {1, 4} plus the `PATHLEARN_THREADS` leg CI is running
-    // us under (via `ServeConfig::from_env`), so the two matrix legs
-    // genuinely exercise different pool widths here.
-    let env_threads = ServeConfig::from_env().threads.min(8);
-    let mut pool_widths = vec![1usize, 4];
-    if !pool_widths.contains(&env_threads) {
-        pool_widths.push(env_threads);
-    }
-    for pool_threads in pool_widths {
-        for clients in [1usize, 4] {
-            let service = Arc::new(QueryService::new(
-                graph.clone(),
-                ServeConfig {
-                    threads: pool_threads,
-                    // Exercise both scheduling modes across the matrix.
-                    intra_query_node_threshold: if pool_threads > 1 { 100 } else { 4096 },
-                    ..ServeConfig::default()
-                },
-            ));
-            let results = drive(&service, &queries, clients);
-            for (i, (served, direct)) in results.iter().zip(&expected).enumerate() {
-                assert_eq!(
-                    **served, *direct,
-                    "query {i} differs at pool {pool_threads} × clients {clients}"
-                );
-            }
-            let stats = service.stats();
-            assert!(
-                stats.hit_rate() > 0.0,
-                "no reuse at pool {pool_threads} × clients {clients}: {stats:?}"
-            );
-            // 5 unique languages in a 30-submission mix: at most 5
-            // evaluations, so ≥ 25 submissions were reused.
-            assert!(stats.misses <= 5, "unexpected misses: {stats:?}");
-            assert_eq!(stats.reused() + stats.misses, queries.len() as u64);
+    for clients in [1usize, 4] {
+        let service = Arc::new(QueryService::new(graph.clone(), ServeConfig::default()));
+        let results = drive(&service, &queries, clients);
+        for (i, (served, direct)) in results.iter().zip(&expected).enumerate() {
+            assert_eq!(**served, *direct, "query {i} differs at clients {clients}");
         }
+        let stats = service.stats();
+        assert!(
+            stats.hit_rate() > 0.0,
+            "no reuse at clients {clients}: {stats:?}"
+        );
+        // 5 unique languages in a 30-submission mix: at most 5
+        // evaluations, so ≥ 25 submissions were reused.
+        assert!(stats.misses <= 5, "unexpected misses: {stats:?}");
+        assert_eq!(stats.reused() + stats.misses, queries.len() as u64);
     }
 }
 
@@ -327,7 +302,7 @@ fn counters_and_resident_set_repeat_exactly_under_eviction_pressure() {
             cache: CacheConfig {
                 capacity_bytes: 2560,
             },
-            ..ServeConfig::from_env()
+            ..ServeConfig::default()
         };
         let service = QueryService::new(graph.clone(), config);
         for key in &mix {

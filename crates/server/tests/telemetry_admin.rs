@@ -1,4 +1,4 @@
-//! Telemetry gate — named by CI in both `PATHLEARN_THREADS` legs.
+//! Telemetry gate — named by CI.
 //!
 //! Pins the observability contract end to end: `STATS` frames are the
 //! sorted registry snapshot with every legacy key intact, per-query
@@ -72,7 +72,7 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 /// `pqbench`'s `count.*` metrics) may look up by string. The registry
 /// migration must keep all of them answering. One has been retired
 /// since, with the subsumption probe it counted.
-const LEGACY_KEYS: [&str; 33] = [
+const LEGACY_KEYS: [&str; 32] = [
     "serve.hits",
     "serve.misses",
     "serve.coalesced",
@@ -81,7 +81,6 @@ const LEGACY_KEYS: [&str; 33] = [
     "serve.label_invalidations",
     "serve.compactions",
     "serve.sequential_evals",
-    "serve.intra_evals",
     "serve.forward_evals",
     "serve.backward_evals",
     "serve.bidirectional_evals",
@@ -115,7 +114,7 @@ fn stats_counters_are_sorted_and_keep_every_legacy_key() {
         cache: CacheConfig {
             capacity_bytes: budget_bytes,
         },
-        ..ServeConfig::from_env()
+        ..ServeConfig::default()
     };
     let service = QueryService::new(ring_graph(60), config);
     let server =
@@ -194,7 +193,7 @@ fn traces_are_consistent_with_served_outcomes() {
         // Capture everything: the slow log gates on total wall time,
         // and zero admits every trace.
         slow_query_threshold: Duration::ZERO,
-        ..ServeConfig::from_env()
+        ..ServeConfig::default()
     };
     let service = QueryService::new(graph.clone(), config);
     let query = canonical(&graph, "(a+b)*·c");
@@ -209,7 +208,6 @@ fn traces_are_consistent_with_served_outcomes() {
         .expect("evaluated trace recorded");
 
     assert_eq!(trace.kind, "monadic");
-    assert_ne!(trace.mode, "-", "an evaluation names its mode");
     assert_eq!(
         trace.strategy, "forward",
         "monadic evaluation has one engine"
@@ -290,7 +288,7 @@ fn traces_are_consistent_with_served_outcomes() {
         .find(|t| t.fingerprint == fingerprint && t.outcome == "hit")
         .expect("hit trace recorded");
     assert_eq!(hit.result_bits, response.result.len() as u64);
-    assert_eq!((hit.mode, hit.strategy), ("-", "-"));
+    assert_eq!(hit.strategy, "-");
     assert!(hit.levels.is_empty(), "hits evaluate nothing");
 
     // Threshold zero: the slow log captured both outcomes.
@@ -307,7 +305,7 @@ fn traces_are_consistent_with_served_outcomes() {
 fn admin_surface_serves_metrics_health_and_slow_and_flips_on_drain() {
     let config = ServeConfig {
         slow_query_threshold: Duration::ZERO,
-        ..ServeConfig::from_env()
+        ..ServeConfig::default()
     };
     let service = QueryService::new(ring_graph(60), config);
     let mut server =
