@@ -2,9 +2,10 @@
 //!
 //! The paper identifies every path query with the **unique minimal DFA**
 //! of its language (§2); [`crate::minimize`] computes exactly that form
-//! (trim → Hopcroft → BFS renumbering), so two syntactically different
-//! but equivalent queries — `a·(b·c)` vs `(a·b)·c`, reordered unions, a
-//! completed DFA vs its trimmed twin — collapse to *structurally
+//! (one pass: trim, refine over the live symbols, BFS renumbering), so
+//! two syntactically different but equivalent queries — `a·(b·c)` vs
+//! `(a·b)·c`, reordered unions, a completed DFA vs its trimmed twin —
+//! collapse to *structurally
 //! identical* tables. [`CanonicalQuery`] freezes that form behind
 //! `Eq`/`Hash`, turning language equivalence into plain `HashMap` key
 //! equality: the serving layer in `pathlearn-server` canonicalizes every
@@ -12,10 +13,12 @@
 //!
 //! Everything derived from the table is derived **once**, at
 //! construction: the minimization ([`Regex::to_canonical`](crate::Regex::to_canonical)
-//! reuses the minimal DFA `Regex::to_dfa` already built instead of
-//! minimizing it a second time) and the FNV-1a [`CanonicalQuery::fingerprint`],
-//! which is also what `Hash` feeds a `HashMap` — a cache probe hashes
-//! eight bytes, not the `|Q| × |Σ|` table.
+//! minimizes the subset construction once, where `Regex::to_dfa`
+//! followed by [`CanonicalQuery::new`] would minimize twice), the live
+//! symbols the minimizer found ([`CanonicalQuery::live_symbols`]) and
+//! the FNV-1a [`CanonicalQuery::fingerprint`], which is also what
+//! `Hash` feeds a `HashMap` — a cache probe hashes eight bytes, not the
+//! `|Q| × |Σ|` table.
 //!
 //! ```
 //! use pathlearn_automata::{Alphabet, CanonicalQuery, Regex};
@@ -36,9 +39,10 @@ use std::hash::{Hash, Hasher};
 
 /// A path query in canonical minimal-DFA form, usable as a hash-map key.
 ///
-/// Construction minimizes (the `O(|Σ| n log n)` Hopcroft pass — paid
-/// once per *submitted* query, not per evaluation) and digests the
-/// canonical table into its [`CanonicalQuery::fingerprint`], once.
+/// Construction minimizes (one pass whose refinement costs
+/// `O(k·n log n)` for the `k` live symbols, not all of `|Σ|` — paid once
+/// per *submitted* query, not per evaluation) and digests the canonical
+/// table into its [`CanonicalQuery::fingerprint`], once.
 /// Equality is structural over the canonical table, so
 /// `a == b ⇔ L(a) = L(b)` for queries over the same alphabet; hashing
 /// writes the stored fingerprint, so a `HashMap` probe costs one `u64`
@@ -48,25 +52,21 @@ pub struct CanonicalQuery {
     dfa: Dfa,
     /// FNV-1a over `dfa`, fixed at construction (`dfa` never changes).
     fingerprint: u64,
+    /// The distinct symbols of `dfa`'s transitions, ascending. Derived
+    /// from `dfa`, so neither `Eq` nor `Hash` reads it.
+    live: Box<[u32]>,
 }
 
 impl CanonicalQuery {
     /// Canonicalizes `dfa` (minimize + canonical BFS numbering).
     pub fn new(dfa: &Dfa) -> Self {
-        Self::from_minimal(dfa.minimize())
-    }
-
-    /// Wraps a DFA that already **is** the output of [`Dfa::minimize`]
-    /// — minimization is idempotent, so running it again would only
-    /// reproduce `dfa`. Crate-internal: the claim cannot be checked
-    /// cheaply, so only constructors that just minimized may make it
-    /// ([`crate::Regex::to_canonical`]).
-    pub(crate) fn from_minimal(dfa: Dfa) -> Self {
+        let (dfa, live) = crate::minimize::minimize_live(dfa);
         let mut hasher = Fnv1a(0xcbf2_9ce4_8422_2325);
         dfa.hash(&mut hasher);
         CanonicalQuery {
             dfa,
             fingerprint: hasher.0,
+            live,
         }
     }
 
@@ -90,6 +90,14 @@ impl CanonicalQuery {
     /// fingerprint.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// The **live symbols**: those with at least one transition in the
+    /// canonical DFA, ascending — the labels an evaluation of this query
+    /// can step through. The minimizer finds them on the way, so this is
+    /// a field read.
+    pub fn live_symbols(&self) -> &[u32] {
+        &self.live
     }
 }
 
@@ -180,5 +188,17 @@ mod tests {
         let k = key("(a·b)*·c");
         assert_eq!(k.num_states(), 3);
         assert!(k.dfa().is_prefix_free());
+    }
+
+    #[test]
+    fn live_symbols_are_the_canonical_dfas_transition_symbols() {
+        assert_eq!(key("(a·b)*·c").live_symbols(), &[0, 1, 2]);
+        assert_eq!(key("c·c*").live_symbols(), &[2]);
+        assert!(key("eps").live_symbols().is_empty());
+        // A completed DFA steps every symbol somewhere; only the live
+        // ones survive into the key.
+        let alphabet = Alphabet::from_labels(["a", "b", "c"]);
+        let (completed, _) = Regex::parse("a·c", &alphabet).unwrap().to_dfa(3).complete();
+        assert_eq!(CanonicalQuery::new(&completed).live_symbols(), &[0, 2]);
     }
 }

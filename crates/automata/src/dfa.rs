@@ -126,6 +126,14 @@ impl Dfa {
         self.table[state as usize * self.alphabet_len + sym.index()]
     }
 
+    /// `state`'s row of the dense table: its successor per symbol,
+    /// [`DEAD`] where undefined.
+    #[inline]
+    pub(crate) fn row(&self, state: StateId) -> &[StateId] {
+        let start = state as usize * self.alphabet_len;
+        &self.table[start..start + self.alphabet_len]
+    }
+
     /// Runs the DFA on `word` from the initial state.
     pub fn run(&self, word: &[Symbol]) -> Option<StateId> {
         self.run_from(self.initial, word)
@@ -330,8 +338,9 @@ impl Dfa {
         self.trim().canonicalize()
     }
 
-    /// Minimal canonical form: trim → Hopcroft → canonical numbering.
-    /// See [`crate::minimize`].
+    /// Minimal canonical form: one pass that trims, refines over the
+    /// live symbols and numbers the blocks in BFS order. See
+    /// [`crate::minimize`].
     pub fn minimize(&self) -> Dfa {
         crate::minimize::minimize(self)
     }

@@ -8,9 +8,10 @@
 //!   (length first, then lexicographic) — [`symbol`], [`word`];
 //! * ε-free NFAs with product constructions, emptiness tests and
 //!   canonical-order shortest witnesses — [`nfa`], [`product`];
-//! * DFAs with subset construction, completion, complementation, Hopcroft
-//!   minimization, canonical numbering and the prefix-free transform used to
-//!   normalize path queries — [`dfa`], [`determinize`], [`minimize`];
+//! * DFAs with subset construction, completion, complementation, one-pass
+//!   minimization (Hopcroft over the live symbols, Moore as the oracle),
+//!   canonical numbering and the prefix-free transform used to normalize
+//!   path queries — [`dfa`], [`determinize`], [`minimize`];
 //! * a regular-expression AST with a parser, a precedence-aware printer and
 //!   a DFA→regex state-elimination pass — [`regex`], [`state_elim`];
 //! * the antichain language-inclusion algorithm used for the paper's exact

@@ -1,178 +1,357 @@
 //! DFA minimization.
 //!
-//! The primary algorithm is **Hopcroft's partition refinement**
-//! (`O(|Σ| n log n)`); a straightforward **Moore iteration** (`O(|Σ| n²)`)
-//! is kept as an independently-implemented cross-check used by the tests
-//! and as an ablation baseline for the benchmark suite.
+//! [`minimize`] is the one production minimizer: a single pass over
+//! flat index arrays that trims the DFA, refines the partition of its
+//! live states over the **live symbols** only, and builds the canonical
+//! DFA once. A straightforward **Moore iteration** (`O(|Σ| n²)`,
+//! [`minimize_moore`]) is kept as an independently-implemented oracle
+//! for the tests and as an ablation baseline for the benchmark suite.
 //!
 //! Both entry points return the *canonical* DFA of the language: trimmed
-//! (every state reachable and co-reachable — so the sink introduced by
-//! completion disappears again), with states renumbered in BFS order. This
-//! is the representation the paper uses to define query size (§2).
+//! (every state reachable and co-reachable — so no sink survives), with
+//! states renumbered in BFS order, symbols expanded in alphabet order.
+//! This is the representation the paper uses to define query size (§2).
+//! The form is unique per language, so the two minimizers agree table
+//! for table.
 
 use crate::dfa::{Dfa, DEAD};
-use crate::StateId;
-use std::collections::VecDeque;
+use crate::{StateId, Symbol};
 
-/// Minimizes a DFA with Hopcroft's algorithm; returns the canonical form.
+/// Minimizes a DFA in one pass; returns the canonical form.
+///
+/// 1. *Trim.* A forward BFS reads the dense table once, listing the
+///    reachable states' transitions; a backward DFS from the reachable
+///    finals over a flat reverse CSR of that list finds the live
+///    (reachable and co-reachable) states.
+/// 2. *Live symbols* are those on a transition between live states. Any
+///    other symbol sends every live state to the implicit sink, so it
+///    splits no block: refinement runs on a complete `(m + 1) × k` table
+///    over the `m` live states, the sink row and the `k` live symbols,
+///    not on `|Q| × |Σ|`.
+/// 3. *Refine.* Hopcroft's algorithm (`O(k·m log m)`) on a refinable
+///    partition held in index arrays: a block's states are a contiguous
+///    range of one permutation, and the marked states of a split are
+///    swapped to the range's front.
+/// 4. *Number.* The blocks are numbered in BFS order from the initial
+///    state's, expanding live symbols ascending; every live state is
+///    co-reachable, so the sink's block is the sink alone and is dropped.
+/// 5. *Build* the output [`Dfa`] once.
+///
+/// The empty language yields [`Dfa::empty_language`].
 pub fn minimize(dfa: &Dfa) -> Dfa {
-    let trimmed = dfa.trim();
-    if trimmed.language_is_empty() {
-        return Dfa::empty_language(trimmed.alphabet_len());
+    minimize_live(dfa).0
+}
+
+/// [`minimize`], also returning the live symbols, ascending — exactly
+/// the distinct symbols of the canonical DFA's transitions (none for the
+/// empty language).
+pub(crate) fn minimize_live(dfa: &Dfa) -> (Dfa, Box<[u32]>) {
+    let sigma = dfa.alphabet_len();
+    let Some(live) = LiveStates::find(dfa) else {
+        return (Dfa::empty_language(sigma), Box::new([]));
+    };
+    let m = live.states.len();
+    let sink = m as StateId;
+    let live_edges = || {
+        live.edges.iter().filter_map(|&(s, a, t)| {
+            let (s, t) = (live.id[s as usize], live.id[t as usize]);
+            (s != DEAD && t != DEAD).then_some((s, a, t))
+        })
+    };
+
+    // Live symbols, ascending; `column[a]` is `a`'s column among them.
+    let mut column = vec![DEAD; sigma];
+    for (_, a, _) in live_edges() {
+        column[a as usize] = 0;
     }
-    let (complete, _) = trimmed.complete();
-    let partition = hopcroft_partition(&complete);
-    quotient(&complete, &partition).trim().canonicalize()
+    let symbols: Box<[u32]> = (0..sigma as u32)
+        .filter(|&a| column[a as usize] != DEAD)
+        .collect();
+    for (j, &a) in symbols.iter().enumerate() {
+        column[a as usize] = j as u32;
+    }
+    // The complete table over live states + sink and live symbols: what
+    // no live edge defines goes to the sink.
+    let k = symbols.len();
+    let mut delta = vec![sink; (m + 1) * k];
+    for (s, a, t) in live_edges() {
+        delta[s as usize * k + column[a as usize] as usize] = t;
+    }
+
+    let accepting: Vec<bool> = live.states.iter().map(|&s| dfa.is_final(s)).collect();
+    let block = hopcroft(&delta, k, &accepting);
+
+    // BFS-number the blocks from the initial state's (live id 0), one
+    // representative state per block.
+    let num_blocks = block.iter().max().map_or(0, |&b| b as usize + 1);
+    let mut rep = vec![0 as StateId; num_blocks];
+    for (s, &b) in block.iter().enumerate() {
+        rep[b as usize] = s as StateId;
+    }
+    let sink_block = block[m];
+    let mut number = vec![DEAD; num_blocks];
+    let mut order = Vec::with_capacity(num_blocks);
+    order.push(block[0]);
+    number[block[0] as usize] = 0;
+    let mut head = 0;
+    while head < order.len() {
+        let s = rep[order[head] as usize] as usize;
+        head += 1;
+        for &t in &delta[s * k..(s + 1) * k] {
+            let b = block[t as usize];
+            if b != sink_block && number[b as usize] == DEAD {
+                number[b as usize] = order.len() as StateId;
+                order.push(b);
+            }
+        }
+    }
+
+    let mut out = Dfa::new(order.len(), sigma, 0);
+    for (i, &b) in order.iter().enumerate() {
+        let s = rep[b as usize] as usize;
+        for (&a, &t) in symbols.iter().zip(&delta[s * k..(s + 1) * k]) {
+            let target = block[t as usize];
+            if target != sink_block {
+                out.set_transition(
+                    i as StateId,
+                    Symbol::from_index(a as usize),
+                    number[target as usize],
+                );
+            }
+        }
+        if accepting[s] {
+            out.set_final(i as StateId);
+        }
+    }
+    (out, symbols)
+}
+
+/// The live (reachable and co-reachable) states of a DFA.
+struct LiveStates {
+    /// Live states in forward-BFS order; the initial state is first.
+    states: Vec<StateId>,
+    /// `id[s]`: `s`'s index in `states`, [`DEAD`] for a state that is
+    /// not live.
+    id: Vec<StateId>,
+    /// Every transition `(from, symbol, to)` out of a reachable state —
+    /// the one read of the dense table.
+    edges: Vec<(StateId, u32, StateId)>,
+}
+
+impl LiveStates {
+    /// `None` iff the language is empty.
+    fn find(dfa: &Dfa) -> Option<LiveStates> {
+        let n = dfa.num_states();
+        if n == 0 {
+            return None;
+        }
+        // Forward BFS; `reached` doubles as the visit order.
+        let mut seen = vec![false; n];
+        let mut reached = Vec::with_capacity(n);
+        reached.push(dfa.initial());
+        seen[dfa.initial() as usize] = true;
+        let mut edges = Vec::new();
+        let mut head = 0;
+        while head < reached.len() {
+            let s = reached[head];
+            head += 1;
+            for (a, &t) in dfa.row(s).iter().enumerate() {
+                if t != DEAD {
+                    edges.push((s, a as u32, t));
+                    if !seen[t as usize] {
+                        seen[t as usize] = true;
+                        reached.push(t);
+                    }
+                }
+            }
+        }
+
+        // Reverse CSR of those transitions (a reachable state's
+        // successors are reachable), then a backward DFS from the
+        // reachable finals: what it meets is live.
+        let mut offsets = vec![0u32; n + 1];
+        for &(_, _, t) in &edges {
+            offsets[t as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut preds = vec![0 as StateId; edges.len()];
+        let mut cursor = offsets.clone();
+        for &(s, _, t) in &edges {
+            preds[cursor[t as usize] as usize] = s;
+            cursor[t as usize] += 1;
+        }
+        let mut live = vec![false; n];
+        let mut stack: Vec<StateId> = reached
+            .iter()
+            .copied()
+            .filter(|&s| dfa.is_final(s))
+            .collect();
+        for &f in &stack {
+            live[f as usize] = true;
+        }
+        while let Some(t) = stack.pop() {
+            let range = offsets[t as usize] as usize..offsets[t as usize + 1] as usize;
+            for &p in &preds[range] {
+                if !live[p as usize] {
+                    live[p as usize] = true;
+                    stack.push(p);
+                }
+            }
+        }
+        if !live[dfa.initial() as usize] {
+            return None;
+        }
+
+        reached.retain(|&s| live[s as usize]);
+        let mut id = vec![DEAD; n];
+        for (i, &s) in reached.iter().enumerate() {
+            id[s as usize] = i as StateId;
+        }
+        Some(LiveStates {
+            states: reached,
+            id,
+            edges,
+        })
+    }
+}
+
+/// Hopcroft partition refinement of the **complete** DFA whose table is
+/// `delta` (`k` symbols per row) and whose accepting states are
+/// `accepting` (one entry per row except the last, the non-accepting
+/// sink). Returns `block[state]`.
+///
+/// The partition is a permutation `elems` of the states in which every
+/// block owns the range `first[b]..end[b]`; `loc` inverts `elems`.
+/// Marking a state swaps it to its block's marked prefix
+/// `first[b]..mid[b]`, so a split is a range cut. The smaller half
+/// becomes the new block and is queued on every symbol — the halving
+/// argument behind `O(k·n log n)`.
+fn hopcroft(delta: &[StateId], k: usize, accepting: &[bool]) -> Vec<u32> {
+    let n = accepting.len() + 1;
+    // Reverse transitions keyed by (symbol, target): the predecessors
+    // of `t` on symbol `j` are rev[rev_off[j·n + t]..rev_off[j·n + t + 1]].
+    let mut rev_off = vec![0u32; k * n + 1];
+    for (cell, &t) in delta.iter().enumerate() {
+        rev_off[(cell % k) * n + t as usize + 1] += 1;
+    }
+    for i in 0..k * n {
+        rev_off[i + 1] += rev_off[i];
+    }
+    let mut rev = vec![0 as StateId; delta.len()];
+    let mut cursor = rev_off.clone();
+    for (cell, &t) in delta.iter().enumerate() {
+        let slot = &mut cursor[(cell % k) * n + t as usize];
+        rev[*slot as usize] = (cell / k) as StateId;
+        *slot += 1;
+    }
+
+    // Initial partition: accepting states (block 0, never empty: the
+    // language is not) and the rest (block 1, never empty: the sink).
+    let is_final = |s: usize| s < n - 1 && accepting[s];
+    let mut elems: Vec<StateId> = Vec::with_capacity(n);
+    elems.extend((0..n as StateId).filter(|&s| is_final(s as usize)));
+    let accepting_count = elems.len() as u32;
+    elems.extend((0..n as StateId).filter(|&s| !is_final(s as usize)));
+    let mut loc = vec![0u32; n];
+    for (i, &s) in elems.iter().enumerate() {
+        loc[s as usize] = i as u32;
+    }
+    let mut block: Vec<u32> = (0..n).map(|s| u32::from(!is_final(s))).collect();
+    let blocks = |initial: [u32; 2]| {
+        let mut bounds = Vec::with_capacity(n);
+        bounds.extend(initial);
+        bounds
+    };
+    let mut first = blocks([0, accepting_count]);
+    let mut end = blocks([accepting_count, n as u32]);
+    let mut mid = blocks([0, accepting_count]);
+
+    // Splitters `(block, symbol)`; the smaller initial block suffices.
+    // A split keeps the old id on one half and queues the new one on
+    // every symbol: if `(b, j)` was still queued both halves now are,
+    // and if not the smaller half is — Hopcroft's rule, so no
+    // "is it queued" flag is needed and no pair is ever queued twice.
+    let smaller = u32::from(n as u32 - accepting_count < accepting_count);
+    // Every block is queued on every symbol at most once: at its birth.
+    let mut work: Vec<(u32, usize)> = Vec::with_capacity(k * n);
+    work.extend((0..k).map(|j| (smaller, j)));
+
+    let mut preimage: Vec<StateId> = Vec::with_capacity(n);
+    let mut touched: Vec<u32> = Vec::with_capacity(n);
+    while let Some((splitter, j)) = work.pop() {
+        // Collect the whole preimage before marking: marking reorders
+        // `elems`, the splitter's own range included.
+        preimage.clear();
+        for &t in &elems[first[splitter as usize] as usize..end[splitter as usize] as usize] {
+            let cell = j * n + t as usize;
+            preimage.extend_from_slice(&rev[rev_off[cell] as usize..rev_off[cell + 1] as usize]);
+        }
+        // Each state has one `j`-successor, so it is marked at most once.
+        for &p in &preimage {
+            let b = block[p as usize] as usize;
+            if mid[b] == first[b] {
+                touched.push(b as u32);
+            }
+            let (here, there) = (loc[p as usize], mid[b]);
+            let other = elems[there as usize];
+            elems.swap(here as usize, there as usize);
+            loc[other as usize] = here;
+            loc[p as usize] = there;
+            mid[b] += 1;
+        }
+        for b in touched.drain(..) {
+            let b = b as usize;
+            let cut = mid[b];
+            if cut == end[b] {
+                mid[b] = first[b];
+                continue; // wholly inside the preimage: no split
+            }
+            // The smaller half moves to the new block.
+            let new = first.len() as u32;
+            let (lo, hi) = (first[b], end[b]);
+            let moved = if cut - lo <= hi - cut {
+                first[b] = cut;
+                lo..cut
+            } else {
+                end[b] = cut;
+                cut..hi
+            };
+            mid[b] = first[b];
+            for &s in &elems[moved.start as usize..moved.end as usize] {
+                block[s as usize] = new;
+            }
+            first.push(moved.start);
+            end.push(moved.end);
+            mid.push(moved.start);
+            work.extend((0..k).map(|jj| (new, jj)));
+        }
+    }
+    block
 }
 
 /// Minimizes a DFA with Moore's iterative refinement; returns the
-/// canonical form. Cross-check / ablation implementation.
+/// canonical form. The test oracle and ablation baseline: it shares no
+/// step with [`minimize`] beyond the [`Dfa`] methods it composes —
+/// trim, complete, refine, quotient, trim, canonical numbering.
 pub fn minimize_moore(dfa: &Dfa) -> Dfa {
     let trimmed = dfa.trim();
     if trimmed.language_is_empty() {
         return Dfa::empty_language(trimmed.alphabet_len());
     }
     let (complete, _) = trimmed.complete();
-    let partition = moore_partition(&complete);
-    quotient(&complete, &partition).trim().canonicalize()
-}
-
-/// Hopcroft partition refinement on a **complete** DFA. Returns
-/// `block_of[state]`.
-// Index loops over (state × symbol) grids mirror the textbook
-// presentation of the algorithm; iterator adaptors obscure it here.
-#[allow(clippy::needless_range_loop)]
-fn hopcroft_partition(dfa: &Dfa) -> Vec<u32> {
-    let n = dfa.num_states();
-    let alphabet = dfa.alphabet_len();
-
-    // Reverse transitions, per symbol: preds[a][t] = states s with s-a->t.
-    let mut preds: Vec<Vec<Vec<StateId>>> = vec![vec![Vec::new(); n]; alphabet];
-    for s in 0..n as StateId {
-        for a in 0..alphabet {
-            let t = dfa.step_raw(s, crate::Symbol::from_index(a));
-            debug_assert_ne!(t, DEAD, "hopcroft requires a complete DFA");
-            preds[a][t as usize].push(s);
-        }
+    let block_of = moore_partition(&complete);
+    let num_blocks = block_of.iter().copied().max().map_or(0, |m| m as usize + 1);
+    let alphabet = complete.alphabet_len();
+    let mut quotient = Dfa::new(num_blocks, alphabet, block_of[complete.initial() as usize]);
+    for (s, sym, t) in complete.transitions() {
+        quotient.set_transition(block_of[s as usize], sym, block_of[t as usize]);
     }
-
-    // Blocks as index sets; block_of maps states to their block.
-    let mut blocks: Vec<Vec<StateId>> = Vec::new();
-    let mut block_of: Vec<u32> = vec![0; n];
-    let finals: Vec<StateId> = dfa.finals().iter().map(|s| s as StateId).collect();
-    let non_finals: Vec<StateId> = (0..n as StateId).filter(|&s| !dfa.is_final(s)).collect();
-    for group in [finals, non_finals] {
-        if group.is_empty() {
-            continue;
-        }
-        let id = blocks.len() as u32;
-        for &s in &group {
-            block_of[s as usize] = id;
-        }
-        blocks.push(group);
+    for f in complete.finals().iter() {
+        quotient.set_final(block_of[f]);
     }
-
-    // Worklist of (block, symbol) splitters. Start from the smaller block
-    // for every symbol (classic optimization); starting from both is also
-    // correct, and with at most two initial blocks we simply enqueue the
-    // smaller (or the only) one.
-    let smaller = if blocks.len() == 2 && blocks[1].len() < blocks[0].len() {
-        1u32
-    } else {
-        0u32
-    };
-    let mut worklist: VecDeque<(u32, usize)> = (0..alphabet).map(|a| (smaller, a)).collect();
-    let mut in_worklist: Vec<Vec<bool>> = vec![vec![false; alphabet]; blocks.len()];
-    for a in 0..alphabet {
-        in_worklist[smaller as usize][a] = true;
-    }
-
-    // Scratch: membership marks for the current preimage, and per-block hit
-    // counters. The marks make the split independent of `block_of` updates
-    // that happen while processing the same splitter (the splitter block
-    // itself may be among the blocks being split).
-    let mut marked: Vec<bool> = vec![false; n];
-    let mut touched_count: Vec<u32> = vec![0; blocks.len()];
-    let mut touched_blocks: Vec<u32> = Vec::new();
-
-    while let Some((splitter, a)) = worklist.pop_front() {
-        in_worklist[splitter as usize][a] = false;
-
-        // X = preimage of the splitter block under symbol a. In a complete
-        // DFA each state has exactly one a-successor, so X has no
-        // duplicates.
-        let mut preimage: Vec<StateId> = Vec::new();
-        for &t in &blocks[splitter as usize] {
-            preimage.extend_from_slice(&preds[a][t as usize]);
-        }
-        if preimage.is_empty() {
-            continue;
-        }
-
-        touched_blocks.clear();
-        for &s in &preimage {
-            marked[s as usize] = true;
-            let b = block_of[s as usize];
-            if touched_count[b as usize] == 0 {
-                touched_blocks.push(b);
-            }
-            touched_count[b as usize] += 1;
-        }
-
-        for &b in &touched_blocks {
-            let hit = touched_count[b as usize];
-            touched_count[b as usize] = 0;
-            let total = blocks[b as usize].len() as u32;
-            if hit == total {
-                continue; // block entirely inside preimage: no split
-            }
-            // Split block b into (in preimage) and (out of preimage).
-            let old = std::mem::take(&mut blocks[b as usize]);
-            let mut inside = Vec::with_capacity(hit as usize);
-            let mut outside = Vec::with_capacity((total - hit) as usize);
-            for s in old {
-                if marked[s as usize] {
-                    inside.push(s);
-                } else {
-                    outside.push(s);
-                }
-            }
-            debug_assert_eq!(inside.len() as u32, hit);
-            let new_id = blocks.len() as u32;
-            for &s in &inside {
-                block_of[s as usize] = new_id;
-            }
-            blocks[b as usize] = outside;
-            blocks.push(inside);
-            in_worklist.push(vec![false; alphabet]);
-            touched_count.push(0);
-            // Update the worklist per Hopcroft: if (b, c) is pending, the
-            // new block must also be processed; otherwise enqueue the
-            // smaller of the two halves.
-            for c in 0..alphabet {
-                if in_worklist[b as usize][c] {
-                    in_worklist[new_id as usize][c] = true;
-                    worklist.push_back((new_id, c));
-                } else {
-                    let pick = if blocks[new_id as usize].len() < blocks[b as usize].len() {
-                        new_id
-                    } else {
-                        b
-                    };
-                    if !in_worklist[pick as usize][c] {
-                        in_worklist[pick as usize][c] = true;
-                        worklist.push_back((pick, c));
-                    }
-                }
-            }
-        }
-
-        for &s in &preimage {
-            marked[s as usize] = false;
-        }
-    }
-
-    block_of
+    quotient.trim().canonicalize()
 }
 
 /// Moore partition refinement on a **complete** DFA. Returns
@@ -190,7 +369,7 @@ fn moore_partition(dfa: &Dfa) -> Vec<u32> {
         for s in 0..n {
             let succ: Vec<u32> = (0..alphabet)
                 .map(|a| {
-                    let t = dfa.step_raw(s as StateId, crate::Symbol::from_index(a));
+                    let t = dfa.step_raw(s as StateId, Symbol::from_index(a));
                     block_of[t as usize]
                 })
                 .collect();
@@ -211,26 +390,6 @@ fn moore_partition(dfa: &Dfa) -> Vec<u32> {
         num_blocks = new_blocks;
         block_of = next;
     }
-}
-
-/// Builds the quotient DFA for a block assignment.
-fn quotient(dfa: &Dfa, block_of: &[u32]) -> Dfa {
-    let num_blocks = block_of.iter().copied().max().map_or(0, |m| m as usize + 1);
-    let alphabet = dfa.alphabet_len();
-    let mut out = Dfa::new(num_blocks, alphabet, block_of[dfa.initial() as usize]);
-    for s in 0..dfa.num_states() as StateId {
-        let b = block_of[s as usize];
-        for a in 0..alphabet {
-            let sym = crate::Symbol::from_index(a);
-            if let Some(t) = dfa.step(s, sym) {
-                out.set_transition(b, sym, block_of[t as usize]);
-            }
-        }
-        if dfa.is_final(s) {
-            out.set_final(b);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -141,12 +141,11 @@ impl Regex {
         crate::determinize::determinize(&self.to_nfa(alphabet_len)).minimize()
     }
 
-    /// `L(self)` as a cache key: [`Regex::to_dfa`]'s result *is* the
-    /// canonical form, so this equals
-    /// `CanonicalQuery::new(&self.to_dfa(alphabet_len))` without
-    /// minimizing the minimal DFA a second time.
+    /// `L(self)` as a cache key: equals
+    /// `CanonicalQuery::new(&self.to_dfa(alphabet_len))`, but canonicalizes
+    /// the subset construction directly instead of minimizing twice.
     pub fn to_canonical(&self, alphabet_len: usize) -> CanonicalQuery {
-        CanonicalQuery::from_minimal(self.to_dfa(alphabet_len))
+        CanonicalQuery::new(&crate::determinize::determinize(&self.to_nfa(alphabet_len)))
     }
 
     /// [`Regex::to_canonical`] for untrusted expressions: `None` if the
@@ -159,7 +158,7 @@ impl Regex {
         max_states: usize,
     ) -> Option<CanonicalQuery> {
         let dfa = crate::determinize::determinize_bounded(&self.to_nfa(alphabet_len), max_states)?;
-        Some(CanonicalQuery::from_minimal(dfa.minimize()))
+        Some(CanonicalQuery::new(&dfa))
     }
 
     /// Parses a regex over an existing alphabet; unknown labels are errors.

@@ -159,6 +159,34 @@ fn fingerprints_keep_their_pinned_values() {
     }
 }
 
+/// Template-shaped queries over a 30-label alphabet, of which each
+/// reads only a handful: the minimizer skips the labels no live
+/// transition uses, and that must not move a key. Literals recorded
+/// before the minimizer learned to skip them.
+#[test]
+fn wide_alphabet_template_fingerprints_keep_their_pinned_values() {
+    let pinned: [(&str, u64); 3] = [
+        ("l03·(l00+l07)·(l00+l07)*", 0x4056_cf78_e4d5_ae2a),
+        (
+            "(l01+l02)·(l01+l02)·(l01+l02)*·l05·l05·l05*",
+            0x63dd_a03a_94a7_e4be,
+        ),
+        ("(l00+l04)·(l02+l09+l12)*·l28", 0xbbe4_45b2_cbe2_f034),
+    ];
+    let labels: Vec<String> = (0..30).map(|i| format!("l{i:02}")).collect();
+    let alphabet = pathlearn_automata::Alphabet::from_labels(labels.iter().map(String::as_str));
+    for (expr, fingerprint) in pinned {
+        let regex = Regex::parse(expr, &alphabet).unwrap();
+        let key = CanonicalQuery::new(&regex.to_dfa(alphabet.len()));
+        assert_eq!(key.fingerprint(), fingerprint, "{expr}");
+        assert_eq!(
+            regex.to_canonical(alphabet.len()).fingerprint(),
+            fingerprint,
+            "{expr}"
+        );
+    }
+}
+
 /// Deterministic spot checks of the non-collision direction on a
 /// pairwise-distinct family (proptest rarely draws near-miss pairs).
 #[test]

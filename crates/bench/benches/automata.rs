@@ -1,6 +1,6 @@
 //! Ablation benches for the automata substrate.
 //!
-//! * Hopcroft vs Moore minimization (DESIGN.md decision: Hopcroft primary);
+//! * the one-pass production minimizer vs the Moore oracle;
 //! * antichain vs naive (full-determinization) language inclusion;
 //! * subset construction and regex compilation as baselines.
 
@@ -64,7 +64,7 @@ fn bench_minimization(c: &mut Criterion) {
     group.sample_size(20);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
-    group.bench_function("hopcroft_400", |b| b.iter(|| minimize(black_box(&dfa))));
+    group.bench_function("minimize_400", |b| b.iter(|| minimize(black_box(&dfa))));
     group.bench_function("moore_400", |b| b.iter(|| minimize_moore(black_box(&dfa))));
     group.finish();
 }

@@ -29,11 +29,13 @@
 //!    frontier holds every node with an edge of the label, so the step
 //!    reaches every endpoint: its answer is the label's
 //!    opposite-direction bitmap — every monadic evaluation's first
-//!    level, seeded with all of `V`), run the kernel *masked* (iterate
-//!    `frontier ∩ label-active` word-by-word, never reading an
-//!    edge-less node's offsets) or plain — priced by a degree-weighted
-//!    popcount cost model whose frontier popcount is counted for free
-//!    during the previous merge;
+//!    level, seeded with all of `V`), mark it *sparse* (a frontier of a
+//!    few nodes against `|V|`, priced before any scan — every binary
+//!    evaluation's first level, seeded with one node), run the kernel
+//!    *masked* (iterate `frontier ∩ label-active` word-by-word, never
+//!    reading an edge-less node's offsets) or plain — priced by a
+//!    degree-weighted popcount cost model whose frontier popcount is
+//!    counted for free during the previous merge;
 //! 2. **runs** the plan through the step kernel
 //!    ([`GraphDb::step_into`]) in the pass's [`Dir`] (out-edges or
 //!    in-edges): a covered step copies the bitmap instead of walking
@@ -41,6 +43,13 @@
 //! 3. optionally **intersects** the output with a coreachability
 //!    certificate;
 //! 4. **merges** it into every target state.
+//!
+//! A sparse task fuses 2–4: [`GraphDb::step_range_visit`] hands it each
+//! endpoint of the frontier's edges, which it checks against the
+//! certificate and test-and-sets into `reached` and the next frontier
+//! of every target state, so it makes no `|V|`-word pass beyond finding
+//! the frontier's bits. It counts as one task, unless the frontier
+//! missed the label — then, like a skipped step, it counts as none.
 //!
 //! Every evaluation runs on its caller's thread: the harvested tasks
 //! run one after another, each step merged straight into its target
@@ -209,6 +218,9 @@ pub enum Goal {
 /// popcounts, and the states whose set is non-empty.
 #[derive(Debug, Default)]
 struct Level {
+    /// Empty except at the states in `active` — every insert goes
+    /// through a seed or a merge that lists its state — so clearing the
+    /// active sets clears the level.
     sets: Vec<BitSet>,
     /// `lens[q] = |sets[q]|`, maintained by the merges (which count the
     /// fresh bits they OR in), so the step cost model reads a frontier's
@@ -218,22 +230,25 @@ struct Level {
 }
 
 impl Level {
+    /// Clears the level, touching only its active sets: a search that
+    /// ran to its end left none, so a reused level costs nothing here.
     fn prepare(&mut self, v: usize, q_states: usize) {
+        for &q in &self.active {
+            self.sets[q as usize].clear();
+        }
+        self.active.clear();
         fit(&mut self.sets, v, q_states);
         self.lens.clear();
         self.lens.resize(q_states, 0);
-        self.active.clear();
     }
 }
 
-/// Fits `sets` to `q_states` cleared sets of capacity `v`, reusing
-/// entries whose capacity already matches.
+/// Fits `sets` to `q_states` sets of capacity `v`, reusing entries whose
+/// capacity already matches (as they are: callers clear what they
+/// dirtied) and adding empty ones.
 fn fit(sets: &mut Vec<BitSet>, v: usize, q_states: usize) {
     sets.retain(|set| set.capacity() == v);
     sets.truncate(q_states);
-    for set in sets.iter_mut() {
-        set.clear();
-    }
     while sets.len() < q_states {
         sets.push(BitSet::new(v));
     }
@@ -252,6 +267,9 @@ struct Side {
 impl Side {
     fn prepare(&mut self, v: usize, q_states: usize) {
         fit(&mut self.reached, v, q_states);
+        for set in &mut self.reached {
+            set.clear();
+        }
         self.frontier.prepare(v, q_states);
         self.next.prepare(v, q_states);
     }
@@ -270,6 +288,19 @@ impl Side {
         self.frontier.sets[state].insert(node);
         self.frontier.lens[state] = 1;
         self.frontier.active.push(state as StateId);
+    }
+
+    /// Reaches one product pair: if `node` is new at `target` it joins
+    /// `reached` and the next frontier.
+    #[inline]
+    fn reach(reached: &mut [BitSet], next: &mut Level, target: usize, node: usize) {
+        if reached[target].insert(node) {
+            next.sets[target].insert(node);
+            if next.lens[target] == 0 {
+                next.active.push(target as StateId);
+            }
+            next.lens[target] += 1;
+        }
     }
 
     /// Folds `found` into `target`: bits not yet reached join `reached`
@@ -413,6 +444,45 @@ fn run_task(
     !out.is_empty()
 }
 
+/// Runs a [`StepPlan::Sparse`] task through [`GraphDb::step_range_visit`]:
+/// every endpoint that survives the target's certificate (if any) is
+/// test-and-set straight into `reached` and the next frontier of each
+/// target state — no step buffer, no merge pass. Reports whether some
+/// frontier node had an edge of the label; a task that finds none is the
+/// step [`StepPlan::Skip`] would have dropped.
+fn run_sparse_task(
+    graph: &GraphDb,
+    pass: Pass<'_>,
+    task: &StepTask,
+    side: &mut Side,
+    certificate: Option<&[BitSet]>,
+) -> bool {
+    let Side {
+        reached,
+        frontier,
+        next,
+    } = side;
+    let targets = pass.index.targets(&task.row);
+    let pruning = certificate.map(|certificate| {
+        let [target] = targets else {
+            unreachable!("certificates prune forward-index passes only");
+        };
+        &certificate[*target as usize]
+    });
+    let frontier = &frontier.sets[task.state as usize];
+    let sym = Symbol::from_index(task.row.sym as usize);
+    let words = 0..graph.num_node_words();
+    graph.step_range_visit(pass.dir, frontier, sym, words, |endpoint| {
+        let endpoint = endpoint as usize;
+        if pruning.is_some_and(|certificate| !certificate.contains(endpoint)) {
+            return;
+        }
+        for &target in targets {
+            Side::reach(reached, next, target as usize, endpoint);
+        }
+    })
+}
+
 /// The handle every evaluation goes through: it carries the step-kernel
 /// policy ([`StepPolicy`]) that [`EvalPool::evaluate`] plans each level's
 /// steps under, and nothing else — every evaluation runs on its caller's
@@ -521,8 +591,15 @@ impl EvalPool {
                 }
             }
         }
+        // Sparse tasks whose frontier missed the label: not counted, as
+        // the skipped steps they stand in for are not.
+        let mut idle_sparse = 0;
         for task in tasks.iter() {
-            if run_task(graph, pass, task, &side.frontier.sets, certificate, step) {
+            if task.plan == StepPlan::Sparse {
+                if !run_sparse_task(graph, pass, task, side, certificate) {
+                    idle_sparse += 1;
+                }
+            } else if run_task(graph, pass, task, &side.frontier.sets, certificate, step) {
                 for &target in pass.index.targets(&task.row) {
                     Side::merge(&mut side.reached, &mut side.next, target as usize, step);
                 }
@@ -533,9 +610,10 @@ impl EvalPool {
             crate::observer::level_record(
                 started,
                 frontier_nodes,
-                tasks.len() as u32,
+                tasks.len() as u32 - idle_sparse,
                 count(StepPlan::Masked),
                 count(StepPlan::Covered),
+                count(StepPlan::Sparse) - idle_sparse,
             );
         }
         side.advance();

@@ -63,9 +63,11 @@
 //! AND+popcount scan, choosing skip / covered / masked / plain for the
 //! level kernel in [`crate::eval`] — *covered* when the frontier holds
 //! the whole active set, so the step's answer is the label's
-//! opposite-direction bitmap. The kernel works on word-aligned node
-//! chunks, so a partition of a step's frontier words computes the same
-//! union as the whole step.
+//! opposite-direction bitmap — or, for a frontier of a few nodes,
+//! *sparse* before any scan: the level kernel then visits those nodes'
+//! edges one by one instead of making `|V|`-word passes. The kernel
+//! works on word-aligned node chunks, so a partition of a step's
+//! frontier words computes the same union as the whole step.
 //!
 //! ## Complexity
 //!
@@ -101,6 +103,24 @@ const SKIPPED_NODE_COST_X16: u64 = 2 * AVG_DEG_FP;
 /// Cost-model weight of one frontier word the masked kernel scans: the
 /// extra label-bitmap load + AND per `u64` block (×16 fixed point).
 const MASK_WORD_COST_X16: u64 = AVG_DEG_FP;
+
+/// The sparse-step gate: a step is planned [`StepPlan::Sparse`] when
+/// its frontier nodes, each priced like a node the masked kernel skips
+/// plus its label's average degree in endpoint test-and-sets, cost at
+/// most this much per `u64` word of a `|V|`-bit set (×16 fixed point):
+///
+/// ```text
+/// frontier · (offset cost + avg label degree)  ≤  node words · SPARSE_WORD_COST_X16
+/// ```
+///
+/// At one word's worth — the price of a single `|V|`-word pass, of
+/// the five a dense task makes — a label of average degree 2 goes
+/// sparse up to `|V|/256` frontier nodes. Measured on `cold_scan`
+/// (100k nodes, 30 labels): gating four times looser, at `|V|/64`,
+/// bought the median but lost the p99 and throughput, because
+/// per-endpoint test-and-set loses to the word kernels on denser
+/// frontiers.
+const SPARSE_WORD_COST_X16: u64 = AVG_DEG_FP;
 
 /// Which way an adjacency lookup or a frontier step follows the edges.
 /// The value only selects which of the graph's two adjacencies is read;
@@ -156,8 +176,11 @@ impl StepPolicy {
 /// The per-`(level, symbol)` decision produced by [`GraphDb::plan_step`]
 /// under a [`StepPolicy`] and executed by [`GraphDb::step_range_into`]:
 /// skip the step entirely (provably empty), copy its provably known
-/// answer, run the masked kernel, or run the plain one. `Skip` and
-/// `Covered` are verdicts about the frontier they were planned for.
+/// answer, walk a frontier of a few nodes one node at a time, run the
+/// masked kernel, or run the plain one. `Skip` and `Covered` are
+/// verdicts about the frontier they were planned for; `Sparse` is a
+/// verdict about its size. Only [`StepPolicy::Auto`] plans anything but
+/// `Masked` / `Plain`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepPlan {
     /// No frontier node carries an edge of the symbol in the step
@@ -168,6 +191,15 @@ pub enum StepPlan {
     /// of those edges: its answer is `label_active(dir.reverse(), sym)`,
     /// copied instead of walked.
     Covered,
+    /// The frontier is a few nodes against `|V|` (see
+    /// [`GraphDb::plan_step`]), so the level kernel in
+    /// [`crate::eval`] walks its set bits and test-and-sets each
+    /// effective neighbour ([`GraphDb::for_each_neighbor`]) straight
+    /// into the reached and next-frontier sets: no step buffer, and no
+    /// `|V|`-word pass beyond finding the frontier's bits
+    /// ([`GraphDb::step_range_visit`]). Through
+    /// [`GraphDb::step_range_into`] the visits are inserted into `out`.
+    Sparse,
     /// Iterate `frontier ∩ label-active` (the masked kernel).
     Masked,
     /// Iterate the raw frontier (the plain kernel).
@@ -982,8 +1014,21 @@ impl GraphDb {
     /// amortizes it over every symbol of the level (it is only read by
     /// [`StepPolicy::Auto`], pass 0 otherwise).
     ///
-    /// Under [`StepPolicy::Auto`], one fused AND+popcount scan
-    /// ([`BitSet::intersection_len`]) against
+    /// Under [`StepPolicy::Auto`], an out-of-alphabet or edgeless label
+    /// skips at once, and a frontier of a few nodes — priced by
+    /// `frontier_len` and the label's average degree alone, before any
+    /// scan — is [`StepPlan::Sparse`]: every binary evaluation's first
+    /// level, seeded with one node. The gate prices each frontier node
+    /// like a node the masked kernel skips plus the label's average
+    /// degree in endpoint test-and-sets, against one pass over the
+    /// frontier's words:
+    ///
+    /// ```text
+    /// frontier · (offset cost + avg label degree)  ≤  frontier words · word cost
+    /// ```
+    ///
+    /// — at average degree 2, up to `|V|/256` nodes. Otherwise
+    /// one fused AND+popcount scan ([`BitSet::intersection_len`]) against
     /// [`GraphDb::label_active`] prices the step: an empty intersection
     /// skips it outright, and one that is the whole active set
     /// ([`GraphDb::label_active_count`]) makes it [`StepPlan::Covered`]
@@ -1042,6 +1087,14 @@ impl GraphDb {
                 let Some(stats) = self.label_stats(dir, sym) else {
                     return StepPlan::Skip;
                 };
+                if stats.active_count == 0 {
+                    return StepPlan::Skip;
+                }
+                let sparse_x16 =
+                    frontier_len as u64 * (SKIPPED_NODE_COST_X16 + stats.avg_deg_x16 as u64);
+                if sparse_x16 <= self.num_node_words() as u64 * SPARSE_WORD_COST_X16 {
+                    return StepPlan::Sparse;
+                }
                 let active = stats.active_count as usize;
                 if active >= self.num_nodes() {
                     return if frontier_len >= self.num_nodes() {
@@ -1134,6 +1187,9 @@ impl GraphDb {
     /// [`StepPlan::Covered`] ORs in the whole answer
     /// `label_active(dir.reverse(), sym)` from the one range that
     /// contains word 0, so a partition still emits it exactly once.
+    /// [`StepPlan::Sparse`] runs [`GraphDb::step_range_visit`] with an
+    /// insert into `out` as its visitor; the level kernel passes its
+    /// merge instead.
     ///
     /// ```
     /// use pathlearn_graph::graph::{figure3_g0, Dir, StepPlan};
@@ -1173,8 +1229,44 @@ impl GraphDb {
                 }
             }
             StepPlan::Masked => self.step_words::<true>(dir, frontier, sym, words, out),
+            StepPlan::Sparse => {
+                self.step_range_visit(dir, frontier, sym, words, |endpoint| {
+                    out.insert(endpoint as usize);
+                });
+            }
             StepPlan::Plain => self.step_words::<false>(dir, frontier, sym, words, out),
         }
+    }
+
+    /// The [`StepPlan::Sparse`] kernel: calls `visit` on every effective
+    /// `sym`-neighbour in direction `dir` ([`GraphDb::for_each_neighbor`],
+    /// overlay merged) of every frontier node in the words
+    /// `words.start..words.end` that has such an edge, and reports
+    /// whether any frontier node did — `false` exactly when the step is
+    /// the empty one [`StepPlan::Skip`] drops. Frontier nodes arrive in
+    /// ascending order; an endpoint shared by several of them is visited
+    /// once per edge. Apart from the frontier's words it reads one bit
+    /// and one offset pair per frontier node and nothing of size `|V|`,
+    /// so the level kernel, which test-and-sets each endpoint into its
+    /// reached and next-frontier sets from here, pays no `|V|`-word pass
+    /// for a frontier of a few nodes.
+    pub fn step_range_visit(
+        &self,
+        dir: Dir,
+        frontier: &BitSet,
+        sym: Symbol,
+        words: Range<usize>,
+        mut visit: impl FnMut(NodeId),
+    ) -> bool {
+        let active = self.label_active(dir, sym);
+        let mut productive = false;
+        self.for_frontier_words::<false>(frontier, active, words, |node| {
+            if active.contains(node as usize) {
+                productive = true;
+                self.for_each_neighbor(dir, node, sym, &mut visit);
+            }
+        });
+        productive
     }
 
     /// The kernel behind [`GraphDb::step_range_into`]. `MASKED` and
@@ -1896,8 +1988,8 @@ mod tests {
         // active-set shape (two active sources each, one of them outside
         // the frontiers below, so none covers the set) but opposite
         // weights: "h" is a hub of 200 edges per source, "t" one edge
-        // per source. With a 3-node frontier the popcounts are identical
-        // (inter 1, skipped 2); only the degree weight separates the
+        // per source. With a 4-node frontier the popcounts are identical
+        // (inter 1, skipped 3); only the degree weight separates the
         // verdicts.
         let mut builder = GraphBuilder::new();
         let first = builder.add_nodes("n", 640);
@@ -1914,18 +2006,30 @@ mod tests {
         assert_eq!(graph.label_avg_degree(Dir::Out, h), 200.0);
         assert_eq!(graph.label_avg_degree(Dir::Out, t), 1.0);
 
-        let frontier = BitSet::from_indices(640, [0, 1, 2]);
-        // Heavy label: 2 skipped nodes × (2 offset reads + deg 200)
+        let frontier = BitSet::from_indices(640, [0, 1, 2, 3]);
+        // Heavy label: 3 skipped nodes × (2 offset reads + deg 200)
         // dwarfs the 10-word mask scan → Masked.
         assert_eq!(
-            graph.plan_step(Dir::Out, &frontier, h, 3, StepPolicy::Auto),
+            graph.plan_step(Dir::Out, &frontier, h, 4, StepPolicy::Auto),
             StepPlan::Masked
         );
-        // Feather-weight label, same popcounts: 2 × (2 + 1) < 10 words
-        // of scan → Plain (the pre-weighted model masked here).
+        // Feather-weight label, same popcounts: 3 × (2 + 1) < 10 words
+        // of scan → Plain (the pre-weighted model masked here), and
+        // 4 × (2 + 1) > 10 words is too many nodes to go sparse.
         assert_eq!(
-            graph.plan_step(Dir::Out, &frontier, t, 3, StepPolicy::Auto),
+            graph.plan_step(Dir::Out, &frontier, t, 4, StepPolicy::Auto),
             StepPlan::Plain
+        );
+        // One node fewer, 3 × (2 + 1) ≤ 10 words: the feather-weight
+        // step goes sparse before any scan, the heavy one cannot.
+        let three = BitSet::from_indices(640, [0, 1, 2]);
+        assert_eq!(
+            graph.plan_step(Dir::Out, &three, t, 3, StepPolicy::Auto),
+            StepPlan::Sparse
+        );
+        assert_eq!(
+            graph.plan_step(Dir::Out, &three, h, 3, StepPolicy::Auto),
+            StepPlan::Masked
         );
         // A big frontier mostly missing the active set masks even the
         // light label: 638 skipped nodes buy the scan many times over.

@@ -285,6 +285,24 @@ fn arb_density_extreme(dense: impl Strategy<Value = bool>) -> impl Strategy<Valu
         })
 }
 
+/// Strategy: an all-dense graph of 10–20 frontier words — every node
+/// has one out- and one in-edge of each label — big enough that a
+/// binary search's first levels, a handful of nodes each, are planned
+/// [`pathlearn_graph::StepPlan::Sparse`].
+fn arb_wide_dense_graph() -> impl Strategy<Value = GraphDb> {
+    (640usize..1281).prop_map(|n| {
+        let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
+        builder.add_nodes("n", n);
+        let n = n as u32;
+        for i in 0..n {
+            for sym in 0..3 {
+                builder.add_edge_ids(i, Symbol::from_index(sym), (i + 1 + sym as u32) % n);
+            }
+        }
+        builder.build()
+    })
+}
+
 /// The level samples of one evaluation under `policy`.
 fn level_samples(policy: StepPolicy, query: &Dfa, graph: &GraphDb, goal: Goal) -> Vec<LevelSample> {
     let mut scratch = EvalScratch::new();
@@ -323,6 +341,27 @@ proptest! {
             prop_assert!(plain.iter().all(|level| level.covered_tasks == 0));
             if let (Goal::Monadic, Some(first)) = (goal, auto.first()) {
                 prop_assert_eq!(first.covered_tasks, first.tasks, "monadic level 0");
+            }
+        }
+    }
+
+    /// The same through sparse levels: a sparse task counts as one task,
+    /// like the word-kernel step it replaces, so `Plain` and `Auto` still
+    /// report the same `(frontier, tasks)` per level, while every task of
+    /// a binary search's one-node first level is sparse under `Auto`.
+    #[test]
+    fn level_profile_holds_through_sparse_levels(
+        graph in arb_wide_dense_graph(),
+        query in arb_query(),
+    ) {
+        for goal in [Goal::Monadic, Goal::BinaryFrom(0)] {
+            let plain = level_samples(StepPolicy::Plain, &query, &graph, goal);
+            let auto = level_samples(StepPolicy::Auto, &query, &graph, goal);
+            prop_assert_eq!(profile(&plain), profile(&auto), "{:?}", goal);
+            prop_assert!(plain.iter().all(|level| level.sparse_tasks == 0));
+            if let (Goal::BinaryFrom(_), Some(first)) = (goal, auto.first()) {
+                prop_assert_eq!(first.frontier, 1);
+                prop_assert_eq!(first.sparse_tasks, first.tasks, "binary level 0");
             }
         }
     }
@@ -417,13 +456,15 @@ proptest! {
                             &plain,
                             "{:?} covered {:?}", dir, sym
                         ),
-                        StepPlan::Masked | StepPlan::Plain => {}
+                        StepPlan::Sparse | StepPlan::Masked | StepPlan::Plain => {}
                     }
                     if frontier.intersection_len(graph.label_active(dir, sym))
                         == graph.label_active_count(dir, sym)
                     {
+                        // The size gate runs before the scan that would
+                        // find the cover.
                         prop_assert!(
-                            matches!(plan, StepPlan::Covered | StepPlan::Skip),
+                            matches!(plan, StepPlan::Covered | StepPlan::Skip | StepPlan::Sparse),
                             "{:?} {:?}: a covering frontier planned {:?}", dir, sym, plan
                         );
                     }

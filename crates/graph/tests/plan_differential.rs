@@ -24,7 +24,7 @@ use pathlearn_graph::eval::{
 use pathlearn_graph::plan::{plan_query, plan_query_forced};
 use pathlearn_graph::Strategy as EvalStrategy;
 use pathlearn_graph::{
-    CancelToken, EvalPool, GraphBuilder, GraphDb, Interrupt, QueryPlan, StepPolicy,
+    collect_levels, CancelToken, EvalPool, GraphBuilder, GraphDb, Interrupt, QueryPlan, StepPolicy,
 };
 use proptest::prelude::*;
 
@@ -494,6 +494,94 @@ fn fixed_shapes_through_every_strategy() {
                     "{goal:?} on an empty graph under {forced}"
                 );
             }
+        }
+    }
+}
+
+/// A 1,024-node `a`-ring (16 frontier words) with `b`-edges out of every
+/// third node to scattered targets and `c`-edges out of every fifth
+/// node: a binary `a*·b·c` search walks the ring one node per level,
+/// and the certificate prunes every `b`-target without a `c`-edge.
+fn pruned_ring() -> GraphDb {
+    let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
+    let n = 1024u32;
+    let first = builder.add_nodes("n", n as usize);
+    let (a, b, c) = (
+        Symbol::from_index(0),
+        Symbol::from_index(1),
+        Symbol::from_index(2),
+    );
+    for i in 0..n {
+        builder.add_edge_ids(first + i, a, first + (i + 1) % n);
+        if i % 3 == 0 {
+            builder.add_edge_ids(first + i, b, first + (i * 7 + 2) % n);
+        }
+        if i % 5 == 0 {
+            builder.add_edge_ids(first + i, c, first + (i + 3) % n);
+        }
+    }
+    builder.build()
+}
+
+/// The certificate-pruned engines step their one-node frontiers with
+/// the sparse kernel — which must apply the certificate per endpoint
+/// exactly as the word kernels apply it per step — and stay
+/// bit-identical to plain forward evaluation. Under `Auto` both forced
+/// engines record sparse levels; under every policy they agree.
+#[test]
+fn certificate_pruned_engines_take_sparse_levels() {
+    let graph = pruned_ring();
+    let query = Regex::parse("a*·b·c", graph.alphabet()).unwrap().to_dfa(3);
+    let mut scratch = EvalScratch::new();
+    for forced in [EvalStrategy::Backward, EvalStrategy::Bidirectional] {
+        let plan = plan_query_forced(&query, &graph, forced);
+        for source in [0u32, 1, 500, 1023] {
+            let expected = eval_binary_from(&query, &graph, source);
+            assert!(!expected.is_empty(), "every ring node reaches a b·c");
+            for (shape, pool) in pool_matrix() {
+                let (result, levels) = collect_levels(|| {
+                    evaluate(&pool, &mut scratch, &plan, &graph, Goal::BinaryFrom(source))
+                });
+                assert_eq!(result, expected, "{forced} from {source} at {shape}");
+                let sparse: u32 = levels.iter().map(|level| level.sparse_tasks).sum();
+                if pool.step_policy() == StepPolicy::Auto {
+                    assert!(sparse >= 1, "{forced} from {source}: no sparse level");
+                } else {
+                    assert_eq!(sparse, 0, "only Auto plans sparse steps");
+                }
+            }
+        }
+    }
+}
+
+/// An interrupted search leaves its seed in the scratch's frontier, and
+/// re-fitting clears only the frontier sets still listed active: the
+/// next search through the same scratch must not step that seed. A
+/// pre-tripped search from node 5, then one from node 9, must give the
+/// fresh answer from 9 under every strategy and step policy.
+#[test]
+fn an_interrupted_search_leaves_no_frontier_behind() {
+    let graph = pruned_ring();
+    let query = Regex::parse("a·a", graph.alphabet()).unwrap().to_dfa(3);
+    let tripped = CancelToken::with_flag(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(
+        true,
+    )));
+    let expected = eval_binary_from(&query, &graph, 9);
+    assert_eq!(expected.iter().collect::<Vec<_>>(), [11]);
+    for forced in EvalStrategy::ALL {
+        let plan = plan_query_forced(&query, &graph, forced);
+        for (shape, pool) in pool_matrix() {
+            let mut scratch = EvalScratch::new();
+            assert_eq!(
+                pool.evaluate(&mut scratch, &plan, &graph, Goal::BinaryFrom(5), &tripped),
+                Err(Interrupt::Cancelled),
+                "{forced} at {shape}"
+            );
+            assert_eq!(
+                evaluate(&pool, &mut scratch, &plan, &graph, Goal::BinaryFrom(9)),
+                expected,
+                "{forced} at {shape}"
+            );
         }
     }
 }

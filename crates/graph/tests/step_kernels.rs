@@ -3,7 +3,7 @@
 //! The evaluators only ever reach the kernel through whole queries; here
 //! [`GraphDb::step_range_into`] and its whole-frontier forms are driven
 //! directly, as **one matrix** — `Dir::{Out, In}` × every [`StepPlan`]
-//! valid for the frontier (plain and masked always; skip when the
+//! valid for the frontier (plain, masked and sparse always; skip when the
 //! frontier misses the label's active set, covered when it holds all of
 //! it) × {whole frontier, every word-aligned 2- and 3-way partition}
 //! — against one per-node adjacency oracle, on adversarial frontiers
@@ -23,6 +23,13 @@
 //!   clear), while [`GraphDb::step_into`] clears stale scratch;
 //! * the sparse step ≡ the `Dir::Out` oracle;
 //! * out-of-alphabet symbols yield empty output in every cell.
+//!
+//! The [`StepPlan::Sparse`] verdict gets its own graphs, large enough
+//! (256 words) that `Auto` plans it for frontiers of up to 65 nodes:
+//! there [`GraphDb::step_range_visit`] — the visitor form the level
+//! kernel merges from — must visit exactly the oracle's endpoints,
+//! report the frontier productive exactly when it meets the label, and
+//! do both on overlays against their compacted rebuild.
 
 use pathlearn_automata::{Alphabet, BitSet, Symbol};
 use pathlearn_graph::{Dir, GraphBuilder, GraphDb, NodeId, StepPlan, StepPolicy};
@@ -95,11 +102,12 @@ fn adversarial_frontiers(n: usize) -> Vec<BitSet> {
 }
 
 /// The plans the kernel may execute on `frontier` over `sym` in `dir`:
-/// both kernels always, and each verdict whose precondition the
-/// frontier meets.
+/// the three kernels always (`Sparse` is a verdict about the frontier's
+/// size, which only costs, never changes, the answer), and each verdict
+/// whose precondition the frontier meets.
 fn valid_plans(graph: &GraphDb, dir: Dir, frontier: &BitSet, sym: Symbol) -> Vec<StepPlan> {
     let inter = frontier.intersection_len(graph.label_active(dir, sym));
-    let mut plans = vec![StepPlan::Plain, StepPlan::Masked];
+    let mut plans = vec![StepPlan::Plain, StepPlan::Masked, StepPlan::Sparse];
     if inter == 0 {
         plans.push(StepPlan::Skip);
     }
@@ -195,7 +203,12 @@ fn out_of_alphabet_symbol_is_empty_at_every_kernel() {
             graph.plan_step(dir, &frontier, foreign, 70, StepPolicy::Auto),
             StepPlan::Skip
         );
-        for plan in [StepPlan::Plain, StepPlan::Masked, StepPlan::Covered] {
+        for plan in [
+            StepPlan::Plain,
+            StepPlan::Masked,
+            StepPlan::Covered,
+            StepPlan::Sparse,
+        ] {
             let mut out = BitSet::full(70);
             graph.step_into(dir, plan, &frontier, foreign, &mut out);
             assert!(out.is_empty(), "{dir:?} {plan:?}");
@@ -352,6 +365,117 @@ fn covered_steps_follow_overlay_active_sets() {
             }
         }
     }
+}
+
+/// Nodes of the sparse-verdict graphs: 256 frontier words, so a
+/// 65-node frontier over a label of average degree ≤ 1.5 prices at
+/// most 65 · (2 + 1.5) ≤ 256 words and `Auto` plans it sparse.
+const SPARSE_NODES: usize = 256 * 64;
+
+/// The frontiers the level kernel steps sparse: one node (first and
+/// last), 63 / 64 / 65 nodes from node 0 (inside, exactly, and one past
+/// a word), 65 nodes straddling a word boundary, and 64 nodes one word
+/// apart each.
+fn sparse_frontiers(n: usize) -> Vec<BitSet> {
+    vec![
+        BitSet::from_indices(n, [0]),
+        BitSet::from_indices(n, [n - 1]),
+        BitSet::from_indices(n, 0..63),
+        BitSet::from_indices(n, 0..64),
+        BitSet::from_indices(n, 0..65),
+        BitSet::from_indices(n, 100..165),
+        BitSet::from_indices(n, (0..64).map(|i| i * 64 + 1)),
+    ]
+}
+
+/// `Auto` plans every `(frontier, symbol, direction)` that meets the
+/// label `Sparse`, and the sparse kernel visits exactly the oracle's
+/// endpoints (read off `reference`, the compacted rebuild of an
+/// overlay): through the visitor, for the whole frontier and split at
+/// a word boundary inside it, and through [`GraphDb::step_into`].
+fn assert_sparse_steps(graph: &GraphDb, reference: &GraphDb) {
+    let n = graph.num_nodes();
+    let words = graph.num_node_words();
+    for frontier in &sparse_frontiers(n) {
+        for sym in graph.alphabet().symbols() {
+            for dir in Dir::BOTH {
+                let cell = format!("{dir:?} {sym:?} |F|={}", frontier.len());
+                let expected = oracle(reference, dir, frontier, sym);
+                let meets = frontier.intersection_len(graph.label_active(dir, sym)) > 0;
+                let plan = graph.plan_step(dir, frontier, sym, frontier.len(), StepPolicy::Auto);
+                if meets {
+                    assert_eq!(plan, StepPlan::Sparse, "{cell}");
+                }
+                let mut visited = BitSet::new(n);
+                let productive = graph.step_range_visit(dir, frontier, sym, 0..words, |node| {
+                    visited.insert(node as usize);
+                });
+                assert_eq!(visited, expected, "{cell} visit");
+                assert_eq!(productive, meets, "{cell} productive");
+                let mut split = BitSet::new(n);
+                for range in [0..1, 1..2, 2..words] {
+                    graph.step_range_visit(dir, frontier, sym, range, |node| {
+                        split.insert(node as usize);
+                    });
+                }
+                assert_eq!(split, expected, "{cell} split");
+                let mut out = BitSet::full(n);
+                graph.step_into(dir, StepPlan::Sparse, frontier, sym, &mut out);
+                assert_eq!(out, expected, "{cell} step_into");
+            }
+        }
+    }
+}
+
+#[test]
+fn sparse_steps_match_oracle_on_large_graphs() {
+    let graph = layout_graph(SPARSE_NODES);
+    assert_sparse_steps(&graph, &graph);
+}
+
+/// Overlays whose additions and removals land on the sparse frontiers'
+/// own nodes and endpoints — node 0, node |V|−1, both sides of the
+/// first word boundary — against their compacted rebuild.
+#[test]
+fn sparse_steps_match_compacted_on_overlays() {
+    let (a, b, c) = (
+        Symbol::from_index(0),
+        Symbol::from_index(1),
+        Symbol::from_index(2),
+    );
+    let base = layout_graph(SPARSE_NODES);
+    let last = SPARSE_NODES as NodeId - 1;
+    let add = [
+        (0, c, 64),
+        (63, c, last),
+        (64, b, 0),
+        (last, b, 65),
+        (1, a, 130),
+        (129, a, 1),
+    ];
+    let remove = [
+        (0, a, 1),
+        (63, a, 64),
+        (last, c, 0),
+        (0, b, 0),
+        (102, b, 51),
+    ];
+    let overlay = base.with_delta(&add, &remove).unwrap();
+    assert_eq!(overlay.delta_edges(), add.len() + remove.len());
+    assert_sparse_steps(&overlay, &overlay.compact());
+    // Removing every c-edge leaves the label edgeless: skipped, not
+    // sparse, and the visitor finds nothing.
+    let erased = overlay
+        .with_delta(&[], &edges_labeled(&overlay, c))
+        .unwrap();
+    for dir in Dir::BOTH {
+        let one = BitSet::from_indices(SPARSE_NODES, [0]);
+        assert_eq!(
+            erased.plan_step(dir, &one, c, 1, StepPolicy::Auto),
+            StepPlan::Skip
+        );
+    }
+    assert_sparse_steps(&erased, &erased.compact());
 }
 
 /// Strategy: a random graph over {a, b, c} with 1..=130 nodes (spanning

@@ -9,7 +9,9 @@ use pathlearn::automata::product::{
 };
 use pathlearn::automata::state_elim::dfa_to_regex;
 use pathlearn::automata::word::{canonical_cmp, enumerate_words};
-use pathlearn::automata::{determinize::determinize, Dfa, Nfa, Regex, StateId, Symbol};
+use pathlearn::automata::{
+    determinize::determinize, CanonicalQuery, Dfa, Nfa, Regex, StateId, Symbol,
+};
 use proptest::prelude::*;
 
 const ALPHABET: usize = 2;
@@ -63,6 +65,87 @@ fn arb_dfa() -> impl Strategy<Value = Dfa> {
         })
 }
 
+/// Strategy: a random partial DFA over a wide alphabet (|Σ| ∈ 1..=40,
+/// ≤ 12 states) whose reachable part uses at most four symbols — the
+/// shape of a template query over a many-labelled graph — plus
+/// transitions on arbitrary, mostly unused symbols out of the upper
+/// states, which nothing reaches. Returns the DFA and the symbols its
+/// words are drawn from: the used ones and one arbitrary other.
+fn arb_wide_dfa() -> impl Strategy<Value = (Dfa, Vec<Symbol>)> {
+    (
+        (1usize..41, 1usize..13),
+        proptest::collection::vec(0usize..40, 1..5),
+        proptest::collection::vec((0u32..12, 0usize..4, 0u32..12), 0..30),
+        proptest::collection::vec((0u32..12, 0usize..40, 0u32..12), 0..8),
+        proptest::collection::vec(any::<bool>(), 12),
+    )
+        .prop_map(|((sigma, n), used, edges, stray, finals)| {
+            let n = n as u32;
+            // States `reachable..n` are never a target of `edges`, and
+            // state 0 is initial: they are unreachable.
+            let reachable = n.div_ceil(2);
+            let used: Vec<Symbol> = used
+                .iter()
+                .map(|&a| Symbol::from_index(a % sigma))
+                .collect();
+            let mut dfa = Dfa::new(n as usize, sigma, 0);
+            for (from, pick, to) in edges {
+                let sym = used[pick % used.len()];
+                dfa.set_transition(from % reachable, sym, to % reachable);
+            }
+            if reachable < n {
+                for (from, sym, to) in stray {
+                    let from = reachable + from % (n - reachable);
+                    dfa.set_transition(from, Symbol::from_index(sym % sigma), to % n);
+                }
+            }
+            for s in 0..n {
+                if finals[s as usize] {
+                    dfa.set_final(s);
+                }
+            }
+            let mut words_over = used;
+            words_over.push(Symbol::from_index(sigma - 1));
+            words_over.sort_by_key(|sym| sym.index());
+            words_over.dedup();
+            (dfa, words_over)
+        })
+}
+
+/// The bench's `random_dfa`: a pseudo-random DFA with `n` states over
+/// `alphabet` symbols, seven of eight transitions defined.
+fn xorshift_dfa(n: usize, alphabet: usize, seed: u64) -> Dfa {
+    let mut s = seed | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    let mut dfa = Dfa::new(n, alphabet, 0);
+    for state in 0..n as StateId {
+        for a in 0..alphabet {
+            if !next().is_multiple_of(8) {
+                dfa.set_transition(state, Symbol::from_index(a), (next() % n as u64) as StateId);
+            }
+        }
+        if next().is_multiple_of(4) {
+            dfa.set_final(state);
+        }
+    }
+    dfa
+}
+
+/// The `minimize_400` bench input: the production minimizer and the
+/// Moore oracle build the same table on a 400-state DFA.
+#[test]
+fn minimize_agrees_with_moore_on_the_bench_dfa() {
+    let dfa = xorshift_dfa(400, 4, 0xBEEF);
+    let minimal = minimize(&dfa);
+    assert_eq!(minimal, minimize_moore(&dfa));
+    assert!(minimal.num_states() > 1);
+}
+
 /// Strategy: a random regex AST of bounded depth.
 fn arb_regex() -> impl Strategy<Value = Regex> {
     let leaf = prop_oneof![
@@ -90,8 +173,8 @@ proptest! {
         }
     }
 
-    /// Minimization preserves the language, is idempotent, and Hopcroft
-    /// agrees with Moore.
+    /// Minimization preserves the language, is idempotent, and agrees
+    /// with Moore.
     #[test]
     fn minimize_laws(dfa in arb_dfa()) {
         let hopcroft = minimize(&dfa);
@@ -101,6 +184,28 @@ proptest! {
         for word in enumerate_words(ALPHABET, MAX_WORD) {
             prop_assert_eq!(dfa.accepts(&word), hopcroft.accepts(&word), "{:?}", word);
         }
+    }
+
+    /// Over wide alphabets of which the reachable part uses a few
+    /// symbols: the minimizer, which refines over the live symbols only,
+    /// builds Moore's table, preserves the language, and reports as live
+    /// exactly the symbols of the canonical DFA's transitions.
+    #[test]
+    fn minimize_laws_on_wide_alphabets(case in arb_wide_dfa()) {
+        let (dfa, words_over) = case;
+        let minimal = minimize(&dfa);
+        prop_assert_eq!(&minimal, &minimize_moore(&dfa));
+        prop_assert_eq!(&minimize(&minimal), &minimal);
+        for word in enumerate_words(words_over.len(), 4) {
+            let word: Vec<Symbol> = word.iter().map(|sym| words_over[sym.index()]).collect();
+            prop_assert_eq!(dfa.accepts(&word), minimal.accepts(&word), "{:?}", word);
+        }
+        let key = CanonicalQuery::new(&dfa);
+        let mut symbols: Vec<u32> =
+            key.dfa().transitions().map(|(_, sym, _)| sym.index() as u32).collect();
+        symbols.sort_unstable();
+        symbols.dedup();
+        prop_assert_eq!(key.live_symbols(), &symbols[..]);
     }
 
     /// The minimal DFA is no larger than any equivalent trimmed DFA.

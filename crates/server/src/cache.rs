@@ -49,16 +49,11 @@ use std::sync::Arc;
 /// one defined transition in its minimal DFA, sorted. A graph delta that
 /// touches none of these labels provably cannot change the query's
 /// answer — the label-aware invalidation rule of
-/// [`ResultCache::invalidate_labels`].
-pub fn live_alphabet(query: &CanonicalQuery) -> Box<[u32]> {
-    let mut live: Vec<u32> = query
-        .dfa()
-        .transitions()
-        .map(|(_, sym, _)| sym.index() as u32)
-        .collect();
-    live.sort_unstable();
-    live.dedup();
-    live.into_boxed_slice()
+/// [`ResultCache::invalidate_labels`]. The minimizer records the set
+/// when the key is built ([`CanonicalQuery::live_symbols`]), so this
+/// reads a field.
+pub fn live_alphabet(query: &CanonicalQuery) -> &[u32] {
+    query.live_symbols()
 }
 
 /// `true` iff the sorted live-alphabet slice intersects `touched`.
@@ -205,9 +200,6 @@ struct Entry {
     bytes: usize,
     cost: u64,
     priority: f64,
-    /// Sorted live alphabet of the entry's canonical DFA — what
-    /// label-aware invalidation tests deltas against.
-    live: Box<[u32]>,
 }
 
 /// The cost-aware result cache. Single-threaded by design — the owning
@@ -301,7 +293,6 @@ impl ResultCache {
             self.counters.evictions.inc();
         }
         let priority = self.priority(cost, bytes);
-        let live = live_alphabet(&key.query);
         self.bytes += bytes;
         self.map.insert(
             key,
@@ -310,7 +301,6 @@ impl ResultCache {
                 bytes,
                 cost,
                 priority,
-                live,
             },
         );
         self.counters.insertions.inc();
@@ -327,8 +317,8 @@ impl ResultCache {
     pub fn invalidate_labels(&mut self, touched: &[Symbol]) -> usize {
         let bytes = &mut self.bytes;
         let before = self.map.len();
-        self.map.retain(|_, entry| {
-            let dead = intersects(&entry.live, touched);
+        self.map.retain(|key, entry| {
+            let dead = intersects(live_alphabet(&key.query), touched);
             if dead {
                 *bytes = bytes
                     .checked_sub(entry.bytes)
@@ -631,8 +621,8 @@ mod tests {
     fn live_alphabet_is_the_canonical_dfas_stepped_symbols() {
         // Canonicalization prunes what the raw regex mentions but the
         // minimal DFA never steps through: a + a·b·∅-ish spellings.
-        assert_eq!(live_alphabet(&key("a").query).as_ref(), &[0]);
-        assert_eq!(live_alphabet(&key("a·(b+c)").query).as_ref(), &[0, 1, 2]);
+        assert_eq!(live_alphabet(&key("a").query), &[0]);
+        assert_eq!(live_alphabet(&key("a·(b+c)").query), &[0, 1, 2]);
         // ε has an empty live alphabet: no delta can ever kill it.
         assert!(live_alphabet(&key("eps").query).is_empty());
         let mut cache = ResultCache::new(CacheConfig::default());

@@ -818,7 +818,7 @@ impl QueryService {
         // publication stamp check makes their cache insert a no-op.
         inner
             .inflight
-            .retain(|key, _| !intersects(&live_alphabet(&key.query), &touched));
+            .retain(|key, _| !intersects(live_alphabet(&key.query), &touched));
         self.counters.sync_cache_gauges(&inner.cache);
         self.counters.deltas_applied.inc();
         Ok(DeltaApplied {
@@ -1017,7 +1017,7 @@ impl QueryService {
         Admission::Evaluate {
             graph: inner.graph.clone(),
             epoch: inner.epoch,
-            label_stamp: inner.label_stamp(&live_alphabet(&key.query)),
+            label_stamp: inner.label_stamp(live_alphabet(&key.query)),
             ticket,
         }
     }
@@ -1286,8 +1286,7 @@ impl QueryService {
         self.counters.eval_ns_total.add(eval_ns);
         {
             let mut inner = self.inner.lock().unwrap();
-            if inner.epoch == epoch && inner.label_stamp(&live_alphabet(&key.query)) == label_stamp
-            {
+            if inner.epoch == epoch && inner.label_stamp(live_alphabet(&key.query)) == label_stamp {
                 inner.cache.insert(key.clone(), result.clone(), work);
                 self.counters.sync_cache_gauges(&inner.cache);
             }

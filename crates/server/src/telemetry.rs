@@ -483,12 +483,13 @@ impl QueryTrace {
         }
         for level in &self.levels {
             out.push_str(&format!(
-                "  level {:>3} frontier={} tasks={} masked={} covered={} {}us\n",
+                "  level {:>3} frontier={} tasks={} masked={} covered={} sparse={} {}us\n",
                 level.level,
                 level.frontier,
                 level.tasks,
                 level.masked_tasks,
                 level.covered_tasks,
+                level.sparse_tasks,
                 level.nanos / 1_000
             ));
         }

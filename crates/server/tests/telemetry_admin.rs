@@ -8,7 +8,7 @@
 //! log that captures threshold-gated traces.
 
 use pathlearn_automata::{CanonicalQuery, Regex, Symbol};
-use pathlearn_graph::{GraphBuilder, GraphDb};
+use pathlearn_graph::{GraphBuilder, GraphDb, Strategy};
 use pathlearn_server::{
     AdminServer, CacheConfig, Client, NetConfig, QueryService, Response, ServeConfig, Server,
     NO_DEADLINE_MS,
@@ -299,6 +299,33 @@ fn traces_are_consistent_with_served_outcomes() {
     assert!(slow
         .iter()
         .any(|t| t.fingerprint == fingerprint && t.outcome == "hit"));
+}
+
+/// A binary miss starts from one node, which the step gate prices
+/// against `|V|` before any scan: on a 16-word graph its first level is
+/// sparse, and the slow log renders that verdict beside `masked=` /
+/// `covered=`.
+#[test]
+fn a_binary_miss_renders_its_one_node_first_level_sparse() {
+    let graph = ring_graph(1024);
+    let config = ServeConfig {
+        slow_query_threshold: Duration::ZERO,
+        strategy: Strategy::Forward,
+        ..ServeConfig::default()
+    };
+    let service = QueryService::new(graph.clone(), config);
+    service.query_binary_canonical(canonical(&graph, "(a+b)*·c"), 0);
+    let slow = service.telemetry().traces.render_slow();
+    let level0 = slow
+        .lines()
+        .find(|line| line.trim_start().starts_with("level   0 "))
+        .unwrap_or_else(|| panic!("no level 0 in {slow}"));
+    assert!(level0.contains("frontier=1 "), "{level0}");
+    let sparse: u32 = level0
+        .split_once("sparse=")
+        .and_then(|(_, rest)| rest.split(' ').next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no sparse= in {level0}"));
+    assert!(sparse >= 1, "a one-node level 0 is sparse: {slow}");
 }
 
 #[test]
