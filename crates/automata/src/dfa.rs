@@ -100,11 +100,6 @@ impl Dfa {
         self.table[from as usize * self.alphabet_len + sym.index()] = to;
     }
 
-    /// Removes the transition `from --sym-->`.
-    pub fn clear_transition(&mut self, from: StateId, sym: Symbol) {
-        self.table[from as usize * self.alphabet_len + sym.index()] = DEAD;
-    }
-
     /// The successor of `state` on `sym`, if defined.
     ///
     /// `sym` must be within the DFA's alphabet: the table is dense, so a

@@ -72,18 +72,6 @@ impl Nfa {
         self.alphabet_len
     }
 
-    /// Appends a fresh state and returns its id.
-    pub fn add_state(&mut self) -> StateId {
-        let id = self.transitions.len() as StateId;
-        self.transitions.push(Vec::new());
-        let mut finals = BitSet::new(self.transitions.len());
-        for i in self.finals.iter() {
-            finals.insert(i);
-        }
-        self.finals = finals;
-        id
-    }
-
     /// Adds a transition, keeping the per-state rows sorted and deduped.
     pub fn add_transition(&mut self, from: StateId, sym: Symbol, to: StateId) {
         debug_assert!(sym.index() < self.alphabet_len);
@@ -99,13 +87,6 @@ impl Nfa {
         if let Err(pos) = self.initials.binary_search(&state) {
             self.initials.insert(pos, state);
         }
-    }
-
-    /// Replaces the initial-state set.
-    pub fn set_initials(&mut self, states: &[StateId]) {
-        self.initials = states.to_vec();
-        self.initials.sort_unstable();
-        self.initials.dedup();
     }
 
     /// Marks a state as accepting.

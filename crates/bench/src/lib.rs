@@ -9,8 +9,6 @@
 //! | Figure 12 (learning time vs. % labeled nodes) | `fig12_time [bio\|syn]` |
 //! | Table 2 (static vs. interactive labels, time/interaction) | `table2_interactive [bio\|syn]` |
 //!
-//! Criterion micro/ablation benches live under `benches/`.
-//!
 //! All binaries accept `--seed N` (default 42) and `--full` (paper-scale
 //! synthetic graphs 10k/20k/30k; the default quick scale uses 10k only so
 //! the whole harness finishes in minutes).
@@ -21,8 +19,7 @@
 use pathlearn_core::PathQuery;
 use pathlearn_datagen::scale_free::{scale_free_graph, ScaleFreeConfig};
 use pathlearn_datagen::workloads::{bio_workload, syn_workload, CalibratedQuery};
-use pathlearn_graph::{GraphDb, NodeId};
-use pathlearn_interactive::session::{InteractiveConfig, InteractiveSession};
+use pathlearn_graph::GraphDb;
 
 /// Parsed command-line options shared by the harness binaries.
 #[derive(Clone, Debug)]
@@ -102,21 +99,6 @@ pub fn syn_dataset(nodes: usize, seed: u64) -> Dataset {
         graph,
         queries: workload.queries,
     }
-}
-
-/// The `(node, label)` sequence of one real §4 session against `goal`
-/// under `config` — what the micro-benches walk again label by label.
-pub fn recorded_session(
-    graph: &GraphDb,
-    goal: &PathQuery,
-    config: InteractiveConfig,
-) -> Vec<(NodeId, bool)> {
-    InteractiveSession::new(graph, config)
-        .run_against_goal(goal)
-        .interactions
-        .iter()
-        .map(|record| (record.node, record.label))
-        .collect()
 }
 
 /// Returns the datasets selected by the positional argument

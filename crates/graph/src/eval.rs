@@ -67,11 +67,10 @@
 //! | goal, strategy | index | kernels | seed | early exit | answer |
 //! |---|---|---|---|---|---|
 //! | monadic | reverse | in | `V` at every final | `reached[q₀] = V` | `reached[q₀]` |
-//! | monadic within `U` | reverse | in | `V` at every final | `reached[q₀] ⊇ U` | `reached[q₀]` |
 //! | binary, forward | forward | out | `source` at `q₀` | — | `⋃ reached[final]` |
 //!
-//! Monadic evaluation is the one search of the first two rows whatever
-//! the plan's strategy says. The two-phase binary strategies add a
+//! Monadic evaluation is the first row whatever the plan's strategy
+//! says. The two-phase binary strategies add a
 //! **coreachability certificate**
 //! — the monadic search with neither ε shortcut nor early exit,
 //! so that `reached[q]` is complete for *every* state — to the

@@ -391,17 +391,22 @@ fn serve_command(args: &[String]) -> Result<(), String> {
             );
         }
         println!("listening on {}", server.local_addr());
-        println!(
+        // Best-effort: a supervisor may close the pipe after the address
+        // line, and println! would panic on the broken pipe.
+        let mut stdout = std::io::stdout();
+        writeln!(
+            stdout,
             "protocol: framed binary v1 (see pathlearn-server::proto); {}stop with ^C",
             if durable {
                 "deltas are fsynced before acknowledgment; "
             } else {
                 ""
             }
-        );
+        )
+        .ok();
         // Flush so child-process supervisors see the address line
         // immediately even through a pipe.
-        std::io::stdout().flush().ok();
+        stdout.flush().ok();
         loop {
             std::thread::park();
         }
@@ -511,7 +516,7 @@ fn serve_command(args: &[String]) -> Result<(), String> {
     );
     println!(
         "evals: {}; {:.3}s total eval time",
-        stats.sequential_evals,
+        stats.misses,
         stats.eval_ns_total as f64 / 1e9
     );
     println!(

@@ -1312,11 +1312,6 @@ impl Client {
         Response::decode(&payload)
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))
     }
-
-    /// Half-closes the write side (mid-query disconnect fault).
-    pub fn shutdown_write(&self) -> io::Result<()> {
-        self.reader.get_ref().shutdown(Shutdown::Write)
-    }
 }
 
 #[cfg(test)]

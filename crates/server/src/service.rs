@@ -268,8 +268,6 @@ pub struct ServeStats {
     /// Delta overlays folded into a fresh CSR after outgrowing
     /// [`ServeConfig::delta_compact_threshold`].
     pub compactions: u64,
-    /// Admitted queries evaluated (each on its submitting thread).
-    pub sequential_evals: u64,
     /// Admitted monadic queries, plus the binary queries the planner
     /// resolved to the forward engine.
     pub forward_evals: u64,
@@ -323,7 +321,6 @@ struct ServeCounters {
     deltas_applied: Counter,
     label_invalidations: Counter,
     compactions: Counter,
-    sequential_evals: Counter,
     forward_evals: Counter,
     backward_evals: Counter,
     bidirectional_evals: Counter,
@@ -363,7 +360,6 @@ impl ServeCounters {
             deltas_applied: registry.counter("serve.deltas_applied"),
             label_invalidations: registry.counter("serve.label_invalidations"),
             compactions: registry.counter("serve.compactions"),
-            sequential_evals: registry.counter("serve.sequential_evals"),
             forward_evals: registry.counter("serve.forward_evals"),
             backward_evals: registry.counter("serve.backward_evals"),
             bidirectional_evals: registry.counter("serve.bidirectional_evals"),
@@ -387,16 +383,6 @@ impl ServeCounters {
     fn sync_cache_gauges(&self, cache: &ResultCache) {
         self.cache_entries.set(cache.len() as u64);
         self.cache_bytes_used.set(cache.bytes() as u64);
-    }
-}
-
-/// Stable lowercase name of a resolved strategy, for traces.
-fn strategy_name(strategy: Strategy) -> &'static str {
-    match strategy {
-        Strategy::Forward => "forward",
-        Strategy::Backward => "backward",
-        Strategy::Bidirectional => "bidirectional",
-        _ => "auto",
     }
 }
 
@@ -719,7 +705,6 @@ impl QueryService {
             deltas_applied: c.deltas_applied.get(),
             label_invalidations: c.label_invalidations.get(),
             compactions: c.compactions.get(),
-            sequential_evals: c.sequential_evals.get(),
             forward_evals: c.forward_evals.get(),
             backward_evals: c.backward_evals.get(),
             bidirectional_evals: c.bidirectional_evals.get(),
@@ -1080,7 +1065,7 @@ impl QueryService {
         let (outcome, strategy) = match served {
             Served::Hit => ("hit", "-"),
             Served::Coalesced => ("coalesced", "-"),
-            Served::Evaluated { strategy, .. } => ("evaluated", strategy_name(strategy)),
+            Served::Evaluated { strategy, .. } => ("evaluated", strategy.as_str()),
         };
         self.telemetry.traces.record(trace.finish(
             outcome,
@@ -1277,7 +1262,6 @@ impl QueryService {
             std::thread::sleep(self.eval_holdoff);
         }
         self.counters.misses.inc();
-        self.counters.sequential_evals.inc();
         match strategy {
             Strategy::Backward => self.counters.backward_evals.inc(),
             Strategy::Bidirectional => self.counters.bidirectional_evals.inc(),
@@ -1763,6 +1747,83 @@ mod tests {
         // Rebuild clears the plan cache (plans embed graph statistics).
         service.rebuild_graph(figure3_g0());
         assert!(service.inner.lock().unwrap().plans.is_empty());
+    }
+
+    /// Every admitted evaluation lands in exactly one planner bucket, so
+    /// the buckets sum to `serve.misses`; and without deadlines every
+    /// submission is a hit, a miss or a coalesced wait. A seeded mix of
+    /// monadic and binary submissions from three threads, through a
+    /// cache small enough to evict, under Auto and every forced
+    /// strategy.
+    #[test]
+    fn planner_buckets_partition_the_misses() {
+        let graph = figure3_g0();
+        let exprs = [
+            "(a·b)*·c",
+            "a·b",
+            "a*·c",
+            "b·a*",
+            "(a+b)*·c",
+            "c",
+            "a·a·a",
+            "b*·c",
+        ];
+        let queries: Vec<CanonicalQuery> = exprs
+            .iter()
+            .map(|expr| CanonicalQuery::new(&query(&graph, expr)))
+            .collect();
+        let mut state = 7u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % bound) as usize
+        };
+        let mix: Vec<CacheKey> = (0..300)
+            .map(|_| {
+                let query = queries[next(queries.len() as u64)].clone();
+                match next(graph.num_nodes() as u64 + 2) {
+                    0..=1 => CacheKey::monadic(query),
+                    source => CacheKey::binary(query, source as NodeId - 2),
+                }
+            })
+            .collect();
+        let never = CancelToken::never();
+        for strategy in Strategy::ALL {
+            let service = QueryService::new(
+                graph.clone(),
+                ServeConfig {
+                    strategy,
+                    cache: CacheConfig {
+                        capacity_bytes: 4096,
+                    },
+                    ..ServeConfig::default()
+                },
+            );
+            std::thread::scope(|scope| {
+                for part in mix.chunks(mix.len() / 3) {
+                    let (service, never) = (&service, &never);
+                    scope.spawn(move || {
+                        for key in part {
+                            service.submit(key.clone(), never, None).unwrap();
+                        }
+                    });
+                }
+            });
+            let stats = service.stats();
+            assert_eq!(
+                stats.forward_evals + stats.backward_evals + stats.bidirectional_evals,
+                stats.misses,
+                "{strategy}: {stats:?}"
+            );
+            assert_eq!(
+                stats.hits + stats.misses + stats.coalesced,
+                mix.len() as u64,
+                "{strategy}: {stats:?}"
+            );
+            assert!(stats.hits > 0 && stats.misses > 0, "{strategy}: {stats:?}");
+            assert_eq!((stats.deadline_exceeded, stats.cancelled), (0, 0));
+        }
     }
 
     #[test]

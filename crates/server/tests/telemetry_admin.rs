@@ -70,9 +70,10 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 
 /// The pre-registry `STATS` frame key set: every name a v4 client (or
 /// `pqbench`'s `count.*` metrics) may look up by string. The registry
-/// migration must keep all of them answering. One has been retired
-/// since, with the subsumption probe it counted.
-const LEGACY_KEYS: [&str; 32] = [
+/// migration must keep all of them answering. Three have been retired
+/// since ([`RETIRED_KEYS`]): two with the mechanisms they counted, and
+/// one that always equalled `serve.misses`.
+const LEGACY_KEYS: [&str; 31] = [
     "serve.hits",
     "serve.misses",
     "serve.coalesced",
@@ -80,7 +81,6 @@ const LEGACY_KEYS: [&str; 32] = [
     "serve.deltas_applied",
     "serve.label_invalidations",
     "serve.compactions",
-    "serve.sequential_evals",
     "serve.forward_evals",
     "serve.backward_evals",
     "serve.bidirectional_evals",
@@ -105,6 +105,16 @@ const LEGACY_KEYS: [&str; 32] = [
     "net.malformed",
     "net.io_errors",
     "net.queue_depth",
+];
+
+/// Keys `STATS` once carried and must not carry again:
+/// `serve.subsumption_reuses` (the subsumption probe),
+/// `serve.intra_evals` (the intra-query fan-out) and
+/// `serve.sequential_evals` (a copy of `serve.misses`).
+const RETIRED_KEYS: [&str; 3] = [
+    "serve.subsumption_reuses",
+    "serve.intra_evals",
+    "serve.sequential_evals",
 ];
 
 #[test]
@@ -137,6 +147,9 @@ fn stats_counters_are_sorted_and_keep_every_legacy_key() {
 
     for name in LEGACY_KEYS {
         assert!(keys.contains(&name), "legacy key {name} vanished");
+    }
+    for name in RETIRED_KEYS {
+        assert!(!keys.contains(&name), "retired key {name} is back");
     }
     // Histogram-derived keys preserve the legacy latency names and add
     // the new eval/queue-wait families.
