@@ -323,16 +323,6 @@ impl Dfa {
         out
     }
 
-    /// Planner preprocessing: dead/unreachable-state pruning followed by
-    /// BFS state reordering — `trim()` then [`Dfa::canonicalize`].
-    ///
-    /// Language-preserving and alphabet-preserving, so
-    /// [`crate::canonical::CanonicalQuery`] keys are unchanged; every
-    /// evaluation engine sees a smaller, cache-friendlier product.
-    pub fn reduced(&self) -> Dfa {
-        self.trim().canonicalize()
-    }
-
     /// Minimal canonical form: one pass that trims, refines over the
     /// live symbols and numbers the blocks in BFS order. See
     /// [`crate::minimize`].

@@ -17,7 +17,7 @@
 //!   `prune_speedup` compares `Plain` against `Auto`.
 //! * **whole-query planner ablation**: every query of the mix evaluated
 //!   binarily (from a seeded `--sources` batch) under forced `Forward` /
-//!   `Backward` / `Bidirectional` / `Auto`, through `plan_query_forced`
+//!   `Backward` / `Auto`, through `plan_query_forced`
 //!   and [`EvalPool::evaluate`]. The JSON records which engine `Auto`
 //!   resolved to next to every forced timing. (Monadic evaluation has
 //!   one engine, so there is nothing to ablate.)
@@ -28,7 +28,7 @@
 //!   source before discovering the lone `c`-edge; backward evaluation
 //!   seeds the coreach certificate at that edge and only ever touches
 //!   its handful of ancestors. This is the workload shape the
-//!   backward/bidirectional engines exist for, and the probe pins the
+//!   backward engine exists for, and the probe pins the
 //!   expected forced-Backward-beats-forced-Forward gap (and `Auto`'s
 //!   resolution) in the committed JSON.
 //!
@@ -189,7 +189,7 @@ struct StrategyPoint {
 }
 
 /// One query's whole-query-planner ablation: the planned binary engine
-/// (summed over the seeded source batch) under all four strategies, plus
+/// (summed over the seeded source batch) under all three strategies, plus
 /// the engine `Auto` actually resolved to.
 struct PlannerResult {
     name: String,
@@ -252,41 +252,36 @@ fn bench_planner_query(
     let dfa = q.query.dfa();
     let engine = EvalPool::sequential();
     let mut scratch = EvalScratch::new();
-    let binary = [
-        Strategy::Forward,
-        Strategy::Backward,
-        Strategy::Bidirectional,
-        Strategy::Auto,
-    ]
-    .into_iter()
-    .map(|forced| {
-        let plan = plan_query_forced(dfa, graph, forced);
-        for &source in sources {
-            assert_eq!(
-                evaluate(
-                    &engine,
-                    &mut scratch,
-                    &plan,
-                    graph,
-                    Goal::BinaryFrom(source)
-                ),
-                eval_binary_from(dfa, graph, source),
-                "{}: planned binary differs under forced {forced} from {source}",
-                q.name
-            );
-        }
-        let ns = median_ns(runs, || {
+    let binary = [Strategy::Forward, Strategy::Backward, Strategy::Auto]
+        .into_iter()
+        .map(|forced| {
+            let plan = plan_query_forced(dfa, graph, forced);
             for &source in sources {
-                let goal = Goal::BinaryFrom(source);
-                std::hint::black_box(evaluate(&engine, &mut scratch, &plan, graph, goal));
+                assert_eq!(
+                    evaluate(
+                        &engine,
+                        &mut scratch,
+                        &plan,
+                        graph,
+                        Goal::BinaryFrom(source)
+                    ),
+                    eval_binary_from(dfa, graph, source),
+                    "{}: planned binary differs under forced {forced} from {source}",
+                    q.name
+                );
             }
-        });
-        StrategyPoint {
-            strategy: forced,
-            ns,
-        }
-    })
-    .collect();
+            let ns = median_ns(runs, || {
+                for &source in sources {
+                    let goal = Goal::BinaryFrom(source);
+                    std::hint::black_box(evaluate(&engine, &mut scratch, &plan, graph, goal));
+                }
+            });
+            StrategyPoint {
+                strategy: forced,
+                ns,
+            }
+        })
+        .collect();
     PlannerResult {
         name: q.name.clone(),
         binary_auto: plan_query(dfa, graph).binary_strategy(),
@@ -326,7 +321,7 @@ fn rare_target_dfa() -> Dfa {
     dfa
 }
 
-/// Times the rare-target direction probe: all four forced binary
+/// Times the rare-target direction probe: all three forced binary
 /// strategies from source 0, bit-identity asserted first.
 fn bench_direction_probe(nodes: usize, runs: usize) -> DirectionProbe {
     let graph = direction_probe_graph(nodes, 8);
@@ -337,29 +332,24 @@ fn bench_direction_probe(nodes: usize, runs: usize) -> DirectionProbe {
     let engine = EvalPool::sequential();
     let goal = Goal::BinaryFrom(source);
     let mut scratch = EvalScratch::new();
-    let binary = [
-        Strategy::Forward,
-        Strategy::Backward,
-        Strategy::Bidirectional,
-        Strategy::Auto,
-    ]
-    .into_iter()
-    .map(|forced| {
-        let plan = plan_query_forced(&dfa, &graph, forced);
-        assert_eq!(
-            evaluate(&engine, &mut scratch, &plan, &graph, goal),
-            expected,
-            "direction probe differs under forced {forced}"
-        );
-        let ns = median_ns(runs, || {
-            std::hint::black_box(evaluate(&engine, &mut scratch, &plan, &graph, goal));
-        });
-        StrategyPoint {
-            strategy: forced,
-            ns,
-        }
-    })
-    .collect();
+    let binary = [Strategy::Forward, Strategy::Backward, Strategy::Auto]
+        .into_iter()
+        .map(|forced| {
+            let plan = plan_query_forced(&dfa, &graph, forced);
+            assert_eq!(
+                evaluate(&engine, &mut scratch, &plan, &graph, goal),
+                expected,
+                "direction probe differs under forced {forced}"
+            );
+            let ns = median_ns(runs, || {
+                std::hint::black_box(evaluate(&engine, &mut scratch, &plan, &graph, goal));
+            });
+            StrategyPoint {
+                strategy: forced,
+                ns,
+            }
+        })
+        .collect();
     DirectionProbe {
         nodes: graph.num_nodes(),
         edges: graph.num_edges(),
@@ -401,9 +391,9 @@ fn write_json(path: &str, seed: u64, runs: usize, scales: &[ScaleResult]) -> std
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"benchmark\": \"RPQ evaluation ablations: frontier-batched vs seed queued BFS, cost-model step gate (skip/covered/masked/plain) per query, whole-query planner (forward/backward/bidirectional) + rare-target direction probe\",\n",
+        "  \"benchmark\": \"RPQ evaluation ablations: frontier-batched vs seed queued BFS, cost-model step gate (skip/covered/masked/plain) per query, whole-query planner (forward/backward) + rare-target direction probe\",\n",
     );
-    out.push_str("  \"schema_version\": 9,\n");
+    out.push_str("  \"schema_version\": 10,\n");
     out.push_str(&format!(
         "  \"hardware\": {{\"available_cores\": {}}},\n",
         std::thread::available_parallelism().map_or(0, |n| n.get())
@@ -527,7 +517,6 @@ fn print_planner(planner: &PlannerAblation) {
                 r.name.clone(),
                 ms(&r.binary, Strategy::Forward),
                 ms(&r.binary, Strategy::Backward),
-                ms(&r.binary, Strategy::Bidirectional),
                 ms(&r.binary, Strategy::Auto),
                 r.binary_auto.to_string(),
             ]
@@ -539,22 +528,18 @@ fn print_planner(planner: &PlannerAblation) {
     );
     println!(
         "{}",
-        ascii_table(
-            &["query", "b-fwd", "b-back", "b-bidi", "b-auto", "b-pick"],
-            &rows
-        )
+        ascii_table(&["query", "b-fwd", "b-back", "b-auto", "b-pick"], &rows)
     );
     let probe = &planner.probe;
     println!(
         "rare-target direction probe ({} nodes, {} edges, {} from node 0): \
-         forward {:.3} ms vs backward {:.3} ms = {:.2}x, bidi {:.3} ms, auto picked {}",
+         forward {:.3} ms vs backward {:.3} ms = {:.2}x, auto picked {}",
         probe.nodes,
         probe.edges,
         probe.query,
         PlannerResult::point(&probe.binary, Strategy::Forward) as f64 / 1e6,
         PlannerResult::point(&probe.binary, Strategy::Backward) as f64 / 1e6,
         probe.backward_speedup(),
-        PlannerResult::point(&probe.binary, Strategy::Bidirectional) as f64 / 1e6,
         probe.binary_auto
     );
 }

@@ -44,7 +44,7 @@
 //!    certificate;
 //! 4. **merges** it into every target state.
 //!
-//! A sparse task fuses 2–4: [`GraphDb::step_range_visit`] hands it each
+//! A sparse task fuses 2–4: [`GraphDb::step_visit`] hands it each
 //! endpoint of the frontier's edges, which it checks against the
 //! certificate and test-and-sets into `reached` and the next frontier
 //! of every target state, so it makes no `|V|`-word pass beyond finding
@@ -70,13 +70,12 @@
 //! | binary, forward | forward | out | `source` at `q₀` | — | `⋃ reached[final]` |
 //!
 //! Monadic evaluation is the first row whatever the plan's strategy
-//! says. The two-phase binary strategies add a
+//! says. The *backward* binary strategy adds a
 //! **coreachability certificate**
 //! — the monadic search with neither ε shortcut nor early exit,
 //! so that `reached[q]` is complete for *every* state — to the
-//! binary-forward pass: *backward* runs it to its fixpoint first and
-//! prunes every forward step by it; *bidirectional* interleaves the two
-//! level for level and starts pruning once the certificate converges.
+//! binary-forward pass: it runs that search to its fixpoint first, then
+//! prunes every forward step by the converged `reached` sets.
 //!
 //! The cancel token is checked once per level, before the level runs,
 //! so an interrupt never tears a half-merged level and the scratch stays
@@ -365,8 +364,8 @@ impl Work {
 /// Reusable buffers for [`EvalPool::evaluate`].
 ///
 /// One evaluation of a `|Q|`-state query on a `|V|`-node graph needs
-/// `3·|Q| + 1` node bitsets (twice that for the two-phase binary
-/// strategies); callers that evaluate repeatedly — the learner's line-6
+/// `3·|Q| + 1` node bitsets (twice that for the backward binary
+/// strategy); callers that evaluate repeatedly — the learner's line-6
 /// check, F1 scoring, the serving layer's miss path — would otherwise
 /// allocate and free them per call. An `EvalScratch` owns the buffers
 /// and re-fits them lazily: reuse on the same graph is allocation-free,
@@ -398,7 +397,7 @@ impl Work {
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     main: Side,
-    /// The coreachability search of the two-phase binary strategies.
+    /// The coreachability search of the backward binary strategy.
     certificate: Side,
     work: Work,
 }
@@ -443,7 +442,7 @@ fn run_task(
     !out.is_empty()
 }
 
-/// Runs a [`StepPlan::Sparse`] task through [`GraphDb::step_range_visit`]:
+/// Runs a [`StepPlan::Sparse`] task through [`GraphDb::step_visit`]:
 /// every endpoint that survives the target's certificate (if any) is
 /// test-and-set straight into `reached` and the next frontier of each
 /// target state — no step buffer, no merge pass. Reports whether some
@@ -470,8 +469,7 @@ fn run_sparse_task(
     });
     let frontier = &frontier.sets[task.state as usize];
     let sym = Symbol::from_index(task.row.sym as usize);
-    let words = 0..graph.num_node_words();
-    graph.step_range_visit(pass.dir, frontier, sym, words, |endpoint| {
+    graph.step_visit(pass.dir, frontier, sym, |endpoint| {
         let endpoint = endpoint as usize;
         if pruning.is_some_and(|certificate| !certificate.contains(endpoint)) {
             return;
@@ -519,7 +517,7 @@ impl EvalPool {
 
     /// Sets the step-kernel policy (see [`StepPolicy`]) applied by every
     /// evaluation this handle runs. Results are bit-identical under every
-    /// policy; the knob exists for the masked-kernel ablation and
+    /// policy; the knob exists for the step-gate ablation and
     /// differential testing.
     pub fn with_step_policy(mut self, policy: StepPolicy) -> Self {
         self.step_policy = policy;
@@ -620,10 +618,9 @@ impl EvalPool {
 
     /// The driver: steps `side` level by level until its frontier dies
     /// out or `done` says the answer is settled, checking `cancel` once
-    /// per level. With a `certificate` search alongside, that search is
-    /// advanced one level first for as long as it is live, and prunes
-    /// `side`'s steps **once it has converged** — pruning by a partial
-    /// coreach would be unsound (membership is only known at fixpoint).
+    /// per level. A `certificate` — the `reached` sets of a coreach
+    /// search run to its fixpoint, never a partial one (membership is
+    /// only known at fixpoint) — prunes every step of `side`.
     #[allow(clippy::too_many_arguments)]
     fn drive(
         &self,
@@ -631,22 +628,13 @@ impl EvalPool {
         work: &mut Work,
         side: &mut Side,
         pass: Pass<'_>,
-        mut certificate: Option<(&mut Side, Pass<'_>)>,
+        certificate: Option<&[BitSet]>,
         done: impl Fn(&[BitSet]) -> bool,
         cancel: &CancelToken,
     ) -> Result<(), Interrupt> {
         while !side.is_done() {
             cancel.check()?;
-            let pruning = match &mut certificate {
-                None => None,
-                Some((coreach, coreach_pass)) => {
-                    if !coreach.is_done() {
-                        self.step_level(graph, *coreach_pass, coreach, None, work);
-                    }
-                    coreach.is_done().then_some(coreach.reached.as_slice())
-                }
-            };
-            self.step_level(graph, pass, side, pruning, work);
+            self.step_level(graph, pass, side, certificate, work);
             if done(&side.reached) {
                 break;
             }
@@ -739,11 +727,9 @@ impl EvalPool {
             work,
         } = scratch;
         work.prepare(v);
-        let forward = TransIndex::forward(query, sigma);
-        let reverse;
         let coreach = match plan.binary_strategy() {
-            Strategy::Backward | Strategy::Bidirectional => {
-                reverse = TransIndex::reverse(query, sigma);
+            Strategy::Backward => {
+                let reverse = TransIndex::reverse(query, sigma);
                 let pass = Pass {
                     index: &reverse,
                     dir: Dir::In,
@@ -752,18 +738,17 @@ impl EvalPool {
                 for f in query.finals().iter() {
                     certificate.seed_all(f);
                 }
-                if plan.binary_strategy() == Strategy::Backward {
-                    self.drive(graph, work, certificate, pass, None, |_| false, cancel)?;
-                    // A source outside coreach[q₀] starts no accepting
-                    // path (finals' coreach is full, so ε survives this).
-                    if !certificate.reached[q0].contains(source) {
-                        return Ok(BitSet::new(v));
-                    }
+                self.drive(graph, work, certificate, pass, None, |_| false, cancel)?;
+                // A source outside coreach[q₀] starts no accepting path
+                // (finals' coreach is full, so ε survives this).
+                if !certificate.reached[q0].contains(source) {
+                    return Ok(BitSet::new(v));
                 }
-                Some((&mut *certificate, pass))
+                Some(certificate.reached.as_slice())
             }
             _ => None,
         };
+        let forward = TransIndex::forward(query, sigma);
         let pass = Pass {
             index: &forward,
             dir: Dir::Out,
@@ -1133,7 +1118,7 @@ mod tests {
 
     #[test]
     fn every_step_policy_agrees() {
-        // Plain / Masked / Auto are pure execution strategies:
+        // Plain / Auto are pure execution strategies:
         // the selected sets must be bit-identical for monadic and binary
         // semantics on every query shape, including dead labels and a
         // query alphabet smaller than the graph's.

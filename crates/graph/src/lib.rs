@@ -7,7 +7,7 @@
 //!
 //! * [`graph`] — the [`GraphDb`] container (one label-partitioned CSR
 //!   adjacency per [`Dir`], interned labels, named nodes), its one
-//!   frontier step kernel ([`GraphDb::step_range_into`]) and its builder;
+//!   frontier step kernel ([`GraphDb::step_into`]) and its builder;
 //! * [`paths`] — the `paths_G` machinery: the all-accepting NFA view,
 //!   word-membership by simulation, bounded canonical-order enumeration,
 //!   and the product emptiness test of Algorithm 1's merge oracle
@@ -21,9 +21,9 @@
 //!   level-synchronous product BFS on the caller's thread, with the
 //!   reusable [`eval::EvalScratch`] buffers, the `eval_monadic` /
 //!   `eval_binary_from` shorthands and the two test oracles;
-//! * [`plan`] — whole-query planning: automaton preprocessing and the
-//!   forward / backward / bidirectional choice of binary engine, i.e.
-//!   which parameter set the driver runs a binary goal with;
+//! * [`plan`] — whole-query planning: the forward / backward choice of
+//!   binary engine, i.e. which parameter set the driver runs a binary
+//!   goal with;
 //! * [`observer`] — thread-local per-BFS-level sampling
 //!   ([`observer::collect_levels`]): the zero-cost-when-off hook the
 //!   serving layer's query traces ride, recording frontier size, kernel

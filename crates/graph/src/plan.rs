@@ -1,39 +1,32 @@
-//! Whole-query evaluation planning: automaton preprocessing plus the
-//! choice of binary engine (forward / backward / bidirectional).
+//! Whole-query evaluation planning: the choice of binary engine
+//! (forward or backward).
 //!
-//! The PR 4 cost gate ([`crate::graph::StepPolicy`]) prices each
-//! `(level, symbol)` kernel *during* evaluation; this module generalizes
-//! that to **whole-query** decisions made *before* evaluation:
+//! The step cost gate ([`crate::graph::StepPolicy`]) prices each
+//! `(level, symbol)` kernel *during* evaluation; this module makes the
+//! one **whole-query** decision made *before* evaluation: which binary
+//! engine to run, chosen from the graph's frozen per-label statistics
+//! (active-node popcounts and average degrees,
+//! [`GraphDb::label_active_count`] and [`GraphDb::label_avg_degree`]):
 //!
-//! 1. **Preprocess the automaton** ([`pathlearn_automata::Dfa::reduced`]):
-//!    dead/unreachable-state pruning plus BFS state reordering, so every
-//!    engine sees a smaller product with cache-friendly state numbering.
-//!    Language-preserving, hence
-//!    [`pathlearn_automata::CanonicalQuery`]-key-preserving.
-//! 2. **Choose the binary engine** from the graph's frozen per-label
-//!    statistics (active-node popcounts and average degrees,
-//!    [`GraphDb::label_active_count`] and [`GraphDb::label_avg_degree`]):
+//! * **Forward** — deterministic forward search from the source.
+//! * **Backward** — two-phase: a full backward **coreachability**
+//!   fixpoint followed by a forward pass whose every step is
+//!   intersected with the coreach certificate. When the query's target
+//!   side touches a rare label the certificate collapses to a sliver of
+//!   the graph and the forward pass does almost no work. The forward
+//!   pass only starts once the certificate has converged (a node's
+//!   coreach membership is only known at fixpoint), which keeps both
+//!   engines **bit-identical**.
 //!
-//!    * **Forward** — deterministic forward search from the source.
-//!    * **Backward** — two-phase: a full backward **coreachability**
-//!      fixpoint followed by a forward pass whose every step is
-//!      intersected with the coreach certificate. When the query's
-//!      target side touches a rare label the certificate collapses to a
-//!      sliver of the graph and the forward pass does almost no work.
-//!    * **Bidirectional** — meet-in-the-middle: backward-coreach levels
-//!      and forward levels **interleave**; once the backward side
-//!      converges, remaining forward steps are certificate-pruned, and
-//!      if the forward side finishes first the backward side is simply
-//!      abandoned. Pruning by a *partial* certificate would be unsound
-//!      (a node's coreach membership is only known at fixpoint), so
-//!      forward steps stay unpruned until convergence — which also
-//!      keeps every strategy **bit-identical**.
+//! A plan evaluates the query DFA **as given**. The canonical DFAs the
+//! serving layer plans are minimal, hence already trimmed and
+//! BFS-numbered, so there is nothing left to preprocess.
 //!
 //! Monadic evaluation has **one** engine — the backward product search
-//! over the query DFA as given, seeded at its accepting states (see
+//! over the query DFA, seeded at its accepting states (see
 //! [`crate::eval`]) — so a plan decides nothing for a monadic goal: a
-//! monadic query has no distinguished source side to search from or
-//! meet at, and every [`Strategy`] evaluates it the same way.
+//! monadic query has no distinguished source side to search from, and
+//! every [`Strategy`] evaluates it the same way.
 //!
 //! ## The direction estimate
 //!
@@ -53,11 +46,11 @@
 //! approximates total frontier mass processed. The estimate compares
 //! forward-from-one-node growth against the coreach fixpoint cost
 //! (`|V|` seeded at every accepting state, propagated along reverse
-//! transitions), requiring a 2× margin before committing to Backward
-//! and settling for Bidirectional in between. Estimates only ever pick
-//! *which* parameter set [`crate::EvalPool::evaluate`] drives its one
-//! level loop with (see [`crate::eval`]) — results are bit-identical
-//! regardless, as the strategy-matrix differential suite asserts.
+//! transitions), and `Auto` picks Backward exactly when the backward
+//! cost is the smaller one. Estimates only ever pick *which* parameter
+//! set [`crate::EvalPool::evaluate`] drives its one level loop with
+//! (see [`crate::eval`]) — results are bit-identical regardless, as the
+//! strategy-matrix differential suite asserts.
 
 use crate::eval::TransIndex;
 use crate::graph::{Dir, GraphDb};
@@ -71,7 +64,7 @@ pub const HORIZON: usize = 8;
 /// Binary evaluation strategy.
 ///
 /// `Auto` resolves to a concrete engine at planning time
-/// ([`plan_query`]); the other three force it, which the benchmark
+/// ([`plan_query`]); the other two force it, which the benchmark
 /// ablation and the differential suite use to pin every engine.
 /// Monadic evaluation has one engine and ignores the strategy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -83,18 +76,11 @@ pub enum Strategy {
     Forward,
     /// Coreachability fixpoint, then a certificate-pruned forward pass.
     Backward,
-    /// Meet-in-the-middle: the two searches interleaved.
-    Bidirectional,
 }
 
 impl Strategy {
     /// All strategies, for ablation sweeps and tests.
-    pub const ALL: [Strategy; 4] = [
-        Strategy::Auto,
-        Strategy::Forward,
-        Strategy::Backward,
-        Strategy::Bidirectional,
-    ];
+    pub const ALL: [Strategy; 3] = [Strategy::Auto, Strategy::Forward, Strategy::Backward];
 
     /// Stable lowercase name (stats counters, bench JSON, CLI).
     pub fn as_str(self) -> &'static str {
@@ -102,7 +88,6 @@ impl Strategy {
             Strategy::Auto => "auto",
             Strategy::Forward => "forward",
             Strategy::Backward => "backward",
-            Strategy::Bidirectional => "bidirectional",
         }
     }
 }
@@ -124,8 +109,7 @@ pub struct DirectionEstimate {
     pub backward: f64,
 }
 
-/// A planned query: the preprocessed automaton plus the resolved
-/// binary strategy.
+/// A planned query: the automaton plus the resolved binary strategy.
 ///
 /// Plans depend only on the query's language and the graph's frozen
 /// statistics, so the serving layer caches them keyed by
@@ -139,11 +123,10 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// The forward plan of `query` **as given**: no `reduced()`, no
-    /// estimates — what the raw-DFA shorthands
-    /// ([`crate::eval::eval_monadic`] and friends) evaluate under, and
-    /// what a caller that will evaluate a DFA once, or only monadically,
-    /// should use instead of paying for a planning pass.
+    /// The forward plan of `query` without estimates — what the raw-DFA
+    /// shorthands ([`crate::eval::eval_monadic`] and friends) evaluate
+    /// under, and what a caller that will evaluate a DFA once, or only
+    /// monadically, should use instead of paying for a planning pass.
     pub fn forward(query: &Dfa) -> QueryPlan {
         QueryPlan {
             query: query.clone(),
@@ -152,15 +135,13 @@ impl QueryPlan {
         }
     }
 
-    /// The query DFA every engine evaluates (trimmed and BFS-reordered
-    /// by [`plan_query`]).
+    /// The query DFA every engine evaluates, as the plan was given it.
     pub fn query(&self) -> &Dfa {
         &self.query
     }
 
-    /// Resolved binary strategy: [`Strategy::Forward`],
-    /// [`Strategy::Backward`] or [`Strategy::Bidirectional`], never
-    /// `Auto`.
+    /// Resolved binary strategy: [`Strategy::Forward`] or
+    /// [`Strategy::Backward`], never `Auto`.
     pub fn binary_strategy(&self) -> Strategy {
         self.binary
     }
@@ -240,8 +221,8 @@ fn sim_deterministic(dfa: &Dfa, graph: &GraphDb) -> f64 {
     simulate(&index, graph, Dir::Out, mass)
 }
 
-/// Plans a query under [`Strategy::Auto`]: preprocess, estimate both
-/// directions, resolve. See [`plan_query_forced`] to pin a strategy.
+/// Plans a query under [`Strategy::Auto`]: estimate both directions,
+/// resolve. See [`plan_query_forced`] to pin a strategy.
 pub fn plan_query(query: &Dfa, graph: &GraphDb) -> QueryPlan {
     plan_query_forced(query, graph, Strategy::Auto)
 }
@@ -251,26 +232,19 @@ pub fn plan_query(query: &Dfa, graph: &GraphDb) -> QueryPlan {
 /// diagnostics and the bench ablation can always report it. Linear in
 /// the automaton: nothing here determinizes.
 pub fn plan_query_forced(query: &Dfa, graph: &GraphDb, forced: Strategy) -> QueryPlan {
-    let reduced = query.reduced();
     let binary_estimate = DirectionEstimate {
-        forward: sim_deterministic(&reduced, graph),
+        forward: sim_deterministic(query, graph),
         // The coreach fixpoint dominates the backward binary engine;
         // the certificate-pruned forward pass it buys is the payoff.
-        backward: sim_codeterministic(&reduced, graph),
-    };
-    let auto_binary = if 2.0 * binary_estimate.backward < binary_estimate.forward {
-        Strategy::Backward
-    } else if binary_estimate.backward < binary_estimate.forward {
-        Strategy::Bidirectional
-    } else {
-        Strategy::Forward
+        backward: sim_codeterministic(query, graph),
     };
     let binary = match forced {
-        Strategy::Auto => auto_binary,
+        Strategy::Auto if binary_estimate.backward < binary_estimate.forward => Strategy::Backward,
+        Strategy::Auto => Strategy::Forward,
         forced => forced,
     };
     QueryPlan {
-        query: reduced,
+        query: query.clone(),
         binary,
         binary_estimate,
     }
@@ -282,7 +256,7 @@ mod tests {
     use crate::eval::{eval_binary_from, eval_monadic, EvalScratch, Goal};
     use crate::graph::figure3_g0;
     use crate::{CancelToken, EvalPool};
-    use pathlearn_automata::{BitSet, CanonicalQuery, Regex};
+    use pathlearn_automata::{BitSet, Regex};
 
     fn evaluate(
         scratch: &mut EvalScratch,
@@ -344,11 +318,7 @@ mod tests {
     fn forced_strategies_resolve_as_requested() {
         let graph = figure3_g0();
         let q = query(&graph, "(a·b)*·c");
-        for forced in [
-            Strategy::Forward,
-            Strategy::Backward,
-            Strategy::Bidirectional,
-        ] {
+        for forced in [Strategy::Forward, Strategy::Backward] {
             let plan = plan_query_forced(&q, &graph, forced);
             assert_eq!(plan.binary_strategy(), forced);
         }
@@ -359,16 +329,15 @@ mod tests {
     #[test]
     fn plan_preprocessing_preserves_language_and_key() {
         let graph = figure3_g0();
-        // A deliberately wasteful spelling: minimization would shrink it,
-        // but the plan only trims/reorders — language must be intact.
+        // A deliberately wasteful spelling: planning rewrites no
+        // automaton, so the plan evaluates exactly the DFA it was given
+        // and its language and canonical key are the caller's.
         let q = query(&graph, "(a+a)·(b·eps)*·c+a·(b)*·c");
-        let plan = plan_query(&q, &graph);
-        assert!(plan.query().equivalent(&q));
-        assert_eq!(CanonicalQuery::new(plan.query()), CanonicalQuery::new(&q));
-        assert!(plan.query().num_states() <= q.num_states().max(1));
-        // A forward plan keeps the DFA as given.
+        for forced in Strategy::ALL {
+            assert_eq!(plan_query_forced(&q, &graph, forced).query(), &q);
+        }
         let raw = QueryPlan::forward(&q);
-        assert_eq!(raw.query().num_states(), q.num_states());
+        assert_eq!(raw.query(), &q);
         assert_eq!(raw.binary_strategy(), Strategy::Forward);
     }
 

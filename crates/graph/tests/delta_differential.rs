@@ -7,7 +7,7 @@
 //! path sound: for **random delta sequences** (stacked batches with
 //! no-op removals, duplicate additions, and cross-batch cancellation),
 //! the overlay graph is **bit-identical** to a from-scratch rebuild of
-//! the same edge set — monadic and binary, under all four forced
+//! the same edge set — monadic and binary, under all three forced
 //! planner strategies — and [`GraphDb::compact`] folds the overlay away
 //! without changing a single bit, node id, or interned symbol. Overlays
 //! are per-label copy-on-write, so the suite also keeps every
@@ -141,7 +141,7 @@ fn apply_all(base: &GraphDb, batches: &[RawBatch]) -> (GraphDb, GraphDb) {
 }
 
 /// The full strategy matrix on one (graph, query) pair: overlay vs
-/// reference, monadic and binary from every source, all four forced
+/// reference, monadic and binary from every source, all three forced
 /// strategies, through one reused scratch.
 fn assert_delta_matrix(
     overlay: &GraphDb,

@@ -1,23 +1,23 @@
 //! Strategy-matrix differential suite for the whole-query planner.
 //!
-//! The planner ([`pathlearn_graph::plan`]) chooses among three binary
-//! engines — Forward (the plain product BFS), Backward (the
-//! coreach-pruned pass), and Bidirectional (meet-in-the-middle) — or
-//! resolves the choice itself under Auto; monadic evaluation has one
+//! The planner ([`pathlearn_graph::plan`]) chooses between two binary
+//! engines — Forward (the plain product BFS) and Backward (the
+//! coreach-pruned pass) — or resolves the choice itself under Auto;
+//! monadic evaluation has one
 //! engine whatever the plan says. The contract is absolute: **every
 //! strategy is bit-identical to plain forward evaluation** (and,
 //! monadically, to the queued oracle), for both goals (monadic, binary),
 //! under every step-kernel policy, with and without a cancel token in
 //! play. This suite is the matrix: random graph × random query
 //! (regex-derived and raw DFAs with dead/unreachable states and padded
-//! alphabets) × all four forced strategies × all step policies — small
+//! alphabets) × all three forced strategies × both step policies — small
 //! graphs for breadth, multi-word graphs (≥ 200 nodes) so the
-//! certificate-pruned Backward / Bidirectional passes run many levels
+//! certificate-pruned Backward pass runs many levels
 //! over several frontier words — plus constructed asymmetric graphs pinning
 //! that Auto actually picks the expected direction on the shapes the
 //! estimate exists for (hub-fanout sources, rare-label targets).
 
-use pathlearn_automata::{Alphabet, BitSet, CanonicalQuery, Dfa, Regex, Symbol};
+use pathlearn_automata::{Alphabet, BitSet, Dfa, Regex, Symbol};
 use pathlearn_graph::eval::{
     eval_binary_from, eval_monadic, eval_monadic_queued, EvalScratch, Goal,
 };
@@ -94,8 +94,8 @@ fn arb_regex_dfa() -> impl Strategy<Value = Dfa> {
 
 /// Strategy: a **raw** random DFA — partial table, arbitrary finals,
 /// dead and unreachable states, possibly a smaller alphabet than the
-/// graph's. The planner's `reduced()`/`reverse()` preprocessing must
-/// digest these without changing any answer.
+/// graph's. Every engine must digest these, as given, without changing
+/// any answer.
 fn arb_raw_dfa() -> impl Strategy<Value = Dfa> {
     (
         1usize..6,
@@ -203,7 +203,7 @@ fn arb_wide_graph() -> impl Strategy<Value = GraphDb> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Monadic semantics: Forward ≡ Backward ≡ Bidirectional ≡ Auto ≡
+    /// Monadic semantics: Forward ≡ Backward ≡ Auto ≡
     /// the queued oracle through the one engine under every step policy,
     /// on regex-derived and raw random DFAs alike.
     #[test]
@@ -211,28 +211,23 @@ proptest! {
         assert_monadic_matrix(&graph, &query, &pool_matrix())?;
     }
 
-    /// Binary semantics from every source node: all four strategies ≡
+    /// Binary semantics from every source node: all three strategies ≡
     /// plain forward evaluation under every step policy. This is where
-    /// the coreach-pruned backward pass and the meet-in-the-middle
-    /// engine actually diverge structurally from forward — and must not
-    /// diverge observably.
+    /// the coreach-pruned backward pass actually diverges structurally
+    /// from forward — and must not diverge observably.
     #[test]
     fn binary_strategies_agree(graph in arb_graph(), query in arb_query()) {
         assert_binary_matrix(&graph, &query, &pool_matrix(), graph.nodes())?;
     }
 
-    /// Planning invariants on arbitrary inputs: preprocessing preserves
-    /// the language (and hence the `CanonicalQuery` cache key), the
-    /// resolved strategy is never `Auto`, and the direction estimate is
-    /// finite and non-negative.
+    /// Planning invariants on arbitrary inputs: the plan evaluates the
+    /// query as given (so its language and `CanonicalQuery` cache key
+    /// are the caller's), the resolved strategy is never `Auto`, and
+    /// the direction estimate is finite and non-negative.
     #[test]
     fn plans_are_well_formed(graph in arb_graph(), query in arb_query()) {
         let plan = plan_query(&query, &graph);
-        prop_assert!(query.equivalent(plan.query()));
-        prop_assert_eq!(
-            CanonicalQuery::new(&query),
-            CanonicalQuery::new(plan.query())
-        );
+        prop_assert_eq!(plan.query(), &query);
         prop_assert_ne!(plan.binary_strategy(), EvalStrategy::Auto);
         let est = plan.binary_estimate();
         prop_assert!(est.forward.is_finite() && est.forward >= 0.0);
@@ -245,7 +240,7 @@ proptest! {
 
     /// The whole matrix again on multi-word graphs: every search — the
     /// backward coreach, the certificate-pruned forward pass of
-    /// Backward / Bidirectional, the monadic search — steps frontiers
+    /// Backward, the monadic search — steps frontiers
     /// spanning several words, and must still be bit-identical to
     /// `eval_monadic` / `eval_binary_from`.
     #[test]
@@ -361,9 +356,9 @@ fn hub_graph_with_rare_target(n: usize, fanout: usize) -> GraphDb {
     builder.build()
 }
 
-/// Auto picks a non-forward direction for a rare-label-target binary
-/// query on a hub graph, forward for a dense-label query — and both
-/// resolutions are bit-identical to forward anyway.
+/// Auto picks backward for a rare-label-target binary query on a hub
+/// graph, forward for a dense-label query — and both resolutions are
+/// bit-identical to forward anyway.
 #[test]
 fn auto_picks_expected_binary_direction_on_asymmetric_graphs() {
     let graph = hub_graph_with_rare_target(256, 16);
@@ -378,10 +373,10 @@ fn auto_picks_expected_binary_direction_on_asymmetric_graphs() {
         est.forward,
         est.backward
     );
-    assert_ne!(
+    assert_eq!(
         plan.binary_strategy(),
-        EvalStrategy::Forward,
-        "rare-target hub query must not plan forward (estimates: fwd {} back {})",
+        EvalStrategy::Backward,
+        "rare-target hub query must plan backward (estimates: fwd {} back {})",
         est.forward,
         est.backward
     );
@@ -426,11 +421,7 @@ fn forced_strategies_pin_the_binary_engine() {
     let query = Regex::parse("(a+b)*·c", graph.alphabet())
         .unwrap()
         .to_dfa(3);
-    for forced in [
-        EvalStrategy::Forward,
-        EvalStrategy::Backward,
-        EvalStrategy::Bidirectional,
-    ] {
+    for forced in [EvalStrategy::Forward, EvalStrategy::Backward] {
         let plan = plan_query_forced(&query, &graph, forced);
         assert_eq!(plan.binary_strategy(), forced);
     }
@@ -523,32 +514,30 @@ fn pruned_ring() -> GraphDb {
     builder.build()
 }
 
-/// The certificate-pruned engines step their one-node frontiers with
-/// the sparse kernel — which must apply the certificate per endpoint
-/// exactly as the word kernels apply it per step — and stay
-/// bit-identical to plain forward evaluation. Under `Auto` both forced
-/// engines record sparse levels; under every policy they agree.
+/// The certificate-pruned engine steps its one-node frontiers with the
+/// sparse kernel — which must apply the certificate per endpoint
+/// exactly as the word kernels apply it per step — and stays
+/// bit-identical to plain forward evaluation. Under `Auto` it records
+/// sparse levels; under every policy it agrees.
 #[test]
 fn certificate_pruned_engines_take_sparse_levels() {
     let graph = pruned_ring();
     let query = Regex::parse("a*·b·c", graph.alphabet()).unwrap().to_dfa(3);
     let mut scratch = EvalScratch::new();
-    for forced in [EvalStrategy::Backward, EvalStrategy::Bidirectional] {
-        let plan = plan_query_forced(&query, &graph, forced);
-        for source in [0u32, 1, 500, 1023] {
-            let expected = eval_binary_from(&query, &graph, source);
-            assert!(!expected.is_empty(), "every ring node reaches a b·c");
-            for (shape, pool) in pool_matrix() {
-                let (result, levels) = collect_levels(|| {
-                    evaluate(&pool, &mut scratch, &plan, &graph, Goal::BinaryFrom(source))
-                });
-                assert_eq!(result, expected, "{forced} from {source} at {shape}");
-                let sparse: u32 = levels.iter().map(|level| level.sparse_tasks).sum();
-                if pool.step_policy() == StepPolicy::Auto {
-                    assert!(sparse >= 1, "{forced} from {source}: no sparse level");
-                } else {
-                    assert_eq!(sparse, 0, "only Auto plans sparse steps");
-                }
+    let plan = plan_query_forced(&query, &graph, EvalStrategy::Backward);
+    for source in [0u32, 1, 500, 1023] {
+        let expected = eval_binary_from(&query, &graph, source);
+        assert!(!expected.is_empty(), "every ring node reaches a b·c");
+        for (shape, pool) in pool_matrix() {
+            let (result, levels) = collect_levels(|| {
+                evaluate(&pool, &mut scratch, &plan, &graph, Goal::BinaryFrom(source))
+            });
+            assert_eq!(result, expected, "from {source} at {shape}");
+            let sparse: u32 = levels.iter().map(|level| level.sparse_tasks).sum();
+            if pool.step_policy() == StepPolicy::Auto {
+                assert!(sparse >= 1, "from {source}: no sparse level");
+            } else {
+                assert_eq!(sparse, 0, "only Auto plans sparse steps");
             }
         }
     }

@@ -1,12 +1,11 @@
 //! Kernel-level tests for the frontier step kernel.
 //!
 //! The evaluators only ever reach the kernel through whole queries; here
-//! [`GraphDb::step_range_into`] and its whole-frontier forms are driven
-//! directly, as **one matrix** — `Dir::{Out, In}` × every [`StepPlan`]
-//! valid for the frontier (plain, masked and sparse always; skip when the
-//! frontier misses the label's active set, covered when it holds all of
-//! it) × {whole frontier, every word-aligned 2- and 3-way partition}
-//! — against one per-node adjacency oracle, on adversarial frontiers
+//! [`GraphDb::step_into`] and [`GraphDb::step`] are driven directly, as
+//! **one matrix** — `Dir::{Out, In}` × every [`StepPlan`] valid for the
+//! frontier (plain, masked and sparse always; skip when the frontier
+//! misses the label's active set, covered when it holds all of it) —
+//! against one per-node adjacency oracle, on adversarial frontiers
 //! (empty, full `|V|`, a single word, word-boundary straddlers, and per
 //! label and direction the active set itself, alone and with a comb on
 //! top) over graph sizes chosen to hit every block-layout edge (1, 63,
@@ -14,19 +13,17 @@
 //! The same matrix then runs on **overlay graphs**
 //! ([`GraphDb::with_delta`]) against the base slices of their
 //! [`GraphDb::compact`], so the kernel's overlay arms — and the covered
-//! copy of an overlay's recomputed bitmaps — are partitioned across
-//! words too. The invariants:
+//! copy of an overlay's recomputed bitmaps — are checked too. The
+//! invariants:
 //!
-//! * every cell of the matrix ≡ the oracle;
-//! * the union over any word-aligned partition of the range reproduces
-//!   the whole-frontier step (the kernel accumulates — it must not
-//!   clear), while [`GraphDb::step_into`] clears stale scratch;
+//! * every cell of the matrix ≡ the oracle, [`GraphDb::step_into`]
+//!   clearing stale scratch;
 //! * the sparse step ≡ the `Dir::Out` oracle;
 //! * out-of-alphabet symbols yield empty output in every cell.
 //!
 //! The [`StepPlan::Sparse`] verdict gets its own graphs, large enough
 //! (256 words) that `Auto` plans it for frontiers of up to 65 nodes:
-//! there [`GraphDb::step_range_visit`] — the visitor form the level
+//! there [`GraphDb::step_visit`] — the visitor form the level
 //! kernel merges from — must visit exactly the oracle's endpoints,
 //! report the frontier productive exactly when it meets the label, and
 //! do both on overlays against their compacted rebuild.
@@ -122,28 +119,14 @@ fn valid_plans(graph: &GraphDb, dir: Dir, frontier: &BitSet, sym: Symbol) -> Vec
 /// delta-free, its compacted rebuild when it carries an overlay).
 fn assert_kernel_matrix(graph: &GraphDb, reference: &GraphDb, frontier: &BitSet, sym: Symbol) {
     let n = graph.num_nodes();
-    let words = graph.num_node_words();
     for dir in Dir::BOTH {
         let expected = oracle(reference, dir, frontier, sym);
         assert_eq!(graph.step(dir, frontier, sym), expected, "{dir:?} step");
         for plan in valid_plans(graph, dir, frontier, sym) {
-            let cell = format!("{dir:?} {plan:?}");
-            // Whole frontier, clearing stale scratch.
+            // Stale scratch, cleared by the step.
             let mut out = BitSet::full(n);
             graph.step_into(dir, plan, frontier, sym, &mut out);
-            assert_eq!(out, expected, "{cell} whole");
-            // Every word-aligned split 0..c1 | c1..c2 | c2..words: the
-            // 3-way partitions, and (where a part is empty) the 2-way
-            // ones and the whole range — accumulated, never cleared.
-            for c1 in 0..=words {
-                for c2 in c1..=words {
-                    let mut acc = BitSet::new(n);
-                    for range in [0..c1, c1..c2, c2..words] {
-                        graph.step_range_into(dir, plan, frontier, sym, range, &mut acc);
-                    }
-                    assert_eq!(acc, expected, "{cell} split at {c1}, {c2}");
-                }
-            }
+            assert_eq!(out, expected, "{dir:?} {plan:?}");
         }
     }
 
@@ -221,19 +204,25 @@ fn out_of_alphabet_symbol_is_empty_at_every_kernel() {
 
 #[test]
 fn empty_range_is_a_no_op() {
+    // An empty frontier, stepped whole: every plan it admits (all but
+    // Covered, which needs the label's active set) clears the stale
+    // scratch and adds nothing, and the visitor sees no endpoint.
     let graph = layout_graph(70);
     let a = Symbol::from_index(0);
-    let frontier = BitSet::full(70);
-    let mut out = BitSet::from_indices(70, [5]);
+    let frontier = BitSet::new(70);
     for dir in Dir::BOTH {
-        graph.step_range_into(dir, StepPlan::Plain, &frontier, a, 1..1, &mut out);
-        graph.step_range_into(dir, StepPlan::Masked, &frontier, a, 2..2, &mut out);
-        // The covered copy belongs to the range holding word 0, which an
-        // empty range starting there does not.
-        graph.step_range_into(dir, StepPlan::Covered, &frontier, a, 0..0, &mut out);
-        graph.step_range_into(dir, StepPlan::Covered, &frontier, a, 1..2, &mut out);
+        for plan in [
+            StepPlan::Skip,
+            StepPlan::Plain,
+            StepPlan::Masked,
+            StepPlan::Sparse,
+        ] {
+            let mut out = BitSet::from_indices(70, [5]);
+            graph.step_into(dir, plan, &frontier, a, &mut out);
+            assert!(out.is_empty(), "{dir:?} {plan:?}");
+        }
+        assert!(!graph.step_visit(dir, &frontier, a, |node| panic!("visited {node}")));
     }
-    assert_eq!(out.iter().collect::<Vec<_>>(), [5]);
 }
 
 /// The effective edges of `graph` carrying `sym`.
@@ -315,8 +304,8 @@ fn overlay_kernels_match_compacted_on_layout_graphs() {
 /// sets: one gives nodes their first edge of a label (in both
 /// directions), one takes a node's only edge of a label away. A covering
 /// frontier must plan `Covered` on the overlay's recomputed bitmaps, and
-/// its copy must match the oracle at every word-aligned partition — a
-/// stale bitmap would drop the new endpoint or keep the removed one.
+/// its copy must match the oracle — a stale bitmap would drop the new
+/// endpoint or keep the removed one.
 #[test]
 fn covered_steps_follow_overlay_active_sets() {
     let (b, c) = (Symbol::from_index(1), Symbol::from_index(2));
@@ -391,11 +380,9 @@ fn sparse_frontiers(n: usize) -> Vec<BitSet> {
 /// `Auto` plans every `(frontier, symbol, direction)` that meets the
 /// label `Sparse`, and the sparse kernel visits exactly the oracle's
 /// endpoints (read off `reference`, the compacted rebuild of an
-/// overlay): through the visitor, for the whole frontier and split at
-/// a word boundary inside it, and through [`GraphDb::step_into`].
+/// overlay): through the visitor and through [`GraphDb::step_into`].
 fn assert_sparse_steps(graph: &GraphDb, reference: &GraphDb) {
     let n = graph.num_nodes();
-    let words = graph.num_node_words();
     for frontier in &sparse_frontiers(n) {
         for sym in graph.alphabet().symbols() {
             for dir in Dir::BOTH {
@@ -407,18 +394,11 @@ fn assert_sparse_steps(graph: &GraphDb, reference: &GraphDb) {
                     assert_eq!(plan, StepPlan::Sparse, "{cell}");
                 }
                 let mut visited = BitSet::new(n);
-                let productive = graph.step_range_visit(dir, frontier, sym, 0..words, |node| {
+                let productive = graph.step_visit(dir, frontier, sym, |node| {
                     visited.insert(node as usize);
                 });
                 assert_eq!(visited, expected, "{cell} visit");
                 assert_eq!(productive, meets, "{cell} productive");
-                let mut split = BitSet::new(n);
-                for range in [0..1, 1..2, 2..words] {
-                    graph.step_range_visit(dir, frontier, sym, range, |node| {
-                        split.insert(node as usize);
-                    });
-                }
-                assert_eq!(split, expected, "{cell} split");
                 let mut out = BitSet::full(n);
                 graph.step_into(dir, StepPlan::Sparse, frontier, sym, &mut out);
                 assert_eq!(out, expected, "{cell} step_into");

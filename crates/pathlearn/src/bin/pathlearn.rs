@@ -14,14 +14,14 @@
 //!     and asks for +/-.
 //!
 //! pathlearn serve <graph.txt> --queries <file> [--clients N]
-//!                 [--repeat R] [--cache-mb M] [--strategy auto|forward|backward|bidirectional]
+//!                 [--repeat R] [--cache-mb M] [--strategy auto|forward|backward]
 //!     Run the serving layer over a query workload file (one regex per
 //!     line, `#` comments): canonical result cache + coalescing over N
 //!     client threads. Prints per-query selections and cache/throughput
 //!     stats, including per-strategy evaluation counts. `--strategy`
 //!     pins the binary engine; monadic evaluation has one (and counts
 //!     as `forward`). Under `auto`, the default, the whole-query
-//!     planner picks forward/backward/bidirectional per binary query;
+//!     planner picks forward or backward per binary query;
 //!     forcing an engine never changes results, only speed.
 //!
 //! pathlearn serve <graph.txt> --listen ADDR [--admin ADDR2] [--cache-mb M]
@@ -107,7 +107,7 @@ USAGE:
   pathlearn eval <graph.txt> --query <REGEX>
   pathlearn learn <graph.txt> --pos A,B --neg C,D [--k N]
   pathlearn interactive <graph.txt> [--goal <REGEX>] [--strategy kR|kS] [--seed N]
-  pathlearn serve <graph.txt> --queries <file> [--clients N] [--repeat R] [--cache-mb M] [--strategy auto|forward|backward|bidirectional]
+  pathlearn serve <graph.txt> --queries <file> [--clients N] [--repeat R] [--cache-mb M] [--strategy auto|forward|backward]
   pathlearn serve <graph.txt> --listen ADDR [--admin ADDR2] [--cache-mb M] [--strategy ...] [--data-dir DIR] [--checkpoint-every N]
   pathlearn snapshot <graph.txt> <out.snap>
   pathlearn update <ADDR> [--add \"src label dst\"]... [--remove \"src label dst\"]...
@@ -294,17 +294,11 @@ fn serve_command(args: &[String]) -> Result<(), String> {
     let cache_bytes = cache_mb
         .checked_mul(1 << 20)
         .ok_or_else(|| format!("--cache-mb {cache_mb} overflows the byte budget"))?;
-    let strategy = match options.flag("strategy").unwrap_or("auto") {
-        "auto" => pathlearn::graph::Strategy::Auto,
-        "forward" => pathlearn::graph::Strategy::Forward,
-        "backward" => pathlearn::graph::Strategy::Backward,
-        "bidirectional" | "bidi" => pathlearn::graph::Strategy::Bidirectional,
-        other => {
-            return Err(format!(
-                "unknown strategy `{other}` (auto/forward/backward/bidirectional)"
-            ))
-        }
-    };
+    let strategy = options.flag("strategy").unwrap_or("auto");
+    let strategy = pathlearn::graph::Strategy::ALL
+        .into_iter()
+        .find(|known| known.as_str() == strategy)
+        .ok_or_else(|| format!("unknown strategy `{strategy}` (auto/forward/backward)"))?;
     let config = ServeConfig {
         cache: pathlearn::server::CacheConfig {
             capacity_bytes: cache_bytes,
@@ -520,8 +514,8 @@ fn serve_command(args: &[String]) -> Result<(), String> {
         stats.eval_ns_total as f64 / 1e9
     );
     println!(
-        "planner: {} forward, {} backward, {} bidirectional",
-        stats.forward_evals, stats.backward_evals, stats.bidirectional_evals
+        "planner: {} forward, {} backward",
+        stats.forward_evals, stats.backward_evals
     );
     Ok(())
 }

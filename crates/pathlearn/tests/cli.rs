@@ -555,4 +555,15 @@ fn unknown_flags_and_files_error_cleanly() {
         );
         assert!(stderr.contains("accepted:"), "{stderr}");
     }
+    // So is a strategy the planner does not have.
+    for strategy in ["bidirectional", "bidi"] {
+        let (_, stderr, ok) = run(&["serve", graph, "--strategy", strategy]);
+        assert!(!ok, "--strategy {strategy} must fail");
+        assert!(
+            stderr.contains(&format!(
+                "unknown strategy `{strategy}` (auto/forward/backward)"
+            )),
+            "{stderr}"
+        );
+    }
 }

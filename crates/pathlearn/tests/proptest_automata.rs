@@ -188,14 +188,18 @@ proptest! {
 
     /// Over wide alphabets of which the reachable part uses a few
     /// symbols: the minimizer, which refines over the live symbols only,
-    /// builds Moore's table, preserves the language, and reports as live
-    /// exactly the symbols of the canonical DFA's transitions.
+    /// builds Moore's table, is its own trimmed canonical form, preserves
+    /// the language, and reports as live exactly the symbols of the
+    /// canonical DFA's transitions.
     #[test]
     fn minimize_laws_on_wide_alphabets(case in arb_wide_dfa()) {
         let (dfa, words_over) = case;
         let minimal = minimize(&dfa);
         prop_assert_eq!(&minimal, &minimize_moore(&dfa));
         prop_assert_eq!(&minimize(&minimal), &minimal);
+        // Already trimmed and BFS-numbered: a planner handed a minimal
+        // DFA has nothing left to preprocess.
+        prop_assert_eq!(&minimal.trim().canonicalize(), &minimal);
         for word in enumerate_words(words_over.len(), 4) {
             let word: Vec<Symbol> = word.iter().map(|sym| words_over[sym.index()]).collect();
             prop_assert_eq!(dfa.accepts(&word), minimal.accepts(&word), "{:?}", word);

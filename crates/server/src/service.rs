@@ -29,17 +29,16 @@
 //! Every admitted **binary** query is dispatched through a
 //! [`pathlearn_graph::plan::QueryPlan`]: the planner estimates frontier
 //! growth in each direction from the graph's per-label statistics and
-//! picks the forward, backward (coreach-pruned) or bidirectional engine
-//! per query ([`ServeConfig::strategy`] can force one — purely a speed
-//! knob, every strategy is bit-identical). Plans are cached per
+//! picks the forward or backward (coreach-pruned) engine per query
+//! ([`ServeConfig::strategy`] can force one — purely a speed knob,
+//! every strategy is bit-identical). Plans are cached per
 //! [`CanonicalQuery`] in a rebuild-cleared side table, so fingerprint
 //! replays and per-source binary fans skip the planning pass. Monadic
 //! evaluation has one engine, so a monadic miss plans nothing: it
 //! evaluates the canonical DFA as given and is recorded as `forward`.
 //! The resolved direction is recorded on each [`Served::Evaluated`]
 //! and aggregated in [`ServeStats`] (`forward_evals` /
-//! `backward_evals` / `bidirectional_evals`, surfaced through the
-//! `STATS` frame).
+//! `backward_evals`, surfaced through the `STATS` frame).
 //!
 //! ## Invalidation
 //!
@@ -100,7 +99,7 @@ pub struct ServeConfig {
     pub step_policy: StepPolicy,
     /// Binary-engine strategy for every admitted binary query:
     /// [`Strategy::Auto`] (the default) lets the whole-query planner
-    /// pick forward/backward/bidirectional per query from the graph's
+    /// pick forward or backward per query from the graph's
     /// label statistics; a forced value pins every binary evaluation to
     /// one engine (an operational escape hatch — all strategies are
     /// bit-identical, so forcing only changes speed). Monadic
@@ -275,9 +274,6 @@ pub struct ServeStats {
     /// engine (coreach fixpoint, then a certificate-pruned forward
     /// pass).
     pub backward_evals: u64,
-    /// Admitted binary queries the planner resolved to the
-    /// bidirectional meet-in-the-middle engine.
-    pub bidirectional_evals: u64,
     /// Total measured evaluation wall time across admissions.
     pub eval_ns_total: u64,
     /// Interruptible submissions that returned the
@@ -323,7 +319,6 @@ struct ServeCounters {
     compactions: Counter,
     forward_evals: Counter,
     backward_evals: Counter,
-    bidirectional_evals: Counter,
     eval_ns_total: Counter,
     deadline_exceeded: Counter,
     cancelled: Counter,
@@ -362,7 +357,6 @@ impl ServeCounters {
             compactions: registry.counter("serve.compactions"),
             forward_evals: registry.counter("serve.forward_evals"),
             backward_evals: registry.counter("serve.backward_evals"),
-            bidirectional_evals: registry.counter("serve.bidirectional_evals"),
             eval_ns_total: registry.counter("serve.eval_ns_total"),
             deadline_exceeded: registry.counter("serve.deadline_exceeded"),
             cancelled: registry.counter("serve.cancelled"),
@@ -707,7 +701,6 @@ impl QueryService {
             compactions: c.compactions.get(),
             forward_evals: c.forward_evals.get(),
             backward_evals: c.backward_evals.get(),
-            bidirectional_evals: c.bidirectional_evals.get(),
             eval_ns_total: c.eval_ns_total.get(),
             deadline_exceeded: c.deadline_exceeded.get(),
             cancelled: c.cancelled.get(),
@@ -1264,7 +1257,6 @@ impl QueryService {
         self.counters.misses.inc();
         match strategy {
             Strategy::Backward => self.counters.backward_evals.inc(),
-            Strategy::Bidirectional => self.counters.bidirectional_evals.inc(),
             _ => self.counters.forward_evals.inc(),
         }
         self.counters.eval_ns_total.add(eval_ns);
@@ -1686,7 +1678,6 @@ mod tests {
         for (forced, field) in [
             (Strategy::Forward, "forward"),
             (Strategy::Backward, "backward"),
-            (Strategy::Bidirectional, "bidirectional"),
         ] {
             let service = QueryService::new(
                 graph.clone(),
@@ -1713,15 +1704,10 @@ mod tests {
             let stats = service.stats();
             assert_eq!(stats.misses, 2, "{field}");
             assert_eq!(
-                [
-                    stats.forward_evals,
-                    stats.backward_evals,
-                    stats.bidirectional_evals,
-                ],
+                [stats.forward_evals, stats.backward_evals],
                 [
                     1 + u64::from(forced == Strategy::Forward),
                     u64::from(forced == Strategy::Backward),
-                    u64::from(forced == Strategy::Bidirectional),
                 ],
                 "{field}"
             );
@@ -1812,7 +1798,7 @@ mod tests {
             });
             let stats = service.stats();
             assert_eq!(
-                stats.forward_evals + stats.backward_evals + stats.bidirectional_evals,
+                stats.forward_evals + stats.backward_evals,
                 stats.misses,
                 "{strategy}: {stats:?}"
             );

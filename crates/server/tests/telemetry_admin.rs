@@ -70,10 +70,10 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 
 /// The pre-registry `STATS` frame key set: every name a v4 client (or
 /// `pqbench`'s `count.*` metrics) may look up by string. The registry
-/// migration must keep all of them answering. Three have been retired
-/// since ([`RETIRED_KEYS`]): two with the mechanisms they counted, and
+/// migration must keep all of them answering. Four have been retired
+/// since ([`RETIRED_KEYS`]): three with the mechanisms they counted, and
 /// one that always equalled `serve.misses`.
-const LEGACY_KEYS: [&str; 31] = [
+const LEGACY_KEYS: [&str; 30] = [
     "serve.hits",
     "serve.misses",
     "serve.coalesced",
@@ -83,7 +83,6 @@ const LEGACY_KEYS: [&str; 31] = [
     "serve.compactions",
     "serve.forward_evals",
     "serve.backward_evals",
-    "serve.bidirectional_evals",
     "serve.eval_ns_total",
     "serve.deadline_exceeded",
     "serve.cancelled",
@@ -109,12 +108,14 @@ const LEGACY_KEYS: [&str; 31] = [
 
 /// Keys `STATS` once carried and must not carry again:
 /// `serve.subsumption_reuses` (the subsumption probe),
-/// `serve.intra_evals` (the intra-query fan-out) and
-/// `serve.sequential_evals` (a copy of `serve.misses`).
-const RETIRED_KEYS: [&str; 3] = [
+/// `serve.intra_evals` (the intra-query fan-out),
+/// `serve.sequential_evals` (a copy of `serve.misses`) and
+/// `serve.bidirectional_evals` (the retired meet-in-the-middle engine).
+const RETIRED_KEYS: [&str; 4] = [
     "serve.subsumption_reuses",
     "serve.intra_evals",
     "serve.sequential_evals",
+    "serve.bidirectional_evals",
 ];
 
 #[test]
@@ -266,7 +267,7 @@ fn traces_are_consistent_with_served_outcomes() {
         .find(|t| t.fingerprint == fingerprint && t.kind == "binary")
         .expect("binary trace recorded");
     assert_eq!(binary.outcome, "evaluated");
-    assert!(["forward", "backward", "bidirectional"].contains(&binary.strategy));
+    assert!(["forward", "backward"].contains(&binary.strategy));
     assert!(
         binary.spans.iter().any(|span| span.name == "plan"),
         "a binary miss records its planning pass"
