@@ -80,6 +80,15 @@
 //! The cancel token is checked once per level, before the level runs,
 //! so an interrupt never tears a half-merged level and the scratch stays
 //! reusable.
+//!
+//! ## Footprints
+//!
+//! A search run to its fixpoint leaves its `reached` sets in the
+//! scratch, and [`EvalScratch::footprint`] keeps the part of them that
+//! says which edges the search read: [`Footprint::hit_by`] then tells,
+//! for an edge batch, whether the answer can have changed. The serving
+//! layer stores it beside each cached answer, so a delta drops only the
+//! answers its edges reach.
 
 use crate::cancel::{CancelToken, Interrupt};
 use crate::graph::{Dir, GraphDb, NodeId, StepPlan, StepPolicy};
@@ -400,12 +409,204 @@ pub struct EvalScratch {
     /// The coreachability search of the backward binary strategy.
     certificate: Side,
     work: Work,
+    /// What the last evaluation left in `main`.
+    finished: Finished,
+}
+
+/// What the last [`EvalPool::evaluate`] left in its scratch's main
+/// search, for [`EvalScratch::footprint`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Finished {
+    /// Nothing exact: no search ran (an ε-monadic, out-of-graph or
+    /// empty answer), the monadic search stopped early at
+    /// `reached[q₀] = V`, the backward strategy pruned the forward pass,
+    /// or the evaluation was interrupted.
+    #[default]
+    Opaque,
+    /// The monadic search ran to its fixpoint.
+    Monadic,
+    /// The unpruned forward binary search ran to its fixpoint.
+    Forward,
 }
 
 impl EvalScratch {
     /// Creates an empty scratch; buffers are sized on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The [`Footprint`] of the last evaluation this scratch ran, read
+    /// from the reached sets it still holds; `plan` must be the plan that
+    /// evaluation ran. `None` when the search did not leave exact reached
+    /// sets: an answer that needed no search (ε monadically, an
+    /// out-of-graph source, an empty graph or query), the monadic early
+    /// exit at `reached[q₀] = V`, a backward-planned binary answer (its
+    /// forward pass is pruned) or an interrupted evaluation.
+    ///
+    /// ```
+    /// use pathlearn_graph::eval::{EvalScratch, Goal};
+    /// use pathlearn_graph::graph::figure3_g0;
+    /// use pathlearn_graph::plan::QueryPlan;
+    /// use pathlearn_graph::{CancelToken, EvalPool};
+    /// use pathlearn_automata::Regex;
+    ///
+    /// let graph = figure3_g0();
+    /// let query = Regex::parse("(a·b)*·c", graph.alphabet()).unwrap().to_dfa(3);
+    /// let plan = QueryPlan::forward(&query);
+    /// let node = |name| graph.node_id(name).unwrap();
+    /// let mut scratch = EvalScratch::new();
+    /// let never = CancelToken::never();
+    /// let ends = EvalPool::sequential()
+    ///     .evaluate(&mut scratch, &plan, &graph, Goal::BinaryFrom(node("v1")), &never)
+    ///     .unwrap();
+    /// let footprint = scratch.footprint(&plan).unwrap();
+    /// // The search from v1 never reaches v5, so no edge out of it can
+    /// // change the answer; a c-edge out of v1 can.
+    /// let c = graph.alphabet().symbol("c").unwrap();
+    /// assert!(!footprint.hit_by(&query, &ends, &[(node("v5"), c, node("v1"))], &[]));
+    /// assert!(footprint.hit_by(&query, &ends, &[(node("v1"), c, node("v5"))], &[]));
+    /// ```
+    pub fn footprint(&self, plan: &QueryPlan) -> Option<Footprint> {
+        let query = plan.query();
+        let reached = &self.main.reached;
+        match self.finished {
+            Finished::Opaque => None,
+            Finished::Monadic => {
+                debug_assert_eq!(reached.len(), query.num_states());
+                let q0 = query.initial() as usize;
+                let stored = |q: usize| q != q0 && !query.finals().contains(q);
+                Some(Footprint::Monadic(
+                    (0..query.num_states())
+                        .map(|q| stored(q).then(|| NodeSet::of(&reached[q])))
+                        .collect(),
+                ))
+            }
+            Finished::Forward => {
+                debug_assert_eq!(reached.len(), query.num_states());
+                let mut sources = BitSet::new(reached[0].capacity());
+                for q in 0..query.num_states() {
+                    let steps = (0..query.alphabet_len())
+                        .any(|a| query.step_raw(q as StateId, Symbol::from_index(a)) != DEAD);
+                    if steps {
+                        sources.union_with(&reached[q]);
+                    }
+                }
+                Some(Footprint::Sources(NodeSet::of(&sources)))
+            }
+        }
+    }
+}
+
+/// One graph edge `(source, label, target)` of a delta batch.
+pub type Edge = (NodeId, Symbol, NodeId);
+
+/// A node set stored as whichever of a sorted id list (4 bytes a member)
+/// and a `|V|`-bit set takes fewer bytes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum NodeSet {
+    /// The members, ascending.
+    List(Box<[NodeId]>),
+    /// One bit per graph node.
+    Bits(BitSet),
+}
+
+impl NodeSet {
+    /// `set` as a list iff `4·|set|` is less than the bitset's bytes.
+    pub fn of(set: &BitSet) -> Self {
+        if 4 * set.len() < std::mem::size_of_val(set.as_blocks()) {
+            NodeSet::List(set.iter().map(|node| node as NodeId).collect())
+        } else {
+            NodeSet::Bits(set.clone())
+        }
+    }
+
+    /// Whether `node` is a member.
+    pub fn contains(&self, node: NodeId) -> bool {
+        match self {
+            NodeSet::List(nodes) => nodes.binary_search(&node).is_ok(),
+            NodeSet::Bits(bits) => bits.contains(node as usize),
+        }
+    }
+
+    /// The bytes the representation holds.
+    pub fn bytes(&self) -> usize {
+        match self {
+            NodeSet::List(nodes) => std::mem::size_of_val(&**nodes),
+            NodeSet::Bits(bits) => std::mem::size_of_val(bits.as_blocks()),
+        }
+    }
+}
+
+/// The nodes whose edges a finished evaluation read — enough to tell,
+/// without evaluating again, that an edge batch leaves its answer
+/// unchanged ([`Footprint::hit_by`]). Harvested by
+/// [`EvalScratch::footprint`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Footprint {
+    /// A forward binary search: the union of `reached[q]` over every
+    /// state `q` with a transition. Only edges out of these nodes were
+    /// ever followed.
+    Sources(NodeSet),
+    /// A monadic search run to its fixpoint: `reached[q]` per state,
+    /// `None` where no storage is needed — at finals (always all of `V`)
+    /// and at `q₀` (the answer itself).
+    Monadic(Vec<Option<NodeSet>>),
+}
+
+impl Footprint {
+    /// The bytes the footprint's sets hold.
+    pub fn bytes(&self) -> usize {
+        match self {
+            Footprint::Sources(sources) => sources.bytes(),
+            Footprint::Monadic(sets) => sets.iter().flatten().map(NodeSet::bytes).sum(),
+        }
+    }
+
+    /// Whether the batch `(G ∖ remove) ∪ add` can change `answer`, the
+    /// answer of `query` whose evaluation left this footprint. `false`
+    /// proves the new graph's product search reaches exactly the same
+    /// pairs — so the footprint stays exact for the next batch too.
+    ///
+    /// An edge `(u, a, w)` is a product edge `(u, p) → (w, q)` for every
+    /// `δ(p, a) = q`. The forward binary search followed it iff `u` was
+    /// reached at `p`: any edge of a stepped label out of a
+    /// [`Footprint::Sources`] node hits. The monadic search runs
+    /// backward from acceptance and followed it iff `w ∈ R[q]`: an added
+    /// edge hits iff some such pair has `w ∈ R[q] ∧ u ∉ R[p]` (it would
+    /// reach a new pair), a removed one iff some has
+    /// `w ∈ R[q] ∧ u ∈ R[p]` (a pair may have been derived through it).
+    pub fn hit_by(&self, query: &Dfa, answer: &BitSet, add: &[Edge], remove: &[Edge]) -> bool {
+        // Every `(p, δ(p, a))` of the label.
+        let steps = |sym: Symbol| {
+            let states = if sym.index() < query.alphabet_len() {
+                query.num_states()
+            } else {
+                0
+            };
+            (0..states as StateId).filter_map(move |p| {
+                let q = query.step_raw(p, sym);
+                (q != DEAD).then_some((p as usize, q as usize))
+            })
+        };
+        match self {
+            Footprint::Sources(sources) => add
+                .iter()
+                .chain(remove)
+                .any(|&(u, sym, _)| sources.contains(u) && steps(sym).next().is_some()),
+            Footprint::Monadic(sets) => {
+                let q0 = query.initial() as usize;
+                let reached = |q: usize, node: NodeId| match &sets[q] {
+                    Some(set) => set.contains(node),
+                    None if q == q0 => answer.contains(node as usize),
+                    None => true,
+                };
+                let adds_a_pair =
+                    |&(u, sym, w): &Edge| steps(sym).any(|(p, q)| reached(q, w) && !reached(p, u));
+                let was_expanded =
+                    |&(u, sym, w): &Edge| steps(sym).any(|(p, q)| reached(q, w) && reached(p, u));
+                add.iter().any(adds_a_pair) || remove.iter().any(was_expanded)
+            }
+        }
     }
 }
 
@@ -662,6 +863,7 @@ impl EvalPool {
         goal: Goal,
         cancel: &CancelToken,
     ) -> Result<BitSet, Interrupt> {
+        scratch.finished = Finished::Opaque;
         if graph.num_nodes() == 0 || plan.query().num_states() == 0 {
             return Ok(BitSet::new(graph.num_nodes()));
         }
@@ -694,7 +896,12 @@ impl EvalPool {
             index: &index,
             dir: Dir::In,
         };
-        let EvalScratch { main, work, .. } = scratch;
+        let EvalScratch {
+            main,
+            work,
+            finished,
+            ..
+        } = scratch;
         work.prepare(v);
         main.prepare(v, query.num_states());
         for f in query.finals().iter() {
@@ -702,6 +909,9 @@ impl EvalPool {
         }
         let all_selected = |reached: &[BitSet]| reached[q0].len() == v;
         self.drive(graph, work, main, pass, None, all_selected, cancel)?;
+        if main.is_done() {
+            *finished = Finished::Monadic;
+        }
         Ok(main.reached[q0].clone())
     }
 
@@ -725,6 +935,7 @@ impl EvalPool {
             main,
             certificate,
             work,
+            finished,
         } = scratch;
         work.prepare(v);
         let coreach = match plan.binary_strategy() {
@@ -756,6 +967,9 @@ impl EvalPool {
         main.prepare(v, q_states);
         main.seed_node(q0, source);
         self.drive(graph, work, main, pass, coreach, |_| false, cancel)?;
+        if coreach.is_none() {
+            *finished = Finished::Forward;
+        }
         Ok(main.union_of(query.finals().iter()))
     }
 

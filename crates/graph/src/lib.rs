@@ -61,7 +61,7 @@ pub mod sampling;
 pub mod scp;
 
 pub use cancel::{CancelToken, Interrupt};
-pub use eval::{EvalPool, EvalScratch, Goal};
+pub use eval::{Edge, EvalPool, EvalScratch, Footprint, Goal, NodeSet};
 pub use graph::snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use graph::{DeltaError, Dir, GraphBuilder, GraphDb, NodeId, StepPlan, StepPolicy};
 pub use observer::{collect_levels, LevelSample, MAX_LEVEL_SAMPLES};

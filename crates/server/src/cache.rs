@@ -11,6 +11,17 @@
 //! cache whenever the graph is rebuilt, so every resident entry is valid
 //! for the current graph by construction.
 //!
+//! ## Footprints and edge deltas
+//!
+//! An entry may carry the [`Footprint`] its evaluation left: the nodes
+//! whose edges the product search read. An edge delta then drops a
+//! label-matched entry only if some edge of the batch hits the
+//! footprint ([`ResultCache::invalidate_edges`]); the entries it spares
+//! are counted in `cache.spared`. An entry without one falls back to the
+//! label rule. Footprint bytes are resident bytes: they count against
+//! the budget and in the entry's GDSF size, so footprinted entries are
+//! evicted sooner than bare ones of the same cost.
+//!
 //! ## Eviction: GDSF (Greedy-Dual-Size-Frequency)
 //!
 //! Every entry carries its **evaluation cost** (any monotone measure of
@@ -18,8 +29,8 @@
 //! one — frontier nodes plus step tasks over the evaluation's levels —
 //! so the same submissions evict the same victims on every run) and its
 //! **resident bytes** (the result bitset's blocks —
-//! `GraphDb::result_bytes` per monadic/binary answer).
-//! Priority is the classic GDSF value
+//! `GraphDb::result_bytes` per monadic/binary answer — plus its
+//! footprint and key). Priority is the classic GDSF value
 //!
 //! ```text
 //! priority = clock + cost / bytes
@@ -31,18 +42,15 @@
 //! pressure is what is *expensive to recompute per byte kept* and
 //! recently useful — a cheap one-level query is let go before a deep
 //! product BFS of the same size. Ties (integer costs tie often) go to
-//! the smaller `(fingerprint, kind)`, so the victim never depends on
-//! `HashMap` iteration order. Finding the minimum is a linear scan over
-//! every resident entry, and it is **not** noise: with the default
-//! budget full (~5,000 entries at 100k nodes) `pqbench`'s
-//! `cache.insert_evict_ns` probe reads 20–27 µs per evicting insert,
-//! against a 12 µs median binary evaluation. An ordered victim
-//! structure is a later `perf_opt` issue.
+//! the smaller `(fingerprint, kind)`, then to the earlier insertion, so
+//! the victim never depends on `HashMap` iteration order. The victims
+//! wait in an ordered index beside the map, so an evicting insert takes
+//! `O(log n)`, not a scan over every resident entry.
 
 use crate::telemetry::{Counter, MetricsRegistry};
 use pathlearn_automata::{BitSet, CanonicalQuery, Symbol};
-use pathlearn_graph::NodeId;
-use std::collections::HashMap;
+use pathlearn_graph::{Edge, Footprint, NodeId};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The **live alphabet** of a canonical query: the symbols with at least
@@ -63,36 +71,37 @@ pub(crate) fn intersects(live: &[u32], touched: &[Symbol]) -> bool {
         .any(|sym| live.binary_search(&(sym.index() as u32)).is_ok())
 }
 
+/// The labels an edge batch names, sorted and deduplicated.
+pub(crate) fn touched_labels(add: &[Edge], remove: &[Edge]) -> Vec<Symbol> {
+    let mut touched: Vec<Symbol> = add.iter().chain(remove).map(|&(_, sym, _)| sym).collect();
+    touched.sort_unstable_by_key(|sym| sym.index());
+    touched.dedup();
+    touched
+}
+
 /// Fixed per-entry overhead charged on top of the result bitset's blocks
 /// and the key's DFA table (hash-map slot, `Arc` headers, bookkeeping)
 /// so thousands of tiny results cannot blow past the configured budget
 /// unaccounted.
 const ENTRY_OVERHEAD_BYTES: usize = 256;
 
-/// Accounted resident bytes of one entry: the result's blocks, the
-/// canonical key's dense DFA table and finals bitmap (the key is what
-/// keeps a large submitted query resident — it must count against the
-/// budget), and the fixed overhead.
-fn entry_bytes(key: &CacheKey, value: &BitSet) -> usize {
+/// Accounted resident bytes of one entry: the result's blocks, its
+/// footprint's sets, the canonical key's dense DFA table and finals
+/// bitmap (the key is what keeps a large submitted query resident — it
+/// must count against the budget), and the fixed overhead.
+fn entry_bytes(key: &CacheKey, value: &BitSet, footprint: Option<&Footprint>) -> usize {
     let dfa = key.query.dfa();
     let table_bytes = dfa.num_states() * dfa.alphabet_len() * std::mem::size_of::<u32>();
     let finals_bytes = dfa.num_states().div_ceil(BitSet::BLOCK_BITS) * std::mem::size_of::<u64>();
-    std::mem::size_of_val(value.as_blocks()) + table_bytes + finals_bytes + ENTRY_OVERHEAD_BYTES
-}
-
-/// Orders two victims of equal priority, totally, so tests (and
-/// replays) see one eviction order: by fingerprint, then — the binary
-/// entries of one query share a fingerprint — by kind. Kept out of line:
-/// inlined into the victim scan it slowed every comparison of the loop,
-/// ties or not (`cache.insert_evict_ns` 23–24 → 27–28 µs).
-#[cold]
-#[inline(never)]
-fn tie_break(a: &CacheKey, b: &CacheKey) -> std::cmp::Ordering {
-    (a.query.fingerprint(), a.kind).cmp(&(b.query.fingerprint(), b.kind))
+    std::mem::size_of_val(value.as_blocks())
+        + footprint.map_or(0, Footprint::bytes)
+        + table_bytes
+        + finals_bytes
+        + ENTRY_OVERHEAD_BYTES
 }
 
 /// Which evaluation semantics a cached result answers. Ordered
-/// `Monadic < Binary(source)`, binary by source — the last component of
+/// `Monadic < Binary(source)`, binary by source — the kind component of
 /// the eviction tie-break.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QueryKind {
@@ -132,7 +141,8 @@ impl CacheKey {
 /// Sizing knobs for [`ResultCache`].
 #[derive(Clone, Debug)]
 pub struct CacheConfig {
-    /// Resident-byte budget (result blocks + per-entry overhead).
+    /// Resident-byte budget (result blocks + footprints + keys +
+    /// per-entry overhead).
     /// Entries larger than the whole budget are never admitted; an entry
     /// exactly at the budget is (the budget is inclusive). A zero-byte
     /// budget is a valid configuration that rejects every insertion —
@@ -163,9 +173,13 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Insertions rejected because one entry exceeded the whole budget.
     pub rejected: u64,
-    /// Entries dropped by label-aware invalidation
-    /// ([`ResultCache::invalidate_labels`]).
+    /// Entries dropped by delta invalidation
+    /// ([`ResultCache::invalidate_edges`],
+    /// [`ResultCache::invalidate_labels`]).
     pub invalidated: u64,
+    /// Entries whose live alphabet a delta touched but whose footprint
+    /// its edges missed, so they stayed resident.
+    pub spared: u64,
 }
 
 /// The cache's live counter handles. The cache increments these at its
@@ -181,6 +195,7 @@ pub(crate) struct CacheCounters {
     pub(crate) evictions: Counter,
     pub(crate) rejected: Counter,
     pub(crate) invalidated: Counter,
+    pub(crate) spared: Counter,
 }
 
 impl CacheCounters {
@@ -192,21 +207,45 @@ impl CacheCounters {
         registry.adopt_counter("cache.evictions", self.evictions.clone());
         registry.adopt_counter("cache.rejected", self.rejected.clone());
         registry.adopt_counter("cache.invalidated", self.invalidated.clone());
+        registry.adopt_counter("cache.spared", self.spared.clone());
     }
 }
 
 struct Entry {
     value: Arc<BitSet>,
+    footprint: Option<Footprint>,
     bytes: usize,
     cost: u64,
     priority: f64,
+    /// Insertion number: the last component of the eviction order.
+    seq: u64,
+}
+
+/// An entry's place in the eviction order, compared as the victim rule
+/// reads: priority (as [`f64::total_cmp`] orders it), fingerprint,
+/// kind, then insertion number — unique per resident entry.
+type Rank = (u64, u64, QueryKind, u64);
+
+fn rank(key: &CacheKey, priority: f64, seq: u64) -> Rank {
+    // The order-preserving bits of `total_cmp`: negatives flip every
+    // bit, the rest gain the sign bit.
+    let bits = priority.to_bits();
+    let ordered = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (ordered, key.query.fingerprint(), key.kind, seq)
 }
 
 /// The cost-aware result cache. Single-threaded by design — the owning
 /// [`crate::QueryService`] guards it with its state mutex, keeping every
 /// lookup-or-register decision atomic with the in-flight table.
 pub struct ResultCache {
-    map: HashMap<CacheKey, Entry>,
+    map: HashMap<Arc<CacheKey>, Entry>,
+    /// Every resident key by its [`Rank`]; the first is the next victim.
+    order: BTreeMap<Rank, Arc<CacheKey>>,
+    next_seq: u64,
     bytes: usize,
     capacity_bytes: usize,
     /// GDSF aging clock: rises to each evicted priority, so long-resident
@@ -220,6 +259,8 @@ impl ResultCache {
     pub fn new(config: CacheConfig) -> Self {
         ResultCache {
             map: HashMap::new(),
+            order: BTreeMap::new(),
+            next_seq: 0,
             bytes: 0,
             capacity_bytes: config.capacity_bytes,
             clock: 0.0,
@@ -247,44 +288,60 @@ impl ResultCache {
     pub(crate) fn get_resident(&mut self, key: &CacheKey) -> Option<Arc<BitSet>> {
         let clock = self.clock;
         let entry = self.map.get_mut(key)?;
-        entry.priority = clock + entry.cost as f64 / entry.bytes.max(1) as f64;
+        let priority = clock + entry.cost as f64 / entry.bytes.max(1) as f64;
+        if priority.to_bits() != entry.priority.to_bits() {
+            let shared = self
+                .order
+                .remove(&rank(key, entry.priority, entry.seq))
+                .expect("resident entries are ranked");
+            entry.priority = priority;
+            self.order.insert(rank(key, priority, entry.seq), shared);
+        }
         self.counters.hits.inc();
         Some(entry.value.clone())
     }
 
-    /// Inserts an evaluated result with its evaluation cost, evicting
-    /// minimum-priority entries until it fits. Returns `false` (and
-    /// caches nothing) when the single entry exceeds the whole budget —
-    /// which is every entry under a zero-byte budget, since an entry's
-    /// accounted size is always positive; an entry exactly at the
-    /// budget is admitted (evicting everything else). Re-inserting an
-    /// existing key replaces the entry. Byte accounting uses checked
-    /// subtraction: an underflow would mean a corrupt ledger, and
-    /// failing loudly beats silently serving with a wrapped budget.
+    /// Inserts an evaluated result with its evaluation cost and no
+    /// footprint: a delta on its live alphabet drops it
+    /// ([`ResultCache::insert_with_footprint`]).
     pub fn insert(&mut self, key: CacheKey, value: Arc<BitSet>, cost: u64) -> bool {
-        let bytes = entry_bytes(&key, &value);
+        self.insert_with_footprint(key, value, cost, None)
+    }
+
+    /// Inserts an evaluated result with its evaluation cost and the
+    /// footprint its evaluation left, evicting minimum-priority entries
+    /// until it fits. Returns `false` (and caches nothing) when the
+    /// single entry exceeds the whole budget — which is every entry
+    /// under a zero-byte budget, since an entry's accounted size is
+    /// always positive; an entry exactly at the budget is admitted
+    /// (evicting everything else). Re-inserting an existing key replaces
+    /// the entry. Byte accounting uses checked subtraction: an underflow
+    /// would mean a corrupt ledger, and failing loudly beats silently
+    /// serving with a wrapped budget.
+    pub fn insert_with_footprint(
+        &mut self,
+        key: CacheKey,
+        value: Arc<BitSet>,
+        cost: u64,
+        footprint: Option<Footprint>,
+    ) -> bool {
+        let bytes = entry_bytes(&key, &value, footprint.as_ref());
         if bytes > self.capacity_bytes {
             self.counters.rejected.inc();
             return false;
         }
         if let Some(old) = self.map.remove(&key) {
+            self.order.remove(&rank(&key, old.priority, old.seq));
             self.bytes = self
                 .bytes
                 .checked_sub(old.bytes)
                 .expect("cache byte ledger underflow on replacement");
         }
         while self.bytes + bytes > self.capacity_bytes {
-            let victim = self
-                .map
-                .iter()
-                .min_by(|a, b| {
-                    a.1.priority
-                        .total_cmp(&b.1.priority)
-                        .then_with(|| tie_break(a.0, b.0))
-                })
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            let evicted = self.map.remove(&victim).expect("victim resident");
+            let Some((_, victim)) = self.order.pop_first() else {
+                break;
+            };
+            let evicted = self.map.remove(&*victim).expect("victim resident");
             self.bytes = self
                 .bytes
                 .checked_sub(evicted.bytes)
@@ -293,14 +350,20 @@ impl ResultCache {
             self.counters.evictions.inc();
         }
         let priority = self.priority(cost, bytes);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let key = Arc::new(key);
+        self.order.insert(rank(&key, priority, seq), key.clone());
         self.bytes += bytes;
         self.map.insert(
             key,
             Entry {
                 value,
+                footprint,
                 bytes,
                 cost,
                 priority,
+                seq,
             },
         );
         self.counters.insertions.inc();
@@ -310,24 +373,49 @@ impl ResultCache {
     /// Label-aware invalidation: drops exactly the entries whose live
     /// alphabet intersects `touched` (an edge delta over other labels
     /// cannot change their answers — their canonical DFAs never step
-    /// through a touched symbol). Returns the number of dropped
-    /// entries. The complement — including plans and every result over
-    /// disjoint labels — survives, which is the whole point of
-    /// delta-based updates over rebuild-the-world.
+    /// through a touched symbol), footprint or not. Returns the number
+    /// of dropped entries. The complement — including plans and every
+    /// result over disjoint labels — survives, which is the whole point
+    /// of delta-based updates over rebuild-the-world.
     pub fn invalidate_labels(&mut self, touched: &[Symbol]) -> usize {
-        let bytes = &mut self.bytes;
-        let before = self.map.len();
-        self.map.retain(|key, entry| {
-            let dead = intersects(live_alphabet(&key.query), touched);
-            if dead {
-                *bytes = bytes
-                    .checked_sub(entry.bytes)
-                    .expect("cache byte ledger underflow on invalidation");
+        self.invalidate(touched, None)
+    }
+
+    /// Edge-aware invalidation for the batch `(G ∖ remove) ∪ add`: of
+    /// the entries [`ResultCache::invalidate_labels`] would drop, keeps
+    /// those whose footprint no edge of the batch hits
+    /// ([`Footprint::hit_by`] — their answers, and their footprints, are
+    /// unchanged) and counts them in `cache.spared`. Returns the number
+    /// of dropped entries.
+    pub fn invalidate_edges(&mut self, add: &[Edge], remove: &[Edge]) -> usize {
+        self.invalidate(&touched_labels(add, remove), Some((add, remove)))
+    }
+
+    fn invalidate(&mut self, touched: &[Symbol], edges: Option<(&[Edge], &[Edge])>) -> usize {
+        let ResultCache {
+            map, order, bytes, ..
+        } = self;
+        let before = map.len();
+        let mut spared = 0;
+        map.retain(|key, entry| {
+            if !intersects(live_alphabet(&key.query), touched) {
+                return true;
             }
-            !dead
+            if let (Some((add, remove)), Some(footprint)) = (edges, &entry.footprint) {
+                if !footprint.hit_by(key.query.dfa(), &entry.value, add, remove) {
+                    spared += 1;
+                    return true;
+                }
+            }
+            order.remove(&rank(key, entry.priority, entry.seq));
+            *bytes = bytes
+                .checked_sub(entry.bytes)
+                .expect("cache byte ledger underflow on invalidation");
+            false
         });
-        let dropped = before - self.map.len();
+        let dropped = before - map.len();
         self.counters.invalidated.add(dropped as u64);
+        self.counters.spared.add(spared);
         dropped
     }
 
@@ -336,6 +424,7 @@ impl ResultCache {
     /// graph's.
     pub fn clear(&mut self) {
         self.map.clear();
+        self.order.clear();
         self.bytes = 0;
     }
 
@@ -349,7 +438,8 @@ impl ResultCache {
         self.map.is_empty()
     }
 
-    /// Accounted resident bytes (blocks + per-entry overhead).
+    /// Accounted resident bytes (blocks + footprints + per-entry
+    /// overhead).
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -369,6 +459,7 @@ impl ResultCache {
             evictions: self.counters.evictions.get(),
             rejected: self.counters.rejected.get(),
             invalidated: self.counters.invalidated.get(),
+            spared: self.counters.spared.get(),
         }
     }
 
@@ -383,6 +474,7 @@ impl ResultCache {
 mod tests {
     use super::*;
     use pathlearn_automata::{Alphabet, Regex};
+    use pathlearn_graph::NodeSet;
 
     fn key(expr: &str) -> CacheKey {
         let alphabet = Alphabet::from_labels(["a", "b", "c"]);
@@ -399,7 +491,7 @@ mod tests {
     /// (single-word result, 2-state canonical key over 3 symbols).
     fn config_for(n: usize) -> CacheConfig {
         CacheConfig {
-            capacity_bytes: n * entry_bytes(&key("a"), &value(64)),
+            capacity_bytes: n * entry_bytes(&key("a"), &value(64), None),
         }
     }
 
@@ -631,6 +723,137 @@ mod tests {
         let all: Vec<_> = alphabet.symbols().collect();
         assert_eq!(cache.invalidate_labels(&all), 0);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// A node set over a 1,024-node graph (16 blocks, 128 bytes).
+    fn nodes(members: impl IntoIterator<Item = usize>) -> NodeSet {
+        NodeSet::of(&BitSet::from_indices(1024, members))
+    }
+
+    #[test]
+    fn footprint_bytes_count_on_both_sides_of_the_list_bitset_crossover() {
+        // 31 members take 124 list bytes, under the bitset's 128; 32
+        // members would take 128, so they stay a bitset.
+        let bare = entry_bytes(&key("a"), &value(1024), None);
+        for (members, footprint_bytes) in [(0, 0), (31, 124), (32, 128), (1024, 128)] {
+            let set = nodes(0..members);
+            assert_eq!(
+                matches!(set, NodeSet::List(_)),
+                members < 32,
+                "{members} members"
+            );
+            let footprint = Footprint::Sources(set);
+            assert_eq!(footprint.bytes(), footprint_bytes);
+            let mut cache = ResultCache::new(CacheConfig::default());
+            cache.insert_with_footprint(key("a"), value(1024), 10, Some(footprint));
+            assert_eq!(cache.bytes(), bare + footprint_bytes, "{members} members");
+        }
+    }
+
+    #[test]
+    fn an_entry_survives_edges_that_miss_its_footprint_and_dies_on_a_hit() {
+        let alphabet = Alphabet::from_labels(["a", "b", "c"]);
+        let [a, b, _] = [0, 1, 2].map(Symbol::from_index);
+        let binary = CacheKey::binary(key("a·b").query, 3);
+        let mut cache = ResultCache::new(CacheConfig::default());
+        let footprint = Footprint::Sources(nodes([3, 4]));
+        cache.insert_with_footprint(binary.clone(), value(1024), 10, Some(footprint));
+        cache.insert(key("c"), value(64), 10);
+        // Edges out of nodes the search never reached: spared, counted.
+        assert_eq!(cache.invalidate_edges(&[(5, a, 3)], &[(9, b, 4)]), 0);
+        assert_eq!(cache.stats().spared, 1);
+        // An edge of a label the entry never reads is not a spare: the
+        // label rule already keeps it. The bare c entry dies.
+        let c = alphabet.symbol("c").unwrap();
+        assert_eq!(cache.invalidate_edges(&[(3, c, 4)], &[]), 1);
+        assert!(cache.get(&key("c")).is_none());
+        assert_eq!(cache.stats().spared, 1);
+        assert!(cache.get(&binary).is_some());
+        // A removed edge out of a reached node kills it.
+        let bytes = cache.bytes();
+        assert_eq!(cache.invalidate_edges(&[], &[(4, b, 0)]), 1);
+        assert!(cache.get(&binary).is_none());
+        assert!(cache.bytes() < bytes);
+        assert_eq!(cache.stats().invalidated, 2);
+        assert_eq!(cache.stats().spared, 1);
+    }
+
+    #[test]
+    fn monadic_footprints_read_finals_as_every_node_and_q0_as_the_answer() {
+        // 0 -a-> 1 -b-> 2 over eight nodes: a·b selects {0}, and its
+        // search reached {1} at the middle state.
+        let mut builder =
+            pathlearn_graph::GraphBuilder::with_alphabet(Alphabet::from_labels(["a", "b", "c"]));
+        builder.add_nodes("n", 8);
+        let [a, b, _] = [0, 1, 2].map(Symbol::from_index);
+        builder.add_edge_ids(0, a, 1);
+        builder.add_edge_ids(1, b, 2);
+        let graph = builder.build();
+        let query = key("a·b").query;
+        let dfa = query.dfa();
+        let plan = pathlearn_graph::QueryPlan::forward(dfa);
+        let mut scratch = pathlearn_graph::EvalScratch::new();
+        let answer = pathlearn_graph::EvalPool::sequential()
+            .evaluate(
+                &mut scratch,
+                &plan,
+                &graph,
+                pathlearn_graph::Goal::Monadic,
+                &pathlearn_graph::CancelToken::never(),
+            )
+            .unwrap();
+        assert_eq!(answer.iter().collect::<Vec<_>>(), [0]);
+        let footprint = scratch.footprint(&plan).expect("ran to its fixpoint");
+        let (q0, q1) = (dfa.initial(), dfa.step_raw(dfa.initial(), a));
+        let qf = dfa.step_raw(q1, b);
+        let Footprint::Monadic(sets) = &footprint else {
+            panic!("monadic footprint expected: {footprint:?}");
+        };
+        assert_eq!(sets[q0 as usize], None, "q₀ is the answer");
+        assert_eq!(sets[qf as usize], None, "finals are every node");
+        assert_eq!(
+            sets[q1 as usize],
+            Some(NodeSet::List(Box::new([1]))),
+            "the middle state is stored"
+        );
+        let hit = |add: &[Edge], remove: &[Edge]| footprint.hit_by(dfa, &answer, add, remove);
+        // Finals: any b-edge into any node from a node not yet at q1 is
+        // a new pair; one from node 1, which is, adds nothing.
+        assert!(hit(&[(5, b, 6)], &[]));
+        assert!(!hit(&[(1, b, 6)], &[]));
+        // q₀: an a-edge into node 1 adds a pair unless its source is
+        // already selected; removing one from a selected node may lose
+        // one, removing an absent one from another node cannot.
+        assert!(hit(&[(3, a, 1)], &[]));
+        assert!(!hit(&[(0, a, 1)], &[]));
+        assert!(hit(&[], &[(0, a, 1)]));
+        assert!(!hit(&[], &[(4, a, 1)]));
+        // An a-edge into a node outside R[q1] is never expanded.
+        assert!(!hit(&[(3, a, 5)], &[(0, a, 5)]));
+        // The same verdicts through the cache.
+        let mut cache = ResultCache::new(CacheConfig::default());
+        let entry = CacheKey::monadic(query);
+        cache.insert_with_footprint(entry.clone(), Arc::new(answer), 10, Some(footprint));
+        assert_eq!(
+            cache.invalidate_edges(&[(1, b, 6), (3, a, 5)], &[(4, a, 1)]),
+            0
+        );
+        assert_eq!(cache.stats().spared, 1);
+        assert_eq!(cache.invalidate_edges(&[], &[(1, b, 2)]), 1);
+        assert!(cache.get(&entry).is_none());
+    }
+
+    #[test]
+    fn label_invalidation_ignores_footprints() {
+        // `invalidate_labels` keeps its label-only meaning: a footprint
+        // no edge could hit does not save an entry from it.
+        let mut cache = ResultCache::new(CacheConfig::default());
+        let footprint = Footprint::Sources(nodes([]));
+        cache.insert_with_footprint(key("a"), value(1024), 10, Some(footprint));
+        assert_eq!(cache.invalidate_labels(&[Symbol::from_index(0)]), 1);
+        assert!(cache.is_empty());
+        assert_eq!(cache.bytes(), 0);
+        assert_eq!(cache.stats().spared, 0);
     }
 
     #[test]

@@ -78,8 +78,8 @@
 //! `DELTA` frames are the non-disruptive write path: they are handled
 //! inline on the connection thread through
 //! [`QueryService::apply_delta`] — no drain, no shed, no fresh drain
-//! generation — because a delta invalidates only the touched labels'
-//! cache entries and fences stale in-flight publishes with per-label
+//! generation — because a delta invalidates only the cache entries its
+//! edges reach and fences stale in-flight publishes with per-label
 //! epochs. The table is **retained** across deltas: the node set and
 //! the alphabet are frozen under the delta contract, so every
 //! established fingerprint and every memoised text still names the
@@ -1077,7 +1077,7 @@ impl Server {
     /// Applies an edge-delta batch to the served graph **without
     /// draining** — the non-disruptive counterpart of
     /// [`Server::rebuild_graph`]: concurrent queries keep flowing, only
-    /// the touched labels' cache entries are invalidated, and the
+    /// the cache entries the batch's edges reach are invalidated, and the
     /// fingerprint registry is retained (node set and alphabet are
     /// frozen under the delta contract). Equivalent to a `DELTA` frame
     /// arriving on a connection, minus the name resolution — including

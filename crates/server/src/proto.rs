@@ -48,7 +48,7 @@
 //! | `0x85` | `ERROR` | `u8 code` ([`ErrorCode`]) · message string |
 //! | `0x86` | `STATS` | `u32 n` · n × (`u8 name_len` · name · `u64 value`) |
 //! | `0x87` | `PONG` | empty |
-//! | `0x88` | `DELTA_APPLIED` | `u32 invalidated` · `u8 compacted` · `u32 delta_edges` — the delta landed; only cache entries reading a touched label were dropped |
+//! | `0x88` | `DELTA_APPLIED` | `u32 invalidated` · `u8 compacted` · `u32 delta_edges` — the delta landed; only the cache entries its edges reached were dropped |
 //!
 //! The result bitset is encoded as its backing `u64` blocks, so a client
 //! can compare answers **bit-identically** against direct evaluation —
@@ -211,7 +211,7 @@ pub enum Request {
         request_id: u64,
     },
     /// Apply an edge-delta batch — `(G ∖ remove) ∪ add` — to the served
-    /// graph, invalidating only the touched labels' cache entries.
+    /// graph, invalidating only the cache entries its edges reach.
     /// Edges travel by **name** (`src`, `label`, `dst` strings) and are
     /// resolved server-side; an unknown name fails the whole batch with
     /// [`ErrorCode::BadDelta`] and changes nothing.
@@ -317,7 +317,7 @@ pub enum Response {
     DeltaApplied {
         /// Echo of the request id.
         request_id: u64,
-        /// Cache entries dropped by label-aware invalidation.
+        /// Cache entries the delta's edges reached (and dropped).
         invalidated: u32,
         /// Whether the overlay was folded into a fresh CSR.
         compacted: bool,

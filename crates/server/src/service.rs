@@ -51,36 +51,70 @@
 //! no longer coalesce onto them — so a stale result is never served
 //! after the rebuild returns.
 //!
-//! ## Edge deltas: label-aware invalidation
+//! ## Edge deltas: footprint-filtered invalidation
 //!
 //! [`QueryService::apply_delta`] is the incremental alternative: it
 //! patches the current graph with an edge-delta overlay
 //! ([`GraphDb::with_delta`]) instead of swapping it wholesale, and
-//! invalidates **only what the delta can have changed**. The rule is
-//! per-label: every cached entry carries the *live alphabet* of its
-//! canonical DFA (the labels with at least one defined transition), and
-//! an entry survives a delta iff that set is disjoint from the delta's
-//! touched labels — a query that never steps through label `x` provably
-//! answers identically on a graph whose `x`-edges moved. The same rule
-//! gates in-flight work through **per-label epochs**: admission captures
-//! the maximum epoch over the query's live alphabet, and publication
-//! re-checks it, so an evaluation raced by a delta on its own labels
-//! completes for its waiters but never poisons the cache. The plan
-//! cache *survives* deltas — plans embed label statistics, so a plan
-//! tuned pre-delta may be mildly mistuned, but every strategy is
-//! bit-identical, so it is never wrong. Overlays are folded into a
-//! fresh CSR ([`GraphDb::compact`], node-id- and alphabet-preserving)
-//! once they outgrow [`ServeConfig::delta_compact_threshold`].
+//! invalidates **only what the delta can have changed**. Two filters
+//! run in turn.
+//!
+//! - **Labels.** Every cached entry carries the *live alphabet* of its
+//!   canonical DFA (the labels with at least one defined transition). A
+//!   query that never steps through label `x` provably answers
+//!   identically on a graph whose `x`-edges moved, so an entry whose
+//!   live alphabet misses the batch's labels survives.
+//! - **Footprints.** An answer is reachability in the graph × DFA
+//!   product, and an edge `(u, a, w)` is the product edge
+//!   `(u, p) → (w, q)` for every `δ(p, a) = q`. It can change an answer
+//!   only if the search expanded a pair through it. Each entry keeps the
+//!   [`Footprint`] its evaluation left, and a label-matched entry
+//!   survives unless an edge of the batch hits it:
+//!   - a **binary** answer under a forward plan keeps one node set, the
+//!     union of `reached[q]` over every state with a transition; an
+//!     added or removed edge hits iff its source `u` is in it;
+//!   - a **monadic** answer whose search ran to its fixpoint keeps
+//!     `reached[q]` for every state but the finals (always all of `V`)
+//!     and `q₀` (the answer itself). The search runs backward from
+//!     acceptance, so an added edge hits iff some `δ(p, a) = q` has
+//!     `w ∈ R[q] ∧ u ∉ R[p]` (a new pair), a removed one iff some has
+//!     `w ∈ R[q] ∧ u ∈ R[p]` (an expanded edge).
+//!
+//!   A backward-planned binary answer (its pruned search is
+//!   incomplete), a monadic answer cut short at `reached[q₀] = V`, an
+//!   ε-monadic answer and an out-of-graph source keep none, and the
+//!   label rule alone decides for them.
+//!
+//! The footprint test is sound for whole batches. If an added edge
+//! changes the fixpoint, the first new product pair is derived through
+//! some added edge out of (monadic: into) an old pair, and that edge
+//! hits. A removed edge that does not hit was never expanded, so every
+//! old derivation survives. An entry that survives therefore keeps
+//! exactly the same reached sets, and its footprint stays exact for
+//! later batches.
+//!
+//! In-flight work is fenced by the label rule alone, through
+//! **per-label epochs**: admission captures the maximum epoch over the
+//! query's live alphabet, and publication re-checks it, so an
+//! evaluation raced by a delta on its own labels completes for its
+//! waiters but never poisons the cache. The plan cache *survives*
+//! deltas — plans embed label statistics, so a plan tuned pre-delta may
+//! be mildly mistuned, but every strategy is bit-identical, so it is
+//! never wrong. Overlays are folded into a fresh CSR
+//! ([`GraphDb::compact`], node-id- and alphabet-preserving) once they
+//! outgrow [`ServeConfig::delta_compact_threshold`].
 
-use crate::cache::{intersects, live_alphabet, CacheConfig, CacheKey, QueryKind, ResultCache};
+use crate::cache::{
+    intersects, live_alphabet, touched_labels, CacheConfig, CacheKey, QueryKind, ResultCache,
+};
 use crate::telemetry::{Counter, Gauge, Histogram, Telemetry, TraceBuilder};
 use crate::wal::{Persistence, WalError};
-use pathlearn_automata::{BitSet, CanonicalQuery, Dfa, Symbol};
+use pathlearn_automata::{BitSet, CanonicalQuery, Dfa};
 use pathlearn_graph::graph::DeltaError;
 use pathlearn_graph::plan::plan_query_forced;
 use pathlearn_graph::{
-    CancelToken, EvalPool, EvalScratch, Goal, GraphDb, Interrupt, NodeId, QueryPlan, StepPolicy,
-    Strategy,
+    CancelToken, Edge, EvalPool, EvalScratch, Footprint, Goal, GraphDb, Interrupt, NodeId,
+    QueryPlan, StepPolicy, Strategy,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -139,14 +173,16 @@ impl Default for ServeConfig {
 
 /// How one evaluation ran, for [`QueryService::publish`]: the planner
 /// strategy that produced the bits (never [`Strategy::Auto`] — the
-/// record is the resolution), and what it cost.
-#[derive(Clone, Copy)]
+/// record is the resolution), what it cost, and what it read.
 struct EvalOutcome {
     strategy: Strategy,
     /// Measured wall time: reported, never compared.
     eval_ns: u64,
     /// The result cache's GDSF cost ([`eval_work`]).
     work: u64,
+    /// The search's footprint, when it left an exact one
+    /// ([`EvalScratch::footprint`]).
+    footprint: Option<Footprint>,
 }
 
 /// The deterministic work measure the result cache ranks entries by:
@@ -198,8 +234,10 @@ pub struct QueryResponse {
 /// Outcome of one [`QueryService::apply_delta`] batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaApplied {
-    /// Cache entries dropped because their live alphabet intersected
-    /// the batch's touched labels (everything else kept serving hits).
+    /// Cache entries the batch's edges reached, and so dropped: a
+    /// touched label in the entry's live alphabet and, where the entry
+    /// kept a footprint, an edge that hits it (everything else kept
+    /// serving hits).
     pub invalidated: usize,
     /// Whether the accumulated overlay was folded into a fresh CSR
     /// after this batch ([`ServeConfig::delta_compact_threshold`]).
@@ -259,10 +297,10 @@ pub struct ServeStats {
     /// Graph rebuilds (each clears the cache).
     pub invalidations: u64,
     /// Edge-delta batches applied via [`QueryService::apply_delta`]
-    /// (each invalidates only the touched labels' entries).
+    /// (each invalidates only the entries its edges reach).
     pub deltas_applied: u64,
-    /// Cache entries dropped by label-aware delta invalidation (entries
-    /// whose live alphabet intersected a delta's touched labels).
+    /// Cache entries dropped by delta invalidation (entries the
+    /// delta's edges reached — [`DeltaApplied::invalidated`]).
     pub label_invalidations: u64,
     /// Delta overlays folded into a fresh CSR after outgrowing
     /// [`ServeConfig::delta_compact_threshold`].
@@ -752,29 +790,23 @@ impl QueryService {
 
     /// Patches the served graph with an edge-delta batch —
     /// `(G ∖ remove) ∪ add`, see [`GraphDb::with_delta`] — instead of
-    /// rebuilding it, and invalidates **only** the cache entries and
-    /// in-flight coalescing targets whose live alphabet intersects the
-    /// delta's touched labels (module docs, *Edge deltas*). Entries over
-    /// disjoint labels keep serving hits: their answers are provably
-    /// unchanged. The plan cache survives (plans are tuning, not
-    /// truth), and the overlay is folded into a fresh CSR once it
+    /// rebuilding it, and invalidates **only** the cache entries the
+    /// batch's edges reach, and the in-flight coalescing targets whose
+    /// live alphabet intersects the delta's touched labels (module docs,
+    /// *Edge deltas*). Every other entry keeps serving hits: its answer
+    /// is provably unchanged. The plan cache survives (plans are tuning,
+    /// not truth), and the overlay is folded into a fresh CSR once it
     /// outgrows [`ServeConfig::delta_compact_threshold`].
     ///
     /// Returns the applied outcome; fails (changing nothing) only on
     /// endpoints or labels the frozen graph does not know.
-    pub fn apply_delta(
-        &self,
-        add: &[(NodeId, Symbol, NodeId)],
-        remove: &[(NodeId, Symbol, NodeId)],
-    ) -> Result<DeltaApplied, DeltaError> {
+    pub fn apply_delta(&self, add: &[Edge], remove: &[Edge]) -> Result<DeltaApplied, DeltaError> {
         let mut inner = self.inner.lock().unwrap();
         let mut patched = inner.graph.with_delta(add, remove)?;
-        // Touched = labels named by the batch, deduped. (A fully
-        // cancelled no-op batch still counts as touching its labels:
-        // callers asked for a write fence, they get one.)
-        let mut touched: Vec<Symbol> = add.iter().chain(remove).map(|&(_, sym, _)| sym).collect();
-        touched.sort_unstable_by_key(|sym| sym.index());
-        touched.dedup();
+        // Touched = labels named by the batch. (A fully cancelled no-op
+        // batch still counts as touching its labels: callers asked for a
+        // write fence, they get one.)
+        let touched = touched_labels(add, remove);
         for &sym in &touched {
             inner.label_epochs[sym.index()] += 1;
         }
@@ -787,7 +819,7 @@ impl QueryService {
             self.counters.compactions.inc();
         }
         inner.graph = Arc::new(patched);
-        let invalidated = inner.cache.invalidate_labels(&touched);
+        let invalidated = inner.cache.invalidate_edges(add, remove);
         self.counters.label_invalidations.add(invalidated as u64);
         // Drain (not abandon) the in-flight tickets the delta can have
         // staled, exactly as a rebuild drains all of them: their owners
@@ -827,8 +859,8 @@ impl QueryService {
     /// Without attached persistence this is exactly [`QueryService::apply_delta`].
     pub fn apply_delta_durable(
         &self,
-        add: &[(NodeId, Symbol, NodeId)],
-        remove: &[(NodeId, Symbol, NodeId)],
+        add: &[Edge],
+        remove: &[Edge],
     ) -> Result<DeltaApplied, DeltaCommitError> {
         let mut persistence = self.persistence.lock().unwrap();
         let Some(persistence) = persistence.as_mut() else {
@@ -1117,7 +1149,7 @@ impl QueryService {
                         self.evaluate(&graph, &key, epoch, &mut trace, cancel)
                     });
                     trace.span_end("eval", eval_begin);
-                    let (result, strategy) = match evaluated {
+                    let (result, strategy, footprint) = match evaluated {
                         Ok(outcome) => outcome,
                         Err(interrupt) => {
                             // The armed guard's drop deregisters the
@@ -1134,6 +1166,7 @@ impl QueryService {
                         strategy,
                         eval_ns,
                         work: eval_work(&levels),
+                        footprint,
                     };
                     trace.span("publish", || {
                         self.publish(&key, &ticket, (epoch, label_stamp), result.clone(), outcome)
@@ -1188,7 +1221,7 @@ impl QueryService {
         epoch: u64,
         trace: &mut TraceBuilder,
         cancel: &CancelToken,
-    ) -> Result<(BitSet, Strategy), Interrupt> {
+    ) -> Result<(BitSet, Strategy, Option<Footprint>), Interrupt> {
         // Evaluations run on the calling client thread; a thread-local
         // scratch keeps the serving hot path free of the
         // per-miss bitset allocations a fresh scratch would zero
@@ -1217,11 +1250,11 @@ impl QueryService {
                 )
             }
         };
-        let result = SCRATCH.with(|scratch| {
-            self.pool
-                .evaluate(&mut scratch.borrow_mut(), plan, graph, goal, cancel)
-        })?;
-        Ok((result, strategy))
+        SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            let result = self.pool.evaluate(scratch, plan, graph, goal, cancel)?;
+            Ok((result, strategy, scratch.footprint(plan)))
+        })
     }
 
     /// Publishes an evaluated result: cache insert (stamp-guarded),
@@ -1250,6 +1283,7 @@ impl QueryService {
             strategy,
             eval_ns,
             work,
+            footprint,
         } = outcome;
         if !self.eval_holdoff.is_zero() {
             std::thread::sleep(self.eval_holdoff);
@@ -1263,7 +1297,9 @@ impl QueryService {
         {
             let mut inner = self.inner.lock().unwrap();
             if inner.epoch == epoch && inner.label_stamp(live_alphabet(&key.query)) == label_stamp {
-                inner.cache.insert(key.clone(), result.clone(), work);
+                inner
+                    .cache
+                    .insert_with_footprint(key.clone(), result.clone(), work, footprint);
                 self.counters.sync_cache_gauges(&inner.cache);
             }
             if inner
@@ -1281,7 +1317,7 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathlearn_automata::Regex;
+    use pathlearn_automata::{Regex, Symbol};
     use pathlearn_graph::eval::{eval_binary_from, eval_monadic};
     use pathlearn_graph::graph::figure3_g0;
 
@@ -1517,6 +1553,7 @@ mod tests {
                 strategy: Strategy::Forward,
                 eval_ns: 1,
                 work: 1,
+                footprint: None,
             },
         );
         assert!(

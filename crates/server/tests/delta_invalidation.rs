@@ -12,14 +12,22 @@
 //! - unlike a rebuild, a delta **retains** the fingerprint registry
 //!   (the node set and alphabet are frozen) and does not drain;
 //! - unknown node or label names answer `ERROR(BAD_DELTA)` without
-//!   disturbing the served graph or killing the connection.
+//!   disturbing the served graph or killing the connection;
+//! - invalidation is **footprint-filtered**: a label-matched entry whose
+//!   footprint the delta's edges miss survives as a hit and is counted
+//!   in `cache.spared`, and, for random graphs, queries, strategies and
+//!   delta batches, every answer the service serves after a batch equals
+//!   a fresh evaluation on the patched graph.
 
-use pathlearn_automata::Symbol;
-use pathlearn_graph::eval::eval_monadic;
-use pathlearn_graph::{GraphBuilder, GraphDb};
+use pathlearn_automata::{Alphabet, Dfa, Regex, Symbol};
+use pathlearn_graph::eval::{eval_binary_from, eval_monadic};
+use pathlearn_graph::Strategy as Plan;
+use pathlearn_graph::{GraphBuilder, GraphDb, NodeId};
 use pathlearn_server::{
-    Client, ErrorCode, NetConfig, Response, ServeConfig, Server, WireServed, NO_DEADLINE_MS,
+    Client, ErrorCode, NetConfig, QueryService, Response, ServeConfig, Served, Server, WireServed,
+    NO_DEADLINE_MS,
 };
+use proptest::prelude::*;
 
 /// A ring with chords over {a, b, c} — node names are `n0..n{N-1}`.
 fn ring_graph(n: usize) -> GraphDb {
@@ -199,4 +207,192 @@ fn deltas_accumulate_and_an_empty_delta_is_a_noop() {
 
     let stats = client.stats().unwrap();
     assert_eq!(counter(&stats, "serve.deltas_applied"), 3);
+}
+
+#[test]
+fn a_delta_that_misses_the_footprint_spares_the_entry() {
+    // On the ring, the forward search of `c·a` from n0 reaches n0 and,
+    // through n0's c-chord, n7, which has a b-edge only: the answer is
+    // empty. An a-edge between two nodes the search never reached
+    // changes nothing, so the entry survives the label match; an a-edge
+    // out of n7 kills it.
+    let graph = ring_graph(30);
+    let config = ServeConfig {
+        strategy: Plan::Forward,
+        ..ServeConfig::default()
+    };
+    let service = QueryService::new(graph.clone(), config);
+    let query = Regex::parse("c·a", graph.alphabet()).unwrap().to_dfa(3);
+    let node = |name: &str| graph.node_id(name).unwrap();
+    let a = graph.alphabet().symbol("a").unwrap();
+    let before = service.query_binary_from(&query, node("n0"));
+    let applied = service
+        .apply_delta(&[(node("n20"), a, node("n21"))], &[])
+        .unwrap();
+    assert_eq!(applied.invalidated, 0, "the footprint missed the edge");
+    assert_eq!(service.cache_usage().0, 1);
+    let spared = service.query_binary_from(&query, node("n0"));
+    assert_eq!(spared.served, Served::Hit);
+    assert_eq!(spared.result, before.result);
+    let counters = service.telemetry().registry.snapshot();
+    let count = |name: &str| counter(&counters, name);
+    assert_eq!(count("cache.spared"), 1);
+    assert_eq!(count("cache.invalidated"), 0);
+
+    let applied = service
+        .apply_delta(&[(node("n7"), a, node("n12"))], &[])
+        .unwrap();
+    assert_eq!(applied.invalidated, 1, "an edge out of n7 hits");
+    let after = service.query_binary_from(&query, node("n0"));
+    assert!(matches!(after.served, Served::Evaluated { .. }));
+    assert!(before.result.is_empty());
+    assert_eq!(
+        after.result.iter().collect::<Vec<_>>(),
+        [node("n12") as usize]
+    );
+}
+
+const LABELS: [&str; 3] = ["a", "b", "c"];
+
+/// Concatenation, stars and disjunction, nested; the last has `ε` in
+/// its language.
+const QUERIES: [&str; 8] = [
+    "a",
+    "a·b",
+    "(a+b)*·c",
+    "(a·b)*·c",
+    "b·(a+c)*",
+    "c·c*·a",
+    "(a+b+c)*·b·b",
+    "(a·c)*",
+];
+
+type RawEdge = (u32, usize, u32);
+
+/// One raw delta batch: random additions and removals (ids taken mod
+/// the node count, so they hit absent edges and each other), removals
+/// of present edges (indices into the current edge list), and
+/// additions repeated within the batch.
+#[derive(Clone, Debug)]
+struct RawBatch {
+    add: Vec<RawEdge>,
+    remove: Vec<RawEdge>,
+    remove_present: Vec<usize>,
+    repeat_adds: bool,
+}
+
+fn arb_graph() -> impl Strategy<Value = GraphDb> {
+    (
+        2usize..13,
+        proptest::collection::vec((0u32..12, 0usize..3, 0u32..12), 0..36),
+    )
+        .prop_map(|(n, edges)| {
+            let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
+            builder.add_nodes("n", n);
+            let n = n as u32;
+            for (src, sym, dst) in edges {
+                builder.add_edge_ids(src % n, Symbol::from_index(sym), dst % n);
+            }
+            builder.build()
+        })
+}
+
+fn arb_batches() -> impl Strategy<Value = Vec<RawBatch>> {
+    let edge = (0u32..12, 0usize..3, 0u32..12);
+    proptest::collection::vec(
+        (
+            proptest::collection::vec(edge.clone(), 0..4),
+            proptest::collection::vec(edge, 0..3),
+            proptest::collection::vec(0usize..64, 0..3),
+            any::<bool>(),
+        )
+            .prop_map(|(add, remove, remove_present, repeat_adds)| RawBatch {
+                add,
+                remove,
+                remove_present,
+                repeat_adds,
+            }),
+        1..7,
+    )
+}
+
+type Edge = (NodeId, Symbol, NodeId);
+
+/// Resolves a raw batch against the current graph.
+fn batch(graph: &GraphDb, raw: &RawBatch) -> (Vec<Edge>, Vec<Edge>) {
+    let n = graph.num_nodes() as u32;
+    let fix = |&(src, sym, dst): &RawEdge| (src % n, Symbol::from_index(sym), dst % n);
+    let mut add: Vec<Edge> = raw.add.iter().map(fix).collect();
+    if raw.repeat_adds {
+        add.extend(add.clone());
+    }
+    let mut remove: Vec<Edge> = raw.remove.iter().map(fix).collect();
+    let present: Vec<Edge> = graph.edges().collect();
+    if !present.is_empty() {
+        remove.extend(
+            raw.remove_present
+                .iter()
+                .map(|&i| present[i % present.len()]),
+        );
+    }
+    (add, remove)
+}
+
+/// Every monadic answer and every binary answer from every source that
+/// `service` serves equals a fresh evaluation on its current graph.
+fn assert_served_fresh(service: &QueryService, queries: &[Dfa]) -> Result<(), TestCaseError> {
+    let graph = service.graph();
+    for (query, expr) in queries.iter().zip(QUERIES) {
+        let served = service.query_monadic(query);
+        prop_assert_eq!(
+            &*served.result,
+            &eval_monadic(query, &graph),
+            "monadic {} served {:?}",
+            expr,
+            served.served
+        );
+        for source in graph.nodes() {
+            let served = service.query_binary_from(query, source);
+            prop_assert_eq!(
+                &*served.result,
+                &eval_binary_from(query, &graph, source),
+                "binary {} from {} served {:?}",
+                expr,
+                source,
+                served.served
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Whole-service soundness of footprint-filtered invalidation: warm
+    /// every answer, apply a batch, and check every answer again —
+    /// served hits included — under every planner strategy.
+    #[test]
+    fn served_answers_stay_fresh_across_random_deltas(
+        graph in arb_graph(),
+        batches in arb_batches(),
+    ) {
+        let queries: Vec<Dfa> = QUERIES
+            .iter()
+            .map(|expr| Regex::parse(expr, graph.alphabet()).unwrap().to_dfa(3))
+            .collect();
+        for strategy in Plan::ALL {
+            let config = ServeConfig {
+                strategy,
+                ..ServeConfig::default()
+            };
+            let service = QueryService::new(graph.clone(), config);
+            assert_served_fresh(&service, &queries)?;
+            for raw in &batches {
+                let (add, remove) = batch(&service.graph(), raw);
+                service.apply_delta(&add, &remove).expect("in-range batch");
+                assert_served_fresh(&service, &queries)?;
+            }
+        }
+    }
 }

@@ -72,8 +72,10 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 /// `pqbench`'s `count.*` metrics) may look up by string. The registry
 /// migration must keep all of them answering. Four have been retired
 /// since ([`RETIRED_KEYS`]): three with the mechanisms they counted, and
-/// one that always equalled `serve.misses`.
-const LEGACY_KEYS: [&str; 30] = [
+/// one that always equalled `serve.misses`. One has been added since:
+/// `cache.spared`, the label-matched entries a delta's footprint test
+/// kept.
+const LEGACY_KEYS: [&str; 31] = [
     "serve.hits",
     "serve.misses",
     "serve.coalesced",
@@ -92,6 +94,7 @@ const LEGACY_KEYS: [&str; 30] = [
     "cache.evictions",
     "cache.rejected",
     "cache.invalidated",
+    "cache.spared",
     "cache.bytes_used",
     "cache.bytes_budget",
     "net.accepted",
