@@ -12,7 +12,7 @@
 //!   baseline);
 //! * **step-policy ablation**: every query of the mix evaluated
 //!   monadically under `Plain` (exhaustive baseline) and `Auto` (the
-//!   cost-model gate — skip / covered / masked / plain per step — the
+//!   cost-model gate — skip / covered / sparse / plain per step — the
 //!   default everywhere) through [`EvalPool::evaluate`]. The headline
 //!   `prune_speedup` compares `Plain` against `Auto`.
 //! * **whole-query planner ablation**: every query of the mix evaluated
@@ -74,7 +74,9 @@ impl QueryResult {
 }
 
 /// One query's step-policy ablation: the engine under `Plain`
-/// (exhaustive) and `Auto` (the masked cost model, the default).
+/// (exhaustive) and `Auto` (the cost-model gate, the default; its time
+/// keeps the JSON name `masked_ns` from when the gate chose a masked
+/// kernel).
 struct PolicyResult {
     name: String,
     plain_ns: u128,
@@ -82,7 +84,7 @@ struct PolicyResult {
 }
 
 impl PolicyResult {
-    /// The headline ablation: the masked cost-model default against the
+    /// The headline ablation: the cost-model default against the
     /// exhaustive baseline (recorded as `prune_speedup` in the JSON for
     /// cross-PR continuity).
     fn masked_speedup(&self) -> f64 {
@@ -150,9 +152,9 @@ fn bench_query(graph: &GraphDb, q: &CalibratedQuery, runs: usize) -> QueryResult
     }
 }
 
-/// Times one query's masked-kernel ablation (`Plain` vs `Auto`).
+/// Times one query's step-policy ablation (`Plain` vs `Auto`).
 /// Asserts every policy bit-identical to the default result before
-/// timing, so a masked/plain divergence aborts the run.
+/// timing, so a policy divergence aborts the run.
 fn bench_step_policy(graph: &GraphDb, query: &CalibratedQuery, runs: usize) -> PolicyResult {
     let dfa = query.query.dfa();
     let expected = eval_monadic(dfa, graph);

@@ -31,9 +31,9 @@
 //!    opposite-direction bitmap — every monadic evaluation's first
 //!    level, seeded with all of `V`), mark it *sparse* (a frontier of a
 //!    few nodes against `|V|`, priced before any scan — every binary
-//!    evaluation's first level, seeded with one node), run the kernel
-//!    *masked* (iterate `frontier ∩ label-active` word-by-word, never
-//!    reading an edge-less node's offsets) or plain — priced by a
+//!    evaluation's first level, seeded with one node), or walk it with
+//!    the dense kernel (`frontier ∩ label-active` word-by-word, each
+//!    cell found by rank in the label word) — priced by a
 //!    degree-weighted popcount cost model whose frontier popcount is
 //!    counted for free during the previous merge;
 //! 2. **runs** the plan through the step kernel
@@ -809,7 +809,6 @@ impl EvalPool {
                 started,
                 frontier_nodes,
                 tasks.len() as u32 - idle_sparse,
-                count(StepPlan::Masked),
                 count(StepPlan::Covered),
                 count(StepPlan::Sparse) - idle_sparse,
             );

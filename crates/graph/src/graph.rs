@@ -4,19 +4,27 @@
 //! are dense `u32` ids with optional string names; edges are stored once
 //! per [`Dir`] in a **label-partitioned CSR** (an `Adjacency`) laid out
 //! **label-major**: [`Dir::Out`] sorted by `(label, src, dst)`,
-//! [`Dir::In`] by `(label, dst, src)`, each with a `(label, node)` offset
-//! table of `|Σ|·|V| + 1` entries frozen at [`GraphBuilder::build`] time.
-//! [`GraphDb::neighbors`] is therefore **two adjacent array reads**
-//! (cells `a·|V| + v` and `a·|V| + v + 1`) instead of the two binary
-//! searches a mixed-label row would need — the access pattern of every
-//! simulation and product loop in the workspace — and a frontier step
-//! over `a`, which visits nodes in ascending order, streams through
-//! `a`'s offsets and edges front to back. Per-node views
-//! ([`GraphDb::edges_of`], [`GraphDb::degree`], [`GraphDb::edges`]) walk
-//! the node's cell in every label's run instead. Everything that asks
-//! for "the `a`-neighbours of a node (set), in one direction" takes the
-//! direction as a [`Dir`] argument, which only selects which adjacency
-//! is read.
+//! [`Dir::In`] by `(label, dst, src)`, frozen at [`GraphBuilder::build`]
+//! time. The CSR is **succinct**: it keeps an offset only for each
+//! *active* `(label, node)` cell — a node with at least one edge of the
+//! label in that direction — and finds a cell by **rank** over the
+//! per-label active-node bitmaps the graph keeps anyway
+//! ([`GraphDb::label_active`]):
+//!
+//! ```text
+//! offsets  one u32 per active cell + 1   cell i = edges[offsets[i]..offsets[i + 1]]
+//! ranks    |Σ|·⌈|V|/64⌉ u32              ranks[a·W + w] = first active cell of a in word w
+//! cell(v, a) = ranks[a·W + v/64] + popcount(active_a[v/64] & below(v))   if v ∈ active_a
+//! ```
+//!
+//! [`GraphDb::neighbors`] is therefore a bit test, a rank read, a
+//! popcount and two offset reads — `O(1)`, no search — and a frontier
+//! step over `a`, which visits nodes in ascending order, streams through
+//! `a`'s rank words, offsets and edges front to back. Per-node views
+//! ([`GraphDb::edges_of`], [`GraphDb::degree`], [`GraphDb::edges`]) test
+//! the node's bit in every label instead. Everything that asks for "the
+//! `a`-neighbours of a node (set), in one direction" takes the direction
+//! as a [`Dir`] argument, which only selects which adjacency is read.
 //!
 //! On top of the partitioned layout sits the **frontier step kernel**
 //! ([`GraphDb::step_into`], with the allocating form [`GraphDb::step`]):
@@ -37,12 +45,13 @@
 //! hot path they had before. The per-label bitmaps, counts and
 //! average degrees the [`StepPolicy`] cost model reads are **recomputed
 //! exactly** for touched labels at delta-apply time, so plan decisions
-//! stay sound on overlay graphs. When the overlay outgrows a threshold,
-//! [`GraphDb::compact`] folds it into a fresh CSR **preserving node ids
-//! and the alphabet**, so result bitsets and interned symbols stay valid
-//! across compaction. The node set and alphabet are frozen: a delta
-//! naming an unknown node or label is a structured [`DeltaError`], not
-//! an implicit rebuild.
+//! stay sound on overlay graphs; the base bitmaps stay frozen beside
+//! them, because the ranks count base cells. When the overlay outgrows a
+//! threshold, [`GraphDb::compact`] folds it into a fresh CSR **preserving
+//! node ids and the alphabet**, so result bitsets and interned symbols
+//! stay valid across compaction. The node set and alphabet are frozen: a
+//! delta naming an unknown node or label is a structured [`DeltaError`],
+//! not an implicit rebuild.
 //!
 //! The slice accessors ([`GraphDb::neighbors`] and its out-direction
 //! shorthand [`GraphDb::successors`]) expose the **base CSR only** — they
@@ -50,36 +59,33 @@
 //! use the merged views: [`GraphDb::for_each_neighbor`],
 //! [`GraphDb::edges_of`], [`GraphDb::edges`], and the step kernel itself.
 //!
-//! Alongside the offsets, each adjacency freezes a **per-label
-//! active-node bitmap** ([`GraphDb::label_active`]): for each symbol, the
-//! set of nodes with at least one edge of that label in that direction.
 //! A frontier step over a symbol can only produce output from frontier
-//! nodes in the matching bitmap, which the kernel exploits at two
-//! strengths: its **masked** form iterates `frontier ∩ label-active`
-//! word-by-word so masked-out nodes never cost an offset read, and the
-//! **cost-model gate** ([`GraphDb::plan_step`], driven by a
-//! [`StepPolicy`]) prices each `(level, symbol)` step with one fused
-//! AND+popcount scan, choosing skip / covered / masked / plain for the
-//! level kernel in [`crate::eval`] — *covered* when the frontier holds
-//! the whole active set, so the step's answer is the label's
-//! opposite-direction bitmap — or, for a frontier of a few nodes,
-//! *sparse* before any scan: the level kernel then visits those nodes'
-//! edges one by one instead of making `|V|`-word passes.
+//! nodes in the label's active set, and the kernel reads that set's word
+//! anyway to rank its cells: it iterates `frontier ∩ label-active`
+//! word-by-word, so inactive nodes cost nothing. The **cost-model gate**
+//! ([`GraphDb::plan_step`], driven by a [`StepPolicy`]) prices each
+//! `(level, symbol)` step with one fused AND+popcount scan, choosing
+//! skip / covered / plain for the level kernel in [`crate::eval`] —
+//! *covered* when the frontier holds the whole active set, so the step's
+//! answer is the label's opposite-direction bitmap — or, for a frontier
+//! of a few nodes, *sparse* before any scan: the level kernel then visits
+//! those nodes' edges one by one instead of making `|V|`-word passes.
 //!
 //! ## Complexity
 //!
-//! * build: the builder's `O(|E| log |E|)` sort, then per direction one
-//!   `O(|Σ|·|V| + |E|)` counting sort (count, prefix sum, scatter);
-//! * memory: `2·|E|` edge entries + `2·(|Σ|·|V| + 1)` offsets — the
-//!   offsets trade `O(|Σ|·|V|)` space for `O(1)` per-symbol lookup, the
-//!   PathFinder-style label-indexed adjacency choice;
-//! * `step(dir, F, a)`: `O(|F| + Σ_{ν∈F} deg_a(ν) + |V|/64)`;
+//! * build: the builder's `O(|E| log |E|)` sort, then per direction three
+//!   passes (bitmaps and label counts; rank words and cell counts; a
+//!   scatter through the offsets), `O(|Σ|·|V|/64 + |E|)` — nothing of
+//!   size `|Σ|·|V|` is allocated, not even transiently;
+//! * memory: `2·|E|` edge entries + `2·(Σ_a |active_a| + 1)` offsets +
+//!   `2·|Σ|·⌈|V|/64⌉` rank words, beside the `2·|Σ|·|V|` bits of label
+//!   bitmaps the planner reads;
+//! * `step(dir, F, a)`: `O(|F ∩ active_a| + Σ_{ν∈F} deg_a(ν) + |V|/64)`;
 //! * `neighbors`: `O(1)` to produce the slice; `edges_of` / `degree`:
 //!   `O(|Σ| + deg(ν))`.
 
 use pathlearn_automata::{Alphabet, BitSet, Symbol};
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 pub mod snapshot;
@@ -92,22 +98,18 @@ pub type NodeId = u32;
 /// for a heuristic, and the multiply stays in `u64`).
 const AVG_DEG_FP: u64 = 16;
 
-/// Cost-model weight of one frontier node the masked kernel skips, in
-/// the same ×16 fixed point: the two offset reads the plain kernel
-/// would issue for a node that has no edge of the stepped label.
-const SKIPPED_NODE_COST_X16: u64 = 2 * AVG_DEG_FP;
-
-/// Cost-model weight of one frontier word the masked kernel scans: the
-/// extra label-bitmap load + AND per `u64` block (×16 fixed point).
-const MASK_WORD_COST_X16: u64 = AVG_DEG_FP;
+/// Cost-model weight of one frontier node beyond its edges, in the same
+/// ×16 fixed point: the bit test, rank read and two offset reads that
+/// find its cell.
+const NODE_COST_X16: u64 = 2 * AVG_DEG_FP;
 
 /// The sparse-step gate: a step is planned [`StepPlan::Sparse`] when
-/// its frontier nodes, each priced like a node the masked kernel skips
-/// plus its label's average degree in endpoint test-and-sets, cost at
-/// most this much per `u64` word of a `|V|`-bit set (×16 fixed point):
+/// its frontier nodes, each priced at [`NODE_COST_X16`] plus its label's
+/// average degree in endpoint test-and-sets, cost at most this much per
+/// `u64` word of a `|V|`-bit set (×16 fixed point):
 ///
 /// ```text
-/// frontier · (offset cost + avg label degree)  ≤  node words · SPARSE_WORD_COST_X16
+/// frontier · (node cost + avg label degree)  ≤  node words · SPARSE_WORD_COST_X16
 /// ```
 ///
 /// At one word's worth — the price of a single `|V|`-word pass, of
@@ -150,13 +152,15 @@ impl Dir {
 /// policies; only the work performed per `(level, symbol)` step differs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StepPolicy {
-    /// Plain kernels, no label-bitmap consultation — the exhaustive
-    /// baseline (every symbol with DFA transitions is stepped in full).
+    /// Always walk: every symbol with DFA transitions is stepped by the
+    /// dense kernel, with no skip, covered copy or sparse visit — the
+    /// ablation baseline.
     Plain,
     /// The cost-model gate (the default everywhere): per `(level, symbol)`
     /// compare the intersection popcount against the frontier popcount and
     /// the label's active count: skip an empty step, copy a covered one,
-    /// or pick the cheaper kernel — see [`GraphDb::plan_step`].
+    /// visit a tiny frontier node by node, or walk — see
+    /// [`GraphDb::plan_step`].
     #[default]
     Auto,
 }
@@ -170,11 +174,10 @@ impl StepPolicy {
 /// The per-`(level, symbol)` decision produced by [`GraphDb::plan_step`]
 /// under a [`StepPolicy`] and executed by [`GraphDb::step_into`]:
 /// skip the step entirely (provably empty), copy its provably known
-/// answer, walk a frontier of a few nodes one node at a time, run the
-/// masked kernel, or run the plain one. `Skip` and `Covered` are
-/// verdicts about the frontier they were planned for; `Sparse` is a
-/// verdict about its size. Only [`StepPolicy::Auto`] plans anything but
-/// `Plain`.
+/// answer, walk a frontier of a few nodes one node at a time, or run the
+/// dense kernel. `Skip` and `Covered` are verdicts about the frontier
+/// they were planned for; `Sparse` is a verdict about its size. Only
+/// [`StepPolicy::Auto`] plans anything but `Plain`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepPlan {
     /// No frontier node carries an edge of the symbol in the step
@@ -194,9 +197,8 @@ pub enum StepPlan {
     /// ([`GraphDb::step_visit`]). Through [`GraphDb::step_into`] the
     /// visits are inserted into `out`.
     Sparse,
-    /// Iterate `frontier ∩ label-active` (the masked kernel).
-    Masked,
-    /// Iterate the raw frontier (the plain kernel).
+    /// The dense kernel: walk `frontier ∩ label-active` word by word,
+    /// ranking each surviving node's cell in the label word just read.
     Plain,
 }
 
@@ -290,33 +292,124 @@ impl LabelStats {
 /// One direction of the label-partitioned CSR, stored **label-major**:
 /// every edge as a `(label, endpoint)` pair in `(label, node, endpoint)`
 /// order, where *node* is the source and *endpoint* the target for
-/// [`Dir::Out`], and the other way round for [`Dir::In`]. A frontier
-/// step over one label visits nodes in ascending order, so it reads
-/// that label's offsets (16 nodes per 64-byte line) and its edges front
-/// to back, instead of one `|Σ|`-cell row per frontier node.
+/// [`Dir::Out`], and the other way round for [`Dir::In`]. Only **active**
+/// `(label, node)` cells — `node` in the label's `active` bitmap — have
+/// an offset, and a cell is found by rank over that bitmap (see the
+/// module docs). A frontier step over one label visits nodes in
+/// ascending order, so it reads that label's bitmap, rank words,
+/// offsets and edges front to back.
 #[derive(Debug)]
 struct Adjacency {
-    /// `(label, node)` offsets into `edges` (`|Σ|·|V| + 1`): the
-    /// `a`-edges of `v` are `edges[offsets[a·|V| + v]..offsets[a·|V| + v + 1]]`,
-    /// so label `a`'s run of `|V| + 1` cells ends where `a + 1`'s begins.
+    /// One offset into `edges` per active cell, in `(label, node)` order,
+    /// plus a sentinel: cell `i`'s edges are
+    /// `edges[offsets[i]..offsets[i + 1]]`, and label `a`'s cells end
+    /// where `a + 1`'s begin.
     offsets: Vec<u32>,
+    /// The rank directory, `words` entries per label: `ranks[a·words + w]`
+    /// is the index of label `a`'s first active cell at or after node
+    /// `64·w`.
+    ranks: Vec<u32>,
     edges: Vec<(Symbol, NodeId)>,
-    /// Per-label statistics, indexed by symbol (`|Σ|` entries).
+    /// Per-label statistics, indexed by symbol (`|Σ|` entries). Their
+    /// `active` bitmaps are what the ranks count.
     labels: Vec<LabelStats>,
     num_nodes: usize,
+    /// `⌈|V|/64⌉`: bitmap words, and rank words, per label.
+    words: usize,
+}
+
+/// A node id as the `(word, bit)` of its bitmap position.
+#[inline(always)]
+fn word_and_bit(node: usize) -> (usize, u32) {
+    (
+        node / BitSet::BLOCK_BITS,
+        (node % BitSet::BLOCK_BITS) as u32,
+    )
+}
+
+/// The index of the active cell at bit `bit` of `label_word`: the
+/// word's rank plus the popcount of the label's cells below `bit`.
+#[inline(always)]
+fn rank(rank_word: u32, label_word: u64, bit: u32) -> usize {
+    debug_assert!(label_word >> bit & 1 == 1, "rank of an inactive cell");
+    rank_word as usize + (label_word & ((1u64 << bit) - 1)).count_ones() as usize
+}
+
+/// One label of an [`Adjacency`]: its bitmap words, and where its rank
+/// words start in the direction's rank directory.
+#[derive(Clone, Copy)]
+struct LabelRun<'g> {
+    adj: &'g Adjacency,
+    active: &'g [u64],
+    /// `ranks[rank_base + w]` is the rank word of bitmap word `w`.
+    rank_base: usize,
+}
+
+impl<'g> LabelRun<'g> {
+    /// `node`'s base edges of this label: one bit test, and one rank if
+    /// the bit is set. Inlined into every per-node reader: a call would
+    /// cost the SCP search more than the lookup.
+    #[inline(always)]
+    fn cell(&self, node: usize) -> &'g [(Symbol, NodeId)] {
+        let (word, bit) = word_and_bit(node);
+        let label_word = self.active[word];
+        if label_word >> bit & 1 == 0 {
+            return &[];
+        }
+        self.adj
+            .cell_edges(rank(self.rank_word(word), label_word, bit))
+    }
+
+    /// The index of the label's first active cell in bitmap word `word`.
+    #[inline(always)]
+    fn rank_word(&self, word: usize) -> u32 {
+        self.adj.ranks[self.rank_base + word]
+    }
+
+    /// Visits each node of `bits` — a subset of frontier word `word` —
+    /// in ascending order with its base edges of this label, empty for a
+    /// node without any (an overlay-only node). The label word is read
+    /// once for the whole word, and each cell's rank is a popcount in it.
+    #[inline]
+    fn visit_word(
+        &self,
+        word: usize,
+        mut bits: u64,
+        mut visit: impl FnMut(NodeId, &'g [(Symbol, NodeId)]),
+    ) {
+        if bits == 0 {
+            return;
+        }
+        let (label_word, rank_word) = (self.active[word], self.rank_word(word));
+        // Local slices: `visit`'s stores would otherwise make every node
+        // reload them through the shared core.
+        let (offsets, edges) = (&self.adj.offsets[..], &self.adj.edges[..]);
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            bits &= bits - 1;
+            let base = if label_word >> bit & 1 == 0 {
+                &[][..]
+            } else {
+                let cell = rank(rank_word, label_word, bit);
+                &edges[offsets[cell] as usize..offsets[cell + 1] as usize]
+            };
+            visit((word * BitSet::BLOCK_BITS + bit as usize) as NodeId, base);
+        }
+    }
 }
 
 impl Adjacency {
     /// Freezes one direction of an edge list sorted by `(src, symbol,
-    /// dst)` and deduplicated, with a counting sort keyed by `(label,
-    /// node)` — *node* being `src` for [`Dir::Out`], `dst` for
-    /// [`Dir::In`]. One pass counts the cells (and derives the per-label
-    /// statistics), a prefix sum turns counts into starts, and a stable
-    /// scatter uses the offset table itself as the write cursor, so no
-    /// second `|Σ|·|V|` table is ever live. Each cell receives its
-    /// endpoints in list order, which is ascending in both directions:
-    /// targets ascend within a `(src, symbol)` run, and sources ascend
-    /// along the whole list.
+    /// dst)` and deduplicated, keyed by `(label, node)` — *node* being
+    /// `src` for [`Dir::Out`], `dst` for [`Dir::In`] — in three passes:
+    /// the first sets the label bitmaps and counts each label's edges;
+    /// the second lays the rank words over the bitmaps and counts each
+    /// active cell's edges; the third scatters the edges, using the
+    /// offsets themselves as write cursors. Nothing of size `|Σ|·|V|`
+    /// is ever allocated. Each cell receives its endpoints in list
+    /// order, which is ascending in both directions: targets ascend
+    /// within a `(src, symbol)` run, and sources ascend along the whole
+    /// list.
     fn from_sorted(
         sorted: &[(NodeId, Symbol, NodeId)],
         dir: Dir,
@@ -327,64 +420,101 @@ impl Adjacency {
             Dir::Out => (sym, src, dst),
             Dir::In => (sym, dst, src),
         };
-        let cell = |sym: Symbol, node: NodeId| sym.index() * num_nodes + node as usize;
-        let cells = sigma * num_nodes;
-        let mut offsets = vec![0u32; cells + 1];
         let mut active: Vec<BitSet> = (0..sigma).map(|_| BitSet::new(num_nodes)).collect();
         let mut edge_counts = vec![0u64; sigma];
         for edge in sorted {
             let (sym, node, _) = key(edge);
-            offsets[cell(sym, node) + 1] += 1;
             active[sym.index()].insert(node as usize);
             edge_counts[sym.index()] += 1;
         }
-        for i in 0..cells {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut edges = vec![(Symbol::from_index(0), 0); sorted.len()];
-        for edge in sorted {
-            let (sym, node, endpoint) = key(edge);
-            let cursor = &mut offsets[cell(sym, node)];
-            edges[*cursor as usize] = (sym, endpoint);
-            *cursor += 1;
-        }
-        // Each cursor now stands at its cell's end — the next cell's
-        // start — so one shift restores the starts.
-        offsets.copy_within(..cells, 1);
-        offsets[0] = 0;
-        let labels = active
+        let labels: Vec<LabelStats> = active
             .into_iter()
             .zip(edge_counts)
             .map(|(active, edge_count)| LabelStats::new(active, edge_count))
             .collect();
-        Adjacency {
-            offsets,
-            edges,
+        let words = num_nodes.div_ceil(BitSet::BLOCK_BITS);
+        let mut ranks = Vec::with_capacity(sigma * words);
+        let mut cells = 0u32;
+        for stats in &labels {
+            for &label_word in stats.active.as_blocks() {
+                ranks.push(cells);
+                cells += label_word.count_ones();
+            }
+        }
+        let mut adj = Adjacency {
+            offsets: vec![0u32; cells as usize + 1],
+            ranks,
+            edges: vec![(Symbol::from_index(0), 0); sorted.len()],
             labels,
             num_nodes,
+            words,
+        };
+        for edge in sorted {
+            let (sym, node, _) = key(edge);
+            let cell = adj.rank_of(node, sym.index());
+            adj.offsets[cell + 1] += 1;
         }
+        for i in 0..cells as usize {
+            adj.offsets[i + 1] += adj.offsets[i];
+        }
+        for edge in sorted {
+            let (sym, node, endpoint) = key(edge);
+            let cell = adj.rank_of(node, sym.index());
+            let cursor = adj.offsets[cell] as usize;
+            adj.edges[cursor] = (sym, endpoint);
+            adj.offsets[cell] += 1;
+        }
+        // Each cursor now stands at its cell's end — the next cell's
+        // start — so one shift restores the starts.
+        adj.offsets.copy_within(..cells as usize, 1);
+        adj.offsets[0] = 0;
+        adj
     }
 
-    /// The `(node, sym)` cell: two reads from `sym`'s run of the offset
-    /// table. Empty for an out-of-alphabet symbol.
+    /// Label `si`'s run, `None` for an out-of-alphabet symbol.
+    #[inline]
+    fn run(&self, si: usize) -> Option<LabelRun<'_>> {
+        let stats = self.labels.get(si)?;
+        Some(LabelRun {
+            adj: self,
+            active: stats.active.as_blocks(),
+            rank_base: si * self.words,
+        })
+    }
+
+    /// The edges of cell `i`.
+    #[inline(always)]
+    fn cell_edges(&self, i: usize) -> &[(Symbol, NodeId)] {
+        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The index of `node`'s cell under label `si`, which must be active.
+    #[inline]
+    fn rank_of(&self, node: NodeId, si: usize) -> usize {
+        let run = self.run(si).expect("an in-alphabet label");
+        let (word, bit) = word_and_bit(node as usize);
+        rank(run.rank_word(word), run.active[word], bit)
+    }
+
+    /// The `(node, sym)` cell: a bit test and a rank in `sym`'s run.
+    /// Empty for an out-of-alphabet symbol; panics on a node id outside
+    /// the graph, as an index would.
     #[inline]
     fn neighbors(&self, node: NodeId, sym: Symbol) -> &[(Symbol, NodeId)] {
-        let start = sym.index() * self.num_nodes;
-        let Some(run) = self.offsets.get(start..start + self.num_nodes + 1) else {
+        let Some(run) = self.run(sym.index()) else {
             return &[];
         };
-        let node = node as usize;
-        &self.edges[run[node] as usize..run[node + 1] as usize]
+        self.check_node(node);
+        run.cell(node as usize)
     }
 
-    /// `node`'s cell under label `si`, as a range of `edges`. Unlike
-    /// [`Adjacency::neighbors`] it does not check `node`, whose cell
-    /// would alias the next label's run: callers check it once per walk
+    /// `node`'s cell under label `si` ([`LabelRun::cell`]), empty for an
+    /// out-of-alphabet symbol. Unlike [`Adjacency::neighbors`] it does
+    /// not check `node`: callers check it once per walk
     /// ([`Adjacency::check_node`]) and then step `si`.
     #[inline]
-    fn cell(&self, node: NodeId, si: usize) -> Range<usize> {
-        let at = si * self.num_nodes + node as usize;
-        self.offsets[at] as usize..self.offsets[at + 1] as usize
+    fn cell(&self, node: NodeId, si: usize) -> &[(Symbol, NodeId)] {
+        self.run(si).map_or(&[], |run| run.cell(node as usize))
     }
 
     /// Panics on a node id outside the graph, as an index would.
@@ -402,6 +532,19 @@ impl Adjacency {
         (0..self.labels.len())
             .map(|si| self.cell(node, si).len())
             .sum()
+    }
+
+    /// Heap bytes of the offsets, rank words, edges and label bitmaps.
+    fn heap_bytes(&self) -> usize {
+        let bitmaps: usize = self
+            .labels
+            .iter()
+            .map(|stats| std::mem::size_of_val(stats.active.as_blocks()))
+            .sum();
+        std::mem::size_of_val(&self.offsets[..])
+            + std::mem::size_of_val(&self.ranks[..])
+            + std::mem::size_of_val(&self.edges[..])
+            + bitmaps
     }
 }
 
@@ -475,7 +618,7 @@ struct SymDelta {
     removed_nodes: BitSet,
     /// The **exact** merged statistics (`active` membership ⇔ ≥ 1
     /// effective edge of the label in this direction) — the delta-aware
-    /// replacement of the frozen ones, so masked kernels and the cost
+    /// replacement of the frozen ones, so the kernels' masks and the cost
     /// model stay sound.
     stats: LabelStats,
 }
@@ -587,22 +730,21 @@ impl Iterator for NodeEdges<'_> {
             if let Some(endpoint) = self.cell.next() {
                 return Some((self.sym, endpoint));
             }
-            // Most of a node's cells are empty: skip those on their two
-            // offsets alone (this loop is the whole cost of a walk).
-            let (si, cell, delta) = loop {
+            // Most of a node's cells are empty: skip those on their bit
+            // alone (this loop is the whole cost of a walk).
+            let (si, base, delta) = loop {
                 let si = self.next_label;
                 if si == self.adj.labels.len() {
                     return None;
                 }
                 self.next_label += 1;
-                let cell = self.adj.cell(self.node, si);
+                let base = self.adj.cell(self.node, si);
                 let delta = self.deltas.and_then(|deltas| deltas[si].as_deref());
-                if !cell.is_empty() || delta.is_some() {
-                    break (si, cell, delta);
+                if !base.is_empty() || delta.is_some() {
+                    break (si, base, delta);
                 }
             };
             self.sym = Symbol::from_index(si);
-            let base = &self.adj.edges[cell];
             self.cell = match delta {
                 None => MergedNeighbors::base(base),
                 Some(delta) => delta.merged(base, self.node),
@@ -873,10 +1015,11 @@ impl GraphDb {
     /// The `sym`-neighbours of `node` in the **base CSR** as the
     /// `(label, endpoint)` sub-slice, sorted by endpoint: targets of
     /// `node`'s out-edges for [`Dir::Out`], sources of its in-edges for
-    /// [`Dir::In`]. Two adjacent reads in `sym`'s run of the label-major
-    /// offset table (cell `sym·|V| + node`); empty for an out-of-alphabet
-    /// symbol. A borrowed slice cannot splice the delta overlay in —
-    /// overlay-aware consumers use [`GraphDb::for_each_neighbor`].
+    /// [`Dir::In`]. A bit test in `sym`'s active bitmap, then a rank
+    /// word, a popcount and two offset reads; empty for an
+    /// out-of-alphabet symbol or a node without `sym`-edges. A borrowed
+    /// slice cannot splice the delta overlay in — overlay-aware
+    /// consumers use [`GraphDb::for_each_neighbor`].
     #[inline]
     pub fn neighbors(&self, dir: Dir, node: NodeId, sym: Symbol) -> &[(Symbol, NodeId)] {
         self.adj(dir).neighbors(node, sym)
@@ -911,11 +1054,11 @@ impl GraphDb {
 
     /// The **effective** edges of `node` in one direction, overlay
     /// included, as `(label, endpoint)` pairs sorted by both. The walk
-    /// visits `node`'s cell in every label's run of the offset table, in
-    /// symbol order, and allocates nothing — overlay-touched nodes
+    /// tests `node`'s bit in every label's bitmap, in symbol order, ranks
+    /// the cells it finds, and allocates nothing — overlay-touched nodes
     /// included. Callers that want one label should ask for it
-    /// ([`GraphDb::for_each_neighbor`]): that is two reads, this is
-    /// `2·|Σ|`.
+    /// ([`GraphDb::for_each_neighbor`]): that is one bit test, this is
+    /// `|Σ|`.
     pub fn edges_of(&self, dir: Dir, node: NodeId) -> impl Iterator<Item = (Symbol, NodeId)> + '_ {
         self.adj(dir).check_node(node);
         NodeEdges {
@@ -998,6 +1141,16 @@ impl GraphDb {
         x16 as f64 / AVG_DEG_FP as f64
     }
 
+    /// Heap bytes of the frozen CSR this handle shares with every delta
+    /// handle derived from the same build: both directions' offsets,
+    /// rank words, edges and label bitmaps. Names, the alphabet and any
+    /// delta overlay are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        let core = &*self.core;
+        core.adj.iter().map(Adjacency::heap_bytes).sum::<usize>()
+            + std::mem::size_of_val(core.no_label_nodes.as_blocks())
+    }
+
     /// Heap bytes one monadic/binary **result bitset** on this graph
     /// occupies (`|V|` bits rounded up to `u64` words) — the unit the
     /// serving layer's result cache accounts memory in.
@@ -1023,45 +1176,31 @@ impl GraphDb {
     /// skips at once, and a frontier of a few nodes — priced by
     /// `frontier_len` and the label's average degree alone, before any
     /// scan — is [`StepPlan::Sparse`]: every binary evaluation's first
-    /// level, seeded with one node. The gate prices each frontier node
-    /// like a node the masked kernel skips plus the label's average
-    /// degree in endpoint test-and-sets, against one pass over the
-    /// frontier's words:
+    /// level, seeded with one node. The gate is **degree-weighted**: it
+    /// prices each frontier node at the cost of finding its cell plus
+    /// the label's average degree (label edges / active nodes) in
+    /// endpoint test-and-sets, against one pass over the frontier's
+    /// words:
     ///
     /// ```text
-    /// frontier · (offset cost + avg label degree)  ≤  frontier words · word cost
+    /// frontier · (node cost + avg label degree)  ≤  frontier words · word cost
     /// ```
     ///
-    /// — at average degree 2, up to `|V|/256` nodes. Otherwise
-    /// one fused AND+popcount scan ([`BitSet::intersection_len`]) against
-    /// [`GraphDb::label_active`] prices the step: an empty intersection
-    /// skips it outright, and one that is the whole active set
-    /// ([`GraphDb::label_active_count`]) makes it [`StepPlan::Covered`]
-    /// — every `sym`-edge in direction `dir` starts in the frontier, so
-    /// the answer is the label's opposite-direction bitmap, exact under
-    /// a delta overlay too. This is every monadic evaluation's first
-    /// level, whose frontier is all of `V`. Otherwise a non-empty
-    /// intersection strictly smaller than the frontier is priced
-    /// **degree-weighted**: the masked
-    /// kernel pays one extra label-bitmap load + AND per frontier word
-    /// but skips every masked-out node's offset reads, so it wins when
-    ///
-    /// ```text
-    /// (frontier − intersection) · (offset cost + avg label degree)
-    ///         >  frontier words · word cost
-    /// ```
-    ///
-    /// The per-label average degree (label edges / active nodes, the
-    /// ROADMAP's "one multiply away" weight) scales a skipped node's
-    /// worth by how heavy the label's steps are — raw popcounts weight
-    /// all nodes equally, under-masking heavy labels on big graphs and
-    /// over-masking feather-weight ones (the pre-weighted model masked
-    /// whenever a single node was skipped, paying a full word scan to
-    /// save two offset reads). The plan is a pure execution strategy:
-    /// results are bit-identical whichever kernel is chosen
-    /// (differential suite). Labels active on all `|V|` nodes shortcut
-    /// without scanning — the precomputed count proves the mask is a
-    /// no-op — to `Covered` for a full frontier and `Plain` otherwise.
+    /// — at average degree 2, up to `|V|/256` nodes; a heavy label stays
+    /// dense on the same frontier. Otherwise one fused AND+popcount scan
+    /// ([`BitSet::intersection_len`]) against [`GraphDb::label_active`]
+    /// prices the step: an empty intersection skips it outright, and one
+    /// that is the whole active set ([`GraphDb::label_active_count`])
+    /// makes it [`StepPlan::Covered`] — every `sym`-edge in direction
+    /// `dir` starts in the frontier, so the answer is the label's
+    /// opposite-direction bitmap, exact under a delta overlay too. This
+    /// is every monadic evaluation's first level, whose frontier is all
+    /// of `V`. Anything else is walked by the dense kernel,
+    /// [`StepPlan::Plain`]. Labels active on all `|V|` nodes shortcut
+    /// without scanning — the precomputed count proves the intersection
+    /// is the frontier — to `Covered` for a full frontier and `Plain`
+    /// otherwise. The plan is a pure execution strategy: results are
+    /// bit-identical whichever verdict is executed (differential suite).
     ///
     /// ```
     /// use pathlearn_graph::graph::{figure3_g0, Dir, StepPlan, StepPolicy};
@@ -1094,8 +1233,7 @@ impl GraphDb {
                 if stats.active_count == 0 {
                     return StepPlan::Skip;
                 }
-                let sparse_x16 =
-                    frontier_len as u64 * (SKIPPED_NODE_COST_X16 + stats.avg_deg_x16 as u64);
+                let sparse_x16 = frontier_len as u64 * (NODE_COST_X16 + stats.avg_deg_x16 as u64);
                 if sparse_x16 <= self.num_node_words() as u64 * SPARSE_WORD_COST_X16 {
                     return StepPlan::Sparse;
                 }
@@ -1107,19 +1245,10 @@ impl GraphDb {
                         StepPlan::Plain
                     };
                 }
-                let inter = frontier.intersection_len(&stats.active);
-                if inter == 0 {
-                    return StepPlan::Skip;
-                }
-                if inter == active {
-                    return StepPlan::Covered;
-                }
-                let skipped = frontier_len.saturating_sub(inter) as u64;
-                let saved_x16 = skipped * (SKIPPED_NODE_COST_X16 + stats.avg_deg_x16 as u64);
-                if saved_x16 > self.num_node_words() as u64 * MASK_WORD_COST_X16 {
-                    StepPlan::Masked
-                } else {
-                    StepPlan::Plain
+                match frontier.intersection_len(&stats.active) {
+                    0 => StepPlan::Skip,
+                    inter if inter == active => StepPlan::Covered,
+                    _ => StepPlan::Plain,
                 }
             }
         }
@@ -1137,21 +1266,16 @@ impl GraphDb {
     /// **The** frontier step kernel, allocation-free: clears `out`, then
     /// inserts into it the `sym`-neighbours in direction `dir` of every
     /// frontier node, executing `plan`. `out` must have capacity
-    /// `num_nodes()`. The frontier is consumed word-by-word with
-    /// trailing-zero scans, so nodes arrive in ascending order and the
-    /// kernel is one forward pass over `sym`'s run of the label-major
-    /// offset table and over `sym`'s edges.
+    /// `num_nodes()`.
     ///
-    /// With [`StepPlan::Masked`] the kernel iterates
-    /// `frontier ∩ label_active(dir, sym)` instead of the raw frontier.
-    /// The output is identical — nodes outside the label's active set
-    /// have no `sym`-edges in this direction and contribute nothing —
-    /// but the kernel never reads their offsets: per `u64` word it loads
-    /// the frontier block, ANDs in the label block, and iterates only
-    /// the surviving bits. One extra load+AND per word buys a skipped
-    /// two-offset read per masked-out node; [`GraphDb::plan_step`]
-    /// prices the trade per `(level, symbol)`. The two verdicts about
-    /// the frontier read no edge: [`StepPlan::Skip`] adds nothing, and
+    /// The dense kernel, [`StepPlan::Plain`], walks the frontier word by
+    /// word: it ANDs each frontier word with the matching word of
+    /// `label_active(dir, sym)` — nodes outside it have no `sym`-edges in
+    /// this direction and contribute nothing — and ranks each surviving
+    /// node's cell with a popcount in the label word it just read. Nodes
+    /// arrive in ascending order, so the kernel is one forward pass over
+    /// `sym`'s rank words, offsets and edges. The two verdicts about the
+    /// frontier read no edge: [`StepPlan::Skip`] adds nothing, and
     /// [`StepPlan::Covered`] copies the whole answer
     /// `label_active(dir.reverse(), sym)`. [`StepPlan::Sparse`] runs
     /// [`GraphDb::step_visit`] with an insert into `out` as its visitor;
@@ -1173,10 +1297,10 @@ impl GraphDb {
     ///
     /// let c = graph.alphabet().symbol("c").unwrap();
     /// let frontier = BitSet::full(graph.num_nodes());
-    /// let (mut masked, mut plain) = (BitSet::new(7), BitSet::new(7));
-    /// graph.step_into(Dir::Out, StepPlan::Masked, &frontier, c, &mut masked);
-    /// graph.step_into(Dir::Out, StepPlan::Plain, &frontier, c, &mut plain);
-    /// assert_eq!(masked, plain); // only v3 is iterated by the masked kernel
+    /// let (mut walked, mut sparse) = (BitSet::new(7), BitSet::new(7));
+    /// graph.step_into(Dir::Out, StepPlan::Plain, &frontier, c, &mut walked);
+    /// graph.step_into(Dir::Out, StepPlan::Sparse, &frontier, c, &mut sparse);
+    /// assert_eq!(walked, sparse); // only v3 has a c-edge to walk
     /// ```
     pub fn step_into(
         &self,
@@ -1200,27 +1324,28 @@ impl GraphDb {
                 );
                 out.union_with(self.label_active(dir.reverse(), sym));
             }
-            StepPlan::Masked => self.step_words::<true>(dir, frontier, sym, out),
             StepPlan::Sparse => {
                 self.step_visit(dir, frontier, sym, |endpoint| {
                     out.insert(endpoint as usize);
                 });
             }
-            StepPlan::Plain => self.step_words::<false>(dir, frontier, sym, out),
+            StepPlan::Plain => self.step_words(dir, frontier, sym, out),
         }
     }
 
     /// The [`StepPlan::Sparse`] kernel: calls `visit` on every effective
-    /// `sym`-neighbour in direction `dir` ([`GraphDb::for_each_neighbor`],
-    /// overlay merged) of every frontier node that has such an edge, and
-    /// reports whether any frontier node did — `false` exactly when the
-    /// step is the empty one [`StepPlan::Skip`] drops. Frontier nodes
-    /// arrive in ascending order; an endpoint shared by several of them
-    /// is visited once per edge. Apart from the frontier's words it
-    /// reads one bit and one offset pair per frontier node and nothing
-    /// of size `|V|`, so the level kernel, which test-and-sets each
-    /// endpoint into its reached and next-frontier sets from here, pays
-    /// no `|V|`-word pass for a frontier of a few nodes.
+    /// `sym`-neighbour in direction `dir` (overlay merged, as
+    /// [`GraphDb::for_each_neighbor`] visits them) of every frontier node
+    /// that has such an edge, and reports whether any frontier node did —
+    /// `false` exactly when the step is the empty one [`StepPlan::Skip`]
+    /// drops. Frontier nodes arrive in ascending order; an endpoint
+    /// shared by several of them is visited once per edge. Apart from
+    /// the frontier's words it reads one label word per non-empty
+    /// frontier word and one rank and offset pair per frontier node with
+    /// an edge, nothing of size `|V|`, so the level kernel, which
+    /// test-and-sets each endpoint into its reached and next-frontier
+    /// sets from here, pays no `|V|`-word pass for a frontier of a few
+    /// nodes.
     pub fn step_visit(
         &self,
         dir: Dir,
@@ -1229,77 +1354,72 @@ impl GraphDb {
         mut visit: impl FnMut(NodeId),
     ) -> bool {
         debug_assert_eq!(frontier.capacity(), self.num_nodes(), "frontier capacity");
-        let active = self.label_active(dir, sym);
+        let Some(run) = self.adj(dir).run(sym.index()) else {
+            return false;
+        };
+        let delta = self.sym_delta(dir, sym);
+        // The delta's exact merged bitmap, so an overlay-added edge is
+        // never masked out.
+        let mask = self.label_active(dir, sym).as_blocks();
         let words = frontier.as_blocks();
         let mut productive = false;
         let mut word = 0;
         while let Some(skipped) = first_set_word(&words[word..]) {
             word += skipped;
-            let mut bits = words[word];
-            while bits != 0 {
-                let node = word * BitSet::BLOCK_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if active.contains(node) {
-                    productive = true;
-                    self.for_each_neighbor(dir, node as NodeId, sym, &mut visit);
-                }
-            }
+            let bits = words[word] & mask[word];
+            productive |= bits != 0;
+            run.visit_word(word, bits, |node, base| match delta {
+                None => base.iter().for_each(|&(_, endpoint)| visit(endpoint)),
+                Some(delta) => delta.merged(base, node).for_each(&mut visit),
+            });
             word += 1;
         }
         productive
     }
 
-    /// The word loops behind [`GraphDb::step_into`]. `MASKED` and
-    /// "does a delta touch `sym`" select, once per call, one of four
-    /// monomorphic word loops — each closure below has exactly one
-    /// instantiation per `MASKED`, so it is inlined into its loop.
-    fn step_words<const MASKED: bool>(
-        &self,
-        dir: Dir,
-        frontier: &BitSet,
-        sym: Symbol,
-        out: &mut BitSet,
-    ) {
-        let adj = self.adj(dir);
-        // `label_active` resolves to the delta's exact merged bitmap, so
-        // the mask never hides an overlay-added edge.
-        let mask = self.label_active(dir, sym);
-        match self.sym_delta(dir, sym) {
-            None => self.for_frontier_words::<MASKED>(frontier, mask, |node| {
-                for &(_, endpoint) in adj.neighbors(node, sym) {
-                    out.insert(endpoint as usize);
-                }
-            }),
-            Some(delta) => self.for_frontier_words::<MASKED>(frontier, mask, |node| {
-                for endpoint in delta.merged(adj.neighbors(node, sym), node) {
-                    out.insert(endpoint as usize);
-                }
-            }),
-        }
-    }
-
-    /// Word-by-word frontier walk of the step kernel: for each `u64`
-    /// word of `frontier`, AND in the matching word of `mask` (when
-    /// `MASKED`), then visit each surviving node id via trailing-zero
-    /// scans.
-    #[inline]
-    fn for_frontier_words<const MASKED: bool>(
-        &self,
-        frontier: &BitSet,
-        mask: &BitSet,
-        mut visit: impl FnMut(NodeId),
-    ) {
+    /// The dense kernel behind [`GraphDb::step_into`]: walks
+    /// `frontier ∩ label_active(dir, sym)` word by word. "Does a delta
+    /// touch `sym`" selects, once per call, one of two word loops; the
+    /// overlay loop masks with the delta's merged bitmap and merges each
+    /// node's base cell — empty for an overlay-only node — with its
+    /// delta lists.
+    fn step_words(&self, dir: Dir, frontier: &BitSet, sym: Symbol, out: &mut BitSet) {
         debug_assert_eq!(frontier.capacity(), self.num_nodes(), "frontier capacity");
-        let (blocks, mask_blocks) = (frontier.as_blocks(), mask.as_blocks());
-        for (word, &block) in blocks.iter().enumerate() {
-            let mut bits = block;
-            if MASKED {
-                bits &= mask_blocks[word];
+        let Some(run) = self.adj(dir).run(sym.index()) else {
+            return;
+        };
+        let words = frontier.as_blocks();
+        match self.sym_delta(dir, sym) {
+            None => {
+                // Local slices: `out`'s stores would otherwise make every
+                // node reload them through the shared core.
+                let adj = run.adj;
+                let (ranks, offsets, edges) = (&adj.ranks[..], &adj.offsets[..], &adj.edges[..]);
+                for (word, (&block, &label_word)) in words.iter().zip(run.active).enumerate() {
+                    let mut bits = block & label_word;
+                    if bits == 0 {
+                        continue;
+                    }
+                    let rank_word = ranks[run.rank_base + word];
+                    while bits != 0 {
+                        let cell = rank(rank_word, label_word, bits.trailing_zeros());
+                        bits &= bits - 1;
+                        let span = offsets[cell] as usize..offsets[cell + 1] as usize;
+                        for &(_, endpoint) in &edges[span] {
+                            out.insert(endpoint as usize);
+                        }
+                    }
+                }
             }
-            while bits != 0 {
-                let node = word * BitSet::BLOCK_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                visit(node as NodeId);
+            Some(delta) => {
+                let mask = delta.stats.active.as_blocks();
+                for (word, (&block, &merged)) in words.iter().zip(mask).enumerate() {
+                    run.visit_word(word, block & merged, |node, base| {
+                        for endpoint in delta.merged(base, node) {
+                            out.insert(endpoint as usize);
+                        }
+                    });
+                }
             }
         }
     }
@@ -1311,39 +1431,43 @@ impl GraphDb {
     /// common case for the positive side of SCP searches, which start
     /// from a single node — and reusing `out` across calls keeps the
     /// search's per-expansion cost free of heap traffic (the buffer only
-    /// grows, never reallocates at steady state).
+    /// grows, never reallocates at steady state). Each node costs one
+    /// bit test in the label's bitmap, and one rank if the bit is set.
     pub fn step_sparse_into(&self, set: &[NodeId], sym: Symbol, out: &mut Vec<NodeId>) {
         out.clear();
-        let adj = self.adj(Dir::Out);
-        // Callers step one small set over every label in turn, so each
-        // node's cells lie in |Σ| different runs of the offset table; a
-        // node outside the label's (overlay-exact) active set costs one
-        // bit test in a bitmap far smaller than the table instead.
-        let active = self.label_active(Dir::Out, sym);
-        let set = set.iter().filter(|&&node| active.contains(node as usize));
+        let Some(run) = self.adj(Dir::Out).run(sym.index()) else {
+            return;
+        };
         match self.sym_delta(Dir::Out, sym) {
             None => {
                 for &node in set {
-                    out.extend(adj.neighbors(node, sym).iter().map(|&(_, t)| t));
+                    out.extend(run.cell(node as usize).iter().map(|&(_, t)| t));
                 }
             }
             Some(delta) => {
-                for &node in set {
-                    out.extend(delta.merged(adj.neighbors(node, sym), node));
+                // The merged bitmap admits overlay-only nodes, whose base
+                // cell is empty.
+                let active = &delta.stats.active;
+                for &node in set.iter().filter(|&&node| active.contains(node as usize)) {
+                    out.extend(delta.merged(run.cell(node as usize), node));
                 }
             }
         }
-        out.sort_unstable();
-        out.dedup();
+        // One node's cell is sorted and distinct already: the SCP search
+        // steps single nodes millions of times per session.
+        if set.len() > 1 {
+            out.sort_unstable();
+            out.dedup();
+        }
     }
 
     /// Iterates over all **effective** edges as `(src, label, dst)` —
     /// delta overlay included, in `(src, label, dst)` order. Lazy, one
-    /// block of sources at a time: a source's cells lie in `|Σ|` runs of
-    /// the offset table, so the block's [`GraphDb::edges_of`] walks are
-    /// gathered into one buffer before any edge is handed out — each
-    /// fetched line of every run serves 16 consecutive sources, whatever
-    /// the consumer does with the edges in between.
+    /// block of sources at a time: a source's cells lie in `|Σ|` label
+    /// runs, so the block's [`GraphDb::edges_of`] walks are gathered into
+    /// one buffer before any edge is handed out — each fetched line of
+    /// every run's bitmap, rank words and offsets serves many consecutive
+    /// sources, whatever the consumer does with the edges in between.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, Symbol, NodeId)> + '_ {
         const BLOCK: usize = 1024;
         let n = self.num_nodes() as NodeId;
@@ -1822,24 +1946,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_kernels_match_plain_on_every_g0_subset() {
-        let graph = figure3_g0();
-        let n = graph.num_nodes();
-        for sym in graph.alphabet().symbols() {
-            for mask in 0u32..(1 << n) {
-                let frontier = BitSet::from_indices(n, (0..n).filter(|&i| mask & (1 << i) != 0));
-                let mut plain = BitSet::new(n);
-                let mut masked = BitSet::new(n);
-                for dir in Dir::BOTH {
-                    graph.step_into(dir, StepPlan::Plain, &frontier, sym, &mut plain);
-                    graph.step_into(dir, StepPlan::Masked, &frontier, sym, &mut masked);
-                    assert_eq!(masked, plain, "{dir:?} {sym:?} {mask:b}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn label_counts_match_bitmap_population() {
         let graph = figure3_g0();
         for dir in Dir::BOTH {
@@ -1878,13 +1984,12 @@ mod tests {
             &graph.step(Dir::Out, &full, c),
             graph.label_active(Dir::In, c)
         );
-        // Auto: a big frontier that misses one b-source (v1) and holds
-        // two nodes without one (v3, v4) → masked.
+        // Auto: a big frontier that misses one b-source (v1) → walked.
         let b = graph.alphabet().symbol("b").unwrap();
         let all_but_v1 = BitSet::from_indices(graph.num_nodes(), (0..7).filter(|&i| i != v1));
         assert_eq!(
             graph.plan_step(Dir::Out, &all_but_v1, b, 6, StepPolicy::Auto),
-            StepPlan::Masked
+            StepPlan::Plain
         );
         // Auto: frontier ⊆ label-active (v3 has an out c-edge) and it is
         // the whole active set → covered.
@@ -1894,7 +1999,7 @@ mod tests {
             StepPlan::Covered
         );
         // Auto: frontier ⊊ label-active (v1, v3 of a's six sources) →
-        // plain, the mask cannot skip anything.
+        // walked.
         let v1_v3 = BitSet::from_indices(graph.num_nodes(), [v1, v3]);
         assert_eq!(
             graph.plan_step(Dir::Out, &v1_v3, a, 2, StepPolicy::Auto),
@@ -1954,14 +2059,13 @@ mod tests {
     }
 
     #[test]
-    fn degree_weighted_gate_requires_savings_to_beat_word_overhead() {
+    fn degree_weighted_sparse_gate_prices_the_label_weight() {
         // 640 nodes = 10 frontier words. Two labels with the *same*
         // active-set shape (two active sources each, one of them outside
         // the frontiers below, so none covers the set) but opposite
         // weights: "h" is a hub of 200 edges per source, "t" one edge
-        // per source. With a 4-node frontier the popcounts are identical
-        // (inter 1, skipped 3); only the degree weight separates the
-        // verdicts.
+        // per source. On the same small frontier only the degree weight
+        // separates the verdicts.
         let mut builder = GraphBuilder::new();
         let first = builder.add_nodes("n", 640);
         let h = builder.intern("h");
@@ -1977,50 +2081,69 @@ mod tests {
         assert_eq!(graph.label_avg_degree(Dir::Out, h), 200.0);
         assert_eq!(graph.label_avg_degree(Dir::Out, t), 1.0);
 
-        let frontier = BitSet::from_indices(640, [0, 1, 2, 3]);
-        // Heavy label: 3 skipped nodes × (2 offset reads + deg 200)
-        // dwarfs the 10-word mask scan → Masked.
-        assert_eq!(
-            graph.plan_step(Dir::Out, &frontier, h, 4, StepPolicy::Auto),
-            StepPlan::Masked
-        );
-        // Feather-weight label, same popcounts: 3 × (2 + 1) < 10 words
-        // of scan → Plain (the pre-weighted model masked here), and
-        // 4 × (2 + 1) > 10 words is too many nodes to go sparse.
-        assert_eq!(
-            graph.plan_step(Dir::Out, &frontier, t, 4, StepPolicy::Auto),
-            StepPlan::Plain
-        );
-        // One node fewer, 3 × (2 + 1) ≤ 10 words: the feather-weight
-        // step goes sparse before any scan, the heavy one cannot.
+        let plan = |frontier: &BitSet, sym| {
+            let plan = graph.plan_step(Dir::Out, frontier, sym, frontier.len(), StepPolicy::Auto);
+            // Whatever the verdict, executing it is the plain step.
+            let mut out = BitSet::new(640);
+            graph.step_into(Dir::Out, plan, frontier, sym, &mut out);
+            assert_eq!(out, graph.step(Dir::Out, frontier, sym), "{plan:?}");
+            plan
+        };
+        // Three nodes × (2 + 1) ≤ 10 words: the feather-weight step goes
+        // sparse before any scan; the heavy one, 3 × (2 + 200), cannot
+        // and is walked.
         let three = BitSet::from_indices(640, [0, 1, 2]);
-        assert_eq!(
-            graph.plan_step(Dir::Out, &three, t, 3, StepPolicy::Auto),
-            StepPlan::Sparse
-        );
-        assert_eq!(
-            graph.plan_step(Dir::Out, &three, h, 3, StepPolicy::Auto),
-            StepPlan::Masked
-        );
-        // A big frontier mostly missing the active set masks even the
-        // light label: 638 skipped nodes buy the scan many times over.
+        assert_eq!(plan(&three, t), StepPlan::Sparse);
+        assert_eq!(plan(&three, h), StepPlan::Plain);
+        // One node more, 4 × (2 + 1) > 10 words: too many to go sparse.
+        let four = BitSet::from_indices(640, [0, 1, 2, 3]);
+        assert_eq!(plan(&four, t), StepPlan::Plain);
+        // A big frontier missing one source is walked; the full frontier
+        // holds both t-sources and is covered.
         let all_but_601 = BitSet::from_indices(640, (0..640).filter(|&i| i != 601));
-        assert_eq!(
-            graph.plan_step(Dir::Out, &all_but_601, t, 639, StepPolicy::Auto),
-            StepPlan::Masked
-        );
-        // The full frontier holds both t-sources: nothing to price.
-        let full = BitSet::full(640);
-        assert_eq!(
-            graph.plan_step(Dir::Out, &full, t, 640, StepPolicy::Auto),
-            StepPlan::Covered
-        );
-        // Disjoint frontiers still skip outright, degree notwithstanding.
-        let disjoint = BitSet::from_indices(640, [5]);
-        assert_eq!(
-            graph.plan_step(Dir::Out, &disjoint, h, 1, StepPolicy::Auto),
-            StepPlan::Skip
-        );
+        assert_eq!(plan(&all_but_601, t), StepPlan::Plain);
+        assert_eq!(plan(&BitSet::full(640), t), StepPlan::Covered);
+        // A one-node frontier of the heavy label is not sparse, so the
+        // scan runs and finds it disjoint: skipped.
+        assert_eq!(plan(&BitSet::from_indices(640, [5]), h), StepPlan::Skip);
+    }
+
+    /// The layout at the scale it exists for: 2²⁰ nodes and 32 labels,
+    /// where a `(label, node)` table would hold 2²⁵ cells per direction,
+    /// against a few thousand edges. Only the active cells have offsets,
+    /// and the rank directory is one word per 64 nodes per label.
+    #[test]
+    fn storage_is_active_cells_plus_rank_words_not_sigma_times_nodes() {
+        let (n, sigma) = (1usize << 20, 32usize);
+        let mut edges: Vec<(NodeId, Symbol, NodeId)> = (0..4096u32)
+            .map(|i| {
+                let src = i.wrapping_mul(2_654_435_761) % n as NodeId;
+                let dst = i.wrapping_mul(40_503) % n as NodeId;
+                (src, Symbol::from_index(i as usize % sigma), dst)
+            })
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let words = n.div_ceil(64);
+        for dir in Dir::BOTH {
+            let adj = Adjacency::from_sorted(&edges, dir, n, sigma);
+            let active: usize = adj.labels.iter().map(|stats| stats.active.len()).sum();
+            assert!(active <= edges.len());
+            assert_eq!(adj.offsets.len(), active + 1, "{dir:?} offsets");
+            assert_eq!(adj.ranks.len(), sigma * words, "{dir:?} ranks");
+            assert_eq!(adj.edges.len(), edges.len());
+            // A quarter byte — two bits — per `(label, node)` cell: the bitmap
+            // bit and half a bit of rank words, where a table held 32.
+            assert!(adj.heap_bytes() < sigma * n / 4, "{dir:?} bytes");
+            // Every edge is found through its cell.
+            for &(src, sym, dst) in &edges {
+                let (node, endpoint) = match dir {
+                    Dir::Out => (src, dst),
+                    Dir::In => (dst, src),
+                };
+                assert!(adj.neighbors(node, sym).contains(&(sym, endpoint)));
+            }
+        }
     }
 
     #[test]
@@ -2032,8 +2155,9 @@ mod tests {
     #[test]
     fn ranged_kernels_accumulate_and_partition() {
         // On a >64-node graph every kernel takes the whole frontier in
-        // one call: plain and masked agree across all three words, and
-        // a stale bit in the output buffer is cleared, not accumulated.
+        // one call: the dense and sparse kernels agree across all three
+        // words, and a stale bit in the output buffer is cleared, not
+        // accumulated.
         let mut builder = GraphBuilder::new();
         let first = builder.add_nodes("n", 130);
         let a = builder.intern("a");
@@ -2045,7 +2169,7 @@ mod tests {
         let frontier = BitSet::from_indices(130, (0..130).filter(|i| i % 3 == 0));
         let expected = BitSet::from_indices(130, frontier.iter().map(|i| (i * 7 + 1) % 130));
         assert!(!expected.contains(129));
-        for plan in [StepPlan::Plain, StepPlan::Masked, StepPlan::Sparse] {
+        for plan in [StepPlan::Plain, StepPlan::Sparse] {
             let mut out = BitSet::from_indices(130, [129]);
             graph.step_into(Dir::Out, plan, &frontier, a, &mut out);
             assert_eq!(out, expected, "{plan:?}");
@@ -2109,7 +2233,7 @@ mod tests {
         let compacted_edges: Vec<_> = compacted.edges().collect();
         assert_eq!(overlay_edges, compacted_edges, "edges() order + content");
         let n = overlay.num_nodes();
-        // Whole-frontier kernel, plain and masked, from a full frontier
+        // Whole-frontier kernels, dense and sparse, from a full frontier
         // and a couple of partial ones.
         let frontiers = [
             BitSet::full(n),
@@ -2146,7 +2270,7 @@ mod tests {
                 for frontier in &frontiers {
                     let expected = compacted.step(dir, frontier, sym);
                     let mut stepped = BitSet::new(n);
-                    for plan in [StepPlan::Plain, StepPlan::Masked] {
+                    for plan in [StepPlan::Plain, StepPlan::Sparse] {
                         overlay.step_into(dir, plan, frontier, sym, &mut stepped);
                         assert_eq!(stepped, expected, "{dir:?} {plan:?} {sym:?}");
                     }

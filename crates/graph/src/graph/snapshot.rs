@@ -73,12 +73,12 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PLSG";
 /// evolution is explicit, never silent.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Largest `|V|·|Σ|` a snapshot may declare. The `(label, node)`
-/// offset tables are not in the file, but loading derives one `u32`
-/// table of that many cells per direction (1 GiB each at the limit), so
-/// without a bound a few digest-valid megabytes of short names and
-/// labels would request terabytes and abort in the allocator instead of
-/// returning a [`SnapshotError`]. [`GraphDb::save_snapshot`] refuses the
+/// Largest `|V|·|Σ|` a snapshot may declare. The per-label bitmaps and
+/// rank words are not in the file, but loading derives one bit and half
+/// a bit of them per `(label, node)` pair and direction (48 MiB per
+/// direction at the limit), so without a bound a few digest-valid
+/// megabytes of short names and labels would request terabytes and
+/// abort in the allocator instead of returning a [`SnapshotError`]. [`GraphDb::save_snapshot`] refuses the
 /// same graphs, so no file this build writes is one it cannot load.
 pub const MAX_TABLE_CELLS: usize = 1 << 28;
 

@@ -33,9 +33,6 @@ pub struct LevelSample {
     /// `(state, symbol)` step tasks the level executed (skipped steps —
     /// [`crate::graph::StepPlan::Skip`] — are not counted).
     pub tasks: u32,
-    /// How many of those tasks chose the masked kernel
-    /// ([`crate::graph::StepPlan::Masked`]).
-    pub masked_tasks: u32,
     /// How many of those tasks copied a covered step's answer instead of
     /// walking edges ([`crate::graph::StepPlan::Covered`]).
     pub covered_tasks: u32,
@@ -85,7 +82,6 @@ pub(crate) fn level_record(
     started: Instant,
     frontier: u64,
     tasks: u32,
-    masked_tasks: u32,
     covered_tasks: u32,
     sparse_tasks: u32,
 ) {
@@ -97,7 +93,6 @@ pub(crate) fn level_record(
                     level: samples.len() as u32,
                     frontier,
                     tasks,
-                    masked_tasks,
                     covered_tasks,
                     sparse_tasks,
                     nanos,
@@ -116,18 +111,17 @@ mod tests {
         assert!(level_begin().is_none());
         let ((), samples) = collect_levels(|| {
             let started = level_begin().expect("sink installed");
-            level_record(started, 7, 4, 1, 1, 1);
+            level_record(started, 7, 4, 1, 1);
         });
         assert_eq!(samples.len(), 1);
         assert_eq!(
             (
                 samples[0].frontier,
                 samples[0].tasks,
-                samples[0].masked_tasks,
                 samples[0].covered_tasks,
                 samples[0].sparse_tasks
             ),
-            (7, 4, 1, 1, 1)
+            (7, 4, 1, 1)
         );
         assert_eq!(samples[0].level, 0);
         assert!(
@@ -140,15 +134,15 @@ mod tests {
     fn nested_collections_restore_the_outer_sink() {
         let ((), outer) = collect_levels(|| {
             let started = level_begin().unwrap();
-            level_record(started, 1, 1, 0, 0, 0);
+            level_record(started, 1, 1, 0, 0);
             let ((), inner) = collect_levels(|| {
                 let started = level_begin().unwrap();
-                level_record(started, 2, 2, 0, 0, 0);
+                level_record(started, 2, 2, 0, 0);
             });
             assert_eq!(inner.len(), 1);
             assert_eq!(inner[0].frontier, 2);
             let started = level_begin().unwrap();
-            level_record(started, 3, 3, 0, 0, 0);
+            level_record(started, 3, 3, 0, 0);
         });
         assert_eq!(outer.len(), 2);
         assert_eq!((outer[0].frontier, outer[1].frontier), (1, 3));
@@ -169,9 +163,7 @@ mod tests {
         for (i, sample) in samples.iter().enumerate() {
             assert_eq!(sample.level as usize, i);
             assert!(sample.frontier > 0, "active levels have frontier nodes");
-            assert!(
-                sample.masked_tasks + sample.covered_tasks + sample.sparse_tasks <= sample.tasks
-            );
+            assert!(sample.covered_tasks + sample.sparse_tasks <= sample.tasks);
         }
         // Level 0 starts from all of V at the final state: the c-step
         // over in-edges is covered.
@@ -183,7 +175,7 @@ mod tests {
         let ((), samples) = collect_levels(|| {
             for _ in 0..MAX_LEVEL_SAMPLES + 10 {
                 let started = level_begin().unwrap();
-                level_record(started, 1, 1, 0, 0, 0);
+                level_record(started, 1, 1, 0, 0);
             }
         });
         assert_eq!(samples.len(), MAX_LEVEL_SAMPLES);

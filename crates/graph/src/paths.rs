@@ -66,7 +66,7 @@ impl GraphDb {
         };
         out.union_with(self.label_active(Dir::Out, last));
         for &sym in prefix.iter().rev() {
-            self.step_into(Dir::In, StepPlan::Masked, out, sym, scratch);
+            self.step_into(Dir::In, StepPlan::Plain, out, sym, scratch);
             std::mem::swap(out, scratch);
         }
     }
@@ -230,9 +230,9 @@ impl<'g> PathsProduct<'g> {
             head += 1;
             for at in self.moves_of(dfa, q) {
                 let (sym, next) = self.moves[at];
-                // Each move's cell lies in its own run of the offset
-                // table; the label's (overlay-exact) bitmap, far smaller,
-                // rules out most of them with one bit.
+                // Each move's cell lies in its own label's run; the
+                // label's (overlay-exact) bitmap rules out most of them
+                // with one bit, before any rank.
                 if !graph.label_active(Dir::Out, sym).contains(node as usize) {
                     continue;
                 }

@@ -1,21 +1,26 @@
 //! The label-major adjacency at its boundaries.
 //!
 //! Each direction of a [`GraphDb`] stores its edges in `(label, node,
-//! endpoint)` order behind one `(label, node)` offset table, so label
-//! `a`'s run of cells ends exactly where `a + 1`'s begins: the cell of
-//! node `|V| − 1` under `a` sits next to the cell of node 0 under
-//! `a + 1`. Every per-node view ([`GraphDb::edges_of`],
-//! [`GraphDb::degree`], [`GraphDb::edges`]) walks one cell per label,
-//! and [`GraphDb::neighbors`] reads one. This suite checks all of them,
+//! endpoint)` order with one offset per **active** `(label, node)` cell,
+//! found by rank: the cell of node `v` under `a` is the rank word of
+//! `v`'s 64-node word plus the popcount of `a`'s bitmap word below `v`.
+//! Label `a`'s run of cells ends exactly where `a + 1`'s begins, so the
+//! last active cell of `a` sits next to the first of `a + 1`. Every
+//! per-node view ([`GraphDb::edges_of`], [`GraphDb::degree`],
+//! [`GraphDb::edges`]) ranks one cell per label, and
+//! [`GraphDb::neighbors`] ranks one. This suite checks all of them,
 //! plus [`GraphDb::for_each_neighbor`], [`GraphDb::step_sparse_into`]
 //! and [`GraphDb::label_active`], in both directions against a naive
 //! filter of the edge list — ordering included — on graphs generated to
 //! hit the layout's edges: labels without edges, isolated nodes,
-//! `|Σ| = 1`, one-node graphs, and edges at node `|V| − 1` of label `a`
-//! beside edges at node 0 of label `a + 1`. Each graph is checked as
-//! built, under a [`GraphDb::with_delta`] overlay (the merged views
-//! against the overlay's own edge list, the slice accessor against the
-//! base list) and compacted.
+//! `|Σ| = 1`, one-node graphs, graphs of three or four bitmap words
+//! (every rank word past the first read), and edges at node `|V| − 1`
+//! of label `a` beside edges at node 0 of label `a + 1`. Each graph is
+//! checked as built, under a [`GraphDb::with_delta`] overlay (the merged
+//! views against the overlay's own edge list, the slice accessor against
+//! the base list) and compacted. Hand cases pin the word boundaries
+//! (nodes 63, 64, 127, 128), a label active on a whole word, a partial
+//! last word, and the panic on a node past `|V| − 1` inside that word.
 
 use pathlearn_automata::{Alphabet, BitSet, Symbol};
 use pathlearn_graph::{Dir, GraphBuilder, GraphDb, NodeId};
@@ -126,15 +131,17 @@ struct Case {
 }
 
 /// Graphs of 1–70 nodes (one-node graphs and word boundaries included)
-/// over 1–5 labels, of which a random subset is dead (no edge at all);
+/// or of 120–200 (three or four words, so ranks past the first word
+/// count), over 1–5 labels, of which a random subset is dead (no edge at
+/// all);
 /// sparse enough that isolated nodes are common. With probability ½
 /// every adjacent label pair `(a, a + 1)` gets the boundary shape: an
 /// edge at node `|V| − 1` under `a` and at node 0 under `a + 1`, as
 /// source (the `Out` cells) and as target (the `In` cells).
 fn arb_case() -> impl Strategy<Value = Case> {
-    let n = prop_oneof![Just(1usize), 2usize..8, 60usize..70];
-    let raw = proptest::collection::vec((0u32..70, 0usize..5, 0u32..70), 0..40);
-    let delta = proptest::collection::vec((any::<bool>(), 0u32..70, 0usize..5, 0u32..70), 0..12);
+    let n = prop_oneof![Just(1usize), 2usize..8, 60usize..70, 120usize..200];
+    let raw = proptest::collection::vec((0u32..200, 0usize..5, 0u32..200), 0..60);
+    let delta = proptest::collection::vec((any::<bool>(), 0u32..200, 0usize..5, 0u32..200), 0..12);
     (n, 1usize..6, any::<u64>(), raw, (any::<bool>(), delta)).prop_map(
         |(n, sigma, dead, raw, (boundary, delta))| {
             let node = |raw: u32| raw % n as u32;
@@ -206,7 +213,7 @@ proptest! {
 /// The boundary by hand: on three nodes, node 2 (`|V| − 1`) has the only
 /// `a`-edges and node 0 the only `b`-edges, in both directions, so the
 /// last cell of `a`'s run and the first of `b`'s are both non-empty and
-/// adjacent in the offset table.
+/// adjacent in the offsets.
 #[test]
 fn the_last_node_of_a_label_and_the_first_node_of_the_next_stay_apart() {
     let (a, b) = (Symbol::from_index(0), Symbol::from_index(1));
@@ -246,4 +253,104 @@ fn degenerate_graphs_have_consistent_views() {
     // base slice still shows it.
     let emptied = graph.with_delta(&[], &[(0, c, 0)]).unwrap();
     assert_views(&emptied, &none, &self_loop);
+}
+
+/// The rank at the word boundaries, by hand: on 130 nodes (two full
+/// words and a partial third), label `a` has edges at nodes 63, 64, 127
+/// and 128 — the last and first node of adjacent words, each a cell
+/// whose rank is its word's rank word plus a popcount of 63 or 0 bits —
+/// and label `b` at 0, 63 and 129, the partial word's last node.
+#[test]
+fn cells_at_word_boundaries_rank_into_the_right_offsets() {
+    let (a, b) = (Symbol::from_index(0), Symbol::from_index(1));
+    let mut edges: BTreeSet<Edge> = BTreeSet::new();
+    for (i, node) in [63, 64, 127, 128].into_iter().enumerate() {
+        edges.extend([(node, a, i as NodeId), (node, a, 129 - i as NodeId)]);
+    }
+    edges.extend([(0, b, 63), (63, b, 0), (129, b, 129), (129, b, 64)]);
+    let graph = build(130, 2, &edges);
+    assert_eq!(graph.neighbors(Dir::Out, 63, a), &[(a, 0), (a, 129)]);
+    assert_eq!(graph.neighbors(Dir::Out, 64, a), &[(a, 1), (a, 128)]);
+    assert_eq!(graph.neighbors(Dir::Out, 127, a), &[(a, 2), (a, 127)]);
+    assert_eq!(graph.neighbors(Dir::Out, 128, a), &[(a, 3), (a, 126)]);
+    assert_eq!(graph.neighbors(Dir::Out, 129, b), &[(b, 64), (b, 129)]);
+    assert_eq!(graph.neighbors(Dir::In, 63, b), &[(b, 0)]);
+    assert_eq!(graph.neighbors(Dir::In, 129, a), &[(a, 63)]);
+    for node in [0, 62, 65, 126, 129] {
+        assert!(graph.neighbors(Dir::Out, node, a).is_empty(), "{node}");
+    }
+    assert_views(&graph, &edges, &edges);
+    let overlay = graph.with_delta(&[(62, a, 5)], &[(64, a, 1)]).unwrap();
+    let mut effective = edges.clone();
+    effective.remove(&(64, a, 1));
+    effective.insert((62, a, 5));
+    assert_views(&overlay, &effective, &edges);
+    assert_views(&overlay.compact(), &effective, &effective);
+}
+
+/// A label active on every node of one word (its 64 cells in a row, the
+/// word's popcount all of them) and on one node of the next, beside a
+/// label that is active nowhere in that word, on a graph whose last word
+/// is partial (150 nodes: the third word holds 22).
+#[test]
+fn a_label_active_on_a_whole_word_and_a_partial_last_word() {
+    let (a, b) = (Symbol::from_index(0), Symbol::from_index(1));
+    let mut edges: BTreeSet<Edge> = (64..128).map(|node| (node, a, 149 - node % 3)).collect();
+    edges.insert((128, a, 0));
+    edges.extend([(149, b, 64), (149, b, 127), (130, b, 149), (5, b, 5)]);
+    let graph = build(150, 2, &edges);
+    assert_eq!(graph.label_active(Dir::Out, a).len(), 65);
+    for node in 64..128 {
+        assert_eq!(
+            graph.neighbors(Dir::Out, node, a),
+            &[(a, 149 - node % 3)],
+            "{node}"
+        );
+    }
+    assert_eq!(graph.neighbors(Dir::Out, 128, a), &[(a, 0)]);
+    assert_eq!(graph.neighbors(Dir::Out, 149, b), &[(b, 64), (b, 127)]);
+    assert_eq!(graph.neighbors(Dir::In, 149, b), &[(b, 130)]);
+    assert_views(&graph, &edges, &edges);
+    // Empty the whole word through an overlay, then add back its last
+    // node: the overlay-only and removed cells both rank right.
+    let remove: Vec<Edge> = (64..128).map(|node| (node, a, 149 - node % 3)).collect();
+    let overlay = graph.with_delta(&[(127, a, 1)], &remove).unwrap();
+    let mut effective = edges.clone();
+    for edge in &remove {
+        effective.remove(edge);
+    }
+    effective.insert((127, a, 1));
+    assert_views(&overlay, &effective, &edges);
+    assert_views(&overlay.compact(), &effective, &effective);
+}
+
+/// A node id past `|V| − 1` panics in every per-node accessor, as an
+/// index would, even where it still falls inside the last bitmap word
+/// (whose bits past `|V|` are all clear, so a bit test alone would read
+/// an empty cell).
+#[test]
+fn out_of_range_nodes_panic_inside_the_last_word() {
+    let a = Symbol::from_index(0);
+    let edges: BTreeSet<Edge> = [(0, a, 129), (129, a, 0)].into_iter().collect();
+    let graph = build(130, 1, &edges);
+    for node in [130, 191, 192, NodeId::MAX] {
+        for dir in Dir::BOTH {
+            let calls: [&dyn Fn(); 4] = [
+                &|| {
+                    graph.neighbors(dir, node, a);
+                },
+                &|| graph.for_each_neighbor(dir, node, a, |_| {}),
+                &|| {
+                    graph.degree(dir, node);
+                },
+                &|| {
+                    graph.edges_of(dir, node).count();
+                },
+            ];
+            for (i, call) in calls.iter().enumerate() {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call));
+                assert!(outcome.is_err(), "accessor {i} on node {node} ({dir:?})");
+            }
+        }
+    }
 }

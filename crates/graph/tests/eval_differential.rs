@@ -11,8 +11,8 @@
 //! select **exactly** the same node sets, with one scratch reused across
 //! configurations and calls. Label-density
 //! extremes (every label active on all nodes / on at most one node) are
-//! generated explicitly so the masked kernels and the cost-model gate
-//! see both of their boundary conditions. The per-label active-node
+//! generated explicitly so the dense kernel's label mask and the
+//! cost-model gate see both of their boundary conditions. The per-label active-node
 //! bitmaps feeding it all are checked against a from-scratch
 //! recomputation on the same random graphs.
 
@@ -241,14 +241,14 @@ proptest! {
 /// every `frontier ∩ label-active` intersection equals the frontier and
 /// the cost model must fall back to plain kernels. All-sparse: each
 /// label has exactly one edge, so almost every intersection is empty and
-/// the masked path is where all pruning happens. Both extremes get a few
+/// the label mask is where all pruning happens. Both extremes get a few
 /// random extra edges on top so the two regimes are not purely regular.
 fn arb_extreme_graph() -> impl Strategy<Value = GraphDb> {
     arb_density_extreme(any::<bool>())
 }
 
 /// Strategy: the all-dense extreme only — no step of any frontier is
-/// ever skipped or masked, only plain or covered.
+/// ever skipped, only walked or covered.
 fn arb_dense_graph() -> impl Strategy<Value = GraphDb> {
     arb_density_extreme(Just(true))
 }
@@ -326,7 +326,7 @@ proptest! {
     /// step counts as one task, exactly like the plain step it replaces,
     /// so the serving cache's work measure (and its eviction order)
     /// cannot move with the verdict. On all-dense graphs nothing is
-    /// skipped or masked, so `Plain` and `Auto` must report the same
+    /// skipped, so `Plain` and `Auto` must report the same
     /// `(frontier, tasks)` per level, monadic and binary — while every
     /// monadic first level (all of `V` at each final) is covered.
     #[test]
@@ -387,8 +387,8 @@ proptest! {
 
     /// Label-density extremes: plain ≡ auto ≡ naive ≡ queued, monadic
     /// and binary, on graphs where every label is everywhere-active or
-    /// nearly nowhere-active — the two boundary conditions of the masked
-    /// kernels and the popcount gate.
+    /// nearly nowhere-active — the two boundary conditions of the label
+    /// mask and the popcount gate.
     #[test]
     fn engines_agree_at_density_extremes(
         graph in arb_extreme_graph(),
@@ -416,8 +416,8 @@ proptest! {
     /// weighted `Auto` gate picks, executing it is **bit-identical** to
     /// the exhaustive plain kernel in both directions — a Skip verdict
     /// really is an empty step, a Covered verdict's answer really is the
-    /// label's opposite-direction bitmap, a Masked verdict really loses
-    /// no node. Besides the random frontier, every `(symbol, direction)`
+    /// label's opposite-direction bitmap, a Sparse verdict really visits
+    /// every edge. Besides the random frontier, every `(symbol, direction)`
     /// gets frontiers that cover its active set — all of `V`, and the
     /// active set plus the random bits — since twelve random bits almost
     /// never do. (The engine-level matrices above assert the same
@@ -454,7 +454,7 @@ proptest! {
                             &plain,
                             "{:?} covered {:?}", dir, sym
                         ),
-                        StepPlan::Sparse | StepPlan::Masked | StepPlan::Plain => {}
+                        StepPlan::Sparse | StepPlan::Plain => {}
                     }
                     if frontier.intersection_len(graph.label_active(dir, sym))
                         == graph.label_active_count(dir, sym)

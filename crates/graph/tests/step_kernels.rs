@@ -3,7 +3,7 @@
 //! The evaluators only ever reach the kernel through whole queries; here
 //! [`GraphDb::step_into`] and [`GraphDb::step`] are driven directly, as
 //! **one matrix** — `Dir::{Out, In}` × every [`StepPlan`] valid for the
-//! frontier (plain, masked and sparse always; skip when the frontier
+//! frontier (plain and sparse always; skip when the frontier
 //! misses the label's active set, covered when it holds all of it) —
 //! against one per-node adjacency oracle, on adversarial frontiers
 //! (empty, full `|V|`, a single word, word-boundary straddlers, and per
@@ -99,12 +99,12 @@ fn adversarial_frontiers(n: usize) -> Vec<BitSet> {
 }
 
 /// The plans the kernel may execute on `frontier` over `sym` in `dir`:
-/// the three kernels always (`Sparse` is a verdict about the frontier's
+/// the two kernels always (`Sparse` is a verdict about the frontier's
 /// size, which only costs, never changes, the answer), and each verdict
 /// whose precondition the frontier meets.
 fn valid_plans(graph: &GraphDb, dir: Dir, frontier: &BitSet, sym: Symbol) -> Vec<StepPlan> {
     let inter = frontier.intersection_len(graph.label_active(dir, sym));
-    let mut plans = vec![StepPlan::Plain, StepPlan::Masked, StepPlan::Sparse];
+    let mut plans = vec![StepPlan::Plain, StepPlan::Sparse];
     if inter == 0 {
         plans.push(StepPlan::Skip);
     }
@@ -186,12 +186,7 @@ fn out_of_alphabet_symbol_is_empty_at_every_kernel() {
             graph.plan_step(dir, &frontier, foreign, 70, StepPolicy::Auto),
             StepPlan::Skip
         );
-        for plan in [
-            StepPlan::Plain,
-            StepPlan::Masked,
-            StepPlan::Covered,
-            StepPlan::Sparse,
-        ] {
+        for plan in [StepPlan::Plain, StepPlan::Covered, StepPlan::Sparse] {
             let mut out = BitSet::full(70);
             graph.step_into(dir, plan, &frontier, foreign, &mut out);
             assert!(out.is_empty(), "{dir:?} {plan:?}");
@@ -211,12 +206,7 @@ fn empty_range_is_a_no_op() {
     let a = Symbol::from_index(0);
     let frontier = BitSet::new(70);
     for dir in Dir::BOTH {
-        for plan in [
-            StepPlan::Skip,
-            StepPlan::Plain,
-            StepPlan::Masked,
-            StepPlan::Sparse,
-        ] {
+        for plan in [StepPlan::Skip, StepPlan::Plain, StepPlan::Sparse] {
             let mut out = BitSet::from_indices(70, [5]);
             graph.step_into(dir, plan, &frontier, a, &mut out);
             assert!(out.is_empty(), "{dir:?} {plan:?}");

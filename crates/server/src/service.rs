@@ -375,6 +375,10 @@ struct ServeCounters {
     cache_bytes_used: Gauge,
     /// The cache's configured byte budget.
     cache_bytes_budget: Gauge,
+    /// Heap bytes of the served graph's frozen CSR
+    /// ([`GraphDb::heap_bytes`]), set whenever a new CSR is served: at
+    /// construction, on a rebuild and on a compaction.
+    graph_bytes: Gauge,
     /// Per-BFS-level wall time, fed from trace level samples.
     eval_level_ns: Histogram,
     /// Per-BFS-level frontier popcount, fed from trace level samples.
@@ -404,6 +408,7 @@ impl ServeCounters {
             cache_entries: registry.gauge("cache.entries"),
             cache_bytes_used: registry.gauge("cache.bytes_used"),
             cache_bytes_budget: registry.gauge("cache.bytes_budget"),
+            graph_bytes: registry.gauge("graph.bytes"),
             eval_level_ns: registry.histogram("eval.level", "ns"),
             eval_frontier: registry.histogram("eval.frontier", "nodes"),
             queue_wait: registry.histogram("serve.queue_wait", "ns"),
@@ -656,6 +661,7 @@ impl QueryService {
         counters
             .cache_bytes_budget
             .set(cache.capacity_bytes() as u64);
+        counters.graph_bytes.set(graph.heap_bytes() as u64);
         QueryService {
             inner: Mutex::new(Inner {
                 label_epochs: vec![0; graph.alphabet().len()],
@@ -774,6 +780,7 @@ impl QueryService {
         // The global epoch bump fences every in-flight publish, so the
         // per-label clocks restart at zero (sized to the new alphabet).
         inner.label_epochs = vec![0; graph.alphabet().len()];
+        self.counters.graph_bytes.set(graph.heap_bytes() as u64);
         inner.graph = Arc::new(graph);
         inner.epoch += 1;
         inner.cache.clear();
@@ -817,6 +824,7 @@ impl QueryService {
         if compacted {
             patched = patched.compact();
             self.counters.compactions.inc();
+            self.counters.graph_bytes.set(patched.heap_bytes() as u64);
         }
         inner.graph = Arc::new(patched);
         let invalidated = inner.cache.invalidate_edges(add, remove);

@@ -483,11 +483,10 @@ impl QueryTrace {
         }
         for level in &self.levels {
             out.push_str(&format!(
-                "  level {:>3} frontier={} tasks={} masked={} covered={} sparse={} {}us\n",
+                "  level {:>3} frontier={} tasks={} covered={} sparse={} {}us\n",
                 level.level,
                 level.frontier,
                 level.tasks,
-                level.masked_tasks,
                 level.covered_tasks,
                 level.sparse_tasks,
                 level.nanos / 1_000

@@ -187,6 +187,12 @@ fn stats_counters_are_sorted_and_keep_every_legacy_key() {
         "resident bytes count at least one byte per entry"
     );
 
+    assert_eq!(
+        counter(&stats, "graph.bytes"),
+        ring_graph(60).heap_bytes() as u64,
+        "graph.bytes reports the served CSR"
+    );
+
     assert_eq!(counter(&stats, "net.queries"), 4);
     assert!(counter(&stats, "serve.hits") >= 1, "repeat query hits");
     // Three misses went through the admission queue; the repeated
@@ -201,6 +207,38 @@ fn stats_counters_are_sorted_and_keep_every_legacy_key() {
         counter(&stats, "eval.level_count") >= 1,
         "evaluations record per-level samples by default"
     );
+}
+
+/// `graph.bytes` follows every new CSR the service serves: the one it
+/// starts with, a rebuilt one, and a compacted one; a delta that only
+/// grows the overlay leaves the shared CSR, and the gauge, unchanged.
+#[test]
+fn graph_bytes_gauge_tracks_the_served_csr() {
+    let config = ServeConfig {
+        delta_compact_threshold: Some(1),
+        ..ServeConfig::default()
+    };
+    let service = QueryService::new(ring_graph(60), config);
+    let gauge = || counter(&service.telemetry().registry.snapshot(), "graph.bytes");
+    let served = || service.graph().heap_bytes() as u64;
+    assert!(gauge() > 0);
+    assert_eq!(gauge(), served(), "at construction");
+
+    service.rebuild_graph(ring_graph(300));
+    assert_eq!(gauge(), served(), "after a rebuild");
+    let rebuilt = gauge();
+
+    let (a, b) = (Symbol::from_index(0), Symbol::from_index(1));
+    let first = service.apply_delta(&[(0, b, 7), (3, a, 9)], &[]).unwrap();
+    assert!(first.compacted);
+    assert_eq!(gauge(), served(), "after a compaction");
+    assert!(gauge() > rebuilt, "two more edges and active cells");
+    let compacted = gauge();
+
+    let second = service.apply_delta(&[(5, b, 11)], &[]).unwrap();
+    assert!(!second.compacted);
+    assert_eq!(gauge(), compacted, "an overlay shares the CSR");
+    assert_eq!(gauge(), served());
 }
 
 #[test]
@@ -320,8 +358,7 @@ fn traces_are_consistent_with_served_outcomes() {
 
 /// A binary miss starts from one node, which the step gate prices
 /// against `|V|` before any scan: on a 16-word graph its first level is
-/// sparse, and the slow log renders that verdict beside `masked=` /
-/// `covered=`.
+/// sparse, and the slow log renders that verdict beside `covered=`.
 #[test]
 fn a_binary_miss_renders_its_one_node_first_level_sparse() {
     let graph = ring_graph(1024);
