@@ -227,9 +227,9 @@ impl BitSet {
 
     /// `|self ∩ other|` in one fused pass (AND + popcount per block),
     /// without materializing the intersection. This is the measurement
-    /// behind the step-kernel cost model in `pathlearn-graph`: comparing
-    /// it against [`BitSet::len`] tells an evaluator how many frontier
-    /// nodes a masked kernel would skip.
+    /// behind the step-kernel cost model in `pathlearn-graph`: against a
+    /// label's active set it tells the planner whether a step misses the
+    /// label (empty), holds all of it (covered), or must be walked.
     ///
     /// # Panics
     /// Panics if the capacities differ.
@@ -245,9 +245,9 @@ impl BitSet {
     /// The raw `u64` storage blocks, least-significant block first; index
     /// `i` lives at bit `i % 64` of block `i / 64`. Bits at and above
     /// `capacity` in the last block are always zero (every mutator masks
-    /// the tail), so word-level consumers — the masked step kernels of
-    /// `pathlearn-graph` iterate `frontier_block & label_block` directly —
-    /// can AND blocks of equal-capacity sets without re-masking.
+    /// the tail), so word-level consumers — `pathlearn-graph` ranks a
+    /// label's active nodes word by word — can AND or popcount blocks of
+    /// equal-capacity sets without re-masking.
     #[inline]
     pub fn as_blocks(&self) -> &[u64] {
         &self.blocks

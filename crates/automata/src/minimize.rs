@@ -5,7 +5,7 @@
 //! live states over the **live symbols** only, and builds the canonical
 //! DFA once. A straightforward **Moore iteration** (`O(|Σ| n²)`,
 //! [`minimize_moore`]) is kept as an independently-implemented oracle
-//! for the tests and as an ablation baseline for the benchmark suite.
+//! for the tests.
 //!
 //! Both entry points return the *canonical* DFA of the language: trimmed
 //! (every state reachable and co-reachable — so no sink survives), with
@@ -332,9 +332,9 @@ fn hopcroft(delta: &[StateId], k: usize, accepting: &[bool]) -> Vec<u32> {
 }
 
 /// Minimizes a DFA with Moore's iterative refinement; returns the
-/// canonical form. The test oracle and ablation baseline: it shares no
-/// step with [`minimize`] beyond the [`Dfa`] methods it composes —
-/// trim, complete, refine, quotient, trim, canonical numbering.
+/// canonical form. The test oracle: it shares no step with
+/// [`minimize`] beyond the [`Dfa`] methods it composes — trim,
+/// complete, refine, quotient, trim, canonical numbering.
 pub fn minimize_moore(dfa: &Dfa) -> Dfa {
     let trimmed = dfa.trim();
     if trimmed.language_is_empty() {

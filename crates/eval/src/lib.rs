@@ -10,11 +10,14 @@
 //!   is indistinguishable from the goal, recording label counts and time
 //!   between interactions;
 //! * [`report`] — plain-text/markdown/CSV rendering shared by the
-//!   benchmark binaries.
+//!   paper-artifact binaries;
+//! * [`datasets`] — the simulated-AliBaba and synthetic datasets those
+//!   binaries run on, and their shared `--seed` / `--full` options.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod datasets;
 pub mod interactive_exp;
 pub mod metrics;
 pub mod report;

@@ -718,8 +718,7 @@ impl EvalPool {
 
     /// Sets the step-kernel policy (see [`StepPolicy`]) applied by every
     /// evaluation this handle runs. Results are bit-identical under every
-    /// policy; the knob exists for the step-gate ablation and
-    /// differential testing.
+    /// policy; the knob exists for differential testing.
     pub fn with_step_policy(mut self, policy: StepPolicy) -> Self {
         self.step_policy = policy;
         self
@@ -1019,10 +1018,10 @@ pub fn eval_monadic(query: &Dfa, graph: &GraphDb) -> BitSet {
 
 /// Reference implementation of the **seed algorithm**: node-at-a-time
 /// backward BFS over packed `(node, state)` product pairs with a queue.
-/// Kept so `bench_eval` can track the speedup of the frontier-batched
-/// [`eval_monadic`] against it, and as an equivalence oracle in tests;
-/// a popped pair reads the in-neighbours of each symbol that has a
-/// reverse DFA transition into its state, not the node's whole row.
+/// Kept as the reference the differential suites compare the
+/// frontier-batched [`eval_monadic`] against; a popped pair reads the
+/// in-neighbours of each symbol that has a reverse DFA transition into
+/// its state, not the node's whole row.
 pub fn eval_monadic_queued(query: &Dfa, graph: &GraphDb) -> BitSet {
     let v = graph.num_nodes();
     let q_states = query.num_states();

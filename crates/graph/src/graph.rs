@@ -146,15 +146,15 @@ impl Dir {
     }
 }
 
-/// How an evaluator executes its frontier step kernels — the knob behind
-/// the step-gate ablation in `bench_eval` and the cross-engine
-/// differential suite. Results are **bit-identical** across both
-/// policies; only the work performed per `(level, symbol)` step differs.
+/// How an evaluator executes its frontier step kernels. `Plain` is the
+/// reference the differential suites compare the `Auto` gate against:
+/// results are **bit-identical** across both policies; only the work
+/// performed per `(level, symbol)` step differs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StepPolicy {
     /// Always walk: every symbol with DFA transitions is stepped by the
     /// dense kernel, with no skip, covered copy or sparse visit — the
-    /// ablation baseline.
+    /// reference.
     Plain,
     /// The cost-model gate (the default everywhere): per `(level, symbol)`
     /// compare the intersection popcount against the frontier popcount and
@@ -166,8 +166,7 @@ pub enum StepPolicy {
 }
 
 impl StepPolicy {
-    /// All policies, in ablation order — for differential tests and the
-    /// benchmark matrix.
+    /// All policies, reference first — for the differential tests.
     pub const ALL: [StepPolicy; 2] = [StepPolicy::Plain, StepPolicy::Auto];
 }
 

@@ -78,8 +78,9 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 /// a bit of them per `(label, node)` pair and direction (48 MiB per
 /// direction at the limit), so without a bound a few digest-valid
 /// megabytes of short names and labels would request terabytes and
-/// abort in the allocator instead of returning a [`SnapshotError`]. [`GraphDb::save_snapshot`] refuses the
-/// same graphs, so no file this build writes is one it cannot load.
+/// abort in the allocator instead of returning a [`SnapshotError`].
+/// [`GraphDb::save_snapshot`] refuses the same graphs, so no file this
+/// build writes is one it cannot load.
 pub const MAX_TABLE_CELLS: usize = 1 << 28;
 
 /// Why a snapshot failed to decode (or a file failed to read/write).
@@ -220,7 +221,7 @@ fn check_table_cells(n: usize, sigma: usize) -> Result<(), SnapshotError> {
     match n.checked_mul(sigma) {
         Some(cells) if cells <= MAX_TABLE_CELLS => Ok(()),
         cells => Err(SnapshotError::OutOfRange {
-            what: "offset table size",
+            what: "label × node cells",
             value: cells.map_or(u64::MAX, |cells| cells as u64),
             limit: MAX_TABLE_CELLS as u64 + 1,
         }),
@@ -421,8 +422,9 @@ impl<'a> Decoder<'a> {
             });
         }
         let m = m64 as usize;
-        // The `(label, node)` offset table is not in the file, but the
-        // constructor derives it: bound it before anything is built.
+        // The label bitmaps and rank words are not in the file, but the
+        // constructor derives them from `|V|·|Σ|`: bound it before
+        // anything is built.
         check_table_cells(n, sigma)?;
         // Every other allocation below is sized by a header count; the
         // sections those counts promise (≥ 2 bytes per string) must fit
@@ -705,7 +707,7 @@ mod tests {
                 put(bad, 12, 1 << 20);
             }),
             Err(SnapshotError::OutOfRange {
-                what: "offset table size",
+                what: "label × node cells",
                 ..
             })
         ));

@@ -64,8 +64,8 @@ pub const HORIZON: usize = 8;
 /// Binary evaluation strategy.
 ///
 /// `Auto` resolves to a concrete engine at planning time
-/// ([`plan_query`]); the other two force it, which the benchmark
-/// ablation and the differential suite use to pin every engine.
+/// ([`plan_query`]); the other two force it, which the differential
+/// suites use to pin every engine.
 /// Monadic evaluation has one engine and ignores the strategy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Strategy {
@@ -79,7 +79,7 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// All strategies, for ablation sweeps and tests.
+    /// All strategies, for the differential tests.
     pub const ALL: [Strategy; 3] = [Strategy::Auto, Strategy::Forward, Strategy::Backward];
 
     /// Stable lowercase name (stats counters, bench JSON, CLI).
@@ -229,8 +229,8 @@ pub fn plan_query(query: &Dfa, graph: &GraphDb) -> QueryPlan {
 
 /// Plans a query with a forced binary strategy; `Auto` resolves from
 /// the direction estimate. The estimate is computed in every case, so
-/// diagnostics and the bench ablation can always report it. Linear in
-/// the automaton: nothing here determinizes.
+/// diagnostics can always report it. Linear in the automaton: nothing
+/// here determinizes.
 pub fn plan_query_forced(query: &Dfa, graph: &GraphDb, forced: Strategy) -> QueryPlan {
     let binary_estimate = DirectionEstimate {
         forward: sim_deterministic(query, graph),

@@ -20,8 +20,7 @@
 //! order, therefore visits words in canonical order and the first state
 //! with a dead negative side yields the SCP. The negative side depends
 //! only on the word, never on `ν`, so its successor function is memoized
-//! in a [`NegCache`] shared across all positive nodes of a sample — the
-//! `bench_scp` ablation measures this choice.
+//! in a [`NegCache`] shared across all positive nodes of a sample.
 //!
 //! ## A growing `S⁻`
 //!

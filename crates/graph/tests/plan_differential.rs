@@ -413,8 +413,8 @@ fn auto_picks_expected_binary_direction_on_asymmetric_graphs() {
     }
 }
 
-/// Forced strategies always resolve as requested, so the bench
-/// ablation can trust its labels.
+/// Forced strategies always resolve as requested, so a test that
+/// forces an engine runs that engine.
 #[test]
 fn forced_strategies_pin_the_binary_engine() {
     let graph = hub_graph_with_rare_target(64, 8);

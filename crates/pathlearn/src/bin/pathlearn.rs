@@ -227,6 +227,12 @@ fn learn_command(args: &[String]) -> Result<(), String> {
     if pos.is_empty() && neg.is_empty() {
         return Err("need at least one of --pos/--neg".into());
     }
+    if let Some(&both) = pos.iter().find(|node| neg.contains(node)) {
+        return Err(format!(
+            "node `{}` is labelled both --pos and --neg",
+            graph.node_name(both)
+        ));
+    }
     let sample = Sample::from_parts(pos, neg);
     let learner = match options.flag("k") {
         Some(k) => Learner::with_fixed_k(k.parse().map_err(|_| "--k needs an integer")?),

@@ -191,6 +191,31 @@ fn learn_abstains_politely_on_inconsistency() {
 }
 
 #[test]
+fn learn_rejects_a_node_labelled_both_ways() {
+    // Contradictory labels are user input: a one-line error naming the
+    // node and exit 1, like an unknown node — not a `Sample::add` panic.
+    let path = g0_file();
+    let output = Command::new(pathlearn_binary())
+        .args([
+            "learn",
+            path.to_str().unwrap(),
+            "--pos",
+            "v1",
+            "--neg",
+            "v1",
+        ])
+        .output()
+        .expect("spawn pathlearn");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr.lines().next(),
+        Some("error: node `v1` is labelled both --pos and --neg")
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn interactive_with_simulated_goal() {
     let path = g0_file();
     let (stdout, _, ok) = run(&[

@@ -6,11 +6,16 @@
 use pathlearn::core::LearnerConfig;
 use pathlearn::datagen::sampling::random_sample;
 use pathlearn::datagen::scale_free::{scale_free_graph, ScaleFreeConfig};
-use pathlearn::datagen::workloads::syn_workload;
+use pathlearn::datagen::workloads::{bio_workload, syn_workload};
 use pathlearn::eval::interactive_exp::run_interactive;
 use pathlearn::eval::metrics::Confusion;
 use pathlearn::eval::static_exp::{labels_needed_without_interactions, run_static, StaticConfig};
+use pathlearn::graph::eval::{eval_binary_from, eval_monadic, eval_monadic_queued};
+use pathlearn::graph::plan::plan_query_forced;
+use pathlearn::graph::{CancelToken, EvalScratch, Goal, StepPolicy, Strategy};
 use pathlearn::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn small_synthetic() -> GraphDb {
     scale_free_graph(&ScaleFreeConfig::paper_synthetic(600, 42))
@@ -43,6 +48,63 @@ fn static_f1_increases_with_labels() {
             points[1].mean_f1
         );
     }
+}
+
+#[test]
+fn paper_query_mix_is_bit_identical_across_engines() {
+    // The paper's calibrated mix (bio1–6, syn1–3) on a 2000-node
+    // scale-free graph, a shape the differential suites' small random
+    // graphs never reach. Monadic: the engine, the seed algorithm and
+    // both step policies agree. Binary: every forced strategy's plan
+    // agrees with forward evaluation from 64 seeded sources. CI also
+    // runs this under --release, where debug asserts vanish.
+    let graph = scale_free_graph(&ScaleFreeConfig::paper_synthetic(2000, 42));
+    let mut queries = bio_workload(&graph).queries;
+    queries.extend(syn_workload(&graph).queries);
+    assert_eq!(queries.len(), 9);
+    let mut rng = StdRng::seed_from_u64(42 ^ 0x736f_7572);
+    let sources: Vec<NodeId> = (0..64)
+        .map(|_| rng.gen_range(0..graph.num_nodes() as NodeId))
+        .collect();
+    let engine = EvalPool::sequential();
+    let mut scratch = EvalScratch::new();
+    let mut reached = 0;
+    for q in &queries {
+        let dfa = q.query.dfa();
+        let expected = eval_monadic(dfa, &graph);
+        assert_eq!(
+            eval_monadic_queued(dfa, &graph),
+            expected,
+            "{}: seed algorithm",
+            q.name
+        );
+        for policy in StepPolicy::ALL {
+            let policy_engine = EvalPool::sequential().with_step_policy(policy);
+            assert_eq!(
+                policy_engine.eval_monadic(dfa, &graph),
+                expected,
+                "{}: {policy:?}",
+                q.name
+            );
+        }
+        for forced in Strategy::ALL {
+            let plan = plan_query_forced(dfa, &graph, forced);
+            for &source in &sources {
+                let goal = Goal::BinaryFrom(source);
+                let answer = engine
+                    .evaluate(&mut scratch, &plan, &graph, goal, &CancelToken::never())
+                    .expect("a never-token evaluation is not interrupted");
+                assert_eq!(
+                    answer,
+                    eval_binary_from(dfa, &graph, source),
+                    "{}: forced {forced} from {source}",
+                    q.name
+                );
+                reached += usize::from(!answer.is_empty());
+            }
+        }
+    }
+    assert!(reached > 0, "every binary answer was empty");
 }
 
 #[test]
