@@ -158,34 +158,15 @@ impl BitSet {
         }
     }
 
-    /// In-place difference: `self \= other`.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= !b;
-        }
-    }
-
     /// In-place union that records which indices were new: every index of
     /// `other` absent from `self` is inserted into both `self` and
-    /// `newly` (`newly` is OR-accumulated, not cleared). Returns `true`
-    /// iff at least one index was new. One pass of word-level operations;
-    /// this is the frontier-merge kernel of the level-synchronous BFS in
-    /// `pathlearn-graph`.
-    ///
-    /// # Panics
-    /// Panics if the capacities differ.
-    pub fn union_with_recording_new(&mut self, other: &BitSet, newly: &mut BitSet) -> bool {
-        self.union_with_recording_new_count(other, newly) != 0
-    }
-
-    /// [`BitSet::union_with_recording_new`] that also **counts** the
-    /// fresh indices: returns how many indices of `other` were absent
-    /// from `self` (0 ⇔ nothing new). The popcount rides the same pass
-    /// over the blocks, so callers that need the next frontier's size —
-    /// the step-kernel cost model in `pathlearn-graph` amortizes one
-    /// popcount per `(level, state)` — get it without a separate
-    /// `len()` scan.
+    /// `newly` (`newly` is OR-accumulated, not cleared). Returns how many
+    /// indices were new (0 ⇔ nothing new). One pass of word-level
+    /// operations; this is the frontier-merge kernel of the
+    /// level-synchronous BFS in `pathlearn-graph`. The popcount rides the
+    /// same pass over the blocks, so the step-kernel cost model, which
+    /// amortizes one popcount per `(level, state)`, gets the next
+    /// frontier's size without a separate `len()` scan.
     ///
     /// # Panics
     /// Panics if the capacities differ.
@@ -383,9 +364,6 @@ mod tests {
         let mut inter = a.clone();
         inter.intersect_with(&b);
         assert_eq!(inter.iter().collect::<Vec<_>>(), vec![3, 5]);
-        let mut diff = a.clone();
-        diff.difference_with(&b);
-        assert_eq!(diff.iter().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
@@ -393,12 +371,18 @@ mod tests {
         let mut reached = BitSet::from_indices(130, [1, 64]);
         let incoming = BitSet::from_indices(130, [1, 64, 65, 129]);
         let mut newly = BitSet::from_indices(130, [3]); // pre-existing bit kept
-        assert!(reached.union_with_recording_new(&incoming, &mut newly));
+        assert_eq!(
+            reached.union_with_recording_new_count(&incoming, &mut newly),
+            2
+        );
         assert_eq!(reached.iter().collect::<Vec<_>>(), vec![1, 64, 65, 129]);
         assert_eq!(newly.iter().collect::<Vec<_>>(), vec![3, 65, 129]);
         // A second merge of the same set adds nothing.
         let mut newly2 = BitSet::new(130);
-        assert!(!reached.union_with_recording_new(&incoming, &mut newly2));
+        assert_eq!(
+            reached.union_with_recording_new_count(&incoming, &mut newly2),
+            0
+        );
         assert!(newly2.is_empty());
     }
 

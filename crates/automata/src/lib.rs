@@ -36,7 +36,6 @@ pub mod canonical;
 pub mod char_sample;
 pub mod determinize;
 pub mod dfa;
-pub mod dot;
 pub mod inclusion;
 pub mod minimize;
 pub mod nfa;

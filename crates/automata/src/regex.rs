@@ -163,12 +163,7 @@ impl Regex {
 
     /// Parses a regex over an existing alphabet; unknown labels are errors.
     pub fn parse(input: &str, alphabet: &Alphabet) -> Result<Regex, ParseError> {
-        Parser::new(input, Lookup::Fixed(alphabet)).parse()
-    }
-
-    /// Parses a regex, interning unknown labels into `alphabet`.
-    pub fn parse_interning(input: &str, alphabet: &mut Alphabet) -> Result<Regex, ParseError> {
-        Parser::new(input, Lookup::Interning(alphabet)).parse()
+        Parser::new(input, alphabet).parse()
     }
 
     /// Renders the regex with label names from `alphabet`.
@@ -335,35 +330,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-enum Lookup<'a> {
-    Fixed(&'a Alphabet),
-    Interning(&'a mut Alphabet),
-}
-
-impl Lookup<'_> {
-    fn resolve(&mut self, name: &str, position: usize) -> Result<Symbol, ParseError> {
-        match self {
-            Lookup::Fixed(alphabet) => alphabet.symbol(name).ok_or_else(|| ParseError {
-                position,
-                message: format!("unknown label `{name}`"),
-            }),
-            Lookup::Interning(alphabet) => Ok(alphabet.intern(name)),
-        }
-    }
-}
-
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
-    lookup: Lookup<'a>,
+    alphabet: &'a Alphabet,
 }
 
 impl<'a> Parser<'a> {
-    fn new(input: &'a str, lookup: Lookup<'a>) -> Self {
+    fn new(input: &'a str, alphabet: &'a Alphabet) -> Self {
         Parser {
             input: input.as_bytes(),
             pos: 0,
-            lookup,
+            alphabet,
         }
     }
 
@@ -480,7 +458,10 @@ impl<'a> Parser<'a> {
                 if name == "eps" {
                     return Ok(Regex::Epsilon);
                 }
-                let sym = self.lookup.resolve(name, start)?;
+                let sym = self.alphabet.symbol(name).ok_or_else(|| ParseError {
+                    position: start,
+                    message: format!("unknown label `{name}`"),
+                })?;
                 Ok(Regex::Symbol(sym))
             }
             Some(_) => Err(self.error("expected label, `(` or `eps`")),
@@ -615,8 +596,8 @@ mod tests {
 
     #[test]
     fn parse_epsilon_and_multichar_labels() {
-        let mut alphabet = Alphabet::new();
-        let regex = Regex::parse_interning("tram (bus + eps) cinema*", &mut alphabet).unwrap();
+        let alphabet = Alphabet::from_labels(["tram", "bus", "cinema"]);
+        let regex = Regex::parse("tram (bus + eps) cinema*", &alphabet).unwrap();
         assert!(!regex.nullable());
         assert_eq!(alphabet.len(), 3);
         let dfa = regex.to_dfa(alphabet.len());

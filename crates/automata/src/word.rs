@@ -40,12 +40,6 @@ pub fn format_word(word: &[Symbol], alphabet: &Alphabet) -> String {
         .join("·")
 }
 
-/// Returns `true` iff `prefix` is a (not necessarily proper) prefix of
-/// `word`.
-pub fn is_prefix(prefix: &[Symbol], word: &[Symbol]) -> bool {
-    word.len() >= prefix.len() && &word[..prefix.len()] == prefix
-}
-
 /// Enumerates all words over an alphabet of size `alphabet_len` with length
 /// at most `max_len`, in canonical order. Intended for tests and
 /// brute-force cross-checks only: the output has `Σ_{i≤k} |Σ|^i` entries.
@@ -113,17 +107,6 @@ mod tests {
         assert_eq!(format_word(&[], &alphabet), "ε");
         let word = alphabet.parse_word("a b").unwrap();
         assert_eq!(format_word(&word, &alphabet), "a·b");
-    }
-
-    #[test]
-    fn prefix_check() {
-        let a = sym(0);
-        let b = sym(1);
-        assert!(is_prefix(&[], &[a, b]));
-        assert!(is_prefix(&[a], &[a, b]));
-        assert!(is_prefix(&[a, b], &[a, b]));
-        assert!(!is_prefix(&[b], &[a, b]));
-        assert!(!is_prefix(&[a, b, a], &[a, b]));
     }
 
     #[test]

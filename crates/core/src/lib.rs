@@ -24,7 +24,6 @@
 
 pub mod binary;
 pub mod consistency;
-pub mod definability;
 pub mod learner;
 pub mod query;
 pub mod sample;

@@ -16,7 +16,7 @@
 //! What the learning experiments actually exercise — SCP search over
 //! skewed adjacency, generalization against large negative path
 //! languages, selectivities spanning 0.03%–22% — depends only on these
-//! statistics, not on the identity of the proteins; see `DESIGN.md` §3.
+//! statistics, not on the identity of the proteins.
 
 use crate::scale_free::{scale_free_graph, ScaleFreeConfig};
 use pathlearn_automata::Alphabet;

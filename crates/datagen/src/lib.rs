@@ -7,8 +7,9 @@
 //!   from the authors of \[27\]. The dataset is not redistributable, so
 //!   [`alibaba`] generates a **simulated stand-in** with the same
 //!   published statistics (scale, hub-dominated degree distribution, an
-//!   alphabet rich enough for the Table 1 disjunction classes). The
-//!   substitution is documented in `DESIGN.md` §3;
+//!   alphabet rich enough for the Table 1 disjunction classes). Why the
+//!   substitution preserves what the experiments measure is stated in
+//!   [`alibaba`]'s module documentation;
 //! * **synthetic scale-free graphs** with a Zipfian edge-label
 //!   distribution \[27\] of 10k/20k/30k nodes and 3× edges — [`scale_free`]
 //!   with [`zipf`];

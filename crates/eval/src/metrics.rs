@@ -72,16 +72,6 @@ impl Confusion {
         }
     }
 
-    /// Accuracy `(tp+tn) / total`.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.tp + self.fp + self.fn_ + self.tn;
-        if total == 0 {
-            1.0
-        } else {
-            (self.tp + self.tn) as f64 / total as f64
-        }
-    }
-
     /// `true` iff predicted == goal (F1 = 1 in the paper's sense).
     pub fn is_exact(&self) -> bool {
         self.fp == 0 && self.fn_ == 0
@@ -104,7 +94,6 @@ mod tests {
         assert_eq!(confusion.tn, 7);
         assert!(confusion.is_exact());
         assert_eq!(confusion.f1(), 1.0);
-        assert_eq!(confusion.accuracy(), 1.0);
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl CancelToken {
         }
         Ok(())
     }
-
-    /// `true` iff the token has tripped (convenience over [`Self::check`]).
-    pub fn is_cancelled(&self) -> bool {
-        self.check().is_err()
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +144,6 @@ mod tests {
         let token = CancelToken::never();
         assert!(token.is_never());
         assert_eq!(token.check(), Ok(()));
-        assert!(!token.is_cancelled());
         assert_eq!(token.deadline(), None);
     }
 

@@ -151,57 +151,6 @@ pub fn write_graph(graph: &GraphDb) -> Result<String, GraphWriteError> {
     Ok(out)
 }
 
-/// Escapes a string for use inside a DOT double-quoted attribute:
-/// backslashes and double quotes would otherwise terminate or corrupt
-/// the attribute string.
-fn dot_escape(name: &str) -> std::borrow::Cow<'_, str> {
-    if !name.contains(['"', '\\']) {
-        return std::borrow::Cow::Borrowed(name);
-    }
-    let mut escaped = String::with_capacity(name.len() + 2);
-    for ch in name.chars() {
-        if ch == '"' || ch == '\\' {
-            escaped.push('\\');
-        }
-        escaped.push(ch);
-    }
-    std::borrow::Cow::Owned(escaped)
-}
-
-/// Renders the graph in Graphviz DOT syntax, optionally marking nodes with
-/// `+` / `-` example labels (Figure 1-style visualization). Names and
-/// labels are escaped for DOT attribute strings; example membership is
-/// one hash probe per node instead of a scan of the example lists.
-pub fn graph_to_dot(graph: &GraphDb, positives: &[u32], negatives: &[u32]) -> String {
-    let positives: std::collections::HashSet<u32> = positives.iter().copied().collect();
-    let negatives: std::collections::HashSet<u32> = negatives.iter().copied().collect();
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph G {{");
-    for node in graph.nodes() {
-        let decoration = if positives.contains(&node) {
-            ", color=green, peripheries=2"
-        } else if negatives.contains(&node) {
-            ", color=red, peripheries=2"
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "  n{node} [label=\"{}\"{decoration}];",
-            dot_escape(graph.node_name(node))
-        );
-    }
-    for (src, sym, dst) in graph.edges() {
-        let _ = writeln!(
-            out,
-            "  n{src} -> n{dst} [label=\"{}\"];",
-            dot_escape(graph.alphabet().name(sym))
-        );
-    }
-    let _ = writeln!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,27 +228,5 @@ mod tests {
         assert!(text.contains("v4 a v1"));
         let parsed = parse_graph(&text).unwrap();
         assert_eq!(parsed.num_edges(), graph.num_edges() + 1);
-    }
-
-    #[test]
-    fn dot_escapes_quotes_and_backslashes() {
-        let mut builder = GraphBuilder::new();
-        builder.add_edge("he\"llo", "la\\bel", "world");
-        let dot = graph_to_dot(&builder.build(), &[], &[]);
-        assert!(dot.contains("label=\"he\\\"llo\""));
-        assert!(dot.contains("label=\"la\\\\bel\""));
-        // No naked inner quote may survive inside an attribute string.
-        assert!(!dot.contains("\"he\"llo\""));
-    }
-
-    #[test]
-    fn dot_marks_examples() {
-        let graph = figure3_g0();
-        let v1 = graph.node_id("v1").unwrap();
-        let v2 = graph.node_id("v2").unwrap();
-        let dot = graph_to_dot(&graph, &[v1], &[v2]);
-        assert!(dot.contains("color=green"));
-        assert!(dot.contains("color=red"));
-        assert!(dot.contains("label=\"a\""));
     }
 }

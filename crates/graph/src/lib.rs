@@ -35,10 +35,7 @@
 //!   Algorithm 2;
 //! * [`neighborhood`] — k-neighborhood extraction (interactive scenario,
 //!   Figure 9 step 4);
-//! * [`explain`] — witness paths ("why is this node selected?");
-//! * [`sampling`] — representative subgraph sampling (random walk /
-//!   forest fire), the paper's §6 future-work direction;
-//! * [`io`] — a line-oriented text format and Graphviz export;
+//! * [`io`] — a line-oriented text format;
 //! * [`graph::snapshot`] — a versioned little-endian binary snapshot of
 //!   a [`GraphDb`]'s edge list (strict, digest-checked decode), so
 //!   restarts read it and run the builder's constructor instead of
@@ -50,14 +47,12 @@
 pub mod binary;
 pub mod cancel;
 pub mod eval;
-pub mod explain;
 pub mod graph;
 pub mod io;
 pub mod neighborhood;
 pub mod observer;
 pub mod paths;
 pub mod plan;
-pub mod sampling;
 pub mod scp;
 
 pub use cancel::{CancelToken, Interrupt};

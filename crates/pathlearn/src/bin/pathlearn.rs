@@ -7,8 +7,8 @@
 //! pathlearn learn <graph.txt> --pos v1,v3 --neg v2,v7 [--k N]
 //!     Learn a query from labeled nodes (Algorithm 1); prints the regex.
 //!
-//! pathlearn interactive <graph.txt> [--goal "(a·b)*·c"] [--strategy kR|kS]
-//!                       [--seed N]
+//! pathlearn interactive <graph.txt> [--goal "(a·b)*·c"]
+//!                       [--strategy kR|kS|exact] [--seed N]
 //!     Run the Figure 9 loop. With --goal, a simulated user answers; without,
 //!     *you* are the user: the tool shows each proposed node's neighborhood
 //!     and asks for +/-.
@@ -48,9 +48,11 @@
 //!     Patch a live `pathlearn serve --listen` server over TCP with an
 //!     edge delta (removals apply before additions). Unlike restarting
 //!     the server on a new file, a delta invalidates only the cache
-//!     entries whose queries can see the touched labels — everything
-//!     else keeps serving as hits, and established fingerprints keep
-//!     resolving.
+//!     entries it can change: an entry whose query can see a touched
+//!     label is dropped only if one of the delta's edges hits the
+//!     footprint its evaluation left (an entry without a footprint is
+//!     dropped on the label match alone). Everything else keeps serving
+//!     as hits, and established fingerprints keep resolving.
 //!
 //! pathlearn stats <graph.txt>
 //!     Graph statistics (nodes, edges, labels, degree distribution).
@@ -106,7 +108,7 @@ pathlearn — learning path queries on graph databases (EDBT 2015)
 USAGE:
   pathlearn eval <graph.txt> --query <REGEX>
   pathlearn learn <graph.txt> --pos A,B --neg C,D [--k N]
-  pathlearn interactive <graph.txt> [--goal <REGEX>] [--strategy kR|kS] [--seed N]
+  pathlearn interactive <graph.txt> [--goal <REGEX>] [--strategy kR|kS|exact] [--seed N]
   pathlearn serve <graph.txt> --queries <file> [--clients N] [--repeat R] [--cache-mb M] [--strategy auto|forward|backward]
   pathlearn serve <graph.txt> --listen ADDR [--admin ADDR2] [--cache-mb M] [--strategy ...] [--data-dir DIR] [--checkpoint-every N]
   pathlearn snapshot <graph.txt> <out.snap>
@@ -446,12 +448,16 @@ fn serve_command(args: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(1)
         .max(1);
+    // The workload: the query list cycled `repeat` times, drained by the
+    // client threads from one atomic cursor. Checked, as --cache-mb is:
+    // a huge --repeat is a diagnostic, not an overflow.
+    let total = queries
+        .len()
+        .checked_mul(repeat)
+        .ok_or_else(|| format!("--repeat {repeat} overflows the submission count"))?;
     let num_nodes = graph.num_nodes();
     let service = Arc::new(QueryService::new(graph, config));
 
-    // The workload: the query list cycled `repeat` times, drained by the
-    // client threads from one atomic cursor.
-    let total = queries.len() * repeat;
     println!(
         "serving {} submissions ({} unique lines x {repeat}) over {clients} client thread(s)",
         total,

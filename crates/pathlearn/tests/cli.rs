@@ -342,6 +342,33 @@ fn serve_reports_missing_or_oversized_setup_cleanly() {
         !stderr.contains("panicked"),
         "setup errors must not panic: {stderr}"
     );
+    // So is an absurd --repeat: two lines times usize::MAX submissions
+    // overflow the count.
+    let mut two_lines = tempfile::Builder::new()
+        .prefix("twoq")
+        .suffix(".txt")
+        .tempfile()
+        .expect("tempfile");
+    writeln!(two_lines, "a").unwrap();
+    writeln!(two_lines, "b").unwrap();
+    let two_lines = two_lines.into_temp_path();
+    let (_, stderr, ok) = run(&[
+        "serve",
+        graph.to_str().unwrap(),
+        "--queries",
+        two_lines.to_str().unwrap(),
+        "--repeat",
+        "18446744073709551615",
+    ]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("--repeat") && stderr.contains("overflow"),
+        "overflow diagnostic: {stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "setup errors must not panic: {stderr}"
+    );
     // --listen and --queries are mutually exclusive.
     let (_, stderr, ok) = run(&[
         "serve",

@@ -1,4 +1,4 @@
-//! Theorem 3.5 at integration scale (experiment E11 of DESIGN.md §4):
+//! Theorem 3.5 at integration scale:
 //! for a corpus of target queries, the characteristic instance makes
 //! `learner` identify the target exactly with `k = 2·size(q)+1`, and the
 //! guarantee survives consistent extension and graph embedding.
