@@ -118,6 +118,10 @@ USAGE:
   serve --strategy pins the binary engine; monadic evaluation has one.
 ";
 
+/// Upper bound on `serve --queries … --clients N`: each client is an OS
+/// thread.
+const MAX_CLIENTS: usize = 1024;
+
 struct Options {
     graph_path: String,
     flags: Vec<(String, String)>,
@@ -442,6 +446,13 @@ fn serve_command(args: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(1)
         .max(1);
+    // One OS thread per client: refuse a count no machine should be
+    // asked for before any thread starts.
+    if clients > MAX_CLIENTS {
+        return Err(format!(
+            "--clients {clients} exceeds the limit of {MAX_CLIENTS}"
+        ));
+    }
     let repeat = options
         .flag("repeat")
         .map(|r| r.parse::<usize>().map_err(|_| "--repeat needs an integer"))

@@ -369,6 +369,29 @@ fn serve_reports_missing_or_oversized_setup_cleanly() {
         !stderr.contains("panicked"),
         "setup errors must not panic: {stderr}"
     );
+    // So is an absurd --clients: one thread per client, refused with
+    // exit 1 before the first one starts.
+    let output = Command::new(pathlearn_binary())
+        .args([
+            "serve",
+            graph.to_str().unwrap(),
+            "--queries",
+            queries.to_str().unwrap(),
+            "--clients",
+            "18446744073709551615",
+        ])
+        .output()
+        .expect("spawn pathlearn");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr.lines().next(),
+        Some("error: --clients 18446744073709551615 exceeds the limit of 1024")
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "setup errors must not panic: {stderr}"
+    );
     // --listen and --queries are mutually exclusive.
     let (_, stderr, ok) = run(&[
         "serve",

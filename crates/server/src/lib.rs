@@ -23,15 +23,15 @@
 //! smoke tests re-assert it end-to-end).
 //!
 //! Cache invalidation is wired to graph rebuilds:
-//! [`QueryService::rebuild_graph`] swaps the graph, clears the cache and
-//! bumps an epoch that keeps straggler evaluations of the old graph from
-//! repopulating it.
+//! [`QueryService::rebuild_graph`] swaps the graph and clears the cache.
+//! It takes the service by `&mut`, so no evaluation of the old graph can
+//! be in flight to repopulate it.
 //!
 //! The **network front door** is [`net`]: a hardened stdlib-TCP server
 //! speaking the framed binary protocol of [`proto`] — length-prefixed
 //! versioned frames, per-connection read/write timeouts, a bounded
 //! admission queue with load shedding, cooperative per-BFS-level query
-//! deadlines, and graceful drain on shutdown and graph rebuild.
+//! deadlines, and graceful drain on shutdown.
 //!
 //! The CLI front doors are `pathlearn serve` (in-process) and
 //! `pathlearn serve --listen ADDR` (TCP, crate `pathlearn`); the
@@ -70,7 +70,6 @@ pub use net::{Client, NetConfig, Server};
 pub use proto::{ErrorCode, QueryRef, Request, Response, WireKind, WireServed, NO_DEADLINE_MS};
 pub use service::{
     DeltaApplied, DeltaCommitError, QueryResponse, QueryService, ServeConfig, ServeStats, Served,
-    StaleEpoch,
 };
 pub use telemetry::{
     AdminServer, AdminSources, Counter, Gauge, HealthPhase, HealthReport, Histogram,

@@ -29,10 +29,9 @@
 //!   partial result. A budget that is already spent on arrival skips
 //!   the fast path, so the zero-deadline probe answers `DEADLINE` for
 //!   resident and cold keys alike.
-//! * **Graceful drain** — [`Server::rebuild_graph`] and
-//!   [`Server::shutdown`] stop admissions (fast path included), trip
-//!   the current drain-generation flag (cancelling queued and in-flight
-//!   work at its next level check), and wait up to
+//! * **Graceful drain** — [`Server::shutdown`] stops admissions (fast
+//!   path included), trips the drain flag (cancelling queued and
+//!   in-flight work at its next level check), and waits up to
 //!   [`NetConfig::drain_grace`] for the queue to go idle. Every
 //!   admitted job still gets exactly one reply — drained jobs answer
 //!   `DRAINING`, which clients treat as retryable.
@@ -56,48 +55,31 @@
 //! [`NetConfig::fingerprint_cap`] and the key bytes by a constant,
 //! cleared wholesale on overflow.
 //!
-//! ## Rebuilds and the epoch fence
+//! ## Writes
 //!
 //! A canonical DFA numbers its columns by the served graph's alphabet,
-//! so everything resolved from a request is stamped with the **service
-//! epoch** it was resolved under ([`QueryService::graph_and_epoch`])
-//! and every later step compares the stamp: the table refuses an
-//! insert from another epoch, admission refuses a job from another
-//! epoch, and the hit probe refuses a key from another epoch — each
-//! answers the retryable `DRAINING`. Rebuilds also give the queue a
-//! **fresh drain-generation flag** after the swap, so post-rebuild
-//! admissions run un-cancelled while pre-rebuild stragglers stay
-//! tripped. Together with [`QueryService`]'s own epoch guard this
-//! guarantees a frame admitted after a rebuild never sees an old-epoch
-//! result — not even one whose text was resolved a microsecond before
-//! the swap. The table is cleared on rebuild (the new graph may have a
-//! different alphabet), so clients must re-establish fingerprints by
-//! text and treat `UNKNOWN_FINGERPRINT` after a `DRAINING` burst as
-//! "resubmit by text".
-//!
-//! `DELTA` frames are the non-disruptive write path: they are handled
-//! inline on the connection thread through
-//! [`QueryService::apply_delta`] — no drain, no shed, no fresh drain
-//! generation — because a delta invalidates only the cache entries its
-//! edges reach and fences stale in-flight publishes with per-label
-//! epochs. The table is **retained** across deltas: the node set and
-//! the alphabet are frozen under the delta contract, so every
-//! established fingerprint and every memoised text still names the
-//! same canonical query.
+//! and a bound server never changes it: [`QueryService::rebuild_graph`]
+//! needs the service by `&mut`, which the server never lends out. A new
+//! graph is a new server. `DELTA` frames are the one write path: they
+//! are handled inline on the connection thread through
+//! [`QueryService::apply_delta`] — no drain, no shed — because a delta
+//! invalidates only the cache entries its edges reach and fences stale
+//! in-flight publishes with per-label epochs. The table is **retained**
+//! across deltas: the node set and the alphabet are frozen under the
+//! delta contract, so every established fingerprint and every memoised
+//! text still names the same canonical query.
 
 use crate::cache::CacheKey;
 use crate::proto::{
     encode_result, frame_reader, read_frame, write_frame, ErrorCode, FrameError, QueryRef, Request,
     Response, WireEdge, WireKind, WireServed, NO_DEADLINE_MS,
 };
-use crate::service::{
-    DeltaApplied, DeltaCommitError, QueryResponse, QueryService, Served, StaleEpoch,
-};
+use crate::service::{DeltaApplied, DeltaCommitError, QueryResponse, QueryService, Served};
 use crate::telemetry::{
     AdminSources, Counter, Gauge, HealthPhase, HealthReport, Histogram, MetricsRegistry, Telemetry,
 };
 use pathlearn_automata::{CanonicalQuery, Regex, Symbol};
-use pathlearn_graph::{CancelToken, GraphDb, Interrupt, NodeId};
+use pathlearn_graph::{CancelToken, Interrupt, NodeId};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -137,9 +119,9 @@ pub struct NetConfig {
     /// at [`MAX_RETRY_AFTER_MS`]) — so clients back off harder the
     /// deeper the backlog they bounced off.
     pub retry_after_ms: u32,
-    /// How long a drain (rebuild or shutdown) waits for queued and
-    /// in-flight work to finish before proceeding anyway; the tripped
-    /// drain flag bounds the overshoot to one BFS level.
+    /// How long the shutdown drain waits for queued and in-flight work
+    /// to finish before proceeding anyway; the tripped drain flag bounds
+    /// the overshoot to one BFS level.
     pub drain_grace: Duration,
     /// Cap on remembered text-established fingerprints; at the cap new
     /// text queries still evaluate but are not registered. The text
@@ -225,36 +207,19 @@ struct Job {
     /// reports `now − enqueued` as the query's queue wait (recorded on
     /// its trace and in the `serve.queue_wait` histogram).
     enqueued: Instant,
-    /// The drain-generation flag current at admission: a drain trips
-    /// exactly the generations admitted before it.
-    flag: Arc<AtomicBool>,
     slot: Arc<ReplySlot>,
 }
 
 /// Admission queue + drain state, under one mutex.
+#[derive(Default)]
 struct QueueState {
     jobs: VecDeque<Job>,
     /// Jobs popped and currently evaluating.
     running: usize,
-    /// Admissions answer `DRAINING` while set.
+    /// Set once, by [`Server::shutdown`]: admissions (fast path
+    /// included) answer `DRAINING`, and workers exit once the queue is
+    /// empty.
     draining: bool,
-    /// Workers exit once set *and* the queue is empty.
-    shutdown: bool,
-    /// Current drain generation; replaced with a fresh flag after each
-    /// rebuild so post-rebuild work runs un-cancelled.
-    drain_flag: Arc<AtomicBool>,
-    /// The service epoch admissions are open for: a [`Resolved`] query
-    /// stamped with any other epoch answers `DRAINING`. Moves together
-    /// with `drain_flag` and `draining` at the end of a rebuild.
-    epoch: u64,
-}
-
-impl QueueState {
-    /// Whether a query resolved under `epoch` may be answered or
-    /// admitted right now.
-    fn open_for(&self, epoch: u64) -> bool {
-        !self.draining && !self.shutdown && self.epoch == epoch
-    }
 }
 
 /// Bound on the request-text bytes the memo keeps as keys. Entries
@@ -265,21 +230,11 @@ const MEMO_TEXT_BYTES_MAX: usize = 1 << 20;
 // A wire string is `u16`-length: any single text fits an empty memo.
 const _: () = assert!(MEMO_TEXT_BYTES_MAX >= u16::MAX as usize);
 
-/// A wire query reference resolved to its canonical query, stamped with
-/// the service epoch it was resolved under — the alphabet that numbers
-/// the DFA's columns is that epoch's. Every consumer compares the
-/// stamp (module docs, *Rebuilds and the epoch fence*).
-struct Resolved {
-    query: Arc<CanonicalQuery>,
-    epoch: u64,
-}
-
 /// What the front door remembers about queries, under one lock: the
 /// fingerprint registry and the text memo, sharing one
-/// `Arc<CanonicalQuery>` per language. All entries belong to `epoch`;
-/// a rebuild [`QueryTable::reset`]s the table to the new one.
+/// `Arc<CanonicalQuery>` per language.
+#[derive(Default)]
 struct QueryTable {
-    epoch: u64,
     by_fingerprint: HashMap<u64, Arc<CanonicalQuery>>,
     /// Exact request bytes → canonical query. Only texts that parsed.
     by_text: HashMap<Box<str>, Arc<CanonicalQuery>>,
@@ -288,51 +243,20 @@ struct QueryTable {
 }
 
 impl QueryTable {
-    fn new(epoch: u64) -> Self {
-        QueryTable {
-            epoch,
-            by_fingerprint: HashMap::new(),
-            by_text: HashMap::new(),
-            text_bytes: 0,
-        }
+    fn text(&self, text: &str) -> Option<Arc<CanonicalQuery>> {
+        self.by_text.get(text).cloned()
     }
 
-    fn stamp(&self, query: &Arc<CanonicalQuery>) -> Resolved {
-        Resolved {
-            query: query.clone(),
-            epoch: self.epoch,
-        }
+    fn fingerprint(&self, fingerprint: u64) -> Option<Arc<CanonicalQuery>> {
+        self.by_fingerprint.get(&fingerprint).cloned()
     }
 
-    fn text(&self, text: &str) -> Option<Resolved> {
-        self.by_text.get(text).map(|query| self.stamp(query))
-    }
-
-    fn fingerprint(&self, fingerprint: u64) -> Option<Resolved> {
-        self.by_fingerprint
-            .get(&fingerprint)
-            .map(|query| self.stamp(query))
-    }
-
-    /// Records that `text` parsed to `query` under service epoch
-    /// `epoch`: registers the fingerprint (at most `cap` of them; at
-    /// the cap the query is still answered, just not registered) and
-    /// memoises the text (at most `cap` entries and
-    /// [`MEMO_TEXT_BYTES_MAX`] key bytes; the memo is cleared wholesale
-    /// when either would be passed). `None` — and nothing stored — when
-    /// the table belongs to another epoch: a rebuild ran while the
-    /// caller was canonicalizing, and `query` may be numbered over the
-    /// wrong alphabet.
-    fn remember(
-        &mut self,
-        text: &str,
-        query: CanonicalQuery,
-        epoch: u64,
-        cap: usize,
-    ) -> Option<Resolved> {
-        if epoch != self.epoch {
-            return None;
-        }
+    /// Records that `text` parsed to `query`: registers the fingerprint
+    /// (at most `cap` of them; at the cap the query is still answered,
+    /// just not registered) and memoises the text (at most `cap`
+    /// entries and [`MEMO_TEXT_BYTES_MAX`] key bytes; the memo is
+    /// cleared wholesale when either would be passed).
+    fn remember(&mut self, text: &str, query: CanonicalQuery, cap: usize) -> Arc<CanonicalQuery> {
         let fingerprint = query.fingerprint();
         let shared = match self.by_fingerprint.get(&fingerprint) {
             // Another spelling of a registered language: share its entry.
@@ -352,13 +276,7 @@ impl QueryTable {
         if self.by_text.len() < cap && self.by_text.insert(text.into(), shared.clone()).is_none() {
             self.text_bytes += text.len();
         }
-        Some(self.stamp(&shared))
-    }
-
-    /// Forgets everything and moves to `epoch` (a rebuild: the new
-    /// graph may number its alphabet differently).
-    fn reset(&mut self, epoch: u64) {
-        *self = QueryTable::new(epoch);
+        shared
     }
 }
 
@@ -451,6 +369,9 @@ struct Shared {
     service: QueryService,
     config: NetConfig,
     queue: Mutex<QueueState>,
+    /// Cancels every admitted job at its next BFS-level check once
+    /// [`Server::shutdown`] trips it.
+    drain_flag: Arc<AtomicBool>,
     job_ready: Condvar,
     idle: Condvar,
     /// The service's telemetry bundle — shared registry + trace sink.
@@ -499,7 +420,7 @@ impl Shared {
                         queue.running += 1;
                         break job;
                     }
-                    if queue.shutdown {
+                    if queue.draining {
                         return;
                     }
                     queue = self.job_ready.wait(queue).unwrap();
@@ -507,7 +428,7 @@ impl Shared {
             };
             let start = Instant::now();
             let queue_wait = start.saturating_duration_since(job.enqueued);
-            let mut token = CancelToken::with_flag(job.flag);
+            let mut token = CancelToken::with_flag(self.drain_flag.clone());
             if let Some(deadline) = job.deadline {
                 token = token.and_deadline(deadline);
             }
@@ -538,10 +459,13 @@ impl Shared {
     /// Resolves a wire query reference to a canonical query, or the
     /// reply to send instead. A memoised text costs one table lookup;
     /// a new one is parsed and canonicalized against the served graph's
-    /// alphabet — graph and epoch read under one lock, the subset
-    /// construction under [`MAX_QUERY_DFA_STATES`] — and remembered only
-    /// if the table still belongs to that epoch.
-    fn resolve_query(&self, request_id: u64, query: &QueryRef) -> Result<Resolved, Reply> {
+    /// alphabet — the subset construction under
+    /// [`MAX_QUERY_DFA_STATES`] — and remembered.
+    fn resolve_query(
+        &self,
+        request_id: u64,
+        query: &QueryRef,
+    ) -> Result<Arc<CanonicalQuery>, Reply> {
         let error = |code, message| {
             Reply::Frame(Response::Error {
                 request_id,
@@ -554,7 +478,7 @@ impl Shared {
                 if let Some(resolved) = self.registry.lock().unwrap().text(text) {
                     return Ok(resolved);
                 }
-                let (graph, epoch) = self.service.graph_and_epoch();
+                let graph = self.service.graph();
                 let canonical = Regex::parse(text, graph.alphabet())
                     .map_err(|err| error(ErrorCode::Parse, err.to_string()))?
                     .to_canonical_bounded(graph.alphabet().len(), MAX_QUERY_DFA_STATES)
@@ -567,11 +491,11 @@ impl Shared {
                             ),
                         )
                     })?;
-                self.registry
-                    .lock()
-                    .unwrap()
-                    .remember(text, canonical, epoch, self.config.fingerprint_cap)
-                    .ok_or_else(|| self.draining(request_id))
+                Ok(self.registry.lock().unwrap().remember(
+                    text,
+                    canonical,
+                    self.config.fingerprint_cap,
+                ))
             }
             QueryRef::Fingerprint(fp) => {
                 self.registry
@@ -637,9 +561,8 @@ impl Shared {
                 compacted,
                 delta_edges: delta_edges as u32,
             },
-            // Unreachable while the delta contract holds (resolution
-            // pinned everything in range), but a rebuild racing this
-            // frame can shrink the graph under the resolved ids.
+            // Unreachable while the delta contract holds: resolution
+            // pinned everything in range.
             Err(DeltaCommitError::Rejected(err)) => bad(err.to_string()),
             // The WAL could not take the batch (e.g. disk full): the
             // graph is unchanged and the client may retry once the
@@ -663,7 +586,7 @@ impl Shared {
     ) -> Reply {
         self.counters.queries.inc();
         match self.resolve_query(request_id, query) {
-            Ok(resolved) => self.admit_resolved(request_id, kind, deadline_ms, resolved, arrival),
+            Ok(query) => self.admit_resolved(request_id, kind, deadline_ms, query, arrival),
             Err(reply) => reply,
         }
     }
@@ -676,10 +599,9 @@ impl Shared {
         request_id: u64,
         kind: WireKind,
         deadline_ms: u32,
-        resolved: Resolved,
+        query: Arc<CanonicalQuery>,
         arrival: Instant,
     ) -> Reply {
-        let Resolved { query, epoch } = resolved;
         let query = CanonicalQuery::clone(&query);
         let key = match kind {
             WireKind::Monadic => CacheKey::monadic(query),
@@ -691,32 +613,28 @@ impl Shared {
         // Fast path. A drain closes it like any admission; a budget
         // already spent leaves it to the worker's `submit`, which owns
         // the `DEADLINE` verdict and its counters.
-        if !self.queue.lock().unwrap().open_for(epoch) {
+        if self.queue.lock().unwrap().draining {
             return self.draining(request_id);
         }
         let start = Instant::now();
         if deadline.is_none_or(|deadline| start < deadline) {
-            match self.service.try_hit(&key, epoch) {
-                Ok(Some(response)) => {
-                    self.counters
-                        .latency
-                        .record(start.elapsed().as_nanos() as u64);
-                    return Reply::Result {
-                        request_id,
-                        response,
-                    };
-                }
-                Ok(None) => {}
-                Err(StaleEpoch) => return self.draining(request_id),
+            if let Some(response) = self.service.try_hit(&key) {
+                self.counters
+                    .latency
+                    .record(start.elapsed().as_nanos() as u64);
+                return Reply::Result {
+                    request_id,
+                    response,
+                };
             }
         }
 
         let slot = Arc::new(ReplySlot::new());
         {
             let mut queue = self.queue.lock().unwrap();
-            // Checked again under the lock the job is pushed under: a
-            // whole rebuild may have run since the probe above.
-            if !queue.open_for(epoch) {
+            // Checked again under the lock the job is pushed under: the
+            // drain may have begun since the probe above.
+            if queue.draining {
                 drop(queue);
                 return self.draining(request_id);
             }
@@ -739,12 +657,10 @@ impl Shared {
                     retry_after_ms: hint,
                 });
             }
-            let flag = queue.drain_flag.clone();
             queue.jobs.push_back(Job {
                 key,
                 deadline,
                 enqueued: Instant::now(),
-                flag,
                 slot: slot.clone(),
             });
             self.job_ready.notify_one();
@@ -885,33 +801,6 @@ impl Shared {
             }
         }
     }
-
-    /// Drains the admission queue: stop admissions, trip the current
-    /// generation flag, wait (bounded by `drain_grace`) for idle. The
-    /// caller decides what happens next (rebuild or shutdown) and when
-    /// admissions resume.
-    fn drain(&self) {
-        let deadline;
-        {
-            let mut queue = self.queue.lock().unwrap();
-            queue.draining = true;
-            queue.drain_flag.store(true, Ordering::SeqCst);
-            deadline = Instant::now() + self.config.drain_grace;
-            self.job_ready.notify_all();
-            while !(queue.jobs.is_empty() && queue.running == 0) {
-                let now = Instant::now();
-                if now >= deadline {
-                    // Grace expired: the tripped flag bounds the
-                    // stragglers to one more BFS level; proceed. The
-                    // service's epoch guard keeps any old-graph result
-                    // out of the post-rebuild cache.
-                    break;
-                }
-                let (guard, _) = self.idle.wait_timeout(queue, deadline - now).unwrap();
-                queue = guard;
-            }
-        }
-    }
 }
 
 /// A listening front door. Dropping the server (or calling
@@ -938,23 +827,16 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let telemetry = service.telemetry();
         let counters = NetCounters::register(&telemetry.registry);
-        let (_, epoch) = service.graph_and_epoch();
         let shared = Arc::new(Shared {
             service,
             config: config.clone(),
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                running: 0,
-                draining: false,
-                shutdown: false,
-                drain_flag: Arc::new(AtomicBool::new(false)),
-                epoch,
-            }),
+            queue: Mutex::new(QueueState::default()),
+            drain_flag: Arc::new(AtomicBool::new(false)),
             job_ready: Condvar::new(),
             idle: Condvar::new(),
             telemetry,
             counters,
-            registry: Mutex::new(QueryTable::new(epoch)),
+            registry: Mutex::new(QueryTable::default()),
             conns: Mutex::new(HashMap::new()),
             stop_accept: AtomicBool::new(false),
         });
@@ -1017,11 +899,7 @@ impl Server {
             health: Box::new(move || {
                 let (draining, depth, running) = {
                     let queue = health_shared.queue.lock().unwrap();
-                    (
-                        queue.draining || queue.shutdown,
-                        queue.jobs.len(),
-                        queue.running,
-                    )
+                    (queue.draining, queue.jobs.len(), queue.running)
                 };
                 let mut detail = vec![
                     ("queue_depth".to_owned(), depth.to_string()),
@@ -1055,29 +933,9 @@ impl Server {
         }
     }
 
-    /// Swaps the served graph behind a graceful drain: admissions
-    /// answer `DRAINING`, queued and in-flight work is cancelled at its
-    /// next BFS-level check (within [`NetConfig::drain_grace`]), the
-    /// service swaps graph + epoch + cache, the fingerprint registry
-    /// and text memo are cleared, and admissions resume on a fresh
-    /// drain generation **for the new epoch only**. A frame admitted
-    /// after this returns can only see new-graph results — a query
-    /// resolved against the outgoing alphabet carries the outgoing
-    /// epoch and answers `DRAINING` wherever it surfaces.
-    pub fn rebuild_graph(&self, graph: GraphDb) {
-        self.shared.drain();
-        let epoch = self.shared.service.rebuild_graph(graph);
-        self.shared.registry.lock().unwrap().reset(epoch);
-        let mut queue = self.shared.queue.lock().unwrap();
-        queue.drain_flag = Arc::new(AtomicBool::new(false));
-        queue.epoch = epoch;
-        queue.draining = false;
-    }
-
     /// Applies an edge-delta batch to the served graph **without
-    /// draining** — the non-disruptive counterpart of
-    /// [`Server::rebuild_graph`]: concurrent queries keep flowing, only
-    /// the cache entries the batch's edges reach are invalidated, and the
+    /// draining**: concurrent queries keep flowing, only the cache
+    /// entries the batch's edges reach are invalidated, and the
     /// fingerprint registry is retained (node set and alphabet are
     /// frozen under the delta contract). Equivalent to a `DELTA` frame
     /// arriving on a connection, minus the name resolution — including
@@ -1098,11 +956,25 @@ impl Server {
             return;
         }
         self.shared.stop_accept.store(true, Ordering::SeqCst);
-        self.shared.drain();
         {
-            let mut queue = self.shared.queue.lock().unwrap();
-            queue.shutdown = true;
-            self.shared.job_ready.notify_all();
+            // Stop admissions, trip the drain flag, and wait (bounded by
+            // `drain_grace`) for the queue to go idle; workers exit once
+            // it is empty.
+            let shared = &self.shared;
+            let mut queue = shared.queue.lock().unwrap();
+            queue.draining = true;
+            shared.drain_flag.store(true, Ordering::SeqCst);
+            shared.job_ready.notify_all();
+            let deadline = Instant::now() + shared.config.drain_grace;
+            while !(queue.jobs.is_empty() && queue.running == 0) {
+                let now = Instant::now();
+                if now >= deadline {
+                    // Grace expired: the tripped flag bounds the
+                    // stragglers to one more BFS level; proceed.
+                    break;
+                }
+                queue = shared.idle.wait_timeout(queue, deadline - now).unwrap().0;
+            }
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -1320,19 +1192,12 @@ mod tests {
     use crate::service::ServeConfig;
     use pathlearn_automata::{Alphabet, BitSet};
     use pathlearn_graph::eval::eval_monadic;
-    use pathlearn_graph::GraphBuilder;
+    use pathlearn_graph::{GraphBuilder, GraphDb};
 
     /// A 40-node line — `a` edges on the first half, `c` on the second,
-    /// a `b` chord — over the labels `a`, `b`, `c` interned in `order`.
-    /// The *named* edges never change; only which column each label
-    /// gets does, which is what a rebuild may change under a query that
-    /// was canonicalized a moment earlier.
-    fn line_graph(order: [&str; 3]) -> GraphDb {
-        let mut alphabet = Alphabet::new();
-        for label in order {
-            alphabet.intern(label);
-        }
-        let mut builder = GraphBuilder::with_alphabet(alphabet);
+    /// a `b` chord — over the labels `a`, `b`, `c`.
+    fn line_graph() -> GraphDb {
+        let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(["a", "b", "c"]));
         for i in 0..39 {
             let label = if i < 20 { "a" } else { "c" };
             builder.add_edge(&format!("n{i}"), label, &format!("n{}", i + 1));
@@ -1383,7 +1248,7 @@ mod tests {
     /// entry charged for a DFA that was never built.
     #[test]
     fn an_over_budget_text_is_refused_and_leaves_no_trace() {
-        let server = serve(line_graph(["a", "b", "c"]), NetConfig::default());
+        let server = serve(line_graph(), NetConfig::default());
         // 2^11 states: one doubling past the budget.
         let hostile = text(&format!("(a+b)*·a{}", "·(a+b)".repeat(10)));
         match ask(&server, &hostile) {
@@ -1401,90 +1266,12 @@ mod tests {
         assert_eq!(table_sizes(&server).0, 1);
     }
 
-    /// The rebuild fence, interleaved by hand: a text is resolved
-    /// against the outgoing alphabet, a whole rebuild (onto the same
-    /// labels in another order) completes, and only then is the
-    /// resolved query admitted. Without the epoch stamp its DFA — `a·a`
-    /// numbered over `[a, b, c]` — is structurally the new graph's
-    /// `c·c`, whose result is resident: the frame would be a *hit* on
-    /// the wrong language, and with the memo so would every later frame
-    /// with that text.
-    #[test]
-    fn a_query_resolved_before_a_rebuild_is_never_answered_after_it() {
-        let new_graph = line_graph(["c", "b", "a"]);
-        let server = serve(line_graph(["a", "b", "c"]), NetConfig::default());
-        let shared = &server.shared;
-        let expr = text("a·a");
-
-        let stale = shared.resolve_query(1, &expr).expect("a·a parses");
-        let stale_epoch = stale.epoch;
-        let stale_key = CacheKey::monadic(CanonicalQuery::clone(&stale.query));
-        assert_eq!(table_sizes(&server), (1, 1, "a·a".len()));
-
-        server.rebuild_graph(new_graph.clone());
-        assert_eq!(
-            table_sizes(&server),
-            (0, 0, 0),
-            "a rebuild empties registry and memo"
-        );
-
-        // Make the wrong answer resident: on the new graph column 0 is
-        // `c`, so `c·c` canonicalizes to the very table `stale` holds.
-        let wrong = result_of(ask(&server, &text("c·c")));
-        assert_eq!(*wrong.result, direct(&new_graph, "c·c"));
-        let (_, new_epoch) = shared.service.graph_and_epoch();
-        assert_ne!(stale_epoch, new_epoch);
-        assert!(matches!(
-            shared.service.try_hit(&stale_key, stale_epoch),
-            Err(StaleEpoch)
-        ));
-        let unfenced = shared
-            .service
-            .try_hit(&stale_key, new_epoch)
-            .unwrap()
-            .expect("the stale table is a resident key of the new graph");
-        assert_eq!(unfenced.result, wrong.result, "what the fence prevents");
-
-        let draining_before = shared.counters.draining_replies.get();
-        let reply =
-            shared.admit_resolved(1, WireKind::Monadic, NO_DEADLINE_MS, stale, Instant::now());
-        assert!(
-            matches!(reply, Reply::Frame(Response::Draining { request_id: 1 })),
-            "a stale resolution answers the retryable DRAINING, got {reply:?}"
-        );
-        assert_eq!(shared.counters.draining_replies.get(), draining_before + 1);
-
-        // The retry resolves against the new alphabet and is evaluated
-        // on the new graph.
-        let fresh = result_of(ask(&server, &expr));
-        assert!(matches!(fresh.served, Served::Evaluated { .. }));
-        assert_eq!(*fresh.result, direct(&new_graph, "a·a"));
-        assert_ne!(fresh.result, wrong.result);
-    }
-
-    /// The third comparison of the stamp: a rebuild that completes
-    /// while a text is being canonicalized must not let the result into
-    /// the (already reset) table.
-    #[test]
-    fn the_table_refuses_entries_resolved_under_another_epoch() {
-        let alphabet = Alphabet::from_labels(["a", "b", "c"]);
-        let query = Regex::parse("a·a", &alphabet).unwrap().to_canonical(3);
-        let mut table = QueryTable::new(0);
-        table.reset(1);
-        assert!(table.remember("a·a", query.clone(), 0, 16).is_none());
-        assert!(table.by_fingerprint.is_empty() && table.by_text.is_empty());
-        assert_eq!(table.text_bytes, 0);
-        let stored = table.remember("a·a", query, 1, 16).expect("current epoch");
-        assert_eq!(stored.epoch, 1);
-        assert_eq!(table.text("a·a").map(|hit| hit.epoch), Some(1));
-    }
-
     /// 100k distinct valid spellings of one language — far more key
     /// bytes than the memo may hold — keep the accounted bytes under
     /// the constant, the ledger exact, and the server answering.
     #[test]
     fn the_memo_is_bounded_by_key_bytes_not_only_by_entries() {
-        let graph = line_graph(["a", "b", "c"]);
+        let graph = line_graph();
         let server = serve(graph.clone(), NetConfig::default());
         let cap = server.shared.config.fingerprint_cap;
         // Spelling `i`: 17 factors, each `(a+c)` or `(c+a)` by bit.
@@ -1504,9 +1291,7 @@ mod tests {
             for i in 0..100_000 {
                 let text = spelling(i);
                 stored_bytes += text.len();
-                table
-                    .remember(&text, query.clone(), 0, cap)
-                    .expect("current epoch");
+                table.remember(&text, query.clone(), cap);
                 assert!(table.text_bytes <= MEMO_TEXT_BYTES_MAX, "spelling {i}");
                 assert!(table.by_text.len() <= cap);
             }
@@ -1551,7 +1336,7 @@ mod tests {
 
     #[test]
     fn only_parsed_texts_are_memoised_and_spellings_share_one_entry() {
-        let server = serve(line_graph(["a", "b", "c"]), NetConfig::default());
+        let server = serve(line_graph(), NetConfig::default());
         let first = result_of(ask(&server, &text("a·(a·a)")));
         assert_eq!(table_sizes(&server), (1, 1, "a·(a·a)".len()));
 
@@ -1582,7 +1367,7 @@ mod tests {
             .all(|query| Arc::ptr_eq(query, registered)));
         // By fingerprint it resolves to that same entry.
         let by_fingerprint = table.fingerprint(first.fingerprint).unwrap();
-        assert!(Arc::ptr_eq(&by_fingerprint.query, registered));
+        assert!(Arc::ptr_eq(&by_fingerprint, registered));
     }
 
     /// Deltas freeze the node set and the alphabet, so the memo
@@ -1591,7 +1376,7 @@ mod tests {
     /// labels the delta did not touch is still a hit.
     #[test]
     fn a_delta_leaves_the_memo_intact() {
-        let graph = line_graph(["a", "b", "c"]);
+        let graph = line_graph();
         let server = serve(graph.clone(), NetConfig::default());
         result_of(ask(&server, &text("a·a")));
         result_of(ask(&server, &text("c·c")));
@@ -1612,8 +1397,7 @@ mod tests {
             .shared
             .resolve_query(1, &text("a·a"))
             .expect("still memoised");
-        assert!(Arc::ptr_eq(&before.query, &after.query), "no new canonical");
-        assert_eq!(before.epoch, after.epoch, "a delta does not move the epoch");
+        assert!(Arc::ptr_eq(&before, &after), "no new canonical");
         assert!(matches!(
             result_of(ask(&server, &text("a·a"))).served,
             Served::Hit

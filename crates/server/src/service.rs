@@ -42,14 +42,12 @@
 //!
 //! ## Invalidation
 //!
-//! [`QueryService::rebuild_graph`] swaps the graph, bumps the service
-//! **epoch**, clears the cache and drains the in-flight table
-//! atomically. Evaluations already in flight against the old graph
-//! still complete (their existing waiters get a consistent old-graph
-//! answer — the graph `Arc` keeps it alive) but publish to the cache
-//! only if their epoch still matches, and post-rebuild submissions can
-//! no longer coalesce onto them — so a stale result is never served
-//! after the rebuild returns.
+//! [`QueryService::rebuild_graph`] swaps the graph and clears the cache
+//! and the plans. It takes the service by `&mut`, so no submission is
+//! in flight while it runs: nothing evaluated against the outgoing
+//! graph can publish, or be coalesced onto, after it returns. A service
+//! shared between threads is never rebuilt; its graph changes only by
+//! deltas.
 //!
 //! ## Edge deltas: footprint-filtered invalidation
 //!
@@ -279,11 +277,6 @@ impl std::error::Error for DeltaCommitError {
     }
 }
 
-/// [`QueryService::try_hit`]'s refusal: the graph was rebuilt after the
-/// epoch the caller's key was derived under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StaleEpoch;
-
 /// Aggregate service counters (a consistent snapshot via
 /// [`QueryService::stats`]).
 #[derive(Clone, Debug, Default)]
@@ -506,7 +499,7 @@ impl InFlight {
 
 /// Drop guard armed between admission and publication: if evaluation
 /// unwinds, it deregisters the ticket (only if it is still the one in
-/// the table — a rebuild may have drained it and a new owner taken the
+/// the table — a delta may have drained it and a new owner taken the
 /// key) and abandons it, so coalesced waiters retry instead of hanging
 /// forever on a Condvar nobody will signal.
 struct AdmissionGuard<'a> {
@@ -559,12 +552,9 @@ impl Drop for AdmissionGuard<'_> {
 /// Everything the probe-or-admit decision must see atomically.
 struct Inner {
     graph: Arc<GraphDb>,
-    /// Bumped by every [`QueryService::rebuild_graph`]; in-flight
-    /// evaluations skip their cache insert when it moved under them.
-    epoch: u64,
     /// Per-label epochs, bumped by [`QueryService::apply_delta`] for
-    /// every label a delta touches (and reset on rebuild — the global
-    /// epoch already fences everything then). An in-flight evaluation
+    /// every label a delta touches (and reset on rebuild, when nothing
+    /// is in flight). An in-flight evaluation
     /// captures the max over its live alphabet at admission and may
     /// publish to the cache only if that max is unchanged: a delta on
     /// labels the query never reads cannot have changed its answer, so
@@ -602,7 +592,6 @@ enum Admission {
     Wait(Arc<InFlight>),
     Evaluate {
         graph: Arc<GraphDb>,
-        epoch: u64,
         /// Max per-label epoch over the query's live alphabet at
         /// admission; re-checked at publication (see [`Inner::label_epochs`]).
         label_stamp: u64,
@@ -666,7 +655,6 @@ impl QueryService {
             inner: Mutex::new(Inner {
                 label_epochs: vec![0; graph.alphabet().len()],
                 graph: Arc::new(graph),
-                epoch: 0,
                 cache,
                 inflight: HashMap::new(),
                 plans: HashMap::new(),
@@ -720,17 +708,6 @@ impl QueryService {
         self.inner.lock().unwrap().graph.clone()
     }
 
-    /// The served graph **and** the rebuild epoch it belongs to, read
-    /// under one lock. A caller that derives something from the graph's
-    /// alphabet (a canonical DFA numbers its columns by it) keeps the
-    /// epoch beside it and presents it to [`QueryService::try_hit`]:
-    /// the epoch moves on every [`QueryService::rebuild_graph`] and on
-    /// nothing else — deltas freeze the node set and the alphabet.
-    pub fn graph_and_epoch(&self) -> (Arc<GraphDb>, u64) {
-        let inner = self.inner.lock().unwrap();
-        (inner.graph.clone(), inner.epoch)
-    }
-
     /// Snapshot of the aggregate service counters — a view over the
     /// live telemetry registry handles (no state lock taken).
     pub fn stats(&self) -> ServeStats {
@@ -766,33 +743,32 @@ impl QueryService {
         inner.cache.capacity_bytes() / inner.graph.result_bytes().max(1)
     }
 
-    /// Swaps in a rebuilt graph: bumps the epoch and clears the result
-    /// cache **and the in-flight table** in one atomic step, so no
-    /// post-rebuild submission can see a pre-rebuild answer — neither
-    /// from the cache nor by coalescing onto an old-graph evaluation.
-    /// Evaluations already in flight complete against the old graph for
-    /// the callers that asked while it was current (their drained
-    /// tickets still get completed), but they do not populate the cache
-    /// and no new waiter can join them. Returns the new epoch (see
-    /// [`QueryService::graph_and_epoch`]).
-    pub fn rebuild_graph(&self, graph: GraphDb) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
-        // The global epoch bump fences every in-flight publish, so the
-        // per-label clocks restart at zero (sized to the new alphabet).
+    /// Swaps in a rebuilt graph and clears the result cache and the
+    /// plans. The exclusive borrow is the whole fence: no submission can
+    /// be in flight, so no pre-rebuild answer reaches the new cache and
+    /// no post-rebuild submission coalesces onto an old-graph
+    /// evaluation. A service behind a shared reference — one owned by a
+    /// [`crate::Server`], say — cannot be rebuilt at all:
+    ///
+    /// ```compile_fail,E0596
+    /// use pathlearn_graph::graph::figure3_g0;
+    /// use pathlearn_server::{NetConfig, QueryService, ServeConfig, Server};
+    ///
+    /// let service = QueryService::new(figure3_g0(), ServeConfig::default());
+    /// let server = Server::bind(service, "127.0.0.1:0", NetConfig::default()).unwrap();
+    /// server.service().rebuild_graph(figure3_g0());
+    /// ```
+    pub fn rebuild_graph(&mut self, graph: GraphDb) {
+        let inner = self.inner.get_mut().unwrap();
+        debug_assert!(inner.inflight.is_empty());
         inner.label_epochs = vec![0; graph.alphabet().len()];
         self.counters.graph_bytes.set(graph.heap_bytes() as u64);
         inner.graph = Arc::new(graph);
-        inner.epoch += 1;
         inner.cache.clear();
         // Plans embed per-label statistics of the outgoing graph.
         inner.plans.clear();
-        // Drain, do not abandon: the old owners still hold their
-        // tickets and will complete them for their pre-rebuild waiters;
-        // draining only stops *new* submissions from coalescing on.
-        inner.inflight.clear();
         self.counters.sync_cache_gauges(&inner.cache);
         self.counters.invalidations.inc();
-        inner.epoch
     }
 
     /// Patches the served graph with an edge-delta batch —
@@ -830,8 +806,8 @@ impl QueryService {
         let invalidated = inner.cache.invalidate_edges(add, remove);
         self.counters.label_invalidations.add(invalidated as u64);
         // Drain (not abandon) the in-flight tickets the delta can have
-        // staled, exactly as a rebuild drains all of them: their owners
-        // still complete for pre-delta waiters, but new submissions
+        // staled: their owners still complete for pre-delta waiters,
+        // but new submissions
         // must re-evaluate instead of coalescing onto a stale run. The
         // publication stamp check makes their cache insert a no-op.
         inner
@@ -966,29 +942,16 @@ impl QueryService {
     /// probe, `serve.hits` / `cache.hits`, GDSF refresh, an
     /// `outcome=hit` trace with queue wait 0 — it never sat in a
     /// queue, so `serve.queue_wait` does not move); a miss returns
-    /// `Ok(None)` having touched **no** counter and left no trace, so
+    /// `None` having touched **no** counter and left no trace, so
     /// the caller submits it the admitted way and it is counted there,
     /// once.
-    ///
-    /// `epoch` is what [`QueryService::graph_and_epoch`] returned when
-    /// the caller derived `key` from the graph's alphabet. If the graph
-    /// was rebuilt since, `key` may be numbered over the outgoing
-    /// alphabet and could collide with a *different* language's entry
-    /// in the new cache: the answer is [`StaleEpoch`], never a result.
-    /// Epoch check and probe share one lock acquisition.
-    pub fn try_hit(&self, key: &CacheKey, epoch: u64) -> Result<Option<QueryResponse>, StaleEpoch> {
+    pub fn try_hit(&self, key: &CacheKey) -> Option<QueryResponse> {
         let mut trace = Self::trace_for(key, 0);
-        let probed = trace.span("cache_probe", || {
-            let mut inner = self.inner.lock().unwrap();
-            if inner.epoch != epoch {
-                return Err(StaleEpoch);
-            }
-            Ok(self.probe_hit(&mut inner, key))
+        let result = trace.span("cache_probe", || {
+            self.probe_hit(&mut self.inner.lock().unwrap(), key)
         })?;
-        Ok(probed.map(|result| {
-            self.record_trace(trace, key, Served::Hit, Vec::new(), &result);
-            Self::respond(key, result, Served::Hit)
-        }))
+        self.record_trace(trace, key, Served::Hit, Vec::new(), &result);
+        Some(Self::respond(key, result, Served::Hit))
     }
 
     fn trace_for(key: &CacheKey, queue_wait_ns: u64) -> TraceBuilder {
@@ -1034,7 +997,6 @@ impl QueryService {
         inner.inflight.insert(key.clone(), ticket.clone());
         Admission::Evaluate {
             graph: inner.graph.clone(),
-            epoch: inner.epoch,
             label_stamp: inner.label_stamp(live_alphabet(&key.query)),
             ticket,
         }
@@ -1146,7 +1108,6 @@ impl QueryService {
                 }
                 Admission::Evaluate {
                     graph,
-                    epoch,
                     label_stamp,
                     ticket,
                 } => {
@@ -1154,7 +1115,7 @@ impl QueryService {
                     let start = Instant::now();
                     let eval_begin = trace.span_begin();
                     let (evaluated, levels) = pathlearn_graph::collect_levels(|| {
-                        self.evaluate(&graph, &key, epoch, &mut trace, cancel)
+                        self.evaluate(&graph, &key, &mut trace, cancel)
                     });
                     trace.span_end("eval", eval_begin);
                     let (result, strategy, footprint) = match evaluated {
@@ -1177,7 +1138,7 @@ impl QueryService {
                         footprint,
                     };
                     trace.span("publish", || {
-                        self.publish(&key, &ticket, (epoch, label_stamp), result.clone(), outcome)
+                        self.publish(&key, &ticket, label_stamp, result.clone(), outcome)
                     });
                     guard.disarm();
                     let served = Served::Evaluated { strategy, eval_ns };
@@ -1190,30 +1151,20 @@ impl QueryService {
 
     /// The plan of binary `key`'s canonical form on `graph`: served
     /// from the plan cache on a canonical replay, computed (direction
-    /// estimate, outside the lock) and published otherwise. The epoch guard keeps an old-graph planning
-    /// race from polluting the post-rebuild cache — a mismatched plan
-    /// would still be *correct* (every strategy is bit-identical), just
-    /// tuned to the wrong statistics.
-    fn plan_for(&self, graph: &GraphDb, key: &CacheKey, epoch: u64) -> Arc<QueryPlan> {
-        {
-            let inner = self.inner.lock().unwrap();
-            if inner.epoch == epoch {
-                if let Some(plan) = inner.plans.get(&key.query) {
-                    return plan.clone();
-                }
-            }
+    /// estimate, outside the lock) and published otherwise.
+    fn plan_for(&self, graph: &GraphDb, key: &CacheKey) -> Arc<QueryPlan> {
+        if let Some(plan) = self.inner.lock().unwrap().plans.get(&key.query) {
+            return plan.clone();
         }
         let plan = Arc::new(plan_query_forced(key.query.dfa(), graph, self.strategy));
         let mut inner = self.inner.lock().unwrap();
-        if inner.epoch == epoch {
-            if inner.plans.len() >= PLAN_CACHE_MAX {
-                inner.plans.clear();
-            }
-            inner
-                .plans
-                .entry(key.query.clone())
-                .or_insert_with(|| plan.clone());
+        if inner.plans.len() >= PLAN_CACHE_MAX {
+            inner.plans.clear();
         }
+        inner
+            .plans
+            .entry(key.query.clone())
+            .or_insert_with(|| plan.clone());
         plan
     }
 
@@ -1226,7 +1177,6 @@ impl QueryService {
         &self,
         graph: &GraphDb,
         key: &CacheKey,
-        epoch: u64,
         trace: &mut TraceBuilder,
         cancel: &CancelToken,
     ) -> Result<(BitSet, Strategy, Option<Footprint>), Interrupt> {
@@ -1246,11 +1196,10 @@ impl QueryService {
                 unplanned = QueryPlan::forward(key.query.dfa());
                 (&unplanned, Goal::Monadic, Strategy::Forward)
             }
-            // An out-of-graph source (e.g. submitted before a rebuild
-            // shrank the graph) evaluates to the empty answer without
-            // running a level.
+            // An out-of-graph source evaluates to the empty answer
+            // without running a level.
             QueryKind::Binary(source) => {
-                planned = trace.span("plan", || self.plan_for(graph, key, epoch));
+                planned = trace.span("plan", || self.plan_for(graph, key));
                 (
                     &*planned,
                     Goal::BinaryFrom(source),
@@ -1269,24 +1218,21 @@ impl QueryService {
     /// stats, in-flight removal, ticket completion — in that order, so a
     /// new submission arriving after the ticket is gone finds the cache
     /// entry instead. The removal is guarded by ticket identity: after a
-    /// rebuild drained the table, the key may already belong to a new
-    /// owner whose ticket must not be evicted by the old one.
+    /// delta drained the key, it may already belong to a new owner whose
+    /// ticket must not be evicted by the old one.
     ///
-    /// `stamps` is the `(epoch, label_stamp)` pair captured at
-    /// admission: the insert happens only if the global epoch (rebuild
-    /// fence) **and** the max per-label epoch over the query's live
-    /// alphabet (delta fence) are both unchanged — a delta on labels
-    /// this query never reads leaves the stamp alone, so its result is
-    /// still published.
+    /// `label_stamp` is the max per-label epoch over the query's live
+    /// alphabet captured at admission: the insert happens only if it is
+    /// unchanged — a delta on labels this query never reads leaves the
+    /// stamp alone, so its result is still published.
     fn publish(
         &self,
         key: &CacheKey,
         ticket: &Arc<InFlight>,
-        stamps: (u64, u64),
+        label_stamp: u64,
         result: Arc<BitSet>,
         outcome: EvalOutcome,
     ) {
-        let (epoch, label_stamp) = stamps;
         let EvalOutcome {
             strategy,
             eval_ns,
@@ -1304,7 +1250,7 @@ impl QueryService {
         self.counters.eval_ns_total.add(eval_ns);
         {
             let mut inner = self.inner.lock().unwrap();
-            if inner.epoch == epoch && inner.label_stamp(live_alphabet(&key.query)) == label_stamp {
+            if inner.label_stamp(live_alphabet(&key.query)) == label_stamp {
                 inner
                     .cache
                     .insert_with_footprint(key.clone(), result.clone(), work, footprint);
@@ -1392,7 +1338,7 @@ mod tests {
     #[test]
     fn rebuild_invalidates_and_reevaluates() {
         let graph = figure3_g0();
-        let service = QueryService::new(graph.clone(), ServeConfig::default());
+        let mut service = QueryService::new(graph.clone(), ServeConfig::default());
         let q = query(&graph, "a");
         let before = service.query_monadic(&q);
         assert_eq!(service.cache_usage().0, 1);
@@ -1459,60 +1405,6 @@ mod tests {
     }
 
     #[test]
-    fn post_rebuild_submissions_never_coalesce_onto_old_graph_evals() {
-        let graph = figure3_g0();
-        let config = ServeConfig {
-            // Keep the old-graph evaluation in flight across the
-            // rebuild below.
-            eval_holdoff: Duration::from_millis(300),
-            ..ServeConfig::default()
-        };
-        let service = Arc::new(QueryService::new(graph.clone(), config));
-        let q = query(&graph, "a");
-        let old_expected = eval_monadic(&q, &graph);
-
-        let mut builder = pathlearn_graph::GraphBuilder::with_alphabet(graph.alphabet().clone());
-        builder.add_edge("x", "a", "y");
-        let rebuilt = builder.build();
-        let new_expected = eval_monadic(&q, &rebuilt);
-        assert_ne!(old_expected, new_expected);
-
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let old_response = {
-            let service = service.clone();
-            let barrier = barrier.clone();
-            let q = q.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                service.query_monadic(&q)
-            })
-        };
-        barrier.wait();
-        // The owner is inside its 300ms publication holdoff; swap the
-        // graph under it.
-        std::thread::sleep(Duration::from_millis(100));
-        service.rebuild_graph(rebuilt);
-
-        // A post-rebuild submission must evaluate against the new
-        // graph, not coalesce onto the drained old-graph ticket.
-        let after = service.query_monadic(&q);
-        assert!(
-            matches!(after.served, Served::Evaluated { .. }),
-            "coalesced onto a pre-rebuild evaluation: {:?}",
-            after.served
-        );
-        assert_eq!(*after.result, new_expected);
-
-        // The pre-rebuild caller still gets a consistent old-graph
-        // answer, and the old evaluation never repopulated the cache:
-        // the lone entry is the new graph's.
-        let old_response = old_response.join().unwrap();
-        assert_eq!(*old_response.result, old_expected);
-        assert_eq!(service.cache_usage().0, 1);
-        assert_eq!(service.query_monadic(&q).served, Served::Hit);
-    }
-
-    #[test]
     fn abandoned_tickets_wake_waiters_and_free_the_key() {
         let graph = figure3_g0();
         let service = QueryService::new(graph.clone(), ServeConfig::default());
@@ -1537,12 +1429,12 @@ mod tests {
         assert!(matches!(response.served, Served::Evaluated { .. }));
         assert_eq!(*response.result, eval_monadic(&q, &graph));
         // Identity-guarded removal: after a first owner loses the key
-        // (as a rebuild's drain does) and a second owner registers, the
+        // (as a delta's drain does) and a second owner registers, the
         // first owner's late publish must not evict the second ticket.
         let bkey = CacheKey::binary(CanonicalQuery::new(&q), 0);
         let Admission::Evaluate {
             ticket: first,
-            epoch,
+            label_stamp,
             ..
         } = service.admit(&bkey)
         else {
@@ -1555,7 +1447,7 @@ mod tests {
         service.publish(
             &bkey,
             &first,
-            (epoch.wrapping_add(1), 0), // stale epoch: no cache insert either
+            label_stamp + 1, // stale stamp: no cache insert either
             Arc::new(BitSet::new(graph.num_nodes())),
             EvalOutcome {
                 strategy: Strategy::Forward,
@@ -1761,7 +1653,7 @@ mod tests {
         // monadic miss plans nothing, and the plan is cached per
         // canonical query — a second distinct source on the same query
         // replans nothing.
-        let service = QueryService::new(graph.clone(), ServeConfig::default());
+        let mut service = QueryService::new(graph.clone(), ServeConfig::default());
         service.query_monadic(&q);
         assert!(service.inner.lock().unwrap().plans.is_empty());
         let first = service.query_binary_from(&q, 0);

@@ -150,6 +150,12 @@ fn encode_payload(add: &[WalEdge], remove: &[WalEdge]) -> Vec<u8> {
 }
 
 fn decode_payload(payload: &[u8]) -> Result<WalBatch, String> {
+    if payload.len() < PAYLOAD_PREFIX {
+        return Err(format!(
+            "payload of {} bytes is shorter than its {PAYLOAD_PREFIX}-byte edge counts",
+            payload.len()
+        ));
+    }
     let n_add = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes")) as usize;
     let n_remove = u32::from_le_bytes(payload[4..8].try_into().expect("4 bytes")) as usize;
     let expected = PAYLOAD_PREFIX + EDGE_BYTES * (n_add + n_remove);
@@ -613,6 +619,28 @@ mod tests {
         let (wal, report) = Wal::open(&path).expect("tail damage is a tear");
         assert_eq!(wal.record_count(), 1);
         assert!(report.torn_bytes_dropped > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A record whose digest matches but whose payload cannot hold the
+    /// two edge counts was never written by [`Wal::append`]: corruption
+    /// at the record's start, reported, not a panic.
+    #[test]
+    fn a_short_payload_with_a_valid_digest_is_corruption() {
+        let dir = scratch_dir("short");
+        let path = dir.join(WAL_FILE);
+        for payload in [&[][..], &[1, 0, 0, 0][..]] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
+            bytes.extend_from_slice(payload);
+            std::fs::write(&path, &bytes).expect("write record");
+            match Wal::open(&path) {
+                Err(WalError::Corrupt { offset, .. }) => assert_eq!(offset, 0),
+                Err(other) => panic!("{payload:?}: expected Corrupt, got {other:?}"),
+                Ok(_) => panic!("{payload:?}: a short payload must not open"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,8 +18,8 @@ use pathlearn_automata::{Alphabet, BitSet, Regex, Symbol};
 use pathlearn_graph::eval::{eval_binary_from, eval_monadic};
 use pathlearn_graph::{GraphBuilder, GraphDb};
 use pathlearn_server::{
-    Client, ErrorCode, HealthPhase, NetConfig, QueryService, Response, ServeConfig, Server,
-    WireServed, NO_DEADLINE_MS,
+    Client, ErrorCode, HealthPhase, HealthReport, NetConfig, QueryService, Response, ServeConfig,
+    Server, WireServed, NO_DEADLINE_MS,
 };
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -35,18 +35,6 @@ fn ring_graph(n: usize) -> GraphDb {
         if i % 5 == 0 {
             builder.add_edge_ids(first + i, Symbol::from_index(2), first + (i + 7) % n as u32);
         }
-    }
-    builder.build()
-}
-
-/// Same nodes and alphabet, an `a`-only line: it disagrees with the
-/// ring on every query below, so a pre-rebuild answer cannot pass for
-/// a post-rebuild one.
-fn line_graph(n: usize) -> GraphDb {
-    let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(["a", "b", "c"]));
-    let first = builder.add_nodes("n", n);
-    for i in 0..(n as u32 - 1) {
-        builder.add_edge_ids(first + i, Symbol::from_index(0), first + i + 1);
     }
     builder.build()
 }
@@ -123,9 +111,11 @@ fn warmed(serve_config: ServeConfig, net_config: NetConfig) -> (Server, GraphDb,
     ];
     // A worker answers before it reports itself idle; tests that count
     // running workers must not see the warm-up's.
-    wait_for(&server, "the warm-up to settle", |_, running, depth| {
-        (running, depth) == (0, 0)
-    });
+    wait_for(
+        server.admin_sources().health,
+        "the warm-up to settle",
+        |_, running, depth| (running, depth) == (0, 0),
+    );
     (server, graph, shapes)
 }
 
@@ -138,9 +128,12 @@ fn moved(before: &BTreeMap<String, u64>, after: &BTreeMap<String, u64>, name: &s
     after[name] - before[name]
 }
 
-/// Polls the server's health report until `ready` holds.
-fn wait_for(server: &Server, what: &str, ready: impl Fn(HealthPhase, u64, u64) -> bool) {
-    let health = server.admin_sources().health;
+/// Polls a server's health report until `ready` holds.
+fn wait_for(
+    health: impl Fn() -> HealthReport,
+    what: &str,
+    ready: impl Fn(HealthPhase, u64, u64) -> bool,
+) {
     let give_up = Instant::now() + Duration::from_secs(20);
     loop {
         let report = health();
@@ -245,6 +238,8 @@ fn a_spent_budget_on_a_resident_key_is_still_a_deadline() {
     }
 }
 
+/// Once [`Server::shutdown`] has begun draining, every resident key
+/// answers `DRAINING` — not its hit — exactly as a cold one does.
 #[test]
 fn a_drain_closes_the_fast_path_too() {
     let serve_config = ServeConfig {
@@ -253,20 +248,19 @@ fn a_drain_closes_the_fast_path_too() {
         eval_holdoff: Duration::from_millis(500),
         ..ServeConfig::default()
     };
-    let (server, old_graph, shapes) = warmed(serve_config, NetConfig::default());
-    let new_graph = line_graph(200);
-    let addr = server.local_addr();
-    for shape in shapes {
-        assert_ne!(shape.expected(&old_graph), shape.expected(&new_graph));
-    }
+    let (mut server, _, shapes) = warmed(serve_config, NetConfig::default());
+    let health = server.admin_sources().health;
+    // A stopping server accepts no connection, so both clients connect
+    // first; a PING proves each one was accepted.
+    let mut parked = Client::connect(server.local_addr()).unwrap();
+    let mut prober = Client::connect(server.local_addr()).unwrap();
+    parked.ping().unwrap();
+    prober.ping().unwrap();
 
     std::thread::scope(|scope| {
-        let parked = scope.spawn(move || {
-            let mut client = Client::connect(addr).unwrap();
-            client.query_text("c·a*", NO_DEADLINE_MS).unwrap()
-        });
+        let parked = scope.spawn(move || parked.query_text("c·a*", NO_DEADLINE_MS).unwrap());
         wait_for(
-            &server,
+            &health,
             "the cold query to occupy a worker",
             |_, running, _| running == 1,
         );
@@ -275,49 +269,33 @@ fn a_drain_closes_the_fast_path_too() {
         // the drain open for the prober.
         std::thread::sleep(Duration::from_millis(100));
 
-        // Fires the moment the health report says `draining`: every
-        // resident key must answer DRAINING — not its pre-rebuild hit.
-        let server_ref = &server;
-        let prober = scope.spawn(move || {
-            wait_for(server_ref, "the drain to begin", |phase, _, _| {
+        // Fires the moment the health report says `draining`.
+        let health = &health;
+        let probe = scope.spawn(move || {
+            wait_for(health, "the drain to begin", |phase, _, _| {
                 phase == HealthPhase::Draining
             });
-            let mut client = Client::connect(addr).unwrap();
-            let before = counters(server_ref);
+            let stats = |client: &mut Client| -> BTreeMap<String, u64> {
+                client.stats().unwrap().into_iter().collect()
+            };
+            let before = stats(&mut prober);
             for shape in shapes {
-                match shape.fire(&mut client, NO_DEADLINE_MS) {
+                match shape.fire(&mut prober, NO_DEADLINE_MS) {
                     Response::Draining { .. } => {}
                     other => panic!("{shape:?} mid-drain got {other:?}"),
                 }
             }
-            let after = counters(server_ref);
+            let after = stats(&mut prober);
             assert_eq!(moved(&before, &after, "net.draining_replies"), 3);
             assert_eq!(moved(&before, &after, "serve.hits"), 0);
         });
-        server.rebuild_graph(new_graph.clone());
-        prober.join().unwrap();
+        server.shutdown();
+        probe.join().unwrap();
         match parked.join().unwrap() {
             Response::Result { .. } | Response::Draining { .. } => {}
-            other => panic!("the parked pre-rebuild frame got {other:?}"),
+            other => panic!("the parked frame got {other:?}"),
         }
     });
-
-    // After the rebuild: the old fingerprint is gone until a text
-    // re-establishes it (so it goes first), and text shapes are
-    // evaluated on the new graph.
-    let mut client = Client::connect(addr).unwrap();
-    for shape in [shapes[2], shapes[0], shapes[1]] {
-        match (shape, shape.fire(&mut client, NO_DEADLINE_MS)) {
-            (Shape::Fingerprint(_), Response::Error { code, .. }) => {
-                assert_eq!(code, ErrorCode::UnknownFingerprint)
-            }
-            (Shape::MonadicText | Shape::BinaryText, Response::Result { served, bits, .. }) => {
-                assert_ne!(served, WireServed::Hit, "{shape:?}: the cache was cleared");
-                assert_eq!(bits, shape.expected(&new_graph), "{shape:?}");
-            }
-            (shape, other) => panic!("{shape:?} post-rebuild got {other:?}"),
-        }
-    }
 }
 
 /// New, documented behaviour: with every eval worker busy **and** the
@@ -351,9 +329,11 @@ fn a_full_queue_sheds_cold_keys_but_still_answers_resident_ones() {
         let mut admitted = Vec::new();
         for (expr, running, depth) in [("a", 1, 0), ("b", 2, 0), ("c", 2, 1)] {
             admitted.push(cold(expr));
-            wait_for(&server, "the cold queries to settle", |_, r, d| {
-                (r, d) == (running, depth)
-            });
+            wait_for(
+                server.admin_sources().health,
+                "the cold queries to settle",
+                |_, r, d| (r, d) == (running, depth),
+            );
         }
 
         let mut client = Client::connect(addr).unwrap();

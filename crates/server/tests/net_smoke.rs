@@ -1,5 +1,5 @@
-//! TCP front-door smoke gate — the happy paths plus the drain/rebuild
-//! race, named by CI.
+//! TCP front-door smoke gate — the happy paths plus the shutdown drain,
+//! named by CI.
 //!
 //! Every test binds an ephemeral port (`127.0.0.1:0`), so the suite's
 //! tests run concurrently without coordination.
@@ -24,34 +24,6 @@ fn ring_graph(n: usize) -> GraphDb {
         if i % 5 == 0 {
             builder.add_edge_ids(first + i, Symbol::from_index(2), first + (i + 7) % n as u32);
         }
-    }
-    builder.build()
-}
-
-/// Same alphabet, different shape — rebuild tests need the two graphs
-/// to disagree on query answers.
-fn line_graph(n: usize) -> GraphDb {
-    let mut builder =
-        GraphBuilder::with_alphabet(pathlearn_automata::Alphabet::from_labels(["a", "b", "c"]));
-    let first = builder.add_nodes("m", n);
-    for i in 0..(n as u32 - 1) {
-        builder.add_edge_ids(first + i, Symbol::from_index(0), first + i + 1);
-    }
-    builder.build()
-}
-
-/// A 60-node line — `a` edges on the first half, `c` on the second —
-/// over the labels interned in `order`: the named edges never change,
-/// only which column each label gets.
-fn relabelled_line(order: [&str; 3]) -> GraphDb {
-    let mut alphabet = pathlearn_automata::Alphabet::new();
-    for label in order {
-        alphabet.intern(label);
-    }
-    let mut builder = GraphBuilder::with_alphabet(alphabet);
-    for i in 0..59 {
-        let label = if i < 30 { "a" } else { "c" };
-        builder.add_edge(&format!("m{i}"), label, &format!("m{}", i + 1));
     }
     builder.build()
 }
@@ -298,161 +270,6 @@ fn deeper_queue_yields_a_larger_retry_hint() {
     assert!(
         shed.load(Ordering::Relaxed) >= 1,
         "nine near-simultaneous queries against 1 worker + depth 4 must shed at least one"
-    );
-}
-
-/// Satellite: a rebuild racing in-flight work never serves old-epoch
-/// results to post-rebuild frames, mid-drain frames get a retryable
-/// DRAINING, and the pre-rebuild fingerprint registry is cleared —
-/// also when the rebuilt graph numbers its alphabet differently.
-#[test]
-fn rebuild_racing_inflight_work_drains_and_serves_only_new_epoch_results() {
-    let old_graph = ring_graph(60);
-    let new_graph = line_graph(60);
-    let expr = "a·a";
-    let old_expected = direct_monadic(&old_graph, expr);
-    let new_expected = direct_monadic(&new_graph, expr);
-    assert_ne!(old_expected, new_expected, "graphs must disagree on {expr}");
-
-    let serve_config = ServeConfig {
-        // Keep the pre-rebuild evaluation in flight across the drain.
-        eval_holdoff: Duration::from_millis(400),
-        ..ServeConfig::default()
-    };
-    let server = serve(old_graph, serve_config, NetConfig::default());
-    let addr = server.local_addr();
-
-    std::thread::scope(|scope| {
-        // Client A: admitted pre-drain; its eval finishes instantly and
-        // sits in the 400ms publication holdoff. Drain either lets it
-        // publish (old-graph bits — correct for a pre-rebuild frame) or
-        // cancels it into a retryable DRAINING. Never a torn result.
-        let a = scope.spawn(move || {
-            let mut client = Client::connect(addr).unwrap();
-            client.query_text(expr, NO_DEADLINE_MS).unwrap()
-        });
-        std::thread::sleep(Duration::from_millis(100));
-
-        // Client B fires while the drain is in progress.
-        let b = scope.spawn(move || {
-            let mut client = Client::connect(addr).unwrap();
-            client.query_text(expr, NO_DEADLINE_MS).unwrap()
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        server.rebuild_graph(line_graph(60));
-
-        let mut client = Client::connect(addr).unwrap();
-        let old_fingerprint = match a.join().unwrap() {
-            Response::Result {
-                bits, fingerprint, ..
-            } => {
-                assert_eq!(
-                    bits, old_expected,
-                    "a pre-rebuild frame that publishes must carry old-graph bits"
-                );
-                Some(fingerprint)
-            }
-            Response::Draining { .. } => None,
-            other => panic!("pre-rebuild frame got {other:?}"),
-        };
-        match b.join().unwrap() {
-            // B raced the drain window: either it slipped in before the
-            // drain began (old bits), or it was drained/cancelled.
-            Response::Result { bits, .. } => assert_eq!(bits, old_expected),
-            Response::Draining { .. } => {}
-            other => panic!("mid-drain frame got {other:?}"),
-        }
-        // The registry was cleared with the epoch: a pre-rebuild
-        // fingerprint no longer resolves until re-established by text
-        // (checked *before* the text resubmission below re-registers
-        // the same digest).
-        if let Some(fingerprint) = old_fingerprint {
-            match client
-                .query_fingerprint(fingerprint, NO_DEADLINE_MS)
-                .unwrap()
-            {
-                Response::Error { code, .. } => {
-                    assert_eq!(code, ErrorCode::UnknownFingerprint)
-                }
-                other => panic!("stale fingerprint got {other:?}"),
-            }
-        }
-        // Post-rebuild frames see only new-graph results, as misses.
-        match client.query_text(expr, NO_DEADLINE_MS).unwrap() {
-            Response::Result { bits, served, .. } => {
-                assert_eq!(
-                    bits, new_expected,
-                    "post-rebuild frame must see the new graph, never the old cache"
-                );
-                assert_ne!(
-                    served,
-                    WireServed::Hit,
-                    "the rebuild cleared the cache; this must be a fresh evaluation"
-                );
-            }
-            other => panic!("post-rebuild frame got {other:?}"),
-        }
-        let stats = client.stats().unwrap();
-        assert_eq!(counter(&stats, "serve.invalidations"), 1);
-    });
-
-    // Second act: keep rebuilding, alternating between two graphs with
-    // the same named edges whose alphabets hold the same labels in
-    // *different orders*, while clients hammer two texts. A canonical
-    // DFA numbers its columns by the alphabet it was resolved against,
-    // so `a·a` resolved a moment before a swap is, structurally, the
-    // other graph's `c·c`: admitted (or, with the text memo, *hit*)
-    // after the swap it would answer with the wrong language's nodes.
-    // Both graphs agree on both answers, so every RESULT must carry
-    // exactly its own text's bits; the epoch fence turns the racing
-    // frames into retryable DRAININGs instead.
-    let orders = [["a", "b", "c"], ["c", "b", "a"]];
-    let expected =
-        ["a·a", "c·c"].map(|expr| (expr, direct_monadic(&relabelled_line(orders[0]), expr)));
-    for order in orders {
-        for (expr, bits) in &expected {
-            assert_eq!(&direct_monadic(&relabelled_line(order), expr), bits);
-        }
-    }
-    assert_ne!(expected[0].1, expected[1].1);
-    // A server of its own, without the first act's publication holdoff:
-    // here the rebuilds should race resolution and admission, not sit
-    // out one holdoff per drain.
-    let server = serve(
-        relabelled_line(orders[0]),
-        ServeConfig::default(),
-        NetConfig::default(),
-    );
-    let addr = server.local_addr();
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let answered = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            scope.spawn(|| {
-                let mut client = Client::connect(addr).unwrap();
-                while !stop.load(Ordering::Relaxed) {
-                    for (expr, bits) in &expected {
-                        match client.query_text(expr, NO_DEADLINE_MS).unwrap() {
-                            Response::Result { bits: got, .. } => {
-                                assert_eq!(&got, bits, "{expr} answered over the wrong alphabet");
-                                answered.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Response::Draining { .. } => {}
-                            other => panic!("{expr} racing a rebuild got {other:?}"),
-                        }
-                    }
-                }
-            });
-        }
-        for round in 1..=40 {
-            std::thread::sleep(Duration::from_millis(2));
-            server.rebuild_graph(relabelled_line(orders[round % 2]));
-        }
-        stop.store(true, Ordering::Relaxed);
-    });
-    assert!(
-        answered.load(Ordering::Relaxed) > 0,
-        "the hammer got answers"
     );
 }
 

@@ -199,13 +199,13 @@ fn delta_invalidation_keeps_more_hits_than_rebuilding() {
     // the script implies.
     let mut current = ring_graph(60);
     let delta_side = QueryService::new(current.clone(), ServeConfig::default());
-    let rebuild_side = QueryService::new(current.clone(), ServeConfig::default());
+    let mut rebuild_side = QueryService::new(current.clone(), ServeConfig::default());
     // Live alphabets {a}, {b}, {c}, {a, b}.
     let queries: Vec<Dfa> = ["a·a", "b·b", "c", "a·b"]
         .iter()
         .map(|expr| Regex::parse(expr, current.alphabet()).unwrap().to_dfa(3))
         .collect();
-    let read_all = |current: &GraphDb| {
+    let read_all = |rebuild_side: &QueryService, current: &GraphDb| {
         for (i, query) in queries.iter().enumerate() {
             let direct = eval_monadic(query, current);
             assert_eq!(*delta_side.query_monadic(query).result, direct, "delta {i}");
@@ -223,16 +223,16 @@ fn delta_invalidation_keeps_more_hits_than_rebuilding() {
         (vec![(0, b, 5)], vec![], 2), // b·b, a·b
         (vec![(3, c, 9)], vec![], 1), // c
     ];
-    read_all(&current); // 4 cold misses on both sides
+    read_all(&rebuild_side, &current); // 4 cold misses on both sides
     for (add, remove, dropped) in &writes {
         current = current.with_delta(add, remove).unwrap().compact();
         let applied = delta_side.apply_delta(add, remove).unwrap();
         assert_eq!(applied.invalidated, *dropped);
         rebuild_side.rebuild_graph(current.clone());
         // Delta side: the spared entries hit (2, 2, 3); rebuild side: 0.
-        read_all(&current);
+        read_all(&rebuild_side, &current);
     }
-    read_all(&current); // all 4 resident on both sides
+    read_all(&rebuild_side, &current); // all 4 resident on both sides
 
     let (delta, rebuild) = (delta_side.stats(), rebuild_side.stats());
     assert_eq!(delta.label_invalidations, 2 + 2 + 1);
@@ -344,9 +344,8 @@ fn counters_and_resident_set_repeat_exactly_under_eviction_pressure() {
     assert!(evictions.unwrap().1 >= 100, "no pressure: {counters:?}");
 
     let resident = |service: &QueryService| -> Vec<bool> {
-        let epoch = service.graph_and_epoch().1;
         mix.iter()
-            .map(|key| service.try_hit(key, epoch).unwrap().is_some())
+            .map(|key| service.try_hit(key).is_some())
             .collect()
     };
     let kept = resident(&first);

@@ -218,27 +218,28 @@ fn graph_bytes_gauge_tracks_the_served_csr() {
         delta_compact_threshold: Some(1),
         ..ServeConfig::default()
     };
-    let service = QueryService::new(ring_graph(60), config);
-    let gauge = || counter(&service.telemetry().registry.snapshot(), "graph.bytes");
-    let served = || service.graph().heap_bytes() as u64;
-    assert!(gauge() > 0);
-    assert_eq!(gauge(), served(), "at construction");
+    let mut service = QueryService::new(ring_graph(60), config);
+    let gauge =
+        |service: &QueryService| counter(&service.telemetry().registry.snapshot(), "graph.bytes");
+    let served = |service: &QueryService| service.graph().heap_bytes() as u64;
+    assert!(gauge(&service) > 0);
+    assert_eq!(gauge(&service), served(&service), "at construction");
 
     service.rebuild_graph(ring_graph(300));
-    assert_eq!(gauge(), served(), "after a rebuild");
-    let rebuilt = gauge();
+    assert_eq!(gauge(&service), served(&service), "after a rebuild");
+    let rebuilt = gauge(&service);
 
     let (a, b) = (Symbol::from_index(0), Symbol::from_index(1));
     let first = service.apply_delta(&[(0, b, 7), (3, a, 9)], &[]).unwrap();
     assert!(first.compacted);
-    assert_eq!(gauge(), served(), "after a compaction");
-    assert!(gauge() > rebuilt, "two more edges and active cells");
-    let compacted = gauge();
+    assert_eq!(gauge(&service), served(&service), "after a compaction");
+    assert!(gauge(&service) > rebuilt, "two more edges and active cells");
+    let compacted = gauge(&service);
 
     let second = service.apply_delta(&[(5, b, 11)], &[]).unwrap();
     assert!(!second.compacted);
-    assert_eq!(gauge(), compacted, "an overlay shares the CSR");
-    assert_eq!(gauge(), served());
+    assert_eq!(gauge(&service), compacted, "an overlay shares the CSR");
+    assert_eq!(gauge(&service), served(&service));
 }
 
 #[test]
