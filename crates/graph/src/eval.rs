@@ -56,7 +56,7 @@
 //! states. The level outcome per state is `(⋃ steps into it) \ reached`,
 //! a set expression independent of task order. Independent queries
 //! overlap on their callers' threads (client threads, the front door's
-//! eval workers), each stepping its own scratch over the shared,
+//! connection threads), each stepping its own scratch over the shared,
 //! read-only [`GraphDb`].
 //!
 //! ## The driver and its parameter sets

@@ -29,9 +29,9 @@
 //!
 //! The **network front door** is [`net`]: a hardened stdlib-TCP server
 //! speaking the framed binary protocol of [`proto`] — length-prefixed
-//! versioned frames, per-connection read/write timeouts, a bounded
-//! admission queue with load shedding, cooperative per-BFS-level query
-//! deadlines, and graceful drain on shutdown.
+//! versioned frames, per-connection read/write timeouts, a counting
+//! gate on concurrent evaluations with load shedding, cooperative
+//! per-BFS-level query deadlines, and graceful drain on shutdown.
 //!
 //! The CLI front doors are `pathlearn serve` (in-process) and
 //! `pathlearn serve --listen ADDR` (TCP, crate `pathlearn`); the
@@ -49,7 +49,7 @@
 //! `net.*` / `wal.*` / `eval.*` number flows through one
 //! [`MetricsRegistry`] (the `STATS` wire frame and [`ServeStats`] are
 //! views over it); per-query [`QueryTrace`]s record wall-clock spans,
-//! admission-queue wait and per-BFS-level samples into a recent-trace
+//! evaluation-slot wait and per-BFS-level samples into a recent-trace
 //! ring plus a threshold-gated slow-query log; and the text admin
 //! surface ([`AdminServer`], `pathlearn serve --listen ADDR --admin
 //! ADDR2`) serves `/metrics` (Prometheus text), `/healthz` (readiness)

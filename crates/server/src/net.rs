@@ -3,41 +3,41 @@
 //! Stdlib TCP only — no async runtime. The shape is deliberately
 //! boring: an **acceptor** thread polls a non-blocking listener, each
 //! accepted socket gets a **connection** thread that speaks the framed
-//! protocol of [`crate::proto`], and a decoded query takes one of two
-//! routes. A query whose answer is **resident** in the result cache is
-//! answered right there on the connection thread
-//! ([`QueryService::try_hit`]) — a hit is a table lookup and one copy
-//! of the answer, it needs no worker, and handing it to one would cost
-//! two thread hand-offs for nothing. Everything else — work that needs
-//! a worker — passes through a **bounded admission queue** to a small
-//! pool of **eval workers**. The robustness properties live in the
-//! seams:
+//! protocol of [`crate::proto`], and a decoded query runs on that
+//! thread. A query whose answer is **resident** in the result cache is
+//! answered right away ([`QueryService::try_hit`]) — a hit is a table
+//! lookup and one copy of the answer. Everything else first takes one
+//! of [`NetConfig::eval_workers`] **evaluation slots** from a counting
+//! gate, then calls [`QueryService::submit`] itself. The robustness
+//! properties live in the seams:
 //!
 //! * **Slow-loris defense** — per-connection read and write timeouts
-//!   ([`NetConfig::read_timeout`] / [`NetConfig::write_timeout`]): a
+//!   ([`NetConfig::read_timeout`] and a fixed 10 s write timeout): a
 //!   peer that dribbles bytes or refuses to read its replies loses the
 //!   connection, never a server thread.
-//! * **Load shedding** — the admission queue is a bounded `VecDeque`;
-//!   at the watermark new *work* gets an immediate `SHED` frame with a
-//!   retry hint instead of unbounded queueing. Shedding applies to work
-//!   that needs a worker: a resident key is still answered `Hit` with
-//!   the queue full, because refusing it would protect nothing.
+//! * **Load shedding** — with every slot taken, a query waits behind at
+//!   most [`NetConfig::queue_depth`] others; past that it gets an
+//!   immediate `SHED` frame with a retry hint instead of an unbounded
+//!   wait. Shedding applies to work that needs a slot: a resident key
+//!   is still answered `Hit` with the gate full, because refusing it
+//!   would protect nothing.
 //! * **Deadlines** — `deadline_ms` becomes an absolute
-//!   [`CancelToken`] deadline at frame arrival, so time spent queued
-//!   counts; the service checks it before admission and once per BFS
-//!   level, and an expired budget yields a `DEADLINE` frame, never a
-//!   partial result. A budget that is already spent on arrival skips
-//!   the fast path, so the zero-deadline probe answers `DEADLINE` for
-//!   resident and cold keys alike.
-//! * **Graceful drain** — [`Server::shutdown`] stops admissions (fast
-//!   path included), trips the drain flag (cancelling queued and
-//!   in-flight work at its next level check), and waits up to
-//!   [`NetConfig::drain_grace`] for the queue to go idle. Every
-//!   admitted job still gets exactly one reply — drained jobs answer
-//!   `DRAINING`, which clients treat as retryable.
-//! * **Exactly-one-reply** — workers pop and answer every queued job
-//!   even during shutdown, so no connection thread is left waiting on
-//!   a reply slot.
+//!   [`CancelToken`] deadline at frame arrival, so time spent waiting
+//!   for a slot counts; a waiter whose deadline passes answers
+//!   `DEADLINE` then, without taking a slot. The service checks the
+//!   deadline before admission and once per BFS level, and an expired
+//!   budget yields a `DEADLINE` frame, never a partial result. A budget
+//!   that is already spent on arrival skips the fast path, so the
+//!   zero-deadline probe answers `DEADLINE` for resident and cold keys
+//!   alike.
+//! * **Graceful drain** — [`Server::shutdown`] closes the gate (fast
+//!   path included), trips the drain flag (cancelling waiting and
+//!   running evaluations at their next level check), and waits until
+//!   every slot is freed and every waiter has left. Drained queries
+//!   answer `DRAINING`, which clients treat as retryable.
+//! * **Exactly-one-reply** — every decoded query is answered by the
+//!   thread that read it, and a slot is freed by a guard's drop, also
+//!   when the evaluation unwinds.
 //!
 //! ## What the front door remembers
 //!
@@ -51,9 +51,9 @@
 //! re-asks the same handful of texts between labels: parse →
 //! determinize → minimize is paid once per *text*, not once per frame.
 //! Only texts that parsed within the state budget
-//! ([`MAX_QUERY_DFA_STATES`]) are kept; entries are bounded by
-//! [`NetConfig::fingerprint_cap`] and the key bytes by a constant,
-//! cleared wholesale on overflow.
+//! ([`MAX_QUERY_DFA_STATES`]) are kept; entries are bounded by a
+//! constant cap (65,536) and the key bytes by another, cleared
+//! wholesale on overflow.
 //!
 //! ## Writes
 //!
@@ -62,7 +62,7 @@
 //! needs the service by `&mut`, which the server never lends out. A new
 //! graph is a new server. `DELTA` frames are the one write path: they
 //! are handled inline on the connection thread through
-//! [`QueryService::apply_delta`] — no drain, no shed — because a delta
+//! [`QueryService::apply_delta`] — no slot, no shed — because a delta
 //! invalidates only the cache entries its edges reach and fences stale
 //! in-flight publishes with per-label epochs. The table is **retained**
 //! across deltas: the node set and the alphabet are frozen under the
@@ -72,19 +72,19 @@
 use crate::cache::CacheKey;
 use crate::proto::{
     encode_result, frame_reader, read_frame, write_frame, ErrorCode, FrameError, QueryRef, Request,
-    Response, WireEdge, WireKind, WireServed, NO_DEADLINE_MS,
+    Response, WireEdge, WireKind, WireServed, DEFAULT_MAX_FRAME_LEN, NO_DEADLINE_MS,
 };
 use crate::service::{DeltaApplied, DeltaCommitError, QueryResponse, QueryService, Served};
 use crate::telemetry::{
     AdminSources, Counter, Gauge, HealthPhase, HealthReport, Histogram, MetricsRegistry, Telemetry,
 };
 use pathlearn_automata::{CanonicalQuery, Regex, Symbol};
-use pathlearn_graph::{CancelToken, Interrupt, NodeId};
-use std::collections::{HashMap, VecDeque};
+use pathlearn_graph::{CancelToken, EvalScratch, Interrupt, NodeId};
+use std::collections::HashMap;
 use std::io::{self, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -93,41 +93,24 @@ use std::time::{Duration, Instant};
 /// `max_connections` and `eval_workers`.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Cap on request frame payloads; larger length prefixes get an
-    /// `OVERSIZE` error and the connection closes.
-    pub max_frame_len: u32,
     /// Per-connection read timeout (slow-loris defense): a peer that
     /// stalls mid-frame longer than this is disconnected.
     pub read_timeout: Duration,
-    /// Per-connection write timeout: a peer that stops reading its
-    /// replies is disconnected rather than parking a server thread.
-    pub write_timeout: Duration,
     /// Concurrent connection cap; excess connections get a best-effort
     /// `BUSY` error frame and are closed.
     pub max_connections: usize,
-    /// Admission queue watermark: queries arriving while this many are
-    /// queued get a `SHED` frame instead.
+    /// How many queries may wait for an evaluation slot at once; a
+    /// query that would be one more gets a `SHED` frame instead.
     pub queue_depth: usize,
-    /// Eval worker threads draining the admission queue. Each runs one
-    /// query at a time through [`QueryService`], evaluating it on the
-    /// worker's own thread: the workers are how independent queries
-    /// overlap.
+    /// Evaluations that may run at once, each on the connection thread
+    /// that read its query, and evaluation scratches the server keeps.
     pub eval_workers: usize,
     /// Base backoff hint carried in `SHED` frames. The hint actually
-    /// sent scales with queue occupancy at shed time — a queue `k`
-    /// workers' worth of jobs deep hints `k × retry_after_ms` (capped
-    /// at [`MAX_RETRY_AFTER_MS`]) — so clients back off harder the
-    /// deeper the backlog they bounced off.
+    /// sent scales with the gate's occupancy at shed time — `k` times
+    /// `eval_workers` queries running or waiting hints
+    /// `k × retry_after_ms` (capped at [`MAX_RETRY_AFTER_MS`]) — so
+    /// clients back off harder the deeper the backlog they bounced off.
     pub retry_after_ms: u32,
-    /// How long the shutdown drain waits for queued and in-flight work
-    /// to finish before proceeding anyway; the tripped drain flag bounds
-    /// the overshoot to one BFS level.
-    pub drain_grace: Duration,
-    /// Cap on remembered text-established fingerprints; at the cap new
-    /// text queries still evaluate but are not registered. The text
-    /// memo beside the registry holds at most this many entries too
-    /// (it starts over when full).
-    pub fingerprint_cap: usize,
 }
 
 /// State budget of the subset construction a text query goes through
@@ -143,83 +126,61 @@ pub const MAX_QUERY_DFA_STATES: usize = 1024;
 /// ([`NetConfig::retry_after_ms`] × backlog rounds, clamped here).
 pub const MAX_RETRY_AFTER_MS: u32 = 5_000;
 
+/// Per-connection write timeout: a peer that stops reading its replies
+/// is disconnected rather than parking a server thread.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Cap on remembered text-established fingerprints; at the cap new text
+/// queries still evaluate but are not registered. The text memo beside
+/// the registry holds at most this many entries too (it starts over
+/// when full).
+const FINGERPRINT_CAP: usize = 65_536;
+
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            max_frame_len: crate::proto::DEFAULT_MAX_FRAME_LEN,
             read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
             max_connections: 1024,
             queue_depth: 64,
             eval_workers: 2,
             retry_after_ms: 100,
-            drain_grace: Duration::from_secs(2),
-            fingerprint_cap: 65_536,
         }
     }
 }
 
-/// How one admitted job ended; maps 1:1 onto the reply frame.
-enum JobOutcome {
-    Done(QueryResponse),
-    Deadline,
-    Cancelled,
-}
-
-/// A single-use rendezvous the connection thread blocks on while a
-/// worker evaluates its query. Workers guarantee every slot is filled
-/// exactly once, shutdown included.
-struct ReplySlot {
-    outcome: Mutex<Option<JobOutcome>>,
-    ready: Condvar,
-}
-
-impl ReplySlot {
-    fn new() -> Self {
-        ReplySlot {
-            outcome: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn fill(&self, outcome: JobOutcome) {
-        let mut slot = self.outcome.lock().unwrap();
-        *slot = Some(outcome);
-        self.ready.notify_one();
-    }
-
-    fn wait(&self) -> JobOutcome {
-        let mut slot = self.outcome.lock().unwrap();
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            slot = self.ready.wait(slot).unwrap();
-        }
-    }
-}
-
-/// One admitted query waiting for an eval worker.
-struct Job {
-    key: CacheKey,
-    deadline: Option<Instant>,
-    /// When the job entered the admission queue; the popping worker
-    /// reports `now − enqueued` as the query's queue wait (recorded on
-    /// its trace and in the `serve.queue_wait` histogram).
-    enqueued: Instant,
-    slot: Arc<ReplySlot>,
-}
-
-/// Admission queue + drain state, under one mutex.
+/// The evaluation gate, under one mutex.
 #[derive(Default)]
-struct QueueState {
-    jobs: VecDeque<Job>,
-    /// Jobs popped and currently evaluating.
+struct Gate {
+    /// Evaluation slots held, at most [`NetConfig::eval_workers`].
     running: usize,
-    /// Set once, by [`Server::shutdown`]: admissions (fast path
-    /// included) answer `DRAINING`, and workers exit once the queue is
-    /// empty.
+    /// Queries waiting for a slot, at most [`NetConfig::queue_depth`].
+    waiting: usize,
+    /// Set once, by [`Server::shutdown`]: the fast path and every
+    /// waiter answer `DRAINING`.
     draining: bool,
+    /// The evaluation scratches of the free slots. A slot lends one to
+    /// its evaluation, so at most [`NetConfig::eval_workers`] exist,
+    /// however many connections have evaluated.
+    scratch: Vec<EvalScratch>,
+}
+
+/// One evaluation slot of the gate and the scratch it evaluates in,
+/// both returned on drop — also when the evaluation unwinds.
+struct Slot<'a> {
+    shared: &'a Shared,
+    scratch: EvalScratch,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // Every update of the gate is one step that leaves it valid, so
+        // a poisoned lock still holds a true count.
+        let shared = self.shared;
+        let mut gate = shared.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        gate.running -= 1;
+        gate.scratch.push(std::mem::take(&mut self.scratch));
+        shared.wake(&gate);
+    }
 }
 
 /// Bound on the request-text bytes the memo keeps as keys. Entries
@@ -334,12 +295,12 @@ struct NetCounters {
     draining_replies: Counter,
     malformed: Counter,
     io_errors: Counter,
-    /// Synced with the live queue at snapshot time (see
+    /// The gate's waiting count, synced at snapshot time (see
     /// [`Shared::refresh_queue_depth`]); depth is only meaningful at
-    /// observation, so the push/pop paths do not touch it.
+    /// observation, so the gate does not touch it.
     queue_depth: Gauge,
-    /// Service latency of answered queries (worker pop → reply ready;
-    /// for a hit answered on the connection thread, the probe),
+    /// Service latency of answered queries (slot taken → reply ready;
+    /// for a hit answered by the fast path, the probe),
     /// log₂-bucketed. Replaces the old mutex-guarded sliding window on
     /// the reply hot path; its nearest-rank quantiles are exact over
     /// the whole history by construction — no partially-filled-window
@@ -368,11 +329,14 @@ impl NetCounters {
 struct Shared {
     service: QueryService,
     config: NetConfig,
-    queue: Mutex<QueueState>,
-    /// Cancels every admitted job at its next BFS-level check once
-    /// [`Server::shutdown`] trips it.
+    gate: Mutex<Gate>,
+    /// Cancels every waiting and running evaluation at its next check
+    /// once [`Server::shutdown`] trips it.
     drain_flag: Arc<AtomicBool>,
-    job_ready: Condvar,
+    /// Wakes a waiter when a slot is freed, and every waiter at the
+    /// drain.
+    slot_free: Condvar,
+    /// Wakes the shutdown drain when no slot is held and no one waits.
     idle: Condvar,
     /// The service's telemetry bundle — shared registry + trace sink.
     telemetry: Arc<Telemetry>,
@@ -387,11 +351,11 @@ struct Shared {
 }
 
 impl Shared {
-    /// Syncs the `net.queue_depth` gauge with the live queue; called
-    /// before every snapshot or exposition so scrapes see the depth at
-    /// observation time.
+    /// Syncs the `net.queue_depth` gauge with the gate's waiting count;
+    /// called before every snapshot or exposition so scrapes see the
+    /// depth at observation time.
     fn refresh_queue_depth(&self) {
-        let depth = self.queue.lock().unwrap().jobs.len() as u64;
+        let depth = self.gate.lock().unwrap().waiting as u64;
         self.counters.queue_depth.set(depth);
     }
 
@@ -408,47 +372,83 @@ impl Shared {
         self.telemetry.registry.snapshot()
     }
 
-    /// Worker loop: pop, evaluate under the job's cancel token, fill
-    /// the reply slot. Popping takes priority over the shutdown check
-    /// so every admitted job is answered before workers exit.
-    fn worker_loop(&self) {
-        loop {
-            let job = {
-                let mut queue = self.queue.lock().unwrap();
-                loop {
-                    if let Some(job) = queue.jobs.pop_front() {
-                        queue.running += 1;
-                        break job;
-                    }
-                    if queue.draining {
-                        return;
-                    }
-                    queue = self.job_ready.wait(queue).unwrap();
-                }
-            };
-            let start = Instant::now();
-            let queue_wait = start.saturating_duration_since(job.enqueued);
-            let mut token = CancelToken::with_flag(self.drain_flag.clone());
-            if let Some(deadline) = job.deadline {
-                token = token.and_deadline(deadline);
+    /// Evaluation slots: [`NetConfig::eval_workers`], at least one.
+    fn slots(&self) -> usize {
+        self.config.eval_workers.max(1)
+    }
+
+    /// Called under the gate's lock after a slot was freed or a waiter
+    /// left: hands a free slot to one waiter (a waiter that leaves may
+    /// have taken the wake-up meant for another), and tells the
+    /// shutdown drain when the gate is empty.
+    fn wake(&self, gate: &Gate) {
+        if gate.waiting > 0 && gate.running < self.slots() {
+            self.slot_free.notify_one();
+        }
+        if gate.draining && gate.running == 0 && gate.waiting == 0 {
+            self.idle.notify_all();
+        }
+    }
+
+    /// Takes an evaluation slot for a query that missed the fast path,
+    /// waiting behind at most [`NetConfig::queue_depth`] others.
+    /// `Ok(None)` means the wait was cut short by the query's deadline
+    /// or by the drain, so its token is tripped; `Err` is the `SHED` or
+    /// `DRAINING` reply to send instead.
+    fn take_slot(
+        &self,
+        request_id: u64,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Slot<'_>>, Reply> {
+        let mut gate = self.gate.lock().unwrap();
+        if gate.draining {
+            drop(gate);
+            return Err(self.draining(request_id));
+        }
+        if gate.running >= self.slots() || gate.waiting > 0 {
+            if gate.waiting >= self.config.queue_depth {
+                // Scale the backoff hint by how much work the bounced
+                // client is actually behind: occupancy in units of
+                // slots, so one "round" of hint per full sweep of the
+                // current backlog. Deeper backlog ⇒ ≥ hint; capped so a
+                // pathological backlog cannot park clients for minutes.
+                let occupancy = gate.waiting + gate.running;
+                drop(gate);
+                let rounds = occupancy.div_ceil(self.slots()).max(1) as u64;
+                let base = u64::from(self.config.retry_after_ms.max(1));
+                let hint = (base * rounds).min(u64::from(MAX_RETRY_AFTER_MS)) as u32;
+                self.counters.shed.inc();
+                return Err(Reply::Frame(Response::Shed {
+                    request_id,
+                    retry_after_ms: hint,
+                }));
             }
-            let outcome = match self.service.submit(job.key, &token, Some(queue_wait)) {
-                Ok(response) => {
-                    self.counters
-                        .latency
-                        .record(start.elapsed().as_nanos() as u64);
-                    JobOutcome::Done(response)
+            gate.waiting += 1;
+            loop {
+                if gate.draining || deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                    gate.waiting -= 1;
+                    self.wake(&gate);
+                    return Ok(None);
                 }
-                Err(Interrupt::Deadline) => JobOutcome::Deadline,
-                Err(Interrupt::Cancelled) => JobOutcome::Cancelled,
-            };
-            job.slot.fill(outcome);
-            let mut queue = self.queue.lock().unwrap();
-            queue.running -= 1;
-            if queue.jobs.is_empty() && queue.running == 0 {
-                self.idle.notify_all();
+                if gate.running < self.slots() {
+                    gate.waiting -= 1;
+                    break;
+                }
+                gate = match deadline {
+                    Some(deadline) => {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        self.slot_free.wait_timeout(gate, left).unwrap().0
+                    }
+                    None => self.slot_free.wait(gate).unwrap(),
+                };
             }
         }
+        gate.running += 1;
+        let scratch = gate.scratch.pop().unwrap_or_default();
+        Ok(Some(Slot {
+            shared: self,
+            scratch,
+        }))
     }
 
     fn draining(&self, request_id: u64) -> Reply {
@@ -491,11 +491,11 @@ impl Shared {
                             ),
                         )
                     })?;
-                Ok(self.registry.lock().unwrap().remember(
-                    text,
-                    canonical,
-                    self.config.fingerprint_cap,
-                ))
+                Ok(self
+                    .registry
+                    .lock()
+                    .unwrap()
+                    .remember(text, canonical, FINGERPRINT_CAP))
             }
             QueryRef::Fingerprint(fp) => {
                 self.registry
@@ -516,7 +516,7 @@ impl Shared {
     /// the served graph, hand the batch to
     /// [`QueryService::apply_delta`], and answer `DELTA_APPLIED` (or a
     /// request-level `BAD_DELTA` error — the graph is unchanged then).
-    /// No drain, no queue: deltas are the cheap write path, and the
+    /// No drain, no slot: deltas are the cheap write path, and the
     /// fingerprint registry survives because the node set and alphabet
     /// are frozen.
     fn handle_delta(&self, request_id: u64, add: &[WireEdge], remove: &[WireEdge]) -> Response {
@@ -546,11 +546,10 @@ impl Shared {
             }
         }
         let [add_ids, remove_ids] = resolved;
-        // The durable path: with persistence attached the batch is
-        // WAL-appended and fsynced before it is applied, so this
-        // `DELTA_APPLIED` only ever acknowledges a write that survives
-        // a crash. Without persistence it degrades to the plain apply.
-        match self.service.apply_delta_durable(&add_ids, &remove_ids) {
+        // With persistence attached the batch is WAL-appended and
+        // fsynced before it is applied, so this `DELTA_APPLIED` only
+        // ever acknowledges a write that survives a crash.
+        match self.service.apply_delta(&add_ids, &remove_ids) {
             Ok(DeltaApplied {
                 invalidated,
                 compacted,
@@ -591,9 +590,8 @@ impl Shared {
         }
     }
 
-    /// Answers a resolved query: a resident key right here on the
-    /// connection thread, anything else through the admission queue
-    /// (blocking until a worker has determined the reply).
+    /// Answers a resolved query: a resident key from the cache, anything
+    /// else by an evaluation under a slot of the gate.
     fn admit_resolved(
         &self,
         request_id: u64,
@@ -611,9 +609,9 @@ impl Shared {
             .then(|| arrival + Duration::from_millis(u64::from(deadline_ms)));
 
         // Fast path. A drain closes it like any admission; a budget
-        // already spent leaves it to the worker's `submit`, which owns
-        // the `DEADLINE` verdict and its counters.
-        if self.queue.lock().unwrap().draining {
+        // already spent leaves it to `submit`, which owns the
+        // `DEADLINE` verdict and its counters.
+        if self.gate.lock().unwrap().draining {
             return self.draining(request_id);
         }
         let start = Instant::now();
@@ -629,52 +627,45 @@ impl Shared {
             }
         }
 
-        let slot = Arc::new(ReplySlot::new());
-        {
-            let mut queue = self.queue.lock().unwrap();
-            // Checked again under the lock the job is pushed under: the
-            // drain may have begun since the probe above.
-            if queue.draining {
-                drop(queue);
-                return self.draining(request_id);
-            }
-            if queue.jobs.len() >= self.config.queue_depth {
-                // Scale the backoff hint by how much work the bounced
-                // client is actually behind: occupancy in units of
-                // worker capacity, so one "round" of hint per full
-                // sweep of the current backlog. Deeper queue ⇒ ≥ hint;
-                // capped so a pathological backlog cannot park clients
-                // for minutes.
-                let occupancy = queue.jobs.len() + queue.running;
-                drop(queue);
-                let workers = self.config.eval_workers.max(1);
-                let rounds = occupancy.div_ceil(workers).max(1) as u64;
-                let base = u64::from(self.config.retry_after_ms.max(1));
-                let hint = (base * rounds).min(u64::from(MAX_RETRY_AFTER_MS)) as u32;
-                self.counters.shed.inc();
-                return Reply::Frame(Response::Shed {
-                    request_id,
-                    retry_after_ms: hint,
-                });
-            }
-            queue.jobs.push_back(Job {
-                key,
-                deadline,
-                enqueued: Instant::now(),
-                slot: slot.clone(),
-            });
-            self.job_ready.notify_one();
+        let entered = Instant::now();
+        let mut slot = match self.take_slot(request_id, deadline) {
+            Ok(slot) => slot,
+            Err(reply) => return reply,
+        };
+        let start = Instant::now();
+        let mut token = CancelToken::with_flag(self.drain_flag.clone());
+        if let Some(deadline) = deadline {
+            token = token.and_deadline(deadline);
         }
-        match slot.wait() {
-            JobOutcome::Done(response) => Reply::Result {
-                request_id,
-                response,
-            },
-            JobOutcome::Deadline => {
+        let waited = Some(start.duration_since(entered));
+        let outcome = match &mut slot {
+            Some(slot) => self
+                .service
+                .submit_in(&mut slot.scratch, key, &token, waited),
+            // A waiter cut short holds no slot and a tripped token, so
+            // `submit` returns the verdict, and counts it, before it
+            // admits anything.
+            None => {
+                debug_assert!(token.check().is_err());
+                self.service.submit(key, &token, waited)
+            }
+        };
+        drop(slot);
+        match outcome {
+            Ok(response) => {
+                self.counters
+                    .latency
+                    .record(start.elapsed().as_nanos() as u64);
+                Reply::Result {
+                    request_id,
+                    response,
+                }
+            }
+            Err(Interrupt::Deadline) => {
                 self.counters.deadline_replies.inc();
                 Reply::Frame(Response::Deadline { request_id })
             }
-            JobOutcome::Cancelled => self.draining(request_id),
+            Err(Interrupt::Cancelled) => self.draining(request_id),
         }
     }
 
@@ -683,7 +674,7 @@ impl Shared {
     /// request-level errors answer and continue.
     fn connection_loop(&self, stream: TcpStream, conn_id: u64) {
         let _ = stream.set_read_timeout(Some(self.config.read_timeout));
-        let _ = stream.set_write_timeout(Some(self.config.write_timeout));
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         // Request/reply roundtrips of small frames stall ~40ms per query
         // under Nagle + delayed ACK; a front door wants neither.
         let _ = stream.set_nodelay(true);
@@ -695,7 +686,7 @@ impl Shared {
         let mut send =
             |reply: &Reply| write_frame(&mut &stream, &mut frame, |out| reply.encode_into(out));
         loop {
-            let payload = match read_frame(&mut reader, self.config.max_frame_len) {
+            let payload = match read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN) {
                 Ok(payload) => payload,
                 Err(FrameError::Closed) => break,
                 Err(FrameError::Oversize(len)) => {
@@ -703,10 +694,7 @@ impl Shared {
                     let _ = send(&Reply::Frame(Response::Error {
                         request_id: 0,
                         code: ErrorCode::Oversize,
-                        message: format!(
-                            "frame length {len} exceeds cap {}",
-                            self.config.max_frame_len
-                        ),
+                        message: format!("frame length {len} exceeds cap {DEFAULT_MAX_FRAME_LEN}"),
                     }));
                     break;
                 }
@@ -805,18 +793,18 @@ impl Shared {
 
 /// A listening front door. Dropping the server (or calling
 /// [`Server::shutdown`]) drains gracefully: in-flight queries get their
-/// reply (or a retryable `DRAINING`), then worker and acceptor threads
-/// join and lingering connections are cut off at their next read.
+/// reply (or a retryable `DRAINING`), then the acceptor thread joins
+/// and lingering connections are cut off at their next read.
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     acceptor: Option<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral test port)
-    /// and starts the acceptor and eval workers over `service`.
+    /// and starts the acceptor over `service`; each accepted connection
+    /// gets its own thread, which also evaluates its queries.
     pub fn bind<A: ToSocketAddrs>(
         service: QueryService,
         addr: A,
@@ -829,10 +817,10 @@ impl Server {
         let counters = NetCounters::register(&telemetry.registry);
         let shared = Arc::new(Shared {
             service,
-            config: config.clone(),
-            queue: Mutex::new(QueueState::default()),
+            config,
+            gate: Mutex::new(Gate::default()),
             drain_flag: Arc::new(AtomicBool::new(false)),
-            job_ready: Condvar::new(),
+            slot_free: Condvar::new(),
             idle: Condvar::new(),
             telemetry,
             counters,
@@ -840,15 +828,6 @@ impl Server {
             conns: Mutex::new(HashMap::new()),
             stop_accept: AtomicBool::new(false),
         });
-        let mut workers = Vec::with_capacity(config.eval_workers.max(1));
-        for worker_id in 0..config.eval_workers.max(1) {
-            let shared = Arc::clone(&shared);
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("pathlearn-eval-{worker_id}"))
-                    .spawn(move || shared.worker_loop())?,
-            );
-        }
         let acceptor = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
@@ -859,7 +838,6 @@ impl Server {
             shared,
             local_addr,
             acceptor: Some(acceptor),
-            workers,
         })
     }
 
@@ -882,8 +860,8 @@ impl Server {
     /// Builds the content sources for an [`crate::AdminServer`] over
     /// this front door: `/metrics` renders the unified registry as
     /// Prometheus text (queue-depth gauge refreshed first), `/healthz`
-    /// reports `serving`/`draining` plus queue, connection and WAL
-    /// detail lines, and `/slow` renders the slow-query log. The
+    /// reports `serving`/`draining` plus gate (`queue_depth` waiting,
+    /// `running` slots held), connection and WAL detail lines, and `/slow` renders the slow-query log. The
     /// closures hold the server's shared state by `Arc`, so they stay
     /// valid after [`Server::shutdown`] — a stopped server reports
     /// `draining`, exactly what a deployment health check should see.
@@ -898,8 +876,8 @@ impl Server {
             }),
             health: Box::new(move || {
                 let (draining, depth, running) = {
-                    let queue = health_shared.queue.lock().unwrap();
-                    (queue.draining, queue.jobs.len(), queue.running)
+                    let gate = health_shared.gate.lock().unwrap();
+                    (gate.draining, gate.waiting, gate.running)
                 };
                 let mut detail = vec![
                     ("queue_depth".to_owned(), depth.to_string()),
@@ -933,51 +911,26 @@ impl Server {
         }
     }
 
-    /// Applies an edge-delta batch to the served graph **without
-    /// draining**: concurrent queries keep flowing, only the cache
-    /// entries the batch's edges reach are invalidated, and the
-    /// fingerprint registry is retained (node set and alphabet are
-    /// frozen under the delta contract). Equivalent to a `DELTA` frame
-    /// arriving on a connection, minus the name resolution — including
-    /// durability: with persistence attached to the service, the batch
-    /// is WAL-logged and fsynced before it applies.
-    pub fn apply_delta(
-        &self,
-        add: &[(NodeId, Symbol, NodeId)],
-        remove: &[(NodeId, Symbol, NodeId)],
-    ) -> Result<DeltaApplied, DeltaCommitError> {
-        self.shared.service.apply_delta_durable(add, remove)
-    }
-
-    /// Graceful stop: drain, join workers and acceptor, end the input
-    /// of lingering connections. Idempotent; also runs on drop.
+    /// Graceful stop: drain, join the acceptor, end the input of
+    /// lingering connections. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         if self.acceptor.is_none() {
             return;
         }
         self.shared.stop_accept.store(true, Ordering::SeqCst);
         {
-            // Stop admissions, trip the drain flag, and wait (bounded by
-            // `drain_grace`) for the queue to go idle; workers exit once
-            // it is empty.
+            // Close the gate, trip the drain flag, send every waiter
+            // away, and wait for the running evaluations to free their
+            // slots: the tripped flag stops each at its next BFS level,
+            // so no evaluation outlives `shutdown`.
             let shared = &self.shared;
-            let mut queue = shared.queue.lock().unwrap();
-            queue.draining = true;
+            let mut gate = shared.gate.lock().unwrap();
+            gate.draining = true;
             shared.drain_flag.store(true, Ordering::SeqCst);
-            shared.job_ready.notify_all();
-            let deadline = Instant::now() + shared.config.drain_grace;
-            while !(queue.jobs.is_empty() && queue.running == 0) {
-                let now = Instant::now();
-                if now >= deadline {
-                    // Grace expired: the tripped flag bounds the
-                    // stragglers to one more BFS level; proceed.
-                    break;
-                }
-                queue = shared.idle.wait_timeout(queue, deadline - now).unwrap().0;
+            shared.slot_free.notify_all();
+            while !(gate.running == 0 && gate.waiting == 0) {
+                gate = shared.idle.wait(gate).unwrap();
             }
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
@@ -1273,7 +1226,7 @@ mod tests {
     fn the_memo_is_bounded_by_key_bytes_not_only_by_entries() {
         let graph = line_graph();
         let server = serve(graph.clone(), NetConfig::default());
-        let cap = server.shared.config.fingerprint_cap;
+        let cap = FINGERPRINT_CAP;
         // Spelling `i`: 17 factors, each `(a+c)` or `(c+a)` by bit.
         let spelling = |i: u32| {
             (0..17)
@@ -1316,21 +1269,39 @@ mod tests {
         }
 
         // The entry bound is the registry's: at the cap the memo starts
-        // over, the registry stops registering, nothing grows.
-        let small = serve(
-            graph.clone(),
-            NetConfig {
-                fingerprint_cap: 4,
-                ..NetConfig::default()
-            },
-        );
+        // over, the registry stops registering, nothing grows — and
+        // every text still resolves to its own language, which is what
+        // the server answers with.
+        let mut small = QueryTable::default();
         for expr in ["a", "b", "c", "a·a", "a·b", "c·c", "a+b", "b+c", "a*", "c*"] {
-            result_of(ask(&small, &text(expr)));
-            let (fingerprints, texts, _) = table_sizes(&small);
+            let query = Regex::parse(expr, graph.alphabet())
+                .unwrap()
+                .to_canonical(3);
+            let resolved = small.remember(expr, query.clone(), 4);
+            assert_eq!(*resolved, query, "{expr}");
+            let (fingerprints, texts) = (small.by_fingerprint.len(), small.by_text.len());
             assert!(
                 fingerprints <= 4 && texts <= 4,
                 "{expr}: {fingerprints}/{texts}"
             );
+        }
+
+        // A server whose registry is full (one query under made-up
+        // fingerprints) still answers new texts.
+        let full = serve(graph.clone(), NetConfig::default());
+        {
+            let mut table = full.shared.registry.lock().unwrap();
+            let filler = Arc::new(query);
+            for fingerprint in 0..cap as u64 {
+                table.by_fingerprint.insert(fingerprint, filler.clone());
+            }
+        }
+        for expr in ["a", "a·c", "c*"] {
+            assert_eq!(
+                *result_of(ask(&full, &text(expr))).result,
+                direct(&graph, expr)
+            );
+            assert_eq!(table_sizes(&full).0, cap, "{expr} was not registered");
         }
     }
 
@@ -1370,6 +1341,30 @@ mod tests {
         assert!(Arc::ptr_eq(&by_fingerprint, registered));
     }
 
+    /// Connection threads evaluate in the scratch of the slot they
+    /// hold, so the front door keeps at most `eval_workers` scratches
+    /// however many connections have evaluated and stay open.
+    #[test]
+    fn evaluation_scratch_belongs_to_the_slots_not_the_connections() {
+        let graph = line_graph();
+        let server = serve(graph.clone(), NetConfig::default());
+        let exprs = ["a", "c", "a·a", "c·c", "a·c", "b", "a*", "c*"];
+        let mut clients = Vec::new();
+        for expr in exprs {
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            match client.query_text(expr, NO_DEADLINE_MS).unwrap() {
+                Response::Result { bits, .. } => assert_eq!(bits, direct(&graph, expr)),
+                other => panic!("{expr}: {other:?}"),
+            }
+            clients.push(client);
+        }
+        let kept = server.shared.gate.lock().unwrap().scratch.len();
+        assert!(
+            (1..=server.shared.slots()).contains(&kept),
+            "{kept} scratches"
+        );
+    }
+
     /// Deltas freeze the node set and the alphabet, so the memo
     /// survives them: the next frame with a memoised text resolves to
     /// the same shared query without canonicalizing, and a result over
@@ -1389,7 +1384,10 @@ mod tests {
             .expect("memoised");
 
         let c = graph.alphabet().symbol("c").unwrap();
-        let applied = server.apply_delta(&[(0, c, 5)], &[]).expect("in range");
+        let applied = server
+            .service()
+            .apply_delta(&[(0, c, 5)], &[])
+            .expect("in range");
         assert_eq!(applied.invalidated, 1, "only c·c reads the touched label");
 
         assert_eq!(table_sizes(&server), (2, 2, "a·a".len() + "c·c".len()));

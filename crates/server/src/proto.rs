@@ -13,13 +13,12 @@
 //!
 //! — and the body depends on the opcode. All integers are little-endian;
 //! strings are a `u16` length followed by UTF-8 bytes. The server caps
-//! request frames at [`NetConfig::max_frame_len`](crate::net::NetConfig)
-//! (default [`DEFAULT_MAX_FRAME_LEN`]) and answers an oversized length
-//! prefix with an [`ErrorCode::Oversize`] error frame before closing —
-//! a length-prefixed stream cannot resynchronize after a framing
-//! violation, so framing-level errors always close the connection, while
-//! semantic errors (an unparseable regex, an unknown fingerprint) only
-//! fail the request.
+//! request frames at [`DEFAULT_MAX_FRAME_LEN`] and answers an oversized
+//! length prefix with an [`ErrorCode::Oversize`] error frame before
+//! closing — a length-prefixed stream cannot resynchronize after a
+//! framing violation, so framing-level errors always close the
+//! connection, while semantic errors (an unparseable regex, an unknown
+//! fingerprint) only fail the request.
 //!
 //! ## Requests
 //!
@@ -42,7 +41,7 @@
 //! | opcode | name | body |
 //! |---|---|---|
 //! | `0x81` | `RESULT` | `u8 served` (0 hit, 1 coalesced, 2 evaluated; 3 and 4 are reserved and rejected) · `u64 fingerprint` · `u32 canonical_states` · `u64 eval_ns` · bitset (`u32 num_bits` · `u32 num_words` · words) |
-//! | `0x82` | `SHED` | `u32 retry_after_ms` — admission queue over its watermark |
+//! | `0x82` | `SHED` | `u32 retry_after_ms` — every evaluation slot taken and the wait for one full |
 //! | `0x83` | `DEADLINE` | empty — the deadline budget expired before a result |
 //! | `0x84` | `DRAINING` | empty — server draining for rebuild/shutdown; retry later |
 //! | `0x85` | `ERROR` | `u8 code` ([`ErrorCode`]) · message string |
@@ -58,8 +57,8 @@
 //!
 //! `deadline_ms` is a **budget relative to frame arrival**, converted to
 //! an absolute deadline when the request is decoded and carried into the
-//! admission queue and the per-BFS-level cancellation checks
-//! ([`pathlearn_graph::cancel`]). Time spent queued counts against the
+//! wait for an evaluation slot and the per-BFS-level cancellation checks
+//! ([`pathlearn_graph::cancel`]). Time spent waiting counts against the
 //! budget; a request whose budget expires anywhere along the way gets a
 //! `DEADLINE` frame, never a partial result. `NO_DEADLINE_MS` (the
 //! `u32::MAX` sentinel) means unbounded; `0` is a valid, already-expired
@@ -88,7 +87,7 @@ use std::io::{self, BufReader, Read, Write};
 /// framing-level errors (the connection closes).
 pub const PROTOCOL_VERSION: u8 = 1;
 
-/// Default cap on request frame payloads (64 KiB — a regex of tens of
+/// Cap on request frame payloads (64 KiB — a regex of tens of
 /// thousands of characters fits; result frames are bounded by the graph,
 /// not by this).
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 64 * 1024;
@@ -273,7 +272,8 @@ pub enum Response {
         /// The selected node set, bit-identical to direct evaluation.
         bits: BitSet,
     },
-    /// Load shed: the admission queue is over its watermark.
+    /// Load shed: every evaluation slot is taken and the wait for one
+    /// is full.
     Shed {
         /// Echo of the request id.
         request_id: u64,

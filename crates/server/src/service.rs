@@ -20,7 +20,8 @@
 //!
 //! Independent queries from different client threads naturally overlap:
 //! evaluation runs outside the state lock, which is held only for probe
-//! and publish, and each thread keeps its own evaluation scratch.
+//! and publish, and each thread keeps its own evaluation scratch
+//! (or passes one in, [`QueryService::submit_in`]).
 //! Results are bit-identical to the direct evaluators (asserted again by
 //! this crate's smoke tests).
 //!
@@ -245,13 +246,13 @@ pub struct DeltaApplied {
     pub delta_edges: usize,
 }
 
-/// Why [`QueryService::apply_delta_durable`] refused a batch. Either
-/// way the served graph is unchanged.
+/// Why [`QueryService::apply_delta`] refused a batch. Either way the
+/// served graph is unchanged.
 #[derive(Debug)]
 pub enum DeltaCommitError {
-    /// The batch names a node or label the graph does not have —
-    /// the same rejection [`QueryService::apply_delta`] reports, made
-    /// **before** the batch touches the write-ahead log.
+    /// The batch names a node or label the graph does not have. With
+    /// persistence attached this is found **before** the batch touches
+    /// the write-ahead log.
     Rejected(DeltaError),
     /// Appending or fsyncing the write-ahead log failed, so the batch
     /// cannot be made durable and was **not** applied. Safe to retry
@@ -376,7 +377,7 @@ struct ServeCounters {
     eval_level_ns: Histogram,
     /// Per-BFS-level frontier popcount, fed from trace level samples.
     eval_frontier: Histogram,
-    /// Admission-queue wait of network-submitted queries.
+    /// Evaluation-slot wait of network-submitted queries.
     queue_wait: Histogram,
 }
 
@@ -691,8 +692,8 @@ impl QueryService {
 
     /// Attaches an open snapshot+WAL pair (see
     /// [`crate::wal::Persistence::recover`]). From now on
-    /// [`QueryService::apply_delta_durable`] logs every batch before
-    /// applying it, and checkpoints past the WAL's record threshold.
+    /// [`QueryService::apply_delta`] logs every batch before applying
+    /// it, and checkpoints past the WAL's record threshold.
     pub fn attach_persistence(&self, persistence: Persistence) {
         *self.persistence.lock().unwrap() = Some(persistence);
     }
@@ -781,9 +782,63 @@ impl QueryService {
     /// not truth), and the overlay is folded into a fresh CSR once it
     /// outgrows [`ServeConfig::delta_compact_threshold`].
     ///
-    /// Returns the applied outcome; fails (changing nothing) only on
-    /// endpoints or labels the frozen graph does not know.
-    pub fn apply_delta(&self, add: &[Edge], remove: &[Edge]) -> Result<DeltaApplied, DeltaError> {
+    /// When a persistence layer is attached
+    /// ([`QueryService::attach_persistence`]), the batch is validated
+    /// against the served graph, appended to the write-ahead log, and
+    /// **fsynced** — and only then applied. A caller that sees `Ok`
+    /// therefore holds a write that survives a crash; a caller that sees
+    /// `Err` knows the graph is unchanged (a batch that fails validation
+    /// is never logged, and a batch whose log append fails is never
+    /// applied).
+    ///
+    /// After a durable apply the WAL is checkpointed if it has grown
+    /// past its record threshold (fresh snapshot + truncate). The
+    /// snapshot is written from the served graph **as it is** — the
+    /// encoder merges a pending overlay into the bytes, nothing is
+    /// compacted for the checkpoint and the served handle keeps its
+    /// overlay. A failed checkpoint does **not** fail the write — the
+    /// batch is already durable in the WAL — it is reported on stderr
+    /// and retried on the next write.
+    pub fn apply_delta(
+        &self,
+        add: &[Edge],
+        remove: &[Edge],
+    ) -> Result<DeltaApplied, DeltaCommitError> {
+        let mut persistence = self.persistence.lock().unwrap();
+        let Some(persistence) = persistence.as_mut() else {
+            return self.patch(add, remove).map_err(DeltaCommitError::Rejected);
+        };
+        // Validate before logging, so the WAL never holds a batch that
+        // replay would reject. (The persistence lock is held across
+        // validate → log → apply, serializing durable writes; the
+        // brief `inner` lock inside respects the persistence-before-
+        // inner ordering.)
+        self.graph()
+            .check_delta(add, remove)
+            .map_err(DeltaCommitError::Rejected)?;
+        persistence
+            .log_batch(add, remove)
+            .map_err(DeltaCommitError::Wal)?;
+        self.counters.wal_records_logged.inc();
+        let applied = self
+            .patch(add, remove)
+            .map_err(DeltaCommitError::Rejected)?;
+        match persistence.maybe_checkpoint(&self.graph()) {
+            Ok(true) => self.counters.wal_checkpoints.inc(),
+            Ok(false) => {}
+            Err(error) => {
+                // Best-effort: the write is already durable in the WAL.
+                self.counters.wal_checkpoint_failures.inc();
+                eprintln!("warning: checkpoint failed (will retry on next write): {error}");
+            }
+        }
+        Ok(applied)
+    }
+
+    /// [`QueryService::apply_delta`]'s in-memory half: patch, invalidate,
+    /// maybe compact. Fails (changing nothing) only on endpoints or
+    /// labels the frozen graph does not know.
+    fn patch(&self, add: &[Edge], remove: &[Edge]) -> Result<DeltaApplied, DeltaError> {
         let mut inner = self.inner.lock().unwrap();
         let mut patched = inner.graph.with_delta(add, remove)?;
         // Touched = labels named by the batch. (A fully cancelled no-op
@@ -820,63 +875,6 @@ impl QueryService {
             compacted,
             delta_edges: inner.graph.delta_edges(),
         })
-    }
-
-    /// [`QueryService::apply_delta`] with durability: when a
-    /// persistence layer is attached ([`QueryService::attach_persistence`]),
-    /// the batch is validated against the served graph, appended to the
-    /// write-ahead log, and **fsynced** — and only then applied. A
-    /// caller that sees `Ok` therefore holds a write that survives a
-    /// crash; a caller that sees `Err` knows the graph is unchanged
-    /// (a batch that fails validation is never logged, and a batch
-    /// whose log append fails is never applied).
-    ///
-    /// After a successful apply the WAL is checkpointed if it has grown
-    /// past its record threshold (fresh snapshot + truncate). The
-    /// snapshot is written from the served graph **as it is** — the
-    /// encoder merges a pending overlay into the bytes, nothing is
-    /// compacted for the checkpoint and the served handle keeps its
-    /// overlay. A failed checkpoint does **not** fail the write — the
-    /// batch is already durable in the WAL — it is reported on stderr
-    /// and retried on the next write.
-    ///
-    /// Without attached persistence this is exactly [`QueryService::apply_delta`].
-    pub fn apply_delta_durable(
-        &self,
-        add: &[Edge],
-        remove: &[Edge],
-    ) -> Result<DeltaApplied, DeltaCommitError> {
-        let mut persistence = self.persistence.lock().unwrap();
-        let Some(persistence) = persistence.as_mut() else {
-            return self
-                .apply_delta(add, remove)
-                .map_err(DeltaCommitError::Rejected);
-        };
-        // Validate before logging, so the WAL never holds a batch that
-        // replay would reject. (The persistence lock is held across
-        // validate → log → apply, serializing durable writes; the
-        // brief `inner` lock inside respects the persistence-before-
-        // inner ordering.)
-        self.graph()
-            .check_delta(add, remove)
-            .map_err(DeltaCommitError::Rejected)?;
-        persistence
-            .log_batch(add, remove)
-            .map_err(DeltaCommitError::Wal)?;
-        self.counters.wal_records_logged.inc();
-        let applied = self
-            .apply_delta(add, remove)
-            .map_err(DeltaCommitError::Rejected)?;
-        match persistence.maybe_checkpoint(&self.graph()) {
-            Ok(true) => self.counters.wal_checkpoints.inc(),
-            Ok(false) => {}
-            Err(error) => {
-                // Best-effort: the write is already durable in the WAL.
-                self.counters.wal_checkpoint_failures.inc();
-                eprintln!("warning: checkpoint failed (will retry on next write): {error}");
-            }
-        }
-        Ok(applied)
     }
 
     /// Serves the monadic query `q(G)`. Equal to
@@ -916,13 +914,38 @@ impl QueryService {
     /// and, when this caller owned the evaluation, abandons the ticket
     /// so coalesced waiters re-admit instead of hanging.
     ///
-    /// `queue_wait` is the time the submission already spent in an
-    /// admission queue before it got here (the network front door's
-    /// workers pass the measured wait; it lands in the query's trace
-    /// and the `serve.queue_wait` histogram); `None` for a submission
-    /// that never sat in one.
+    /// `queue_wait` is the time the submission already spent waiting for
+    /// admission before it got here (the network front door passes its
+    /// wait for an evaluation slot; it lands in the query's trace and
+    /// the `serve.queue_wait` histogram); `None` for a submission that
+    /// never waited.
+    ///
+    /// An admitted evaluation runs in a scratch the calling thread keeps
+    /// for its lifetime; [`QueryService::submit_in`] takes one instead.
     pub fn submit(
         &self,
+        key: CacheKey,
+        cancel: &CancelToken,
+        queue_wait: Option<Duration>,
+    ) -> Result<QueryResponse, Interrupt> {
+        // Scratch reuse keeps the serving hot path free of the per-miss
+        // bitset allocations a fresh scratch would zero (it never
+        // changes results — `EvalScratch` docs).
+        thread_local! {
+            static SCRATCH: std::cell::RefCell<EvalScratch> =
+                std::cell::RefCell::new(EvalScratch::new());
+        }
+        SCRATCH.with(|scratch| self.submit_in(&mut scratch.borrow_mut(), key, cancel, queue_wait))
+    }
+
+    /// [`QueryService::submit`] evaluating in `scratch`, for callers
+    /// that bound how many scratches exist: the network front door
+    /// keeps one per evaluation slot, not one per connection thread.
+    /// `scratch` grows to a few node bitsets per query state and keeps
+    /// that capacity.
+    pub fn submit_in(
+        &self,
+        scratch: &mut EvalScratch,
         key: CacheKey,
         cancel: &CancelToken,
         queue_wait: Option<Duration>,
@@ -932,16 +955,16 @@ impl QueryService {
             self.counters.queue_wait.record(queue_wait_ns);
         }
         let trace = Self::trace_for(&key, queue_wait_ns);
-        self.serve_with_trace(key, cancel, trace)
+        self.serve_with_trace(scratch, key, cancel, trace)
     }
 
     /// Answers `key` on the calling thread **iff its result is
-    /// resident** — the front door's fast path, run on the connection
-    /// thread ahead of its admission queue, because a hit needs no eval
-    /// worker. A hit is exactly [`QueryService::submit`]'s hit (same
-    /// probe, `serve.hits` / `cache.hits`, GDSF refresh, an
-    /// `outcome=hit` trace with queue wait 0 — it never sat in a
-    /// queue, so `serve.queue_wait` does not move); a miss returns
+    /// resident** — the front door's fast path, run before a query
+    /// takes an evaluation slot, because a hit needs none. A hit is
+    /// exactly [`QueryService::submit`]'s hit (same probe, `serve.hits`
+    /// / `cache.hits`, GDSF refresh, an `outcome=hit` trace with queue
+    /// wait 0 — it never waited for a slot, so `serve.queue_wait` does
+    /// not move); a miss returns
     /// `None` having touched **no** counter and left no trace, so
     /// the caller submits it the admitted way and it is counted there,
     /// once.
@@ -1003,7 +1026,7 @@ impl QueryService {
     }
 
     /// [`QueryService::submit`] for callers that neither cancel nor
-    /// queue.
+    /// wait for admission.
     fn serve(&self, key: CacheKey) -> QueryResponse {
         match self.submit(key, &CancelToken::never(), None) {
             Ok(response) => response,
@@ -1076,6 +1099,7 @@ impl QueryService {
     /// outcome, or the interrupt verdict.
     fn serve_with_trace(
         &self,
+        scratch: &mut EvalScratch,
         key: CacheKey,
         cancel: &CancelToken,
         mut trace: TraceBuilder,
@@ -1115,7 +1139,7 @@ impl QueryService {
                     let start = Instant::now();
                     let eval_begin = trace.span_begin();
                     let (evaluated, levels) = pathlearn_graph::collect_levels(|| {
-                        self.evaluate(&graph, &key, &mut trace, cancel)
+                        self.evaluate(scratch, &graph, &key, &mut trace, cancel)
                     });
                     trace.span_end("eval", eval_begin);
                     let (result, strategy, footprint) = match evaluated {
@@ -1169,25 +1193,19 @@ impl QueryService {
     }
 
     /// Executes one admitted query: one [`EvalPool::evaluate`] call on
-    /// this thread, whose plan and goal follow from the key's kind. The
+    /// this thread, in `scratch`, whose plan and goal follow from the
+    /// key's kind. The
     /// returned [`Strategy`] is the resolved direction (never
     /// `Auto`). A binary query's planning pass is recorded in `trace`
     /// as its own span; a monadic one has nothing to plan.
     fn evaluate(
         &self,
+        scratch: &mut EvalScratch,
         graph: &GraphDb,
         key: &CacheKey,
         trace: &mut TraceBuilder,
         cancel: &CancelToken,
     ) -> Result<(BitSet, Strategy, Option<Footprint>), Interrupt> {
-        // Evaluations run on the calling client thread; a thread-local
-        // scratch keeps the serving hot path free of the
-        // per-miss bitset allocations a fresh scratch would zero
-        // (scratch reuse never changes results — `EvalScratch` docs).
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<EvalScratch> =
-                std::cell::RefCell::new(EvalScratch::new());
-        }
         let (unplanned, planned);
         let (plan, goal, strategy): (&QueryPlan, _, _) = match key.kind {
             // One engine, nothing to plan: a canonical DFA is already
@@ -1207,11 +1225,8 @@ impl QueryService {
                 )
             }
         };
-        SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            let result = self.pool.evaluate(scratch, plan, graph, goal, cancel)?;
-            Ok((result, strategy, scratch.footprint(plan)))
-        })
+        let result = self.pool.evaluate(scratch, plan, graph, goal, cancel)?;
+        Ok((result, strategy, scratch.footprint(plan)))
     }
 
     /// Publishes an evaluated result: cache insert (stamp-guarded),
@@ -1792,7 +1807,10 @@ mod tests {
 
         // Unknown endpoints are rejected without touching anything.
         let err = service.apply_delta(&[(10_000, a, v2)], &[]).unwrap_err();
-        assert!(matches!(err, DeltaError::NodeOutOfRange { .. }));
+        assert!(matches!(
+            err,
+            DeltaCommitError::Rejected(DeltaError::NodeOutOfRange { .. })
+        ));
         assert_eq!(service.stats().deltas_applied, 1);
     }
 

@@ -21,7 +21,7 @@
 //!   exposition.
 //! * **Traces** — [`QueryTrace`] is one query's life: wall-clock spans
 //!   ([`TraceBuilder::span`]: cache_probe → plan → eval → publish),
-//!   admission-queue wait, per-BFS-level samples from
+//!   evaluation-slot wait, per-BFS-level samples from
 //!   [`pathlearn_graph::observer`], and the outcome the client saw.
 //!   Traces land in a lock-striped ring ([`TraceSink`]) plus a
 //!   threshold-gated slow-query log.
@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 // Metric primitives
 // ---------------------------------------------------------------------
 
-/// Shards per counter: enough that the worker/client thread counts the
+/// Shards per counter: enough that the client and connection threads the
 /// serving stack actually runs spread without false sharing, small
 /// enough that reading stays a trivial sum.
 const COUNTER_SHARDS: usize = 8;
@@ -443,8 +443,8 @@ pub struct QueryTrace {
     /// Planner strategy actually run (`"-"` when nothing was
     /// evaluated).
     pub strategy: &'static str,
-    /// Time spent in the admission queue before evaluation began (0
-    /// for in-process callers).
+    /// Time spent waiting for an evaluation slot before evaluation
+    /// began (0 for in-process callers).
     pub queue_wait_ns: u64,
     /// Recorded phases, in order, offsets monotonic.
     pub spans: Vec<TraceSpan>,

@@ -1,14 +1,14 @@
 //! The hit path's semantics, as a matrix — named by CI.
 //!
 //! A query whose answer is resident is answered on the connection
-//! thread, ahead of the admission queue. That must be invisible except
-//! in latency: for a resident **monadic** key, a resident **binary**
-//! key and a **fingerprint** reference alike, deadlines, drains,
-//! counters and traces behave exactly as they do for a submission that
-//! went through a worker — with two documented differences: a hit
-//! leaves no queue-wait sample (it never sat in a queue), and a full
-//! queue does not shed it (shedding protects workers; a hit needs
-//! none).
+//! thread before it takes an evaluation slot. That must be invisible
+//! except in latency: for a resident **monadic** key, a resident
+//! **binary** key and a **fingerprint** reference alike, deadlines,
+//! drains, counters and traces behave exactly as they do for a
+//! submission that took a slot — with two documented differences: a
+//! hit leaves no queue-wait sample (it never waited for a slot), and a
+//! full gate does not shed it (shedding protects the slots; a hit
+//! needs none).
 //!
 //! Interleavings are forced by polling the server's own health report
 //! (`running`, `queue_depth`, phase) rather than by sleeping and
@@ -109,8 +109,8 @@ fn warmed(serve_config: ServeConfig, net_config: NetConfig) -> (Server, GraphDb,
         Shape::BinaryText,
         Shape::Fingerprint(fingerprint),
     ];
-    // A worker answers before it reports itself idle; tests that count
-    // running workers must not see the warm-up's.
+    // Tests that count held slots must not see the warm-up's: wait
+    // until every slot is free.
     wait_for(
         server.admin_sources().health,
         "the warm-up to settle",
@@ -261,7 +261,7 @@ fn a_drain_closes_the_fast_path_too() {
         let parked = scope.spawn(move || parked.query_text("c·a*", NO_DEADLINE_MS).unwrap());
         wait_for(
             &health,
-            "the cold query to occupy a worker",
+            "the cold query to occupy its slot",
             |_, running, _| running == 1,
         );
         // Let it finish evaluating (microseconds) and settle into the
@@ -298,10 +298,10 @@ fn a_drain_closes_the_fast_path_too() {
     });
 }
 
-/// New, documented behaviour: with every eval worker busy **and** the
-/// admission queue at its watermark, a resident key is still a `Hit`
-/// — it needs no worker, so shedding it would protect nothing — while
-/// a cold key is shed exactly as before.
+/// New, documented behaviour: with every evaluation slot taken **and**
+/// the wait for one full, a resident key is still a `Hit` — it needs no
+/// slot, so shedding it would protect nothing — while a cold key is
+/// shed exactly as before.
 #[test]
 fn a_full_queue_sheds_cold_keys_but_still_answers_resident_ones() {
     let serve_config = ServeConfig {
@@ -323,9 +323,10 @@ fn a_full_queue_sheds_cold_keys_but_still_answers_resident_ones() {
                 client.query_text(expr, NO_DEADLINE_MS).unwrap()
             })
         };
-        // Two cold queries park both workers in the holdoff; a third
-        // fills the depth-1 queue. One at a time: a job still waiting
-        // to be popped would shed the next arrival.
+        // Two cold queries take both slots and park in the holdoff; a
+        // third waits for a slot, which fills the depth-1 wait. One at
+        // a time, so each settles into its slot or its wait before the
+        // next arrives.
         let mut admitted = Vec::new();
         for (expr, running, depth) in [("a", 1, 0), ("b", 2, 0), ("c", 2, 1)] {
             admitted.push(cold(expr));

@@ -11,7 +11,7 @@ use pathlearn_server::{
     Client, ErrorCode, NetConfig, Response, ServeConfig, Server, WireServed, NO_DEADLINE_MS,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A ring with chords — multi-word frontiers, both labels reachable.
 fn ring_graph(n: usize) -> GraphDb {
@@ -146,9 +146,9 @@ fn zero_deadline_queries_get_deadline_frames_and_count() {
 
 #[test]
 fn overloaded_queue_sheds_with_a_retry_hint() {
-    // One worker, queue watermark 1, and a 300ms publication holdoff:
-    // the first query occupies the worker, the second the queue, and
-    // later arrivals must shed.
+    // One evaluation slot, at most one waiter, and a 300ms publication
+    // holdoff: the first query holds the slot, the second waits for
+    // it, and later arrivals must shed.
     let serve_config = ServeConfig {
         eval_holdoff: Duration::from_millis(300),
         ..ServeConfig::default()
@@ -181,7 +181,7 @@ fn overloaded_queue_sheds_with_a_retry_hint() {
                     }
                     Response::Shed { retry_after_ms, .. } => {
                         // The hint scales with occupancy: here at most
-                        // 1 queued + 1 running on 1 worker, so between
+                        // 1 waiting + 1 running on 1 slot, so between
                         // 1× and 2× the 77ms base.
                         assert!(
                             (77..=154).contains(&retry_after_ms),
@@ -214,11 +214,11 @@ fn overloaded_queue_sheds_with_a_retry_hint() {
     );
 }
 
-/// Satellite: the SHED backoff hint scales with queue occupancy — a
-/// deeper queue yields a hint ≥ the shallow queue's, because clients
+/// Satellite: the SHED backoff hint scales with the gate's occupancy —
+/// a longer wait yields a hint ≥ the shorter wait's, because clients
 /// bouncing off a four-deep backlog should wait at least as long as
 /// clients bouncing off a one-deep one. With `queue_depth: 4` on one
-/// worker, any shed observes occupancy ≥ 4, so its hint is ≥ 4× the
+/// slot, any shed observes occupancy ≥ 4, so its hint is ≥ 4× the
 /// base — strictly above the depth-1 test's [77, 154] envelope — and
 /// never exceeds the [`pathlearn_server::net::MAX_RETRY_AFTER_MS`] cap.
 #[test]
@@ -236,7 +236,7 @@ fn deeper_queue_yields_a_larger_retry_hint() {
     let server = serve(ring_graph(30), serve_config, net_config);
     let addr = server.local_addr();
 
-    // Nine distinct expressions: 1 running + 4 queued occupy the
+    // Nine distinct expressions: 1 running + 4 waiting occupy the
     // server for the 300ms holdoff, the rest must shed.
     let exprs = ["a", "b", "c", "a·b", "b·c", "c·a", "a·a", "b·b", "c·c"];
     let shed = AtomicUsize::new(0);
@@ -249,7 +249,7 @@ fn deeper_queue_yields_a_larger_retry_hint() {
                 match client.query_text(expr, NO_DEADLINE_MS).unwrap() {
                     Response::Result { .. } => {}
                     Response::Shed { retry_after_ms, .. } => {
-                        // occupancy ∈ [4, 5] on 1 worker: 4–5 backlog
+                        // occupancy ∈ [4, 5] on 1 slot: 4–5 backlog
                         // rounds of the 77ms base.
                         assert!(
                             (308..=385).contains(&retry_after_ms),
@@ -271,6 +271,67 @@ fn deeper_queue_yields_a_larger_retry_hint() {
         shed.load(Ordering::Relaxed) >= 1,
         "nine near-simultaneous queries against 1 worker + depth 4 must shed at least one"
     );
+}
+
+/// A query waiting for an evaluation slot answers `DEADLINE` at its
+/// deadline, not when the slot frees, and never takes the slot: the
+/// query holding it still gets its result.
+#[test]
+fn a_waiting_query_answers_deadline_at_its_deadline() {
+    let serve_config = ServeConfig {
+        eval_holdoff: Duration::from_millis(600),
+        ..ServeConfig::default()
+    };
+    let net_config = NetConfig {
+        eval_workers: 1,
+        queue_depth: 4,
+        ..NetConfig::default()
+    };
+    let server = serve(ring_graph(30), serve_config, net_config);
+    let addr = server.local_addr();
+    let deadlines = || counter(&server.counters(), "serve.deadline_exceeded");
+    let before = deadlines();
+    let health = server.admin_sources().health;
+    let running = || {
+        let report = health();
+        let (_, value) = report
+            .detail
+            .iter()
+            .find(|(name, _)| name == "running")
+            .expect("health reports running")
+            .clone();
+        value
+    };
+
+    std::thread::scope(|scope| {
+        let holder = scope.spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            client.query_text("a·b", NO_DEADLINE_MS).unwrap()
+        });
+        let mut client = Client::connect(addr).unwrap();
+        client.ping().unwrap();
+        // The holder is in its 600ms holdoff once it holds the slot.
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while running() != "1" {
+            assert!(Instant::now() < give_up, "the holder never took the slot");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let sent = Instant::now();
+        match client.query_text("b·c", 50).unwrap() {
+            Response::Deadline { .. } => {}
+            other => panic!("a waiter past its deadline got {other:?}"),
+        }
+        let waited = sent.elapsed();
+        assert!(
+            waited < Duration::from_millis(300),
+            "DEADLINE took {waited:?} for a 50ms budget"
+        );
+        match holder.join().unwrap() {
+            Response::Result { .. } => {}
+            other => panic!("the query holding the slot got {other:?}"),
+        }
+    });
+    assert_eq!(deadlines() - before, 1);
 }
 
 #[test]

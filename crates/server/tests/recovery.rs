@@ -168,11 +168,11 @@ proptest! {
             durable.attach_persistence(recovered.persistence);
             for (add, remove) in &batches[..kill] {
                 durable
-                    .apply_delta_durable(&fix(n, add), &fix(n, remove))
+                    .apply_delta(&fix(n, add), &fix(n, remove))
                     .expect("durable apply");
             }
             // Process dies here: nothing is flushed beyond what
-            // apply_delta_durable already fsynced.
+            // apply_delta already fsynced.
         }
         if tear > 0 {
             tear_wal(&dir, tear);
@@ -235,7 +235,7 @@ proptest! {
             durable.attach_persistence(recovered.persistence);
             for (add, remove) in &batches {
                 durable
-                    .apply_delta_durable(&fix(n, add), &fix(n, remove))
+                    .apply_delta(&fix(n, add), &fix(n, remove))
                     .expect("durable apply");
             }
         }
@@ -274,11 +274,9 @@ fn stale_snapshot_plus_torn_tail_recovers_acknowledged_state() {
         };
         let durable = QueryService::new(recovered.graph, ServeConfig::default());
         durable.attach_persistence(recovered.persistence);
+        durable.apply_delta(&[(x, a, z)], &[]).expect("ack 1");
         durable
-            .apply_delta_durable(&[(x, a, z)], &[])
-            .expect("ack 1");
-        durable
-            .apply_delta_durable(&[(z, a, x)], &[(x, a, y)])
+            .apply_delta(&[(z, a, x)], &[(x, a, y)])
             .expect("ack 2");
     }
     tear_wal(&dir, 1);
@@ -336,7 +334,7 @@ fn replay_of_same_label_records_with_cancellations_is_exact() {
         let durable = QueryService::new(recovered.graph, ServeConfig::default());
         durable.attach_persistence(recovered.persistence);
         for (add, remove) in &batches {
-            durable.apply_delta_durable(add, remove).expect("ack");
+            durable.apply_delta(add, remove).expect("ack");
         }
     }
 
@@ -397,7 +395,7 @@ fn checkpoint_over_a_pending_overlay_leaves_the_served_graph_alone() {
     durable.attach_persistence(recovered.persistence);
     let reference = QueryService::new(base.clone(), ServeConfig::default());
     for (add, remove) in &batches {
-        durable.apply_delta_durable(add, remove).expect("ack");
+        durable.apply_delta(add, remove).expect("ack");
         reference.apply_delta(add, remove).expect("reference apply");
     }
     let checkpoints = durable.telemetry().registry.counter("wal.checkpoints");
@@ -470,8 +468,10 @@ fn rejected_durable_batch_is_never_logged() {
         (vec![(7, a, 0)], vec![(0, a, 8)]),
     ];
     for (add, remove) in &bad_batches {
-        let expected = in_memory.apply_delta(add, remove).unwrap_err();
-        match durable.apply_delta_durable(add, remove) {
+        let Err(DeltaCommitError::Rejected(expected)) = in_memory.apply_delta(add, remove) else {
+            panic!("the in-memory path must reject {add:?} / {remove:?}");
+        };
+        match durable.apply_delta(add, remove) {
             Err(DeltaCommitError::Rejected(verdict)) => assert_eq!(verdict, expected),
             other => panic!("expected a rejection, got {other:?}"),
         }
@@ -483,5 +483,33 @@ fn rejected_durable_batch_is_never_logged() {
         .expect("recover after rejections");
     assert_eq!(recovered.report.wal_records_replayed, 0);
     assert_eq!(recovered.graph.snapshot_bytes(), base.snapshot_bytes());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `apply_delta` is the one write path: on a service with persistence
+/// attached it logs and fsyncs the batch before applying it, so an
+/// acknowledged edge is still there after a restart.
+#[test]
+fn apply_delta_on_a_durable_service_survives_a_restart() {
+    let dir = scratch_dir();
+    let base = pathlearn_graph::graph::figure3_g0();
+    let c = base.alphabet().symbol("c").unwrap();
+    let (v1, v5) = (base.node_id("v1").unwrap(), base.node_id("v5").unwrap());
+    {
+        let recovered = {
+            let base = base.clone();
+            Persistence::recover(&dir, 1 << 20, move || Ok(base)).expect("seed")
+        };
+        let durable = QueryService::new(recovered.graph, ServeConfig::default());
+        durable.attach_persistence(recovered.persistence);
+        durable.apply_delta(&[(v1, c, v5)], &[]).expect("ack");
+        assert_eq!(durable.graph().num_edges(), base.num_edges() + 1);
+    }
+
+    let recovered =
+        Persistence::recover(&dir, 1 << 20, || Err("no fallback".into())).expect("recover");
+    assert_eq!(recovered.report.wal_records_replayed, 1);
+    assert_eq!(recovered.graph.num_edges(), base.num_edges() + 1);
+    assert!(recovered.graph.edges().any(|edge| edge == (v1, c, v5)));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -195,9 +195,9 @@ fn stats_counters_are_sorted_and_keep_every_legacy_key() {
 
     assert_eq!(counter(&stats, "net.queries"), 4);
     assert!(counter(&stats, "serve.hits") >= 1, "repeat query hits");
-    // Three misses went through the admission queue; the repeated
-    // `a·b` was a hit answered on the connection thread and never sat
-    // in one, so it leaves no queue-wait sample.
+    // Three misses took an evaluation slot; the repeated `a·b` was a
+    // hit answered on the connection thread and never waited for one,
+    // so it leaves no queue-wait sample.
     assert_eq!(counter(&stats, "serve.queue_wait_count"), 3);
     assert!(
         counter(&stats, "net.latency_count") >= 4,
