@@ -1506,9 +1506,8 @@ impl GraphDb {
     /// The validation [`GraphDb::with_delta`] applies before touching
     /// anything: every endpoint must be a node of this graph and every
     /// label a symbol of its alphabet (both are frozen, see
-    /// [`DeltaError`]). Exposed so a durable caller can reject a batch
-    /// with the same verdict *before* logging it.
-    pub fn check_delta(
+    /// [`DeltaError`]). Removals are checked first.
+    fn check_delta(
         &self,
         add: &[(NodeId, Symbol, NodeId)],
         remove: &[(NodeId, Symbol, NodeId)],
@@ -1536,8 +1535,8 @@ impl GraphDb {
     /// lists ends up **present**). Deltas are total and no-op tolerant:
     /// removing an absent edge or adding a present one does nothing, and
     /// opposite mutations cancel, so a fully cancelled overlay returns a
-    /// delta-free handle. Only unknown endpoints or labels fail
-    /// ([`GraphDb::check_delta`]): the node set and the alphabet are
+    /// delta-free handle. Only unknown endpoints or labels fail, checked
+    /// before anything is copied: the node set and the alphabet are
     /// frozen (see [`DeltaError`]).
     ///
     /// The receiver is untouched (handles are snapshots), and stacking is

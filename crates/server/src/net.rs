@@ -63,8 +63,9 @@
 //! graph is a new server. `DELTA` frames are the one write path: they
 //! are handled inline on the connection thread through
 //! [`QueryService::apply_delta`] — no slot, no shed — because a delta
-//! invalidates only the cache entries its edges reach and fences stale
-//! in-flight publishes with per-label epochs. The table is **retained**
+//! invalidates only the cache entries its edges reach and waits for the
+//! evaluations already running, so none publishes a pre-delta answer
+//! after it. The table is **retained**
 //! across deltas: the node set and the alphabet are frozen under the
 //! delta contract, so every established fingerprint and every memoised
 //! text still names the same canonical query.
@@ -516,7 +517,8 @@ impl Shared {
     /// the served graph, hand the batch to
     /// [`QueryService::apply_delta`], and answer `DELTA_APPLIED` (or a
     /// request-level `BAD_DELTA` error — the graph is unchanged then).
-    /// No drain, no slot: deltas are the cheap write path, and the
+    /// No slot: the write waits only for the evaluations already
+    /// running, each bounded by the drain flag and its deadline, and the
     /// fingerprint registry survives because the node set and alphabet
     /// are frozen.
     fn handle_delta(&self, request_id: u64, add: &[WireEdge], remove: &[WireEdge]) -> Response {

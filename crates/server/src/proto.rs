@@ -43,7 +43,7 @@
 //! | `0x81` | `RESULT` | `u8 served` (0 hit, 1 coalesced, 2 evaluated; 3 and 4 are reserved and rejected) · `u64 fingerprint` · `u32 canonical_states` · `u64 eval_ns` · bitset (`u32 num_bits` · `u32 num_words` · words) |
 //! | `0x82` | `SHED` | `u32 retry_after_ms` — every evaluation slot taken and the wait for one full |
 //! | `0x83` | `DEADLINE` | empty — the deadline budget expired before a result |
-//! | `0x84` | `DRAINING` | empty — server draining for rebuild/shutdown; retry later |
+//! | `0x84` | `DRAINING` | empty — server draining for shutdown; retry later |
 //! | `0x85` | `ERROR` | `u8 code` ([`ErrorCode`]) · message string |
 //! | `0x86` | `STATS` | `u32 n` · n × (`u8 name_len` · name · `u64 value`) |
 //! | `0x87` | `PONG` | empty |
@@ -285,7 +285,7 @@ pub enum Response {
         /// Echo of the request id.
         request_id: u64,
     },
-    /// The server is draining (rebuild or shutdown); retry shortly.
+    /// The server is draining for shutdown; retry shortly.
     Draining {
         /// Echo of the request id.
         request_id: u64,

@@ -92,20 +92,29 @@
 //! exactly the same reached sets, and its footprint stays exact for
 //! later batches.
 //!
-//! In-flight work is fenced by the label rule alone, through
-//! **per-label epochs**: admission captures the maximum epoch over the
-//! query's live alphabet, and publication re-checks it, so an
-//! evaluation raced by a delta on its own labels completes for its
-//! waiters but never poisons the cache. The plan cache *survives*
-//! deltas — plans embed label statistics, so a plan tuned pre-delta may
-//! be mildly mistuned, but every strategy is bit-identical, so it is
-//! never wrong. Overlays are folded into a fresh CSR
-//! ([`GraphDb::compact`], node-id- and alphabet-preserving) once they
-//! outgrow [`ServeConfig::delta_compact_threshold`].
+//! A write excludes running evaluations. An admitted evaluation holds a
+//! read guard from just after admission until it has published, and
+//! reads the graph it evaluates under that guard.
+//! [`QueryService::apply_delta`] builds the patched graph outside every
+//! lock a reader takes, logs it when the service is durable, and only
+//! then takes the write guard, and under it the state lock, to swap the
+//! graph and invalidate. So an evaluation ran either wholly before a
+//! write, and its entry is in the cache for the footprint test to judge,
+//! or wholly after it, on the patched graph. A write therefore waits for
+//! the evaluations already running, each bounded by its cancel token;
+//! those admitted while it waits queue behind it at a turnstile, so a
+//! stream of misses cannot starve it. Hits, admission and coalesced
+//! waiters never touch the guard, so a waiter coalesced onto a ticket
+//! admitted before a write may receive the post-write answer: it is
+//! concurrent with the write, so that answer is linearizable.
+//!
+//! The plan cache *survives* deltas — plans embed label statistics, so
+//! a plan tuned pre-delta may be mildly mistuned, but every strategy is
+//! bit-identical, so it is never wrong. Overlays are folded into a fresh
+//! CSR ([`GraphDb::compact`], node-id- and alphabet-preserving) once
+//! they outgrow [`ServeConfig::delta_compact_threshold`].
 
-use crate::cache::{
-    intersects, live_alphabet, touched_labels, CacheConfig, CacheKey, QueryKind, ResultCache,
-};
+use crate::cache::{CacheConfig, CacheKey, QueryKind, ResultCache};
 use crate::telemetry::{Counter, Gauge, Histogram, Telemetry, TraceBuilder};
 use crate::wal::{Persistence, WalError};
 use pathlearn_automata::{BitSet, CanonicalQuery, Dfa};
@@ -116,7 +125,7 @@ use pathlearn_graph::{
     QueryPlan, StepPolicy, Strategy,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Configuration for [`QueryService`].
@@ -379,6 +388,8 @@ struct ServeCounters {
     eval_frontier: Histogram,
     /// Evaluation-slot wait of network-submitted queries.
     queue_wait: Histogram,
+    /// The time a write waits for the evaluations already running.
+    write_wait: Histogram,
 }
 
 impl ServeCounters {
@@ -406,6 +417,7 @@ impl ServeCounters {
             eval_level_ns: registry.histogram("eval.level", "ns"),
             eval_frontier: registry.histogram("eval.frontier", "nodes"),
             queue_wait: registry.histogram("serve.queue_wait", "ns"),
+            write_wait: registry.histogram("serve.write_wait", "ns"),
         }
     }
 
@@ -423,8 +435,8 @@ enum TicketState {
     Pending,
     /// Evaluation finished; every waiter gets this shared result.
     Done(Arc<BitSet>),
-    /// The owner unwound (panic) or the ticket was invalidated before
-    /// completion: waiters must re-admit instead of hanging.
+    /// The owner unwound (panic or interrupt) before completion:
+    /// waiters must re-admit instead of hanging.
     Abandoned,
 }
 
@@ -499,19 +511,18 @@ impl InFlight {
 }
 
 /// Drop guard armed between admission and publication: if evaluation
-/// unwinds, it deregisters the ticket (only if it is still the one in
-/// the table — a delta may have drained it and a new owner taken the
-/// key) and abandons it, so coalesced waiters retry instead of hanging
-/// forever on a Condvar nobody will signal.
+/// unwinds, it deregisters the ticket and abandons it, so coalesced
+/// waiters retry instead of hanging forever on a Condvar nobody will
+/// signal. Only a ticket's owner removes it from the table.
 struct AdmissionGuard<'a> {
     service: &'a QueryService,
     key: &'a CacheKey,
-    ticket: &'a Arc<InFlight>,
+    ticket: &'a InFlight,
     armed: bool,
 }
 
 impl<'a> AdmissionGuard<'a> {
-    fn new(service: &'a QueryService, key: &'a CacheKey, ticket: &'a Arc<InFlight>) -> Self {
+    fn new(service: &'a QueryService, key: &'a CacheKey, ticket: &'a InFlight) -> Self {
         AdmissionGuard {
             service,
             key,
@@ -533,19 +544,12 @@ impl Drop for AdmissionGuard<'_> {
         }
         // Unwinding: tolerate a poisoned lock — the state itself is a
         // plain map and counters, always structurally valid.
-        let mut inner = self
-            .service
+        self.service
             .inner
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if inner
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
             .inflight
-            .get(self.key)
-            .is_some_and(|current| Arc::ptr_eq(current, self.ticket))
-        {
-            inner.inflight.remove(self.key);
-        }
-        drop(inner);
+            .remove(self.key);
         self.ticket.abandon();
     }
 }
@@ -553,14 +557,6 @@ impl Drop for AdmissionGuard<'_> {
 /// Everything the probe-or-admit decision must see atomically.
 struct Inner {
     graph: Arc<GraphDb>,
-    /// Per-label epochs, bumped by [`QueryService::apply_delta`] for
-    /// every label a delta touches (and reset on rebuild, when nothing
-    /// is in flight). An in-flight evaluation
-    /// captures the max over its live alphabet at admission and may
-    /// publish to the cache only if that max is unchanged: a delta on
-    /// labels the query never reads cannot have changed its answer, so
-    /// disjoint-label evaluations keep their cache insert.
-    label_epochs: Vec<u64>,
     cache: ResultCache,
     inflight: HashMap<CacheKey, Arc<InFlight>>,
     /// Binary queries' plans keyed by canonical form: a fingerprint
@@ -573,17 +569,6 @@ struct Inner {
     plans: HashMap<CanonicalQuery, Arc<QueryPlan>>,
 }
 
-impl Inner {
-    /// Max per-label epoch over a live-alphabet slice (0 for ε-style
-    /// queries with an empty one — no delta can ever stale those).
-    fn label_stamp(&self, live: &[u32]) -> u64 {
-        live.iter()
-            .map(|&sym| self.label_epochs[sym as usize])
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 /// Plan-cache entry bound; see [`Inner::plans`].
 const PLAN_CACHE_MAX: usize = 4096;
 
@@ -591,13 +576,7 @@ const PLAN_CACHE_MAX: usize = 4096;
 enum Admission {
     Done(Arc<BitSet>, Served),
     Wait(Arc<InFlight>),
-    Evaluate {
-        graph: Arc<GraphDb>,
-        /// Max per-label epoch over the query's live alphabet at
-        /// admission; re-checked at publication (see [`Inner::label_epochs`]).
-        label_stamp: u64,
-        ticket: Arc<InFlight>,
-    },
+    Evaluate(Arc<InFlight>),
 }
 
 /// The multi-client RPQ query service. See the module docs for the
@@ -623,6 +602,19 @@ enum Admission {
 /// ```
 pub struct QueryService {
     inner: Mutex<Inner>,
+    /// Shared by every running evaluation, from just after its
+    /// admission until it has published; exclusive to a write while it
+    /// swaps the graph and invalidates. Hits, admission and coalesced
+    /// waiters never take it. Std's `RwLock` blocks new readers while a
+    /// writer waits, so no thread takes the read guard twice.
+    evaluating: RwLock<()>,
+    /// Held by a write from before it waits for `evaluating` until its
+    /// swap is done; an evaluation passes through it (lock, release)
+    /// just before taking its read guard. A writer woken by the last
+    /// reader can lose the guard to a reader that takes it again first;
+    /// the turnstile keeps every evaluation admitted while a write waits
+    /// behind that write, so it waits only for those already running.
+    turnstile: Mutex<()>,
     pool: EvalPool,
     strategy: Strategy,
     eval_holdoff: Duration,
@@ -635,9 +627,11 @@ pub struct QueryService {
     /// increments.
     counters: ServeCounters,
     /// Durability, when attached: the WAL the durable delta path logs
-    /// into before applying. Locked **before** `inner` (and never while
-    /// holding it), so log-then-apply is one serialized critical
-    /// section per write.
+    /// into before applying. Also the writer mutex: every
+    /// [`QueryService::apply_delta`], durable or not, holds it from
+    /// reading the served graph to swapping in the patched one. Locked
+    /// **before** `evaluating` and `inner` (and never while holding
+    /// either).
     persistence: Mutex<Option<Persistence>>,
 }
 
@@ -654,12 +648,13 @@ impl QueryService {
         counters.graph_bytes.set(graph.heap_bytes() as u64);
         QueryService {
             inner: Mutex::new(Inner {
-                label_epochs: vec![0; graph.alphabet().len()],
                 graph: Arc::new(graph),
                 cache,
                 inflight: HashMap::new(),
                 plans: HashMap::new(),
             }),
+            evaluating: RwLock::new(()),
+            turnstile: Mutex::new(()),
             pool: EvalPool::sequential().with_step_policy(config.step_policy),
             strategy: config.strategy,
             eval_holdoff: config.eval_holdoff,
@@ -762,7 +757,6 @@ impl QueryService {
     pub fn rebuild_graph(&mut self, graph: GraphDb) {
         let inner = self.inner.get_mut().unwrap();
         debug_assert!(inner.inflight.is_empty());
-        inner.label_epochs = vec![0; graph.alphabet().len()];
         self.counters.graph_bytes.set(graph.heap_bytes() as u64);
         inner.graph = Arc::new(graph);
         inner.cache.clear();
@@ -775,21 +769,26 @@ impl QueryService {
     /// Patches the served graph with an edge-delta batch —
     /// `(G ∖ remove) ∪ add`, see [`GraphDb::with_delta`] — instead of
     /// rebuilding it, and invalidates **only** the cache entries the
-    /// batch's edges reach, and the in-flight coalescing targets whose
-    /// live alphabet intersects the delta's touched labels (module docs,
-    /// *Edge deltas*). Every other entry keeps serving hits: its answer
-    /// is provably unchanged. The plan cache survives (plans are tuning,
-    /// not truth), and the overlay is folded into a fresh CSR once it
-    /// outgrows [`ServeConfig::delta_compact_threshold`].
+    /// batch's edges reach (module docs, *Edge deltas*). Every other
+    /// entry keeps serving hits: its answer is provably unchanged. The
+    /// plan cache survives (plans are tuning, not truth), and the
+    /// overlay is folded into a fresh CSR once it outgrows
+    /// [`ServeConfig::delta_compact_threshold`].
+    ///
+    /// The patched graph is built, and compacted when due, before the
+    /// write takes any lock a reader takes; building it is the batch's
+    /// validation. The write then waits for the evaluations already
+    /// running (each bounded by its cancel token; an in-process
+    /// [`CancelToken::never`] one is not) and swaps the graph and
+    /// invalidates under the state lock. Writes are serialized.
     ///
     /// When a persistence layer is attached
-    /// ([`QueryService::attach_persistence`]), the batch is validated
-    /// against the served graph, appended to the write-ahead log, and
-    /// **fsynced** — and only then applied. A caller that sees `Ok`
-    /// therefore holds a write that survives a crash; a caller that sees
-    /// `Err` knows the graph is unchanged (a batch that fails validation
-    /// is never logged, and a batch whose log append fails is never
-    /// applied).
+    /// ([`QueryService::attach_persistence`]), the built batch is
+    /// appended to the write-ahead log and **fsynced** — and only then
+    /// applied. A caller that sees `Ok` therefore holds a write that
+    /// survives a crash; a caller that sees `Err` knows the graph is
+    /// unchanged (a batch that fails validation is never logged, and a
+    /// batch whose log append fails is never applied).
     ///
     /// After a durable apply the WAL is checkpointed if it has grown
     /// past its record threshold (fresh snapshot + truncate). The
@@ -805,75 +804,59 @@ impl QueryService {
         remove: &[Edge],
     ) -> Result<DeltaApplied, DeltaCommitError> {
         let mut persistence = self.persistence.lock().unwrap();
-        let Some(persistence) = persistence.as_mut() else {
-            return self.patch(add, remove).map_err(DeltaCommitError::Rejected);
-        };
-        // Validate before logging, so the WAL never holds a batch that
-        // replay would reject. (The persistence lock is held across
-        // validate → log → apply, serializing durable writes; the
-        // brief `inner` lock inside respects the persistence-before-
-        // inner ordering.)
-        self.graph()
-            .check_delta(add, remove)
+        let graph = self.graph();
+        let mut patched = graph
+            .with_delta(add, remove)
             .map_err(DeltaCommitError::Rejected)?;
-        persistence
-            .log_batch(add, remove)
-            .map_err(DeltaCommitError::Wal)?;
-        self.counters.wal_records_logged.inc();
-        let applied = self
-            .patch(add, remove)
-            .map_err(DeltaCommitError::Rejected)?;
-        match persistence.maybe_checkpoint(&self.graph()) {
-            Ok(true) => self.counters.wal_checkpoints.inc(),
-            Ok(false) => {}
-            Err(error) => {
-                // Best-effort: the write is already durable in the WAL.
-                self.counters.wal_checkpoint_failures.inc();
-                eprintln!("warning: checkpoint failed (will retry on next write): {error}");
-            }
-        }
-        Ok(applied)
-    }
-
-    /// [`QueryService::apply_delta`]'s in-memory half: patch, invalidate,
-    /// maybe compact. Fails (changing nothing) only on endpoints or
-    /// labels the frozen graph does not know.
-    fn patch(&self, add: &[Edge], remove: &[Edge]) -> Result<DeltaApplied, DeltaError> {
-        let mut inner = self.inner.lock().unwrap();
-        let mut patched = inner.graph.with_delta(add, remove)?;
-        // Touched = labels named by the batch. (A fully cancelled no-op
-        // batch still counts as touching its labels: callers asked for a
-        // write fence, they get one.)
-        let touched = touched_labels(add, remove);
-        for &sym in &touched {
-            inner.label_epochs[sym.index()] += 1;
-        }
         let threshold = self
             .delta_compact_threshold
-            .unwrap_or_else(|| (inner.graph.num_edges() / 8).max(1024));
+            .unwrap_or_else(|| (graph.num_edges() / 8).max(1024));
         let compacted = patched.delta_edges() > threshold;
         if compacted {
             patched = patched.compact();
+        }
+        if let Some(persistence) = persistence.as_mut() {
+            persistence
+                .log_batch(add, remove)
+                .map_err(DeltaCommitError::Wal)?;
+            self.counters.wal_records_logged.inc();
+        }
+        let patched = Arc::new(patched);
+        let waited = Instant::now();
+        let turnstile = self.turnstile.lock().unwrap();
+        let exclusive = self.evaluating.write().unwrap();
+        self.counters
+            .write_wait
+            .record(waited.elapsed().as_nanos() as u64);
+        let invalidated = {
+            let mut inner = self.inner.lock().unwrap();
+            inner.graph = patched.clone();
+            let invalidated = inner.cache.invalidate_edges(add, remove);
+            self.counters.sync_cache_gauges(&inner.cache);
+            invalidated
+        };
+        drop((exclusive, turnstile));
+        if compacted {
             self.counters.compactions.inc();
             self.counters.graph_bytes.set(patched.heap_bytes() as u64);
         }
-        inner.graph = Arc::new(patched);
-        let invalidated = inner.cache.invalidate_edges(add, remove);
         self.counters.label_invalidations.add(invalidated as u64);
-        // Drain (not abandon) the in-flight tickets the delta can have
-        // staled: their owners still complete for pre-delta waiters,
-        // but new submissions
-        // must re-evaluate instead of coalescing onto a stale run. The
-        // publication stamp check makes their cache insert a no-op.
-        inner
-            .inflight
-            .retain(|key, _| !intersects(live_alphabet(&key.query), &touched));
-        self.counters.sync_cache_gauges(&inner.cache);
         self.counters.deltas_applied.inc();
+        if let Some(persistence) = persistence.as_mut() {
+            match persistence.maybe_checkpoint(&patched) {
+                Ok(true) => self.counters.wal_checkpoints.inc(),
+                Ok(false) => {}
+                Err(error) => {
+                    // Best-effort: the write is already durable in the WAL.
+                    self.counters.wal_checkpoint_failures.inc();
+                    eprintln!("warning: checkpoint failed (will retry on next write): {error}");
+                }
+            }
+        }
         Ok(DeltaApplied {
             invalidated,
             compacted,
-            delta_edges: inner.graph.delta_edges(),
+            delta_edges: patched.delta_edges(),
         })
     }
 
@@ -1018,11 +1001,7 @@ impl QueryService {
         }
         let ticket = Arc::new(InFlight::new());
         inner.inflight.insert(key.clone(), ticket.clone());
-        Admission::Evaluate {
-            graph: inner.graph.clone(),
-            label_stamp: inner.label_stamp(live_alphabet(&key.query)),
-            ticket,
-        }
+        Admission::Evaluate(ticket)
     }
 
     /// [`QueryService::submit`] for callers that neither cancel nor
@@ -1130,12 +1109,16 @@ impl QueryService {
                         }
                     }
                 }
-                Admission::Evaluate {
-                    graph,
-                    label_stamp,
-                    ticket,
-                } => {
+                Admission::Evaluate(ticket) => {
                     let mut guard = AdmissionGuard::new(self, &key, &ticket);
+                    // Held until the answer is published: a write waits
+                    // for it, so the graph read here is still the served
+                    // one when the answer lands in the cache. A waiting
+                    // write holds the turnstile, so this one queues
+                    // behind it instead of delaying it further.
+                    drop(self.turnstile.lock().unwrap());
+                    let running = self.evaluating.read().unwrap();
+                    let graph = self.graph();
                     let start = Instant::now();
                     let eval_begin = trace.span_begin();
                     let (evaluated, levels) = pathlearn_graph::collect_levels(|| {
@@ -1149,6 +1132,7 @@ impl QueryService {
                             // ticket and abandons it, so coalesced
                             // waiters re-admit (one may finish the job
                             // under its own, longer budget).
+                            drop(running);
                             drop(guard);
                             return Err(self.note_interrupt_traced(interrupt, trace, &key));
                         }
@@ -1162,8 +1146,9 @@ impl QueryService {
                         footprint,
                     };
                     trace.span("publish", || {
-                        self.publish(&key, &ticket, label_stamp, result.clone(), outcome)
+                        self.publish(&key, &ticket, result.clone(), outcome)
                     });
+                    drop(running);
                     guard.disarm();
                     let served = Served::Evaluated { strategy, eval_ns };
                     self.record_trace(trace, &key, served, levels, &result);
@@ -1229,22 +1214,15 @@ impl QueryService {
         Ok((result, strategy, scratch.footprint(plan)))
     }
 
-    /// Publishes an evaluated result: cache insert (stamp-guarded),
-    /// stats, in-flight removal, ticket completion — in that order, so a
-    /// new submission arriving after the ticket is gone finds the cache
-    /// entry instead. The removal is guarded by ticket identity: after a
-    /// delta drained the key, it may already belong to a new owner whose
-    /// ticket must not be evicted by the old one.
-    ///
-    /// `label_stamp` is the max per-label epoch over the query's live
-    /// alphabet captured at admission: the insert happens only if it is
-    /// unchanged — a delta on labels this query never reads leaves the
-    /// stamp alone, so its result is still published.
+    /// Publishes an evaluated result: cache insert, stats, in-flight
+    /// removal, ticket completion — in that order, so a new submission
+    /// arriving after the ticket is gone finds the cache entry instead.
+    /// The caller holds its evaluation's read guard, so no write lands
+    /// between the graph it evaluated and the insert.
     fn publish(
         &self,
         key: &CacheKey,
-        ticket: &Arc<InFlight>,
-        label_stamp: u64,
+        ticket: &InFlight,
         result: Arc<BitSet>,
         outcome: EvalOutcome,
     ) {
@@ -1265,19 +1243,11 @@ impl QueryService {
         self.counters.eval_ns_total.add(eval_ns);
         {
             let mut inner = self.inner.lock().unwrap();
-            if inner.label_stamp(live_alphabet(&key.query)) == label_stamp {
-                inner
-                    .cache
-                    .insert_with_footprint(key.clone(), result.clone(), work, footprint);
-                self.counters.sync_cache_gauges(&inner.cache);
-            }
-            if inner
-                .inflight
-                .get(key)
-                .is_some_and(|current| Arc::ptr_eq(current, ticket))
-            {
-                inner.inflight.remove(key);
-            }
+            inner
+                .cache
+                .insert_with_footprint(key.clone(), result.clone(), work, footprint);
+            self.counters.sync_cache_gauges(&inner.cache);
+            inner.inflight.remove(key);
         }
         ticket.complete(result);
     }
@@ -1427,7 +1397,7 @@ mod tests {
         let key = CacheKey::monadic(CanonicalQuery::new(&q));
         // Become the owner, then simulate the owner unwinding before
         // publication: the armed guard's drop is exactly that path.
-        let Admission::Evaluate { ticket, .. } = service.admit(&key) else {
+        let Admission::Evaluate(ticket) = service.admit(&key) else {
             panic!("first admission must be an Evaluate");
         };
         let waiter = {
@@ -1443,45 +1413,6 @@ mod tests {
         let response = service.query_monadic(&q);
         assert!(matches!(response.served, Served::Evaluated { .. }));
         assert_eq!(*response.result, eval_monadic(&q, &graph));
-        // Identity-guarded removal: after a first owner loses the key
-        // (as a delta's drain does) and a second owner registers, the
-        // first owner's late publish must not evict the second ticket.
-        let bkey = CacheKey::binary(CanonicalQuery::new(&q), 0);
-        let Admission::Evaluate {
-            ticket: first,
-            label_stamp,
-            ..
-        } = service.admit(&bkey)
-        else {
-            panic!("binary admission must be an Evaluate");
-        };
-        service.inner.lock().unwrap().inflight.remove(&bkey);
-        let Admission::Evaluate { ticket: second, .. } = service.admit(&bkey) else {
-            panic!("re-admission must be an Evaluate");
-        };
-        service.publish(
-            &bkey,
-            &first,
-            label_stamp + 1, // stale stamp: no cache insert either
-            Arc::new(BitSet::new(graph.num_nodes())),
-            EvalOutcome {
-                strategy: Strategy::Forward,
-                eval_ns: 1,
-                work: 1,
-                footprint: None,
-            },
-        );
-        assert!(
-            service
-                .inner
-                .lock()
-                .unwrap()
-                .inflight
-                .get(&bkey)
-                .is_some_and(|t| Arc::ptr_eq(t, &second)),
-            "late publish of a displaced ticket evicted the new owner"
-        );
-        drop(AdmissionGuard::new(&service, &bkey, &second));
     }
 
     #[test]
@@ -1601,7 +1532,7 @@ mod tests {
         // Become the owner with a doomed token: evaluation is never
         // reached — but simulate the owner path by admitting, then
         // letting `submit` hit the eval-time interrupt.
-        let Admission::Evaluate { ticket, .. } = service.admit(&key) else {
+        let Admission::Evaluate(ticket) = service.admit(&key) else {
             panic!("first admission must be an Evaluate");
         };
         // A concurrent coalesced waiter (unbounded token) blocks on the
@@ -1839,15 +1770,17 @@ mod tests {
             .collect();
         barrier.wait();
         std::thread::sleep(Duration::from_millis(50));
-        // Both owners are inside their holdoff; patch label a under them.
+        // Both owners are inside their holdoff; the write on label a
+        // waits until both have published.
         let a = graph.alphabet().symbol("a").unwrap();
         let (v1, v2) = (graph.node_id("v1").unwrap(), graph.node_id("v2").unwrap());
         service.apply_delta(&[], &[(v1, a, v2)]).unwrap();
         for owner in owners {
             owner.join().unwrap();
         }
-        // The a-owner's pre-delta answer was fenced out of the cache;
-        // the b-owner's answer is provably delta-proof and was kept.
+        // The a-owner's pre-delta answer was published before the write
+        // and invalidated by it; the b-owner's answer is provably
+        // delta-proof and was kept.
         assert_eq!(service.query_monadic(&qb).served, Served::Hit);
         let after = service.query_monadic(&qa);
         assert!(
@@ -1856,6 +1789,74 @@ mod tests {
             after.served
         );
         assert_eq!(*after.result, eval_monadic(&qa, &service.graph().compact()));
+    }
+
+    #[test]
+    fn a_write_waits_for_the_evaluation_it_races() {
+        let graph = figure3_g0();
+        let config = ServeConfig {
+            eval_holdoff: Duration::from_millis(200),
+            ..ServeConfig::default()
+        };
+        let service = Arc::new(QueryService::new(graph.clone(), config));
+        let qa = query(&graph, "a");
+        let owner = {
+            let service = service.clone();
+            let qa = qa.clone();
+            std::thread::spawn(move || service.query_monadic(&qa))
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        // The owner is inside its holdoff: the write waits for it to
+        // publish, then invalidates the entry it published.
+        let a = graph.alphabet().symbol("a").unwrap();
+        let (v1, v2) = (graph.node_id("v1").unwrap(), graph.node_id("v2").unwrap());
+        let applied = service.apply_delta(&[], &[(v1, a, v2)]).unwrap();
+        assert_eq!(applied.invalidated, 1);
+        assert_eq!(*owner.join().unwrap().result, eval_monadic(&qa, &graph));
+        assert_eq!(service.counters.write_wait.count(), 1);
+        let after = service.query_monadic(&qa);
+        assert!(matches!(after.served, Served::Evaluated { .. }));
+        assert_eq!(*after.result, eval_monadic(&qa, &service.graph().compact()));
+    }
+
+    /// Evaluations admitted while a write waits queue behind it: a
+    /// reader submitting one miss after another delays a write by at
+    /// most the evaluation it is running.
+    #[test]
+    fn a_write_waits_only_for_the_evaluations_already_running() {
+        let graph = figure3_g0();
+        let config = ServeConfig {
+            eval_holdoff: Duration::from_millis(30),
+            ..ServeConfig::default()
+        };
+        let service = QueryService::new(graph.clone(), config);
+        let q = CanonicalQuery::new(&query(&graph, "(a+b)*·c"));
+        let c = graph.alphabet().symbol("c").unwrap();
+        let (v1, v5) = (graph.node_id("v1").unwrap(), graph.node_id("v5").unwrap());
+        let reading = std::sync::atomic::AtomicBool::new(true);
+        let published = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // Distinct sources of a 7-node graph, then past it: every
+                // submission is a miss.
+                for source in 0.. {
+                    if !reading.load(std::sync::atomic::Ordering::Relaxed) {
+                        break;
+                    }
+                    let key = CacheKey::binary(q.clone(), source);
+                    service.submit(key, &CancelToken::never(), None).unwrap();
+                }
+            });
+            std::thread::sleep(Duration::from_millis(100));
+            let before = service.stats().misses;
+            service.apply_delta(&[(v1, c, v5)], &[]).unwrap();
+            let published = service.stats().misses - before;
+            reading.store(false, std::sync::atomic::Ordering::Relaxed);
+            published
+        });
+        assert!(
+            published <= 1,
+            "{published} evaluations published during the write"
+        );
     }
 
     #[test]

@@ -396,3 +396,89 @@ proptest! {
         }
     }
 }
+
+/// Reads racing writes leave no pre-write answer in the cache: three
+/// reader threads submit every query, monadic and binary, in a loop
+/// while one writer applies seeded batches, each adding and removing
+/// edges of every label. Once all have joined, every answer the service
+/// serves equals a fresh evaluation on the graph it ended with.
+#[test]
+fn racing_reads_and_writes_leave_no_pre_write_answer() {
+    let graph = ring_graph(24);
+    let config = ServeConfig {
+        // Keep every evaluation in flight a little, so writes wait for
+        // some and land between others.
+        eval_holdoff: std::time::Duration::from_micros(200),
+        ..ServeConfig::default()
+    };
+    let service = QueryService::new(graph.clone(), config);
+    let queries: Vec<Dfa> = QUERIES
+        .iter()
+        .map(|expr| Regex::parse(expr, graph.alphabet()).unwrap().to_dfa(3))
+        .collect();
+    let sources: Vec<NodeId> = graph.nodes().collect();
+    let writing = std::sync::atomic::AtomicBool::new(true);
+    std::thread::scope(|scope| {
+        for reader in 0..3 {
+            let (service, queries, sources, writing) = (&service, &queries, &sources, &writing);
+            scope.spawn(move || {
+                while writing.load(std::sync::atomic::Ordering::Relaxed) {
+                    for query in queries {
+                        service.query_monadic(query);
+                        for &source in sources.iter().skip(reader).step_by(3) {
+                            service.query_binary_from(query, source);
+                        }
+                    }
+                }
+            });
+        }
+        let n = graph.num_nodes() as u32;
+        let mut state = 41u64;
+        let mut next = |bound: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % u64::from(bound)) as u32
+        };
+        for _ in 0..30 {
+            let present: Vec<Edge> = service.graph().edges().collect();
+            let remove: Vec<Edge> = (0..2)
+                .map(|_| present[next(present.len() as u32) as usize])
+                .collect();
+            let add: Vec<Edge> = (0..3)
+                .map(|label| (next(n), Symbol::from_index(label), next(n)))
+                .collect();
+            service.apply_delta(&add, &remove).expect("in-range batch");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        writing.store(false, std::sync::atomic::Ordering::Relaxed);
+    });
+    assert_eq!(service.stats().deltas_applied, 30);
+    let graph = service.graph().compact();
+    for (query, expr) in queries.iter().zip(QUERIES) {
+        let served = service.query_monadic(query);
+        assert!(
+            matches!(served.served, Served::Hit | Served::Evaluated { .. }),
+            "monadic {expr}: {:?}",
+            served.served
+        );
+        assert_eq!(
+            *served.result,
+            eval_monadic(query, &graph),
+            "monadic {expr}"
+        );
+        for &source in &sources {
+            let served = service.query_binary_from(query, source);
+            assert!(
+                matches!(served.served, Served::Hit | Served::Evaluated { .. }),
+                "binary {expr} from {source}: {:?}",
+                served.served
+            );
+            assert_eq!(
+                *served.result,
+                eval_binary_from(query, &graph, source),
+                "binary {expr} from {source}"
+            );
+        }
+    }
+}

@@ -204,7 +204,7 @@ fn overloaded_queue_sheds_with_a_retry_hint() {
     );
     assert!(
         answered.load(Ordering::Relaxed) >= 2,
-        "the worker and the queue slot must still answer"
+        "the evaluation slot and the one waiter must still answer"
     );
     let mut client = Client::connect(addr).unwrap();
     let stats = client.stats().unwrap();
@@ -269,7 +269,7 @@ fn deeper_queue_yields_a_larger_retry_hint() {
     });
     assert!(
         shed.load(Ordering::Relaxed) >= 1,
-        "nine near-simultaneous queries against 1 worker + depth 4 must shed at least one"
+        "nine near-simultaneous queries against 1 evaluation slot + depth 4 must shed at least one"
     );
 }
 

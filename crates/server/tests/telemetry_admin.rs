@@ -164,6 +164,9 @@ fn stats_counters_are_sorted_and_keep_every_legacy_key() {
         "serve.queue_wait_count",
         "serve.queue_wait_p50_ns",
         "serve.queue_wait_p99_ns",
+        "serve.write_wait_count",
+        "serve.write_wait_p50_ns",
+        "serve.write_wait_p99_ns",
         "eval.level_count",
         "eval.level_p50_ns",
         "eval.frontier_count",
@@ -467,6 +470,7 @@ fn admin_surface_serves_metrics_health_and_slow_and_flips_on_drain() {
     for series in [
         "net_latency_ns",
         "serve_queue_wait_ns",
+        "serve_write_wait_ns",
         "eval_level_ns",
         "eval_frontier_nodes",
     ] {
