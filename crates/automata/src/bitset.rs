@@ -188,6 +188,37 @@ impl BitSet {
         count
     }
 
+    /// [`BitSet::union_with_recording_new_count`] of `other ∩ mask`, in
+    /// the same one pass: the merge kernel of a search whose steps are
+    /// pruned by a per-target-state set.
+    ///
+    /// # Panics
+    /// Panics if the capacities differ.
+    pub fn union_masked_recording_new_count(
+        &mut self,
+        other: &BitSet,
+        mask: &BitSet,
+        newly: &mut BitSet,
+    ) -> usize {
+        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
+        assert_eq!(self.capacity, mask.capacity, "capacity mismatch");
+        assert_eq!(self.capacity, newly.capacity, "capacity mismatch");
+        let mut count = 0usize;
+        for (((a, &b), &m), n) in self
+            .blocks
+            .iter_mut()
+            .zip(&other.blocks)
+            .zip(&mask.blocks)
+            .zip(&mut newly.blocks)
+        {
+            let fresh = b & m & !*a;
+            *a |= fresh;
+            *n |= fresh;
+            count += fresh.count_ones() as usize;
+        }
+        count
+    }
+
     /// `true` iff `self ⊆ other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
         assert_eq!(self.capacity, other.capacity, "capacity mismatch");
@@ -398,6 +429,14 @@ mod tests {
             reached.union_with_recording_new_count(&incoming, &mut newly),
             0
         );
+        // Masked: only the fresh indices inside the mask join.
+        let mut reached = BitSet::from_indices(200, [0, 64, 128]);
+        let mask = BitSet::from_indices(200, [0, 1, 129, 150]);
+        let mut newly = BitSet::new(200);
+        let fresh = reached.union_masked_recording_new_count(&incoming, &mask, &mut newly);
+        assert_eq!(fresh, 2); // 1, 129
+        assert_eq!(newly, BitSet::from_indices(200, [1, 129]));
+        assert_eq!(reached, BitSet::from_indices(200, [0, 1, 64, 128, 129]));
     }
 
     #[test]

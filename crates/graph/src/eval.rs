@@ -79,16 +79,23 @@
 //!
 //! The cancel token is checked once per level, before the level runs,
 //! so an interrupt never tears a half-merged level and the scratch stays
-//! reusable.
+//! reusable. Every level also adds its work — the frontier nodes entering
+//! it plus the step tasks it ran — to a count that a budget can bound.
 //!
-//! ## Footprints
+//! ## Footprints and patches
 //!
 //! A search run to its fixpoint leaves its `reached` sets in the
-//! scratch, and [`EvalScratch::footprint`] keeps the part of them that
-//! says which edges the search read: [`Footprint::hit_by`] then tells,
-//! for an edge batch, whether the answer can have changed. The serving
-//! layer stores it beside each cached answer, so a delta drops only the
-//! answers its edges reach.
+//! scratch, with their sizes, which every insert keeps up to date.
+//! [`EvalScratch::footprint`] copies them out — one [`NodeSet`] per
+//! state, an empty state for free, a sparse one as a list whose scan
+//! stops at its last member. [`Footprint::hit_by`] then tells, for an
+//! edge batch, whether the answer can have changed, and
+//! [`EvalPool::patch`] brings the answer and its footprint up to the new
+//! graph through the same level loop: it loads the sets, takes out the pairs
+//! a removed edge left without a derivation, seeds the pairs an added
+//! edge reaches, and resumes the search to its fixpoint. The serving
+//! layer stores a footprint beside each cached answer, so a delta leaves
+//! the answers its edges miss alone and patches the ones they hit.
 
 use crate::cancel::{CancelToken, Interrupt};
 use crate::graph::{Dir, GraphDb, NodeId, StepPlan, StepPolicy};
@@ -237,6 +244,14 @@ struct Level {
 }
 
 impl Level {
+    /// The number of nodes over every state.
+    fn total(&self) -> u64 {
+        self.active
+            .iter()
+            .map(|&q| self.lens[q as usize] as u64)
+            .sum()
+    }
+
     /// Clears the level, touching only its active sets: a search that
     /// ran to its end left none, so a reused level costs nothing here.
     fn prepare(&mut self, v: usize, q_states: usize) {
@@ -262,58 +277,97 @@ fn fit(sets: &mut Vec<BitSet>, v: usize, q_states: usize) {
 }
 
 /// The state of one product search: `reached[q]` is every node found at
-/// state `q` so far, `frontier` the subset found in the previous level,
-/// `next` the subset being found in this one.
+/// state `q` so far and `counts[q]` its size, `frontier` the subset
+/// found in the previous level, `next` the subset being found in this
+/// one.
 #[derive(Debug, Default)]
 struct Side {
     reached: Vec<BitSet>,
+    /// `counts[q] = |reached[q]|`, kept by every insert — a seed sets
+    /// it, [`Side::reach`] adds one, [`Side::merge`] adds the fresh
+    /// count its pass already makes — so a harvest skips empty states
+    /// and sizes its lists without a popcount pass.
+    counts: Vec<usize>,
     frontier: Level,
     next: Level,
 }
 
 impl Side {
     fn prepare(&mut self, v: usize, q_states: usize) {
-        fit(&mut self.reached, v, q_states);
-        for set in &mut self.reached {
-            set.clear();
+        // `counts` says which sets a reused side dirtied.
+        for (set, &count) in self.reached.iter_mut().zip(&self.counts) {
+            if count > 0 {
+                set.clear();
+            }
         }
+        fit(&mut self.reached, v, q_states);
+        self.counts.clear();
+        self.counts.resize(q_states, 0);
         self.frontier.prepare(v, q_states);
         self.next.prepare(v, q_states);
     }
 
     /// Seeds the full node set at `state`.
     fn seed_all(&mut self, state: usize) {
+        let v = self.reached[state].capacity();
         self.reached[state].insert_all();
+        self.counts[state] = v;
         self.frontier.sets[state].insert_all();
-        self.frontier.lens[state] = self.reached[state].capacity();
-        self.frontier.active.push(state as StateId);
+        if self.frontier.lens[state] == 0 {
+            self.frontier.active.push(state as StateId);
+        }
+        self.frontier.lens[state] = v;
     }
 
-    /// Seeds the single product pair `(node, state)`.
-    fn seed_node(&mut self, state: usize, node: usize) {
-        self.reached[state].insert(node);
-        self.frontier.sets[state].insert(node);
-        self.frontier.lens[state] = 1;
-        self.frontier.active.push(state as StateId);
+    /// Seeds the product pair `(node, state)` into the frontier, unless
+    /// it is already reached.
+    fn seed(&mut self, state: usize, node: usize) {
+        let Side {
+            reached,
+            counts,
+            frontier,
+            ..
+        } = self;
+        Self::reach(reached, counts, frontier, state, node);
     }
 
     /// Reaches one product pair: if `node` is new at `target` it joins
-    /// `reached` and the next frontier.
+    /// `reached` and `level`.
     #[inline]
-    fn reach(reached: &mut [BitSet], next: &mut Level, target: usize, node: usize) {
+    fn reach(
+        reached: &mut [BitSet],
+        counts: &mut [usize],
+        level: &mut Level,
+        target: usize,
+        node: usize,
+    ) {
         if reached[target].insert(node) {
-            next.sets[target].insert(node);
-            if next.lens[target] == 0 {
-                next.active.push(target as StateId);
+            counts[target] += 1;
+            level.sets[target].insert(node);
+            if level.lens[target] == 0 {
+                level.active.push(target as StateId);
             }
-            next.lens[target] += 1;
+            level.lens[target] += 1;
         }
     }
 
-    /// Folds `found` into `target`: bits not yet reached join `reached`
-    /// and the next frontier.
-    fn merge(reached: &mut [BitSet], next: &mut Level, target: usize, found: &BitSet) {
-        let fresh = reached[target].union_with_recording_new_count(found, &mut next.sets[target]);
+    /// Folds `found` — only its part inside `mask`, when there is one —
+    /// into `target`: bits not yet reached join `reached` and the next
+    /// frontier.
+    fn merge(
+        reached: &mut [BitSet],
+        counts: &mut [usize],
+        next: &mut Level,
+        target: usize,
+        found: &BitSet,
+        mask: Option<&BitSet>,
+    ) {
+        let newly = &mut next.sets[target];
+        let fresh = match mask {
+            None => reached[target].union_with_recording_new_count(found, newly),
+            Some(mask) => reached[target].union_masked_recording_new_count(found, mask, newly),
+        };
+        counts[target] += fresh;
         if fresh > 0 && next.lens[target] == 0 {
             next.active.push(target as StateId);
         }
@@ -338,7 +392,7 @@ impl Side {
     /// search.
     fn union_of(&self, states: impl Iterator<Item = usize>) -> BitSet {
         let mut result = BitSet::new(self.reached[0].capacity());
-        for state in states {
+        for state in states.filter(|&state| self.counts[state] > 0) {
             result.union_with(&self.reached[state]);
         }
         result
@@ -353,19 +407,52 @@ struct StepTask {
     plan: StepPlan,
 }
 
-/// The buffers a level needs besides the [`Side`] it steps.
+/// The buffers a level needs besides the [`Side`] it steps, and the
+/// work the levels have done.
 #[derive(Debug, Default)]
 struct Work {
     /// Step output.
     step: BitSet,
     tasks: Vec<StepTask>,
+    /// Work units spent since [`Work::prepare`]: frontier nodes entering
+    /// each level plus the step tasks it ran — the unit of the serving
+    /// layer's cache cost.
+    spent: u64,
+    /// The units a level may not push `spent` past.
+    budget: u64,
 }
 
 impl Work {
-    /// Fits the step buffer to `|V| = v`.
-    fn prepare(&mut self, v: usize) {
+    /// Fits the step buffer to `|V| = v` and starts a `budget`.
+    fn prepare(&mut self, v: usize, budget: u64) {
         if self.step.capacity() != v {
             self.step = BitSet::new(v);
+        }
+        self.spent = 0;
+        self.budget = budget;
+    }
+}
+
+/// Why a drive stopped short of its fixpoint.
+#[derive(Debug)]
+enum Halt {
+    Interrupt(Interrupt),
+    /// The next level would have spent past the budget.
+    OverBudget,
+}
+
+impl From<Interrupt> for Halt {
+    fn from(interrupt: Interrupt) -> Self {
+        Halt::Interrupt(interrupt)
+    }
+}
+
+impl Halt {
+    /// The verdict of an unbudgeted drive.
+    fn interrupt(self) -> Interrupt {
+        match self {
+            Halt::Interrupt(interrupt) => interrupt,
+            Halt::OverBudget => unreachable!("evaluations run unbudgeted"),
         }
     }
 }
@@ -406,15 +493,18 @@ impl Work {
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     main: Side,
-    /// The coreachability search of the backward binary strategy.
+    /// The coreachability search of the backward binary strategy, and
+    /// a patch's search for one pair's derivation.
     certificate: Side,
+    /// A patch's search from the seeds on the new graph.
+    proven: Side,
     work: Work,
     /// What the last evaluation left in `main`.
     finished: Finished,
 }
 
-/// What the last [`EvalPool::evaluate`] left in its scratch's main
-/// search, for [`EvalScratch::footprint`].
+/// What the last [`EvalPool::evaluate`] or [`EvalPool::patch`] left in
+/// its scratch's main search, for [`EvalScratch::footprint`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Finished {
     /// Nothing exact: no search ran (an ε-monadic, out-of-graph or
@@ -425,8 +515,9 @@ enum Finished {
     Opaque,
     /// The monadic search ran to its fixpoint.
     Monadic,
-    /// The unpruned forward binary search ran to its fixpoint.
-    Forward,
+    /// The unpruned forward binary search from this source ran to its
+    /// fixpoint.
+    Forward(NodeId),
 }
 
 impl EvalScratch {
@@ -467,31 +558,34 @@ impl EvalScratch {
     /// assert!(footprint.hit_by(&query, &ends, &[(node("v1"), c, node("v5"))], &[]));
     /// ```
     pub fn footprint(&self, plan: &QueryPlan) -> Option<Footprint> {
-        let query = plan.query();
-        let reached = &self.main.reached;
+        self.harvest(plan.query())
+    }
+
+    /// [`EvalScratch::footprint`] for the plan's query.
+    fn harvest(&self, query: &Dfa) -> Option<Footprint> {
+        let main = &self.main;
+        let set = |q: usize| NodeSet::counted(&main.reached[q], main.counts[q]);
         match self.finished {
             Finished::Opaque => None,
             Finished::Monadic => {
-                debug_assert_eq!(reached.len(), query.num_states());
+                debug_assert_eq!(main.reached.len(), query.num_states());
                 let q0 = query.initial() as usize;
                 let stored = |q: usize| q != q0 && !query.finals().contains(q);
                 Some(Footprint::Monadic(
                     (0..query.num_states())
-                        .map(|q| stored(q).then(|| NodeSet::of(&reached[q])))
+                        .map(|q| stored(q).then(|| set(q)))
                         .collect(),
                 ))
             }
-            Finished::Forward => {
-                debug_assert_eq!(reached.len(), query.num_states());
-                let mut sources = BitSet::new(reached[0].capacity());
-                for q in 0..query.num_states() {
-                    let steps = (0..query.alphabet_len())
-                        .any(|a| query.step_raw(q as StateId, Symbol::from_index(a)) != DEAD);
-                    if steps {
-                        sources.union_with(&reached[q]);
-                    }
-                }
-                Some(Footprint::Sources(NodeSet::of(&sources)))
+            Finished::Forward(source) => {
+                debug_assert_eq!(main.reached.len(), query.num_states());
+                let answer_state = sole_final(query);
+                Some(Footprint::Forward {
+                    source,
+                    reached: (0..query.num_states())
+                        .map(|q| (Some(q) != answer_state).then(|| set(q)))
+                        .collect(),
+                })
             }
         }
     }
@@ -499,6 +593,21 @@ impl EvalScratch {
 
 /// One graph edge `(source, label, target)` of a delta batch.
 pub type Edge = (NodeId, Symbol, NodeId);
+
+/// An applied edge batch for [`EvalPool::patch`]: the graph before it,
+/// the graph after it — `(before ∖ remove) ∪ add`, as an overlay or
+/// compacted, on the same node ids — and its edges.
+#[derive(Clone, Copy, Debug)]
+pub struct Batch<'a> {
+    /// The graph the patched answer was evaluated on.
+    pub before: &'a GraphDb,
+    /// The graph the patched answer is for.
+    pub after: &'a GraphDb,
+    /// The batch's added edges.
+    pub add: &'a [Edge],
+    /// The batch's removed edges.
+    pub remove: &'a [Edge],
+}
 
 /// A node set stored as whichever of a sorted id list (4 bytes a member)
 /// and a `|V|`-bit set takes fewer bytes.
@@ -513,8 +622,16 @@ pub enum NodeSet {
 impl NodeSet {
     /// `set` as a list iff `4·|set|` is less than the bitset's bytes.
     pub fn of(set: &BitSet) -> Self {
-        if 4 * set.len() < std::mem::size_of_val(set.as_blocks()) {
-            NodeSet::List(set.iter().map(|node| node as NodeId).collect())
+        Self::counted(set, set.len())
+    }
+
+    /// [`NodeSet::of`] for a set whose size `len` is known: an empty set
+    /// costs no scan, and a list scan stops at its last member.
+    fn counted(set: &BitSet, len: usize) -> Self {
+        if 4 * len < std::mem::size_of_val(set.as_blocks()) {
+            let mut members = Vec::with_capacity(len);
+            members.extend(set.iter().take(len).map(|node| node as NodeId));
+            NodeSet::List(members.into_boxed_slice())
         } else {
             NodeSet::Bits(set.clone())
         }
@@ -535,30 +652,130 @@ impl NodeSet {
             NodeSet::Bits(bits) => std::mem::size_of_val(bits.as_blocks()),
         }
     }
+
+    /// ORs the members into `set` and returns how many there are.
+    fn add_to(&self, set: &mut BitSet) -> usize {
+        match self {
+            NodeSet::List(nodes) => {
+                nodes.iter().for_each(|&node| {
+                    set.insert(node as usize);
+                });
+                nodes.len()
+            }
+            NodeSet::Bits(bits) => {
+                set.union_with(bits);
+                bits.len()
+            }
+        }
+    }
 }
 
-/// The nodes whose edges a finished evaluation read — enough to tell,
+/// The reached sets a finished evaluation left — enough to tell,
 /// without evaluating again, that an edge batch leaves its answer
-/// unchanged ([`Footprint::hit_by`]). Harvested by
+/// unchanged ([`Footprint::hit_by`]), and to patch the answer when it
+/// does not ([`EvalPool::patch`]). Harvested by
 /// [`EvalScratch::footprint`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Footprint {
-    /// A forward binary search: the union of `reached[q]` over every
-    /// state `q` with a transition. Only edges out of these nodes were
-    /// ever followed.
-    Sources(NodeSet),
+    /// A forward binary search from `source` run to its fixpoint:
+    /// `reached[q]` for every state `q`, `None` at a query's only final
+    /// state (the answer itself).
+    Forward {
+        /// The node the search was seeded with, at `q₀`.
+        source: NodeId,
+        /// `reached[q]` per state.
+        reached: Vec<Option<NodeSet>>,
+    },
     /// A monadic search run to its fixpoint: `reached[q]` per state,
     /// `None` where no storage is needed — at finals (always all of `V`)
     /// and at `q₀` (the answer itself).
     Monadic(Vec<Option<NodeSet>>),
 }
 
+/// The final state of a query with exactly one.
+fn sole_final(query: &Dfa) -> Option<usize> {
+    let mut finals = query.finals().iter();
+    match (finals.next(), finals.next()) {
+        (Some(f), None) => Some(f),
+        _ => None,
+    }
+}
+
+/// The product edges the graph edge `(u, a, w)` makes, as the search of
+/// `footprint`'s kind follows them: `(x, p, y, q)` for a step from the
+/// pair `(x, p)` to the pair `(y, q)`. The forward search steps
+/// `(u, p) → (w, δ(p, a))`; the monadic one runs backward from
+/// acceptance and steps `(w, δ(p, a)) → (u, p)`.
+fn product_edges(
+    query: &Dfa,
+    forward: bool,
+    (u, sym, w): Edge,
+) -> impl Iterator<Item = (usize, usize, usize, usize)> + '_ {
+    let states = if sym.index() < query.alphabet_len() {
+        query.num_states()
+    } else {
+        0
+    };
+    let (u, w) = (u as usize, w as usize);
+    (0..states as StateId).filter_map(move |p| {
+        let q = query.step_raw(p, sym);
+        (q != DEAD).then(|| {
+            let (p, q) = (p as usize, q as usize);
+            if forward {
+                (u, p, w, q)
+            } else {
+                (w, q, u, p)
+            }
+        })
+    })
+}
+
 impl Footprint {
     /// The bytes the footprint's sets hold.
     pub fn bytes(&self) -> usize {
+        self.sets().iter().flatten().map(NodeSet::bytes).sum()
+    }
+
+    /// `reached[q]` per state, `None` where it is the answer or all of
+    /// `V`.
+    fn sets(&self) -> &[Option<NodeSet>] {
         match self {
-            Footprint::Sources(sources) => sources.bytes(),
-            Footprint::Monadic(sets) => sets.iter().flatten().map(NodeSet::bytes).sum(),
+            Footprint::Forward { reached, .. } => reached,
+            Footprint::Monadic(sets) => sets,
+        }
+    }
+
+    /// The state whose reached set is the answer, where the footprint
+    /// stores none: `q₀` monadically, a forward search's only final.
+    fn answer_state(&self, query: &Dfa) -> Option<usize> {
+        match self {
+            Footprint::Forward { .. } => sole_final(query),
+            Footprint::Monadic(_) => Some(query.initial() as usize),
+        }
+    }
+
+    fn is_forward(&self) -> bool {
+        matches!(self, Footprint::Forward { .. })
+    }
+
+    /// Whether the search reached `(node, q)`; `answer` is the answer
+    /// the footprint belongs to.
+    fn holds(&self, query: &Dfa, answer: &BitSet, q: usize, node: usize) -> bool {
+        match &self.sets()[q] {
+            Some(set) => set.contains(node as NodeId),
+            None if Some(q) == self.answer_state(query) => answer.contains(node),
+            None => true,
+        }
+    }
+
+    /// Whether `(node, q)` is a seed of the search — a pair no edge
+    /// derives, so no removed edge can lose it.
+    fn is_seed(&self, query: &Dfa, q: usize, node: usize) -> bool {
+        match self {
+            Footprint::Forward { source, .. } => {
+                q == query.initial() as usize && node == *source as usize
+            }
+            Footprint::Monadic(_) => query.finals().contains(q),
         }
     }
 
@@ -567,45 +784,52 @@ impl Footprint {
     /// proves the new graph's product search reaches exactly the same
     /// pairs — so the footprint stays exact for the next batch too.
     ///
-    /// An edge `(u, a, w)` is a product edge `(u, p) → (w, q)` for every
-    /// `δ(p, a) = q`. The forward binary search followed it iff `u` was
-    /// reached at `p`: any edge of a stepped label out of a
-    /// [`Footprint::Sources`] node hits. The monadic search runs
-    /// backward from acceptance and followed it iff `w ∈ R[q]`: an added
-    /// edge hits iff some such pair has `w ∈ R[q] ∧ u ∉ R[p]` (it would
-    /// reach a new pair), a removed one iff some has
-    /// `w ∈ R[q] ∧ u ∈ R[p]` (a pair may have been derived through it).
+    /// An edge `(u, a, w)` is one product edge `(x, p) → (y, q)` per
+    /// `δ(p, a) = q` (`x = u, y = w` forward, `x = w, y = u` for the
+    /// monadic search, which runs backward from acceptance). An added
+    /// edge hits iff one of them leaves a reached pair for an unreached
+    /// one (it reaches a new pair); a removed edge hits iff one of them
+    /// joins two reached pairs and its target is not a seed (a pair may
+    /// have been derived through it). Both are exactly the pairs
+    /// [`EvalPool::patch`] starts from.
     pub fn hit_by(&self, query: &Dfa, answer: &BitSet, add: &[Edge], remove: &[Edge]) -> bool {
-        // Every `(p, δ(p, a))` of the label.
-        let steps = |sym: Symbol| {
-            let states = if sym.index() < query.alphabet_len() {
-                query.num_states()
-            } else {
-                0
-            };
-            (0..states as StateId).filter_map(move |p| {
-                let q = query.step_raw(p, sym);
-                (q != DEAD).then_some((p as usize, q as usize))
-            })
+        let reached = |q: usize, node: usize| self.holds(query, answer, q, node);
+        let forward = self.is_forward();
+        let adds_a_pair = |&edge: &Edge| {
+            product_edges(query, forward, edge).any(|(x, p, y, q)| reached(p, x) && !reached(q, y))
         };
+        let was_expanded = |&edge: &Edge| {
+            product_edges(query, forward, edge)
+                .any(|(x, p, y, q)| reached(p, x) && reached(q, y) && !self.is_seed(query, q, y))
+        };
+        add.iter().any(adds_a_pair) || remove.iter().any(was_expanded)
+    }
+
+    /// Loads the reached sets into `side`, prepared for `query`.
+    fn load(&self, query: &Dfa, answer: &BitSet, side: &mut Side) {
+        let answer_state = self.answer_state(query);
+        for (q, reached) in side.reached.iter_mut().enumerate() {
+            side.counts[q] = match &self.sets()[q] {
+                Some(set) => set.add_to(reached),
+                None if Some(q) == answer_state => {
+                    reached.union_with(answer);
+                    answer.len()
+                }
+                None => {
+                    reached.insert_all();
+                    answer.capacity()
+                }
+            };
+        }
+    }
+
+    /// Seeds the search this footprint describes into `side`.
+    fn seed(&self, query: &Dfa, side: &mut Side) {
         match self {
-            Footprint::Sources(sources) => add
-                .iter()
-                .chain(remove)
-                .any(|&(u, sym, _)| sources.contains(u) && steps(sym).next().is_some()),
-            Footprint::Monadic(sets) => {
-                let q0 = query.initial() as usize;
-                let reached = |q: usize, node: NodeId| match &sets[q] {
-                    Some(set) => set.contains(node),
-                    None if q == q0 => answer.contains(node as usize),
-                    None => true,
-                };
-                let adds_a_pair =
-                    |&(u, sym, w): &Edge| steps(sym).any(|(p, q)| reached(q, w) && !reached(p, u));
-                let was_expanded =
-                    |&(u, sym, w): &Edge| steps(sym).any(|(p, q)| reached(q, w) && reached(p, u));
-                add.iter().any(adds_a_pair) || remove.iter().any(was_expanded)
+            Footprint::Forward { source, .. } => {
+                side.seed(query.initial() as usize, *source as usize)
             }
+            Footprint::Monadic(_) => query.finals().iter().for_each(|f| side.seed_all(f)),
         }
     }
 }
@@ -618,37 +842,27 @@ struct Pass<'a> {
     dir: Dir,
 }
 
-/// Runs one planned step into `out`, intersects it with the target's
-/// certificate if there is one, and reports whether anything is left to
-/// merge.
+/// Runs one planned step into `out` and reports whether anything is
+/// left to merge.
 fn run_task(
     graph: &GraphDb,
     pass: Pass<'_>,
     task: &StepTask,
     frontiers: &[BitSet],
-    certificate: Option<&[BitSet]>,
     out: &mut BitSet,
 ) -> bool {
     let frontier = &frontiers[task.state as usize];
     let sym = Symbol::from_index(task.row.sym as usize);
     graph.step_into(pass.dir, task.plan, frontier, sym, out);
-    if let Some(certificate) = certificate {
-        // Sound because every node on a witness path is coreachable;
-        // only deterministic (one-target) passes are ever pruned.
-        let [target] = pass.index.targets(&task.row) else {
-            unreachable!("certificates prune forward-index passes only");
-        };
-        out.intersect_with(&certificate[*target as usize]);
-    }
     !out.is_empty()
 }
 
 /// Runs a [`StepPlan::Sparse`] task through [`GraphDb::step_visit`]:
-/// every endpoint that survives the target's certificate (if any) is
-/// test-and-set straight into `reached` and the next frontier of each
-/// target state — no step buffer, no merge pass. Reports whether some
-/// frontier node had an edge of the label; a task that finds none is the
-/// step [`StepPlan::Skip`] would have dropped.
+/// every endpoint is test-and-set straight into `reached` and the next
+/// frontier of each target state whose certificate (if any) holds it —
+/// no step buffer, no merge pass. Reports whether some frontier node had
+/// an edge of the label; a task that finds none is the step
+/// [`StepPlan::Skip`] would have dropped.
 fn run_sparse_task(
     graph: &GraphDb,
     pass: Pass<'_>,
@@ -658,25 +872,20 @@ fn run_sparse_task(
 ) -> bool {
     let Side {
         reached,
+        counts,
         frontier,
         next,
     } = side;
     let targets = pass.index.targets(&task.row);
-    let pruning = certificate.map(|certificate| {
-        let [target] = targets else {
-            unreachable!("certificates prune forward-index passes only");
-        };
-        &certificate[*target as usize]
-    });
     let frontier = &frontier.sets[task.state as usize];
     let sym = Symbol::from_index(task.row.sym as usize);
     graph.step_visit(pass.dir, frontier, sym, |endpoint| {
         let endpoint = endpoint as usize;
-        if pruning.is_some_and(|certificate| !certificate.contains(endpoint)) {
-            return;
-        }
         for &target in targets {
-            Side::reach(reached, next, target as usize, endpoint);
+            let target = target as usize;
+            if certificate.is_none_or(|certificate| certificate[target].contains(endpoint)) {
+                Side::reach(reached, counts, next, target, endpoint);
+            }
         }
     })
 }
@@ -751,7 +960,8 @@ impl EvalPool {
 
     /// The level kernel (see the module docs): harvest this level's
     /// planned steps, run and merge each, and advance `side` to the next
-    /// level.
+    /// level — unless the level's frontier alone would spend past the
+    /// budget, in which case nothing runs.
     fn step_level(
         &self,
         graph: &GraphDb,
@@ -759,19 +969,15 @@ impl EvalPool {
         side: &mut Side,
         certificate: Option<&[BitSet]>,
         work: &mut Work,
-    ) {
+    ) -> Result<(), Halt> {
+        let frontier_nodes = side.frontier.total();
+        if work.spent.saturating_add(frontier_nodes) > work.budget {
+            return Err(Halt::OverBudget);
+        }
         let observing = crate::observer::level_begin();
-        let frontier_nodes: u64 = if observing.is_some() {
-            let lens = &side.frontier.lens;
-            side.frontier
-                .active
-                .iter()
-                .map(|&q| lens[q as usize] as u64)
-                .sum()
-        } else {
-            0
-        };
-        let Work { step, tasks } = work;
+        let Work {
+            step, tasks, spent, ..
+        } = work;
         tasks.clear();
         for &q in &side.frontier.active {
             let frontier = &side.frontier.sets[q as usize];
@@ -796,12 +1002,24 @@ impl EvalPool {
                 if !run_sparse_task(graph, pass, task, side, certificate) {
                     idle_sparse += 1;
                 }
-            } else if run_task(graph, pass, task, &side.frontier.sets, certificate, step) {
+            } else if run_task(graph, pass, task, &side.frontier.sets, step) {
                 for &target in pass.index.targets(&task.row) {
-                    Side::merge(&mut side.reached, &mut side.next, target as usize, step);
+                    let target = target as usize;
+                    // Sound because every node on a witness path is in
+                    // the certificate of its state.
+                    let mask = certificate.map(|certificate| &certificate[target]);
+                    Side::merge(
+                        &mut side.reached,
+                        &mut side.counts,
+                        &mut side.next,
+                        target,
+                        step,
+                        mask,
+                    );
                 }
             }
         }
+        *spent += frontier_nodes + tasks.len() as u64 - idle_sparse as u64;
         if let Some(started) = observing {
             let count = |plan| tasks.iter().filter(|task| task.plan == plan).count() as u32;
             crate::observer::level_record(
@@ -813,13 +1031,16 @@ impl EvalPool {
             );
         }
         side.advance();
+        Ok(())
     }
 
     /// The driver: steps `side` level by level until its frontier dies
-    /// out or `done` says the answer is settled, checking `cancel` once
-    /// per level. A `certificate` — the `reached` sets of a coreach
-    /// search run to its fixpoint, never a partial one (membership is
-    /// only known at fixpoint) — prunes every step of `side`.
+    /// out or `done` says the answer is settled, checking `cancel` and
+    /// `work`'s budget once per level. A `certificate` — one node set
+    /// per state that holds every pair the search may keep, such as the
+    /// `reached` sets of a coreach search run to its fixpoint (never a
+    /// partial one: membership is only known at fixpoint) — prunes every
+    /// step of `side`.
     #[allow(clippy::too_many_arguments)]
     fn drive(
         &self,
@@ -828,13 +1049,13 @@ impl EvalPool {
         side: &mut Side,
         pass: Pass<'_>,
         certificate: Option<&[BitSet]>,
-        done: impl Fn(&[BitSet]) -> bool,
+        done: impl Fn(&Side) -> bool,
         cancel: &CancelToken,
-    ) -> Result<(), Interrupt> {
+    ) -> Result<(), Halt> {
         while !side.is_done() {
             cancel.check()?;
-            self.step_level(graph, pass, side, certificate, work);
-            if done(&side.reached) {
+            self.step_level(graph, pass, side, certificate, work)?;
+            if done(side) {
                 break;
             }
         }
@@ -900,13 +1121,14 @@ impl EvalPool {
             finished,
             ..
         } = scratch;
-        work.prepare(v);
+        work.prepare(v, u64::MAX);
         main.prepare(v, query.num_states());
         for f in query.finals().iter() {
             main.seed_all(f);
         }
-        let all_selected = |reached: &[BitSet]| reached[q0].len() == v;
-        self.drive(graph, work, main, pass, None, all_selected, cancel)?;
+        let all_selected = |side: &Side| side.counts[q0] == v;
+        self.drive(graph, work, main, pass, None, all_selected, cancel)
+            .map_err(Halt::interrupt)?;
         if main.is_done() {
             *finished = Finished::Monadic;
         }
@@ -934,8 +1156,9 @@ impl EvalPool {
             certificate,
             work,
             finished,
+            ..
         } = scratch;
-        work.prepare(v);
+        work.prepare(v, u64::MAX);
         let coreach = match plan.binary_strategy() {
             Strategy::Backward => {
                 let reverse = TransIndex::reverse(query, sigma);
@@ -947,7 +1170,8 @@ impl EvalPool {
                 for f in query.finals().iter() {
                     certificate.seed_all(f);
                 }
-                self.drive(graph, work, certificate, pass, None, |_| false, cancel)?;
+                self.drive(graph, work, certificate, pass, None, |_| false, cancel)
+                    .map_err(Halt::interrupt)?;
                 // A source outside coreach[q₀] starts no accepting path
                 // (finals' coreach is full, so ε survives this).
                 if !certificate.reached[q0].contains(source) {
@@ -963,12 +1187,230 @@ impl EvalPool {
             dir: Dir::Out,
         };
         main.prepare(v, q_states);
-        main.seed_node(q0, source);
-        self.drive(graph, work, main, pass, coreach, |_| false, cancel)?;
+        main.seed(q0, source);
+        self.drive(graph, work, main, pass, coreach, |_| false, cancel)
+            .map_err(Halt::interrupt)?;
         if coreach.is_none() {
-            *finished = Finished::Forward;
+            *finished = Finished::Forward(source as NodeId);
         }
         Ok(main.union_of(query.finals().iter()))
+    }
+
+    /// Whether `pair = (state, node)` has a derivation on `graph` that
+    /// stays inside `main`'s reached sets: a search from the pair over
+    /// `passes[1]`, the opposite of the search's own pass, meets
+    /// `proven`, a search from the seeds over `passes[0]` that this
+    /// advances instead whenever its frontier is the smaller one. Once
+    /// `proven` dies out it holds every such derivable pair.
+    #[allow(clippy::too_many_arguments)]
+    fn derivable(
+        &self,
+        graph: &GraphDb,
+        passes: [Pass<'_>; 2],
+        main: &Side,
+        proven: &mut Side,
+        check: &mut Side,
+        work: &mut Work,
+        (state, node): (usize, usize),
+    ) -> Result<bool, Halt> {
+        check.prepare(graph.num_nodes(), main.reached.len());
+        check.seed(state, node);
+        loop {
+            let meets = (0..main.reached.len()).any(|q| {
+                check.counts[q] > 0
+                    && proven.counts[q] > 0
+                    && check.reached[q].intersects(&proven.reached[q])
+            });
+            if meets {
+                return Ok(true);
+            }
+            if check.is_done() || proven.is_done() {
+                return Ok(false);
+            }
+            if check.frontier.total() <= proven.frontier.total() {
+                self.step_level(graph, passes[1], check, Some(&main.reached), work)?;
+            } else {
+                self.step_level(graph, passes[0], proven, Some(&main.reached), work)?;
+            }
+        }
+    }
+
+    /// Patches an answer for an edge batch instead of evaluating it
+    /// again: `answer` and `footprint` are what an evaluation of `query`
+    /// (or an earlier patch) left on `batch.before`, and the result is
+    /// the answer and footprint an evaluation on `batch.after` would
+    /// leave — bit-identical, the reached set of every state included.
+    /// `scratch` must be one that `query`'s evaluations could use; what
+    /// it held before is lost. `None` when the patch would spend more
+    /// than `budget` work units (frontier nodes entering a level plus
+    /// step tasks, as an evaluation counts them); the inputs are
+    /// borrowed, so an aborted patch leaves them as they were.
+    ///
+    /// Every search it runs goes through the level kernel that
+    /// [`EvalPool::evaluate`] drives.
+    ///
+    /// - **Removes: delete and re-derive** (DRed, Gupta, Mumick,
+    ///   Subrahmanian 1993), each deletion checked first for another
+    ///   derivation (the Backward/Forward refinement, Motik, Nenov,
+    ///   Piro, Horrocks 2015). A reached pair a removed edge led to is
+    ///   checked: a search from it over the opposite pass on
+    ///   `batch.after`, kept to the reached sets, looks for a search
+    ///   from the seeds, which grows whenever its frontier is the
+    ///   smaller one. A pair they do not join is lost, and the pairs it
+    ///   led to on `batch.before` are checked in turn. Every pair left
+    ///   is derivable on `batch.after`: its old derivation is intact
+    ///   after the last removed edge or lost pair on it, and the pair
+    ///   there passed its check.
+    /// - **Adds: semi-naive resumption.** Every unreached pair an added
+    ///   edge leads to from a reached one is seeded.
+    ///
+    /// The search then resumes from the seeded pairs on `batch.after`
+    /// and runs to its fixpoint, which reaches again any lost pair that
+    /// an added edge makes derivable.
+    ///
+    /// ```
+    /// use pathlearn_graph::eval::{eval_monadic, Batch, EvalScratch, Goal};
+    /// use pathlearn_graph::graph::figure3_g0;
+    /// use pathlearn_graph::plan::QueryPlan;
+    /// use pathlearn_graph::{CancelToken, EvalPool};
+    /// use pathlearn_automata::Regex;
+    ///
+    /// let before = figure3_g0();
+    /// let query = Regex::parse("(a·b)*·c", before.alphabet()).unwrap().to_dfa(3);
+    /// let plan = QueryPlan::forward(&query);
+    /// let pool = EvalPool::sequential();
+    /// let mut scratch = EvalScratch::new();
+    /// let never = CancelToken::never();
+    /// let answer = pool.evaluate(&mut scratch, &plan, &before, Goal::Monadic, &never).unwrap();
+    /// let footprint = scratch.footprint(&plan).unwrap();
+    /// // v5 gains a c-edge, v3 loses its c-edge.
+    /// let (c, node) = (before.alphabet().symbol("c").unwrap(), |n| before.node_id(n).unwrap());
+    /// let (add, remove) = ([(node("v5"), c, node("v7"))], [(node("v3"), c, node("v4"))]);
+    /// let after = before.with_delta(&add, &remove).unwrap();
+    /// let batch = Batch { before: &before, after: &after, add: &add, remove: &remove };
+    /// let (patched, _) = pool
+    ///     .patch(&mut scratch, &query, &answer, &footprint, &batch, u64::MAX)
+    ///     .unwrap();
+    /// assert_eq!(patched, eval_monadic(&query, &after.compact()));
+    /// // With no work to spend, nothing is patched.
+    /// assert!(pool.patch(&mut scratch, &query, &answer, &footprint, &batch, 0).is_none());
+    /// ```
+    pub fn patch(
+        &self,
+        scratch: &mut EvalScratch,
+        query: &Dfa,
+        answer: &BitSet,
+        footprint: &Footprint,
+        batch: &Batch<'_>,
+        budget: u64,
+    ) -> Option<(BitSet, Footprint)> {
+        let v = batch.before.num_nodes();
+        if batch.after.num_nodes() != v || answer.capacity() != v {
+            return None;
+        }
+        let sigma = batch.after.alphabet().len();
+        let forward = footprint.is_forward();
+        // The search's own pass, and the one that finds a pair's
+        // predecessors.
+        let (index, inverse, dir) = if forward {
+            let (index, inverse) = (
+                TransIndex::forward(query, sigma),
+                TransIndex::reverse(query, sigma),
+            );
+            (index, inverse, Dir::Out)
+        } else {
+            let (index, inverse) = (
+                TransIndex::reverse(query, sigma),
+                TransIndex::forward(query, sigma),
+            );
+            (index, inverse, Dir::In)
+        };
+        let pass = Pass { index: &index, dir };
+        let back = Pass {
+            index: &inverse,
+            dir: dir.reverse(),
+        };
+        let never = CancelToken::never();
+        let EvalScratch {
+            main,
+            certificate: check,
+            proven,
+            work,
+            finished,
+        } = scratch;
+        *finished = Finished::Opaque;
+        let q_states = query.num_states();
+        work.prepare(v, budget);
+        main.prepare(v, q_states);
+        footprint.load(query, answer, main);
+
+        // Removes. `pending` holds pairs that may have lost their only
+        // derivation: at first, those a removed edge led to. Each is
+        // checked for another derivation on the new graph; one that has
+        // none is lost, and the pairs it leads to on the old graph are
+        // checked in turn. `proven` is a search from the seeds on the
+        // new graph: every pair it reaches is derivable.
+        let mut pending = VecDeque::new();
+        for &edge in batch.remove {
+            for (x, p, y, q) in product_edges(query, forward, edge) {
+                if main.reached[p].contains(x) && main.reached[q].contains(y) {
+                    pending.push_back((q, y));
+                }
+            }
+        }
+        if !pending.is_empty() {
+            proven.prepare(v, q_states);
+            footprint.seed(query, proven);
+        }
+        while let Some((q, y)) = pending.pop_front() {
+            if !main.reached[q].contains(y) || proven.reached[q].contains(y) {
+                continue;
+            }
+            work.spent += 1;
+            if self
+                .derivable(batch.after, [pass, back], main, proven, check, work, (q, y))
+                .ok()?
+            {
+                proven.seed(q, y);
+                continue;
+            }
+            main.reached[q].remove(y);
+            main.counts[q] -= 1;
+            for row in index.live(q as StateId) {
+                let sym = Symbol::from_index(row.sym as usize);
+                batch
+                    .before
+                    .for_each_neighbor(dir, y as NodeId, sym, |next| {
+                        for &target in index.targets(row) {
+                            pending.push_back((target as usize, next as usize));
+                        }
+                    });
+            }
+        }
+        for &edge in batch.add {
+            for (x, p, y, q) in product_edges(query, forward, edge) {
+                if main.reached[p].contains(x) && !main.reached[q].contains(y) {
+                    main.seed(q, y);
+                }
+            }
+        }
+        self.drive(batch.after, work, main, pass, None, |_| false, &never)
+            .ok()?;
+        let answer = match footprint {
+            Footprint::Forward { source, .. } => {
+                *finished = Finished::Forward(*source);
+                main.union_of(query.finals().iter())
+            }
+            Footprint::Monadic(_) => {
+                *finished = Finished::Monadic;
+                main.reached[query.initial() as usize].clone()
+            }
+        };
+        let footprint = scratch.harvest(query);
+        Some((
+            answer,
+            footprint.expect("a patched search is at its fixpoint"),
+        ))
     }
 
     /// [`EvalPool::evaluate`] of a raw DFA under a forward plan

@@ -56,7 +56,7 @@ pub mod plan;
 pub mod scp;
 
 pub use cancel::{CancelToken, Interrupt};
-pub use eval::{Edge, EvalPool, EvalScratch, Footprint, Goal, NodeSet};
+pub use eval::{Batch, Edge, EvalPool, EvalScratch, Footprint, Goal, NodeSet};
 pub use graph::snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use graph::{DeltaError, Dir, GraphBuilder, GraphDb, NodeId, StepPlan, StepPolicy};
 pub use observer::{collect_levels, LevelSample, MAX_LEVEL_SAMPLES};

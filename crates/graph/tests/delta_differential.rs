@@ -18,12 +18,20 @@
 //! mutated by `(G ∖ remove) ∪ add` per batch, rebuilt through
 //! [`GraphBuilder`] — not `compact()`, which shares the overlay-aware
 //! edge iterator with the code under test.
+//!
+//! The same batches drive [`EvalPool::patch`]: an answer patched batch
+//! after batch, and every reached set its footprint keeps, equal a
+//! from-scratch evaluation on the `compact()` of the post-delta graph,
+//! and each reached set also equals its own oracle — the query
+//! re-targeted to that state, evaluated from scratch.
 
-use pathlearn_automata::{Alphabet, Dfa, Regex, Symbol};
-use pathlearn_graph::eval::{eval_binary_from, eval_monadic, EvalScratch, Goal};
+use pathlearn_automata::{Alphabet, BitSet, Dfa, Regex, Symbol};
+use pathlearn_graph::eval::{eval_binary_from, eval_monadic, Batch, EvalScratch, Goal};
 use pathlearn_graph::plan::plan_query_forced;
 use pathlearn_graph::Strategy as EvalStrategy;
-use pathlearn_graph::{CancelToken, EvalPool, GraphBuilder, GraphDb, NodeId};
+use pathlearn_graph::{
+    CancelToken, EvalPool, Footprint, GraphBuilder, GraphDb, NodeId, NodeSet, QueryPlan,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -361,4 +369,202 @@ fn fixed_delta_shapes() {
     assert!(graph
         .with_delta(&[], &[(x, Symbol::from_index(7), y)])
         .is_err());
+}
+
+/// A batch for the patch suite: an optional label every edge of the
+/// batch is moved to (so batches that add and remove edges of one label
+/// are common), raw additions and removals (ids mod the node count), and
+/// removals of present edges (indices into the current edge list of the
+/// batch's label, or of every label).
+type PatchBatch = (Option<usize>, Vec<RawEdge>, Vec<RawEdge>, Vec<usize>);
+
+fn arb_patch_batches() -> impl Strategy<Value = Vec<PatchBatch>> {
+    let edge = (0u32..10, 0usize..3, 0u32..10);
+    proptest::collection::vec(
+        (
+            proptest::option::of(0usize..3),
+            proptest::collection::vec(edge.clone(), 0..5),
+            proptest::collection::vec(edge, 0..4),
+            proptest::collection::vec(0usize..64, 0..4),
+        ),
+        1..5,
+    )
+}
+
+/// Resolves a patch batch against the graph it applies to.
+fn resolve(graph: &GraphDb, (label, add, remove, present): &PatchBatch) -> (Vec<Edge>, Vec<Edge>) {
+    let n = graph.num_nodes() as u32;
+    let fix = |&(s, sym, d): &RawEdge| (s % n, Symbol::from_index(label.unwrap_or(sym)), d % n);
+    let add: Vec<Edge> = add.iter().map(fix).collect();
+    let mut remove: Vec<Edge> = remove.iter().map(fix).collect();
+    let edges: Vec<Edge> = graph
+        .edges()
+        .filter(|&(_, sym, _)| label.is_none_or(|label| sym.index() == label))
+        .collect();
+    if !edges.is_empty() {
+        remove.extend(present.iter().map(|&i| edges[i % edges.len()]));
+    }
+    (add, remove)
+}
+
+/// `query` with its initial state and its finals replaced.
+fn retarget(query: &Dfa, initial: usize, finals: &[usize]) -> Dfa {
+    let mut dfa = Dfa::new(query.num_states(), query.alphabet_len(), initial as u32);
+    for (p, sym, q) in query.transitions() {
+        dfa.set_transition(p, sym, q);
+    }
+    for &f in finals {
+        dfa.set_final(f as u32);
+    }
+    dfa
+}
+
+fn members(set: &NodeSet, n: usize) -> BitSet {
+    BitSet::from_indices(n, (0..n).filter(|&node| set.contains(node as NodeId)))
+}
+
+/// Every reached set `footprint` keeps equals its oracle on `graph`: a
+/// monadic `reached[q]` is what the query started at `q` selects; a
+/// forward `reached[q]` is where the query's paths from the source end
+/// at `q`.
+fn assert_reached_sets(
+    footprint: &Footprint,
+    query: &Dfa,
+    graph: &GraphDb,
+) -> Result<(), TestCaseError> {
+    let n = graph.num_nodes();
+    match footprint {
+        Footprint::Monadic(sets) => {
+            let finals: Vec<usize> = query.finals().iter().collect();
+            for (q, set) in sets.iter().enumerate() {
+                if let Some(set) = set {
+                    let expected = eval_monadic(&retarget(query, q, &finals), graph);
+                    prop_assert_eq!(&members(set, n), &expected, "monadic reached[{}]", q);
+                }
+            }
+        }
+        Footprint::Forward { source, reached } => {
+            let q0 = query.initial() as usize;
+            for (q, set) in reached.iter().enumerate() {
+                if let Some(set) = set {
+                    let expected = eval_binary_from(&retarget(query, q0, &[q]), graph, *source);
+                    prop_assert_eq!(&members(set, n), &expected, "forward reached[{}]", q);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The monadic answer and the binary answer from every source of
+/// `query` on `graph`, each with the footprint its evaluation left,
+/// where it left one.
+fn footprinted_answers(
+    query: &Dfa,
+    graph: &GraphDb,
+    scratch: &mut EvalScratch,
+) -> Vec<(Goal, BitSet, Footprint)> {
+    let plan = QueryPlan::forward(query);
+    let never = CancelToken::never();
+    std::iter::once(Goal::Monadic)
+        .chain(graph.nodes().map(Goal::BinaryFrom))
+        .filter_map(|goal| {
+            let answer = EvalPool::sequential()
+                .evaluate(scratch, &plan, graph, goal, &never)
+                .unwrap();
+            scratch
+                .footprint(&plan)
+                .map(|footprint| (goal, answer, footprint))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Patching is evaluation: batch after batch, every patched answer
+    /// and every reached set its footprint keeps equal a from-scratch
+    /// evaluation on the `compact()` of the post-delta graph — monadic
+    /// and forward binary from every source, whether the batch's
+    /// graphs are overlays or compacted. A batch the footprint test
+    /// says misses the answer leaves it and its footprint as they were.
+    #[test]
+    fn patched_answers_and_reached_sets_equal_a_fresh_evaluation(
+        graph in arb_graph(),
+        batches in arb_patch_batches(),
+        query in arb_query(),
+    ) {
+        let pool = EvalPool::sequential();
+        let plan = QueryPlan::forward(&query);
+        let never = CancelToken::never();
+        let (mut scratch, mut patching) = (EvalScratch::new(), EvalScratch::new());
+        let mut entries = footprinted_answers(&query, &graph, &mut scratch);
+        let mut before = graph;
+        for (step, raw) in batches.iter().enumerate() {
+            let (add, remove) = resolve(&before, raw);
+            let mut after = before.with_delta(&add, &remove).expect("in-range batch");
+            if step % 2 == 1 {
+                after = after.compact();
+            }
+            let compacted = after.compact();
+            let batch = Batch { before: &before, after: &after, add: &add, remove: &remove };
+            for (goal, answer, footprint) in &mut entries {
+                let (patched, patched_footprint) = pool
+                    .patch(&mut patching, &query, answer, footprint, &batch, u64::MAX)
+                    .expect("an unbounded patch completes");
+                let fresh = pool.evaluate(&mut scratch, &plan, &compacted, *goal, &never).unwrap();
+                prop_assert_eq!(&patched, &fresh, "{:?} after batch {}", goal, step);
+                if let Some(fresh_footprint) = scratch.footprint(&plan) {
+                    prop_assert_eq!(&patched_footprint, &fresh_footprint, "{:?} after batch {}", goal, step);
+                }
+                assert_reached_sets(&patched_footprint, &query, &compacted)?;
+                if !footprint.hit_by(&query, answer, &add, &remove) {
+                    prop_assert_eq!(&patched, &*answer, "{:?}: a missed answer changed", goal);
+                    prop_assert_eq!(&patched_footprint, &*footprint, "{:?}: a missed footprint changed", goal);
+                }
+                *answer = patched;
+                *footprint = patched_footprint;
+            }
+            before = after;
+        }
+    }
+
+    /// A patch past its budget is refused and leaves its inputs as they
+    /// were. With no work to spend, exactly the batches the footprint
+    /// test says hit the answer are refused; the scratch an aborted
+    /// patch ran in then patches exactly.
+    #[test]
+    fn an_aborted_patch_leaves_its_input_untouched(
+        graph in arb_graph(),
+        batches in arb_patch_batches(),
+        query in arb_query(),
+    ) {
+        let pool = EvalPool::sequential();
+        let plan = QueryPlan::forward(&query);
+        let mut scratch = EvalScratch::new();
+        let entries = footprinted_answers(&query, &graph, &mut scratch);
+        let (add, remove) = resolve(&graph, &batches[0]);
+        let after = graph.with_delta(&add, &remove).expect("in-range batch");
+        let compacted = after.compact();
+        let batch = Batch { before: &graph, after: &after, add: &add, remove: &remove };
+        for (goal, answer, footprint) in &entries {
+            let (kept_answer, kept_footprint) = (answer.clone(), footprint.clone());
+            let patched = pool.patch(&mut scratch, &query, answer, footprint, &batch, 0);
+            prop_assert_eq!(
+                patched.is_none(),
+                footprint.hit_by(&query, answer, &add, &remove),
+                "{:?}",
+                goal
+            );
+            prop_assert_eq!(answer, &kept_answer);
+            prop_assert_eq!(footprint, &kept_footprint);
+            let (patched, _) = pool
+                .patch(&mut scratch, &query, answer, footprint, &batch, u64::MAX)
+                .expect("an unbounded patch completes");
+            let fresh = pool
+                .evaluate(&mut EvalScratch::new(), &plan, &compacted, *goal, &CancelToken::never())
+                .unwrap();
+            prop_assert_eq!(&patched, &fresh, "{:?}", goal);
+        }
+    }
 }

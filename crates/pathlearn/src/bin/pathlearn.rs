@@ -47,12 +47,14 @@
 //! pathlearn update <ADDR> [--add \"src label dst\"]... [--remove \"src label dst\"]...
 //!     Patch a live `pathlearn serve --listen` server over TCP with an
 //!     edge delta (removals apply before additions). Unlike restarting
-//!     the server on a new file, a delta invalidates only the cache
-//!     entries it can change: an entry whose query can see a touched
-//!     label is dropped only if one of the delta's edges hits the
-//!     footprint its evaluation left (an entry without a footprint is
-//!     dropped on the label match alone). Everything else keeps serving
-//!     as hits, and established fingerprints keep resolving.
+//!     the server on a new file, a delta touches only the cache entries
+//!     it can change: an entry whose query can see a touched label is
+//!     patched to the new answer if one of the delta's edges hits the
+//!     footprint its evaluation left, and dropped only when the patch
+//!     would cost more than the evaluation did (an entry without a
+//!     footprint is dropped on the label match alone). Everything else
+//!     keeps serving as hits, and established fingerprints keep
+//!     resolving.
 //!
 //! pathlearn stats <graph.txt>
 //!     Graph statistics (nodes, edges, labels, degree distribution).

@@ -13,14 +13,19 @@
 //!
 //! ## Footprints and edge deltas
 //!
-//! An entry may carry the [`Footprint`] its evaluation left: the nodes
-//! whose edges the product search read. An edge delta then drops a
-//! label-matched entry only if some edge of the batch hits the
-//! footprint ([`ResultCache::invalidate_edges`]); the entries it spares
-//! are counted in `cache.spared`. An entry without one falls back to the
-//! label rule. Footprint bytes are resident bytes: they count against
-//! the budget and in the entry's GDSF size, so footprinted entries are
-//! evicted sooner than bare ones of the same cost.
+//! An entry may carry the [`Footprint`] its evaluation left: the reached
+//! set of every state of its product search. An edge delta judges only
+//! the entries whose live alphabet it touches
+//! ([`ResultCache::patch_edges`]). One whose footprint no edge of the
+//! batch hits is unchanged and stays (`cache.spared`). One it hits is
+//! handed to the caller's patch, which returns the new answer and
+//! footprint (`cache.patched`) or gives up, and then the entry is dropped
+//! (`cache.invalidated`), as is every hit entry without a footprint. A
+//! patched entry keeps its cost and its place in the eviction order; its
+//! bytes are accounted again, and entries are evicted if they no longer
+//! fit. Footprint bytes are resident bytes: they count against the budget
+//! and in the entry's GDSF size, so footprinted entries are evicted
+//! sooner than bare ones of the same cost.
 //!
 //! ## Eviction: GDSF (Greedy-Dual-Size-Frequency)
 //!
@@ -174,12 +179,24 @@ pub struct CacheStats {
     /// Insertions rejected because one entry exceeded the whole budget.
     pub rejected: u64,
     /// Entries dropped by delta invalidation
-    /// ([`ResultCache::invalidate_edges`],
+    /// ([`ResultCache::patch_edges`],
     /// [`ResultCache::invalidate_labels`]).
     pub invalidated: u64,
     /// Entries whose live alphabet a delta touched but whose footprint
     /// its edges missed, so they stayed resident.
     pub spared: u64,
+    /// Entries a delta's edges hit whose answer was patched in place of
+    /// being dropped.
+    pub patched: u64,
+}
+
+/// What [`ResultCache::patch_edges`] did with the entries a batch hit.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EdgeOutcome {
+    /// Entries dropped.
+    pub dropped: usize,
+    /// Entries whose answer and footprint were patched.
+    pub patched: usize,
 }
 
 /// The cache's live counter handles. The cache increments these at its
@@ -196,6 +213,7 @@ pub(crate) struct CacheCounters {
     pub(crate) rejected: Counter,
     pub(crate) invalidated: Counter,
     pub(crate) spared: Counter,
+    pub(crate) patched: Counter,
 }
 
 impl CacheCounters {
@@ -208,6 +226,7 @@ impl CacheCounters {
         registry.adopt_counter("cache.rejected", self.rejected.clone());
         registry.adopt_counter("cache.invalidated", self.invalidated.clone());
         registry.adopt_counter("cache.spared", self.spared.clone());
+        registry.adopt_counter("cache.patched", self.patched.clone());
     }
 }
 
@@ -337,18 +356,7 @@ impl ResultCache {
                 .checked_sub(old.bytes)
                 .expect("cache byte ledger underflow on replacement");
         }
-        while self.bytes + bytes > self.capacity_bytes {
-            let Some((_, victim)) = self.order.pop_first() else {
-                break;
-            };
-            let evicted = self.map.remove(&*victim).expect("victim resident");
-            self.bytes = self
-                .bytes
-                .checked_sub(evicted.bytes)
-                .expect("cache byte ledger underflow on eviction");
-            self.clock = self.clock.max(evicted.priority);
-            self.counters.evictions.inc();
-        }
+        self.evict_until_fits(bytes);
         let priority = self.priority(cost, bytes);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -370,6 +378,22 @@ impl ResultCache {
         true
     }
 
+    /// Evicts minimum-priority entries until `extra` more bytes fit.
+    fn evict_until_fits(&mut self, extra: usize) {
+        while self.bytes + extra > self.capacity_bytes {
+            let Some((_, victim)) = self.order.pop_first() else {
+                break;
+            };
+            let evicted = self.map.remove(&*victim).expect("victim resident");
+            self.bytes = self
+                .bytes
+                .checked_sub(evicted.bytes)
+                .expect("cache byte ledger underflow on eviction");
+            self.clock = self.clock.max(evicted.priority);
+            self.counters.evictions.inc();
+        }
+    }
+
     /// Label-aware invalidation: drops exactly the entries whose live
     /// alphabet intersects `touched` (an edge delta over other labels
     /// cannot change their answers — their canonical DFAs never step
@@ -378,45 +402,72 @@ impl ResultCache {
     /// result over disjoint labels — survives, which is the whole point
     /// of delta-based updates over rebuild-the-world.
     pub fn invalidate_labels(&mut self, touched: &[Symbol]) -> usize {
-        self.invalidate(touched, None)
+        self.invalidate(touched, None, |_, _, _, _| None).dropped
     }
 
-    /// Edge-aware invalidation for the batch `(G ∖ remove) ∪ add`: of
-    /// the entries [`ResultCache::invalidate_labels`] would drop, keeps
+    /// Brings the cache up to the batch `(G ∖ remove) ∪ add`. Of the
+    /// entries [`ResultCache::invalidate_labels`] would drop, it keeps
     /// those whose footprint no edge of the batch hits
     /// ([`Footprint::hit_by`] — their answers, and their footprints, are
-    /// unchanged) and counts them in `cache.spared`. Returns the number
-    /// of dropped entries.
-    pub fn invalidate_edges(&mut self, add: &[Edge], remove: &[Edge]) -> usize {
-        self.invalidate(&touched_labels(add, remove), Some((add, remove)))
+    /// unchanged), counted in `cache.spared`. It hands each hit entry's
+    /// key, answer, footprint and cost to `patch`, and stores the answer
+    /// and footprint it returns as a new `Arc` (`cache.patched`; readers
+    /// may still hold the old one). An entry `patch` returns `None` for,
+    /// or that has no footprint, is dropped (`cache.invalidated`).
+    pub fn patch_edges(
+        &mut self,
+        add: &[Edge],
+        remove: &[Edge],
+        patch: impl FnMut(&CacheKey, &BitSet, &Footprint, u64) -> Option<(BitSet, Footprint)>,
+    ) -> EdgeOutcome {
+        self.invalidate(&touched_labels(add, remove), Some((add, remove)), patch)
     }
 
-    fn invalidate(&mut self, touched: &[Symbol], edges: Option<(&[Edge], &[Edge])>) -> usize {
+    fn invalidate(
+        &mut self,
+        touched: &[Symbol],
+        edges: Option<(&[Edge], &[Edge])>,
+        mut patch: impl FnMut(&CacheKey, &BitSet, &Footprint, u64) -> Option<(BitSet, Footprint)>,
+    ) -> EdgeOutcome {
         let ResultCache {
             map, order, bytes, ..
         } = self;
         let before = map.len();
-        let mut spared = 0;
+        let (mut spared, mut patched) = (0, 0);
         map.retain(|key, entry| {
             if !intersects(live_alphabet(&key.query), touched) {
                 return true;
             }
-            if let (Some((add, remove)), Some(footprint)) = (edges, &entry.footprint) {
-                if !footprint.hit_by(key.query.dfa(), &entry.value, add, remove) {
-                    spared += 1;
-                    return true;
+            let replacement = match (edges, &entry.footprint) {
+                (Some((add, remove)), Some(footprint)) => {
+                    if !footprint.hit_by(key.query.dfa(), &entry.value, add, remove) {
+                        spared += 1;
+                        return true;
+                    }
+                    patch(key, &entry.value, footprint, entry.cost)
                 }
-            }
-            order.remove(&rank(key, entry.priority, entry.seq));
+                _ => None,
+            };
             *bytes = bytes
                 .checked_sub(entry.bytes)
                 .expect("cache byte ledger underflow on invalidation");
-            false
+            let Some((value, footprint)) = replacement else {
+                order.remove(&rank(key, entry.priority, entry.seq));
+                return false;
+            };
+            entry.value = Arc::new(value);
+            entry.bytes = entry_bytes(key, &entry.value, Some(&footprint));
+            entry.footprint = Some(footprint);
+            *bytes += entry.bytes;
+            patched += 1;
+            true
         });
         let dropped = before - map.len();
         self.counters.invalidated.add(dropped as u64);
         self.counters.spared.add(spared);
-        dropped
+        self.counters.patched.add(patched as u64);
+        self.evict_until_fits(0);
+        EdgeOutcome { dropped, patched }
     }
 
     /// Drops every entry (graph rebuild invalidation). Stats and the
@@ -460,6 +511,7 @@ impl ResultCache {
             rejected: self.counters.rejected.get(),
             invalidated: self.counters.invalidated.get(),
             spared: self.counters.spared.get(),
+            patched: self.counters.patched.get(),
         }
     }
 
@@ -725,6 +777,12 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
+    /// [`ResultCache::patch_edges`] with a patch that always gives up:
+    /// the number of entries the batch drops.
+    fn drop_hit(cache: &mut ResultCache, add: &[Edge], remove: &[Edge]) -> usize {
+        cache.patch_edges(add, remove, |_, _, _, _| None).dropped
+    }
+
     /// A node set over a 1,024-node graph (16 blocks, 128 bytes).
     fn nodes(members: impl IntoIterator<Item = usize>) -> NodeSet {
         NodeSet::of(&BitSet::from_indices(1024, members))
@@ -742,7 +800,10 @@ mod tests {
                 members < 32,
                 "{members} members"
             );
-            let footprint = Footprint::Sources(set);
+            let footprint = Footprint::Forward {
+                source: 0,
+                reached: vec![Some(set), None],
+            };
             assert_eq!(footprint.bytes(), footprint_bytes);
             let mut cache = ResultCache::new(CacheConfig::default());
             cache.insert_with_footprint(key("a"), value(1024), 10, Some(footprint));
@@ -750,32 +811,108 @@ mod tests {
         }
     }
 
+    /// The forward footprint of `a·b` from node 3 on a graph whose only
+    /// edge out of 3 is `3 -a-> 4` and where 4 has no b-edge: no set at
+    /// the final state, whose reached set is the answer.
+    fn a_then_b_from_3() -> (CacheKey, Footprint) {
+        let query = key("a·b").query;
+        let dfa = query.dfa();
+        let q1 = dfa.step_raw(dfa.initial(), Symbol::from_index(0));
+        let mut reached = vec![None; dfa.num_states()];
+        reached[dfa.initial() as usize] = Some(nodes([3]));
+        reached[q1 as usize] = Some(nodes([4]));
+        let footprint = Footprint::Forward { source: 3, reached };
+        (CacheKey::binary(query, 3), footprint)
+    }
+
     #[test]
     fn an_entry_survives_edges_that_miss_its_footprint_and_dies_on_a_hit() {
         let alphabet = Alphabet::from_labels(["a", "b", "c"]);
         let [a, b, _] = [0, 1, 2].map(Symbol::from_index);
-        let binary = CacheKey::binary(key("a·b").query, 3);
+        let (binary, footprint) = a_then_b_from_3();
         let mut cache = ResultCache::new(CacheConfig::default());
-        let footprint = Footprint::Sources(nodes([3, 4]));
         cache.insert_with_footprint(binary.clone(), value(1024), 10, Some(footprint));
         cache.insert(key("c"), value(64), 10);
         // Edges out of nodes the search never reached: spared, counted.
-        assert_eq!(cache.invalidate_edges(&[(5, a, 3)], &[(9, b, 4)]), 0);
+        assert_eq!(drop_hit(&mut cache, &[(5, a, 3)], &[(9, b, 4)]), 0);
         assert_eq!(cache.stats().spared, 1);
         // An edge of a label the entry never reads is not a spare: the
         // label rule already keeps it. The bare c entry dies.
         let c = alphabet.symbol("c").unwrap();
-        assert_eq!(cache.invalidate_edges(&[(3, c, 4)], &[]), 1);
+        assert_eq!(drop_hit(&mut cache, &[(3, c, 4)], &[]), 1);
         assert!(cache.get(&key("c")).is_none());
         assert_eq!(cache.stats().spared, 1);
         assert!(cache.get(&binary).is_some());
-        // A removed edge out of a reached node kills it.
+        // Removing a b-edge out of 4 the search never stepped (it did
+        // not reach 0 at the final state) spares it too.
+        assert_eq!(drop_hit(&mut cache, &[], &[(4, b, 0)]), 0);
+        assert_eq!(cache.stats().spared, 2);
+        // Removing the edge the search stepped kills it.
         let bytes = cache.bytes();
-        assert_eq!(cache.invalidate_edges(&[], &[(4, b, 0)]), 1);
+        assert_eq!(drop_hit(&mut cache, &[], &[(3, a, 4)]), 1);
         assert!(cache.get(&binary).is_none());
         assert!(cache.bytes() < bytes);
         assert_eq!(cache.stats().invalidated, 2);
-        assert_eq!(cache.stats().spared, 1);
+        assert_eq!(cache.stats().spared, 2);
+    }
+
+    #[test]
+    fn a_patched_entry_gets_a_new_answer_and_is_accounted_again() {
+        let [_, b, _] = [0, 1, 2].map(Symbol::from_index);
+        let (binary, footprint) = a_then_b_from_3();
+        let mut cache = ResultCache::new(CacheConfig::default());
+        let old = value(1024);
+        cache.insert_with_footprint(binary.clone(), old.clone(), 10, Some(footprint.clone()));
+        let bytes = cache.bytes();
+        // 4 gains a b-edge to 9: the patch is handed the entry and its
+        // cost, and its answer and footprint replace the old ones.
+        let mut patched_footprint = footprint.clone();
+        let Footprint::Forward { reached, .. } = &mut patched_footprint else {
+            unreachable!()
+        };
+        reached[binary.query.dfa().initial() as usize] = Some(nodes(0..200));
+        let outcome = cache.patch_edges(&[(4, b, 9)], &[], |key, answer, seen, cost| {
+            assert_eq!((key, answer, seen, cost), (&binary, &*old, &footprint, 10));
+            Some((BitSet::from_indices(1024, [9]), patched_footprint.clone()))
+        });
+        assert_eq!(
+            outcome,
+            EdgeOutcome {
+                dropped: 0,
+                patched: 1
+            }
+        );
+        let served = cache.get(&binary).expect("a patched entry stays resident");
+        assert!(!Arc::ptr_eq(&served, &old), "readers keep the old answer");
+        assert_eq!(served.iter().collect::<Vec<_>>(), [9]);
+        assert_eq!(
+            cache.bytes(),
+            bytes - 4 + 128,
+            "the grown footprint is counted"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.patched, stats.invalidated, stats.spared), (1, 0, 0));
+        // A patch that gives up drops the entry.
+        assert_eq!(
+            cache.patch_edges(&[(4, b, 300)], &[], |_, _, _, _| None),
+            EdgeOutcome {
+                dropped: 1,
+                patched: 0
+            }
+        );
+        assert!(cache.is_empty());
+        assert_eq!(cache.bytes(), 0);
+        // A patch that no longer fits the budget is evicted.
+        let mut tight = ResultCache::new(CacheConfig {
+            capacity_bytes: bytes,
+        });
+        tight.insert_with_footprint(binary.clone(), value(1024), 10, Some(footprint));
+        let outcome = tight.patch_edges(&[(4, b, 9)], &[], |_, _, _, _| {
+            Some((BitSet::from_indices(1024, [9]), patched_footprint.clone()))
+        });
+        assert_eq!(outcome.patched, 1);
+        assert!(tight.is_empty());
+        assert_eq!((tight.bytes(), tight.stats().evictions), (0, 1));
     }
 
     #[test]
@@ -835,11 +972,11 @@ mod tests {
         let entry = CacheKey::monadic(query);
         cache.insert_with_footprint(entry.clone(), Arc::new(answer), 10, Some(footprint));
         assert_eq!(
-            cache.invalidate_edges(&[(1, b, 6), (3, a, 5)], &[(4, a, 1)]),
+            drop_hit(&mut cache, &[(1, b, 6), (3, a, 5)], &[(4, a, 1)]),
             0
         );
         assert_eq!(cache.stats().spared, 1);
-        assert_eq!(cache.invalidate_edges(&[], &[(1, b, 2)]), 1);
+        assert_eq!(drop_hit(&mut cache, &[], &[(1, b, 2)]), 1);
         assert!(cache.get(&entry).is_none());
     }
 
@@ -848,7 +985,10 @@ mod tests {
         // `invalidate_labels` keeps its label-only meaning: a footprint
         // no edge could hit does not save an entry from it.
         let mut cache = ResultCache::new(CacheConfig::default());
-        let footprint = Footprint::Sources(nodes([]));
+        let footprint = Footprint::Forward {
+            source: 0,
+            reached: vec![Some(nodes([])), None],
+        };
         cache.insert_with_footprint(key("a"), value(1024), 10, Some(footprint));
         assert_eq!(cache.invalidate_labels(&[Symbol::from_index(0)]), 1);
         assert!(cache.is_empty());

@@ -556,6 +556,7 @@ impl Shared {
                 invalidated,
                 compacted,
                 delta_edges,
+                ..
             }) => Response::DeltaApplied {
                 request_id,
                 invalidated: invalidated as u32,
@@ -1390,7 +1391,11 @@ mod tests {
             .service()
             .apply_delta(&[(0, c, 5)], &[])
             .expect("in range");
-        assert_eq!(applied.invalidated, 1, "only c·c reads the touched label");
+        assert_eq!(
+            (applied.invalidated, applied.patched),
+            (0, 1),
+            "only c·c reads the touched label, and it is patched"
+        );
 
         assert_eq!(table_sizes(&server), (2, 2, "a·a".len() + "c·c".len()));
         let after = server
@@ -1402,12 +1407,12 @@ mod tests {
             result_of(ask(&server, &text("a·a"))).served,
             Served::Hit
         ));
-        // The touched label's entry was invalidated, not its memo key:
-        // same shared query, fresh evaluation on the patched graph.
+        // The touched label's entry was patched, and its memo key kept:
+        // same shared query, the patched graph's answer.
         let patched = server.service().graph();
-        let reevaluated = result_of(ask(&server, &text("c·c")));
-        assert!(matches!(reevaluated.served, Served::Evaluated { .. }));
-        assert_eq!(*reevaluated.result, direct(&patched, "c·c"));
+        let served = result_of(ask(&server, &text("c·c")));
+        assert!(matches!(served.served, Served::Hit));
+        assert_eq!(*served.result, direct(&patched.compact(), "c·c"));
     }
 
     /// The server's direct-from-`Arc<BitSet>` writer and the public

@@ -47,7 +47,7 @@
 //! | `0x85` | `ERROR` | `u8 code` ([`ErrorCode`]) · message string |
 //! | `0x86` | `STATS` | `u32 n` · n × (`u8 name_len` · name · `u64 value`) |
 //! | `0x87` | `PONG` | empty |
-//! | `0x88` | `DELTA_APPLIED` | `u32 invalidated` · `u8 compacted` · `u32 delta_edges` — the delta landed; only the cache entries its edges reached were dropped |
+//! | `0x88` | `DELTA_APPLIED` | `u32 invalidated` · `u8 compacted` · `u32 delta_edges` — the delta landed; `invalidated` counts the cache entries its edges reached that were dropped (the others reached were patched) |
 //!
 //! The result bitset is encoded as its backing `u64` blocks, so a client
 //! can compare answers **bit-identically** against direct evaluation —
@@ -317,7 +317,8 @@ pub enum Response {
     DeltaApplied {
         /// Echo of the request id.
         request_id: u64,
-        /// Cache entries the delta's edges reached (and dropped).
+        /// Cache entries the delta's edges reached and that were dropped,
+        /// not patched.
         invalidated: u32,
         /// Whether the overlay was folded into a fresh CSR.
         compacted: bool,

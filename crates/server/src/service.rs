@@ -50,47 +50,51 @@
 //! shared between threads is never rebuilt; its graph changes only by
 //! deltas.
 //!
-//! ## Edge deltas: footprint-filtered invalidation
+//! ## Edge deltas: patched answers
 //!
 //! [`QueryService::apply_delta`] is the incremental alternative: it
 //! patches the current graph with an edge-delta overlay
 //! ([`GraphDb::with_delta`]) instead of swapping it wholesale, and
-//! invalidates **only what the delta can have changed**. Two filters
-//! run in turn.
+//! brings **only what the delta can have changed** up to date. Two
+//! filters pick the entries, and a patch updates them.
 //!
 //! - **Labels.** Every cached entry carries the *live alphabet* of its
 //!   canonical DFA (the labels with at least one defined transition). A
 //!   query that never steps through label `x` provably answers
 //!   identically on a graph whose `x`-edges moved, so an entry whose
-//!   live alphabet misses the batch's labels survives.
+//!   live alphabet misses the batch's labels is left alone.
 //! - **Footprints.** An answer is reachability in the graph × DFA
-//!   product, and an edge `(u, a, w)` is the product edge
-//!   `(u, p) → (w, q)` for every `δ(p, a) = q`. It can change an answer
-//!   only if the search expanded a pair through it. Each entry keeps the
-//!   [`Footprint`] its evaluation left, and a label-matched entry
-//!   survives unless an edge of the batch hits it:
-//!   - a **binary** answer under a forward plan keeps one node set, the
-//!     union of `reached[q]` over every state with a transition; an
-//!     added or removed edge hits iff its source `u` is in it;
-//!   - a **monadic** answer whose search ran to its fixpoint keeps
-//!     `reached[q]` for every state but the finals (always all of `V`)
-//!     and `q₀` (the answer itself). The search runs backward from
-//!     acceptance, so an added edge hits iff some `δ(p, a) = q` has
-//!     `w ∈ R[q] ∧ u ∉ R[p]` (a new pair), a removed one iff some has
-//!     `w ∈ R[q] ∧ u ∈ R[p]` (an expanded edge).
-//!
-//!   A backward-planned binary answer (its pruned search is
-//!   incomplete), a monadic answer cut short at `reached[q₀] = V`, an
-//!   ε-monadic answer and an out-of-graph source keep none, and the
-//!   label rule alone decides for them.
+//!   product, and an edge `(u, a, w)` is one product edge
+//!   `(x, p) → (y, q)` per `δ(p, a) = q` (`x = u, y = w` for a forward
+//!   binary search; `x = w, y = u` for a monadic one, which runs
+//!   backward from acceptance). Each entry keeps the [`Footprint`] its
+//!   evaluation left — `reached[q]` for every state (a monadic one omits
+//!   the finals, always all of `V`, and `q₀`, the answer itself) — and a
+//!   label-matched entry is left alone unless an edge of the batch hits
+//!   it: an added edge hits iff some product edge has
+//!   `x ∈ R[p] ∧ y ∉ R[q]` (a new pair), a removed one iff some has
+//!   `x ∈ R[p] ∧ y ∈ R[q]` and `(y, q)` is not a seed (an expanded
+//!   edge).
+//! - **Patches.** A hit entry is patched by [`EvalPool::patch`] on the
+//!   writer's scratch: the pairs a removed edge left without a
+//!   derivation are taken out, the pairs an added edge reaches are
+//!   seeded, and the search resumes to its fixpoint on the new graph.
+//!   The patched answer is bit-identical to a fresh evaluation and is
+//!   stored as a new `Arc` (readers may hold the old one), with its new
+//!   footprint. A patch may spend the work units the entry's
+//!   evaluation spent (its cache cost); past that, or for an entry with
+//!   no footprint — a backward-planned binary answer (its pruned search
+//!   is incomplete), a monadic answer cut short at `reached[q₀] = V`,
+//!   an ε-monadic answer, an out-of-graph source — the entry is
+//!   dropped, and counted in [`DeltaApplied::invalidated`].
 //!
 //! The footprint test is sound for whole batches. If an added edge
 //! changes the fixpoint, the first new product pair is derived through
 //! some added edge out of (monadic: into) an old pair, and that edge
 //! hits. A removed edge that does not hit was never expanded, so every
-//! old derivation survives. An entry that survives therefore keeps
-//! exactly the same reached sets, and its footprint stays exact for
-//! later batches.
+//! old derivation survives. An entry left alone therefore keeps exactly
+//! the same reached sets, and its footprint stays exact for later
+//! batches; a patched one gets the new graph's.
 //!
 //! A write excludes running evaluations. An admitted evaluation holds a
 //! read guard from just after admission until it has published, and
@@ -98,12 +102,12 @@
 //! [`QueryService::apply_delta`] builds the patched graph outside every
 //! lock a reader takes, logs it when the service is durable, and only
 //! then takes the write guard, and under it the state lock, to swap the
-//! graph and invalidate. So an evaluation ran either wholly before a
-//! write, and its entry is in the cache for the footprint test to judge,
-//! or wholly after it, on the patched graph. A write therefore waits for
-//! the evaluations already running, each bounded by its cancel token;
-//! those admitted while it waits queue behind it at a turnstile, so a
-//! stream of misses cannot starve it. Hits, admission and coalesced
+//! graph and patch or drop the entries it hits. So an evaluation ran
+//! either wholly before a write, and its entry is in the cache for the
+//! footprint test to judge, or wholly after it, on the patched graph. A
+//! write therefore waits for the evaluations already running, each
+//! bounded by its cancel token; those admitted while it waits queue
+//! behind it at a turnstile, so a stream of misses cannot starve it. Hits, admission and coalesced
 //! waiters never touch the guard, so a waiter coalesced onto a ticket
 //! admitted before a write may receive the post-write answer: it is
 //! concurrent with the write, so that answer is linearizable.
@@ -121,10 +125,11 @@ use pathlearn_automata::{BitSet, CanonicalQuery, Dfa};
 use pathlearn_graph::graph::DeltaError;
 use pathlearn_graph::plan::plan_query_forced;
 use pathlearn_graph::{
-    CancelToken, Edge, EvalPool, EvalScratch, Footprint, Goal, GraphDb, Interrupt, NodeId,
+    Batch, CancelToken, Edge, EvalPool, EvalScratch, Footprint, Goal, GraphDb, Interrupt, NodeId,
     QueryPlan, StepPolicy, Strategy,
 };
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -239,14 +244,21 @@ pub struct QueryResponse {
     pub canonical_states: usize,
 }
 
-/// Outcome of one [`QueryService::apply_delta`] batch.
+/// Outcome of one [`QueryService::apply_delta`] batch. Of the cache
+/// entries whose footprint the batch's edges hit, `patched` now hold the
+/// post-batch answer and `invalidated` were dropped; every other entry
+/// was unchanged by the batch and kept as it was.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaApplied {
-    /// Cache entries the batch's edges reached, and so dropped: a
-    /// touched label in the entry's live alphabet and, where the entry
-    /// kept a footprint, an edge that hits it (everything else kept
-    /// serving hits).
+    /// Cache entries the batch's edges reached and that were dropped: a
+    /// touched label in the entry's live alphabet and either no
+    /// footprint or an edge that hits it and a patch that would have
+    /// spent more than the entry's evaluation did.
     pub invalidated: usize,
+    /// Cache entries the batch's edges reached whose answer was patched
+    /// to the post-batch graph's ([`EvalPool::patch`]); they go on
+    /// serving hits.
+    pub patched: usize,
     /// Whether the accumulated overlay was folded into a fresh CSR
     /// after this batch ([`ServeConfig::delta_compact_threshold`]).
     pub compacted: bool,
@@ -300,10 +312,10 @@ pub struct ServeStats {
     /// Graph rebuilds (each clears the cache).
     pub invalidations: u64,
     /// Edge-delta batches applied via [`QueryService::apply_delta`]
-    /// (each invalidates only the entries its edges reach).
+    /// (each patches or drops only the entries its edges reach).
     pub deltas_applied: u64,
-    /// Cache entries dropped by delta invalidation (entries the
-    /// delta's edges reached — [`DeltaApplied::invalidated`]).
+    /// Cache entries a delta's edges reached and that were dropped, not
+    /// patched ([`DeltaApplied::invalidated`]).
     pub label_invalidations: u64,
     /// Delta overlays folded into a fresh CSR after outgrowing
     /// [`ServeConfig::delta_compact_threshold`].
@@ -390,6 +402,9 @@ struct ServeCounters {
     queue_wait: Histogram,
     /// The time a write waits for the evaluations already running.
     write_wait: Histogram,
+    /// The time a write holds the state lock to swap the graph and
+    /// patch or drop the cache entries the batch hit.
+    write_hold: Histogram,
 }
 
 impl ServeCounters {
@@ -418,6 +433,7 @@ impl ServeCounters {
             eval_frontier: registry.histogram("eval.frontier", "nodes"),
             queue_wait: registry.histogram("serve.queue_wait", "ns"),
             write_wait: registry.histogram("serve.write_wait", "ns"),
+            write_hold: registry.histogram("serve.write_hold", "ns"),
         }
     }
 
@@ -604,7 +620,7 @@ pub struct QueryService {
     inner: Mutex<Inner>,
     /// Shared by every running evaluation, from just after its
     /// admission until it has published; exclusive to a write while it
-    /// swaps the graph and invalidates. Hits, admission and coalesced
+    /// swaps the graph and patches. Hits, admission and coalesced
     /// waiters never take it. Std's `RwLock` blocks new readers while a
     /// writer waits, so no thread takes the read guard twice.
     evaluating: RwLock<()>,
@@ -626,13 +642,44 @@ pub struct QueryService {
     /// Live handles into `telemetry.registry` for the hot-path
     /// increments.
     counters: ServeCounters,
-    /// Durability, when attached: the WAL the durable delta path logs
-    /// into before applying. Also the writer mutex: every
-    /// [`QueryService::apply_delta`], durable or not, holds it from
-    /// reading the served graph to swapping in the patched one. Locked
-    /// **before** `evaluating` and `inner` (and never while holding
-    /// either).
-    persistence: Mutex<Option<Persistence>>,
+    /// The writer mutex: every [`QueryService::apply_delta`], durable
+    /// or not, holds it from reading the served graph to swapping in the
+    /// patched one. Locked **before** `evaluating` and `inner` (and
+    /// never while holding either).
+    writer: Mutex<Writer>,
+    /// The WAL status the writer last published, read without the
+    /// writer mutex.
+    durability: Durability,
+}
+
+/// What only a write touches.
+#[derive(Default)]
+struct Writer {
+    /// Durability, when attached: the WAL the delta path logs into
+    /// before applying.
+    persistence: Option<Persistence>,
+    /// The buffers cache entries are patched in.
+    scratch: EvalScratch,
+}
+
+/// WAL status for readiness reporting, published by the writer when
+/// persistence is attached and after every durable write, so that a
+/// health check never waits for a write.
+#[derive(Default)]
+struct Durability {
+    attached: AtomicBool,
+    wal_records: AtomicU64,
+    checkpoint_threshold: AtomicU64,
+}
+
+impl Durability {
+    fn publish(&self, persistence: &Persistence) {
+        self.wal_records
+            .store(persistence.wal_records() as u64, Ordering::Relaxed);
+        self.checkpoint_threshold
+            .store(persistence.checkpoint_threshold() as u64, Ordering::Relaxed);
+        self.attached.store(true, Ordering::Release);
+    }
 }
 
 impl QueryService {
@@ -661,7 +708,8 @@ impl QueryService {
             delta_compact_threshold: config.delta_compact_threshold,
             telemetry,
             counters,
-            persistence: Mutex::new(None),
+            writer: Mutex::new(Writer::default()),
+            durability: Durability::default(),
         }
     }
 
@@ -676,13 +724,17 @@ impl QueryService {
     }
 
     /// WAL status for readiness reporting, when persistence is
-    /// attached: `(wal_records, checkpoint_threshold)`.
+    /// attached: `(wal_records, checkpoint_threshold)` as of the last
+    /// applied write. Reads what the writer published, so it never
+    /// waits for a write in progress.
     pub fn persistence_status(&self) -> Option<(u64, u64)> {
-        self.persistence
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map(|p| (p.wal_records() as u64, p.checkpoint_threshold() as u64))
+        let status = &self.durability;
+        status.attached.load(Ordering::Acquire).then(|| {
+            (
+                status.wal_records.load(Ordering::Relaxed),
+                status.checkpoint_threshold.load(Ordering::Relaxed),
+            )
+        })
     }
 
     /// Attaches an open snapshot+WAL pair (see
@@ -690,12 +742,15 @@ impl QueryService {
     /// [`QueryService::apply_delta`] logs every batch before applying
     /// it, and checkpoints past the WAL's record threshold.
     pub fn attach_persistence(&self, persistence: Persistence) {
-        *self.persistence.lock().unwrap() = Some(persistence);
+        let mut writer = self.writer.lock().unwrap();
+        self.durability.publish(&persistence);
+        writer.persistence = Some(persistence);
     }
 
-    /// Whether a persistence layer is attached.
+    /// Whether a persistence layer is attached. Never waits for a
+    /// write.
     pub fn is_durable(&self) -> bool {
-        self.persistence.lock().unwrap().is_some()
+        self.durability.attached.load(Ordering::Acquire)
     }
 
     /// The currently served graph (the `Arc` stays valid across
@@ -768,8 +823,10 @@ impl QueryService {
 
     /// Patches the served graph with an edge-delta batch —
     /// `(G ∖ remove) ∪ add`, see [`GraphDb::with_delta`] — instead of
-    /// rebuilding it, and invalidates **only** the cache entries the
-    /// batch's edges reach (module docs, *Edge deltas*). Every other
+    /// rebuilding it, and brings **only** the cache entries the batch's
+    /// edges reach up to date (module docs, *Edge deltas*): each is
+    /// patched to the new graph's answer, or dropped when the patch
+    /// would cost more than the entry's evaluation did. Every other
     /// entry keeps serving hits: its answer is provably unchanged. The
     /// plan cache survives (plans are tuning, not truth), and the
     /// overlay is folded into a fresh CSR once it outgrows
@@ -779,8 +836,9 @@ impl QueryService {
     /// write takes any lock a reader takes; building it is the batch's
     /// validation. The write then waits for the evaluations already
     /// running (each bounded by its cancel token; an in-process
-    /// [`CancelToken::never`] one is not) and swaps the graph and
-    /// invalidates under the state lock. Writes are serialized.
+    /// [`CancelToken::never`] one is not), and swaps the graph and
+    /// patches or drops the entries it hits under the state lock.
+    /// Writes are serialized.
     ///
     /// When a persistence layer is attached
     /// ([`QueryService::attach_persistence`]), the built batch is
@@ -803,7 +861,11 @@ impl QueryService {
         add: &[Edge],
         remove: &[Edge],
     ) -> Result<DeltaApplied, DeltaCommitError> {
-        let mut persistence = self.persistence.lock().unwrap();
+        let mut writer = self.writer.lock().unwrap();
+        let Writer {
+            persistence,
+            scratch,
+        } = &mut *writer;
         let graph = self.graph();
         let mut patched = graph
             .with_delta(add, remove)
@@ -828,19 +890,37 @@ impl QueryService {
         self.counters
             .write_wait
             .record(waited.elapsed().as_nanos() as u64);
-        let invalidated = {
+        let outcome = {
             let mut inner = self.inner.lock().unwrap();
+            let held = Instant::now();
             inner.graph = patched.clone();
-            let invalidated = inner.cache.invalidate_edges(add, remove);
+            let batch = Batch {
+                before: &graph,
+                after: &patched,
+                add,
+                remove,
+            };
+            // A patch may spend what the entry's evaluation spent.
+            let outcome = inner
+                .cache
+                .patch_edges(add, remove, |key, answer, footprint, cost| {
+                    self.pool
+                        .patch(scratch, key.query.dfa(), answer, footprint, &batch, cost)
+                });
             self.counters.sync_cache_gauges(&inner.cache);
-            invalidated
+            self.counters
+                .write_hold
+                .record(held.elapsed().as_nanos() as u64);
+            outcome
         };
         drop((exclusive, turnstile));
         if compacted {
             self.counters.compactions.inc();
             self.counters.graph_bytes.set(patched.heap_bytes() as u64);
         }
-        self.counters.label_invalidations.add(invalidated as u64);
+        self.counters
+            .label_invalidations
+            .add(outcome.dropped as u64);
         self.counters.deltas_applied.inc();
         if let Some(persistence) = persistence.as_mut() {
             match persistence.maybe_checkpoint(&patched) {
@@ -852,9 +932,11 @@ impl QueryService {
                     eprintln!("warning: checkpoint failed (will retry on next write): {error}");
                 }
             }
+            self.durability.publish(persistence);
         }
         Ok(DeltaApplied {
-            invalidated,
+            invalidated: outcome.dropped,
+            patched: outcome.patched,
             compacted,
             delta_edges: patched.delta_edges(),
         })
@@ -1707,21 +1789,22 @@ mod tests {
         service.query_monadic(&qc);
         assert_eq!(service.cache_usage().0, 3);
 
-        // Remove one a-edge: only the a-reading entry may die.
+        // Remove one a-edge: only the a-reading entry may change, and it
+        // is patched, not dropped.
         let a = graph.alphabet().symbol("a").unwrap();
         let (v1, v2) = (graph.node_id("v1").unwrap(), graph.node_id("v2").unwrap());
         let applied = service.apply_delta(&[], &[(v1, a, v2)]).unwrap();
-        assert_eq!(applied.invalidated, 1);
+        assert_eq!((applied.invalidated, applied.patched), (0, 1));
         assert!(!applied.compacted);
         assert_eq!(applied.delta_edges, 1);
-        assert_eq!(service.cache_usage().0, 2);
+        assert_eq!(service.cache_usage().0, 3);
         assert_eq!(service.query_monadic(&qb).served, Served::Hit);
         assert_eq!(service.query_monadic(&qc).served, Served::Hit);
 
-        // The re-evaluated touched query matches a from-scratch rebuild
-        // of the patched graph: no stale bits anywhere.
+        // The patched touched query matches a from-scratch rebuild of
+        // the patched graph: no stale bits anywhere.
         let served = service.query_monadic(&qa);
-        assert!(matches!(served.served, Served::Evaluated { .. }));
+        assert_eq!(served.served, Served::Hit);
         let patched = service.graph();
         assert!(patched.has_delta());
         let compacted = patched.compact();
@@ -1733,7 +1816,8 @@ mod tests {
 
         let stats = service.stats();
         assert_eq!(stats.deltas_applied, 1);
-        assert_eq!(stats.label_invalidations, 1);
+        assert_eq!(stats.label_invalidations, 0);
+        assert_eq!(service.inner.lock().unwrap().cache.stats().patched, 1);
         assert_eq!(stats.invalidations, 0, "no full rebuild happened");
 
         // Unknown endpoints are rejected without touching anything.
@@ -1779,16 +1863,18 @@ mod tests {
             owner.join().unwrap();
         }
         // The a-owner's pre-delta answer was published before the write
-        // and invalidated by it; the b-owner's answer is provably
+        // and patched by it; the b-owner's answer is provably
         // delta-proof and was kept.
         assert_eq!(service.query_monadic(&qb).served, Served::Hit);
         let after = service.query_monadic(&qa);
-        assert!(
-            matches!(after.served, Served::Evaluated { .. }),
-            "stale a-result must not be served: {:?}",
-            after.served
-        );
+        assert_eq!(after.served, Served::Hit, "the a-entry was patched");
         assert_eq!(*after.result, eval_monadic(&qa, &service.graph().compact()));
+        assert_ne!(
+            *after.result,
+            eval_monadic(&qa, &graph),
+            "the write changed it"
+        );
+        assert_eq!(service.inner.lock().unwrap().cache.stats().patched, 1);
     }
 
     #[test]
@@ -1807,15 +1893,16 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(50));
         // The owner is inside its holdoff: the write waits for it to
-        // publish, then invalidates the entry it published.
+        // publish, then patches the entry it published.
         let a = graph.alphabet().symbol("a").unwrap();
         let (v1, v2) = (graph.node_id("v1").unwrap(), graph.node_id("v2").unwrap());
         let applied = service.apply_delta(&[], &[(v1, a, v2)]).unwrap();
-        assert_eq!(applied.invalidated, 1);
+        assert_eq!((applied.invalidated, applied.patched), (0, 1));
         assert_eq!(*owner.join().unwrap().result, eval_monadic(&qa, &graph));
         assert_eq!(service.counters.write_wait.count(), 1);
+        assert_eq!(service.counters.write_hold.count(), 1);
         let after = service.query_monadic(&qa);
-        assert!(matches!(after.served, Served::Evaluated { .. }));
+        assert_eq!(after.served, Served::Hit);
         assert_eq!(*after.result, eval_monadic(&qa, &service.graph().compact()));
     }
 

@@ -6,28 +6,33 @@
 //! - a `DELTA` frame patches the served graph and answers
 //!   `DELTA_APPLIED`; post-delta query bits are **bit-identical** to a
 //!   direct evaluation of the compacted patched graph;
-//! - invalidation is **label-aware**: cached entries whose live
-//!   alphabet is disjoint from the touched labels survive as hits, and
-//!   only intersecting entries re-evaluate;
+//! - the cache follows deltas **label by label**: cached entries whose
+//!   live alphabet is disjoint from the touched labels survive as hits,
+//!   and only intersecting entries are patched to the new answer (or,
+//!   past their patch budget, dropped and re-evaluated);
 //! - unlike a rebuild, a delta **retains** the fingerprint registry
 //!   (the node set and alphabet are frozen) and does not drain;
 //! - unknown node or label names answer `ERROR(BAD_DELTA)` without
 //!   disturbing the served graph or killing the connection;
-//! - invalidation is **footprint-filtered**: a label-matched entry whose
-//!   footprint the delta's edges miss survives as a hit and is counted
-//!   in `cache.spared`, and, for random graphs, queries, strategies and
+//! - the cache follows deltas **edge by edge**: a label-matched entry
+//!   whose footprint the delta's edges miss survives as a hit and is
+//!   counted in `cache.spared`, one they hit is patched and counted in
+//!   `cache.patched`, and, for random graphs, queries, strategies and
 //!   delta batches, every answer the service serves after a batch equals
-//!   a fresh evaluation on the patched graph.
+//!   a fresh evaluation on the patched graph;
+//! - a health check never waits for a write.
 
 use pathlearn_automata::{Alphabet, Dfa, Regex, Symbol};
 use pathlearn_graph::eval::{eval_binary_from, eval_monadic};
 use pathlearn_graph::Strategy as Plan;
 use pathlearn_graph::{GraphBuilder, GraphDb, NodeId};
+use pathlearn_server::wal::Persistence;
 use pathlearn_server::{
     Client, ErrorCode, NetConfig, QueryService, Response, ServeConfig, Served, Server, WireServed,
     NO_DEADLINE_MS,
 };
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 /// A ring with chords over {a, b, c} — node names are `n0..n{N-1}`.
 fn ring_graph(n: usize) -> GraphDb {
@@ -115,7 +120,7 @@ fn delta_frame_patches_the_graph_and_spares_disjoint_cache_entries() {
             delta_edges,
             ..
         } => {
-            assert_eq!(invalidated, 1, "exactly the a·a entry dies");
+            assert_eq!(invalidated, 0, "the a·a entry is patched, not dropped");
             assert_eq!(delta_edges, 2, "one addition + one removal pending");
         }
         other => panic!("expected DELTA_APPLIED, got {other:?}"),
@@ -128,19 +133,20 @@ fn delta_frame_patches_the_graph_and_spares_disjoint_cache_entries() {
     assert_eq!(bits, b_before);
     assert_eq!(served, WireServed::Hit, "disjoint live alphabet survives");
 
-    // The touched entry re-evaluates against the patched graph and is
-    // bit-identical to the direct eval of its compaction.
+    // The touched entry was patched to the patched graph's answer and
+    // is bit-identical to the direct eval of its compaction.
     let (bits, _, served) = result_bits(client.query_fingerprint(a_fp, NO_DEADLINE_MS).unwrap());
     assert_eq!(
         bits, a_after,
         "post-delta bits must match the compacted rebuild"
     );
-    assert_ne!(served, WireServed::Hit, "the touched entry was invalidated");
+    assert_eq!(served, WireServed::Hit, "the touched entry was patched");
 
     let stats = client.stats().unwrap();
     assert_eq!(counter(&stats, "serve.deltas_applied"), 1);
-    assert_eq!(counter(&stats, "serve.label_invalidations"), 1);
-    assert_eq!(counter(&stats, "cache.invalidated"), 1);
+    assert_eq!(counter(&stats, "serve.label_invalidations"), 0);
+    assert_eq!(counter(&stats, "cache.invalidated"), 0);
+    assert_eq!(counter(&stats, "cache.patched"), 1);
     assert_eq!(
         counter(&stats, "serve.invalidations"),
         0,
@@ -215,7 +221,7 @@ fn a_delta_that_misses_the_footprint_spares_the_entry() {
     // through n0's c-chord, n7, which has a b-edge only: the answer is
     // empty. An a-edge between two nodes the search never reached
     // changes nothing, so the entry survives the label match; an a-edge
-    // out of n7 kills it.
+    // out of n7 changes the answer, and the entry is patched.
     let graph = ring_graph(30);
     let config = ServeConfig {
         strategy: Plan::Forward,
@@ -242,14 +248,132 @@ fn a_delta_that_misses_the_footprint_spares_the_entry() {
     let applied = service
         .apply_delta(&[(node("n7"), a, node("n12"))], &[])
         .unwrap();
-    assert_eq!(applied.invalidated, 1, "an edge out of n7 hits");
+    assert_eq!(
+        (applied.invalidated, applied.patched),
+        (0, 1),
+        "an edge out of n7 hits"
+    );
     let after = service.query_binary_from(&query, node("n0"));
-    assert!(matches!(after.served, Served::Evaluated { .. }));
+    assert_eq!(after.served, Served::Hit);
     assert!(before.result.is_empty());
     assert_eq!(
         after.result.iter().collect::<Vec<_>>(),
         [node("n12") as usize]
     );
+    assert_eq!(
+        *after.result,
+        eval_binary_from(&query, &service.graph().compact(), node("n0"))
+    );
+    let counters = service.telemetry().registry.snapshot();
+    assert_eq!(counter(&counters, "cache.patched"), 1);
+    assert_eq!(counter(&counters, "cache.invalidated"), 0);
+}
+
+/// A patch may spend what the entry's evaluation spent, and no more.
+/// On a 20-node `a`-chain the forward search of `a*` from n0 steps once
+/// per node. Cutting the chain near its end loses one pair, which is
+/// cheap to patch; cutting it at the start loses every pair but the
+/// source, and re-deriving those costs more than evaluating the chain
+/// did, so the entry is dropped and the next read evaluates it again.
+#[test]
+fn an_over_budget_patch_drops_the_entry_and_it_is_evaluated_again() {
+    let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
+    let first = builder.add_nodes("n", 20);
+    let a = Symbol::from_index(0);
+    for i in 0..19 {
+        builder.add_edge_ids(first + i, a, first + i + 1);
+    }
+    let graph = builder.build();
+    let config = ServeConfig {
+        strategy: Plan::Forward,
+        ..ServeConfig::default()
+    };
+    let service = QueryService::new(graph.clone(), config);
+    let query = Regex::parse("a*", graph.alphabet()).unwrap().to_dfa(3);
+    let source = first;
+    service.query_binary_from(&query, source);
+    let counters = || service.telemetry().registry.snapshot();
+
+    let applied = service
+        .apply_delta(&[], &[(first + 18, a, first + 19)])
+        .unwrap();
+    assert_eq!(
+        (applied.invalidated, applied.patched),
+        (0, 1),
+        "within budget"
+    );
+    let served = service.query_binary_from(&query, source);
+    assert_eq!(served.served, Served::Hit);
+    assert_eq!(
+        *served.result,
+        eval_binary_from(&query, &service.graph().compact(), source)
+    );
+
+    let applied = service.apply_delta(&[], &[(first, a, first + 1)]).unwrap();
+    assert_eq!(
+        (applied.invalidated, applied.patched),
+        (1, 0),
+        "over budget"
+    );
+    assert_eq!(service.cache_usage().0, 0);
+    assert_eq!(counter(&counters(), "cache.invalidated"), 1);
+    assert_eq!(counter(&counters(), "cache.patched"), 1);
+    let served = service.query_binary_from(&query, source);
+    assert!(matches!(served.served, Served::Evaluated { .. }));
+    assert_eq!(
+        *served.result,
+        eval_binary_from(&query, &service.graph().compact(), source)
+    );
+    assert_eq!(served.result.iter().collect::<Vec<_>>(), [source as usize]);
+}
+
+/// `/healthz` reads `persistence_status`, so it must not wait for a
+/// write. A durable service's write logs its batch and then waits for
+/// the evaluation it races (held 300 ms); meanwhile a third thread's
+/// status read returns at once, with the record count of the last
+/// applied write.
+#[test]
+fn a_health_check_never_waits_for_a_write() {
+    let dir = std::env::temp_dir().join(format!("pathlearn-healthz-{}", std::process::id()));
+    let graph = ring_graph(24);
+    let recovered = {
+        let graph = graph.clone();
+        Persistence::recover(&dir, 1 << 20, move || Ok(graph)).expect("seed")
+    };
+    let config = ServeConfig {
+        eval_holdoff: Duration::from_millis(300),
+        ..ServeConfig::default()
+    };
+    let service = QueryService::new(recovered.graph, config);
+    service.attach_persistence(recovered.persistence);
+    let a = graph.alphabet().symbol("a").unwrap();
+    let node = |name: &str| graph.node_id(name).unwrap();
+    service
+        .apply_delta(&[(node("n0"), a, node("n5"))], &[])
+        .expect("first write");
+    assert_eq!(service.persistence_status(), Some((1, 1 << 20)));
+    let query = Regex::parse("a·a", graph.alphabet()).unwrap().to_dfa(3);
+    std::thread::scope(|scope| {
+        let owner = scope.spawn(|| service.query_monadic(&query));
+        std::thread::sleep(Duration::from_millis(50));
+        let writer = scope.spawn(|| {
+            service
+                .apply_delta(&[(node("n1"), a, node("n9"))], &[])
+                .expect("second write")
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let asked = Instant::now();
+        let status = service.persistence_status();
+        let waited = asked.elapsed();
+        assert!(waited < Duration::from_millis(50), "waited {waited:?}");
+        assert_eq!(status, Some((1, 1 << 20)), "the pre-write record count");
+        assert!(!writer.is_finished(), "the write must still be waiting");
+        assert!(service.is_durable());
+        owner.join().unwrap();
+        writer.join().unwrap();
+    });
+    assert_eq!(service.persistence_status(), Some((2, 1 << 20)));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 const LABELS: [&str; 3] = ["a", "b", "c"];

@@ -217,28 +217,31 @@ fn delta_invalidation_keeps_more_hits_than_rebuilding() {
         }
     };
     let [a, b, c] = [0, 1, 2].map(Symbol::from_index);
-    // (add, remove, entries the delta side must drop).
+    // (add, remove, entries the delta side must patch).
     let writes = [
         (vec![], vec![(0, a, 1)], 2), // a·a, a·b
         (vec![(0, b, 5)], vec![], 2), // b·b, a·b
         (vec![(3, c, 9)], vec![], 1), // c
     ];
     read_all(&rebuild_side, &current); // 4 cold misses on both sides
-    for (add, remove, dropped) in &writes {
+    for (add, remove, patched) in &writes {
         current = current.with_delta(add, remove).unwrap().compact();
         let applied = delta_side.apply_delta(add, remove).unwrap();
-        assert_eq!(applied.invalidated, *dropped);
+        assert_eq!((applied.invalidated, applied.patched), (0, *patched));
         rebuild_side.rebuild_graph(current.clone());
-        // Delta side: the spared entries hit (2, 2, 3); rebuild side: 0.
+        // Delta side: the spared and the patched entries hit (4, 4,
+        // 4); rebuild side: 0.
         read_all(&rebuild_side, &current);
     }
     read_all(&rebuild_side, &current); // all 4 resident on both sides
 
     let (delta, rebuild) = (delta_side.stats(), rebuild_side.stats());
-    assert_eq!(delta.label_invalidations, 2 + 2 + 1);
+    assert_eq!(delta.label_invalidations, 0);
+    let patched = delta_side.telemetry().registry.counter("cache.patched");
+    assert_eq!(patched.get(), 2 + 2 + 1);
     assert_eq!((delta.deltas_applied, delta.invalidations), (3, 0));
     assert_eq!((rebuild.deltas_applied, rebuild.invalidations), (0, 3));
-    assert_eq!((delta.hits, delta.misses), (2 + 2 + 3 + 4, 4 + 2 + 2 + 1));
+    assert_eq!((delta.hits, delta.misses), (4 + 4 + 4 + 4, 4));
     assert_eq!((rebuild.hits, rebuild.misses), (4, 4 * 4));
     assert!(delta.hits > rebuild.hits);
 }

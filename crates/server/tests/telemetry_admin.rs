@@ -72,10 +72,10 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 /// `pqbench`'s `count.*` metrics) may look up by string. The registry
 /// migration must keep all of them answering. Four have been retired
 /// since ([`RETIRED_KEYS`]): three with the mechanisms they counted, and
-/// one that always equalled `serve.misses`. One has been added since:
+/// one that always equalled `serve.misses`. Two have been added since:
 /// `cache.spared`, the label-matched entries a delta's footprint test
-/// kept.
-const LEGACY_KEYS: [&str; 31] = [
+/// kept, and `cache.patched`, the entries a delta hit and patched.
+const LEGACY_KEYS: [&str; 32] = [
     "serve.hits",
     "serve.misses",
     "serve.coalesced",
@@ -95,6 +95,7 @@ const LEGACY_KEYS: [&str; 31] = [
     "cache.rejected",
     "cache.invalidated",
     "cache.spared",
+    "cache.patched",
     "cache.bytes_used",
     "cache.bytes_budget",
     "net.accepted",
@@ -167,6 +168,9 @@ fn stats_counters_are_sorted_and_keep_every_legacy_key() {
         "serve.write_wait_count",
         "serve.write_wait_p50_ns",
         "serve.write_wait_p99_ns",
+        "serve.write_hold_count",
+        "serve.write_hold_p50_ns",
+        "serve.write_hold_p99_ns",
         "eval.level_count",
         "eval.level_p50_ns",
         "eval.frontier_count",
@@ -471,6 +475,7 @@ fn admin_surface_serves_metrics_health_and_slow_and_flips_on_drain() {
         "net_latency_ns",
         "serve_queue_wait_ns",
         "serve_write_wait_ns",
+        "serve_write_hold_ns",
         "eval_level_ns",
         "eval_frontier_nodes",
     ] {
