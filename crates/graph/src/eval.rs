@@ -466,7 +466,8 @@ impl Halt {
 /// allocate and free them per call. An `EvalScratch` owns the buffers
 /// and re-fits them lazily: reuse on the same graph is allocation-free,
 /// and a scratch can move between graphs and queries of any size at the
-/// cost of a re-allocation. Each thread that evaluates keeps its own.
+/// cost of a re-allocation. Evaluations that run at once each need their
+/// own.
 ///
 /// Scratch reuse never changes results — every buffer is cleared before
 /// use, also after an interrupted evaluation:
@@ -559,6 +560,15 @@ impl EvalScratch {
     /// ```
     pub fn footprint(&self, plan: &QueryPlan) -> Option<Footprint> {
         self.harvest(plan.query())
+    }
+
+    /// The work units the last evaluation or patch in this scratch
+    /// spent: frontier nodes entering each of its levels plus the step
+    /// tasks they ran, over every level however deep (0 for an answer
+    /// that needed no level). A function of the graph and the query
+    /// alone, unlike wall time.
+    pub fn spent(&self) -> u64 {
+        self.work.spent
     }
 
     /// [`EvalScratch::footprint`] for the plan's query.
@@ -1083,6 +1093,7 @@ impl EvalPool {
         cancel: &CancelToken,
     ) -> Result<BitSet, Interrupt> {
         scratch.finished = Finished::Opaque;
+        scratch.work.spent = 0;
         if graph.num_nodes() == 0 || plan.query().num_states() == 0 {
             return Ok(BitSet::new(graph.num_nodes()));
         }

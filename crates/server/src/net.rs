@@ -8,8 +8,10 @@
 //! answered right away ([`QueryService::try_hit`]) — a hit is a table
 //! lookup and one copy of the answer. Everything else first takes one
 //! of [`NetConfig::eval_workers`] **evaluation slots** from a counting
-//! gate, then calls [`QueryService::submit`] itself. The robustness
-//! properties live in the seams:
+//! gate, then calls [`QueryService::submit`] itself. The slot holds no
+//! buffers: an admitted evaluation borrows its scratch from the
+//! service's pool, which therefore keeps at most `eval_workers` of them
+//! for TCP traffic. The robustness properties live in the seams:
 //!
 //! * **Slow-loris defense** — per-connection read and write timeouts
 //!   ([`NetConfig::read_timeout`] and a fixed 10 s write timeout): a
@@ -63,9 +65,12 @@
 //! graph is a new server. `DELTA` frames are the one write path: they
 //! are handled inline on the connection thread through
 //! [`QueryService::apply_delta`] — no slot, no shed — because a delta
-//! invalidates only the cache entries its edges reach and waits for the
-//! evaluations already running, so none publishes a pre-delta answer
-//! after it. The table is **retained**
+//! patches or drops only the cache entries its edges reach and, under
+//! the service's state lock, waits for the evaluations already running,
+//! so none publishes a pre-delta answer after it. Misses that would
+//! start an evaluation meanwhile wait for the write while holding their
+//! slots, each under its own deadline; hits never wait. The table is
+//! **retained**
 //! across deltas: the node set and the alphabet are frozen under the
 //! delta contract, so every established fingerprint and every memoised
 //! text still names the same canonical query.
@@ -80,7 +85,7 @@ use crate::telemetry::{
     AdminSources, Counter, Gauge, HealthPhase, HealthReport, Histogram, MetricsRegistry, Telemetry,
 };
 use pathlearn_automata::{CanonicalQuery, Regex, Symbol};
-use pathlearn_graph::{CancelToken, EvalScratch, Interrupt, NodeId};
+use pathlearn_graph::{CancelToken, Interrupt, NodeId};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -104,7 +109,9 @@ pub struct NetConfig {
     /// query that would be one more gets a `SHED` frame instead.
     pub queue_depth: usize,
     /// Evaluations that may run at once, each on the connection thread
-    /// that read its query, and evaluation scratches the server keeps.
+    /// that read its query. It also bounds the evaluation scratches the
+    /// service's pool keeps for TCP traffic: one per evaluation that
+    /// ever ran at the same time as the others.
     pub eval_workers: usize,
     /// Base backoff hint carried in `SHED` frames. The hint actually
     /// sent scales with the gate's occupancy at shed time — `k` times
@@ -159,17 +166,12 @@ struct Gate {
     /// Set once, by [`Server::shutdown`]: the fast path and every
     /// waiter answer `DRAINING`.
     draining: bool,
-    /// The evaluation scratches of the free slots. A slot lends one to
-    /// its evaluation, so at most [`NetConfig::eval_workers`] exist,
-    /// however many connections have evaluated.
-    scratch: Vec<EvalScratch>,
 }
 
-/// One evaluation slot of the gate and the scratch it evaluates in,
-/// both returned on drop — also when the evaluation unwinds.
+/// One evaluation slot of the gate, returned on drop — also when the
+/// evaluation unwinds.
 struct Slot<'a> {
     shared: &'a Shared,
-    scratch: EvalScratch,
 }
 
 impl Drop for Slot<'_> {
@@ -179,7 +181,6 @@ impl Drop for Slot<'_> {
         let shared = self.shared;
         let mut gate = shared.gate.lock().unwrap_or_else(PoisonError::into_inner);
         gate.running -= 1;
-        gate.scratch.push(std::mem::take(&mut self.scratch));
         shared.wake(&gate);
     }
 }
@@ -445,11 +446,7 @@ impl Shared {
             }
         }
         gate.running += 1;
-        let scratch = gate.scratch.pop().unwrap_or_default();
-        Ok(Some(Slot {
-            shared: self,
-            scratch,
-        }))
+        Ok(Some(Slot { shared: self }))
     }
 
     fn draining(&self, request_id: u64) -> Reply {
@@ -631,7 +628,7 @@ impl Shared {
         }
 
         let entered = Instant::now();
-        let mut slot = match self.take_slot(request_id, deadline) {
+        let slot = match self.take_slot(request_id, deadline) {
             Ok(slot) => slot,
             Err(reply) => return reply,
         };
@@ -641,18 +638,11 @@ impl Shared {
             token = token.and_deadline(deadline);
         }
         let waited = Some(start.duration_since(entered));
-        let outcome = match &mut slot {
-            Some(slot) => self
-                .service
-                .submit_in(&mut slot.scratch, key, &token, waited),
-            // A waiter cut short holds no slot and a tripped token, so
-            // `submit` returns the verdict, and counts it, before it
-            // admits anything.
-            None => {
-                debug_assert!(token.check().is_err());
-                self.service.submit(key, &token, waited)
-            }
-        };
+        // A waiter cut short holds no slot and a tripped token, so
+        // `submit` returns the verdict, and counts it, before it admits
+        // anything.
+        debug_assert!(slot.is_some() || token.check().is_err());
+        let outcome = self.service.submit(key, &token, waited);
         drop(slot);
         match outcome {
             Ok(response) => {
@@ -1344,8 +1334,9 @@ mod tests {
         assert!(Arc::ptr_eq(&by_fingerprint, registered));
     }
 
-    /// Connection threads evaluate in the scratch of the slot they
-    /// hold, so the front door keeps at most `eval_workers` scratches
+    /// Connection threads evaluate in scratches lent from the service's
+    /// pool, which holds one per evaluation that ran at the same time
+    /// as the others: at most `eval_workers` behind the front door,
     /// however many connections have evaluated and stay open.
     #[test]
     fn evaluation_scratch_belongs_to_the_slots_not_the_connections() {
@@ -1361,7 +1352,7 @@ mod tests {
             }
             clients.push(client);
         }
-        let kept = server.shared.gate.lock().unwrap().scratch.len();
+        let kept = server.shared.service.pooled_scratches();
         assert!(
             (1..=server.shared.slots()).contains(&kept),
             "{kept} scratches"

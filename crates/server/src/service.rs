@@ -15,13 +15,15 @@
 //!    dedup for duplicate-heavy traffic);
 //! 4. otherwise **admits** the query: registers an in-flight ticket
 //!    (under the same lock as the cache probe, so exactly one thread
-//!    owns each key) and evaluates it with [`EvalPool::evaluate`] on the
-//!    submitting thread.
+//!    owns each key), takes the served graph and an evaluation scratch
+//!    from the service's pool, and evaluates it with
+//!    [`EvalPool::evaluate`] on the submitting thread.
 //!
 //! Independent queries from different client threads naturally overlap:
 //! evaluation runs outside the state lock, which is held only for probe
-//! and publish, and each thread keeps its own evaluation scratch
-//! (or passes one in, [`QueryService::submit_in`]).
+//! and publish. The scratch goes back to the pool when the evaluation
+//! publishes or gives up, so the pool holds at most as many scratches
+//! as evaluations ever ran at once, whichever threads ran them.
 //! Results are bit-identical to the direct evaluators (asserted again by
 //! this crate's smoke tests).
 //!
@@ -75,8 +77,8 @@
 //!   `x ∈ R[p] ∧ y ∉ R[q]` (a new pair), a removed one iff some has
 //!   `x ∈ R[p] ∧ y ∈ R[q]` and `(y, q)` is not a seed (an expanded
 //!   edge).
-//! - **Patches.** A hit entry is patched by [`EvalPool::patch`] on the
-//!   writer's scratch: the pairs a removed edge left without a
+//! - **Patches.** A hit entry is patched by [`EvalPool::patch`] in a
+//!   scratch borrowed from the pool: the pairs a removed edge left without a
 //!   derivation are taken out, the pairs an added edge reaches are
 //!   seeded, and the search resumes to its fixpoint on the new graph.
 //!   The patched answer is bit-identical to a fresh evaluation and is
@@ -96,21 +98,24 @@
 //! the same reached sets, and its footprint stays exact for later
 //! batches; a patched one gets the new graph's.
 //!
-//! A write excludes running evaluations. An admitted evaluation holds a
-//! read guard from just after admission until it has published, and
-//! reads the graph it evaluates under that guard.
-//! [`QueryService::apply_delta`] builds the patched graph outside every
-//! lock a reader takes, logs it when the service is durable, and only
-//! then takes the write guard, and under it the state lock, to swap the
-//! graph and patch or drop the entries it hits. So an evaluation ran
-//! either wholly before a write, and its entry is in the cache for the
-//! footprint test to judge, or wholly after it, on the patched graph. A
-//! write therefore waits for the evaluations already running, each
-//! bounded by its cancel token; those admitted while it waits queue
-//! behind it at a turnstile, so a stream of misses cannot starve it. Hits, admission and coalesced
-//! waiters never touch the guard, so a waiter coalesced onto a ticket
-//! admitted before a write may receive the post-write answer: it is
-//! concurrent with the write, so that answer is linearizable.
+//! A write excludes running evaluations, and the in-flight table is the
+//! set of them: an evaluation's ticket is registered, with the graph it
+//! evaluates read, in the critical section that admits it, and removed
+//! in the one that publishes it. [`QueryService::apply_delta`] builds
+//! the patched graph outside the state lock and logs it when the
+//! service is durable. Only then does it take the state lock, mark the
+//! service as writing, and wait until the table is empty; it swaps the
+//! graph and patches or drops the entries it hits without letting the
+//! lock go. So an evaluation ran either wholly before a write, and its
+//! entry is in the cache for the footprint test to judge, or wholly
+//! after it, on the patched graph. A write therefore waits for the
+//! evaluations already running, each bounded by its cancel token. A
+//! miss that would start an evaluation while a write waits waits for the
+//! write instead (under its own deadline), so a stream of misses cannot
+//! starve it. Hits and coalesced waiters never wait for a write, so a
+//! waiter coalesced onto a ticket admitted before a write may receive
+//! the pre-write answer after the write returned: it is concurrent with
+//! the write, so that answer is linearizable.
 //!
 //! The plan cache *survives* deltas — plans embed label statistics, so
 //! a plan tuned pre-delta may be mildly mistuned, but every strategy is
@@ -130,7 +135,7 @@ use pathlearn_graph::{
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Configuration for [`QueryService`].
@@ -191,24 +196,15 @@ struct EvalOutcome {
     strategy: Strategy,
     /// Measured wall time: reported, never compared.
     eval_ns: u64,
-    /// The result cache's GDSF cost ([`eval_work`]).
+    /// The result cache's GDSF cost: the work units the evaluation
+    /// spent ([`EvalScratch::spent`]), `+ 1` so an answer that needed no
+    /// level still has positive cost. Unlike wall time it is a function
+    /// of the graph and the key alone, so the same submissions evict the
+    /// same victims on every run.
     work: u64,
     /// The search's footprint, when it left an exact one
     /// ([`EvalScratch::footprint`]).
     footprint: Option<Footprint>,
-}
-
-/// The deterministic work measure the result cache ranks entries by:
-/// frontier nodes entering plus step tasks run, summed over the
-/// evaluation's levels, `+ 1` so an answer that needed no level still
-/// has positive cost. Unlike wall time it is a function of the graph
-/// and the key alone, so the same submissions evict the same victims
-/// on every run.
-fn eval_work(levels: &[pathlearn_graph::LevelSample]) -> u64 {
-    1 + levels
-        .iter()
-        .map(|level| level.frontier + u64::from(level.tasks))
-        .sum::<u64>()
 }
 
 /// How one submission was served.
@@ -470,44 +466,18 @@ impl InFlight {
         }
     }
 
-    /// Blocks until the owner publishes (`Some`) or abandons (`None`).
-    fn wait(&self) -> Option<Arc<BitSet>> {
-        let mut slot = self.slot.lock().unwrap();
-        loop {
-            match &*slot {
-                TicketState::Pending => slot = self.ready.wait(slot).unwrap(),
-                TicketState::Done(result) => return Some(result.clone()),
-                TicketState::Abandoned => return None,
-            }
-        }
-    }
-
-    /// [`InFlight::wait`] honoring the waiter's own cancel token: a
-    /// coalesced submission with a deadline must not inherit its owner's
-    /// (possibly unbounded) budget. Timed condvar waits bounded by the
-    /// token's deadline (and a polling cap so a bare drain flag is seen
-    /// promptly) turn a tripped token into an `Err` verdict while the
-    /// owner keeps evaluating for its other waiters.
+    /// Blocks until the owner publishes (`Some`) or abandons (`None`),
+    /// honoring the waiter's own cancel token: a coalesced submission
+    /// with a deadline must not inherit its owner's (possibly unbounded)
+    /// budget, so a tripped token is an `Err` verdict while the owner
+    /// keeps evaluating for its other waiters.
     fn wait_interruptible(&self, cancel: &CancelToken) -> Result<Option<Arc<BitSet>>, Interrupt> {
-        if cancel.is_never() {
-            return Ok(self.wait());
-        }
-        const FLAG_POLL: Duration = Duration::from_millis(20);
-        let mut slot = self.slot.lock().unwrap();
-        loop {
-            match &*slot {
-                TicketState::Done(result) => return Ok(Some(result.clone())),
-                TicketState::Abandoned => return Ok(None),
-                TicketState::Pending => {
-                    cancel.check()?;
-                    let wait = cancel
-                        .deadline()
-                        .map(|d| d.saturating_duration_since(Instant::now()).min(FLAG_POLL))
-                        .unwrap_or(FLAG_POLL)
-                        .max(Duration::from_millis(1));
-                    slot = self.ready.wait_timeout(slot, wait).unwrap().0;
-                }
-            }
+        let slot = wait_while(&self.ready, self.slot.lock().unwrap(), cancel, |slot| {
+            matches!(slot, TicketState::Pending)
+        })?;
+        match &*slot {
+            TicketState::Done(result) => Ok(Some(result.clone())),
+            _ => Ok(None),
         }
     }
 
@@ -526,46 +496,61 @@ impl InFlight {
     }
 }
 
-/// Drop guard armed between admission and publication: if evaluation
-/// unwinds, it deregisters the ticket and abandons it, so coalesced
-/// waiters retry instead of hanging forever on a Condvar nobody will
-/// signal. Only a ticket's owner removes it from the table.
+/// Waits on `condvar` while `blocked` holds for the state `guard`
+/// locks, honoring `cancel`: a tripped token ends the wait with its
+/// verdict. Timed waits bounded by the token's deadline, and by a
+/// polling cap so a bare drain flag is seen promptly, stand in for the
+/// notification a cancel token cannot send.
+fn wait_while<'a, T>(
+    condvar: &Condvar,
+    mut guard: MutexGuard<'a, T>,
+    cancel: &CancelToken,
+    mut blocked: impl FnMut(&T) -> bool,
+) -> Result<MutexGuard<'a, T>, Interrupt> {
+    const FLAG_POLL: Duration = Duration::from_millis(20);
+    while blocked(&guard) {
+        if cancel.is_never() {
+            guard = condvar.wait(guard).unwrap();
+            continue;
+        }
+        cancel.check()?;
+        let wait = cancel
+            .deadline()
+            .map(|d| d.saturating_duration_since(Instant::now()).min(FLAG_POLL))
+            .unwrap_or(FLAG_POLL)
+            .max(Duration::from_millis(1));
+        guard = condvar.wait_timeout(guard, wait).unwrap().0;
+    }
+    Ok(guard)
+}
+
+/// Drop guard held by an admitted evaluation until it publishes: if
+/// the evaluation is interrupted or unwinds, it deregisters the ticket,
+/// returns the scratch to the pool and abandons the ticket, so
+/// coalesced waiters retry instead of hanging forever on a Condvar
+/// nobody will signal. Only a ticket's owner removes it from the table.
 struct AdmissionGuard<'a> {
     service: &'a QueryService,
     key: &'a CacheKey,
     ticket: &'a InFlight,
-    armed: bool,
-}
-
-impl<'a> AdmissionGuard<'a> {
-    fn new(service: &'a QueryService, key: &'a CacheKey, ticket: &'a InFlight) -> Self {
-        AdmissionGuard {
-            service,
-            key,
-            ticket,
-            armed: true,
-        }
-    }
-
-    /// Publication succeeded; the guard has nothing left to do.
-    fn disarm(&mut self) {
-        self.armed = false;
-    }
+    /// The lent scratch, until publication takes it back.
+    scratch: Option<Box<EvalScratch>>,
 }
 
 impl Drop for AdmissionGuard<'_> {
     fn drop(&mut self) {
-        if !self.armed {
+        let Some(scratch) = self.scratch.take() else {
             return;
-        }
+        };
         // Unwinding: tolerate a poisoned lock — the state itself is a
         // plain map and counters, always structurally valid.
-        self.service
+        let mut inner = self
+            .service
             .inner
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .inflight
-            .remove(self.key);
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.service.retire(&mut inner, self.key, scratch);
+        drop(inner);
         self.ticket.abandon();
     }
 }
@@ -583,6 +568,14 @@ struct Inner {
     /// outgrows [`PLAN_CACHE_MAX`] entries (plans are tiny; the bound
     /// only guards against unbounded distinct-query streams).
     plans: HashMap<CanonicalQuery, Arc<QueryPlan>>,
+    /// Set by a write from before it waits for the running evaluations
+    /// until its swap is done; no evaluation is admitted meanwhile.
+    writing: bool,
+    /// The evaluation buffers of the evaluations not running. Admission
+    /// lends one and publication or abandonment takes it back, so there
+    /// are never more than the peak number of concurrent evaluations; a
+    /// write, which runs only when no evaluation does, borrows one.
+    scratches: Vec<EvalScratch>,
 }
 
 /// Plan-cache entry bound; see [`Inner::plans`].
@@ -592,7 +585,10 @@ const PLAN_CACHE_MAX: usize = 4096;
 enum Admission {
     Done(Arc<BitSet>, Served),
     Wait(Arc<InFlight>),
-    Evaluate(Arc<InFlight>),
+    /// This submission owns the key's ticket, and evaluates on the served
+    /// graph in a scratch lent from the pool (boxed: an `EvalScratch` is
+    /// several hundred bytes).
+    Evaluate(Arc<InFlight>, Arc<GraphDb>, Box<EvalScratch>),
 }
 
 /// The multi-client RPQ query service. See the module docs for the
@@ -618,19 +614,10 @@ enum Admission {
 /// ```
 pub struct QueryService {
     inner: Mutex<Inner>,
-    /// Shared by every running evaluation, from just after its
-    /// admission until it has published; exclusive to a write while it
-    /// swaps the graph and patches. Hits, admission and coalesced
-    /// waiters never take it. Std's `RwLock` blocks new readers while a
-    /// writer waits, so no thread takes the read guard twice.
-    evaluating: RwLock<()>,
-    /// Held by a write from before it waits for `evaluating` until its
-    /// swap is done; an evaluation passes through it (lock, release)
-    /// just before taking its read guard. A writer woken by the last
-    /// reader can lose the guard to a reader that takes it again first;
-    /// the turnstile keeps every evaluation admitted while a write waits
-    /// behind that write, so it waits only for those already running.
-    turnstile: Mutex<()>,
+    /// Signalled under `inner` when a waiting write sees the in-flight
+    /// table empty, and when the write is done, for the misses that
+    /// wait to be admitted.
+    quiet: Condvar,
     pool: EvalPool,
     strategy: Strategy,
     eval_holdoff: Duration,
@@ -644,22 +631,13 @@ pub struct QueryService {
     counters: ServeCounters,
     /// The writer mutex: every [`QueryService::apply_delta`], durable
     /// or not, holds it from reading the served graph to swapping in the
-    /// patched one. Locked **before** `evaluating` and `inner` (and
-    /// never while holding either).
-    writer: Mutex<Writer>,
+    /// patched one. Locked **before** `inner` (and never while holding
+    /// it). It guards the durability, when attached: the WAL the delta
+    /// path logs into before applying.
+    writer: Mutex<Option<Persistence>>,
     /// The WAL status the writer last published, read without the
     /// writer mutex.
     durability: Durability,
-}
-
-/// What only a write touches.
-#[derive(Default)]
-struct Writer {
-    /// Durability, when attached: the WAL the delta path logs into
-    /// before applying.
-    persistence: Option<Persistence>,
-    /// The buffers cache entries are patched in.
-    scratch: EvalScratch,
 }
 
 /// WAL status for readiness reporting, published by the writer when
@@ -699,16 +677,17 @@ impl QueryService {
                 cache,
                 inflight: HashMap::new(),
                 plans: HashMap::new(),
+                writing: false,
+                scratches: Vec::new(),
             }),
-            evaluating: RwLock::new(()),
-            turnstile: Mutex::new(()),
+            quiet: Condvar::new(),
             pool: EvalPool::sequential().with_step_policy(config.step_policy),
             strategy: config.strategy,
             eval_holdoff: config.eval_holdoff,
             delta_compact_threshold: config.delta_compact_threshold,
             telemetry,
             counters,
-            writer: Mutex::new(Writer::default()),
+            writer: Mutex::new(None),
             durability: Durability::default(),
         }
     }
@@ -744,7 +723,7 @@ impl QueryService {
     pub fn attach_persistence(&self, persistence: Persistence) {
         let mut writer = self.writer.lock().unwrap();
         self.durability.publish(&persistence);
-        writer.persistence = Some(persistence);
+        *writer = Some(persistence);
     }
 
     /// Whether a persistence layer is attached. Never waits for a
@@ -815,8 +794,10 @@ impl QueryService {
         self.counters.graph_bytes.set(graph.heap_bytes() as u64);
         inner.graph = Arc::new(graph);
         inner.cache.clear();
-        // Plans embed per-label statistics of the outgoing graph.
+        // Plans embed per-label statistics of the outgoing graph, and
+        // the pooled scratches are sized for it.
         inner.plans.clear();
+        inner.scratches.clear();
         self.counters.sync_cache_gauges(&inner.cache);
         self.counters.invalidations.inc();
     }
@@ -833,11 +814,15 @@ impl QueryService {
     /// [`ServeConfig::delta_compact_threshold`].
     ///
     /// The patched graph is built, and compacted when due, before the
-    /// write takes any lock a reader takes; building it is the batch's
-    /// validation. The write then waits for the evaluations already
-    /// running (each bounded by its cancel token; an in-process
-    /// [`CancelToken::never`] one is not), and swaps the graph and
-    /// patches or drops the entries it hits under the state lock.
+    /// write takes the state lock; building it is the batch's
+    /// validation. The write then takes the state lock, marks the
+    /// service as writing so that no new evaluation is admitted, and
+    /// waits until the in-flight table is empty: it waits for the
+    /// evaluations already running (each bounded by its cancel token;
+    /// an in-process [`CancelToken::never`] one is not), recorded in
+    /// `serve.write_wait`. Without letting the lock go it swaps the
+    /// graph and patches or drops the entries it hits, in a scratch
+    /// from the evaluations' pool, then wakes the misses that waited.
     /// Writes are serialized.
     ///
     /// When a persistence layer is attached
@@ -861,11 +846,7 @@ impl QueryService {
         add: &[Edge],
         remove: &[Edge],
     ) -> Result<DeltaApplied, DeltaCommitError> {
-        let mut writer = self.writer.lock().unwrap();
-        let Writer {
-            persistence,
-            scratch,
-        } = &mut *writer;
+        let mut persistence = self.writer.lock().unwrap();
         let graph = self.graph();
         let mut patched = graph
             .with_delta(add, remove)
@@ -885,35 +866,41 @@ impl QueryService {
         }
         let patched = Arc::new(patched);
         let waited = Instant::now();
-        let turnstile = self.turnstile.lock().unwrap();
-        let exclusive = self.evaluating.write().unwrap();
+        let mut inner = self.inner.lock().unwrap();
+        inner.writing = true;
+        let mut inner = self
+            .quiet
+            .wait_while(inner, |inner| !inner.inflight.is_empty())
+            .unwrap();
         self.counters
             .write_wait
             .record(waited.elapsed().as_nanos() as u64);
-        let outcome = {
-            let mut inner = self.inner.lock().unwrap();
-            let held = Instant::now();
-            inner.graph = patched.clone();
-            let batch = Batch {
-                before: &graph,
-                after: &patched,
-                add,
-                remove,
-            };
-            // A patch may spend what the entry's evaluation spent.
-            let outcome = inner
-                .cache
-                .patch_edges(add, remove, |key, answer, footprint, cost| {
-                    self.pool
-                        .patch(scratch, key.query.dfa(), answer, footprint, &batch, cost)
-                });
-            self.counters.sync_cache_gauges(&inner.cache);
-            self.counters
-                .write_hold
-                .record(held.elapsed().as_nanos() as u64);
-            outcome
+        let held = Instant::now();
+        inner.graph = patched.clone();
+        let batch = Batch {
+            before: &graph,
+            after: &patched,
+            add,
+            remove,
         };
-        drop((exclusive, turnstile));
+        let Inner {
+            cache, scratches, ..
+        } = &mut *inner;
+        let mut scratch = scratches.pop();
+        // A patch may spend what the entry's evaluation spent.
+        let outcome = cache.patch_edges(add, remove, |key, answer, footprint, cost| {
+            let scratch = scratch.get_or_insert_default();
+            self.pool
+                .patch(scratch, key.query.dfa(), answer, footprint, &batch, cost)
+        });
+        scratches.extend(scratch);
+        inner.writing = false;
+        self.counters.sync_cache_gauges(&inner.cache);
+        self.counters
+            .write_hold
+            .record(held.elapsed().as_nanos() as u64);
+        drop(inner);
+        self.quiet.notify_all();
         if compacted {
             self.counters.compactions.inc();
             self.counters.graph_bytes.set(patched.heap_bytes() as u64);
@@ -972,7 +959,8 @@ impl QueryService {
     /// The one submission path; every `query_*` method is a shorthand
     /// over it. Serves `key` — a hit, a coalesced wait on an in-flight
     /// evaluation of the same key, or an admitted evaluation — under
-    /// `cancel`: the token is consulted before admission, once per BFS
+    /// `cancel`: the token is consulted before admission, while a miss
+    /// waits for a write to land before it is admitted, once per BFS
     /// level during evaluation, and while waiting on a coalesced ticket.
     /// A tripped token returns the [`Interrupt`] verdict — counted in
     /// [`ServeStats::deadline_exceeded`] / [`ServeStats::cancelled`] —
@@ -985,32 +973,13 @@ impl QueryService {
     /// the `serve.queue_wait` histogram); `None` for a submission that
     /// never waited.
     ///
-    /// An admitted evaluation runs in a scratch the calling thread keeps
-    /// for its lifetime; [`QueryService::submit_in`] takes one instead.
+    /// An admitted evaluation runs in a scratch lent from the service's
+    /// pool (module docs): it grows to a few node bitsets per query
+    /// state, keeps that capacity, and is reused by later evaluations
+    /// on any thread, so the miss path allocates no bitset once the pool
+    /// has grown (reuse never changes results — `EvalScratch` docs).
     pub fn submit(
         &self,
-        key: CacheKey,
-        cancel: &CancelToken,
-        queue_wait: Option<Duration>,
-    ) -> Result<QueryResponse, Interrupt> {
-        // Scratch reuse keeps the serving hot path free of the per-miss
-        // bitset allocations a fresh scratch would zero (it never
-        // changes results — `EvalScratch` docs).
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<EvalScratch> =
-                std::cell::RefCell::new(EvalScratch::new());
-        }
-        SCRATCH.with(|scratch| self.submit_in(&mut scratch.borrow_mut(), key, cancel, queue_wait))
-    }
-
-    /// [`QueryService::submit`] evaluating in `scratch`, for callers
-    /// that bound how many scratches exist: the network front door
-    /// keeps one per evaluation slot, not one per connection thread.
-    /// `scratch` grows to a few node bitsets per query state and keeps
-    /// that capacity.
-    pub fn submit_in(
-        &self,
-        scratch: &mut EvalScratch,
         key: CacheKey,
         cancel: &CancelToken,
         queue_wait: Option<Duration>,
@@ -1020,7 +989,7 @@ impl QueryService {
             self.counters.queue_wait.record(queue_wait_ns);
         }
         let trace = Self::trace_for(&key, queue_wait_ns);
-        self.serve_with_trace(scratch, key, cancel, trace)
+        self.serve_with_trace(key, cancel, trace)
     }
 
     /// Answers `key` on the calling thread **iff its result is
@@ -1069,21 +1038,42 @@ impl QueryService {
         Some(result)
     }
 
-    /// Probe-or-admit under one lock acquisition.
-    fn admit(&self, key: &CacheKey) -> Admission {
+    /// Probe-or-admit under one lock acquisition — or, for a miss that
+    /// would evaluate while a write waits, one more per wake-up: it
+    /// waits for the write (under `cancel`) and probes again, because
+    /// the write may have patched the answer in.
+    fn admit(&self, key: &CacheKey, cancel: &CancelToken) -> Result<Admission, Interrupt> {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(result) = self.probe_hit(&mut inner, key) {
-            return Admission::Done(result, Served::Hit);
+        loop {
+            if let Some(result) = self.probe_hit(&mut inner, key) {
+                return Ok(Admission::Done(result, Served::Hit));
+            }
+            if !inner.writing || inner.inflight.contains_key(key) {
+                break;
+            }
+            inner = wait_while(&self.quiet, inner, cancel, |inner| inner.writing)?;
         }
         // From here on this is an admitted lookup that missed.
         inner.cache.counters().misses.inc();
         if let Some(ticket) = inner.inflight.get(key).cloned() {
             self.counters.coalesced.inc();
-            return Admission::Wait(ticket);
+            return Ok(Admission::Wait(ticket));
         }
         let ticket = Arc::new(InFlight::new());
         inner.inflight.insert(key.clone(), ticket.clone());
-        Admission::Evaluate(ticket)
+        let scratch = Box::new(inner.scratches.pop().unwrap_or_default());
+        Ok(Admission::Evaluate(ticket, inner.graph.clone(), scratch))
+    }
+
+    /// Ends an admitted evaluation, published or not: deregisters its
+    /// ticket and takes its scratch back, and wakes a write that waits
+    /// for the last running evaluation. Runs under the state lock.
+    fn retire(&self, inner: &mut Inner, key: &CacheKey, scratch: Box<EvalScratch>) {
+        inner.inflight.remove(key);
+        inner.scratches.push(*scratch);
+        if inner.writing && inner.inflight.is_empty() {
+            self.quiet.notify_all();
+        }
     }
 
     /// [`QueryService::submit`] for callers that neither cancel nor
@@ -1160,16 +1150,19 @@ impl QueryService {
     /// outcome, or the interrupt verdict.
     fn serve_with_trace(
         &self,
-        scratch: &mut EvalScratch,
         key: CacheKey,
         cancel: &CancelToken,
         mut trace: TraceBuilder,
     ) -> Result<QueryResponse, Interrupt> {
         loop {
-            if let Err(interrupt) = cancel.check() {
-                return Err(self.note_interrupt_traced(interrupt, trace, &key));
-            }
-            match trace.span("cache_probe", || self.admit(&key)) {
+            let admitted = cancel
+                .check()
+                .and_then(|()| trace.span("cache_probe", || self.admit(&key, cancel)));
+            let admission = match admitted {
+                Ok(admission) => admission,
+                Err(interrupt) => return Err(self.note_interrupt_traced(interrupt, trace, &key)),
+            };
+            match admission {
                 Admission::Done(result, served) => {
                     self.record_trace(trace, &key, served, Vec::new(), &result);
                     return Ok(Self::respond(&key, result, served));
@@ -1191,48 +1184,43 @@ impl QueryService {
                         }
                     }
                 }
-                Admission::Evaluate(ticket) => {
-                    let mut guard = AdmissionGuard::new(self, &key, &ticket);
-                    // Held until the answer is published: a write waits
-                    // for it, so the graph read here is still the served
-                    // one when the answer lands in the cache. A waiting
-                    // write holds the turnstile, so this one queues
-                    // behind it instead of delaying it further.
-                    drop(self.turnstile.lock().unwrap());
-                    let running = self.evaluating.read().unwrap();
-                    let graph = self.graph();
-                    let start = Instant::now();
+                Admission::Evaluate(ticket, graph, scratch) => {
+                    // Until the answer is published, its ticket keeps a
+                    // write waiting, so `graph` is still the served one
+                    // when the answer lands in the cache.
+                    let mut guard = AdmissionGuard {
+                        service: self,
+                        key: &key,
+                        ticket: &ticket,
+                        scratch: Some(scratch),
+                    };
+                    let scratch = guard.scratch.as_deref_mut().expect("lent until published");
                     let eval_begin = trace.span_begin();
                     let (evaluated, levels) = pathlearn_graph::collect_levels(|| {
                         self.evaluate(scratch, &graph, &key, &mut trace, cancel)
                     });
                     trace.span_end("eval", eval_begin);
-                    let (result, strategy, footprint) = match evaluated {
-                        Ok(outcome) => outcome,
+                    let (result, outcome) = match evaluated {
+                        Ok(evaluated) => evaluated,
                         Err(interrupt) => {
-                            // The armed guard's drop deregisters the
-                            // ticket and abandons it, so coalesced
-                            // waiters re-admit (one may finish the job
-                            // under its own, longer budget).
-                            drop(running);
+                            // The guard's drop deregisters the ticket,
+                            // returns the scratch and abandons the
+                            // ticket, so coalesced waiters re-admit (one
+                            // may finish the job under its own, longer
+                            // budget).
                             drop(guard);
                             return Err(self.note_interrupt_traced(interrupt, trace, &key));
                         }
                     };
-                    let eval_ns = start.elapsed().as_nanos() as u64;
                     let result = Arc::new(result);
-                    let outcome = EvalOutcome {
-                        strategy,
-                        eval_ns,
-                        work: eval_work(&levels),
-                        footprint,
+                    let served = Served::Evaluated {
+                        strategy: outcome.strategy,
+                        eval_ns: outcome.eval_ns,
                     };
+                    let scratch = guard.scratch.take().expect("lent until published");
                     trace.span("publish", || {
-                        self.publish(&key, &ticket, result.clone(), outcome)
+                        self.publish(&key, &ticket, result.clone(), outcome, scratch)
                     });
-                    drop(running);
-                    guard.disarm();
-                    let served = Served::Evaluated { strategy, eval_ns };
                     self.record_trace(trace, &key, served, levels, &result);
                     return Ok(Self::respond(&key, result, served));
                 }
@@ -1261,10 +1249,10 @@ impl QueryService {
 
     /// Executes one admitted query: one [`EvalPool::evaluate`] call on
     /// this thread, in `scratch`, whose plan and goal follow from the
-    /// key's kind. The
-    /// returned [`Strategy`] is the resolved direction (never
-    /// `Auto`). A binary query's planning pass is recorded in `trace`
-    /// as its own span; a monadic one has nothing to plan.
+    /// key's kind. The outcome's [`Strategy`] is the resolved direction
+    /// (never `Auto`), and its cost and footprint are what the search
+    /// left in `scratch`. A binary query's planning pass is recorded in
+    /// `trace` as its own span; a monadic one has nothing to plan.
     fn evaluate(
         &self,
         scratch: &mut EvalScratch,
@@ -1272,7 +1260,8 @@ impl QueryService {
         key: &CacheKey,
         trace: &mut TraceBuilder,
         cancel: &CancelToken,
-    ) -> Result<(BitSet, Strategy, Option<Footprint>), Interrupt> {
+    ) -> Result<(BitSet, EvalOutcome), Interrupt> {
+        let start = Instant::now();
         let (unplanned, planned);
         let (plan, goal, strategy): (&QueryPlan, _, _) = match key.kind {
             // One engine, nothing to plan: a canonical DFA is already
@@ -1293,20 +1282,28 @@ impl QueryService {
             }
         };
         let result = self.pool.evaluate(scratch, plan, graph, goal, cancel)?;
-        Ok((result, strategy, scratch.footprint(plan)))
+        let outcome = EvalOutcome {
+            strategy,
+            eval_ns: start.elapsed().as_nanos() as u64,
+            work: 1 + scratch.spent(),
+            footprint: scratch.footprint(plan),
+        };
+        Ok((result, outcome))
     }
 
     /// Publishes an evaluated result: cache insert, stats, in-flight
-    /// removal, ticket completion — in that order, so a new submission
-    /// arriving after the ticket is gone finds the cache entry instead.
-    /// The caller holds its evaluation's read guard, so no write lands
-    /// between the graph it evaluated and the insert.
+    /// removal with the scratch's return, ticket completion — in that
+    /// order, so a new submission arriving after the ticket is gone
+    /// finds the cache entry instead. The ticket stays in the table
+    /// until the insert, so no write lands between the graph it
+    /// evaluated and the insert.
     fn publish(
         &self,
         key: &CacheKey,
         ticket: &InFlight,
         result: Arc<BitSet>,
         outcome: EvalOutcome,
+        scratch: Box<EvalScratch>,
     ) {
         let EvalOutcome {
             strategy,
@@ -1329,7 +1326,7 @@ impl QueryService {
                 .cache
                 .insert_with_footprint(key.clone(), result.clone(), work, footprint);
             self.counters.sync_cache_gauges(&inner.cache);
-            inner.inflight.remove(key);
+            self.retire(&mut inner, key, scratch);
         }
         ticket.complete(result);
     }
@@ -1346,6 +1343,23 @@ mod tests {
         Regex::parse(expr, graph.alphabet())
             .unwrap()
             .to_dfa(graph.alphabet().len())
+    }
+
+    /// Yields until `ready` holds for the service's state; fails after
+    /// 5 s instead of hanging.
+    fn wait_for(service: &QueryService, ready: impl Fn(&Inner) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !ready(&service.inner.lock().unwrap()) {
+            assert!(Instant::now() < deadline, "the state was never reached");
+            std::thread::yield_now();
+        }
+    }
+
+    impl QueryService {
+        /// The scratches the pool holds now.
+        pub(crate) fn pooled_scratches(&self) -> usize {
+            self.inner.lock().unwrap().scratches.len()
+        }
     }
 
     #[test]
@@ -1479,14 +1493,21 @@ mod tests {
         let key = CacheKey::monadic(CanonicalQuery::new(&q));
         // Become the owner, then simulate the owner unwinding before
         // publication: the armed guard's drop is exactly that path.
-        let Admission::Evaluate(ticket) = service.admit(&key) else {
+        let Ok(Admission::Evaluate(ticket, _, scratch)) =
+            service.admit(&key, &CancelToken::never())
+        else {
             panic!("first admission must be an Evaluate");
         };
         let waiter = {
             let ticket = ticket.clone();
-            std::thread::spawn(move || ticket.wait())
+            std::thread::spawn(move || ticket.wait_interruptible(&CancelToken::never()).unwrap())
         };
-        drop(AdmissionGuard::new(&service, &key, &ticket));
+        drop(AdmissionGuard {
+            service: &service,
+            key: &key,
+            ticket: &ticket,
+            scratch: Some(scratch),
+        });
         assert!(
             waiter.join().unwrap().is_none(),
             "waiter must be released with an abandon signal, not hang"
@@ -1614,7 +1635,9 @@ mod tests {
         // Become the owner with a doomed token: evaluation is never
         // reached — but simulate the owner path by admitting, then
         // letting `submit` hit the eval-time interrupt.
-        let Admission::Evaluate(ticket) = service.admit(&key) else {
+        let Ok(Admission::Evaluate(ticket, _, scratch)) =
+            service.admit(&key, &CancelToken::never())
+        else {
             panic!("first admission must be an Evaluate");
         };
         // A concurrent coalesced waiter (unbounded token) blocks on the
@@ -1627,7 +1650,12 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         // …until the owner's interrupt abandons the ticket; the waiter
         // re-admits and evaluates the query itself.
-        drop(AdmissionGuard::new(&service, &key, &ticket));
+        drop(AdmissionGuard {
+            service: &service,
+            key: &key,
+            ticket: &ticket,
+            scratch: Some(scratch),
+        });
         let served = waiter.join().unwrap();
         assert_eq!(*served.result, eval_monadic(&q, &graph));
         assert!(matches!(served.served, Served::Evaluated { .. }));
@@ -1944,6 +1972,98 @@ mod tests {
             published <= 1,
             "{published} evaluations published during the write"
         );
+    }
+
+    /// A miss that waits for a write to land keeps its own deadline: the
+    /// write waits for an evaluation held 300 ms, and a submission with
+    /// a 20 ms budget gives up long before that evaluation publishes.
+    #[test]
+    fn a_miss_waiting_for_a_write_keeps_its_deadline() {
+        let graph = figure3_g0();
+        let config = ServeConfig {
+            eval_holdoff: Duration::from_millis(300),
+            ..ServeConfig::default()
+        };
+        let service = Arc::new(QueryService::new(graph.clone(), config));
+        let (qa, qb) = (query(&graph, "a"), query(&graph, "b"));
+        let owner = {
+            let service = service.clone();
+            std::thread::spawn(move || service.query_monadic(&qa))
+        };
+        wait_for(&service, |inner| !inner.inflight.is_empty());
+        let a = graph.alphabet().symbol("a").unwrap();
+        let (v1, v2) = (graph.node_id("v1").unwrap(), graph.node_id("v2").unwrap());
+        let writer = {
+            let service = service.clone();
+            std::thread::spawn(move || service.apply_delta(&[], &[(v1, a, v2)]).unwrap())
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        let started = Instant::now();
+        let hurried = CancelToken::with_deadline(started + Duration::from_millis(20));
+        let key = CacheKey::monadic(CanonicalQuery::new(&qb));
+        assert_eq!(
+            service.submit(key, &hurried, None).unwrap_err(),
+            Interrupt::Deadline
+        );
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_millis(120),
+            "answered after {waited:?}"
+        );
+        assert_eq!(writer.join().unwrap().patched, 1);
+        owner.join().unwrap();
+        assert_eq!(service.stats().deadline_exceeded, 1);
+        let after = service.query_monadic(&qb);
+        assert!(matches!(after.served, Served::Evaluated { .. }));
+        assert_eq!(*after.result, eval_monadic(&qb, &graph));
+    }
+
+    /// Admission lends the scratches and publication takes them back,
+    /// so the pool holds at most one per evaluation that ran at the same
+    /// time as the others; a write, which runs when none does, borrows
+    /// one of those instead of adding its own.
+    #[test]
+    fn the_scratch_pool_holds_no_more_than_the_concurrent_evaluations() {
+        let graph = figure3_g0();
+        let config = ServeConfig {
+            eval_holdoff: Duration::from_millis(100),
+            ..ServeConfig::default()
+        };
+        let service = Arc::new(QueryService::new(graph.clone(), config));
+        let exprs = ["a", "b", "c"];
+        let barrier = Arc::new(std::sync::Barrier::new(exprs.len() + 1));
+        let owners: Vec<_> = exprs
+            .into_iter()
+            .map(|expr| {
+                let (service, barrier) = (service.clone(), barrier.clone());
+                let q = query(&graph, expr);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    service.query_monadic(&q)
+                })
+            })
+            .collect();
+        barrier.wait();
+        wait_for(&service, |inner| inner.inflight.len() == exprs.len());
+        // The evaluations are held in publish; the write waits for them,
+        // then patches the a-entry.
+        let a = graph.alphabet().symbol("a").unwrap();
+        let (v1, v2) = (graph.node_id("v1").unwrap(), graph.node_id("v2").unwrap());
+        let applied = service.apply_delta(&[], &[(v1, a, v2)]).unwrap();
+        assert_eq!(applied.patched, 1);
+        for owner in owners {
+            assert!(matches!(
+                owner.join().unwrap().served,
+                Served::Evaluated { .. }
+            ));
+        }
+        let pooled = service.pooled_scratches();
+        assert!((1..=exprs.len()).contains(&pooled), "{pooled} scratches");
+        // One evaluation at a time reuses what the pool holds.
+        for expr in ["a·b", "b·c", "c·a"] {
+            service.query_monadic(&query(&graph, expr));
+        }
+        assert_eq!(service.pooled_scratches(), pooled);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use pathlearn_automata::{Alphabet, Dfa, Regex, Symbol};
 use pathlearn_graph::eval::{eval_binary_from, eval_monadic};
 use pathlearn_graph::Strategy as Plan;
-use pathlearn_graph::{GraphBuilder, GraphDb, NodeId};
+use pathlearn_graph::{GraphBuilder, GraphDb, NodeId, MAX_LEVEL_SAMPLES};
 use pathlearn_server::wal::Persistence;
 use pathlearn_server::{
     Client, ErrorCode, NetConfig, QueryService, Response, ServeConfig, Served, Server, WireServed,
@@ -325,6 +325,50 @@ fn an_over_budget_patch_drops_the_entry_and_it_is_evaluated_again() {
         eval_binary_from(&query, &service.graph().compact(), source)
     );
     assert_eq!(served.result.iter().collect::<Vec<_>>(), [source as usize]);
+}
+
+/// An entry's patch budget counts every level its evaluation ran, not
+/// only the levels a trace keeps ([`MAX_LEVEL_SAMPLES`]). On a 600-node
+/// `a`-chain the forward search of `a*` from n0 runs 600 levels and
+/// spends 1,200 units; cutting the chain after n400 loses 199 pairs,
+/// which costs about as much to patch as the levels past the traced
+/// ones did to evaluate. Priced by its first 256 levels, the entry was
+/// dropped.
+#[test]
+fn a_deep_answer_is_priced_by_every_level_it_ran() {
+    const NODES: u32 = 600;
+    assert!(NODES as usize > 2 * MAX_LEVEL_SAMPLES);
+    let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
+    let first = builder.add_nodes("n", NODES as usize);
+    let a = Symbol::from_index(0);
+    for i in 0..NODES - 1 {
+        builder.add_edge_ids(first + i, a, first + i + 1);
+    }
+    let graph = builder.build();
+    let config = ServeConfig {
+        strategy: Plan::Forward,
+        ..ServeConfig::default()
+    };
+    let service = QueryService::new(graph.clone(), config);
+    let query = Regex::parse("a*", graph.alphabet()).unwrap().to_dfa(3);
+    let source = first;
+    assert_eq!(service.query_binary_from(&query, source).result.len(), 600);
+
+    let applied = service
+        .apply_delta(&[], &[(first + 400, a, first + 401)])
+        .unwrap();
+    assert_eq!(
+        (applied.invalidated, applied.patched),
+        (0, 1),
+        "within the budget of all 600 levels"
+    );
+    let served = service.query_binary_from(&query, source);
+    assert_eq!(served.served, Served::Hit);
+    assert_eq!(
+        *served.result,
+        eval_binary_from(&query, &service.graph().compact(), source)
+    );
+    assert_eq!(served.result.len(), 401);
 }
 
 /// `/healthz` reads `persistence_status`, so it must not wait for a
