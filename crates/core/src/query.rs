@@ -71,15 +71,9 @@ impl PathQuery {
     /// Note that the paper's *query equivalence* (`q(G) = q'(G)` for all
     /// `G`) is coarser: `a` and `a·b*` are equivalent queries with
     /// different languages. Query equivalence is exactly language equality
-    /// of the prefix-free forms — see [`PathQuery::equivalent_as_query`].
+    /// of the prefix-free forms — see [`PathQuery::prefix_free`].
     pub fn equivalent_language(&self, other: &PathQuery) -> bool {
         self.dfa.equivalent(&other.dfa)
-    }
-
-    /// The paper's query equivalence: equality on every graph, decided via
-    /// prefix-free normal forms.
-    pub fn equivalent_as_query(&self, other: &PathQuery) -> bool {
-        self.prefix_free().dfa.equivalent(&other.prefix_free().dfa)
     }
 
     /// Evaluates the query on a graph: the selected node set
@@ -102,37 +96,6 @@ impl PathQuery {
     /// Converts back to a regular expression (state elimination).
     pub fn to_regex(&self) -> Regex {
         dfa_to_regex(&self.dfa)
-    }
-
-    // ----- query algebra --------------------------------------------------
-
-    /// The union query `self + other`: selects `q₁(G) ∪ q₂(G)` on every
-    /// graph (monadic semantics distributes over language union).
-    pub fn union(&self, other: &PathQuery) -> PathQuery {
-        let regex = Regex::alt(vec![self.to_regex(), other.to_regex()]);
-        PathQuery::from_regex(&regex, self.dfa.alphabet_len())
-    }
-
-    /// The concatenation query `self · other`.
-    pub fn concat(&self, other: &PathQuery) -> PathQuery {
-        let regex = Regex::concat(vec![self.to_regex(), other.to_regex()]);
-        PathQuery::from_regex(&regex, self.dfa.alphabet_len())
-    }
-
-    /// The Kleene-star query `self*`. Note `ε ∈ L(q*)`, so the result
-    /// selects **every** node of every graph — stars are useful as
-    /// sub-expressions, rarely as whole queries (§2's prefix-free
-    /// normalization would collapse `q*` to `ε`).
-    pub fn star(&self) -> PathQuery {
-        PathQuery::from_regex(&Regex::star(self.to_regex()), self.dfa.alphabet_len())
-    }
-
-    /// Language containment `L(self) ⊆ L(other)`, decided exactly via the
-    /// antichain inclusion algorithm. Containment implies *selection
-    /// containment* on every graph: `self(G) ⊆ other(G)`.
-    pub fn contained_in(&self, other: &PathQuery) -> bool {
-        pathlearn_automata::inclusion::nfa_included_in(&self.dfa.to_nfa(), &other.dfa.to_nfa())
-            .is_ok()
     }
 
     /// Pretty-prints the query as a regex over `alphabet`.
@@ -176,7 +139,6 @@ mod tests {
         let a = PathQuery::parse("a", &alphabet).unwrap();
         let ab_star = PathQuery::parse("a·b*", &alphabet).unwrap();
         assert!(!a.equivalent_language(&ab_star));
-        assert!(a.equivalent_as_query(&ab_star));
         assert_eq!(ab_star.prefix_free().dfa(), a.dfa());
     }
 
@@ -212,49 +174,5 @@ mod tests {
         let graph = figure3_g0();
         let q = PathQuery::parse("a", graph.alphabet()).unwrap();
         assert!((q.selectivity(&graph) - 6.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn union_selects_set_union() {
-        let graph = figure3_g0();
-        let a = PathQuery::parse("a·b", graph.alphabet()).unwrap();
-        let b = PathQuery::parse("c", graph.alphabet()).unwrap();
-        let union = a.union(&b);
-        let mut expected = a.eval(&graph);
-        expected.union_with(&b.eval(&graph));
-        assert_eq!(union.eval(&graph), expected);
-    }
-
-    #[test]
-    fn concat_matches_regex_composition() {
-        let graph = figure3_g0();
-        let a = PathQuery::parse("a", graph.alphabet()).unwrap();
-        let b = PathQuery::parse("b·c", graph.alphabet()).unwrap();
-        let composed = a.concat(&b);
-        let direct = PathQuery::parse("a·b·c", graph.alphabet()).unwrap();
-        assert!(composed.equivalent_language(&direct));
-    }
-
-    #[test]
-    fn star_selects_everything() {
-        let graph = figure3_g0();
-        let q = PathQuery::parse("a·b", graph.alphabet()).unwrap();
-        assert_eq!(q.star().eval(&graph).len(), graph.num_nodes());
-    }
-
-    #[test]
-    fn containment_laws() {
-        let alphabet = Alphabet::from_labels(["a", "b", "c"]);
-        let abc = PathQuery::parse("a·b·c", &alphabet).unwrap();
-        let star = PathQuery::parse("(a·b)*·c", &alphabet).unwrap();
-        let broad = PathQuery::parse("(a+b)*·c", &alphabet).unwrap();
-        assert!(abc.contained_in(&star));
-        assert!(star.contained_in(&broad));
-        assert!(!broad.contained_in(&star));
-        // Containment implies selection containment.
-        let graph = figure3_g0();
-        let small = abc.eval(&graph);
-        let big = star.eval(&graph);
-        assert!(small.is_subset(&big));
     }
 }

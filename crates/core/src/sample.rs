@@ -1,8 +1,7 @@
 //! Samples: user-labeled examples (paper §3.1).
 //!
 //! A (monadic) *example* is a pair `(ν, α)` with `α ∈ {+, −}`; a *sample*
-//! is a set of examples. Binary samples label node pairs and n-ary samples
-//! label node tuples (Appendix B).
+//! is a set of examples.
 
 use pathlearn_graph::NodeId;
 
@@ -103,140 +102,6 @@ impl Sample {
     }
 }
 
-/// A binary sample: positively and negatively labeled node pairs.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Sample2 {
-    pos: Vec<(NodeId, NodeId)>,
-    neg: Vec<(NodeId, NodeId)>,
-}
-
-impl Sample2 {
-    /// Creates an empty binary sample.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a positive pair example (builder style).
-    #[must_use]
-    pub fn positive(mut self, source: NodeId, target: NodeId) -> Self {
-        self.add(source, target, true);
-        self
-    }
-
-    /// Adds a negative pair example (builder style).
-    #[must_use]
-    pub fn negative(mut self, source: NodeId, target: NodeId) -> Self {
-        self.add(source, target, false);
-        self
-    }
-
-    /// Adds a pair example in place; panics on contradictory labels.
-    pub fn add(&mut self, source: NodeId, target: NodeId, positive: bool) {
-        let pair = (source, target);
-        let (own, other) = if positive {
-            (&mut self.pos, &self.neg)
-        } else {
-            (&mut self.neg, &self.pos)
-        };
-        assert!(
-            other.binary_search(&pair).is_err(),
-            "pair {pair:?} labeled both + and -"
-        );
-        if let Err(at) = own.binary_search(&pair) {
-            own.insert(at, pair);
-        }
-    }
-
-    /// Positive pairs, sorted.
-    pub fn pos(&self) -> &[(NodeId, NodeId)] {
-        &self.pos
-    }
-
-    /// Negative pairs, sorted.
-    pub fn neg(&self) -> &[(NodeId, NodeId)] {
-        &self.neg
-    }
-
-    /// Total number of examples.
-    pub fn len(&self) -> usize {
-        self.pos.len() + self.neg.len()
-    }
-
-    /// Whether the sample has no examples.
-    pub fn is_empty(&self) -> bool {
-        self.pos.is_empty() && self.neg.is_empty()
-    }
-}
-
-/// An n-ary sample: labeled node tuples of a fixed arity ≥ 2.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SampleN {
-    arity: usize,
-    pos: Vec<Vec<NodeId>>,
-    neg: Vec<Vec<NodeId>>,
-}
-
-impl SampleN {
-    /// Creates an empty n-ary sample of the given arity.
-    ///
-    /// # Panics
-    /// Panics if `arity < 2`.
-    pub fn new(arity: usize) -> Self {
-        assert!(arity >= 2, "n-ary samples need arity ≥ 2");
-        SampleN {
-            arity,
-            pos: Vec::new(),
-            neg: Vec::new(),
-        }
-    }
-
-    /// The tuple arity.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// Adds a tuple example; panics if the arity differs.
-    pub fn add(&mut self, tuple: Vec<NodeId>, positive: bool) {
-        assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        if positive {
-            self.pos.push(tuple);
-        } else {
-            self.neg.push(tuple);
-        }
-    }
-
-    /// Positive tuples.
-    pub fn pos(&self) -> &[Vec<NodeId>] {
-        &self.pos
-    }
-
-    /// Negative tuples.
-    pub fn neg(&self) -> &[Vec<NodeId>] {
-        &self.neg
-    }
-
-    /// Projects the i-th consecutive pair out of every tuple, producing
-    /// the binary sample Algorithm 3 feeds to `learner2` for position `i`.
-    pub fn project(&self, i: usize) -> Sample2 {
-        assert!(i + 1 < self.arity);
-        let mut sample = Sample2::new();
-        for tuple in &self.pos {
-            sample.add(tuple[i], tuple[i + 1], true);
-        }
-        for tuple in &self.neg {
-            // A negative tuple contributes its component pair as negative,
-            // exactly as Algorithm 3 specifies. (This is conservative: a
-            // tuple may be negative because of a *different* position; the
-            // paper's algorithm accepts that approximation.)
-            let pair = (tuple[i], tuple[i + 1]);
-            if sample.pos.binary_search(&pair).is_err() {
-                sample.add(pair.0, pair.1, false);
-            }
-        }
-        sample
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,43 +139,5 @@ mod tests {
     fn from_parts_sorts() {
         let sample = Sample::from_parts([9, 1, 5], [2]);
         assert_eq!(sample.pos(), &[1, 5, 9]);
-    }
-
-    #[test]
-    fn binary_sample_basics() {
-        let sample = Sample2::new().positive(0, 1).negative(1, 2);
-        assert_eq!(sample.pos(), &[(0, 1)]);
-        assert_eq!(sample.neg(), &[(1, 2)]);
-        assert_eq!(sample.len(), 2);
-    }
-
-    #[test]
-    fn nary_projection() {
-        let mut sample = SampleN::new(3);
-        sample.add(vec![0, 1, 2], true);
-        sample.add(vec![3, 4, 5], false);
-        let first = sample.project(0);
-        assert_eq!(first.pos(), &[(0, 1)]);
-        assert_eq!(first.neg(), &[(3, 4)]);
-        let second = sample.project(1);
-        assert_eq!(second.pos(), &[(1, 2)]);
-        assert_eq!(second.neg(), &[(4, 5)]);
-    }
-
-    #[test]
-    fn nary_projection_skips_pairs_that_are_positive() {
-        let mut sample = SampleN::new(3);
-        sample.add(vec![0, 1, 2], true);
-        sample.add(vec![0, 1, 9], false); // same first pair as a positive
-        let first = sample.project(0);
-        assert_eq!(first.pos(), &[(0, 1)]);
-        assert!(first.neg().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn nary_arity_mismatch_panics() {
-        let mut sample = SampleN::new(3);
-        sample.add(vec![0, 1], true);
     }
 }

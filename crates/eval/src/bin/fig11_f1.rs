@@ -7,14 +7,16 @@
 //! cargo run -p pathlearn-eval --release --bin fig11_f1 -- syn --full
 //! ```
 
-use pathlearn_core::LearnerConfig;
 use pathlearn_eval::datasets::{datasets_for, goals, HarnessArgs};
 use pathlearn_eval::report::{ascii_table, csv, fmt_f1, fmt_pct, write_results_file};
 use pathlearn_eval::static_exp::{run_static, StaticConfig};
 
 fn main() {
     let args = HarnessArgs::parse();
-    let fractions = vec![0.005, 0.01, 0.02, 0.03, 0.05, 0.07, 0.10, 0.12];
+    let config = StaticConfig {
+        seed: args.seed,
+        ..StaticConfig::default()
+    };
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
 
     for dataset in datasets_for(&args) {
@@ -30,12 +32,6 @@ fn main() {
         }
         let mut columns: Vec<Vec<f64>> = Vec::new();
         for (name, goal) in &goals {
-            let config = StaticConfig {
-                fractions: fractions.clone(),
-                trials: 3,
-                seed: args.seed,
-                learner: LearnerConfig::default(),
-            };
             let points = run_static(&dataset.graph, goal, &config);
             for p in &points {
                 csv_rows.push(vec![
@@ -51,7 +47,7 @@ fn main() {
             columns.push(points.iter().map(|p| p.mean_f1).collect());
         }
         let mut rows = Vec::new();
-        for (i, &fraction) in fractions.iter().enumerate() {
+        for (i, &fraction) in config.fractions.iter().enumerate() {
             let mut row = vec![fmt_pct(fraction)];
             for column in &columns {
                 row.push(fmt_f1(column[i]));

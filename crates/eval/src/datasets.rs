@@ -19,41 +19,57 @@ use pathlearn_datagen::workloads::{bio_workload, syn_workload, CalibratedQuery};
 use pathlearn_graph::GraphDb;
 
 /// Parsed command-line options shared by the harness binaries.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HarnessArgs {
     /// Base RNG seed.
     pub seed: u64,
     /// Paper-scale synthetic graphs (10k/20k/30k) instead of 10k only.
     pub full: bool,
-    /// Positional arguments (e.g. `bio` / `syn`).
-    pub positional: Vec<String>,
+    /// The dataset selector, `bio` or `syn`; `None` selects both.
+    pub dataset: Option<String>,
 }
 
 impl HarnessArgs {
-    /// Parses `std::env::args`, ignoring the binary name.
+    /// Parses `std::env::args`, ignoring the binary name. A bad argument
+    /// prints a one-line `error:` to stderr and exits with status 1.
     pub fn parse() -> Self {
-        let mut args = HarnessArgs {
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(1)
+        })
+    }
+
+    /// Parses the arguments after the binary name: `--seed N`, `--full`
+    /// and at most one dataset selector. A missing or malformed value, an
+    /// unknown flag and an unknown selector are errors.
+    fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut parsed = HarnessArgs {
             seed: 42,
             full: false,
-            positional: Vec::new(),
+            dataset: None,
         };
-        let mut iter = std::env::args().skip(1);
+        let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--seed" => {
-                    args.seed = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs an integer");
+                    let value = iter.next().ok_or("--seed needs a value")?;
+                    parsed.seed = value
+                        .parse()
+                        .map_err(|_| format!("--seed needs an integer, got {value:?}"))?;
                 }
-                "--full" => args.full = true,
-                other if other.starts_with("--") => {
-                    panic!("unknown flag {other} (expected --seed/--full)")
+                "--full" => parsed.full = true,
+                flag if flag.starts_with("--") => {
+                    return Err(format!("unknown flag {flag} (accepted: --seed N, --full)"))
                 }
-                other => args.positional.push(other.to_owned()),
+                "bio" | "syn" if parsed.dataset.is_none() => parsed.dataset = Some(arg),
+                other => {
+                    return Err(format!(
+                        "unexpected argument {other:?} (expected one dataset: bio or syn)"
+                    ))
+                }
             }
         }
-        args
+        Ok(parsed)
     }
 
     /// Synthetic graph sizes for this scale.
@@ -98,10 +114,10 @@ pub fn syn_dataset(nodes: usize, seed: u64) -> Dataset {
     }
 }
 
-/// Returns the datasets selected by the positional argument
-/// (`bio`, `syn`, or both when absent).
+/// Returns the datasets the selector names (`bio`, `syn`, or both when
+/// absent).
 pub fn datasets_for(args: &HarnessArgs) -> Vec<Dataset> {
-    let which = args.positional.first().map(String::as_str);
+    let which = args.dataset.as_deref();
     let mut datasets = Vec::new();
     if matches!(which, None | Some("bio")) {
         datasets.push(bio_dataset(args.seed));
@@ -111,10 +127,6 @@ pub fn datasets_for(args: &HarnessArgs) -> Vec<Dataset> {
             datasets.push(syn_dataset(nodes, args.seed));
         }
     }
-    assert!(
-        !datasets.is_empty(),
-        "dataset selector must be `bio` or `syn`"
-    );
     datasets
 }
 
@@ -143,5 +155,42 @@ mod tests {
         let dataset = syn_dataset(500, 42);
         assert_eq!(dataset.queries.len(), 3);
         assert_eq!(dataset.name, "syn-500");
+    }
+
+    fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse_from(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn harness_args_parse_seed_full_and_selector() {
+        let args = parse(&["syn", "--seed", "7", "--full"]).unwrap();
+        assert_eq!(args.seed, 7);
+        assert!(args.full);
+        assert_eq!(args.dataset.as_deref(), Some("syn"));
+        let defaults = HarnessArgs {
+            seed: 42,
+            full: false,
+            dataset: None,
+        };
+        assert_eq!(parse(&[]).unwrap(), defaults);
+    }
+
+    #[test]
+    fn harness_args_reject_a_missing_or_bad_seed() {
+        assert!(parse(&["--seed"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--seed", "x"]).unwrap_err().contains("integer"));
+    }
+
+    #[test]
+    fn harness_args_reject_an_unknown_flag() {
+        assert!(parse(&["--threads", "2"])
+            .unwrap_err()
+            .contains("unknown flag --threads"));
+    }
+
+    #[test]
+    fn harness_args_reject_an_unknown_or_second_selector() {
+        assert!(parse(&["foo"]).unwrap_err().contains("\"foo\""));
+        assert!(parse(&["bio", "syn"]).unwrap_err().contains("\"syn\""));
     }
 }

@@ -1,0 +1,27 @@
+//! The paper-artifact binaries reject bad arguments with a one-line
+//! `error:` and exit status 1, never with a panic and its backtrace.
+
+use std::process::Command;
+
+#[test]
+fn bad_arguments_exit_1_with_an_error_line_and_no_panic() {
+    let cases: [(&str, &[&str]); 4] = [
+        (env!("CARGO_BIN_EXE_table1_selectivity"), &["--seed"]),
+        (env!("CARGO_BIN_EXE_table1_selectivity"), &["--seed", "x"]),
+        (env!("CARGO_BIN_EXE_table1_selectivity"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_fig11_f1"), &["foo"]),
+    ];
+    for (binary, args) in cases {
+        let output = Command::new(binary)
+            .args(args)
+            .env("RUST_BACKTRACE", "1")
+            .output()
+            .expect("run the binary");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+    }
+}

@@ -1578,11 +1578,6 @@ pub fn eval_binary_from(query: &Dfa, graph: &GraphDb, source: NodeId) -> BitSet 
     EvalPool::sequential().evaluate_dfa(&mut EvalScratch::new(), query, graph, goal)
 }
 
-/// `true` iff the binary query selects the pair `(source, target)`.
-pub fn selects_pair(query: &Dfa, graph: &GraphDb, source: NodeId, target: NodeId) -> bool {
-    eval_binary_from(query, graph, source).contains(target as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1736,7 +1731,7 @@ mod tests {
             for source in graph.nodes() {
                 let ends = eval_binary_from(&q, &graph, source);
                 for target in graph.nodes() {
-                    let nfa = crate::binary::paths2_nfa(&graph, source, target);
+                    let nfa = crate::paths::paths2_nfa(&graph, source, target);
                     let expected =
                         !pathlearn_automata::product::dfa_nfa_intersection_is_empty(&q, &nfa);
                     assert_eq!(
@@ -1893,8 +1888,7 @@ mod tests {
         let ends = eval_binary_from(&q, &graph, v1);
         assert!(ends.contains(v4 as usize));
         assert_eq!(ends.len(), 1);
-        assert!(selects_pair(&q, &graph, v1, v4));
-        assert!(!selects_pair(&q, &graph, v4, v1));
+        assert!(!eval_binary_from(&q, &graph, v4).contains(v1 as usize));
     }
 
     #[test]

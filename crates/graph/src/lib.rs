@@ -8,7 +8,8 @@
 //! * [`graph`] — the [`GraphDb`] container (one label-partitioned CSR
 //!   adjacency per [`Dir`], interned labels, named nodes), its one
 //!   frontier step kernel ([`GraphDb::step_into`]) and its builder;
-//! * [`paths`] — the `paths_G` machinery: the all-accepting NFA view,
+//! * [`paths`] — the `paths_G` machinery: the all-accepting NFA view
+//!   (and `paths2_G(ν,ν′)`'s, the binary-evaluation oracle),
 //!   word-membership by simulation, bounded canonical-order enumeration,
 //!   and the product emptiness test of Algorithm 1's merge oracle
 //!   ([`PathsProduct`]), searched over the adjacency itself;
@@ -31,8 +32,6 @@
 //! * [`cancel`] — cooperative cancellation ([`cancel::CancelToken`]:
 //!   deadline and/or shared drain flag) checked once per BFS level, so
 //!   a serving layer can bound per-query time without killing threads;
-//! * [`binary`] — `paths2_G(ν,ν′)` and the binary SCP search used by
-//!   Algorithm 2;
 //! * [`neighborhood`] — k-neighborhood extraction (interactive scenario,
 //!   Figure 9 step 4);
 //! * [`io`] — a line-oriented text format;
@@ -44,7 +43,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod binary;
 pub mod cancel;
 pub mod eval;
 pub mod graph;

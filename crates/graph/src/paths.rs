@@ -2,7 +2,8 @@
 //!
 //! `paths_G(ν)` is the set of words matching some node sequence starting at
 //! `ν`; it always contains `ε`, is prefix-closed, and is infinite iff a
-//! cycle is reachable from `ν`. We expose it four ways:
+//! cycle is reachable from `ν`. We expose it four ways (and the binary
+//! language `paths2_G(ν, ν′)` as an NFA, [`paths2_nfa`]):
 //!
 //! 1. as an **all-accepting NFA** over the graph itself (for inclusion
 //!    checks);
@@ -147,6 +148,21 @@ impl GraphDb {
         }
         false
     }
+}
+
+/// The NFA recognizing `paths2_G(ν, ν′)` (Appendix B): the graph with
+/// initial `{ν}` and accepting `{ν′}`. Unlike `paths_G(ν)` it is not
+/// prefix-closed, and it holds `ε` iff `ν = ν′`. It is the per-pair
+/// reference that binary evaluation (`eval_binary_from`) is tested
+/// against.
+pub fn paths2_nfa(graph: &GraphDb, source: NodeId, target: NodeId) -> Nfa {
+    Nfa::from_edges(
+        graph.num_nodes().max(1),
+        graph.alphabet().len(),
+        graph.edges(),
+        [source],
+        [target],
+    )
 }
 
 /// The emptiness test `L(dfa) ∩ paths_G(X) = ∅` — Algorithm 1 line 4's
@@ -305,6 +321,22 @@ mod tests {
         // c is not a path of v1 (no c-edge at v1).
         let c = alphabet.parse_word("c").unwrap();
         assert!(!nfa.accepts(&c));
+    }
+
+    #[test]
+    fn paths2_basic_membership() {
+        let graph = figure3_g0();
+        let alphabet = graph.alphabet();
+        let v1 = graph.node_id("v1").unwrap();
+        let v4 = graph.node_id("v4").unwrap();
+        let abc = alphabet.parse_word("a b c").unwrap();
+        let nfa = super::paths2_nfa(&graph, v1, v4);
+        assert!(nfa.accepts(&abc));
+        assert!(!nfa.accepts(&alphabet.parse_word("a b").unwrap()));
+        assert!(!super::paths2_nfa(&graph, v4, v1).accepts(&abc));
+        // ε only relates a node to itself.
+        assert!(super::paths2_nfa(&graph, v1, v1).accepts(&[]));
+        assert!(!nfa.accepts(&[]));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! * [`automata`] — NFAs/DFAs, regexes, RPNI, antichain inclusion;
 //! * [`graph`] — the graph database, `paths_G` machinery, RPQ evaluation,
 //!   SCP search;
-//! * [`core`] — the paper's learning algorithms (Algorithms 1–3),
-//!   consistency checking, characteristic graphs (Theorem 3.5);
+//! * [`core`] — the paper's learner (Algorithm 1), consistency
+//!   checking, characteristic graphs (Theorem 3.5);
 //! * [`interactive`] — the interactive scenario of §4 (certain nodes,
 //!   `kR`/`kS` strategies, the Figure 9 loop);
 //! * [`datagen`] — synthetic graph generators and the paper's workloads;
@@ -59,11 +59,7 @@ pub use pathlearn_server as server;
 /// Convenience re-exports of the most common types.
 pub mod prelude {
     pub use pathlearn_automata::{Alphabet, Dfa, Nfa, Regex, Symbol, Word};
-    pub use pathlearn_core::{
-        query::PathQuery,
-        sample::{Sample, Sample2},
-        Learner, LearnerConfig,
-    };
+    pub use pathlearn_core::{query::PathQuery, sample::Sample, Learner, LearnerConfig};
     pub use pathlearn_graph::{EvalPool, GraphBuilder, GraphDb, NodeId};
     pub use pathlearn_interactive::{
         session::{InteractiveConfig, InteractiveSession},

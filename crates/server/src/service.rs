@@ -1,8 +1,9 @@
 //! The concurrent query service: admission, coalescing, scheduling.
 //!
 //! [`QueryService`] is the multi-client front door to RPQ evaluation.
-//! Client threads call [`QueryService::query_monadic`] (or the binary /
-//! pre-canonicalized variants) concurrently; the service
+//! Client threads call [`QueryService::submit`] concurrently (the
+//! `query_*` methods are shorthands over this one entry point); the
+//! service
 //!
 //! 1. **canonicalizes** the submitted query (minimize → canonical
 //!    numbering, [`CanonicalQuery`]) into a [`CacheKey`], so equivalent
