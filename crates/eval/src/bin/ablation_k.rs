@@ -17,7 +17,7 @@ use pathlearn_eval::report::{ascii_table, csv, fmt_f1, write_results_file};
 use pathlearn_eval::static_exp::{run_static, StaticConfig};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse_bio_only();
     let dataset = bio_dataset(args.seed);
     let fraction = 0.05;
 

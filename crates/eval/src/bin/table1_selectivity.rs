@@ -10,7 +10,7 @@ use pathlearn_eval::datasets::{bio_dataset, HarnessArgs};
 use pathlearn_eval::report::{ascii_table, csv, fmt_pct, write_results_file};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse_bio_only();
     let dataset = bio_dataset(args.seed);
     let nodes = dataset.graph.num_nodes();
 

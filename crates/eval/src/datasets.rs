@@ -33,10 +33,34 @@ impl HarnessArgs {
     /// Parses `std::env::args`, ignoring the binary name. A bad argument
     /// prints a one-line `error:` to stderr and exits with status 1.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|message| {
+        Self::or_exit(Self::parse_from(std::env::args().skip(1)))
+    }
+
+    /// [`HarnessArgs::parse`] for a binary that runs the bio dataset
+    /// only: the `syn` selector and `--full` (the synthetic scale) are
+    /// errors too.
+    pub fn parse_bio_only() -> Self {
+        Self::or_exit(Self::parse_from(std::env::args().skip(1)).and_then(Self::bio_only))
+    }
+
+    fn or_exit(parsed: Result<Self, String>) -> Self {
+        parsed.unwrap_or_else(|message| {
             eprintln!("error: {message}");
             std::process::exit(1)
         })
+    }
+
+    /// `self`, unless it asks for the synthetic dataset or its scale.
+    fn bio_only(self) -> Result<Self, String> {
+        if self.dataset.as_deref() == Some("syn") {
+            return Err("this binary runs the bio dataset only (got syn)".into());
+        }
+        if self.full {
+            return Err(
+                "--full sets the synthetic scale; this binary runs the bio dataset only".into(),
+            );
+        }
+        Ok(self)
     }
 
     /// Parses the arguments after the binary name: `--seed N`, `--full`
@@ -186,6 +210,16 @@ mod tests {
         assert!(parse(&["--threads", "2"])
             .unwrap_err()
             .contains("unknown flag --threads"));
+    }
+
+    #[test]
+    fn bio_only_harness_args_reject_syn_and_full() {
+        let bio_only = |args: &[&str]| parse(args).and_then(HarnessArgs::bio_only);
+        assert!(bio_only(&["syn"]).unwrap_err().contains("bio dataset only"));
+        assert!(bio_only(&["--full"])
+            .unwrap_err()
+            .contains("bio dataset only"));
+        assert_eq!(bio_only(&["bio", "--seed", "7"]).unwrap().seed, 7);
     }
 
     #[test]

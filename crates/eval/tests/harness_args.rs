@@ -5,11 +5,16 @@ use std::process::Command;
 
 #[test]
 fn bad_arguments_exit_1_with_an_error_line_and_no_panic() {
-    let cases: [(&str, &[&str]); 4] = [
+    let cases: [(&str, &[&str]); 8] = [
         (env!("CARGO_BIN_EXE_table1_selectivity"), &["--seed"]),
         (env!("CARGO_BIN_EXE_table1_selectivity"), &["--seed", "x"]),
         (env!("CARGO_BIN_EXE_table1_selectivity"), &["--bogus"]),
         (env!("CARGO_BIN_EXE_fig11_f1"), &["foo"]),
+        // The bio-only binaries refuse the synthetic dataset and scale.
+        (env!("CARGO_BIN_EXE_table1_selectivity"), &["syn"]),
+        (env!("CARGO_BIN_EXE_table1_selectivity"), &["--full"]),
+        (env!("CARGO_BIN_EXE_ablation_k"), &["syn"]),
+        (env!("CARGO_BIN_EXE_ablation_k"), &["--full"]),
     ];
     for (binary, args) in cases {
         let output = Command::new(binary)

@@ -48,7 +48,9 @@
 //! endpoint of the frontier's edges, which it checks against the
 //! certificate and test-and-sets into `reached` and the next frontier
 //! of every target state, so it makes no `|V|`-word pass beyond finding
-//! the frontier's bits. It counts as one task, unless the frontier
+//! the frontier's bits — and none at all while the frontier state is
+//! listed ([`GraphDb::step_visit_nodes`], see *Listed levels*). It counts
+//! as one task, unless the frontier
 //! missed the label — then, like a skipped step, it counts as none.
 //!
 //! Every evaluation runs on its caller's thread: the harvested tasks
@@ -91,11 +93,22 @@
 //! stops at its last member. [`Footprint::hit_by`] then tells, for an
 //! edge batch, whether the answer can have changed, and
 //! [`EvalPool::patch`] brings the answer and its footprint up to the new
-//! graph through the same level loop: it loads the sets, takes out the pairs
-//! a removed edge left without a derivation, seeds the pairs an added
-//! edge reaches, and resumes the search to its fixpoint. The serving
-//! layer stores a footprint beside each cached answer, so a delta leaves
-//! the answers its edges miss alone and patches the ones they hit.
+//! graph through the same level loop: it moves the sets into its search,
+//! takes out the pairs a removed edge left without a derivation, seeds
+//! the pairs an added edge reaches, resumes the search to its fixpoint,
+//! and moves the sets back out. The serving layer stores a footprint
+//! beside each cached answer, so a delta leaves the answers its edges
+//! miss alone and patches the ones they hit.
+//!
+//! ## Listed levels
+//!
+//! Every level and reached set also lists the nodes it gains while they
+//! are fewer than the set's `|V|/64` words, so a search of a few pairs —
+//! a patch's derivation check, the first levels of a binary evaluation —
+//! walks its sparse steps, probes its meet test and clears its sets by
+//! the list, not by a `|V|`-bit scan. A set that outgrows its list, or
+//! that a dense step merges into, is scanned as before; the plans and the
+//! work units do not depend on the lists.
 
 use crate::cancel::{CancelToken, Interrupt};
 use crate::graph::{Dir, GraphDb, NodeId, StepPlan, StepPolicy};
@@ -119,23 +132,47 @@ pub(crate) struct LiveStep {
 /// level. The two constructors are the two sides of the same table:
 /// [`TransIndex::forward`] maps `(q, a)` to the one successor
 /// `δ(q, a)`, [`TransIndex::reverse`] to every predecessor `p` with
-/// `δ(p, a) = q`.
+/// `δ(p, a) = q`. A scratch rebuilds its indexes in place, in the
+/// buffers the last query left.
+#[derive(Debug, Default)]
 pub(crate) struct TransIndex {
     offsets: Vec<u32>,
     live: Vec<LiveStep>,
     targets: Vec<StateId>,
+    /// The reverse build's `(q, a)` grid.
+    grid: Vec<u32>,
 }
 
 impl TransIndex {
     /// `(q, a) → [δ(q, a)]`. Only symbols both the graph (`graph_sigma`
     /// labels) and the DFA know can advance the product.
     pub(crate) fn forward(query: &Dfa, graph_sigma: usize) -> Self {
+        let mut index = Self::default();
+        index.set_forward(query, graph_sigma);
+        index
+    }
+
+    /// `(q, a) → { p | δ(p, a) = q }`.
+    pub(crate) fn reverse(query: &Dfa, graph_sigma: usize) -> Self {
+        let mut index = Self::default();
+        index.set_reverse(query, graph_sigma);
+        index
+    }
+
+    /// Rebuilds the index as [`TransIndex::forward`]'s.
+    fn set_forward(&mut self, query: &Dfa, graph_sigma: usize) -> &Self {
         let sigma = graph_sigma.min(query.alphabet_len());
-        let q_states = query.num_states();
-        let mut offsets = Vec::with_capacity(q_states + 1);
-        let (mut live, mut targets) = (Vec::new(), Vec::new());
+        let TransIndex {
+            offsets,
+            live,
+            targets,
+            ..
+        } = self;
+        offsets.clear();
+        live.clear();
+        targets.clear();
         offsets.push(0);
-        for q in 0..q_states {
+        for q in 0..query.num_states() {
             for a in 0..sigma {
                 let t = query.step_raw(q as StateId, Symbol::from_index(a));
                 if t != DEAD {
@@ -150,43 +187,50 @@ impl TransIndex {
             }
             offsets.push(live.len() as u32);
         }
-        TransIndex {
-            offsets,
-            live,
-            targets,
-        }
+        self
     }
 
-    /// `(q, a) → { p | δ(p, a) = q }`, by counting sort over the dense
-    /// `(q, a)` grid.
-    pub(crate) fn reverse(query: &Dfa, graph_sigma: usize) -> Self {
+    /// Rebuilds the index as [`TransIndex::reverse`]'s, by counting sort
+    /// over the dense `(q, a)` grid.
+    fn set_reverse(&mut self, query: &Dfa, graph_sigma: usize) -> &Self {
         let sigma = graph_sigma.min(query.alphabet_len());
         let q_states = query.num_states();
         let cell = |q: StateId, sym: Symbol| q as usize * sigma + sym.index();
-        let mut dense = vec![0u32; q_states * sigma + 1];
+        let TransIndex {
+            offsets,
+            live,
+            targets,
+            grid,
+        } = self;
+        // Counts, shifted one cell up; prefix sums make `grid[c]` the
+        // start of cell `c`, and placing each predecessor advances it to
+        // the start of cell `c + 1`.
+        grid.clear();
+        grid.resize(q_states * sigma + 1, 0);
         for (_, sym, q) in query.transitions() {
             if sym.index() < sigma {
-                dense[cell(q, sym) + 1] += 1;
+                grid[cell(q, sym) + 1] += 1;
             }
         }
         for i in 0..q_states * sigma {
-            dense[i + 1] += dense[i];
+            grid[i + 1] += grid[i];
         }
-        let mut targets = vec![0 as StateId; dense[q_states * sigma] as usize];
-        let mut cursor = dense.clone();
+        targets.clear();
+        targets.resize(grid[q_states * sigma] as usize, 0);
         for (p, sym, q) in query.transitions() {
             if sym.index() < sigma {
-                let slot = &mut cursor[cell(q, sym)];
+                let slot = &mut grid[cell(q, sym)];
                 targets[*slot as usize] = p;
                 *slot += 1;
             }
         }
-        let mut offsets = Vec::with_capacity(q_states + 1);
-        let mut live = Vec::new();
+        offsets.clear();
+        live.clear();
         offsets.push(0);
+        let mut lo = 0;
         for q in 0..q_states {
             for a in 0..sigma {
-                let (lo, hi) = (dense[q * sigma + a], dense[q * sigma + a + 1]);
+                let hi = grid[q * sigma + a];
                 if lo != hi {
                     live.push(LiveStep {
                         sym: a as u32,
@@ -194,14 +238,11 @@ impl TransIndex {
                         hi,
                     });
                 }
+                lo = hi;
             }
             offsets.push(live.len() as u32);
         }
-        TransIndex {
-            offsets,
-            live,
-            targets,
-        }
+        self
     }
 
     /// The live rows of `q`, ascending by symbol.
@@ -228,18 +269,129 @@ pub enum Goal {
     BinaryFrom(NodeId),
 }
 
-/// One frontier generation: a node set per automaton state, its
-/// popcounts, and the states whose set is non-empty.
+/// A node set per automaton state, with its sizes and, while a set is
+/// small, the list of its members — so a search that reaches a few pairs
+/// walks, probes and clears them by the list, never by a `|V|`-bit scan.
+#[derive(Debug, Default)]
+struct StateSets {
+    bits: Vec<BitSet>,
+    /// `lens[q] = |bits[q]|`, kept by every insert and removal.
+    lens: Vec<usize>,
+    /// `bits[q]`'s members in insertion order, for as long as the list is
+    /// *complete*: `lists[q].len() == lens[q]`. Only
+    /// [`StateSets::insert`] appends, and only to a complete list shorter
+    /// than `cap`; an insert that bypasses it (a word-wise merge, a full
+    /// seed, a moved-in set) leaves the list short for good, and a
+    /// removal empties it. A list is always a repeat-free subset of its
+    /// set, so a complete one is the set.
+    lists: Vec<Vec<NodeId>>,
+    /// The longest list kept: the sets' word count, `|V|/64`, past which
+    /// a scan of the set costs no more than a walk of the list.
+    cap: usize,
+}
+
+impl StateSets {
+    /// Fits the sets to `q_states` sets of capacity `v`. Every set must
+    /// be empty.
+    fn fit(&mut self, v: usize, q_states: usize) {
+        fit(&mut self.bits, v, q_states);
+        self.lens.clear();
+        self.lens.resize(q_states, 0);
+        self.lists.resize_with(q_states, Vec::new);
+        self.cap = v.div_ceil(BitSet::BLOCK_BITS);
+    }
+
+    /// The members of the set at `q`, while its list is complete.
+    #[inline]
+    fn listed(&self, q: usize) -> Option<&[NodeId]> {
+        let list = &self.lists[q];
+        (list.len() == self.lens[q]).then_some(list.as_slice())
+    }
+
+    /// The members of the set at `q`, ascending: its list sorted while
+    /// that is complete, a scan otherwise.
+    fn members(&self, q: usize) -> Box<[NodeId]> {
+        match self.listed(q) {
+            Some(nodes) => {
+                let mut members: Box<[NodeId]> = nodes.into();
+                members.sort_unstable();
+                members
+            }
+            None => scan_members(&self.bits[q], self.lens[q]),
+        }
+    }
+
+    /// Inserts `node` at `q`; returns whether it is new.
+    #[inline]
+    fn insert(&mut self, q: usize, node: usize) -> bool {
+        if !self.bits[q].insert(node) {
+            return false;
+        }
+        let list = &mut self.lists[q];
+        if list.len() == self.lens[q] && list.len() < self.cap {
+            list.push(node as NodeId);
+        }
+        self.lens[q] += 1;
+        true
+    }
+
+    /// Removes `node` from `q`, if it is there.
+    fn remove(&mut self, q: usize, node: usize) {
+        if self.bits[q].remove(node) {
+            self.lens[q] -= 1;
+            self.lists[q].clear();
+        }
+    }
+
+    /// Makes the set at `q` every node.
+    fn fill(&mut self, q: usize) {
+        self.bits[q].insert_all();
+        self.lens[q] = self.bits[q].capacity();
+    }
+
+    /// Empties the set at `q`: by its list while that is complete, word
+    /// by word otherwise.
+    fn clear(&mut self, q: usize) {
+        let (set, list) = (&mut self.bits[q], &mut self.lists[q]);
+        if list.len() == self.lens[q] {
+            list.iter().for_each(|&node| {
+                set.remove(node as usize);
+            });
+        } else {
+            set.clear();
+        }
+        list.clear();
+        self.lens[q] = 0;
+    }
+
+    /// Puts `set`, of `len` members, at `q`, whose set must be empty, and
+    /// leaves that empty set in `set`.
+    fn swap_in(&mut self, q: usize, set: &mut BitSet, len: usize) {
+        debug_assert_eq!(self.lens[q], 0);
+        std::mem::swap(&mut self.bits[q], set);
+        self.lens[q] = len;
+    }
+
+    /// Takes the set at `q` into `set`, which must be empty, and leaves
+    /// that empty set at `q`.
+    fn swap_out(&mut self, q: usize, set: &mut BitSet) {
+        debug_assert!(set.is_empty());
+        std::mem::swap(&mut self.bits[q], set);
+        self.lens[q] = 0;
+        self.lists[q].clear();
+    }
+}
+
+/// One frontier generation: a node set per automaton state, and the
+/// states whose set is non-empty.
 #[derive(Debug, Default)]
 struct Level {
     /// Empty except at the states in `active` — every insert goes
     /// through a seed or a merge that lists its state — so clearing the
-    /// active sets clears the level.
-    sets: Vec<BitSet>,
-    /// `lens[q] = |sets[q]|`, maintained by the merges (which count the
-    /// fresh bits they OR in), so the step cost model reads a frontier's
-    /// popcount without scanning it.
-    lens: Vec<usize>,
+    /// active sets clears the level. The sizes, maintained by the merges
+    /// (which count the fresh bits they OR in), let the step cost model
+    /// read a frontier's popcount without scanning it.
+    sets: StateSets,
     active: Vec<StateId>,
 }
 
@@ -248,20 +400,55 @@ impl Level {
     fn total(&self) -> u64 {
         self.active
             .iter()
-            .map(|&q| self.lens[q as usize] as u64)
+            .map(|&q| self.sets.lens[q as usize] as u64)
             .sum()
     }
 
-    /// Clears the level, touching only its active sets: a search that
-    /// ran to its end left none, so a reused level costs nothing here.
-    fn prepare(&mut self, v: usize, q_states: usize) {
+    /// Empties the level, touching only its active sets, each by its
+    /// list while it has one: a search that ran to its end left none, so
+    /// a reused level costs nothing here.
+    fn retire(&mut self) {
         for &q in &self.active {
-            self.sets[q as usize].clear();
+            self.sets.clear(q as usize);
         }
         self.active.clear();
-        fit(&mut self.sets, v, q_states);
-        self.lens.clear();
-        self.lens.resize(q_states, 0);
+    }
+
+    fn prepare(&mut self, v: usize, q_states: usize) {
+        self.retire();
+        self.sets.fit(v, q_states);
+    }
+
+    /// Adds `node`, new to the search, at `q`.
+    #[inline]
+    fn push(&mut self, q: usize, node: usize) {
+        if self.sets.lens[q] == 0 {
+            self.active.push(q as StateId);
+        }
+        self.sets.insert(q, node);
+    }
+
+    /// Records `fresh` nodes a merge just ORed into the set at `q`.
+    fn grow(&mut self, q: usize, fresh: usize) {
+        if fresh > 0 && self.sets.lens[q] == 0 {
+            self.active.push(q as StateId);
+        }
+        self.sets.lens[q] += fresh;
+    }
+
+    /// Whether a pair of the level is in `reached`: by the level's list
+    /// at a state that has one, by intersecting the sets at one that
+    /// went dense.
+    fn meets(&self, reached: &StateSets) -> bool {
+        self.active.iter().any(|&q| {
+            let q = q as usize;
+            let other = &reached.bits[q];
+            reached.lens[q] > 0
+                && match self.sets.listed(q) {
+                    Some(nodes) => nodes.iter().any(|&node| other.contains(node as usize)),
+                    None => self.sets.bits[q].intersects(other),
+                }
+        })
     }
 }
 
@@ -276,78 +463,52 @@ fn fit(sets: &mut Vec<BitSet>, v: usize, q_states: usize) {
     }
 }
 
-/// The state of one product search: `reached[q]` is every node found at
-/// state `q` so far and `counts[q]` its size, `frontier` the subset
-/// found in the previous level, `next` the subset being found in this
-/// one.
+/// The state of one product search: `reached` holds every node found at
+/// each state so far, with its size — kept by every insert, so a harvest
+/// skips empty states and sizes its lists without a popcount pass —
+/// `frontier` the subset found in the previous level, `next` the subset
+/// being found in this one.
 #[derive(Debug, Default)]
 struct Side {
-    reached: Vec<BitSet>,
-    /// `counts[q] = |reached[q]|`, kept by every insert — a seed sets
-    /// it, [`Side::reach`] adds one, [`Side::merge`] adds the fresh
-    /// count its pass already makes — so a harvest skips empty states
-    /// and sizes its lists without a popcount pass.
-    counts: Vec<usize>,
+    reached: StateSets,
     frontier: Level,
     next: Level,
 }
 
 impl Side {
     fn prepare(&mut self, v: usize, q_states: usize) {
-        // `counts` says which sets a reused side dirtied.
-        for (set, &count) in self.reached.iter_mut().zip(&self.counts) {
-            if count > 0 {
-                set.clear();
+        // The sizes say which sets a reused side dirtied.
+        for q in 0..self.reached.lens.len() {
+            if self.reached.lens[q] > 0 {
+                self.reached.clear(q);
             }
         }
-        fit(&mut self.reached, v, q_states);
-        self.counts.clear();
-        self.counts.resize(q_states, 0);
+        self.reached.fit(v, q_states);
         self.frontier.prepare(v, q_states);
         self.next.prepare(v, q_states);
     }
 
     /// Seeds the full node set at `state`.
     fn seed_all(&mut self, state: usize) {
-        let v = self.reached[state].capacity();
-        self.reached[state].insert_all();
-        self.counts[state] = v;
-        self.frontier.sets[state].insert_all();
-        if self.frontier.lens[state] == 0 {
+        self.reached.fill(state);
+        if self.frontier.sets.lens[state] == 0 {
             self.frontier.active.push(state as StateId);
         }
-        self.frontier.lens[state] = v;
+        self.frontier.sets.fill(state);
     }
 
     /// Seeds the product pair `(node, state)` into the frontier, unless
     /// it is already reached.
     fn seed(&mut self, state: usize, node: usize) {
-        let Side {
-            reached,
-            counts,
-            frontier,
-            ..
-        } = self;
-        Self::reach(reached, counts, frontier, state, node);
+        Self::reach(&mut self.reached, &mut self.frontier, state, node);
     }
 
     /// Reaches one product pair: if `node` is new at `target` it joins
     /// `reached` and `level`.
     #[inline]
-    fn reach(
-        reached: &mut [BitSet],
-        counts: &mut [usize],
-        level: &mut Level,
-        target: usize,
-        node: usize,
-    ) {
-        if reached[target].insert(node) {
-            counts[target] += 1;
-            level.sets[target].insert(node);
-            if level.lens[target] == 0 {
-                level.active.push(target as StateId);
-            }
-            level.lens[target] += 1;
+    fn reach(reached: &mut StateSets, level: &mut Level, target: usize, node: usize) {
+        if reached.insert(target, node) {
+            level.push(target, node);
         }
     }
 
@@ -355,32 +516,25 @@ impl Side {
     /// into `target`: bits not yet reached join `reached` and the next
     /// frontier.
     fn merge(
-        reached: &mut [BitSet],
-        counts: &mut [usize],
+        reached: &mut StateSets,
         next: &mut Level,
         target: usize,
         found: &BitSet,
         mask: Option<&BitSet>,
     ) {
-        let newly = &mut next.sets[target];
+        let newly = &mut next.sets.bits[target];
+        let set = &mut reached.bits[target];
         let fresh = match mask {
-            None => reached[target].union_with_recording_new_count(found, newly),
-            Some(mask) => reached[target].union_masked_recording_new_count(found, mask, newly),
+            None => set.union_with_recording_new_count(found, newly),
+            Some(mask) => set.union_masked_recording_new_count(found, mask, newly),
         };
-        counts[target] += fresh;
-        if fresh > 0 && next.lens[target] == 0 {
-            next.active.push(target as StateId);
-        }
-        next.lens[target] += fresh;
+        reached.lens[target] += fresh;
+        next.grow(target, fresh);
     }
 
     /// Retires the stepped frontier and promotes `next`.
     fn advance(&mut self) {
-        for &q in &self.frontier.active {
-            self.frontier.sets[q as usize].clear();
-            self.frontier.lens[q as usize] = 0;
-        }
-        self.frontier.active.clear();
+        self.frontier.retire();
         std::mem::swap(&mut self.frontier, &mut self.next);
     }
 
@@ -391,9 +545,9 @@ impl Side {
     /// The union of `reached` over `states` — the answer of a finished
     /// search.
     fn union_of(&self, states: impl Iterator<Item = usize>) -> BitSet {
-        let mut result = BitSet::new(self.reached[0].capacity());
-        for state in states.filter(|&state| self.counts[state] > 0) {
-            result.union_with(&self.reached[state]);
+        let mut result = BitSet::new(self.reached.bits[0].capacity());
+        for state in states.filter(|&state| self.reached.lens[state] > 0) {
+            result.union_with(&self.reached.bits[state]);
         }
         result
     }
@@ -499,6 +653,13 @@ pub struct EvalScratch {
     certificate: Side,
     /// A patch's search from the seeds on the new graph.
     proven: Side,
+    /// Empty `|V|`-bit sets that patches swapped out of `main` for the
+    /// stored sets they moved in, lent to the next patch that turns a
+    /// listed set into a bitset.
+    spare: Vec<BitSet>,
+    /// The transition index of `main`'s pass, and of the opposite one.
+    index: TransIndex,
+    inverse: TransIndex,
     work: Work,
     /// What the last evaluation left in `main`.
     finished: Finished,
@@ -573,12 +734,11 @@ impl EvalScratch {
 
     /// [`EvalScratch::footprint`] for the plan's query.
     fn harvest(&self, query: &Dfa) -> Option<Footprint> {
-        let main = &self.main;
-        let set = |q: usize| NodeSet::counted(&main.reached[q], main.counts[q]);
+        let set = |q: usize| NodeSet::of_state(&self.main.reached, q);
         match self.finished {
             Finished::Opaque => None,
             Finished::Monadic => {
-                debug_assert_eq!(main.reached.len(), query.num_states());
+                debug_assert_eq!(self.main.reached.bits.len(), query.num_states());
                 let q0 = query.initial() as usize;
                 let stored = |q: usize| q != q0 && !query.finals().contains(q);
                 Some(Footprint::Monadic(
@@ -588,7 +748,7 @@ impl EvalScratch {
                 ))
             }
             Finished::Forward(source) => {
-                debug_assert_eq!(main.reached.len(), query.num_states());
+                debug_assert_eq!(self.main.reached.bits.len(), query.num_states());
                 let answer_state = sole_final(query);
                 Some(Footprint::Forward {
                     source,
@@ -626,24 +786,37 @@ pub enum NodeSet {
     /// The members, ascending.
     List(Box<[NodeId]>),
     /// One bit per graph node.
-    Bits(BitSet),
+    Bits {
+        /// The members.
+        set: BitSet,
+        /// The number of members.
+        len: usize,
+    },
 }
 
 impl NodeSet {
     /// `set` as a list iff `4·|set|` is less than the bitset's bytes.
     pub fn of(set: &BitSet) -> Self {
-        Self::counted(set, set.len())
+        let len = set.len();
+        Self::sized(set, len, || scan_members(set, len))
     }
 
-    /// [`NodeSet::of`] for a set whose size `len` is known: an empty set
-    /// costs no scan, and a list scan stops at its last member.
-    fn counted(set: &BitSet, len: usize) -> Self {
-        if 4 * len < std::mem::size_of_val(set.as_blocks()) {
-            let mut members = Vec::with_capacity(len);
-            members.extend(set.iter().take(len).map(|node| node as NodeId));
-            NodeSet::List(members.into_boxed_slice())
+    /// [`NodeSet::of`] for the set at `q` of `sets`: an empty set costs
+    /// nothing, and a list is sorted from the one `sets` keeps, or scanned
+    /// up to its last member.
+    fn of_state(sets: &StateSets, q: usize) -> Self {
+        Self::sized(&sets.bits[q], sets.lens[q], || sets.members(q))
+    }
+
+    /// `set`, of `len` members, as the list `members` gives or as a copy.
+    fn sized(set: &BitSet, len: usize, members: impl FnOnce() -> Box<[NodeId]>) -> Self {
+        if is_list_sized(set, len) {
+            NodeSet::List(members())
         } else {
-            NodeSet::Bits(set.clone())
+            NodeSet::Bits {
+                set: set.clone(),
+                len,
+            }
         }
     }
 
@@ -651,7 +824,7 @@ impl NodeSet {
     pub fn contains(&self, node: NodeId) -> bool {
         match self {
             NodeSet::List(nodes) => nodes.binary_search(&node).is_ok(),
-            NodeSet::Bits(bits) => bits.contains(node as usize),
+            NodeSet::Bits { set, .. } => set.contains(node as usize),
         }
     }
 
@@ -659,25 +832,21 @@ impl NodeSet {
     pub fn bytes(&self) -> usize {
         match self {
             NodeSet::List(nodes) => std::mem::size_of_val(&**nodes),
-            NodeSet::Bits(bits) => std::mem::size_of_val(bits.as_blocks()),
+            NodeSet::Bits { set, .. } => std::mem::size_of_val(set.as_blocks()),
         }
     }
+}
 
-    /// ORs the members into `set` and returns how many there are.
-    fn add_to(&self, set: &mut BitSet) -> usize {
-        match self {
-            NodeSet::List(nodes) => {
-                nodes.iter().for_each(|&node| {
-                    set.insert(node as usize);
-                });
-                nodes.len()
-            }
-            NodeSet::Bits(bits) => {
-                set.union_with(bits);
-                bits.len()
-            }
-        }
-    }
+/// Whether a [`NodeSet`] of `len` of `set`'s nodes is a list.
+fn is_list_sized(set: &BitSet, len: usize) -> bool {
+    4 * len < std::mem::size_of_val(set.as_blocks())
+}
+
+/// The `len` members of `set`, ascending: a scan that stops at the last.
+fn scan_members(set: &BitSet, len: usize) -> Box<[NodeId]> {
+    let mut members = Vec::with_capacity(len);
+    members.extend(set.iter().take(len).map(|node| node as NodeId));
+    members.into_boxed_slice()
 }
 
 /// The reached sets a finished evaluation left — enough to tell,
@@ -755,6 +924,13 @@ impl Footprint {
         }
     }
 
+    fn sets_mut(&mut self) -> &mut [Option<NodeSet>] {
+        match self {
+            Footprint::Forward { reached, .. } => reached,
+            Footprint::Monadic(sets) => sets,
+        }
+    }
+
     /// The state whose reached set is the answer, where the footprint
     /// stores none: `q₀` monadically, a forward search's only final.
     fn answer_state(&self, query: &Dfa) -> Option<usize> {
@@ -815,24 +991,6 @@ impl Footprint {
         add.iter().any(adds_a_pair) || remove.iter().any(was_expanded)
     }
 
-    /// Loads the reached sets into `side`, prepared for `query`.
-    fn load(&self, query: &Dfa, answer: &BitSet, side: &mut Side) {
-        let answer_state = self.answer_state(query);
-        for (q, reached) in side.reached.iter_mut().enumerate() {
-            side.counts[q] = match &self.sets()[q] {
-                Some(set) => set.add_to(reached),
-                None if Some(q) == answer_state => {
-                    reached.union_with(answer);
-                    answer.len()
-                }
-                None => {
-                    reached.insert_all();
-                    answer.capacity()
-                }
-            };
-        }
-    }
-
     /// Seeds the search this footprint describes into `side`.
     fn seed(&self, query: &Dfa, side: &mut Side) {
         match self {
@@ -867,12 +1025,13 @@ fn run_task(
     !out.is_empty()
 }
 
-/// Runs a [`StepPlan::Sparse`] task through [`GraphDb::step_visit`]:
-/// every endpoint is test-and-set straight into `reached` and the next
-/// frontier of each target state whose certificate (if any) holds it —
-/// no step buffer, no merge pass. Reports whether some frontier node had
-/// an edge of the label; a task that finds none is the step
-/// [`StepPlan::Skip`] would have dropped.
+/// Runs a [`StepPlan::Sparse`] task through [`GraphDb::step_visit`] —
+/// or [`GraphDb::step_visit_nodes`], while the frontier state still
+/// lists its nodes: every endpoint is test-and-set straight into
+/// `reached` and the next frontier of each target state whose
+/// certificate (if any) holds it — no step buffer, no merge pass.
+/// Reports whether some frontier node had an edge of the label; a task
+/// that finds none is the step [`StepPlan::Skip`] would have dropped.
 fn run_sparse_task(
     graph: &GraphDb,
     pass: Pass<'_>,
@@ -882,22 +1041,25 @@ fn run_sparse_task(
 ) -> bool {
     let Side {
         reached,
-        counts,
         frontier,
         next,
     } = side;
     let targets = pass.index.targets(&task.row);
-    let frontier = &frontier.sets[task.state as usize];
+    let state = task.state as usize;
     let sym = Symbol::from_index(task.row.sym as usize);
-    graph.step_visit(pass.dir, frontier, sym, |endpoint| {
+    let visit = |endpoint: NodeId| {
         let endpoint = endpoint as usize;
         for &target in targets {
             let target = target as usize;
             if certificate.is_none_or(|certificate| certificate[target].contains(endpoint)) {
-                Side::reach(reached, counts, next, target, endpoint);
+                Side::reach(reached, next, target, endpoint);
             }
         }
-    })
+    };
+    match frontier.sets.listed(state) {
+        Some(nodes) => graph.step_visit_nodes(pass.dir, nodes, sym, visit),
+        None => graph.step_visit(pass.dir, &frontier.sets.bits[state], sym, visit),
+    }
 }
 
 /// The handle every evaluation goes through: it carries the step-kernel
@@ -990,8 +1152,8 @@ impl EvalPool {
         } = work;
         tasks.clear();
         for &q in &side.frontier.active {
-            let frontier = &side.frontier.sets[q as usize];
-            let len = side.frontier.lens[q as usize];
+            let frontier = &side.frontier.sets.bits[q as usize];
+            let len = side.frontier.sets.lens[q as usize];
             for &row in pass.index.live(q) {
                 let sym = Symbol::from_index(row.sym as usize);
                 let plan = graph.plan_step(pass.dir, frontier, sym, len, self.step_policy);
@@ -1012,20 +1174,13 @@ impl EvalPool {
                 if !run_sparse_task(graph, pass, task, side, certificate) {
                     idle_sparse += 1;
                 }
-            } else if run_task(graph, pass, task, &side.frontier.sets, step) {
+            } else if run_task(graph, pass, task, &side.frontier.sets.bits, step) {
                 for &target in pass.index.targets(&task.row) {
                     let target = target as usize;
                     // Sound because every node on a witness path is in
                     // the certificate of its state.
                     let mask = certificate.map(|certificate| &certificate[target]);
-                    Side::merge(
-                        &mut side.reached,
-                        &mut side.counts,
-                        &mut side.next,
-                        target,
-                        step,
-                        mask,
-                    );
+                    Side::merge(&mut side.reached, &mut side.next, target, step, mask);
                 }
             }
         }
@@ -1121,29 +1276,29 @@ impl EvalPool {
         // The backward product search from acceptance over in-edges:
         // reached[q] = nodes ν with (ν, q) able to reach an accepting
         // pair, seeded at the finals, answered at q₀.
-        let index = TransIndex::reverse(query, sigma);
-        let pass = Pass {
-            index: &index,
-            dir: Dir::In,
-        };
         let EvalScratch {
             main,
+            index,
             work,
             finished,
             ..
         } = scratch;
+        let pass = Pass {
+            index: index.set_reverse(query, sigma),
+            dir: Dir::In,
+        };
         work.prepare(v, u64::MAX);
         main.prepare(v, query.num_states());
         for f in query.finals().iter() {
             main.seed_all(f);
         }
-        let all_selected = |side: &Side| side.counts[q0] == v;
+        let all_selected = |side: &Side| side.reached.lens[q0] == v;
         self.drive(graph, work, main, pass, None, all_selected, cancel)
             .map_err(Halt::interrupt)?;
         if main.is_done() {
             *finished = Finished::Monadic;
         }
-        Ok(main.reached[q0].clone())
+        Ok(main.reached.bits[q0].clone())
     }
 
     fn binary(
@@ -1165,6 +1320,8 @@ impl EvalPool {
         let EvalScratch {
             main,
             certificate,
+            index,
+            inverse,
             work,
             finished,
             ..
@@ -1172,9 +1329,8 @@ impl EvalPool {
         work.prepare(v, u64::MAX);
         let coreach = match plan.binary_strategy() {
             Strategy::Backward => {
-                let reverse = TransIndex::reverse(query, sigma);
                 let pass = Pass {
-                    index: &reverse,
+                    index: inverse.set_reverse(query, sigma),
                     dir: Dir::In,
                 };
                 certificate.prepare(v, q_states);
@@ -1185,16 +1341,15 @@ impl EvalPool {
                     .map_err(Halt::interrupt)?;
                 // A source outside coreach[q₀] starts no accepting path
                 // (finals' coreach is full, so ε survives this).
-                if !certificate.reached[q0].contains(source) {
+                if !certificate.reached.bits[q0].contains(source) {
                     return Ok(BitSet::new(v));
                 }
-                Some(certificate.reached.as_slice())
+                Some(certificate.reached.bits.as_slice())
             }
             _ => None,
         };
-        let forward = TransIndex::forward(query, sigma);
         let pass = Pass {
-            index: &forward,
+            index: index.set_forward(query, sigma),
             dir: Dir::Out,
         };
         main.prepare(v, q_states);
@@ -1213,6 +1368,10 @@ impl EvalPool {
     /// `proven`, a search from the seeds over `passes[0]` that this
     /// advances instead whenever its frontier is the smaller one. Once
     /// `proven` dies out it holds every such derivable pair.
+    ///
+    /// The two searches meet first in a pair the side just stepped has
+    /// reached, so each round probes only that side's new level against
+    /// the other side's reached sets.
     #[allow(clippy::too_many_arguments)]
     fn derivable(
         &self,
@@ -1224,26 +1383,23 @@ impl EvalPool {
         work: &mut Work,
         (state, node): (usize, usize),
     ) -> Result<bool, Halt> {
-        check.prepare(graph.num_nodes(), main.reached.len());
+        let within = Some(main.reached.bits.as_slice());
+        check.prepare(graph.num_nodes(), main.reached.bits.len());
         check.seed(state, node);
-        loop {
-            let meets = (0..main.reached.len()).any(|q| {
-                check.counts[q] > 0
-                    && proven.counts[q] > 0
-                    && check.reached[q].intersects(&proven.reached[q])
-            });
-            if meets {
-                return Ok(true);
-            }
+        let mut met = check.frontier.meets(&proven.reached);
+        while !met {
             if check.is_done() || proven.is_done() {
                 return Ok(false);
             }
-            if check.frontier.total() <= proven.frontier.total() {
-                self.step_level(graph, passes[1], check, Some(&main.reached), work)?;
+            met = if check.frontier.total() <= proven.frontier.total() {
+                self.step_level(graph, passes[1], check, within, work)?;
+                check.frontier.meets(&proven.reached)
             } else {
-                self.step_level(graph, passes[0], proven, Some(&main.reached), work)?;
-            }
+                self.step_level(graph, passes[0], proven, within, work)?;
+                proven.frontier.meets(&check.reached)
+            };
         }
+        Ok(true)
     }
 
     /// Patches an answer for an edge batch instead of evaluating it
@@ -1252,10 +1408,29 @@ impl EvalPool {
     /// the answer and footprint an evaluation on `batch.after` would
     /// leave — bit-identical, the reached set of every state included.
     /// `scratch` must be one that `query`'s evaluations could use; what
-    /// it held before is lost. `None` when the patch would spend more
-    /// than `budget` work units (frontier nodes entering a level plus
-    /// step tasks, as an evaluation counts them); the inputs are
-    /// borrowed, so an aborted patch leaves them as they were.
+    /// it held before is lost, and [`EvalScratch::footprint`] reads
+    /// `None` after a patch. `None` when the patch would spend more than
+    /// `budget` work units (frontier nodes entering a level plus step
+    /// tasks, as an evaluation counts them).
+    ///
+    /// **Ownership.** The patch takes `answer` and `footprint` and moves
+    /// their buffers: the answer and each stored bitset are swapped into
+    /// the scratch's search, and swapped back out into the result. A set
+    /// the batch leaves alone goes back unread and uncopied; only a
+    /// stored list is converted, and only a changed set is stored anew.
+    /// The scratch keeps the empty sets it swaps out, so a stream of
+    /// patches allocates no `|V|`-bit set. A patch refused for its
+    /// budget consumes its inputs: a caller that must keep them passes
+    /// clones.
+    ///
+    /// **Cost.** Besides building the query's two transition indexes
+    /// (`O(|Q|·|Σ|)`), a popcount of the answer and one `|V|`-bit fill per
+    /// final state of a monadic query (the states stored as all of `V`),
+    /// a patch costs the pairs its searches visit and the sets the batch
+    /// changes. Each derivation check and the resumed search step levels
+    /// that list their pairs — walked, probed and cleared by the list,
+    /// not by a `|V|`-bit scan — until a level passes `|V|/64` pairs or a
+    /// dense step fills it.
     ///
     /// Every search it runs goes through the level kernel that
     /// [`EvalPool::evaluate`] drives.
@@ -1299,19 +1474,20 @@ impl EvalPool {
     /// let (add, remove) = ([(node("v5"), c, node("v7"))], [(node("v3"), c, node("v4"))]);
     /// let after = before.with_delta(&add, &remove).unwrap();
     /// let batch = Batch { before: &before, after: &after, add: &add, remove: &remove };
+    /// // With no work to spend, nothing is patched; the clones it consumed are gone.
+    /// let (kept_answer, kept_footprint) = (answer.clone(), footprint.clone());
+    /// assert!(pool.patch(&mut scratch, &query, kept_answer, kept_footprint, &batch, 0).is_none());
     /// let (patched, _) = pool
-    ///     .patch(&mut scratch, &query, &answer, &footprint, &batch, u64::MAX)
+    ///     .patch(&mut scratch, &query, answer, footprint, &batch, u64::MAX)
     ///     .unwrap();
     /// assert_eq!(patched, eval_monadic(&query, &after.compact()));
-    /// // With no work to spend, nothing is patched.
-    /// assert!(pool.patch(&mut scratch, &query, &answer, &footprint, &batch, 0).is_none());
     /// ```
     pub fn patch(
         &self,
         scratch: &mut EvalScratch,
         query: &Dfa,
-        answer: &BitSet,
-        footprint: &Footprint,
+        mut answer: BitSet,
+        mut footprint: Footprint,
         batch: &Batch<'_>,
         budget: u64,
     ) -> Option<(BitSet, Footprint)> {
@@ -1321,39 +1497,57 @@ impl EvalPool {
         }
         let sigma = batch.after.alphabet().len();
         let forward = footprint.is_forward();
-        // The search's own pass, and the one that finds a pair's
-        // predecessors.
-        let (index, inverse, dir) = if forward {
-            let (index, inverse) = (
-                TransIndex::forward(query, sigma),
-                TransIndex::reverse(query, sigma),
-            );
-            (index, inverse, Dir::Out)
-        } else {
-            let (index, inverse) = (
-                TransIndex::reverse(query, sigma),
-                TransIndex::forward(query, sigma),
-            );
-            (index, inverse, Dir::In)
-        };
-        let pass = Pass { index: &index, dir };
-        let back = Pass {
-            index: &inverse,
-            dir: dir.reverse(),
-        };
-        let never = CancelToken::never();
         let EvalScratch {
             main,
             certificate: check,
             proven,
+            spare,
+            index,
+            inverse,
             work,
             finished,
         } = scratch;
+        // The search's own pass, and the one that finds a pair's
+        // predecessors.
+        let (index, inverse, dir) = if forward {
+            let index = index.set_forward(query, sigma);
+            (index, inverse.set_reverse(query, sigma), Dir::Out)
+        } else {
+            let index = index.set_reverse(query, sigma);
+            (index, inverse.set_forward(query, sigma), Dir::In)
+        };
+        let pass = Pass { index, dir };
+        let back = Pass {
+            index: inverse,
+            dir: dir.reverse(),
+        };
+        let never = CancelToken::never();
         *finished = Finished::Opaque;
         let q_states = query.num_states();
         work.prepare(v, budget);
         main.prepare(v, q_states);
-        footprint.load(query, answer, main);
+        spare.retain(|set| set.capacity() == v);
+
+        // Moves the entry's sets in. The answer and each stored bitset
+        // trade places with the empty set at their state, which waits in
+        // the footprint (or in `answer`) for the set to come back.
+        let answer_state = footprint.answer_state(query);
+        for (q, stored) in footprint.sets_mut().iter_mut().enumerate() {
+            match stored {
+                Some(NodeSet::Bits { set, len }) => main.reached.swap_in(q, set, *len),
+                Some(NodeSet::List(nodes)) => nodes.iter().for_each(|&node| {
+                    main.reached.insert(q, node as usize);
+                }),
+                None if Some(q) == answer_state => {
+                    let len = answer.len();
+                    main.reached.swap_in(q, &mut answer, len);
+                }
+                None => main.reached.fill(q),
+            }
+        }
+        // A state whose size ends where it was loaded, and that lost no
+        // pair (a loss marks it `usize::MAX`), was not changed.
+        let mut loaded = main.reached.lens.clone();
 
         // Removes. `pending` holds pairs that may have lost their only
         // derivation: at first, those a removed edge led to. Each is
@@ -1364,7 +1558,7 @@ impl EvalPool {
         let mut pending = VecDeque::new();
         for &edge in batch.remove {
             for (x, p, y, q) in product_edges(query, forward, edge) {
-                if main.reached[p].contains(x) && main.reached[q].contains(y) {
+                if main.reached.bits[p].contains(x) && main.reached.bits[q].contains(y) {
                     pending.push_back((q, y));
                 }
             }
@@ -1374,7 +1568,7 @@ impl EvalPool {
             footprint.seed(query, proven);
         }
         while let Some((q, y)) = pending.pop_front() {
-            if !main.reached[q].contains(y) || proven.reached[q].contains(y) {
+            if !main.reached.bits[q].contains(y) || proven.reached.bits[q].contains(y) {
                 continue;
             }
             work.spent += 1;
@@ -1385,8 +1579,8 @@ impl EvalPool {
                 proven.seed(q, y);
                 continue;
             }
-            main.reached[q].remove(y);
-            main.counts[q] -= 1;
+            main.reached.remove(q, y);
+            loaded[q] = usize::MAX;
             for row in index.live(q as StateId) {
                 let sym = Symbol::from_index(row.sym as usize);
                 batch
@@ -1400,28 +1594,53 @@ impl EvalPool {
         }
         for &edge in batch.add {
             for (x, p, y, q) in product_edges(query, forward, edge) {
-                if main.reached[p].contains(x) && !main.reached[q].contains(y) {
+                if main.reached.bits[p].contains(x) && !main.reached.bits[q].contains(y) {
                     main.seed(q, y);
                 }
             }
         }
         self.drive(batch.after, work, main, pass, None, |_| false, &never)
             .ok()?;
-        let answer = match footprint {
-            Footprint::Forward { source, .. } => {
-                *finished = Finished::Forward(*source);
-                main.union_of(query.finals().iter())
+
+        // Moves the sets back out: the answer and every bitset go back
+        // into the buffers they came in, and only a changed set is
+        // stored anew. An answer that is a union of finals is formed
+        // again only if a final changed.
+        let changed = |q: usize| main.reached.lens[q] != loaded[q];
+        match answer_state {
+            Some(q) => main.reached.swap_out(q, &mut answer),
+            None if query.finals().iter().any(changed) => {
+                answer.clear();
+                for f in query.finals().iter() {
+                    answer.union_with(&main.reached.bits[f]);
+                }
             }
-            Footprint::Monadic(_) => {
-                *finished = Finished::Monadic;
-                main.reached[query.initial() as usize].clone()
+            None => {}
+        }
+        for (q, stored) in footprint.sets_mut().iter_mut().enumerate() {
+            let Some(stored) = stored else {
+                continue;
+            };
+            let reached = &mut main.reached;
+            let (len, changed) = (reached.lens[q], reached.lens[q] != loaded[q]);
+            if changed && is_list_sized(&reached.bits[q], len) {
+                let members = NodeSet::List(reached.members(q));
+                if let NodeSet::Bits { set, .. } = std::mem::replace(stored, members) {
+                    spare.push(set);
+                }
+            } else if changed || matches!(stored, NodeSet::Bits { .. }) {
+                // A bitset goes out in the buffer it came in, a list that
+                // grew into one in a spare buffer.
+                let mut set = match std::mem::replace(stored, NodeSet::List(Box::default())) {
+                    NodeSet::Bits { set, .. } => set,
+                    NodeSet::List(_) => spare.pop().unwrap_or_else(|| BitSet::new(v)),
+                };
+                reached.swap_out(q, &mut set);
+                *stored = NodeSet::Bits { set, len };
             }
-        };
-        let footprint = scratch.harvest(query);
-        Some((
-            answer,
-            footprint.expect("a patched search is at its fixpoint"),
-        ))
+        }
+        spare.truncate(q_states);
+        Some((answer, footprint))
     }
 
     /// [`EvalPool::evaluate`] of a raw DFA under a forward plan

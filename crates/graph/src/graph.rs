@@ -189,12 +189,13 @@ pub enum StepPlan {
     Covered,
     /// The frontier is a few nodes against `|V|` (see
     /// [`GraphDb::plan_step`]), so the level kernel in
-    /// [`crate::eval`] walks its set bits and test-and-sets each
+    /// [`crate::eval`] walks its members and test-and-sets each
     /// effective neighbour ([`GraphDb::for_each_neighbor`]) straight
     /// into the reached and next-frontier sets: no step buffer, and no
     /// `|V|`-word pass beyond finding the frontier's bits
-    /// ([`GraphDb::step_visit`]). Through [`GraphDb::step_into`] the
-    /// visits are inserted into `out`.
+    /// ([`GraphDb::step_visit`]), or none at all for a frontier the level
+    /// still lists ([`GraphDb::step_visit_nodes`]). Through
+    /// [`GraphDb::step_into`] the visits are inserted into `out`.
     Sparse,
     /// The dense kernel: walk `frontier ∩ label-active` word by word,
     /// ranking each surviving node's cell in the label word just read.
@@ -1372,6 +1373,36 @@ impl GraphDb {
                 Some(delta) => delta.merged(base, node).for_each(&mut visit),
             });
             word += 1;
+        }
+        productive
+    }
+
+    /// [`GraphDb::step_visit`] of the frontier that `nodes` lists
+    /// (distinct ids, in any order), visited in list order. The
+    /// frontier's words are never read: a node costs one label word, and
+    /// a rank and offset pair if it has an edge, so a step of a few
+    /// listed nodes touches nothing of size `|V|`.
+    pub fn step_visit_nodes(
+        &self,
+        dir: Dir,
+        nodes: &[NodeId],
+        sym: Symbol,
+        mut visit: impl FnMut(NodeId),
+    ) -> bool {
+        let Some(run) = self.adj(dir).run(sym.index()) else {
+            return false;
+        };
+        let delta = self.sym_delta(dir, sym);
+        let mask = self.label_active(dir, sym).as_blocks();
+        let mut productive = false;
+        for &node in nodes {
+            let (word, bit) = word_and_bit(node as usize);
+            let bits = mask[word] & 1 << bit;
+            productive |= bits != 0;
+            run.visit_word(word, bits, |node, base| match delta {
+                None => base.iter().for_each(|&(_, endpoint)| visit(endpoint)),
+                Some(delta) => delta.merged(base, node).for_each(&mut visit),
+            });
         }
         productive
     }

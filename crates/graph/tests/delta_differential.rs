@@ -95,6 +95,41 @@ fn arb_query() -> impl Strategy<Value = Dfa> {
     .prop_map(|regex| regex.to_dfa(3))
 }
 
+/// Strategy: the query shapes of [`arb_query`], plus deeper regexes of
+/// symbols only (more states, no ε shortcut) and raw random DFAs —
+/// partial tables, several finals or none, dead and unreachable states,
+/// an alphabet smaller than the graph's.
+fn arb_any_query() -> impl Strategy<Value = Dfa> {
+    let deep = (0usize..3)
+        .prop_map(|i| Regex::Symbol(Symbol::from_index(i)))
+        .prop_recursive(4, 24, 3, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 1..4).prop_map(Regex::concat),
+                proptest::collection::vec(inner.clone(), 1..3).prop_map(Regex::alt),
+                inner.prop_map(Regex::star),
+            ]
+        })
+        .prop_map(|regex| regex.to_dfa(3));
+    let raw = (
+        1usize..6,
+        1usize..4,
+        proptest::collection::vec((0usize..6, 0usize..4, 0usize..6), 0..24),
+        proptest::collection::vec(0usize..6, 0..6),
+    )
+        .prop_map(|(states, sigma, transitions, finals)| {
+            let mut dfa = Dfa::new(states, sigma, 0);
+            for (p, sym, q) in transitions {
+                let (p, q) = ((p % states) as u32, (q % states) as u32);
+                dfa.set_transition(p, Symbol::from_index(sym % sigma), q);
+            }
+            for f in finals {
+                dfa.set_final((f % states) as u32);
+            }
+            dfa
+        });
+    prop_oneof![arb_query(), deep, raw]
+}
+
 /// Rebuilds `base`'s node set with exactly `edges`, through
 /// [`GraphBuilder`].
 fn rebuild(base: &GraphDb, edges: &HashSet<Edge>) -> GraphDb {
@@ -379,7 +414,12 @@ fn fixed_delta_shapes() {
 type PatchBatch = (Option<usize>, Vec<RawEdge>, Vec<RawEdge>, Vec<usize>);
 
 fn arb_patch_batches() -> impl Strategy<Value = Vec<PatchBatch>> {
-    let edge = (0u32..10, 0usize..3, 0u32..10);
+    arb_patch_batches_over(10)
+}
+
+/// [`arb_patch_batches`] with raw node ids below `nodes`.
+fn arb_patch_batches_over(nodes: u32) -> impl Strategy<Value = Vec<PatchBatch>> {
+    let edge = (0u32..nodes, 0usize..3, 0u32..nodes);
     proptest::collection::vec(
         (
             proptest::option::of(0usize..3),
@@ -510,7 +550,7 @@ proptest! {
             let batch = Batch { before: &before, after: &after, add: &add, remove: &remove };
             for (goal, answer, footprint) in &mut entries {
                 let (patched, patched_footprint) = pool
-                    .patch(&mut patching, &query, answer, footprint, &batch, u64::MAX)
+                    .patch(&mut patching, &query, answer.clone(), footprint.clone(), &batch, u64::MAX)
                     .expect("an unbounded patch completes");
                 let fresh = pool.evaluate(&mut scratch, &plan, &compacted, *goal, &never).unwrap();
                 prop_assert_eq!(&patched, &fresh, "{:?} after batch {}", goal, step);
@@ -529,12 +569,12 @@ proptest! {
         }
     }
 
-    /// A patch past its budget is refused and leaves its inputs as they
-    /// were. With no work to spend, exactly the batches the footprint
-    /// test says hit the answer are refused; the scratch an aborted
-    /// patch ran in then patches exactly.
+    /// A patch past its budget is refused, and consumes the inputs it
+    /// was handed — here clones. With no work to spend, exactly the
+    /// batches the footprint test says hit the answer are refused; the
+    /// scratch an aborted patch ran in then patches exactly.
     #[test]
-    fn an_aborted_patch_leaves_its_input_untouched(
+    fn an_aborted_patch_is_refused_exactly_on_a_hit(
         graph in arb_graph(),
         batches in arb_patch_batches(),
         query in arb_query(),
@@ -547,24 +587,133 @@ proptest! {
         let after = graph.with_delta(&add, &remove).expect("in-range batch");
         let compacted = after.compact();
         let batch = Batch { before: &graph, after: &after, add: &add, remove: &remove };
-        for (goal, answer, footprint) in &entries {
-            let (kept_answer, kept_footprint) = (answer.clone(), footprint.clone());
-            let patched = pool.patch(&mut scratch, &query, answer, footprint, &batch, 0);
+        for (goal, answer, footprint) in entries {
+            let patched = pool.patch(&mut scratch, &query, answer.clone(), footprint.clone(), &batch, 0);
             prop_assert_eq!(
                 patched.is_none(),
-                footprint.hit_by(&query, answer, &add, &remove),
+                footprint.hit_by(&query, &answer, &add, &remove),
                 "{:?}",
                 goal
             );
-            prop_assert_eq!(answer, &kept_answer);
-            prop_assert_eq!(footprint, &kept_footprint);
             let (patched, _) = pool
                 .patch(&mut scratch, &query, answer, footprint, &batch, u64::MAX)
                 .expect("an unbounded patch completes");
             let fresh = pool
-                .evaluate(&mut EvalScratch::new(), &plan, &compacted, *goal, &CancelToken::never())
+                .evaluate(&mut EvalScratch::new(), &plan, &compacted, goal, &CancelToken::never())
                 .unwrap();
             prop_assert_eq!(&patched, &fresh, "{:?}", goal);
+        }
+    }
+}
+
+/// Strategy: a graph of 512–767 nodes, eight to twelve bitset words,
+/// with at most two edges a node on average, so a search's levels of a
+/// few pairs are lists (they are shorter than the word count) and the
+/// levels it grows past that, or merges a dense step into, go dense.
+fn arb_wide_graph() -> impl Strategy<Value = GraphDb> {
+    (
+        512usize..768,
+        proptest::collection::vec((0u32..768, 0usize..3, 0u32..768), 256..1024),
+        proptest::collection::vec((0u32..768, 0usize..3, 1u32..4), 0..512),
+    )
+        .prop_map(|(n, edges, chains)| {
+            let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
+            builder.add_nodes("n", n);
+            let n = n as u32;
+            for (src, sym, dst) in edges {
+                builder.add_edge_ids(src % n, Symbol::from_index(sym), dst % n);
+            }
+            // Short hops between neighbouring ids: paths that stay
+            // inside one or two words.
+            for (src, sym, hop) in chains {
+                builder.add_edge_ids(src % n, Symbol::from_index(sym), (src + hop) % n);
+            }
+            builder.build()
+        })
+}
+
+/// The monadic goal and the binary goals from a spread of sources: on a
+/// wide graph, evaluating from every node would be too slow to repeat.
+fn sampled_goals(graph: &GraphDb) -> Vec<Goal> {
+    let n = graph.num_nodes() as u32;
+    let step = (n / 6).max(1);
+    std::iter::once(Goal::Monadic)
+        .chain((0..n).step_by(step as usize).map(Goal::BinaryFrom))
+        .collect()
+}
+
+/// The answer a fresh scratch gives for `goal`, and the footprint it
+/// leaves.
+fn fresh_evaluation(query: &Dfa, graph: &GraphDb, goal: Goal) -> (BitSet, Option<Footprint>) {
+    let plan = QueryPlan::forward(query);
+    let mut scratch = EvalScratch::new();
+    let answer = EvalPool::sequential()
+        .evaluate(&mut scratch, &plan, graph, goal, &CancelToken::never())
+        .unwrap();
+    (answer, scratch.footprint(&plan))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One scratch reused for everything stays exact. It patches the
+    /// entries of two queries in turn, refusing some patches at budget
+    /// 0 first, and between patches evaluates the other query, monadic
+    /// and binary. Every patched answer and footprint equals what a
+    /// fresh scratch's patch gives, and every evaluation's answer and
+    /// footprint what a fresh scratch's evaluation gives: a bit a list
+    /// level or a moved buffer left behind would show. Half the graphs
+    /// are wide and sparse, so levels run as lists and some go dense.
+    #[test]
+    fn one_scratch_stays_exact_through_patches_and_evaluations(
+        graph in prop_oneof![arb_graph(), arb_wide_graph()],
+        batches in arb_patch_batches_over(768),
+        queries in (arb_any_query(), arb_any_query()),
+    ) {
+        let pool = EvalPool::sequential();
+        let never = CancelToken::never();
+        let queries = [queries.0, queries.1];
+        let plans = queries.each_ref().map(QueryPlan::forward);
+        let mut shared = EvalScratch::new();
+        let mut entries: Vec<(usize, Goal, BitSet, Footprint)> = Vec::new();
+        for goal in sampled_goals(&graph) {
+            for (which, query) in queries.iter().enumerate() {
+                let (answer, footprint) = fresh_evaluation(query, &graph, goal);
+                if let Some(footprint) = footprint {
+                    entries.push((which, goal, answer, footprint));
+                }
+            }
+        }
+        let mut before = graph;
+        for (step, raw) in batches.iter().enumerate() {
+            let (add, remove) = resolve(&before, raw);
+            let after = before.with_delta(&add, &remove).expect("in-range batch");
+            let batch = Batch { before: &before, after: &after, add: &add, remove: &remove };
+            for (turn, (which, goal, answer, footprint)) in entries.iter_mut().enumerate() {
+                let query = &queries[*which];
+                if turn % 2 == 0 && footprint.hit_by(query, answer, &add, &remove) {
+                    let refused =
+                        pool.patch(&mut shared, query, answer.clone(), footprint.clone(), &batch, 0);
+                    prop_assert!(refused.is_none(), "{:?}: a hit patched for free", goal);
+                }
+                let expected = pool
+                    .patch(&mut EvalScratch::new(), query, answer.clone(), footprint.clone(), &batch, u64::MAX)
+                    .expect("an unbounded patch completes");
+                let patched = pool
+                    .patch(&mut shared, query, answer.clone(), footprint.clone(), &batch, u64::MAX)
+                    .expect("an unbounded patch completes");
+                prop_assert_eq!(&patched, &expected, "{:?} of query {} after batch {}", goal, which, step);
+                (*answer, *footprint) = patched;
+                // The other query, evaluated in the same scratch.
+                let other = 1 - *which;
+                let evaluated = pool.evaluate(&mut shared, &plans[other], &after, *goal, &never).unwrap();
+                prop_assert_eq!(
+                    (evaluated, shared.footprint(&plans[other])),
+                    fresh_evaluation(&queries[other], &after, *goal),
+                    "{:?} of query {} after batch {}", goal, other, step
+                );
+            }
+            before = after;
         }
     }
 }

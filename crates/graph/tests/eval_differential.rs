@@ -16,15 +16,16 @@
 //! bitmaps feeding it all are checked against a from-scratch
 //! recomputation on the same random graphs.
 
-use pathlearn_automata::{Alphabet, BitSet, Dfa, Regex, Symbol};
+use pathlearn_automata::{Alphabet, BitSet, Dfa, Regex, Symbol, DEAD};
 use pathlearn_graph::eval::{
     eval_binary_from, eval_monadic, eval_monadic_naive, eval_monadic_queued, EvalScratch, Goal,
 };
 use pathlearn_graph::{
-    collect_levels, CancelToken, Dir, EvalPool, GraphBuilder, GraphDb, LevelSample, QueryPlan,
-    StepPolicy,
+    collect_levels, CancelToken, Dir, EvalPool, GraphBuilder, GraphDb, LevelSample, NodeId,
+    QueryPlan, StepPolicy,
 };
 use proptest::prelude::*;
+use std::collections::{HashSet, VecDeque};
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
 
@@ -404,6 +405,100 @@ proptest! {
                 &expected,
                 "binary under {:?}", policy
             );
+        }
+    }
+}
+
+/// Strategy: a graph of 512–767 nodes, eight to twelve bitset words,
+/// with at most two edges a node on average. A search's levels of a few
+/// pairs are lists there (they are shorter than the word count), and a
+/// level it grows past that, or merges a dense step into, goes dense.
+fn arb_wide_sparse_graph() -> impl Strategy<Value = GraphDb> {
+    (
+        512usize..768,
+        proptest::collection::vec((0u32..768, 0usize..3, 0u32..768), 256..1024),
+        proptest::collection::vec((0u32..768, 0usize..3, 1u32..4), 0..512),
+    )
+        .prop_map(|(n, edges, chains)| {
+            let mut builder = GraphBuilder::with_alphabet(Alphabet::from_labels(LABELS));
+            builder.add_nodes("n", n);
+            let n = n as u32;
+            for (src, sym, dst) in edges {
+                builder.add_edge_ids(src % n, Symbol::from_index(sym), dst % n);
+            }
+            // Short hops between neighbouring ids: paths that stay
+            // inside one or two words.
+            for (src, sym, hop) in chains {
+                builder.add_edge_ids(src % n, Symbol::from_index(sym), (src + hop) % n);
+            }
+            builder.build()
+        })
+}
+
+/// The end nodes of `query`'s paths from `source`, by a queue BFS over
+/// `(node, state)` pairs: a binary oracle that shares no code with the
+/// level kernel.
+fn binary_oracle(query: &Dfa, graph: &GraphDb, source: NodeId) -> BitSet {
+    let mut ends = BitSet::new(graph.num_nodes());
+    let mut seen = HashSet::from([(source, query.initial())]);
+    let mut queue = VecDeque::from([(source, query.initial())]);
+    while let Some((node, state)) = queue.pop_front() {
+        if query.is_final(state) {
+            ends.insert(node as usize);
+        }
+        for sym in graph.alphabet().symbols() {
+            if sym.index() >= query.alphabet_len() {
+                continue;
+            }
+            let next = query.step_raw(state, sym);
+            if next == DEAD {
+                continue;
+            }
+            graph.for_each_neighbor(Dir::Out, node, sym, |end| {
+                if seen.insert((end, next)) {
+                    queue.push_back((end, next));
+                }
+            });
+        }
+    }
+    ends
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On wide, sparse graphs, where levels run as lists and some go
+    /// dense mid-search, one scratch reused for everything agrees with
+    /// the oracles: monadic under every step policy with the queued
+    /// oracle, binary from a spread of sources under every step policy
+    /// with a pair-at-a-time BFS.
+    #[test]
+    fn engines_agree_on_wide_sparse_graphs(
+        graph in arb_wide_sparse_graph(),
+        queries in proptest::collection::vec(arb_query(), 1..4),
+    ) {
+        let mut scratch = EvalScratch::new();
+        let n = graph.num_nodes() as NodeId;
+        for query in &queries {
+            let expected = eval_monadic_queued(query, &graph);
+            for policy in StepPolicy::ALL {
+                prop_assert_eq!(
+                    &evaluate(&sequential(policy), &mut scratch, query, &graph, Goal::Monadic),
+                    &expected,
+                    "monadic under {:?}", policy
+                );
+            }
+            for source in (0..n).step_by(n as usize / 8) {
+                let expected = binary_oracle(query, &graph, source);
+                for policy in StepPolicy::ALL {
+                    let goal = Goal::BinaryFrom(source);
+                    prop_assert_eq!(
+                        &evaluate(&sequential(policy), &mut scratch, query, &graph, goal),
+                        &expected,
+                        "binary from {} under {:?}", source, policy
+                    );
+                }
+            }
         }
     }
 }

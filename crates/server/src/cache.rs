@@ -17,10 +17,11 @@
 //! set of every state of its product search. An edge delta judges only
 //! the entries whose live alphabet it touches
 //! ([`ResultCache::patch_edges`]). One whose footprint no edge of the
-//! batch hits is unchanged and stays (`cache.spared`). One it hits is
-//! handed to the caller's patch, which returns the new answer and
-//! footprint (`cache.patched`) or gives up, and then the entry is dropped
-//! (`cache.invalidated`), as is every hit entry without a footprint. A
+//! batch hits is unchanged and stays (`cache.spared`). One it hits hands
+//! its answer and footprint over to the caller's patch, which returns the
+//! new answer and footprint (`cache.patched`) or gives up, and then the
+//! entry is dropped (`cache.invalidated`), as is every hit entry without
+//! a footprint. A
 //! patched entry keeps its cost and its place in the eviction order; its
 //! bytes are accounted again, and entries are evicted if they no longer
 //! fit. Footprint bytes are resident bytes: they count against the budget
@@ -411,14 +412,22 @@ impl ResultCache {
     /// ([`Footprint::hit_by`] — their answers, and their footprints, are
     /// unchanged), counted in `cache.spared`. It hands each hit entry's
     /// key, answer, footprint and cost to `patch`, and stores the answer
-    /// and footprint it returns as a new `Arc` (`cache.patched`; readers
-    /// may still hold the old one). An entry `patch` returns `None` for,
-    /// or that has no footprint, is dropped (`cache.invalidated`).
+    /// and footprint it returns as a new `Arc` (`cache.patched`). An
+    /// entry `patch` returns `None` for, or that has no footprint, is
+    /// dropped (`cache.invalidated`).
+    ///
+    /// `patch` owns what it is handed, so it can move the buffers into
+    /// its result instead of copying them ([`EvalPool::patch`]). The
+    /// footprint is the entry's own. So is the answer, unless a reader
+    /// still holds its `Arc`: then `patch` gets a copy, and the reader
+    /// keeps the old answer.
+    ///
+    /// [`EvalPool::patch`]: pathlearn_graph::EvalPool::patch
     pub fn patch_edges(
         &mut self,
         add: &[Edge],
         remove: &[Edge],
-        patch: impl FnMut(&CacheKey, &BitSet, &Footprint, u64) -> Option<(BitSet, Footprint)>,
+        patch: impl FnMut(&CacheKey, BitSet, Footprint, u64) -> Option<(BitSet, Footprint)>,
     ) -> EdgeOutcome {
         self.invalidate(&touched_labels(add, remove), Some((add, remove)), patch)
     }
@@ -427,24 +436,29 @@ impl ResultCache {
         &mut self,
         touched: &[Symbol],
         edges: Option<(&[Edge], &[Edge])>,
-        mut patch: impl FnMut(&CacheKey, &BitSet, &Footprint, u64) -> Option<(BitSet, Footprint)>,
+        mut patch: impl FnMut(&CacheKey, BitSet, Footprint, u64) -> Option<(BitSet, Footprint)>,
     ) -> EdgeOutcome {
         let ResultCache {
             map, order, bytes, ..
         } = self;
         let before = map.len();
         let (mut spared, mut patched) = (0, 0);
+        // What a patched entry holds while its patch runs.
+        let taken = Arc::new(BitSet::new(0));
         map.retain(|key, entry| {
             if !intersects(live_alphabet(&key.query), touched) {
                 return true;
             }
-            let replacement = match (edges, &entry.footprint) {
+            let replacement = match (edges, entry.footprint.take()) {
                 (Some((add, remove)), Some(footprint)) => {
                     if !footprint.hit_by(key.query.dfa(), &entry.value, add, remove) {
+                        entry.footprint = Some(footprint);
                         spared += 1;
                         return true;
                     }
-                    patch(key, &entry.value, footprint, entry.cost)
+                    let answer = std::mem::replace(&mut entry.value, taken.clone());
+                    let answer = Arc::try_unwrap(answer).unwrap_or_else(|shared| (*shared).clone());
+                    patch(key, answer, footprint, entry.cost)
                 }
                 _ => None,
             };
@@ -872,7 +886,10 @@ mod tests {
         };
         reached[binary.query.dfa().initial() as usize] = Some(nodes(0..200));
         let outcome = cache.patch_edges(&[(4, b, 9)], &[], |key, answer, seen, cost| {
-            assert_eq!((key, answer, seen, cost), (&binary, &*old, &footprint, 10));
+            assert_eq!(
+                (key, &answer, &seen, cost),
+                (&binary, &*old, &footprint, 10)
+            );
             Some((BitSet::from_indices(1024, [9]), patched_footprint.clone()))
         });
         assert_eq!(

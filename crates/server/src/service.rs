@@ -79,9 +79,12 @@
 //!   `x ∈ R[p] ∧ y ∈ R[q]` and `(y, q)` is not a seed (an expanded
 //!   edge).
 //! - **Patches.** A hit entry is patched by [`EvalPool::patch`] in a
-//!   scratch borrowed from the pool: the pairs a removed edge left without a
-//!   derivation are taken out, the pairs an added edge reaches are
-//!   seeded, and the search resumes to its fixpoint on the new graph.
+//!   scratch borrowed from the pool. It takes over the entry's
+//!   footprint and answer (a copy of the answer while a reader holds
+//!   it) and moves their buffers instead of copying them. The pairs a
+//!   removed edge left without a derivation are taken out, the pairs an
+//!   added edge reaches are seeded, and the search resumes to its
+//!   fixpoint on the new graph.
 //!   The patched answer is bit-identical to a fresh evaluation and is
 //!   stored as a new `Arc` (readers may hold the old one), with its new
 //!   footprint. A patch may spend the work units the entry's
